@@ -473,10 +473,12 @@ func BenchmarkPDES(b *testing.B) {
 			"parallel engines run risk-free (rollback rate 0 by design — " +
 			"rollback machinery is exercised in internal/pdes's own tests). " +
 			"On a single-CPU machine (num_cpu=1) lane goroutines cannot run " +
-			"concurrently, so any win over sequential here is the cache " +
-			"locality of P small per-lane queues, not parallelism, and " +
-			"monotonic lane scaling (1 -> 2 -> 4) is physically impossible; " +
-			"re-run on a many-core box for real speedup curves. " +
+			"concurrently, so monotonic lane scaling (1 -> 2 -> 4) is " +
+			"physically impossible; re-run on a many-core box for real " +
+			"speedup curves. A lane count that beats sequential on one CPU " +
+			"is not parallelism and needs a measured cause before it is " +
+			"called locality (EXPERIMENTS E22: the first such reading was a " +
+			"quadratic set-up cost in the sequential scheduling surface). " +
 			"Regenerate with: make bench-pdes",
 		Rows: rows,
 	}

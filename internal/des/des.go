@@ -133,6 +133,14 @@ type Simulator struct {
 
 	// probe counts event-pool traffic (nil unless EnableProbe was called).
 	probe *probe.PoolProbe
+
+	// slab is the unissued tail of the newest pooled-event slab. Pool
+	// misses carve from it instead of allocating one Event each: filling a
+	// world of n hosts is 2n consecutive misses. slabSize is that slab's
+	// full size; the next one doubles it (see eventSlabMin/Max). Cold
+	// next to the fields above, which the loop reads on every event.
+	slab     []Event
+	slabSize int
 }
 
 // New returns a simulator with the clock at 0, an empty queue, and the
@@ -212,8 +220,20 @@ func (s *Simulator) checkAt(at Time, label string) {
 	}
 }
 
+// Pooled-event slabs double from eventSlabMin to eventSlabMax events, so
+// a ten-host world pays for a handful of events and a million-host fill
+// costs one allocation per eventSlabMax misses. A slab lives as long as
+// any of its events does — which for pooled events is the simulator's
+// lifetime anyway, since the free list never shrinks.
+const (
+	eventSlabMin = 16
+	eventSlabMax = 4096
+)
+
 // acquire returns an event ready to be queued: recycled from the free
-// list for pooled events, freshly allocated otherwise.
+// list (or, on a miss, carved from the current slab) for pooled events,
+// individually allocated for handle-returning ones, whose storage must
+// stay collectable on its own.
 //
 //probe:writer the simulator loop is single-threaded; it owns its pool probe
 func (s *Simulator) acquire(at Time, label string, pooled bool) *Event {
@@ -225,12 +245,20 @@ func (s *Simulator) acquire(at Time, label string, pooled bool) *Event {
 		if s.probe != nil {
 			s.probe.Hits++
 		}
+	} else if pooled {
+		if len(s.slab) == 0 {
+			s.slabSize = min(max(2*s.slabSize, eventSlabMin), eventSlabMax)
+			s.slab = make([]Event, s.slabSize)
+		}
+		e = &s.slab[0]
+		s.slab = s.slab[1:]
+		e.ent.E = e
+		if s.probe != nil {
+			s.probe.Misses++
+		}
 	} else {
 		e = &Event{}
 		e.ent.E = e
-		if s.probe != nil && pooled {
-			s.probe.Misses++
-		}
 	}
 	e.ent.At = float64(at)
 	e.ent.Seq = s.seq

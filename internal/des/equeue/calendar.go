@@ -1,7 +1,7 @@
 package equeue
 
 import (
-	"sort"
+	"slices"
 
 	"mobickpt/internal/obs/probe"
 )
@@ -314,7 +314,11 @@ func (c *Calendar) resize(size int) {
 			all = append(all, p)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
+	// (At, Seq) is a strict total order, so the result is the same
+	// whichever algorithm sorts; SortFunc swaps pointers directly where
+	// sort.Slice goes through a reflection swapper, and the initial fill
+	// of an n-host world resizes log2(n) times.
+	slices.SortFunc(all, (*Entry).compare)
 
 	if len(all) > 0 {
 		// Brown's width rule samples separations near the *head* of the

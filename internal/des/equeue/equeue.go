@@ -24,7 +24,11 @@
 // implementation selected.
 package equeue
 
-import "mobickpt/internal/obs/probe"
+import (
+	"cmp"
+
+	"mobickpt/internal/obs/probe"
+)
 
 // Entry is one queued occurrence. The owner (des) sets At and Seq
 // before pushing and must not mutate them while the entry is queued
@@ -54,6 +58,17 @@ func (e *Entry) before(f *Entry) bool {
 		return e.At < f.At
 	}
 	return e.Seq < f.Seq
+}
+
+// compare is before as a three-way comparison, for sorting.
+func (e *Entry) compare(f *Entry) int {
+	if e.At != f.At {
+		if e.At < f.At {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(e.Seq, f.Seq)
 }
 
 // Queue is the pending-event set. Implementations must order entries by

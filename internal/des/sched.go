@@ -1,5 +1,7 @@
 package des
 
+import "slices"
+
 // Sched is the scheduling surface the world model (mobile, workload)
 // programs against, abstracted over the sequential engine and the
 // parallel lane kernel. owner is the integer identity whose timeline
@@ -50,12 +52,14 @@ type solo struct {
 }
 
 // key stamps emitter's next emission, growing the ordinal table on
-// first sight of a new emitter (dynamic joins).
+// first sight of a new emitter (world set-up walks them in id order,
+// dynamic joins arrive later). Growth is geometric — set-up schedules
+// every host once, so an exact-fit regrow per emitter is quadratic in
+// the population — and zero-fills, so an emitter's ordinal never depends
+// on when the table grew past it.
 func (w *solo) key(emitter int) uint64 {
 	if emitter >= len(w.ord) {
-		grown := make([]uint32, emitter+1)
-		copy(grown, w.ord)
-		w.ord = grown
+		w.ord = slices.Grow(w.ord, emitter+1-len(w.ord))[:emitter+1]
 	}
 	k := KeyFor(emitter, w.ord[emitter])
 	w.ord[emitter]++

@@ -2,6 +2,7 @@ package des
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -74,6 +75,38 @@ func TestSoloKeys(t *testing.T) {
 	if n := s.Run(10); n != 5 {
 		t.Fatalf("fired %d events, want 5", n)
 	}
+
+	// What the table's growth policy must never leak into tie-breaking:
+	// emitters first seen out of order and with gaps are stamped
+	// KeyFor(emitter, k) on their k-th emission, whatever capacity the
+	// table had when they appeared, and emitters the growth merely stepped
+	// over still stand at ordinal 0.
+	t.Run("sparse emitters", func(t *testing.T) {
+		s := New()
+		w := Solo(s).(*solo)
+		emitters := []int{0, 7, 3, 100000, 4, 7, 100000, 0, 99999, 100000}
+		want := make([]uint64, len(emitters))
+		seen := map[int]uint32{}
+		for j, e := range emitters {
+			want[j] = KeyFor(e, seen[e])
+			seen[e]++
+			// Emission j fires at time j+1, so popping replays emission order.
+			w.ScheduleArg(e, Time(j+1), "e", nop, nil)
+		}
+		for j, e := range emitters {
+			if got := s.queue.Pop().Seq; got != want[j] {
+				t.Fatalf("emission %d (emitter %d): key %#x, want %#x", j, e, got, want[j])
+			}
+		}
+		if len(w.ord) != 100001 {
+			t.Fatalf("ordinal table has %d entries, want 100001", len(w.ord))
+		}
+		for e, ord := range w.ord {
+			if ord != seen[e] {
+				t.Fatalf("emitter %d stands at ordinal %d, want %d", e, ord, seen[e])
+			}
+		}
+	})
 }
 
 // TestSoloMatchesLaneOrder runs the same simultaneous-event population
@@ -89,11 +122,15 @@ func TestSoloMatchesLaneOrder(t *testing.T) {
 			return func(_ *Simulator, _ Time, _ any) { got = append(got, name) }
 		}
 		if swap {
+			w.ScheduleArg(100000, 1, "d", rec("100000.0"), nil)
 			w.ScheduleArg(2, 1, "b", rec("2.0"), nil)
 			w.ScheduleArg(1, 1, "a", rec("1.0"), nil)
+			w.ScheduleArg(7, 1, "c", rec("7.0"), nil)
 		} else {
 			w.ScheduleArg(1, 1, "a", rec("1.0"), nil)
 			w.ScheduleArg(2, 1, "b", rec("2.0"), nil)
+			w.ScheduleArg(7, 1, "c", rec("7.0"), nil)
+			w.ScheduleArg(100000, 1, "d", rec("100000.0"), nil)
 		}
 		s.Run(2)
 		return got
@@ -101,6 +138,39 @@ func TestSoloMatchesLaneOrder(t *testing.T) {
 	a, b := run(false), run(true)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("firing order depends on insertion order: %v vs %v", a, b)
+	}
+	// The order is the emitters', not the order the table grew in: the
+	// swapped run sees emitter 100000 first, sizing the table in one step.
+	if want := []string{"1.0", "2.0", "7.0", "100000.0"}; !reflect.DeepEqual(a, want) {
+		t.Fatalf("firing order %v, want %v", a, want)
+	}
+}
+
+// TestSoloFirstScheduleAllocsLinear is the gate on the ordinal table's
+// growth: world set-up first-schedules every host in id order, so the
+// bytes that takes at 2n emitters must stay near twice those at n. A
+// table regrown to exact fit per new emitter copies n²/2 ordinals and
+// shows as 4x.
+func TestSoloFirstScheduleAllocsLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	nop := func(_ *Simulator, _ Time, _ any) {}
+	firstSchedule := func(n int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := Solo(NewWith(QueueCalendar))
+		for i := 0; i < n; i++ {
+			w.ScheduleArgAfter(i, Time(i%97)+1, "first", nop, nil)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const n = 20000
+	small, large := firstSchedule(n), firstSchedule(2*n)
+	t.Logf("first schedule: %.0f B at n=%d, %.0f B at n=%d, ratio %.2f", small, n, large, 2*n, large/small)
+	if r := large / small; r >= 2.5 {
+		t.Fatalf("first-schedule bytes grew %.2fx for 2x the emitters (limit 2.5): the ordinal table regrows quadratically", r)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"mobickpt/internal/des"
@@ -179,5 +180,42 @@ func TestMeasureScale(t *testing.T) {
 	}
 	if len(back) != 2 || back[0].Hosts != 10 || back[0].Queue != "heap" || back[1].Queue != "calendar" {
 		t.Fatalf("round-trip mismatch: %+v", back)
+	}
+}
+
+// TestSetupAllocsLinear is the set-up complexity gate (DESIGN §7):
+// constructing a world must cost O(n) bytes. A run with a horizon too
+// short for any event to fire is construction, the initial checkpoints
+// and the first schedule of every host, so the bytes it allocates at 2n
+// hosts against n must stay near 2x — a per-host table regrown to exact
+// fit on every new host (des.Solo's ordinal table once was) makes it
+// 4x — and each host must cost a bounded number of bytes.
+func TestSetupAllocsLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
+	}
+	setupBytes := func(n int) float64 {
+		cfg := ScalePoint{Hosts: n, Horizon: 1e-9, Protocols: []ProtocolName{BCS, QBC}}.Config(1, des.QueueCalendar)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if res.EventsFired != 0 {
+			t.Fatalf("n=%d: %d events fired, want a set-up-only run", n, res.EventsFired)
+		}
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const n = 20000
+	small, large := setupBytes(n), setupBytes(2*n)
+	t.Logf("set-up bytes: %.0f at n=%d (%.0f B/host), %.0f at n=%d (%.0f B/host), ratio %.2f",
+		small, n, small/n, large, 2*n, large/(2*n), large/small)
+	if r := large / small; r >= 2.5 {
+		t.Fatalf("set-up bytes grew %.2fx for 2x the hosts (limit 2.5): construction is superlinear", r)
+	}
+	if per := large / (2 * n); per >= 2048 {
+		t.Fatalf("set-up allocates %.0f B per host (limit 2048)", per)
 	}
 }

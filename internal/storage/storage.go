@@ -14,6 +14,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -113,7 +114,23 @@ type Counters struct {
 type Store struct {
 	model  CostModel
 	chains [][]*Record // indexed by HostID; grown on first Take
+
+	// A host's first checkpoint — n of them back to back when a protocol
+	// is constructed — is carved from these slabs instead of costing two
+	// allocations: recSlab holds the unissued records, ptrSlab the unissued
+	// one-element chain backings, slabSize the size of the newest pair
+	// (doubling from recordSlabMin to recordSlabMax). Only the Take that
+	// grows the chain table carves; that Take already needs the store to
+	// itself, so later Takes stay safe to run one host per goroutine.
+	recSlab  []Record
+	ptrSlab  []*Record
+	slabSize int
 }
+
+const (
+	recordSlabMin = 16
+	recordSlabMax = 4096
+)
 
 // NewStore returns an empty store with the given cost model.
 func NewStore(model CostModel) *Store {
@@ -138,11 +155,23 @@ func (s *Store) chain(host mobile.HostID) []*Record {
 //     full-state fetch over the wired network so the new MSS can
 //     reconstruct (§2.2 "Incremental Checkpointing").
 func (s *Store) Take(host mobile.HostID, mss mobile.MSSID, index int, kind Kind, now des.Time) *Record {
-	for int(host) >= len(s.chains) {
-		s.chains = append(s.chains, nil)
+	var r *Record
+	if int(host) >= len(s.chains) {
+		s.chains = slices.Grow(s.chains, int(host)+1-len(s.chains))[:int(host)+1]
+		if len(s.recSlab) == 0 {
+			s.slabSize = min(max(2*s.slabSize, recordSlabMin), recordSlabMax)
+			s.recSlab = make([]Record, s.slabSize)
+			s.ptrSlab = make([]*Record, s.slabSize)
+		}
+		r, s.recSlab = &s.recSlab[0], s.recSlab[1:]
+		// Capacity 1, like the chain append would have built: the second
+		// checkpoint moves the chain to storage of its own.
+		s.chains[host], s.ptrSlab = s.ptrSlab[:0:1], s.ptrSlab[1:]
+	} else {
+		r = new(Record)
 	}
 	chain := s.chains[host]
-	r := &Record{
+	*r = Record{
 		Host:    host,
 		Ordinal: len(chain),
 		Index:   index,

@@ -208,3 +208,58 @@ func BenchmarkTake(b *testing.B) {
 		s.Take(mobile.HostID(i%8), mobile.MSSID(i%4), i, Basic, 0)
 	}
 }
+
+// First checkpoints are carved from shared slabs (records and one-element
+// chain backings alike): every host must still own its records and its
+// chain, across slab boundaries, across ids first seen with a gap, and
+// once later checkpoints outgrow the carved backing.
+func TestInitialRecordsDoNotAlias(t *testing.T) {
+	s := NewStore(DefaultCostModel())
+	hosts := make([]mobile.HostID, 0, 3*recordSlabMin+2)
+	for h := 0; h < 3*recordSlabMin; h++ {
+		hosts = append(hosts, mobile.HostID(h))
+	}
+	hosts = append(hosts, 5000, 4000) // joins: a gap, then an id the gap stepped over
+	for _, h := range hosts {
+		s.Take(h, mobile.MSSID(h%7), 0, Initial, 0)
+	}
+	for round := 1; round <= 3; round++ {
+		for _, h := range hosts {
+			s.Take(h, mobile.MSSID(h%7), round, Basic, 0)
+		}
+	}
+	seen := make(map[*Record]bool)
+	for _, h := range hosts {
+		chain := s.Chain(h)
+		if len(chain) != 4 {
+			t.Fatalf("host %d: chain of %d records, want 4", h, len(chain))
+		}
+		for i, r := range chain {
+			if r.Host != h || r.Ordinal != i || r.Index != i || seen[r] {
+				t.Fatalf("host %d: record %d is %+v (shared: %v)", h, i, *r, seen[r])
+			}
+			seen[r] = true
+		}
+	}
+	if got := s.Chain(4500); got != nil {
+		t.Fatalf("host 4500 never checkpointed, chain = %v", got)
+	}
+}
+
+// TestInitialTakeAllocs gates the set-up cost of a store: the first
+// checkpoint of n hosts taken in id order — what every protocol does at
+// construction — must come from slabs and a geometrically grown chain
+// table, not from two allocations per host.
+func TestInitialTakeAllocs(t *testing.T) {
+	const n = 20000
+	allocs := testing.AllocsPerRun(3, func() {
+		s := NewStore(DefaultCostModel())
+		for h := 0; h < n; h++ {
+			s.Take(mobile.HostID(h), 0, 0, Initial, 0)
+		}
+	})
+	t.Logf("%.0f allocations for %d initial checkpoints", allocs, n)
+	if allocs > n/20 {
+		t.Fatalf("%.0f allocations for %d initial checkpoints (limit %d): per-host allocation is back", allocs, n, n/20)
+	}
+}

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -157,8 +158,12 @@ type Driver struct {
 	cfg   Config
 	cb    Callbacks
 
-	opRNG  []*rng.Source // per-host operation stream
-	mobRNG []*rng.Source // per-host mobility stream
+	// Per-host streams, held by value in two flat tables: one allocation
+	// each instead of 2n, and operate — the hottest function of the world
+	// model — reaches its stream without a pointer chase. Take &d.opRNG[h]
+	// only for the span of one handler: joins regrow the tables.
+	opRNG  []rng.Source // operation stream of host i: rng.NewStream(seed, 2i)
+	mobRNG []rng.Source // mobility stream of host i: rng.NewStream(seed, 2i+1)
 
 	paused   []bool         // host's operation loop stopped due to disconnection
 	counters []laneCounters // sharded by executing lane, merged in Counters()
@@ -195,29 +200,38 @@ func NewDriverSched(sched des.Sched, lanes int, net *mobile.Network, cfg Config,
 	if lanes < 1 {
 		return nil, fmt.Errorf("workload: lanes = %d, need >= 1", lanes)
 	}
-	n := net.NumHosts()
 	d := &Driver{
 		sched:    sched,
 		lanes:    lanes,
 		net:      net,
 		cfg:      cfg,
 		cb:       cb,
-		opRNG:    make([]*rng.Source, n),
-		mobRNG:   make([]*rng.Source, n),
-		paused:   make([]bool, n),
 		counters: make([]laneCounters, lanes),
 	}
 	d.opFn = func(sim *des.Simulator, now des.Time, arg any) { d.operate(arg.(mobile.HostID)) }
 	d.handoffFn = func(sim *des.Simulator, now des.Time, arg any) { d.handoff(arg.(mobile.HostID)) }
 	d.disconnectFn = func(sim *des.Simulator, now des.Time, arg any) { d.disconnect(arg.(mobile.HostID)) }
 	d.reconnectFn = func(sim *des.Simulator, now des.Time, arg any) { d.reconnect(arg.(mobile.HostID)) }
-	d.hostArg = make([]any, n)
-	for i := 0; i < n; i++ {
-		d.opRNG[i] = rng.NewStream(seed, uint64(2*i))
-		d.mobRNG[i] = rng.NewStream(seed, uint64(2*i+1))
+	d.growHosts(net.NumHosts(), seed)
+	return d, nil
+}
+
+// growHosts extends the per-host tables to n hosts in one sized grow,
+// giving every new id its own two streams of seed.
+func (d *Driver) growHosts(n int, seed uint64) {
+	old := len(d.opRNG)
+	if n <= old {
+		return
+	}
+	d.opRNG = slices.Grow(d.opRNG, n-old)[:n]
+	d.mobRNG = slices.Grow(d.mobRNG, n-old)[:n]
+	d.paused = slices.Grow(d.paused, n-old)[:n]
+	d.hostArg = slices.Grow(d.hostArg, n-old)[:n]
+	for i := old; i < n; i++ {
+		d.opRNG[i] = *rng.NewStream(seed, uint64(2*i))
+		d.mobRNG[i] = *rng.NewStream(seed, uint64(2*i+1))
 		d.hostArg[i] = mobile.HostID(i)
 	}
-	return d, nil
 }
 
 // lane maps a host to its counter shard.
@@ -245,13 +259,7 @@ func (d *Driver) Counters() Counters {
 // The new host gets its own deterministic streams, so a configuration
 // with joins is still fully reproducible from the seed.
 func (d *Driver) AddHost(h mobile.HostID, seed uint64) {
-	for len(d.opRNG) <= int(h) {
-		i := len(d.opRNG)
-		d.opRNG = append(d.opRNG, rng.NewStream(seed, uint64(2*i)))
-		d.mobRNG = append(d.mobRNG, rng.NewStream(seed, uint64(2*i+1)))
-		d.paused = append(d.paused, false)
-		d.hostArg = append(d.hostArg, mobile.HostID(i))
-	}
+	d.growHosts(int(h)+1, seed)
 	d.scheduleOperation(h)
 	d.enterCell(h)
 }
@@ -313,7 +321,7 @@ func (d *Driver) pickDestination(h mobile.HostID) mobile.HostID {
 // enterCell makes host h's next mobility decision, per §5.1: it is called
 // at start, after every hand-off, and after every reconnection.
 func (d *Driver) enterCell(h mobile.HostID) {
-	src := d.mobRNG[h]
+	src := &d.mobRNG[h]
 	mean := d.cfg.PermanenceMean(h, d.net.NumHosts())
 	if src.Bernoulli(d.cfg.PSwitch) {
 		stay := des.Time(src.Exp(mean))

@@ -320,6 +320,66 @@ func TestJoinedHostsAreDecorrelated(t *testing.T) {
 	}
 }
 
+// AddHost may be handed an id beyond the next one (the engine joins the
+// host to the network first, and several can join at one instant): the
+// per-host tables then grow past every skipped id in one step, and the
+// skipped hosts must get exactly the streams and boxed ids a driver built
+// at that size gives them, ready for their own AddHost.
+func TestAddHostSkippingIDs(t *testing.T) {
+	const seed, skip = 23, 5
+	build := func(extra int) (*Driver, *mobile.Network) {
+		sim := des.New()
+		mc := mobile.DefaultConfig()
+		mc.NumHosts += extra
+		net, err := mobile.New(sim, mc, mobile.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDriver(sim, net, DefaultConfig(), seed, passthroughCallbacks(net))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, net
+	}
+	d, net := build(0)
+	n := net.NumHosts()
+	var last mobile.HostID
+	for i := 0; i <= skip; i++ {
+		id, err := net.AddHost(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = id
+	}
+	if int(last) != n+skip {
+		t.Fatalf("last joined id = %d, want %d", last, n+skip)
+	}
+	d.AddHost(last, seed)
+
+	want, _ := build(skip + 1)
+	if got := len(d.opRNG); got != len(want.opRNG) || len(d.mobRNG) != got || len(d.paused) != got || len(d.hostArg) != got {
+		t.Fatalf("table lengths op=%d mob=%d paused=%d arg=%d, want all %d",
+			len(d.opRNG), len(d.mobRNG), len(d.paused), len(d.hostArg), len(want.opRNG))
+	}
+	for i := 0; i < n+skip; i++ { // host n+skip itself has drawn its first delays
+		if d.opRNG[i] != want.opRNG[i] || d.mobRNG[i] != want.mobRNG[i] {
+			t.Fatalf("host %d: streams differ from a driver built at %d hosts", i, n+skip+1)
+		}
+	}
+	for i := range d.hostArg {
+		if d.hostArg[i] != want.hostArg[i] || d.paused[i] {
+			t.Fatalf("host %d: hostArg %v paused %v, want %v false", i, d.hostArg[i], d.paused[i], want.hostArg[i])
+		}
+	}
+	// The joined host's streams are the ones a driver of that size starts
+	// it with: replaying its start on the reference leaves them equal.
+	want.scheduleOperation(last)
+	want.enterCell(last)
+	if d.opRNG[last] != want.opRNG[last] || d.mobRNG[last] != want.mobRNG[last] {
+		t.Fatalf("host %d: streams after its first schedule differ from a driver built at that size", last)
+	}
+}
+
 func TestTopologyValidation(t *testing.T) {
 	c := DefaultConfig()
 	c.CellTopology = Topology(9)
@@ -370,5 +430,30 @@ func TestSingleHostWorld(t *testing.T) {
 	c := d.Counters()
 	if c.Sends != 0 {
 		t.Fatalf("a lone host sent %d messages", c.Sends)
+	}
+}
+
+// TestNewDriverAllocs gates the driver's set-up cost: the per-host
+// streams live in two flat tables, so building a driver costs the boxed
+// host id per host (ids above 255 box on the heap) and a constant number
+// of tables — not two more allocations per host for its streams.
+func TestNewDriverAllocs(t *testing.T) {
+	const n = 20000
+	sim := des.New()
+	mc := mobile.DefaultConfig()
+	mc.NumHosts = n
+	net, err := mobile.New(sim, mc, mobile.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := passthroughCallbacks(net)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewDriver(sim, net, DefaultConfig(), 1, cb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for a %d-host driver", allocs, n)
+	if allocs > n+64 {
+		t.Fatalf("%.0f allocations for a %d-host driver (limit %d): per-host stream allocation is back", allocs, n, n+64)
 	}
 }
