@@ -28,15 +28,16 @@ test:
 # and the -short suite shrinks it to 5k; the pdes lane/rollback tests
 # and the cross-engine equivalence suite ride the same -race run), the
 # alloc-regression gates without -race (they skip under it: zero-alloc
-# hot paths and O(n) set-up bytes, DESIGN §7), a short fuzz smoke of the
-# wire-format decoder, and the bench smokes
-# (one iteration at smoke scale: obs overhead must not perturb the
-# trace, and every engine must complete the small scale world).
+# hot paths and O(n) set-up bytes, DESIGN §7; plus the live data path's:
+# allocation-free log hand-off, run-length-independent NewCluster), a
+# short fuzz smoke of the wire-format decoder, and the bench smokes (one
+# iteration at smoke scale: obs overhead must not perturb the trace, and
+# every engine must complete the small scale world).
 check: fmt lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/protocol ./internal/sim ./internal/workload ./internal/storage
+	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
 	$(MAKE) diffreplay
 	$(MAKE) bench-smoke

@@ -1,4 +1,4 @@
-// Live cluster: run a checkpointing protocol in the goroutine/channel
+// Live cluster: run a checkpointing protocol in the goroutine/mailbox
 // runtime — real concurrency, an at-least-once transport that duplicates
 // packets, hosts migrating between station goroutines — then build a
 // recovery line from the live trace and verify it is consistent.
@@ -10,7 +10,7 @@
 //	go run ./examples/live -record run.bundle.json
 //
 // With -debug the process serves the standard /debug/pprof/ handlers and
-// a Prometheus /metrics endpoint (channel depths, goroutine count,
+// a Prometheus /metrics endpoint (link queue depths, goroutine count,
 // transport and checkpoint counters) while the cluster runs. With
 // -timeline it writes the cluster's protocol events — including the
 // send->deliver->forced-checkpoint flow chains and the recovery's
@@ -28,6 +28,7 @@ import (
 	"os"
 
 	"mobickpt/internal/live"
+	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
 	"mobickpt/internal/recovery"
@@ -49,6 +50,9 @@ func main() {
 	cfg.DupProbability = 0.2 // a quite lossy-looking transport
 	cfg.Seed = *seed
 	cfg.Metrics = obs.NewRegistry()
+	// Stations log every delivery, so a cell switch ships the host's log
+	// to the new station and the summary can show what that costs.
+	cfg.LogMode = mlog.Pessimistic
 	if *timeline != "" {
 		cfg.Timeline = obs.NewTimeline()
 	}
@@ -79,7 +83,11 @@ func main() {
 		cfg.Hosts+cfg.Stations, cfg.Hosts, cfg.Stations)
 	fmt.Printf("transport: %d sent, %d delivered, %d duplicates suppressed, %d still buffered\n",
 		c.Sent, c.Delivered, c.Duplicates, c.Undrained)
-	fmt.Printf("mobility:  %d cell switches, %d disconnections\n\n", c.Switches, c.Disconnect)
+	fmt.Printf("mobility:  %d cell switches, %d disconnections\n", c.Switches, c.Disconnect)
+	// Every hand-off ships the host's whole retained log (the live cluster
+	// does no log GC), so the per-switch figure grows with the run.
+	fmt.Printf("log hand-off: %d records in %d frame bytes, %.0f records per cell switch\n\n",
+		c.LogRecords, c.LogFrameBytes, float64(c.LogRecords)/float64(max(c.Switches, 1)))
 
 	initial, basic, forced := cluster.Store().CountByKind(-1)
 	fmt.Printf("%s checkpoints: %d initial, %d basic, %d forced\n", *proto, initial, basic, forced)

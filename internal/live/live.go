@@ -1,9 +1,9 @@
 // Package live runs the checkpointing protocols in a *real* concurrent
 // message-passing system instead of the discrete-event simulation: every
 // mobile host and every support station is a goroutine, links are
-// channels, and the transport exhibits the at-least-once semantics the
-// paper's system model assumes (§3) by injecting duplicate deliveries
-// that hosts must suppress.
+// unbounded FIFO mailboxes, and the transport exhibits the at-least-once
+// semantics the paper's system model assumes (§3) by injecting duplicate
+// deliveries that hosts must suppress.
 //
 // The protocols themselves are the exact implementations from
 // internal/protocol — the package demonstrates that they are engine-
@@ -17,8 +17,8 @@
 // A host's packets always enter the network at its *current* station; a
 // shared location directory (the MSS cooperation of §2.1) routes them to
 // the destination's current station, which delivers into the host's
-// buffered downlink (modelling the MSS buffering messages for a host
-// that is slow, moving, or disconnected).
+// downlink mailbox (modelling the MSS buffering messages for a host that
+// is slow, moving, or disconnected: the station never waits for it).
 package live
 
 import (
@@ -74,7 +74,7 @@ type Config struct {
 	LogFlushBatch int
 
 	// Metrics, when non-nil, receives the cluster's observability
-	// instruments (internal/obs): traffic counters, channel-depth gauges
+	// instruments (internal/obs): traffic counters, queue-depth gauges
 	// for the wired inboxes and downlinks, Go runtime gauges, checkpoint
 	// and replay counts. Safe to snapshot (e.g. from obs.ServeDebug's
 	// /metrics endpoint) while the cluster runs — the sampled readers
@@ -178,7 +178,7 @@ func Factory(name string) (NewProtocol, error) {
 	return nil, fmt.Errorf("live: no protocol %q (want TP, BCS, QBC or UNC)", name)
 }
 
-// packet is what travels on the channels: a routing header the stations
+// packet is what travels on the links: a routing header the stations
 // read, plus the marshaled frame (internal/wire) the receiving host
 // decodes — the piggyback really crosses the "network" as bytes.
 type packet struct {
@@ -197,11 +197,15 @@ type Counters struct {
 	Joined     int64 // hosts that joined while the cluster ran
 
 	// FrameBytes is the total encoded packet volume that crossed the
-	// channels (header + piggyback, per internal/wire).
+	// links (header + piggyback, per internal/wire).
 	FrameBytes int64
 	// LogFrameBytes is the encoded wire.LogTransfer volume that moved
-	// message logs between stations on hand-offs (also in FrameBytes).
+	// message logs between stations on hand-offs (also in FrameBytes);
+	// LogRecords is the number of log records those frames carried. A
+	// hand-off ships the host's whole retained log, so LogRecords over
+	// Switches is what one hand-off costs.
 	LogFrameBytes int64
+	LogRecords    int64
 	// StateBytes is the checkpoint state volume shipped host->station;
 	// WiredStateBytes is the base-image volume fetched station->station.
 	StateBytes      int64
@@ -270,9 +274,8 @@ type Cluster struct {
 	//guard:mu
 	seen []*dupFilter
 
-	// directory maps each host to its current station's wired inbox; nil
-	// while disconnected (packets then go to the host's last station,
-	// which still holds its downlink). The directory pair is written
+	// The directory maps each host to its current (while disconnected:
+	// last) station and to its downlink. The directory pair is written
 	// under BOTH locks (joins grow it, hand-offs move hosts), so holding
 	// either is enough to read it.
 	//
@@ -285,17 +288,12 @@ type Cluster struct {
 	station []int
 
 	//guard:mu,dirMu
-	downlink []chan packet
+	downlink []*mailbox
 
 	// wired holds one inbox per station.
 	//
-	//guard:none channels made at construction; the slice never grows, and channel ops synchronize themselves
-	wired []chan packet
-
-	// capacity is the downlink buffer size (precomputed for joins).
-	//
-	//guard:none written once by NewCluster, read-only thereafter
-	capacity int
+	//guard:none mailboxes made at construction; the slice never grows, and a mailbox locks itself
+	wired []*mailbox
 
 	//guard:countersMu
 	counters   Counters
@@ -392,24 +390,19 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		states:   make([]*statestore.HostState, cfg.Hosts),
 		group:    statestore.NewGroup(cfg.Stations),
 		station:  make([]int, cfg.Hosts),
-		downlink: make([]chan packet, cfg.Hosts),
-		wired:    make([]chan packet, cfg.Stations),
+		downlink: make([]*mailbox, cfg.Hosts),
+		wired:    make([]*mailbox, cfg.Stations),
 	}
 	for i := range c.states {
 		c.states[i] = statestore.NewHostState(8)
 	}
-	// Downlinks are sized so they can never fill: each host (including
-	// late joiners) sends at most OpsPerHost messages and duplicates at
-	// most double that.
-	capacity := 2*cfg.OpsPerHost*(cfg.Hosts+cfg.Joins) + 1
-	c.capacity = capacity
 	for i := range c.downlink {
-		c.downlink[i] = make(chan packet, capacity)
+		c.downlink[i] = newMailbox()
 		c.station[i] = i % cfg.Stations
 		c.seen[i] = newDupFilter(cfg.DupWindow)
 	}
 	for s := range c.wired {
-		c.wired[s] = make(chan packet, capacity)
+		c.wired[s] = newMailbox()
 	}
 	if cfg.LogMode != mlog.Off {
 		lcfg := mlog.DefaultConfig(cfg.LogMode)
@@ -469,6 +462,7 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 		{"live_disconnects_total", "Host disconnections from the network."},
 		{"live_joined_total", "Hosts that joined the cluster after start."},
 		{"live_frame_bytes_total", "Encoded frame bytes put on the wire."},
+		{"live_log_transfer_records_total", "Log records shipped between stations by hand-off log transfers."},
 		{"live_state_bytes_total", "Checkpoint state bytes shipped to stations."},
 		{"live_decode_errors_total", "Frames that failed wire decoding."},
 		{"live_uplink_depth", "Frames queued in a station's wired inbox."},
@@ -496,15 +490,15 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 	counter("live_disconnects_total", &c.counters.Disconnect)
 	counter("live_joined_total", &c.counters.Joined)
 	counter("live_frame_bytes_total", &c.counters.FrameBytes)
+	counter("live_log_transfer_records_total", &c.counters.LogRecords)
 	counter("live_state_bytes_total", &c.counters.StateBytes)
 	counter("live_decode_errors_total", &c.counters.DecodeErrors)
 
-	// Channel depths: per-station wired inboxes (fixed set) plus the
-	// total downlink backlog (the slice grows on joins, so the reader
-	// holds dirMu). len() on a channel is safe concurrently.
-	for s := range c.wired {
-		s := s
-		reg.GaugeFunc("live_uplink_depth", func() int64 { return int64(len(c.wired[s])) },
+	// Queue depths: per-station wired inboxes (fixed set) plus the total
+	// downlink backlog (the slice grows on joins, so the reader holds
+	// dirMu; a mailbox's own lock nests inside it).
+	for s, w := range c.wired {
+		reg.GaugeFunc("live_uplink_depth", func() int64 { return int64(w.len()) },
 			"station", strconv.Itoa(s))
 	}
 	reg.GaugeFunc("live_downlink_depth_total", func() int64 {
@@ -512,7 +506,7 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 		defer c.dirMu.Unlock()
 		var d int64
 		for _, dl := range c.downlink {
-			d += int64(len(dl))
+			d += int64(dl.len())
 		}
 		return d
 	})
@@ -650,7 +644,7 @@ func (c *Cluster) Run() {
 		c.dirMu.Lock()
 		dl := c.downlink[h]
 		c.dirMu.Unlock()
-		go func(h mobile.HostID, dl chan packet) {
+		go func(h mobile.HostID, dl *mailbox) {
 			defer hosts.Done()
 			c.hostLoop(h, dl)
 		}(mobile.HostID(h), dl)
@@ -675,7 +669,7 @@ func (c *Cluster) Run() {
 	// All hosts retired: no new uplink traffic. Close the wired inboxes
 	// so stations drain what is in flight and exit.
 	for _, w := range c.wired {
-		close(w)
+		w.close()
 	}
 	stations.Wait()
 
@@ -690,20 +684,10 @@ func (c *Cluster) Run() {
 //
 //locks:quiescent every station and host goroutine has been joined
 func (c *Cluster) drainFinal() {
-	for h := range c.downlink {
-		for {
-			select {
-			case pkt := <-c.downlink[h]:
-				c.deliver(mobile.HostID(h), pkt, c.seen[h])
-			default:
-				goto next
-			}
-		}
-	next:
-	}
 	var undrained int64
-	for _, d := range c.downlink {
-		undrained += int64(len(d))
+	for h, dl := range c.downlink {
+		c.drain(mobile.HostID(h), dl, c.seen[h])
+		undrained += int64(dl.len())
 	}
 	c.counters.Undrained = undrained
 
@@ -719,8 +703,8 @@ func (c *Cluster) drainFinal() {
 
 // addHost grows the cluster by one host and admits it to the protocol.
 // Safe to call while the cluster runs.
-func (c *Cluster) addHost() (mobile.HostID, chan packet) {
-	dl := make(chan packet, c.capacity)
+func (c *Cluster) addHost() (mobile.HostID, *mailbox) {
+	dl := newMailbox()
 
 	c.mu.Lock()
 	c.dirMu.Lock()
@@ -760,13 +744,17 @@ func (c *Cluster) addHost() (mobile.HostID, chan packet) {
 // occasionally duplicating a delivery (at-least-once transport).
 func (c *Cluster) stationLoop(s int) {
 	src := rng.NewStream(c.cfg.Seed, 1000+uint64(s))
-	for pkt := range c.wired[s] {
+	for {
+		pkt, ok := c.wired[s].get()
+		if !ok {
+			return
+		}
 		c.dirMu.Lock()
 		dst := c.downlink[pkt.to]
 		c.dirMu.Unlock()
-		dst <- pkt
+		dst.put(pkt)
 		if src.Bernoulli(c.cfg.DupProbability) {
-			dst <- pkt
+			dst.put(pkt)
 		}
 	}
 }
@@ -774,11 +762,12 @@ func (c *Cluster) stationLoop(s int) {
 // hostLoop performs the host's operations and retires. dl is the host's
 // own downlink, passed in because the downlink slice may grow while the
 // cluster runs (dynamic joins).
-func (c *Cluster) hostLoop(h mobile.HostID, dl chan packet) {
+func (c *Cluster) hostLoop(h mobile.HostID, dl *mailbox) {
 	src := rng.NewStream(c.cfg.Seed, uint64(h))
 	c.mu.Lock()
 	seen := c.seen[h]
 	c.mu.Unlock()
+	var xfer logTransferScratch // this goroutine's hand-off buffers
 	connected := true
 	for op := 0; op < c.cfg.OpsPerHost; op++ {
 		runtime.Gosched() // interleave hosts instead of bursting
@@ -790,7 +779,7 @@ func (c *Cluster) hostLoop(h mobile.HostID, dl chan packet) {
 			}
 		case r < c.cfg.PSend+c.cfg.PSwitch:
 			if connected {
-				c.switchCell(h, src)
+				c.switchCell(h, src, &xfer)
 			}
 		case r < c.cfg.PSend+c.cfg.PSwitch+c.cfg.PDisconnect:
 			if connected {
@@ -802,7 +791,9 @@ func (c *Cluster) hostLoop(h mobile.HostID, dl chan packet) {
 			}
 		default:
 			if connected {
-				c.receive(dl, h, seen)
+				if pkt, ok := dl.tryGet(); ok {
+					c.deliver(h, pkt, seen)
+				}
 			}
 		}
 	}
@@ -813,13 +804,17 @@ func (c *Cluster) hostLoop(h mobile.HostID, dl chan packet) {
 	}
 	// Drain remaining downlink traffic so late messages are delivered
 	// (best effort; what is still in the wired queues stays undrained).
+	c.drain(h, dl, seen)
+}
+
+// drain delivers everything queued on h's downlink right now.
+func (c *Cluster) drain(h mobile.HostID, dl *mailbox, seen *dupFilter) {
 	for {
-		select {
-		case pkt := <-dl:
-			c.deliver(h, pkt, seen)
-		default:
+		pkt, ok := dl.tryGet()
+		if !ok {
 			return
 		}
+		c.deliver(h, pkt, seen)
 	}
 }
 
@@ -868,21 +863,12 @@ func (c *Cluster) send(from, to mobile.HostID, src *rng.Source) {
 	c.dirMu.Lock()
 	w := c.wired[c.station[from]]
 	c.dirMu.Unlock()
-	w <- packet{to: to, frame: frame}
+	w.put(packet{to: to, frame: frame})
 
 	c.countersMu.Lock()
 	c.counters.Sent++
 	c.counters.FrameBytes += int64(len(frame))
 	c.countersMu.Unlock()
-}
-
-// receive attempts one non-blocking receive.
-func (c *Cluster) receive(dl chan packet, h mobile.HostID, seen *dupFilter) {
-	select {
-	case pkt := <-dl:
-		c.deliver(h, pkt, seen)
-	default:
-	}
 }
 
 // deliver decodes the frame, suppresses duplicates and runs the
@@ -935,7 +921,7 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 
 // switchCell moves the host to another station and takes the basic
 // checkpoint the mobile model mandates.
-func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source) {
+func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransferScratch) {
 	c.dirMu.Lock()
 	cur := c.station[h]
 	c.dirMu.Unlock()
@@ -968,7 +954,7 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source) {
 	c.mu.Unlock()
 
 	if logged {
-		c.transferLog(h, mobile.MSSID(cur), mobile.MSSID(next), entries)
+		c.transferLog(xfer, h, mobile.MSSID(cur), mobile.MSSID(next), entries)
 	}
 
 	c.countersMu.Lock()
@@ -976,41 +962,57 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source) {
 	c.countersMu.Unlock()
 }
 
+// logTransferScratch is the memory one host goroutine's hand-offs are
+// staged in: the chunk being sent, its encoded frame, and the receiving
+// station's decode target. A hand-off ships the host's whole retained
+// log, so building these afresh every time costs as much as the transfer
+// itself; each buffer grows to the largest chunk its host has shipped
+// (at most wire.MaxTransferRecords records) and is then reused.
+type logTransferScratch struct {
+	out   wire.LogTransfer
+	frame []byte
+	in    wire.LogTransfer
+}
+
 // transferLog ships a hand-off's log entries between stations as
 // encoded wire.LogTransfer frames, decoding each on arrival like any
-// other network unit (the piggyback really crosses the wire as bytes).
-// A long-retained log is split into bounded chunks so no single frame
-// grows with the log length (wire.MaxTransferRecords).
-func (c *Cluster) transferLog(h mobile.HostID, from, to mobile.MSSID, entries []*mlog.Entry) {
-	xfer := &wire.LogTransfer{Host: h, FromMSS: from, ToMSS: to}
-	for _, e := range entries {
-		xfer.Records = append(xfer.Records, wire.LogRecord{
-			Seq:       uint64(e.Seq),
-			MsgID:     e.MsgID,
-			From:      e.From,
-			RecvCount: int64(e.RecvCount),
-			At:        float64(e.At),
-		})
-	}
-	for _, chunk := range wire.SplitTransfer(xfer) {
-		frame, err := wire.EncodeFrame(chunk)
+// other network unit (the log really crosses the wire as bytes). A
+// long-retained log goes in chunks of at most wire.MaxTransferRecords
+// records so no single frame grows with the log length — the frames
+// wire.SplitTransfer would produce, cut from the entry list in place; an
+// empty log still ships one (header-only) frame so the hand-off is
+// visible to the receiving station.
+func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to mobile.MSSID, entries []*mlog.Entry) {
+	x.out.Host, x.out.FromMSS, x.out.ToMSS = h, from, to
+	var frameBytes, decodeErrors int64
+	for off := 0; off == 0 || off < len(entries); off += wire.MaxTransferRecords {
+		chunk := entries[off:min(off+wire.MaxTransferRecords, len(entries))]
+		x.out.Records = x.out.Records[:0]
+		for _, e := range chunk {
+			x.out.Records = append(x.out.Records, wire.LogRecord{
+				Seq:       uint64(e.Seq),
+				MsgID:     e.MsgID,
+				From:      e.From,
+				RecvCount: int64(e.RecvCount),
+				At:        float64(e.At),
+			})
+		}
+		var err error
+		x.frame, err = wire.AppendLogTransfer(x.frame[:0], &x.out)
 		if err != nil {
 			panic("live: " + err.Error()) // log produced an unencodable transfer
 		}
-		got, err := wire.DecodeFrame(frame)
-		bad := err != nil
-		if !bad {
-			dec, ok := got.(*wire.LogTransfer)
-			bad = !ok || dec.Host != h || len(dec.Records) != len(chunk.Records)
+		frameBytes += int64(len(x.frame))
+		if err := wire.DecodeLogTransfer(&x.in, x.frame); err != nil || x.in.Host != h || len(x.in.Records) != len(chunk) {
+			decodeErrors++
 		}
-		c.countersMu.Lock()
-		c.counters.FrameBytes += int64(len(frame))
-		c.counters.LogFrameBytes += int64(len(frame))
-		if bad {
-			c.counters.DecodeErrors++
-		}
-		c.countersMu.Unlock()
 	}
+	c.countersMu.Lock()
+	c.counters.FrameBytes += frameBytes
+	c.counters.LogFrameBytes += frameBytes
+	c.counters.LogRecords += int64(len(entries))
+	c.counters.DecodeErrors += decodeErrors
+	c.countersMu.Unlock()
 }
 
 // disconnect detaches the host (it stops receiving; its downlink keeps

@@ -1,8 +1,11 @@
 package live
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
@@ -54,6 +57,37 @@ func TestValidate(t *testing.T) {
 		if _, err := NewCluster(c, bcsFactory); err == nil {
 			t.Fatalf("NewCluster with mutation %d should fail", i)
 		}
+	}
+}
+
+// Building a cluster costs what its hosts and stations cost, whatever
+// the run length: links hold what is queued, not what the whole run
+// could ever queue. (Channels pre-sized for the worst case made this
+// ~40x at these two sizes.) TotalAlloc is process-wide, so each size
+// takes the least of a few repetitions: anything the runtime or another
+// goroutine allocates meanwhile only adds.
+func TestNewClusterAllocsIndependentOfOps(t *testing.T) {
+	newClusterBytes := func(ops int) float64 {
+		cfg := DefaultConfig()
+		cfg.OpsPerHost = ops
+		cfg.Joins = 2
+		cfg.LogMode = mlog.Pessimistic
+		least := math.Inf(1)
+		for rep := 0; rep < 5; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := NewCluster(cfg, qbcFactory); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return least
+	}
+	short, long := newClusterBytes(500), newClusterBytes(20_000)
+	t.Logf("NewCluster: %.0f B at OpsPerHost=500, %.0f B at 20000, ratio %.2f", short, long, long/short)
+	if long > 1.1*short {
+		t.Fatalf("NewCluster allocated %.0f B at OpsPerHost=20000 vs %.0f B at 500 (limit 1.1x): set-up grows with the run length", long, short)
 	}
 }
 

@@ -1,14 +1,17 @@
 package live
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"mobickpt/internal/check"
+	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/trace"
+	"mobickpt/internal/wire"
 )
 
 func loggedConfig(mode mlog.Mode) Config {
@@ -177,5 +180,91 @@ func TestLiveImagesVerifyAfterReplayRecovery(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("nothing verified")
+	}
+}
+
+// referenceFrames is the hand-off the straightforward way: materialize
+// the whole log as one transfer, SplitTransfer it, EncodeFrame each part.
+func referenceFrames(t *testing.T, h mobile.HostID, from, to mobile.MSSID, entries []*mlog.Entry) [][]byte {
+	t.Helper()
+	whole := &wire.LogTransfer{Host: h, FromMSS: from, ToMSS: to}
+	for _, e := range entries {
+		whole.Records = append(whole.Records, wire.LogRecord{
+			Seq: uint64(e.Seq), MsgID: e.MsgID, From: e.From, RecvCount: int64(e.RecvCount), At: float64(e.At),
+		})
+	}
+	var frames [][]byte
+	for _, part := range wire.SplitTransfer(whole) {
+		frame, err := wire.EncodeFrame(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// transferLog chunks the entry list in place into reused buffers. What
+// it ships must be what the reference path ships — same frames, byte for
+// byte, same counts — and once the buffers have grown to the host's
+// chunk size a hand-off must not allocate at all.
+func TestTransferLogAllocs(t *testing.T) {
+	c, err := NewCluster(loggedConfig(mlog.Pessimistic), qbcFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const h, from, to = mobile.HostID(3), mobile.MSSID(1), mobile.MSSID(2)
+	log := make([]*mlog.Entry, 2*wire.MaxTransferRecords+5)
+	for i := range log {
+		log[i] = &mlog.Entry{Host: h, Seq: i, MsgID: uint64(7*i + 1), From: mobile.HostID(i % 8), RecvCount: i / 3, At: des.Time(i) / 2}
+	}
+
+	var x logTransferScratch
+	for _, n := range []int{0, 1, wire.MaxTransferRecords, wire.MaxTransferRecords + 1, 10_000, len(log)} {
+		entries := log[:n]
+		ref := referenceFrames(t, h, from, to, entries)
+		var refBytes int64
+		for _, f := range ref {
+			refBytes += int64(len(f))
+		}
+		if n == 0 && refBytes != 17 {
+			t.Fatalf("an empty log's reference frame is %d bytes, want the 17-byte header", refBytes)
+		}
+		if n == 10_000 && len(ref) != 2 {
+			t.Fatalf("10 000 entries split into %d frames, want 2", len(ref))
+		}
+
+		before := c.Counters()
+		c.transferLog(&x, h, from, to, entries)
+		got := c.Counters()
+		if d := got.FrameBytes - before.FrameBytes; d != refBytes {
+			t.Errorf("n=%d: FrameBytes grew by %d, reference frames total %d", n, d, refBytes)
+		}
+		if d := got.LogFrameBytes - before.LogFrameBytes; d != refBytes {
+			t.Errorf("n=%d: LogFrameBytes grew by %d, reference frames total %d", n, d, refBytes)
+		}
+		if d := got.LogRecords - before.LogRecords; d != int64(n) {
+			t.Errorf("n=%d: LogRecords grew by %d", n, d)
+		}
+		if got.DecodeErrors != 0 {
+			t.Fatalf("n=%d: %d decode errors", n, got.DecodeErrors)
+		}
+		// Frame k of the list is the last frame of the list cut after it
+		// (the scratch holds the last frame shipped), so every frame is
+		// compared, not just the tail.
+		for k, want := range ref {
+			c.transferLog(&x, h, from, to, entries[:min((k+1)*wire.MaxTransferRecords, n)])
+			if !bytes.Equal(x.frame, want) {
+				t.Fatalf("n=%d: frame %d of %d differs from SplitTransfer+EncodeFrame", n, k, len(ref))
+			}
+			if x.in.Host != h || len(x.in.Records)*36+17 != len(want) {
+				t.Fatalf("n=%d: frame %d decoded to host %d, %d records", n, k, x.in.Host, len(x.in.Records))
+			}
+		}
+	}
+
+	entries := log[:10_000]
+	if allocs := testing.AllocsPerRun(20, func() { c.transferLog(&x, h, from, to, entries) }); allocs != 0 {
+		t.Fatalf("a warm 10 000-entry hand-off allocated %v times, want 0", allocs)
 	}
 }

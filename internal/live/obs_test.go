@@ -1,6 +1,7 @@
 package live
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -54,6 +55,19 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	if v, ok := snap.Get("mlog_appended_total"); !ok || v != c.MLog().Counters().Appended {
 		t.Errorf("mlog_appended_total = %d (%v), want %d", v, ok, c.MLog().Counters().Appended)
 	}
+	if v, ok := snap.Get("live_log_transfer_records_total"); !ok || v != k.LogRecords || (k.Switches > 0 && v == 0) {
+		t.Errorf("live_log_transfer_records_total = %d (%v), want %d > 0 after %d switches", v, ok, k.LogRecords, k.Switches)
+	}
+	// The depth gauges read the mailboxes: a finished, fully drained run
+	// shows every link empty.
+	for s := 0; s < cfg.Stations; s++ {
+		if v, ok := snap.Get("live_uplink_depth", "station", strconv.Itoa(s)); !ok || v != 0 {
+			t.Errorf("live_uplink_depth{station=%d} = %d (%v), want 0", s, v, ok)
+		}
+	}
+	if v, ok := snap.Get("live_downlink_depth_total"); !ok || v != k.Undrained {
+		t.Errorf("live_downlink_depth_total = %d (%v), want %d", v, ok, k.Undrained)
+	}
 	if _, ok := snap.Get("go_goroutines"); !ok {
 		t.Error("go_goroutines gauge missing")
 	}
@@ -84,5 +98,27 @@ func TestMetricsDisabledIsNoop(t *testing.T) {
 	}
 	if _, err := c.Recover(1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The depth gauges report what is queued on the links right now.
+func TestDepthGaugesReadMailboxes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Metrics = obs.NewRegistry()
+	c, err := NewCluster(cfg, bcsFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.wired[1].put(packet{to: 0})
+	c.downlink[0].put(packet{to: 0})
+	c.downlink[3].put(packet{to: 3})
+	snap := cfg.Metrics.Snapshot()
+	for s, want := range []int64{0, 1, 0, 0} {
+		if v, ok := snap.Get("live_uplink_depth", "station", strconv.Itoa(s)); !ok || v != want {
+			t.Errorf("live_uplink_depth{station=%d} = %d (%v), want %d", s, v, ok, want)
+		}
+	}
+	if v, ok := snap.Get("live_downlink_depth_total"); !ok || v != 2 {
+		t.Errorf("live_downlink_depth_total = %d (%v), want 2", v, ok)
 	}
 }

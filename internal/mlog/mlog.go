@@ -33,6 +33,7 @@ package mlog
 
 import (
 	"fmt"
+	"sort"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -410,13 +411,15 @@ func (l *Log) ReplayFrom(h mobile.HostID, restored int) []*Entry {
 	if hl == nil {
 		return nil
 	}
-	// Stable entries are in ascending Seq order with nondecreasing
-	// RecvCount; the replay suffix starts at the first undone receive.
-	lo := 0
-	for lo < len(hl.stable) && hl.stable[lo].RecvCount <= restored {
-		lo++
-	}
-	return hl.stable[lo:]
+	return hl.stable[hl.firstAbove(restored):]
+}
+
+// firstAbove returns the index of hl's first stable entry with
+// RecvCount > x (len(hl.stable) when there is none). Stable entries are
+// in ascending Seq order with nondecreasing RecvCount, so the entries
+// at or below x are a prefix and a binary search finds its end.
+func (hl *hostLog) firstAbove(x int) int {
+	return sort.Search(len(hl.stable), func(i int) bool { return hl.stable[i].RecvCount > x })
 }
 
 // PruneDelivered garbage-collects host h's stable entries whose receive
@@ -430,10 +433,7 @@ func (l *Log) PruneDelivered(h mobile.HostID, frontier int) int {
 	if hl == nil {
 		return 0
 	}
-	n := 0
-	for n < len(hl.stable) && hl.stable[n].RecvCount <= frontier {
-		n++
-	}
+	n := hl.firstAbove(frontier)
 	if n == 0 {
 		return 0
 	}

@@ -177,6 +177,71 @@ func TestReplayFrom(t *testing.T) {
 	}
 }
 
+// The replay suffix and the GC prefix meet at the first entry whose
+// RecvCount exceeds the bound; the boundary is found by binary search,
+// so runs of equal RecvCount and bounds outside the logged range are the
+// cases that can go wrong.
+func TestPrefixBoundary(t *testing.T) {
+	recv := []int{2, 2, 2, 3, 5, 5, 8} // seqs 0..6; runs of equal counts, gaps
+	build := func() *Log {
+		lg := newLog(t, Pessimistic, 0)
+		for i, rc := range recv {
+			lg.Append(0, 1, uint64(100+i), rc, des.Time(i), 0)
+		}
+		return lg
+	}
+	cases := []struct {
+		bound    int
+		boundary int // entries with RecvCount <= bound
+	}{
+		{-1, 0}, {0, 0}, {1, 0}, // below the first entry
+		{2, 3}, {3, 4}, {4, 4}, {5, 6}, {7, 6},
+		{8, 7}, {9, 7}, {1 << 30, 7}, // at and above the last entry
+	}
+	for _, c := range cases {
+		lg := build()
+		got := lg.ReplayFrom(0, c.bound)
+		if len(got) != len(recv)-c.boundary {
+			t.Errorf("ReplayFrom(%d) returned %d entries, want %d", c.bound, len(got), len(recv)-c.boundary)
+		}
+		for i, e := range got {
+			if e.Seq != c.boundary+i || e.RecvCount <= c.bound {
+				t.Errorf("ReplayFrom(%d)[%d] = seq %d recv %d", c.bound, i, e.Seq, e.RecvCount)
+			}
+		}
+		if n := lg.PruneDelivered(0, c.bound); n != c.boundary {
+			t.Errorf("PruneDelivered(%d) = %d, want %d", c.bound, n, c.boundary)
+		}
+		if lg.RetainedFrom(0) != c.boundary || lg.StableEntries() != int64(len(recv)-c.boundary) {
+			t.Errorf("after PruneDelivered(%d): retained from %d, %d stable", c.bound, lg.RetainedFrom(0), lg.StableEntries())
+		}
+		// What survives the prune is exactly what would have replayed.
+		if rest := lg.ReplayFrom(0, c.bound); len(rest) != len(got) {
+			t.Errorf("after PruneDelivered(%d): %d entries replay, want %d", c.bound, len(rest), len(got))
+		}
+	}
+
+	// A host that logged nothing (inside and outside the id range) and an
+	// empty log have no prefix and no suffix.
+	lg := build()
+	for _, h := range []mobile.HostID{-1, 3, 1 << 20} {
+		if got := lg.ReplayFrom(h, 0); got != nil {
+			t.Errorf("ReplayFrom(host %d) = %d entries", h, len(got))
+		}
+		if n := lg.PruneDelivered(h, 1<<30); n != 0 {
+			t.Errorf("PruneDelivered(host %d) = %d", h, n)
+		}
+	}
+	empty := newLog(t, Optimistic, 4)
+	empty.Append(0, 1, 100, 1, 0, 0) // pending only: the stable list is empty
+	if got := empty.ReplayFrom(0, 0); len(got) != 0 {
+		t.Errorf("ReplayFrom on an empty stable list = %d entries", len(got))
+	}
+	if n := empty.PruneDelivered(0, 5); n != 0 {
+		t.Errorf("PruneDelivered on an empty stable list = %d", n)
+	}
+}
+
 func TestPeakStableEntries(t *testing.T) {
 	lg := newLog(t, Pessimistic, 0)
 	appendN(lg, 0, 4, 1)

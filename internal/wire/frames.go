@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mobickpt/internal/mobile"
 )
@@ -24,6 +25,12 @@ import (
 // truncated beyond 65,536 hosts). A transfer larger than
 // MaxTransferRecords should be split with SplitTransfer so no single
 // frame grows unboundedly with the log length.
+//
+// The log transfer is the one frame whose size follows the data it
+// carries (a host's whole retained log, on every hand-off), so its codec
+// is the append/into pair AppendLogTransfer/DecodeLogTransfer: a caller
+// on a hot path reuses one frame buffer and one decode target, and
+// EncodeFrame/DecodeFrame reach the same code through a fresh one.
 
 // Frame kinds.
 const (
@@ -43,6 +50,9 @@ type LogRecord struct {
 
 // logRecordSize is the encoded size of one LogRecord.
 const logRecordSize = 8 + 8 + 4 + 8 + 8
+
+// logTransferHeader is kind + host + from + to + record count.
+const logTransferHeader = 1 + 4 + 4 + 4 + 4
 
 // MaxTransferRecords bounds how many records one log-transfer frame may
 // carry. A host whose retained log outgrows the bound hands off in
@@ -76,7 +86,10 @@ func checkU32(what string, v int) error {
 // SplitTransfer splits t into frames of at most MaxTransferRecords
 // records each, preserving order. A transfer within the bound is
 // returned as-is (no copy); an empty transfer still yields one frame so
-// the hand-off is visible to the receiving station.
+// the hand-off is visible to the receiving station. It defines the
+// chunking but has no production caller: internal/live cuts the same
+// chunks out of the log in place, without materializing t, and its tests
+// hold that path to this function frame for frame.
 func SplitTransfer(t *LogTransfer) []*LogTransfer {
 	if len(t.Records) <= MaxTransferRecords {
 		return []*LogTransfer{t}
@@ -97,6 +110,82 @@ func SplitTransfer(t *LogTransfer) []*LogTransfer {
 	return out
 }
 
+// AppendLogTransfer appends t's log-transfer frame (kind byte included)
+// to dst and returns the extended slice, growing dst at most once. On
+// error dst is returned unchanged.
+func AppendLogTransfer(dst []byte, t *LogTransfer) ([]byte, error) {
+	if err := checkU32("host id", int(t.Host)); err != nil {
+		return dst, err
+	}
+	if err := checkU32("source station", int(t.FromMSS)); err != nil {
+		return dst, err
+	}
+	if err := checkU32("target station", int(t.ToMSS)); err != nil {
+		return dst, err
+	}
+	if len(t.Records) > MaxTransferRecords {
+		return dst, fmt.Errorf("wire: log transfer too large: %d records (split with SplitTransfer)", len(t.Records))
+	}
+	buf := slices.Grow(dst, logTransferHeader+len(t.Records)*logRecordSize)
+	buf = append(buf, FrameLogTransfer)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Host))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(t.FromMSS))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(t.ToMSS))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.Records)))
+	for i := range t.Records {
+		r := &t.Records[i]
+		if err := checkU32("record sender", int(r.From)); err != nil {
+			return dst, err
+		}
+		buf = binary.BigEndian.AppendUint64(buf, r.Seq)
+		buf = binary.BigEndian.AppendUint64(buf, r.MsgID)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.From))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.RecvCount))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(r.At))
+	}
+	return buf, nil
+}
+
+// DecodeLogTransfer decodes one log-transfer frame (kind byte included)
+// into dst, overwriting every field. dst.Records is reused when its
+// capacity covers the frame's record count; otherwise it grows once,
+// before any record is decoded, the way append grows — a target reused
+// for a log that lengthens between hand-offs reallocates a logarithmic
+// number of times, not every time. The frame is validated before dst is
+// touched, so on error dst is unchanged; garbage input yields an error,
+// never a panic.
+func DecodeLogTransfer(dst *LogTransfer, b []byte) error {
+	if len(b) < logTransferHeader {
+		return fmt.Errorf("wire: truncated log-transfer header: %d bytes", len(b))
+	}
+	if b[0] != FrameLogTransfer {
+		return fmt.Errorf("wire: frame kind %d is not a log transfer", b[0])
+	}
+	n := binary.BigEndian.Uint32(b[13:])
+	if n > MaxTransferRecords {
+		return fmt.Errorf("wire: log transfer of %d records exceeds frame bound %d", n, MaxTransferRecords)
+	}
+	need := logTransferHeader + int(n)*logRecordSize
+	if len(b) != need {
+		return fmt.Errorf("wire: log transfer of %d records needs %d bytes, have %d", n, need, len(b))
+	}
+	dst.Host = mobile.HostID(binary.BigEndian.Uint32(b[1:]))
+	dst.FromMSS = mobile.MSSID(binary.BigEndian.Uint32(b[5:]))
+	dst.ToMSS = mobile.MSSID(binary.BigEndian.Uint32(b[9:]))
+	dst.Records = slices.Grow(dst.Records[:0], int(n))[:n]
+	for i := range dst.Records {
+		rec := b[logTransferHeader+i*logRecordSize:][:logRecordSize]
+		dst.Records[i] = LogRecord{
+			Seq:       binary.BigEndian.Uint64(rec),
+			MsgID:     binary.BigEndian.Uint64(rec[8:]),
+			From:      mobile.HostID(binary.BigEndian.Uint32(rec[16:])),
+			RecvCount: int64(binary.BigEndian.Uint64(rec[20:])),
+			At:        math.Float64frombits(binary.BigEndian.Uint64(rec[28:])),
+		}
+	}
+	return nil
+}
+
 // EncodeFrame encodes a *Packet, *LogTransfer or *LogAck as one tagged
 // frame.
 func EncodeFrame(v any) ([]byte, error) {
@@ -108,35 +197,7 @@ func EncodeFrame(v any) ([]byte, error) {
 		}
 		return append([]byte{FrameApp}, body...), nil
 	case *LogTransfer:
-		if err := checkU32("host id", int(f.Host)); err != nil {
-			return nil, err
-		}
-		if err := checkU32("source station", int(f.FromMSS)); err != nil {
-			return nil, err
-		}
-		if err := checkU32("target station", int(f.ToMSS)); err != nil {
-			return nil, err
-		}
-		if len(f.Records) > MaxTransferRecords {
-			return nil, fmt.Errorf("wire: log transfer too large: %d records (split with SplitTransfer)", len(f.Records))
-		}
-		buf := make([]byte, 0, 1+4+4+4+4+len(f.Records)*logRecordSize)
-		buf = append(buf, FrameLogTransfer)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(f.Host))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(f.FromMSS))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(f.ToMSS))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Records)))
-		for _, r := range f.Records {
-			if err := checkU32("record sender", int(r.From)); err != nil {
-				return nil, err
-			}
-			buf = binary.BigEndian.AppendUint64(buf, r.Seq)
-			buf = binary.BigEndian.AppendUint64(buf, r.MsgID)
-			buf = binary.BigEndian.AppendUint32(buf, uint32(r.From))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(r.RecvCount))
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(r.At))
-		}
-		return buf, nil
+		return AppendLogTransfer(nil, f)
 	case *LogAck:
 		if err := checkU32("host id", int(f.Host)); err != nil {
 			return nil, err
@@ -166,33 +227,9 @@ func DecodeFrame(b []byte) (any, error) {
 	case FrameApp:
 		return Unmarshal(b[1:])
 	case FrameLogTransfer:
-		const header = 1 + 4 + 4 + 4 + 4
-		if len(b) < header {
-			return nil, fmt.Errorf("wire: truncated log-transfer header: %d bytes", len(b))
-		}
-		f := &LogTransfer{
-			Host:    mobile.HostID(binary.BigEndian.Uint32(b[1:])),
-			FromMSS: mobile.MSSID(binary.BigEndian.Uint32(b[5:])),
-			ToMSS:   mobile.MSSID(binary.BigEndian.Uint32(b[9:])),
-		}
-		n := binary.BigEndian.Uint32(b[13:])
-		if n > MaxTransferRecords {
-			return nil, fmt.Errorf("wire: log transfer of %d records exceeds frame bound %d", n, MaxTransferRecords)
-		}
-		need := uint64(header) + uint64(n)*logRecordSize
-		if uint64(len(b)) != need {
-			return nil, fmt.Errorf("wire: log transfer of %d records needs %d bytes, have %d", n, need, len(b))
-		}
-		off := header
-		for i := uint32(0); i < n; i++ {
-			f.Records = append(f.Records, LogRecord{
-				Seq:       binary.BigEndian.Uint64(b[off:]),
-				MsgID:     binary.BigEndian.Uint64(b[off+8:]),
-				From:      mobile.HostID(binary.BigEndian.Uint32(b[off+16:])),
-				RecvCount: int64(binary.BigEndian.Uint64(b[off+20:])),
-				At:        math.Float64frombits(binary.BigEndian.Uint64(b[off+28:])),
-			})
-			off += logRecordSize
+		f := new(LogTransfer)
+		if err := DecodeLogTransfer(f, b); err != nil {
+			return nil, err
 		}
 		return f, nil
 	case FrameLogAck:

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 )
 
@@ -145,14 +147,7 @@ func TestFrameHostIDsBeyondU16(t *testing.T) {
 }
 
 func TestSplitTransfer(t *testing.T) {
-	rec := func(n int) []LogRecord {
-		rs := make([]LogRecord, n)
-		for i := range rs {
-			rs[i] = LogRecord{Seq: uint64(i), MsgID: uint64(1000 + i), From: 1, RecvCount: int64(i), At: float64(i)}
-		}
-		return rs
-	}
-	small := &LogTransfer{Host: 1, FromMSS: 0, ToMSS: 1, Records: rec(3)}
+	small := &LogTransfer{Host: 1, FromMSS: 0, ToMSS: 1, Records: testRecords(3)}
 	if got := SplitTransfer(small); len(got) != 1 || got[0] != small {
 		t.Fatalf("small transfer split into %d frames", len(got))
 	}
@@ -160,7 +155,7 @@ func TestSplitTransfer(t *testing.T) {
 	if got := SplitTransfer(empty); len(got) != 1 || got[0] != empty {
 		t.Fatalf("empty transfer split into %d frames", len(got))
 	}
-	big := &LogTransfer{Host: 3, FromMSS: 0, ToMSS: 1, Records: rec(2*MaxTransferRecords + 5)}
+	big := &LogTransfer{Host: 3, FromMSS: 0, ToMSS: 1, Records: testRecords(2*MaxTransferRecords + 5)}
 	chunks := SplitTransfer(big)
 	if len(chunks) != 3 {
 		t.Fatalf("split into %d chunks, want 3", len(chunks))
@@ -185,6 +180,134 @@ func TestSplitTransfer(t *testing.T) {
 	}
 	if seq != uint64(len(big.Records)) {
 		t.Fatalf("chunks cover %d records, want %d", seq, len(big.Records))
+	}
+}
+
+// testRecords builds n distinguishable records.
+func testRecords(n int) []LogRecord {
+	rs := make([]LogRecord, n)
+	for i := range rs {
+		rs[i] = LogRecord{Seq: uint64(i), MsgID: uint64(1000 + i), From: mobile.HostID(i % 7), RecvCount: int64(i / 3), At: float64(i) / 4}
+	}
+	return rs
+}
+
+// sameTransfer compares field by field; nil and empty Records are equal
+// (a reused decode target keeps its non-nil backing array).
+func sameTransfer(a, b *LogTransfer) bool {
+	return a.Host == b.Host && a.FromMSS == b.FromMSS && a.ToMSS == b.ToMSS && slices.Equal(a.Records, b.Records)
+}
+
+// The append/into pair is the one log-transfer codec: its bytes are
+// EncodeFrame's, and decoding into a previously used target gives
+// DecodeFrame's result with nothing of the previous frame left over.
+func TestLogTransferAppendIntoMatchesFrame(t *testing.T) {
+	prefix := []byte("already-in-the-buffer")
+	dirty := func() *LogTransfer {
+		d := &LogTransfer{Host: 99, FromMSS: 98, ToMSS: 97, Records: testRecords(MaxTransferRecords)}
+		for i := range d.Records {
+			d.Records[i].MsgID = 0xdead
+		}
+		return d
+	}
+	for _, n := range []int{0, 1, MaxTransferRecords} {
+		f := &LogTransfer{Host: 3, FromMSS: 1, ToMSS: 2, Records: testRecords(n)}
+		want, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatalf("n=%d: EncodeFrame: %v", n, err)
+		}
+		got, err := AppendLogTransfer(nil, f)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendLogTransfer(nil) differs from EncodeFrame (err %v)", n, err)
+		}
+		got, err = AppendLogTransfer(append([]byte(nil), prefix...), f)
+		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("n=%d: AppendLogTransfer onto a prefix lost the prefix or the frame (err %v)", n, err)
+		}
+
+		ref, err := DecodeFrame(want)
+		if err != nil {
+			t.Fatalf("n=%d: DecodeFrame: %v", n, err)
+		}
+		for name, dst := range map[string]*LogTransfer{"fresh": {}, "dirty": dirty(), "short": {Records: testRecords(1)}} {
+			if err := DecodeLogTransfer(dst, want); err != nil {
+				t.Fatalf("n=%d %s: DecodeLogTransfer: %v", n, name, err)
+			}
+			if !sameTransfer(dst, ref.(*LogTransfer)) || !sameTransfer(dst, f) {
+				t.Fatalf("n=%d %s: decoded transfer differs from DecodeFrame's", n, name)
+			}
+		}
+	}
+
+	big := &LogTransfer{Host: 3, FromMSS: 1, ToMSS: 2, Records: testRecords(MaxTransferRecords + 1)}
+	if _, err := EncodeFrame(big); err == nil {
+		t.Fatal("EncodeFrame accepted MaxTransferRecords+1 records")
+	}
+	got, err := AppendLogTransfer(prefix, big)
+	if err == nil {
+		t.Fatal("AppendLogTransfer accepted MaxTransferRecords+1 records")
+	}
+	if !bytes.Equal(got, prefix) {
+		t.Fatalf("AppendLogTransfer changed dst on error: %q", got)
+	}
+	// A record the encoder rejects midway leaves dst as it was, too.
+	bad := &LogTransfer{Host: 3, Records: []LogRecord{{From: 1}, {From: -2}}}
+	if got, err := AppendLogTransfer(prefix, bad); err == nil || !bytes.Equal(got, prefix) {
+		t.Fatalf("AppendLogTransfer(bad sender) = %q, %v", got, err)
+	}
+}
+
+// With a warm frame buffer and decode target the pair allocates nothing,
+// which is what lets a hand-off reuse both.
+func TestLogTransferZeroAlloc(t *testing.T) {
+	f := &LogTransfer{Host: 3, FromMSS: 1, ToMSS: 2, Records: testRecords(1500)}
+	var frame []byte
+	var into LogTransfer
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if frame, err = AppendLogTransfer(frame[:0], f); err != nil {
+			t.Fatal(err)
+		}
+		if err = DecodeLogTransfer(&into, frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm append+decode allocated %v times, want 0", allocs)
+	}
+	if !sameTransfer(&into, f) {
+		t.Fatal("round trip changed the transfer")
+	}
+}
+
+// A rejected frame leaves the decode target untouched, so a reused
+// target never holds half of a bad frame.
+func TestDecodeLogTransferRejects(t *testing.T) {
+	ok, err := EncodeFrame(&LogTransfer{Host: 1, FromMSS: 0, ToMSS: 1, Records: testRecords(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := EncodeFrame(&LogAck{Host: 1, MSS: 1, StableSeq: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"nil":       nil,
+		"kind only": {FrameLogTransfer},
+		"truncated": ok[:len(ok)-1],
+		"trailing":  append(append([]byte(nil), ok...), 0),
+		"ack frame": ack,
+		"app kind":  append([]byte{FrameApp}, ok[1:]...),
+		"absurd n":  {FrameLogTransfer, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
+	}
+	for name, b := range cases {
+		dst := &LogTransfer{Host: 42, FromMSS: 4, ToMSS: 2, Records: testRecords(3)}
+		if err := DecodeLogTransfer(dst, b); err == nil {
+			t.Errorf("%s: DecodeLogTransfer(% x) accepted", name, b)
+		}
+		if !sameTransfer(dst, &LogTransfer{Host: 42, FromMSS: 4, ToMSS: 2, Records: testRecords(3)}) {
+			t.Errorf("%s: rejected frame modified dst: %+v", name, dst)
+		}
 	}
 }
 
@@ -213,7 +336,10 @@ func TestDecodeFrameRejectsGarbage(t *testing.T) {
 
 // FuzzFrameRoundTrip feeds arbitrary bytes to DecodeFrame: it must never
 // panic, and any frame it does accept must re-encode byte-identically
-// (the formats are canonical and length-exact).
+// (the formats are canonical and length-exact). The same bytes go to the
+// into-form decoder with a used target: it must agree with DecodeFrame
+// on what is a log transfer, re-encode to the same bytes, and never
+// panic either.
 func FuzzFrameRoundTrip(f *testing.F) {
 	seed := []any{
 		&Packet{ID: 1, From: 0, To: 1, Piggyback: nil},
@@ -236,6 +362,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{FrameLogTransfer, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, err := DecodeFrame(b)
+		into := &LogTransfer{Host: 7, Records: make([]LogRecord, 2, 4)}
+		intoErr := DecodeLogTransfer(into, b)
+		if _, isTransfer := v.(*LogTransfer); isTransfer != (intoErr == nil) {
+			t.Fatalf("DecodeFrame gave %T (err %v), DecodeLogTransfer err %v", v, err, intoErr)
+		} else if isTransfer {
+			// Compared as bytes: a fuzzed At may be NaN, which equals nothing.
+			if out, err := AppendLogTransfer(nil, into); err != nil || !bytes.Equal(out, b) {
+				t.Fatalf("into-form round trip changed bytes (err %v):\n in  % x\n out % x", err, b, out)
+			}
+		}
 		if err != nil {
 			return
 		}
