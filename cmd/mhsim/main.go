@@ -35,7 +35,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "worker pool size for multi-seed replication; 0 = GOMAXPROCS")
 		protos     = flag.String("protocols", "TP,BCS,QBC", "comma-separated protocols (TP,BCS,QBC,UNC,CL,PS,MS)")
-		snapshot   = flag.Float64("snapshot", 100, "snapshot period for CL/PS")
+		snapshot   = flag.Float64("snapshot", 100, "snapshot/tick period of the clock-driven protocols (CL, PS, MS); must be > 0 when one is selected")
 		verbose    = flag.Bool("v", false, "print substrate counters and energy details, and report simulated-time progress to stderr")
 		jsonOut    = flag.Bool("json", false, "emit the single-run result as JSON")
 		checks     = flag.Bool("checks", false, "run the invariant checker during the simulation (fails on any violation)")
@@ -260,8 +260,8 @@ func printRun(res *sim.Result, verbose bool) {
 			}
 		}
 		if st := res.PDES; st != nil {
-			fmt.Printf("pdes: mode=%s lanes=%d processed=%d windows=%d serial=%d fences=%d global=%d efficiency=%.3f\n",
-				st.Mode, st.Lanes, st.Processed, st.Windows, st.SerialSteps, st.WriteFences, st.GlobalEvents, st.Efficiency)
+			fmt.Printf("pdes: mode=%s lanes=%d processed=%d windows=%d serial=%d fences=%d global=%d\n",
+				st.Mode, st.Lanes, st.Processed, st.Windows, st.SerialSteps, st.WriteFences, st.GlobalEvents)
 		}
 	}
 }

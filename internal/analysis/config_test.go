@@ -14,8 +14,8 @@ func TestDefaultConfigScopes(t *testing.T) {
 		// detlint covers the simulation packages...
 		{"detlint", "mobickpt/internal/sim", true},
 		{"detlint", "mobickpt/internal/des", true},
-		{"detlint", "mobickpt/internal/des/proc", true}, // subtree pattern
-		{"detlint", "mobickpt/internal/pdes", true},     // parallel engine: lane code must stay clock-free
+		{"detlint", "mobickpt/internal/des/equeue", true}, // subtree pattern
+		{"detlint", "mobickpt/internal/pdes", true},       // parallel engine: lane code must stay clock-free
 		{"detlint", "mobickpt/internal/protocol", true},
 		{"detlint", "mobickpt/internal/mlog", true},
 		{"detlint", "mobickpt/internal/obs", true},
@@ -91,7 +91,7 @@ maporder: * !examples/... !internal/live
 			want          bool
 		}{
 			{"detlint", "mobickpt/internal/sim", true},
-			{"detlint", "mobickpt/internal/des/proc", true},
+			{"detlint", "mobickpt/internal/des/equeue", true},
 			{"detlint", "mobickpt/internal/mlog", false},
 			{"maporder", "mobickpt/internal/obs", true},
 			{"maporder", "mobickpt/examples/quickstart", false},
@@ -139,7 +139,7 @@ func TestMatchPattern(t *testing.T) {
 		{"internal/sim", "mobickpt/internal/simulator", false},
 		{"internal/sim", "mobickpt/internal/sim/sub", false},
 		{"internal/des/...", "mobickpt/internal/des", true},
-		{"internal/des/...", "mobickpt/internal/des/proc", true},
+		{"internal/des/...", "mobickpt/internal/des/equeue", true},
 		{"internal/des/...", "mobickpt/internal/destiny", false},
 		{"examples/...", "mobickpt/examples/quickstart", true},
 		{"examples/...", "examples/quickstart", true},

@@ -2,6 +2,8 @@ package des
 
 import (
 	"testing"
+
+	"mobickpt/internal/race"
 )
 
 // TestHotLoopZeroAlloc is the tentpole guarantee: a steady-state loop of
@@ -9,7 +11,7 @@ import (
 // via Again and arg-carrying events via ScheduleArg — allocates nothing
 // once the free list is warm (AllocsPerRun's warm-up call primes it).
 func TestHotLoopZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
 	}
 	s := New()

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"mobickpt/internal/race"
 )
 
 // TestKeyFor pins the tie-break key layout: bit 63 set (keyed events
@@ -152,7 +154,7 @@ func TestSoloMatchesLaneOrder(t *testing.T) {
 // table regrown to exact fit per new emitter copies n²/2 ordinals and
 // shows as 4x.
 func TestSoloFirstScheduleAllocsLinear(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
 	}
 	nop := func(_ *Simulator, _ Time, _ any) {}

@@ -147,35 +147,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewProtocol constructs the protocol under test for n hosts; implement
-// it with the constructors of internal/protocol. mssOf reports a host's
-// current (or, while disconnected, last) station — protocols that track
-// checkpoint locations (TP) need the real one, not a static guess, or
-// their piggybacked location vectors go stale after the first hand-off.
-type NewProtocol func(n int, ck protocol.Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol
+// NewProtocol constructs the protocol under test for n hosts: the
+// registry's constructor signature (see protocol.Constructor for what
+// each argument is for).
+type NewProtocol = protocol.Constructor
 
 // Factory returns the constructor for one of the live-supported
-// protocols: TP, BCS, QBC or UNC.
+// protocols (the registry's Live set).
 func Factory(name string) (NewProtocol, error) {
-	switch name {
-	case "TP":
-		return func(n int, ck protocol.Checkpointer, _ *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewTP(n, ck, mssOf)
-		}, nil
-	case "BCS":
-		return func(n int, ck protocol.Checkpointer, _ *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewBCS(n, ck)
-		}, nil
-	case "QBC":
-		return func(n int, ck protocol.Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewQBC(n, ck, store)
-		}, nil
-	case "UNC":
-		return func(n int, ck protocol.Checkpointer, _ *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewUncoordinated(n, ck)
-		}, nil
+	e, err := protocol.LookupLive(name)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
-	return nil, fmt.Errorf("live: no protocol %q (want TP, BCS, QBC or UNC)", name)
+	return e.New, nil
 }
 
 // packet is what travels on the links: a routing header the stations

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mobickpt/internal/race"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -153,7 +155,7 @@ func TestHistogramBucketSearch(t *testing.T) {
 // TestHistogramObserveZeroAlloc guards the per-event observation path:
 // recording into even a wide histogram must not allocate.
 func TestHistogramObserveZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
 	}
 	bounds := make([]float64, 128)

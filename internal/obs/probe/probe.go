@@ -16,7 +16,7 @@
 //
 // A nil probe pointer disables the instrumentation entirely; every
 // hook site guards with a nil check so the probe-off path stays within
-// the observability overhead budget (BenchmarkObsOverhead).
+// the observability overhead budget (bench's obs.probes_overhead_ratio).
 package probe
 
 // QueueProbe counts the internals of one pending-event set. The heap

@@ -354,7 +354,7 @@ func (l *lane) exec(ev *laneEvent) {
 // Core drives the closure-based world model across P lanes. Handlers
 // are irreversible, so execution is risk-free: an event runs only once
 // it is provably safe (conservative windows, or the bounded-lag
-// frontier in timewarp mode), and every processed event commits.
+// frontier in timewarp mode), and every processed event is final.
 type Core struct {
 	cfg CoreConfig
 
@@ -435,9 +435,6 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 // Stats returns the run accounting.
 func (c *Core) Stats() *Stats { return &c.stats }
 
-// LaneOf maps an owner to its lane index.
-func (c *Core) LaneOf(owner int) int { return owner % c.p }
-
 // Now returns the virtual time on owner's timeline: the time of the
 // event its lane is executing. Callable only from that lane's executing
 // goroutine (or from the world-stopped coordinator).
@@ -502,14 +499,7 @@ func (c *Core) Run() {
 	} else {
 		c.runBoundedLag()
 	}
-	var fired uint64
-	for _, l := range c.lanes {
-		fired += l.fired
-	}
-	c.stats.Processed.Store(fired)
-	// Risk-free execution: nothing speculative ever fires, so every
-	// processed event is committed on execution.
-	c.stats.Committed.Store(fired)
+	c.stats.Processed.Store(c.Fired())
 }
 
 // Fired returns the total lane events executed.
@@ -662,10 +652,9 @@ func entryBefore(e, f *equeue.Entry) bool {
 // runBoundedLag spawns free-running lanes and coordinates only the
 // global timeline and termination. Lanes execute whenever their next
 // event is below the bound they derive from the other lanes' published
-// frontiers (frontier+lookahead), write horizons, and the global clock
-// — the optimistic engine's zero-rollback operating point. The
-// coordinator's sampled minimum frontier is this driver's GVT: history
-// below it is definitively committed.
+// frontiers (frontier+lookahead), write horizons, and the global clock.
+// The coordinator's sampled minimum frontier is this driver's GVT:
+// nothing below it can still execute.
 func (c *Core) runBoundedLag() {
 	c.globalAt.Store(toBits(c.globalNext()))
 	for _, l := range c.lanes {
@@ -842,45 +831,31 @@ func (l *lane) spinYield(n *int) {
 	}
 }
 
-// Instrument registers the pdes instruments on reg: processed/committed
-// event totals, rollback and anti-message counters, GVT activity, and
-// the conservative-driver shape. Gauges sample the live atomics.
+// Instrument registers the pdes instruments on reg: the processed-event
+// total, frontier-sampling activity, and the drivers' shape. Gauges
+// sample the live atomics.
 func (s *Stats) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	for _, h := range [][2]string{
 		{"pdes_lanes", "Logical processes (lanes) the parallel engine runs."},
-		{"pdes_events_processed_total", "Events executed, including any later rolled back."},
-		{"pdes_events_committed_total", "Events committed past GVT (never undone)."},
-		{"pdes_rollbacks_total", "Time Warp rollbacks triggered by straggler messages."},
-		{"pdes_events_rolled_back_total", "Events undone by rollbacks."},
-		{"pdes_anti_messages_sent_total", "Anti-messages sent to cancel optimistic sends."},
-		{"pdes_anti_messages_annihilated_total", "Anti-messages that met and cancelled their positive message."},
+		{"pdes_events_processed_total", "Lane events executed."},
 		{"pdes_gvt_rounds_total", "Global-virtual-time computation rounds."},
 		{"pdes_gvt_lag_max_millitu", "Largest observed lag behind GVT, in milli-time-units."},
 		{"pdes_windows_total", "Synchronization windows executed by the bounded-lag drivers."},
 		{"pdes_serial_steps_total", "World-stopped serial steps (joins, global events)."},
 		{"pdes_write_fences_total", "Cross-lane write fences taken by the conservative driver."},
 		{"pdes_global_events_total", "Events executed in the world-stopped global phase."},
-		{"pdes_fossils_total", "State records reclaimed by fossil collection."},
-		{"pdes_efficiency_ppm", "Committed/processed event ratio, in parts per million."},
 	} {
 		reg.Help(h[0], h[1])
 	}
 	reg.GaugeFunc("pdes_lanes", func() int64 { return int64(s.Lanes) })
 	reg.CounterFunc("pdes_events_processed_total", func() int64 { return int64(s.Processed.Load()) })
-	reg.CounterFunc("pdes_events_committed_total", func() int64 { return int64(s.Committed.Load()) })
-	reg.CounterFunc("pdes_rollbacks_total", func() int64 { return int64(s.Rollbacks.Load()) })
-	reg.CounterFunc("pdes_events_rolled_back_total", func() int64 { return int64(s.RolledBack.Load()) })
-	reg.CounterFunc("pdes_anti_messages_sent_total", func() int64 { return int64(s.AntiSent.Load()) })
-	reg.CounterFunc("pdes_anti_messages_annihilated_total", func() int64 { return int64(s.AntiAnnihilated.Load()) })
 	reg.CounterFunc("pdes_gvt_rounds_total", func() int64 { return int64(s.GVTRounds.Load()) })
 	reg.GaugeFunc("pdes_gvt_lag_max_millitu", func() int64 { return int64(s.GVTLagMax() * 1000) })
 	reg.CounterFunc("pdes_windows_total", func() int64 { return int64(s.Windows.Load()) })
 	reg.CounterFunc("pdes_serial_steps_total", func() int64 { return int64(s.SerialSteps.Load()) })
 	reg.CounterFunc("pdes_write_fences_total", func() int64 { return int64(s.WriteFences.Load()) })
 	reg.CounterFunc("pdes_global_events_total", func() int64 { return int64(s.GlobalEvents.Load()) })
-	reg.CounterFunc("pdes_fossils_total", func() int64 { return int64(s.Fossils.Load()) })
-	reg.GaugeFunc("pdes_efficiency_ppm", func() int64 { return int64(s.Efficiency() * 1e6) })
 }

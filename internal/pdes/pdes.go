@@ -1,31 +1,18 @@
-// Package pdes implements parallel discrete-event simulation over the
-// engine in internal/des: the pending-event set is sharded into P lanes
-// (logical processes), each with its own equeue-backed event queue and
-// local virtual time, synchronized either optimistically (Time Warp:
-// speculate ahead, roll back on stragglers, cancel with anti-messages,
-// commit at GVT) or conservatively (fixed-lookahead windows).
+// Package pdes runs the repo's closure-based world model in parallel over
+// the engine in internal/des: the pending-event set is sharded into P
+// lanes (logical processes), each with its own equeue-backed event queue
+// and local virtual time.
 //
-// The package has two layers:
+// The world's handlers are irreversible (they mutate protocol state,
+// pools and counters in ways no snapshot covers), so Core runs the lanes
+// risk-free: an event executes only once the cross-lane message
+// lookahead proves no earlier event can still arrive, no executed event
+// is ever wrong, and nothing is rolled back. Mode selects between a
+// barrier-windowed conservative driver and an asynchronous bounded-lag
+// driver whose lanes free-run below the other lanes' published
+// frontiers.
 //
-//   - Kernel (timewarp.go) is the full optimistic Time Warp kernel for
-//     reversible models: plain-data messages, periodic state snapshots,
-//     straggler-triggered rollback with anti-message cancellation, a
-//     Mattern-style GVT reduction, and fossil collection of committed
-//     history. It requires the model state to be save/restorable, which
-//     is what makes speculation recoverable.
-//
-//   - Core (core.go) drives the repo's closure-based world model, whose
-//     handlers are irreversible (they mutate protocol state, pools and
-//     counters in ways no snapshot covers). Core therefore runs the
-//     lanes risk-free: speculation is clamped to a provably safe bound
-//     derived from the cross-lane message lookahead, so no executed
-//     event is ever wrong and nothing needs rolling back. Mode selects
-//     between a barrier-windowed conservative driver and the
-//     asynchronous bounded-lag driver (the Time Warp engine's
-//     zero-rollback degenerate case; its frontier plays the role GVT
-//     plays in the Kernel).
-//
-// Both layers order each lane's queue by (time, key) where key encodes
+// Each lane's queue is ordered by (time, key) where key encodes
 // (emitter, per-emitter ordinal), so the execution order is a pure
 // function of the event population — independent of goroutine timing —
 // and a parallel run is bit-identical to the sequential engine.
@@ -47,9 +34,9 @@ const (
 	// between windows: every lane executes only events provably beyond
 	// the reach of any in-flight cross-lane message.
 	ModeConservative
-	// ModeTimeWarp runs the optimistic engine: lanes free-run and
-	// synchronize through rollback (Kernel) or, for irreversible world
-	// models, through the risk-free bounded-lag frontier (Core).
+	// ModeTimeWarp runs the asynchronous bounded-lag driver: lanes
+	// free-run below the frontier the other lanes publish, with no
+	// barrier and — the world being irreversible — no rollback.
 	ModeTimeWarp
 )
 
@@ -87,22 +74,12 @@ type Stats struct {
 	Lanes int
 	Mode  Mode
 
-	// Processed counts lane events executed, including ones later
-	// rolled back; Committed counts events at or below GVT (for the
-	// risk-free Core every processed event is committed on execution).
+	// Processed counts lane events executed (every one is final).
 	Processed atomic.Uint64
-	Committed atomic.Uint64
 
-	// Rollbacks counts rollback episodes; RolledBack the events undone.
-	Rollbacks  atomic.Uint64
-	RolledBack atomic.Uint64
-
-	// AntiSent / AntiAnnihilated count anti-message traffic.
-	AntiSent        atomic.Uint64
-	AntiAnnihilated atomic.Uint64
-
-	// GVTRounds counts GVT reductions; GVTLagMax is the largest
-	// observed LVT-GVT gap (in virtual time units, as float64 bits).
+	// GVTRounds counts the bounded-lag coordinator's frontier samples;
+	// GVTLagMax is the largest observed gap between the fastest lane and
+	// that frontier (in virtual time units, as float64 bits).
 	GVTRounds atomic.Uint64
 	gvtLagMax atomic.Uint64
 
@@ -113,75 +90,43 @@ type Stats struct {
 	SerialSteps  atomic.Uint64
 	WriteFences  atomic.Uint64
 	GlobalEvents atomic.Uint64
-
-	// Fossils counts history records reclaimed by fossil collection.
-	Fossils atomic.Uint64
 }
 
-// Efficiency returns committed/processed, the classic Time Warp quality
-// measure. A run with no processed events reports 1.
-func (s *Stats) Efficiency() float64 {
-	p := s.Processed.Load()
-	if p == 0 {
-		return 1
-	}
-	return float64(s.Committed.Load()) / float64(p)
-}
-
-// GVTLagMax returns the largest observed LVT-GVT gap.
+// GVTLagMax returns the largest observed lane-to-frontier gap.
 func (s *Stats) GVTLagMax() float64 { return fromBits(s.gvtLagMax.Load()) }
 
-// observeLag folds one LVT-GVT gap observation into the running max.
+// observeLag folds one gap observation into the running max. Only the
+// coordinator calls it; the atomic is for concurrent gauge readers.
 func (s *Stats) observeLag(lag float64) {
-	for {
-		old := s.gvtLagMax.Load()
-		if fromBits(old) >= lag {
-			return
-		}
-		if s.gvtLagMax.CompareAndSwap(old, toBits(lag)) {
-			return
-		}
+	if lag > s.GVTLagMax() {
+		s.gvtLagMax.Store(toBits(lag))
 	}
 }
 
 // StatsSnapshot is a plain-value copy of Stats for reporting.
 type StatsSnapshot struct {
-	Lanes           int     `json:"lanes"`
-	Mode            string  `json:"mode"`
-	Processed       uint64  `json:"processed"`
-	Committed       uint64  `json:"committed"`
-	Rollbacks       uint64  `json:"rollbacks"`
-	RolledBack      uint64  `json:"rolled_back"`
-	AntiSent        uint64  `json:"anti_sent"`
-	AntiAnnihilated uint64  `json:"anti_annihilated"`
-	GVTRounds       uint64  `json:"gvt_rounds"`
-	GVTLagMax       float64 `json:"gvt_lag_max"`
-	Windows         uint64  `json:"windows"`
-	SerialSteps     uint64  `json:"serial_steps"`
-	WriteFences     uint64  `json:"write_fences"`
-	GlobalEvents    uint64  `json:"global_events"`
-	Fossils         uint64  `json:"fossils"`
-	Efficiency      float64 `json:"efficiency"`
+	Lanes        int     `json:"lanes"`
+	Mode         string  `json:"mode"`
+	Processed    uint64  `json:"processed"`
+	GVTRounds    uint64  `json:"gvt_rounds"`
+	GVTLagMax    float64 `json:"gvt_lag_max"`
+	Windows      uint64  `json:"windows"`
+	SerialSteps  uint64  `json:"serial_steps"`
+	WriteFences  uint64  `json:"write_fences"`
+	GlobalEvents uint64  `json:"global_events"`
 }
 
 // Snapshot returns a consistent plain copy of the stats.
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Lanes:           s.Lanes,
-		Mode:            s.Mode.String(),
-		Processed:       s.Processed.Load(),
-		Committed:       s.Committed.Load(),
-		Rollbacks:       s.Rollbacks.Load(),
-		RolledBack:      s.RolledBack.Load(),
-		AntiSent:        s.AntiSent.Load(),
-		AntiAnnihilated: s.AntiAnnihilated.Load(),
-		GVTRounds:       s.GVTRounds.Load(),
-		GVTLagMax:       s.GVTLagMax(),
-		Windows:         s.Windows.Load(),
-		SerialSteps:     s.SerialSteps.Load(),
-		WriteFences:     s.WriteFences.Load(),
-		GlobalEvents:    s.GlobalEvents.Load(),
-		Fossils:         s.Fossils.Load(),
-		Efficiency:      s.Efficiency(),
+		Lanes:        s.Lanes,
+		Mode:         s.Mode.String(),
+		Processed:    s.Processed.Load(),
+		GVTRounds:    s.GVTRounds.Load(),
+		GVTLagMax:    s.GVTLagMax(),
+		Windows:      s.Windows.Load(),
+		SerialSteps:  s.SerialSteps.Load(),
+		WriteFences:  s.WriteFences.Load(),
+		GlobalEvents: s.GlobalEvents.Load(),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/race"
 	"mobickpt/internal/storage"
 )
 
@@ -24,7 +25,7 @@ func nopCkpt() (Checkpointer, *storage.Record) {
 // checkpoints (which allocate recorded metadata, off the message path)
 // occur inside the measured loop.
 func TestTPMessagePathZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
 	}
 	ckpt, _ := nopCkpt()
@@ -83,7 +84,7 @@ func TestTPDeliverAcceptsValueForm(t *testing.T) {
 // 256 first so the test exercises the interning cache, not the runtime's
 // small-int static boxes.
 func TestIndexProtocolsZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
 	}
 	ckpt, _ := nopCkpt()

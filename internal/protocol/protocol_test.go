@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"strings"
 	"testing"
 
 	"mobickpt/internal/mobile"
@@ -478,5 +479,36 @@ func TestMSTickIncrements(t *testing.T) {
 	m.OnSend(0, 1)
 	if m.PiggybackBytes() != 2*8 { // one send() above plus this OnSend
 		t.Fatalf("piggyback = %d", m.PiggybackBytes())
+	}
+}
+
+// TestRegistryBuildsWhatItNames pins the registry's table order (the
+// order sim.AllProtocols and every table print) and that each entry's
+// constructor really builds the protocol it is filed under.
+func TestRegistryBuildsWhatItNames(t *testing.T) {
+	want := []string{"TP", "BCS", "QBC", "UNC", "CL", "PS", "MS"}
+	if len(registry) != len(want) {
+		t.Fatalf("registry has %d entries, want %d", len(registry), len(want))
+	}
+	for i, e := range registry {
+		if e.Name != want[i] {
+			t.Errorf("entry %d is %s, want %s", i, e.Name, want[i])
+		}
+		store := storage.NewStore(storage.DefaultCostModel())
+		ck := func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
+			return store.Take(h, 0, index, kind, 0)
+		}
+		p := e.New(3, ck, store, func(mobile.HostID) mobile.MSSID { return 0 })
+		if p.Name() != e.Name {
+			t.Errorf("%s: constructor builds %s", e.Name, p.Name())
+		}
+		_, initiator := p.(Initiator)
+		_, periodic := p.(Periodic)
+		if e.Coordinated != (initiator || periodic) {
+			t.Errorf("%s: Coordinated = %v, but Initiator = %v, Periodic = %v", e.Name, e.Coordinated, initiator, periodic)
+		}
+	}
+	if _, err := LookupLive("CL"); err == nil || !strings.Contains(err.Error(), "want TP, BCS, QBC or UNC") {
+		t.Errorf("LookupLive(CL) = %v, want an error naming the live set", err)
 	}
 }

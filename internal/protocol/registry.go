@@ -1,0 +1,84 @@
+package protocol
+
+import (
+	"fmt"
+	"strings"
+
+	"mobickpt/internal/mobile"
+	"mobickpt/internal/storage"
+)
+
+// Constructor builds one protocol instance governing n hosts. ck records
+// its checkpoints, store is the stable storage ck writes to (QBC reads
+// its own chain back), and mssOf reports a host's current — or, while
+// disconnected, last — station: protocols that track checkpoint
+// locations (TP) need the real one, not a static guess, or their
+// piggybacked location vectors go stale after the first hand-off.
+type Constructor func(n int, ck Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol
+
+// Entry is one row of the registry: everything the environments need to
+// know about a protocol before they hold an instance of it.
+type Entry struct {
+	Name string
+	New  Constructor
+	// Coordinated protocols are driven by the environment's clock — marker
+	// rounds (Initiator) or timer ticks (Periodic) every SnapshotPeriod —
+	// so the simulator demands a positive period for them.
+	Coordinated bool
+	// Live protocols run on the live cluster and, therefore, in schedule
+	// replay: the clock-driven ones have no live driver.
+	Live bool
+}
+
+// registry is the one name → constructor table of the module, in table
+// order (the paper's three, then the baselines, then the extension).
+// sim/diffreplay.go keeps the only other copy, on purpose: the replay
+// oracle must not share a construction path with the cluster it checks.
+var registry = []Entry{
+	{Name: "TP", Live: true, New: func(n int, ck Checkpointer, _ *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol {
+		return NewTP(n, ck, mssOf)
+	}},
+	{Name: "BCS", Live: true, New: plain(NewBCS)},
+	{Name: "QBC", Live: true, New: func(n int, ck Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) Protocol {
+		return NewQBC(n, ck, store)
+	}},
+	{Name: "UNC", Live: true, New: plain(NewUncoordinated)},
+	{Name: "CL", Coordinated: true, New: plain(NewChandyLamport)},
+	{Name: "PS", Coordinated: true, New: plain(NewPrakashSinghal)},
+	{Name: "MS", Coordinated: true, New: plain(NewMS)},
+}
+
+// plain adapts the constructors that need neither the store nor the
+// hosts' locations.
+func plain[P Protocol](mk func(int, Checkpointer) P) Constructor {
+	return func(n int, ck Checkpointer, _ *storage.Store, _ func(mobile.HostID) mobile.MSSID) Protocol {
+		return mk(n, ck)
+	}
+}
+
+// Lookup returns the registry entry for name.
+func Lookup(name string) (Entry, bool) {
+	for _, e := range registry {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Entry{}, false
+}
+
+// LookupLive returns the entry for a protocol the live cluster and
+// schedule replay can run; the error names the supported set.
+func LookupLive(name string) (Entry, error) {
+	if e, ok := Lookup(name); ok && e.Live {
+		return e, nil
+	}
+	var live []string
+	for _, e := range registry {
+		if e.Live {
+			live = append(live, e.Name)
+		}
+	}
+	last := len(live) - 1
+	return Entry{}, fmt.Errorf("no live protocol %q (want %s or %s)",
+		name, strings.Join(live[:last], ", "), live[last])
+}

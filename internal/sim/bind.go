@@ -1,0 +1,123 @@
+package sim
+
+import (
+	"runtime"
+
+	"mobickpt/internal/des"
+	"mobickpt/internal/mobile"
+	"mobickpt/internal/pdes"
+)
+
+// coreSched adapts pdes.Core to des.Sched for the world model. Labels
+// classify events: the three mobility transitions mutate cross-lane-
+// visible shared state (a hand-off moves the host between stations other
+// lanes' sends route through), so they are flagged as writes and execute
+// under the core's fence/serialization discipline; every other world
+// event is lane-local. Route — the message hop — is never a write: it
+// lands on the receiver's own timeline.
+type coreSched struct {
+	core *pdes.Core
+	e    *engine
+}
+
+// writeLabel reports whether a world event label names a shared-state
+// write. schedlint (internal/analysis) pins the label set: scheduling a
+// new shared-state mutation under a different label would silently race.
+func writeLabel(label string) bool {
+	switch label {
+	case "handoff", "disconnect", "reconnect":
+		return true
+	}
+	return false
+}
+
+// Now returns the virtual time on owner's timeline: the global clock
+// while single-threaded (pre-run scheduling and world-stopped global
+// events — a parked lane's local time would predate the global event),
+// the lane's local time while its handler executes.
+func (s *coreSched) Now(owner int) des.Time {
+	if s.e.inGlobalPhase {
+		return s.e.sim.Now()
+	}
+	return s.core.Now(owner)
+}
+
+func (s *coreSched) ScheduleArg(owner int, at des.Time, label string, fn des.ArgHandler, arg any) {
+	s.core.Schedule(owner, owner, at, fn, arg, writeLabel(label))
+}
+
+func (s *coreSched) ScheduleArgAfter(owner int, delay des.Time, label string, fn des.ArgHandler, arg any) {
+	s.core.Schedule(owner, owner, s.Now(owner)+delay, fn, arg, writeLabel(label))
+}
+
+func (s *coreSched) Route(from, owner int, at des.Time, label string, fn des.ArgHandler, arg any) {
+	s.core.Schedule(from, owner, at, fn, arg, false)
+}
+
+// bindEngine gives the world its scheduling surface: des.Solo over the
+// global simulator for sequential runs, a coreSched over a lane-sharded
+// pdes.Core for parallel ones (the global simulator then carries only
+// the world-stopped timeline: markers, ticks, GC, joins). It also sizes
+// the lane-sharded engine state, which both surfaces index the same way.
+func (e *engine) bindEngine() error {
+	cfg := e.cfg
+	if cfg.Probes {
+		e.sim.EnableProbe(&e.simPool, &e.simQueue)
+	}
+	e.laneCount = 1
+	e.inGlobalPhase = true // single-threaded until the lanes start
+	if cfg.Engine == pdes.ModeSequential {
+		e.sched = des.Solo(e.sim)
+	} else {
+		e.laneCount = cfg.Lanes
+		if e.laneCount <= 0 {
+			e.laneCount = runtime.GOMAXPROCS(0)
+		}
+		if cfg.Probes {
+			e.coreProbe = &pdes.CoreProbe{}
+		}
+		core, err := pdes.NewCore(pdes.CoreConfig{
+			Mode:    cfg.Engine,
+			Lanes:   e.laneCount,
+			Queue:   cfg.Queue,
+			Horizon: cfg.Horizon,
+			// The minimum cross-lane message delay: every cross-lane hop is
+			// a wireless uplink to the receiver's station (Route at
+			// now + WirelessLatency); wired forwarding and the downlink
+			// happen on the receiving lane's own timeline.
+			Lookahead:  cfg.Mobile.WirelessLatency,
+			GlobalNext: e.sim.NextTime,
+			GlobalStep: func() {
+				e.inGlobalPhase = true
+				e.sim.Step()
+				e.inGlobalPhase = false
+			},
+			// The per-host Config.Timeline stays on the engine (its events
+			// are engine-independent); the core gets the lane-level view.
+			Timeline: cfg.LaneTimeline,
+			Probe:    e.coreProbe,
+		})
+		if err != nil {
+			return err
+		}
+		e.core = core
+		e.sched = &coreSched{core: core, e: e}
+	}
+	e.causeLane = make([]string, e.laneCount)
+	e.plFree = make([][]*payload, e.laneCount)
+	e.causesLane = make([][]map[string]int64, e.laneCount)
+	for l := range e.causesLane {
+		e.causesLane[l] = make([]map[string]int64, len(cfg.Protocols))
+		for i := range e.causesLane[l] {
+			e.causesLane[l][i] = make(map[string]int64)
+		}
+	}
+	if e.tl != nil {
+		e.flowLane = make([]uint64, e.laneCount)
+		e.flowHostLane = make([]mobile.HostID, e.laneCount)
+		for i := range e.flowHostLane {
+			e.flowHostLane[i] = -1
+		}
+	}
+	return nil
+}

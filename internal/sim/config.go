@@ -1,0 +1,382 @@
+package sim
+
+import (
+	"fmt"
+
+	"mobickpt/internal/des"
+	"mobickpt/internal/mlog"
+	"mobickpt/internal/mobile"
+	"mobickpt/internal/obs"
+	"mobickpt/internal/pdes"
+	"mobickpt/internal/protocol"
+	"mobickpt/internal/storage"
+	"mobickpt/internal/trace"
+	"mobickpt/internal/workload"
+)
+
+// ProtocolName selects a protocol implementation.
+type ProtocolName string
+
+// The protocols of the study (§4) and the baselines of §2.
+const (
+	TP  ProtocolName = "TP"  // Acharya–Badrinath two-phase
+	BCS ProtocolName = "BCS" // Briatico–Ciuffoletti–Simoncini
+	QBC ProtocolName = "QBC" // Quaglia–Baldoni–Ciciani
+	UNC ProtocolName = "UNC" // uncoordinated baseline
+	CL  ProtocolName = "CL"  // Chandy–Lamport-style coordinated baseline
+	PS  ProtocolName = "PS"  // Prakash–Singhal-style coordinated baseline
+	MS  ProtocolName = "MS"  // timer-driven index protocol (extension)
+)
+
+// AllProtocols lists every selectable protocol: the names of the
+// registry in internal/protocol (TestProtocolRegistry keeps them equal).
+func AllProtocols() []ProtocolName {
+	return []ProtocolName{TP, BCS, QBC, UNC, CL, PS, MS}
+}
+
+// PaperProtocols lists the three protocols the paper's figures compare.
+func PaperProtocols() []ProtocolName { return []ProtocolName{TP, BCS, QBC} }
+
+// Config describes one simulation run.
+type Config struct {
+	Mobile   mobile.Config
+	Workload workload.Config
+	Cost     storage.CostModel
+
+	// Horizon is the simulated run length (the paper's runs are 100,000
+	// time units).
+	Horizon des.Time
+	// Seed determines the entire trace.
+	Seed uint64
+	// Protocols are evaluated simultaneously over the same trace.
+	Protocols []ProtocolName
+	// SnapshotPeriod drives the clock-driven protocols — the registry's
+	// Coordinated set: marker rounds for CL and PS, timer ticks for MS —
+	// and must be positive when one is selected; ignored for
+	// communication-induced protocols.
+	SnapshotPeriod des.Time
+	// CheckpointLatency models a non-negligible time for taking a
+	// checkpoint: after each checkpoint the host's next operation is
+	// delayed by this much. Because the delay perturbs the trace, it is
+	// only allowed when exactly one protocol is selected (otherwise the
+	// single-trace comparison would charge every protocol for the
+	// union of all checkpoints). The paper (§5.1) reports that a
+	// non-negligible checkpoint time has no remarkable impact on N_tot;
+	// TestCheckpointLatencyClaim verifies that.
+	CheckpointLatency des.Time
+
+	// RecordTrace keeps the full message history per protocol for
+	// recovery analysis. It costs memory proportional to the number of
+	// delivered messages; leave false for N_tot sweeps.
+	RecordTrace bool
+
+	// JoinTimes schedules dynamic membership (E16): at each listed time a
+	// new mobile host joins the computation at a station drawn from a
+	// dedicated seed-derived stream and immediately starts communicating
+	// and roaming. Protocols admit
+	// it through their Dynamic interface; the per-protocol join cost is
+	// reported in ProtocolResult.JoinCtrlMessages.
+	JoinTimes []des.Time
+
+	// GCInterval, when positive, runs stable-index garbage collection on
+	// every index-based protocol's store at that period (E11): checkpoints
+	// no future recovery line can use are reclaimed, bounding per-MSS
+	// stable storage over arbitrarily long runs.
+	GCInterval des.Time
+
+	// MessageLog enables MSS-resident message logging (internal/mlog,
+	// experiment E18): every delivered application message is appended to
+	// a per-host log on the receiver's current station, transferred on
+	// hand-off and flushed at disconnection. mlog.Off disables it.
+	// Logging is purely observational — it never perturbs the trace — so
+	// it composes with the shared-trace evaluation; each protocol slot
+	// keeps its own log (receiver positions depend on the protocol's
+	// checkpoints). Garbage collection of unreplayable entries rides the
+	// GCInterval ticks of the index-based protocols.
+	MessageLog mlog.Mode
+	// LogFlushBatch is the optimistic flush threshold (entries buffered
+	// per host before one stable write); 0 selects the mlog default.
+	// Ignored unless MessageLog is mlog.Optimistic.
+	LogFlushBatch int
+
+	// Metrics, when non-nil, receives the run's observability instruments
+	// (internal/obs): DES event/queue metrics, per-protocol checkpoint
+	// counters broken down by cause, control-message and GC tallies,
+	// message-log activity and network/workload volumes. With Metrics nil
+	// the engine's hot paths skip instrumentation entirely
+	// (bench's obs.metrics_timeline_overhead_ratio prices the enabled path).
+	Metrics *obs.Registry
+
+	// Timeline, when non-nil, records per-host instants and spans —
+	// checkpoints (with kind and cause), hand-offs, disconnection
+	// periods, message sends/deliveries and log flushes — plus causal
+	// flow events chaining each send to its delivery and the forced
+	// checkpoints that delivery induces, exportable as Chrome trace-event
+	// JSON (obs.Timeline.Export). The recording is deterministic given
+	// the seed *and engine-independent*: two same-seed runs export
+	// byte-identical timelines on any Engine at any lane count
+	// (TestTimelineEngineEquivalence). Every track-h event is emitted on
+	// h's own timeline — by h's lane or the world-stopped coordinator —
+	// so per-track order is a pure function of the trace.
+	Timeline *obs.Timeline
+
+	// LaneTimeline, when non-nil, additionally records the parallel
+	// engine's execution shape — per-lane windows, write fences and
+	// world-stopped global events — on lane-indexed tracks. Unlike
+	// Timeline this view is engine-*dependent* by nature (a different
+	// lane count is a different execution), so it exports separately.
+	// Requires a parallel Engine.
+	LaneTimeline *obs.Timeline
+
+	// Probes, when true, attaches the engine-internals probes: event/
+	// message pool hit rates, pending-event-set structure (calendar
+	// bucket occupancy, chain-scan lengths, resizes), and — on parallel
+	// engines — per-lane window/mailbox/spin counters. The counters are
+	// plain single-writer cells read after the run: Result.Probes carries
+	// the report, and with Metrics set they also surface as sim_probe_*
+	// instruments (scrape only at quiescence). Probes never perturb the
+	// trace: figures are bit-identical with probes on and off.
+	Probes bool
+
+	// Progress, when non-nil, is invoked every ProgressEvery simulated
+	// time units with the current virtual time and the events fired so
+	// far (CLI progress reporting for long sweeps). ProgressEvery
+	// defaults to Horizon/10. The callback must not touch the engine.
+	Progress      func(now des.Time, fired uint64)
+	ProgressEvery des.Time
+
+	// Checks enables the runtime invariant checker (internal/check): every
+	// protocol event is verified against a shadow model of the protocol's
+	// rules, the engine's counters are reconciled against the stable-storage
+	// chains at the horizon, and (with RecordTrace) every index-based
+	// recovery line is checked for orphan messages. Violations make Run
+	// return a structured error naming protocol, host and time. The
+	// overhead is a constant factor on protocol events; leave false for
+	// large performance sweeps.
+	Checks bool
+
+	// Queue selects the engine's event-queue implementation (DESIGN.md
+	// §7): the zero value is the reference binary heap; des.QueueCalendar
+	// selects the O(1)-amortized calendar queue for large-n sweeps. Both
+	// realize the same (time, seq) total order, so the choice never
+	// changes a result — TestQueueAblationIdentical holds the engine to
+	// that.
+	Queue des.QueueKind
+
+	// Engine selects the execution engine (DESIGN.md §8): the zero value
+	// runs the ordinary sequential des.Simulator loop;
+	// pdes.ModeConservative and pdes.ModeTimeWarp shard the hosts over
+	// Lanes logical processes driven by internal/pdes. Both parallel
+	// engines realize the same (time, key) total order as the sequential
+	// engine, so results are bit-identical at every lane count —
+	// TestEngineEquivalence holds the engine to that. Parallel execution
+	// trades away the observational extras: it rejects Checks,
+	// RecordTrace, MessageLog, Progress, CheckpointLatency and the
+	// contention/loss channel models (all either perturb the trace from a
+	// global vantage point or record through single-threaded paths), and
+	// it requires positive wireless and wired latencies — the cross-lane
+	// lookahead is derived from them, and a zero-latency network has no
+	// safe parallel window.
+	Engine pdes.Mode
+	// Lanes is the logical-process count for parallel engines; 0 selects
+	// GOMAXPROCS. Ignored when Engine is sequential.
+	Lanes int
+
+	// Schedule, when non-nil, switches Run into differential-replay mode
+	// (E24): instead of generating a synthetic workload, the engine
+	// re-executes the exact event history a live cluster recorded
+	// (live.Config.Record) — every send, delivery, hand-off,
+	// disconnection, reconnection and join, in the recorded total order at
+	// the recorded logical ticks — and lets the protocol re-derive its
+	// decisions. The Result carries a replaycmp.Log to hold against the
+	// live one. Replay mode uses the schedule's own topology and protocol;
+	// Protocols must be empty or name exactly that protocol, and the
+	// workload/mobility/engine knobs of the generative mode are rejected
+	// (there is nothing for them to drive). Checks and MessageLog compose.
+	Schedule *trace.Schedule
+}
+
+// DefaultConfig returns the paper's §5.1 environment at T_switch = 1000,
+// P_switch = 1.0, H = 0, comparing TP, BCS and QBC.
+func DefaultConfig() Config {
+	return Config{
+		Mobile:         mobile.DefaultConfig(),
+		Workload:       workload.DefaultConfig(),
+		Cost:           storage.DefaultCostModel(),
+		Horizon:        100000,
+		Seed:           1,
+		Protocols:      PaperProtocols(),
+		SnapshotPeriod: 100,
+	}
+}
+
+// Validate reports a descriptive error for bad configurations.
+func (c Config) Validate() error {
+	if c.Schedule != nil {
+		return c.validateReplay()
+	}
+	if err := c.Mobile.Validate(); err != nil {
+		return err
+	}
+	if err := c.Workload.Validate(); err != nil {
+		return err
+	}
+	if c.Horizon <= 0 {
+		return fmt.Errorf("sim: Horizon = %v, need > 0", c.Horizon)
+	}
+	if len(c.Protocols) == 0 {
+		return fmt.Errorf("sim: no protocols selected")
+	}
+	seen := map[ProtocolName]bool{}
+	for _, p := range c.Protocols {
+		if seen[p] {
+			return fmt.Errorf("sim: protocol %s selected twice", p)
+		}
+		seen[p] = true
+		ent, ok := protocol.Lookup(string(p))
+		if !ok {
+			return fmt.Errorf("sim: unknown protocol %q", p)
+		}
+		if ent.Coordinated && c.SnapshotPeriod <= 0 {
+			return fmt.Errorf("sim: %s requires SnapshotPeriod > 0", p)
+		}
+	}
+	if c.CheckpointLatency < 0 {
+		return fmt.Errorf("sim: negative CheckpointLatency")
+	}
+	if c.CheckpointLatency > 0 && len(c.Protocols) != 1 {
+		return fmt.Errorf("sim: CheckpointLatency requires exactly one protocol (it perturbs the trace)")
+	}
+	if c.GCInterval < 0 {
+		return fmt.Errorf("sim: negative GCInterval")
+	}
+	if err := c.validateLog(); err != nil {
+		return err
+	}
+	for _, at := range c.JoinTimes {
+		if at <= 0 || at > c.Horizon {
+			return fmt.Errorf("sim: join time %v outside (0, horizon]", at)
+		}
+	}
+	if c.ProgressEvery < 0 {
+		return fmt.Errorf("sim: negative ProgressEvery")
+	}
+	if c.LaneTimeline != nil && c.Engine == pdes.ModeSequential {
+		return fmt.Errorf("sim: LaneTimeline requires a parallel Engine (there are no lanes to record)")
+	}
+	switch c.Engine {
+	case pdes.ModeSequential:
+	case pdes.ModeConservative, pdes.ModeTimeWarp:
+		if err := c.validateParallel(); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("sim: unknown Engine mode %d", c.Engine)
+	}
+	return nil
+}
+
+// validateParallel rejects configurations the parallel engines cannot
+// honor. The lookahead rule is load-bearing, not cosmetic: the lanes'
+// entire progress window is the minimum cross-lane message delay, which
+// this world derives from the network latencies at validation time — a
+// zero latency would make the window empty and every event unsafe.
+func (c Config) validateParallel() error {
+	if c.Lanes < 0 {
+		return fmt.Errorf("sim: Lanes = %d, need >= 0 (0 selects GOMAXPROCS)", c.Lanes)
+	}
+	if c.Mobile.WirelessLatency <= 0 {
+		return fmt.Errorf("sim: engine %s requires Mobile.WirelessLatency > 0 (got %v): the cross-lane lookahead is the minimum uplink delay", c.Engine, c.Mobile.WirelessLatency)
+	}
+	if c.Mobile.WiredLatency <= 0 {
+		return fmt.Errorf("sim: engine %s requires Mobile.WiredLatency > 0 (got %v): a zero-latency backbone collapses the safe window between stations", c.Engine, c.Mobile.WiredLatency)
+	}
+	if c.Mobile.Contention {
+		return fmt.Errorf("sim: engine %s is incompatible with Mobile.Contention (per-cell channel queues are cross-lane shared state)", c.Engine)
+	}
+	if c.Mobile.LossProbability > 0 {
+		return fmt.Errorf("sim: engine %s is incompatible with Mobile.LossProbability (the loss stream's draw order depends on global event order)", c.Engine)
+	}
+	if c.Checks {
+		return fmt.Errorf("sim: engine %s is incompatible with Checks (the shadow models assume single-threaded protocol callbacks)", c.Engine)
+	}
+	if c.RecordTrace {
+		return fmt.Errorf("sim: engine %s is incompatible with RecordTrace (trace recording is single-threaded)", c.Engine)
+	}
+	if c.MessageLog != mlog.Off {
+		return fmt.Errorf("sim: engine %s is incompatible with MessageLog (per-station logs are cross-lane shared state)", c.Engine)
+	}
+	if c.Progress != nil {
+		return fmt.Errorf("sim: engine %s is incompatible with Progress (no single clock to report mid-run)", c.Engine)
+	}
+	if c.CheckpointLatency > 0 {
+		return fmt.Errorf("sim: engine %s is incompatible with CheckpointLatency (the charged delay perturbs lane-local schedules)", c.Engine)
+	}
+	return nil
+}
+
+// validateReplay rejects configurations replay mode cannot honor: the
+// schedule dictates the topology, the event order and the virtual
+// clock, so every generative knob is meaningless and likely a mistake.
+func (c Config) validateReplay() error {
+	if err := c.Schedule.Validate(); err != nil {
+		return err
+	}
+	if _, err := protocol.LookupLive(c.Schedule.Protocol); err != nil {
+		return fmt.Errorf("sim: schedule records an unreplayable protocol: %w", err)
+	}
+	switch len(c.Protocols) {
+	case 0:
+	case 1:
+		if string(c.Protocols[0]) != c.Schedule.Protocol {
+			return fmt.Errorf("sim: replay schedule records protocol %s, Config selects %s",
+				c.Schedule.Protocol, c.Protocols[0])
+		}
+	default:
+		return fmt.Errorf("sim: replay runs exactly the schedule's protocol (%s); leave Protocols empty", c.Schedule.Protocol)
+	}
+	switch {
+	case c.Engine != pdes.ModeSequential:
+		return fmt.Errorf("sim: replay requires the sequential engine (the schedule is a total order)")
+	case c.CheckpointLatency != 0:
+		return fmt.Errorf("sim: replay is incompatible with CheckpointLatency (ticks are dictated by the schedule)")
+	case c.SnapshotPeriod != 0:
+		return fmt.Errorf("sim: replay is incompatible with SnapshotPeriod (the protocols it drives — CL, PS, MS — are not replayable)")
+	case c.GCInterval != 0:
+		return fmt.Errorf("sim: replay is incompatible with GCInterval (the recording ran without GC)")
+	case len(c.JoinTimes) != 0:
+		return fmt.Errorf("sim: replay takes joins from the schedule, not JoinTimes")
+	case c.Probes || c.LaneTimeline != nil || c.Timeline != nil || c.Metrics != nil:
+		return fmt.Errorf("sim: replay supports none of Probes/Timeline/LaneTimeline/Metrics")
+	case c.Progress != nil:
+		return fmt.Errorf("sim: replay is incompatible with Progress")
+	}
+	return c.validateLog()
+}
+
+// validateLog checks the message-logging knobs, which mean the same in
+// the generative and the replay mode.
+func (c Config) validateLog() error {
+	switch c.MessageLog {
+	case mlog.Off, mlog.Pessimistic, mlog.Optimistic:
+	default:
+		return fmt.Errorf("sim: unknown MessageLog mode %v", c.MessageLog)
+	}
+	if c.LogFlushBatch < 0 {
+		return fmt.Errorf("sim: negative LogFlushBatch")
+	}
+	return nil
+}
+
+// newMessageLog builds one MSS message log as configured, or returns nil
+// when logging is off.
+func (c Config) newMessageLog() (*mlog.Log, error) {
+	if c.MessageLog == mlog.Off {
+		return nil, nil
+	}
+	lcfg := mlog.DefaultConfig(c.MessageLog)
+	if c.LogFlushBatch > 0 {
+		lcfg.FlushBatch = c.LogFlushBatch
+	}
+	return mlog.New(lcfg)
+}

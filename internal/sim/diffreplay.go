@@ -75,20 +75,17 @@ func runSchedule(cfg Config) (*Result, error) {
 	for i := range r.station {
 		r.station[i] = i % sched.Stations
 	}
-	if cfg.MessageLog != mlog.Off {
-		lcfg := mlog.DefaultConfig(cfg.MessageLog)
-		if cfg.LogFlushBatch > 0 {
-			lcfg.FlushBatch = cfg.LogFlushBatch
-		}
-		lg, err := mlog.New(lcfg)
-		if err != nil {
-			return nil, err
-		}
-		r.lg = lg
+	var err error
+	if r.lg, err = cfg.newMessageLog(); err != nil {
+		return nil, err
 	}
 
 	mssOf := func(h mobile.HostID) mobile.MSSID { return mobile.MSSID(r.station[h]) }
 	ckpt := r.checkpointer()
+	// The one constructor table deliberately kept apart from the registry
+	// in internal/protocol: the live cluster builds its protocol through
+	// the registry (live.Factory), and an oracle that shared that path
+	// would agree with a wiring mistake in it instead of exposing it.
 	switch sched.Protocol {
 	case string(TP):
 		r.proto = protocol.NewTP(sched.Hosts, ckpt, mssOf)
@@ -160,10 +157,11 @@ func (r *replayRun) checkpointer() protocol.Checkpointer {
 		rec := r.store.Take(h, mobile.MSSID(r.station[h]), index, kind, r.curTick)
 		seq := r.counts[h]
 		r.counts[h]++
-		r.causes[causeKey(kind, r.cause)]++
+		key := replaycmp.CauseKey(kind, r.cause)
+		r.causes[key]++
 		r.dec.RecordCheckpoint(int(h), replaycmp.Checkpoint{
 			Seq: r.curSeq, Ordinal: seq, Index: index,
-			Kind: kind.String(), Cause: replaycmp.CauseKey(kind, r.cause),
+			Kind: kind.String(), Cause: key,
 		})
 		return rec
 	}

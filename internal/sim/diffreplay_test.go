@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/des"
@@ -50,6 +51,11 @@ func TestReplayValidateRejects(t *testing.T) {
 		{"probes", func(c *Config) { c.Probes = true }},
 		{"progress", func(c *Config) { c.Progress = func(des.Time, uint64) {} }},
 		{"bad log mode", func(c *Config) { c.MessageLog = mlog.Mode(99) }},
+		{"negative log batch", func(c *Config) { c.LogFlushBatch = -1 }},
+		// A config Validate accepts must be one Run accepts: the schedule's
+		// protocol has to be in the registry's Live set.
+		{"coordinated schedule", func(c *Config) { c.Schedule = replaySchedule("CL") }},
+		{"timer-driven schedule", func(c *Config) { c.Schedule = replaySchedule("MS") }},
 	}
 	for _, tc := range cases {
 		cfg := Config{Schedule: replaySchedule("QBC")}
@@ -63,9 +69,10 @@ func TestReplayValidateRejects(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// A protocol replay cannot construct is rejected at Run.
-	if _, err := Run(Config{Schedule: replaySchedule("CL")}); err == nil {
-		t.Fatal("coordinated protocol accepted for replay")
+	// The rejection names the replayable set.
+	err := Config{Schedule: replaySchedule("PS")}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "want TP, BCS, QBC or UNC") {
+		t.Fatalf("coordinated schedule: err = %v, want the live set named", err)
 	}
 }
 

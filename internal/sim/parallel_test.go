@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mobickpt/internal/race"
 )
 
 // sweepConfig is a small but non-trivial configuration for the pool
@@ -142,7 +144,7 @@ func TestSweepParallelPanicRecovered(t *testing.T) {
 // piggybacks, the engine must average well under one allocation per
 // fired event (the pre-pooling engine sat above two).
 func TestEngineAllocsPerEvent(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
 	}
 	cfg := sweepConfig()
@@ -170,7 +172,7 @@ func TestEngineAllocsPerEvent(t *testing.T) {
 // structures at startup — an allocating increment on the per-event path
 // would show up as a per-event delta here.
 func TestProbeAllocOverhead(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
 	}
 	cfg := sweepConfig()

@@ -1,0 +1,52 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"mobickpt/internal/live"
+	"mobickpt/internal/protocol"
+)
+
+// TestProtocolRegistry holds the three readers of the registry to one
+// table: every selectable name resolves to a constructor, the live
+// factory accepts exactly the Live set, the simulator demands a
+// SnapshotPeriod for exactly the Coordinated set, and unknown names are
+// errors everywhere.
+func TestProtocolRegistry(t *testing.T) {
+	// The registry pins this same order (TestRegistryBuildsWhatItNames),
+	// so the two lists cannot drift apart unnoticed.
+	if got, want := fmt.Sprint(AllProtocols()), "[TP BCS QBC UNC CL PS MS]"; got != want {
+		t.Fatalf("AllProtocols() = %s, want %s", got, want)
+	}
+	for _, name := range AllProtocols() {
+		ent, ok := protocol.Lookup(string(name))
+		if !ok || ent.New == nil || ent.Name != string(name) {
+			t.Fatalf("%s: registry entry %+v, found %v", name, ent, ok)
+		}
+		if _, err := live.Factory(string(name)); (err == nil) != ent.Live {
+			t.Errorf("%s: live.Factory err = %v, registry says Live = %v", name, err, ent.Live)
+		}
+		cfg := DefaultConfig()
+		cfg.Protocols = []ProtocolName{name}
+		cfg.SnapshotPeriod = 0
+		if err := cfg.Validate(); (err != nil) != ent.Coordinated {
+			t.Errorf("%s: Validate without SnapshotPeriod: %v, registry says Coordinated = %v", name, err, ent.Coordinated)
+		}
+		replay := Config{Schedule: replaySchedule(string(name))}
+		if err := replay.Validate(); (err == nil) != ent.Live {
+			t.Errorf("%s: replay Validate err = %v, registry says Live = %v", name, err, ent.Live)
+		}
+	}
+	if _, ok := protocol.Lookup("XX"); ok {
+		t.Error("registry resolves an unknown name")
+	}
+	if _, err := live.Factory("XX"); err == nil {
+		t.Error("live.Factory accepts an unknown name")
+	}
+	cfg := DefaultConfig()
+	cfg.Protocols = []ProtocolName{"XX"}
+	if err := cfg.Validate(); err == nil {
+		t.Error("Validate accepts an unknown protocol")
+	}
+}

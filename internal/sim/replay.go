@@ -21,12 +21,12 @@ import (
 // bare failure cut. Run (replay-aware) propagation on the result to
 // reach consistency.
 func SeedCut(pr *ProtocolResult, n int, failed mobile.HostID) recovery.Cut {
-	switch pr.Name {
-	case TP:
+	switch {
+	case pr.Name == TP:
 		if meta := TPMeta(pr); meta != nil {
 			return recovery.VectorCut(pr.Store, meta, n, failed)
 		}
-	case BCS, QBC, MS:
+	case indexBased(pr.Name):
 		return recovery.LatestIndexCut(pr.Store, n, failed)
 	}
 	return recovery.FailureCut(pr.Store, n, failed)

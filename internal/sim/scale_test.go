@@ -9,6 +9,7 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/pdes"
+	"mobickpt/internal/race"
 )
 
 // TestQueueAblationIdentical is the refactor's gate at the engine level:
@@ -191,7 +192,7 @@ func TestMeasureScale(t *testing.T) {
 // fit on every new host (des.Solo's ordinal table once was) makes it
 // 4x — and each host must cost a bounded number of bytes.
 func TestSetupAllocsLinear(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
 	}
 	setupBytes := func(n int) float64 {
