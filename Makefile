@@ -8,9 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-SIMLINT_BIN = bin/simlint
-
-.PHONY: all build test test-short check vet test-race allocs fuzz-smoke diffreplay checkpairs fmt lint simlint simlint-sarif staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
+.PHONY: all build test test-short check vet test-race allocs fuzz-smoke diffreplay checkpairs fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
 
 all: build test
 
@@ -77,21 +75,12 @@ fmt:
 # simlint is the in-tree analysis suite (internal/analysis, DESIGN §6):
 # built from the tree, so it gates offline and in CI alike. `go vet
 # -vettool` analyzes test files too and caches per package.
-# simlint.baseline absorbs recorded findings; it is empty — keep it so.
-$(SIMLINT_BIN): FORCE
-	@mkdir -p $(dir $(SIMLINT_BIN))
-	$(GO) build -o $(SIMLINT_BIN) ./cmd/simlint
+bin/simlint: FORCE
+	@mkdir -p bin
+	$(GO) build -o $@ ./cmd/simlint
 
-simlint: $(SIMLINT_BIN)
-	SIMLINT_BASELINE=$(CURDIR)/simlint.baseline \
-		$(GO) vet -vettool=$(CURDIR)/$(SIMLINT_BIN) ./...
-
-# One standalone whole-repo pass that also writes the surviving
-# findings as a SARIF 2.1.0 log, for CI code-scanning upload.
-simlint-sarif: $(SIMLINT_BIN)
-	@mkdir -p results
-	$(CURDIR)/$(SIMLINT_BIN) -C $(CURDIR) -baseline simlint.baseline \
-		-sarif results/simlint.sarif ./...
+simlint: bin/simlint
+	$(GO) vet -vettool=$(CURDIR)/bin/simlint ./...
 
 # lint = simlint (hard gate) + staticcheck when present: the offline
 # build cannot fetch it, so a missing binary only downgrades the gate;

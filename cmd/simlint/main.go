@@ -1,46 +1,20 @@
-// Command simlint is the multichecker for the repository's static
-// analysis suite (internal/analysis): detlint, maporder, poollint,
-// schedlint, guardlint, lanelint and problint.
-//
-// It runs in two modes.
-//
-// Standalone, from anywhere in the module:
-//
-//	simlint [-C dir] [-config file] [-analyzers detlint,maporder]
-//	        [-baseline file [-update-baseline]] [-sarif file] [packages]
-//
-// loads the named packages (default ./...) with the go/importer-based
-// loader, runs every in-scope analyzer and prints surviving findings as
-// file:line:col: simlint/<analyzer>: message, exiting 1 if any survive.
-// The scope defaults to analysis.DefaultConfig (the repository gate) and
-// can be replaced with -config. With -baseline, findings matched by the
-// named baseline file (fingerprinted by analyzer/package/message, never
-// line numbers) are absorbed and only fresh findings gate; entries that
-// matched nothing are reported as stale. -update-baseline rewrites the
-// baseline from the current findings instead of gating on them. -sarif
-// writes the gating findings as a SARIF 2.1.0 log ("-" for stdout) for
-// CI annotation upload.
-//
-// As a vet tool:
+// Command simlint runs the repository's static analysis suite
+// (internal/analysis, DESIGN §6) as a go vet tool:
 //
 //	go vet -vettool=$(command -v simlint) ./...
 //
-// simlint speaks the cmd/go unit-checker protocol: it answers -flags
-// with a JSON flag list, -V=full with a content-hashed version line (so
-// the go command's vet cache invalidates when the tool changes), and is
-// then invoked once per package with a vet.cfg JSON file naming the
-// sources and the export data of every dependency. Because go vet passes
-// no custom flags through, the vettool scope can be overridden with the
-// SIMLINT_CONFIG environment variable naming a -config style file, and
-// the baseline with SIMLINT_BASELINE naming a baseline file (stale
-// entries are not reported in this mode: each vet invocation sees one
-// package, so a global staleness judgment is impossible).
+// It speaks the cmd/go unit-checker protocol and nothing else: it
+// answers -flags with a JSON flag list, -V=full with a content-hashed
+// version line (so the go command's vet cache invalidates when the tool
+// changes), and is then invoked once per package — test variants
+// included — with a vet.cfg JSON file naming the sources and the export
+// data of every dependency. Each analyzer runs over the packages its own
+// scope matches; there are no flags and no environment variables.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -56,165 +30,48 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// The unit-checker handshake: cmd/go probes the tool's flags and
-	// identity before handing it any work.
-	if len(args) == 1 {
+	if args := os.Args[1:]; len(args) == 1 {
 		switch {
 		case args[0] == "-flags":
 			fmt.Println("[]")
 			return
 		case strings.HasPrefix(args[0], "-V"):
-			printVersion()
+			if err := printVersion(); err != nil {
+				fmt.Fprintln(os.Stderr, "simlint:", err)
+				os.Exit(1)
+			}
 			return
 		case strings.HasSuffix(args[0], ".cfg"):
 			os.Exit(runVetCfg(args[0]))
 		}
 	}
-	os.Exit(runStandalone(args))
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v simlint) [packages]")
+	os.Exit(2)
 }
 
 // printVersion prints the tool identity for `simlint -V=full`. The go
 // command uses the line verbatim as the vet-action cache key, so the
 // line hashes the executable itself: rebuilding simlint with different
-// analyzers invalidates every cached vet result.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
+// analyzers invalidates every cached vet result. An executable that
+// cannot be read has no identity to print — a constant would serve
+// stale cached results for every later build.
+func printVersion() error {
+	path, err := os.Executable()
+	if err != nil {
+		return err
+	}
+	exe, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer exe.Close()
 	h := sha256.New()
-	if exe, err := os.Open(os.Args[0]); err == nil {
-		io.Copy(h, exe)
-		exe.Close()
+	if _, err := io.Copy(h, exe); err != nil {
+		return fmt.Errorf("hashing %s: %w", path, err)
 	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil))
+	fmt.Printf("%s version devel buildID=%x\n", filepath.Base(os.Args[0]), h.Sum(nil))
+	return nil
 }
-
-// scopeConfig resolves the analyzer scope: an explicit -config file, the
-// SIMLINT_CONFIG environment variable (the only channel go vet leaves
-// open), or the repository default.
-func scopeConfig(path string) (analysis.Config, error) {
-	if path == "" {
-		//lint:allow simlint/detlint go vet passes no flags through; the environment is the only configuration channel
-		path = os.Getenv("SIMLINT_CONFIG")
-	}
-	if path == "" {
-		return analysis.DefaultConfig(), nil
-	}
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return analysis.Config{}, err
-	}
-	cfg, err := analysis.ParseConfig(string(text))
-	if err != nil {
-		return analysis.Config{}, fmt.Errorf("%s: %v", path, err)
-	}
-	return cfg, nil
-}
-
-// ---- standalone mode ----
-
-func runStandalone(args []string) int {
-	fs := flag.NewFlagSet("simlint", flag.ExitOnError)
-	dir := fs.String("C", ".", "change to `dir` before loading packages")
-	configPath := fs.String("config", "", "analyzer scope `file` (default: the built-in repository scope)")
-	names := fs.String("analyzers", "", "comma-separated `subset` of analyzers to run (default: all)")
-	baselinePath := fs.String("baseline", "", "absorb findings matched by this baseline `file`; only fresh findings gate")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings instead of gating")
-	sarifPath := fs.String("sarif", "", "write gating findings as SARIF 2.1.0 to `file` (\"-\" for stdout)")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: simlint [-C dir] [-config file] [-analyzers list] [-baseline file [-update-baseline]] [-sarif file] [packages]\n\nAnalyzers:\n")
-		for _, a := range analysis.All() {
-			doc, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, doc)
-		}
-		fs.PrintDefaults()
-	}
-	fs.Parse(args)
-
-	analyzers, err := analysis.ByName(*names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 1
-	}
-	cfg, err := scopeConfig(*configPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 1
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	findings, err := analysis.Run(*dir, patterns, analyzers, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 1
-	}
-
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "simlint: -update-baseline needs -baseline <file>")
-			return 1
-		}
-		if err := os.WriteFile(*baselinePath, []byte(analysis.FormatBaseline(findings)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote %s (%d finding(s) baselined)\n", *baselinePath, len(findings))
-		return 0
-	}
-	if *baselinePath != "" {
-		b, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 1
-		}
-		var stale []analysis.BaselineEntry
-		findings, stale = b.Filter(findings)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "simlint: stale baseline entry (matched nothing — delete it): %s\t%s\t%d\t%s\n", e.Analyzer, e.Package, e.Count, e.Message)
-		}
-	}
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, analyzers, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 1
-		}
-	}
-	for _, f := range findings {
-		fmt.Printf("%s: simlint/%s: %s\n", f.Position, f.Analyzer, f.Message)
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(findings))
-		return 1
-	}
-	return 0
-}
-
-func loadBaseline(path string) (*analysis.Baseline, error) {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b, err := analysis.ParseBaseline(string(text))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return b, nil
-}
-
-func writeSARIF(path string, analyzers []*analysis.Analyzer, findings []analysis.Finding) error {
-	out, err := analysis.SARIF(analyzers, findings)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-// ---- go vet unit-checker mode ----
 
 // vetConfig is the subset of the cmd/go vet.cfg schema simlint consumes:
 // one package's sources plus the compiler export data of its dependency
@@ -256,16 +113,13 @@ func runVetCfg(path string) int {
 		return 0
 	}
 
-	scope, err := scopeConfig("")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 1
-	}
-	// Test variants carry an " [pkg.test]" suffix; scope on the base path.
+	// Test variants carry an " [pkg.test]" suffix, and an external test
+	// package p_test is held to the contracts of the package p it tests.
 	importPath, _, _ := strings.Cut(cfg.ImportPath, " ")
+	scopePath := strings.TrimSuffix(importPath, "_test")
 	var analyzers []*analysis.Analyzer
 	for _, a := range analysis.All() {
-		if scope.Applies(a.Name, importPath) {
+		if a.Applies(scopePath) {
 			analyzers = append(analyzers, a)
 		}
 	}
@@ -306,17 +160,6 @@ func runVetCfg(path string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %s: %v\n", cfg.ImportPath, err)
 		return 1
-	}
-	// The baseline channel for vet mode. Staleness is not judged here:
-	// this invocation sees one package of the build, so an unmatched
-	// entry may simply belong to a package vet has not handed us.
-	if path := os.Getenv("SIMLINT_BASELINE"); path != "" { //lint:allow simlint/detlint go vet passes no flags through; the environment is the only configuration channel
-		b, err := loadBaseline(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 1
-		}
-		findings, _ = b.Filter(findings)
 	}
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "%s: simlint/%s: %s\n", f.Position, f.Analyzer, f.Message)

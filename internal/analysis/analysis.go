@@ -15,9 +15,9 @@
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Diagnostic) but is implemented on the standard
 // library only (go/ast, go/types, go/importer), so the repository keeps
-// its zero-dependency go.mod and the gate runs in offline builds. The
-// cmd/simlint multichecker drives these analyzers standalone and speaks
-// the `go vet -vettool` unit-checker protocol.
+// its zero-dependency go.mod and the gate runs in offline builds.
+// cmd/simlint drives these analyzers as a `go vet -vettool`
+// unit-checker.
 package analysis
 
 import (
@@ -38,8 +38,52 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the contract enforced.
 	Doc string
+	// Include and Exclude are the package patterns (see matchPattern)
+	// the repository is gated with: the analyzer runs over a package
+	// that matches an Include pattern and no Exclude pattern. Contracts
+	// differ per layer — internal/des owns the event pool it polices
+	// for everyone else, internal/mobile owns the message pool — so each
+	// analyzer carries its own scope.
+	Include, Exclude []string
 	// Run performs the analysis on one package.
 	Run func(*Pass) error
+}
+
+// Applies reports whether the analyzer is in scope for the package path.
+func (a *Analyzer) Applies(pkgPath string) bool {
+	for _, pat := range a.Exclude {
+		if matchPattern(pat, pkgPath) {
+			return false
+		}
+	}
+	for _, pat := range a.Include {
+		if matchPattern(pat, pkgPath) {
+			return true
+		}
+	}
+	return false
+}
+
+// matchPattern matches a package path against one scope pattern:
+//
+//   - every package
+//     internal/sim       the package whose path is, or ends with, the
+//     pattern ("mobickpt/internal/sim" matches)
+//     internal/des/...   that package and its whole subtree
+func matchPattern(pat, path string) bool {
+	if pat == "*" {
+		return true
+	}
+	base, subtree := strings.CutSuffix(pat, "/...")
+	if path == base || strings.HasSuffix(path, "/"+base) {
+		return true
+	}
+	if subtree {
+		if strings.HasPrefix(path, base+"/") || strings.Contains(path, "/"+base+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // A Pass provides one analyzer with one type-checked package and
@@ -71,12 +115,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Finding is a resolved diagnostic: a Diagnostic plus its printable
-// position and owning package, as produced by RunAnalyzers after
-// suppression filtering. Package participates in the baseline
-// fingerprint (see baseline.go), Position deliberately does not.
+// position, as produced by RunAnalyzers after suppression filtering.
 type Finding struct {
 	Position token.Position
-	Package  string
 	Analyzer string
 	Message  string
 }
@@ -92,36 +133,16 @@ func All() []*Analyzer {
 	return []*Analyzer{Detlint, Maporder, Poollint, Schedlint, Guardlint, Lanelint, Problint}
 }
 
-// Names returns the analyzer names of All(), comma-joined, for error
-// messages and usage text.
-func Names() string {
-	var names []string
-	for _, a := range All() {
-		names = append(names, a.Name)
+// NewInfo allocates the types.Info maps the analyzers rely on.
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	return strings.Join(names, ", ")
-}
-
-// ByName resolves a comma-separated analyzer list ("detlint,maporder").
-// The empty string selects the whole suite.
-func ByName(names string) ([]*Analyzer, error) {
-	if strings.TrimSpace(names) == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", n, Names())
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // RunAnalyzers runs each analyzer over the package held by the template
@@ -131,19 +152,10 @@ func ByName(names string) ([]*Analyzer, error) {
 // as findings of the pseudo-analyzer "allow-directive".
 func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
 	sup, bad := suppressionIndex(fset, files)
-	pkgPath := ""
-	if pkg != nil {
-		pkgPath = pkg.Path()
-	}
 
 	var findings []Finding
 	for _, d := range bad {
-		findings = append(findings, Finding{
-			Position: fset.Position(d.Pos),
-			Package:  pkgPath,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
+		findings = append(findings, Finding{Position: fset.Position(d.Pos), Analyzer: d.Analyzer, Message: d.Message})
 	}
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
@@ -155,7 +167,7 @@ func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 			if sup.suppressed(a.Name, pos) {
 				continue
 			}
-			findings = append(findings, Finding{Position: pos, Package: pkgPath, Analyzer: d.Analyzer, Message: d.Message})
+			findings = append(findings, Finding{Position: pos, Analyzer: d.Analyzer, Message: d.Message})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

@@ -42,7 +42,7 @@ import (
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	for _, path := range pkgpaths {
-		lp, err := LoadPackage(srcRoot, path)
+		lp, err := loadPackage(srcRoot, path)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
@@ -57,7 +57,7 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgpaths ...string)
 }
 
 // check compares findings against the fixture's want comments.
-func check(t *testing.T, path string, lp *analysis.LoadedPackage, findings []analysis.Finding) {
+func check(t *testing.T, path string, lp *fixture, findings []analysis.Finding) {
 	t.Helper()
 	wants, err := collectWants(lp.Fset, lp.Files)
 	if err != nil {
@@ -135,6 +135,15 @@ func collectWants(fset *token.FileSet, files []*ast.File) (map[string][]*regexp.
 
 // ---- fixture loading ----
 
+// fixture is one parsed and type-checked fixture package, ready for
+// analysis.RunAnalyzers.
+type fixture struct {
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
+}
+
 // loader resolves fixture and standard-library imports for one srcRoot.
 // Standard-library packages are imported from compiler export data
 // produced by `go list -export` (cached in the Go build cache, shared
@@ -144,7 +153,7 @@ type loader struct {
 	fset *token.FileSet
 
 	mu       sync.Mutex
-	fixtures map[string]*analysis.LoadedPackage
+	fixtures map[string]*fixture
 	exports  map[string]string // std import path -> export data file
 	std      types.Importer
 }
@@ -163,7 +172,7 @@ func loaderFor(root string) *loader {
 	l := &loader{
 		root:     root,
 		fset:     token.NewFileSet(),
-		fixtures: make(map[string]*analysis.LoadedPackage),
+		fixtures: make(map[string]*fixture),
 		exports:  make(map[string]string),
 	}
 	l.std = importer.ForCompiler(l.fset, "gc", l.lookupExport)
@@ -171,9 +180,9 @@ func loaderFor(root string) *loader {
 	return l
 }
 
-// LoadPackage parses and type-checks the fixture package at
+// loadPackage parses and type-checks the fixture package at
 // <srcRoot>/<path>.
-func LoadPackage(srcRoot, path string) (*analysis.LoadedPackage, error) {
+func loadPackage(srcRoot, path string) (*fixture, error) {
 	l := loaderFor(srcRoot)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -181,7 +190,7 @@ func LoadPackage(srcRoot, path string) (*analysis.LoadedPackage, error) {
 }
 
 // load must be called with l.mu held; fixture dependencies recurse.
-func (l *loader) load(path string) (*analysis.LoadedPackage, error) {
+func (l *loader) load(path string) (*fixture, error) {
 	if lp, ok := l.fixtures[path]; ok {
 		return lp, nil
 	}
@@ -210,14 +219,7 @@ func (l *loader) load(path string) (*analysis.LoadedPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fixture %s: typecheck: %v", path, err)
 	}
-	lp := &analysis.LoadedPackage{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       l.fset,
-		Files:      files,
-		Pkg:        pkg,
-		Info:       info,
-	}
+	lp := &fixture{Fset: l.fset, Files: files, Pkg: pkg, Info: info}
 	l.fixtures[path] = lp
 	return lp, nil
 }

@@ -17,6 +17,20 @@ var Detlint = &Analyzer{
 		"(math/rand, math/rand/v2) and environment-dependent branches " +
 		"(os.Getenv) in simulation packages; use internal/rng streams and " +
 		"des.Simulator.Now instead",
+	// Every package whose behaviour feeds the simulated trace or its
+	// exported artifacts, cmd/... included (the figure/recovery shells
+	// write the committed results/ tables). internal/rng is exempt by
+	// construction; sanctioned wall-clock use in obs profiling and live
+	// networking is annotated in-tree with //lint:allow.
+	Include: []string{
+		"internal/des/...", "internal/pdes", "internal/sim", "internal/protocol",
+		"internal/mobile", "internal/workload", "internal/mlog",
+		"internal/recovery", "internal/check", "internal/trace",
+		"internal/stats", "internal/vclock", "internal/statestore",
+		"internal/storage", "internal/energy", "internal/wire",
+		"internal/obs/...", "internal/live", "internal/replaycmp",
+		"cmd/...",
+	},
 	Run: runDetlint,
 }
 

@@ -35,7 +35,11 @@ var Guardlint = &Analyzer{
 		"need every listed mutex. Also enforces //locks:after acquisition\n" +
 		"order, double-Lock, defer-less unlock paths, //locks:held call\n" +
 		"contracts, and that guard-annotated structs stay fully annotated.",
-	Run: runGuardlint,
+	// Where //guard: contracts live: the live cluster, the PDES lane
+	// mailboxes and internal/mlog (all //guard:none — externally
+	// serialized).
+	Include: []string{"internal/live", "internal/pdes", "internal/mlog"},
+	Run:     runGuardlint,
 }
 
 func runGuardlint(pass *Pass) error {

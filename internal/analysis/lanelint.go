@@ -37,7 +37,9 @@ var Lanelint = &Analyzer{
 		"writes to //lane:stopped state, no calls of //lane:stopped\n" +
 		"functions, no whole-value copies of //lane:shard elements, and no\n" +
 		"writes to unsharded scalar fields of a shard-owning struct.",
-	Run: runLanelint,
+	// The lane-sharded engines.
+	Include: []string{"internal/pdes", "internal/sim"},
+	Run:     runLanelint,
 }
 
 func runLanelint(pass *Pass) error {

@@ -19,7 +19,10 @@ var Maporder = &Analyzer{
 		"without a subsequent sort, writes output, or feeds stats/obs " +
 		"accumulators — map iteration order is randomized and leaks " +
 		"straight into exported artifacts",
-	Run: runMaporder,
+	// Everything except examples (demo output).
+	Include: []string{"*"},
+	Exclude: []string{"examples/..."},
+	Run:     runMaporder,
 }
 
 // sortCalls recognizes the blessing that makes a collected slice safe

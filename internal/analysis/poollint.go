@@ -21,6 +21,14 @@ var Poollint = &Analyzer{
 	Doc: "enforce pool discipline for recycled mobile.Message envelopes and " +
 		"protocol piggyback buffers: no use after Recycle, no escape into " +
 		"fields/globals/closures past delivery, no silent pool leaks",
+	// The consumers of the message/piggyback pools, not their owner
+	// internal/mobile. internal/des/equeue keeps its own entry free list
+	// and is policed like any other pool consumer.
+	Include: []string{
+		"internal/sim", "internal/pdes", "internal/protocol", "internal/mlog",
+		"internal/recovery", "internal/workload", "internal/check",
+		"internal/trace", "internal/des/equeue",
+	},
 	Run: runPoollint,
 }
 

@@ -28,7 +28,11 @@ var Problint = &Analyzer{
 		"Probe fields are written only inside //probe:writer functions and\n" +
 		"never from go-statement literals; probe Merge is called only from\n" +
 		"//probe:merge functions (quiescence points).",
-	Run: runProblint,
+	// Every package that writes or merges internal/obs/probe counters;
+	// the probe package owns its representation.
+	Include: []string{"internal/des/...", "internal/pdes", "internal/sim", "internal/mobile", "internal/obs/..."},
+	Exclude: []string{"internal/obs/probe"},
+	Run:     runProblint,
 }
 
 func runProblint(pass *Pass) error {

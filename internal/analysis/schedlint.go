@@ -20,7 +20,12 @@ var Schedlint = &Analyzer{
 		"recycled the moment the handler fires), and no direct des.Simulator " +
 		"scheduling inside a pdes lane handler (lane handlers run " +
 		"concurrently; the global queue is only safe world-stopped)",
-	Run: runSchedlint,
+	// Every client of internal/des, not the engine itself. The exemption
+	// is the root package only: the queues under internal/des/equeue
+	// honour the scheduler contracts like everyone else.
+	Include: []string{"*"},
+	Exclude: []string{"internal/des"},
+	Run:     runSchedlint,
 }
 
 // delayArg maps des.Simulator scheduling methods to the index of their
@@ -119,8 +124,7 @@ func checkNegativeDelay(pass *Pass, call *ast.CallExpr) {
 // schedule through the lane-aware path (pdes.Core.Schedule, reached via
 // the des.Sched the engine wires up).
 func checkLaneHandlerSched(pass *Pass, call *ast.CallExpr) {
-	recvPath, recvType, method, ok := methodCall(pass.TypesInfo, call)
-	if !ok || !pathIs(recvPath, "pdes") || recvType != "Core" || method != "Schedule" {
+	if !isLaneSchedule(pass.TypesInfo, call) {
 		return
 	}
 	for _, arg := range call.Args {

@@ -61,14 +61,13 @@ func ParseDirective(text string) (d Directive, ok bool, err error) {
 		return Directive{}, true, fmt.Errorf("directive %q must name a simlint analyzer (simlint/<name>)", fields[0])
 	}
 	valid := false
+	var names []string
 	for _, a := range All() {
-		if a.Name == name {
-			valid = true
-			break
-		}
+		valid = valid || a.Name == name
+		names = append(names, a.Name)
 	}
 	if !valid {
-		return Directive{}, true, fmt.Errorf("unknown analyzer %q in //lint:allow (have %s)", name, Names())
+		return Directive{}, true, fmt.Errorf("unknown analyzer %q in //lint:allow (have %s)", name, strings.Join(names, ", "))
 	}
 	reason := strings.TrimSpace(strings.Join(fields[1:], " "))
 	if reason == "" {

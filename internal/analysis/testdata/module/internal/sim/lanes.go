@@ -1,4 +1,4 @@
-package scratch
+package sim
 
 // LaneState deliberately writes world-stopped state from a
 // //lane:handler function: lanelint must flag it.

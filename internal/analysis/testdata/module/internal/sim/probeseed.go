@@ -1,4 +1,4 @@
-package scratch
+package sim
 
 import "scratch/probe"
 

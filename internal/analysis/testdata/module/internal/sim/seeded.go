@@ -1,13 +1,16 @@
-// Package scratch deliberately violates the simlint contracts; the
-// driver tests and the cmd/simlint end-to-end test assert that these
-// seeded violations fail the build.
-package scratch
+// Package sim deliberately violates the simlint contracts. The scratch
+// module's packages sit under paths the production scope matches by
+// suffix (scratch/internal/sim, scratch/internal/live), so the
+// cmd/simlint end-to-end test fails this build through the same scope
+// table the repository is gated with.
+package sim
 
 import (
 	"fmt"
 	"time"
 
 	"scratch/des"
+	"scratch/mobile"
 	"scratch/pdes"
 )
 
@@ -21,6 +24,12 @@ func Dump(m map[string]int) {
 	for k, v := range m {
 		fmt.Println(k, v)
 	}
+}
+
+// Reuse reads a message after recycling it: poollint must flag it.
+func Reuse(n *mobile.Network, m *mobile.Message) uint64 {
+	n.Recycle(m)
+	return m.ID
 }
 
 // LaneEscape schedules on the global simulator from inside a pdes lane
