@@ -73,7 +73,7 @@ func isPooledMessage(t types.Type) bool {
 
 // recycleArg returns the identifier handed to a pool-recycle call:
 // Network.Recycle in mobile, or any Recycle method of the protocol
-// package (TP's buffer free list, the Recycler interface).
+// package (the Recycler interface).
 func recycleArg(info *types.Info, call *ast.CallExpr) (*ast.Ident, bool) {
 	recvPath, _, method, ok := methodCall(info, call)
 	if !ok || method != "Recycle" {

@@ -201,15 +201,12 @@ func (r *Runtime) AfterJoin(h mobile.HostID) {
 	r.checkTPMeta(h, rec, "join")
 }
 
-// asTPPiggyback accepts both forms a TP piggyback travels in: the pooled
-// pointer the simulation delivers and the value decoded from the wire.
+// asTPPiggyback accepts both forms a TP piggyback travels in: the view
+// the simulation delivers and the dense value decoded from the wire.
 func asTPPiggyback(pb any) (protocol.TPPiggyback, bool) {
 	switch v := pb.(type) {
-	case *protocol.TPPiggyback:
-		if v == nil {
-			return protocol.TPPiggyback{}, false
-		}
-		return *v, true
+	case *protocol.TPView:
+		return v.Dense(), true
 	case protocol.TPPiggyback:
 		return v, true
 	}

@@ -59,13 +59,14 @@ type Protocol interface {
 // intSize is the accounted size of one piggybacked integer, in bytes.
 const intSize = 8
 
-// Recycler is implemented by protocols whose OnSend returns a reusable
-// piggyback buffer (TP's O(n) vectors). After a piggyback value has been
-// fully consumed — delivered to its receiver and inspected by checkers
-// and tracing — the environment MAY hand it back via Recycle so the next
-// OnSend reuses the buffer instead of allocating. Recycling is strictly
-// optional: an environment that never calls Recycle (the live runtime,
-// which serializes piggybacks to the wire) just allocates per send.
+// Recycler is implemented by a protocol whose OnSend returns a pooled
+// piggyback buffer: once the value has been fully consumed — delivered
+// to its receiver and inspected by checkers and tracing — the
+// environment MAY hand it back via Recycle for the next OnSend to reuse.
+// No protocol in the tree pools piggybacks (TP's are immutable views,
+// DESIGN §7) and the engine does not call it; the benchmark's exchange
+// loop offers every piggyback back through this interface, which is why
+// it is declared.
 type Recycler interface {
 	Recycle(pb any)
 }

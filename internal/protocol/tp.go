@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"mobickpt/internal/mobile"
@@ -29,22 +28,145 @@ func (p Phase) String() string {
 }
 
 // TPPiggyback is the control information the TP protocol attaches to
-// every application message: the sender's transitive dependency vectors
-// over checkpoint intervals (Ckpt) and over checkpoint locations (Loc).
-// Both have one entry per host, which is why the paper concludes TP
-// "does not scale while changing the number of hosts".
+// every application message, in dense form: the sender's transitive
+// dependency vectors over checkpoint intervals (Ckpt) and over checkpoint
+// locations (Loc). Both have one entry per host, which is why the paper
+// concludes TP "does not scale while changing the number of hosts". It is
+// what travels on the wire and what recovery reads; inside the simulator
+// a message carries a *TPView of the same vectors instead.
 type TPPiggyback struct {
 	Ckpt vclock.Vector
 	Loc  vclock.Vector
+}
 
-	// refs counts the holders of a pooled, copy-on-write shared snapshot:
-	// one for the sender's snapshot slot plus one per in-flight message.
-	// Zero on value-form piggybacks (wire decodes, recovery metadata).
-	// Accessed with sync/atomic operations (a plain int32 so the struct
-	// stays copyable in value form): the sender's lane takes references
-	// while receivers' lanes drop theirs (Recycle) under parallel
-	// execution.
-	refs int32
+// tpChange is one change-log record: entry idx of a host's vectors rose
+// to (ckpt, loc). The fields are 32 bits wide because the log is what a
+// run retains per checkpoint; tpHost.set refuses values that do not fit.
+type tpChange struct{ idx, ckpt, loc int32 }
+
+// TPView is one host's dependency vectors as they stood at one instant —
+// the piggyback OnSend returns and the form a checkpoint's vectors are
+// stored in. It owns no vector: it names the host's frame (its dense
+// vectors at its last compaction) and the prefix of its change log that
+// existed at that instant. Frames are never written after they are built
+// and a log only grows past the prefix, so a view costs O(1) to take, is
+// immutable, and may be read from any lane while its host moves on.
+type TPView struct {
+	// frame holds CKPT then LOC, each len(frame)/2 entries wide. Entries
+	// the frame lacks — all of them for a host that has not compacted
+	// yet, the newest ones after a join — are -1.
+	frame []int
+	log   []tpChange // oldest first
+	width int
+}
+
+// Dense materializes the vectors the view stands for.
+func (v *TPView) Dense() TPPiggyback {
+	pb := TPPiggyback{Ckpt: vclock.New(v.width, -1), Loc: vclock.New(v.width, -1)}
+	fw := len(v.frame) / 2
+	copy(pb.Ckpt, v.frame[:fw])
+	copy(pb.Loc, v.frame[fw:])
+	for _, c := range v.log {
+		pb.Ckpt[c.idx], pb.Loc[c.idx] = int(c.ckpt), int(c.loc)
+	}
+	return pb
+}
+
+// tpHost is one host's protocol state. Only the lane that owns the host
+// touches it; what other lanes see of it are TPViews.
+type tpHost struct {
+	phase Phase
+	// ckpt[j] = index of the last checkpoint of host j that this host's
+	// current state transitively depends on (its own entry is the index
+	// of its current checkpoint interval); loc[j] = MSS storing that
+	// checkpoint. Both only ever rise, one entry at a time, through set.
+	ckpt, loc vclock.Vector
+	// frame is a copy of ckpt and loc taken at the last compaction and
+	// log lists every entry set since, so (frame, log) is the vectors'
+	// whole history since then: any prefix of log is a past state.
+	frame []int
+	log   []tpChange
+	// sent is the view the last send took, shared by every send until
+	// the vectors next change.
+	sent *TPView
+	// taken[k] is the host's k-th checkpoint with the vectors recorded
+	// alongside it: the on-stable-storage copy used to assemble a
+	// recovery line during rollback.
+	taken []tpCheckpoint
+}
+
+type tpCheckpoint struct {
+	rec  *storage.Record
+	view TPView
+}
+
+// set raises entry j to (ckpt, loc) and logs the change.
+func (s *tpHost) set(j, ckpt, loc int) {
+	c := tpChange{int32(j), int32(ckpt), int32(loc)}
+	if int(c.ckpt) != ckpt || int(c.loc) != loc {
+		panic("protocol: TP vector entry does not fit the 32-bit change log")
+	}
+	s.ckpt[j], s.loc[j] = ckpt, loc
+	s.log = append(s.log, c)
+	s.sent = nil
+}
+
+// compact starts a new frame once the log is as long as the vectors are
+// wide: one O(n) copy per n changes, so a change costs O(1) amortized and
+// a view never carries more than n records. Earlier views keep the frame
+// and log they name. The fresh log is sized for the next n changes at
+// once — a host that filled one log will fill the next.
+func (s *tpHost) compact() {
+	w := len(s.ckpt)
+	if len(s.log) < w {
+		return
+	}
+	s.frame = make([]int, 2*w)
+	copy(s.frame, s.ckpt)
+	copy(s.frame[w:], s.loc)
+	s.log = make([]tpChange, 0, w)
+}
+
+// view returns the host's vectors as they stand now.
+func (s *tpHost) view() TPView {
+	return TPView{frame: s.frame, log: s.log[:len(s.log):len(s.log)], width: len(s.ckpt)}
+}
+
+// merge raises every entry of the host's vectors that dense vectors
+// (ckpt, loc) dominate — TP's paired update: LOC[j] always names the MSS
+// holding the CKPT[j]-th checkpoint of host j. The incoming vectors may
+// be narrower (a message sent before new hosts joined: the missing
+// entries carry no dependency); wider ones are a message from the future.
+func (s *tpHost) merge(ckpt, loc vclock.Vector) {
+	if len(ckpt) != len(loc) || len(ckpt) > len(s.ckpt) {
+		panic("protocol: TP merge width mismatch")
+	}
+	for j, x := range ckpt {
+		if x > s.ckpt[j] {
+			s.set(j, x, loc[j])
+		}
+	}
+}
+
+// mergeView is merge(v.Dense()) without building the vectors. One
+// entry's log records only ever rise, above the frame's value, and a
+// location changes only together with its index, so the view's value of
+// entry j is j's newest record, or the frame's entry if it has none.
+// Replaying the log newest first and the frame last under merge's strict
+// > therefore raises exactly the entries the dense merge raises, to the
+// same values, once each: whatever precedes an entry's newest record is
+// smaller and no longer wins.
+func (s *tpHost) mergeView(v *TPView) {
+	if v.width > len(s.ckpt) {
+		panic("protocol: TP merge width mismatch")
+	}
+	for i := len(v.log) - 1; i >= 0; i-- {
+		if c := v.log[i]; int(c.ckpt) > s.ckpt[c.idx] {
+			s.set(int(c.idx), int(c.ckpt), int(c.loc))
+		}
+	}
+	fw := len(v.frame) / 2
+	s.merge(v.frame[:fw], v.frame[fw:])
 }
 
 // TP is the two-phase protocol of Acharya–Badrinath (§4.1), an adaptation
@@ -54,43 +176,11 @@ type TP struct {
 	ckpt  Checkpointer
 	mssOf func(mobile.HostID) mobile.MSSID
 
-	phase []Phase
-	// ckptVec[i][j] = index of the last checkpoint of host j that host
-	// i's current state transitively depends on. ckptVec[i][i] is the
-	// index of i's current checkpoint interval.
-	ckptVec []vclock.Vector
-	// locVec[i][j] = MSS storing that checkpoint of host j.
-	locVec []vclock.Vector
+	hosts []tpHost
 
-	// recorded vectors, per checkpoint record: the on-stable-storage copy
-	// used to assemble a recovery line during rollback.
-	meta map[*storage.Record]TPPiggyback
-
-	// snap[i] is host i's current shared piggyback snapshot: the vectors
-	// are copied once after a mutation (checkpoint, merge, join) and every
-	// send until the next mutation reuses the same immutable buffer,
-	// refcounted via TPPiggyback.refs. This bounds TP's O(n) copy cost by
-	// the *mutation* rate instead of the send rate — the measured
-	// blow-up that remains is the protocol's, not the simulator's
-	// (E21; sim_tp_vector_copies_total vs sim_tp_snapshot_reuses_total).
-	snap       []*TPPiggyback
 	snapCopies atomic.Int64
 	snapReuses atomic.Int64
-
-	// pbFree is the free list of piggyback buffers OnSend hands out and
-	// Recycle takes back once the last holder drops its reference.
-	// Because checkpointing is instantaneous in the model, the number of
-	// simultaneously in-flight snapshots bounds the list, and the O(n)
-	// vector copies reuse the same backing arrays — the zero-allocation
-	// message path for TP.
-	//
-	// mu guards pbFree and meta: sends pop buffers on the sender's lane
-	// while receivers push exhausted ones back, and forced checkpoints
-	// record metadata from whichever lane delivery runs on.
-	mu     sync.Mutex
-	pbFree []*TPPiggyback
-
-	piggyback atomic.Int64
+	piggyback  atomic.Int64
 }
 
 // NewTP creates a TP instance for n hosts. ckpt records checkpoints;
@@ -98,18 +188,10 @@ type TP struct {
 // disconnected host it must return the station holding its checkpoints,
 // which mobile.Host guarantees via the last MSS).
 func NewTP(n int, ckpt Checkpointer, mssOf func(mobile.HostID) mobile.MSSID) *TP {
-	t := &TP{
-		ckpt:    ckpt,
-		mssOf:   mssOf,
-		phase:   make([]Phase, n),
-		ckptVec: make([]vclock.Vector, n),
-		locVec:  make([]vclock.Vector, n),
-		snap:    make([]*TPPiggyback, n),
-		meta:    make(map[*storage.Record]TPPiggyback),
-	}
-	for i := range t.ckptVec {
-		t.ckptVec[i] = vclock.New(n, -1)
-		t.locVec[i] = vclock.New(n, -1)
+	t := &TP{ckpt: ckpt, mssOf: mssOf, hosts: make([]tpHost, n)}
+	for i := range t.hosts {
+		t.hosts[i].ckpt = vclock.New(n, -1)
+		t.hosts[i].loc = vclock.New(n, -1)
 	}
 	return t
 }
@@ -120,119 +202,71 @@ func (t *TP) Name() string { return "TP" }
 // Init implements Protocol: every host starts in RECV phase with its
 // initial checkpoint (interval 0) on stable storage.
 func (t *TP) Init() {
-	for i := range t.phase {
-		t.phase[i] = RECV
+	for i := range t.hosts {
+		t.hosts[i].phase = RECV
 		t.takeCheckpoint(mobile.HostID(i), storage.Initial)
-	}
-}
-
-// invalidate drops host h's shared send snapshot because its vectors are
-// about to change; in-flight messages keep their references alive.
-func (t *TP) invalidate(h mobile.HostID) {
-	if pb := t.snap[h]; pb != nil {
-		t.snap[h] = nil
-		if atomic.AddInt32(&pb.refs, -1) == 0 {
-			t.mu.Lock()
-			t.pbFree = append(t.pbFree, pb)
-			t.mu.Unlock()
-		}
 	}
 }
 
 // takeCheckpoint advances host h into a new checkpoint interval and
 // records the dependency vectors alongside the checkpoint.
 func (t *TP) takeCheckpoint(h mobile.HostID, kind storage.Kind) {
-	t.invalidate(h)
-	t.ckptVec[h][h]++
-	t.locVec[h][h] = int(t.mssOf(h))
-	rec := t.ckpt(h, t.ckptVec[h][h], kind)
-	m := TPPiggyback{Ckpt: t.ckptVec[h].Clone(), Loc: t.locVec[h].Clone()}
-	t.mu.Lock()
-	t.meta[rec] = m
-	t.mu.Unlock()
+	s := &t.hosts[h]
+	s.set(int(h), s.ckpt[h]+1, int(t.mssOf(h)))
+	s.compact()
+	rec := t.ckpt(h, s.ckpt[h], kind)
+	s.taken = append(s.taken, tpCheckpoint{rec, s.view()})
 }
 
 // OnSend implements Protocol: sending flips the host into the SEND phase
-// and piggybacks both dependency vectors. The returned *TPPiggyback is an
-// immutable copy-on-write snapshot (safe while the message is in flight,
-// shared by every send since the host's last vector mutation); the
-// environment must return each reference via Recycle once consumed. The
-// piggyback *accounting* still charges the full 2n-word vectors per
-// message — sharing is a simulator optimization, not a protocol change.
+// and piggybacks both dependency vectors, as a *TPView — safe while the
+// message is in flight and shared by every send since the host's last
+// vector change. The piggyback *accounting* still charges the full
+// 2n-word vectors per message: what the simulator hands around is not
+// what the wireless link would carry.
 func (t *TP) OnSend(from, to mobile.HostID) any {
-	t.phase[from] = SEND
-	t.piggyback.Add(int64(2 * len(t.ckptVec) * intSize))
-	if pb := t.snap[from]; pb != nil {
-		atomic.AddInt32(&pb.refs, 1)
+	s := &t.hosts[from]
+	s.phase = SEND
+	t.piggyback.Add(int64(2 * len(t.hosts) * intSize))
+	if s.sent != nil {
 		t.snapReuses.Add(1)
-		return pb
+		return s.sent
 	}
-	var pb *TPPiggyback
-	t.mu.Lock()
-	if n := len(t.pbFree); n > 0 {
-		pb = t.pbFree[n-1]
-		t.pbFree[n-1] = nil
-		t.pbFree = t.pbFree[:n-1]
-	}
-	t.mu.Unlock()
-	if pb == nil {
-		pb = new(TPPiggyback)
-	}
-	pb.Ckpt = append(pb.Ckpt[:0], t.ckptVec[from]...)
-	pb.Loc = append(pb.Loc[:0], t.locVec[from]...)
-	atomic.StoreInt32(&pb.refs, 2) // the snapshot slot plus this message
-	t.snap[from] = pb
+	v := s.view()
+	s.sent = &v
 	t.snapCopies.Add(1)
-	return pb
+	return s.sent
 }
 
-// Recycle implements Recycler: drops one reference to a snapshot produced
-// by OnSend, returning the buffer to the free list when the last holder
-// (message or snapshot slot) lets go. Values of other types (e.g. the
-// value-form TPPiggyback decoded from the wire) are ignored.
-func (t *TP) Recycle(pb any) {
-	if p, ok := pb.(*TPPiggyback); ok && p != nil {
-		if v := atomic.AddInt32(&p.refs, -1); v <= 0 {
-			if v < 0 {
-				atomic.StoreInt32(&p.refs, 0)
-			}
-			t.mu.Lock()
-			t.pbFree = append(t.pbFree, p)
-			t.mu.Unlock()
-		}
-	}
-}
-
-// SnapshotStats reports the copy-on-write economics: copies counts full
-// O(n) vector materializations, reuses counts sends that shared a live
-// snapshot. Their sum is the number of sends.
+// SnapshotStats reports how sends obtained their piggyback: copies counts
+// the sends that took a new view because the host's vectors had changed
+// since its previous send (an O(1) header, no longer a vector copy),
+// reuses the sends that shared the previous send's view. Their sum is
+// the number of sends.
 func (t *TP) SnapshotStats() (copies, reuses int64) {
 	return t.snapCopies.Load(), t.snapReuses.Load()
 }
 
 // OnDeliver implements Protocol: a delivery in SEND phase forces a
 // checkpoint *before* the message is processed, then the sender's
-// dependencies are merged into the receiver's vectors.
+// dependencies are merged into the receiver's vectors. The simulation
+// delivers the view OnSend returned; the live runtime delivers the dense
+// form decoded from the wire.
 func (t *TP) OnDeliver(h, from mobile.HostID, pb any) {
-	if t.phase[h] == SEND {
+	s := &t.hosts[h]
+	if s.phase == SEND {
 		t.takeCheckpoint(h, storage.Forced)
-		t.phase[h] = RECV
+		s.phase = RECV
 	}
-	// The simulation delivers the pooled pointer OnSend returned; the
-	// live runtime delivers the value form decoded from the wire. Only
-	// the vectors are read — copying the whole struct would read refs
-	// non-atomically while another lane's Recycle decrements it.
-	var ckpt, loc vclock.Vector
 	switch v := pb.(type) {
-	case *TPPiggyback:
-		ckpt, loc = v.Ckpt, v.Loc
+	case *TPView:
+		s.mergeView(v)
 	case TPPiggyback:
-		ckpt, loc = v.Ckpt, v.Loc
+		s.merge(v.Ckpt, v.Loc)
 	default:
 		panic("protocol: TP delivery with non-TP piggyback")
 	}
-	t.invalidate(h)
-	t.ckptVec[h].MergeWithLocations(t.locVec[h], ckpt, loc)
+	s.compact()
 }
 
 // OnCellSwitch implements Protocol: a hand-off takes a basic checkpoint
@@ -260,22 +294,20 @@ func (t *TP) PiggybackBytes() int64 { return t.piggyback.Load() }
 // them (the reason the paper judges TP unable to scale in an open
 // system, §4.1/§2.2 point (3)).
 func (t *TP) OnJoin(h mobile.HostID) int64 {
-	if int(h) != len(t.phase) {
+	if int(h) != len(t.hosts) {
 		panic("protocol: TP join with non-dense host id")
 	}
-	n := len(t.phase) + 1
-	t.phase = append(t.phase, RECV)
-	for i := range t.ckptVec {
-		// Every host's vectors gain a component, so every live snapshot
-		// is stale (in-flight references keep theirs alive; ragged
-		// merges accept the shorter vectors).
-		t.invalidate(mobile.HostID(i))
-		t.ckptVec[i] = t.ckptVec[i].Grow(n, -1)
-		t.locVec[i] = t.locVec[i].Grow(n, -1)
+	n := len(t.hosts) + 1
+	for i := range t.hosts {
+		// The new component is the -1 a narrower frame already implies,
+		// so nothing is logged; only the width of later views changes
+		// (ragged merges accept the narrower ones still in flight).
+		s := &t.hosts[i]
+		s.ckpt = s.ckpt.Grow(n, -1)
+		s.loc = s.loc.Grow(n, -1)
+		s.sent = nil
 	}
-	t.snap = append(t.snap, nil)
-	t.ckptVec = append(t.ckptVec, vclock.New(n, -1))
-	t.locVec = append(t.locVec, vclock.New(n, -1))
+	t.hosts = append(t.hosts, tpHost{ckpt: vclock.New(n, -1), loc: vclock.New(n, -1)})
 	t.takeCheckpoint(h, storage.Initial)
 	return int64(n - 1) // one membership notification per existing host
 }
@@ -286,15 +318,23 @@ func (t *TP) OnJoin(h mobile.HostID) int64 {
 // checkpoint belongs to: if Ckpt[j] = p and Loc[j] = q, the line through
 // rec includes the p-th checkpoint of host j, stored at station q.
 func (t *TP) Meta(rec *storage.Record) (TPPiggyback, bool) {
-	m, ok := t.meta[rec]
-	return m, ok
+	// A host's checkpoint indices count up from 0, so the index is the
+	// position in taken.
+	if rec == nil || rec.Host < 0 || int(rec.Host) >= len(t.hosts) {
+		return TPPiggyback{}, false
+	}
+	taken := t.hosts[rec.Host].taken
+	if rec.Index < 0 || rec.Index >= len(taken) || taken[rec.Index].rec != rec {
+		return TPPiggyback{}, false
+	}
+	return taken[rec.Index].view.Dense(), true
 }
 
 // Phase returns host h's current phase (exported for tests and tracing).
-func (t *TP) PhaseOf(h mobile.HostID) Phase { return t.phase[h] }
+func (t *TP) PhaseOf(h mobile.HostID) Phase { return t.hosts[h].phase }
 
 // DependencyVector returns a copy of host h's current CKPT vector.
-func (t *TP) DependencyVector(h mobile.HostID) vclock.Vector { return t.ckptVec[h].Clone() }
+func (t *TP) DependencyVector(h mobile.HostID) vclock.Vector { return t.hosts[h].ckpt.Clone() }
 
 // LocationVector returns a copy of host h's current LOC vector.
-func (t *TP) LocationVector(h mobile.HostID) vclock.Vector { return t.locVec[h].Clone() }
+func (t *TP) LocationVector(h mobile.HostID) vclock.Vector { return t.hosts[h].loc.Clone() }

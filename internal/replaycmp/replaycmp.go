@@ -50,20 +50,17 @@ func CauseKey(kind storage.Kind, cause string) string {
 
 // Fingerprint canonicalizes a piggyback value for comparison. The two
 // sides hold different representations — the live cluster decodes
-// value-form piggybacks off the wire, the replay gets the protocol's
-// interned/pooled forms directly — so the fingerprint normalizes both
-// to one string.
+// dense piggybacks off the wire, the replay gets the protocol's
+// interned values and views directly — so the fingerprint normalizes
+// both to one string.
 func Fingerprint(pb any) string {
 	switch v := pb.(type) {
 	case nil:
 		return "none"
 	case protocol.IndexPiggyback:
 		return "idx:" + strconv.Itoa(int(v))
-	case *protocol.TPPiggyback:
-		if v == nil {
-			return "none"
-		}
-		return fingerprintTP(*v)
+	case *protocol.TPView:
+		return fingerprintTP(v.Dense())
 	case protocol.TPPiggyback:
 		return fingerprintTP(v)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
@@ -40,10 +41,8 @@ func TestFingerprint(t *testing.T) {
 		want string
 	}{
 		{nil, "none"},
-		{(*protocol.TPPiggyback)(nil), "none"},
 		{protocol.IndexPiggyback(7), "idx:7"},
 		{tp, "tp:ckpt[0 3],loc[1 0]"},
-		{&tp, "tp:ckpt[0 3],loc[1 0]"},
 		{"weird", "opaque:string"},
 	}
 	for _, tc := range cases {
@@ -51,11 +50,16 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("Fingerprint(%#v) = %q, want %q", tc.pb, got, tc.want)
 		}
 	}
-	// Value and pointer forms of the same vector data must agree — the
-	// live side fingerprints wire-decoded values, the replay side the
-	// protocol's pooled pointers.
-	if Fingerprint(tp) != Fingerprint(&tp) {
-		t.Fatal("value/pointer TP fingerprints differ")
+	// The view a send returns and the dense vectors it stands for must
+	// agree — the live side fingerprints wire-decoded values, the replay
+	// side the protocol's views.
+	p := protocol.NewTP(2, func(mobile.HostID, int, storage.Kind) *storage.Record { return nil },
+		func(h mobile.HostID) mobile.MSSID { return mobile.MSSID(h) + 4 })
+	p.Init()
+	p.OnDeliver(1, 0, p.OnSend(0, 1))
+	view := p.OnSend(1, 0).(*protocol.TPView)
+	if got, want := Fingerprint(view), "tp:ckpt[0 0],loc[4 5]"; got != want || Fingerprint(view.Dense()) != want {
+		t.Fatalf("view fingerprints as %q, its dense form as %q, want %q", got, Fingerprint(view.Dense()), want)
 	}
 }
 

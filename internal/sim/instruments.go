@@ -25,8 +25,8 @@ func (e *engine) instrument() {
 		{"sim_gc_peak_live_records", "Peak simultaneously-live checkpoint records."},
 		{"sim_join_ctrl_messages_total", "Control messages spent integrating joining hosts."},
 		{"sim_ctrl_messages_total", "Protocol control messages (initiator-based protocols)."},
-		{"sim_tp_vector_copies_total", "O(n) dependency-vector materializations in TP."},
-		{"sim_tp_snapshot_reuses_total", "TP sends that shared a live copy-on-write snapshot."},
+		{"sim_tp_vector_copies_total", "TP sends that took a new O(1) view of the sender's vectors (they had changed since its previous send); no vector is copied."},
+		{"sim_tp_snapshot_reuses_total", "TP sends that shared the view the sender's previous send took."},
 		{"sim_app_messages_total", "Application messages sent through the network."},
 		{"sim_net_ctrl_messages_total", "Network-level control messages (location queries/updates)."},
 		{"sim_wireless_hops_total", "Message hops over the wireless medium."},
@@ -52,9 +52,9 @@ func (e *engine) instrument() {
 				func() int64 { return init.ControlMessages() }, "proto", name)
 		}
 		if tp, ok := s.proto.(*protocol.TP); ok {
-			// The copy-on-write snapshot economics (E21): how many
-			// O(n) vector materializations actually happened versus
-			// sends that shared a live snapshot.
+			// How often a sender's vectors change between its sends
+			// (E26): sends that took a new view versus sends that
+			// shared the previous one.
 			e.reg.CounterFunc("sim_tp_vector_copies_total",
 				func() int64 { c, _ := tp.SnapshotStats(); return c }, "proto", name)
 			e.reg.CounterFunc("sim_tp_snapshot_reuses_total",

@@ -11,7 +11,7 @@ import (
 // This file holds E21 (DESIGN.md §7): the scale sweep from 10 hosts to a
 // million. Where E14 asks how the *protocols* scale in n at paper-sized
 // worlds, E21 asks whether one *run* scales — flat-array host state, the
-// calendar event queue and bounded piggyback snapshots are the
+// calendar event queue and TP's O(1) vector views are the
 // mechanisms under test — and plots N_tot rate, piggyback volume,
 // events/sec and peak memory along the way. The headline is TP's
 // vector-piggyback blow-up: its per-message control information grows
@@ -42,7 +42,8 @@ const (
 	scaleMinHorizon = 50
 	// ScaleTPMaxHosts caps TP's participation: each TP piggyback carries
 	// two n-entry vectors, so at 10^4 hosts a single message hauls
-	// ~160 kB of control state and the per-MSS vector store is O(n²).
+	// ~160 kB of control state, and every host holds two dense current
+	// vectors — 16n² B in all, 1.6 GB at 10^4 and 160 GB at 10^5.
 	// That blow-up is E21's headline finding, measured where it is
 	// affordable and extrapolated (linearly, by construction) beyond.
 	ScaleTPMaxHosts = 10000

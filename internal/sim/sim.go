@@ -93,8 +93,8 @@ type engine struct {
 	// slots holds the per-protocol state, parallel to cfg.Protocols.
 	slots []slot
 	// plFree is the per-lane free list of payload carriers: send pops
-	// lane(from), deliver pushes lane(to). With slot.recycler it keeps the
-	// send→deliver path allocation-free in steady state.
+	// lane(from), deliver pushes lane(to), which keeps the send→deliver
+	// path allocation-free in steady state.
 	//
 	//lane:shard
 	plFree [][]*payload
@@ -161,16 +161,13 @@ type engine struct {
 // Per-host tables (counts, forcedHost) are written by the host's lane;
 // the GC and join tallies only by world-stopped global events.
 type slot struct {
-	name  ProtocolName
-	proto protocol.Protocol
-	// recycler is proto's piggyback free-list hook, nil when its
-	// piggybacks need no recycling.
-	recycler protocol.Recycler
-	store    *storage.Store
-	trace    *trace.Trace   // nil unless Config.RecordTrace
-	mlog     *mlog.Log      // MSS message log; nil unless Config.MessageLog
-	check    *check.Runtime // nil unless Config.Checks
-	counts   []int          // per host, checkpoints taken (incl. initial)
+	name   ProtocolName
+	proto  protocol.Protocol
+	store  *storage.Store
+	trace  *trace.Trace   // nil unless Config.RecordTrace
+	mlog   *mlog.Log      // MSS message log; nil unless Config.MessageLog
+	check  *check.Runtime // nil unless Config.Checks
+	counts []int          // per host, checkpoints taken (incl. initial)
 
 	peakLive    int   // max live records seen at GC ticks
 	gcReclaimed int   // total records pruned
@@ -266,8 +263,9 @@ func (e *engine) restoreCauseAll(prev string) {
 
 // payload is what one application message carries: the per-protocol
 // piggybacks, parallel to cfg.Protocols. Payloads are pooled: send draws
-// from engine.plFree and onDeliver returns the carrier (and, through
-// protocol.Recycler, the piggybacks) once every consumer has seen them.
+// from engine.plFree and onDeliver returns the carrier once every
+// consumer has seen it; the piggybacks themselves are immutable values
+// the protocols own.
 type payload struct {
 	piggyback []any
 }
@@ -420,14 +418,9 @@ func (e *engine) onDeliver(now des.Time, h *mobile.Host, m *mobile.Message) {
 		}
 	}
 	// Every consumer (protocols, checker, traces, logs) has seen the
-	// message: return the piggybacks, the carrier and the message itself
-	// to their pools for the next send.
-	for i, pb := range pl.piggyback {
-		if r := e.slots[i].recycler; r != nil {
-			r.Recycle(pb)
-		}
-		pl.piggyback[i] = nil
-	}
+	// message: return the carrier and the message itself to their pools
+	// for the next send.
+	clear(pl.piggyback)
 	m.Payload = nil
 	lane := e.laneOf(h.ID)
 	e.plFree[lane] = append(e.plFree[lane], pl)

@@ -109,7 +109,6 @@ func (e *engine) initSlot(i int) error {
 	s.proto = ent.New(n, e.checkpointer(i), s.store, func(h mobile.HostID) mobile.MSSID {
 		return e.net.Host(h).LastMSS()
 	})
-	s.recycler, _ = s.proto.(protocol.Recycler)
 	if cfg.Checks {
 		s.check = check.NewRuntime(string(s.name), s.proto, s.store, e.sim.Now)
 	}

@@ -35,9 +35,9 @@ const (
 	TagVector
 )
 
-// AppendPiggyback encodes pb (nil, protocol.IndexPiggyback or
-// protocol.TPPiggyback in value or pointer form) onto buf and returns
-// the extended slice.
+// AppendPiggyback encodes pb (nil, protocol.IndexPiggyback, or TP's
+// vectors as the *protocol.TPView OnSend returns or as a dense
+// protocol.TPPiggyback) onto buf and returns the extended slice.
 func AppendPiggyback(buf []byte, pb any) ([]byte, error) {
 	switch v := pb.(type) {
 	case nil:
@@ -45,12 +45,8 @@ func AppendPiggyback(buf []byte, pb any) ([]byte, error) {
 	case protocol.IndexPiggyback:
 		buf = append(buf, TagIndex)
 		return binary.BigEndian.AppendUint64(buf, uint64(int64(v))), nil
-	case *protocol.TPPiggyback:
-		// TP's pooled OnSend hands out pointers; encode the pointee.
-		if v == nil {
-			return append(buf, TagNone), nil
-		}
-		return AppendPiggyback(buf, *v)
+	case *protocol.TPView:
+		return AppendPiggyback(buf, v.Dense())
 	case protocol.TPPiggyback:
 		if len(v.Ckpt) != len(v.Loc) {
 			return nil, fmt.Errorf("wire: vector widths differ: %d vs %d", len(v.Ckpt), len(v.Loc))
@@ -95,8 +91,9 @@ func DecodePiggyback(b []byte) (any, int, error) {
 		if len(b) < need {
 			return nil, 0, fmt.Errorf("wire: truncated vectors: have %d, need %d", len(b), need)
 		}
-		ckpt := vclock.New(n, 0)
-		loc := vclock.New(n, 0)
+		// One allocation, and no fill: the loops below write every word.
+		words := make(vclock.Vector, 2*n)
+		ckpt, loc := words[:n:n], words[n:]
 		off := 5
 		for i := 0; i < n; i++ {
 			ckpt[i] = int(int64(binary.BigEndian.Uint64(b[off:])))
