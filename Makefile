@@ -39,14 +39,19 @@ test-race:
 # The alloc-regression gates (DESIGN §7) skip under -race, whose
 # instrumentation allocates, so they get their own plain run.
 allocs:
-	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire
+	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore
 
-# A short fuzz smoke of the wire-format decoder; `make fuzz` runs longer.
+# A short fuzz smoke of the two parsers of outside input — wire frames and
+# recorded schedules; `make fuzz` runs longer. The schedule seeds are tens
+# of kilobytes of JSON, which the fuzzer's default minute of minimization
+# per finding would spend the whole smoke on, so that is capped in runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/trace
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
+	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/trace
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector, then the CLI round-trip — a run recorded by
@@ -67,10 +72,15 @@ diffreplay:
 checkpairs:
 	$(GO) run ./cmd/figures -checkpairs
 
-# Fail if any file is not gofmt-clean.
+# Fail if any file is not gofmt-clean — or if a tracked file is over
+# 1 MiB: the tree is source and small tables, so a file that size is a
+# build output committed by accident (`go build ./cmd/<x>` drops its
+# binary at the root), and CI's first step is where it gets caught.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -z | xargs -0 -r sh -c 'find "$$@" -maxdepth 0 -type f -size +1024k 2>/dev/null' sh)"; if [ -n "$$out" ]; then \
+		echo "tracked files over 1 MiB (build outputs?):"; echo "$$out"; exit 1; fi
 
 # simlint is the in-tree analysis suite (internal/analysis, DESIGN §6):
 # built from the tree, so it gates offline and in CI alike. `go vet

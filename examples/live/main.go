@@ -84,10 +84,12 @@ func main() {
 	fmt.Printf("transport: %d sent, %d delivered, %d duplicates suppressed, %d still buffered\n",
 		c.Sent, c.Delivered, c.Duplicates, c.Undrained)
 	fmt.Printf("mobility:  %d cell switches, %d disconnections\n", c.Switches, c.Disconnect)
-	// Every hand-off ships the host's whole retained log (the live cluster
-	// does no log GC), so the per-switch figure grows with the run.
-	fmt.Printf("log hand-off: %d records in %d frame bytes, %.0f records per cell switch\n\n",
-		c.LogRecords, c.LogFrameBytes, float64(c.LogRecords)/float64(max(c.Switches, 1)))
+	// A hand-off ships what the host's log retains: for BCS and QBC the
+	// suffix past the recovery-line frontier (the rest is pruned right
+	// before the transfer), for TP and UNC everything ever logged.
+	fmt.Printf("log hand-off: %d records in %d frame bytes, %.0f records per cell switch; %d entries retained, %d pruned\n\n",
+		c.LogRecords, c.LogFrameBytes, float64(c.LogRecords)/float64(max(c.Switches, 1)),
+		cluster.MLog().StableEntries(), cluster.MLog().Counters().Pruned)
 
 	initial, basic, forced := cluster.Store().CountByKind(-1)
 	fmt.Printf("%s checkpoints: %d initial, %d basic, %d forced\n", *proto, initial, basic, forced)

@@ -78,10 +78,15 @@ func LogReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, n int) Viola
 }
 
 // ReplayReconciliation verifies an executed replay against the trace:
-// every replayed entry must be a stably logged delivery the cut undid,
-// re-delivered in its original per-host order with no gap after the
-// restored checkpoint. replayed maps each host to the entries it
-// re-delivered, in replay order.
+// every rolled-back host must have re-delivered exactly the deliveries
+// the trace says its restored checkpoint undid and the log had made
+// stable — in their original per-host order, with no gap after the
+// restored checkpoint or in between. replayed maps each host to the
+// entries it re-delivered, in replay order.
+//
+// The expected set is derived from the trace, never from the log: a log
+// pruned one checkpoint too far answers ReplayFrom with a shorter suffix,
+// and comparing the replay with that would lose the entry on both sides.
 func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recovery.Cut, replayed map[mobile.HostID][]*mlog.Entry) Violations {
 	var vs Violations
 	violate := func(h mobile.HostID, detail string) {
@@ -91,18 +96,28 @@ func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recov
 		vs = append(vs, &Violation{Protocol: proto, Host: h, Rule: "replay-reconcile", Detail: detail})
 	}
 
-	// Index trace deliveries by (host, per-host seq).
-	byHost := make(map[mobile.HostID][]trace.MessageEvent)
+	// Index trace deliveries by (host, per-host seq). The table also
+	// covers hosts only the cut or the replay names, so each is visited
+	// once, in host order.
+	n := max(tr.NumHosts(), len(cut))
+	for h := range replayed {
+		n = max(n, int(h)+1)
+	}
+	byHost := make([][]trace.MessageEvent, n)
 	for _, ev := range tr.Events() {
 		byHost[ev.To] = append(byHost[ev.To], ev)
 	}
-	for h, entries := range replayed {
+	for host, evs := range byHost {
+		h := mobile.HostID(host)
+		entries := replayed[h]
 		ord := recovery.End
-		if int(h) < len(cut) {
-			ord = cut[h]
+		if host < len(cut) {
+			ord = cut[host]
 		}
-		if ord == recovery.End && len(entries) > 0 {
-			violate(h, "host replayed messages without rolling back")
+		if ord == recovery.End {
+			if len(entries) > 0 {
+				violate(h, "host replayed messages without rolling back")
+			}
 			continue
 		}
 		prev := -1
@@ -120,7 +135,6 @@ func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recov
 			if e.RecvCount <= ord {
 				violate(h, fmt.Sprintf("replayed entry %d was not undone (position %d, restored ordinal %d)", e.Seq, e.RecvCount, ord))
 			}
-			evs := byHost[h]
 			if e.Seq < 0 || e.Seq >= len(evs) {
 				violate(h, fmt.Sprintf("replayed entry %d has no trace delivery", e.Seq))
 				continue
@@ -131,10 +145,24 @@ func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recov
 					e.Seq, e.MsgID, e.From, e.RecvCount, ev.ID, ev.From, ev.RecvCount))
 			}
 		}
-		// No gap at the start either: the first undone stably logged
-		// delivery must be the first replayed one.
-		if want := lg.ReplayFrom(h, ord); len(want) != len(entries) {
-			violate(h, fmt.Sprintf("replayed %d entries, log holds %d replayable ones", len(entries), len(want)))
+		// No gap at the start and none at the end: the replay must begin
+		// at the first delivery the restore undid and run to the stable
+		// frontier. Receiver positions are nondecreasing per host, so the
+		// undone deliveries are a suffix of evs.
+		first := len(evs)
+		for seq, ev := range evs {
+			if ev.RecvCount > ord {
+				first = seq
+				break
+			}
+		}
+		end := max(first, min(lg.StableBound(h), len(evs)))
+		switch {
+		case len(entries) != end-first:
+			violate(h, fmt.Sprintf("replayed %d entries, the trace has %d stably logged deliveries past checkpoint %d (entries %d..%d)",
+				len(entries), end-first, ord, first, end-1))
+		case len(entries) > 0 && entries[0].Seq != first:
+			violate(h, fmt.Sprintf("replay starts at entry %d, the first undone delivery is entry %d", entries[0].Seq, first))
 		}
 	}
 	return vs

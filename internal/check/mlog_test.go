@@ -131,3 +131,36 @@ func TestReplayReconciliationRejectsUnstableEntry(t *testing.T) {
 		t.Fatal("replay of unstable entry not detected")
 	}
 }
+
+// A log pruned one checkpoint past the frontier answers ReplayFrom with a
+// shorter suffix; the reconciliation must notice from the trace that the
+// restore undid a delivery nobody replayed. (Comparing the replay with
+// the log's own ReplayFrom loses the entry on both sides.)
+func TestReplayReconciliationDetectsOverPrune(t *testing.T) {
+	const frontier = 4
+	cut := recovery.Cut{recovery.End, frontier}
+
+	lg, tr := loggedTrace(t, mlog.Pessimistic, 10)
+	lg.PruneDelivered(1, frontier)
+	replayed := map[mobile.HostID][]*mlog.Entry{1: lg.ReplayFrom(1, frontier)}
+	if vs := ReplayReconciliation("t", lg, tr, cut, replayed); len(vs) != 0 {
+		t.Fatalf("a log pruned at the frontier is sound, got: %v", vs)
+	}
+
+	lg, tr = loggedTrace(t, mlog.Pessimistic, 10)
+	lg.PruneDelivered(1, frontier+1)
+	replayed = map[mobile.HostID][]*mlog.Entry{1: lg.ReplayFrom(1, frontier)}
+	vs := ReplayReconciliation("t", lg, tr, cut, replayed)
+	if len(vs) == 0 {
+		t.Fatal("a log pruned at frontier+1 lost an undone delivery and was accepted")
+	}
+	if !strings.Contains(vs.Error(), "replayed 5 entries, the trace has 6") {
+		t.Fatalf("unexpected violations: %v", vs)
+	}
+
+	// A rolled-back host that replays nothing at all is held to the same
+	// trace-derived set, whether or not the caller lists it.
+	if vs := ReplayReconciliation("t", lg, tr, cut, nil); len(vs) == 0 {
+		t.Fatal("a rolled-back host with undone stable deliveries replayed nothing and was accepted")
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
 	"mobickpt/internal/protocol"
+	"mobickpt/internal/recovery"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/statestore"
@@ -186,8 +187,10 @@ type Counters struct {
 	// LogFrameBytes is the encoded wire.LogTransfer volume that moved
 	// message logs between stations on hand-offs (also in FrameBytes);
 	// LogRecords is the number of log records those frames carried. A
-	// hand-off ships the host's whole retained log, so LogRecords over
-	// Switches is what one hand-off costs.
+	// hand-off ships the host's retained log — for an index-based
+	// protocol the suffix past the recovery-line frontier, for the others
+	// everything ever logged — so LogRecords over Switches is what one
+	// hand-off costs.
 	LogFrameBytes int64
 	LogRecords    int64
 	// StateBytes is the checkpoint state volume shipped host->station;
@@ -226,6 +229,15 @@ type Cluster struct {
 	//
 	//guard:mu
 	mlog *mlog.Log
+
+	// indexBased is the registry's verdict on proto
+	// (protocol.Entry.IndexBased): its recovery lines are index cuts, so a
+	// hand-off may prune the switching host's log at the recovery-line
+	// frontier before shipping it. TP's and UNC's logs stay whole, exactly
+	// as they do under the simulator's GC tick.
+	//
+	//guard:none immutable after NewCluster returns
+	indexBased bool
 
 	// mu serializes protocol/store/trace access. The protocol state is
 	// per-host, so a production system would stripe this lock by host;
@@ -407,6 +419,8 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		}
 	}
 	c.proto = mk(cfg.Hosts, c.checkpointer(), c.store, c.StationOf)
+	ent, _ := protocol.Lookup(c.proto.Name()) // a protocol the registry does not know is never pruned
+	c.indexBased = ent.IndexBased
 	if cfg.Record {
 		c.sched = trace.NewSchedule(cfg.Hosts, cfg.Stations, c.proto.Name(), cfg.Seed)
 		c.dec = replaycmp.NewLog(c.proto.Name(), cfg.Hosts)
@@ -497,19 +511,9 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 	obs.RegisterRuntimeGauges(reg)
 
 	if c.mlog != nil {
-		// The log is mutated under mu; sample its counters under the same
-		// lock rather than wiring mlog.Instrument's direct readers.
-		mlogCounter := func(name string, read func(mlog.Counters) int64) {
-			reg.CounterFunc(name, func() int64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return read(c.mlog.Counters())
-			})
-		}
-		mlogCounter("mlog_appended_total", func(k mlog.Counters) int64 { return k.Appended })
-		mlogCounter("mlog_flushes_total", func(k mlog.Counters) int64 { return k.Flushes })
-		mlogCounter("mlog_handoffs_total", func(k mlog.Counters) int64 { return k.Handoffs })
-		mlogCounter("mlog_transfer_bytes_total", func(k mlog.Counters) int64 { return k.TransferBytes })
+		// The log is mutated under mu, so its instruments — the
+		// simulator's, under the same names — sample under the same lock.
+		c.mlog.Instrument(reg, &c.mu)
 	}
 }
 
@@ -553,7 +557,7 @@ func (c *Cluster) checkpointer() protocol.Checkpointer {
 		c.counters.WiredStateBytes += st.WiredBytes() - before
 		if err != nil {
 			c.counters.StateErrors++
-		} else if string(im.Data) != string(c.states[h].Snapshot()) {
+		} else if !c.states[h].Equal(im.Data) {
 			c.counters.StateErrors++
 		}
 		c.countersMu.Unlock()
@@ -933,6 +937,19 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	var entries []*mlog.Entry
 	logged := c.mlog != nil
 	if logged {
+		if c.indexBased {
+			// Bound what the hand-off ships: an entry whose receive
+			// precedes the earliest checkpoint any future recovery line
+			// restores for h can never be replayed, so it is discarded
+			// here rather than carried from station to station for the
+			// rest of the run. Only h's own log, and on h's goroutine:
+			// transferLog reads the slice Handoff returns after mu is
+			// released, which is race-free because nobody else ever
+			// rewrites h's log. The host count is read under mu, so a
+			// late joiner's low index holds the frontier back.
+			stable := recovery.StableIndex(c.store, len(c.counts))
+			c.mlog.PruneDelivered(h, recovery.Frontier(c.store, h, stable))
+		}
 		entries = c.mlog.Handoff(h, mobile.MSSID(next))
 	}
 	c.mu.Unlock()
@@ -948,10 +965,11 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 
 // logTransferScratch is the memory one host goroutine's hand-offs are
 // staged in: the chunk being sent, its encoded frame, and the receiving
-// station's decode target. A hand-off ships the host's whole retained
-// log, so building these afresh every time costs as much as the transfer
-// itself; each buffer grows to the largest chunk its host has shipped
-// (at most wire.MaxTransferRecords records) and is then reused.
+// station's decode target. A hand-off ships the host's retained log
+// (unbounded for the protocols whose logs cannot be pruned), so building
+// these afresh every time costs as much as the transfer itself; each
+// buffer grows to the largest chunk its host has shipped (at most
+// wire.MaxTransferRecords records) and is then reused.
 type logTransferScratch struct {
 	out   wire.LogTransfer
 	frame []byte

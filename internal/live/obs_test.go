@@ -52,8 +52,35 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	if v, ok := snap.Get("live_checkpoints_total"); !ok || v <= 0 {
 		t.Errorf("live_checkpoints_total = %d (%v), want > 0", v, ok)
 	}
-	if v, ok := snap.Get("mlog_appended_total"); !ok || v != c.MLog().Counters().Appended {
-		t.Errorf("mlog_appended_total = %d (%v), want %d", v, ok, c.MLog().Counters().Appended)
+	// The log's instruments are the simulator's (mlog.Instrument), all
+	// eight, sampled under mu — the scraper above raced them against the
+	// hand-offs' pruning.
+	lk := c.MLog().Counters()
+	for _, in := range []struct {
+		name string
+		want int64
+	}{
+		{"mlog_appended_total", lk.Appended},
+		{"mlog_flushes_total", lk.Flushes},
+		{"mlog_flushed_entries_total", lk.FlushedEntries},
+		{"mlog_stable_bytes_total", lk.StableBytes},
+		{"mlog_handoffs_total", lk.Handoffs},
+		{"mlog_transfer_bytes_total", lk.TransferBytes},
+		{"mlog_pruned_total", lk.Pruned},
+		{"mlog_retained_entries", c.MLog().StableEntries()},
+	} {
+		if v, ok := snap.Get(in.name); !ok || v != in.want {
+			t.Errorf("%s = %d (%v), want %d", in.name, v, ok, in.want)
+		}
+		if snap.Help[in.name] == "" {
+			t.Errorf("%s has no # HELP text", in.name)
+		}
+	}
+	// (Whether this run pruned anything is up to the scheduler: a host
+	// that sits disconnected at index 0 holds the frontier at 0.)
+	if lk.Pruned+c.MLog().StableEntries() != lk.FlushedEntries {
+		t.Errorf("pruned %d + retained %d != %d entries made stable",
+			lk.Pruned, c.MLog().StableEntries(), lk.FlushedEntries)
 	}
 	if v, ok := snap.Get("live_log_transfer_records_total"); !ok || v != k.LogRecords || (k.Switches > 0 && v == 0) {
 		t.Errorf("live_log_transfer_records_total = %d (%v), want %d > 0 after %d switches", v, ok, k.LogRecords, k.Switches)

@@ -34,6 +34,7 @@ package mlog
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -254,31 +255,42 @@ func (l *Log) peek(h mobile.HostID) *hostLog {
 // Instrument registers the log's activity with reg as sampled
 // observability instruments (internal/obs), labeled with the given
 // key/value pairs (e.g. "proto", "TP"). The counters are read only at
-// snapshot time, so the logging hot path is untouched.
-func (l *Log) Instrument(reg *obs.Registry, kv ...string) {
+// snapshot time, so the logging hot path is untouched. mu is the lock
+// the log's owner serializes it with, taken around every sampled read so
+// a registry may be snapshotted while the log is in use (the live
+// cluster passes its own); nil when snapshots only happen while the log
+// is quiescent (the simulator).
+func (l *Log) Instrument(reg *obs.Registry, mu sync.Locker, kv ...string) {
 	if reg == nil {
 		return
 	}
-	for _, h := range [][2]string{
-		{"mlog_appended_total", "Message deliveries appended to the MSS log."},
-		{"mlog_flushes_total", "Log flushes to stable storage."},
-		{"mlog_flushed_entries_total", "Entries made stable by flushes."},
-		{"mlog_stable_bytes_total", "Bytes written to stable log storage."},
-		{"mlog_handoffs_total", "Log segments handed off between stations on cell switch."},
-		{"mlog_transfer_bytes_total", "Bytes shipped between stations by log handoffs."},
-		{"mlog_pruned_total", "Log entries pruned after checkpoint garbage collection."},
-		{"mlog_retained_entries", "Log entries currently retained across all hosts."},
-	} {
-		reg.Help(h[0], h[1])
+	locked := func(read func() int64) func() int64 {
+		if mu == nil {
+			return read
+		}
+		return func() int64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return read()
+		}
 	}
-	reg.CounterFunc("mlog_appended_total", func() int64 { return l.counters.Appended }, kv...)
-	reg.CounterFunc("mlog_flushes_total", func() int64 { return l.counters.Flushes }, kv...)
-	reg.CounterFunc("mlog_flushed_entries_total", func() int64 { return l.counters.FlushedEntries }, kv...)
-	reg.CounterFunc("mlog_stable_bytes_total", func() int64 { return l.counters.StableBytes }, kv...)
-	reg.CounterFunc("mlog_handoffs_total", func() int64 { return l.counters.Handoffs }, kv...)
-	reg.CounterFunc("mlog_transfer_bytes_total", func() int64 { return l.counters.TransferBytes }, kv...)
-	reg.CounterFunc("mlog_pruned_total", func() int64 { return l.counters.Pruned }, kv...)
-	reg.GaugeFunc("mlog_retained_entries", func() int64 { return l.retained }, kv...)
+	for _, in := range []struct {
+		name, help string
+		read       func() int64
+	}{
+		{"mlog_appended_total", "Message deliveries appended to the MSS log.", func() int64 { return l.counters.Appended }},
+		{"mlog_flushes_total", "Log flushes to stable storage.", func() int64 { return l.counters.Flushes }},
+		{"mlog_flushed_entries_total", "Entries made stable by flushes.", func() int64 { return l.counters.FlushedEntries }},
+		{"mlog_stable_bytes_total", "Bytes written to stable log storage.", func() int64 { return l.counters.StableBytes }},
+		{"mlog_handoffs_total", "Log segments handed off between stations on cell switch.", func() int64 { return l.counters.Handoffs }},
+		{"mlog_transfer_bytes_total", "Bytes shipped between stations by log handoffs.", func() int64 { return l.counters.TransferBytes }},
+		{"mlog_pruned_total", "Log entries pruned after checkpoint garbage collection.", func() int64 { return l.counters.Pruned }},
+	} {
+		reg.Help(in.name, in.help)
+		reg.CounterFunc(in.name, locked(in.read), kv...)
+	}
+	reg.Help("mlog_retained_entries", "Log entries currently retained across all hosts.")
+	reg.GaugeFunc("mlog_retained_entries", locked(func() int64 { return l.retained }), kv...)
 }
 
 // Append logs one delivery to host h at station mss and returns the

@@ -256,3 +256,35 @@ func TestPeakStableEntries(t *testing.T) {
 		t.Errorf("StableEntries = %d, want 3", lg.StableEntries())
 	}
 }
+
+// The live cluster encodes the slice Handoff returned after it has let go
+// of the lock that serializes the log, while the host's next deliveries
+// and its next hand-off's pruning go on: neither may write into the array
+// that slice still aliases.
+func TestHandedOffSliceSurvivesAppendAndPrune(t *testing.T) {
+	lg := newLog(t, Pessimistic, 0)
+	appendN(lg, 0, 6, 1) // recv counts 1..6
+	moved := lg.Handoff(0, 1)
+	want := append([]*Entry(nil), moved...)
+
+	appendN(lg, 0, 4, 7)
+	if n := lg.PruneDelivered(0, 4); n != 4 {
+		t.Fatalf("pruned %d entries, want 4", n)
+	}
+	appendN(lg, 0, 4, 11)
+	if n := lg.PruneDelivered(0, 12); n != 8 {
+		t.Fatalf("pruned %d entries, want 8", n)
+	}
+	if len(moved) != len(want) {
+		t.Fatalf("handed-off slice changed length: %d -> %d", len(want), len(moved))
+	}
+	for i := range want {
+		if moved[i] != want[i] || moved[i].Seq != i {
+			t.Fatalf("handed-off slice entry %d was rewritten: %+v", i, moved[i])
+		}
+	}
+	// What the next hand-off ships is the retained suffix only.
+	if next := lg.Handoff(0, 2); len(next) != 2 || next[0].Seq != 12 {
+		t.Fatalf("next hand-off ships %d entries from seq %d, want 2 from 12", len(next), next[0].Seq)
+	}
+}

@@ -28,6 +28,13 @@ type Entry struct {
 	// Live protocols run on the live cluster and, therefore, in schedule
 	// replay: the clock-driven ones have no live driver.
 	Live bool
+	// IndexBased protocols number their checkpoints so that every recovery
+	// line is an index cut ("each host's first checkpoint with index >=
+	// x"). That is what makes the stable-index frontier of
+	// internal/recovery sound for them — checkpoint and message-log
+	// garbage collection, the same-index recovery-line check — and
+	// unsound for the rest, whose logs and chains therefore stay whole.
+	IndexBased bool
 }
 
 // registry is the one name → constructor table of the module, in table
@@ -38,14 +45,14 @@ var registry = []Entry{
 	{Name: "TP", Live: true, New: func(n int, ck Checkpointer, _ *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol {
 		return NewTP(n, ck, mssOf)
 	}},
-	{Name: "BCS", Live: true, New: plain(NewBCS)},
-	{Name: "QBC", Live: true, New: func(n int, ck Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) Protocol {
+	{Name: "BCS", Live: true, IndexBased: true, New: plain(NewBCS)},
+	{Name: "QBC", Live: true, IndexBased: true, New: func(n int, ck Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) Protocol {
 		return NewQBC(n, ck, store)
 	}},
 	{Name: "UNC", Live: true, New: plain(NewUncoordinated)},
 	{Name: "CL", Coordinated: true, New: plain(NewChandyLamport)},
 	{Name: "PS", Coordinated: true, New: plain(NewPrakashSinghal)},
-	{Name: "MS", Coordinated: true, New: plain(NewMS)},
+	{Name: "MS", Coordinated: true, IndexBased: true, New: plain(NewMS)},
 }
 
 // plain adapts the constructors that need neither the store nor the

@@ -3,6 +3,7 @@ package recovery
 import (
 	"testing"
 
+	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
 )
 
@@ -71,5 +72,45 @@ func TestCollectGarbagePreservesLatest(t *testing.T) {
 		if st.LatestLive(0) == nil {
 			t.Fatalf("host %d lost its only checkpoint", h)
 		}
+	}
+}
+
+// Frontier is the per-host question both collectors ask: the ordinal of
+// the earliest checkpoint a future line can still restore.
+func TestFrontier(t *testing.T) {
+	st := storage.NewStore(storage.DefaultCostModel())
+	// Host 0: indices 0,1,2,3. Host 1: indices 0,2. Host 2 joined late and
+	// still sits at index 0.
+	for i := 0; i <= 3; i++ {
+		st.Take(0, 0, i, storage.Basic, 0)
+	}
+	st.Take(1, 0, 0, storage.Initial, 0)
+	st.Take(1, 0, 2, storage.Forced, 1)
+	st.Take(2, 0, 0, storage.Initial, 2)
+
+	// Without the joiner the stable index is min(3, 2) = 2: host 0 keeps
+	// from its index-2 checkpoint (ordinal 2), host 1 from ordinal 1.
+	stable := StableIndex(st, 2)
+	if f0, f1 := Frontier(st, 0, stable), Frontier(st, 1, stable); f0 != 2 || f1 != 1 {
+		t.Fatalf("frontiers at stable index %d = %d, %d; want 2, 1", stable, f0, f1)
+	}
+	// Counting the joiner holds everybody's frontier at ordinal 0.
+	stable = StableIndex(st, 3)
+	for h := 0; h < 3; h++ {
+		if f := Frontier(st, mobile.HostID(h), stable); f != 0 {
+			t.Fatalf("host %d: frontier %d with a joiner at index 0, want 0", h, f)
+		}
+	}
+	// A host whose chain never reaches the index has nothing safe to
+	// discard, and neither does a host without a chain.
+	if f := Frontier(st, 1, 3); f != -1 {
+		t.Fatalf("frontier past the chain's last index = %d, want -1", f)
+	}
+	if f := Frontier(st, 7, 0); f != -1 {
+		t.Fatalf("frontier of a host without checkpoints = %d, want -1", f)
+	}
+	// -1 means "keep everything" to the checkpoint collector.
+	if r, _ := st.PruneBefore(1, Frontier(st, 1, 3)); r != 0 {
+		t.Fatalf("PruneBefore(-1) reclaimed %d records", r)
 	}
 }

@@ -343,7 +343,7 @@ func (c Config) validateReplay() error {
 	case c.SnapshotPeriod != 0:
 		return fmt.Errorf("sim: replay is incompatible with SnapshotPeriod (the protocols it drives — CL, PS, MS — are not replayable)")
 	case c.GCInterval != 0:
-		return fmt.Errorf("sim: replay is incompatible with GCInterval (the recording ran without GC)")
+		return fmt.Errorf("sim: replay is incompatible with GCInterval (the recording prunes at hand-offs, not on a clock)")
 	case len(c.JoinTimes) != 0:
 		return fmt.Errorf("sim: replay takes joins from the schedule, not JoinTimes")
 	case c.Probes || c.LaneTimeline != nil || c.Timeline != nil || c.Metrics != nil:

@@ -17,6 +17,7 @@ import (
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
+	"mobickpt/internal/recovery"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
@@ -39,6 +40,12 @@ type replayRun struct {
 
 	counts  []int // checkpoints per host (incl. initial)
 	station []int // current (or last) station per host
+
+	// indexBased is the registry's verdict on the schedule's protocol:
+	// its recovery lines are index cuts, so hand-offs prune the message
+	// log at the frontier (as the live cluster's do) and the end-of-run
+	// checks sweep the same-index lines.
+	indexBased bool
 
 	// pending holds each in-flight message's piggyback *as decoded off
 	// the wire* — the replay round-trips every send through internal/wire
@@ -75,6 +82,7 @@ func runSchedule(cfg Config) (*Result, error) {
 	for i := range r.station {
 		r.station[i] = i % sched.Stations
 	}
+	r.indexBased = indexBased(ProtocolName(sched.Protocol))
 	var err error
 	if r.lg, err = cfg.newMessageLog(); err != nil {
 		return nil, err
@@ -229,6 +237,14 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 		}
 		r.tr.RecordMobility(h, trace.Handoff, mobile.MSSID(ev.From), mobile.MSSID(ev.To), r.curTick)
 		if r.lg != nil {
+			if r.indexBased {
+				// The live cluster bounds the switching host's log at the
+				// recovery-line frontier right before it ships it; pruning
+				// at the same instants is what makes the two logs'
+				// counters comparable field for field.
+				stable := recovery.StableIndex(r.store, len(r.counts))
+				r.lg.PruneDelivered(h, recovery.Frontier(r.store, h, stable))
+			}
 			r.lg.Handoff(h, mobile.MSSID(ev.To))
 		}
 
@@ -317,8 +333,7 @@ func (r *replayRun) finishChecks(res *Result) error {
 	if r.lg != nil {
 		all = append(all, check.LogReconciliation(r.sched.Protocol, r.lg, r.tr, res.FinalHosts)...)
 	}
-	switch pr.Name {
-	case BCS, QBC:
+	if r.indexBased {
 		all = append(all, check.RecoveryLines(r.sched.Protocol, r.store, r.tr, res.FinalHosts, 0)...)
 	}
 	if len(all) > 0 {

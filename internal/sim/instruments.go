@@ -61,7 +61,7 @@ func (e *engine) instrument() {
 				func() int64 { _, r := tp.SnapshotStats(); return r }, "proto", name)
 		}
 		if s.mlog != nil {
-			s.mlog.Instrument(e.reg, "proto", name)
+			s.mlog.Instrument(e.reg, nil, "proto", name)
 		}
 	}
 	e.reg.CounterFunc("sim_app_messages_total",

@@ -11,18 +11,27 @@ import (
 // TestProtocolRegistry holds the three readers of the registry to one
 // table: every selectable name resolves to a constructor, the live
 // factory accepts exactly the Live set, the simulator demands a
-// SnapshotPeriod for exactly the Coordinated set, and unknown names are
-// errors everywhere.
+// SnapshotPeriod for exactly the Coordinated set, the protocols whose
+// recovery lines are index cuts — the only ones any garbage collector may
+// touch — are exactly BCS, QBC and MS, and unknown names are errors
+// everywhere.
 func TestProtocolRegistry(t *testing.T) {
 	// The registry pins this same order (TestRegistryBuildsWhatItNames),
 	// so the two lists cannot drift apart unnoticed.
 	if got, want := fmt.Sprint(AllProtocols()), "[TP BCS QBC UNC CL PS MS]"; got != want {
 		t.Fatalf("AllProtocols() = %s, want %s", got, want)
 	}
+	var indexed []ProtocolName
 	for _, name := range AllProtocols() {
 		ent, ok := protocol.Lookup(string(name))
 		if !ok || ent.New == nil || ent.Name != string(name) {
 			t.Fatalf("%s: registry entry %+v, found %v", name, ent, ok)
+		}
+		if indexBased(name) != ent.IndexBased {
+			t.Errorf("%s: indexBased = %v, registry says IndexBased = %v", name, indexBased(name), ent.IndexBased)
+		}
+		if ent.IndexBased {
+			indexed = append(indexed, name)
 		}
 		if _, err := live.Factory(string(name)); (err == nil) != ent.Live {
 			t.Errorf("%s: live.Factory err = %v, registry says Live = %v", name, err, ent.Live)
@@ -37,6 +46,12 @@ func TestProtocolRegistry(t *testing.T) {
 		if err := replay.Validate(); (err == nil) != ent.Live {
 			t.Errorf("%s: replay Validate err = %v, registry says Live = %v", name, err, ent.Live)
 		}
+	}
+	if got, want := fmt.Sprint(indexed), "[BCS QBC MS]"; got != want {
+		t.Errorf("index-based protocols = %s, want %s", got, want)
+	}
+	if indexBased("XX") {
+		t.Error("an unknown protocol counts as index-based")
 	}
 	if _, ok := protocol.Lookup("XX"); ok {
 		t.Error("registry resolves an unknown name")

@@ -159,6 +159,7 @@ func TestGCPrunesMessageLog(t *testing.T) {
 	res := mustRun(t, c)
 	for _, name := range []ProtocolName{BCS, QBC} {
 		pr := res.Protocol(name)
+		t.Logf("%s: %+v", name, pr.Log)
 		if pr.Log.Pruned == 0 {
 			t.Errorf("%s: GC never pruned the message log", name)
 		}

@@ -183,8 +183,12 @@ type slot struct {
 
 // indexBased reports whether a protocol's recovery lines are index cuts
 // — what makes stable-index garbage collection and the same-index
-// recovery-line check sound for it.
-func indexBased(p ProtocolName) bool { return p == BCS || p == QBC || p == MS }
+// recovery-line check sound for it. The registry is the one place that
+// says which protocols those are.
+func indexBased(p ProtocolName) bool {
+	ent, _ := protocol.Lookup(string(p))
+	return ent.IndexBased
+}
 
 // markDisconnected records the start of host h's disconnection span for
 // the timeline, growing the flat per-host table past dynamic joins.
@@ -508,7 +512,8 @@ func (e *engine) scheduleGC() {
 			if !indexBased(s.name) {
 				continue
 			}
-			if stable := recovery.StableIndex(s.store, n); stable > s.gcFrontier {
+			stable := recovery.StableIndex(s.store, n)
+			if stable > s.gcFrontier {
 				s.gcFrontier = stable
 			}
 			records, _ := recovery.CollectGarbage(s.store, n)
@@ -517,16 +522,14 @@ func (e *engine) scheduleGC() {
 				s.peakLive = live
 			}
 			if s.mlog != nil {
-				// The message log shares the frontier: an entry whose
-				// receive precedes the earliest checkpoint any future
-				// recovery line restores for its host can never be
-				// replayed, so its stable storage is reclaimed with the
-				// checkpoints'.
-				stable := recovery.StableIndex(s.store, n)
+				// The message log shares the frontier (collecting the
+				// checkpoints below it moved neither it nor the stable
+				// index): an entry whose receive precedes the earliest
+				// checkpoint any future recovery line restores for its
+				// host can never be replayed, so its stable storage is
+				// reclaimed with the checkpoints'.
 				for h := 0; h < n; h++ {
-					if keep := s.store.FirstWithIndexAtLeast(mobile.HostID(h), stable); keep != nil {
-						s.mlog.PruneDelivered(mobile.HostID(h), keep.Ordinal)
-					}
+					s.mlog.PruneDelivered(mobile.HostID(h), recovery.Frontier(s.store, mobile.HostID(h), stable))
 				}
 			}
 		}

@@ -19,6 +19,7 @@
 package statestore
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 )
@@ -148,6 +149,22 @@ func (s *HostState) Snapshot() []byte {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// Equal reports whether image is, byte for byte, the state's full image
+// — what Snapshot would return — by walking the pages in place: the
+// per-checkpoint "did the station reconstruct what the host holds"
+// comparison must not copy the state to make it.
+func (s *HostState) Equal(image []byte) bool {
+	if len(image) != len(s.pages)*PageSize {
+		return false
+	}
+	for i, p := range s.pages {
+		if !bytes.Equal(p, image[i*PageSize:(i+1)*PageSize]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Restore overwrites the state with a full image previously produced by

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mobickpt/internal/race"
 	"mobickpt/internal/rng"
 )
 
@@ -95,6 +96,56 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	if err := s.Restore([]byte{1}); err == nil {
 		t.Fatal("wrong-size image must fail")
+	}
+}
+
+// Equal is Snapshot's comparison without the copy: it must agree with
+// comparing against a fresh snapshot on every image — same, one byte off
+// in any page, wrong length.
+func TestHostStateEqual(t *testing.T) {
+	s := NewHostState(3)
+	if err := s.Write(PageSize-2, []byte{1, 2, 3, 4}); err != nil { // straddles pages 0 and 1
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if !s.Equal(snap) {
+		t.Fatal("a state differs from its own snapshot")
+	}
+	for _, off := range []int{0, PageSize - 1, PageSize, 3*PageSize - 1} {
+		snap[off] ^= 0x80
+		if s.Equal(snap) {
+			t.Fatalf("image with byte %d flipped compares equal", off)
+		}
+		snap[off] ^= 0x80
+	}
+	if s.Equal(snap[:len(snap)-1]) || s.Equal(append(snap, 0)) || s.Equal(nil) {
+		t.Fatal("an image of the wrong length compares equal")
+	}
+	if err := s.Write(2*PageSize, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Equal(snap) {
+		t.Fatal("a stale snapshot compares equal after a write")
+	}
+}
+
+// The checkpointer runs Equal on every checkpoint it takes: it walks the
+// pages in place and must not copy the state to compare it.
+func TestHostStateEqualZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	s := NewHostState(8)
+	if err := s.Write(700, []byte("checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !s.Equal(snap) {
+			t.Fatal("a state differs from its own snapshot")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Equal allocated %v times per call, want 0", allocs)
 	}
 }
 

@@ -15,6 +15,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -245,12 +246,16 @@ func (s *Store) LatestLive(host mobile.HostID) *Record {
 // recovery-line membership rule of BCS/QBC: "if there is a jump in the
 // sequence number of a process, the first checkpoint with greater
 // sequence number must be included".
+//
+// Indices never decrease along a chain (every protocol numbers its
+// checkpoints that way), so the records below index are a prefix and a
+// binary search skips them: the live cluster asks on every hand-off, of
+// chains it never collects.
 func (s *Store) FirstWithIndexAtLeast(host mobile.HostID, index int) *Record {
-	for _, c := range s.chain(host) {
-		if c.Superseded || c.Pruned {
-			continue
-		}
-		if c.Index >= index {
+	chain := s.chain(host)
+	from := sort.Search(len(chain), func(i int) bool { return chain[i].Index >= index })
+	for _, c := range chain[from:] {
+		if !c.Superseded && !c.Pruned {
 			return c
 		}
 	}

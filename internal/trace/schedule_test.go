@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -122,6 +124,31 @@ func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
 	s.SealInFlight()
 	if err := s.Validate(); err == nil {
 		t.Fatal("double disconnect accepted")
+	}
+}
+
+// Validating costs what the event list costs, not what the file says its
+// host count is: per-host tables sized by the header let a one-line
+// hostile file ask for gigabytes (found while writing FuzzImportSchedule).
+func TestScheduleValidateCostFollowsEvents(t *testing.T) {
+	const hosts = math.MaxInt32
+	s := NewSchedule(hosts, 3, "BCS", 1)
+	s.Record(SchedSend, 1, hosts-1, 0, 1, -1, -1)
+	s.Record(SchedHandoff, 2, hosts-1, -1, 0, (hosts-1)%3, (hosts-1)%3+1)
+	s.Record(SchedDisconnect, 3, hosts-1, -1, 0, (hosts-1)%3+1, -1)
+	s.Record(SchedReconnect, 4, hosts-1, -1, 0, -1, (hosts-1)%3+1)
+	s.Record(SchedJoin, 5, hosts, -1, 0, -1, 2)
+	s.Record(SchedDeliver, 6, 0, hosts-1, 1, -1, -1)
+	s.SealInFlight()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("validating six events allocated %d bytes", got)
 	}
 }
 
