@@ -69,6 +69,10 @@ func main() {
 	}
 
 	cfg := sim.DefaultConfig()
+	if *failed < 0 || *failed >= cfg.Mobile.NumHosts {
+		fmt.Fprintf(os.Stderr, "recovery: -failed %d out of range (the run has %d hosts, 0..%d)\n", *failed, cfg.Mobile.NumHosts, cfg.Mobile.NumHosts-1)
+		os.Exit(2)
+	}
 	cfg.Workload.TSwitch = *tswitch
 	cfg.Workload.PSwitch = *pswitch
 	cfg.Workload.Heterogeneity = *het
@@ -96,20 +100,21 @@ func main() {
 		}
 		for i := range res.Protocols {
 			pr := &res.Protocols[i]
-			out, err := sim.AnalyzeReplay(pr, c.Mobile.NumHosts, mobile.HostID(*failed), c.Horizon)
+			n := pr.Trace.NumHosts()
+			out, err := sim.AnalyzeReplay(pr, n, mobile.HostID(*failed), c.Horizon)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "recovery:", err)
 				os.Exit(1)
 			}
 			m := out.Plain
-			counts := make([]int, c.Mobile.NumHosts)
+			counts := make([]int, n)
 			for h := range counts {
 				counts[h] = len(pr.Store.Chain(mobile.HostID(h)))
 			}
 			recovery.ObserveRollback(reg, string(pr.Name), out.PlainCut, counts)
 			// The yardstick: the best any recovery scheme could do with
 			// this protocol's checkpoints.
-			optimal := recovery.MaximalCut(pr.Trace, pr.Store, c.Mobile.NumHosts, mobile.HostID(*failed))
+			optimal := recovery.MaximalCut(pr.Trace, pr.Store, n, mobile.HostID(*failed))
 			mo := recovery.Measure(pr.Trace, optimal,
 				func(h mobile.HostID) []*storage.Record { return pr.Store.Chain(h) },
 				c.Horizon, 0)

@@ -22,8 +22,8 @@
 package recovery
 
 import (
+	"fmt"
 	"math"
-	"sort"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -80,6 +80,18 @@ func Orphans(tr *trace.Trace, cut Cut) int {
 	return n
 }
 
+// index returns tr's index for a function about to read cut against it.
+// The trace's host count is the one width a cut may have: a narrower cut
+// (sized before hosts joined) would otherwise fail as an out-of-range
+// read somewhere inside a loop.
+func index(tr *trace.Trace, cut Cut) *trace.Index {
+	ix := tr.Index()
+	if len(cut) != len(ix.Sends) {
+		panic(fmt.Sprintf("recovery: cut spans %d hosts, the trace has %d", len(cut), len(ix.Sends)))
+	}
+	return ix
+}
+
 // Propagate runs orphan-elimination to a fixpoint: while some message's
 // send is undone but its receive kept, the receiver rolls back to the
 // checkpoint preceding the receive (ordinal RecvCount-1, which always
@@ -87,15 +99,16 @@ func Orphans(tr *trace.Trace, cut Cut) int {
 // resulting consistent cut and the number of elimination steps (extra
 // rollbacks beyond the seed — the domino measure).
 func Propagate(tr *trace.Trace, seed Cut) (Cut, int) {
-	return eliminate(tr, seed, nil, nil)
+	return eliminate(tr, seed, nil)
 }
 
 // eliminate is the orphan-elimination core shared by Propagate and
-// PropagateReplay. It is worklist-driven — O((r + eliminations) log r)
-// instead of the reference algorithm's full-trace rescans, which at
-// million-host trace sizes dominated every recovery experiment — yet
-// reproduces the reference's step count *exactly*, because DominoSteps
-// is observable (E8) and depends on evaluation order.
+// PropagateReplay. It is worklist-driven over the trace's index, so it
+// costs O(hosts + U log U) for the U sends the recovery undoes — not the
+// reference algorithm's full-trace rescans, nor a pass over the history
+// to find the undone part — yet reproduces the reference's step count
+// *exactly*, because DominoSteps is observable (E8) and depends on
+// evaluation order.
 //
 // The reference repeatedly sweeps the trace in delivery order, applying
 // eliminations as it encounters them, until a sweep changes nothing. The
@@ -108,45 +121,44 @@ func Propagate(tr *trace.Trace, seed Cut) (Cut, int) {
 // by that key pops them in exactly the reference's order; everything a
 // full sweep would merely re-inspect without acting is never touched.
 //
-// An event enters the worklist at most once: send-undoneness is
-// permanent, and an event popped while its receive is already undone (or
-// stably logged, for replay) can never become an orphan again.
-func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc, seqs []int) (Cut, int) {
+// An event enters the worklist at most once, and only if it can still
+// act: send-undoneness is permanent, and an event whose receive is
+// already undone or whose delivery is stably logged when its send falls
+// can never be an orphan again (cuts only fall, the log does not change
+// under a recovery), so the sweep would pass over it at every later
+// visit. Leaving it out removes a pop that does nothing and moves no pop
+// that does something: keys are distinct and totally ordered, so the
+// acting evaluations, and with them the step count, are those of the
+// reference.
+func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
+	ix := index(tr, seed)
 	events := tr.Events()
 	cut := seed.Clone()
 
-	// sends[h] lists h's send events as trace indices, sorted by
-	// SendCount (the trace is in *delivery* order, under which SendCount
-	// is not monotone), so the undone sends always form a suffix. lo[h]
-	// marks the suffix already handed to the worklist.
-	sends := make([][]int32, len(cut))
-	for i := range events {
-		f := events[i].From
-		sends[f] = append(sends[f], int32(i))
-	}
+	// lo[h] marks the suffix of ix.Sends[h] already examined.
 	lo := make([]int, len(cut))
 	for h := range lo {
-		s := sends[h]
-		sort.Slice(s, func(a, b int) bool {
-			if events[s[a]].SendCount != events[s[b]].SendCount {
-				return events[s[a]].SendCount < events[s[b]].SendCount
-			}
-			return s[a] < s[b]
-		})
-		lo[h] = len(s)
+		lo[h] = len(ix.Sends[h])
 	}
 
 	// Keys order the pending evaluations as (round, trace index); both
-	// fit comfortably in one int64 (rounds and indices are bounded by the
-	// trace length, and int32 indices are enforced above).
+	// fit one int64 (rounds are bounded by the steps, steps by the trace
+	// length, and the index holds positions to 32 bits).
 	var wl worklist
 	push := func(h int, round, pos int) {
-		s := sends[h]
+		s := ix.Sends[h]
 		i := lo[h]
 		for i > 0 && events[s[i-1]].SendCount > cut[h] {
 			i--
 		}
 		for _, idx := range s[i:lo[h]] {
+			ev := &events[idx]
+			if ev.RecvCount > cut[ev.To] {
+				continue // receive already undone; permanently not an orphan
+			}
+			if logged != nil && logged(*ev, int(ix.Seq[idx])) {
+				continue // stably logged deliveries survive any rollback
+			}
 			r := round
 			if int(idx) <= pos {
 				r++
@@ -162,13 +174,10 @@ func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc, seqs []int) (Cut, i
 	steps := 0
 	for len(wl) > 0 {
 		k := wl.pop()
-		round, pos := int(k>>32), int(k&0x7fffffff)
+		round, pos := int(k>>32), int(uint32(k))
 		ev := &events[pos]
 		if ev.RecvCount > cut[ev.To] {
-			continue // receive already undone; permanently not an orphan
-		}
-		if logged != nil && logged(*ev, seqs[pos]) {
-			continue // stably logged deliveries survive any rollback
+			continue // undone since it was pushed
 		}
 		cut[ev.To] = ev.RecvCount - 1
 		steps++
@@ -323,31 +332,10 @@ type Metrics struct {
 
 // Measure computes Metrics for cut over an execution that failed at
 // failTime. chains supplies each host's checkpoint chain (in creation
-// order); dominoSteps is threaded through from Propagate.
+// order); dominoSteps is threaded through from Propagate. It is
+// MeasureReplay with nothing to replay.
 func Measure(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*storage.Record, failTime des.Time, dominoSteps int) Metrics {
-	m := Metrics{DominoSteps: dominoSteps}
-	for h, x := range cut {
-		if x == End {
-			continue
-		}
-		m.RolledBackHosts++
-		chain := chains(mobile.HostID(h))
-		var restoredAt des.Time
-		if x < len(chain) {
-			restoredAt = chain[x].TakenAt
-		}
-		lost := failTime - restoredAt
-		m.UndoneTime += lost
-		if lost > m.MaxRollback {
-			m.MaxRollback = lost
-		}
-	}
-	for _, ev := range tr.Events() {
-		if ev.RecvCount > cut[ev.To] {
-			m.UndoneMessages++
-		}
-	}
-	return m
+	return MeasureReplay(tr, cut, chains, failTime, dominoSteps, nil).Metrics
 }
 
 // MaximalCut computes the best possible recovery line after a crash of

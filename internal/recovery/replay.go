@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"sort"
+
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
@@ -16,45 +18,35 @@ import (
 // LoggedFunc reports whether the seq-th delivery to ev.To (0-based,
 // counting deliveries to that host in trace order) is stably logged at
 // an MSS. mlog-backed implementations return seq < log.StableBound(To).
+// The answer must not change while a recovery is being computed.
 type LoggedFunc func(ev trace.MessageEvent, seq int) bool
-
-// deliverySeqs returns, for each trace event, its per-receiver delivery
-// ordinal — the position mlog keys its entries by.
-func deliverySeqs(tr *trace.Trace) []int {
-	seqs := make([]int, len(tr.Events()))
-	next := make([]int, tr.NumHosts())
-	for i, ev := range tr.Events() {
-		seqs[i] = next[ev.To]
-		next[ev.To]++
-	}
-	return seqs
-}
 
 // PropagateReplay runs orphan-elimination to a fixpoint like Propagate,
 // except that a message whose delivery is stably logged never rolls its
 // receiver back: even with the send undone, the message content and its
 // delivery order survive on MSS stable storage, so the receiver's state
 // stays justified and the message is re-deliverable on re-execution.
-// With logged == nil it degenerates to Propagate.
+// With logged == nil it is Propagate.
 func PropagateReplay(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
-	if logged == nil {
-		return Propagate(tr, seed)
-	}
-	return eliminate(tr, seed, logged, deliverySeqs(tr))
+	return eliminate(tr, seed, logged)
 }
 
 // UnloggedOrphans counts the messages of tr that are orphan with respect
 // to cut and not stably logged — the residue that would make a
 // replay-aware cut inconsistent. PropagateReplay's fixpoint has zero.
+// With logged == nil it counts what Orphans counts, reading only the
+// sends cut undoes.
 func UnloggedOrphans(tr *trace.Trace, cut Cut, logged LoggedFunc) int {
-	if logged == nil {
-		return Orphans(tr, cut)
-	}
-	seqs := deliverySeqs(tr)
+	ix := index(tr, cut)
+	events := tr.Events()
 	n := 0
-	for i, ev := range tr.Events() {
-		if ev.SendCount > cut[ev.From] && ev.RecvCount <= cut[ev.To] && !logged(ev, seqs[i]) {
-			n++
+	for h, x := range cut {
+		s := ix.Sends[h]
+		for i := len(s) - 1; i >= 0 && events[s[i]].SendCount > x; i-- {
+			ev := &events[s[i]]
+			if ev.RecvCount <= cut[ev.To] && (logged == nil || !logged(*ev, int(ix.Seq[s[i]]))) {
+				n++
+			}
 		}
 	}
 	return n
@@ -80,51 +72,43 @@ type ReplayMetrics struct {
 // undone delivery that is not logged (a gap ends determinized replay).
 // Undone time and undone messages count only what replay cannot recover.
 func MeasureReplay(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*storage.Record, failTime des.Time, dominoSteps int, logged LoggedFunc) ReplayMetrics {
+	ix := index(tr, cut)
+	events := tr.Events()
 	m := ReplayMetrics{Metrics: Metrics{DominoSteps: dominoSteps}}
-	seqs := deliverySeqs(tr)
-
-	// frontier[h] is the time replay reconstructs host h up to (the
-	// restored checkpoint's timestamp when nothing replays); broken[h]
-	// marks a host whose in-order replay hit an unlogged delivery.
-	frontier := make([]des.Time, len(cut))
-	broken := make([]bool, len(cut))
-	restoredAt := make([]des.Time, len(cut))
 	for h, x := range cut {
 		if x == End {
 			continue
 		}
 		m.RolledBackHosts++
-		chain := chains(mobile.HostID(h))
-		if x < len(chain) {
-			restoredAt[h] = chain[x].TakenAt
+		var restoredAt des.Time
+		if chain := chains(mobile.HostID(h)); x < len(chain) {
+			restoredAt = chain[x].TakenAt
 		}
-		frontier[h] = restoredAt[h]
-	}
-	// Walk deliveries in trace (delivery) order: per host this is Seq
-	// order, so the first unlogged undone delivery ends that host's
-	// replayable prefix.
-	for i, ev := range tr.Events() {
-		x := cut[ev.To]
-		if x == End || ev.RecvCount <= x {
-			continue
-		}
-		if !broken[ev.To] && logged != nil && logged(ev, seqs[i]) {
-			m.ReplayedMessages++
-			if ev.DeliveredAt > frontier[ev.To] {
-				frontier[ev.To] = ev.DeliveredAt
+		// The receives the rollback undoes are a suffix of h's deliveries
+		// (RecvCount never decreases along them); a delivery's offset in
+		// the list is its ordinal.
+		recvs := ix.Recvs[h]
+		first := sort.Search(len(recvs), func(i int) bool { return events[recvs[i]].RecvCount > x })
+		undone := recvs[first:]
+		// frontier is the time replay reconstructs h up to: deliveries
+		// replay in their original order, so the first undone one that is
+		// not logged ends the replayable prefix and everything from there
+		// on is lost.
+		frontier := restoredAt
+		replayed := 0
+		if logged != nil {
+			for replayed < len(undone) && logged(events[undone[replayed]], first+replayed) {
+				if at := events[undone[replayed]].DeliveredAt; at > frontier {
+					frontier = at
+				}
+				replayed++
 			}
-			continue
 		}
-		broken[ev.To] = true
-		m.UndoneMessages++
-	}
-	for h, x := range cut {
-		if x == End {
-			continue
-		}
-		lost := failTime - frontier[h]
+		m.ReplayedMessages += replayed
+		m.UndoneMessages += len(undone) - replayed
+		lost := failTime - frontier
 		m.UndoneTime += lost
-		m.ReplayedTime += frontier[h] - restoredAt[h]
+		m.ReplayedTime += frontier - restoredAt
 		if lost > m.MaxRollback {
 			m.MaxRollback = lost
 		}

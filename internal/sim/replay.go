@@ -56,10 +56,19 @@ type ReplayOutcome struct {
 
 // AnalyzeReplay injects a failure of host failed at failTime into a
 // recorded run and measures both recoveries. The result must carry a
-// trace; Replay degrades to Plain when the run did not log.
+// trace; Replay degrades to Plain when the run did not log. n is the
+// width of the cuts and must be the trace's host count
+// (pr.Trace.NumHosts(): Config.Mobile.NumHosts plus the hosts that
+// joined).
 func AnalyzeReplay(pr *ProtocolResult, n int, failed mobile.HostID, failTime des.Time) (ReplayOutcome, error) {
 	if pr.Trace == nil {
 		return ReplayOutcome{}, fmt.Errorf("sim: protocol %s recorded no trace (set Config.RecordTrace)", pr.Name)
+	}
+	if hosts := pr.Trace.NumHosts(); n != hosts {
+		return ReplayOutcome{}, fmt.Errorf("sim: recovery over %d hosts, the %s trace has %d: n must be Trace.NumHosts(), the configured hosts plus the joined ones", n, pr.Name, hosts)
+	}
+	if failed < 0 || int(failed) >= n {
+		return ReplayOutcome{}, fmt.Errorf("sim: failed host %d out of range (the run has %d hosts)", failed, n)
 	}
 	chains := func(h mobile.HostID) []*storage.Record { return pr.Store.Chain(h) }
 	seed := SeedCut(pr, n, failed)
@@ -130,11 +139,11 @@ func ReplayTable(base Config, seeds []uint64) (*stats.Table, error) {
 		}
 		for i := range pessRes.Protocols {
 			pp, op := &pessRes.Protocols[i], &optRes.Protocols[i]
-			po, err := AnalyzeReplay(pp, cfg.Mobile.NumHosts, failed, cfg.Horizon)
+			po, err := AnalyzeReplay(pp, pp.Trace.NumHosts(), failed, cfg.Horizon)
 			if err != nil {
 				return nil, err
 			}
-			oo, err := AnalyzeReplay(op, cfg.Mobile.NumHosts, failed, cfg.Horizon)
+			oo, err := AnalyzeReplay(op, op.Trace.NumHosts(), failed, cfg.Horizon)
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
+	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
 )
 
@@ -119,6 +123,73 @@ func TestAnalyzeReplayRequiresTrace(t *testing.T) {
 	}
 	if _, err := AnalyzeReplay(&res.Protocols[0], base.Mobile.NumHosts, 0, base.Horizon); err == nil {
 		t.Fatal("AnalyzeReplay accepted a traceless result")
+	}
+}
+
+// TestAnalyzeReplayRejectsBadHost pins the `cmd/recovery -failed 99`
+// crash: a failed host the run does not have is an error naming the host
+// and the host count, not an index panic in recovery.FailureCut.
+func TestAnalyzeReplayRejectsBadHost(t *testing.T) {
+	base, _ := benchScale()
+	base.Protocols = []ProtocolName{QBC}
+	base.RecordTrace = true
+	res, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.Mobile.NumHosts
+	for _, failed := range []mobile.HostID{-1, mobile.HostID(n), 99} {
+		_, err := AnalyzeReplay(&res.Protocols[0], n, failed, base.Horizon)
+		if err == nil {
+			t.Fatalf("failed host %d of %d accepted", failed, n)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(int(failed))) || !strings.Contains(msg, fmt.Sprint(n)) {
+			t.Errorf("failed host %d: error %q names neither the host nor the host count", failed, msg)
+		}
+	}
+}
+
+// TestAnalyzeReplayWithJoins pins the crash of every recovery analysis on
+// a run with joins: cuts sized by Config.Mobile.NumHosts are narrower
+// than the trace, which used to end in an out-of-range read inside the
+// propagation. The trace's host count is the one width: with it every
+// protocol recovers — an initial host and a joined one alike — and the
+// configured count is refused with a reason.
+func TestAnalyzeReplayWithJoins(t *testing.T) {
+	base, _ := benchScale()
+	base.Protocols = AllProtocols()
+	base.RecordTrace = true
+	base.MessageLog = mlog.Optimistic
+	base.JoinTimes = []des.Time{500, 1000}
+	res, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Protocols {
+		pr := &res.Protocols[i]
+		n := pr.Trace.NumHosts()
+		if want := base.Mobile.NumHosts + len(base.JoinTimes); n != want {
+			t.Fatalf("%s: trace has %d hosts, want %d", pr.Name, n, want)
+		}
+		for _, failed := range []mobile.HostID{0, mobile.HostID(n - 1)} {
+			out, err := AnalyzeReplay(pr, n, failed, base.Horizon)
+			if err != nil {
+				t.Fatalf("%s, host %d: %v", pr.Name, failed, err)
+			}
+			if len(out.PlainCut) != n || len(out.ReplayCut) != n {
+				t.Fatalf("%s: cut widths %d/%d, want %d", pr.Name, len(out.PlainCut), len(out.ReplayCut), n)
+			}
+			if out.PlainCut[failed] == recovery.End || out.ReplayCut[failed] == recovery.End {
+				t.Errorf("%s: failed host %d not rolled back", pr.Name, failed)
+			}
+			if o := recovery.Orphans(pr.Trace, out.PlainCut); o != 0 {
+				t.Errorf("%s, host %d: plain cut keeps %d orphans", pr.Name, failed, o)
+			}
+		}
+		_, err := AnalyzeReplay(pr, base.Mobile.NumHosts, 0, base.Horizon)
+		if err == nil || !strings.Contains(err.Error(), "joined") {
+			t.Errorf("%s: cut width %d on a %d-host trace: err = %v, want a refusal naming the joins", pr.Name, base.Mobile.NumHosts, n, err)
+		}
 	}
 }
 

@@ -88,6 +88,7 @@ func Import(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: import: invalid host count %d", env.NumHosts)
 	}
 	t := New(env.NumHosts)
+	lastRecv := make([]int, env.NumHosts)
 	for _, ev := range env.Events {
 		if ev.From < 0 || ev.From >= env.NumHosts || ev.To < 0 || ev.To >= env.NumHosts {
 			return nil, fmt.Errorf("trace: import: event %d has out-of-range hosts %d->%d", ev.ID, ev.From, ev.To)
@@ -95,6 +96,12 @@ func Import(r io.Reader) (*Trace, error) {
 		if ev.SendCount < 1 || ev.RecvCount < 1 {
 			return nil, fmt.Errorf("trace: import: event %d predates the initial checkpoints", ev.ID)
 		}
+		// A host's checkpoint count only grows; Index panics on a trace
+		// that says otherwise, so a file that does is refused here.
+		if ev.RecvCount < lastRecv[ev.To] {
+			return nil, fmt.Errorf("trace: import: event %d: host %d's recv_count falls from %d to %d", ev.ID, ev.To, lastRecv[ev.To], ev.RecvCount)
+		}
+		lastRecv[ev.To] = ev.RecvCount
 		t.events = append(t.events, MessageEvent{
 			ID:          ev.ID,
 			From:        mobile.HostID(ev.From),

@@ -1,0 +1,129 @@
+package trace
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// Index is the failure-independent view of a trace that the recovery
+// analysis reads: which host failed decides where a recovery starts, not
+// how the history is laid out, so the layout is derived once per trace
+// and every recovery after that costs what its failure undoes. Events
+// are named by position (their index into Events()), 32 bits each: the
+// three tables cost 12 bytes per event. All of it is owned by the trace
+// and read-only to callers.
+type Index struct {
+	// Sends[h] lists the messages h sent, ordered by (SendCount,
+	// position). The trace is in delivery order, under which a sender's
+	// SendCount is not monotone; in this order the sends a rollback of h
+	// undoes are always a suffix.
+	Sends [][]int32
+	// Recvs[h] lists the messages delivered to h in delivery order. A
+	// host's checkpoint count only grows, so RecvCount never decreases
+	// along the list (Index verifies it) and the receives a rollback of h
+	// undoes are a suffix a binary search finds.
+	Recvs [][]int32
+	// Seq[i] is event i's offset in Recvs[To]: its per-receiver delivery
+	// ordinal, the position mlog keys its entries by.
+	Seq []int32
+}
+
+// Index returns the trace's index, building it on first use and again
+// whenever the trace has grown since (deliveries recorded or hosts
+// added), so a finished trace is indexed once however many failures are
+// analyzed on it. Concurrent calls on a trace nobody is recording into
+// are safe. It panics on a trace whose positions do not fit 32 bits or
+// in which some receiver's RecvCount decreases — a recording bug, named
+// by host and position, that would otherwise surface as a quietly wrong
+// count out of a binary search.
+func (t *Trace) Index() *Index {
+	t.indexMu.Lock()
+	defer t.indexMu.Unlock()
+	if ix := t.index; ix == nil || len(ix.Seq) != len(t.events) || len(ix.Sends) != t.numHosts {
+		t.index = buildIndex(t.events, t.numHosts)
+	}
+	return t.index
+}
+
+func buildIndex(events []MessageEvent, hosts int) *Index {
+	if len(events) > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: %d events do not fit the index's 32-bit positions", len(events)))
+	}
+	ix := &Index{
+		Sends: make([][]int32, hosts),
+		Recvs: make([][]int32, hosts),
+		Seq:   make([]int32, len(events)),
+	}
+	// Count, carve both tables out of one backing array each, fill.
+	sent, received := make([]int, hosts), make([]int, hosts)
+	for i := range events {
+		sent[events[i].From]++
+		received[events[i].To]++
+	}
+	sendBuf, recvBuf := make([]int32, len(events)), make([]int32, len(events))
+	for h, so, ro := 0, 0, 0; h < hosts; h++ {
+		ix.Sends[h] = sendBuf[so : so : so+sent[h]]
+		ix.Recvs[h] = recvBuf[ro : ro : ro+received[h]]
+		so += sent[h]
+		ro += received[h]
+	}
+	for i := range events {
+		ev := &events[i]
+		r := ix.Recvs[ev.To]
+		if n := len(r); n > 0 && events[r[n-1]].RecvCount > ev.RecvCount {
+			panic(fmt.Sprintf("trace: host %d's RecvCount falls from %d to %d at event %d (message %d)",
+				ev.To, events[r[n-1]].RecvCount, ev.RecvCount, i, ev.ID))
+		}
+		ix.Seq[i] = int32(len(r))
+		ix.Recvs[ev.To] = append(r, int32(i))
+		ix.Sends[ev.From] = append(ix.Sends[ev.From], int32(i))
+	}
+	var late []int32 // sortSends' scratch, shared by all senders
+	for _, s := range ix.Sends {
+		late = sortSends(events, s, late[:0])
+	}
+	return ix
+}
+
+// sortSends orders one sender's positions, given in increasing order, by
+// (SendCount, position). Messages mostly arrive in the order they were
+// sent, so the list is one long non-decreasing run plus a few late
+// arrivals (a message parked at an MSS through a disconnection): split
+// the two in one pass, sort only the late ones and merge them back in
+// place — linear in the list unless most of it is late. late is scratch
+// space, returned for the next sender.
+func sortSends(events []MessageEvent, s, late []int32) []int32 {
+	run := s[:0]
+	top := 0
+	for _, p := range s {
+		if c := events[p].SendCount; c >= top {
+			top = c
+			run = append(run, p)
+		} else {
+			late = append(late, p)
+		}
+	}
+	if len(late) == 0 {
+		return late
+	}
+	// Stable, so equal SendCounts keep their increasing positions.
+	slices.SortStableFunc(late, func(a, b int32) int {
+		return cmp.Compare(events[a].SendCount, events[b].SendCount)
+	})
+	// Merge from the back: the write position never catches up with the
+	// run's unread part.
+	i, j := len(run)-1, len(late)-1
+	for w := len(s) - 1; j >= 0; w-- {
+		if i >= 0 && (events[run[i]].SendCount > events[late[j]].SendCount ||
+			events[run[i]].SendCount == events[late[j]].SendCount && run[i] > late[j]) {
+			s[w] = run[i]
+			i--
+		} else {
+			s[w] = late[j]
+			j--
+		}
+	}
+	return late
+}

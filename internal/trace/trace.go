@@ -15,6 +15,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -82,6 +83,11 @@ type Trace struct {
 	events   []MessageEvent
 	mobility []MobilityEvent
 	open     map[uint64]MessageEvent
+
+	// index is derived from events and numHosts on demand (Index); the
+	// recording methods never touch it.
+	indexMu sync.Mutex
+	index   *Index
 }
 
 // New returns an empty trace for n hosts.

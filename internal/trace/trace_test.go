@@ -101,4 +101,7 @@ func TestImportRejectsGarbage(t *testing.T) {
 	if _, err := Import(strings.NewReader(`{"num_hosts":2,"events":[{"from":1,"to":0,"send_count":0,"recv_count":1}]}`)); err == nil {
 		t.Fatal("pre-initial event must fail")
 	}
+	if _, err := Import(strings.NewReader(`{"num_hosts":2,"events":[{"id":1,"from":1,"to":0,"send_count":1,"recv_count":3},{"id":2,"from":1,"to":0,"send_count":1,"recv_count":2}]}`)); err == nil {
+		t.Fatal("a receiver whose checkpoint count falls must fail")
+	}
 }
