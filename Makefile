@@ -39,7 +39,7 @@ test-race:
 # The alloc-regression gates (DESIGN §7) skip under -race, whose
 # instrumentation allocates, so they get their own plain run.
 allocs:
-	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore ./internal/recovery ./internal/trace
+	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/des/equeue ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore ./internal/recovery ./internal/trace
 
 # A short fuzz smoke of the two parsers of outside input — wire frames and
 # recorded schedules; `make fuzz` runs longer. The schedule seeds are tens

@@ -13,7 +13,7 @@
 //
 // The pending-event set lives behind the equeue.Queue interface with two
 // interchangeable implementations (see internal/des/equeue): the binary
-// heap is the reference, and Brown's calendar queue trades O(log n) for
+// heap is the reference, and the lazy calendar queue trades O(log n) for
 // O(1) amortized scheduling under million-event churn. Both realize the
 // same (time, seq) total order, so a simulation is bit-identical on
 // either; QueueKind selects one at construction.
@@ -27,12 +27,13 @@
 //     fire-and-forget: the event is drawn from a per-simulator free list
 //     and recycled as soon as its handler returns, so the steady-state
 //     hot loop allocates nothing (TestHotLoopZeroAlloc). Combined with
-//     Again/Reschedule — which move an event in place instead of a
-//     pop/push pair — periodic processes run allocation-free.
+//     Again/Reschedule — which re-queue an event's own storage —
+//     periodic processes run allocation-free.
 package des
 
 import (
 	"fmt"
+	"math"
 
 	"mobickpt/internal/des/equeue"
 	"mobickpt/internal/obs"
@@ -56,11 +57,14 @@ type ArgHandler func(sim *Simulator, now Time, arg any)
 // by the Simulator; user code holds *Event only to Cancel or Reschedule
 // it. Events created by the Schedule* methods are pool-owned and never
 // escape to callers.
+//
+// The first three fields are what firing a pooled event reads, and they
+// fill the event's first 64 bytes (40 + 8 + 16): keep them first.
 type Event struct {
 	ent     equeue.Entry // (at, seq) plus the queue's intrusive bookkeeping
-	handler Handler
 	argFn   ArgHandler
 	arg     any
+	handler Handler
 	label   string
 	owner   *Simulator // the simulator that created the event
 	free    *Event     // free-list link (pooled events only)
@@ -84,7 +88,7 @@ type QueueKind int
 const (
 	// QueueHeap is the reference binary min-heap (equeue.Heap).
 	QueueHeap QueueKind = iota
-	// QueueCalendar is Brown's calendar queue (equeue.Calendar): O(1)
+	// QueueCalendar is the lazy calendar queue (equeue.Calendar): O(1)
 	// amortized scheduling under large stationary event populations.
 	QueueCalendar
 )
@@ -213,10 +217,14 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // Pending returns the number of queued events.
 func (s *Simulator) Pending() int { return s.queue.Len() }
 
-// checkAt validates an absolute scheduling time against the clock.
+// checkAt validates an absolute scheduling time against the clock. A NaN
+// is refused with the past: no comparison orders it, so no queue could.
 func (s *Simulator) checkAt(at Time, label string) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling %q at %v before now %v", label, at, s.now))
+	}
+	if math.IsNaN(float64(at)) {
+		panic(fmt.Sprintf("des: scheduling %q at a NaN time", label))
 	}
 }
 
@@ -373,13 +381,15 @@ func (s *Simulator) ScheduleArgAfter(delay Time, label string, fn ArgHandler, ar
 	s.ScheduleArg(s.now+delay, label, fn, arg)
 }
 
-// Reschedule moves event e to absolute time at. A pending event is moved
-// in place — the pop-reschedule-push fast path — and an event that
-// already fired or was canceled is re-queued (reusing its storage).
-// Either way the event receives a fresh FIFO sequence number, so among
-// simultaneous events it fires after ones already queued. It panics on
-// events from another simulator, on recycled pooled events, and on times
-// before the clock (matching At's contract).
+// Reschedule moves event e to absolute time at: a pending event is taken
+// out of the queue, restamped and pushed back — the one way to move a
+// queued entry, since a queue that files entries by time cannot find one
+// whose time was overwritten — and an event that already fired or was
+// canceled is re-queued (reusing its storage). Either way the event
+// receives a fresh FIFO sequence number, so among simultaneous events it
+// fires after ones already queued. It panics on events from another
+// simulator, on recycled pooled events, and on times before the clock
+// (matching At's contract).
 func (s *Simulator) Reschedule(e *Event, at Time) {
 	if e == nil || e.owner != s {
 		panic("des: Reschedule of an event this simulator does not own")
@@ -388,14 +398,13 @@ func (s *Simulator) Reschedule(e *Event, at Time) {
 		panic("des: Reschedule of a recycled event")
 	}
 	s.checkAt(at, e.label)
+	if e.ent.Queued() {
+		s.queue.Remove(&e.ent)
+	}
 	e.ent.At = float64(at)
 	e.ent.Seq = s.seq
 	s.seq++
-	if e.ent.Queued() {
-		s.queue.Fix(&e.ent)
-	} else {
-		s.queue.Push(&e.ent)
-	}
+	s.queue.Push(&e.ent)
 }
 
 // Again reschedules the event whose handler is currently executing to
@@ -444,13 +453,17 @@ func (s *Simulator) fire(e *Event) {
 		s.countLabel(e.label)
 	}
 	s.cur = e
-	if e.handler != nil {
-		e.handler(s, s.now)
-	} else {
+	// ArgHandler events are always pool-owned (ScheduleArg*), so firing
+	// one reads nothing beyond the event's first 64 bytes.
+	pooled := true
+	if e.argFn != nil {
 		e.argFn(s, s.now, e.arg)
+	} else {
+		pooled = e.pooled
+		e.handler(s, s.now)
 	}
 	s.cur = nil
-	if e.pooled && !e.ent.Queued() {
+	if pooled && !e.ent.Queued() {
 		s.recycle(e)
 	}
 }
@@ -462,15 +475,18 @@ func (s *Simulator) fire(e *Event) {
 //
 // Run rejects misuse with a descriptive panic (matching At's contract):
 // calling it from inside an event handler (re-entrancy would corrupt the
-// clock), a negative horizon, or a horizon before the current clock
-// (which would silently fire nothing and desynchronize repeated-Run
-// callers).
+// clock), a negative or NaN horizon (no event time is "> NaN", so the run
+// would never end), or a horizon before the current clock (which would
+// silently fire nothing and desynchronize repeated-Run callers).
 func (s *Simulator) Run(horizon Time) uint64 {
 	if s.running {
 		panic("des: re-entrant Run (called from inside an event handler)")
 	}
 	if horizon < 0 {
 		panic(fmt.Sprintf("des: negative horizon %v", horizon))
+	}
+	if math.IsNaN(float64(horizon)) {
+		panic("des: NaN horizon")
 	}
 	if horizon < s.now {
 		panic(fmt.Sprintf("des: horizon %v before current time %v", horizon, s.now))

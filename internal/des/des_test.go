@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -362,6 +363,41 @@ func TestReentrantRunPanics(t *testing.T) {
 func TestNegativeHorizonPanics(t *testing.T) {
 	sim := New()
 	mustPanic(t, "negative horizon", func() { sim.Run(-1) })
+}
+
+// A NaN compares false with everything: "at < now" lets it through,
+// no queue can order it, and "event time > NaN horizon" never ends a
+// run. Every scheduling entry point and Run refuse one, on either queue.
+func TestNaNTimeRefused(t *testing.T) {
+	nan := Time(math.NaN())
+	noop := func(*Simulator, Time) {}
+	argNoop := func(*Simulator, Time, any) {}
+	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
+		sim := NewWith(kind)
+		pending := sim.At(1, "pending", noop)
+		for _, tc := range []struct {
+			name     string
+			schedule func()
+		}{
+			{"At", func() { sim.At(nan, "e", noop) }},
+			{"After", func() { sim.After(nan, "e", noop) }},
+			{"Schedule", func() { sim.Schedule(nan, "e", noop) }},
+			{"ScheduleAfter", func() { sim.ScheduleAfter(nan, "e", noop) }},
+			{"ScheduleArg", func() { sim.ScheduleArg(nan, "e", argNoop, nil) }},
+			{"ScheduleArgAfter", func() { sim.ScheduleArgAfter(nan, "e", argNoop, nil) }},
+			{"ScheduleArgKeyed", func() { sim.ScheduleArgKeyed(nan, KeyFor(0, 0), "e", argNoop, nil) }},
+			{"Reschedule", func() { sim.Reschedule(pending, nan) }},
+		} {
+			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) { mustPanic(t, "NaN time", tc.schedule) })
+		}
+		if sim.Pending() != 1 || !pending.Pending() || pending.Time() != 1 {
+			t.Fatalf("%s: refused schedules left %d events pending, the original at %v", kind, sim.Pending(), pending.Time())
+		}
+		mustPanic(t, "NaN horizon", func() { sim.Run(nan) })
+		if got := sim.Run(2); got != 1 {
+			t.Fatalf("%s: Run after the refusals fired %d events, want 1", kind, got)
+		}
+	}
 }
 
 func TestHorizonBeforeNowPanics(t *testing.T) {

@@ -1,49 +1,47 @@
 // Package equeue holds the pending-event set implementations behind the
 // des engine. The engine needs one total order — (At, Seq) ascending,
 // Seq breaking virtual-time ties FIFO — and a handful of operations:
-// push, pop-min, remove-by-handle, and re-position after a time change.
-// Everything else (pooling, labels, handlers) stays in des.
+// push, pop-min, peek and remove-by-handle. Moving a queued entry is
+// Remove, restamp, Push; there is no other way. Everything else (pooling,
+// labels, handlers) stays in des.
 //
 // Two implementations are provided:
 //
 //   - Heap: a hand-written binary min-heap. O(log n) per operation,
 //     branch-predictable, and the reference implementation the paper
 //     figures are gated on.
-//   - Calendar: Brown's calendar queue (CACM 1988). Hash events into
-//     time-width buckets, dequeue by sweeping the current "year"; O(1)
-//     amortized enqueue/dequeue under the stationary event populations
-//     a DES produces, which is what keeps million-event churn flat.
+//   - Calendar: a lazy calendar queue. Entries are filed by time into
+//     unsorted buckets of inline (time, pointer) records, a bucket is
+//     sorted when the sweep opens it, and entries beyond the current
+//     "year" wait in an unsorted overflow; O(1) amortized per operation
+//     under the stationary event populations a DES produces, and about
+//     one cache miss per push at populations that outgrow the cache.
 //
 // Both implement Queue and are observationally identical: for any
 // sequence of operations the same entries come back in the same order
 // (equeue_test.go drives them in lockstep under randomized churn).
 //
-// Entries are intrusive: the queues store *Entry and keep their
-// bookkeeping (heap index or bucket index, chain pointer) inside the
-// Entry itself, so scheduling stays allocation-free regardless of the
-// implementation selected.
+// Entries are intrusive: the queues store *Entry and keep the one word
+// of bookkeeping they need (the heap its index, the calendar a "queued"
+// mark) inside the Entry itself; the calendar's records live in an arena
+// it recycles. Scheduling is allocation-free on either in steady state.
 package equeue
 
-import (
-	"cmp"
-
-	"mobickpt/internal/obs/probe"
-)
+import "mobickpt/internal/obs/probe"
 
 // Entry is one queued occurrence. The owner (des) sets At and Seq
-// before pushing and must not mutate them while the entry is queued
-// except through Queue.Fix. E points back at the owner's event record;
-// the queues never touch it.
+// before pushing and must not mutate them while the entry is queued: the
+// calendar finds an entry by the slot its time maps to. At must not be
+// NaN. E points back at the owner's event record; the queues never touch
+// it.
 type Entry struct {
 	At  float64 // virtual firing time
 	Seq uint64  // FIFO tiebreaker among equal times
 	E   any     // back-pointer to the owning event (opaque to the queue)
 
-	// Bookkeeping owned by the queue the entry currently sits in:
-	// the heap stores its slot index in pos, the calendar stores the
-	// bucket index in pos and chains entries through next.
-	pos  int32
-	next *Entry
+	// Bookkeeping owned by the queue the entry currently sits in: the
+	// heap stores its slot index, the calendar calFiled; -1 once released.
+	pos int32
 }
 
 // Queued reports whether the entry currently sits in a queue. A
@@ -58,17 +56,6 @@ func (e *Entry) before(f *Entry) bool {
 		return e.At < f.At
 	}
 	return e.Seq < f.Seq
-}
-
-// compare is before as a three-way comparison, for sorting.
-func (e *Entry) compare(f *Entry) int {
-	if e.At != f.At {
-		if e.At < f.At {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(e.Seq, f.Seq)
 }
 
 // Queue is the pending-event set. Implementations must order entries by
@@ -90,10 +77,6 @@ type Queue interface {
 	// it did. Stale or foreign handles return false without side
 	// effects.
 	Remove(e *Entry) bool
-	// Fix re-positions a queued entry after its At/Seq changed. Calling
-	// it on an unqueued entry is undefined; des only calls it on
-	// entries it just verified are queued.
-	Fix(e *Entry)
 }
 
 // Probed is implemented by queues that can expose an internals probe

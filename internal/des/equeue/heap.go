@@ -67,7 +67,6 @@ func (h *Heap) Pop() *Entry {
 		h.down(0)
 	}
 	e.pos = -1
-	e.next = nil
 	return e
 }
 
@@ -99,14 +98,7 @@ func (h *Heap) Remove(e *Entry) bool {
 		h.up(i)
 	}
 	e.pos = -1
-	e.next = nil
 	return true
-}
-
-// Fix restores heap order around a queued entry whose At/Seq changed.
-func (h *Heap) Fix(e *Entry) {
-	h.down(int(e.pos))
-	h.up(int(e.pos))
 }
 
 func (h *Heap) up(i int) {

@@ -1,146 +1,159 @@
 package equeue
 
 import (
+	"math"
 	"testing"
-
-	"mobickpt/internal/rng"
 )
 
-// validate walks the calendar's buckets and checks every structural
-// invariant against the live set: chain membership and pos bookkeeping,
-// per-bucket (At, Seq) sort order, head/tail consistency, the live
-// count, and the sweep's load-bearing invariant that no queued entry's
-// day number sits below the cursor. Catching a broken invariant here
-// localizes a fault thousands of operations before it would surface as
-// a wrong pop order (this harness caught the slot-overflow bug that
-// motivated calMaxSlot).
+// validate walks the calendar's whole structure and checks it against
+// the live set:
+//
+//   - the near list is sorted by (At, Seq), its backing array is clear
+//     outside it, and each of its records maps at or below the sweep
+//     position;
+//   - no bucket at or below the sweep position holds anything;
+//   - every bucket record sits in the bucket slot() maps its time to, and
+//     a chain is ⌈n/7⌉ chunks, all full but the head;
+//   - every overflow record maps beyond the year, the overflow's chunk
+//     list is exactly as long as its count needs, and ovMin is its exact
+//     minimum;
+//   - every record's inline time is its entry's time and its entry is
+//     marked queued;
+//   - the records are the live set, each once, and their count is Len;
+//   - recycled chunks pin nothing.
 func validate(t *testing.T, c *Calendar, live []*pair, op int) {
 	t.Helper()
-	count := 0
+	seen := make(map[*Entry]bool, len(live))
+	record := func(r calRec, where string, i int) {
+		t.Helper()
+		switch {
+		case r.e == nil:
+			t.Fatalf("op %d: %s %d: empty record among the filed ones", op, where, i)
+		case r.at != r.e.At:
+			t.Fatalf("op %d: %s %d: record time %v, entry time %v", op, where, i, r.at, r.e.At)
+		case r.e.pos != calFiled:
+			t.Fatalf("op %d: %s %d: entry at=%v seq=%d filed but marked %d", op, where, i, r.e.At, r.e.Seq, r.e.pos)
+		case seen[r.e]:
+			t.Fatalf("op %d: %s %d: entry at=%v seq=%d filed twice", op, where, i, r.e.At, r.e.Seq)
+		}
+		seen[r.e] = true
+	}
+
+	for i, r := range c.near[:cap(c.near)] {
+		if (i < c.head || i >= len(c.near)) && r != (calRec{}) {
+			t.Fatalf("op %d: near record %d outside the list [%d,%d) not cleared", op, i, c.head, len(c.near))
+		}
+	}
+	for i, r := range c.near[c.head:] {
+		record(r, "near", i)
+		if s := c.slot(r.at); s > c.cur {
+			t.Fatalf("op %d: near record at=%v maps to bucket %d, above the sweep at %d", op, r.at, s, c.cur)
+		}
+		if i > 0 && !c.near[c.head+i-1].before(r) {
+			t.Fatalf("op %d: near list unsorted at %d: (%v,%d) then (%v,%d)", op, i,
+				c.near[c.head+i-1].at, c.near[c.head+i-1].e.Seq, r.at, r.e.Seq)
+		}
+	}
+
+	if float64(len(c.buckets)) != c.nbf {
+		t.Fatalf("op %d: %d buckets, nbf %v", op, len(c.buckets), c.nbf)
+	}
 	for i := range c.buckets {
 		b := &c.buckets[i]
-		var prevE *Entry
-		for p := b.head; p != nil; p = p.next {
-			count++
-			if int(p.pos) != i {
-				t.Fatalf("op %d: entry at=%v seq=%d in bucket %d claims pos %d", op, p.At, p.Seq, i, p.pos)
-			}
-			if got := c.slotOf(p.At) & c.mask; got != int64(i) {
-				t.Fatalf("op %d: entry at=%v slot-bucket %d stored in bucket %d (width=%v cur=%d)", op, p.At, got, i, c.width, c.cur)
-			}
-			if prevE != nil && p.before(prevE) {
-				t.Fatalf("op %d: bucket %d unsorted: (%v,%d) after (%v,%d)", op, i, p.At, p.Seq, prevE.At, prevE.Seq)
-			}
-			prevE = p
+		if i <= c.cur && (b.n != 0 || b.head != nil) {
+			t.Fatalf("op %d: bucket %d at or below the sweep (%d) holds %d records", op, i, c.cur, b.n)
 		}
-		if (b.head == nil) != (b.tail == nil) {
-			t.Fatalf("op %d: bucket %d head/tail mismatch", op, i)
+		count, k := 0, tailLen(int(b.n))
+		for ch := b.head; ch != nil; ch, k = ch.next, calChunkLen {
+			for j, r := range ch.recs {
+				if j >= k {
+					if r != (calRec{}) {
+						t.Fatalf("op %d: bucket %d: record beyond the head chunk's %d not cleared", op, i, k)
+					}
+					continue
+				}
+				record(r, "bucket", i)
+				if s := c.slot(r.at); s != i {
+					t.Fatalf("op %d: record at=%v maps to bucket %d, filed in %d (start=%v width=%v)", op, r.at, s, i, c.start, 1/c.inv)
+				}
+				count++
+			}
 		}
-		if b.tail != nil && prevE != b.tail {
-			t.Fatalf("op %d: bucket %d tail is not last", op, i)
+		if count != int(b.n) {
+			t.Fatalf("op %d: bucket %d chains %d records, header says %d", op, i, count, b.n)
 		}
 	}
-	if count != c.n || count != len(live) {
-		t.Fatalf("op %d: count=%d n=%d live=%d", op, count, c.n, len(live))
+
+	if want := (c.ovN + calChunkLen - 1) / calChunkLen; len(c.ov) != want {
+		t.Fatalf("op %d: overflow of %d records in %d chunks, want %d", op, c.ovN, len(c.ov), want)
 	}
-	// Invariant the sweep depends on: no queued entry's slot below cur.
+	ovMin := math.Inf(1)
+	for i, ch := range c.ov {
+		k := calChunkLen
+		if i == len(c.ov)-1 {
+			k = tailLen(c.ovN)
+		}
+		if ch.next != nil {
+			t.Fatalf("op %d: overflow chunk %d is chained", op, i)
+		}
+		for j, r := range ch.recs {
+			if j >= k {
+				if r != (calRec{}) {
+					t.Fatalf("op %d: overflow: record beyond the last chunk's %d not cleared", op, k)
+				}
+				continue
+			}
+			record(r, "overflow", i)
+			if s := c.slot(r.at); s < len(c.buckets) {
+				t.Fatalf("op %d: overflow record at=%v maps to bucket %d of %d: inside the year", op, r.at, s, len(c.buckets))
+			}
+			ovMin = min(ovMin, r.at)
+		}
+	}
+	if c.ovMin != ovMin {
+		t.Fatalf("op %d: ovMin = %v, the overflow's minimum is %v", op, c.ovMin, ovMin)
+	}
+	for _, p := range c.ov[len(c.ov):cap(c.ov)] {
+		if p != nil {
+			t.Fatalf("op %d: overflow chunk list pins a chunk beyond its length", op)
+		}
+	}
+
+	if len(seen) != c.n || len(seen) != len(live) {
+		t.Fatalf("op %d: %d records filed, Len %d, live %d", op, len(seen), c.n, len(live))
+	}
 	for _, p := range live {
-		if s := c.slotOf(p.c.At); s < c.cur {
-			t.Fatalf("op %d: entry at=%v slot %d below cur %d (width=%v)", op, p.c.At, s, c.cur, c.width)
+		if !seen[&p.c] {
+			t.Fatalf("op %d: live item %d (at=%v) is filed nowhere", op, p.id, p.c.At)
+		}
+	}
+	for ch := c.free; ch != nil; ch = ch.next {
+		if ch.recs != ([calChunkLen]calRec{}) {
+			t.Fatalf("op %d: a recycled chunk still holds a record", op)
 		}
 	}
 }
 
-// TestCalendarStructuralInvariants replays the harshest lockstep case
-// (sparse far-future outliers over a drifting near cluster) and fully
-// validates the calendar's structure after every operation.
-func TestCalendarStructuralInvariants(t *testing.T) {
-	tc := lockstepCase{name: "sparse-far-future", spread: 200, far: true, ops: 6000}
-	seed := uint64(3)
-	src := rng.New(seed)
-	h := NewHeap()
-	c := NewCalendar()
-	var live []*pair
-	var popped []*pair
-	var seq uint64
-	var nextID int
-	now := 0.0
-
-	newAt := func() float64 {
-		at := now + src.Float64()*tc.spread
-		if tc.burst && src.Intn(4) == 0 {
-			at = now
-		}
-		if tc.far && src.Intn(16) == 0 {
-			at = now + 1e9 + src.Float64()
-		}
-		return at
+// TestCalendarForeignHandle: Remove confirms an entry by identity, so a
+// handle queued in another queue, or never queued at all, is a no-op even
+// though its pos says "queued".
+func TestCalendarForeignHandle(t *testing.T) {
+	l := newLockstep(t, true)
+	for i := 0; i < 40; i++ {
+		l.push(float64(i % 13))
 	}
-	dropLive := func(p *pair) {
-		for i, q := range live {
-			if q == p {
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				return
-			}
+	l.pop()
+	other := NewCalendar()
+	for _, at := range []float64{0, 3.5, 12, 1e6} { // near list, a bucket, the overflow
+		foreign, zero := Entry{At: at, Seq: 1}, Entry{At: at}
+		other.Push(&foreign)
+		if l.c.Remove(&foreign) || l.c.Remove(&zero) {
+			t.Fatalf("Remove of a foreign handle at %v succeeded", at)
 		}
-		t.Fatalf("item %d not live", p.id)
-	}
-	for i := 0; i < tc.ops; i++ {
-		growing := i < tc.ops/2
-		switch r := src.Intn(10); {
-		case r < 4 && growing, r < 2 && !growing:
-			p := &pair{id: nextID}
-			nextID++
-			at := newAt()
-			p.h = Entry{At: at, Seq: seq, E: p}
-			p.c = Entry{At: at, Seq: seq, E: p}
-			seq++
-			h.Push(&p.h)
-			c.Push(&p.c)
-			live = append(live, p)
-		case r < 7:
-			eh, ec := h.Pop(), c.Pop()
-			if (eh == nil) != (ec == nil) {
-				t.Fatalf("op %d: pop disagreement", i)
-			}
-			if eh == nil {
-				continue
-			}
-			ph, pc := eh.E.(*pair), ec.E.(*pair)
-			if ph.id != pc.id {
-				t.Fatalf("op %d: diverged: heap %d (at=%v) calendar %d (at=%v)", i, ph.id, eh.At, pc.id, ec.At)
-			}
-			now = eh.At
-			dropLive(ph)
-			popped = append(popped, ph)
-		case r == 7:
-			if len(live) == 0 {
-				continue
-			}
-			p := live[src.Intn(len(live))]
-			h.Remove(&p.h)
-			c.Remove(&p.c)
-			dropLive(p)
-		case r == 8:
-			if len(live) == 0 {
-				continue
-			}
-			p := live[src.Intn(len(live))]
-			at := newAt()
-			p.h.At, p.c.At = at, at
-			p.h.Seq, p.c.Seq = seq, seq
-			seq++
-			h.Fix(&p.h)
-			c.Fix(&p.c)
-		default:
-			if len(popped) == 0 {
-				continue
-			}
-			p := popped[src.Intn(len(popped))]
-			h.Remove(&p.h)
-			c.Remove(&p.c)
+		if !foreign.Queued() {
+			t.Fatalf("Remove of a foreign handle at %v unmarked it", at)
 		}
-		validate(t, c, live, i)
+		l.step()
 	}
+	l.drain()
 }

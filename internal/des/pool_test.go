@@ -2,6 +2,7 @@ package des
 
 import (
 	"testing"
+	"unsafe"
 
 	"mobickpt/internal/race"
 )
@@ -222,25 +223,30 @@ func TestCancelBookkeeping(t *testing.T) {
 	}
 }
 
-// TestReschedule covers the indexed-heap fast path: moving pending
-// events in place, re-queuing fired events, and the panic contracts.
+// TestReschedule covers moving a pending event (remove, restamp, push —
+// on either queue), re-queuing fired events, and the panic contracts.
 func TestReschedule(t *testing.T) {
 	t.Run("pending-moves-in-place", func(t *testing.T) {
-		s := New()
-		var fired []string
-		log := func(name string) Handler {
-			return func(*Simulator, Time) { fired = append(fired, name) }
-		}
-		a := s.At(10, "a", log("a"))
-		s.At(5, "b", log("b"))
-		before := s.Pending()
-		s.Reschedule(a, 1) // moves ahead of b without pop/push churn
-		if s.Pending() != before {
-			t.Fatalf("Reschedule changed queue length: %d -> %d", before, s.Pending())
-		}
-		s.Run(20)
-		if len(fired) != 2 || fired[0] != "a" || fired[1] != "b" {
-			t.Fatalf("fired %v, want [a b]", fired)
+		for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
+			s := NewWith(kind)
+			var fired []string
+			log := func(name string) Handler {
+				return func(*Simulator, Time) { fired = append(fired, name) }
+			}
+			a := s.At(10, "a", log("a"))
+			s.At(5, "b", log("b"))
+			c := s.At(7, "c", log("c"))
+			s.NextTime() // the calendar now has a year, and b is in its near list
+			before := s.Pending()
+			s.Reschedule(a, 1)   // ahead of b
+			s.Reschedule(c, 1e6) // from inside the year to far beyond it
+			if s.Pending() != before {
+				t.Fatalf("%s: Reschedule changed queue length: %d -> %d", kind, before, s.Pending())
+			}
+			s.Run(2e6)
+			if len(fired) != 3 || fired[0] != "a" || fired[1] != "b" || fired[2] != "c" {
+				t.Fatalf("%s: fired %v, want [a b c]", kind, fired)
+			}
 		}
 	})
 	t.Run("fired-event-requeues", func(t *testing.T) {
@@ -334,5 +340,19 @@ func TestPoolRecycleClearsState(t *testing.T) {
 	case <-leaked:
 	default:
 		t.Fatal("reused event did not fire its new handler")
+	}
+}
+
+// TestEventHotFieldsLeadTheStruct pins the layout fire and acquire rely
+// on: the queue entry, the ArgHandler and its argument — all a pooled
+// event's firing reads — are the struct's first 64 bytes, so an event
+// whose slab slot starts a cache line is fired from that one line.
+func TestEventHotFieldsLeadTheStruct(t *testing.T) {
+	var e Event
+	if end := unsafe.Offsetof(e.arg) + unsafe.Sizeof(e.arg); unsafe.Offsetof(e.ent) != 0 || end != 64 {
+		t.Fatalf("ent at %d, arg ends at %d: want ent, argFn, arg in bytes [0, 64)", unsafe.Offsetof(e.ent), end)
+	}
+	if size := unsafe.Sizeof(e); size != 112 {
+		t.Fatalf("des.Event is %d bytes, DESIGN §7's per-host inventory says 112", size)
 	}
 }

@@ -20,6 +20,7 @@ package mobile
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"mobickpt/internal/des"
@@ -73,6 +74,19 @@ func DefaultConfig() Config {
 
 // Validate reports a descriptive error for nonsensical configurations.
 func (c Config) Validate() error {
+	// A NaN passes every range test below; an infinite latency or timeout
+	// parks every message at +Inf.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"WirelessLatency", float64(c.WirelessLatency)}, {"WiredLatency", float64(c.WiredLatency)},
+		{"LossProbability", c.LossProbability}, {"RetransmitTimeout", float64(c.RetransmitTimeout)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("mobile: %s = %v, need a finite number", f.name, f.v)
+		}
+	}
 	switch {
 	case c.NumHosts <= 0:
 		return fmt.Errorf("mobile: NumHosts = %d, need > 0", c.NumHosts)

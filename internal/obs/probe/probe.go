@@ -1,8 +1,9 @@
 // Package probe holds the engine-internals counters behind the
-// observatory: pending-event-set shape (calendar bucket occupancy,
-// chain scans, resizes), object-pool traffic (hit/miss/recycle), and
-// per-lane PDES behaviour (window occupancy, mailbox depth, frontier
-// spin-yields). The structs are plain data on purpose:
+// observatory: pending-event-set shape (calendar buckets examined,
+// in-order insertions, year starts, reallocations), object-pool traffic
+// (hit/miss/recycle), and per-lane PDES behaviour (window occupancy,
+// mailbox depth, frontier spin-yields). The structs are plain data on
+// purpose:
 //
 //   - Writers are single-threaded by construction. Each probe instance
 //     is owned by exactly one goroutine at a time — a lane, the
@@ -29,12 +30,18 @@ type QueueProbe struct {
 	Pops   uint64 `json:"pops"`
 	MaxLen int    `json:"max_len"`
 
-	// Calendar internals. ChainSteps counts entries walked to find the
-	// insert position inside a bucket chain; SweepSteps counts buckets
-	// probed by the day-sweep in Pop/Peek; DirectScans counts the
-	// far-future fallbacks that scan every bucket for the global
-	// minimum. Resizes/Grows/Shrinks count re-bucketings, and
-	// Buckets/Width record the final geometry.
+	// Calendar internals (equeue.Calendar, the lazy calendar). ChainSteps
+	// counts records shifted by in-order insertion into the open bucket —
+	// pushes that land at or below the sweep — and MaxChain the most one
+	// push shifted; SweepSteps counts buckets examined by the sweep,
+	// empty ones and the one it opens alike; DirectScans counts year
+	// starts, each of which samples the population and deals the whole
+	// overflow; Resizes/Grows/Shrinks count reallocations of the bucket
+	// array (a year that fits the array it has reslices it and counts
+	// nothing). Buckets/Width record the last year's geometry. The field
+	// names predate the lazy calendar — under Brown's chained calendar
+	// they counted chain links walked, days swept, all-bucket searches and
+	// re-bucketings — and stay because the benchmark reads them by name.
 	ChainSteps  uint64  `json:"chain_steps,omitempty"`
 	MaxChain    int     `json:"max_chain,omitempty"`
 	SweepSteps  uint64  `json:"sweep_steps,omitempty"`

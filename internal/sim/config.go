@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
@@ -130,7 +131,7 @@ type Config struct {
 
 	// Probes, when true, attaches the engine-internals probes: event/
 	// message pool hit rates, pending-event-set structure (calendar
-	// bucket occupancy, chain-scan lengths, resizes), and — on parallel
+	// buckets examined, in-order insertions, year starts), and — on parallel
 	// engines — per-lane window/mailbox/spin counters. The counters are
 	// plain single-writer cells read after the run: Result.Probes carries
 	// the report, and with Metrics set they also surface as sim_probe_*
@@ -212,6 +213,9 @@ func DefaultConfig() Config {
 
 // Validate reports a descriptive error for bad configurations.
 func (c Config) Validate() error {
+	if err := c.validateFinite(); err != nil {
+		return err
+	}
 	if c.Schedule != nil {
 		return c.validateReplay()
 	}
@@ -272,6 +276,32 @@ func (c Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("sim: unknown Engine mode %d", c.Engine)
+	}
+	return nil
+}
+
+// validateFinite rejects NaN and infinite times. A NaN passes every range
+// test ("Horizon <= 0" is false for it) and then no event time is ever
+// past the horizon; an infinite horizon never ends either, and an
+// infinite period schedules its first tick at +Inf.
+func (c Config) validateFinite() error {
+	finite := func(t des.Time) bool { return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0) }
+	for _, f := range []struct {
+		name string
+		v    des.Time
+	}{
+		{"Horizon", c.Horizon}, {"SnapshotPeriod", c.SnapshotPeriod},
+		{"CheckpointLatency", c.CheckpointLatency}, {"GCInterval", c.GCInterval},
+		{"ProgressEvery", c.ProgressEvery},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("sim: %s = %v, need a finite number", f.name, f.v)
+		}
+	}
+	for i, at := range c.JoinTimes {
+		if !finite(at) {
+			return fmt.Errorf("sim: JoinTimes[%d] = %v, need a finite number", i, at)
+		}
 	}
 	return nil
 }

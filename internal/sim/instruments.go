@@ -94,9 +94,9 @@ func (e *engine) instrumentProbes() {
 		{"sim_probe_queue_pushes_total", "Events pushed into the pending-event set."},
 		{"sim_probe_queue_pops_total", "Events popped from the pending-event set."},
 		{"sim_probe_queue_peak_len", "Peak pending-event-set length."},
-		{"sim_probe_queue_chain_steps_total", "Calendar bucket-chain entries walked on insert."},
-		{"sim_probe_queue_sweep_steps_total", "Calendar buckets probed by the day-sweep on pop."},
-		{"sim_probe_queue_resizes_total", "Calendar re-bucketing operations."},
+		{"sim_probe_queue_chain_steps_total", "Calendar records shifted by in-order insertion into the open bucket."},
+		{"sim_probe_queue_sweep_steps_total", "Calendar buckets examined by the sweep on pop."},
+		{"sim_probe_queue_resizes_total", "Calendar bucket-array reallocations."},
 		{"sim_probe_lane_events_total", "Events executed across PDES lanes."},
 		{"sim_probe_lane_windows_total", "Synchronization windows executed across lanes."},
 		{"sim_probe_lane_mailbox_msgs_total", "Cross-lane mailbox messages received."},

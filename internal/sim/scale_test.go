@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
@@ -184,6 +185,48 @@ func TestMeasureScale(t *testing.T) {
 	}
 }
 
+// TestScaleQueueGeometry pins what E21's n = 100 row once recorded: on
+// Brown's calendar one resize sampled a cluster of near-simultaneous
+// events, the bucket width collapsed to 1.8e-11, and from then on a pop
+// swept 229 buckets and nine pops in ten fell back to a search of all of
+// them — a tenth of the sweep's horizon is enough to get there. A queue
+// that re-derives its geometry every year cannot stay in such a state;
+// the probes bound what it may cost at the three small points of the
+// sweep: buckets examined per pop, bucket-array reallocations per run
+// (the count follows the population with hysteresis, not every wobble of
+// it), and year starts — each deals the whole population, so a year has
+// to pop a fair share of one.
+func TestScaleQueueGeometry(t *testing.T) {
+	for _, pt := range ScalePoints(1000) {
+		pt.Horizon /= 10
+		cfg := pt.Config(1, des.QueueCalendar)
+		cfg.Probes = true
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := res.Probes.GlobalQueue
+		t.Logf("n=%d: %d pops, %.3f buckets examined and %.2f records shifted per pop, %d year starts, %d reallocations, peak %d",
+			pt.Hosts, q.Pops, float64(q.SweepSteps)/float64(q.Pops), float64(q.ChainSteps)/float64(q.Pops), q.DirectScans, q.Resizes, q.MaxLen)
+		if q.Pops < 500_000 {
+			t.Fatalf("n=%d: only %d pops: the run is too short to mean anything", pt.Hosts, q.Pops)
+		}
+		if per := float64(q.SweepSteps) / float64(q.Pops); per > 2 {
+			t.Errorf("n=%d: %.1f buckets examined per pop (limit 2): the bucket width has collapsed", pt.Hosts, per)
+		}
+		if per := float64(q.ChainSteps) / float64(q.Pops); per > 16 {
+			t.Errorf("n=%d: %.1f records shifted per pop (limit 16): the buckets are far too wide", pt.Hosts, per)
+		}
+		if q.Resizes > 4 {
+			t.Errorf("n=%d: %d bucket-array reallocations (limit 4): the bucket count is flapping", pt.Hosts, q.Resizes)
+		}
+		if dealt := float64(q.DirectScans) * float64(q.MaxLen); dealt > 16*float64(q.Pops) {
+			t.Errorf("n=%d: %d year starts at a population of up to %d for %d pops: the years are too short to pay for their deals",
+				pt.Hosts, q.DirectScans, q.MaxLen, q.Pops)
+		}
+	}
+}
+
 // TestSetupAllocsLinear is the set-up complexity gate (DESIGN §7):
 // constructing a world must cost O(n) bytes. A run with a horizon too
 // short for any event to fire is construction, the initial checkpoints
@@ -218,5 +261,41 @@ func TestSetupAllocsLinear(t *testing.T) {
 	}
 	if per := large / (2 * n); per >= 2048 {
 		t.Fatalf("set-up allocates %.0f B per host (limit 2048)", per)
+	}
+}
+
+// TestTinyWorldSetupAllocs is the other end of the set-up gate: the six
+// paper figures are 126 runs of a ten-host world, and replay-recovery's
+// analyses start from zero-horizon runs as small, so what one such run
+// allocates is multiplied into `setup_s` on both. Layouts tuned for 1e5
+// hosts tend to pay here — host records carved in 4096-record chunks
+// moved paper-figures' set-up by a third before they became one exact-size
+// block. The limit is what the tree allocated before the driver's hot
+// record went in (go1.24, linux/amd64; nearly all of it is mobile's
+// 4096-host arena shard); the run now measures 484,080 bytes.
+func TestTinyWorldSetupAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
+	}
+	const limit = 484_232
+	cfg := DefaultConfig()
+	cfg.Horizon = 1e-9
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ { // the least of five: the runtime's own allocations come and go
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if res.EventsFired != 0 {
+			t.Fatalf("%d events fired, want a set-up-only run", res.EventsFired)
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a zero-horizon run of the ten-host world allocates %d bytes", best)
+	if best > limit {
+		t.Fatalf("a zero-horizon run of the ten-host world allocates %d bytes (limit %d)", best, limit)
 	}
 }

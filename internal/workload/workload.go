@@ -20,7 +20,7 @@ package workload
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -79,6 +79,21 @@ func DefaultConfig() Config {
 
 // Validate reports a descriptive error for out-of-range parameters.
 func (c Config) Validate() error {
+	// A NaN passes every range test below (each comparison with it is
+	// false) and an infinite mean passes "> 0"; either would run, and hang
+	// or print a table that means nothing.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PComm", c.PComm}, {"PSend", c.PSend}, {"OperationMean", c.OperationMean},
+		{"TSwitch", c.TSwitch}, {"PSwitch", c.PSwitch}, {"DisconnectMean", c.DisconnectMean},
+		{"Heterogeneity", c.Heterogeneity}, {"FastFactor", c.FastFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s = %v, need a finite number", f.name, f.v)
+		}
+	}
 	switch {
 	case c.PComm < 0 || c.PComm > 1:
 		return fmt.Errorf("workload: PComm = %v out of [0,1]", c.PComm)
@@ -158,26 +173,41 @@ type Driver struct {
 	cfg   Config
 	cb    Callbacks
 
-	// Per-host streams, held by value in two flat tables: one allocation
-	// each instead of 2n, and operate — the hottest function of the world
-	// model — reaches its stream without a pointer chase. Take &d.opRNG[h]
-	// only for the span of one handler: joins regrow the tables.
-	opRNG  []rng.Source // operation stream of host i: rng.NewStream(seed, 2i)
-	mobRNG []rng.Source // mobility stream of host i: rng.NewStream(seed, 2i+1)
+	// hosts holds every host's hot record, one exact-size block per
+	// growHosts: block 0 the hosts present at construction, one more per
+	// join. A block is never regrown, so a *hostRec stays valid for the
+	// driver's lifetime — it is the argument every workload event carries.
+	hosts [][]hostRec
 
-	paused   []bool         // host's operation loop stopped due to disconnection
 	counters []laneCounters // sharded by executing lane, merged in Counters()
 
 	// Pooled-event trampolines: one long-lived handler per process kind
 	// instead of one closure per scheduled event. Operations dominate the
-	// event count, so this removes the largest per-event allocation.
+	// event count, so this removes the largest per-event allocation. The
+	// argument is the host's *hostRec: pointer-shaped, so it rides in the
+	// event's interface word without a boxed copy to allocate or to load.
 	opFn         des.ArgHandler
 	handoffFn    des.ArgHandler
 	disconnectFn des.ArgHandler
 	reconnectFn  des.ArgHandler
-	// hostArg[i] is mobile.HostID(i) boxed once, so passing the host to a
-	// trampoline never re-boxes (ids ≥ 256 would otherwise allocate).
-	hostArg []any
+}
+
+// hostRec is everything the driver reads or writes for one host on the
+// hot path, 24 bytes: an internal operation touches its event, this
+// record and the queue, and nothing else per host.
+type hostRec struct {
+	op  rng.Source // operation stream: rng.NewStream(seed, 2·id)
+	mob rng.Source // mobility stream: rng.NewStream(seed, 2·id+1)
+	id  int32
+	// paused: the operation loop stopped at a disconnection and restarts
+	// at the reconnection.
+	paused bool
+	// away mirrors !net.Host(id).Connected(), sparing operate a load of
+	// the network's host record. It is read from the network when the
+	// record is made and cannot drift afterwards: disconnect and reconnect
+	// below are the only callers of Network.Disconnect and
+	// Network.Reconnect once a driver runs.
+	away bool
 }
 
 // NewDriver creates a driver. The seed determines the whole trace; two
@@ -208,34 +238,60 @@ func NewDriverSched(sched des.Sched, lanes int, net *mobile.Network, cfg Config,
 		cb:       cb,
 		counters: make([]laneCounters, lanes),
 	}
-	d.opFn = func(sim *des.Simulator, now des.Time, arg any) { d.operate(arg.(mobile.HostID)) }
-	d.handoffFn = func(sim *des.Simulator, now des.Time, arg any) { d.handoff(arg.(mobile.HostID)) }
-	d.disconnectFn = func(sim *des.Simulator, now des.Time, arg any) { d.disconnect(arg.(mobile.HostID)) }
-	d.reconnectFn = func(sim *des.Simulator, now des.Time, arg any) { d.reconnect(arg.(mobile.HostID)) }
+	d.opFn = func(sim *des.Simulator, now des.Time, arg any) { d.operate(arg.(*hostRec)) }
+	d.handoffFn = func(sim *des.Simulator, now des.Time, arg any) { d.handoff(arg.(*hostRec)) }
+	d.disconnectFn = func(sim *des.Simulator, now des.Time, arg any) { d.disconnect(arg.(*hostRec)) }
+	d.reconnectFn = func(sim *des.Simulator, now des.Time, arg any) { d.reconnect(arg.(*hostRec)) }
 	d.growHosts(net.NumHosts(), seed)
 	return d, nil
 }
 
-// growHosts extends the per-host tables to n hosts in one sized grow,
+// numHosts returns the number of hosts the driver has records for.
+func (d *Driver) numHosts() int {
+	n := 0
+	for _, b := range d.hosts {
+		n += len(b)
+	}
+	return n
+}
+
+// growHosts extends the records to n hosts with one exact-size block,
 // giving every new id its own two streams of seed.
 func (d *Driver) growHosts(n int, seed uint64) {
-	old := len(d.opRNG)
+	old := d.numHosts()
 	if n <= old {
 		return
 	}
-	d.opRNG = slices.Grow(d.opRNG, n-old)[:n]
-	d.mobRNG = slices.Grow(d.mobRNG, n-old)[:n]
-	d.paused = slices.Grow(d.paused, n-old)[:n]
-	d.hostArg = slices.Grow(d.hostArg, n-old)[:n]
-	for i := old; i < n; i++ {
-		d.opRNG[i] = *rng.NewStream(seed, uint64(2*i))
-		d.mobRNG[i] = *rng.NewStream(seed, uint64(2*i+1))
-		d.hostArg[i] = mobile.HostID(i)
+	block := make([]hostRec, n-old)
+	for i := range block {
+		id := old + i
+		block[i] = hostRec{
+			op:   *rng.NewStream(seed, uint64(2*id)),
+			mob:  *rng.NewStream(seed, uint64(2*id+1)),
+			id:   int32(id),
+			away: !d.net.Host(mobile.HostID(id)).Connected(),
+		}
 	}
+	d.hosts = append(d.hosts, block)
 }
 
-// lane maps a host to its counter shard.
-func (d *Driver) lane(h mobile.HostID) int { return int(h) % d.lanes }
+// rec returns host h's record. Set-up and joins only: events carry the
+// record itself.
+func (d *Driver) rec(h mobile.HostID) *hostRec {
+	i := int(h)
+	for _, b := range d.hosts {
+		if i < len(b) {
+			return &b[i]
+		}
+		i -= len(b)
+	}
+	panic(fmt.Sprintf("workload: host %d has no record", h))
+}
+
+// shard returns the counters of the lane executing r's events.
+func (d *Driver) shard(r *hostRec) *Counters {
+	return &d.counters[int(r.id)%d.lanes].Counters
+}
 
 // Counters returns a snapshot of the operation counters, merged across
 // lane shards. Call it only while the lanes are quiescent.
@@ -260,139 +316,142 @@ func (d *Driver) Counters() Counters {
 // with joins is still fully reproducible from the seed.
 func (d *Driver) AddHost(h mobile.HostID, seed uint64) {
 	d.growHosts(int(h)+1, seed)
-	d.scheduleOperation(h)
-	d.enterCell(h)
+	r := d.rec(h)
+	d.scheduleOperation(r)
+	d.enterCell(r)
 }
 
 // Start schedules the first operation and the first mobility decision of
 // every host. Call once, before running the simulator.
 func (d *Driver) Start() {
-	for i := 0; i < d.net.NumHosts(); i++ {
-		h := mobile.HostID(i)
-		d.scheduleOperation(h)
-		d.enterCell(h)
+	for _, block := range d.hosts {
+		for i := range block {
+			d.scheduleOperation(&block[i])
+			d.enterCell(&block[i])
+		}
 	}
 }
 
-// scheduleOperation queues host h's next application operation.
-func (d *Driver) scheduleOperation(h mobile.HostID) {
-	delay := des.Time(d.opRNG[h].Exp(d.cfg.OperationMean))
+// scheduleOperation queues r's next application operation.
+func (d *Driver) scheduleOperation(r *hostRec) {
+	delay := des.Time(r.op.Exp(d.cfg.OperationMean))
 	if d.cb.ExtraDelay != nil {
-		delay += d.cb.ExtraDelay(h)
+		delay += d.cb.ExtraDelay(mobile.HostID(r.id))
 	}
-	d.sched.ScheduleArgAfter(int(h), delay, "op", d.opFn, d.hostArg[h])
+	d.sched.ScheduleArgAfter(int(r.id), delay, "op", d.opFn, r)
 }
 
-// operate performs one application operation for host h.
-func (d *Driver) operate(h mobile.HostID) {
-	if !d.net.Host(h).Connected() {
+// operate performs one application operation for r's host.
+func (d *Driver) operate(r *hostRec) {
+	if r.away {
 		// Computation is suspended while disconnected; the loop resumes
 		// on reconnection.
-		d.paused[h] = true
+		r.paused = true
 		return
 	}
-	c := &d.counters[d.lane(h)].Counters
+	c := d.shard(r)
 	switch {
-	case !d.opRNG[h].Bernoulli(d.cfg.PComm):
+	case !r.op.Bernoulli(d.cfg.PComm):
 		c.Internal++
-	case d.opRNG[h].Bernoulli(d.cfg.PSend) && d.net.NumHosts() > 1:
-		to := d.pickDestination(h)
-		d.cb.Send(h, to)
+	case r.op.Bernoulli(d.cfg.PSend) && d.net.NumHosts() > 1:
+		d.cb.Send(mobile.HostID(r.id), d.pickDestination(r))
 		c.Sends++
 	default:
-		if d.cb.Receive(h) {
+		if d.cb.Receive(mobile.HostID(r.id)) {
 			c.Receives++
 		} else {
 			c.EmptyReceives++
 		}
 	}
-	d.scheduleOperation(h)
+	d.scheduleOperation(r)
 }
 
-// pickDestination draws a uniformly distributed destination != h.
-func (d *Driver) pickDestination(h mobile.HostID) mobile.HostID {
-	to := mobile.HostID(d.opRNG[h].Intn(d.net.NumHosts() - 1))
-	if to >= h {
+// pickDestination draws a uniformly distributed destination other than
+// r's own host.
+func (d *Driver) pickDestination(r *hostRec) mobile.HostID {
+	to := mobile.HostID(r.op.Intn(d.net.NumHosts() - 1))
+	if to >= mobile.HostID(r.id) {
 		to++
 	}
 	return to
 }
 
-// enterCell makes host h's next mobility decision, per §5.1: it is called
-// at start, after every hand-off, and after every reconnection.
-func (d *Driver) enterCell(h mobile.HostID) {
-	src := &d.mobRNG[h]
-	mean := d.cfg.PermanenceMean(h, d.net.NumHosts())
-	if src.Bernoulli(d.cfg.PSwitch) {
-		stay := des.Time(src.Exp(mean))
-		d.sched.ScheduleArgAfter(int(h), stay, "handoff", d.handoffFn, d.hostArg[h])
+// enterCell makes the host's next mobility decision, per §5.1: it is
+// called at start, after every hand-off, and after every reconnection.
+func (d *Driver) enterCell(r *hostRec) {
+	mean := d.cfg.PermanenceMean(mobile.HostID(r.id), d.net.NumHosts())
+	if r.mob.Bernoulli(d.cfg.PSwitch) {
+		stay := des.Time(r.mob.Exp(mean))
+		d.sched.ScheduleArgAfter(int(r.id), stay, "handoff", d.handoffFn, r)
 	} else {
-		stay := des.Time(src.Exp(mean / 3))
-		d.sched.ScheduleArgAfter(int(h), stay, "disconnect", d.disconnectFn, d.hostArg[h])
+		stay := des.Time(r.mob.Exp(mean / 3))
+		d.sched.ScheduleArgAfter(int(r.id), stay, "disconnect", d.disconnectFn, r)
 	}
 }
 
-// handoff moves h to a uniformly chosen other cell and re-enters.
-func (d *Driver) handoff(h mobile.HostID) {
-	if !d.net.Host(h).Connected() {
+// handoff moves the host to a uniformly chosen other cell and re-enters.
+func (d *Driver) handoff(r *hostRec) {
+	if r.away {
 		return // defensive: mobility while disconnected is impossible
 	}
 	if d.net.NumStations() < 2 {
 		// A single-cell world has nowhere to switch to: the stay simply
 		// restarts (no basic checkpoint — no hand-off happened).
-		d.enterCell(h)
+		d.enterCell(r)
 		return
 	}
-	cur := d.net.Host(h).MSS()
-	to := d.nextCell(h, cur)
+	h := mobile.HostID(r.id)
+	to := d.nextCell(r, d.net.Host(h).MSS())
 	if err := d.net.SwitchCell(h, to); err != nil {
 		panic("workload: " + err.Error()) // invariant violation, not a runtime condition
 	}
-	d.counters[d.lane(h)].Handoffs++
-	d.enterCell(h)
+	d.shard(r).Handoffs++
+	d.enterCell(r)
 }
 
 // nextCell draws the hand-off destination under the configured topology.
-func (d *Driver) nextCell(h mobile.HostID, cur mobile.MSSID) mobile.MSSID {
-	r := d.net.NumStations()
-	if d.cfg.CellTopology == Ring && r > 2 {
-		if d.mobRNG[h].Bernoulli(0.5) {
-			return mobile.MSSID((int(cur) + 1) % r)
+func (d *Driver) nextCell(r *hostRec, cur mobile.MSSID) mobile.MSSID {
+	n := d.net.NumStations()
+	if d.cfg.CellTopology == Ring && n > 2 {
+		if r.mob.Bernoulli(0.5) {
+			return mobile.MSSID((int(cur) + 1) % n)
 		}
-		return mobile.MSSID((int(cur) + r - 1) % r)
+		return mobile.MSSID((int(cur) + n - 1) % n)
 	}
-	to := mobile.MSSID(d.mobRNG[h].Intn(r - 1))
+	to := mobile.MSSID(r.mob.Intn(n - 1))
 	if to >= cur {
 		to++
 	}
 	return to
 }
 
-// disconnect detaches h, schedules its reconnection, and resumes its
-// operation loop on reconnect.
-func (d *Driver) disconnect(h mobile.HostID) {
-	if !d.net.Host(h).Connected() {
+// disconnect detaches the host and schedules its reconnection; its
+// operation loop pauses at its next operation.
+func (d *Driver) disconnect(r *hostRec) {
+	if r.away {
 		return
 	}
-	if err := d.net.Disconnect(h); err != nil {
+	if err := d.net.Disconnect(mobile.HostID(r.id)); err != nil {
 		panic("workload: " + err.Error())
 	}
-	d.counters[d.lane(h)].Disconnects++
-	gone := des.Time(d.mobRNG[h].Exp(d.cfg.DisconnectMean))
-	d.sched.ScheduleArgAfter(int(h), gone, "reconnect", d.reconnectFn, d.hostArg[h])
+	r.away = true
+	d.shard(r).Disconnects++
+	gone := des.Time(r.mob.Exp(d.cfg.DisconnectMean))
+	d.sched.ScheduleArgAfter(int(r.id), gone, "reconnect", d.reconnectFn, r)
 }
 
-// reconnect reattaches h at a uniformly chosen station and resumes its
-// suspended processes.
-func (d *Driver) reconnect(h mobile.HostID) {
-	at := mobile.MSSID(d.mobRNG[h].Intn(d.net.NumStations()))
-	if err := d.net.Reconnect(h, at); err != nil {
+// reconnect reattaches the host at a uniformly chosen station and resumes
+// its suspended processes.
+func (d *Driver) reconnect(r *hostRec) {
+	at := mobile.MSSID(r.mob.Intn(d.net.NumStations()))
+	if err := d.net.Reconnect(mobile.HostID(r.id), at); err != nil {
 		panic("workload: " + err.Error())
 	}
-	d.counters[d.lane(h)].Reconnects++
-	if d.paused[h] {
-		d.paused[h] = false
-		d.scheduleOperation(h)
+	r.away = false
+	d.shard(r).Reconnects++
+	if r.paused {
+		r.paused = false
+		d.scheduleOperation(r)
 	}
-	d.enterCell(h)
+	d.enterCell(r)
 }

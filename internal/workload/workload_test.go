@@ -322,9 +322,9 @@ func TestJoinedHostsAreDecorrelated(t *testing.T) {
 
 // AddHost may be handed an id beyond the next one (the engine joins the
 // host to the network first, and several can join at one instant): the
-// per-host tables then grow past every skipped id in one step, and the
-// skipped hosts must get exactly the streams and boxed ids a driver built
-// at that size gives them, ready for their own AddHost.
+// records then grow past every skipped id in one block, and the skipped
+// hosts must get exactly the records a driver built at that size gives
+// them — streams, id, flags — ready for their own AddHost.
 func TestAddHostSkippingIDs(t *testing.T) {
 	const seed, skip = 23, 5
 	build := func(extra int) (*Driver, *mobile.Network) {
@@ -343,6 +343,7 @@ func TestAddHostSkippingIDs(t *testing.T) {
 	}
 	d, net := build(0)
 	n := net.NumHosts()
+	first := d.rec(0) // must survive the join: events in flight carry it
 	var last mobile.HostID
 	for i := 0; i <= skip; i++ {
 		id, err := net.AddHost(0)
@@ -357,26 +358,93 @@ func TestAddHostSkippingIDs(t *testing.T) {
 	d.AddHost(last, seed)
 
 	want, _ := build(skip + 1)
-	if got := len(d.opRNG); got != len(want.opRNG) || len(d.mobRNG) != got || len(d.paused) != got || len(d.hostArg) != got {
-		t.Fatalf("table lengths op=%d mob=%d paused=%d arg=%d, want all %d",
-			len(d.opRNG), len(d.mobRNG), len(d.paused), len(d.hostArg), len(want.opRNG))
+	if got := d.numHosts(); got != want.numHosts() || got != n+skip+1 {
+		t.Fatalf("records for %d hosts, reference has %d, want %d", got, want.numHosts(), n+skip+1)
+	}
+	if len(d.hosts) != 2 || len(d.hosts[1]) != skip+1 {
+		t.Fatalf("the join grew %d blocks, want the original and one of exactly %d records", len(d.hosts), skip+1)
+	}
+	if d.rec(0) != first {
+		t.Fatal("host 0's record moved across a join")
 	}
 	for i := 0; i < n+skip; i++ { // host n+skip itself has drawn its first delays
-		if d.opRNG[i] != want.opRNG[i] || d.mobRNG[i] != want.mobRNG[i] {
-			t.Fatalf("host %d: streams differ from a driver built at %d hosts", i, n+skip+1)
+		if got, ref := *d.rec(mobile.HostID(i)), *want.rec(mobile.HostID(i)); got != ref {
+			t.Fatalf("host %d: record %+v differs from a driver built at %d hosts: %+v", i, got, n+skip+1, ref)
 		}
-	}
-	for i := range d.hostArg {
-		if d.hostArg[i] != want.hostArg[i] || d.paused[i] {
-			t.Fatalf("host %d: hostArg %v paused %v, want %v false", i, d.hostArg[i], d.paused[i], want.hostArg[i])
+		if r := d.rec(mobile.HostID(i)); int(r.id) != i || r.paused || r.away {
+			t.Fatalf("host %d: record %+v, want its own id and no flags", i, *r)
 		}
 	}
 	// The joined host's streams are the ones a driver of that size starts
 	// it with: replaying its start on the reference leaves them equal.
-	want.scheduleOperation(last)
-	want.enterCell(last)
-	if d.opRNG[last] != want.opRNG[last] || d.mobRNG[last] != want.mobRNG[last] {
-		t.Fatalf("host %d: streams after its first schedule differ from a driver built at that size", last)
+	want.scheduleOperation(want.rec(last))
+	want.enterCell(want.rec(last))
+	if *d.rec(last) != *want.rec(last) {
+		t.Fatalf("host %d: record after its first schedule differs from a driver built at that size", last)
+	}
+}
+
+// TestAwayMirrorsTheNetwork: hostRec.away is a copy of what the network
+// knows, kept by hand. A run with disconnections, reconnections and joins
+// checks it against the network at every operation of every host — and
+// once more for every host at the end, since a paused host operates no
+// more. The check wraps the operation trampoline; production code has no
+// branch for it.
+func TestAwayMirrorsTheNetwork(t *testing.T) {
+	const seed = 17
+	sim := des.New()
+	net, err := mobile.New(sim, mobile.DefaultConfig(), mobile.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Disconnect(3); err != nil { // before the driver exists
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.TSwitch = 60
+	cfg.PSwitch = 0.5
+	cfg.DisconnectMean = 40
+	d, err := NewDriver(sim, net, cfg, seed, passthroughCallbacks(net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, away := 0, 0
+	operate := d.opFn
+	d.opFn = func(s *des.Simulator, now des.Time, arg any) {
+		r := arg.(*hostRec)
+		if r.away != !net.Host(mobile.HostID(r.id)).Connected() {
+			t.Fatalf("t=%v host %d: away = %v, network says connected = %v", now, r.id, r.away, !r.away)
+		}
+		checked++
+		if r.away {
+			away++
+		}
+		operate(s, now, arg)
+	}
+	d.Start()
+	for _, at := range []des.Time{500, 500, 1700} {
+		sim.At(at, "join", func(*des.Simulator, des.Time) {
+			id, err := net.AddHost(1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d.AddHost(id, seed)
+		})
+	}
+	sim.Run(4000)
+	c := d.Counters()
+	if c.Disconnects < 50 || c.Reconnects < 50 || away < 50 || checked < 10000 {
+		t.Fatalf("%d disconnects, %d reconnects, %d operations checked (%d while away): the run did not exercise the mirror",
+			c.Disconnects, c.Reconnects, checked, away)
+	}
+	if d.numHosts() != 13 {
+		t.Fatalf("%d hosts after three joins, want 13", d.numHosts())
+	}
+	for i := 0; i < d.numHosts(); i++ {
+		if r := d.rec(mobile.HostID(i)); r.away != !net.Host(mobile.HostID(i)).Connected() {
+			t.Fatalf("host %d at the horizon: away = %v, network says connected = %v", i, r.away, !r.away)
+		}
 	}
 }
 
@@ -433,12 +501,13 @@ func TestSingleHostWorld(t *testing.T) {
 	}
 }
 
-// TestNewDriverAllocs gates the driver's set-up cost: the per-host
-// streams live in two flat tables, so building a driver costs the boxed
-// host id per host (ids above 255 box on the heap) and a constant number
-// of tables — not two more allocations per host for its streams.
+// TestNewDriverAllocs gates the driver's set-up cost: every host's record
+// lives in one block and the event argument is a pointer into it, so a
+// driver costs a constant number of allocations however many hosts it
+// drives — the driver, its counters, four trampolines, the block list and
+// the block.
 func TestNewDriverAllocs(t *testing.T) {
-	const n = 20000
+	const n, limit = 20000, 12
 	sim := des.New()
 	mc := mobile.DefaultConfig()
 	mc.NumHosts = n
@@ -453,7 +522,7 @@ func TestNewDriverAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations for a %d-host driver", allocs, n)
-	if allocs > n+64 {
-		t.Fatalf("%.0f allocations for a %d-host driver (limit %d): per-host stream allocation is back", allocs, n, n+64)
+	if allocs > limit {
+		t.Fatalf("%.0f allocations for a %d-host driver (limit %d): something per host is back", allocs, n, limit)
 	}
 }
