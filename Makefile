@@ -32,9 +32,13 @@ vet:
 
 # The full suite under the race detector: the pdes lane tests, the
 # cross-engine equivalence suite, the parallel sweeps and TestScaleSmoke
-# (50k hosts, sequential vs two lanes) all ride this one run.
+# (50k hosts, sequential vs two lanes) all ride this one run. Then
+# internal/live three more times: it is the one package whose tests
+# depend on the scheduler, and a failure that needs an unlucky
+# interleaving does not show in a single pass.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./internal/live
 
 # The alloc-regression gates (DESIGN §7) skip under -race, whose
 # instrumentation allocates, so they get their own plain run.

@@ -119,6 +119,9 @@ func TestVettoolSeededModuleFails(t *testing.T) {
 			t.Errorf("vet output missing the seeded simlint/%s finding", a.Name)
 		}
 	}
+	if !strings.Contains(string(out), "simlint/lanelint: des.Simulator.ScheduleArg called inside a pdes lane handler") {
+		t.Errorf("vet output missing lanelint's finding for the seeded LaneEscape")
+	}
 	if !strings.Contains(string(out), "external_test.go") {
 		t.Errorf("vet output has no finding in the external test package (sim_test)")
 	}

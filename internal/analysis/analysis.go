@@ -1,16 +1,17 @@
 // Package analysis is simlint: a suite of static analyzers that enforce
-// the repository's determinism, pool-discipline and scheduler-API
+// the repository's determinism, pool-discipline, lock and lane
 // contracts at compile time.
 //
 // The reproduction's core claim — bit-identical N_tot curves across
 // seeds, worker counts and instrumentation — rests on contracts that
 // ordinary tests only probe at runtime and at small scale: no wall-clock
 // or ambient randomness inside simulation packages (internal/rng is the
-// single sanctioned entropy source), no map-iteration order leaking into
-// exported figures, no use of a pooled message or piggyback buffer after
-// it was recycled, and no misuse of the internal/des event pool. Each
-// analyzer here turns one of those contracts into a build-breaking
-// diagnostic.
+// single sanctioned entropy source), no use of a pooled message after
+// it was recycled, no guarded field touched without its mutex, and no
+// lane handler reaching past its own shard. Each analyzer here turns one
+// of those contracts into a build-breaking diagnostic, and each is kept
+// because it reports something no test, -race run or go vet does
+// (DESIGN §6.1).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Diagnostic) but is implemented on the standard
@@ -126,11 +127,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Position, f.Analyzer, f.Message)
 }
 
-// All returns the full simlint suite in stable order: the four
-// syntactic contract checkers from PR 5 plus the three annotation-driven
-// concurrency-contract analyzers (guardlint, lanelint, problint).
+// All returns the simlint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Maporder, Poollint, Schedlint, Guardlint, Lanelint, Problint}
+	return []*Analyzer{Detlint, Poollint, Guardlint, Lanelint}
 }
 
 // NewInfo allocates the types.Info maps the analyzers rely on.
@@ -185,7 +184,7 @@ func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 
 // runProtected runs one analyzer, converting a panic into an error that
 // names the analyzer instead of killing the whole gate: one broken
-// check must not take down the six others mid-refactor.
+// check must not take down the others mid-refactor.
 func runProtected(a *Analyzer, pass *Pass) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

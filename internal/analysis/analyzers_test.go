@@ -12,12 +12,9 @@ import (
 func TestAnalyzers(t *testing.T) {
 	fixtures := map[*analysis.Analyzer][]string{
 		analysis.Detlint:   {"det_bad", "det_ok", "det_suppressed"},
-		analysis.Maporder:  {"maporder_bad", "maporder_ok", "maporder_suppressed"},
 		analysis.Poollint:  {"pool_bad", "pool_ok", "pool_suppressed"},
-		analysis.Schedlint: {"sched_bad", "sched_ok", "sched_suppressed"},
 		analysis.Guardlint: {"guard_bad", "guard_ok", "guard_suppressed"},
 		analysis.Lanelint:  {"lane_bad", "lane_ok"},
-		analysis.Problint:  {"probe_bad", "probe_ok"},
 	}
 	for _, a := range analysis.All() {
 		t.Run(a.Name, func(t *testing.T) {

@@ -2,10 +2,10 @@ package analysis
 
 // Machine-readable concurrency-contract annotations.
 //
-// The guard/lane/probe analyzers are driven by directive comments on
-// struct fields and functions. Like //go: directives they are written
-// unspaced (gofmt keeps them attached) and an unrecognized spelling is
-// reported rather than silently ignored:
+// guardlint and lanelint are driven by directive comments on struct
+// fields and functions. Like //go: directives they are written unspaced
+// (gofmt keeps them attached) and an unrecognized spelling is reported
+// rather than silently ignored:
 //
 //	//guard:mu              field is read and written only with mu held
 //	//guard:mu,dirMu        write requires ALL listed mutexes, read ANY
@@ -26,10 +26,6 @@ package analysis
 //	//lane:stopped [reason] field or function legal only while every
 //	                        lane is parked at a global barrier
 //	//lane:handler          function runs on a lane goroutine
-//	//probe:writer [reason] function is a sanctioned single-writer of
-//	                        probe counters
-//	//probe:merge [reason]  function merges probe shards; legal only at
-//	                        quiescence points
 //
 // A field directive goes in the field's doc or trailing comment; a
 // function directive goes in the function's doc comment; a func-literal
@@ -57,8 +53,6 @@ const (
 	AnnotLaneShard                    // //lane:shard
 	AnnotLaneStopped                  // //lane:stopped [reason]
 	AnnotLaneHandler                  // //lane:handler
-	AnnotProbeWriter                  // //probe:writer [reason]
-	AnnotProbeMerge                   // //probe:merge [reason]
 )
 
 // Annot is one parsed annotation directive.
@@ -68,19 +62,16 @@ type Annot struct {
 	Reason string
 }
 
-// Family returns the directive namespace ("guard", "locks", "lane",
-// "probe") so each analyzer can report only its own malformed
-// directives.
+// Family returns the directive namespace ("guard", "locks", "lane") so
+// each analyzer can report only its own malformed directives.
 func (a Annot) Family() string {
 	switch a.Kind {
 	case AnnotGuard, AnnotGuardNone:
 		return "guard"
 	case AnnotHeld, AnnotQuiescent, AnnotAfter:
 		return "locks"
-	case AnnotLaneShard, AnnotLaneStopped, AnnotLaneHandler:
-		return "lane"
 	default:
-		return "probe"
+		return "lane"
 	}
 }
 
@@ -94,7 +85,7 @@ func ParseAnnot(text string) (Annot, bool, error) {
 		return Annot{}, false, nil
 	}
 	switch scheme {
-	case "guard", "locks", "lane", "probe":
+	case "guard", "locks", "lane":
 	default:
 		return Annot{}, false, nil
 	}
@@ -132,7 +123,7 @@ func ParseAnnot(text string) (Annot, bool, error) {
 		default:
 			return Annot{}, true, fmt.Errorf("unknown //locks: directive %q (have held, quiescent, after)", word)
 		}
-	case "lane":
+	default: // lane
 		switch word {
 		case "shard":
 			if tail != "" {
@@ -148,15 +139,6 @@ func ParseAnnot(text string) (Annot, bool, error) {
 			return Annot{Kind: AnnotLaneHandler}, true, nil
 		default:
 			return Annot{}, true, fmt.Errorf("unknown //lane: directive %q (have shard, stopped, handler)", word)
-		}
-	default: // probe
-		switch word {
-		case "writer":
-			return Annot{Kind: AnnotProbeWriter, Reason: tail}, true, nil
-		case "merge":
-			return Annot{Kind: AnnotProbeMerge, Reason: tail}, true, nil
-		default:
-			return Annot{}, true, fmt.Errorf("unknown //probe: directive %q (have writer, merge)", word)
 		}
 	}
 }
@@ -228,8 +210,6 @@ type FuncAnnot struct {
 	Quiescent   bool
 	LaneHandler bool
 	LaneStopped bool
-	ProbeWriter bool
-	ProbeMerge  bool
 }
 
 type annotErr struct {
@@ -294,7 +274,7 @@ func collectAnnotations(pass *Pass) *Annotations {
 
 // report emits the malformed-directive diagnostics belonging to the
 // given namespaces (each analyzer owns its own families, so a package
-// analyzed by all three never reports a parse error twice).
+// analyzed by both never reports a parse error twice).
 func (a *Annotations) report(pass *Pass, families ...string) {
 	for _, e := range a.errs {
 		for _, fam := range families {
@@ -460,10 +440,6 @@ func (a *Annotations) collectFuncDecl(pass *Pass, fd *ast.FuncDecl) {
 			fa.LaneHandler = true
 		case AnnotLaneStopped:
 			fa.LaneStopped = true
-		case AnnotProbeWriter:
-			fa.ProbeWriter = true
-		case AnnotProbeMerge:
-			fa.ProbeMerge = true
 		default:
 			a.errf(fd.Pos(), an.Family(), "directive not applicable to a function declaration")
 		}
@@ -499,10 +475,6 @@ func (a *Annotations) collectFuncLit(pass *Pass, file *ast.File, lit *ast.FuncLi
 				fa.LaneHandler = true
 			case AnnotLaneStopped:
 				fa.LaneStopped = true
-			case AnnotProbeWriter:
-				fa.ProbeWriter = true
-			case AnnotProbeMerge:
-				fa.ProbeMerge = true
 			default:
 				a.errf(cg.Pos(), an.Family(), "directive not applicable to a func literal")
 			}
@@ -545,7 +517,7 @@ func structHasMutex(st *types.Struct, name string) bool {
 }
 
 // isTestFile reports whether the file is a _test.go file. The contract
-// analyzers (guardlint, lanelint, problint) skip test files: tests
+// analyzers (guardlint, lanelint) skip test files: tests
 // legitimately poke guarded state while the structure is quiescent, and
 // the runtime race detector already covers them.
 func isTestFile(fset *token.FileSet, f *ast.File) bool {

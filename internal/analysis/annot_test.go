@@ -107,22 +107,6 @@ func TestParseAnnot(t *testing.T) {
 			name: "lane unknown", text: "lane:owner",
 			isAnnot: true, wantErr: "unknown //lane: directive",
 		},
-		{
-			name: "probe writer", text: "probe:writer",
-			isAnnot: true, kind: analysis.AnnotProbeWriter,
-		},
-		{
-			name: "probe writer with reason", text: "probe:writer the drain loop owns p",
-			isAnnot: true, kind: analysis.AnnotProbeWriter, reason: "the drain loop owns p",
-		},
-		{
-			name: "probe merge", text: "probe:merge end of run",
-			isAnnot: true, kind: analysis.AnnotProbeMerge, reason: "end of run",
-		},
-		{
-			name: "probe unknown", text: "probe:reader",
-			isAnnot: true, wantErr: "unknown //probe: directive",
-		},
 		{name: "foreign directive", text: "go:generate stringer", isAnnot: false},
 		{name: "plain comment", text: " nothing to see here", isAnnot: false},
 		{name: "prose with a colon", text: "note: guards are documented above", isAnnot: false},
@@ -172,8 +156,6 @@ func TestAnnotFamily(t *testing.T) {
 		{"lane:shard", "lane"},
 		{"lane:stopped", "lane"},
 		{"lane:handler", "lane"},
-		{"probe:writer", "probe"},
-		{"probe:merge", "probe"},
 	}
 	for _, tt := range tests {
 		an, ok, err := analysis.ParseAnnot(tt.text)

@@ -11,10 +11,13 @@ import (
 // is its own lane's shard.
 //
 // Handler code is every function annotated //lane:handler plus every
-// func literal passed to pdes.Core.Schedule (the same detection
-// schedlint uses for its argument rule). Inside handler code the
+// func literal passed to pdes.Core.Schedule. Inside handler code the
 // analyzer reports:
 //
+//   - des.Simulator scheduling calls — the global queue is
+//     single-threaded and only touched world-stopped, so pushing into
+//     it from a lane corrupts it; handlers schedule through
+//     pdes.Core.Schedule (the des.Sched the engine wires up);
 //   - writes to //lane:stopped fields and calls of //lane:stopped
 //     functions — those are world-stopped operations, legal only while
 //     every lane is parked at a global barrier;
@@ -34,7 +37,8 @@ var Lanelint = &Analyzer{
 	Name: "lanelint",
 	Doc: "lane-handler discipline for //lane: annotated engine state\n\n" +
 		"In //lane:handler functions and pdes.Core.Schedule literals: no\n" +
-		"writes to //lane:stopped state, no calls of //lane:stopped\n" +
+		"scheduling on the global des.Simulator, no writes to\n" +
+		"//lane:stopped state, no calls of //lane:stopped\n" +
 		"functions, no whole-value copies of //lane:shard elements, and no\n" +
 		"writes to unsharded scalar fields of a shard-owning struct.",
 	// The lane-sharded engines.
@@ -200,8 +204,22 @@ func containerField(obj types.Object) bool {
 	return false
 }
 
-// checkCall flags calls of //lane:stopped functions from handler code.
+// globalSched names the des.Simulator methods that push onto the global
+// queue.
+var globalSched = map[string]bool{
+	"At": true, "After": true, "Schedule": true, "ScheduleAfter": true,
+	"ScheduleArg": true, "ScheduleArgAfter": true, "Again": true,
+	"Reschedule": true,
+}
+
+// checkCall flags des.Simulator scheduling and calls of //lane:stopped
+// functions from handler code.
 func (l *lanelintPass) checkCall(call *ast.CallExpr) {
+	if path, typ, method, ok := methodCall(l.pass.TypesInfo, call); ok &&
+		pathIs(path, "des") && typ == "Simulator" && globalSched[method] {
+		l.pass.Reportf(call.Pos(), "des.Simulator.%s called inside a pdes lane handler: the global queue is not lane-safe; schedule through pdes.Core.Schedule (the lane's des.Sched) instead", method)
+		return
+	}
 	var calleeObj types.Object
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:

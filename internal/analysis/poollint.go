@@ -2,26 +2,26 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// Poollint enforces the pool discipline introduced by the hot-path
-// performance pass: delivered mobile.Message envelopes and protocol
-// piggyback buffers are recycled into free lists, so a reference that
-// outlives delivery is a use-after-recycle waiting for pool pressure —
-// the bug corrupts a later, unrelated message and no small-scale test
-// catches it. The analyzer flags (1) uses of a value after it was handed
-// to a Recycle call, (2) pooled *mobile.Message values escaping into
-// fields, globals or element stores, (3) pooled messages captured by
-// closures (the engine's contract is to pass them via ScheduleArg), and
-// (4) messages taken from TryReceive that are neither recycled nor
-// handed onward.
+// Poollint enforces the message-pool discipline: delivered
+// mobile.Message envelopes are recycled into a free list, so a reference
+// that outlives delivery is a use-after-recycle waiting for pool
+// pressure — the bug corrupts a later, unrelated message and no
+// small-scale test catches it. The analyzer flags (1) uses of a message
+// after it was handed to Network.Recycle, (2) pooled *mobile.Message
+// values escaping into fields, globals or element stores, (3) pooled
+// messages captured by closures (the engine's contract is to pass them
+// via ScheduleArg), and (4) messages taken from TryReceive that are
+// neither recycled nor handed onward.
 var Poollint = &Analyzer{
 	Name: "poollint",
-	Doc: "enforce pool discipline for recycled mobile.Message envelopes and " +
-		"protocol piggyback buffers: no use after Recycle, no escape into " +
-		"fields/globals/closures past delivery, no silent pool leaks",
-	// The consumers of the message/piggyback pools, not their owner
+	Doc: "enforce pool discipline for recycled mobile.Message envelopes: " +
+		"no use after Recycle, no escape into fields/globals/closures past " +
+		"delivery, no silent pool leaks",
+	// The consumers of the message pool, not its owner
 	// internal/mobile. internal/des/equeue keeps its own entry free list
 	// and is policed like any other pool consumer.
 	Include: []string{
@@ -71,18 +71,10 @@ func isPooledMessage(t types.Type) bool {
 	return ok && pathIs(path, "mobile") && name == "Message"
 }
 
-// recycleArg returns the identifier handed to a pool-recycle call:
-// Network.Recycle in mobile, or any Recycle method of the protocol
-// package (the Recycler interface).
+// recycleArg returns the identifier handed to mobile's Network.Recycle.
 func recycleArg(info *types.Info, call *ast.CallExpr) (*ast.Ident, bool) {
 	recvPath, _, method, ok := methodCall(info, call)
-	if !ok || method != "Recycle" {
-		return nil, false
-	}
-	if !pathIs(recvPath, "mobile") && !pathIs(recvPath, "protocol") {
-		return nil, false
-	}
-	if len(call.Args) != 1 {
+	if !ok || method != "Recycle" || !pathIs(recvPath, "mobile") || len(call.Args) != 1 {
 		return nil, false
 	}
 	id, isIdent := call.Args[0].(*ast.Ident)
@@ -108,7 +100,7 @@ func checkUseAfterRecycle(pass *Pass, stmts []ast.Stmt) {
 			continue
 		}
 		obj := objectOf(pass.TypesInfo, id)
-		// Only variables hold pooled buffers: `Recycle(nil)` hands over
+		// Only variables hold pooled messages: `Recycle(nil)` hands over
 		// the universe nil object, which every later nil would "use".
 		if _, isVar := obj.(*types.Var); !isVar {
 			continue
@@ -340,4 +332,31 @@ func disposedSomewhere(info *types.Info, body *ast.BlockStmt, binding *ast.Assig
 		return !disposed
 	})
 	return disposed
+}
+
+func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
+	id, isIdent := call.Fun.(*ast.Ident)
+	if !isIdent {
+		return false
+	}
+	b, isBuiltin := info.Uses[id].(*types.Builtin)
+	return isBuiltin && b.Name() == "append"
+}
+
+func withinNode(n ast.Node, pos token.Pos) bool {
+	return n.Pos() <= pos && pos < n.End()
+}
+
+// exprString renders a short source-ish form of simple lvalues for
+// diagnostics (fields, indexes); it does not need to be complete.
+func exprString(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		return exprString(v.X) + "." + v.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(v.X) + "[...]"
+	}
+	return "expression"
 }

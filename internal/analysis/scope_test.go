@@ -34,17 +34,6 @@ func TestDefaultConfigScopes(t *testing.T) {
 		{Lanelint, "mobickpt/internal/pdes", true},
 		{Lanelint, "mobickpt/internal/sim", true},
 		{Lanelint, "mobickpt/internal/live", false},
-		{Problint, "mobickpt/internal/des/equeue", true},
-		{Problint, "mobickpt/internal/mobile", true},
-		{Problint, "mobickpt/internal/obs", true},
-		{Problint, "mobickpt/internal/obs/probe", false}, // owns its representation
-		{Problint, "mobickpt/internal/live", false},
-
-		// maporder is global except for example programs.
-		{Maporder, "mobickpt/cmd/figures", true},
-		{Maporder, "mobickpt/internal/obs", true},
-		{Maporder, "mobickpt", true},
-		{Maporder, "mobickpt/examples/quickstart", false},
 
 		// poollint polices pool consumers, not the pool owner. The
 		// calendar/heap queue package keeps its own entry free list and
@@ -53,16 +42,7 @@ func TestDefaultConfigScopes(t *testing.T) {
 		{Poollint, "mobickpt/internal/mobile", false},
 		{Poollint, "mobickpt/internal/des", false},
 		{Poollint, "mobickpt/internal/des/equeue", true},
-
-		// schedlint polices des clients, not the engine. Only the root
-		// engine package is exempt: the queue implementations under
-		// internal/des/equeue are covered.
-		{Schedlint, "mobickpt/internal/sim", true},
-		{Schedlint, "mobickpt/internal/mobile", true},
-		{Schedlint, "mobickpt/internal/des", false},
-		{Schedlint, "mobickpt/internal/des/equeue", true},
-		{Schedlint, "mobickpt/internal/pdes", true}, // lane-handler rule polices pdes clients and the engine's tests alike
-		{Poollint, "mobickpt/internal/pdes", true},  // lane shards recycle shared pools like any sim client
+		{Poollint, "mobickpt/internal/pdes", true}, // lane shards recycle shared pools like any sim client
 	}
 	for _, tt := range tests {
 		if got := tt.analyzer.Applies(tt.pkg); got != tt.want {

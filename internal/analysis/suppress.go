@@ -32,7 +32,7 @@ const allowDirectiveCheck = "allow-directive"
 
 // A Directive is one parsed //lint:allow comment.
 type Directive struct {
-	// Analyzer is the suppressed analyzer ("detlint", "maporder", ...).
+	// Analyzer is the suppressed analyzer ("detlint", "poollint", ...).
 	Analyzer string
 	// Reason is the free-text justification (never empty on a valid
 	// directive).

@@ -22,8 +22,8 @@ func TestParseDirective(t *testing.T) {
 			isDirective: true, analyzer: "detlint", reason: "profiling wall clock",
 		},
 		{
-			name: "valid with leading space", text: " lint:allow simlint/maporder keys feed a set",
-			isDirective: true, analyzer: "maporder", reason: "keys feed a set",
+			name: "valid with leading space", text: " lint:allow simlint/lanelint runs world-stopped",
+			isDirective: true, analyzer: "lanelint", reason: "runs world-stopped",
 		},
 		{
 			name:        "valid multi-word reason keeps spacing collapsed",
@@ -58,7 +58,7 @@ func TestParseDirective(t *testing.T) {
 			isDirective: true, wantErr: "needs a reason",
 		},
 		{
-			name: "whitespace-only reason", text: "lint:allow simlint/schedlint \t ",
+			name: "whitespace-only reason", text: "lint:allow simlint/guardlint \t ",
 			isDirective: true, wantErr: "needs a reason",
 		},
 	}
@@ -103,7 +103,7 @@ func TestSuppressionIndex(t *testing.T) {
 //lint:allow simlint/detlint standalone covers this and the next line
 var a int
 
-var b int //lint:allow simlint/maporder trailing covers its own line
+var b int //lint:allow simlint/guardlint trailing covers its own line
 
 //lint:allow simlint/nope malformed: unknown analyzer
 var c int
@@ -131,14 +131,14 @@ var d int
 	if sup.suppressed("detlint", at(5)) {
 		t.Error("directive must not reach two lines down")
 	}
-	if !sup.suppressed("maporder", at(6)) {
+	if !sup.suppressed("guardlint", at(6)) {
 		t.Error("trailing directive should cover its own line")
 	}
-	if sup.suppressed("maporder", at(3)) || sup.suppressed("poollint", at(12)) {
+	if sup.suppressed("guardlint", at(3)) || sup.suppressed("poollint", at(12)) {
 		t.Error("malformed or foreign directives must suppress nothing")
 	}
 	if sup.suppressed("detlint", at(6)) {
-		t.Error("a maporder directive must not suppress detlint")
+		t.Error("a guardlint directive must not suppress detlint")
 	}
 }
 

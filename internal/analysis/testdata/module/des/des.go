@@ -1,5 +1,5 @@
 // Package des is the scratch module's stub of the scheduler API, so the
-// seeded schedlint violation type-checks without the real repository.
+// seeded lanelint violation type-checks without the real repository.
 package des
 
 type Time float64

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"scratch/des"
@@ -19,13 +18,6 @@ func Stamp() time.Time {
 	return time.Now()
 }
 
-// Dump prints in map-iteration order: maporder must flag it.
-func Dump(m map[string]int) {
-	for k, v := range m {
-		fmt.Println(k, v)
-	}
-}
-
 // Reuse reads a message after recycling it: poollint must flag it.
 func Reuse(n *mobile.Network, m *mobile.Message) uint64 {
 	n.Recycle(m)
@@ -33,7 +25,7 @@ func Reuse(n *mobile.Network, m *mobile.Message) uint64 {
 }
 
 // LaneEscape schedules on the global simulator from inside a pdes lane
-// handler: schedlint must flag it.
+// handler: lanelint must flag it.
 func LaneEscape(c *pdes.Core) {
 	c.Schedule(0, 0, 1, func(s *des.Simulator, now des.Time, arg any) {
 		s.ScheduleArg(2, "escape", nil, nil)

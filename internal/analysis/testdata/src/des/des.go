@@ -1,5 +1,5 @@
 // Package des is a fixture stub standing in for mobickpt's internal/des
-// scheduler API, for schedlint fixtures.
+// scheduler API, for lanelint fixtures.
 package des
 
 type Time float64
@@ -8,33 +8,16 @@ type Handler func(s *Simulator, now Time)
 
 type ArgHandler func(s *Simulator, now Time, arg any)
 
-type Event struct {
-	at    Time
-	label string
-}
-
 type Simulator struct {
 	now Time
 }
 
 func (s *Simulator) Now() Time { return s.now }
 
-func (s *Simulator) At(at Time, label string, h Handler) *Event { return &Event{at: at, label: label} }
-
-func (s *Simulator) After(delay Time, label string, h Handler) *Event {
-	return s.At(s.now+delay, label, h)
-}
+func (s *Simulator) After(delay Time, label string, h Handler) {}
 
 func (s *Simulator) Schedule(at Time, label string, h Handler) {}
 
-func (s *Simulator) ScheduleAfter(delay Time, label string, h Handler) {}
-
 func (s *Simulator) ScheduleArg(at Time, label string, fn ArgHandler, arg any) {}
 
-func (s *Simulator) ScheduleArgAfter(delay Time, label string, fn ArgHandler, arg any) {}
-
 func (s *Simulator) Again(delay Time) {}
-
-func (s *Simulator) Reschedule(e *Event, at Time) {}
-
-func (s *Simulator) Cancel(e *Event) bool { return false }

@@ -16,7 +16,7 @@ func profileStampAbove() time.Time {
 
 // Suppressing a different analyzer leaves detlint findings live.
 func wrongAnalyzer() time.Time {
-	//lint:allow simlint/maporder wrong analyzer on purpose
+	//lint:allow simlint/poollint wrong analyzer on purpose
 	return time.Now() // want "time.Now reads the wall clock"
 }
 

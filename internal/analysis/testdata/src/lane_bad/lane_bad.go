@@ -46,3 +46,19 @@ func (e *Engine) arm() {
 		e.epoch = 9 // want "write to world-stopped field .epoch. from lane-handler code"
 	}, nil, false)
 }
+
+// Scheduling on the global simulator from a lane, nested literals
+// included: they run on the same lane.
+func (e *Engine) escape() {
+	e.core.Schedule(0, 0, 10, func(s *des.Simulator, now des.Time, arg any) {
+		s.ScheduleArg(20, "global", nil, nil)                     // want "des.Simulator.ScheduleArg called inside a pdes lane handler"
+		s.After(1, "tick", func(s *des.Simulator, now des.Time) { // want "des.Simulator.After called inside a pdes lane handler"
+			s.Schedule(30, "nested", nil) // want "des.Simulator.Schedule called inside a pdes lane handler"
+		})
+	}, nil, false)
+}
+
+//lane:handler
+func (e *Engine) onTimer(s *des.Simulator) {
+	s.Again(1) // want "des.Simulator.Again called inside a pdes lane handler"
+}

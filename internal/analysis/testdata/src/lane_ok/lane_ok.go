@@ -2,12 +2,19 @@
 // of these may produce a finding.
 package lane_ok
 
+import (
+	"des"
+	"pdes"
+)
+
 type Lane struct {
 	ev  int
 	buf []int
 }
 
 type Engine struct {
+	core *pdes.Core
+
 	//lane:shard
 	lanes []Lane
 
@@ -34,4 +41,20 @@ func (e *Engine) onEvent(i int) {
 func (e *Engine) grow() {
 	e.lanes = append(e.lanes, Lane{})
 	e.epoch++
+}
+
+// A lane handler schedules through the Core — the lane-safe path.
+func (e *Engine) arm() {
+	e.core.Schedule(0, 1, 10, func(s *des.Simulator, now des.Time, arg any) {
+		e.core.Schedule(1, 1, now+5, nil, nil, false)
+		_ = e.core.Now(1)
+		_ = s.Now()
+	}, nil, false)
+}
+
+// Outside handler code the global queue is fair game (pre-run set-up
+// and world-stopped global events are single-threaded).
+func (e *Engine) setup(s *des.Simulator) {
+	s.ScheduleArg(10, "setup", nil, nil)
+	e.core.Schedule(0, 0, 20, nil, nil, false)
 }

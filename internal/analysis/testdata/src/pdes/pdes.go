@@ -1,5 +1,5 @@
 // Package pdes is a fixture stub standing in for mobickpt's
-// internal/pdes parallel engine, for schedlint's lane-handler rule.
+// internal/pdes parallel engine, for lanelint fixtures.
 package pdes
 
 import "des"

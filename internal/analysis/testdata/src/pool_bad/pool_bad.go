@@ -1,23 +1,10 @@
 package pool_bad
 
-import (
-	"mobile"
-	"protocol"
-)
+import "mobile"
 
 func useAfterRecycle(n *mobile.Network, m *mobile.Message) uint64 {
 	n.Recycle(m)
 	return m.ID // want "m is used after being recycled"
-}
-
-func useAfterBufferRecycle(r protocol.Recycler, pb any) any {
-	r.Recycle(pb)
-	return pb // want "pb is used after being recycled"
-}
-
-func useAfterTPRecycle(tp *protocol.TP, pb any) {
-	tp.Recycle(pb)
-	_ = pb // want "pb is used after being recycled"
 }
 
 type holder struct {

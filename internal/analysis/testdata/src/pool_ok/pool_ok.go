@@ -1,9 +1,6 @@
 package pool_ok
 
-import (
-	"mobile"
-	"protocol"
-)
+import "mobile"
 
 // Read everything first, recycle last: the disciplined delivery path.
 func deliver(n *mobile.Network, id mobile.HostID) uint64 {
@@ -47,22 +44,11 @@ func inline(m *mobile.Message) uint64 {
 
 // Recycling literal nil tracks nothing: later nil mentions are not
 // "uses" of a recycled buffer.
-func nilRecycle(tp *protocol.TP, n *mobile.Network, id mobile.HostID) {
-	tp.Recycle(nil)
+func nilRecycle(n *mobile.Network, id mobile.HostID) {
+	n.Recycle(nil)
 	m := n.TryReceive(id)
 	if m == nil {
 		return
 	}
 	n.Recycle(m)
-}
-
-// Buffers may be freely used up to the Recycle call.
-func consume(tp *protocol.TP, pb any) int {
-	buf, _ := pb.([]int)
-	total := 0
-	for _, v := range buf {
-		total += v
-	}
-	tp.Recycle(pb)
-	return total
 }

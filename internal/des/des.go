@@ -242,8 +242,6 @@ const (
 // list (or, on a miss, carved from the current slab) for pooled events,
 // individually allocated for handle-returning ones, whose storage must
 // stay collectable on its own.
-//
-//probe:writer the simulator loop is single-threaded; it owns its pool probe
 func (s *Simulator) acquire(at Time, label string, pooled bool) *Event {
 	var e *Event
 	if pooled && s.free != nil {
@@ -279,8 +277,6 @@ func (s *Simulator) acquire(at Time, label string, pooled bool) *Event {
 
 // recycle returns a fired (or canceled) pooled event to the free list,
 // dropping references so handlers and arguments do not outlive the event.
-//
-//probe:writer the simulator loop is single-threaded; it owns its pool probe
 func (s *Simulator) recycle(e *Event) {
 	e.handler = nil
 	e.argFn = nil

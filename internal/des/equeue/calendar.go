@@ -148,8 +148,6 @@ func NewCalendar() *Calendar {
 // probe shares the queue's single-writer discipline: only the owning
 // goroutine may operate the queue, and readers must wait for the run to
 // quiesce.
-//
-//probe:writer probe attach/detach happens on the owning goroutine
 func (c *Calendar) SetProbe(p *probe.QueueProbe) {
 	c.probe = p
 	if p != nil {
@@ -189,8 +187,6 @@ func (c *Calendar) slot(at float64) int {
 }
 
 // Push files e by its time. At must not be NaN (des refuses one).
-//
-//probe:writer the calendar is operated only by its owning scheduler goroutine
 func (c *Calendar) Push(e *Entry) {
 	if c.n == 0 {
 		// Refilling a drained queue under the old year's geometry could
@@ -250,8 +246,6 @@ func (r calRec) before(s calRec) bool {
 // insertNear puts r into the near list in order, shifting later records
 // up from the tail: an entry later than everything in the open bucket —
 // the common case, and every case in a burst at one instant — moves none.
-//
-//probe:writer called from Push on the owning scheduler goroutine
 func (c *Calendar) insertNear(r calRec) {
 	if c.head > 0 && len(c.near) == cap(c.near) {
 		// Reclaim the popped prefix before growing.
@@ -275,8 +269,6 @@ func (c *Calendar) insertNear(r calRec) {
 }
 
 // Pop removes and returns the minimum entry, or nil when empty.
-//
-//probe:writer the calendar is operated only by its owning scheduler goroutine
 func (c *Calendar) Pop() *Entry {
 	if c.head == len(c.near) && !c.open() {
 		return nil
@@ -308,8 +300,6 @@ func (c *Calendar) Peek() *Entry {
 // in the overflow; when the year's buckets run out it is all in the
 // overflow, and a new year begins at its minimum — bucket 0 of a new year
 // is never empty, so the sweep crosses no more than one year's tail.
-//
-//probe:writer called from Pop/Peek on the owning scheduler goroutine
 func (c *Calendar) open() bool {
 	if c.n == 0 {
 		return false
@@ -389,8 +379,6 @@ func sortRecs(s []calRec) {
 // cluster of near-simultaneous entries can narrow one year, but it is
 // popped in that year and the next is derived afresh. Entries the year
 // does not reach stay in the overflow, compacted in place as it is dealt.
-//
-//probe:writer called from open on the owning scheduler goroutine
 func (c *Calendar) newYear() {
 	n := c.ovN
 	stride := (n + calSample - 1) / calSample

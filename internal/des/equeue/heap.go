@@ -20,8 +20,6 @@ func NewHeap() *Heap { return &Heap{} }
 // SetProbe attaches (or, with nil, detaches) an internals probe. The
 // heap has no structural counters beyond push/pop volume and peak
 // occupancy; the interesting internals live on the calendar queue.
-//
-//probe:writer probe attach/detach happens on the owning goroutine
 func (h *Heap) SetProbe(p *probe.QueueProbe) {
 	h.probe = p
 	if p != nil {
@@ -33,8 +31,6 @@ func (h *Heap) SetProbe(p *probe.QueueProbe) {
 func (h *Heap) Len() int { return len(h.s) }
 
 // Push inserts e.
-//
-//probe:writer the heap is operated only by its owning scheduler goroutine
 func (h *Heap) Push(e *Entry) {
 	e.pos = int32(len(h.s))
 	h.s = append(h.s, e)
@@ -48,8 +44,6 @@ func (h *Heap) Push(e *Entry) {
 }
 
 // Pop removes and returns the minimum entry, or nil when empty.
-//
-//probe:writer the heap is operated only by its owning scheduler goroutine
 func (h *Heap) Pop() *Entry {
 	if len(h.s) == 0 {
 		return nil

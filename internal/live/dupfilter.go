@@ -2,10 +2,11 @@ package live
 
 // DefaultDupWindow is the per-host duplicate-suppression window: how
 // many recently delivered packet ids a host remembers. The transport
-// duplicates a packet at most once and enqueues the copy immediately
-// behind the original in the same FIFO downlink, so the copy is the
-// very next delivery the host sees — any window bounds away from 1
-// are pure slack against future transport changes.
+// duplicates a packet at most once and puts the copy into the host's
+// FIFO downlink together with its original (one mailbox.put, so no other
+// station's packet lands between them): the copy is the very next
+// delivery the host sees, and any window bounds away from 1 are pure
+// slack against future transport changes.
 const DefaultDupWindow = 4096
 
 // dupFilter is each host's bounded-memory at-least-once filter. The old

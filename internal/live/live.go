@@ -729,7 +729,10 @@ func (c *Cluster) addHost() (mobile.HostID, *mailbox) {
 }
 
 // stationLoop routes wired packets to the destination host's downlink,
-// occasionally duplicating a delivery (at-least-once transport).
+// occasionally duplicating a delivery (at-least-once transport). The
+// copy goes in with its original in one put: every station's loop feeds
+// the same downlink, and a packet of another station's between the two
+// would be a delivery the host's dupFilter has to remember across.
 func (c *Cluster) stationLoop(s int) {
 	src := rng.NewStream(c.cfg.Seed, 1000+uint64(s))
 	for {
@@ -740,8 +743,9 @@ func (c *Cluster) stationLoop(s int) {
 		c.dirMu.Lock()
 		dst := c.downlink[pkt.to]
 		c.dirMu.Unlock()
-		dst.put(pkt)
 		if src.Bernoulli(c.cfg.DupProbability) {
+			dst.put(pkt, pkt)
+		} else {
 			dst.put(pkt)
 		}
 	}

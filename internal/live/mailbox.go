@@ -44,14 +44,18 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put appends p. It never blocks.
-func (m *mailbox) put(p packet) {
+// put appends ps, adjacent and in order: no other producer's packet
+// lands between them (a station puts a packet and its duplicate this
+// way, which is what lets a host's dupFilter work with a window of 1).
+// It never blocks. One Signal covers any number of packets: a mailbox
+// has one consumer, and get only waits on an empty queue.
+func (m *mailbox) put(ps ...packet) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		panic("live: put on a closed mailbox")
 	}
-	m.q = append(m.q, p)
+	m.q = append(m.q, ps...)
 	m.mu.Unlock()
 	m.nonEmpty.Signal()
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"sync"
@@ -61,6 +62,40 @@ func TestMailboxConcurrentFIFO(t *testing.T) {
 	}
 	if m.len() != 0 {
 		t.Errorf("%d packets left after the consumer saw the close", m.len())
+	}
+}
+
+// Several stations duplicating into one downlink: a packet and its copy
+// go in with one put, so every copy sits directly behind its original
+// whatever the other producers do — the adjacency a host's dupFilter
+// relies on at DupWindow = 1. Put as two calls, the pair is split by
+// another producer's packet within a few thousand puts.
+func TestMailboxPutKeepsCopiesAdjacent(t *testing.T) {
+	const producers, perProducer = 8, 5000
+	m := newMailbox()
+	var senders sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		senders.Add(1)
+		go func(p int) {
+			defer senders.Done()
+			for seq := 0; seq < perProducer; seq++ {
+				pkt := numbered(p, seq)
+				m.put(pkt, pkt)
+			}
+		}(p)
+	}
+	senders.Wait()
+
+	if m.len() != 2*producers*perProducer {
+		t.Fatalf("%d packets queued, want %d", m.len(), 2*producers*perProducer)
+	}
+	for m.len() > 0 {
+		orig, _ := m.tryGet()
+		dup, _ := m.tryGet()
+		if orig.to != dup.to || !bytes.Equal(orig.frame, dup.frame) {
+			t.Fatalf("producer %d seq %d is followed by producer %d seq %d, not by its copy",
+				orig.to, binary.BigEndian.Uint64(orig.frame), dup.to, binary.BigEndian.Uint64(dup.frame))
+		}
 	}
 }
 

@@ -85,8 +85,6 @@ func (n *Network) reserveWireless(st MSSID, lane int, now des.Time) des.Time {
 // chases it over the wired network.
 //
 // It returns the message so callers (the trace recorder) can observe ids.
-//
-//probe:writer Send runs on the sender's lane, which owns that pool shard
 func (n *Network) Send(from, to HostID, payload any) (*Message, error) {
 	src := n.host(from)
 	if !src.connected {
@@ -227,8 +225,6 @@ func (n *Network) TryReceive(id HostID) *Message {
 // Recycle executes on the receiver's timeline, so the message returns to
 // the receiver's lane's free list; the object migrates lanes with the
 // traffic, which is fine — ownership travels with the message.
-//
-//probe:writer Recycle runs on the receiver's lane, which owns that pool shard
 func (n *Network) Recycle(m *Message) {
 	if m == nil {
 		return

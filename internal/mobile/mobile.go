@@ -10,9 +10,8 @@
 //
 // Host state lives in a sharded flat arena indexed by HostID rather than
 // a slice of per-host allocations: records are contiguous (cache-friendly
-// sweeps at n=1e6), *Host pointers stay stable across dynamic joins
-// because shards never reallocate, and a generation counter lets layers
-// that cache per-host derived state detect joins cheaply.
+// sweeps at n=1e6), and *Host pointers stay stable across dynamic joins
+// because shards never reallocate.
 //
 // Every action is accounted in Counters so higher layers can derive the
 // channel-contention and energy costs the paper discusses in §2.1.
@@ -157,9 +156,8 @@ type Host struct {
 	inboxHead int
 	parked    []*Message // arrived while disconnected; flushed on reconnect
 
-	switches    int    // completed hand-offs
-	disconnects int    // completed disconnections
-	gen         uint64 // network generation at which this host joined
+	switches    int // completed hand-offs
+	disconnects int // completed disconnections
 }
 
 // MSS reports the host's current station, or NoMSS when disconnected.
@@ -189,11 +187,6 @@ func (h *Host) Switches() int { return h.switches }
 
 // Disconnects returns the number of completed disconnections.
 func (h *Host) Disconnects() int { return h.disconnects }
-
-// Generation returns the network generation at which the host joined:
-// zero for hosts present since New, and the value Network.Generation had
-// right after the AddHost that created it otherwise.
-func (h *Host) Generation() uint64 { return h.gen }
 
 // Station is a mobile support station. It owns the per-cell bookkeeping;
 // checkpoint stable storage is layered on top by internal/storage.
@@ -231,7 +224,6 @@ type Network struct {
 	cfg      Config
 	shards   [][]Host // sharded flat host arena, indexed by HostID
 	numHosts int
-	gen      uint64     // bumped once per AddHost
 	stations []Station  // flat, fixed at NumMSS
 	homes    []MSSID    // home-agent directory: host -> believed current MSS
 	busy     []des.Time // per-station wireless channel busy-until (contention model)
@@ -330,7 +322,7 @@ func (n *Network) newHost(at MSSID) *Host {
 	if si == len(n.shards) {
 		n.shards = append(n.shards, make([]Host, 0, hostShardSize))
 	}
-	n.shards[si] = append(n.shards[si], Host{ID: id, mss: at, connected: true, lastMSS: at, gen: n.gen})
+	n.shards[si] = append(n.shards[si], Host{ID: id, mss: at, connected: true, lastMSS: at})
 	n.numHosts++
 	return &n.shards[si][int(id)&hostShardMask]
 }
@@ -355,11 +347,6 @@ func (n *Network) NumHosts() int { return n.numHosts }
 
 // NumStations returns the number of stations.
 func (n *Network) NumStations() int { return len(n.stations) }
-
-// Generation returns the join generation: it starts at zero and
-// increments once per AddHost. Layers that size per-host caches off
-// NumHosts can compare generations to detect joins without hooks.
-func (n *Network) Generation() uint64 { return n.gen }
 
 // lane maps a host to its counter/pool shard, mirroring the parallel
 // kernel's owner-to-lane mapping. Shard safety relies on callers passing
@@ -437,12 +424,11 @@ func (n *Network) updateLocation(id HostID, at MSSID) {
 // join itself costs one control message (registration with the station);
 // what it costs each checkpointing protocol is the interesting part,
 // measured by experiment E16. The new host's id is returned; ids stay
-// dense. Each join bumps the network generation (see Generation).
+// dense.
 func (n *Network) AddHost(at MSSID) (HostID, error) {
 	if at < 0 || int(at) >= len(n.stations) {
 		return 0, fmt.Errorf("mobile: joining unknown station %d", at)
 	}
-	n.gen++
 	h := n.newHost(at)
 	n.stations[at].members++
 	n.homes = append(n.homes, at)

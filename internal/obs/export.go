@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -111,19 +110,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteJSON renders the snapshot as one indented JSON document, stable
-// across runs with identical instrument contents.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadJSON parses a snapshot previously written by WriteJSON.
-func ReadJSON(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	err := json.NewDecoder(r).Decode(&s)
-	return s, err
 }

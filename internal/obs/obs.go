@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer of the codebase: a
 // low-overhead metrics registry (atomic counters, gauges, fixed-bucket
-// histograms with Prometheus-text and JSON exporters), a per-host
-// timeline tracer emitting Chrome trace-event JSON (loadable in
-// Perfetto), and profiling hooks for the CLIs and the live cluster.
+// histograms with a Prometheus-text exporter), a per-host timeline tracer
+// emitting Chrome trace-event JSON (loadable in Perfetto), and profiling
+// hooks for the CLIs and the live cluster.
 //
 // Everything is opt-in and nil-safe: a nil *Registry hands out nil
 // instruments, and every instrument method on a nil receiver is a no-op.
@@ -28,8 +28,8 @@ import (
 
 // Label is one name=value metric dimension.
 type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
+	Key   string
+	Value string
 }
 
 // labelsOf turns an alternating key,value list into a sorted label set.
@@ -346,32 +346,32 @@ func (r *Registry) registerFunc(name string, fn func() int64, counter bool, kv [
 
 // Sample is one exported counter or gauge value.
 type Sample struct {
-	Name   string  `json:"name"`
-	Labels []Label `json:"labels,omitempty"`
-	Value  int64   `json:"value"`
+	Name   string
+	Labels []Label
+	Value  int64
 }
 
 // HistogramSample is one exported histogram: cumulative bucket counts
 // (Counts[i] = observations <= Bounds[i]; the final implicit +Inf bucket
 // equals Count), the running sum and the observation count.
 type HistogramSample struct {
-	Name   string    `json:"name"`
-	Labels []Label   `json:"labels,omitempty"`
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"cumulative_counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
+	Name   string
+	Labels []Label
+	Bounds []float64
+	Counts []int64
+	Sum    float64
+	Count  int64
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
 // deterministically ordered by (name, labels).
 type Snapshot struct {
-	Counters   []Sample          `json:"counters,omitempty"`
-	Gauges     []Sample          `json:"gauges,omitempty"`
-	Histograms []HistogramSample `json:"histograms,omitempty"`
+	Counters   []Sample
+	Gauges     []Sample
+	Histograms []HistogramSample
 	// Help maps metric names to their registered # HELP text. Names
 	// without an entry get a derived text at exposition time.
-	Help map[string]string `json:"help,omitempty"`
+	Help map[string]string
 }
 
 // Snapshot captures every instrument. Callback instruments are sampled
@@ -389,24 +389,24 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	counters := make([]*Counter, 0, len(r.counters))
 	for _, c := range r.counters {
-		counters = append(counters, c) //lint:allow simlint/maporder staging only; sortSamples orders the derived snapshot
+		counters = append(counters, c)
 	}
 	gauges := make([]*Gauge, 0, len(r.gauges))
 	for _, g := range r.gauges {
-		gauges = append(gauges, g) //lint:allow simlint/maporder staging only; sortSamples orders the derived snapshot
+		gauges = append(gauges, g)
 	}
 	hists := make([]*Histogram, 0, len(r.hists))
 	for _, h := range r.hists {
-		hists = append(hists, h) //lint:allow simlint/maporder staging only; sort.Slice orders the derived snapshot
+		hists = append(hists, h)
 	}
 	funcs := make([]*sampled, 0, len(r.funcs))
 	for _, f := range r.funcs {
-		funcs = append(funcs, f) //lint:allow simlint/maporder staging only; sortSamples orders the derived snapshot
+		funcs = append(funcs, f)
 	}
 	if len(r.help) > 0 {
 		s.Help = make(map[string]string, len(r.help))
 		for k, v := range r.help {
-			s.Help[k] = v //lint:allow simlint/maporder map-to-map copy; exposition renders per sorted sample name
+			s.Help[k] = v
 		}
 	}
 	r.mu.Unlock()

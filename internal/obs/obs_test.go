@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -380,43 +381,30 @@ newline`)
 	}
 }
 
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "k", "v").Add(4)
-	r.Gauge("b").Set(-1)
-	r.Histogram("c", []float64{1, 10}).Observe(5)
-	snap := r.Snapshot()
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := got.WriteJSON(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("JSON round trip not stable:\n%s\nvs\n%s", buf.String(), buf2.String())
-	}
-}
-
+// A snapshot is ordered by (name, labels) whatever order the instruments
+// were registered in and whatever order the registry's maps iterate in:
+// with 64 of each kind, an unsorted snapshot matches the expectation
+// with probability 1/64!.
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	build := func(order []int) string {
-		r := NewRegistry()
-		for _, i := range order {
-			r.Counter("m", "i", fmt.Sprint(i)).Add(int64(i))
-		}
-		var buf bytes.Buffer
-		if err := r.Snapshot().WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+	const n = 64
+	r := NewRegistry()
+	for k := 0; k < n; k++ {
+		i := fmt.Sprintf("%02d", k*37%n) // 37 is coprime to 64: a fixed shuffle
+		r.Counter("c_total", "i", i).Inc()
+		r.Gauge("g", "i", i).Set(1)
+		r.Histogram("h", []float64{1}, "i", i).Observe(0)
 	}
-	if a, b := build([]int{3, 1, 2}), build([]int{2, 3, 1}); a != b {
-		t.Fatalf("snapshot order depends on registration order:\n%s\nvs\n%s", a, b)
+	snap := r.Snapshot()
+	if len(snap.Counters) != n || len(snap.Gauges) != n || len(snap.Histograms) != n {
+		t.Fatalf("snapshot has %d counters, %d gauges, %d histograms, want %d of each",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms), n)
+	}
+	for k := 0; k < n; k++ {
+		want := fmt.Sprintf("%02d", k)
+		got := [3]string{snap.Counters[k].Labels[0].Value, snap.Gauges[k].Labels[0].Value, snap.Histograms[k].Labels[0].Value}
+		if got != [3]string{want, want, want} {
+			t.Fatalf("position %d holds counter, gauge, histogram %v, want %s in each", k, got, want)
+		}
 	}
 }
 
@@ -557,6 +545,31 @@ func TestTimelineCanonicalOrder(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Tid < evs[i-1].Tid {
 			t.Fatalf("events not track-ordered: %+v before %+v", evs[i-1], evs[i])
+		}
+	}
+
+	// Track names export in track-id order, not in the order the tracks
+	// map iterates in (64 tracks: a chance order passes once in 64!).
+	const tracks = 64
+	c := NewTimeline()
+	for k := 0; k < tracks; k++ {
+		id := k * 37 % tracks
+		c.SetTrack(id, fmt.Sprint("MH ", id))
+	}
+	var ec bytes.Buffer
+	if err := c.Export(&ec); err != nil {
+		t.Fatal(err)
+	}
+	var env timelineEnvelope
+	if err := json.Unmarshal(ec.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if len(env.TraceEvents) != tracks {
+		t.Fatalf("exported %d metadata events, want %d", len(env.TraceEvents), tracks)
+	}
+	for k, ev := range env.TraceEvents {
+		if ev.Tid != k {
+			t.Fatalf("metadata event %d names track %d", k, ev.Tid)
 		}
 	}
 }

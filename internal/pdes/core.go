@@ -244,8 +244,6 @@ func (l *lane) append(ev *laneEvent) {
 // under the mailbox lock with a careful store order — push everything,
 // lower nextPub to the new queue minimum, only then reset mailMin — so
 // at no instant does the published frontier rise above a pending event.
-//
-//probe:writer each lane goroutine owns its own lane probe shard
 func (l *lane) drain() {
 	l.mu.Lock()
 	if len(l.box) == 0 {
@@ -332,8 +330,6 @@ func (l *lane) take() *laneEvent {
 
 // exec runs one popped event on this lane's timeline and recycles it
 // into the executing goroutine's lane pool.
-//
-//probe:writer each lane goroutine owns its own lane probe shard
 func (l *lane) exec(ev *laneEvent) {
 	t := des.Time(ev.ent.At)
 	l.lvt = t
@@ -615,7 +611,6 @@ func (c *Core) runConservative() {
 // below each broadcast window bound, then report to the barrier.
 //
 //lane:handler
-//probe:writer runs as lane l's goroutine, which owns l.probe
 func (c *Core) laneWindows(l *lane) {
 	defer c.wg.Done()
 	for w := range l.cmd {
@@ -819,8 +814,6 @@ func spinWait(n *int) {
 // counts the yields as the lane's frontier/barrier-wait proxy (the
 // engines may not read wall clocks, so burned yields stand in for
 // blocked time).
-//
-//probe:writer each lane goroutine owns its own lane probe shard
 func (l *lane) spinYield(n *int) {
 	*n++
 	if *n > 64 {

@@ -21,8 +21,8 @@ type coreSched struct {
 }
 
 // writeLabel reports whether a world event label names a shared-state
-// write. schedlint (internal/analysis) pins the label set: scheduling a
-// new shared-state mutation under a different label would silently race.
+// write. Scheduling a new shared-state mutation under a different label
+// would silently race.
 func writeLabel(label string) bool {
 	switch label {
 	case "handoff", "disconnect", "reconnect":

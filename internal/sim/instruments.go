@@ -114,7 +114,6 @@ func (e *engine) instrumentProbes() {
 	}
 	pool("event", func() probe.PoolProbe { return e.simPool })
 	pool("message", func() probe.PoolProbe {
-		//probe:merge gauge snapshot into a local; racing shard reads are the probes' documented deal
 		var m probe.PoolProbe
 		for i := range e.msgProbe {
 			m.Merge(e.msgProbe[i])

@@ -53,7 +53,6 @@ func TestMetricsMatchResult(t *testing.T) {
 	for _, pr := range res.Protocols {
 		var total int64
 		for key := range pr.Causes {
-			//lint:allow simlint/maporder Snapshot.Get is a keyed read compared per key; the order of lookups is immaterial
 			v, ok := snap.Get("sim_checkpoints_total", "proto", string(pr.Name), "cause", key)
 			if !ok {
 				t.Fatalf("%s: no sim_checkpoints_total sample for cause %q", pr.Name, key)

@@ -189,8 +189,6 @@ func (e *engine) result() *Result {
 // probeReport assembles Result.Probes from the quiesced probe cells.
 // Only called after the lanes have joined (run's tail), so the plain
 // reads are ordered by the goroutine join.
-//
-//probe:merge runs after the lanes have joined; the run is quiescent
 func (e *engine) probeReport() *ProbeReport {
 	r := &ProbeReport{
 		Engine:      e.cfg.Engine.String(),

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
 // simulation study: streaming mean/variance (Welford), replication
-// summaries with confidence intervals, histograms, and counters.
+// summaries with confidence intervals, and histograms.
 //
 // The paper reports results averaged over several independently seeded
 // runs and notes that the spread stayed within 4%; Replication mirrors
@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -215,37 +214,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.hi
-}
-
-// Counter is a simple named event counter set.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the value of the named counter (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the counters one per line, sorted by name.
-func (c *Counter) String() string {
-	out := ""
-	for _, n := range c.Names() {
-		out += fmt.Sprintf("%s=%d\n", n, c.counts[n])
-	}
-	return out
 }

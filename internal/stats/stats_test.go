@@ -207,23 +207,6 @@ func TestHistogramPanicsOnBadBounds(t *testing.T) {
 	NewHistogram(1, 1, 4)
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("forced", 3)
-	c.Inc("basic", 1)
-	c.Inc("forced", 2)
-	if c.Get("forced") != 5 || c.Get("basic") != 1 || c.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "basic" || names[1] != "forced" {
-		t.Fatalf("names = %v", names)
-	}
-	if !strings.Contains(c.String(), "forced=5") {
-		t.Fatalf("string = %q", c.String())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Figure 1", "Tswitch", "TP", "BCS", "QBC")
 	tab.AddFloatRow("100", 40000, 9000, 8500)

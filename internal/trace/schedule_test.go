@@ -165,4 +165,20 @@ func TestTraceOpen(t *testing.T) {
 	if tr.InFlight() != 2 {
 		t.Fatalf("InFlight = %d, want 2", tr.InFlight())
 	}
+
+	// Id order, not the order the open map iterates in: with 64 in
+	// flight a chance order passes once in 64!.
+	const n = 64
+	tr = New(2)
+	for k := 0; k < n; k++ {
+		tr.RecordSend(uint64(1+k*37%n), 0, 1, k+1, 10) // 37 is coprime to 64: a fixed shuffle
+	}
+	if open = tr.Open(); len(open) != n {
+		t.Fatalf("Open() returned %d messages, want %d", len(open), n)
+	}
+	for k, ev := range open {
+		if ev.ID != uint64(k+1) {
+			t.Fatalf("Open()[%d] has id %d, want %d", k, ev.ID, k+1)
+		}
+	}
 }
