@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-short check vet test-race allocs fuzz-smoke diffreplay checkpairs fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
+.PHONY: all build test test-short check vet test-race allocs fuzz-smoke diffreplay results-check fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
 
 all: build test
 
@@ -24,7 +24,7 @@ test-short:
 
 # The CI gate, each piece once; CI calls the same targets one step each.
 # (The repository benchmark's smoke and goldens ride `go test ./...`.)
-check: fmt lint vet test-race allocs fuzz-smoke diffreplay checkpairs
+check: fmt lint vet test-race allocs fuzz-smoke diffreplay results-check
 
 vet:
 	$(GO) vet ./...
@@ -71,10 +71,6 @@ diffreplay:
 		echo "diffreplay: perturbed replay did not fail — the gate is broken"; exit 1; \
 	else \
 		echo "diffreplay: perturbed replay correctly rejected"; fi
-
-# Every committed results/*.txt table agrees with its .csv twin.
-checkpairs:
-	$(GO) run ./cmd/figures -checkpairs
 
 # Fail if any file is not gofmt-clean — or if a tracked file is over
 # 1 MiB: the tree is source and small tables, so a file that size is a
@@ -125,19 +121,19 @@ SCALE_MAX ?= 1000000
 bench-scale:
 	$(GO) run ./cmd/figures -scale -scalemax $(SCALE_MAX) -queue calendar -out results
 
-# Regenerate every table under results/ at full scale (several minutes).
+# Regenerate all sixteen committed tables (results/*.{txt,csv}: the registry
+# in internal/sim/tables.go) at full scale — about 17 s on two cores.
 results:
-	$(GO) run ./cmd/figures -seeds 3 -out results
-	$(GO) run ./cmd/figures -gains -seeds 3 -out results
-	$(GO) run ./cmd/figures -overhead -seeds 3 -out results
-	$(GO) run ./cmd/figures -gc -seeds 3 -out results
-	$(GO) run ./cmd/figures -contention -seeds 3 -out results
-	$(GO) run ./cmd/figures -scalability -seeds 3 -out results
-	$(GO) run ./cmd/figures -proxy -seeds 3 -out results
-	$(GO) run ./cmd/figures -joins -seeds 3 -out results
-	$(GO) run ./cmd/figures -replay -seeds 3 -horizon 20000 -out results
-	$(GO) run ./cmd/figures -cause -seeds 3 -out results
-	$(GO) run ./cmd/recovery -seeds 3 -horizon 20000 -out results > /dev/null
+	$(GO) run ./cmd/figures -table all -seeds 3 -out results
+
+# The gate on them: the same regeneration into a temp dir, failing on any
+# byte that differs from results/ (BENCH_scale.json is not a table).
+results-check:
+	@set -e; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/figures -table all -seeds 3 -out "$$tmp" > /dev/null; \
+	diff -r -x BENCH_scale.json results "$$tmp"; \
+	echo "results-check: all $$(ls "$$tmp" | wc -l) files regenerate byte for byte"
 
 clean:
 	$(GO) clean ./...

@@ -104,9 +104,13 @@ func TestHeadlineGains(t *testing.T) {
 
 	// Homogeneous, no disconnections (Figure 1): the index protocols beat
 	// TP by a wide margin at large T_switch.
-	f1, _ := sim.Figure(1)
+	f1 := sim.PaperFigures()[0]
 	f1.TSwitch = []float64{10000}
-	rep, err := sim.Gains(f1, base, sim.Seeds(1, 2), 0)
+	sums, err := sim.SweepParallel(f1.Points(base), sim.Seeds(1, 2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.Gains(f1, sums)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +119,11 @@ func TestHeadlineGains(t *testing.T) {
 	}
 
 	// Heterogeneous with disconnections (Figure 6): QBC's showcase.
-	f6, _ := sim.Figure(6)
-	rep, err = sim.Gains(f6, base, sim.Seeds(1, 2), 0)
-	if err != nil {
+	f6 := sim.PaperFigures()[5]
+	if sums, err = sim.SweepParallel(f6.Points(base), sim.Seeds(1, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = sim.Gains(f6, sums); err != nil {
 		t.Fatal(err)
 	}
 	if rep.QBCOverBCSMax < 0.08 {

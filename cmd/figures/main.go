@@ -1,99 +1,73 @@
 // Command figures regenerates the evaluation of the paper — the six
 // N_tot-vs-T_switch figures of §5.2 — and every extension experiment
-// (DESIGN.md E7, E9, E11, E12, E14, E15, E16). The experiment logic
-// lives in internal/sim; this command only parses flags and formats
-// output.
+// with a committed table: the sixteen entries of the registry in
+// internal/sim/tables.go, one per results/<name>.{txt,csv}. The
+// experiment logic lives in internal/sim; this command only parses flags
+// and formats output.
 //
 // Usage:
 //
-//	figures                  # all six figures (full scale)
-//	figures -fig 2           # one figure
-//	figures -plot            # ASCII log-log charts instead of tables
-//	figures -gains           # §5.2 headline gains (E7)
-//	figures -overhead        # control-overhead table (E9)
-//	figures -gc              # storage garbage collection (E11)
-//	figures -contention      # wireless channel contention (E12)
-//	figures -scalability     # host-count scaling (E14)
-//	figures -proxy           # MSS proxying of control info (E15)
-//	figures -joins           # dynamic membership (E16)
-//	figures -cause           # checkpoint-cause breakdown (E19)
-//	figures -scale           # million-host scale sweep (E21), JSON output
-//	figures -queue calendar  # select the event-queue implementation
-//	figures -seeds 3 -csv    # fewer seeds, CSV output
-//	figures -out results/    # also write one .txt/.csv file per table
+//	figures                          # all six figures (full scale)
+//	figures -table figure2           # one table by name
+//	figures -table gains,overhead    # several; `-table nope` lists the names
+//	figures -table all -seeds 3 -out results   # `make results`: every committed pair
+//	figures -plot                    # ASCII log-log charts instead of tables
+//	figures -scale                   # million-host scale sweep (E21), JSON output
+//	figures -queue calendar          # select the event-queue implementation
+//	figures -seeds 3 -csv            # fewer seeds, CSV output
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"mobickpt/internal/des"
-	"mobickpt/internal/obs"
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/sim"
-	"mobickpt/internal/stats"
 )
 
 func main() {
 	var (
-		fig         = flag.Int("fig", 0, "figure to regenerate (1..6); 0 = all")
-		seeds       = flag.Int("seeds", 3, "replication seeds per point")
-		seed        = flag.Uint64("seed", 1, "base seed")
-		horizon     = flag.Float64("horizon", 100000, "simulated time units per run")
-		gains       = flag.Bool("gains", false, "print the §5.2 headline gains (E7)")
-		overhead    = flag.Bool("overhead", false, "print the control-overhead table (E9)")
-		gc          = flag.Bool("gc", false, "print the storage garbage-collection table (E11)")
-		contention  = flag.Bool("contention", false, "print the channel-contention table (E12)")
-		scalability = flag.Bool("scalability", false, "print the host-count scalability table (E14)")
-		proxy       = flag.Bool("proxy", false, "print the MSS-proxy energy table (E15)")
-		joins       = flag.Bool("joins", false, "print the dynamic-membership cost table (E16)")
-		replay      = flag.Bool("replay", false, "print the message-logging & replay-recovery table (E18)")
-		cause       = flag.Bool("cause", false, "print the checkpoint-cause breakdown table (E19)")
-		scale       = flag.Bool("scale", false, "run the million-host scale sweep (E21) and emit JSON")
-		scaleMax    = flag.Int("scalemax", 1_000_000, "largest host count of the -scale sweep")
-		queue       = flag.String("queue", "heap", "event-queue implementation: heap or calendar (never changes results)")
-		engine      = flag.String("engine", "sequential", "execution engine: sequential, conservative or timewarp (never changes results)")
-		lanes       = flag.Int("lanes", 0, "logical processes for parallel engines; 0 = GOMAXPROCS")
-		metrics     = flag.Bool("metrics", false, "print engine metrics (Prometheus text) to stderr after the run")
-		plot        = flag.Bool("plot", false, "render figures as ASCII log-log charts instead of tables")
-		pcomm       = flag.Float64("pcomm", 0.05, "probability an operation is a communication (calibration knob)")
-		csv         = flag.Bool("csv", false, "print CSV instead of aligned tables")
-		checkPairs  = flag.Bool("checkpairs", false, "verify every committed .txt/.csv table pair under -out (default results/) agrees, then exit")
-		outDir      = flag.String("out", "", "directory to also write per-table .txt and .csv files")
-		workers     = flag.Int("workers", 0, "worker pool size for parallel sweeps; 0 = GOMAXPROCS")
+		table    = flag.String("table", "", "tables to build: comma-separated registry names (figure1..figure6, gains, overhead, ...) or all; empty = the six figures")
+		seeds    = flag.Int("seeds", 3, "replication seeds per point (at least 1)")
+		seed     = flag.Uint64("seed", 1, "base seed")
+		horizon  = flag.Float64("horizon", 0, "simulated time units per run; 0 = each table's own (100000; 20000 for replay and recovery)")
+		scale    = flag.Bool("scale", false, "run the million-host scale sweep (E21) and emit JSON")
+		scaleMax = flag.Int("scalemax", 1_000_000, "largest host count of the -scale sweep")
+		queue    = flag.String("queue", "heap", "event-queue implementation: heap or calendar (never changes results)")
+		engine   = flag.String("engine", "sequential", "execution engine: sequential, conservative or timewarp (never changes results)")
+		lanes    = flag.Int("lanes", 0, "logical processes for parallel engines; 0 = GOMAXPROCS")
+		plot     = flag.Bool("plot", false, "draw the figures behind the selected tables as ASCII log-log charts instead")
+		pcomm    = flag.Float64("pcomm", 0.05, "probability an operation is a communication (calibration knob)")
+		csv      = flag.Bool("csv", false, "print CSV instead of aligned tables")
+		outDir   = flag.String("out", "", "directory to also write per-table .txt and .csv files")
+		workers  = flag.Int("workers", 0, "worker pool size for parallel sweeps; 0 = GOMAXPROCS")
 	)
 	flag.Parse()
 
 	qk, err := des.ParseQueueKind(*queue)
 	if err != nil {
-		fatal(err)
+		exit(1, err)
 	}
 	em, err := pdes.ParseMode(*engine)
 	if err != nil {
-		fatal(err)
+		exit(1, err)
 	}
 
 	if *scale {
-		if err := runScale(*scaleMax, qk, *seed, *outDir); err != nil {
-			fatal(err)
+		if err := runScale(*scaleMax, qk, em, *lanes, *seed, *outDir); err != nil {
+			exit(1, err)
 		}
 		return
 	}
 
-	if *checkPairs {
-		dir := *outDir
-		if dir == "" {
-			dir = "results"
-		}
-		n, err := checkAllPairs(dir)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("checkpairs: %d txt/csv pair(s) under %s agree\n", n, dir)
-		return
+	sel, err := sim.ParseTables(*table)
+	if err != nil {
+		exit(2, fmt.Errorf("-table: %w", err))
+	}
+	if *seeds < 1 {
+		exit(2, fmt.Errorf("-seeds %d: a table needs at least one seed", *seeds))
 	}
 
 	base := sim.DefaultConfig()
@@ -102,146 +76,40 @@ func main() {
 	base.Lanes = *lanes
 	base.Horizon = des.Time(*horizon)
 	base.Workload.PComm = *pcomm
-	if *metrics {
-		base.Metrics = obs.NewRegistry()
-		defer func() {
-			if err := base.Metrics.Snapshot().WritePrometheus(os.Stderr); err != nil {
-				fatal(err)
-			}
-		}()
-	}
 	seedSet := sim.Seeds(*seed, *seeds)
 
-	emit := func(name string, tab *stats.Table, err error) {
+	if *plot {
+		charts, err := sim.PlotFigures(sel, base, seedSet, *workers)
 		if err != nil {
-			fatal(err)
+			exit(1, err)
 		}
+		for _, chart := range charts {
+			fmt.Println(chart)
+		}
+		return
+	}
+
+	tabs, err := sim.BuildTables(sel, base, seedSet, *workers)
+	if err != nil {
+		exit(1, err)
+	}
+	for i, tab := range tabs {
 		if *csv {
 			fmt.Print(tab.CSV())
 		} else {
 			fmt.Println(tab)
 		}
 		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fatal(err)
+			if err := tab.WritePair(*outDir, sel[i].Name); err != nil {
+				exit(1, err)
 			}
-			txt, csvText := tab.String(), tab.CSV()
-			// Fail loudly if the two renderings ever diverge — a stale
-			// or hand-edited artifact pair must never be committed.
-			if err := stats.CheckPair(txt, csvText); err != nil {
-				fatal(fmt.Errorf("%s: txt/csv pair diverges: %w", name, err))
-			}
-			if err := os.WriteFile(filepath.Join(*outDir, name+".txt"), []byte(txt), 0o644); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(csvText), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	if *plot {
-		specs := sim.PaperFigures()
-		if *fig != 0 {
-			spec, err := sim.Figure(*fig)
-			if err != nil {
-				fatal(err)
-			}
-			specs = []sim.FigureSpec{spec}
-		}
-		for _, spec := range specs {
-			chart, err := sim.PlotFigure(spec, base, seedSet, *workers)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(chart)
-		}
-		return
-	}
-
-	switch {
-	case *gains:
-		tab, err := sim.GainsTable(base, seedSet, *workers)
-		emit("gains", tab, err)
-	case *overhead:
-		tab, err := sim.OverheadTable(base, seedSet)
-		emit("overhead", tab, err)
-	case *gc:
-		tab, err := sim.GCTable(base, seedSet)
-		emit("gc", tab, err)
-	case *contention:
-		tab, err := sim.ContentionTable(base, seedSet)
-		emit("contention", tab, err)
-	case *scalability:
-		tab, err := sim.ScalabilityTable(base, seedSet)
-		emit("scalability", tab, err)
-	case *proxy:
-		tab, err := sim.ProxyTable(base, seedSet)
-		emit("proxy", tab, err)
-	case *joins:
-		tab, err := sim.JoinsTable(base, seedSet)
-		emit("joins", tab, err)
-	case *replay:
-		tab, err := sim.ReplayTable(base, seedSet)
-		emit("replay", tab, err)
-	case *cause:
-		tab, err := sim.CauseTable(base, seedSet)
-		emit("cause", tab, err)
-	case *fig != 0:
-		spec, err := sim.Figure(*fig)
-		if err != nil {
-			fatal(err)
-		}
-		tab, err := sim.RunFigure(spec, base, seedSet, *workers)
-		emit(fmt.Sprintf("figure%d", *fig), tab, err)
-	default:
-		// All six figures ride one worker pool: every (figure, point,
-		// seed) job is sharded together, so cores stay busy across
-		// figure boundaries.
-		specs := sim.PaperFigures()
-		tabs, err := sim.SweepFigures(specs, base, seedSet, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		for i, spec := range specs {
-			emit(fmt.Sprintf("figure%d", spec.ID), tabs[i], nil)
 		}
 	}
 }
 
-// checkAllPairs verifies every <name>.txt that has a <name>.csv
-// sibling in dir and returns how many pairs were checked.
-func checkAllPairs(dir string) (int, error) {
-	txts, err := filepath.Glob(filepath.Join(dir, "*.txt"))
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, txtPath := range txts {
-		csvPath := strings.TrimSuffix(txtPath, ".txt") + ".csv"
-		csvData, err := os.ReadFile(csvPath)
-		if os.IsNotExist(err) {
-			continue // txt-only artifact (e.g. bench baselines)
-		}
-		if err != nil {
-			return n, err
-		}
-		txtData, err := os.ReadFile(txtPath)
-		if err != nil {
-			return n, err
-		}
-		if err := stats.CheckPair(string(txtData), string(csvData)); err != nil {
-			return n, fmt.Errorf("%s vs %s: %w", txtPath, csvPath, err)
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("checkpairs: no txt/csv pairs under %s", dir)
-	}
-	return n, nil
-}
-
-func fatal(err error) {
+// exit reports err and ends the command: code 2 for a flag value no run
+// can start from (like the flag package's own errors), 1 otherwise.
+func exit(code int, err error) {
 	fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
+	os.Exit(code)
 }

@@ -46,16 +46,6 @@ func PaperFigures() []FigureSpec {
 	}
 }
 
-// Figure returns the spec with the given id, or an error.
-func Figure(id int) (FigureSpec, error) {
-	for _, f := range PaperFigures() {
-		if f.ID == id {
-			return f, nil
-		}
-	}
-	return FigureSpec{}, fmt.Errorf("sim: no figure %d (paper has 1..6)", id)
-}
-
 // Apply overlays the figure's parameters onto a base configuration for
 // one T_switch point.
 func (f FigureSpec) Apply(base Config, tswitch float64) Config {
@@ -67,8 +57,10 @@ func (f FigureSpec) Apply(base Config, tswitch float64) Config {
 	return c
 }
 
-// points expands the figure's T_switch sweep into one Config per point.
-func (f FigureSpec) points(base Config) []Config {
+// Points expands the figure's T_switch sweep into one Config per point:
+// what SweepParallel takes, and the sums it returns are what Gains and the
+// figure's table and chart are computed from.
+func (f FigureSpec) Points(base Config) []Config {
 	pts := make([]Config, len(f.TSwitch))
 	for i, ts := range f.TSwitch {
 		pts[i] = f.Apply(base, ts)
@@ -76,95 +68,73 @@ func (f FigureSpec) points(base Config) []Config {
 	return pts
 }
 
-// FigureSeries sweeps the figure's T_switch values, replicating each
-// point over the given seeds, and returns the x values and one mean-N_tot
-// series per configured protocol. The whole sweep — every (point, seed)
-// pair, not just one point's replicates — is sharded over one worker
-// pool; workers <= 0 selects GOMAXPROCS.
-func FigureSeries(f FigureSpec, base Config, seeds []uint64, workers int) (xs []float64, series [][]float64, err error) {
-	sums, err := SweepParallel(f.points(base), seeds, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	series = make([][]float64, len(base.Protocols))
-	for p, ts := range f.TSwitch {
-		xs = append(xs, ts)
-		for i := range sums[p].Protocols {
-			series[i] = append(series[i], sums[p].Protocols[i].Ntot.Mean())
+// sweepFigures is the one sweep behind every figure table, chart and gain:
+// every (figure, point, seed) job rides a single worker pool, which keeps
+// every core busy across figure boundaries instead of draining per figure.
+// It returns the figures' sums in the order of specs, each one Summary
+// per T_switch point.
+func sweepFigures(specs []FigureSpec, base Config, seeds []uint64, workers int) ([][]*Summary, error) {
+	var all []Config
+	for _, f := range specs {
+		if len(f.TSwitch) == 0 {
+			return nil, fmt.Errorf("sim: figure %d sweeps no T_switch value", f.ID)
 		}
+		all = append(all, f.Points(base)...)
 	}
-	return xs, series, nil
-}
-
-// RunFigure sweeps the figure's T_switch values, replicating each point
-// over the given seeds, and returns a table with one row per point and
-// one N_tot column per protocol (mean across seeds, as in the paper).
-func RunFigure(f FigureSpec, base Config, seeds []uint64, workers int) (*stats.Table, error) {
-	xs, series, err := FigureSeries(f, base, seeds, workers)
+	sums, err := SweepParallel(all, seeds, workers)
 	if err != nil {
 		return nil, err
 	}
-	return figureTable(f, base, xs, series), nil
+	byFigure := make([][]*Summary, len(specs))
+	for i, f := range specs {
+		byFigure[i], sums = sums[:len(f.TSwitch)], sums[len(f.TSwitch):]
+	}
+	return byFigure, nil
 }
 
-// figureTable renders one figure's series as a table.
-func figureTable(f FigureSpec, base Config, xs []float64, series [][]float64) *stats.Table {
+// SweepFigures evaluates several figures in one shot on one worker pool
+// and returns their tables in the order of specs.
+func SweepFigures(specs []FigureSpec, base Config, seeds []uint64, workers int) ([]*stats.Table, error) {
+	sums, err := sweepFigures(specs, base, seeds, workers)
+	if err != nil {
+		return nil, err
+	}
+	tabs := make([]*stats.Table, len(specs))
+	for i, f := range specs {
+		tabs[i] = figureTable(f, sums[i])
+	}
+	return tabs, nil
+}
+
+// figureTable renders the sums of the figure's sweep (SweepParallel over
+// f.Points) as a table with one row per point and one N_tot column per
+// protocol (mean across seeds, as in the paper).
+func figureTable(f FigureSpec, sums []*Summary) *stats.Table {
 	cols := []string{"Tswitch"}
-	for _, p := range base.Protocols {
-		cols = append(cols, string(p))
+	for _, p := range sums[0].Protocols {
+		cols = append(cols, string(p.Name))
 	}
 	tab := stats.NewTable(f.Title, cols...)
-	for i, ts := range xs {
-		vals := make([]float64, 0, len(series))
-		for _, s := range series {
-			vals = append(vals, s[i])
+	for i, ts := range f.TSwitch {
+		vals := make([]float64, len(sums[i].Protocols))
+		for j := range vals {
+			vals[j] = sums[i].Protocols[j].Ntot.Mean()
 		}
 		tab.AddFloatRow(fmt.Sprintf("%.0f", ts), vals...)
 	}
 	return tab
 }
 
-// SweepFigures evaluates several figures in one shot, sharding every
-// (figure, point, seed) job across a single worker pool — the preferred
-// entry point for regenerating all paper tables, since a single pool
-// keeps every core busy across figure boundaries instead of draining
-// per figure. Results are returned in the order of specs.
-func SweepFigures(specs []FigureSpec, base Config, seeds []uint64, workers int) ([]*stats.Table, error) {
-	var all []Config
-	for _, f := range specs {
-		all = append(all, f.points(base)...)
-	}
-	sums, err := SweepParallel(all, seeds, workers)
-	if err != nil {
-		return nil, err
-	}
-	tabs := make([]*stats.Table, len(specs))
-	off := 0
-	for fi, f := range specs {
-		series := make([][]float64, len(base.Protocols))
-		xs := make([]float64, 0, len(f.TSwitch))
-		for p, ts := range f.TSwitch {
-			xs = append(xs, ts)
-			for i := range sums[off+p].Protocols {
-				series[i] = append(series[i], sums[off+p].Protocols[i].Ntot.Mean())
-			}
-		}
-		tabs[fi] = figureTable(f, base, xs, series)
-		off += len(f.TSwitch)
-	}
-	return tabs, nil
-}
-
-// PlotFigure renders a figure's series as the paper-style log-log ASCII
+// figurePlot renders the same sums as the paper-style log-log ASCII
 // chart.
-func PlotFigure(f FigureSpec, base Config, seeds []uint64, workers int) (*stats.Plot, error) {
-	xs, series, err := FigureSeries(f, base, seeds, workers)
-	if err != nil {
-		return nil, err
-	}
+func figurePlot(f FigureSpec, sums []*Summary) (*stats.Plot, error) {
 	p := stats.NewPlot(f.Title + "  (log-log)")
-	for i, name := range base.Protocols {
-		if err := p.Add(string(name), name[0], xs, series[i]); err != nil {
+	for j, pr := range sums[0].Protocols {
+		ys := make([]float64, len(sums))
+		for i := range sums {
+			ys[i] = sums[i].Protocols[j].Ntot.Mean()
+		}
+		if err := p.Add(string(pr.Name), pr.Name[0], f.TSwitch, ys); err != nil {
 			return nil, err
 		}
 	}
@@ -187,14 +157,10 @@ type GainReport struct {
 	QBCOverBCSAt float64
 }
 
-// Gains sweeps one figure and extracts the headline gains. The base
-// config must include TP, BCS and QBC. All points share one worker pool.
-func Gains(f FigureSpec, base Config, seeds []uint64, workers int) (GainReport, error) {
+// Gains extracts the headline gains from the sums of the figure's sweep,
+// which must include TP, BCS and QBC.
+func Gains(f FigureSpec, sums []*Summary) (GainReport, error) {
 	var rep GainReport
-	sums, err := SweepParallel(f.points(base), seeds, workers)
-	if err != nil {
-		return rep, err
-	}
 	for p, ts := range f.TSwitch {
 		sum := sums[p]
 		tp, bcs, qbc := sum.Protocol(TP), sum.Protocol(BCS), sum.Protocol(QBC)
@@ -213,4 +179,27 @@ func Gains(f FigureSpec, base Config, seeds []uint64, workers int) (GainReport, 
 		}
 	}
 	return rep, nil
+}
+
+// GainsTable evaluates E7 from the sums of the figures' sweeps: per
+// figure, the maximum gain of the index protocols over TP and of QBC over
+// BCS, with the T_switch at which each occurs (paper: up to 90% and up to
+// 15%/23%).
+func GainsTable(specs []FigureSpec, sums [][]*Summary) (*stats.Table, error) {
+	tab := stats.NewTable("Headline gains (E7; paper: index-over-TP up to 90%, QBC-over-BCS up to 15%/23%)",
+		"figure", "index over TP", "at Tswitch", "QBC over BCS", "at Tswitch")
+	for i, spec := range specs {
+		rep, err := Gains(spec, sums[i])
+		if err != nil {
+			return nil, err
+		}
+		tab.AddRow(
+			fmt.Sprintf("Fig %d (Pswitch=%.1f H=%.0f%%)", spec.ID, spec.PSwitch, spec.H*100),
+			fmt.Sprintf("%.1f%%", rep.TPOverIndexMax*100),
+			fmt.Sprintf("%.0f", rep.TPOverIndexAt),
+			fmt.Sprintf("%.1f%%", rep.QBCOverBCSMax*100),
+			fmt.Sprintf("%.0f", rep.QBCOverBCSAt),
+		)
+	}
+	return tab, nil
 }

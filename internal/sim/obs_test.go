@@ -181,7 +181,7 @@ func TestProgressReporting(t *testing.T) {
 func TestCauseTable(t *testing.T) {
 	base := testConfig()
 	base.Horizon = 1000
-	tab, err := CauseTable(base, []uint64{1, 2})
+	tab, err := CauseTable(base, []uint64{1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

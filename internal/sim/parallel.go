@@ -7,28 +7,33 @@ import (
 	"sync/atomic"
 )
 
-// SweepParallel runs every (point, seed) combination of a sweep — the
-// whole figure or experiment table, not just one point's replicates —
-// over a single worker pool, and aggregates one Summary per point. Each
-// run owns its entire engine (DES clock, network, protocol state), so
-// runs share nothing and the per-point aggregates are bit-identical to
-// sequential Replicate calls regardless of the worker count — only
-// wall-clock time changes (TestSweepParallelDeterministic). workers <= 0
-// selects GOMAXPROCS.
+// perSeed is the one way a table gets its runs: every (point, seed)
+// combination of a sweep — the whole figure or experiment table, not just
+// one point's replicates — goes over a single worker pool, extract reads
+// what the table needs off each Result on the worker that ran it (so no
+// Result outlives its job), and the values come back in job order: job
+// p*len(seeds)+s is point p under seed s. Each run owns its entire engine
+// (DES clock, network, protocol state), so runs share nothing and whatever
+// a caller aggregates in that order is bit-identical to a sequential loop
+// over the seeds regardless of the worker count — only wall-clock time
+// changes (TestSweepParallelDeterministic, TestTablesWorkerInvariant).
+// workers <= 0 selects GOMAXPROCS. An empty point or seed list is an
+// error: a table of no runs is all zeros, not a result.
 //
 // Error handling fails fast deterministically: a worker that observes a
-// failed run publishes the failed job's index, and the pool skips every
-// job *after* the earliest known failure while still executing the jobs
-// before it. That drains the queue promptly, yet guarantees the error
-// returned is always the sweep-order-earliest one — independent of the
-// worker count or scheduling. A run that panics is captured as an error
-// on its job (the pool never deadlocks on a dying worker).
-func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, error) {
+// failed run (or a failed extract) publishes the failed job's index, and
+// the pool skips every job *after* the earliest known failure while still
+// executing the jobs before it. That drains the queue promptly, yet
+// guarantees the error returned is always the sweep-order-earliest one —
+// independent of the worker count or scheduling. A run that panics is
+// captured as an error on its job (the pool never deadlocks on a dying
+// worker).
+func perSeed(points []Config, seeds []uint64, workers int, extract func(*Result) ([]float64, error)) ([][]float64, error) {
 	if len(points) == 0 {
-		return nil, fmt.Errorf("sim: SweepParallel needs at least one point")
+		return nil, fmt.Errorf("sim: a sweep needs at least one point")
 	}
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("sim: SweepParallel needs at least one seed")
+		return nil, fmt.Errorf("sim: a sweep needs at least one seed")
 	}
 	for i := range points {
 		if err := points[i].Validate(); err != nil {
@@ -43,7 +48,7 @@ func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, er
 		workers = jobs
 	}
 
-	ntot := make([][]int64, jobs) // per job, per protocol
+	vals := make([][]float64, jobs)
 	errs := make([]error, jobs)
 
 	// failedAt is the smallest job index known to have failed (jobs when
@@ -72,22 +77,14 @@ func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, er
 				}
 				c := points[i/len(seeds)]
 				c.Seed = seeds[i%len(seeds)]
-				res, err := safeRun(c)
-				if err != nil {
-					errs[i] = err
+				if vals[i], errs[i] = runJob(c, extract); errs[i] != nil {
 					for {
 						cur := failedAt.Load()
 						if int64(i) >= cur || failedAt.CompareAndSwap(cur, int64(i)) {
 							break
 						}
 					}
-					continue
 				}
-				row := make([]int64, len(res.Protocols))
-				for j := range res.Protocols {
-					row[j] = res.Protocols[j].Ntot
-				}
-				ntot[i] = row
 			}
 		}()
 	}
@@ -99,9 +96,24 @@ func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, er
 			return nil, errs[i]
 		}
 	}
+	return vals, nil
+}
 
-	// Aggregate per point in seed order, so each Summary is deterministic
-	// regardless of completion order.
+// SweepParallel runs every (point, seed) combination on perSeed's pool
+// and aggregates N_tot into one Summary per point, in seed order: the
+// aggregates are bit-identical to sequential Replicate calls at any
+// worker count, and errors are perSeed's.
+func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, error) {
+	ntot, err := perSeed(points, seeds, workers, func(res *Result) ([]float64, error) {
+		row := make([]float64, len(res.Protocols))
+		for j := range res.Protocols {
+			row[j] = float64(res.Protocols[j].Ntot)
+		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	sums := make([]*Summary, len(points))
 	for p := range points {
 		sum := &Summary{Config: points[p], Seeds: seeds}
@@ -111,7 +123,7 @@ func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, er
 		}
 		for s := range seeds {
 			for j, v := range ntot[p*len(seeds)+s] {
-				sum.Protocols[j].Ntot.Add(float64(v))
+				sum.Protocols[j].Ntot.Add(v)
 			}
 		}
 		sums[p] = sum
@@ -119,24 +131,26 @@ func SweepParallel(points []Config, seeds []uint64, workers int) ([]*Summary, er
 	return sums, nil
 }
 
-// safeRun invokes runSim, converting a panic into an error so a dying
-// worker cannot take the whole pool (and the caller's wait) with it.
-func safeRun(c Config) (res *Result, err error) {
+// runJob is one job — the run, then extract on its result — with a panic
+// in either converted into an error, so a dying worker cannot take the
+// whole pool (and the caller's wait) with it.
+func runJob(c Config, extract func(*Result) ([]float64, error)) (row []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: run with seed %d panicked: %v", c.Seed, r)
 		}
 	}()
-	return runSim(c)
+	res, err := runSim(c)
+	if err != nil {
+		return nil, err
+	}
+	return extract(res)
 }
 
 // ReplicateParallel is Replicate with the independently seeded runs
 // spread over a worker pool: the single-point special case of
 // SweepParallel, with the same determinism and fail-fast guarantees.
 func ReplicateParallel(cfg Config, seeds []uint64, workers int) (*Summary, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("sim: ReplicateParallel needs at least one seed")
-	}
 	sums, err := SweepParallel([]Config{cfg}, seeds, workers)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,42 @@ func TestSweepParallelValidation(t *testing.T) {
 	if _, err := SweepParallel([]Config{base, bad}, Seeds(1, 2), 2); err == nil ||
 		!strings.Contains(err.Error(), "point 1") {
 		t.Fatalf("invalid point must fail naming its index, got %v", err)
+	}
+}
+
+// TestPerSeedExtract covers what perSeed adds to the pool SweepParallel
+// always was: values come back in (point, seed) job order at any worker
+// count, and a failing extract is a failed job like a failing run — the
+// sweep-order-earliest error wins.
+func TestPerSeedExtract(t *testing.T) {
+	points := []Config{sweepConfig(), sweepConfig()}
+	points[1].Workload.TSwitch = 500
+	seeds := Seeds(5, 3)
+	id := func(res *Result) ([]float64, error) {
+		return []float64{res.Config.Workload.TSwitch, float64(res.Config.Seed)}, nil
+	}
+	for _, workers := range []int{1, 4} {
+		vals, err := perSeed(points, seeds, workers, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range vals {
+			if want := []float64{points[j/3].Workload.TSwitch, float64(seeds[j%3])}; !slices.Equal(v, want) {
+				t.Fatalf("workers=%d: job %d returned %v, want %v", workers, j, v, want)
+			}
+		}
+		_, err = perSeed(points, seeds, workers, func(res *Result) ([]float64, error) {
+			if res.Config.Seed != seeds[0] {
+				return nil, fmt.Errorf("extract failed on seed %d", res.Config.Seed)
+			}
+			return nil, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(seeds[1])) {
+			t.Fatalf("workers=%d: want the earliest extract error (seed %d), got %v", workers, seeds[1], err)
+		}
+	}
+	if _, err := perSeed(points, nil, 2, id); err == nil {
+		t.Fatal("empty seed list must fail")
 	}
 }
 

@@ -29,7 +29,7 @@ func protoRow(t *testing.T, name ProtocolName) int {
 // logging, and never beats pessimistic).
 func TestReplayTableLoggingReducesUndone(t *testing.T) {
 	base, seeds := benchScale()
-	tab, err := ReplayTable(base, seeds)
+	tab, err := ReplayTable(base, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestReplayTableLoggingReducesUndone(t *testing.T) {
 func TestReplayTableDeterministic(t *testing.T) {
 	base, _ := benchScale()
 	seeds := Seeds(7, 1)
-	a, err := ReplayTable(base, seeds)
+	a, err := ReplayTable(base, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayTable(base, seeds)
+	b, err := ReplayTable(base, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,8 @@ func Replicate(cfg Config, seeds []uint64) (*Summary, error) {
 }
 
 // Seeds returns n deterministic replication seeds derived from base.
+// n must be >= 0 (a negative count panics in make); a command checks its
+// flag first, and every table builder refuses the empty list n = 0 gives.
 func Seeds(base uint64, n int) []uint64 {
 	s := make([]uint64, n)
 	for i := range s {

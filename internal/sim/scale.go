@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"mobickpt/internal/des"
+	"mobickpt/internal/pdes"
 )
 
 // This file holds E21 (DESIGN.md §7): the scale sweep from 10 hosts to a
@@ -102,11 +103,19 @@ type ScaleMeasurement struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	PeakRSSBytes int64   `json:"peak_rss_bytes"`
+
+	// PDES is what the parallel engine reported of the run (lanes,
+	// windows); nil when the sequential engine made it. Not part of the
+	// JSON: no deterministic field depends on the engine.
+	PDES *pdes.StatsSnapshot `json:"-"`
 }
 
-// MeasureScale runs one E21 point and fills the deterministic fields.
-func MeasureScale(p ScalePoint, seed uint64, queue des.QueueKind) (*ScaleMeasurement, error) {
-	res, err := Run(p.Config(seed, queue))
+// MeasureScale runs one E21 point on the given engine (lanes as in
+// Config.Lanes) and fills the deterministic fields.
+func MeasureScale(p ScalePoint, seed uint64, queue des.QueueKind, engine pdes.Mode, lanes int) (*ScaleMeasurement, error) {
+	cfg := p.Config(seed, queue)
+	cfg.Engine, cfg.Lanes = engine, lanes
+	res, err := Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sim: scale point n=%d: %w", p.Hosts, err)
 	}
@@ -115,6 +124,7 @@ func MeasureScale(p ScalePoint, seed uint64, queue des.QueueKind) (*ScaleMeasure
 		Queue:           queue.String(),
 		Horizon:         float64(p.Horizon),
 		Events:          res.EventsFired,
+		PDES:            res.PDES,
 		NtotRate:        make(map[string]float64, len(res.Protocols)),
 		PiggybackPerMsg: make(map[string]float64, len(res.Protocols)),
 	}

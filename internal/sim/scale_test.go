@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -149,11 +150,11 @@ func TestScalePoints(t *testing.T) {
 func TestMeasureScale(t *testing.T) {
 	pt := ScalePoints(10)[0]
 	pt.Horizon = 2000 // keep the test quick; the budget-derived horizon is for benches
-	mh, err := MeasureScale(pt, 1, des.QueueHeap)
+	mh, err := MeasureScale(pt, 1, des.QueueHeap, pdes.ModeSequential, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MeasureScale(pt, 1, des.QueueCalendar)
+	mc, err := MeasureScale(pt, 1, des.QueueCalendar, pdes.ModeSequential, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +183,34 @@ func TestMeasureScale(t *testing.T) {
 	}
 	if len(back) != 2 || back[0].Hosts != 10 || back[0].Queue != "heap" || back[1].Queue != "calendar" {
 		t.Fatalf("round-trip mismatch: %+v", back)
+	}
+}
+
+// TestMeasureScaleSelectsEngine: the engine and lane count `figures
+// -scale -engine ... -lanes ...` names must be the ones that make the
+// run. (They were parsed and dropped: E22's documented command timed the
+// sequential engine.) The parallel measurement carries the engine's own
+// report, and no deterministic field depends on who made the run.
+func TestMeasureScaleSelectsEngine(t *testing.T) {
+	pt := ScalePoints(10)[0]
+	pt.Horizon = 2000
+	seq, err := MeasureScale(pt, 1, des.QueueCalendar, pdes.ModeSequential, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := MeasureScale(pt, 1, des.QueueCalendar, pdes.ModeConservative, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.PDES != nil {
+		t.Fatalf("sequential measurement reports a parallel engine: %+v", *seq.PDES)
+	}
+	if par.PDES == nil || par.PDES.Lanes != 2 || par.PDES.Mode != "conservative" || par.PDES.Windows == 0 {
+		t.Fatalf("conservative/2 measurement came from %+v, want a two-lane conservative run with windows", par.PDES)
+	}
+	if par.Events != seq.Events || !reflect.DeepEqual(par.NtotRate, seq.NtotRate) ||
+		!reflect.DeepEqual(par.PiggybackPerMsg, seq.PiggybackPerMsg) {
+		t.Fatalf("deterministic fields differ across engines:\nsequential   %+v\nconservative %+v", *seq, *par)
 	}
 }
 

@@ -290,11 +290,10 @@ func TestFigureLookup(t *testing.T) {
 	if len(PaperFigures()) != 6 {
 		t.Fatal("paper has six figures")
 	}
-	f, err := Figure(3)
-	if err != nil || f.PSwitch != 1.0 || f.H != 0.50 {
-		t.Fatalf("figure 3 = %+v, err %v", f, err)
+	if f := PaperFigures()[2]; f.ID != 3 || f.PSwitch != 1.0 || f.H != 0.50 {
+		t.Fatalf("figure 3 = %+v", f)
 	}
-	if _, err := Figure(9); err == nil {
+	if _, err := ParseTables("figure9"); err == nil {
 		t.Fatal("figure 9 must not exist")
 	}
 }
@@ -302,12 +301,13 @@ func TestFigureLookup(t *testing.T) {
 func TestRunFigureSmall(t *testing.T) {
 	base := testConfig()
 	base.Horizon = 1000
-	f, _ := Figure(1)
+	f := PaperFigures()[0]
 	f.TSwitch = []float64{100, 500}
-	tab, err := RunFigure(f, base, Seeds(1, 2), 0)
+	tabs, err := SweepFigures([]FigureSpec{f}, base, Seeds(1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := tabs[0]
 	if tab.NumRows() != 2 {
 		t.Fatalf("rows = %d", tab.NumRows())
 	}
@@ -319,9 +319,13 @@ func TestRunFigureSmall(t *testing.T) {
 func TestGainsSmall(t *testing.T) {
 	base := testConfig()
 	base.Horizon = 2000
-	f, _ := Figure(2)
+	f := PaperFigures()[1]
 	f.TSwitch = []float64{200, 1000}
-	rep, err := Gains(f, base, Seeds(1, 2), 0)
+	sums, err := SweepParallel(f.Points(base), Seeds(1, 2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Gains(f, sums)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +334,10 @@ func TestGainsSmall(t *testing.T) {
 	}
 	// Gains requires all three paper protocols.
 	base.Protocols = []ProtocolName{BCS, QBC}
-	if _, err := Gains(f, base, Seeds(1, 1), 0); err == nil {
+	if sums, err = SweepParallel(f.Points(base), Seeds(1, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Gains(f, sums); err == nil {
 		t.Fatal("Gains without TP must fail")
 	}
 }

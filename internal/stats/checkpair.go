@@ -3,6 +3,8 @@ package stats
 import (
 	"encoding/csv"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -79,9 +81,8 @@ func ParseCSV(s string) (*Table, error) {
 // CheckPair verifies that a .txt/.csv rendering pair describes the
 // same table: both parse, agree cell-for-cell, and re-render
 // byte-identically to the inputs (so a hand-edited or stale file is
-// caught even when the data still happens to agree). The figures and
-// recovery CLIs call it after writing each pair, and `figures
-// -checkpairs` sweeps the committed results/ directory.
+// caught even when the data still happens to agree). WritePair calls it
+// on everything it writes.
 func CheckPair(txt, csvText string) error {
 	tt, err := ParseTXT(txt)
 	if err != nil {
@@ -120,4 +121,22 @@ func CheckPair(txt, csvText string) error {
 		return fmt.Errorf("csv is not a canonical rendering of its own data:\n--- file ---\n%s--- re-render ---\n%s", csvText, reRendered)
 	}
 	return nil
+}
+
+// WritePair writes the table as dir/name.txt and dir/name.csv, creating
+// dir if needed — the one writer of the committed results/ pairs. It
+// fails before touching either file if the two renderings diverge: a
+// pair that disagrees with itself must never be committed.
+func (t *Table) WritePair(dir, name string) error {
+	txt, csvText := t.String(), t.CSV()
+	if err := CheckPair(txt, csvText); err != nil {
+		return fmt.Errorf("%s: txt/csv pair diverges: %w", name, err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".txt"), []byte(txt), 0o644); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, name+".csv"), []byte(csvText), 0o644)
 }
