@@ -45,28 +45,35 @@ test-race:
 allocs:
 	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/des/equeue ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore ./internal/recovery ./internal/trace
 
-# A short fuzz smoke of the two parsers of outside input — wire frames and
-# recorded schedules; `make fuzz` runs longer. The schedule seeds are tens
-# of kilobytes of JSON, which the fuzzer's default minute of minimization
-# per finding would spend the whole smoke on, so that is capped in runs.
+# A short fuzz smoke of the three parsers of outside input — wire frames,
+# recorded schedules and the bundles `mhsim -replay-schedule` reads;
+# `make fuzz` runs longer. The schedule and bundle seeds are tens of
+# kilobytes of JSON, which the fuzzer's default minute of minimization per
+# finding would spend the whole smoke on, so that is capped in runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/trace
+	$(GO) test -fuzz=FuzzImportBundle -fuzztime=10s -fuzzminimizetime=10x ./internal/replaycmp
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/trace
+	$(GO) test -fuzz=FuzzImportBundle -fuzztime=2m -fuzzminimizetime=10x ./internal/replaycmp
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector, then the CLI round-trip — a run recorded by
-# examples/live must replay clean through mhsim, and a perturbed replay
-# must fail (a gate has to be able to fail to prove it gates anything).
+# examples/live must replay clean through mhsim with its instruments on
+# (the timeline file has to appear), and a perturbed replay must fail (a
+# gate has to be able to fail to prove it gates anything).
 diffreplay:
 	$(GO) test -race -run 'TestDifferentialReplay' ./internal/replaycmp/
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./examples/live -record "$$tmp/run.bundle.json" -protocol TP -seed 3 > /dev/null; \
-	$(GO) run ./cmd/mhsim -replay-schedule "$$tmp/run.bundle.json" -checks; \
+	$(GO) run ./cmd/mhsim -replay-schedule "$$tmp/run.bundle.json" -checks -timeline "$$tmp/t.json" -metrics > "$$tmp/replay.out"; \
+	head -2 "$$tmp/replay.out"; \
+	if ! [ -s "$$tmp/t.json" ]; then \
+		echo "diffreplay: the replay wrote no timeline — -timeline is being ignored"; exit 1; fi; \
 	if $(GO) run ./cmd/mhsim -replay-schedule "$$tmp/run.bundle.json" -replay-perturb 0 > /dev/null 2>&1; then \
 		echo "diffreplay: perturbed replay did not fail — the gate is broken"; exit 1; \
 	else \

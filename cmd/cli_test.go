@@ -1,24 +1,30 @@
-// Package cmd holds the end-to-end checks of the figures and recovery
-// commands: the flag values no run may start from, and table selection.
+// Package cmd holds the end-to-end checks of the figures, recovery and
+// mhsim commands: the flag values no run may start from, table selection,
+// and a replay with its instruments on.
 package cmd
 
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"mobickpt/internal/live"
+	"mobickpt/internal/obs"
+	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
 )
 
-// build compiles both commands into a temp dir and returns a
+// build compiles the commands into a temp dir and returns a
 // function that runs one of them: stdout, stderr and the exit code.
 func build(t *testing.T) func(cmd string, args ...string) (string, string, int) {
 	t.Helper()
 	dir := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", dir+"/", "./figures", "./recovery").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", dir+"/", "./figures", "./recovery", "./mhsim").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return func(cmd string, args ...string) (string, string, int) {
@@ -68,5 +74,98 @@ func TestTableSelection(t *testing.T) {
 		if !strings.Contains(stderr, e.Name) {
 			t.Errorf("-table nope: stderr %q does not list %s", stderr, e.Name)
 		}
+	}
+}
+
+// TestMhsimRefusesWhatItWouldIgnore: every command line here once ran to
+// exit 0 with the named flag or arguments silently dropped. Each is a
+// usage error naming it, before any run starts (the bundle path is never
+// opened).
+func TestMhsimRefusesWhatItWouldIgnore(t *testing.T) {
+	run := build(t)
+	for _, tc := range []struct {
+		args  []string
+		names string
+	}{
+		{[]string{"-replay-schedule", "run.json", "-json"}, "-json"},
+		{[]string{"-replay-schedule", "run.json", "-seeds", "5"}, "-seeds"},
+		{[]string{"-replay-schedule", "run.json", "-engine", "timewarp"}, "-engine"},
+		{[]string{"-replay-schedule", "run.json", "-hosts", "3"}, "-hosts"},
+		{[]string{"-replay-schedule", "run.json", "-lanetimeline", "l.json"}, "-lanetimeline"},
+		{[]string{"-replay-perturb", "0", "-horizon", "100"}, "-replay-perturb"},
+		{[]string{"-json", "-seeds", "3", "-horizon", "100"}, "-json"},
+		{[]string{"-json", "-audit", "-horizon", "100"}, "-json"},
+		{[]string{"-horizon", "100", "extra", "args"}, "extra"},
+	} {
+		stdout, stderr, code := run("mhsim", tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.names) {
+			t.Errorf("mhsim %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output", tc.args, code, stdout, stderr, tc.names)
+		}
+	}
+}
+
+// TestMhsimReplayWritesInstruments: a replay takes -timeline and -metrics
+// (it used to return before looking at either). The timeline must load
+// and carry one checkpoint instant per checkpoint of the recording, and
+// the sim_checkpoints_total rows must sum to the same.
+func TestMhsimReplayWritesInstruments(t *testing.T) {
+	run := build(t)
+	mk, err := live.Factory("QBC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := live.DefaultConfig()
+	cfg.OpsPerHost = 100
+	cfg.Record = true
+	c, err := live.NewCluster(cfg, mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	dir := t.TempDir()
+	bundle, tlPath := filepath.Join(dir, "run.json"), filepath.Join(dir, "t.json")
+	var buf bytes.Buffer
+	if err := (&replaycmp.Bundle{Schedule: c.Schedule(), Live: c.Decisions()}).Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bundle, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, stderr, code := run("mhsim", "-replay-schedule", bundle, "-timeline", tlPath, "-metrics")
+	if code != 0 || !strings.Contains(stdout, "replay matches") {
+		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	}
+	want := int64(0)
+	for h := range c.Decisions().Checkpoints {
+		want += int64(len(c.Decisions().Checkpoints[h]))
+	}
+	f, err := os.Open(tlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tl, err := obs.ImportTimeline(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var instants int64
+	for _, ev := range tl.Events() {
+		if ev.Name == "checkpoint" {
+			instants++
+		}
+	}
+	var counted int64
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "sim_checkpoints_total{") {
+			n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			counted += n
+		}
+	}
+	if want == 0 || instants != want || counted != want {
+		t.Fatalf("%d checkpoint instants and sim_checkpoints_total summing to %d for the recording's %d checkpoints", instants, counted, want)
 	}
 }

@@ -7,9 +7,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"mobickpt/internal/des"
@@ -55,6 +57,14 @@ func main() {
 		perturb    = flag.Int("replay-perturb", -1, "with -replay-schedule: flip the n-th replayed checkpoint decision before diffing (proves the gate can fail)")
 	)
 	flag.Parse()
+	if err := checkUsage(*replayFile != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "mhsim:", err)
+		os.Exit(2)
+	}
+	if (*jsonOut || *metrics || *timeline != "" || *laneTl != "" || *probes) && (*seeds > 1 || *audit) {
+		fmt.Fprintln(os.Stderr, "mhsim: -json, -metrics, -timeline, -lanetimeline and -probes need single-run mode (-seeds 1, no -audit)")
+		os.Exit(2)
+	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -86,8 +96,17 @@ func main() {
 	}
 	cfg.MessageLog = mode
 	cfg.LogFlushBatch = *logBatch
+	if *metrics {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	if *timeline != "" {
+		cfg.Timeline = obs.NewTimeline()
+	}
 	if *replayFile != "" {
-		runReplay(*replayFile, *perturb, *checks, mode, *logBatch)
+		runReplay(*replayFile, *perturb, *timeline, sim.Config{
+			Checks: cfg.Checks, MessageLog: cfg.MessageLog, LogFlushBatch: cfg.LogFlushBatch,
+			Metrics: cfg.Metrics, Timeline: cfg.Timeline,
+		})
 		return
 	}
 	cfg.Queue, err = des.ParseQueueKind(*queue)
@@ -117,11 +136,6 @@ func main() {
 				float64(now), float64(cfg.Horizon), 100*float64(now)/float64(cfg.Horizon), fired)
 		}
 	}
-	if (*metrics || *timeline != "" || *laneTl != "" || *probes) && (*seeds > 1 || *audit) {
-		fmt.Fprintln(os.Stderr, "mhsim: -metrics, -timeline, -lanetimeline and -probes need single-run mode (-seeds 1, no -audit)")
-		os.Exit(2)
-	}
-
 	if *audit {
 		cfg.Checks = true
 		n := *seeds
@@ -139,12 +153,6 @@ func main() {
 
 	if *seeds <= 1 {
 		cfg.Seed = *seed
-		if *metrics {
-			cfg.Metrics = obs.NewRegistry()
-		}
-		if *timeline != "" {
-			cfg.Timeline = obs.NewTimeline()
-		}
 		if *laneTl != "" {
 			cfg.LaneTimeline = obs.NewTimeline()
 		}
@@ -154,20 +162,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mhsim:", err)
 			os.Exit(1)
 		}
-		if *timeline != "" {
-			if err := writeTimeline(*timeline, cfg.Timeline); err != nil {
-				fmt.Fprintln(os.Stderr, "mhsim:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mhsim: wrote timeline %s (%d events)\n", *timeline, cfg.Timeline.Len())
-		}
-		if *laneTl != "" {
-			if err := writeTimeline(*laneTl, cfg.LaneTimeline); err != nil {
-				fmt.Fprintln(os.Stderr, "mhsim:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mhsim: wrote lane timeline %s (%d events)\n", *laneTl, cfg.LaneTimeline.Len())
-		}
+		saveTimeline(*timeline, "timeline", cfg.Timeline)
+		saveTimeline(*laneTl, "lane timeline", cfg.LaneTimeline)
 		if *jsonOut {
 			if err := res.ExportJSON(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "mhsim:", err)
@@ -176,13 +172,7 @@ func main() {
 			return
 		}
 		printRun(res, *verbose)
-		if cfg.Metrics != nil {
-			fmt.Println()
-			if err := cfg.Metrics.Snapshot().WritePrometheus(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "mhsim:", err)
-				os.Exit(1)
-			}
-		}
+		printMetrics(cfg.Metrics)
 		return
 	}
 
@@ -205,16 +195,61 @@ func main() {
 	fmt.Print(tab)
 }
 
-func writeTimeline(path string, tl *obs.Timeline) error {
+// replayFlags are the flags -replay-schedule composes with: the schedule
+// dictates topology, protocol, event order and clock, so every other
+// flag would be set and then ignored.
+var replayFlags = []string{"replay-schedule", "replay-perturb", "checks", "log", "logbatch",
+	"timeline", "metrics", "cpuprofile", "memprofile"}
+
+// checkUsage refuses command lines part of which no run would look at:
+// positional arguments, a flag outside replayFlags next to
+// -replay-schedule, -replay-perturb without it.
+func checkUsage(replay bool) error {
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (mhsim takes flags only)", flag.Args())
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case replay && !slices.Contains(replayFlags, f.Name):
+			err = fmt.Errorf("-%s does not apply to -replay-schedule: the schedule dictates the run (it takes -%s)",
+				f.Name, strings.Join(replayFlags[1:], ", -"))
+		case !replay && f.Name == "replay-perturb":
+			err = fmt.Errorf("-replay-perturb needs -replay-schedule")
+		}
+	})
+	return err
+}
+
+// saveTimeline exports tl to path and says so on stderr; a nil tl (the
+// flag was not given) is nothing to save.
+func saveTimeline(path, what string, tl *obs.Timeline) {
+	if tl == nil {
+		return
+	}
 	f, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(tl.Export(f), f.Close())
+	}
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "mhsim:", err)
+		os.Exit(1)
 	}
-	if err := tl.Export(f); err != nil {
-		f.Close()
-		return err
+	fmt.Fprintf(os.Stderr, "mhsim: wrote %s %s (%d events)\n", what, path, tl.Len())
+}
+
+// printMetrics dumps reg as Prometheus text after the results; nil (no
+// -metrics) prints nothing.
+func printMetrics(reg *obs.Registry) {
+	if reg == nil {
+		return
 	}
-	return f.Close()
+	fmt.Println()
+	if err := reg.Snapshot().WritePrometheus(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mhsim:", err)
+		os.Exit(1)
+	}
 }
 
 func printRun(res *sim.Result, verbose bool) {

@@ -7,18 +7,18 @@ package main
 // a checkpoint taken at a different point, with a different index, kind
 // or cause, a delivery observed with different control information, or
 // a different post-hoc recovery line — is reported with its schedule
-// position and exits non-zero.
+// position and exits non-zero — after the -timeline file and the -metrics
+// dump are out, since a diverging replay is when they are wanted.
 
 import (
 	"fmt"
 	"os"
 
-	"mobickpt/internal/mlog"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
 )
 
-func runReplay(path string, perturb int, checks bool, logMode mlog.Mode, logBatch int) {
+func runReplay(path string, perturb int, timeline string, cfg sim.Config) {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mhsim:", err)
@@ -31,12 +31,7 @@ func runReplay(path string, perturb int, checks bool, logMode mlog.Mode, logBatc
 		os.Exit(2)
 	}
 
-	cfg := sim.Config{
-		Schedule:      bundle.Schedule,
-		Checks:        checks,
-		MessageLog:    logMode,
-		LogFlushBatch: logBatch,
-	}
+	cfg.Schedule = bundle.Schedule
 	res, err := sim.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mhsim: replay:", err)
@@ -56,9 +51,14 @@ func runReplay(path string, perturb int, checks bool, logMode mlog.Mode, logBatc
 		pr.Name, res.FinalHosts, len(bundle.Schedule.Events),
 		pr.Initial+pr.Ntot, pr.Basic, pr.Forced, pr.Trace.Len())
 
-	if d := replaycmp.Compare(bundle.Live, res.Decisions, bundle.Schedule); d != nil {
+	d := replaycmp.Compare(bundle.Live, res.Decisions, bundle.Schedule)
+	if d == nil {
+		fmt.Println("replay matches the live recording: decision logs identical")
+	}
+	saveTimeline(timeline, "timeline", cfg.Timeline)
+	printMetrics(cfg.Metrics)
+	if d != nil {
 		fmt.Fprintln(os.Stderr, "mhsim: "+d.String())
 		os.Exit(1)
 	}
-	fmt.Println("replay matches the live recording: decision logs identical")
 }

@@ -247,42 +247,6 @@ func TestRecoveryLines(t *testing.T) {
 	}
 }
 
-// fakeRunner scripts Ablation outcomes without a simulation.
-type fakeRunner struct {
-	joint []Outcome
-	solo  map[string]Outcome
-}
-
-func (f fakeRunner) Joint() ([]Outcome, error) { return f.joint, nil }
-func (f fakeRunner) Solo(p string) (Outcome, error) {
-	o, ok := f.solo[p]
-	if !ok {
-		return Outcome{}, fmt.Errorf("no solo outcome for %s", p)
-	}
-	return o, nil
-}
-
-func TestAblation(t *testing.T) {
-	a := Outcome{Protocol: "BCS", Ntot: 10, Basic: 7, Forced: 3, PiggybackBytes: 800}
-	b := Outcome{Protocol: "QBC", Ntot: 8, Basic: 7, Forced: 1, PiggybackBytes: 800}
-
-	ok := fakeRunner{joint: []Outcome{a, b}, solo: map[string]Outcome{"BCS": a, "QBC": b}}
-	if err := Ablation(ok); err != nil {
-		t.Fatalf("matching outcomes rejected: %v", err)
-	}
-
-	drift := b
-	drift.Forced = 2 // the solo run diverged
-	bad := fakeRunner{joint: []Outcome{a, b}, solo: map[string]Outcome{"BCS": a, "QBC": drift}}
-	err := Ablation(bad)
-	if err == nil {
-		t.Fatal("diverging solo run accepted")
-	}
-	if !strings.Contains(err.Error(), "QBC") || !strings.Contains(err.Error(), "Forced") {
-		t.Fatalf("error does not name protocol and quantity: %v", err)
-	}
-}
-
 func TestViolationsError(t *testing.T) {
 	v := &Violation{Protocol: "BCS", Host: 3, Time: 12.5, Rule: "forcing-rule", Detail: "boom"}
 	if got := v.Error(); !strings.Contains(got, "BCS") || !strings.Contains(got, "host 3") ||

@@ -9,16 +9,21 @@ package replaycmp_test
 // execution environments misimplements the protocol.
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"mobickpt/internal/live"
 	"mobickpt/internal/mlog"
+	"mobickpt/internal/mobile"
+	"mobickpt/internal/obs"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
+	"mobickpt/internal/trace"
 )
 
-func record(t *testing.T, cfg live.Config, protocol string) *live.Cluster {
+func record(t testing.TB, cfg live.Config, protocol string) *live.Cluster {
 	t.Helper()
 	mk, err := live.Factory(protocol)
 	if err != nil {
@@ -37,15 +42,21 @@ func record(t *testing.T, cfg live.Config, protocol string) *live.Cluster {
 // discipline and holds the two executions to identical decision logs
 // and, when they log, to field-for-field equal message-log counters: a
 // recorded run and its replay append, flush, prune and hand off the same
-// entries at the same instants, or one of them is wrong.
-func replay(t *testing.T, c *live.Cluster, cfg live.Config) *sim.Result {
+// entries at the same instants, or one of them is wrong. With
+// instrumented set the replay also feeds a metrics registry and a
+// timeline, which must change none of that.
+func replay(t *testing.T, c *live.Cluster, cfg live.Config, instrumented bool) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(sim.Config{
+	rcfg := sim.Config{
 		Schedule:      c.Schedule(),
 		Checks:        true,
 		MessageLog:    cfg.LogMode,
 		LogFlushBatch: cfg.LogFlushBatch,
-	})
+	}
+	if instrumented {
+		rcfg.Metrics, rcfg.Timeline = obs.NewRegistry(), obs.NewTimeline()
+	}
+	res, err := sim.Run(rcfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
@@ -88,7 +99,8 @@ func TestDifferentialReplay(t *testing.T) {
 							cfg.PDisconnect = rate.pdisconn
 							cfg.LogMode = mode
 							c := record(t, cfg, protocol)
-							replay(t, c, cfg)
+							replay(t, c, cfg, false)
+							replay(t, c, cfg, true)
 							if mode != mlog.Off {
 								pruned += c.MLog().Counters().Pruned
 							}
@@ -114,9 +126,11 @@ func TestDifferentialReplayWithJoins(t *testing.T) {
 			cfg.Joins = 4
 			cfg.LogMode = mode
 			c := record(t, cfg, "QBC")
-			res := replay(t, c, cfg)
-			if res.FinalHosts != cfg.Hosts+cfg.Joins {
-				t.Fatalf("replay ends with %d hosts, want %d", res.FinalHosts, cfg.Hosts+cfg.Joins)
+			for _, instrumented := range []bool{false, true} {
+				res := replay(t, c, cfg, instrumented)
+				if res.FinalHosts != cfg.Hosts+cfg.Joins {
+					t.Fatalf("replay ends with %d hosts, want %d", res.FinalHosts, cfg.Hosts+cfg.Joins)
+				}
 			}
 		})
 	}
@@ -129,7 +143,7 @@ func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.OpsPerHost = 200
 	c := record(t, cfg, "QBC")
-	res := replay(t, c, cfg)
+	res := replay(t, c, cfg, false)
 	if !replaycmp.Perturb(res.Decisions, 42) {
 		t.Fatal("perturbation refused")
 	}
@@ -142,5 +156,120 @@ func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 	}
 	if d.Context == nil {
 		t.Fatal("divergence report lacks vector-clock context")
+	}
+}
+
+// The instruments a replay now takes say what the run did: on a recorded
+// run with joins and an optimistic log, the timeline carries one
+// checkpoint instant per store record (that record's kind, index and
+// cause), one send and one deliver instant per scheduled send and
+// delivery, and chains every forced checkpoint into the flow of the
+// delivery that induced it; the checkpoint counters equal the result's
+// cause breakdown key for key and the mlog instruments its log counters.
+// Two replays of the schedule export the same bytes.
+func TestReplayInstruments(t *testing.T) {
+	cfg := live.DefaultConfig()
+	cfg.OpsPerHost = 200
+	cfg.Joins = 2
+	cfg.LogMode = mlog.Optimistic
+	c := record(t, cfg, "QBC")
+	sched := c.Schedule()
+	res := replay(t, c, cfg, true)
+	reg, tl := res.Config.Metrics, res.Config.Timeline
+	pr := &res.Protocols[0]
+
+	byTrack := make([][]obs.TimelineEvent, res.FinalHosts)
+	for _, ev := range tl.Events() {
+		byTrack[ev.Tid] = append(byTrack[ev.Tid], ev)
+	}
+	instants := map[string]int{}
+	for h, evs := range byTrack {
+		chain := pr.Store.Chain(mobile.HostID(h))
+		ord := 0
+		for k, ev := range evs {
+			if ev.Phase != "i" {
+				continue
+			}
+			instants[ev.Name]++
+			if ev.Name != "checkpoint" {
+				continue
+			}
+			if ord >= len(chain) {
+				t.Fatalf("host %d: more checkpoint instants than its %d store records", h, len(chain))
+			}
+			rec, dec := chain[ord], res.Decisions.Checkpoints[h][ord]
+			want := map[string]string{"proto": "QBC", "kind": rec.Kind.String(), "cause": dec.Cause, "index": strconv.Itoa(rec.Index)}
+			if fmt.Sprint(ev.Args) != fmt.Sprint(want) || ev.Ts != float64(rec.TakenAt) {
+				t.Fatalf("host %d checkpoint #%d: instant %v at %v, record wants %v at %v", h, ord, ev.Args, ev.Ts, want, rec.TakenAt)
+			}
+			if dec.Kind == "forced" {
+				// The inducing event is a delivery; its message id is the flow.
+				flow := strconv.FormatUint(sched.Events[dec.Seq].Msg, 10)
+				if k+1 >= len(evs) || evs[k+1].Phase != "t" || evs[k+1].Name != "msg-flow" || evs[k+1].ID != flow {
+					t.Fatalf("host %d forced checkpoint #%d is not chained into flow %s", h, ord, flow)
+				}
+			}
+			ord++
+		}
+		if ord != len(chain) {
+			t.Fatalf("host %d: %d checkpoint instants for %d store records", h, ord, len(chain))
+		}
+	}
+	scheduled := map[string]int{}
+	for _, ev := range sched.Events {
+		scheduled[ev.Kind]++
+	}
+	for _, kind := range []string{trace.SchedSend, trace.SchedDeliver, trace.SchedJoin} {
+		if instants[kind] != scheduled[kind] || scheduled[kind] == 0 {
+			t.Errorf("%d %s instants for %d scheduled", instants[kind], kind, scheduled[kind])
+		}
+	}
+
+	snap := reg.Snapshot()
+	get := func(name string, kv ...string) int64 {
+		v, ok := snap.Get(name, kv...)
+		if !ok {
+			t.Errorf("no %s%v sample", name, kv)
+		}
+		return v
+	}
+	var causes int
+	for _, smp := range snap.Counters {
+		if smp.Name == "sim_checkpoints_total" {
+			causes++
+		}
+	}
+	if causes != len(pr.Causes) {
+		t.Errorf("%d sim_checkpoints_total samples for %d causes %v", causes, len(pr.Causes), pr.Causes)
+	}
+	for key, n := range pr.Causes {
+		if v := get("sim_checkpoints_total", "proto", "QBC", "cause", key); v != n {
+			t.Errorf("sim_checkpoints_total{cause=%s} = %d, result says %d", key, v, n)
+		}
+	}
+	for name, want := range map[string]int64{
+		"mlog_appended_total":        pr.Log.Appended,
+		"mlog_flushes_total":         pr.Log.Flushes,
+		"mlog_flushed_entries_total": pr.Log.FlushedEntries,
+		"mlog_stable_bytes_total":    pr.Log.StableBytes,
+		"mlog_handoffs_total":        pr.Log.Handoffs,
+		"mlog_transfer_bytes_total":  pr.Log.TransferBytes,
+		"mlog_pruned_total":          pr.Log.Pruned,
+		"mlog_retained_entries":      pr.Log.FlushedEntries - pr.Log.Pruned,
+	} {
+		if v := get(name, "proto", "QBC"); v != want || (want == 0 && name != "mlog_retained_entries") {
+			t.Errorf("%s = %d, log counters say %d (want activity)", name, v, want)
+		}
+	}
+
+	var a, b bytes.Buffer
+	if err := tl.Export(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay(t, c, cfg, true).Config.Timeline.Export(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two replays of one schedule export different timelines")
 	}
 }

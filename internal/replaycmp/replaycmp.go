@@ -175,8 +175,8 @@ func RecoveryLines(store *storage.Store, tr *trace.Trace, n int) [][]int {
 
 // Divergence is the first point where two decision logs disagree.
 type Divergence struct {
-	// Field names what diverged: "hosts", "checkpoint", "delivery" or
-	// "recovery-line".
+	// Field names what diverged: "protocol", "hosts" (the row count of
+	// either table), "checkpoint", "delivery" or "recovery-line".
 	Field string
 	// Host is the disagreeing host (for "recovery-line", the failed
 	// host whose line differs).
@@ -215,12 +215,26 @@ func (d Delivery) describe() string {
 // and a replayed one, or nil when they are identical. "Earliest" is by
 // schedule position, so the report points at the first event the two
 // executions interpreted differently, not a downstream symptom. sched,
-// when non-nil, supplies the vector-clock context.
+// when non-nil, supplies the vector-clock context. Compare is total: two
+// logs of different shape — another protocol, a table with more or fewer
+// host rows — diverge before any row is read.
 func Compare(live, replay *Log, sched *trace.Schedule) *Divergence {
-	if live.NumHosts() != replay.NumHosts() {
-		return &Divergence{
-			Field: "hosts",
-			Live:  strconv.Itoa(live.NumHosts()), Replay: strconv.Itoa(replay.NumHosts()),
+	if live.Protocol != replay.Protocol {
+		return &Divergence{Field: "protocol", Live: live.Protocol, Replay: replay.Protocol}
+	}
+	for _, table := range []struct {
+		name         string
+		live, replay int
+	}{
+		{"checkpoint", len(live.Checkpoints), len(replay.Checkpoints)},
+		{"delivery", len(live.Deliveries), len(replay.Deliveries)},
+	} {
+		if table.live != table.replay {
+			return &Divergence{
+				Field:  "hosts",
+				Live:   fmt.Sprintf("%d %s rows", table.live, table.name),
+				Replay: fmt.Sprintf("%d %s rows", table.replay, table.name),
+			}
 		}
 	}
 	var best *Divergence
@@ -383,7 +397,8 @@ func (b *Bundle) Export(w io.Writer) error {
 }
 
 // ImportBundle reads a bundle written by Export and validates its
-// schedule.
+// schedule, and the live log's shape against it: the schedule's protocol,
+// and one checkpoint row and one delivery row per final host.
 func ImportBundle(r io.Reader) (*Bundle, error) {
 	var b Bundle
 	if err := json.NewDecoder(r).Decode(&b); err != nil {
@@ -396,9 +411,16 @@ func ImportBundle(r io.Reader) (*Bundle, error) {
 	if err := b.Schedule.Validate(); err != nil {
 		return nil, fmt.Errorf("replaycmp: import bundle: %w", err)
 	}
-	if b.Live.NumHosts() != b.Schedule.FinalHosts() {
-		return nil, fmt.Errorf("replaycmp: bundle live log has %d hosts, schedule ends with %d",
-			b.Live.NumHosts(), b.Schedule.FinalHosts())
+	if b.Live.Protocol != b.Schedule.Protocol {
+		return nil, fmt.Errorf("replaycmp: bundle live.protocol is %q, schedule.protocol %q",
+			b.Live.Protocol, b.Schedule.Protocol)
+	}
+	hosts := b.Schedule.FinalHosts()
+	if n := len(b.Live.Checkpoints); n != hosts {
+		return nil, fmt.Errorf("replaycmp: bundle live.checkpoints has %d rows, schedule ends with %d hosts", n, hosts)
+	}
+	if n := len(b.Live.Deliveries); n != hosts {
+		return nil, fmt.Errorf("replaycmp: bundle live.deliveries has %d rows, schedule ends with %d hosts", n, hosts)
 	}
 	return &b, nil
 }

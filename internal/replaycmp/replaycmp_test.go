@@ -176,3 +176,56 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Fatal("bundle with mismatched host counts accepted")
 	}
 }
+
+// shapeMutations are the ways a live log stops matching the schedule it
+// travels with while staying well-formed JSON: each once passed (or
+// panicked) the differential gate.
+var shapeMutations = []struct {
+	name   string
+	mutate func(*Log)
+	// field is what Compare reports, importErr what ImportBundle names.
+	field, importErr string
+}{
+	{"deliveries emptied", func(l *Log) { l.Deliveries = [][]Delivery{} }, "hosts", "live.deliveries"},
+	{"last row dropped", func(l *Log) { l.Deliveries = l.Deliveries[:len(l.Deliveries)-1] }, "hosts", "live.deliveries"},
+	{"row appended", func(l *Log) { l.Deliveries = append(l.Deliveries, nil) }, "hosts", "live.deliveries"},
+	{"protocol renamed", func(l *Log) { l.Protocol = "TP" }, "protocol", "live.protocol"},
+}
+
+// Compare is total on any two logs: a shape mismatch on either side is a
+// divergence, never a panic and never a match.
+func TestCompareShapeMismatch(t *testing.T) {
+	for _, m := range shapeMutations {
+		a, b := twin()
+		m.mutate(a)
+		for _, side := range []struct {
+			name         string
+			live, replay *Log
+		}{{"live", a, b}, {"replay", b, a}} {
+			d := Compare(side.live, side.replay, nil)
+			if d == nil || d.Field != m.field {
+				t.Errorf("%s on the %s side: divergence %+v, want field %q", m.name, side.name, d, m.field)
+			}
+		}
+	}
+}
+
+// A bundle whose live log does not have the schedule's shape is refused
+// at import, with an error naming the offending field.
+func TestImportBundleRejectsMisshapenLiveLog(t *testing.T) {
+	s := trace.NewSchedule(2, 2, "QBC", 1)
+	s.Record(trace.SchedSend, 1, 0, 1, 1, -1, -1)
+	s.Record(trace.SchedDeliver, 2, 1, 0, 1, -1, -1)
+	s.SealInFlight()
+	for _, m := range shapeMutations {
+		l, _ := twin()
+		m.mutate(l)
+		var buf bytes.Buffer
+		if err := (&Bundle{Schedule: s, Live: l}).Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ImportBundle(&buf); err == nil || !strings.Contains(err.Error(), m.importErr) {
+			t.Errorf("%s: import error %v, want one naming %s", m.name, err, m.importErr)
+		}
+	}
+}

@@ -65,3 +65,33 @@ func TestAuditPropagatesErrors(t *testing.T) {
 		t.Fatalf("error does not identify the failing run: %v", err)
 	}
 }
+
+// The comparison itself, without a simulation: equal outcomes pass, and a
+// solo run that drifted in any one quantity is an error naming the
+// protocol and that quantity.
+func TestSameOutcome(t *testing.T) {
+	shared := ProtocolResult{Name: QBC, Ntot: 8, Basic: 7, Forced: 1, PiggybackBytes: 800}
+	solo := shared
+	if err := sameOutcome(&solo, &shared); err != nil {
+		t.Fatalf("matching outcomes rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		quantity string
+		drift    func(*ProtocolResult)
+	}{
+		{"Ntot", func(p *ProtocolResult) { p.Ntot++ }},
+		{"Basic", func(p *ProtocolResult) { p.Basic++ }},
+		{"Forced", func(p *ProtocolResult) { p.Forced = 2 }},
+		{"PiggybackBytes", func(p *ProtocolResult) { p.PiggybackBytes-- }},
+	} {
+		solo := shared
+		tc.drift(&solo)
+		err := sameOutcome(&solo, &shared)
+		if err == nil {
+			t.Fatalf("diverging %s accepted", tc.quantity)
+		}
+		if !strings.Contains(err.Error(), "QBC") || !strings.Contains(err.Error(), tc.quantity) {
+			t.Fatalf("error does not name protocol and quantity %s: %v", tc.quantity, err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"mobickpt/internal/des"
-	"mobickpt/internal/mobile"
 	"mobickpt/internal/pdes"
 )
 
@@ -58,27 +57,28 @@ func (s *coreSched) Route(from, owner int, at des.Time, label string, fn des.Arg
 // global simulator for sequential runs, a coreSched over a lane-sharded
 // pdes.Core for parallel ones (the global simulator then carries only
 // the world-stopped timeline: markers, ticks, GC, joins). It also sizes
-// the lane-sharded engine state, which both surfaces index the same way.
+// the lane-sharded state — the protocol side's and the payload free
+// lists — which both surfaces index the same way.
 func (e *engine) bindEngine() error {
 	cfg := e.cfg
 	if cfg.Probes {
 		e.sim.EnableProbe(&e.simPool, &e.simQueue)
 	}
-	e.laneCount = 1
+	lanes := 1
 	e.inGlobalPhase = true // single-threaded until the lanes start
 	if cfg.Engine == pdes.ModeSequential {
 		e.sched = des.Solo(e.sim)
 	} else {
-		e.laneCount = cfg.Lanes
-		if e.laneCount <= 0 {
-			e.laneCount = runtime.GOMAXPROCS(0)
+		lanes = cfg.Lanes
+		if lanes <= 0 {
+			lanes = runtime.GOMAXPROCS(0)
 		}
 		if cfg.Probes {
 			e.coreProbe = &pdes.CoreProbe{}
 		}
 		core, err := pdes.NewCore(pdes.CoreConfig{
 			Mode:    cfg.Engine,
-			Lanes:   e.laneCount,
+			Lanes:   lanes,
 			Queue:   cfg.Queue,
 			Horizon: cfg.Horizon,
 			// The minimum cross-lane message delay: every cross-lane hop is
@@ -103,21 +103,7 @@ func (e *engine) bindEngine() error {
 		e.core = core
 		e.sched = &coreSched{core: core, e: e}
 	}
-	e.causeLane = make([]string, e.laneCount)
-	e.plFree = make([][]*payload, e.laneCount)
-	e.causesLane = make([][]map[string]int64, e.laneCount)
-	for l := range e.causesLane {
-		e.causesLane[l] = make([]map[string]int64, len(cfg.Protocols))
-		for i := range e.causesLane[l] {
-			e.causesLane[l][i] = make(map[string]int64)
-		}
-	}
-	if e.tl != nil {
-		e.flowLane = make([]uint64, e.laneCount)
-		e.flowHostLane = make([]mobile.HostID, e.laneCount)
-		for i := range e.flowHostLane {
-			e.flowHostLane[i] = -1
-		}
-	}
+	e.protoSide = newProtoSide(len(cfg.Protocols), lanes, cfg.Metrics, cfg.Timeline, e.now)
+	e.plFree = make([][]*payload, lanes)
 	return nil
 }

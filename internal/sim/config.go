@@ -193,7 +193,8 @@ type Config struct {
 	// live one. Replay mode uses the schedule's own topology and protocol;
 	// Protocols must be empty or name exactly that protocol, and the
 	// workload/mobility/engine knobs of the generative mode are rejected
-	// (there is nothing for them to drive). Checks and MessageLog compose.
+	// (there is nothing for them to drive). Checks, MessageLog, Metrics and
+	// Timeline compose: the replay drives the same protocol side.
 	Schedule *trace.Schedule
 }
 
@@ -376,8 +377,8 @@ func (c Config) validateReplay() error {
 		return fmt.Errorf("sim: replay is incompatible with GCInterval (the recording prunes at hand-offs, not on a clock)")
 	case len(c.JoinTimes) != 0:
 		return fmt.Errorf("sim: replay takes joins from the schedule, not JoinTimes")
-	case c.Probes || c.LaneTimeline != nil || c.Timeline != nil || c.Metrics != nil:
-		return fmt.Errorf("sim: replay supports none of Probes/Timeline/LaneTimeline/Metrics")
+	case c.Probes || c.LaneTimeline != nil:
+		return fmt.Errorf("sim: replay supports neither Probes nor LaneTimeline (it has no event queue, pools or lanes to observe)")
 	case c.Progress != nil:
 		return fmt.Errorf("sim: replay is incompatible with Progress")
 	}

@@ -46,9 +46,8 @@ func TestReplayValidateRejects(t *testing.T) {
 		{"snapshots", func(c *Config) { c.SnapshotPeriod = 100 }},
 		{"gc", func(c *Config) { c.GCInterval = 10 }},
 		{"join times", func(c *Config) { c.JoinTimes = []des.Time{5} }},
-		{"metrics", func(c *Config) { c.Metrics = obs.NewRegistry() }},
-		{"timeline", func(c *Config) { c.Timeline = obs.NewTimeline() }},
 		{"probes", func(c *Config) { c.Probes = true }},
+		{"lane timeline", func(c *Config) { c.LaneTimeline = obs.NewTimeline() }},
 		{"progress", func(c *Config) { c.Progress = func(des.Time, uint64) {} }},
 		{"bad log mode", func(c *Config) { c.MessageLog = mlog.Mode(99) }},
 		{"negative log batch", func(c *Config) { c.LogFlushBatch = -1 }},
@@ -64,10 +63,16 @@ func TestReplayValidateRejects(t *testing.T) {
 			t.Errorf("%s: replay config accepted", tc.name)
 		}
 	}
-	// The schedule's own protocol name is accepted explicitly.
-	cfg := Config{Schedule: replaySchedule("QBC"), Protocols: []ProtocolName{QBC}}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
+	// The schedule's own protocol name is accepted explicitly, and so are
+	// the instruments the protocol side carries into either world.
+	for name, cfg := range map[string]Config{
+		"own protocol": {Schedule: replaySchedule("QBC"), Protocols: []ProtocolName{QBC}},
+		"metrics":      {Schedule: replaySchedule("QBC"), Metrics: obs.NewRegistry()},
+		"timeline":     {Schedule: replaySchedule("QBC"), Timeline: obs.NewTimeline()},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 	// The rejection names the replayable set.
 	err := Config{Schedule: replaySchedule("PS")}.Validate()

@@ -1,32 +1,20 @@
 package sim
 
-import (
-	"mobickpt/internal/obs/probe"
-	"mobickpt/internal/protocol"
-)
+import "mobickpt/internal/obs/probe"
 
 // instrument registers the run's instruments on e.reg: the simulator's,
-// the parallel core's, the per-protocol and world-level sim_* families
-// and, with Config.Probes, the sim_probe_* view of the internals probes.
-// All of them are sampled — read from the engine's own tallies at
-// snapshot time — so registering costs the hot paths nothing; the two
-// counter families the checkpointer increments directly are cached per
-// slot (initSlot).
+// the parallel core's, the protocol side's per-slot families, the
+// world-level sim_* families and, with Config.Probes, the sim_probe_* view
+// of the internals probes. All of them are sampled — read from the
+// engine's own tallies at snapshot time — so registering costs the hot
+// paths nothing.
 func (e *engine) instrument() {
 	e.sim.Instrument(e.reg)
 	if e.core != nil {
 		e.core.Stats().Instrument(e.reg)
 	}
+	e.instrumentSlots()
 	for _, h := range [][2]string{
-		{"sim_checkpoints_total", "Checkpoints taken, by protocol and causal event (the paper's N_tot split)."},
-		{"sim_forced_checkpoints_total", "Forced checkpoints, by protocol and host."},
-		{"sim_piggyback_bytes_total", "Protocol control bytes piggybacked on application messages."},
-		{"sim_gc_reclaimed_total", "Checkpoint records reclaimed by garbage collection."},
-		{"sim_gc_peak_live_records", "Peak simultaneously-live checkpoint records."},
-		{"sim_join_ctrl_messages_total", "Control messages spent integrating joining hosts."},
-		{"sim_ctrl_messages_total", "Protocol control messages (initiator-based protocols)."},
-		{"sim_tp_vector_copies_total", "TP sends that took a new O(1) view of the sender's vectors (they had changed since its previous send); no vector is copied."},
-		{"sim_tp_snapshot_reuses_total", "TP sends that shared the view the sender's previous send took."},
 		{"sim_app_messages_total", "Application messages sent through the network."},
 		{"sim_net_ctrl_messages_total", "Network-level control messages (location queries/updates)."},
 		{"sim_wireless_hops_total", "Message hops over the wireless medium."},
@@ -35,34 +23,6 @@ func (e *engine) instrument() {
 		{"sim_workload_receives_total", "Receive operations completed by the workload."},
 	} {
 		e.reg.Help(h[0], h[1])
-	}
-	for i := range e.slots {
-		s := &e.slots[i]
-		name := string(s.name)
-		e.reg.CounterFunc("sim_piggyback_bytes_total",
-			func() int64 { return s.proto.PiggybackBytes() }, "proto", name)
-		e.reg.CounterFunc("sim_gc_reclaimed_total",
-			func() int64 { return int64(s.gcReclaimed) }, "proto", name)
-		e.reg.GaugeFunc("sim_gc_peak_live_records",
-			func() int64 { return int64(s.peakLive) }, "proto", name)
-		e.reg.CounterFunc("sim_join_ctrl_messages_total",
-			func() int64 { return s.joinCtrl }, "proto", name)
-		if init, ok := s.proto.(protocol.Initiator); ok {
-			e.reg.CounterFunc("sim_ctrl_messages_total",
-				func() int64 { return init.ControlMessages() }, "proto", name)
-		}
-		if tp, ok := s.proto.(*protocol.TP); ok {
-			// How often a sender's vectors change between its sends
-			// (E26): sends that took a new view versus sends that
-			// shared the previous one.
-			e.reg.CounterFunc("sim_tp_vector_copies_total",
-				func() int64 { c, _ := tp.SnapshotStats(); return c }, "proto", name)
-			e.reg.CounterFunc("sim_tp_snapshot_reuses_total",
-				func() int64 { _, r := tp.SnapshotStats(); return r }, "proto", name)
-		}
-		if s.mlog != nil {
-			s.mlog.Instrument(e.reg, nil, "proto", name)
-		}
 	}
 	e.reg.CounterFunc("sim_app_messages_total",
 		func() int64 { return e.net.Counters().AppMessages })

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
-	"mobickpt/internal/check"
 	"mobickpt/internal/energy"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
@@ -127,8 +124,8 @@ func (r *Result) Protocol(name ProtocolName) *ProtocolResult {
 	return nil
 }
 
-// result assembles the Result of a finished run from the engine's
-// counters and each slot's store.
+// result assembles the Result of a finished run from the world's
+// counters and each slot's outcome.
 func (e *engine) result() *Result {
 	fired := e.sim.Fired()
 	if e.core != nil {
@@ -150,36 +147,7 @@ func (e *engine) result() *Result {
 	}
 	model := energy.DefaultModel()
 	for i := range e.slots {
-		s := &e.slots[i]
-		initial, basic, forced := s.store.CountByKind(-1)
-		pr := ProtocolResult{
-			Name:               s.name,
-			Ntot:               int64(basic + forced),
-			Initial:            int64(initial),
-			Basic:              int64(basic),
-			Forced:             int64(forced),
-			PiggybackBytes:     s.proto.PiggybackBytes(),
-			JoinCtrlMessages:   s.joinCtrl,
-			PeakLiveRecords:    s.peakLive,
-			GCReclaimedRecords: s.gcReclaimed,
-			Storage:            s.store.Counters(),
-			Causes:             make(map[string]int64),
-			Store:              s.store,
-			Trace:              s.trace,
-			MLog:               s.mlog,
-			Instance:           s.proto,
-		}
-		if s.mlog != nil {
-			pr.Log = s.mlog.Counters()
-		}
-		if init, ok := s.proto.(protocol.Initiator); ok {
-			pr.CtrlMessages = init.ControlMessages()
-		}
-		for l := range e.causesLane {
-			for k, v := range e.causesLane[l][i] {
-				pr.Causes[k] += v
-			}
-		}
+		pr := e.protocolResult(i)
 		pr.Energy = energy.Assess(model, res.Network, pr.Storage, pr.PiggybackBytes)
 		res.Protocols = append(res.Protocols, pr)
 	}
@@ -204,48 +172,4 @@ func (e *engine) probeReport() *ProbeReport {
 		r.LaneQueues = e.coreProbe.Queues
 	}
 	return r
-}
-
-// finishChecks runs the end-of-run reconciliation of the invariant
-// checker — engine tallies vs stable-storage chains, Ntot arithmetic,
-// one initial checkpoint per (possibly joined) host — plus the post-run
-// recovery-line sweep over recorded traces. It returns a
-// check.Violations error when any invariant broke.
-func (e *engine) finishChecks(res *Result) error {
-	var all check.Violations
-	for i := range e.slots {
-		s := &e.slots[i]
-		all = append(all, s.check.Finish(s.counts)...)
-		pr := &res.Protocols[i]
-		if pr.Ntot != pr.Basic+pr.Forced {
-			all = append(all, &check.Violation{
-				Protocol: string(pr.Name), Time: e.sim.Now(), Rule: "reconcile",
-				Detail: fmt.Sprintf("Ntot %d != basic %d + forced %d", pr.Ntot, pr.Basic, pr.Forced),
-			})
-		}
-		if pr.Initial != int64(res.FinalHosts) {
-			all = append(all, &check.Violation{
-				Protocol: string(pr.Name), Time: e.sim.Now(), Rule: "reconcile",
-				Detail: fmt.Sprintf("%d initial checkpoints for %d hosts", pr.Initial, res.FinalHosts),
-			})
-		}
-		if s.trace == nil {
-			continue
-		}
-		if s.mlog != nil {
-			all = append(all, check.LogReconciliation(string(pr.Name), s.mlog, s.trace, res.FinalHosts)...)
-		}
-		if indexBased(s.name) {
-			// Lines below the highest frontier any GC pass pruned at lost
-			// members by design and are exempt; everything above it must
-			// still be consistent (with dynamic joins the end-of-run stable
-			// index can sit below that frontier, so the frontier is tracked
-			// per pass, not recomputed here).
-			all = append(all, check.RecoveryLines(string(pr.Name), s.store, s.trace, res.FinalHosts, s.gcFrontier)...)
-		}
-	}
-	if len(all) > 0 {
-		return all
-	}
-	return nil
 }

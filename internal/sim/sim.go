@@ -15,22 +15,13 @@
 package sim
 
 import (
-	"fmt"
-	"strconv"
-
-	"mobickpt/internal/check"
 	"mobickpt/internal/des"
-	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
-	"mobickpt/internal/obs"
 	"mobickpt/internal/obs/probe"
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
-	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/rng"
-	"mobickpt/internal/storage"
-	"mobickpt/internal/trace"
 	"mobickpt/internal/workload"
 )
 
@@ -57,8 +48,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// engine is the wired-up run state.
+// engine is the generative world — DES clock, network, workload driver,
+// markers, ticks, GC, joins, lanes — around the protocol side it drives.
 type engine struct {
+	protoSide
+
 	cfg    Config
 	sim    *des.Simulator
 	net    *mobile.Network
@@ -66,12 +60,10 @@ type engine struct {
 
 	// sched is the scheduling surface the world model runs on: des.Solo
 	// over sim for sequential runs, a coreSched over core for parallel
-	// ones. laneCount is 1 sequentially; lane-sharded engine state
-	// (causeLane, causesLane, plFree) is indexed by owner % laneCount,
-	// mirroring pdes.Core's owner-to-lane map.
-	sched     des.Sched
-	core      *pdes.Core
-	laneCount int
+	// ones. Lane-sharded engine state (plFree, and the protocol side's) is
+	// indexed by owner % laneCount, mirroring pdes.Core's owner-to-lane map.
+	sched des.Sched
+	core  *pdes.Core
 	// inGlobalPhase is true whenever the engine is single-threaded: before
 	// core.Run, inside world-stopped global-timeline events, and during
 	// the post-run drain. Toggled only while no lane handler executes (the
@@ -90,8 +82,6 @@ type engine struct {
 	//lane:stopped joins are global-timeline events, never lane handlers
 	joinRNG *rng.Source
 
-	// slots holds the per-protocol state, parallel to cfg.Protocols.
-	slots []slot
 	// plFree is the per-lane free list of payload carriers: send pops
 	// lane(from), deliver pushes lane(to), which keeps the send→deliver
 	// path allocation-free in steady state.
@@ -103,46 +93,13 @@ type engine struct {
 	// host's next operation (only with a single protocol selected).
 	pendingLatency []des.Time
 
-	// causeLane names, per lane, the engine activity driving the protocol
-	// callbacks currently running there ("switch", "disconnect", ...); the
-	// checkpointer reads the acting host's lane slot to attribute each
-	// checkpoint to its trigger (E19). Global-phase activities (markers,
-	// ticks, joins, init) run world-stopped and stamp every slot.
-	// causesLane accumulates the per-lane, per-protocol breakdown, merged
-	// into ProtocolResult.Causes after the run. With one lane both reduce
-	// to the old single cause string and map.
-	//
-	//lane:shard
-	causeLane []string
-	// causesLane is indexed [lane][proto][cause].
-	//
-	//lane:shard
-	causesLane [][]map[string]int64
-
-	// Observability (nil unless Config.Metrics / Config.Timeline).
-	reg *obs.Registry
-	tl  *obs.Timeline
-	// discAt (timeline only) holds the disconnect start per host, -1
-	// when connected. Mobility transitions run as fenced write events —
-	// no lane handler window overlaps them — so the slice may grow.
-	//
-	//lane:stopped mobility transitions are fenced write events
-	discAt []des.Time
-
-	// Flow-id machinery (timeline only). sendOrd[h] counts host h's sends;
-	// the flow id uint64(h)<<32|ordinal is a pure function of the trace —
-	// unlike mobile.Message.ID, whose atomic allocation order depends on
-	// lane scheduling — so flow chains are byte-identical across engines.
-	// flowLane/flowHostLane stash the message currently being delivered on
-	// each lane so the checkpointer can link the forced checkpoints that
-	// delivery induces into the same flow. Each slot is touched only by
-	// its lane's goroutine (or the world-stopped coordinator); slices grow
-	// only world-stopped (joins).
+	// sendOrd[h] (timeline only) counts host h's sends; the flow id
+	// uint64(h)<<32|ordinal is a pure function of the trace — unlike
+	// mobile.Message.ID, whose atomic allocation order depends on lane
+	// scheduling — so flow chains are byte-identical across engines. Each
+	// entry is touched only by its host's lane; the slice grows only
+	// world-stopped (joins).
 	sendOrd []uint64
-	//lane:shard
-	flowLane []uint64
-	//lane:shard
-	flowHostLane []mobile.HostID
 
 	// Engine-internals probes (zero/nil unless Config.Probes). All are
 	// single-writer cells read after the run (DESIGN.md: probes and
@@ -156,67 +113,6 @@ type engine struct {
 	simQueue probe.QueueProbe // global simulator's pending-event set
 }
 
-// slot is one selected protocol's share of the run: all protocols ride
-// the same trace, and everything that differs between them lives here.
-// Per-host tables (counts, forcedHost) are written by the host's lane;
-// the GC and join tallies only by world-stopped global events.
-type slot struct {
-	name   ProtocolName
-	proto  protocol.Protocol
-	store  *storage.Store
-	trace  *trace.Trace   // nil unless Config.RecordTrace
-	mlog   *mlog.Log      // MSS message log; nil unless Config.MessageLog
-	check  *check.Runtime // nil unless Config.Checks
-	counts []int          // per host, checkpoints taken (incl. initial)
-
-	peakLive    int   // max live records seen at GC ticks
-	gcReclaimed int   // total records pruned
-	gcFrontier  int   // highest stable index any GC pruned at
-	joinCtrl    int64 // control messages spent on joins
-
-	// Cached instruments (nil unless Config.Metrics): the
-	// sim_checkpoints_total counters by cause and the per-host
-	// sim_forced_checkpoints_total counters.
-	ckptByCause map[string]*obs.Counter
-	forcedHost  []*obs.Counter
-}
-
-// indexBased reports whether a protocol's recovery lines are index cuts
-// — what makes stable-index garbage collection and the same-index
-// recovery-line check sound for it. The registry is the one place that
-// says which protocols those are.
-func indexBased(p ProtocolName) bool {
-	ent, _ := protocol.Lookup(string(p))
-	return ent.IndexBased
-}
-
-// markDisconnected records the start of host h's disconnection span for
-// the timeline, growing the flat per-host table past dynamic joins.
-//
-//lane:stopped
-func (e *engine) markDisconnected(h mobile.HostID, at des.Time) {
-	for int(h) >= len(e.discAt) {
-		e.discAt = append(e.discAt, -1)
-	}
-	e.discAt[h] = at
-}
-
-// takeDisconnected returns and clears host h's disconnection start.
-//
-//lane:stopped
-func (e *engine) takeDisconnected(h mobile.HostID) (des.Time, bool) {
-	if int(h) >= len(e.discAt) || e.discAt[h] < 0 {
-		return 0, false
-	}
-	at := e.discAt[h]
-	e.discAt[h] = -1
-	return at, true
-}
-
-// laneOf maps a host to its engine-side lane shard (pdes.Core uses the
-// same owner % P map, so shard writes stay on the executing lane).
-func (e *engine) laneOf(h mobile.HostID) int { return int(h) % e.laneCount }
-
 // now returns the virtual time on host h's timeline: the global clock
 // while single-threaded (sequential runs, init, world-stopped global
 // events), h's lane-local time while its lane handler executes.
@@ -227,47 +123,9 @@ func (e *engine) now(h mobile.HostID) des.Time {
 	return e.sched.Now(int(h))
 }
 
-// setCauseFor marks the activity about to drive protocol callbacks for
-// host h and returns the slot's previous value; restoreCauseFor puts it
-// back. Lane handlers only ever touch their own host's slot.
-//
-//lane:handler
-func (e *engine) setCauseFor(h mobile.HostID, c string) (prev string) {
-	s := e.laneOf(h)
-	prev = e.causeLane[s]
-	e.causeLane[s] = c
-	return prev
-}
-
-//lane:handler
-func (e *engine) restoreCauseFor(h mobile.HostID, prev string) {
-	e.causeLane[e.laneOf(h)] = prev
-}
-
-// setCauseAll stamps every lane's cause slot — legal only while
-// single-threaded (init and the world-stopped global phase, where a
-// marker or tick may checkpoint any host). restoreCauseAll undoes it; no
-// lane handler runs in between, so clobbering lane-local values is moot.
-//
-//lane:stopped
-func (e *engine) setCauseAll(c string) (prev string) {
-	prev = e.causeLane[0]
-	for i := range e.causeLane {
-		e.causeLane[i] = c
-	}
-	return prev
-}
-
-//lane:stopped
-func (e *engine) restoreCauseAll(prev string) {
-	for i := range e.causeLane {
-		e.causeLane[i] = prev
-	}
-}
-
 // payload is what one application message carries: the per-protocol
 // piggybacks, parallel to cfg.Protocols. Payloads are pooled: send draws
-// from engine.plFree and onDeliver returns the carrier once every
+// from engine.plFree and deliver returns the carrier once every
 // consumer has seen it; the piggybacks themselves are immutable values
 // the protocols own.
 type payload struct {
@@ -278,7 +136,7 @@ type payload struct {
 // scheduling surface first, then the world on top of it, then — only
 // with Config.Metrics — the instruments that read both.
 func newEngine(cfg Config) (*engine, error) {
-	e := &engine{cfg: cfg, sim: des.NewWith(cfg.Queue), reg: cfg.Metrics, tl: cfg.Timeline}
+	e := &engine{cfg: cfg, sim: des.NewWith(cfg.Queue)}
 	if err := e.bindEngine(); err != nil {
 		return nil, err
 	}
@@ -291,60 +149,11 @@ func newEngine(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// checkpointer builds the Checkpointer for protocol slot i.
-func (e *engine) checkpointer(i int) protocol.Checkpointer {
-	s := &e.slots[i]
-	name := string(s.name)
-	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
-		lane := e.laneOf(h)
-		now := e.now(h)
-		rec := s.store.Take(h, e.net.Host(h).LastMSS(), index, kind, now)
-		s.counts[h]++
-		e.pendingLatency[h] += e.cfg.CheckpointLatency
-		// The E19 classification is replaycmp's — one definition shared
-		// with the live cluster and the replay comparator.
-		key := replaycmp.CauseKey(kind, e.causeLane[lane])
-		e.causesLane[lane][i][key]++
-		if e.reg != nil {
-			c := s.ckptByCause[key]
-			if c == nil {
-				c = e.reg.Counter("sim_checkpoints_total", "proto", name, "cause", key)
-				s.ckptByCause[key] = c
-			}
-			c.Inc()
-			if kind == storage.Forced {
-				for int(h) >= len(s.forcedHost) {
-					s.forcedHost = append(s.forcedHost, nil)
-				}
-				fc := s.forcedHost[h]
-				if fc == nil {
-					fc = e.reg.Counter("sim_forced_checkpoints_total",
-						"proto", name, "host", strconv.Itoa(int(h)))
-					s.forcedHost[h] = fc
-				}
-				fc.Inc()
-			}
-		}
-		if e.tl != nil {
-			e.tl.Instant(float64(now), int(h), "checkpoint",
-				"proto", name, "kind", kind.String(), "cause", key,
-				"index", strconv.Itoa(index))
-			if kind == storage.Forced && e.flowHostLane[lane] == h {
-				// This forced checkpoint was induced by the message this
-				// lane is currently delivering: chain it into that flow.
-				e.tl.FlowStep(float64(now), int(h), "msg-flow", e.flowLane[lane])
-			}
-		}
-		return rec
-	}
-}
-
 // send runs every protocol's OnSend, assembles the piggyback slots and
 // hands the message to the network.
 //
 //lane:handler
 func (e *engine) send(from, to mobile.HostID) {
-	prev := e.setCauseFor(from, "send") // restored below; this is the hot path, no defer
 	lane := e.laneOf(from)
 	var pl *payload
 	if free := e.plFree[lane]; len(free) > 0 {
@@ -355,96 +164,33 @@ func (e *engine) send(from, to mobile.HostID) {
 	} else {
 		pl = &payload{piggyback: make([]any, len(e.slots))}
 	}
-	for i := range e.slots {
-		s := &e.slots[i]
-		pl.piggyback[i] = s.proto.OnSend(from, to)
-		if s.check != nil {
-			s.check.AfterSend(from, pl.piggyback[i])
-		}
-	}
+	e.onSend(from, to, pl.piggyback)
 	m, err := e.net.Send(from, to, pl)
 	if err != nil {
 		panic("sim: " + err.Error()) // the driver only sends from connected hosts
 	}
 	if e.tl != nil {
 		// The flow id is (sender, per-sender ordinal) — deterministic under
-		// any engine, unlike m.ID's allocation order — and rides the
-		// message to link send -> deliver -> forced checkpoints.
-		now := float64(e.now(from))
-		flow := uint64(from)<<32 | e.sendOrd[from]
+		// any engine, unlike m.ID's allocation order.
+		m.Flow = uint64(from)<<32 | e.sendOrd[from]
 		e.sendOrd[from]++
-		m.Flow = flow
-		e.tl.Instant(now, int(from), "send",
-			"to", strconv.Itoa(int(to)), "msg", strconv.FormatUint(flow, 10))
-		e.tl.FlowBegin(now, int(from), "msg-flow", flow,
-			"to", strconv.Itoa(int(to)))
 	}
-	for i := range e.slots {
-		if s := &e.slots[i]; s.trace != nil {
-			s.trace.RecordSend(m.ID, from, to, s.counts[from], e.sim.Now())
-		}
-	}
-	e.restoreCauseFor(from, prev)
+	e.sent(m.ID, m.Flow, from, to)
 }
 
-// onDeliver dispatches a delivered message to every protocol and records
-// the receiver-side trace positions (after any forced checkpoint).
+// deliver hands a delivered message to the protocol side, then returns
+// the carrier and the message itself to their pools for the next send:
+// by then every consumer (protocols, checker, traces, logs) has seen it.
 //
 //lane:handler
-func (e *engine) onDeliver(now des.Time, h *mobile.Host, m *mobile.Message) {
-	prev := e.setCauseFor(h.ID, "deliver") // restored below; this is the hot path, no defer
+func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
 	pl := m.Payload.(*payload)
-	flow := m.Flow
-	if e.tl != nil {
-		e.tl.Instant(float64(now), int(h.ID), "deliver",
-			"from", strconv.Itoa(int(m.From)), "msg", strconv.FormatUint(flow, 10))
-		e.tl.FlowStep(float64(now), int(h.ID), "msg-flow", flow)
-		// Stash the in-delivery flow so the checkpointer can chain the
-		// forced checkpoints this delivery induces.
-		lane := e.laneOf(h.ID)
-		e.flowLane[lane] = flow
-		e.flowHostLane[lane] = h.ID
-	}
-	for i := range e.slots {
-		s := &e.slots[i]
-		s.proto.OnDeliver(h.ID, m.From, pl.piggyback[i])
-		if s.check != nil {
-			s.check.AfterDeliver(h.ID, m.From, pl.piggyback[i])
-		}
-		if s.trace != nil {
-			s.trace.RecordDeliver(m.ID, s.counts[h.ID], now)
-		}
-		if s.mlog != nil {
-			// The entry carries the post-forced-checkpoint receiver
-			// position, the same position the trace records; pessimistic
-			// mode makes it stable before the application proceeds.
-			s.mlog.Append(h.ID, m.From, m.ID, s.counts[h.ID], now, h.LastMSS())
-		}
-	}
-	// Every consumer (protocols, checker, traces, logs) has seen the
-	// message: return the carrier and the message itself to their pools
-	// for the next send.
+	e.onDeliver(now, h.ID, m.From, m.ID, m.Flow, pl.piggyback, h.LastMSS())
 	clear(pl.piggyback)
 	m.Payload = nil
 	lane := e.laneOf(h.ID)
 	e.plFree[lane] = append(e.plFree[lane], pl)
 	e.net.Recycle(m)
-	if e.tl != nil {
-		e.flowHostLane[lane] = -1
-		e.tl.FlowEnd(float64(now), int(h.ID), "msg-flow", flow)
-	}
-	e.restoreCauseFor(h.ID, prev)
-}
-
-// recordMobility mirrors one mobility event into every recorded trace
-// (the events are protocol-independent; each trace stays standalone for
-// offline analysis).
-func (e *engine) recordMobility(h mobile.HostID, kind trace.MobilityKind, from, to mobile.MSSID, now des.Time) {
-	for i := range e.slots {
-		if tr := e.slots[i].trace; tr != nil {
-			tr.RecordMobility(h, kind, from, to, now)
-		}
-	}
 }
 
 // scheduleSnapshots drives the coordinated baselines: every period the
@@ -538,11 +284,10 @@ func (e *engine) scheduleGC() {
 	e.sim.Schedule(e.sim.Now()+e.cfg.GCInterval, "gc", tick)
 }
 
-// join admits one new host: into the network, into every protocol (via
-// Dynamic) and into the workload. Hosts joining mid-run immediately
-// communicate and roam like any other.
+// join admits one new host: into the network, into every protocol and
+// into the workload. Hosts joining mid-run immediately communicate and
+// roam like any other.
 func (e *engine) join() {
-	defer e.restoreCauseAll(e.setCauseAll("join"))
 	if e.joinRNG == nil {
 		// Stream ids: host i owns 2i/2i+1, the loss model owns 1<<32;
 		// (1<<33)+1 collides with none of them at any feasible n.
@@ -553,23 +298,13 @@ func (e *engine) join() {
 	if err != nil {
 		panic("sim: " + err.Error())
 	}
+	// Joins run world-stopped: grow the per-host tables lane handlers
+	// write here, so the lanes never reallocate them mid-run.
 	if e.tl != nil {
-		e.tl.SetTrack(int(id), fmt.Sprintf("MH %d (joined)", id))
-		e.tl.Instant(float64(e.sim.Now()), int(id), "join",
-			"at", strconv.Itoa(int(at)))
-		// Joins run world-stopped: grow the per-host timeline tables here
-		// so lane handlers never reallocate them mid-run.
-		for int(id) >= len(e.sendOrd) {
-			e.sendOrd = append(e.sendOrd, 0)
-		}
-		for int(id) >= len(e.discAt) {
-			e.discAt = append(e.discAt, -1)
-		}
+		e.sendOrd = append(e.sendOrd, 0)
 	}
 	e.pendingLatency = append(e.pendingLatency, 0)
 	if e.reg != nil && e.core != nil {
-		// Joins run world-stopped: grow the per-host counter tables here so
-		// the lanes never reallocate them mid-run.
 		for i := range e.slots {
 			s := &e.slots[i]
 			for int(id) >= len(s.forcedHost) {
@@ -577,41 +312,13 @@ func (e *engine) join() {
 			}
 		}
 	}
-	for i := range e.slots {
-		s := &e.slots[i]
-		d, ok := s.proto.(protocol.Dynamic)
-		if !ok {
-			panic(fmt.Sprintf("sim: protocol %s does not support dynamic joins", s.name))
-		}
-		s.counts = append(s.counts, 0)
-		s.joinCtrl += d.OnJoin(id)
-		if s.check != nil {
-			s.check.AfterJoin(id)
-		}
-		if s.trace != nil {
-			s.trace.AddHost()
-		}
-	}
+	e.onJoin(e.sim.Now(), id, at)
 	e.driver.AddHost(id, e.cfg.Seed)
 }
 
 // run executes the configured horizon and returns the assembled result.
 func (e *engine) run() *Result {
-	if e.tl != nil {
-		for h := 0; h < e.cfg.Mobile.NumHosts; h++ {
-			e.tl.SetTrack(h, fmt.Sprintf("MH %d", h))
-		}
-	}
-	func() {
-		defer e.restoreCauseAll(e.setCauseAll("init"))
-		for i := range e.slots {
-			s := &e.slots[i]
-			s.proto.Init()
-			if s.check != nil {
-				s.check.AfterInit(e.cfg.Mobile.NumHosts)
-			}
-		}
-	}()
+	e.start(e.cfg.Mobile.NumHosts)
 	for i := range e.slots {
 		if init, ok := e.slots[i].proto.(protocol.Initiator); ok {
 			e.scheduleSnapshots(i, init)

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"strconv"
-
-	"mobickpt/internal/check"
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
@@ -11,7 +8,6 @@ import (
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/storage"
-	"mobickpt/internal/trace"
 	"mobickpt/internal/workload"
 )
 
@@ -22,10 +18,6 @@ func (e *engine) wireWorld() error {
 	cfg := e.cfg
 	n := cfg.Mobile.NumHosts
 	if e.tl != nil {
-		e.discAt = make([]des.Time, n)
-		for i := range e.discAt {
-			e.discAt[i] = -1
-		}
 		e.sendOrd = make([]uint64, n)
 	}
 	net, err := mobile.NewSched(e.sched, e.laneCount, cfg.Mobile, e.hooks())
@@ -43,14 +35,36 @@ func (e *engine) wireWorld() error {
 	}
 	e.net = net
 
-	e.slots = make([]slot, len(cfg.Protocols))
-	for i := range e.slots {
-		if err := e.initSlot(i); err != nil {
+	// The message log follows its host; pruning rides the GC ticks.
+	e.handoffLog = func(s *slot, h mobile.HostID, to mobile.MSSID) { s.mlog.Handoff(h, to) }
+	e.pendingLatency = make([]des.Time, n)
+	mssOf := func(h mobile.HostID) mobile.MSSID { return net.Host(h).LastMSS() }
+	for i, name := range cfg.Protocols {
+		ent, _ := protocol.Lookup(string(name)) // Validate resolved every name
+		err := e.initSlot(i, cfg, name, n, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+			if e.cfg.CheckpointLatency > 0 {
+				ckpt = e.chargeLatency(ckpt)
+			}
+			return ent.New(n, ckpt, store, mssOf), nil
+		})
+		if err != nil {
 			return err
+		}
+		if e.reg != nil && e.core != nil {
+			// Pre-create the counters lane handlers may hit, so the
+			// cache map is never written concurrently: mobility and
+			// delivery events run on lanes, everything else (markers,
+			// ticks, joins) runs world-stopped and may still create
+			// counters lazily.
+			s := &e.slots[i]
+			for _, key := range []string{"initial", "forced", "basic-switch", "basic-disconnect"} {
+				s.ckptByCause[key] = e.reg.Counter("sim_checkpoints_total",
+					"proto", string(name), "cause", key)
+			}
+			s.forcedHost = make([]*obs.Counter, n)
 		}
 	}
 
-	e.pendingLatency = make([]des.Time, n)
 	cb := workload.Callbacks{
 		Send:    e.send,
 		Receive: func(h mobile.HostID) bool { return net.TryReceive(h) != nil },
@@ -66,118 +80,29 @@ func (e *engine) wireWorld() error {
 	return err
 }
 
-// initSlot fills protocol slot i: its store, the optional trace, message
-// log and checker, the metric caches, and the protocol instance itself,
-// built from the registry.
-func (e *engine) initSlot(i int) error {
-	cfg := e.cfg
-	n := cfg.Mobile.NumHosts
-	s := &e.slots[i]
-	s.name = cfg.Protocols[i]
-	s.store = storage.NewStore(cfg.Cost)
-	s.counts = make([]int, n)
-	if e.reg != nil {
-		s.ckptByCause = make(map[string]*obs.Counter)
-		if e.core != nil {
-			// Pre-create the counters lane handlers may hit, so the
-			// cache map is never written concurrently: mobility and
-			// delivery events run on lanes, everything else (markers,
-			// ticks, joins) runs world-stopped and may still create
-			// counters lazily.
-			for _, key := range []string{"initial", "forced", "basic-switch", "basic-disconnect"} {
-				s.ckptByCause[key] = e.reg.Counter("sim_checkpoints_total",
-					"proto", string(s.name), "cause", key)
-			}
-			s.forcedHost = make([]*obs.Counter, n)
-		}
+// chargeLatency wraps a checkpointer so that each checkpoint of h delays
+// h's next operation by Config.CheckpointLatency — the one way a
+// checkpoint reaches back into the world.
+func (e *engine) chargeLatency(ckpt protocol.Checkpointer) protocol.Checkpointer {
+	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
+		e.pendingLatency[h] += e.cfg.CheckpointLatency
+		return ckpt(h, index, kind)
 	}
-	if cfg.RecordTrace {
-		s.trace = trace.New(n)
-	}
-	var err error
-	if s.mlog, err = cfg.newMessageLog(); err != nil {
-		return err
-	}
-	if s.mlog != nil && e.tl != nil {
-		nm := string(s.name)
-		s.mlog.OnFlush = func(h mobile.HostID, entries int) {
-			e.tl.Instant(float64(e.sim.Now()), int(h), "log-flush",
-				"proto", nm, "entries", strconv.Itoa(entries))
-		}
-	}
-	ent, _ := protocol.Lookup(string(s.name)) // Validate resolved every name
-	s.proto = ent.New(n, e.checkpointer(i), s.store, func(h mobile.HostID) mobile.MSSID {
-		return e.net.Host(h).LastMSS()
-	})
-	if cfg.Checks {
-		s.check = check.NewRuntime(string(s.name), s.proto, s.store, e.sim.Now)
-	}
-	return nil
 }
 
-// hooks mirrors the network's mobility and delivery events into every
-// protocol slot, the timeline and the recorded traces.
+// hooks mirrors the network's mobility and delivery events into the
+// protocol side.
 func (e *engine) hooks() mobile.Hooks {
 	return mobile.Hooks{
-		OnDeliver: e.onDeliver,
+		OnDeliver: e.deliver,
 		OnCellSwitch: func(now des.Time, h *mobile.Host, from, to mobile.MSSID) {
-			defer e.restoreCauseFor(h.ID, e.setCauseFor(h.ID, "switch"))
-			for i := range e.slots {
-				s := &e.slots[i]
-				s.proto.OnCellSwitch(h.ID, to)
-				if s.check != nil {
-					s.check.AfterCellSwitch(h.ID)
-				}
-				if s.mlog != nil {
-					// The message log follows its host like the
-					// checkpoints do (§2.2's transfer operation).
-					s.mlog.Handoff(h.ID, to)
-				}
-			}
-			if e.tl != nil {
-				e.tl.Instant(float64(now), int(h.ID), "handoff",
-					"from", strconv.Itoa(int(from)), "to", strconv.Itoa(int(to)))
-			}
-			e.recordMobility(h.ID, trace.Handoff, from, to, now)
+			e.onCellSwitch(now, h.ID, from, to)
 		},
 		OnDisconnect: func(now des.Time, h *mobile.Host) {
-			defer e.restoreCauseFor(h.ID, e.setCauseFor(h.ID, "disconnect"))
-			for i := range e.slots {
-				s := &e.slots[i]
-				s.proto.OnDisconnect(h.ID)
-				if s.check != nil {
-					s.check.AfterDisconnect(h.ID)
-				}
-				if s.mlog != nil {
-					// The disconnection checkpoint makes the host's state
-					// durable; the log suffix writes through with it.
-					s.mlog.Flush(h.ID)
-				}
-			}
-			if e.tl != nil {
-				e.markDisconnected(h.ID, now)
-				e.tl.Instant(float64(now), int(h.ID), "disconnect",
-					"from", strconv.Itoa(int(h.LastMSS())))
-			}
-			e.recordMobility(h.ID, trace.Disconnect, h.LastMSS(), mobile.NoMSS, now)
+			e.onDisconnect(now, h.ID, h.LastMSS())
 		},
 		OnReconnect: func(now des.Time, h *mobile.Host, at mobile.MSSID) {
-			defer e.restoreCauseFor(h.ID, e.setCauseFor(h.ID, "reconnect"))
-			for i := range e.slots {
-				s := &e.slots[i]
-				s.proto.OnReconnect(h.ID, at)
-				if s.check != nil {
-					s.check.AfterReconnect(h.ID)
-				}
-			}
-			if e.tl != nil {
-				if start, ok := e.takeDisconnected(h.ID); ok {
-					e.tl.Span(float64(start), float64(now-start), int(h.ID), "disconnected")
-				}
-				e.tl.Instant(float64(now), int(h.ID), "reconnect",
-					"at", strconv.Itoa(int(at)))
-			}
-			e.recordMobility(h.ID, trace.Reconnect, mobile.NoMSS, at, now)
+			e.onReconnect(now, h.ID, at)
 		},
 	}
 }
