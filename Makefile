@@ -46,29 +46,35 @@ allocs:
 	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/des/equeue ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore ./internal/recovery ./internal/trace
 
 # A short fuzz smoke of the three parsers of outside input — wire frames,
-# recorded schedules and the bundles `mhsim -replay-schedule` reads;
-# `make fuzz` runs longer. The schedule and bundle seeds are tens of
-# kilobytes of JSON, which the fuzzer's default minute of minimization per
-# finding would spend the whole smoke on, so that is capped in runs.
+# recorded schedules and the bundles `mhsim -replay-schedule` reads — and
+# of the replay of every schedule the parser accepts; `make fuzz` runs
+# longer. The schedule and bundle seeds are tens of kilobytes of JSON,
+# which the fuzzer's default minute of minimization per finding would
+# spend the whole smoke on, so that is capped in runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/trace
 	$(GO) test -fuzz=FuzzImportBundle -fuzztime=10s -fuzzminimizetime=10x ./internal/replaycmp
+	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/sim
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/trace
 	$(GO) test -fuzz=FuzzImportBundle -fuzztime=2m -fuzzminimizetime=10x ./internal/replaycmp
+	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/sim
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both
 # worlds drive one protocol side — the live and replayed timelines and
-# metrics, byte for byte), then the CLI round-trip — a run recorded by
+# metrics, byte for byte), the same gate on engine recordings (an engine
+# run's exported history replays to the engine's own checkpoint chains and
+# trace counts), then the CLI round-trip — a run recorded by
 # examples/live must replay clean through mhsim with its instruments on
 # (the timeline file has to appear), and a perturbed replay must fail (a
 # gate has to be able to fail to prove it gates anything).
 diffreplay:
 	$(GO) test -race -run 'TestDifferentialReplay' ./internal/replaycmp/
+	$(GO) test -race -run TestEngineHistoryReplays ./internal/sim
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./examples/live -record "$$tmp/run.bundle.json" -protocol TP -seed 3 > /dev/null; \

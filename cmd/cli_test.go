@@ -1,6 +1,6 @@
 // Package cmd holds the end-to-end checks of the figures, recovery and
 // mhsim commands: the flag values no run may start from, table selection,
-// and a replay with its instruments on.
+// a replay with its instruments on, and a bundle no replay may start from.
 package cmd
 
 import (
@@ -17,6 +17,7 @@ import (
 	"mobickpt/internal/obs"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
+	"mobickpt/internal/trace"
 )
 
 // build compiles the commands into a temp dir and returns a
@@ -167,5 +168,30 @@ func TestMhsimReplayWritesInstruments(t *testing.T) {
 	}
 	if want == 0 || instants != want || counted != want {
 		t.Fatalf("%d checkpoint instants and sim_checkpoints_total summing to %d for the recording's %d checkpoints", instants, counted, want)
+	}
+}
+
+// TestMhsimRefusesHugeTPReplay: a 160 kB bundle naming 20 000 TP hosts and
+// no event once ran mhsim out of memory building TP's 16n² B of vectors
+// (6.4 GB). The replay is refused with the reason, exit 1, no crash.
+func TestMhsimRefusesHugeTPReplay(t *testing.T) {
+	run := build(t)
+	const hosts = 20000
+	var buf bytes.Buffer
+	b := &replaycmp.Bundle{
+		Schedule: &trace.Schedule{Hosts: hosts, Stations: 2, Protocol: "TP"},
+		Live:     replaycmp.NewLog("TP", hosts),
+	}
+	if err := b.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "huge.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := run("mhsim", "-replay-schedule", path)
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "16n²") ||
+		strings.Contains(stderr, "panic") || strings.Contains(stderr, "fatal error") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming TP's n² vectors", code, stdout, stderr)
 	}
 }

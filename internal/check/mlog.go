@@ -36,7 +36,8 @@ func LogReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, n int) Viola
 	for i := range lastRecv {
 		lastRecv[i] = -1
 	}
-	for _, ev := range tr.Events() {
+	for i := range tr.Len() {
+		ev := tr.Event(i)
 		h := ev.To
 		seq := delivered[h]
 		delivered[h]++
@@ -96,19 +97,20 @@ func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recov
 		vs = append(vs, &Violation{Protocol: proto, Host: h, Rule: "replay-reconcile", Detail: detail})
 	}
 
-	// Index trace deliveries by (host, per-host seq). The table also
-	// covers hosts only the cut or the replay names, so each is visited
-	// once, in host order.
-	n := max(tr.NumHosts(), len(cut))
+	// The trace's index lists each host's deliveries by per-host seq. The
+	// walk also covers hosts only the cut or the replay names, so each is
+	// visited once, in host order.
+	recvs := tr.Index().Recvs
+	n := max(len(recvs), len(cut))
 	for h := range replayed {
 		n = max(n, int(h)+1)
 	}
-	byHost := make([][]trace.MessageEvent, n)
-	for _, ev := range tr.Events() {
-		byHost[ev.To] = append(byHost[ev.To], ev)
-	}
-	for host, evs := range byHost {
+	for host := range n {
 		h := mobile.HostID(host)
+		var evs []int32
+		if host < len(recvs) {
+			evs = recvs[host]
+		}
 		entries := replayed[h]
 		ord := recovery.End
 		if host < len(cut) {
@@ -139,7 +141,7 @@ func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recov
 				violate(h, fmt.Sprintf("replayed entry %d has no trace delivery", e.Seq))
 				continue
 			}
-			ev := evs[e.Seq]
+			ev := tr.Event(int(evs[e.Seq]))
 			if ev.ID != e.MsgID || ev.From != e.From || ev.RecvCount != e.RecvCount {
 				violate(h, fmt.Sprintf("replayed entry %d (msg %d from %d at %d) mismatches trace delivery (msg %d from %d at %d)",
 					e.Seq, e.MsgID, e.From, e.RecvCount, ev.ID, ev.From, ev.RecvCount))
@@ -150,8 +152,8 @@ func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recov
 		// frontier. Receiver positions are nondecreasing per host, so the
 		// undone deliveries are a suffix of evs.
 		first := len(evs)
-		for seq, ev := range evs {
-			if ev.RecvCount > ord {
+		for seq, p := range evs {
+			if tr.RecvCount(int(p)) > ord {
 				first = seq
 				break
 			}

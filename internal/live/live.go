@@ -7,10 +7,10 @@
 //
 // The protocols themselves are the exact implementations from
 // internal/protocol, and they are driven through the simulator's own
-// protocol side (internal/protoside): the checkpoint store, trace, message
-// log, decision log, cause tally, metrics and timeline come from the code
-// the generative engine and the replay run, so a recording and its replay
-// differ only in the world that produced the events. The package
+// protocol side (internal/protoside): the history, checkpoint store, trace,
+// message log, decision log, cause tally, metrics and timeline come from
+// the code the generative engine and the replay run, so a recording and its
+// replay differ only in the world that produced the events. The package
 // demonstrates that the protocols are engine-independent and lets the test
 // suite check their invariants under real interleavings (run with -race).
 //
@@ -101,13 +101,14 @@ type Config struct {
 	// same logging discipline, exports the same bytes.
 	Timeline *obs.Timeline
 
-	// Record captures the run for differential replay: the cluster
-	// serializes its nondeterminism (send choices, delivery order,
-	// mobility decisions, joins) into a trace.Schedule and its protocol
-	// decisions into a replaycmp.Log, both stamped with the logical
-	// tick. Feed the schedule to sim.Config.Schedule to re-execute the
-	// exact history deterministically and replaycmp.Compare the two
-	// decision logs (experiment E24).
+	// Record captures the run for differential replay: the cluster's
+	// protocol decisions go into a replaycmp.Log stamped with the
+	// history position, and Schedule exports the history the protocol
+	// side keeps of every run (send choices, delivery order, mobility
+	// decisions, joins) as a trace.Schedule. Feed the schedule to
+	// sim.Config.Schedule to re-execute the exact history
+	// deterministically and replaycmp.Compare the two decision logs
+	// (experiment E24).
 	Record bool
 
 	// DupWindow overrides the per-host duplicate-suppression window
@@ -222,12 +223,13 @@ type Cluster struct {
 	cfg Config
 
 	// side is the protocol side — internal/protoside, the one the
-	// simulator's engine and replay drive — holding the cluster's one
-	// slot: the protocol, the checkpoint store, the trace (always
-	// recorded), the MSS message log (nil unless Config.LogMode enables
-	// it) and the decision log (nil unless Config.Record). Every protocol
-	// event mirrors through it under mu: deliveries, hand-off transfers and
-	// disconnect flushes of the log included.
+	// simulator's engine and replay drive — holding the run's history
+	// (always recorded) and the cluster's one slot: the protocol, the
+	// checkpoint store, the trace (its view of the history), the MSS
+	// message log (nil unless Config.LogMode enables it) and the decision
+	// log (nil unless Config.Record). Every protocol event mirrors through
+	// it under mu: deliveries, hand-off transfers and disconnect flushes of
+	// the log included.
 	//
 	//guard:mu
 	side protoside.Side
@@ -287,22 +289,19 @@ type Cluster struct {
 	replays *obs.Counter
 
 	// tick is the logical clock: each protocol event advances it once, and
-	// everything the event produces — store records, trace and log
-	// entries, timeline events, the schedule entry — carries that one
-	// instant.
+	// everything the event produces — history row, store records, log
+	// entries, timeline events — carries that one instant. During Run it
+	// is the event's history position + 1.
 	//
 	//guard:mu
 	tick uint64
 
-	//guard:mu
-	nextID uint64
-
-	// sched is the recorded nondeterminism schedule (nil unless
-	// Config.Record); the side's decision log is the other half of the
-	// recording.
+	// nextID numbers the packets from 0 in send order: under mu, as the
+	// history numbers its messages, so a packet's id is its message
+	// ordinal.
 	//
 	//guard:mu
-	sched *trace.Schedule
+	nextID uint64
 
 	// shipped is what the hand-off in progress ships: the side's log step
 	// leaves it here, and switchCell takes it before releasing mu.
@@ -312,16 +311,11 @@ type Cluster struct {
 }
 
 // beginEvent opens one protocol event under mu: it advances the logical
-// clock and — when recording — appends the event to the schedule and
-// hands its position to the side, which stamps the decision log with it.
-// It returns the event's tick.
+// clock and returns the event's tick.
 //
 //locks:held mu
-func (c *Cluster) beginEvent(kind string, host, peer int, msg uint64, from, to int) des.Time {
+func (c *Cluster) beginEvent() des.Time {
 	c.tick++
-	if c.sched != nil {
-		c.side.Seq = c.sched.Record(kind, c.tick, host, peer, msg, from, to)
-	}
 	return des.Time(c.tick)
 }
 
@@ -354,7 +348,8 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	for s := range c.wired {
 		c.wired[s] = newMailbox()
 	}
-	c.side = protoside.New(1, 1, cfg.Metrics, cfg.Timeline, func(mobile.HostID) des.Time {
+	hist := trace.NewHistory(cfg.Hosts, cfg.Stations)
+	c.side = protoside.New(1, 1, hist, cfg.Metrics, cfg.Timeline, func(mobile.HostID) des.Time {
 		// The side reads the clock only from inside a protocol event.
 		//
 		//locks:held mu
@@ -366,7 +361,7 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		//locks:held mu
 		c.shipped = s.FrontierHandoff(h, to)
 	}
-	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: trace.New(cfg.Hosts), MLog: lg}
+	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), MLog: lg}
 	// Host h's current station — or, while h is disconnected, the last
 	// one, which holds its checkpoints and parked messages: where a
 	// checkpoint of h lands, and what TP's location vectors track.
@@ -383,7 +378,6 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		return nil, err
 	}
 	if cfg.Record {
-		c.sched = trace.NewSchedule(cfg.Hosts, cfg.Stations, c.side.Slots[0].Name, cfg.Seed)
 		c.side.Slots[0].Dec = replaycmp.NewLog(c.side.Slots[0].Name, cfg.Hosts)
 	}
 	c.instrument(cfg.Metrics)
@@ -512,12 +506,17 @@ func (c *Cluster) Counters() Counters { return c.counters }
 //locks:quiescent read-side accessor, documented for use after Run returns
 func (c *Cluster) MLog() *mlog.Log { return c.side.Slots[0].MLog }
 
-// Schedule returns the recorded nondeterminism schedule, sealed with
-// its in-flight section, or nil when Config.Record was off (read after
-// Run returns).
+// Schedule exports the run's history as the recorded nondeterminism
+// schedule, in-flight section included, or returns nil when Config.Record
+// was off (call after Run returns).
 //
 //locks:quiescent read-side accessor, documented for use after Run returns
-func (c *Cluster) Schedule() *trace.Schedule { return c.sched }
+func (c *Cluster) Schedule() *trace.Schedule {
+	if !c.cfg.Record {
+		return nil
+	}
+	return c.side.Hist.Schedule(c.side.Slots[0].Name, c.cfg.Seed)
+}
 
 // Decisions returns the recorded protocol-decision log, including the
 // post-hoc recovery-line matrix, or nil when Config.Record was off
@@ -586,7 +585,7 @@ func (c *Cluster) Run() {
 
 // drainFinal delivers the traffic still buffered for hosts that retired
 // before it arrived (the at-least-once transport of §3 never loses
-// messages), counts what is left, and seals the recording. Anything
+// messages), counts what is left, and finishes the decision log. Anything
 // still queued after the loop indicates a routing bug, surfaced through
 // the Undrained counter.
 //
@@ -599,13 +598,9 @@ func (c *Cluster) drainFinal() {
 	}
 	c.counters.Undrained = undrained
 
-	if c.sched != nil {
-		// Seal the recording: name the sends that never delivered (so a
-		// replay knows they are supposed to dangle) and derive the
-		// decision log's recovery-line matrix from the finished store
+	if s := &c.side.Slots[0]; s.Dec != nil {
+		// The decision log's recovery-line matrix, from the finished store
 		// and trace.
-		c.sched.SealInFlight()
-		s := &c.side.Slots[0]
 		s.Dec.FinishRecoveryLines(s.Store, s.Trace)
 	}
 }
@@ -624,7 +619,7 @@ func (c *Cluster) addHost() (mobile.HostID, *mailbox) {
 	c.dirMu.Unlock()
 	c.seen = append(c.seen, newDupFilter(c.cfg.DupWindow))
 	c.states = append(c.states, statestore.NewHostState(8))
-	now := c.beginEvent(trace.SchedJoin, int(h), -1, 0, -1, at)
+	now := c.beginEvent()
 	c.side.OnJoin(now, h, mobile.MSSID(at))
 	c.mu.Unlock()
 
@@ -734,11 +729,10 @@ func (c *Cluster) send(from, to mobile.HostID, src *rng.Source) {
 	c.mu.Lock()
 	id := c.nextID
 	c.nextID++
-	c.beginEvent(trace.SchedSend, int(from), int(to), id, -1, -1)
+	c.beginEvent()
 	var pb [1]any
-	c.side.OnSend(from, to, pb[:])
 	// The packet id is the flow id, as in the replay of a recording.
-	c.side.Sent(id, id, from, to)
+	c.side.OnSend(from, to, id, id, pb[:])
 	// The send is an event of the application: it dirties some state.
 	var scratch [16]byte
 	for i := range scratch {
@@ -783,9 +777,10 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 		return
 	}
 	c.mu.Lock()
-	now := c.beginEvent(trace.SchedDeliver, int(h), int(p.From), p.ID, -1, -1)
+	now := c.beginEvent()
 	pb := [1]any{p.Piggyback}
-	c.side.OnDeliver(now, h, p.From, p.ID, p.ID, pb[:], mobile.MSSID(c.station[h]))
+	// The packet id is the message's ordinal in the history (nextID).
+	c.side.OnDeliver(now, h, p.From, p.ID, p.ID, int32(p.ID), pb[:], mobile.MSSID(c.station[h]))
 	c.mu.Unlock()
 	c.countersMu.Lock()
 	c.counters.Delivered++
@@ -806,7 +801,7 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	}
 
 	c.mu.Lock()
-	now := c.beginEvent(trace.SchedHandoff, int(h), -1, 0, cur, next)
+	now := c.beginEvent()
 	// Commit the move while holding mu so the station change is ordered
 	// against the protocol events around it — a recorded schedule must
 	// see sends/deliveries and hand-offs in their real total order.
@@ -891,7 +886,7 @@ func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to m
 func (c *Cluster) disconnect(h mobile.HostID) {
 	c.mu.Lock()
 	at := c.station[h]
-	now := c.beginEvent(trace.SchedDisconnect, int(h), -1, 0, at, -1)
+	now := c.beginEvent()
 	c.side.OnDisconnect(now, h, mobile.MSSID(at))
 	c.mu.Unlock()
 	c.countersMu.Lock()
@@ -903,7 +898,7 @@ func (c *Cluster) disconnect(h mobile.HostID) {
 func (c *Cluster) reconnect(h mobile.HostID) {
 	c.mu.Lock()
 	at := c.station[h]
-	now := c.beginEvent(trace.SchedReconnect, int(h), -1, 0, -1, at)
+	now := c.beginEvent()
 	c.side.OnReconnect(now, h, mobile.MSSID(at))
 	c.mu.Unlock()
 }

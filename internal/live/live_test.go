@@ -108,8 +108,8 @@ func TestMessageAccounting(t *testing.T) {
 	if int64(c.Trace().Len()) != got.Delivered {
 		t.Fatalf("trace has %d events, delivered %d", c.Trace().Len(), got.Delivered)
 	}
-	if int64(c.Trace().InFlight()) != got.Sent-got.Delivered {
-		t.Fatalf("in-flight mismatch: %d vs %d", c.Trace().InFlight(), got.Sent-got.Delivered)
+	if inFlight := len(c.Trace().History().InFlight()); int64(inFlight) != got.Sent-got.Delivered {
+		t.Fatalf("in-flight mismatch: %d vs %d", inFlight, got.Sent-got.Delivered)
 	}
 }
 

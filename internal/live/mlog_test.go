@@ -10,7 +10,6 @@ import (
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
-	"mobickpt/internal/trace"
 	"mobickpt/internal/wire"
 )
 
@@ -69,8 +68,8 @@ func TestLiveRecoverReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged := func(ev trace.MessageEvent, seq int) bool {
-		return seq < c.MLog().StableBound(ev.To)
+	logged := func(to mobile.HostID, seq int) bool {
+		return seq < c.MLog().StableBound(to)
 	}
 	if o := recovery.UnloggedOrphans(c.Trace(), rep.Cut, logged); o != 0 {
 		t.Fatalf("executed cut has %d unlogged orphans", o)

@@ -147,7 +147,8 @@ func TestPruneNeverLosesReplayable(t *testing.T) {
 func undoneStable(tr *trace.Trace, lg *mlog.Log, cut recovery.Cut) [][]int {
 	out := make([][]int, len(cut))
 	next := make([]int, len(cut))
-	for _, ev := range tr.Events() {
+	for i := range tr.Len() {
+		ev := tr.Event(i)
 		seq := next[ev.To]
 		next[ev.To]++
 		if cut[ev.To] != recovery.End && ev.RecvCount > cut[ev.To] && seq < lg.StableBound(ev.To) {

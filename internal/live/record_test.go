@@ -3,6 +3,7 @@ package live
 import (
 	"testing"
 
+	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/trace"
 )
@@ -11,14 +12,16 @@ import (
 // recorded with SentAt = DeliveredAt = 0 (and mlog entries with at = 0),
 // so the live trace carried no ordering information at all. The logical
 // tick must now be threaded through: strictly positive, and a message's
-// delivery strictly after its send.
+// delivery strictly after its send. Every row of the history — mobility
+// included — is stamped with its event's tick, position + 1.
 func TestLiveTraceTimestamps(t *testing.T) {
 	c := runCluster(t, DefaultConfig(), qbcFactory)
-	evs := c.Trace().Events()
-	if len(evs) == 0 {
+	tr := c.Trace()
+	if tr.Len() == 0 {
 		t.Fatal("no deliveries")
 	}
-	for _, ev := range evs {
+	for i := range tr.Len() {
+		ev := tr.Event(i)
 		if ev.SentAt < 1 {
 			t.Fatalf("message %d: SentAt = %v, want >= 1 (the zero-timestamp bug)", ev.ID, ev.SentAt)
 		}
@@ -26,10 +29,18 @@ func TestLiveTraceTimestamps(t *testing.T) {
 			t.Fatalf("message %d: DeliveredAt %v not after SentAt %v", ev.ID, ev.DeliveredAt, ev.SentAt)
 		}
 	}
-	for _, mv := range c.Trace().Mobility() {
-		if mv.At < 1 {
-			t.Fatalf("mobility event %+v has zero timestamp", mv)
+	h := tr.History()
+	mobility := 0
+	for i, ev := range h.Schedule("QBC", 0).Events {
+		if h.At(i) != des.Time(i+1) {
+			t.Fatalf("row %d (%s) stamped %v, want tick %d", i, ev.Kind, h.At(i), i+1)
 		}
+		if ev.Kind == trace.SchedHandoff || ev.Kind == trace.SchedDisconnect || ev.Kind == trace.SchedReconnect {
+			mobility++
+		}
+	}
+	if mobility == 0 {
+		t.Fatal("no mobility rows in the history")
 	}
 }
 

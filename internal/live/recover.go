@@ -9,7 +9,6 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/statestore"
-	"mobickpt/internal/trace"
 )
 
 // RecoveryReport describes an executed rollback.
@@ -69,8 +68,8 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 		// logged messages, so the seed is the bare failure cut and
 		// replay-aware propagation handles any unlogged residue.
 		seed = recovery.FailureCut(sl.Store, n, failed)
-		logged = func(ev trace.MessageEvent, seq int) bool {
-			return seq < sl.MLog.StableBound(ev.To)
+		logged = func(to mobile.HostID, seq int) bool {
+			return seq < sl.MLog.StableBound(to)
 		}
 	}
 	cut, steps := recovery.PropagateReplay(sl.Trace, seed, logged)

@@ -1,15 +1,15 @@
 // Package protoside is the protocol side of a run: the protocol slots,
-// and everything one application event does to them — hook, invariant
-// checker, trace, MSS message log, decision log, cause tally, metrics,
-// timeline. The protocols only observe message order, cell switches and
-// disconnections (§5.1), so where that pattern comes from is not their
-// business, and three worlds drive this one side: the simulator's
+// and everything one application event does to them — history row, hook,
+// invariant checker, trace counts, MSS message log, decision log, cause
+// tally, metrics, timeline. The protocols only observe message order, cell
+// switches and disconnections (§5.1), so where that pattern comes from is
+// not their business, and three worlds drive this one side: the simulator's
 // generative engine from its network hooks and workload and its replay
 // from a recorded schedule (both internal/sim), and the live goroutine
 // cluster (internal/live) from its hosts' real operations. What differs
 // between them arrives as values — the clock, the station a checkpoint
-// lands on, the flow id, the schedule position, the hand-off's log step —
-// and nothing here asks which world is calling.
+// lands on, the message id and ordinal, the flow id, the hand-off's log
+// step — and nothing here asks which world is calling.
 package protoside
 
 import (
@@ -34,10 +34,13 @@ type Side struct {
 	// Slots holds the per-protocol state, in the world's protocol order.
 	Slots []Slot
 
-	// Seq is the schedule position of the event being mirrored: what the
-	// decision log stamps each entry with. A world that records one sets it
-	// before each event.
-	Seq uint64
+	// Hist is the run's one protocol-independent history (nil unless the
+	// world records one): every mirrored event appends one row to it
+	// before any protocol sees the event, whatever the slot count, and
+	// each slot's Trace is a view of it. Its position is what the decision
+	// logs stamp their entries with. Only single-lane worlds record one
+	// (the engine refuses RecordTrace on lanes).
+	Hist *trace.History
 
 	// HandoffLog moves host h's message log in slot s to station to,
 	// right after the slot's OnCellSwitch. Each world owns the pruning
@@ -104,7 +107,7 @@ type Slot struct {
 	Name  string // the protocol's own (Protocol.Name), set by InitSlot
 	Proto protocol.Protocol
 	Store *storage.Store
-	Trace *trace.Trace   // nil unless the world records one
+	Trace *trace.Trace   // a view of the side's Hist; nil without one
 	MLog  *mlog.Log      // MSS message log; nil when logging is off
 	Dec   *replaycmp.Log // decision log; nil unless the world records one
 	Check *check.Runtime // invariant checker; nil unless the world asks for one
@@ -143,11 +146,13 @@ func (s *Slot) FrontierHandoff(h mobile.HostID, to mobile.MSSID) []*mlog.Entry {
 }
 
 // New sizes a protocol side for protos slots driven from lanes lanes,
-// reading the world's clock now. reg and tl may be nil. The world fills
-// the slots (InitSlot) and, if it logs messages, sets HandoffLog.
-func New(protos, lanes int, reg *obs.Registry, tl *obs.Timeline, now func(mobile.HostID) des.Time) Side {
+// recording into hist and reading the world's clock now. hist, reg and tl
+// may be nil. The world fills the slots (InitSlot) and, if it logs
+// messages, sets HandoffLog.
+func New(protos, lanes int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, now func(mobile.HostID) des.Time) Side {
 	p := Side{
 		Slots:      make([]Slot, protos),
+		Hist:       hist,
 		now:        now,
 		laneCount:  lanes,
 		causeLane:  make([]string, lanes),
@@ -172,14 +177,18 @@ func New(protos, lanes int, reg *obs.Registry, tl *obs.Timeline, now func(mobile
 }
 
 // InitSlot fills slot i for n hosts from s — store and the optional
-// trace, message log and decision log the world chose — and builds the
-// protocol, which build constructs around the slot's checkpointer and
-// store and which names the slot; with checks it attaches an invariant
-// checker to it. mssOf is the station a checkpoint of h lands on: the same
-// closure the world hands the protocol.
+// message log and decision log the world chose, plus a view of the side's
+// history when it records one — and builds the protocol, which build
+// constructs around the slot's checkpointer and store and which names the
+// slot; with checks it attaches an invariant checker to it. mssOf is the
+// station a checkpoint of h lands on: the same closure the world hands the
+// protocol.
 func (p *Side) InitSlot(i, n int, s Slot, checks bool, mssOf func(mobile.HostID) mobile.MSSID,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
 	s.Counts = make([]int, n)
+	if p.Hist != nil {
+		s.Trace = p.Hist.View()
+	}
 	if p.reg != nil {
 		s.ckptByCause = make(map[string]*obs.Counter)
 	}
@@ -220,7 +229,7 @@ func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) proto
 		p.causesLane[lane][i][key]++
 		if s.Dec != nil {
 			s.Dec.RecordCheckpoint(int(h), replaycmp.Checkpoint{
-				Seq: p.Seq, Ordinal: ordinal, Index: index, Kind: kind.String(), Cause: key,
+				Seq: p.seq(), Ordinal: ordinal, Index: index, Kind: kind.String(), Cause: key,
 			})
 		}
 		if p.reg != nil {
@@ -256,6 +265,11 @@ func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) proto
 		return rec
 	}
 }
+
+// seq is the history position of the event being mirrored (0 before the
+// first, for the initial checkpoints): what the decision logs stamp their
+// entries with. A world that keeps a decision log records a history.
+func (p *Side) seq() uint64 { return uint64(max(p.Hist.Len()-1, 0)) }
 
 // Presize prepares the side for lanes that run concurrently: the
 // checkpoint counters a lane handler may create are created now, and the
@@ -346,11 +360,19 @@ func (p *Side) Start(n int) {
 	}
 }
 
-// OnSend runs every protocol's OnSend for a message from → to and leaves
-// the piggybacks in pb, parallel to the slots.
+// OnSend mirrors the send of message id from → to: the history row, every
+// protocol's OnSend — leaving the piggybacks in pb, parallel to the slots —
+// the timeline's send (flow rides the message to link send -> deliver ->
+// forced checkpoints) and every trace's send-side count, the sender's
+// post-OnSend position. It returns the message's ordinal in the history
+// (-1 without one), which the world hands back to OnDeliver.
 //
 //lane:handler
-func (p *Side) OnSend(from, to mobile.HostID, pb []any) {
+func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
+	ord := int32(-1)
+	if p.Hist != nil {
+		ord = p.Hist.Send(from, to, id, p.now(from))
+	}
 	prev := p.setCauseFor(from, "send") // restored below; this is the hot path, no defer
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -360,14 +382,6 @@ func (p *Side) OnSend(from, to mobile.HostID, pb []any) {
 		}
 	}
 	p.restoreCauseFor(from, prev)
-}
-
-// Sent records the send of message id on the timeline — flow rides the
-// message to link send -> deliver -> forced checkpoints — and in every
-// trace, at the sender's post-OnSend position.
-//
-//lane:handler
-func (p *Side) Sent(id, flow uint64, from, to mobile.HostID) {
 	if p.tl != nil {
 		now := float64(p.now(from))
 		p.tl.Instant(now, int(from), "send",
@@ -377,17 +391,22 @@ func (p *Side) Sent(id, flow uint64, from, to mobile.HostID) {
 	}
 	for i := range p.Slots {
 		if s := &p.Slots[i]; s.Trace != nil {
-			s.Trace.RecordSend(id, from, to, s.Counts[from], p.now(from))
+			s.Trace.CountSend(s.Counts[from])
 		}
 	}
+	return ord
 }
 
-// OnDeliver dispatches message id, delivered to h at station at, to every
-// protocol and records the receiver-side positions — trace, message log,
-// decision log — after any forced checkpoint.
+// OnDeliver dispatches message id — the one OnSend numbered ord —
+// delivered to h at station at, to every protocol and records the
+// receiver-side positions — trace, message log, decision log — after any
+// forced checkpoint.
 //
 //lane:handler
-func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, pb []any, at mobile.MSSID) {
+func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, ord int32, pb []any, at mobile.MSSID) {
+	if p.Hist != nil {
+		p.Hist.Deliver(ord, id, now)
+	}
 	prev := p.setCauseFor(h, "deliver") // restored below; this is the hot path, no defer
 	lane := p.LaneOf(h)
 	if p.tl != nil {
@@ -406,7 +425,7 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, p
 			s.Check.AfterDeliver(h, from, pb[i])
 		}
 		if s.Trace != nil {
-			s.Trace.RecordDeliver(id, s.Counts[h], now)
+			s.Trace.CountDeliver(s.Counts[h])
 		}
 		if s.MLog != nil {
 			// The entry carries the post-forced-checkpoint receiver
@@ -418,7 +437,7 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, p
 			// Logged after everything the delivery induced: the decision
 			// logs compare positionally.
 			s.Dec.RecordDelivery(int(h), replaycmp.Delivery{
-				Seq: p.Seq, Msg: id, From: int(from),
+				Seq: p.seq(), Msg: id, From: int(from),
 				Piggyback: replaycmp.Fingerprint(pb[i]), RecvCount: s.Counts[h],
 			})
 		}
@@ -432,6 +451,9 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, p
 
 // OnCellSwitch mirrors host h's move from station from to station to.
 func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID) {
+	if p.Hist != nil {
+		p.Hist.Handoff(h, from, to, now)
+	}
 	defer p.restoreCauseFor(h, p.setCauseFor(h, "switch"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -449,11 +471,13 @@ func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID
 		p.tl.Instant(float64(now), int(h), "handoff",
 			"from", strconv.Itoa(int(from)), "to", strconv.Itoa(int(to)))
 	}
-	p.recordMobility(h, trace.Handoff, from, to, now)
 }
 
 // OnDisconnect mirrors host h's disconnection from station from.
 func (p *Side) OnDisconnect(now des.Time, h mobile.HostID, from mobile.MSSID) {
+	if p.Hist != nil {
+		p.Hist.Disconnect(h, from, now)
+	}
 	defer p.restoreCauseFor(h, p.setCauseFor(h, "disconnect"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -475,11 +499,13 @@ func (p *Side) OnDisconnect(now des.Time, h mobile.HostID, from mobile.MSSID) {
 		p.tl.Instant(float64(now), int(h), "disconnect",
 			"from", strconv.Itoa(int(from)))
 	}
-	p.recordMobility(h, trace.Disconnect, from, mobile.NoMSS, now)
 }
 
 // OnReconnect mirrors host h's reconnection at station at.
 func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
+	if p.Hist != nil {
+		p.Hist.Reconnect(h, at, now)
+	}
 	defer p.restoreCauseFor(h, p.setCauseFor(h, "reconnect"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -496,24 +522,15 @@ func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
 		p.tl.Instant(float64(now), int(h), "reconnect",
 			"at", strconv.Itoa(int(at)))
 	}
-	p.recordMobility(h, trace.Reconnect, mobile.NoMSS, at, now)
-}
-
-// recordMobility mirrors one mobility event into every recorded trace
-// (the events are protocol-independent; each trace stays standalone for
-// offline analysis).
-func (p *Side) recordMobility(h mobile.HostID, kind trace.MobilityKind, from, to mobile.MSSID, now des.Time) {
-	for i := range p.Slots {
-		if tr := p.Slots[i].Trace; tr != nil {
-			tr.RecordMobility(h, kind, from, to, now)
-		}
-	}
 }
 
 // OnJoin admits host id, joining at station at, into every protocol (via
 // Dynamic). The world grows its own per-host tables first, so the
 // joiner's initial checkpoint sees its station. It runs world-stopped.
 func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
+	if p.Hist != nil {
+		p.Hist.Join(id, at, now)
+	}
 	defer p.RestoreCauseAll(p.SetCauseAll("join"))
 	if p.tl != nil {
 		p.tl.SetTrack(int(id), fmt.Sprintf("MH %d (joined)", id))
@@ -533,9 +550,6 @@ func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 		s.JoinCtrl += d.OnJoin(id)
 		if s.Check != nil {
 			s.Check.AfterJoin(id)
-		}
-		if s.Trace != nil {
-			s.Trace.AddHost()
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mobickpt/internal/mobile"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/trace"
 )
@@ -27,8 +28,8 @@ func recoverAll(e *execution, failed int, logged LoggedFunc) (Cut, int, ReplayMe
 func TestIndexFollowsTraceGrowth(t *testing.T) {
 	const hosts, msgs = 6, 240
 	full := randomTrace(rng.New(11), hosts, 1, msgs)
-	events := full.tr.Events()
-	logged := func(ev trace.MessageEvent, seq int) bool { return seq%3 != 0 }
+	events := events(full.tr)
+	logged := func(_ mobile.HostID, seq int) bool { return seq%3 != 0 }
 
 	// grown replays a prefix of the full history into one trace that is
 	// indexed (and recovered on) after every stage; fresh is rebuilt from
@@ -36,7 +37,7 @@ func TestIndexFollowsTraceGrowth(t *testing.T) {
 	replay := func(tr *trace.Trace, evs []trace.MessageEvent) {
 		for _, ev := range evs {
 			for int(ev.From) >= tr.NumHosts() || int(ev.To) >= tr.NumHosts() {
-				tr.AddHost()
+				tr.History().Join(mobile.HostID(tr.NumHosts()), 0, ev.SentAt)
 			}
 			tr.RecordSend(ev.ID, ev.From, ev.To, ev.SendCount, ev.SentAt)
 			tr.RecordDeliver(ev.ID, ev.RecvCount, ev.DeliveredAt)
@@ -71,7 +72,7 @@ func TestIndexFollowsTraceGrowth(t *testing.T) {
 // the index be shared read-only (run under -race).
 func TestConcurrentRecoveries(t *testing.T) {
 	e := randomTrace(rng.New(5), 8, 0, 400)
-	logged := func(ev trace.MessageEvent, seq int) bool { return seq%2 == 0 }
+	logged := func(_ mobile.HostID, seq int) bool { return seq%2 == 0 }
 	n := e.tr.NumHosts()
 	cuts, steps := make([]Cut, n), make([]int, n)
 	var wg sync.WaitGroup

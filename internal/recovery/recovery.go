@@ -72,8 +72,8 @@ func (c Cut) RolledBack() int {
 // (RecvCount <= cut[to]). A cut is consistent iff Orphans returns 0.
 func Orphans(tr *trace.Trace, cut Cut) int {
 	n := 0
-	for _, ev := range tr.Events() {
-		if ev.SendCount > cut[ev.From] && ev.RecvCount <= cut[ev.To] {
+	for i := range tr.Len() {
+		if tr.SendCount(i) > cut[tr.From(i)] && tr.RecvCount(i) <= cut[tr.To(i)] {
 			n++
 		}
 	}
@@ -132,7 +132,6 @@ func Propagate(tr *trace.Trace, seed Cut) (Cut, int) {
 // reference.
 func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 	ix := index(tr, seed)
-	events := tr.Events()
 	cut := seed.Clone()
 
 	// lo[h] marks the suffix of ix.Sends[h] already examined.
@@ -148,15 +147,15 @@ func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 	push := func(h int, round, pos int) {
 		s := ix.Sends[h]
 		i := lo[h]
-		for i > 0 && events[s[i-1]].SendCount > cut[h] {
+		for i > 0 && tr.SendCount(int(s[i-1])) > cut[h] {
 			i--
 		}
 		for _, idx := range s[i:lo[h]] {
-			ev := &events[idx]
-			if ev.RecvCount > cut[ev.To] {
+			to := tr.To(int(idx))
+			if tr.RecvCount(int(idx)) > cut[to] {
 				continue // receive already undone; permanently not an orphan
 			}
-			if logged != nil && logged(*ev, int(ix.Seq[idx])) {
+			if logged != nil && logged(to, int(ix.Seq[idx])) {
 				continue // stably logged deliveries survive any rollback
 			}
 			r := round
@@ -175,13 +174,13 @@ func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 	for len(wl) > 0 {
 		k := wl.pop()
 		round, pos := int(k>>32), int(uint32(k))
-		ev := &events[pos]
-		if ev.RecvCount > cut[ev.To] {
+		to, rc := tr.To(pos), tr.RecvCount(pos)
+		if rc > cut[to] {
 			continue // undone since it was pushed
 		}
-		cut[ev.To] = ev.RecvCount - 1
+		cut[to] = rc - 1
 		steps++
-		push(int(ev.To), round, pos)
+		push(int(to), round, pos)
 	}
 	return cut, steps
 }

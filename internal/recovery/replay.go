@@ -15,11 +15,11 @@ import (
 // orphan relation (PropagateReplay) and the computation a failure undoes
 // (MeasureReplay).
 
-// LoggedFunc reports whether the seq-th delivery to ev.To (0-based,
+// LoggedFunc reports whether the seq-th delivery to host to (0-based,
 // counting deliveries to that host in trace order) is stably logged at
-// an MSS. mlog-backed implementations return seq < log.StableBound(To).
+// an MSS. mlog-backed implementations return seq < log.StableBound(to).
 // The answer must not change while a recovery is being computed.
-type LoggedFunc func(ev trace.MessageEvent, seq int) bool
+type LoggedFunc func(to mobile.HostID, seq int) bool
 
 // PropagateReplay runs orphan-elimination to a fixpoint like Propagate,
 // except that a message whose delivery is stably logged never rolls its
@@ -38,13 +38,13 @@ func PropagateReplay(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 // sends cut undoes.
 func UnloggedOrphans(tr *trace.Trace, cut Cut, logged LoggedFunc) int {
 	ix := index(tr, cut)
-	events := tr.Events()
 	n := 0
 	for h, x := range cut {
 		s := ix.Sends[h]
-		for i := len(s) - 1; i >= 0 && events[s[i]].SendCount > x; i-- {
-			ev := &events[s[i]]
-			if ev.RecvCount <= cut[ev.To] && (logged == nil || !logged(*ev, int(ix.Seq[s[i]]))) {
+		for i := len(s) - 1; i >= 0 && tr.SendCount(int(s[i])) > x; i-- {
+			p := int(s[i])
+			to := tr.To(p)
+			if tr.RecvCount(p) <= cut[to] && (logged == nil || !logged(to, int(ix.Seq[p]))) {
 				n++
 			}
 		}
@@ -73,7 +73,6 @@ type ReplayMetrics struct {
 // Undone time and undone messages count only what replay cannot recover.
 func MeasureReplay(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*storage.Record, failTime des.Time, dominoSteps int, logged LoggedFunc) ReplayMetrics {
 	ix := index(tr, cut)
-	events := tr.Events()
 	m := ReplayMetrics{Metrics: Metrics{DominoSteps: dominoSteps}}
 	for h, x := range cut {
 		if x == End {
@@ -88,7 +87,7 @@ func MeasureReplay(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*stora
 		// (RecvCount never decreases along them); a delivery's offset in
 		// the list is its ordinal.
 		recvs := ix.Recvs[h]
-		first := sort.Search(len(recvs), func(i int) bool { return events[recvs[i]].RecvCount > x })
+		first := sort.Search(len(recvs), func(i int) bool { return tr.RecvCount(int(recvs[i])) > x })
 		undone := recvs[first:]
 		// frontier is the time replay reconstructs h up to: deliveries
 		// replay in their original order, so the first undone one that is
@@ -97,8 +96,8 @@ func MeasureReplay(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*stora
 		frontier := restoredAt
 		replayed := 0
 		if logged != nil {
-			for replayed < len(undone) && logged(events[undone[replayed]], first+replayed) {
-				if at := events[undone[replayed]].DeliveredAt; at > frontier {
+			for replayed < len(undone) && logged(mobile.HostID(h), first+replayed) {
+				if at := tr.DeliveredAt(int(undone[replayed])); at > frontier {
 					frontier = at
 				}
 				replayed++

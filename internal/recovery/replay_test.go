@@ -3,11 +3,11 @@ package recovery
 import (
 	"testing"
 
-	"mobickpt/internal/trace"
+	"mobickpt/internal/mobile"
 )
 
-func allLogged(trace.MessageEvent, int) bool  { return true }
-func noneLogged(trace.MessageEvent, int) bool { return false }
+func allLogged(mobile.HostID, int) bool  { return true }
+func noneLogged(mobile.HostID, int) bool { return false }
 
 func TestPropagateReplayNilDegeneratesToPropagate(t *testing.T) {
 	st, tr := script(t, []string{"cA", "mAB", "cB"})
@@ -101,7 +101,7 @@ func TestMeasureReplayGapEndsReplay(t *testing.T) {
 	// Two deliveries to B are undone; only the first is stably logged.
 	st, tr := script(t, []string{"cA", "mAB", "mAB", "cB"})
 	cut := Cut{1, 0}
-	firstOnly := func(ev trace.MessageEvent, seq int) bool { return seq < 1 }
+	firstOnly := func(_ mobile.HostID, seq int) bool { return seq < 1 }
 	m := MeasureReplay(tr, cut, chainsOf(st), 10, 0, firstOnly)
 	if m.ReplayedMessages != 1 || m.UndoneMessages != 1 {
 		t.Fatalf("replayed %d undone %d, want 1 and 1", m.ReplayedMessages, m.UndoneMessages)
@@ -109,7 +109,7 @@ func TestMeasureReplayGapEndsReplay(t *testing.T) {
 
 	// An unlogged delivery breaks determinized replay: later logged
 	// entries cannot be replayed either.
-	secondOnly := func(ev trace.MessageEvent, seq int) bool { return seq >= 1 }
+	secondOnly := func(_ mobile.HostID, seq int) bool { return seq >= 1 }
 	m = MeasureReplay(tr, cut, chainsOf(st), 10, 0, secondOnly)
 	if m.ReplayedMessages != 0 || m.UndoneMessages != 2 {
 		t.Fatalf("broken replay: replayed %d undone %d, want 0 and 2", m.ReplayedMessages, m.UndoneMessages)

@@ -18,12 +18,21 @@ import (
 // metrics — DominoSteps included, which depends on evaluation order and
 // is a reported figure (E8).
 
+// events lists the trace's delivered messages in delivery order.
+func events(tr *trace.Trace) []trace.MessageEvent {
+	evs := make([]trace.MessageEvent, tr.Len())
+	for i := range evs {
+		evs[i] = tr.Event(i)
+	}
+	return evs
+}
+
 // deliverySeqs returns, for each trace event, its per-receiver delivery
 // ordinal — the position mlog keys its entries by.
 func deliverySeqs(tr *trace.Trace) []int {
-	seqs := make([]int, len(tr.Events()))
+	seqs := make([]int, tr.Len())
 	next := make([]int, tr.NumHosts())
-	for i, ev := range tr.Events() {
+	for i, ev := range events(tr) {
 		seqs[i] = next[ev.To]
 		next[ev.To]++
 	}
@@ -40,9 +49,9 @@ func propagateReference(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int)
 	steps := 0
 	for {
 		changed := false
-		for i, ev := range tr.Events() {
+		for i, ev := range events(tr) {
 			if ev.SendCount > cut[ev.From] && ev.RecvCount <= cut[ev.To] &&
-				(logged == nil || !logged(ev, seqs[i])) {
+				(logged == nil || !logged(ev.To, seqs[i])) {
 				cut[ev.To] = ev.RecvCount - 1
 				steps++
 				changed = true
@@ -60,8 +69,8 @@ func unloggedOrphansReference(tr *trace.Trace, cut Cut, logged LoggedFunc) int {
 	}
 	seqs := deliverySeqs(tr)
 	n := 0
-	for i, ev := range tr.Events() {
-		if ev.SendCount > cut[ev.From] && ev.RecvCount <= cut[ev.To] && !logged(ev, seqs[i]) {
+	for i, ev := range events(tr) {
+		if ev.SendCount > cut[ev.From] && ev.RecvCount <= cut[ev.To] && !logged(ev.To, seqs[i]) {
 			n++
 		}
 	}
@@ -86,7 +95,7 @@ func measureReference(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*st
 			m.MaxRollback = lost
 		}
 	}
-	for _, ev := range tr.Events() {
+	for _, ev := range events(tr) {
 		if ev.RecvCount > cut[ev.To] {
 			m.UndoneMessages++
 		}
@@ -118,12 +127,12 @@ func measureReplayReference(tr *trace.Trace, cut Cut, chains func(mobile.HostID)
 	// Walk deliveries in trace (delivery) order: per host this is Seq
 	// order, so the first unlogged undone delivery ends that host's
 	// replayable prefix.
-	for i, ev := range tr.Events() {
+	for i, ev := range events(tr) {
 		x := cut[ev.To]
 		if x == End || ev.RecvCount <= x {
 			continue
 		}
-		if !broken[ev.To] && logged != nil && logged(ev, seqs[i]) {
+		if !broken[ev.To] && logged != nil && logged(ev.To, seqs[i]) {
 			m.ReplayedMessages++
 			if ev.DeliveredAt > frontier[ev.To] {
 				frontier[ev.To] = ev.DeliveredAt
@@ -182,7 +191,7 @@ func randomTrace(src *rng.Source, hosts, joins, msgs int) *execution {
 	joined := 0
 	for sent := 0; sent < msgs || len(inflight) > 0; e.end++ {
 		if joined < joins && sent >= (joined+1)*msgs/(joins+1) {
-			e.tr.AddHost()
+			e.tr.History().Join(mobile.HostID(e.tr.NumHosts()), 0, e.end)
 			join()
 			joined++
 		}
@@ -235,7 +244,7 @@ func randomCut(src *rng.Source, e *execution) Cut {
 // stableBounds is the shape of every mlog-backed predicate: host h's
 // first bound[h] deliveries are stably logged.
 func stableBounds(bound []int) LoggedFunc {
-	return func(ev trace.MessageEvent, seq int) bool { return seq < bound[ev.To] }
+	return func(to mobile.HostID, seq int) bool { return seq < bound[to] }
 }
 
 // TestWorklistMatchesReference drives the indexed functions and the

@@ -140,11 +140,15 @@ func TestPerturbFlips(t *testing.T) {
 	}
 }
 
+// oneMessage is a two-host schedule: one send and its delivery.
+func oneMessage() *trace.Schedule {
+	h := trace.NewHistory(2, 2)
+	h.Deliver(h.Send(0, 1, 1, 1), 1, 2)
+	return h.Schedule("QBC", 1)
+}
+
 func TestBundleRoundTrip(t *testing.T) {
-	s := trace.NewSchedule(2, 2, "QBC", 1)
-	s.Record(trace.SchedSend, 1, 0, 1, 1, -1, -1)
-	s.Record(trace.SchedDeliver, 2, 1, 0, 1, -1, -1)
-	s.SealInFlight()
+	s := oneMessage()
 	l, _ := twin()
 	b := &Bundle{Schedule: s, Live: l}
 	var buf bytes.Buffer
@@ -213,10 +217,7 @@ func TestCompareShapeMismatch(t *testing.T) {
 // A bundle whose live log does not have the schedule's shape is refused
 // at import, with an error naming the offending field.
 func TestImportBundleRejectsMisshapenLiveLog(t *testing.T) {
-	s := trace.NewSchedule(2, 2, "QBC", 1)
-	s.Record(trace.SchedSend, 1, 0, 1, 1, -1, -1)
-	s.Record(trace.SchedDeliver, 2, 1, 0, 1, -1, -1)
-	s.SealInFlight()
+	s := oneMessage()
 	for _, m := range shapeMutations {
 		l, _ := twin()
 		m.mutate(l)

@@ -6,6 +6,7 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/protoside"
+	"mobickpt/internal/trace"
 )
 
 // coreSched adapts pdes.Core to des.Sched for the world model. Labels
@@ -104,7 +105,11 @@ func (e *engine) bindEngine() error {
 		e.core = core
 		e.sched = &coreSched{core: core, e: e}
 	}
-	e.Side = protoside.New(len(cfg.Protocols), lanes, cfg.Metrics, cfg.Timeline, e.now)
+	var hist *trace.History
+	if cfg.RecordTrace {
+		hist = trace.NewHistory(cfg.Mobile.NumHosts, cfg.Mobile.NumMSS)
+	}
+	e.Side = protoside.New(len(cfg.Protocols), lanes, hist, cfg.Metrics, cfg.Timeline, e.now)
 	e.plFree = make([][]*payload, lanes)
 	return nil
 }

@@ -67,9 +67,12 @@ type Config struct {
 	// TestCheckpointLatencyClaim verifies that.
 	CheckpointLatency des.Time
 
-	// RecordTrace keeps the full message history per protocol for
-	// recovery analysis. It costs memory proportional to the number of
-	// delivered messages; leave false for N_tot sweeps.
+	// RecordTrace keeps the run's message and mobility history for
+	// recovery analysis: one history per run, not per protocol, plus two
+	// checkpoint counts per message for each protocol
+	// (ProtocolResult.Trace is that protocol's view of it). It costs
+	// memory proportional to the number of messages; leave false for
+	// N_tot sweeps.
 	RecordTrace bool
 
 	// JoinTimes schedules dynamic membership (E16): at each listed time a
@@ -357,6 +360,14 @@ func (c Config) validateReplay() error {
 	if _, err := protocol.LookupLive(c.Schedule.Protocol); err != nil {
 		return fmt.Errorf("sim: schedule records an unreplayable protocol: %w", err)
 	}
+	// The cap the sweep applies to TP: a replay sizes TP's dense current
+	// vectors by the final host count (Hosts too, in case the joins
+	// overflowed it).
+	n := c.Schedule.FinalHosts()
+	if c.Schedule.Protocol == string(TP) && (c.Schedule.Hosts > ScaleTPMaxHosts || n > ScaleTPMaxHosts) {
+		return fmt.Errorf("sim: replay of TP over %d hosts refused: its dense vectors take 16n² B (%.1f GB), and TP runs up to ScaleTPMaxHosts = %d",
+			n, 16*float64(n)*float64(n)/1e9, ScaleTPMaxHosts)
+	}
 	switch len(c.Protocols) {
 	case 0:
 	case 1:
@@ -401,18 +412,14 @@ func (c Config) validateLog() error {
 }
 
 // initSlot fills slot i of p, for n hosts, the way c asks: a store under
-// c.Cost, a trace if c.RecordTrace, a message log if c.MessageLog, the
-// protocol build constructs and, with c.Checks, an invariant checker. Both
-// modes of Run build their slots here.
+// c.Cost, a message log if c.MessageLog, the protocol build constructs
+// and, with c.Checks, an invariant checker (p gives the slot its trace).
+// Both modes of Run build their slots here.
 func (c Config) initSlot(p *protoside.Side, i, n int, mssOf func(mobile.HostID) mobile.MSSID,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
 	lg, err := mlog.Open(c.MessageLog, c.LogFlushBatch)
 	if err != nil {
 		return err
 	}
-	s := protoside.Slot{Store: storage.NewStore(c.Cost), MLog: lg}
-	if c.RecordTrace {
-		s.Trace = trace.New(n)
-	}
-	return p.InitSlot(i, n, s, c.Checks, mssOf, build)
+	return p.InitSlot(i, n, protoside.Slot{Store: storage.NewStore(c.Cost), MLog: lg}, c.Checks, mssOf, build)
 }

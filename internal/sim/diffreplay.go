@@ -1,13 +1,13 @@
 package sim
 
-// Differential replay (E24): re-execute a live cluster's recorded
-// nondeterminism schedule through the protocol side. The replay
-// constructs the schedule's protocol fresh, then walks the recorded
-// events in their total order with their recorded logical ticks as the
-// clock, mirroring each into the slot the way the generative engine
-// mirrors its own — so the protocol re-derives every checkpoint decision
-// from the same inputs, and replaycmp.Compare can hold the two executions
-// to byte-identical decision logs.
+// Differential replay (E24): re-execute a recorded nondeterminism
+// schedule — a live cluster's, or any world's exported history — through
+// the protocol side. The replay constructs the schedule's protocol fresh,
+// then walks the recorded events in their total order with their recorded
+// logical ticks as the clock, mirroring each into the slot the way the
+// generative engine mirrors its own — so the protocol re-derives every
+// checkpoint decision from the same inputs, and replaycmp.Compare can hold
+// the two executions to byte-identical decision logs.
 
 import (
 	"fmt"
@@ -24,21 +24,27 @@ import (
 
 // replayRun is the schedule-driven world around a one-slot protocol
 // side: what the live cluster keeps that no protocol does — stations and
-// in-flight piggybacks.
+// in-flight messages.
 type replayRun struct {
 	protoside.Side
 
 	station []mobile.MSSID // current (or last) station per host
 
-	// pending holds each in-flight message's piggyback *as decoded off
-	// the wire* — the replay round-trips every send through internal/wire
-	// exactly like the live transport, so the delivered control
-	// information has the same representation on both sides.
-	pending map[uint64]any
+	// pending holds each in-flight message by id: its ordinal in the
+	// replay's history and its piggyback *as decoded off the wire* — the
+	// replay round-trips every send through internal/wire exactly like the
+	// live transport, so the delivered control information has the same
+	// representation on both sides.
+	pending map[uint64]inFlight
 
 	// tick is the logical time of the event being applied: the side's
 	// clock.
 	tick des.Time
+}
+
+type inFlight struct {
+	ord int32
+	pb  any
 }
 
 // runSchedule executes Config.Schedule (Run dispatches here after
@@ -47,23 +53,24 @@ func runSchedule(cfg Config) (*Result, error) {
 	sched := cfg.Schedule
 	r := &replayRun{
 		station: make([]mobile.MSSID, sched.Hosts),
-		pending: make(map[uint64]any),
+		pending: make(map[uint64]inFlight),
 	}
 	for i := range r.station {
 		r.station[i] = mobile.MSSID(i % sched.Stations)
 	}
-	r.Side = protoside.New(1, 1, cfg.Metrics, cfg.Timeline, func(mobile.HostID) des.Time { return r.tick })
+	// Always a history: the decision log's recovery lines are cut from the
+	// slot's view of it.
+	r.Side = protoside.New(1, 1, trace.NewHistory(sched.Hosts, sched.Stations), cfg.Metrics, cfg.Timeline,
+		func(mobile.HostID) des.Time { return r.tick })
 	// The live cluster bounds the switching host's log at the
 	// recovery-line frontier right before it ships it; pruning at the same
 	// instants is what makes the two logs' counters comparable field for
 	// field.
 	r.HandoffLog = func(s *protoside.Slot, h mobile.HostID, to mobile.MSSID) { s.FrontierHandoff(h, to) }
 
-	// The slot as the live cluster keeps it: the default cost model, and
-	// always a trace — the decision log's recovery lines are cut from it.
+	// The slot as the live cluster keeps it: the default cost model.
 	scfg := cfg
 	scfg.Cost = storage.DefaultCostModel()
-	scfg.RecordTrace = true
 	name := ProtocolName(sched.Protocol)
 	mssOf := func(h mobile.HostID) mobile.MSSID { return r.station[h] }
 	err := scfg.initSlot(&r.Side, 0, sched.Hosts, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
@@ -129,16 +136,15 @@ func runSchedule(cfg Config) (*Result, error) {
 // apply re-executes one recorded event: the replay's own bookkeeping
 // around the protocol side's mirroring of it.
 func (r *replayRun) apply(ev trace.ScheduleEvent) {
-	r.Seq, r.tick = ev.Seq, des.Time(ev.Tick)
+	r.tick = des.Time(ev.Tick)
 	h := mobile.HostID(ev.Host)
 	switch ev.Kind {
 	case trace.SchedSend:
 		to := mobile.HostID(ev.Peer)
 		var pb [1]any
-		r.OnSend(h, to, pb[:])
 		// The recorded message id is the flow id, as on the live cluster, so
 		// a replayed timeline is the live one.
-		r.Sent(ev.Msg, ev.Msg, h, to)
+		ord := r.OnSend(h, to, ev.Msg, ev.Msg, pb[:])
 		// Round-trip the piggyback through the wire codec like the live
 		// transport; the delivery below hands the decoded form over.
 		frame, err := (&wire.Packet{ID: ev.Msg, From: h, To: to, Piggyback: pb[0]}).Marshal()
@@ -149,7 +155,7 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 		if err != nil {
 			panic("sim: replay: " + err.Error())
 		}
-		r.pending[ev.Msg] = p.Piggyback
+		r.pending[ev.Msg] = inFlight{ord: ord, pb: p.Piggyback}
 
 	case trace.SchedDeliver:
 		got, ok := r.pending[ev.Msg]
@@ -157,8 +163,8 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 			panic(fmt.Sprintf("sim: replay: schedule delivers unknown message %d", ev.Msg))
 		}
 		delete(r.pending, ev.Msg)
-		pb := [1]any{got}
-		r.OnDeliver(r.tick, h, mobile.HostID(ev.Peer), ev.Msg, ev.Msg, pb[:], r.station[h])
+		pb := [1]any{got.pb}
+		r.OnDeliver(r.tick, h, mobile.HostID(ev.Peer), ev.Msg, ev.Msg, got.ord, pb[:], r.station[h])
 
 	case trace.SchedHandoff:
 		// Commit the move before the hook: the basic checkpoint the
@@ -170,6 +176,9 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 		r.OnDisconnect(r.tick, h, mobile.MSSID(ev.From))
 
 	case trace.SchedReconnect:
+		// The engine's hosts may come back at another station; the live
+		// cluster's return where they left.
+		r.station[h] = mobile.MSSID(ev.To)
 		r.OnReconnect(r.tick, h, mobile.MSSID(ev.To))
 
 	case trace.SchedJoin:

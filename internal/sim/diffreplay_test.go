@@ -16,18 +16,14 @@ import (
 // a hand-off, and a host that disconnects with a message parked for it
 // and never reconnects — the in-flight section must carry that send.
 func replaySchedule(protocol string) *trace.Schedule {
-	s := trace.NewSchedule(3, 2, protocol, 1)
-	s.Record(trace.SchedSend, 1, 0, 1, 1, -1, -1)
-	s.Record(trace.SchedDeliver, 2, 1, 0, 1, -1, -1)
-	s.Record(trace.SchedHandoff, 3, 1, -1, 0, 1, 0)
-	s.Record(trace.SchedSend, 4, 1, 2, 2, -1, -1)
-	s.Record(trace.SchedDeliver, 5, 2, 1, 2, -1, -1)
-	s.Record(trace.SchedDisconnect, 6, 2, -1, 0, 0, -1)
-	s.Record(trace.SchedSend, 7, 0, 2, 3, -1, -1) // parked forever: 2 never returns
-	s.Record(trace.SchedSend, 8, 1, 0, 4, -1, -1)
-	s.Record(trace.SchedDeliver, 9, 0, 1, 4, -1, -1)
-	s.SealInFlight()
-	return s
+	h := trace.NewHistory(3, 2)
+	h.Deliver(h.Send(0, 1, 1, 1), 1, 2)
+	h.Handoff(1, 1, 0, 3)
+	h.Deliver(h.Send(1, 2, 2, 4), 2, 5)
+	h.Disconnect(2, 0, 6)
+	h.Send(0, 2, 3, 7) // parked forever: 2 never returns
+	h.Deliver(h.Send(1, 0, 4, 8), 4, 9)
+	return h.Schedule(protocol, 1)
 }
 
 func TestReplayValidateRejects(t *testing.T) {
@@ -55,6 +51,10 @@ func TestReplayValidateRejects(t *testing.T) {
 		// protocol has to be in the registry's Live set.
 		{"coordinated schedule", func(c *Config) { c.Schedule = replaySchedule("CL") }},
 		{"timer-driven schedule", func(c *Config) { c.Schedule = replaySchedule("MS") }},
+		// TP's dense vectors cost 16n² B: a tiny file must not ask for 6 GB.
+		{"TP over the cap", func(c *Config) {
+			c.Schedule = &trace.Schedule{Hosts: ScaleTPMaxHosts + 1, Stations: 2, Protocol: "TP"}
+		}},
 	}
 	for _, tc := range cases {
 		cfg := Config{Schedule: replaySchedule("QBC")}
@@ -73,6 +73,10 @@ func TestReplayValidateRejects(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+	tp := Config{Schedule: &trace.Schedule{Hosts: 20000, Stations: 2, Protocol: "TP"}}
+	if err := tp.Validate(); err == nil || !strings.Contains(err.Error(), "16n²") {
+		t.Fatalf("TP over the cap: err = %v, want the n² vectors named", err)
 	}
 	// The rejection names the replayable set.
 	err := Config{Schedule: replaySchedule("PS")}.Validate()
@@ -104,23 +108,24 @@ func TestReplayDeterministic(t *testing.T) {
 }
 
 // Disconnect-at-end: the send parked for the never-reconnecting host
-// must stay in flight (excluded from Events, present in Open), exactly
-// matching the schedule's explicit in-flight section.
+// must stay in flight (in the history's in-flight set, among no trace's
+// events), exactly matching the schedule's explicit in-flight section.
 func TestReplayInFlight(t *testing.T) {
 	res, err := Run(Config{Schedule: replaySchedule("QBC"), Checks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := res.Protocols[0]
-	if pr.Trace.InFlight() != 1 {
-		t.Fatalf("trace has %d in flight, want 1", pr.Trace.InFlight())
-	}
-	open := pr.Trace.Open()
-	if len(open) != 1 || open[0].ID != 3 || open[0].To != 2 {
-		t.Fatalf("Open() = %+v, want message 3 to host 2", open)
+	if open := pr.Trace.History().InFlight(); len(open) != 1 || open[0] != 3 {
+		t.Fatalf("history leaves %v in flight, want message 3", open)
 	}
 	if pr.Trace.Len() != 3 {
 		t.Fatalf("delivered %d, want 3", pr.Trace.Len())
+	}
+	for i := range pr.Trace.Len() {
+		if pr.Trace.Event(i).ID == 3 {
+			t.Fatal("the parked message is among the delivered events")
+		}
 	}
 	// A schedule claiming the parked message was delivered desyncs and
 	// must be rejected by validation (in-flight section mismatch).
@@ -149,14 +154,11 @@ func TestReplayMessageLog(t *testing.T) {
 // Replays with joins: the joiner appears mid-history with its own
 // initial checkpoint and can immediately communicate.
 func TestReplayJoin(t *testing.T) {
-	s := trace.NewSchedule(2, 2, "QBC", 1)
-	s.Record(trace.SchedSend, 1, 0, 1, 1, -1, -1)
-	s.Record(trace.SchedDeliver, 2, 1, 0, 1, -1, -1)
-	s.Record(trace.SchedJoin, 3, 2, -1, 0, -1, 1)
-	s.Record(trace.SchedSend, 4, 2, 0, 2, -1, -1)
-	s.Record(trace.SchedDeliver, 5, 0, 2, 2, -1, -1)
-	s.SealInFlight()
-	res, err := Run(Config{Schedule: s, Checks: true})
+	h := trace.NewHistory(2, 2)
+	h.Deliver(h.Send(0, 1, 1, 1), 1, 2)
+	h.Join(2, 1, 3)
+	h.Deliver(h.Send(2, 0, 2, 4), 2, 5)
+	res, err := Run(Config{Schedule: h.Schedule("QBC", 1), Checks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

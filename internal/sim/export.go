@@ -6,8 +6,8 @@ import (
 )
 
 // exportedResult is the stable JSON shape of a run: the scalar outcomes,
-// without the in-memory stores/traces (export those separately with
-// trace.Export if needed).
+// without the in-memory stores and traces (a recorded run's history
+// exports separately, as a replayable schedule: History.Schedule).
 type exportedResult struct {
 	Seed           uint64             `json:"seed"`
 	Horizon        float64            `json:"horizon"`

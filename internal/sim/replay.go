@@ -11,7 +11,6 @@ import (
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/stats"
 	"mobickpt/internal/storage"
-	"mobickpt/internal/trace"
 )
 
 // This file holds the recovery/replay analysis helpers shared by the E8
@@ -41,8 +40,8 @@ func Logged(pr *ProtocolResult) recovery.LoggedFunc {
 	if lg == nil {
 		return nil
 	}
-	return func(ev trace.MessageEvent, seq int) bool {
-		return seq < lg.StableBound(ev.To)
+	return func(to mobile.HostID, seq int) bool {
+		return seq < lg.StableBound(to)
 	}
 }
 

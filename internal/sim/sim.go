@@ -11,7 +11,9 @@
 // carries one piggyback slot per protocol, and each protocol keeps its
 // own checkpoint store. This gives an exact like-for-like comparison in a
 // single pass (the ablation bench verifies it matches per-protocol
-// re-simulation).
+// re-simulation). Recorded (Config.RecordTrace), the trace is kept once,
+// as one history, and each protocol keeps only its two checkpoint counts
+// per message.
 package sim
 
 import (
@@ -150,8 +152,8 @@ func newEngine(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// send runs every protocol's OnSend, assembles the piggyback slots and
-// hands the message to the network.
+// send hands a message to the network and has the protocol side fill its
+// piggyback slots (the network reads none of them before the delivery).
 //
 //lane:handler
 func (e *engine) send(from, to mobile.HostID) {
@@ -165,7 +167,6 @@ func (e *engine) send(from, to mobile.HostID) {
 	} else {
 		pl = &payload{piggyback: make([]any, len(e.Slots))}
 	}
-	e.OnSend(from, to, pl.piggyback)
 	m, err := e.net.Send(from, to, pl)
 	if err != nil {
 		panic("sim: " + err.Error()) // the driver only sends from connected hosts
@@ -176,7 +177,7 @@ func (e *engine) send(from, to mobile.HostID) {
 		m.Flow = uint64(from)<<32 | e.sendOrd[from]
 		e.sendOrd[from]++
 	}
-	e.Sent(m.ID, m.Flow, from, to)
+	e.OnSend(from, to, m.ID, m.Flow, pl.piggyback)
 }
 
 // deliver hands a delivered message to the protocol side, then returns
@@ -186,7 +187,10 @@ func (e *engine) send(from, to mobile.HostID) {
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
 	pl := m.Payload.(*payload)
-	e.OnDeliver(now, h.ID, m.From, m.ID, m.Flow, pl.piggyback, h.LastMSS())
+	// The network numbers its messages from 0 in send order, as the
+	// history does when there is one (a sequential run), so the id is the
+	// message's ordinal.
+	e.OnDeliver(now, h.ID, m.From, m.ID, m.Flow, int32(m.ID), pl.piggyback, h.LastMSS())
 	clear(pl.piggyback)
 	m.Payload = nil
 	lane := e.LaneOf(h.ID)

@@ -32,7 +32,7 @@ type Index struct {
 
 // Index returns the trace's index, building it on first use and again
 // whenever the trace has grown since (deliveries recorded or hosts
-// added), so a finished trace is indexed once however many failures are
+// joined), so a finished trace is indexed once however many failures are
 // analyzed on it. Concurrent calls on a trace nobody is recording into
 // are safe. It panics on a trace whose positions do not fit 32 bits or
 // in which some receiver's RecvCount decreases — a recording bug, named
@@ -41,48 +41,51 @@ type Index struct {
 func (t *Trace) Index() *Index {
 	t.indexMu.Lock()
 	defer t.indexMu.Unlock()
-	if ix := t.index; ix == nil || len(ix.Seq) != len(t.events) || len(ix.Sends) != t.numHosts {
-		t.index = buildIndex(t.events, t.numHosts)
+	if ix := t.index; ix == nil || len(ix.Seq) != t.Len() || len(ix.Sends) != t.NumHosts() {
+		t.index = t.buildIndex()
 	}
 	return t.index
 }
 
-func buildIndex(events []MessageEvent, hosts int) *Index {
-	if len(events) > math.MaxInt32 {
-		panic(fmt.Sprintf("trace: %d events do not fit the index's 32-bit positions", len(events)))
+// buildIndex reads the history's delivery rows and the view's count
+// columns in place: no event is materialized.
+func (t *Trace) buildIndex() *Index {
+	h, n, hosts := t.h, t.Len(), t.NumHosts()
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: %d events do not fit the index's 32-bit positions", n))
 	}
 	ix := &Index{
 		Sends: make([][]int32, hosts),
 		Recvs: make([][]int32, hosts),
-		Seq:   make([]int32, len(events)),
+		Seq:   make([]int32, n),
 	}
 	// Count, carve both tables out of one backing array each, fill.
 	sent, received := make([]int, hosts), make([]int, hosts)
-	for i := range events {
-		sent[events[i].From]++
-		received[events[i].To]++
+	for _, r := range h.delivRow[:n] {
+		sent[h.peer[r]]++
+		received[h.host[r]]++
 	}
-	sendBuf, recvBuf := make([]int32, len(events)), make([]int32, len(events))
-	for h, so, ro := 0, 0, 0; h < hosts; h++ {
-		ix.Sends[h] = sendBuf[so : so : so+sent[h]]
-		ix.Recvs[h] = recvBuf[ro : ro : ro+received[h]]
-		so += sent[h]
-		ro += received[h]
+	sendBuf, recvBuf := make([]int32, n), make([]int32, n)
+	for k, so, ro := 0, 0, 0; k < hosts; k++ {
+		ix.Sends[k] = sendBuf[so : so : so+sent[k]]
+		ix.Recvs[k] = recvBuf[ro : ro : ro+received[k]]
+		so += sent[k]
+		ro += received[k]
 	}
-	for i := range events {
-		ev := &events[i]
-		r := ix.Recvs[ev.To]
-		if n := len(r); n > 0 && events[r[n-1]].RecvCount > ev.RecvCount {
+	for i, r := range h.delivRow[:n] {
+		from, to := h.peer[r], h.host[r]
+		rv := ix.Recvs[to]
+		if m := len(rv); m > 0 && t.recv[rv[m-1]] > t.recv[i] {
 			panic(fmt.Sprintf("trace: host %d's RecvCount falls from %d to %d at event %d (message %d)",
-				ev.To, events[r[n-1]].RecvCount, ev.RecvCount, i, ev.ID))
+				to, t.recv[rv[m-1]], t.recv[i], i, h.msg[r]))
 		}
-		ix.Seq[i] = int32(len(r))
-		ix.Recvs[ev.To] = append(r, int32(i))
-		ix.Sends[ev.From] = append(ix.Sends[ev.From], int32(i))
+		ix.Seq[i] = int32(len(rv))
+		ix.Recvs[to] = append(rv, int32(i))
+		ix.Sends[from] = append(ix.Sends[from], int32(i))
 	}
 	var late []int32 // sortSends' scratch, shared by all senders
 	for _, s := range ix.Sends {
-		late = sortSends(events, s, late[:0])
+		late = t.sortSends(s, late[:0])
 	}
 	return ix
 }
@@ -94,11 +97,12 @@ func buildIndex(events []MessageEvent, hosts int) *Index {
 // the two in one pass, sort only the late ones and merge them back in
 // place — linear in the list unless most of it is late. late is scratch
 // space, returned for the next sender.
-func sortSends(events []MessageEvent, s, late []int32) []int32 {
+func (t *Trace) sortSends(s, late []int32) []int32 {
+	count := func(p int32) int { return t.SendCount(int(p)) }
 	run := s[:0]
 	top := 0
 	for _, p := range s {
-		if c := events[p].SendCount; c >= top {
+		if c := count(p); c >= top {
 			top = c
 			run = append(run, p)
 		} else {
@@ -110,14 +114,14 @@ func sortSends(events []MessageEvent, s, late []int32) []int32 {
 	}
 	// Stable, so equal SendCounts keep their increasing positions.
 	slices.SortStableFunc(late, func(a, b int32) int {
-		return cmp.Compare(events[a].SendCount, events[b].SendCount)
+		return cmp.Compare(count(a), count(b))
 	})
 	// Merge from the back: the write position never catches up with the
 	// run's unread part.
 	i, j := len(run)-1, len(late)-1
 	for w := len(s) - 1; j >= 0; w-- {
-		if i >= 0 && (events[run[i]].SendCount > events[late[j]].SendCount ||
-			events[run[i]].SendCount == events[late[j]].SendCount && run[i] > late[j]) {
+		if i >= 0 && (count(run[i]) > count(late[j]) ||
+			count(run[i]) == count(late[j]) && run[i] > late[j]) {
 			s[w] = run[i]
 			i--
 		} else {

@@ -62,7 +62,10 @@ func shuffledTrace(src *rng.Source, hosts, msgs int) *Trace {
 // indexReference derives the three tables from their definitions with a
 // comparison sort.
 func indexReference(tr *Trace) *Index {
-	evs := tr.Events()
+	evs := make([]MessageEvent, tr.Len())
+	for i := range evs {
+		evs[i] = tr.Event(i)
+	}
 	ix := &Index{Sends: make([][]int32, tr.NumHosts()), Recvs: make([][]int32, tr.NumHosts()), Seq: make([]int32, len(evs))}
 	for i, ev := range evs {
 		ix.Seq[i] = int32(len(ix.Recvs[ev.To]))
@@ -144,9 +147,9 @@ func TestIndexCachedUntilGrowth(t *testing.T) {
 	if grown == ix || len(grown.Seq) != tr.Len() || !sameTables(grown, indexReference(tr)) {
 		t.Fatal("index not rebuilt after a delivery")
 	}
-	tr.AddHost()
+	tr.History().Join(4, 0, 1002)
 	if wider := tr.Index(); wider == grown || len(wider.Sends) != 5 || len(wider.Recvs) != 5 {
-		t.Fatal("index not rebuilt after AddHost")
+		t.Fatal("index not rebuilt after a join")
 	}
 }
 

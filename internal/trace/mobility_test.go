@@ -1,75 +1,39 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
-
-	"mobickpt/internal/mobile"
 )
 
 func TestMobilityRecordAndCounts(t *testing.T) {
-	tr := New(3)
-	tr.RecordMobility(0, Handoff, 0, 1, 5)
-	tr.RecordMobility(1, Disconnect, 2, mobile.NoMSS, 6)
-	tr.RecordMobility(1, Reconnect, mobile.NoMSS, 2, 7)
-	tr.RecordMobility(2, Handoff, 1, 0, 8)
-	h, d, r := tr.MobilityCounts()
-	if h != 2 || d != 1 || r != 1 {
-		t.Fatalf("counts = %d/%d/%d, want 2/1/1", h, d, r)
+	h := NewHistory(3, 3)
+	h.Handoff(0, 0, 1, 5)
+	h.Disconnect(1, 2, 6)
+	h.Reconnect(1, 2, 7)
+	h.Handoff(2, 1, 0, 8)
+	evs := h.Schedule("BCS", 0).Events
+	counts := map[string]int{}
+	for _, ev := range evs {
+		counts[ev.Kind]++
 	}
-	evs := tr.Mobility()
-	if len(evs) != 4 || evs[0].Host != 0 || evs[0].To != 1 || evs[3].At != 8 {
-		t.Fatalf("events = %+v", evs)
+	if counts[SchedHandoff] != 2 || counts[SchedDisconnect] != 1 || counts[SchedReconnect] != 1 || len(counts) != 3 {
+		t.Fatalf("counts = %v, want 2 hand-offs, 1 disconnection, 1 reconnection", counts)
+	}
+	if evs[0] != (ScheduleEvent{Seq: 0, Tick: 1, Kind: SchedHandoff, Host: 0, Peer: -1, From: 0, To: 1}) {
+		t.Fatalf("event 0 = %+v", evs[0])
+	}
+	if evs[1].From != 2 || evs[1].To != -1 {
+		t.Fatalf("a disconnection carries only its station of departure: %+v", evs[1])
+	}
+	if evs[3].Host != 2 || h.At(3) != 8 {
+		t.Fatalf("event 3 = %+v at %v", evs[3], h.At(3))
 	}
 }
 
 func TestMobilityKindString(t *testing.T) {
-	for k, want := range map[MobilityKind]string{Handoff: "handoff", Disconnect: "disconnect", Reconnect: "reconnect", MobilityKind(9): "MobilityKind(9)"} {
+	for k, want := range map[rowKind]string{rowSend: SchedSend, rowDeliver: SchedDeliver, rowHandoff: "handoff",
+		rowDisconnect: "disconnect", rowReconnect: "reconnect", rowJoin: SchedJoin} {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
-func TestMobilityExportImportRoundTrip(t *testing.T) {
-	tr := New(2)
-	tr.RecordSend(1, 0, 1, 1, 2)
-	tr.RecordDeliver(1, 1, 3)
-	tr.RecordMobility(0, Handoff, 0, 1, 4)
-	tr.RecordMobility(1, Disconnect, 1, mobile.NoMSS, 5)
-
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	got, err := Import(&buf)
-	if err != nil {
-		t.Fatalf("Import: %v", err)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("imported %d events", got.Len())
-	}
-	evs := got.Mobility()
-	if len(evs) != 2 {
-		t.Fatalf("imported %d mobility events", len(evs))
-	}
-	if evs[0] != (MobilityEvent{Host: 0, Kind: Handoff, From: 0, To: 1, At: 4}) {
-		t.Fatalf("event 0 = %+v", evs[0])
-	}
-	if evs[1].Kind != Disconnect || evs[1].To != mobile.NoMSS {
-		t.Fatalf("event 1 = %+v", evs[1])
-	}
-}
-
-func TestImportRejectsBadMobility(t *testing.T) {
-	bad := []string{
-		`{"num_hosts":2,"mobility":[{"host":0,"kind":"teleport","from":0,"to":1,"at":1}]}`,
-		`{"num_hosts":2,"mobility":[{"host":7,"kind":"handoff","from":0,"to":1,"at":1}]}`,
-	}
-	for _, in := range bad {
-		if _, err := Import(strings.NewReader(in)); err == nil {
-			t.Errorf("Import accepted %s", in)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"sort"
 )
 
-// Schedule event kinds: the five nondeterministic choices a live run
-// makes (plus dynamic joins). Everything else a run does is a
-// deterministic function of these and the protocol.
+// Schedule event kinds: the five nondeterministic choices a run makes
+// (plus dynamic joins), the names of the History's row kinds. Everything
+// else a run does is a deterministic function of these and the protocol.
 const (
 	SchedSend       = "send"
 	SchedDeliver    = "deliver"
@@ -25,10 +25,10 @@ type ScheduleEvent struct {
 	// starting at 0). Protocol events are serialized under one lock in
 	// the live cluster, so the order is real, not reconstructed.
 	Seq uint64 `json:"seq"`
-	// Tick is the recording cluster's logical clock at the event
-	// (strictly increasing along the schedule). A replay fires the event
-	// at this virtual time, so replayed traces carry the original
-	// timestamps.
+	// Tick is the logical clock at the event (strictly increasing along
+	// the schedule; History.Schedule writes Seq+1, which is the live
+	// cluster's own tick). A replay fires the event at this virtual time,
+	// so a replayed live trace carries the original timestamps.
 	Tick uint64 `json:"tick"`
 	// Kind is one of the Sched* constants.
 	Kind string `json:"kind"`
@@ -46,14 +46,16 @@ type ScheduleEvent struct {
 	To   int `json:"to"`
 }
 
-// Schedule is the serialized nondeterminism of one live run: enough to
-// re-execute the exact history through the deterministic engine. The
+// Schedule is the serialized nondeterminism of one run — an export of its
+// History (History.Schedule), in any world: enough to re-execute the
+// exact history through the deterministic replay. The
 // protocol's own behaviour is NOT recorded — that is the point: a
 // replay re-derives every checkpoint decision from the same inputs, so
 // a differ can hold the two executions to byte-identical decisions.
 type Schedule struct {
 	// Hosts and Stations describe the initial topology (host i starts at
-	// station i mod Stations, the live cluster's placement rule).
+	// station i mod Stations, the placement rule of the engine and the
+	// live cluster alike).
 	Hosts    int `json:"hosts"`
 	Stations int `json:"stations"`
 	// Protocol is the protocol under test ("TP", "BCS", "QBC", ...).
@@ -71,22 +73,6 @@ type Schedule struct {
 	InFlight []uint64 `json:"in_flight"`
 }
 
-// NewSchedule returns an empty schedule for the given topology.
-func NewSchedule(hosts, stations int, protocol string, seed uint64) *Schedule {
-	return &Schedule{Hosts: hosts, Stations: stations, Protocol: protocol, Seed: seed}
-}
-
-// Record appends one event and returns its sequence number. Tick must
-// exceed the previous event's tick (the recorder's logical clock).
-func (s *Schedule) Record(kind string, tick uint64, host, peer int, msg uint64, from, to int) uint64 {
-	seq := uint64(len(s.Events))
-	s.Events = append(s.Events, ScheduleEvent{
-		Seq: seq, Tick: tick, Kind: kind,
-		Host: host, Peer: peer, Msg: msg, From: from, To: to,
-	})
-	return seq
-}
-
 // FinalHosts returns the host count after all recorded joins.
 func (s *Schedule) FinalHosts() int {
 	n := s.Hosts
@@ -98,30 +84,13 @@ func (s *Schedule) FinalHosts() int {
 	return n
 }
 
-// SealInFlight computes the InFlight section from the event list: every
-// sent message with no matching delivery. Call once, after recording.
-func (s *Schedule) SealInFlight() {
-	delivered := make(map[uint64]bool)
-	for _, ev := range s.Events {
-		if ev.Kind == SchedDeliver {
-			delivered[ev.Msg] = true
-		}
-	}
-	s.InFlight = s.InFlight[:0]
-	for _, ev := range s.Events {
-		if ev.Kind == SchedSend && !delivered[ev.Msg] {
-			s.InFlight = append(s.InFlight, ev.Msg)
-		}
-	}
-	sort.Slice(s.InFlight, func(i, j int) bool { return s.InFlight[i] < s.InFlight[j] })
-}
-
 // Validate checks the schedule's internal consistency: dense ascending
 // sequence numbers, strictly increasing ticks, events that respect the
-// live cluster's calling discipline (no send/deliver/handoff while
+// worlds' calling discipline (no send/deliver/handoff while
 // disconnected, deliveries matching prior sends, joins extending the
-// host space densely), and an InFlight section that equals the set of
-// undelivered sends.
+// host space densely, reconnections at a valid station — the engine's
+// hosts reconnect anywhere, the live cluster's where they left), and an
+// InFlight section that equals the set of undelivered sends.
 func (s *Schedule) Validate() error {
 	if s.Hosts <= 1 {
 		return fmt.Errorf("schedule: Hosts = %d, need > 1", s.Hosts)
@@ -209,11 +178,11 @@ func (s *Schedule) Validate() error {
 			if !disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d reconnects while connected", i, ev.Host)
 			}
-			if at := stationOf(ev.Host); ev.To != at {
-				return fmt.Errorf("schedule: event %d reconnects host %d at station %d, not its last station %d",
-					i, ev.Host, ev.To, at)
+			if ev.To < 0 || ev.To >= s.Stations {
+				return fmt.Errorf("schedule: event %d reconnects at bad station %d", i, ev.To)
 			}
 			delete(disconnected, ev.Host)
+			moved[ev.Host] = ev.To
 		case SchedJoin:
 			if ev.Host != n {
 				return fmt.Errorf("schedule: event %d joins host %d, want next id %d", i, ev.Host, n)

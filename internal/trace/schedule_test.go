@@ -5,23 +5,21 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
 // small builds a valid 3-host/2-station schedule exercising every kind.
 func small() *Schedule {
-	s := NewSchedule(3, 2, "QBC", 7)
-	s.Record(SchedSend, 1, 0, 1, 1, -1, -1)
-	s.Record(SchedDeliver, 2, 1, 0, 1, -1, -1)
-	s.Record(SchedHandoff, 3, 0, -1, 0, 0, 1)
-	s.Record(SchedDisconnect, 4, 2, -1, 0, 0, -1)
-	s.Record(SchedSend, 5, 1, 2, 2, -1, -1) // parked: 2 is disconnected
-	s.Record(SchedReconnect, 6, 2, -1, 0, -1, 0)
-	s.Record(SchedJoin, 7, 3, -1, 0, -1, 1)
-	s.Record(SchedSend, 8, 3, 0, 3, -1, -1)
-	s.Record(SchedDeliver, 9, 0, 3, 3, -1, -1)
-	s.SealInFlight()
-	return s
+	h := NewHistory(3, 2)
+	h.Deliver(h.Send(0, 1, 1, 0), 1, 0)
+	h.Handoff(0, 0, 1, 0)
+	h.Disconnect(2, 0, 0)
+	h.Send(1, 2, 2, 0) // parked: 2 is disconnected
+	h.Reconnect(2, 0, 0)
+	h.Join(3, 1, 0)
+	h.Deliver(h.Send(3, 0, 3, 0), 3, 0)
+	return h.Schedule("QBC", 7)
 }
 
 func TestScheduleValidates(t *testing.T) {
@@ -99,7 +97,7 @@ func TestScheduleValidateRejects(t *testing.T) {
 			s.Events[4] = ScheduleEvent{Seq: 4, Tick: 5, Kind: SchedSend, Host: 2, Peer: 0, Msg: 2, From: -1, To: -1}
 		}},
 		{"reconnect while connected", func(s *Schedule) { s.Events[5].Host = 1; s.Events[5].To = 1 }},
-		{"reconnect elsewhere", func(s *Schedule) { s.Events[5].To = 1 }},
+		{"reconnect at bad station", func(s *Schedule) { s.Events[5].To = 7 }},
 		{"join with wrong id", func(s *Schedule) { s.Events[6].Host = 5 }},
 		{"join at bad station", func(s *Schedule) { s.Events[6].To = 7 }},
 		{"unknown kind", func(s *Schedule) { s.Events[0].Kind = "teleport" }},
@@ -118,11 +116,10 @@ func TestScheduleValidateRejects(t *testing.T) {
 // A double disconnect must be rejected (the live cluster can never
 // record one; its presence means the file was edited or corrupted).
 func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
-	s := NewSchedule(2, 2, "BCS", 1)
-	s.Record(SchedDisconnect, 1, 0, -1, 0, 0, -1)
-	s.Record(SchedDisconnect, 2, 0, -1, 0, 0, -1)
-	s.SealInFlight()
-	if err := s.Validate(); err == nil {
+	h := NewHistory(2, 2)
+	h.Disconnect(0, 0, 1)
+	h.Disconnect(0, 0, 2)
+	if err := h.Schedule("BCS", 1).Validate(); err == nil {
 		t.Fatal("double disconnect accepted")
 	}
 }
@@ -132,14 +129,14 @@ func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
 // hostile file ask for gigabytes (found while writing FuzzImportSchedule).
 func TestScheduleValidateCostFollowsEvents(t *testing.T) {
 	const hosts = math.MaxInt32
-	s := NewSchedule(hosts, 3, "BCS", 1)
-	s.Record(SchedSend, 1, hosts-1, 0, 1, -1, -1)
-	s.Record(SchedHandoff, 2, hosts-1, -1, 0, (hosts-1)%3, (hosts-1)%3+1)
-	s.Record(SchedDisconnect, 3, hosts-1, -1, 0, (hosts-1)%3+1, -1)
-	s.Record(SchedReconnect, 4, hosts-1, -1, 0, -1, (hosts-1)%3+1)
-	s.Record(SchedJoin, 5, hosts, -1, 0, -1, 2)
-	s.Record(SchedDeliver, 6, 0, hosts-1, 1, -1, -1)
-	s.SealInFlight()
+	h := NewHistory(hosts, 3)
+	m := h.Send(hosts-1, 0, 1, 1)
+	h.Handoff(hosts-1, (hosts-1)%3, (hosts-1)%3+1, 2)
+	h.Disconnect(hosts-1, (hosts-1)%3+1, 3)
+	h.Reconnect(hosts-1, (hosts-1)%3+1, 4)
+	h.Join(hosts, 2, 5)
+	h.Deliver(m, 1, 6)
+	s := h.Schedule("BCS", 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := s.Validate()
@@ -152,33 +149,34 @@ func TestScheduleValidateCostFollowsEvents(t *testing.T) {
 	}
 }
 
+// TestTraceOpen: the sends never delivered are the history's in-flight
+// set, in id order.
 func TestTraceOpen(t *testing.T) {
 	tr := New(3)
 	tr.RecordSend(5, 0, 1, 1, 10)
 	tr.RecordSend(3, 1, 2, 1, 11)
 	tr.RecordSend(4, 2, 0, 1, 12)
 	tr.RecordDeliver(4, 1, 13)
-	open := tr.Open()
-	if len(open) != 2 || open[0].ID != 3 || open[1].ID != 5 {
-		t.Fatalf("Open() = %+v, want messages 3 and 5 in id order", open)
+	if open := tr.History().InFlight(); !slices.Equal(open, []uint64{3, 5}) {
+		t.Fatalf("InFlight() = %v, want messages 3 and 5 in id order", open)
 	}
-	if tr.InFlight() != 2 {
-		t.Fatalf("InFlight = %d, want 2", tr.InFlight())
+	if tr.Len() != 1 {
+		t.Fatalf("%d delivered, want 1", tr.Len())
 	}
 
-	// Id order, not the order the open map iterates in: with 64 in
-	// flight a chance order passes once in 64!.
+	// Id order, not the order the messages were sent in.
 	const n = 64
 	tr = New(2)
 	for k := 0; k < n; k++ {
 		tr.RecordSend(uint64(1+k*37%n), 0, 1, k+1, 10) // 37 is coprime to 64: a fixed shuffle
 	}
-	if open = tr.Open(); len(open) != n {
-		t.Fatalf("Open() returned %d messages, want %d", len(open), n)
+	open := tr.History().InFlight()
+	if len(open) != n {
+		t.Fatalf("InFlight() returned %d messages, want %d", len(open), n)
 	}
-	for k, ev := range open {
-		if ev.ID != uint64(k+1) {
-			t.Fatalf("Open()[%d] has id %d, want %d", k, ev.ID, k+1)
+	for k, id := range open {
+		if id != uint64(k+1) {
+			t.Fatalf("InFlight()[%d] is %d, want %d", k, id, k+1)
 		}
 	}
 }

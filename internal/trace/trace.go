@@ -7,14 +7,15 @@
 // Those two counters position each message relative to every checkpoint
 // pair, which is exactly the orphan-message relation of §3: a message m
 // from h_i to h_j is orphan with respect to (C_i,x, C_j,y) iff its send
-// occurred after C_i,x and its receive before C_j,y. Because different
-// protocols take different checkpoints on the same execution, the
-// experiment layer keeps one Trace per protocol.
+// occurred after C_i,x and its receive before C_j,y. The rest of an
+// execution — who sent what to whom and when, and how the hosts moved —
+// does not depend on the protocol, so a run records it once, as a
+// History, and each protocol's Trace is a view of it plus that protocol's
+// two count columns.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mobickpt/internal/des"
@@ -41,137 +42,96 @@ type MessageEvent struct {
 	DeliveredAt des.Time
 }
 
-// MobilityKind classifies a recorded mobility event.
-type MobilityKind int
-
-const (
-	// Handoff is a completed cell switch (checkpoint and message-log
-	// transfer follow the host to the new station).
-	Handoff MobilityKind = iota
-	// Disconnect is a voluntary disconnection.
-	Disconnect
-	// Reconnect is a reconnection after a disconnection.
-	Reconnect
-)
-
-func (k MobilityKind) String() string {
-	switch k {
-	case Handoff:
-		return "handoff"
-	case Disconnect:
-		return "disconnect"
-	case Reconnect:
-		return "reconnect"
-	default:
-		return fmt.Sprintf("MobilityKind(%d)", int(k))
-	}
-}
-
-// MobilityEvent is one hand-off, disconnection or reconnection. From/To
-// are stations: a hand-off carries both, a disconnection only From, a
-// reconnection only To (the absent side is mobile.NoMSS).
-type MobilityEvent struct {
-	Host     mobile.HostID
-	Kind     MobilityKind
-	From, To mobile.MSSID
-	At       des.Time
-}
-
-// Trace accumulates message events for one protocol over one execution.
+// Trace is one protocol's view of a run: the run's History plus the two
+// count columns only that protocol determines. Its events are the
+// history's deliveries, named by position (delivery order) and read
+// through the accessors below.
 type Trace struct {
-	numHosts int
-	events   []MessageEvent
-	mobility []MobilityEvent
-	open     map[uint64]MessageEvent
+	h *History
+	// send[k] is the sender's count when the history's k-th message left
+	// it; recv[i] the receiver's after the i-th delivery.
+	send, recv []int32
+	// ids maps the in-flight message ids of a standalone trace (New) to
+	// their ordinals; nil for a view, whose world keeps the ordinals.
+	ids map[uint64]int32
 
-	// index is derived from events and numHosts on demand (Index); the
-	// recording methods never touch it.
+	// index is derived from the columns on demand (Index); the recording
+	// methods never touch it.
 	indexMu sync.Mutex
 	index   *Index
 }
 
-// New returns an empty trace for n hosts.
+// View returns an empty view of h for one protocol. Whoever appends to h
+// appends the view's counts too (CountSend, CountDeliver), once per send
+// and per delivery.
+func (h *History) View() *Trace { return &Trace{h: h} }
+
+// New returns an empty standalone trace for n hosts: a view of a history
+// of its own, recorded through RecordSend and RecordDeliver.
 func New(n int) *Trace {
-	return &Trace{numHosts: n, open: make(map[uint64]MessageEvent)}
+	t := NewHistory(n, 0).View()
+	t.ids = make(map[uint64]int32)
+	return t
 }
+
+// History returns the history the trace is a view of.
+func (t *Trace) History() *History { return t.h }
 
 // NumHosts returns the current host count (it grows when hosts join).
-func (t *Trace) NumHosts() int { return t.numHosts }
+func (t *Trace) NumHosts() int { return t.h.n }
 
-// AddHost grows the host count by one (dynamic membership).
-func (t *Trace) AddHost() { t.numHosts++ }
+// CountSend records the sender's count for the history's newest message.
+func (t *Trace) CountSend(sendCount int) { t.send = append(t.send, int32(sendCount)) }
 
-// RecordSend notes that message id left host from (which had taken
-// sendCount checkpoints) toward host to.
+// CountDeliver records the receiver's count for the history's newest
+// delivery.
+func (t *Trace) CountDeliver(recvCount int) { t.recv = append(t.recv, int32(recvCount)) }
+
+// RecordSend notes, in a standalone trace, that message id left host from
+// (which had taken sendCount checkpoints) toward host to.
 func (t *Trace) RecordSend(id uint64, from, to mobile.HostID, sendCount int, at des.Time) {
-	if _, dup := t.open[id]; dup {
+	if t.ids == nil {
+		panic("trace: RecordSend on a view: its history's writer records the send")
+	}
+	if _, dup := t.ids[id]; dup {
 		panic(fmt.Sprintf("trace: duplicate send of message %d", id))
 	}
-	t.open[id] = MessageEvent{ID: id, From: from, To: to, SendCount: sendCount, SentAt: at}
+	t.ids[id] = t.h.Send(from, to, id, at)
+	t.CountSend(sendCount)
 }
 
-// RecordDeliver completes message id with the receiver-side position and
-// moves it into the event log. Delivering an unknown id panics: it means
-// the environment delivered a message it never sent, a harness bug.
+// RecordDeliver completes message id of a standalone trace with the
+// receiver-side position. Delivering an unknown id panics: it means the
+// environment delivered a message it never sent, a harness bug.
 func (t *Trace) RecordDeliver(id uint64, recvCount int, at des.Time) {
-	ev, ok := t.open[id]
+	ord, ok := t.ids[id]
 	if !ok {
 		panic(fmt.Sprintf("trace: delivery of unknown message %d", id))
 	}
-	delete(t.open, id)
-	ev.RecvCount = recvCount
-	ev.DeliveredAt = at
-	t.events = append(t.events, ev)
-}
-
-// Events returns the delivered messages in delivery order. The slice is
-// owned by the trace; callers must not mutate it.
-func (t *Trace) Events() []MessageEvent { return t.events }
-
-// RecordMobility notes a hand-off, disconnection or reconnection of host
-// h at time at (from/to per the MobilityEvent conventions).
-func (t *Trace) RecordMobility(h mobile.HostID, kind MobilityKind, from, to mobile.MSSID, at des.Time) {
-	t.mobility = append(t.mobility, MobilityEvent{Host: h, Kind: kind, From: from, To: to, At: at})
-}
-
-// Mobility returns the recorded mobility events in occurrence order. The
-// slice is owned by the trace; callers must not mutate it.
-func (t *Trace) Mobility() []MobilityEvent { return t.mobility }
-
-// MobilityCounts tallies the recorded mobility events per kind.
-func (t *Trace) MobilityCounts() (handoffs, disconnects, reconnects int) {
-	for _, ev := range t.mobility {
-		switch ev.Kind {
-		case Handoff:
-			handoffs++
-		case Disconnect:
-			disconnects++
-		case Reconnect:
-			reconnects++
-		}
-	}
-	return
-}
-
-// InFlight returns the number of messages sent but not yet delivered
-// (still traveling, parked at an MSS, or queued in an inbox at the end of
-// the run). In-flight messages can never be orphans — their receive
-// does not exist — so they are excluded from the event log.
-func (t *Trace) InFlight() int { return len(t.open) }
-
-// Open returns the in-flight messages (sent, never delivered — e.g.
-// parked at an MSS for a host that disconnected and never reconnected),
-// sorted by id. RecvCount and DeliveredAt are zero: the delivery never
-// happened. Events() silently excludes these; callers accounting for
-// every send (schedule export, replay desync checks) read them here.
-func (t *Trace) Open() []MessageEvent {
-	evs := make([]MessageEvent, 0, len(t.open))
-	for _, ev := range t.open {
-		evs = append(evs, ev)
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].ID < evs[j].ID })
-	return evs
+	delete(t.ids, id)
+	t.h.Deliver(ord, id, at)
+	t.CountDeliver(recvCount)
 }
 
 // Len returns the number of delivered messages.
-func (t *Trace) Len() int { return len(t.events) }
+func (t *Trace) Len() int { return len(t.recv) }
+
+// Event returns delivered message i (in delivery order).
+func (t *Trace) Event(i int) MessageEvent {
+	h := t.h
+	r, k := h.delivRow[i], h.delivMsg[i]
+	s := h.sendRow[k]
+	return MessageEvent{
+		ID: h.msg[r], From: mobile.HostID(h.peer[r]), To: mobile.HostID(h.host[r]),
+		SendCount: int(t.send[k]), RecvCount: int(t.recv[i]),
+		SentAt: h.at[s], DeliveredAt: h.at[r],
+	}
+}
+
+// SendCount, RecvCount, From, To and DeliveredAt read one field of
+// delivered message i: what the recovery analysis's loops read.
+func (t *Trace) SendCount(i int) int        { return int(t.send[t.h.delivMsg[i]]) }
+func (t *Trace) RecvCount(i int) int        { return int(t.recv[i]) }
+func (t *Trace) From(i int) mobile.HostID   { return mobile.HostID(t.h.peer[t.h.delivRow[i]]) }
+func (t *Trace) To(i int) mobile.HostID     { return mobile.HostID(t.h.host[t.h.delivRow[i]]) }
+func (t *Trace) DeliveredAt(i int) des.Time { return t.h.at[t.h.delivRow[i]] }

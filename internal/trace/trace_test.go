@@ -1,8 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -12,19 +11,22 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("hosts = %d", tr.NumHosts())
 	}
 	tr.RecordSend(7, 0, 1, 2, 1.5)
-	if tr.InFlight() != 1 || tr.Len() != 0 {
+	if len(tr.History().InFlight()) != 1 || tr.Len() != 0 {
 		t.Fatal("send must be in flight")
 	}
 	tr.RecordDeliver(7, 3, 2.5)
-	if tr.InFlight() != 0 || tr.Len() != 1 {
+	if len(tr.History().InFlight()) != 0 || tr.Len() != 1 {
 		t.Fatal("deliver must complete the event")
 	}
-	ev := tr.Events()[0]
+	ev := tr.Event(0)
 	if ev.ID != 7 || ev.From != 0 || ev.To != 1 || ev.SendCount != 2 || ev.RecvCount != 3 {
 		t.Fatalf("event %+v", ev)
 	}
 	if ev.SentAt != 1.5 || ev.DeliveredAt != 2.5 {
 		t.Fatalf("timestamps %+v", ev)
+	}
+	if tr.SendCount(0) != 2 || tr.RecvCount(0) != 3 || tr.From(0) != 0 || tr.To(0) != 1 || tr.DeliveredAt(0) != 2.5 {
+		t.Fatal("the column accessors disagree with Event")
 	}
 }
 
@@ -34,9 +36,8 @@ func TestEventsInDeliveryOrder(t *testing.T) {
 	tr.RecordSend(2, 0, 1, 1, 0.1)
 	tr.RecordDeliver(2, 1, 0.2) // out of send order
 	tr.RecordDeliver(1, 1, 0.3)
-	evs := tr.Events()
-	if evs[0].ID != 2 || evs[1].ID != 1 {
-		t.Fatalf("order %v %v", evs[0].ID, evs[1].ID)
+	if tr.Event(0).ID != 2 || tr.Event(1).ID != 1 {
+		t.Fatalf("order %v %v", tr.Event(0).ID, tr.Event(1).ID)
 	}
 }
 
@@ -61,47 +62,94 @@ func TestUnknownDeliveryPanics(t *testing.T) {
 	tr.RecordDeliver(99, 1, 0)
 }
 
-func TestExportImportRoundTrip(t *testing.T) {
-	tr := New(3)
-	tr.RecordSend(1, 0, 1, 2, 1.5)
-	tr.RecordDeliver(1, 3, 2.5)
-	tr.RecordSend(2, 2, 0, 1, 3.0)
-	tr.RecordDeliver(2, 1, 3.5)
-	tr.RecordSend(3, 0, 2, 4, 4.0) // still in flight: not exported
-
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatal(err)
+// TestViewsShareOneHistory: two protocols' views of one history hold only
+// their own counts; the rows are written once, and each view reads its
+// message's endpoints and times from them.
+func TestViewsShareOneHistory(t *testing.T) {
+	h := NewHistory(2, 2)
+	a, b := h.View(), h.View()
+	m := h.Send(0, 1, 40, 1)
+	a.CountSend(1)
+	b.CountSend(3)
+	h.Handoff(1, 1, 0, 2)
+	h.Deliver(m, 40, 3)
+	a.CountDeliver(2)
+	b.CountDeliver(5)
+	if h.Len() != 3 {
+		t.Fatalf("history has %d rows for 3 events", h.Len())
 	}
-	got, err := Import(&buf)
-	if err != nil {
-		t.Fatal(err)
+	ea, eb := a.Event(0), b.Event(0)
+	if ea.ID != 40 || eb.ID != 40 || ea.From != 0 || eb.To != 1 || ea.SentAt != 1 || eb.DeliveredAt != 3 {
+		t.Fatalf("views read %+v and %+v", ea, eb)
 	}
-	if got.NumHosts() != 3 || got.Len() != 2 || got.InFlight() != 0 {
-		t.Fatalf("imported %d hosts, %d events, %d in flight", got.NumHosts(), got.Len(), got.InFlight())
+	if ea.SendCount != 1 || ea.RecvCount != 2 || eb.SendCount != 3 || eb.RecvCount != 5 {
+		t.Fatalf("views mixed their counts: %+v and %+v", ea, eb)
 	}
-	for i, ev := range got.Events() {
-		want := tr.Events()[i]
-		if ev != want {
-			t.Fatalf("event %d: %+v != %+v", i, ev, want)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a view recorded a send of its own")
 		}
+	}()
+	a.RecordSend(41, 0, 1, 1, 4)
+}
+
+func TestHistoryJoinGrowsHosts(t *testing.T) {
+	tr := New(2)
+	tr.History().Join(2, 1, 5)
+	if tr.NumHosts() != 3 || tr.History().Len() != 1 {
+		t.Fatalf("%d hosts, %d rows after one join", tr.NumHosts(), tr.History().Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a join that skips an id was accepted")
+		}
+	}()
+	tr.History().Join(4, 0, 6)
+}
+
+// TestHistoryScheduleExport: the export is the rows in order, at ticks
+// position + 1, with the undelivered sends in the in-flight section.
+func TestHistoryScheduleExport(t *testing.T) {
+	h := NewHistory(3, 2)
+	m := h.Send(0, 1, 10, 0.5)
+	h.Send(1, 2, 11, 0.7) // never delivered
+	h.Deliver(m, 10, 0.9)
+	h.Disconnect(2, 0, 1.2)
+	s := h.Schedule("BCS", 4)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Hosts != 3 || s.Stations != 2 || s.Protocol != "BCS" || s.Seed != 4 || !slices.Equal(s.InFlight, []uint64{11}) {
+		t.Fatalf("header %+v", s)
+	}
+	want := []ScheduleEvent{
+		{Seq: 0, Tick: 1, Kind: SchedSend, Host: 0, Peer: 1, Msg: 10, From: -1, To: -1},
+		{Seq: 1, Tick: 2, Kind: SchedSend, Host: 1, Peer: 2, Msg: 11, From: -1, To: -1},
+		{Seq: 2, Tick: 3, Kind: SchedDeliver, Host: 1, Peer: 0, Msg: 10, From: -1, To: -1},
+		{Seq: 3, Tick: 4, Kind: SchedDisconnect, Host: 2, Peer: -1, Msg: 0, From: 0, To: -1},
+	}
+	if !slices.Equal(s.Events, want) {
+		t.Fatalf("events\n %+v\nwant\n %+v", s.Events, want)
 	}
 }
 
-func TestImportRejectsGarbage(t *testing.T) {
-	if _, err := Import(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage must fail")
-	}
-	if _, err := Import(strings.NewReader(`{"num_hosts":0}`)); err == nil {
-		t.Fatal("zero hosts must fail")
-	}
-	if _, err := Import(strings.NewReader(`{"num_hosts":2,"events":[{"from":5,"to":0,"send_count":1,"recv_count":1}]}`)); err == nil {
-		t.Fatal("out-of-range host must fail")
-	}
-	if _, err := Import(strings.NewReader(`{"num_hosts":2,"events":[{"from":1,"to":0,"send_count":0,"recv_count":1}]}`)); err == nil {
-		t.Fatal("pre-initial event must fail")
-	}
-	if _, err := Import(strings.NewReader(`{"num_hosts":2,"events":[{"id":1,"from":1,"to":0,"send_count":1,"recv_count":3},{"id":2,"from":1,"to":0,"send_count":1,"recv_count":2}]}`)); err == nil {
-		t.Fatal("a receiver whose checkpoint count falls must fail")
+// TestHistoryDeliverChecksTheMessage: an ordinal that names another
+// message, or one already delivered, is a harness bug and panics.
+func TestHistoryDeliverChecksTheMessage(t *testing.T) {
+	for name, deliver := range map[string]func(h *History, m int32){
+		"another message": func(h *History, m int32) { h.Deliver(m, 6, 1) },
+		"delivered twice": func(h *History, m int32) { h.Deliver(m, 5, 1); h.Deliver(m, 5, 2) },
+		"never sent":      func(h *History, m int32) { h.Deliver(m+1, 5, 1) },
+	} {
+		h := NewHistory(2, 2)
+		m := h.Send(0, 1, 5, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			deliver(h, m)
+		}()
 	}
 }
