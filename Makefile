@@ -46,22 +46,26 @@ allocs:
 	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/des/equeue ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore ./internal/recovery ./internal/trace
 
 # A short fuzz smoke of the three parsers of outside input — wire frames,
-# recorded schedules and the bundles `mhsim -replay-schedule` reads — and
-# of the replay of every schedule the parser accepts; `make fuzz` runs
-# longer. The schedule and bundle seeds are tens of kilobytes of JSON,
-# which the fuzzer's default minute of minimization per finding would
-# spend the whole smoke on, so that is capped in runs.
+# recorded schedules and the bundles `mhsim -replay-schedule` reads — of
+# the replay of every schedule the parser accepts, and of the recovery
+# propagation against its full-scan reference on traces and cuts the
+# fuzzer picks; `make fuzz` runs longer. The schedule and bundle seeds
+# are tens of kilobytes of JSON, which the fuzzer's default minute of
+# minimization per finding would spend the whole smoke on, so that is
+# capped in runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/trace
 	$(GO) test -fuzz=FuzzImportBundle -fuzztime=10s -fuzzminimizetime=10x ./internal/replaycmp
 	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/sim
+	$(GO) test -fuzz=FuzzPropagate -fuzztime=10s ./internal/recovery
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/trace
 	$(GO) test -fuzz=FuzzImportBundle -fuzztime=2m -fuzzminimizetime=10x ./internal/replaycmp
 	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/sim
+	$(GO) test -fuzz=FuzzPropagate -fuzztime=2m ./internal/recovery
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both

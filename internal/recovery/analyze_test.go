@@ -103,41 +103,57 @@ func TestAnalyzeReplayMatchesOracle(t *testing.T) {
 
 // TestRecoverAllocs gates the cost model of a recovery on a warmed
 // index: one sim.AnalyzeReplay allocates for the hosts (cuts, the seed
-// line, TP's vectors) and for what the failure undoes (the worklist),
-// never for the trace — the tables that are O(trace) belong to the index
-// and are built once. Doubling the run doubles the trace; under QBC with
-// every delivery logged a failure undoes a bounded stretch of it, so the
-// bytes per recovery must stay put (they were 3 x 8 B per trace event for
-// the delivery ordinals alone, plus two per-sender send tables).
+// line, TP's vectors) and for what the failure undoes, never for the
+// trace — the tables that are O(trace) belong to the index and are built
+// once. Doubling the run doubles the trace; under QBC with every delivery
+// logged a failure undoes a bounded stretch of it, so the bytes per
+// recovery must stay put (they were 3 x 8 B per trace event for the
+// delivery ordinals alone, plus two per-sender send tables). UNC's domino
+// undoes a share of the whole trace, so its bytes grow with it; the
+// sweep's two bitmaps are 1 bit per event each, and the bound is 1 B per
+// event (the min-heap they replace took 8.9 and 10.4).
 func TestRecoverAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
 	}
-	perRecovery := func(horizon des.Time) (bytes float64, events int) {
+	type cost struct {
+		bytes  float64 // per recovery
+		events int     // in the trace
+	}
+	perRecovery := func(horizon des.Time) (qbc, unc cost) {
 		res := replayRecoveryRun(t, horizon, mlog.Pessimistic)
-		pr := res.Protocol(sim.QBC)
-		n := pr.Trace.NumHosts()
-		pr.Trace.Index()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for h := 0; h < n; h++ {
-			if _, err := sim.AnalyzeReplay(pr, n, mobile.HostID(h), horizon); err != nil {
-				t.Fatal(err)
+		measure := func(pr *sim.ProtocolResult) cost {
+			n := pr.Trace.NumHosts()
+			pr.Trace.Index()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for h := 0; h < n; h++ {
+				if _, err := sim.AnalyzeReplay(pr, n, mobile.HostID(h), horizon); err != nil {
+					t.Fatal(err)
+				}
 			}
+			runtime.ReadMemStats(&after)
+			return cost{float64(after.TotalAlloc-before.TotalAlloc) / float64(n), pr.Trace.Len()}
 		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n), pr.Trace.Len()
+		return measure(res.Protocol(sim.QBC)), measure(res.Protocol(sim.UNC))
 	}
-	small, smallEvents := perRecovery(2000)
-	large, largeEvents := perRecovery(4000)
-	t.Logf("bytes per recovery: %.0f over %d events, %.0f over %d events", small, smallEvents, large, largeEvents)
-	if largeEvents < 3*smallEvents/2 {
-		t.Fatalf("trace grew from %d to %d events only; the comparison needs it to double", smallEvents, largeEvents)
+	small, smallUNC := perRecovery(2000)
+	large, largeUNC := perRecovery(4000)
+	t.Logf("QBC bytes per recovery: %.0f over %d events, %.0f over %d events", small.bytes, small.events, large.bytes, large.events)
+	if large.events < 3*small.events/2 {
+		t.Fatalf("trace grew from %d to %d events only; the comparison needs it to double", small.events, large.events)
 	}
-	if large > 1.25*small {
-		t.Errorf("a recovery allocates %.0f B on %d events and %.0f B on %d: it grows with the trace", small, smallEvents, large, largeEvents)
+	if large.bytes > 1.25*small.bytes {
+		t.Errorf("a recovery allocates %.0f B on %d events and %.0f B on %d: it grows with the trace", small.bytes, small.events, large.bytes, large.events)
 	}
-	if large > float64(largeEvents) {
-		t.Errorf("a recovery allocates %.0f B, over 1 B per trace event (%d)", large, largeEvents)
+	if large.bytes > float64(large.events) {
+		t.Errorf("a recovery allocates %.0f B, over 1 B per trace event (%d)", large.bytes, large.events)
+	}
+	for _, c := range []cost{smallUNC, largeUNC} {
+		perEvent := c.bytes / float64(c.events)
+		t.Logf("UNC: %.0f B per recovery over %d events, %.2f B per event", c.bytes, c.events, perEvent)
+		if perEvent > 1 {
+			t.Errorf("a UNC recovery allocates %.2f B per trace event over %d events, want at most 1", perEvent, c.events)
+		}
 	}
 }

@@ -27,7 +27,7 @@ func recoverAll(e *execution, failed int, logged LoggedFunc) (Cut, int, ReplayMe
 // event count or host count has moved.
 func TestIndexFollowsTraceGrowth(t *testing.T) {
 	const hosts, msgs = 6, 240
-	full := randomTrace(rng.New(11), hosts, 1, msgs)
+	full := randomTrace(rng.New(11), hosts, 1, msgs, false)
 	events := events(full.tr)
 	logged := func(_ mobile.HostID, seq int) bool { return seq%3 != 0 }
 
@@ -71,7 +71,7 @@ func TestIndexFollowsTraceGrowth(t *testing.T) {
 // finished, not yet indexed trace: the lazy build must happen once and
 // the index be shared read-only (run under -race).
 func TestConcurrentRecoveries(t *testing.T) {
-	e := randomTrace(rng.New(5), 8, 0, 400)
+	e := randomTrace(rng.New(5), 8, 0, 400, false)
 	logged := func(_ mobile.HostID, seq int) bool { return seq%2 == 0 }
 	n := e.tr.NumHosts()
 	cuts, steps := make([]Cut, n), make([]int, n)
@@ -98,7 +98,7 @@ func TestConcurrentRecoveries(t *testing.T) {
 // refused up front by every function that reads the index, with the two
 // widths in the message.
 func TestCutWidthMismatchPanics(t *testing.T) {
-	e := randomTrace(rng.New(3), 4, 1, 60)
+	e := randomTrace(rng.New(3), 4, 1, 60, false)
 	narrow := NewCut(4)
 	narrow[0] = 0
 	calls := map[string]func(){

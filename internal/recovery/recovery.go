@@ -24,6 +24,7 @@ package recovery
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
@@ -103,33 +104,35 @@ func Propagate(tr *trace.Trace, seed Cut) (Cut, int) {
 }
 
 // eliminate is the orphan-elimination core shared by Propagate and
-// PropagateReplay. It is worklist-driven over the trace's index, so it
-// costs O(hosts + U log U) for the U sends the recovery undoes — not the
-// reference algorithm's full-trace rescans, nor a pass over the history
-// to find the undone part — yet reproduces the reference's step count
-// *exactly*, because DominoSteps is observable (E8) and depends on
-// evaluation order.
+// PropagateReplay. It sweeps two position bitmaps over the trace's
+// index, so it costs O(hosts + U + R·L/64) for the U sends the recovery
+// undoes, R rounds and L trace events — not the reference algorithm's
+// full-trace rescans, nor a pass over the history to find the undone
+// part — yet reproduces the reference's step count *exactly*, because
+// DominoSteps is observable (E8) and depends on evaluation order.
 //
 // The reference repeatedly sweeps the trace in delivery order, applying
-// eliminations as it encounters them, until a sweep changes nothing. The
-// worklist replays precisely those evaluation moments that can act: an
-// event is eligible only once its send is undone, which (cuts only ever
-// decrease) happens at most once, when cut[From] first drops below its
-// SendCount. At that moment the sweep would next evaluate it at (round,
-// index): the current round if the sweep position has not yet passed the
-// event's trace index, the next round otherwise. Ordering pending events
-// by that key pops them in exactly the reference's order; everything a
-// full sweep would merely re-inspect without acting is never touched.
+// eliminations as it encounters them, until a sweep changes nothing. This
+// replays precisely those evaluation moments that can act: an event is
+// eligible only once its send is undone, which (cuts only ever decrease)
+// happens at most once, when cut[From] first drops below its SendCount.
+// At that moment the sweep, standing at position pos, would next evaluate
+// it in the current round if its position is past pos, in the next round
+// otherwise — never later. So at most two rounds are ever pending: cur
+// holds the current one, scanned upward from pos+1 a word at a time, and
+// next the one after; when cur runs dry the two swap and the scan starts
+// over at position 0. That pops events in exactly the reference's (round,
+// position) order; everything a full sweep would merely re-inspect
+// without acting is never touched.
 //
-// An event enters the worklist at most once, and only if it can still
-// act: send-undoneness is permanent, and an event whose receive is
-// already undone or whose delivery is stably logged when its send falls
-// can never be an orphan again (cuts only fall, the log does not change
-// under a recovery), so the sweep would pass over it at every later
-// visit. Leaving it out removes a pop that does nothing and moves no pop
-// that does something: keys are distinct and totally ordered, so the
-// acting evaluations, and with them the step count, are those of the
-// reference.
+// An event is marked at most once, and only if it can still act:
+// send-undoneness is permanent, and an event whose receive is already
+// undone or whose delivery is stably logged when its send falls can never
+// be an orphan again (cuts only fall, the log does not change under a
+// recovery), so the sweep would pass over it at every later visit.
+// Leaving it out removes a pop that does nothing and moves no pop that
+// does something, so the acting evaluations, and with them the step
+// count, are those of the reference.
 func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 	ix := index(tr, seed)
 	cut := seed.Clone()
@@ -140,91 +143,75 @@ func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 		lo[h] = len(ix.Sends[h])
 	}
 
-	// Keys order the pending evaluations as (round, trace index); both
-	// fit one int64 (rounds are bounded by the steps, steps by the trace
-	// length, and the index holds positions to 32 bits).
-	var wl worklist
-	push := func(h int, round, pos int) {
+	// cur and next are allocated on the first mark: a recovery that
+	// propagates nothing allocates nothing for them.
+	var cur, next []uint64
+	pos, pending := -1, 0
+	push := func(h int) {
 		s := ix.Sends[h]
 		i := lo[h]
-		for i > 0 && tr.SendCount(int(s[i-1])) > cut[h] {
+		for i > 0 && int(s[i-1].SendCount) > cut[h] {
 			i--
 		}
-		for _, idx := range s[i:lo[h]] {
-			to := tr.To(int(idx))
-			if tr.RecvCount(int(idx)) > cut[to] {
+		for _, e := range s[i:lo[h]] {
+			if int(e.RecvCount) > cut[e.To] {
 				continue // receive already undone; permanently not an orphan
 			}
-			if logged != nil && logged(to, int(ix.Seq[idx])) {
+			if logged != nil && logged(mobile.HostID(e.To), int(ix.Seq[e.Pos])) {
 				continue // stably logged deliveries survive any rollback
 			}
-			r := round
-			if int(idx) <= pos {
-				r++
+			if cur == nil {
+				words := (tr.Len() + 63) / 64
+				cur, next = make([]uint64, words), make([]uint64, words)
 			}
-			wl.push(int64(r)<<32 | int64(idx))
+			b := cur
+			if int(e.Pos) <= pos {
+				b = next
+			}
+			b[e.Pos>>6] |= 1 << (e.Pos & 63)
+			pending++
 		}
 		lo[h] = i
 	}
 	for h := range cut {
-		push(h, 0, -1)
+		push(h)
 	}
 
 	steps := 0
-	for len(wl) > 0 {
-		k := wl.pop()
-		round, pos := int(k>>32), int(uint32(k))
-		to, rc := tr.To(pos), tr.RecvCount(pos)
+	for ; pending > 0; pending-- {
+		p := nextSet(cur, pos+1)
+		if p < 0 {
+			cur, next = next, cur
+			p = nextSet(cur, 0)
+		}
+		cur[p>>6] &^= 1 << (p & 63)
+		pos = p
+		to, rc := tr.To(p), tr.RecvCount(p)
 		if rc > cut[to] {
-			continue // undone since it was pushed
+			continue // undone since it was marked
 		}
 		cut[to] = rc - 1
 		steps++
-		push(int(to), round, pos)
+		push(int(to))
 	}
 	return cut, steps
 }
 
-// worklist is a minimal int64 min-heap (container/heap's interface would
-// box every key).
-type worklist []int64
-
-func (w *worklist) push(k int64) {
-	*w = append(*w, k)
-	s := *w
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
+// nextSet returns the first position at or after from whose bit is set
+// in b, or -1.
+func nextSet(b []uint64, from int) int {
+	w := from >> 6
+	if w >= len(b) {
+		return -1
 	}
-}
-
-func (w *worklist) pop() int64 {
-	s := *w
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*w = s[:n]
-	s = s[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l] < s[m] {
-			m = l
+	for m := b[w] &^ (1<<(from&63) - 1); ; m = b[w] {
+		if m != 0 {
+			return w<<6 | bits.TrailingZeros64(m)
 		}
-		if r < n && s[r] < s[m] {
-			m = r
+		if w++; w == len(b) {
+			return -1
 		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
 	}
-	return top
 }
 
 // FailureCut seeds recovery after a crash of host failed: the failed host
@@ -288,7 +275,9 @@ type VectorMeta interface {
 // taken after the last event of j that C depends on), or keeps everything
 // if no such checkpoint exists. The seed already eliminates the orphans
 // the dependency vectors can see; Propagate removes any residue (bounded,
-// by Russell's receive-before-send interval structure).
+// by Russell's receive-before-send interval structure). A vector is as
+// wide as the world was when C was taken: a host that joined since is one
+// C never heard from, CKPT[j] = -1.
 func VectorCut(store *storage.Store, meta VectorMeta, n int, failed mobile.HostID) Cut {
 	cut := NewCut(n)
 	rec := store.LatestLive(failed)
@@ -305,7 +294,11 @@ func VectorCut(store *storage.Store, meta VectorMeta, n int, failed mobile.HostI
 		if mobile.HostID(j) == failed {
 			continue
 		}
-		if r := store.FirstWithIndexAtLeast(mobile.HostID(j), ckpt[j]+1); r != nil {
+		x := -1
+		if j < len(ckpt) {
+			x = ckpt[j]
+		}
+		if r := store.FirstWithIndexAtLeast(mobile.HostID(j), x+1); r != nil {
 			cut[j] = r.Ordinal
 		}
 	}

@@ -41,10 +41,9 @@ func UnloggedOrphans(tr *trace.Trace, cut Cut, logged LoggedFunc) int {
 	n := 0
 	for h, x := range cut {
 		s := ix.Sends[h]
-		for i := len(s) - 1; i >= 0 && tr.SendCount(int(s[i])) > x; i-- {
-			p := int(s[i])
-			to := tr.To(p)
-			if tr.RecvCount(p) <= cut[to] && (logged == nil || !logged(to, int(ix.Seq[p]))) {
+		for i := len(s) - 1; i >= 0 && int(s[i].SendCount) > x; i-- {
+			e := s[i]
+			if int(e.RecvCount) <= cut[e.To] && (logged == nil || !logged(mobile.HostID(e.To), int(ix.Seq[e.Pos]))) {
 				n++
 			}
 		}

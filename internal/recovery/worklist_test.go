@@ -169,9 +169,18 @@ func (e *execution) chain(h mobile.HostID) []*storage.Record { return e.chains[h
 
 // randomTrace builds a messy execution: out-of-order deliveries (so
 // per-host SendCounts are not monotone in trace order), occasional
-// checkpoints, enough cross-traffic for long domino chains, and joins
-// more hosts entering at evenly spaced points of the run.
-func randomTrace(src *rng.Source, hosts, joins, msgs int) *execution {
+// checkpoints, and joins more hosts entering at evenly spaced points of
+// the run. Messages wait in flight for hundreds of deliveries, so a
+// rollback's orphans sit far ahead of it and dominos stay short. A deep
+// trace is the shape of an uncoordinated run instead: at most one message
+// in flight per host and a checkpoint every ten sends or deliveries, so
+// each domino step rolls a receiver back about one interval before the
+// last and chains run to hundreds of steps over many sweep rounds.
+func randomTrace(src *rng.Source, hosts, joins, msgs int, deep bool) *execution {
+	sendOdds, deliverOdds := 4, 5 // one checkpoint per so many sends, deliveries
+	if deep {
+		sendOdds, deliverOdds = 10, 10
+	}
 	e := &execution{tr: trace.New(hosts)}
 	checkpoint := func(h mobile.HostID) {
 		e.chains[h] = append(e.chains[h], &storage.Record{Host: h, Ordinal: len(e.chains[h]), TakenAt: e.end})
@@ -197,7 +206,7 @@ func randomTrace(src *rng.Source, hosts, joins, msgs int) *execution {
 		}
 		n := len(e.chains)
 		// Bias toward sending while messages remain, then drain.
-		if sent < msgs && (len(inflight) == 0 || src.Intn(3) > 0) {
+		if sent < msgs && (len(inflight) == 0 || src.Intn(3) > 0) && (!deep || len(inflight) < n) {
 			from := mobile.HostID(src.Intn(n))
 			to := mobile.HostID(src.Intn(n))
 			if to == from {
@@ -206,7 +215,7 @@ func randomTrace(src *rng.Source, hosts, joins, msgs int) *execution {
 			e.tr.RecordSend(uint64(sent), from, to, len(e.chains[from]), e.end)
 			inflight = append(inflight, pending{id: uint64(sent), to: to})
 			sent++
-			if src.Intn(4) == 0 {
+			if src.Intn(sendOdds) == 0 {
 				checkpoint(from) // checkpoint between sends
 			}
 		} else {
@@ -216,7 +225,7 @@ func randomTrace(src *rng.Source, hosts, joins, msgs int) *execution {
 			p := inflight[k]
 			inflight[k] = inflight[len(inflight)-1]
 			inflight = inflight[:len(inflight)-1]
-			if src.Intn(5) == 0 {
+			if src.Intn(deliverOdds) == 0 {
 				checkpoint(p.to) // forced checkpoint on delivery
 			}
 			e.tr.RecordDeliver(p.id, len(e.chains[p.to]), e.end)
@@ -253,18 +262,26 @@ func stableBounds(bound []int) LoggedFunc {
 // (nil), pessimistic (every delivery stable), optimistic (a stable prefix
 // per host) and a log that never flushed (zero bounds). Cuts, step
 // counts, orphan counts and every metrics field must be identical, on
-// the inconsistent seed cut as well as on the fixpoint.
+// the inconsistent seed cut as well as on the fixpoint. Forty traces are
+// small; eight more are deep ones of 5 000 messages, so positions span
+// many bitmap words and dominos cross tens of sweep rounds (up to 352
+// steps in 51) — and some case must take 100 steps, or the order the
+// sweep reproduces was never tested.
 func TestWorklistMatchesReference(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
+	maxSteps := 0
+	for seed := uint64(1); seed <= 48; seed++ {
 		src := rng.New(seed)
-		hosts := 3 + src.Intn(8)
-		e := randomTrace(src, hosts, int(seed%3), 200)
+		hosts, msgs, deep := 3+src.Intn(8), 200, seed > 40
+		if deep {
+			msgs = 5000
+		}
+		e := randomTrace(src, hosts, int(seed%3), msgs, deep)
 		n := e.tr.NumHosts()
 
 		full, partial, zero := make([]int, n), make([]int, n), make([]int, n)
 		for h := range full {
 			full[h] = math.MaxInt
-			partial[h] = src.Intn(40)
+			partial[h] = src.Intn(msgs / 5)
 		}
 		predicates := []struct {
 			name   string
@@ -283,6 +300,7 @@ func TestWorklistMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d %s: from %v got %v in %d steps, reference %v in %d",
 					seed, p.name, start, gotCut, gotSteps, wantCut, wantSteps)
 			}
+			maxSteps = max(maxSteps, wantSteps)
 			if p.logged == nil {
 				if c, s := Propagate(e.tr, start); s != wantSteps || !slices.Equal(c, wantCut) {
 					t.Fatalf("seed %d: Propagate got %v in %d steps, reference %v in %d", seed, c, s, wantCut, wantSteps)
@@ -305,4 +323,8 @@ func TestWorklistMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	if maxSteps < 100 {
+		t.Fatalf("the deepest domino took %d steps; the traces no longer exercise a long one", maxSteps)
+	}
+	t.Logf("deepest domino: %d steps", maxSteps)
 }

@@ -193,6 +193,44 @@ func TestAnalyzeReplayWithJoins(t *testing.T) {
 	}
 }
 
+// TestTPRecoveryAcrossJoins pins a panic of TP's vector seed: a host
+// whose latest checkpoint predates a join stores a vector narrower than
+// the world that fails, and VectorCut read past it. An entry beyond the
+// vector is a host the checkpoint never heard from (-1), so every host's
+// failure recovers, pre-join and joined alike, to a consistent line.
+func TestTPRecoveryAcrossJoins(t *testing.T) {
+	base, _ := benchScale()
+	base.Protocols = []ProtocolName{TP}
+	base.RecordTrace = true
+	base.MessageLog = mlog.Optimistic
+	base.JoinTimes = []des.Time{500, 1000, 2999}
+	for seed := uint64(1); seed <= 5; seed++ {
+		base.Seed = seed
+		res, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := res.Protocol(TP)
+		n := pr.Trace.NumHosts()
+		for h := 0; h < n; h++ {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("seed %d, host %d of %d: %v", seed, h, n, p)
+					}
+				}()
+				out, err := AnalyzeReplay(pr, n, mobile.HostID(h), base.Horizon)
+				if err != nil {
+					t.Fatalf("seed %d, host %d: %v", seed, h, err)
+				}
+				if o := recovery.Orphans(pr.Trace, out.PlainCut); o != 0 {
+					t.Errorf("seed %d, host %d: plain cut keeps %d orphans", seed, h, o)
+				}
+			}()
+		}
+	}
+}
+
 func TestSeedCutMatchesProtocolLines(t *testing.T) {
 	base, _ := benchScale()
 	base.Protocols = AllProtocols()

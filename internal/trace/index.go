@@ -11,15 +11,15 @@ import (
 // analysis reads: which host failed decides where a recovery starts, not
 // how the history is laid out, so the layout is derived once per trace
 // and every recovery after that costs what its failure undoes. Events
-// are named by position (their index into Events()), 32 bits each: the
-// three tables cost 12 bytes per event. All of it is owned by the trace
-// and read-only to callers.
+// are named by position (the i of Event(i)), 32 bits each: the three
+// tables cost 24 bytes per event, 16 of them the send records. All of it
+// is owned by the trace and read-only to callers.
 type Index struct {
 	// Sends[h] lists the messages h sent, ordered by (SendCount,
 	// position). The trace is in delivery order, under which a sender's
 	// SendCount is not monotone; in this order the sends a rollback of h
 	// undoes are always a suffix.
-	Sends [][]int32
+	Sends [][]SendRecord
 	// Recvs[h] lists the messages delivered to h in delivery order. A
 	// host's checkpoint count only grows, so RecvCount never decreases
 	// along the list (Index verifies it) and the receives a rollback of h
@@ -28,6 +28,13 @@ type Index struct {
 	// Seq[i] is event i's offset in Recvs[To]: its per-receiver delivery
 	// ordinal, the position mlog keys its entries by.
 	Seq []int32
+}
+
+// SendRecord is one entry of a sender's list: the event's position and
+// the three fields a recovery reads of a send it undoes, side by side
+// rather than behind three dependent column loads.
+type SendRecord struct {
+	Pos, To, SendCount, RecvCount int32
 }
 
 // Index returns the trace's index, building it on first use and again
@@ -55,7 +62,7 @@ func (t *Trace) buildIndex() *Index {
 		panic(fmt.Sprintf("trace: %d events do not fit the index's 32-bit positions", n))
 	}
 	ix := &Index{
-		Sends: make([][]int32, hosts),
+		Sends: make([][]SendRecord, hosts),
 		Recvs: make([][]int32, hosts),
 		Seq:   make([]int32, n),
 	}
@@ -65,7 +72,7 @@ func (t *Trace) buildIndex() *Index {
 		sent[h.peer[r]]++
 		received[h.host[r]]++
 	}
-	sendBuf, recvBuf := make([]int32, n), make([]int32, n)
+	sendBuf, recvBuf := make([]SendRecord, n), make([]int32, n)
 	for k, so, ro := 0, 0, 0; k < hosts; k++ {
 		ix.Sends[k] = sendBuf[so : so : so+sent[k]]
 		ix.Recvs[k] = recvBuf[ro : ro : ro+received[k]]
@@ -81,47 +88,48 @@ func (t *Trace) buildIndex() *Index {
 		}
 		ix.Seq[i] = int32(len(rv))
 		ix.Recvs[to] = append(rv, int32(i))
-		ix.Sends[from] = append(ix.Sends[from], int32(i))
+		ix.Sends[from] = append(ix.Sends[from], SendRecord{
+			Pos: int32(i), To: to, SendCount: t.send[h.delivMsg[i]], RecvCount: t.recv[i],
+		})
 	}
-	var late []int32 // sortSends' scratch, shared by all senders
+	var late []SendRecord // sortSends' scratch, shared by all senders
 	for _, s := range ix.Sends {
-		late = t.sortSends(s, late[:0])
+		late = sortSends(s, late[:0])
 	}
 	return ix
 }
 
-// sortSends orders one sender's positions, given in increasing order, by
-// (SendCount, position). Messages mostly arrive in the order they were
+// sortSends orders one sender's records, given in increasing position,
+// by (SendCount, position). Messages mostly arrive in the order they were
 // sent, so the list is one long non-decreasing run plus a few late
 // arrivals (a message parked at an MSS through a disconnection): split
 // the two in one pass, sort only the late ones and merge them back in
 // place — linear in the list unless most of it is late. late is scratch
 // space, returned for the next sender.
-func (t *Trace) sortSends(s, late []int32) []int32 {
-	count := func(p int32) int { return t.SendCount(int(p)) }
+func sortSends(s, late []SendRecord) []SendRecord {
 	run := s[:0]
-	top := 0
-	for _, p := range s {
-		if c := count(p); c >= top {
-			top = c
-			run = append(run, p)
+	var top int32
+	for _, e := range s {
+		if e.SendCount >= top {
+			top = e.SendCount
+			run = append(run, e)
 		} else {
-			late = append(late, p)
+			late = append(late, e)
 		}
 	}
 	if len(late) == 0 {
 		return late
 	}
 	// Stable, so equal SendCounts keep their increasing positions.
-	slices.SortStableFunc(late, func(a, b int32) int {
-		return cmp.Compare(count(a), count(b))
+	slices.SortStableFunc(late, func(a, b SendRecord) int {
+		return cmp.Compare(a.SendCount, b.SendCount)
 	})
 	// Merge from the back: the write position never catches up with the
 	// run's unread part.
 	i, j := len(run)-1, len(late)-1
 	for w := len(s) - 1; j >= 0; w-- {
-		if i >= 0 && (count(run[i]) > count(late[j]) ||
-			count(run[i]) == count(late[j]) && run[i] > late[j]) {
+		if i >= 0 && (run[i].SendCount > late[j].SendCount ||
+			run[i].SendCount == late[j].SendCount && run[i].Pos > late[j].Pos) {
 			s[w] = run[i]
 			i--
 		} else {

@@ -60,24 +60,27 @@ func shuffledTrace(src *rng.Source, hosts, msgs int) *Trace {
 }
 
 // indexReference derives the three tables from their definitions with a
-// comparison sort.
+// comparison sort, each send record's fields read through the trace's
+// accessors.
 func indexReference(tr *Trace) *Index {
 	evs := make([]MessageEvent, tr.Len())
 	for i := range evs {
 		evs[i] = tr.Event(i)
 	}
-	ix := &Index{Sends: make([][]int32, tr.NumHosts()), Recvs: make([][]int32, tr.NumHosts()), Seq: make([]int32, len(evs))}
+	ix := &Index{Sends: make([][]SendRecord, tr.NumHosts()), Recvs: make([][]int32, tr.NumHosts()), Seq: make([]int32, len(evs))}
 	for i, ev := range evs {
 		ix.Seq[i] = int32(len(ix.Recvs[ev.To]))
 		ix.Recvs[ev.To] = append(ix.Recvs[ev.To], int32(i))
-		ix.Sends[ev.From] = append(ix.Sends[ev.From], int32(i))
+		ix.Sends[ev.From] = append(ix.Sends[ev.From], SendRecord{
+			Pos: int32(i), To: int32(tr.To(i)), SendCount: int32(tr.SendCount(i)), RecvCount: int32(tr.RecvCount(i)),
+		})
 	}
 	for _, s := range ix.Sends {
 		sort.Slice(s, func(a, b int) bool {
-			if evs[s[a]].SendCount != evs[s[b]].SendCount {
-				return evs[s[a]].SendCount < evs[s[b]].SendCount
+			if evs[s[a].Pos].SendCount != evs[s[b].Pos].SendCount {
+				return evs[s[a].Pos].SendCount < evs[s[b].Pos].SendCount
 			}
-			return s[a] < s[b]
+			return s[a].Pos < s[b].Pos
 		})
 	}
 	return ix
@@ -87,7 +90,7 @@ func sameTables(a, b *Index) bool {
 	// slices.Equal per host: one with no traffic holds an empty carved
 	// slice on one side and nil on the other.
 	return slices.Equal(a.Seq, b.Seq) &&
-		slices.EqualFunc(a.Sends, b.Sends, slices.Equal[[]int32]) &&
+		slices.EqualFunc(a.Sends, b.Sends, slices.Equal[[]SendRecord]) &&
 		slices.EqualFunc(a.Recvs, b.Recvs, slices.Equal[[]int32])
 }
 
@@ -102,7 +105,7 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 		for _, s := range ix.Sends {
 			for k := 1; k < len(s); k++ {
-				if s[k] < s[k-1] {
+				if s[k].Pos < s[k-1].Pos {
 					late++
 				}
 			}
@@ -175,8 +178,10 @@ func TestIndexRejectsFallingRecvCount(t *testing.T) {
 	tr.Index()
 }
 
-// TestIndexAllocs gates the index's price: three 32-bit tables, 12 bytes
-// per event, plus per-host headers — and nothing once it is built.
+// TestIndexAllocs gates the index's price: 24 bytes per event — a 16-byte
+// send record (position, receiver and both counts) plus a 32-bit delivery
+// list entry and ordinal — plus per-host headers, and nothing once it is
+// built.
 func TestIndexAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")
@@ -189,10 +194,10 @@ func TestIndexAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / msgs
 	t.Logf("index build: %.2f B per event", perEvent)
-	// 12 B retained; the late arrivals' scratch lists and the per-host
+	// 24 B retained; the late arrivals' scratch records and the per-host
 	// tables ride on top during the build.
-	if perEvent > 14 {
-		t.Errorf("index build allocates %.2f B per event, want 12 plus small change", perEvent)
+	if perEvent > 26 {
+		t.Errorf("index build allocates %.2f B per event, want 24 plus small change", perEvent)
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.Index() }); n != 0 {
 		t.Errorf("a built index costs %.0f allocations per Index() call", n)
