@@ -47,9 +47,11 @@ allocs:
 
 # A short fuzz smoke of the three parsers of outside input — wire frames,
 # recorded schedules and the bundles `mhsim -replay-schedule` reads — of
-# the replay of every schedule the parser accepts, and of the recovery
+# the replay of every schedule the parser accepts, of the recovery
 # propagation against its full-scan reference on traces and cuts the
-# fuzzer picks; `make fuzz` runs longer. The schedule and bundle seeds
+# fuzzer picks, and of the workload driver's in-line operations against
+# the same driver with every operation an event, on worlds the fuzzer
+# picks; `make fuzz` runs longer. The schedule and bundle seeds
 # are tens of kilobytes of JSON, which the fuzzer's default minute of
 # minimization per finding would spend the whole smoke on, so that is
 # capped in runs.
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzImportBundle -fuzztime=10s -fuzzminimizetime=10x ./internal/replaycmp
 	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/sim
 	$(GO) test -fuzz=FuzzPropagate -fuzztime=10s ./internal/recovery
+	$(GO) test -fuzz=FuzzDriverInline -fuzztime=10s ./internal/workload
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
@@ -66,6 +69,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzImportBundle -fuzztime=2m -fuzzminimizetime=10x ./internal/replaycmp
 	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/sim
 	$(GO) test -fuzz=FuzzPropagate -fuzztime=2m ./internal/recovery
+	$(GO) test -fuzz=FuzzDriverInline -fuzztime=2m ./internal/workload
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both

@@ -282,16 +282,16 @@ func printRun(res *sim.Result, verbose bool) {
 		}
 		fmt.Printf("DES events fired: %d\n", res.EventsFired)
 		if p := res.Probes; p != nil {
-			fmt.Printf("probes: queue[%s] pushes=%d pops=%d maxlen=%d chain=%d sweep=%d resizes=%d\n",
-				p.GlobalQueue.Kind, p.GlobalQueue.Pushes, p.GlobalQueue.Pops, p.GlobalQueue.MaxLen,
+			fmt.Printf("probes: queue[%s] pushes=%d pops=%d inline=%d maxlen=%d chain=%d sweep=%d resizes=%d\n",
+				p.GlobalQueue.Kind, p.GlobalQueue.Pushes, p.GlobalQueue.Pops, p.GlobalQueue.Inline, p.GlobalQueue.MaxLen,
 				p.GlobalQueue.ChainSteps, p.GlobalQueue.SweepSteps, p.GlobalQueue.Resizes)
 			fmt.Printf("probes: event pool hit=%d miss=%d recycled=%d; message pool hit=%d miss=%d recycled=%d\n",
 				p.EventPool.Hits, p.EventPool.Misses, p.EventPool.Recycled,
 				p.MessagePool.Hits, p.MessagePool.Misses, p.MessagePool.Recycled)
 			for i, lp := range p.LaneProbes {
-				fmt.Printf("probes: lane %d events=%d windows=%d mailbox=%d (peak %d) spinyields=%d queue{push=%d pop=%d maxlen=%d}\n",
+				fmt.Printf("probes: lane %d events=%d windows=%d mailbox=%d (peak %d) spinyields=%d queue{push=%d pop=%d inline=%d maxlen=%d}\n",
 					i, lp.Events, lp.Windows, lp.MailboxMsgs, lp.MailboxPeak, lp.SpinYields,
-					p.LaneQueues[i].Pushes, p.LaneQueues[i].Pops, p.LaneQueues[i].MaxLen)
+					p.LaneQueues[i].Pushes, p.LaneQueues[i].Pops, p.LaneQueues[i].Inline, p.LaneQueues[i].MaxLen)
 			}
 		}
 		if st := res.PDES; st != nil {

@@ -125,6 +125,7 @@ type Simulator struct {
 	fired   uint64
 	stopped bool
 	running bool
+	horizon Time // the running Run's horizon (valid while running)
 
 	cur  *Event // event whose handler is currently executing (Again target)
 	free *Event // free list of recycled pooled events
@@ -135,8 +136,10 @@ type Simulator struct {
 	reg         *obs.Registry
 	labelCounts map[string]*obs.Counter
 
-	// probe counts event-pool traffic (nil unless EnableProbe was called).
-	probe *probe.PoolProbe
+	// probe counts event-pool traffic and qprobe the steps run in line
+	// (both nil unless EnableProbe was called).
+	probe  *probe.PoolProbe
+	qprobe *probe.QueueProbe
 
 	// slab is the unissued tail of the newest pooled-event slab. Pool
 	// misses carve from it instead of allocating one Event each: filling a
@@ -189,10 +192,12 @@ func (s *Simulator) Instrument(reg *obs.Registry) {
 // EnableProbe attaches engine-internals probes: pool counts event-pool
 // traffic (free-list hits, fresh allocations, recycles) and queue, when
 // non-nil, is handed to the pending-event set for its structural
-// counters. Probes follow the engine's single-threaded discipline; read
-// them only once Run has returned. Passing nil pointers detaches.
+// counters — and its Inline field counts the steps Sched.Inline allowed.
+// Probes follow the engine's single-threaded discipline; read them only
+// once Run has returned. Passing nil pointers detaches.
 func (s *Simulator) EnableProbe(pool *probe.PoolProbe, queue *probe.QueueProbe) {
 	s.probe = pool
+	s.qprobe = queue
 	if pq, ok := s.queue.(equeue.Probed); ok {
 		pq.SetProbe(queue)
 	}
@@ -211,7 +216,8 @@ func (s *Simulator) countLabel(label string) {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Fired returns the number of events executed so far.
+// Fired returns the number of events executed so far: popped events plus
+// the steps Sched.Inline allowed.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of queued events.
@@ -464,6 +470,24 @@ func (s *Simulator) fire(e *Event) {
 	}
 }
 
+// inline is Sched.Inline for this simulator: a step at time at is allowed
+// only inside Run and strictly before its horizon, and an allowed step
+// counts as a fired event under label, exactly as fire counts a popped
+// one. The clock does not move: the step is its owner's private business.
+func (s *Simulator) inline(at Time, label string) bool {
+	if !s.running || !(at < s.horizon) {
+		return false
+	}
+	s.fired++
+	if s.labelCounts != nil {
+		s.countLabel(label)
+	}
+	if s.qprobe != nil {
+		s.qprobe.Inline++
+	}
+	return true
+}
+
 // Run executes events until the queue is empty, the horizon is passed, or
 // Stop is called. Events scheduled exactly at the horizon still fire;
 // later ones stay queued. It returns the number of events fired by this
@@ -488,6 +512,7 @@ func (s *Simulator) Run(horizon Time) uint64 {
 		panic(fmt.Sprintf("des: horizon %v before current time %v", horizon, s.now))
 	}
 	s.running = true
+	s.horizon = horizon
 	defer func() { s.running = false }()
 	s.stopped = false
 	start := s.fired

@@ -26,6 +26,15 @@ type Sched interface {
 	// Route schedules fn(arg) at absolute time at on owner's timeline on
 	// behalf of emitter from — a cross-timeline message send.
 	Route(from, owner int, at Time, label string, fn ArgHandler, arg any)
+	// Inline asks to execute, inside the handler now running on owner's
+	// timeline, a step of owner's that would otherwise be an event at time
+	// at labelled label — one no other timeline can observe, so running it
+	// early changes nothing but when it is counted. It is allowed only
+	// while a run is in progress and at is strictly before its horizon (an
+	// event at exactly the horizon stays an event); an allowed step is
+	// counted as a fired event under label, and the caller must then
+	// perform it without scheduling it. Refused, the caller schedules it.
+	Inline(owner int, at Time, label string) bool
 }
 
 // KeyFor builds the deterministic tie-break key for emitter's next
@@ -79,3 +88,7 @@ func (w *solo) ScheduleArgAfter(owner int, delay Time, label string, fn ArgHandl
 func (w *solo) Route(from, _ int, at Time, label string, fn ArgHandler, arg any) {
 	w.s.ScheduleArgKeyed(at, w.key(from), label, fn, arg)
 }
+
+// Inline stamps no key: a step that is never queued never ties with
+// anything, and the emitter's ordinals still advance in emission order.
+func (w *solo) Inline(_ int, at Time, label string) bool { return w.s.inline(at, label) }

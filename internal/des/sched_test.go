@@ -1,10 +1,13 @@
 package des
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"mobickpt/internal/obs"
+	"mobickpt/internal/obs/probe"
 	"mobickpt/internal/race"
 )
 
@@ -173,6 +176,54 @@ func TestSoloFirstScheduleAllocsLinear(t *testing.T) {
 	t.Logf("first schedule: %.0f B at n=%d, %.0f B at n=%d, ratio %.2f", small, n, large, 2*n, large/small)
 	if r := large / small; r >= 2.5 {
 		t.Fatalf("first-schedule bytes grew %.2fx for 2x the emitters (limit 2.5): the ordinal table regrows quadratically", r)
+	}
+}
+
+// TestSoloInline pins Sched.Inline's contract on the sequential surface:
+// a step is refused outside Run (set-up, Step, after Run returns) and at
+// or past the horizon — an operation at exactly the horizon stays an
+// event — and an allowed step is counted in Fired, in Run's return, in
+// des_events_fired_total, in des_events_by_label_total under its label
+// and in the queue probe's Inline, without touching the queue.
+func TestSoloInline(t *testing.T) {
+	s := New()
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	var qp probe.QueueProbe
+	s.EnableProbe(nil, &qp)
+	w := Solo(s)
+	if w.Inline(0, 1, "op") {
+		t.Fatal("a step was allowed before Run")
+	}
+	var got []bool
+	s.ScheduleArg(2, "ask", func(*Simulator, Time, any) {
+		for _, at := range []Time{2, 9.5, 10, 11, Time(math.NaN())} {
+			got = append(got, w.Inline(3, at, "op"))
+		}
+	}, nil)
+	if n := s.Run(10); n != 3 || s.Fired() != 3 {
+		t.Fatalf("Run returned %d, Fired = %d: want the event and its two steps", n, s.Fired())
+	}
+	if want := []bool{true, true, false, false, false}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("steps at 2, 9.5, the horizon 10, 11 and NaN: allowed %v, want %v", got, want)
+	}
+	snap := reg.Snapshot()
+	if v, _ := snap.Get("des_events_by_label_total", "label", "op"); v != 2 {
+		t.Fatalf("op steps counted = %d, want 2", v)
+	}
+	if v, _ := snap.Get("des_events_fired_total"); v != 3 {
+		t.Fatalf("events fired = %d, want 3", v)
+	}
+	if qp.Inline != 2 || qp.Pushes != 1 || qp.Pops != 1 || s.Now() != 10 {
+		t.Fatalf("probe %+v, clock %v: want 2 steps in line, 1 push, 1 pop, clock at the horizon", qp, s.Now())
+	}
+	if w.Inline(0, 10.5, "op") {
+		t.Fatal("a step was allowed after Run returned")
+	}
+	stepped := false
+	s.ScheduleArg(12, "step", func(*Simulator, Time, any) { stepped = w.Inline(0, 12.5, "op") }, nil)
+	if !s.Step() || stepped {
+		t.Fatal("a step was allowed inside Step, outside Run")
 	}
 }
 

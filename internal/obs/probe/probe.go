@@ -29,6 +29,11 @@ type QueueProbe struct {
 	Pushes uint64 `json:"pushes"`
 	Pops   uint64 `json:"pops"`
 	MaxLen int    `json:"max_len"`
+	// Inline counts the steps the set's owner ran in line instead of
+	// pushing and popping them (des.Sched.Inline): the events that never
+	// touched the set. Pops plus Inline is the events fired, give or take
+	// the one pop Run puts back at its horizon.
+	Inline uint64 `json:"inline,omitempty"`
 
 	// Calendar internals (equeue.Calendar, the lazy calendar). ChainSteps
 	// counts records shifted by in-order insertion into the open bucket —

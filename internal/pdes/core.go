@@ -175,10 +175,13 @@ type lane struct {
 	//guard:none owner-lane counter, read by the coordinator only after the lanes joined
 	fired uint64
 
-	// probe is nil unless CoreConfig.Probe was set.
+	// probe and qprobe (the lane queue's probe, which also counts the
+	// steps run in line) are nil unless CoreConfig.Probe was set.
 	//
 	//guard:none set at construction; the pointed-to shard is owner-lane
 	probe *probe.LaneProbe
+	//guard:none set at construction; the pointed-to shard is owner-lane
+	qprobe *probe.QueueProbe
 
 	mu sync.Mutex
 
@@ -210,10 +213,14 @@ type lane struct {
 }
 
 // frontier returns the lane's published execution promise: the
-// pointLess-minimum of nextPub and mailMin.
+// pointLess-minimum of nextPub and mailMin. mailMin is read first: drain
+// lowers nextPub before it resets mailMin, so a reader that sees the
+// reset also sees the lowered nextPub, where the other order could pair
+// a nextPub from before the drain with a mailMin from after it and see a
+// promise the lane never made.
 func (l *lane) frontier() (float64, uint64) {
-	nt, nk := l.nextPub.load()
 	mt, mk := l.mailMin.load()
+	nt, nk := l.nextPub.load()
 	if pointLess(mt, mk, nt, nk) {
 		return mt, mk
 	}
@@ -374,6 +381,15 @@ type Core struct {
 	done     chan int
 	wg       sync.WaitGroup
 	stats    Stats
+
+	// posting and posted count mailbox posts begun and finished. The
+	// bounded-lag coordinator and lanes read the lanes' frontiers one at a
+	// time, so a scan can read a receiver before a post to it and its
+	// sender after the sender has moved on, and miss the posted event
+	// altogether; equal counts around a scan (posted before it, posting
+	// after) prove no post was in flight, which makes the scan a
+	// consistent cut.
+	posting, posted atomic.Uint64
 }
 
 // NewCore validates the configuration and builds the lanes.
@@ -417,6 +433,7 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 		}
 		if cfg.Probe != nil {
 			l.probe = &cfg.Probe.Lanes[i]
+			l.qprobe = &cfg.Probe.Queues[i]
 			if pq, ok := l.q.(equeue.Probed); ok {
 				pq.SetProbe(&cfg.Probe.Queues[i])
 			}
@@ -483,11 +500,31 @@ func (c *Core) Schedule(emitter, owner int, at des.Time, fn des.ArgHandler, arg 
 		// timeline.
 		panic("pdes: cross-lane shared-state write from a lane handler")
 	}
+	c.posting.Add(1)
 	ol.append(ev)
+	c.posted.Add(1)
+}
+
+// Inline is des.Sched.Inline for owner's lane: a private step of owner's
+// at time at is allowed only while Run's lanes execute (never before Run,
+// in the global phase or after) and strictly before the horizon, and an
+// allowed step counts on owner's lane exactly as an executed event does.
+// Callable only from that lane's executing goroutine, like Now.
+func (c *Core) Inline(owner int, at des.Time) bool {
+	if c.inGlobal || !(at < c.cfg.Horizon) {
+		return false
+	}
+	l := c.lanes[owner%c.p]
+	l.fired++
+	if l.qprobe != nil {
+		l.qprobe.Inline++
+	}
+	return true
 }
 
 // Run executes the world to the horizon and returns once every lane has
-// drained its history and stopped.
+// drained its history and stopped. Scheduling before and after it is the
+// coordinator's, as in the global phase.
 func (c *Core) Run() {
 	c.inGlobal = false
 	if c.cfg.Mode == ModeConservative {
@@ -495,10 +532,12 @@ func (c *Core) Run() {
 	} else {
 		c.runBoundedLag()
 	}
+	c.inGlobal = true
 	c.stats.Processed.Store(c.Fired())
 }
 
-// Fired returns the total lane events executed.
+// Fired returns the total lane events executed, steps run in line
+// included.
 func (c *Core) Fired() uint64 {
 	var fired uint64
 	for _, l := range c.lanes {
@@ -662,7 +701,9 @@ func (c *Core) runBoundedLag() {
 		// Time parts suffice here: the global-step gate compares against
 		// key-0 global events (a lane whose frontier ties the global time
 		// parks itself on globalAt, so >= is the right test), and the
-		// termination/lag tests are pure time thresholds.
+		// termination/lag tests are pure time thresholds. Both act only on
+		// a consistent cut: no mailbox post in flight during the scan.
+		posted := c.posted.Load()
 		minF, maxP := math.Inf(1), math.Inf(-1)
 		for _, l := range c.lanes {
 			f, _ := l.frontier()
@@ -673,8 +714,9 @@ func (c *Core) runBoundedLag() {
 				maxP = p
 			}
 		}
+		cut := c.posting.Load() == posted
 		g := fromBits(c.globalAt.Load())
-		if g < c.hb && minF >= g {
+		if cut && g < c.hb && minF >= g {
 			// Every lane is parked at or beyond g: run the global event
 			// world-stopped, then republish the next global time (new
 			// lane events it scheduled are already visible through the
@@ -684,7 +726,7 @@ func (c *Core) runBoundedLag() {
 			spins = 0
 			continue
 		}
-		if g >= c.hb && minF > horizon {
+		if cut && g >= c.hb && minF > horizon {
 			break
 		}
 		if sample++; sample&255 == 0 {
@@ -703,9 +745,11 @@ func (c *Core) runBoundedLag() {
 // carries the safety proof: publish the next event time before reading
 // the other lanes' frontiers (so two lanes can never miss each other's
 // intent), hold nextPub at the executing event's time until its sends
-// have landed, and re-check the mailbox after computing the bound (a
+// have landed, re-check the mailbox after computing the bound (a
 // frontier read that post-dates a neighbour's send is sequenced after
-// that send's mailMin store, so the recheck sees it).
+// that send's mailMin store, so the recheck sees it), and act only on a
+// consistent cut (no post to a third lane in flight while the frontiers
+// were read — one read before it landed would miss what it carries).
 //
 //lane:handler
 func (c *Core) laneFree(l *lane) {
@@ -738,6 +782,7 @@ func (c *Core) laneFree(l *lane) {
 		// real event point: the composite order decides — this is what
 		// lets two lanes holding tied writes make progress in key order
 		// instead of deadlocking on each other's time.
+		posted := c.posted.Load()
 		ok := t < math.Min(fromBits(c.globalAt.Load()), c.hb)
 		if ok {
 			for _, o := range c.lanes {
@@ -764,16 +809,23 @@ func (c *Core) laneFree(l *lane) {
 			continue
 		}
 		ev := e.E.(*laneEvent)
+		// Full fence for a write: every other lane must have promised not
+		// to execute below (t, key). A neighbour whose frontier is at or
+		// past that point cannot be mid-event below it (it would still be
+		// publishing that event's point), and cannot start one past it
+		// while our writeHz pins its bound.
+		if ev.write && !c.fenceReady(l, t, key) {
+			l.spinYield(&spins)
+			continue
+		}
+		if c.posting.Load() != posted {
+			// A post was in flight while the frontiers were read: one read
+			// before it landed may have missed the event it carries, so the
+			// scans are not a consistent cut. Read them again.
+			l.spinYield(&spins)
+			continue
+		}
 		if ev.write {
-			// Full fence: every other lane must have promised not to
-			// execute below (t, key). A neighbour whose frontier is at or
-			// past that point cannot be mid-event below it (it would still
-			// be publishing that event's point), and cannot start one past
-			// it while our writeHz pins its bound.
-			if !c.fenceReady(l, t, key) {
-				l.spinYield(&spins)
-				continue
-			}
 			c.stats.WriteFences.Add(1)
 			if tl := c.cfg.Timeline; tl != nil {
 				// Guarded: the coordinator owns the timeline during the

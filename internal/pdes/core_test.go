@@ -232,6 +232,84 @@ func TestCoreTimeline(t *testing.T) {
 	}
 }
 
+// TestCoreInline pins des.Sched.Inline's contract on the lane surface:
+// a step is refused before Run, in the world-stopped global phase, after
+// Run, and at or past the horizon; an allowed step counts on the
+// executing owner's lane only — in Fired and in that lane's queue probe —
+// which -race checks by running it with lanes in parallel.
+func TestCoreInline(t *testing.T) {
+	const owners, lanes, horizon = 9, 3, 10.0
+	for _, mode := range []Mode{ModeConservative, ModeTimeWarp} {
+		gsim := des.New()
+		pr := &CoreProbe{}
+		c, err := NewCore(CoreConfig{
+			Mode: mode, Lanes: lanes, Horizon: horizon, Lookahead: 0.5, Probe: pr,
+			GlobalNext: gsim.NextTime, GlobalStep: func() { gsim.Step() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Inline(0, 1) {
+			t.Fatalf("%s: a step was allowed before Run", mode)
+		}
+		allowed := make([]uint64, owners) // each written by its owner's lane only
+		events := make([]uint64, owners)
+		pastHorizon := make([]bool, owners)
+		var tick des.ArgHandler
+		tick = func(_ *des.Simulator, now des.Time, arg any) {
+			o := arg.(int)
+			events[o]++
+			if c.Inline(o, now+0.25) {
+				allowed[o]++
+			}
+			if c.Inline(o, horizon) || c.Inline(o, horizon+1) {
+				pastHorizon[o] = true
+			}
+			c.Schedule(o, o, now+1, tick, o, false)
+		}
+		for o := 0; o < owners; o++ {
+			c.Schedule(o, o, des.Time(0.1*float64(o)), tick, o, false)
+		}
+		globalAllowed := false
+		gsim.ScheduleArg(4.05, "global", func(*des.Simulator, des.Time, any) { globalAllowed = c.Inline(0, 4.5) }, nil)
+		c.Run()
+		if globalAllowed {
+			t.Fatalf("%s: a step was allowed in the global phase", mode)
+		}
+		if c.Inline(0, 1) {
+			t.Fatalf("%s: a step was allowed after Run", mode)
+		}
+		var total uint64
+		perLane := make([]uint64, lanes)
+		for o := 0; o < owners; o++ {
+			if pastHorizon[o] {
+				t.Fatalf("%s: owner %d was allowed a step at or past the horizon", mode, o)
+			}
+			var wantEvents, wantAllowed uint64
+			for at := 0.1 * float64(o); at <= horizon; at++ {
+				wantEvents++
+				if at+0.25 < horizon {
+					wantAllowed++
+				}
+			}
+			if events[o] != wantEvents || allowed[o] != wantAllowed {
+				t.Fatalf("%s: owner %d: %d steps allowed over %d events, want %d over %d",
+					mode, o, allowed[o], events[o], wantAllowed, wantEvents)
+			}
+			total += events[o] + allowed[o]
+			perLane[o%lanes] += allowed[o]
+		}
+		if c.Fired() != total {
+			t.Fatalf("%s: Fired = %d, want %d events and steps", mode, c.Fired(), total)
+		}
+		for l := range perLane {
+			if q := pr.Queues[l]; q.Inline != perLane[l] || q.Pops+q.Inline != pr.Lanes[l].Events+perLane[l] {
+				t.Fatalf("%s: lane %d probe %+v: want %d steps in line", mode, l, q, perLane[l])
+			}
+		}
+	}
+}
+
 // TestCoreConfigErrors exercises the constructor's validation.
 func TestCoreConfigErrors(t *testing.T) {
 	base := CoreConfig{Mode: ModeConservative, Lanes: 2, Horizon: 1, Lookahead: 0.1}

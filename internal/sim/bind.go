@@ -55,6 +55,12 @@ func (s *coreSched) Route(from, owner int, at des.Time, label string, fn des.Arg
 	s.core.Schedule(from, owner, at, fn, arg, false)
 }
 
+// Inline credits the step to owner's lane, the one executing it; the core
+// keeps no per-label counts.
+func (s *coreSched) Inline(owner int, at des.Time, _ string) bool {
+	return s.core.Inline(owner, at)
+}
+
 // bindEngine gives the world its scheduling surface: des.Solo over the
 // global simulator for sequential runs, a coreSched over a lane-sharded
 // pdes.Core for parallel ones (the global simulator then carries only

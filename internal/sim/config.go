@@ -146,7 +146,11 @@ type Config struct {
 	// Progress, when non-nil, is invoked every ProgressEvery simulated
 	// time units with the current virtual time and the events fired so
 	// far (CLI progress reporting for long sweeps). ProgressEvery
-	// defaults to Horizon/10. The callback must not touch the engine.
+	// defaults to Horizon/10. The callback must not touch the engine. An
+	// intermediate beat may count a host's in-line operations up to its
+	// next communication early (they are counted when the operation before
+	// them fires); the beat at the horizon and Result.EventsFired are
+	// exact.
 	Progress      func(now des.Time, fired uint64)
 	ProgressEvery des.Time
 

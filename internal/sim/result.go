@@ -80,8 +80,10 @@ type Result struct {
 	// FinalHosts is the host count at the horizon (it exceeds
 	// Config.Mobile.NumHosts when JoinTimes admitted new hosts).
 	FinalHosts int
-	// EventsFired is the number of DES events executed (engine load). For
-	// parallel runs it sums the lane events and the global-timeline
+	// EventsFired is the number of DES events executed (engine load):
+	// queued events fired, plus operations executed in line
+	// (des.Sched.Inline), each counted as the event it would have been.
+	// For parallel runs it sums the lane events and the global-timeline
 	// events, which matches the sequential count exactly.
 	EventsFired uint64
 	// PDES reports the parallel engine's run statistics (lane count,

@@ -224,10 +224,11 @@ func TestMeasureScaleSelectsEngine(t *testing.T) {
 // sweep: buckets examined per pop, bucket-array reallocations per run
 // (the count follows the population with hysteresis, not every wobble of
 // it), and year starts — each deals the whole population, so a year has
-// to pop a fair share of one.
+// to pop a fair share of one. Each point keeps its whole horizon: nine
+// operations in ten run in line, never touching the queue, so a tenth of
+// it would pop too few events to mean anything.
 func TestScaleQueueGeometry(t *testing.T) {
 	for _, pt := range ScalePoints(1000) {
-		pt.Horizon /= 10
 		cfg := pt.Config(1, des.QueueCalendar)
 		cfg.Probes = true
 		res, err := Run(cfg)

@@ -269,6 +269,36 @@ func TestLaneTimeline(t *testing.T) {
 // of a probed run — with the engine-dependent probe report stripped — is
 // byte-identical to the unprobed run's, on the sequential and parallel
 // engines alike.
+// TestProbesAccountForEveryEvent: most operations run in line and never
+// touch a queue, and the probes say where they went. A sequential run's
+// queue pops plus its in-line steps are the events fired, plus the one
+// pop Run puts back at the horizon; a parallel run's lane pops and steps
+// are, its global queue holding no events in this world.
+func TestProbesAccountForEveryEvent(t *testing.T) {
+	for _, mode := range []pdes.Mode{pdes.ModeSequential, pdes.ModeConservative, pdes.ModeTimeWarp} {
+		c := testConfig()
+		c.Probes, c.Engine = true, mode
+		want := uint64(1)
+		if mode != pdes.ModeSequential {
+			c.Checks, c.Lanes, want = false, 2, 0
+		}
+		res := mustRun(t, c)
+		q := res.Probes.GlobalQueue
+		pops, inline := q.Pops, q.Inline
+		for _, lq := range res.Probes.LaneQueues {
+			pops += lq.Pops
+			inline += lq.Inline
+		}
+		want += res.EventsFired
+		if pops+inline != want {
+			t.Errorf("engine=%s: %d pops + %d in line = %d, want %d", mode, pops, inline, pops+inline, want)
+		}
+		if inline < res.EventsFired/2 {
+			t.Errorf("engine=%s: only %d of %d events ran in line", mode, inline, res.EventsFired)
+		}
+	}
+}
+
 func TestProbesDoNotPerturb(t *testing.T) {
 	cfg := timelineConfig()
 	want := exportOf(t, cfg)

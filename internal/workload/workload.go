@@ -149,7 +149,9 @@ type Callbacks struct {
 	// ExtraDelay, if non-nil, is consulted when scheduling a host's next
 	// operation and its result is added to the exponential inter-
 	// operation time. The experiment layer uses it to model
-	// non-negligible checkpointing time (§5.1 discusses that case).
+	// non-negligible checkpointing time (§5.1 discusses that case). A
+	// checkpoint taken anywhere may change what it returns, so with it set
+	// every operation is an event: none runs in line.
 	ExtraDelay func(h mobile.HostID) des.Time
 }
 
@@ -166,6 +168,15 @@ type laneCounters struct {
 // the mobility events carry the labels ("handoff", "disconnect",
 // "reconnect") the parallel engine uses to recognize shared-state writes
 // that need a fence.
+//
+// An internal operation is not an event. It draws from its host's own
+// operation stream and bumps one counter, so no other event can observe
+// when it runs: once an operation fires, the driver runs the host's
+// following internal operations in line (des.Sched.Inline counts each as
+// a fired "op") and queues only the first that communicates, falls at or
+// after the host's pending mobility event (the only thing that can make
+// it pause), or is not strictly before the running horizon. The draws
+// are the ones, in the order, that one event per operation makes.
 type Driver struct {
 	sched des.Sched
 	lanes int
@@ -193,12 +204,18 @@ type Driver struct {
 }
 
 // hostRec is everything the driver reads or writes for one host on the
-// hot path, 24 bytes: an internal operation touches its event, this
-// record and the queue, and nothing else per host.
+// hot path, 32 bytes: an internal operation run in line touches this
+// record and its lane's counters, and nothing else.
 type hostRec struct {
 	op  rng.Source // operation stream: rng.NewStream(seed, 2·id)
 	mob rng.Source // mobility stream: rng.NewStream(seed, 2·id+1)
-	id  int32
+	// mobAt is the time of the host's pending mobility event (hand-off,
+	// disconnection or reconnection): until then away cannot change.
+	mobAt des.Time
+	id    int32
+	// drawn is the queued operation's communication draw when it was
+	// made before queueing (opInternal, opComm), or opUndrawn.
+	drawn opDraw
 	// paused: the operation loop stopped at a disconnection and restarts
 	// at the reconnection.
 	paused bool
@@ -209,6 +226,16 @@ type hostRec struct {
 	// Network.Reconnect once a driver runs.
 	away bool
 }
+
+// opDraw records whether a queued operation's Bernoulli(PComm) draw was
+// already made, and how it came out.
+type opDraw uint8
+
+const (
+	opUndrawn opDraw = iota
+	opInternal
+	opComm
+)
 
 // NewDriver creates a driver. The seed determines the whole trace; two
 // drivers with equal seeds and configs generate identical executions,
@@ -341,17 +368,24 @@ func (d *Driver) scheduleOperation(r *hostRec) {
 	d.sched.ScheduleArgAfter(int(r.id), delay, "op", d.opFn, r)
 }
 
-// operate performs one application operation for r's host.
+// operate performs one application operation for r's host, then moves
+// its operation loop on to the next operation that must be an event.
 func (d *Driver) operate(r *hostRec) {
 	if r.away {
 		// Computation is suspended while disconnected; the loop resumes
-		// on reconnection.
+		// on reconnection. (Only an undrawn operation can find the host
+		// away: one drawn ahead falls before the pending mobility event.)
 		r.paused = true
 		return
 	}
 	c := d.shard(r)
+	comm := r.drawn == opComm
+	if r.drawn == opUndrawn {
+		comm = r.op.Bernoulli(d.cfg.PComm)
+	}
+	r.drawn = opUndrawn
 	switch {
-	case !r.op.Bernoulli(d.cfg.PComm):
+	case !comm:
 		c.Internal++
 	case r.op.Bernoulli(d.cfg.PSend) && d.net.NumHosts() > 1:
 		d.cb.Send(mobile.HostID(r.id), d.pickDestination(r))
@@ -363,7 +397,40 @@ func (d *Driver) operate(r *hostRec) {
 			c.EmptyReceives++
 		}
 	}
-	d.scheduleOperation(r)
+	if d.cb.ExtraDelay != nil {
+		d.scheduleOperation(r)
+		return
+	}
+	d.runAhead(r, c)
+}
+
+// runAhead runs r's following internal operations in line and queues
+// the first operation that must be an event: the first that communicates,
+// falls at or after the pending mobility event, or is refused by
+// Sched.Inline (at or past the horizon). The communication draw is made
+// ahead only before the mobility event, where the host cannot be away —
+// an operation that finds it away draws nothing — and is kept in r.drawn
+// for the queued operation to use. Times accumulate as the events'
+// would: each operation's time plus the next exponential delay.
+func (d *Driver) runAhead(r *hostRec, c *Counters) {
+	id := int(r.id)
+	at := d.sched.Now(id)
+	for {
+		at += des.Time(r.op.Exp(d.cfg.OperationMean))
+		if at >= r.mobAt {
+			break
+		}
+		if r.op.Bernoulli(d.cfg.PComm) {
+			r.drawn = opComm
+			break
+		}
+		if !d.sched.Inline(id, at, "op") {
+			r.drawn = opInternal
+			break
+		}
+		c.Internal++
+	}
+	d.sched.ScheduleArg(id, at, "op", d.opFn, r)
 }
 
 // pickDestination draws a uniformly distributed destination other than
@@ -381,12 +448,18 @@ func (d *Driver) pickDestination(r *hostRec) mobile.HostID {
 func (d *Driver) enterCell(r *hostRec) {
 	mean := d.cfg.PermanenceMean(mobile.HostID(r.id), d.net.NumHosts())
 	if r.mob.Bernoulli(d.cfg.PSwitch) {
-		stay := des.Time(r.mob.Exp(mean))
-		d.sched.ScheduleArgAfter(int(r.id), stay, "handoff", d.handoffFn, r)
+		d.scheduleMobility(r, des.Time(r.mob.Exp(mean)), "handoff", d.handoffFn)
 	} else {
-		stay := des.Time(r.mob.Exp(mean / 3))
-		d.sched.ScheduleArgAfter(int(r.id), stay, "disconnect", d.disconnectFn, r)
+		d.scheduleMobility(r, des.Time(r.mob.Exp(mean/3)), "disconnect", d.disconnectFn)
 	}
+}
+
+// scheduleMobility queues r's next mobility event after delay and
+// records its time in r.mobAt.
+func (d *Driver) scheduleMobility(r *hostRec, delay des.Time, label string, fn des.ArgHandler) {
+	id := int(r.id)
+	r.mobAt = d.sched.Now(id) + delay
+	d.sched.ScheduleArg(id, r.mobAt, label, fn, r)
 }
 
 // handoff moves the host to a uniformly chosen other cell and re-enters.
@@ -436,8 +509,7 @@ func (d *Driver) disconnect(r *hostRec) {
 	}
 	r.away = true
 	d.shard(r).Disconnects++
-	gone := des.Time(r.mob.Exp(d.cfg.DisconnectMean))
-	d.sched.ScheduleArgAfter(int(r.id), gone, "reconnect", d.reconnectFn, r)
+	d.scheduleMobility(r, des.Time(r.mob.Exp(d.cfg.DisconnectMean)), "reconnect", d.reconnectFn)
 }
 
 // reconnect reattaches the host at a uniformly chosen station and resumes

@@ -384,12 +384,28 @@ func TestAddHostSkippingIDs(t *testing.T) {
 	}
 }
 
+// inlineHook wraps a scheduling surface and calls step on every step it
+// allows in line, after the surface has allowed it.
+type inlineHook struct {
+	des.Sched
+	step func(owner int, at des.Time)
+}
+
+func (s inlineHook) Inline(owner int, at des.Time, label string) bool {
+	if !s.Sched.Inline(owner, at, label) {
+		return false
+	}
+	s.step(owner, at)
+	return true
+}
+
 // TestAwayMirrorsTheNetwork: hostRec.away is a copy of what the network
 // knows, kept by hand. A run with disconnections, reconnections and joins
-// checks it against the network at every operation of every host — and
-// once more for every host at the end, since a paused host operates no
-// more. The check wraps the operation trampoline; production code has no
-// branch for it.
+// checks it against the network at every operation of every host — the
+// queued ones by wrapping the operation trampoline, the ones run in line
+// by wrapping Sched.Inline, where the host must be connected — and once
+// more for every host at the end, since a paused host operates no more.
+// Production code has no branch for either check.
 func TestAwayMirrorsTheNetwork(t *testing.T) {
 	const seed = 17
 	sim := des.New()
@@ -404,7 +420,17 @@ func TestAwayMirrorsTheNetwork(t *testing.T) {
 	cfg.TSwitch = 60
 	cfg.PSwitch = 0.5
 	cfg.DisconnectMean = 40
-	d, err := NewDriver(sim, net, cfg, seed, passthroughCallbacks(net))
+	var d *Driver
+	inline := 0
+	sched := inlineHook{des.Solo(sim), func(owner int, at des.Time) {
+		r := d.rec(mobile.HostID(owner))
+		if r.away || !net.Host(mobile.HostID(owner)).Connected() {
+			t.Fatalf("t=%v host %d: an operation at %v ran in line while away = %v, network says connected = %v",
+				sim.Now(), owner, at, r.away, net.Host(mobile.HostID(owner)).Connected())
+		}
+		inline++
+	}}
+	d, err = NewDriverSched(sched, 1, net, cfg, seed, passthroughCallbacks(net))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +458,15 @@ func TestAwayMirrorsTheNetwork(t *testing.T) {
 			d.AddHost(id, seed)
 		})
 	}
-	sim.Run(4000)
+	sim.Run(20000)
 	c := d.Counters()
-	if c.Disconnects < 50 || c.Reconnects < 50 || away < 50 || checked < 10000 {
-		t.Fatalf("%d disconnects, %d reconnects, %d operations checked (%d while away): the run did not exercise the mirror",
-			c.Disconnects, c.Reconnects, checked, away)
+	if c.Disconnects < 50 || c.Reconnects < 50 || away < 50 || checked < 10000 || inline < 10000 {
+		t.Fatalf("%d disconnects, %d reconnects, %d operation events checked (%d while away), %d in-line operations checked: the run did not exercise the mirror",
+			c.Disconnects, c.Reconnects, checked, away, inline)
+	}
+	if ops := c.Sends + c.Receives + c.EmptyReceives + c.Internal; ops != int64(checked-away+inline) {
+		t.Fatalf("%d operations counted, %d checked (%d events, %d of them while away, and %d in line)",
+			ops, checked-away+inline, checked, away, inline)
 	}
 	if d.numHosts() != 13 {
 		t.Fatalf("%d hosts after three joins, want 13", d.numHosts())
