@@ -51,7 +51,9 @@ allocs:
 # propagation against its full-scan reference on traces and cuts the
 # fuzzer picks, and of the workload driver's in-line operations against
 # the same driver with every operation an event, on worlds the fuzzer
-# picks; `make fuzz` runs longer. The schedule and bundle seeds
+# picks, and of sim.Run on small configurations the fuzzer picks (a
+# rejected one returns Validate's error, an accepted one runs with its
+# checks on); `make fuzz` runs longer. The schedule and bundle seeds
 # are tens of kilobytes of JSON, which the fuzzer's default minute of
 # minimization per finding would spend the whole smoke on, so that is
 # capped in runs.
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/sim
 	$(GO) test -fuzz=FuzzPropagate -fuzztime=10s ./internal/recovery
 	$(GO) test -fuzz=FuzzDriverInline -fuzztime=10s ./internal/workload
+	$(GO) test -fuzz=FuzzConfig -fuzztime=10s ./internal/sim
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
@@ -70,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/sim
 	$(GO) test -fuzz=FuzzPropagate -fuzztime=2m ./internal/recovery
 	$(GO) test -fuzz=FuzzDriverInline -fuzztime=2m ./internal/workload
+	$(GO) test -fuzz=FuzzConfig -fuzztime=2m ./internal/sim
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both
@@ -137,12 +141,12 @@ FORCE:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# E21: the scale sweep n = 10 → 1e6 on the calendar queue, writing
-# results/BENCH_scale.json. Takes minutes and a few GB of RSS at the
-# million-host point; `make bench-scale SCALE_MAX=100000` trims it.
+# E21: the scale sweep n = 10 → 1e6 on the calendar queue (as every run
+# is), writing results/BENCH_scale.json. Takes minutes and a few GB of RSS
+# at the million-host point; `make bench-scale SCALE_MAX=100000` trims it.
 SCALE_MAX ?= 1000000
 bench-scale:
-	$(GO) run ./cmd/figures -scale -scalemax $(SCALE_MAX) -queue calendar -out results
+	$(GO) run ./cmd/figures -scale -scalemax $(SCALE_MAX) -out results
 
 # Regenerate all sixteen committed tables (results/*.{txt,csv}: the registry
 # in internal/sim/tables.go) at full scale — about 17 s on two cores.

@@ -90,7 +90,7 @@ func TestMhsimRefusesWhatItWouldIgnore(t *testing.T) {
 	}{
 		{[]string{"-replay-schedule", "run.json", "-json"}, "-json"},
 		{[]string{"-replay-schedule", "run.json", "-seeds", "5"}, "-seeds"},
-		{[]string{"-replay-schedule", "run.json", "-engine", "timewarp"}, "-engine"},
+		{[]string{"-replay-schedule", "run.json", "-engine", "conservative"}, "-engine"},
 		{[]string{"-replay-schedule", "run.json", "-hosts", "3"}, "-hosts"},
 		{[]string{"-replay-schedule", "run.json", "-lanetimeline", "l.json"}, "-lanetimeline"},
 		{[]string{"-replay-perturb", "0", "-horizon", "100"}, "-replay-perturb"},
@@ -101,6 +101,40 @@ func TestMhsimRefusesWhatItWouldIgnore(t *testing.T) {
 		stdout, stderr, code := run("mhsim", tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.names) {
 			t.Errorf("mhsim %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output", tc.args, code, stdout, stderr, tc.names)
+		}
+	}
+}
+
+// TestOneQueueTwoEngines: every run is on the calendar queue, with no flag
+// to choose another; the engines are sequential and conservative, and the
+// bounded-lag driver's `timewarp` is refused naming both. A lane count is
+// refused where no lanes run, instead of being dropped: `mhsim -lanes 4`,
+// `-lanes -3` and `figures -lanes -2` once exited 0 on the sequential
+// engine.
+func TestOneQueueTwoEngines(t *testing.T) {
+	run := build(t)
+	stdout, stderr, code := run("mhsim", "-probes", "-v", "-horizon", "200")
+	if code != 0 || !strings.Contains(stdout, "probes: queue[calendar]") {
+		t.Errorf("mhsim -probes -v: exit %d, stderr %q, stdout:\n%s\nwant the global queue reported as queue[calendar]", code, stderr, stdout)
+	}
+	for _, cmd := range []string{"mhsim", "figures"} {
+		stdout, stderr, code = run(cmd, "-queue", "calendar", "-horizon", "100")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-queue") {
+			t.Errorf("%s -queue calendar: exit %d, stdout %q, stderr %q; want exit 2 for an undefined flag", cmd, code, stdout, stderr)
+		}
+		stdout, stderr, code = run(cmd, "-engine", "timewarp", "-horizon", "100")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "sequential") || !strings.Contains(stderr, "conservative") {
+			t.Errorf("%s -engine timewarp: exit %d, stdout %q, stderr %q; want exit 2 naming sequential and conservative", cmd, code, stdout, stderr)
+		}
+	}
+	for _, args := range [][]string{
+		{"mhsim", "-horizon", "200", "-lanes", "4"},
+		{"mhsim", "-horizon", "200", "-lanes", "-3"},
+		{"figures", "-table", "gains", "-seeds", "1", "-horizon", "200", "-lanes", "-2"},
+	} {
+		stdout, stderr, code = run(args[0], args[1:]...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "Lanes") || !strings.Contains(stderr, "parallel Engine") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 saying Lanes needs a parallel Engine", args, code, stdout, stderr)
 		}
 	}
 }

@@ -13,7 +13,6 @@
 //	figures -table all -seeds 3 -out results   # `make results`: every committed pair
 //	figures -plot                    # ASCII log-log charts instead of tables
 //	figures -scale                   # million-host scale sweep (E21), JSON output
-//	figures -queue calendar          # select the event-queue implementation
 //	figures -seeds 3 -csv            # fewer seeds, CSV output
 package main
 
@@ -35,9 +34,8 @@ func main() {
 		horizon  = flag.Float64("horizon", 0, "simulated time units per run; 0 = each table's own (100000; 20000 for replay and recovery)")
 		scale    = flag.Bool("scale", false, "run the million-host scale sweep (E21) and emit JSON")
 		scaleMax = flag.Int("scalemax", 1_000_000, "largest host count of the -scale sweep")
-		queue    = flag.String("queue", "heap", "event-queue implementation: heap or calendar (never changes results)")
-		engine   = flag.String("engine", "sequential", "execution engine: sequential, conservative or timewarp (never changes results)")
-		lanes    = flag.Int("lanes", 0, "logical processes for parallel engines; 0 = GOMAXPROCS")
+		engine   = flag.String("engine", "sequential", "execution engine: sequential or conservative (never changes results)")
+		lanes    = flag.Int("lanes", 0, "logical processes for the conservative engine; 0 = GOMAXPROCS")
 		plot     = flag.Bool("plot", false, "draw the figures behind the selected tables as ASCII log-log charts instead")
 		pcomm    = flag.Float64("pcomm", 0.05, "probability an operation is a communication (calibration knob)")
 		csv      = flag.Bool("csv", false, "print CSV instead of aligned tables")
@@ -46,17 +44,13 @@ func main() {
 	)
 	flag.Parse()
 
-	qk, err := des.ParseQueueKind(*queue)
-	if err != nil {
-		exit(1, err)
-	}
 	em, err := pdes.ParseMode(*engine)
 	if err != nil {
-		exit(1, err)
+		exit(2, fmt.Errorf("-engine: %w", err))
 	}
 
 	if *scale {
-		if err := runScale(*scaleMax, qk, em, *lanes, *seed, *outDir); err != nil {
+		if err := runScale(*scaleMax, em, *lanes, *seed, *outDir); err != nil {
 			exit(1, err)
 		}
 		return
@@ -71,7 +65,6 @@ func main() {
 	}
 
 	base := sim.DefaultConfig()
-	base.Queue = qk
 	base.Engine = em
 	base.Lanes = *lanes
 	base.Horizon = des.Time(*horizon)

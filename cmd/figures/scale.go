@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"mobickpt/internal/des"
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/sim"
 )
@@ -20,16 +19,16 @@ import (
 // command, outside the analyzer's scope, and are stamped onto each
 // sim.ScaleMeasurement after its run returns.
 
-// runScale sweeps n = 10 → maxHosts in decades on one queue kind and one
-// engine, prints the JSON to stdout and, when outDir is set, also writes
+// runScale sweeps n = 10 → maxHosts in decades on one engine, prints the
+// JSON to stdout and, when outDir is set, also writes
 // outDir/BENCH_scale.json (the committed artifact).
-func runScale(maxHosts int, queue des.QueueKind, engine pdes.Mode, lanes int, seed uint64, outDir string) error {
+func runScale(maxHosts int, engine pdes.Mode, lanes int, seed uint64, outDir string) error {
 	pts := sim.ScalePoints(maxHosts)
 	ms := make([]*sim.ScaleMeasurement, 0, len(pts))
 	for _, p := range pts {
 		resetPeakRSS()
 		start := time.Now() //lint:allow simlint/detlint bench wall-clock: throughput measurement, never enters the simulated trace
-		m, err := sim.MeasureScale(p, seed, queue, engine, lanes)
+		m, err := sim.MeasureScale(p, seed, engine, lanes)
 		if err != nil {
 			return err
 		}
@@ -40,7 +39,7 @@ func runScale(maxHosts int, queue des.QueueKind, engine pdes.Mode, lanes int, se
 		m.PeakRSSBytes = peakRSS()
 		eng := engine.String()
 		if m.PDES != nil {
-			eng = fmt.Sprintf("%s lanes=%d windows=%d", m.PDES.Mode, m.PDES.Lanes, m.PDES.Windows)
+			eng = fmt.Sprintf("%s lanes=%d windows=%d", eng, m.PDES.Lanes, m.PDES.Windows)
 		}
 		fmt.Fprintf(os.Stderr, "figures: scale n=%d queue=%s engine=%s events=%d wall=%.2fs events/sec=%.0f peakRSS=%.1fMB\n",
 			m.Hosts, m.Queue, eng, m.Events, m.WallSeconds, m.EventsPerSec, float64(m.PeakRSSBytes)/(1<<20))

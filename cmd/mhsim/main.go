@@ -43,9 +43,8 @@ func main() {
 		checks     = flag.Bool("checks", false, "run the invariant checker during the simulation (fails on any violation)")
 		audit      = flag.Bool("audit", false, "run the determinism/ablation audit: re-run each protocol alone and require exact agreement with the shared trace")
 		logMode    = flag.String("log", "off", "MSS message logging: off, pessimistic or optimistic")
-		queue      = flag.String("queue", "heap", "event-queue implementation: heap or calendar (never changes results)")
-		engine     = flag.String("engine", "sequential", "execution engine: sequential, conservative or timewarp (never changes results)")
-		lanes      = flag.Int("lanes", 0, "logical processes for parallel engines; 0 = GOMAXPROCS")
+		engine     = flag.String("engine", "sequential", "execution engine: sequential or conservative (never changes results)")
+		lanes      = flag.Int("lanes", 0, "logical processes for the conservative engine; 0 = GOMAXPROCS")
 		logBatch   = flag.Int("logbatch", 0, "optimistic flush batch (0 = mlog default)")
 		metrics    = flag.Bool("metrics", false, "print the run's metrics as Prometheus text after the results (single-run mode)")
 		timeline   = flag.String("timeline", "", "write a per-host Chrome trace-event timeline (Perfetto-loadable) to this file (single-run mode)")
@@ -108,11 +107,6 @@ func main() {
 			Metrics: cfg.Metrics, Timeline: cfg.Timeline,
 		})
 		return
-	}
-	cfg.Queue, err = des.ParseQueueKind(*queue)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mhsim:", err)
-		os.Exit(2)
 	}
 	cfg.Engine, err = pdes.ParseMode(*engine)
 	if err != nil {
@@ -289,14 +283,14 @@ func printRun(res *sim.Result, verbose bool) {
 				p.EventPool.Hits, p.EventPool.Misses, p.EventPool.Recycled,
 				p.MessagePool.Hits, p.MessagePool.Misses, p.MessagePool.Recycled)
 			for i, lp := range p.LaneProbes {
-				fmt.Printf("probes: lane %d events=%d windows=%d mailbox=%d (peak %d) spinyields=%d queue{push=%d pop=%d inline=%d maxlen=%d}\n",
-					i, lp.Events, lp.Windows, lp.MailboxMsgs, lp.MailboxPeak, lp.SpinYields,
+				fmt.Printf("probes: lane %d events=%d windows=%d mailbox=%d (peak %d) queue{push=%d pop=%d inline=%d maxlen=%d}\n",
+					i, lp.Events, lp.Windows, lp.MailboxMsgs, lp.MailboxPeak,
 					p.LaneQueues[i].Pushes, p.LaneQueues[i].Pops, p.LaneQueues[i].Inline, p.LaneQueues[i].MaxLen)
 			}
 		}
 		if st := res.PDES; st != nil {
-			fmt.Printf("pdes: mode=%s lanes=%d processed=%d windows=%d serial=%d fences=%d global=%d\n",
-				st.Mode, st.Lanes, st.Processed, st.Windows, st.SerialSteps, st.WriteFences, st.GlobalEvents)
+			fmt.Printf("pdes: lanes=%d processed=%d windows=%d serial=%d global=%d\n",
+				st.Lanes, st.Processed, st.Windows, st.SerialSteps, st.GlobalEvents)
 		}
 	}
 }

@@ -12,11 +12,11 @@
 // (FIFO among simultaneous events).
 //
 // The pending-event set lives behind the equeue.Queue interface with two
-// interchangeable implementations (see internal/des/equeue): the binary
-// heap is the reference, and the lazy calendar queue trades O(log n) for
-// O(1) amortized scheduling under million-event churn. Both realize the
-// same (time, seq) total order, so a simulation is bit-identical on
-// either; QueueKind selects one at construction.
+// interchangeable implementations (see internal/des/equeue): the lazy
+// calendar queue, O(1) amortized under million-event churn, runs every
+// simulation, and the binary heap is the reference the tests hold it to.
+// Both realize the same (time, seq) total order, so a simulation is
+// bit-identical on either; QueueKind selects one at construction.
 //
 // The engine distinguishes two scheduling disciplines:
 //
@@ -82,45 +82,31 @@ func (e *Event) Label() string { return e.label }
 func (e *Event) Pending() bool { return e != nil && e.owner != nil && e.ent.Queued() }
 
 // QueueKind selects the pending-event set implementation. The zero value
-// is the binary heap, so existing configurations keep their behavior.
+// is the calendar queue, the one every run uses; the heap is the
+// reference the lockstep and ablation tests hold it to, reached only by
+// naming QueueHeap.
 type QueueKind int
 
 const (
-	// QueueHeap is the reference binary min-heap (equeue.Heap).
-	QueueHeap QueueKind = iota
 	// QueueCalendar is the lazy calendar queue (equeue.Calendar): O(1)
 	// amortized scheduling under large stationary event populations.
-	QueueCalendar
+	QueueCalendar QueueKind = iota
+	// QueueHeap is the reference binary min-heap (equeue.Heap).
+	QueueHeap
 )
 
-// String returns the kind's config-file spelling.
+// String returns the kind's name.
 func (k QueueKind) String() string {
-	switch k {
-	case QueueCalendar:
-		return "calendar"
-	default:
+	if k == QueueHeap {
 		return "heap"
 	}
-}
-
-// ParseQueueKind maps a config-file spelling back to a QueueKind. The
-// empty string selects the default (heap).
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "", "heap":
-		return QueueHeap, nil
-	case "calendar":
-		return QueueCalendar, nil
-	default:
-		return QueueHeap, fmt.Errorf("des: unknown queue kind %q (want heap or calendar)", s)
-	}
+	return "calendar"
 }
 
 // Simulator owns the virtual clock and the event queue.
 type Simulator struct {
 	now     Time
 	queue   equeue.Queue
-	kind    QueueKind
 	seq     uint64
 	fired   uint64
 	stopped bool
@@ -150,27 +136,19 @@ type Simulator struct {
 	slabSize int
 }
 
-// New returns a simulator with the clock at 0, an empty queue, and the
-// reference heap as the pending-event set.
-func New() *Simulator { return NewWith(QueueHeap) }
+// New returns a simulator with the clock at 0 and an empty calendar queue
+// as the pending-event set.
+func New() *Simulator { return NewWith(QueueCalendar) }
 
 // NewWith returns a simulator using the given pending-event set
 // implementation. The simulation result is independent of the choice;
 // only the scheduling cost profile changes.
 func NewWith(kind QueueKind) *Simulator {
-	var q equeue.Queue
-	switch kind {
-	case QueueCalendar:
-		q = equeue.NewCalendar()
-	default:
-		kind = QueueHeap
-		q = equeue.NewHeap()
+	if kind == QueueHeap {
+		return &Simulator{queue: equeue.NewHeap()}
 	}
-	return &Simulator{queue: q, kind: kind}
+	return &Simulator{queue: equeue.NewCalendar()}
 }
-
-// QueueKind returns the pending-event set implementation in use.
-func (s *Simulator) QueueKind() QueueKind { return s.kind }
 
 // Instrument registers the engine's observability instruments with reg:
 // total events fired, current queue depth, and per-label firing counts

@@ -2,8 +2,7 @@
 // observatory: pending-event-set shape (calendar buckets examined,
 // in-order insertions, year starts, reallocations), object-pool traffic
 // (hit/miss/recycle), and per-lane PDES behaviour (window occupancy,
-// mailbox depth, frontier spin-yields). The structs are plain data on
-// purpose:
+// mailbox traffic). The structs are plain data on purpose:
 //
 //   - Writers are single-threaded by construction. Each probe instance
 //     is owned by exactly one goroutine at a time — a lane, the
@@ -80,15 +79,13 @@ func (p *PoolProbe) Merge(o PoolProbe) {
 	p.Recycled += o.Recycled
 }
 
-// LaneProbe counts one PDES lane's behaviour. SpinYields is the
-// wall-clock-free proxy for barrier/frontier wait: the number of
-// scheduler yields the lane burned while blocked on the bounded-lag
-// frontier (detlint forbids real clocks in the engines, and a yield
-// count is deterministic enough to compare run-to-run on one box).
+// LaneProbe counts one PDES lane's behaviour under the conservative
+// driver: Events executed, the Windows in which the lane had any work,
+// and the cross-lane arrivals its mailbox took between windows
+// (MailboxMsgs in all, MailboxPeak at one barrier).
 type LaneProbe struct {
 	Events      uint64 `json:"events"`
 	Windows     uint64 `json:"windows"`
 	MailboxPeak int    `json:"mailbox_peak"`
 	MailboxMsgs uint64 `json:"mailbox_msgs"`
-	SpinYields  uint64 `json:"spin_yields"`
 }

@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/des"
@@ -26,8 +27,8 @@ func splitmix(x uint64) uint64 {
 // shared-state writes that need exclusion, and a serial global timeline
 // that mutates shared state and schedules new owner events (like
 // dynamic joins). Every tick folds the shared value into the owner's
-// accumulator, so a broken write fence shows up both as a data race and
-// as a result divergence.
+// accumulator, so a write that escapes serialization shows up both as a
+// data race and as a result divergence.
 type toyWorld struct {
 	n      int
 	look   des.Time
@@ -145,15 +146,13 @@ func runToySequential(t *testing.T, n int, look des.Time) (*toyWorld, uint64) {
 	return w, sim.Fired()
 }
 
-func runToyCore(t *testing.T, n int, look des.Time, mode Mode, lanes int, qk des.QueueKind, tl *obs.Timeline) (*toyWorld, uint64, *Stats) {
+func runToyCore(t *testing.T, n int, look des.Time, lanes int, tl *obs.Timeline) (*toyWorld, uint64, *Stats) {
 	t.Helper()
 	w := newToyWorld(n, look)
 	gsim := des.NewWith(des.QueueHeap)
 	var c *Core
 	c, err := NewCore(CoreConfig{
-		Mode:      mode,
 		Lanes:     lanes,
-		Queue:     qk,
 		Horizon:   toyHorizon,
 		Lookahead: look,
 		GlobalNext: func() (des.Time, bool) {
@@ -177,44 +176,31 @@ func runToyCore(t *testing.T, n int, look des.Time, mode Mode, lanes int, qk des
 	return w, c.Fired() + gsim.Fired(), c.Stats()
 }
 
-// TestCoreEquivalence checks that both parallel drivers reproduce the
+// TestCoreEquivalence checks that the parallel driver reproduces the
 // sequential toy world bit-identically — same per-owner rng streams,
 // float accumulators, shared-state interleavings and event totals — at
-// several lane counts and with both queue kinds.
+// several lane counts, against the heap-backed sequential oracle.
 func TestCoreEquivalence(t *testing.T) {
 	const n = 32
 	const look = des.Time(0.05)
 	ref, refFired := runToySequential(t, n, look)
 	want := ref.fingerprint()
-	for _, mode := range []Mode{ModeConservative, ModeTimeWarp} {
-		for _, lanes := range []int{1, 2, 3, 4} {
-			qk := des.QueueHeap
-			if lanes%2 == 0 {
-				qk = des.QueueCalendar
-			}
-			w, fired, st := runToyCore(t, n, look, mode, lanes, qk, nil)
-			if got := w.fingerprint(); got != want {
-				t.Errorf("%s lanes=%d: fingerprint %x, want %x", mode, lanes, got, want)
-			}
-			if fired != refFired {
-				t.Errorf("%s lanes=%d: fired %d, want %d", mode, lanes, fired, refFired)
-			}
-			if st.GlobalEvents.Load() == 0 {
-				t.Errorf("%s lanes=%d: no global events interleaved", mode, lanes)
-			}
-			switch mode {
-			case ModeConservative:
-				if lanes > 1 && st.Windows.Load() == 0 {
-					t.Errorf("conservative lanes=%d: no windows ran", lanes)
-				}
-				if st.SerialSteps.Load() == 0 {
-					t.Errorf("conservative lanes=%d: no serialized write steps", lanes)
-				}
-			case ModeTimeWarp:
-				if lanes > 1 && st.WriteFences.Load() == 0 {
-					t.Errorf("timewarp lanes=%d: no write fences", lanes)
-				}
-			}
+	for _, lanes := range []int{1, 2, 3, 4} {
+		w, fired, st := runToyCore(t, n, look, lanes, nil)
+		if got := w.fingerprint(); got != want {
+			t.Errorf("lanes=%d: fingerprint %x, want %x", lanes, got, want)
+		}
+		if fired != refFired {
+			t.Errorf("lanes=%d: fired %d, want %d", lanes, fired, refFired)
+		}
+		if st.GlobalEvents.Load() == 0 {
+			t.Errorf("lanes=%d: no global events interleaved", lanes)
+		}
+		if lanes > 1 && st.Windows.Load() == 0 {
+			t.Errorf("lanes=%d: no windows ran", lanes)
+		}
+		if st.SerialSteps.Load() == 0 {
+			t.Errorf("lanes=%d: no serialized write steps", lanes)
 		}
 	}
 }
@@ -223,7 +209,7 @@ func TestCoreEquivalence(t *testing.T) {
 // lane-level timeline content.
 func TestCoreTimeline(t *testing.T) {
 	tl := obs.NewTimeline()
-	_, _, st := runToyCore(t, 16, 0.05, ModeConservative, 2, des.QueueHeap, tl)
+	_, _, st := runToyCore(t, 16, 0.05, 2, tl)
 	if st.Windows.Load() == 0 {
 		t.Fatal("no windows recorded")
 	}
@@ -239,82 +225,79 @@ func TestCoreTimeline(t *testing.T) {
 // which -race checks by running it with lanes in parallel.
 func TestCoreInline(t *testing.T) {
 	const owners, lanes, horizon = 9, 3, 10.0
-	for _, mode := range []Mode{ModeConservative, ModeTimeWarp} {
-		gsim := des.New()
-		pr := &CoreProbe{}
-		c, err := NewCore(CoreConfig{
-			Mode: mode, Lanes: lanes, Horizon: horizon, Lookahead: 0.5, Probe: pr,
-			GlobalNext: gsim.NextTime, GlobalStep: func() { gsim.Step() },
-		})
-		if err != nil {
-			t.Fatal(err)
+	gsim := des.New()
+	pr := &CoreProbe{}
+	c, err := NewCore(CoreConfig{
+		Lanes: lanes, Horizon: horizon, Lookahead: 0.5, Probe: pr,
+		GlobalNext: gsim.NextTime, GlobalStep: func() { gsim.Step() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Inline(0, 1) {
+		t.Fatal("a step was allowed before Run")
+	}
+	allowed := make([]uint64, owners) // each written by its owner's lane only
+	events := make([]uint64, owners)
+	pastHorizon := make([]bool, owners)
+	var tick des.ArgHandler
+	tick = func(_ *des.Simulator, now des.Time, arg any) {
+		o := arg.(int)
+		events[o]++
+		if c.Inline(o, now+0.25) {
+			allowed[o]++
 		}
-		if c.Inline(0, 1) {
-			t.Fatalf("%s: a step was allowed before Run", mode)
+		if c.Inline(o, horizon) || c.Inline(o, horizon+1) {
+			pastHorizon[o] = true
 		}
-		allowed := make([]uint64, owners) // each written by its owner's lane only
-		events := make([]uint64, owners)
-		pastHorizon := make([]bool, owners)
-		var tick des.ArgHandler
-		tick = func(_ *des.Simulator, now des.Time, arg any) {
-			o := arg.(int)
-			events[o]++
-			if c.Inline(o, now+0.25) {
-				allowed[o]++
+		c.Schedule(o, o, now+1, tick, o, false)
+	}
+	for o := 0; o < owners; o++ {
+		c.Schedule(o, o, des.Time(0.1*float64(o)), tick, o, false)
+	}
+	globalAllowed := false
+	gsim.ScheduleArg(4.05, "global", func(*des.Simulator, des.Time, any) { globalAllowed = c.Inline(0, 4.5) }, nil)
+	c.Run()
+	if globalAllowed {
+		t.Fatal("a step was allowed in the global phase")
+	}
+	if c.Inline(0, 1) {
+		t.Fatal("a step was allowed after Run")
+	}
+	var total uint64
+	perLane := make([]uint64, lanes)
+	for o := 0; o < owners; o++ {
+		if pastHorizon[o] {
+			t.Fatalf("owner %d was allowed a step at or past the horizon", o)
+		}
+		var wantEvents, wantAllowed uint64
+		for at := 0.1 * float64(o); at <= horizon; at++ {
+			wantEvents++
+			if at+0.25 < horizon {
+				wantAllowed++
 			}
-			if c.Inline(o, horizon) || c.Inline(o, horizon+1) {
-				pastHorizon[o] = true
-			}
-			c.Schedule(o, o, now+1, tick, o, false)
 		}
-		for o := 0; o < owners; o++ {
-			c.Schedule(o, o, des.Time(0.1*float64(o)), tick, o, false)
+		if events[o] != wantEvents || allowed[o] != wantAllowed {
+			t.Fatalf("owner %d: %d steps allowed over %d events, want %d over %d",
+				o, allowed[o], events[o], wantAllowed, wantEvents)
 		}
-		globalAllowed := false
-		gsim.ScheduleArg(4.05, "global", func(*des.Simulator, des.Time, any) { globalAllowed = c.Inline(0, 4.5) }, nil)
-		c.Run()
-		if globalAllowed {
-			t.Fatalf("%s: a step was allowed in the global phase", mode)
-		}
-		if c.Inline(0, 1) {
-			t.Fatalf("%s: a step was allowed after Run", mode)
-		}
-		var total uint64
-		perLane := make([]uint64, lanes)
-		for o := 0; o < owners; o++ {
-			if pastHorizon[o] {
-				t.Fatalf("%s: owner %d was allowed a step at or past the horizon", mode, o)
-			}
-			var wantEvents, wantAllowed uint64
-			for at := 0.1 * float64(o); at <= horizon; at++ {
-				wantEvents++
-				if at+0.25 < horizon {
-					wantAllowed++
-				}
-			}
-			if events[o] != wantEvents || allowed[o] != wantAllowed {
-				t.Fatalf("%s: owner %d: %d steps allowed over %d events, want %d over %d",
-					mode, o, allowed[o], events[o], wantAllowed, wantEvents)
-			}
-			total += events[o] + allowed[o]
-			perLane[o%lanes] += allowed[o]
-		}
-		if c.Fired() != total {
-			t.Fatalf("%s: Fired = %d, want %d events and steps", mode, c.Fired(), total)
-		}
-		for l := range perLane {
-			if q := pr.Queues[l]; q.Inline != perLane[l] || q.Pops+q.Inline != pr.Lanes[l].Events+perLane[l] {
-				t.Fatalf("%s: lane %d probe %+v: want %d steps in line", mode, l, q, perLane[l])
-			}
+		total += events[o] + allowed[o]
+		perLane[o%lanes] += allowed[o]
+	}
+	if c.Fired() != total {
+		t.Fatalf("Fired = %d, want %d events and steps", c.Fired(), total)
+	}
+	for l := range perLane {
+		if q := pr.Queues[l]; q.Inline != perLane[l] || q.Pops+q.Inline != pr.Lanes[l].Events+perLane[l] {
+			t.Fatalf("lane %d probe %+v: want %d steps in line", l, q, perLane[l])
 		}
 	}
 }
 
 // TestCoreConfigErrors exercises the constructor's validation.
 func TestCoreConfigErrors(t *testing.T) {
-	base := CoreConfig{Mode: ModeConservative, Lanes: 2, Horizon: 1, Lookahead: 0.1}
+	base := CoreConfig{Lanes: 2, Horizon: 1, Lookahead: 0.1}
 	bad := []func(*CoreConfig){
-		func(c *CoreConfig) { c.Mode = ModeSequential },
 		func(c *CoreConfig) { c.Lanes = 0 },
 		func(c *CoreConfig) { c.Lookahead = 0 },
 		func(c *CoreConfig) { c.GlobalNext = func() (des.Time, bool) { return 0, false } },
@@ -328,7 +311,8 @@ func TestCoreConfigErrors(t *testing.T) {
 	}
 }
 
-// TestParseMode covers the flag spellings.
+// TestParseMode covers the flag spellings: the bounded-lag driver's
+// `timewarp` and `optimistic` are gone, and the error names what is left.
 func TestParseMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -339,13 +323,16 @@ func TestParseMode(t *testing.T) {
 		{"sequential", ModeSequential, false},
 		{"seq", ModeSequential, false},
 		{"conservative", ModeConservative, false},
-		{"timewarp", ModeTimeWarp, false},
-		{"optimistic", ModeTimeWarp, false},
+		{"timewarp", ModeSequential, true},
+		{"optimistic", ModeSequential, true},
 		{"bogus", ModeSequential, true},
 	} {
 		got, err := ParseMode(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
 			t.Errorf("ParseMode(%q) = %v, %v", tc.in, got, err)
+		}
+		if err != nil && !(strings.Contains(err.Error(), "sequential") && strings.Contains(err.Error(), "conservative")) {
+			t.Errorf("ParseMode(%q): error %q does not name the engines", tc.in, err)
 		}
 		if !tc.err && got.String() == "" {
 			t.Errorf("Mode(%d).String() empty", got)

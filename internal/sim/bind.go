@@ -13,8 +13,7 @@ import (
 // classify events: the three mobility transitions mutate cross-lane-
 // visible shared state (a hand-off moves the host between stations other
 // lanes' sends route through), so they are flagged as writes and execute
-// under the core's fence/serialization discipline; every other world
-// event is lane-local. Route — the message hop — is never a write: it
+// as the core's serialized steps; every other world event is lane-local. Route — the message hop — is never a write: it
 // lands on the receiver's own timeline.
 type coreSched struct {
 	core *pdes.Core
@@ -85,9 +84,7 @@ func (e *engine) bindEngine() error {
 			e.coreProbe = &pdes.CoreProbe{}
 		}
 		core, err := pdes.NewCore(pdes.CoreConfig{
-			Mode:    cfg.Engine,
 			Lanes:   lanes,
-			Queue:   cfg.Queue,
 			Horizon: cfg.Horizon,
 			// The minimum cross-lane message delay: every cross-lane hop is
 			// a wireless uplink to the receiver's station (Route at

@@ -126,7 +126,7 @@ type Config struct {
 	Timeline *obs.Timeline
 
 	// LaneTimeline, when non-nil, additionally records the parallel
-	// engine's execution shape — per-lane windows, write fences and
+	// engine's execution shape — windows, serialized write steps and
 	// world-stopped global events — on lane-indexed tracks. Unlike
 	// Timeline this view is engine-*dependent* by nature (a different
 	// lane count is a different execution), so it exports separately.
@@ -135,8 +135,8 @@ type Config struct {
 
 	// Probes, when true, attaches the engine-internals probes: event/
 	// message pool hit rates, pending-event-set structure (calendar
-	// buckets examined, in-order insertions, year starts), and — on parallel
-	// engines — per-lane window/mailbox/spin counters. The counters are
+	// buckets examined, in-order insertions, year starts), and — on the
+	// parallel engine — per-lane window and mailbox counters. The counters are
 	// plain single-writer cells read after the run: Result.Probes carries
 	// the report, and with Metrics set they also surface as sim_probe_*
 	// instruments (scrape only at quiescence). Probes never perturb the
@@ -164,31 +164,31 @@ type Config struct {
 	// large performance sweeps.
 	Checks bool
 
-	// Queue selects the engine's event-queue implementation (DESIGN.md
-	// §7): the zero value is the reference binary heap; des.QueueCalendar
-	// selects the O(1)-amortized calendar queue for large-n sweeps. Both
-	// realize the same (time, seq) total order, so the choice never
-	// changes a result — TestQueueAblationIdentical holds the engine to
-	// that.
+	// Queue selects the engine's event-queue implementation. Every run
+	// uses the zero value, the calendar queue (DESIGN.md §7); des.QueueHeap
+	// selects the reference heap, which realizes the same (time, seq)
+	// total order — TestQueueAblationIdentical holds the engine to that.
+	// The field stays only because bench/ sets it and reads it back; it
+	// goes when the benchmark stops doing so (ROADMAP item 1).
 	Queue des.QueueKind
 
 	// Engine selects the execution engine (DESIGN.md §8): the zero value
 	// runs the ordinary sequential des.Simulator loop;
-	// pdes.ModeConservative and pdes.ModeTimeWarp shard the hosts over
-	// Lanes logical processes driven by internal/pdes. Both parallel
-	// engines realize the same (time, key) total order as the sequential
-	// engine, so results are bit-identical at every lane count —
-	// TestEngineEquivalence holds the engine to that. Parallel execution
-	// trades away the observational extras: it rejects Checks,
-	// RecordTrace, MessageLog, Progress, CheckpointLatency and the
-	// contention/loss channel models (all either perturb the trace from a
-	// global vantage point or record through single-threaded paths), and
-	// it requires positive wireless and wired latencies — the cross-lane
-	// lookahead is derived from them, and a zero-latency network has no
-	// safe parallel window.
+	// pdes.ModeConservative shards the hosts over Lanes logical processes
+	// driven by internal/pdes. The parallel engine realizes the same
+	// (time, key) total order as the sequential engine, so results are
+	// bit-identical at every lane count — TestEngineEquivalence holds the
+	// engine to that. Parallel execution trades away the observational
+	// extras: it rejects Checks, RecordTrace, MessageLog, Progress,
+	// CheckpointLatency and the contention/loss channel models (all
+	// either perturb the trace from a global vantage point or record
+	// through single-threaded paths), and it requires positive wireless
+	// and wired latencies — the cross-lane lookahead is derived from
+	// them, and a zero-latency network has no safe parallel window.
 	Engine pdes.Mode
-	// Lanes is the logical-process count for parallel engines; 0 selects
-	// GOMAXPROCS. Ignored when Engine is sequential.
+	// Lanes is the logical-process count for the parallel engine; 0
+	// selects GOMAXPROCS. The sequential engine has no lanes, so with it
+	// Lanes must be 0.
 	Lanes int
 
 	// Schedule, when non-nil, switches Run into differential-replay mode
@@ -277,9 +277,12 @@ func (c Config) Validate() error {
 	if c.LaneTimeline != nil && c.Engine == pdes.ModeSequential {
 		return fmt.Errorf("sim: LaneTimeline requires a parallel Engine (there are no lanes to record)")
 	}
+	if c.Lanes != 0 && c.Engine == pdes.ModeSequential {
+		return fmt.Errorf("sim: Lanes = %d requires a parallel Engine (the sequential engine has no lanes)", c.Lanes)
+	}
 	switch c.Engine {
 	case pdes.ModeSequential:
-	case pdes.ModeConservative, pdes.ModeTimeWarp:
+	case pdes.ModeConservative:
 		if err := c.validateParallel(); err != nil {
 			return err
 		}
@@ -315,7 +318,7 @@ func (c Config) validateFinite() error {
 	return nil
 }
 
-// validateParallel rejects configurations the parallel engines cannot
+// validateParallel rejects configurations the parallel engine cannot
 // honor. The lookahead rule is load-bearing, not cosmetic: the lanes'
 // entire progress window is the minimum cross-lane message delay, which
 // this world derives from the network latencies at validation time — a
@@ -383,8 +386,8 @@ func (c Config) validateReplay() error {
 		return fmt.Errorf("sim: replay runs exactly the schedule's protocol (%s); leave Protocols empty", c.Schedule.Protocol)
 	}
 	switch {
-	case c.Engine != pdes.ModeSequential:
-		return fmt.Errorf("sim: replay requires the sequential engine (the schedule is a total order)")
+	case c.Engine != pdes.ModeSequential || c.Lanes != 0:
+		return fmt.Errorf("sim: replay requires the sequential engine and Lanes = 0 (the schedule is a total order)")
 	case c.CheckpointLatency != 0:
 		return fmt.Errorf("sim: replay is incompatible with CheckpointLatency (ticks are dictated by the schedule)")
 	case c.SnapshotPeriod != 0:

@@ -12,11 +12,6 @@ import (
 	"mobickpt/internal/pdes"
 )
 
-// equivModes are the two parallel engines under test.
-func equivModes() []pdes.Mode {
-	return []pdes.Mode{pdes.ModeConservative, pdes.ModeTimeWarp}
-}
-
 // equivLanes is the lane-count sweep: 1 (parallel machinery, sequential
 // schedule), 2, 4, and the machine's CPU count when it differs.
 func equivLanes() []int {
@@ -44,9 +39,9 @@ func exportOf(t *testing.T, cfg Config) []byte {
 // TestEngineEquivalence is the tentpole acceptance check: the paper's
 // full §5.1 configuration — TP, BCS and QBC over the default network and
 // workload, with dynamic joins mid-run — must export byte-identically
-// under the sequential engine, the conservative engine and the Time Warp
-// engine at every tested lane count. Parallel execution may only change
-// wall-clock time, never a result.
+// under the sequential engine and the conservative engine at every tested
+// lane count. Parallel execution may only change wall-clock time, never a
+// result.
 func TestEngineEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	if testing.Short() {
@@ -54,14 +49,12 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 	cfg.JoinTimes = []des.Time{cfg.Horizon / 4, cfg.Horizon / 2}
 	want := exportOf(t, cfg)
-	for _, mode := range equivModes() {
-		for _, lanes := range equivLanes() {
-			c := cfg
-			c.Engine, c.Lanes = mode, lanes
-			if got := exportOf(t, c); !bytes.Equal(got, want) {
-				t.Errorf("engine=%s lanes=%d: export differs from sequential\n--- want ---\n%s\n--- got ---\n%s",
-					mode, lanes, want, got)
-			}
+	for _, lanes := range equivLanes() {
+		c := cfg
+		c.Engine, c.Lanes = pdes.ModeConservative, lanes
+		if got := exportOf(t, c); !bytes.Equal(got, want) {
+			t.Errorf("lanes=%d: export differs from sequential\n--- want ---\n%s\n--- got ---\n%s",
+				lanes, want, got)
 		}
 	}
 }
@@ -69,8 +62,7 @@ func TestEngineEquivalence(t *testing.T) {
 // TestEngineEquivalenceAllProtocols widens the check to every selectable
 // protocol — including the coordinated baselines, whose markers ride the
 // world-stopped global timeline — plus periodic GC. One non-trivial lane
-// count per mode keeps the run short; TestEngineEquivalence covers the
-// lane sweep.
+// count keeps the run short; TestEngineEquivalence covers the lane sweep.
 func TestEngineEquivalenceAllProtocols(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Horizon = 10000
@@ -78,18 +70,15 @@ func TestEngineEquivalenceAllProtocols(t *testing.T) {
 	cfg.JoinTimes = []des.Time{2500, 6000}
 	cfg.GCInterval = 2000
 	want := exportOf(t, cfg)
-	for _, mode := range equivModes() {
-		c := cfg
-		c.Engine, c.Lanes = mode, 3
-		if got := exportOf(t, c); !bytes.Equal(got, want) {
-			t.Errorf("engine=%s lanes=3: export differs from sequential\n--- want ---\n%s\n--- got ---\n%s",
-				mode, want, got)
-		}
+	c := cfg
+	c.Engine, c.Lanes = pdes.ModeConservative, 3
+	if got := exportOf(t, c); !bytes.Equal(got, want) {
+		t.Errorf("lanes=3: export differs from sequential\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 
 // TestFigureTablesEngineEquivalence renders figure tables — the paper's
-// published artifact — through the public sweep path under each engine
+// published artifact — through the public sweep path under both engines
 // and requires byte-identical text and CSV.
 func TestFigureTablesEngineEquivalence(t *testing.T) {
 	specs := []FigureSpec{
@@ -110,17 +99,14 @@ func TestFigureTablesEngineEquivalence(t *testing.T) {
 		return b.String()
 	}
 	want := render(sweepConfig())
-	for _, mode := range equivModes() {
-		base := sweepConfig()
-		base.Engine, base.Lanes = mode, 2
-		if got := render(base); got != want {
-			t.Errorf("engine=%s: figure tables differ from sequential\n--- want ---\n%s\n--- got ---\n%s",
-				mode, want, got)
-		}
+	base := sweepConfig()
+	base.Engine, base.Lanes = pdes.ModeConservative, 2
+	if got := render(base); got != want {
+		t.Errorf("figure tables differ from sequential\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 
-// TestParallelRunStats checks the parallel engines report their run
+// TestParallelRunStats checks the parallel engine reports its run
 // accounting: the event totals reconcile with the sequential count and
 // the instruments land in the registry.
 func TestParallelRunStats(t *testing.T) {
@@ -132,51 +118,49 @@ func TestParallelRunStats(t *testing.T) {
 	if seqRes.PDES != nil {
 		t.Errorf("sequential run reported PDES stats: %+v", *seqRes.PDES)
 	}
-	for _, mode := range equivModes() {
-		c := cfg
-		c.Engine, c.Lanes = mode, 2
-		reg := obs.NewRegistry()
-		c.Metrics = reg
-		res, err := Run(c)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		st := res.PDES
-		if st == nil {
-			t.Fatalf("%s: no PDES stats on parallel result", mode)
-		}
-		if st.Lanes != 2 || st.Mode != mode.String() {
-			t.Errorf("%s: stats identity = %d lanes mode %s", mode, st.Lanes, st.Mode)
-		}
-		if st.Processed == 0 {
-			t.Errorf("%s: no lane events processed", mode)
-		}
-		if res.EventsFired != seqRes.EventsFired {
-			t.Errorf("%s: events fired %d, sequential %d", mode, res.EventsFired, seqRes.EventsFired)
-		}
-		snap := reg.Snapshot()
-		found := false
-		for _, m := range snap.Counters {
-			if m.Name == "pdes_events_processed_total" {
-				found = true
-				if m.Value != int64(st.Processed) {
-					t.Errorf("%s: pdes_events_processed_total = %d, stats say %d", mode, m.Value, st.Processed)
-				}
+	c := cfg
+	c.Engine, c.Lanes = pdes.ModeConservative, 2
+	reg := obs.NewRegistry()
+	c.Metrics = reg
+	res, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.PDES
+	if st == nil {
+		t.Fatal("no PDES stats on parallel result")
+	}
+	if st.Lanes != 2 {
+		t.Errorf("stats report %d lanes, want 2", st.Lanes)
+	}
+	if st.Processed == 0 {
+		t.Error("no lane events processed")
+	}
+	if res.EventsFired != seqRes.EventsFired {
+		t.Errorf("events fired %d, sequential %d", res.EventsFired, seqRes.EventsFired)
+	}
+	found := false
+	for _, m := range reg.Snapshot().Counters {
+		if m.Name == "pdes_events_processed_total" {
+			found = true
+			if m.Value != int64(st.Processed) {
+				t.Errorf("pdes_events_processed_total = %d, stats say %d", m.Value, st.Processed)
 			}
 		}
-		if !found {
-			t.Errorf("%s: pdes_events_processed_total not in registry", mode)
-		}
+	}
+	if !found {
+		t.Error("pdes_events_processed_total not in registry")
 	}
 }
 
 // TestParallelValidation pins the configuration gates: everything the
-// parallel engines cannot honor must be rejected at Validate time with a
-// descriptive error, and the lookahead rule must reject zero latencies.
+// parallel engine cannot honor must be rejected at Validate time with a
+// descriptive error, the lookahead rule must reject zero latencies, and a
+// lane count the sequential engine would ignore is refused.
 func TestParallelValidation(t *testing.T) {
 	base := func() Config {
 		c := DefaultConfig()
-		c.Engine = pdes.ModeTimeWarp
+		c.Engine = pdes.ModeConservative
 		c.Lanes = 2
 		return c
 	}
@@ -207,10 +191,13 @@ func TestParallelValidation(t *testing.T) {
 		}, "CheckpointLatency"},
 		// The same restrictions do not apply sequentially.
 		{"sequential-zero-latency-ok", func(c *Config) {
-			c.Engine = pdes.ModeSequential
+			c.Engine, c.Lanes = pdes.ModeSequential, 0
 			c.Mobile.WirelessLatency = 0
 			c.Mobile.WiredLatency = 0
 		}, ""},
+		// But the sequential engine has no lanes to set.
+		{"sequential-lanes", func(c *Config) { c.Engine, c.Lanes = pdes.ModeSequential, 4 }, "Lanes = 4"},
+		{"sequential-negative-lanes", func(c *Config) { c.Engine, c.Lanes = pdes.ModeSequential, -3 }, "Lanes = -3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

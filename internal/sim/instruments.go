@@ -62,7 +62,6 @@ func (e *engine) instrumentProbes() {
 		{"sim_probe_lane_events_total", "Events executed across PDES lanes."},
 		{"sim_probe_lane_windows_total", "Synchronization windows executed across lanes."},
 		{"sim_probe_lane_mailbox_msgs_total", "Cross-lane mailbox messages received."},
-		{"sim_probe_lane_spin_yields_total", "Scheduler yields burned waiting on the lag frontier."},
 	} {
 		reg.Help(h[0], h[1])
 	}
@@ -110,7 +109,5 @@ func (e *engine) instrumentProbes() {
 			lanes(func(l *probe.LaneProbe) uint64 { return l.Windows }))
 		reg.CounterFunc("sim_probe_lane_mailbox_msgs_total",
 			lanes(func(l *probe.LaneProbe) uint64 { return l.MailboxMsgs }))
-		reg.CounterFunc("sim_probe_lane_spin_yields_total",
-			lanes(func(l *probe.LaneProbe) uint64 { return l.SpinYields }))
 	}
 }

@@ -87,7 +87,7 @@ type Result struct {
 	// events, which matches the sequential count exactly.
 	EventsFired uint64
 	// PDES reports the parallel engine's run statistics (lane count,
-	// windows, fences, serialized steps); nil for sequential runs. It is
+	// windows, serialized steps); nil for sequential runs. It is
 	// deliberately excluded from ExportJSON so exports stay byte-identical
 	// across engines.
 	PDES *pdes.StatsSnapshot

@@ -71,7 +71,9 @@ func ScalePoints(maxHosts int) []ScalePoint {
 // Config assembles the run configuration for one point. Stations scale
 // with the hosts (two hosts per cell, as in E14); T_switch is lowered to
 // 100 so the scaled-down horizons still see hand-offs, which is what
-// makes N_tot rates comparable across points.
+// makes N_tot rates comparable across points. The queue parameter sets
+// Config.Queue and stays only because bench/ passes one; it goes with
+// that field (ROADMAP item 1).
 func (p ScalePoint) Config(seed uint64, queue des.QueueKind) Config {
 	cfg := DefaultConfig()
 	cfg.Mobile.NumHosts = p.Hosts
@@ -86,8 +88,9 @@ func (p ScalePoint) Config(seed uint64, queue des.QueueKind) Config {
 }
 
 // ScaleMeasurement is one row of results/BENCH_scale.json. The
-// simulation-derived fields are deterministic under (hosts, seed, queue);
+// simulation-derived fields are deterministic under (hosts, seed);
 // WallSeconds, EventsPerSec and PeakRSSBytes are measured by the caller.
+// Queue names the event queue the run used, always the calendar.
 type ScaleMeasurement struct {
 	Hosts   int     `json:"hosts"`
 	Queue   string  `json:"queue"`
@@ -112,8 +115,8 @@ type ScaleMeasurement struct {
 
 // MeasureScale runs one E21 point on the given engine (lanes as in
 // Config.Lanes) and fills the deterministic fields.
-func MeasureScale(p ScalePoint, seed uint64, queue des.QueueKind, engine pdes.Mode, lanes int) (*ScaleMeasurement, error) {
-	cfg := p.Config(seed, queue)
+func MeasureScale(p ScalePoint, seed uint64, engine pdes.Mode, lanes int) (*ScaleMeasurement, error) {
+	cfg := p.Config(seed, des.QueueCalendar)
 	cfg.Engine, cfg.Lanes = engine, lanes
 	res, err := Run(cfg)
 	if err != nil {
@@ -121,7 +124,7 @@ func MeasureScale(p ScalePoint, seed uint64, queue des.QueueKind, engine pdes.Mo
 	}
 	m := &ScaleMeasurement{
 		Hosts:           p.Hosts,
-		Queue:           queue.String(),
+		Queue:           cfg.Queue.String(),
 		Horizon:         float64(p.Horizon),
 		Events:          res.EventsFired,
 		PDES:            res.PDES,

@@ -14,11 +14,12 @@ import (
 	"mobickpt/internal/race"
 )
 
-// TestQueueAblationIdentical is the refactor's gate at the engine level:
+// TestQueueAblationIdentical is the calendar's gate at the engine level:
 // a full paper-environment run — every protocol, hand-offs, disconnects,
 // dynamic joins, the runtime invariant checker on — must produce
-// identical results on the heap and on the calendar queue. Both realize
-// the same (time, seq) total order, so any divergence is a queue bug.
+// identical results on the calendar queue every run uses and on the
+// reference heap. Both realize the same (time, seq) total order, so any
+// divergence is a queue bug.
 func TestQueueAblationIdentical(t *testing.T) {
 	run := func(kind des.QueueKind) *Result {
 		c := testConfig()
@@ -47,12 +48,12 @@ func TestQueueAblationIdentical(t *testing.T) {
 }
 
 // TestScaleSmoke runs a genuinely large world — 50,000 hosts (5,000
-// under -short) with a mid-run join — end to end on the calendar queue:
-// the flat-array arena, sharded host storage, and O(1) scheduling have
-// to survive contact with a host count three orders beyond the paper's.
-// The same world then runs again on the two-lane Time Warp engine, which
-// must land on the identical result — the scale smoke doubles as the
-// parallel engine's big-world gate (exercised with -short in CI).
+// under -short) with a mid-run join — end to end: the flat-array arena,
+// sharded host storage, and the calendar's O(1) scheduling have to
+// survive contact with a host count three orders beyond the paper's.
+// The same world then runs again on two conservative lanes, which must
+// land on the identical result — the scale smoke doubles as the parallel
+// engine's big-world gate (exercised with -short in CI).
 func TestScaleSmoke(t *testing.T) {
 	n := 50000
 	if testing.Short() {
@@ -65,7 +66,6 @@ func TestScaleSmoke(t *testing.T) {
 	cfg.Horizon = 20
 	cfg.Protocols = []ProtocolName{QBC}
 	cfg.JoinTimes = []des.Time{10}
-	cfg.Queue = des.QueueCalendar
 
 	var seq *Result
 	for _, tc := range []struct {
@@ -73,7 +73,7 @@ func TestScaleSmoke(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"sequential", func(*Config) {}},
-		{"timewarp-2-lanes", func(c *Config) { c.Engine, c.Lanes = pdes.ModeTimeWarp, 2 }},
+		{"conservative-2-lanes", func(c *Config) { c.Engine, c.Lanes = pdes.ModeConservative, 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cfg
@@ -144,44 +144,43 @@ func TestScalePoints(t *testing.T) {
 	}
 }
 
-// TestMeasureScale runs the smallest point on both queues and checks the
-// deterministic fields agree (the bit-identity gate applied to E21
-// itself) and that the JSON round-trips.
+// TestMeasureScale runs the smallest point and checks that its
+// deterministic fields agree with the same run on the reference heap (the
+// bit-identity gate applied to E21 itself), that it names the calendar
+// as its queue, and that the JSON round-trips.
 func TestMeasureScale(t *testing.T) {
 	pt := ScalePoints(10)[0]
 	pt.Horizon = 2000 // keep the test quick; the budget-derived horizon is for benches
-	mh, err := MeasureScale(pt, 1, des.QueueHeap, pdes.ModeSequential, 0)
+	m, err := MeasureScale(pt, 1, pdes.ModeSequential, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MeasureScale(pt, 1, des.QueueCalendar, pdes.ModeSequential, 0)
-	if err != nil {
-		t.Fatal(err)
+	heap := mustRun(t, pt.Config(1, des.QueueHeap))
+	if m.Events != heap.EventsFired {
+		t.Fatalf("events: calendar=%d heap=%d", m.Events, heap.EventsFired)
 	}
-	if mh.Events != mc.Events {
-		t.Fatalf("events: heap=%d calendar=%d", mh.Events, mc.Events)
-	}
-	for name, v := range mh.NtotRate {
-		if mc.NtotRate[name] != v {
-			t.Fatalf("%s ntot rate: heap=%v calendar=%v", name, v, mc.NtotRate[name])
+	for i := range heap.Protocols {
+		pr := &heap.Protocols[i]
+		if v := float64(pr.Ntot) / float64(pt.Hosts) / float64(pt.Horizon) * 1000; m.NtotRate[string(pr.Name)] != v {
+			t.Fatalf("%s ntot rate: calendar=%v heap=%v", pr.Name, m.NtotRate[string(pr.Name)], v)
 		}
 	}
-	if mh.NtotRate["TP"] <= 0 {
-		t.Fatalf("TP ntot rate = %v, want > 0", mh.NtotRate["TP"])
+	if m.NtotRate["TP"] <= 0 {
+		t.Fatalf("TP ntot rate = %v, want > 0", m.NtotRate["TP"])
 	}
-	if mh.PiggybackPerMsg["TP"] <= mh.PiggybackPerMsg["QBC"] {
+	if m.PiggybackPerMsg["TP"] <= m.PiggybackPerMsg["QBC"] {
 		t.Fatalf("TP piggyback (%v B/msg) should already exceed QBC's (%v) at n=10",
-			mh.PiggybackPerMsg["TP"], mh.PiggybackPerMsg["QBC"])
+			m.PiggybackPerMsg["TP"], m.PiggybackPerMsg["QBC"])
 	}
 	var buf bytes.Buffer
-	if err := WriteScaleJSON(&buf, []*ScaleMeasurement{mh, mc}); err != nil {
+	if err := WriteScaleJSON(&buf, []*ScaleMeasurement{m}); err != nil {
 		t.Fatal(err)
 	}
 	var back []ScaleMeasurement
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back[0].Hosts != 10 || back[0].Queue != "heap" || back[1].Queue != "calendar" {
+	if len(back) != 1 || back[0].Hosts != 10 || back[0].Queue != "calendar" || back[0].Events != m.Events {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 }
@@ -194,18 +193,18 @@ func TestMeasureScale(t *testing.T) {
 func TestMeasureScaleSelectsEngine(t *testing.T) {
 	pt := ScalePoints(10)[0]
 	pt.Horizon = 2000
-	seq, err := MeasureScale(pt, 1, des.QueueCalendar, pdes.ModeSequential, 0)
+	seq, err := MeasureScale(pt, 1, pdes.ModeSequential, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeasureScale(pt, 1, des.QueueCalendar, pdes.ModeConservative, 2)
+	par, err := MeasureScale(pt, 1, pdes.ModeConservative, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.PDES != nil {
 		t.Fatalf("sequential measurement reports a parallel engine: %+v", *seq.PDES)
 	}
-	if par.PDES == nil || par.PDES.Lanes != 2 || par.PDES.Mode != "conservative" || par.PDES.Windows == 0 {
+	if par.PDES == nil || par.PDES.Lanes != 2 || par.PDES.Windows == 0 {
 		t.Fatalf("conservative/2 measurement came from %+v, want a two-lane conservative run with windows", par.PDES)
 	}
 	if par.Events != seq.Events || !reflect.DeepEqual(par.NtotRate, seq.NtotRate) ||

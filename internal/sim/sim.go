@@ -70,7 +70,7 @@ type engine struct {
 	// inGlobalPhase is true whenever the engine is single-threaded: before
 	// core.Run, inside world-stopped global-timeline events, and during
 	// the post-run drain. Toggled only while no lane handler executes (the
-	// coordinator's frontier handshake orders the accesses), it routes
+	// coordinator's window barrier orders the accesses), it routes
 	// now() to the global clock instead of a parked lane's local time.
 	//
 	//lane:stopped the coordinator flips it between handler windows

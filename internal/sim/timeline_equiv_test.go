@@ -40,25 +40,23 @@ func timelineExport(t *testing.T, cfg Config) []byte {
 
 // TestTimelineEngineEquivalence is the observatory's acceptance check:
 // the per-host timeline — including the causal flow events — must export
-// byte-identically under the sequential engine, the conservative engine
-// and the Time Warp engine at lanes 1, 2 and 4, with and without the
-// engine-internals probes attached. The timeline is a statement about
-// the simulated world, and the world is engine-independent.
+// byte-identically under the sequential engine and the conservative
+// engine at lanes 1, 2 and 4, with and without the engine-internals
+// probes attached. The timeline is a statement about the simulated world,
+// and the world is engine-independent.
 func TestTimelineEngineEquivalence(t *testing.T) {
 	cfg := timelineConfig()
 	want := timelineExport(t, cfg)
 	if len(want) == 0 {
 		t.Fatal("empty timeline export")
 	}
-	for _, mode := range []pdes.Mode{pdes.ModeConservative, pdes.ModeTimeWarp} {
-		for _, lanes := range []int{1, 2, 4} {
-			for _, probes := range []bool{false, true} {
-				c := cfg
-				c.Engine, c.Lanes, c.Probes = mode, lanes, probes
-				if got := timelineExport(t, c); !bytes.Equal(got, want) {
-					t.Errorf("engine=%s lanes=%d probes=%v: timeline differs from sequential (%d vs %d bytes)",
-						mode, lanes, probes, len(got), len(want))
-				}
+	for _, lanes := range []int{1, 2, 4} {
+		for _, probes := range []bool{false, true} {
+			c := cfg
+			c.Engine, c.Lanes, c.Probes = pdes.ModeConservative, lanes, probes
+			if got := timelineExport(t, c); !bytes.Equal(got, want) {
+				t.Errorf("lanes=%d probes=%v: timeline differs from sequential (%d vs %d bytes)",
+					lanes, probes, len(got), len(want))
 			}
 		}
 	}
@@ -265,17 +263,13 @@ func TestLaneTimeline(t *testing.T) {
 	}
 }
 
-// TestProbesDoNotPerturb holds Config.Probes to its promise: the export
-// of a probed run — with the engine-dependent probe report stripped — is
-// byte-identical to the unprobed run's, on the sequential and parallel
-// engines alike.
 // TestProbesAccountForEveryEvent: most operations run in line and never
 // touch a queue, and the probes say where they went. A sequential run's
 // queue pops plus its in-line steps are the events fired, plus the one
 // pop Run puts back at the horizon; a parallel run's lane pops and steps
 // are, its global queue holding no events in this world.
 func TestProbesAccountForEveryEvent(t *testing.T) {
-	for _, mode := range []pdes.Mode{pdes.ModeSequential, pdes.ModeConservative, pdes.ModeTimeWarp} {
+	for _, mode := range []pdes.Mode{pdes.ModeSequential, pdes.ModeConservative} {
 		c := testConfig()
 		c.Probes, c.Engine = true, mode
 		want := uint64(1)
@@ -299,10 +293,14 @@ func TestProbesAccountForEveryEvent(t *testing.T) {
 	}
 }
 
+// TestProbesDoNotPerturb holds Config.Probes to its promise: the export
+// of a probed run — with the engine-dependent probe report stripped — is
+// byte-identical to the unprobed run's, on the sequential and parallel
+// engines alike.
 func TestProbesDoNotPerturb(t *testing.T) {
 	cfg := timelineConfig()
 	want := exportOf(t, cfg)
-	for _, mode := range []pdes.Mode{pdes.ModeSequential, pdes.ModeConservative, pdes.ModeTimeWarp} {
+	for _, mode := range []pdes.Mode{pdes.ModeSequential, pdes.ModeConservative} {
 		c := cfg
 		c.Engine, c.Probes = mode, true
 		if mode != pdes.ModeSequential {
