@@ -45,9 +45,9 @@ test-race:
 allocs:
 	$(GO) test -run 'ZeroAlloc|Allocs' ./internal/des ./internal/des/equeue ./internal/protocol ./internal/sim ./internal/workload ./internal/storage ./internal/live ./internal/wire ./internal/statestore ./internal/recovery ./internal/trace
 
-# A short fuzz smoke of the three parsers of outside input — wire frames,
-# recorded schedules and the bundles `mhsim -replay-schedule` reads — of
-# the replay of every schedule the parser accepts, of the recovery
+# A short fuzz smoke of the two parsers of outside input — wire frames and
+# the bundles of recorded schedules `mhsim -replay-schedule` reads, whose
+# schedule section is also fuzzed on its own — of the replay of every schedule the parser accepts, of the recovery
 # propagation against its full-scan reference on traces and cuts the
 # fuzzer picks, and of the workload driver's in-line operations against
 # the same driver with every operation an event, on worlds the fuzzer
@@ -78,7 +78,9 @@ fuzz:
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both
 # worlds drive one protocol side — the live and replayed timelines and
-# metrics, byte for byte), the same gate on engine recordings (an engine
+# metrics, byte for byte; and, E33, every host's live failure restoring
+# the recovery line E8's analysis of the replay derives, with and without
+# a log: TestDifferentialReplayRecovery), the same gate on engine recordings (an engine
 # run's exported history replays to the engine's own checkpoint chains and
 # trace counts), then the CLI round-trip — a run recorded by
 # examples/live must replay clean through mhsim with its instruments on

@@ -45,7 +45,6 @@ func main() {
 		logMode    = flag.String("log", "off", "MSS message logging: off, pessimistic or optimistic")
 		engine     = flag.String("engine", "sequential", "execution engine: sequential or conservative (never changes results)")
 		lanes      = flag.Int("lanes", 0, "logical processes for the conservative engine; 0 = GOMAXPROCS")
-		logBatch   = flag.Int("logbatch", 0, "optimistic flush batch (0 = mlog default)")
 		metrics    = flag.Bool("metrics", false, "print the run's metrics as Prometheus text after the results (single-run mode)")
 		timeline   = flag.String("timeline", "", "write a per-host Chrome trace-event timeline (Perfetto-loadable) to this file (single-run mode)")
 		laneTl     = flag.String("lanetimeline", "", "write the engine's lane-execution timeline (window spans; parallel engines only, engine-dependent) to this file (single-run mode)")
@@ -94,7 +93,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.MessageLog = mode
-	cfg.LogFlushBatch = *logBatch
 	if *metrics {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -103,8 +101,7 @@ func main() {
 	}
 	if *replayFile != "" {
 		runReplay(*replayFile, *perturb, *timeline, sim.Config{
-			Checks: cfg.Checks, MessageLog: cfg.MessageLog, LogFlushBatch: cfg.LogFlushBatch,
-			Metrics: cfg.Metrics, Timeline: cfg.Timeline,
+			Checks: cfg.Checks, MessageLog: cfg.MessageLog, Metrics: cfg.Metrics, Timeline: cfg.Timeline,
 		})
 		return
 	}
@@ -192,7 +189,7 @@ func main() {
 // replayFlags are the flags -replay-schedule composes with: the schedule
 // dictates topology, protocol, event order and clock, so every other
 // flag would be set and then ignored.
-var replayFlags = []string{"replay-schedule", "replay-perturb", "checks", "log", "logbatch",
+var replayFlags = []string{"replay-schedule", "replay-perturb", "checks", "log",
 	"timeline", "metrics", "cpuprofile", "memprofile"}
 
 // checkUsage refuses command lines part of which no run would look at:

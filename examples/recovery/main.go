@@ -14,7 +14,6 @@ import (
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/sim"
 	"mobickpt/internal/stats"
-	"mobickpt/internal/storage"
 )
 
 func main() {
@@ -38,28 +37,14 @@ func main() {
 		pr := &res.Protocols[i]
 		var worst recovery.Metrics
 		for f := 0; f < n; f++ {
-			failed := mobile.HostID(f)
-
-			// Seed the rollback with the protocol's own on-the-fly line...
-			var seedCut recovery.Cut
-			switch pr.Name {
-			case sim.TP:
-				seedCut = recovery.VectorCut(pr.Store, sim.TPMeta(pr), n, failed)
-			case sim.BCS, sim.QBC:
-				seedCut = recovery.LatestIndexCut(pr.Store, n, failed)
-			default:
-				seedCut = recovery.FailureCut(pr.Store, n, failed)
+			// The protocol's own on-the-fly line, then orphan elimination
+			// (zero steps for the index protocols; a cascade for the
+			// uncoordinated baseline).
+			out, err := sim.AnalyzeReplay(pr, n, mobile.HostID(f), cfg.Horizon)
+			if err != nil {
+				log.Fatal(err)
 			}
-			// ...then eliminate any remaining orphans (zero steps for the
-			// index protocols; a cascade for the uncoordinated baseline).
-			cut, steps := recovery.Propagate(pr.Trace, seedCut)
-			if recovery.Orphans(pr.Trace, cut) != 0 {
-				log.Fatalf("%s: inconsistent cut", pr.Name)
-			}
-			m := recovery.Measure(pr.Trace, cut,
-				func(h mobile.HostID) []*storage.Record { return pr.Store.Chain(h) },
-				cfg.Horizon, steps)
-			if m.UndoneTime > worst.UndoneTime {
+			if m := out.Plain; m.UndoneTime > worst.UndoneTime {
 				worst = m
 			}
 		}

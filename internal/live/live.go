@@ -73,9 +73,6 @@ type Config struct {
 	// stations as wire.LogTransfer frames, and Recover replays logged
 	// messages past the restored checkpoints.
 	LogMode mlog.Mode
-	// LogFlushBatch overrides the optimistic flush threshold (0 keeps
-	// the mlog default).
-	LogFlushBatch int
 
 	// Metrics, when non-nil, receives the cluster's observability
 	// instruments (internal/obs): the protocol side's, under the
@@ -149,8 +146,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: Joins = %d, need >= 0", c.Joins)
 	case c.LogMode != mlog.Off && c.LogMode != mlog.Pessimistic && c.LogMode != mlog.Optimistic:
 		return fmt.Errorf("live: LogMode %v unknown", c.LogMode)
-	case c.LogFlushBatch < 0:
-		return fmt.Errorf("live: LogFlushBatch = %d, need >= 0", c.LogFlushBatch)
 	case c.DupWindow < 0:
 		return fmt.Errorf("live: DupWindow = %d, need >= 0", c.DupWindow)
 	}
@@ -324,7 +319,7 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lg, err := mlog.Open(cfg.LogMode, cfg.LogFlushBatch)
+	lg, err := mlog.Open(cfg.LogMode)
 	if err != nil {
 		return nil, err
 	}
@@ -599,9 +594,7 @@ func (c *Cluster) drainFinal() {
 	c.counters.Undrained = undrained
 
 	if s := &c.side.Slots[0]; s.Dec != nil {
-		// The decision log's recovery-line matrix, from the finished store
-		// and trace.
-		s.Dec.FinishRecoveryLines(s.Store, s.Trace)
+		s.FinishRecoveryLines()
 	}
 }
 

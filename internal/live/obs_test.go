@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"mobickpt/internal/mlog"
+	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/recovery"
 )
 
 // The metrics instruments must be safe to snapshot while the cluster
@@ -119,6 +121,41 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	}
 	if v, ok := snap.Get("recovery_rollbacks_total", "run", "live"); !ok || v != 1 {
 		t.Errorf("recovery_rollbacks_total = %d (%v), want 1", v, ok)
+	}
+}
+
+// recovery_rollback_depth observes, per rolled-back host, the checkpoints
+// the cut discards from its chain — not one more for the re-baseline the
+// recovery itself takes — with and without a log.
+func TestRecoverObservesRollbackDepth(t *testing.T) {
+	for _, mode := range []mlog.Mode{mlog.Off, mlog.Pessimistic} {
+		cfg := loggedConfig(mode)
+		cfg.Metrics = obs.NewRegistry()
+		c := runCluster(t, cfg, qbcFactory)
+		rep, err := c.Recover(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for h, ord := range rep.Cut {
+			if ord != recovery.End {
+				want += len(c.Store().Chain(mobile.HostID(h))) - 1 - ord
+			}
+		}
+		var got *obs.HistogramSample
+		snap := cfg.Metrics.Snapshot()
+		for i, h := range snap.Histograms {
+			if h.Name == "recovery_rollback_depth" {
+				got = &snap.Histograms[i]
+			}
+		}
+		if got == nil {
+			t.Fatalf("log %s: no recovery_rollback_depth histogram", mode)
+		}
+		if got.Count != int64(rep.Cut.RolledBack()) || got.Sum != float64(want) {
+			t.Errorf("log %s: %d depths summing to %v observed, want %d summing to %d",
+				mode, got.Count, got.Sum, rep.Cut.RolledBack(), want)
+		}
 	}
 }
 

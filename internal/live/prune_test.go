@@ -92,7 +92,7 @@ func TestLogStaysWholeWithoutIndexLines(t *testing.T) {
 // trace, not off the log — is still in the log, and is what the recovery
 // replays.
 func TestPruneNeverLosesReplayable(t *testing.T) {
-	var rollbacks, replayed int
+	var rollbacks, replayed, unflushed int
 	var pruned int64
 	for _, proto := range []struct {
 		name string
@@ -104,7 +104,6 @@ func TestPruneNeverLosesReplayable(t *testing.T) {
 					cfg := loggedConfig(mode)
 					cfg.Seed = seed
 					cfg.Joins = joins
-					cfg.LogFlushBatch = 4
 					c := runCluster(t, cfg, proto.mk)
 					lg, tr := c.MLog(), c.Trace()
 					pruned += lg.Counters().Pruned
@@ -119,6 +118,9 @@ func TestPruneNeverLosesReplayable(t *testing.T) {
 							}
 							rollbacks++
 							replayed += len(seqs)
+							if lg.StableBound(mobile.HostID(h)) < lg.AppendedCount(mobile.HostID(h)) {
+								unflushed++ // the host's log ends in a suffix no recovery may replay
+							}
 							for _, seq := range seqs {
 								if lg.EntryAt(mobile.HostID(h), seq) == nil {
 									t.Fatalf("%s %v joins=%d seed=%d, failure of host %d: host %d restores ordinal %d, which undoes delivery %d — pruned (log retained from %d)",
@@ -135,10 +137,11 @@ func TestPruneNeverLosesReplayable(t *testing.T) {
 			}
 		}
 	}
-	if pruned == 0 || rollbacks == 0 || replayed == 0 {
-		t.Fatalf("the sweep exercised nothing: %d entries pruned, %d rollbacks, %d entries replayed", pruned, rollbacks, replayed)
+	if pruned == 0 || rollbacks == 0 || replayed == 0 || unflushed == 0 {
+		t.Fatalf("the sweep exercised nothing: %d entries pruned, %d rollbacks (%d with an unflushed log suffix), %d entries replayed",
+			pruned, rollbacks, unflushed, replayed)
 	}
-	t.Logf("%d rollbacks replayed %d entries out of logs that had pruned %d", rollbacks, replayed, pruned)
+	t.Logf("%d rollbacks (%d with an unflushed log suffix) replayed %d entries out of logs that had pruned %d", rollbacks, unflushed, replayed, pruned)
 }
 
 // undoneStable returns, per host, the per-host delivery ordinals the cut

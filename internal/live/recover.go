@@ -7,6 +7,7 @@ import (
 	"mobickpt/internal/check"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/protoside"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/statestore"
 )
@@ -32,9 +33,9 @@ type RecoveryReport struct {
 
 // Recover executes a crash recovery on a finished cluster: host failed
 // loses its volatile state and the computation rolls back to a
-// consistent cut. The cut is seeded with the index-based recovery line
-// when the protocol carries indices, and refined by orphan-elimination
-// propagation over the recorded trace. Every rolled-back host's memory
+// consistent cut: the protocol's recovery line over the recorded trace
+// (protoside.Slot.RecoveryLine, the rule E8 and the decision logs' matrix
+// read too). Every rolled-back host's memory
 // image is located on the station group, checksum-verified, and
 // reinstalled into the host state; the host then takes a fresh full
 // checkpoint to re-baseline the incremental chain. The re-baseline is a
@@ -42,7 +43,7 @@ type RecoveryReport struct {
 // restarts with the application when the computation resumes, exactly as
 // a restarted process would re-read it from the restored checkpoint.
 //
-// With message logging enabled the propagation is replay-aware: a
+// With message logging enabled the line is the replay-aware one: a
 // receive whose message is stably logged is not an orphan-producing
 // event, so it never forces the receiver back. Each rolled-back host
 // then replays its logged suffix, and the replay is reconciled against
@@ -57,22 +58,11 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 	}
 	n := len(c.states)
 	sl := &c.side.Slots[0]
-	seed := recovery.LatestIndexCut(sl.Store, n, failed)
-	if seed[failed] == recovery.End {
-		seed = recovery.FailureCut(sl.Store, n, failed)
+	if sl.Store.LatestLive(failed) == nil {
+		return nil, fmt.Errorf("live: host %d has no stable checkpoint to restore", failed)
 	}
-	var logged recovery.LoggedFunc
-	if sl.MLog != nil {
-		// With a stable message log only the failed host needs to roll
-		// back a priori: every other host's state stays justified by the
-		// logged messages, so the seed is the bare failure cut and
-		// replay-aware propagation handles any unlogged residue.
-		seed = recovery.FailureCut(sl.Store, n, failed)
-		logged = func(to mobile.HostID, seq int) bool {
-			return seq < sl.MLog.StableBound(to)
-		}
-	}
-	cut, steps := recovery.PropagateReplay(sl.Trace, seed, logged)
+	logged := protoside.Logged(sl.MLog)
+	cut, steps := sl.RecoveryLine(n, failed, logged)
 	if o := recovery.UnloggedOrphans(sl.Trace, cut, logged); o != 0 {
 		return nil, fmt.Errorf("live: recovery cut still has %d orphans", o)
 	}
@@ -143,7 +133,13 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 	tl.FlowEnd(float64(c.tick), int(failed), "rollback-flow", rollFlow,
 		"restored", strconv.Itoa(len(rep.Restored)),
 		"replayed", strconv.Itoa(rep.ReplayedMessages))
-	recovery.ObserveRollback(c.cfg.Metrics, "live", cut, sl.Counts)
+	// The depths are what the cut discards of the store's chains, which a
+	// recovery leaves as they were; Counts already holds the re-baselines.
+	chains := make([]int, n)
+	for h := range chains {
+		chains[h] = len(sl.Store.Chain(mobile.HostID(h)))
+	}
+	recovery.ObserveRollback(c.cfg.Metrics, "live", cut, chains)
 	return rep, nil
 }
 

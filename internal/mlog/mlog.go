@@ -226,18 +226,15 @@ func New(cfg Config) (*Log, error) {
 	return &Log{cfg: cfg}, nil
 }
 
-// Open builds the log a world's logging knobs ask for — the default
-// configuration of mode, with flushBatch overriding the optimistic flush
-// threshold unless it is 0 — or returns nil when mode is Off.
-func Open(mode Mode, flushBatch int) (*Log, error) {
+// Open builds the log a world's logging mode asks for — the default
+// configuration of mode, the same in every world, since the optimistic
+// flush batch decides which deliveries a replay-aware recovery line may
+// keep — or returns nil when mode is Off.
+func Open(mode Mode) (*Log, error) {
 	if mode == Off {
 		return nil, nil
 	}
-	cfg := DefaultConfig(mode)
-	if flushBatch > 0 {
-		cfg.FlushBatch = flushBatch
-	}
-	return New(cfg)
+	return New(DefaultConfig(mode))
 }
 
 // Mode returns the logging discipline.

@@ -145,6 +145,67 @@ func (s *Slot) FrontierHandoff(h mobile.HostID, to mobile.MSSID) []*mlog.Entry {
 	return s.MLog.Handoff(h, to)
 }
 
+// RecoveryLine is the one recovery rule of every world (E8's, the live
+// cluster's and the decision logs'): the consistent cut the computation
+// restores after a crash of host failed, over n hosts, and the
+// orphan-elimination steps it took beyond RecoverySeed's line. logged is
+// the stable log's predicate (Logged), nil without one.
+func (s *Slot) RecoveryLine(n int, failed mobile.HostID, logged recovery.LoggedFunc) (recovery.Cut, int) {
+	return recovery.PropagateReplay(s.Trace, s.RecoverySeed(n, failed, logged != nil), logged)
+}
+
+// RecoverySeed is the line RecoveryLine propagates from. Without a log
+// each protocol seeds from its own line: TP from the dependency vector of
+// the failed host's latest checkpoint (§4.1; a slot without a TP instance
+// has none), the index-based protocols from the same-index line through
+// that checkpoint (§4.2), the others from the failed host alone. With a
+// stable log only the failed host rolls back a priori: the logged
+// deliveries keep every other host's state justified, and the
+// replay-aware propagation handles the unlogged residue.
+func (s *Slot) RecoverySeed(n int, failed mobile.HostID, logged bool) recovery.Cut {
+	if !logged {
+		if tp, ok := s.Proto.(*protocol.TP); ok {
+			if meta, ok := tp.Meta(s.Store.LatestLive(failed)); ok {
+				return recovery.VectorCut(s.Store, meta.Ckpt, n, failed)
+			}
+		} else if protocol.IndexBased(s.Name) {
+			return recovery.LatestIndexCut(s.Store, n, failed)
+		}
+	}
+	return recovery.FailureCut(s.Store, n, failed)
+}
+
+// Logged is the one definition of "stably logged" a recovery reads: the
+// seq-th delivery to a host survives any rollback iff it reached lg's
+// stable frontier. It is nil when lg is (nothing is logged).
+func Logged(lg *mlog.Log) recovery.LoggedFunc {
+	if lg == nil {
+		return nil
+	}
+	return func(to mobile.HostID, seq int) bool { return seq < lg.StableBound(to) }
+}
+
+// FinishRecoveryLines fills the decision log's recovery-line matrix from
+// the finished store and trace: row f is RecoveryLine's cut after a crash
+// of host f, with End written as -1. The rows are the protocol's line
+// without a log, whatever the slot logs, so a recording replayed without
+// its log still compares clean. Call once, after the run.
+func (s *Slot) FinishRecoveryLines() {
+	n := s.Dec.NumHosts()
+	s.Dec.RecoveryLines = make([][]int, n)
+	for f := range n {
+		cut, _ := s.RecoveryLine(n, mobile.HostID(f), nil)
+		line := make([]int, n)
+		for h, ord := range cut {
+			if ord == recovery.End {
+				ord = -1
+			}
+			line[h] = ord
+		}
+		s.Dec.RecoveryLines[f] = line
+	}
+}
+
 // New sizes a protocol side for protos slots driven from lanes lanes,
 // recording into hist and reading the world's clock now. hist, reg and tl
 // may be nil. The world fills the slots (InitSlot) and, if it logs

@@ -44,19 +44,15 @@ func analyzeReference(t *testing.T, pr *sim.ProtocolResult, failed mobile.HostID
 	t.Helper()
 	n := pr.Trace.NumHosts()
 	chains := func(h mobile.HostID) []*storage.Record { return pr.Store.Chain(h) }
-	seed := sim.SeedCut(pr, n, failed)
+	sl := pr.Slot()
 
-	cut, steps := recovery.PropagateReference(pr.Trace, seed, nil)
+	cut, steps := recovery.PropagateReference(pr.Trace, sl.RecoverySeed(n, failed, false), nil)
 	var out sim.ReplayOutcome
 	out.Plain = recovery.MeasureReference(pr.Trace, cut, chains, failTime, steps)
 	out.PlainCut = cut
 
 	logged := sim.Logged(pr)
-	rseed := seed
-	if logged != nil {
-		rseed = recovery.FailureCut(pr.Store, n, failed)
-	}
-	rcut, rsteps := recovery.PropagateReference(pr.Trace, rseed, logged)
+	rcut, rsteps := recovery.PropagateReference(pr.Trace, sl.RecoverySeed(n, failed, logged != nil), logged)
 	if o := recovery.UnloggedOrphansReference(pr.Trace, rcut, logged); o != 0 {
 		t.Fatalf("%s, host %d: reference replay-aware cut keeps %d unlogged orphan(s)", pr.Name, failed, o)
 	}

@@ -260,17 +260,9 @@ func LatestIndexCut(store *storage.Store, n int, failed mobile.HostID) Cut {
 	return cut
 }
 
-// VectorMeta exposes the dependency vectors TP records with each
-// checkpoint without importing the protocol package (which would invert
-// the dependency direction).
-type VectorMeta interface {
-	// Vectors returns the CKPT dependency vector stored with rec, or
-	// ok=false if rec is unknown.
-	Vectors(rec *storage.Record) (ckpt []int, ok bool)
-}
-
-// VectorCut seeds recovery for TP after a crash of host failed: the
-// failed host restores its latest checkpoint C; every other host j aims
+// VectorCut seeds recovery for TP after a crash of host failed, given
+// ckpt, the CKPT dependency vector TP stored with the failed host's latest
+// live checkpoint C: the failed host restores C; every other host j aims
 // at its first checkpoint with index > CKPT[j] (the first checkpoint
 // taken after the last event of j that C depends on), or keeps everything
 // if no such checkpoint exists. The seed already eliminates the orphans
@@ -278,18 +270,8 @@ type VectorMeta interface {
 // by Russell's receive-before-send interval structure). A vector is as
 // wide as the world was when C was taken: a host that joined since is one
 // C never heard from, CKPT[j] = -1.
-func VectorCut(store *storage.Store, meta VectorMeta, n int, failed mobile.HostID) Cut {
-	cut := NewCut(n)
-	rec := store.LatestLive(failed)
-	if rec == nil {
-		cut[failed] = 0
-		return cut
-	}
-	cut[failed] = rec.Ordinal
-	ckpt, ok := meta.Vectors(rec)
-	if !ok {
-		return cut
-	}
+func VectorCut(store *storage.Store, ckpt []int, n int, failed mobile.HostID) Cut {
+	cut := FailureCut(store, n, failed)
 	for j := 0; j < n; j++ {
 		if mobile.HostID(j) == failed {
 			continue

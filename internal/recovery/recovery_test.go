@@ -200,26 +200,17 @@ func TestLatestIndexCut(t *testing.T) {
 	}
 }
 
-type fakeMeta map[*storage.Record][]int
-
-func (f fakeMeta) Vectors(rec *storage.Record) ([]int, bool) {
-	v, ok := f[rec]
-	return v, ok
-}
-
 func TestVectorCut(t *testing.T) {
 	st := storage.NewStore(storage.DefaultCostModel())
 	// TP-style: indices are per-host checkpoint ordinals.
-	a0 := st.Take(0, 0, 0, storage.Initial, 0)
+	st.Take(0, 0, 0, storage.Initial, 0)
 	st.Take(0, 0, 1, storage.Basic, 1)
-	a2 := st.Take(0, 0, 2, storage.Forced, 2)
+	st.Take(0, 0, 2, storage.Forced, 2)
 	st.Take(1, 0, 0, storage.Initial, 0)
 	st.Take(1, 0, 1, storage.Basic, 1)
 	st.Take(2, 0, 0, storage.Initial, 0)
-	meta := fakeMeta{
-		a2: []int{2, 0, -1}, // depends on host 1 interval 0, nothing of host 2
-	}
-	cut := VectorCut(st, meta, 3, 0)
+	// The latest checkpoint depends on host 1 interval 0, nothing of host 2.
+	cut := VectorCut(st, []int{2, 0, -1}, 3, 0)
 	if cut[0] != 2 {
 		t.Fatalf("failed host ordinal %d", cut[0])
 	}
@@ -231,10 +222,10 @@ func TestVectorCut(t *testing.T) {
 	if cut[2] != 0 {
 		t.Fatalf("host 2 ordinal %d", cut[2])
 	}
-	// Unknown meta: only the failed host rolls back.
-	meta2 := fakeMeta{a0: []int{0, -1, -1}}
-	cut = VectorCut(st, meta2, 3, 0)
-	if cut[0] != 2 || cut[1] != End || cut[2] != End {
+	// A vector taken before hosts 1 and 2 joined: neither was heard from,
+	// so both restore their first checkpoint.
+	cut = VectorCut(st, []int{2}, 3, 0)
+	if cut[0] != 2 || cut[1] != 0 || cut[2] != 0 {
 		t.Fatalf("cut = %v", cut)
 	}
 }

@@ -11,6 +11,7 @@ package replaycmp_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/recovery"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
 	"mobickpt/internal/trace"
@@ -49,10 +51,9 @@ func record(t testing.TB, cfg live.Config, protocol string) *live.Cluster {
 func replay(t *testing.T, c *live.Cluster, cfg live.Config, instrumented bool) *sim.Result {
 	t.Helper()
 	rcfg := sim.Config{
-		Schedule:      c.Schedule(),
-		Checks:        true,
-		MessageLog:    cfg.LogMode,
-		LogFlushBatch: cfg.LogFlushBatch,
+		Schedule:   c.Schedule(),
+		Checks:     true,
+		MessageLog: cfg.LogMode,
 	}
 	if instrumented {
 		rcfg.Metrics, rcfg.Timeline = obs.NewRegistry(), obs.NewTimeline()
@@ -131,6 +132,76 @@ func TestDifferentialReplayWithJoins(t *testing.T) {
 				res := replay(t, c, cfg, instrumented)
 				if res.FinalHosts != cfg.Hosts+cfg.Joins {
 					t.Fatalf("replay ends with %d hosts, want %d", res.FinalHosts, cfg.Hosts+cfg.Joins)
+				}
+			}
+		})
+	}
+}
+
+// The recovery gate (E33): a live failure ends in the protocol's own
+// recovery line, and the replay bridge re-derives it. For every live
+// protocol, logging discipline and seed, plus a run with joins, and every
+// host as the failed one: without a log the cut Recover executes is the
+// decision log's matrix row; E8's analysis of the replay
+// (sim.AnalyzeReplay, under the recording's logging discipline) restores
+// that row as its plain line; and with a log its replay-aware line is the
+// cut the cluster executed.
+func TestDifferentialReplayRecovery(t *testing.T) {
+	type run struct {
+		protocol string
+		mode     mlog.Mode
+		seed     uint64
+		joins    int
+	}
+	runs := []run{{"TP", mlog.Off, 1, 2}}
+	for _, protocol := range []string{"TP", "BCS", "QBC", "UNC"} {
+		for _, mode := range []mlog.Mode{mlog.Off, mlog.Pessimistic, mlog.Optimistic} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				runs = append(runs, run{protocol, mode, seed, 0})
+			}
+		}
+	}
+	row := func(cut recovery.Cut) []int {
+		out := make([]int, len(cut))
+		for h, ord := range cut {
+			if ord == recovery.End {
+				ord = -1
+			}
+			out[h] = ord
+		}
+		return out
+	}
+	for _, r := range runs {
+		t.Run(fmt.Sprintf("%s/log-%s/seed-%d/joins-%d", r.protocol, r.mode, r.seed, r.joins), func(t *testing.T) {
+			t.Parallel()
+			cfg := live.DefaultConfig()
+			cfg.Seed = r.seed
+			cfg.OpsPerHost = 200
+			cfg.Joins = r.joins
+			cfg.LogMode = r.mode
+			c := record(t, cfg, r.protocol)
+			pr := &replay(t, c, cfg, false).Protocols[0]
+			lines := c.Decisions().RecoveryLines
+			n := pr.Trace.NumHosts()
+			for f := 0; f < n; f++ {
+				rep, err := c.Recover(mobile.HostID(f))
+				if err != nil {
+					t.Fatalf("live failure of host %d: %v", f, err)
+				}
+				out, err := sim.AnalyzeReplay(pr, n, mobile.HostID(f), 0)
+				if err != nil {
+					t.Fatalf("replayed failure of host %d: %v", f, err)
+				}
+				if got := row(out.PlainCut); !slices.Equal(got, lines[f]) {
+					t.Fatalf("failure of host %d: the replay's line %v, the live matrix row %v", f, got, lines[f])
+				}
+				if r.mode == mlog.Off {
+					if got := row(rep.Cut); !slices.Equal(got, lines[f]) {
+						t.Fatalf("failure of host %d: live recovery restored %v, its matrix row is %v", f, got, lines[f])
+					}
+				} else if !slices.Equal(out.ReplayCut, rep.Cut) {
+					t.Fatalf("failure of host %d: live replay-aware recovery restored %v, the replay's line is %v",
+						f, row(rep.Cut), row(out.ReplayCut))
 				}
 			}
 		})

@@ -18,9 +18,7 @@ import (
 	"io"
 	"strconv"
 
-	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
-	"mobickpt/internal/recovery"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
 )
@@ -108,7 +106,9 @@ type Log struct {
 	// Deliveries[h] is host h's delivery sequence in order delivered.
 	Deliveries [][]Delivery `json:"deliveries"`
 	// RecoveryLines[f][h] is the ordinal host h restores after a crash
-	// of host f (-1: h keeps everything), per FinishRecoveryLines.
+	// of host f (-1: h keeps everything): the protocol's recovery line
+	// without a log, filled after the run by the protocol side
+	// (protoside.Slot.FinishRecoveryLines).
 	RecoveryLines [][]int `json:"recovery_lines"`
 }
 
@@ -138,39 +138,6 @@ func (l *Log) RecordCheckpoint(h int, c Checkpoint) {
 // RecordDelivery appends one delivery for host h.
 func (l *Log) RecordDelivery(h int, d Delivery) {
 	l.Deliveries[h] = append(l.Deliveries[h], d)
-}
-
-// FinishRecoveryLines computes the post-hoc recovery-line matrix from
-// the execution's checkpoint store and message trace: for every host f,
-// the index-based line seeded at f's latest checkpoint (falling back to
-// the bare failure cut for protocols without indices), refined by
-// orphan-elimination propagation. Call once, after the run.
-func (l *Log) FinishRecoveryLines(store *storage.Store, tr *trace.Trace) {
-	l.RecoveryLines = RecoveryLines(store, tr, l.NumHosts())
-}
-
-// RecoveryLines builds the same matrix standalone (both environments
-// use this one function, so the lines can only differ if the underlying
-// stores or traces do).
-func RecoveryLines(store *storage.Store, tr *trace.Trace, n int) [][]int {
-	lines := make([][]int, n)
-	for f := 0; f < n; f++ {
-		seed := recovery.LatestIndexCut(store, n, mobile.HostID(f))
-		if seed[f] == recovery.End {
-			seed = recovery.FailureCut(store, n, mobile.HostID(f))
-		}
-		cut, _ := recovery.Propagate(tr, seed)
-		line := make([]int, n)
-		for h, ord := range cut {
-			if ord == recovery.End {
-				line[h] = -1
-			} else {
-				line[h] = ord
-			}
-		}
-		lines[f] = line
-	}
-	return lines
 }
 
 // Divergence is the first point where two decision logs disagree.

@@ -99,10 +99,6 @@ type Config struct {
 	// checkpoints). Garbage collection of unreplayable entries rides the
 	// GCInterval ticks of the index-based protocols.
 	MessageLog mlog.Mode
-	// LogFlushBatch is the optimistic flush threshold (entries buffered
-	// per host before one stable write); 0 selects the mlog default.
-	// Ignored unless MessageLog is mlog.Optimistic.
-	LogFlushBatch int
 
 	// Metrics, when non-nil, receives the run's observability instruments
 	// (internal/obs): DES event/queue metrics, per-protocol checkpoint
@@ -404,18 +400,14 @@ func (c Config) validateReplay() error {
 	return c.validateLog()
 }
 
-// validateLog checks the message-logging knobs, which mean the same in
+// validateLog checks the message-logging mode, which means the same in
 // the generative and the replay mode.
 func (c Config) validateLog() error {
 	switch c.MessageLog {
 	case mlog.Off, mlog.Pessimistic, mlog.Optimistic:
-	default:
-		return fmt.Errorf("sim: unknown MessageLog mode %v", c.MessageLog)
+		return nil
 	}
-	if c.LogFlushBatch < 0 {
-		return fmt.Errorf("sim: negative LogFlushBatch")
-	}
-	return nil
+	return fmt.Errorf("sim: unknown MessageLog mode %v", c.MessageLog)
 }
 
 // initSlot fills slot i of p, for n hosts, the way c asks: a store under
@@ -424,7 +416,7 @@ func (c Config) validateLog() error {
 // Both modes of Run build their slots here.
 func (c Config) initSlot(p *protoside.Side, i, n int, mssOf func(mobile.HostID) mobile.MSSID,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
-	lg, err := mlog.Open(c.MessageLog, c.LogFlushBatch)
+	lg, err := mlog.Open(c.MessageLog)
 	if err != nil {
 		return err
 	}

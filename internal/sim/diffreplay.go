@@ -117,7 +117,7 @@ func runSchedule(cfg Config) (*Result, error) {
 		}
 	}
 
-	s.Dec.FinishRecoveryLines(s.Store, s.Trace)
+	s.FinishRecoveryLines()
 	res := &Result{
 		Config:      cfg,
 		FinalHosts:  sched.FinalHosts(),

@@ -46,7 +46,6 @@ func TestReplayValidateRejects(t *testing.T) {
 		{"lane timeline", func(c *Config) { c.LaneTimeline = obs.NewTimeline() }},
 		{"progress", func(c *Config) { c.Progress = func(des.Time, uint64) {} }},
 		{"bad log mode", func(c *Config) { c.MessageLog = mlog.Mode(99) }},
-		{"negative log batch", func(c *Config) { c.LogFlushBatch = -1 }},
 		// A config Validate accepts must be one Run accepts: the schedule's
 		// protocol has to be in the registry's Live set.
 		{"coordinated schedule", func(c *Config) { c.Schedule = replaySchedule("CL") }},

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"bytes"
+	"encoding/json"
 	"testing"
 
 	"mobickpt/internal/des"
@@ -17,11 +17,11 @@ import (
 // not a replay test.
 const fuzzMaxHosts = 64
 
-// FuzzReplaySchedule feeds arbitrary bytes to the replay: every schedule
-// ImportSchedule accepts must run through Run with the invariant checker
-// on without panicking, and whenever Run returns a result, the checks must
-// have passed. The seeds are recorded live clusters and an engine run's
-// exported history.
+// FuzzReplaySchedule feeds arbitrary bytes, decoded as a schedule's JSON,
+// to the replay: Run must refuse what Schedule.Validate refuses, run every
+// schedule it accepts with the invariant checker on without panicking,
+// and whenever it returns a result, the checks must have passed. The
+// seeds are recorded live clusters and an engine run's exported history.
 func FuzzReplaySchedule(f *testing.F) {
 	for _, proto := range []string{"TP", "QBC"} {
 		mk, err := live.Factory(proto)
@@ -56,11 +56,11 @@ func FuzzReplaySchedule(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := trace.ImportSchedule(bytes.NewReader(b))
-		if err != nil || s.Hosts > fuzzMaxHosts || s.FinalHosts() > fuzzMaxHosts {
+		var s trace.Schedule
+		if json.Unmarshal(b, &s) != nil || s.Hosts > fuzzMaxHosts || s.FinalHosts() > fuzzMaxHosts {
 			return
 		}
-		res, err := Run(Config{Schedule: s, Checks: true})
+		res, err := Run(Config{Schedule: &s, Checks: true})
 		if res != nil && err != nil {
 			t.Fatalf("the replay of an accepted schedule fails its checks: %v", err)
 		}
@@ -69,18 +69,18 @@ func FuzzReplaySchedule(f *testing.F) {
 
 func exportSchedule(f *testing.F, s *trace.Schedule) []byte {
 	f.Helper()
-	var buf bytes.Buffer
-	if err := s.Export(&buf); err != nil {
+	b, err := json.Marshal(s)
+	if err != nil {
 		f.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // fuzzConfig maps fuzz bytes onto a small generative world — at most 32
 // hosts and 8 stations, a horizon of at most 2000 — one byte per knob, in
 // a fixed order, and zero once the bytes run out. Each knob's range
 // reaches past what Validate accepts (no hosts, an unknown engine or log
-// mode, negative lanes or batches, zero latencies, loss without a
+// mode, negative lanes, zero latencies, loss without a
 // retransmit timeout, joins past the horizon, a clock-driven protocol
 // without a period), so both of Run's outcomes are fuzzed.
 func fuzzConfig(b []byte) Config {
@@ -120,7 +120,6 @@ func fuzzConfig(b []byte) Config {
 	c.Mobile.LossProbability = float64(next()%4) * 0.1
 	c.Mobile.RetransmitTimeout = des.Time(next()%3) * 0.05
 	c.MessageLog = mlog.Mode(next() % 4)
-	c.LogFlushBatch = small(6)
 	c.Checks = next()&1 == 1
 	c.RecordTrace = next()&1 == 1
 	c.CheckpointLatency = des.Time(next()%4) * 0.5
@@ -146,9 +145,9 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte{10, 5, 128, 1, 1, 2, 0b111, 1, 1})
 	// Every protocol, contention, loss, pessimistic logging, traces,
 	// joins, GC and a snapshot period on the sequential engine.
-	f.Add([]byte{12, 4, 200, 7, 0, 0, 0x7f, 1, 2, 1, 1, 2, 1, 0, 1, 1, 0, 2, 60, 120, 2, 2})
+	f.Add([]byte{12, 4, 200, 7, 0, 0, 0x7f, 1, 2, 1, 1, 2, 1, 1, 1, 0, 2, 60, 120, 2, 2})
 	// One protocol with a checkpoint latency and optimistic logging.
-	f.Add([]byte{6, 3, 90, 3, 0, 0, 0b100, 2, 1, 0, 0, 0, 2, 3, 0, 0, 2, 1, 30, 1, 0})
+	f.Add([]byte{6, 3, 90, 3, 0, 0, 0b100, 2, 1, 0, 0, 0, 2, 0, 0, 2, 1, 30, 1, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cfg := fuzzConfig(b)
 		if verr := cfg.Validate(); verr != nil {

@@ -7,7 +7,7 @@ import (
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
-	"mobickpt/internal/protocol"
+	"mobickpt/internal/protoside"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/stats"
 	"mobickpt/internal/storage"
@@ -16,34 +16,15 @@ import (
 // This file holds the recovery/replay analysis helpers shared by the E8
 // and E18 experiments (RecoveryTable, ReplayTable) and the benches.
 
-// SeedCut builds the protocol-appropriate recovery line after a crash of
-// host failed: TP seeds from its dependency vectors, the index-based
-// protocols from their latest same-index line, everything else from the
-// bare failure cut. Run (replay-aware) propagation on the result to
-// reach consistency.
-func SeedCut(pr *ProtocolResult, n int, failed mobile.HostID) recovery.Cut {
-	if pr.Name == TP {
-		if meta := TPMeta(pr); meta != nil {
-			return recovery.VectorCut(pr.Store, meta, n, failed)
-		}
-	} else if protocol.IndexBased(string(pr.Name)) {
-		return recovery.LatestIndexCut(pr.Store, n, failed)
-	}
-	return recovery.FailureCut(pr.Store, n, failed)
+// Slot is the protocol-side view of a protocol result: what a recovery
+// line is computed from (protoside.Slot.RecoveryLine).
+func (pr *ProtocolResult) Slot() *protoside.Slot {
+	return &protoside.Slot{Name: string(pr.Name), Proto: pr.Instance, Store: pr.Store, Trace: pr.Trace, MLog: pr.MLog}
 }
 
-// Logged adapts a protocol result's MSS message log to the recovery
-// package's replay predicate: a delivery is replayable iff it reached
-// the log's stable frontier. It returns nil when the run did not log.
-func Logged(pr *ProtocolResult) recovery.LoggedFunc {
-	lg := pr.MLog
-	if lg == nil {
-		return nil
-	}
-	return func(to mobile.HostID, seq int) bool {
-		return seq < lg.StableBound(to)
-	}
-}
+// Logged is the result's MSS message log as the recovery package's replay
+// predicate (protoside.Logged), nil when the run did not log.
+func Logged(pr *ProtocolResult) recovery.LoggedFunc { return protoside.Logged(pr.MLog) }
 
 // ReplayOutcome compares rollback cost without and with log-based
 // replay for one protocol result (one seed, one failure).
@@ -71,23 +52,15 @@ func AnalyzeReplay(pr *ProtocolResult, n int, failed mobile.HostID, failTime des
 		return ReplayOutcome{}, fmt.Errorf("sim: failed host %d out of range (the run has %d hosts)", failed, n)
 	}
 	chains := func(h mobile.HostID) []*storage.Record { return pr.Store.Chain(h) }
-	seed := SeedCut(pr, n, failed)
+	sl := pr.Slot()
 
-	cut, steps := recovery.Propagate(pr.Trace, seed)
+	cut, steps := sl.RecoveryLine(n, failed, nil)
 	var out ReplayOutcome
 	out.Plain = recovery.Measure(pr.Trace, cut, chains, failTime, steps)
 	out.PlainCut = cut
 
-	// With a stable log the replay-aware recovery needs no coordinated
-	// seed line: only the failed host rolls back a priori (the log keeps
-	// every other host's state justified), and replay-aware propagation
-	// handles the unlogged residue.
 	logged := Logged(pr)
-	rseed := seed
-	if logged != nil {
-		rseed = recovery.FailureCut(pr.Store, n, failed)
-	}
-	rcut, rsteps := recovery.PropagateReplay(pr.Trace, rseed, logged)
+	rcut, rsteps := sl.RecoveryLine(n, failed, logged)
 	if o := recovery.UnloggedOrphans(pr.Trace, rcut, logged); o != 0 {
 		return out, fmt.Errorf("sim: %s replay-aware cut keeps %d unlogged orphan(s)", pr.Name, o)
 	}

@@ -231,6 +231,9 @@ func TestTPRecoveryAcrossJoins(t *testing.T) {
 	}
 }
 
+// Every protocol's recovery seed, with and without a log, is a full-width
+// cut that rolls the failed host back; with a log it rolls back nothing
+// else.
 func TestSeedCutMatchesProtocolLines(t *testing.T) {
 	base, _ := benchScale()
 	base.Protocols = AllProtocols()
@@ -243,12 +246,17 @@ func TestSeedCutMatchesProtocolLines(t *testing.T) {
 	n := base.Mobile.NumHosts
 	for i := range res.Protocols {
 		pr := &res.Protocols[i]
-		cut := SeedCut(pr, n, 0)
-		if len(cut) != n {
-			t.Fatalf("%s: cut width %d", pr.Name, len(cut))
-		}
-		if cut[0] == recovery.End {
-			t.Errorf("%s: failed host not rolled back by seed cut", pr.Name)
+		for _, logged := range []bool{false, true} {
+			cut := pr.Slot().RecoverySeed(n, 0, logged)
+			if len(cut) != n {
+				t.Fatalf("%s, logged %v: cut width %d", pr.Name, logged, len(cut))
+			}
+			if cut[0] == recovery.End {
+				t.Errorf("%s, logged %v: failed host not rolled back by seed cut", pr.Name, logged)
+			}
+			if logged && cut.RolledBack() != 1 {
+				t.Errorf("%s: a logged seed rolls back %d hosts, want only the failed one", pr.Name, cut.RolledBack())
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/storage"
 )
@@ -224,16 +225,7 @@ func TestRecoveryAfterFailure(t *testing.T) {
 	failed := mobile.HostID(3)
 
 	for _, pr := range res.Protocols {
-		var seed recovery.Cut
-		switch pr.Name {
-		case TP:
-			seed = recovery.VectorCut(pr.Store, TPMeta(&pr), n, failed)
-		case BCS, QBC:
-			seed = recovery.LatestIndexCut(pr.Store, n, failed)
-		default:
-			seed = recovery.FailureCut(pr.Store, n, failed)
-		}
-		cut, steps := recovery.Propagate(pr.Trace, seed)
+		cut, steps := pr.Slot().RecoveryLine(n, failed, nil)
 		if recovery.Orphans(pr.Trace, cut) != 0 {
 			t.Fatalf("%s: propagation left orphans", pr.Name)
 		}
@@ -342,24 +334,31 @@ func TestGainsSmall(t *testing.T) {
 	}
 }
 
+// A protocol result hands TP's recorded dependency vectors to the
+// protocol side's recovery seed (ProtocolResult.Slot): a TP result seeds
+// from the vector line of the failed host's latest checkpoint, and one
+// without its live instance, which has no vectors to read, from the
+// failure cut, as a logged recovery does.
 func TestTPMetaAdapter(t *testing.T) {
 	c := testConfig()
 	c.Horizon = 500
 	res := mustRun(t, c)
-	meta := TPMeta(res.Protocol(TP))
-	if meta == nil {
-		t.Fatal("TP meta missing")
+	n := c.Mobile.NumHosts
+	tp := *res.Protocol(TP)
+	meta, ok := tp.Instance.(*protocol.TP).Meta(tp.Store.LatestLive(0))
+	if !ok || len(meta.Ckpt) != n {
+		t.Fatalf("vectors %v ok=%v", meta.Ckpt, ok)
 	}
-	rec := res.Protocol(TP).Store.LatestLive(0)
-	v, ok := meta.Vectors(rec)
-	if !ok || len(v) != c.Mobile.NumHosts {
-		t.Fatalf("vectors %v ok=%v", v, ok)
+	if got, want := tp.Slot().RecoverySeed(n, 0, false), recovery.VectorCut(tp.Store, meta.Ckpt, n, 0); !slices.Equal(got, want) {
+		t.Fatalf("TP seeds %v, its vector line is %v", got, want)
 	}
-	if TPMeta(res.Protocol(BCS)) != nil {
-		t.Fatal("BCS must have no TP meta")
+	failure := tp.Slot().RecoverySeed(n, 0, true)
+	if failure.RolledBack() == tp.Slot().RecoverySeed(n, 0, false).RolledBack() {
+		t.Fatal("TP's vector line rolls back no host but the failed one: nothing tells the two seeds apart")
 	}
-	if TPMeta(nil) != nil {
-		t.Fatal("nil result must yield nil meta")
+	tp.Instance = nil
+	if got := tp.Slot().RecoverySeed(n, 0, false); !slices.Equal(got, failure) {
+		t.Fatalf("TP without its instance seeds %v, want the failure cut %v", got, failure)
 	}
 }
 
@@ -549,16 +548,7 @@ func TestProtocolLinesBoundedByMaximalCut(t *testing.T) {
 	failed := mobile.HostID(2)
 	for i := range res.Protocols {
 		pr := &res.Protocols[i]
-		var seed recovery.Cut
-		switch pr.Name {
-		case TP:
-			seed = recovery.VectorCut(pr.Store, TPMeta(pr), n, failed)
-		case BCS, QBC:
-			seed = recovery.LatestIndexCut(pr.Store, n, failed)
-		default:
-			continue
-		}
-		line, _ := recovery.Propagate(pr.Trace, seed)
+		line, _ := pr.Slot().RecoveryLine(n, failed, nil)
 		optimal := recovery.MaximalCut(pr.Trace, pr.Store, n, failed)
 		if !optimal.Dominates(line) {
 			t.Fatalf("%s: line %v exceeds maximal cut %v", pr.Name, line, optimal)
@@ -633,15 +623,16 @@ func TestTPMetaVectorsConsistent(t *testing.T) {
 	c.Horizon = 3000
 	res := mustRun(t, c)
 	pr := res.Protocol(TP)
-	meta := TPMeta(pr)
+	tp := pr.Instance.(*protocol.TP)
 	n := c.Mobile.NumHosts
 	for h := 0; h < n; h++ {
 		var prev []int
 		for _, rec := range pr.Store.Chain(mobile.HostID(h)) {
-			v, ok := meta.Vectors(rec)
+			meta, ok := tp.Meta(rec)
 			if !ok {
 				t.Fatalf("host %d ordinal %d has no meta", h, rec.Ordinal)
 			}
+			v := meta.Ckpt
 			if v[h] != rec.Index {
 				t.Fatalf("host %d: own entry %d != index %d", h, v[h], rec.Index)
 			}
@@ -670,18 +661,18 @@ func TestTPEveryCheckpointRecoverable(t *testing.T) {
 	res := mustRun(t, c)
 	pr := res.Protocols[0]
 	n := c.Mobile.NumHosts
-	meta := TPMeta(&pr)
+	tp := pr.Instance.(*protocol.TP)
 	for h := 0; h < n; h++ {
 		for _, rec := range pr.Store.Chain(mobile.HostID(h)) {
 			// Build the vector line through this specific checkpoint.
 			cut := recovery.NewCut(n)
 			cut[h] = rec.Ordinal
-			if v, ok := meta.Vectors(rec); ok {
+			if meta, ok := tp.Meta(rec); ok {
 				for j := 0; j < n; j++ {
 					if j == h {
 						continue
 					}
-					if r := pr.Store.FirstWithIndexAtLeast(mobile.HostID(j), v[j]+1); r != nil {
+					if r := pr.Store.FirstWithIndexAtLeast(mobile.HostID(j), meta.Ckpt[j]+1); r != nil {
 						cut[j] = r.Ordinal
 					}
 				}
@@ -754,8 +745,7 @@ func TestDynamicJoins(t *testing.T) {
 	}
 	// TP's vector recovery also still converges (ragged merges worked).
 	pr := res.Protocol(TP)
-	seed := recovery.VectorCut(pr.Store, TPMeta(pr), res.FinalHosts, 0)
-	cut, _ := recovery.Propagate(pr.Trace, seed)
+	cut, _ := pr.Slot().RecoveryLine(res.FinalHosts, 0, nil)
 	if recovery.Orphans(pr.Trace, cut) != 0 {
 		t.Fatal("TP recovery left orphans after joins")
 	}

@@ -5,6 +5,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"mobickpt/internal/live"
@@ -12,7 +13,8 @@ import (
 )
 
 // recordedSchedule runs a small recording cluster (with joins, so every
-// event kind appears) and returns its exported schedule.
+// event kind appears) and returns its schedule in the JSON form a bundle
+// carries.
 func recordedSchedule(t testing.TB) []byte {
 	t.Helper()
 	mk, err := live.Factory("QBC")
@@ -28,21 +30,40 @@ func recordedSchedule(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	c.Run()
+	return encode(t, c.Schedule())
+}
+
+func encode(t testing.TB, s *trace.Schedule) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := c.Schedule().Export(&buf); err != nil {
-		t.Fatal(err)
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatalf("schedule does not encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzImportSchedule feeds arbitrary bytes to ImportSchedule — the file a
-// user hands to `mhsim -replay-schedule`. It must return an error or a
-// schedule that validates and survives Export -> ImportSchedule with
-// byte-identical JSON; it must never panic, and what it costs must follow
-// the input's size, not the numbers written in it.
+// importSchedule reads a schedule the way replaycmp.ImportBundle reads a
+// bundle's schedule section: decode, then Validate.
+func importSchedule(b []byte) (*trace.Schedule, error) {
+	var s trace.Schedule
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// FuzzImportSchedule feeds arbitrary bytes to the schedule half of the
+// bundle parser `mhsim -replay-schedule` runs (FuzzImportBundle in
+// internal/replaycmp covers the whole bundle). Decoding and Validate must
+// never panic, and what they cost must follow the input's size, not the
+// numbers written in it; a schedule that validates survives
+// encode -> decode -> encode with byte-identical JSON.
 func FuzzImportSchedule(f *testing.F) {
 	whole := recordedSchedule(f)
-	if _, err := trace.ImportSchedule(bytes.NewReader(whole)); err != nil {
+	if _, err := importSchedule(whole); err != nil {
 		f.Fatalf("the recorded schedule does not import: %v", err)
 	}
 	f.Add(whole)
@@ -60,29 +81,17 @@ func FuzzImportSchedule(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := trace.ImportSchedule(bytes.NewReader(b))
+		s, err := importSchedule(b)
 		if err != nil {
-			if s != nil {
-				t.Fatalf("ImportSchedule returned both a schedule and %v", err)
-			}
 			return
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("imported schedule does not validate: %v", err)
-		}
-		var first, second bytes.Buffer
-		if err := s.Export(&first); err != nil {
-			t.Fatalf("imported schedule does not export: %v", err)
-		}
-		again, err := trace.ImportSchedule(bytes.NewReader(first.Bytes()))
+		first := encode(t, s)
+		again, err := importSchedule(first)
 		if err != nil {
-			t.Fatalf("exported schedule does not re-import: %v", err)
+			t.Fatalf("encoded schedule does not re-import: %v", err)
 		}
-		if err := again.Export(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("round trip changed the JSON:\n first  %s\n second %s", first.Bytes(), second.Bytes())
+		if second := encode(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the JSON:\n first  %s\n second %s", first, second)
 		}
 	})
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -214,22 +212,4 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Export writes the schedule as JSON. The encoding is deterministic:
-// two exports of the same schedule are byte-identical.
-func (s *Schedule) Export(w io.Writer) error {
-	return json.NewEncoder(w).Encode(s)
-}
-
-// ImportSchedule reads and validates a schedule written by Export.
-func ImportSchedule(r io.Reader) (*Schedule, error) {
-	var s Schedule
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("trace: import schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: import: %w", err)
-	}
-	return &s, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"runtime"
@@ -35,44 +36,51 @@ func TestScheduleValidates(t *testing.T) {
 	}
 }
 
+// The schedule's JSON form — what a recording bundle carries — decodes
+// to the schedule it encodes, every field included.
 func TestScheduleRoundTrip(t *testing.T) {
 	s := small()
-	var buf bytes.Buffer
-	if err := s.Export(&buf); err != nil {
+	b, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ImportSchedule(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	got := new(Schedule)
+	if err := json.Unmarshal(b, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s, got) {
 		t.Fatalf("round trip changed the schedule:\n%+v\n%+v", s, got)
 	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// Encoding is deterministic, and a decoded schedule re-encodes to the
+// same bytes.
 func TestScheduleExportDeterministic(t *testing.T) {
 	s := small()
-	var a, b bytes.Buffer
-	if err := s.Export(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Export(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two exports of the same schedule differ")
-	}
-	// And a round-tripped schedule re-exports to the same bytes.
-	got, err := ImportSchedule(bytes.NewReader(a.Bytes()))
+	a, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c bytes.Buffer
-	if err := got.Export(&c); err != nil {
+	b, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Fatal("import+export is not byte-identical")
+	if !bytes.Equal(a, b) {
+		t.Fatal("two encodings of the same schedule differ")
+	}
+	var got Schedule
+	if err := json.Unmarshal(a, &got); err != nil {
+		t.Fatal(err)
+	}
+	c, err := json.Marshal(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, c) {
+		t.Fatal("decode+encode is not byte-identical")
 	}
 }
 
@@ -126,7 +134,7 @@ func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
 
 // Validating costs what the event list costs, not what the file says its
 // host count is: per-host tables sized by the header let a one-line
-// hostile file ask for gigabytes (found while writing FuzzImportSchedule).
+// hostile file ask for gigabytes (found by the schedule-import fuzzer).
 func TestScheduleValidateCostFollowsEvents(t *testing.T) {
 	const hosts = math.MaxInt32
 	h := NewHistory(hosts, 3)
