@@ -51,9 +51,11 @@ allocs:
 # propagation against its full-scan reference on traces and cuts the
 # fuzzer picks, and of the workload driver's in-line operations against
 # the same driver with every operation an event, on worlds the fuzzer
-# picks, and of sim.Run on small configurations the fuzzer picks (a
+# picks, of sim.Run on small configurations the fuzzer picks (a
 # rejected one returns Validate's error, an accepted one runs with its
-# checks on); `make fuzz` runs longer. The schedule and bundle seeds
+# checks on), and of the collection rule (a collecting run restores its
+# uncollected twin's recovery lines and replays what the trace says);
+# `make fuzz` runs longer. The schedule and bundle seeds
 # are tens of kilobytes of JSON, which the fuzzer's default minute of
 # minimization per finding would spend the whole smoke on, so that is
 # capped in runs.
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPropagate -fuzztime=10s ./internal/recovery
 	$(GO) test -fuzz=FuzzDriverInline -fuzztime=10s ./internal/workload
 	$(GO) test -fuzz=FuzzConfig -fuzztime=10s ./internal/sim
+	$(GO) test -fuzz=FuzzCollect -fuzztime=10s ./internal/sim
 
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
@@ -74,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPropagate -fuzztime=2m ./internal/recovery
 	$(GO) test -fuzz=FuzzDriverInline -fuzztime=2m ./internal/workload
 	$(GO) test -fuzz=FuzzConfig -fuzztime=2m ./internal/sim
+	$(GO) test -fuzz=FuzzCollect -fuzztime=2m ./internal/sim
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both
@@ -82,7 +86,7 @@ fuzz:
 # the recovery line E8's analysis of the replay derives, with and without
 # a log: TestDifferentialReplayRecovery), the same gate on engine recordings (an engine
 # run's exported history replays to the engine's own checkpoint chains and
-# trace counts), then the CLI round-trip — a run recorded by
+# trace counts, and a logged one to its log counters), then the CLI round-trip — a run recorded by
 # examples/live must replay clean through mhsim with its instruments on
 # (the timeline file has to appear), and a perturbed replay must fail (a
 # gate has to be able to fail to prove it gates anything).

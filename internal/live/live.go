@@ -297,12 +297,6 @@ type Cluster struct {
 	//
 	//guard:mu
 	nextID uint64
-
-	// shipped is what the hand-off in progress ships: the side's log step
-	// leaves it here, and switchCell takes it before releasing mu.
-	//
-	//guard:mu
-	shipped []*mlog.Entry
 }
 
 // beginEvent opens one protocol event under mu: it advances the logical
@@ -350,12 +344,6 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		//locks:held mu
 		return des.Time(c.tick)
 	})
-	c.side.HandoffLog = func(s *protoside.Slot, h mobile.HostID, to mobile.MSSID) {
-		// The hand-off's log step runs inside switchCell's protocol event.
-		//
-		//locks:held mu
-		c.shipped = s.FrontierHandoff(h, to)
-	}
 	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), MLog: lg}
 	// Host h's current station — or, while h is disconnected, the last
 	// one, which holds its checkpoints and parked messages: where a
@@ -580,9 +568,10 @@ func (c *Cluster) Run() {
 
 // drainFinal delivers the traffic still buffered for hosts that retired
 // before it arrived (the at-least-once transport of §3 never loses
-// messages), counts what is left, and finishes the decision log. Anything
-// still queued after the loop indicates a routing bug, surfaced through
-// the Undrained counter.
+// messages), counts what is left, collects a logged cluster's station
+// images once more, and finishes the decision log. Anything still queued
+// after the loop indicates a routing bug, surfaced through the Undrained
+// counter.
 //
 //locks:quiescent every station and host goroutine has been joined
 func (c *Cluster) drainFinal() {
@@ -593,7 +582,16 @@ func (c *Cluster) drainFinal() {
 	}
 	c.counters.Undrained = undrained
 
-	if s := &c.side.Slots[0]; s.Dec != nil {
+	s := &c.side.Slots[0]
+	if s.MLog != nil {
+		// A host that retired early held every frontier at its index until
+		// the drain caught it up: collect every host's images once more.
+		_, keep := s.Frontier()
+		for h, ord := range keep {
+			c.group.Discard(h, ord)
+		}
+	}
+	if s.Dec != nil {
 		s.FinishRecoveryLines()
 	}
 }
@@ -783,7 +781,8 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 // switchCell moves the host to another station and takes the basic
 // checkpoint the mobile model mandates; with logging on, the host's log
 // follows it (pruned at the recovery-line frontier first, for the
-// index-based protocols) and crosses the wire after mu is released.
+// index-based protocols) and crosses the wire after mu is released, and
+// its station images below the same frontier are dropped.
 func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransferScratch) {
 	c.dirMu.Lock()
 	cur := c.station[h]
@@ -805,10 +804,15 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	c.dirMu.Unlock()
 	c.side.OnCellSwitch(now, h, mobile.MSSID(cur), mobile.MSSID(next))
 	// Only h's own log, and on h's goroutine: transferLog reads the slice
-	// the hand-off returned after mu is released, which is race-free
+	// the hand-off shipped after mu is released, which is race-free
 	// because nobody else ever rewrites h's log.
-	logged, entries := c.side.Slots[0].MLog != nil, c.shipped
-	c.shipped = nil
+	sl := &c.side.Slots[0]
+	logged, entries := sl.MLog != nil, sl.Shipped
+	if logged {
+		// A logged cluster recovers on the replay-aware line, which restores
+		// no checkpoint below the frontier (DESIGN §3).
+		c.group.Discard(int(h), sl.HandoffFrontier)
+	}
 	c.mu.Unlock()
 
 	if logged {

@@ -6,7 +6,9 @@ import (
 
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/race"
 	"mobickpt/internal/recovery"
+	"mobickpt/internal/statestore"
 	"mobickpt/internal/trace"
 )
 
@@ -71,8 +73,9 @@ func TestHandoffLogBounded(t *testing.T) {
 }
 
 // Only index-based protocols have a frontier to prune at: TP's recovery
-// lines are not index cuts, so its log stays whole on the live cluster
-// exactly as it does under the simulator's GC tick.
+// lines are not index cuts, so its log and its station images stay whole
+// on the live cluster exactly as its log and checkpoints do under the
+// simulator's GC tick.
 func TestLogStaysWholeWithoutIndexLines(t *testing.T) {
 	cfg := loggedConfig(mlog.Pessimistic)
 	cfg.OpsPerHost = 2000
@@ -82,9 +85,80 @@ func TestLogStaysWholeWithoutIndexLines(t *testing.T) {
 		t.Fatalf("TP's log was pruned: %d entries discarded, %d of %d retained",
 			lk.Pruned, c.MLog().StableEntries(), lk.FlushedEntries)
 	}
+	total := 0
+	for _, n := range c.side.Slots[0].Counts {
+		total += n
+	}
+	if checked, err := c.VerifyImages(); err != nil || checked != total {
+		t.Fatalf("TP's station images: %d of %d checkpoints verified (%v)", checked, total, err)
+	}
 	if _, err := c.Recover(0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The station images go with the log: a logged cluster's hand-offs drop
+// the switching host's images below its frontier, and after the final
+// drain — which catches up the hosts that retired early and held every
+// frontier at their index — the cluster collects every host's once more.
+// What the group holds at the end then depends on the host and station
+// counts, not on the run length: over three seeds, at 80 000 operations
+// per host at most half again what it holds at 20 000 (the whole history
+// grows about 3.9 times), and every host still recovers through the
+// discarded prefixes. One seed alone varies by a few images with how long
+// the last host runs on its own, and more so under the race detector,
+// whose scheduling this memory gate does not need: the same discards run
+// under -race in TestHandoffLogBounded and TestPruneNeverLosesReplayable.
+func TestStationImagesBounded(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a memory gate; the race detector stretches the last host's solo run")
+	}
+	held := make(map[int]int64)
+	for _, ops := range []int{20_000, 80_000} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := loggedConfig(mlog.Pessimistic)
+			cfg.OpsPerHost = ops
+			cfg.Seed = seed
+			c := runCluster(t, cfg, qbcFactory)
+			held[ops] += heldImageBytes(c)
+			for h := range cfg.Hosts {
+				if _, err := c.Recover(mobile.HostID(h)); err != nil {
+					t.Fatalf("%d operations, seed %d, failure of host %d: %v", ops, seed, h, err)
+				}
+			}
+			if _, err := c.VerifyImages(); err != nil {
+				t.Fatalf("%d operations, seed %d: %v", ops, seed, err)
+			}
+		}
+	}
+	t.Logf("%d image bytes held at 20 000 operations per host, %d at 80 000 (three seeds)", held[20_000], held[80_000])
+	if float64(held[80_000]) > 1.5*float64(held[20_000]) {
+		t.Fatalf("the station group holds %d image bytes at 80 000 operations per host, %d at 20 000", held[80_000], held[20_000])
+	}
+}
+
+// heldImageBytes is the image volume the cluster's station group holds:
+// the images a recovery can find, and each station's latest of each host,
+// the base of its next incremental delta.
+func heldImageBytes(c *Cluster) int64 {
+	held := make(map[*statestore.Image]bool)
+	for h := range c.states {
+		for ord := range c.side.Slots[0].Counts[h] {
+			if im, _, err := c.group.FindImage(h, ord); err == nil {
+				held[im] = true
+			}
+		}
+		for s := range c.cfg.Stations {
+			if im := c.group.Station(s).Latest(h); im != nil {
+				held[im] = true
+			}
+		}
+	}
+	var bytes int64
+	for im := range held {
+		bytes += int64(len(im.Data))
+	}
+	return bytes
 }
 
 // The soundness sweep behind the pruning rule: whatever host fails, every

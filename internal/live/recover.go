@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -143,9 +144,10 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// VerifyImages checksum-verifies every image currently held by the
-// station group and reports the number checked. Tests call it to assert
-// end-to-end stable-storage integrity.
+// VerifyImages checksum-verifies every image the station group still
+// holds and reports the number checked; every checkpoint the stations did
+// not discard must still have one. Tests call it to assert end-to-end
+// stable-storage integrity.
 //
 //locks:quiescent runs only after Run has returned; no goroutine is live
 func (c *Cluster) VerifyImages() (int, error) {
@@ -153,6 +155,9 @@ func (c *Cluster) VerifyImages() (int, error) {
 	for h := 0; h < len(c.states); h++ {
 		for ord := 0; ord < c.side.Slots[0].Counts[h]; ord++ {
 			im, _, err := c.group.FindImage(h, ord)
+			if errors.Is(err, statestore.ErrDiscarded) {
+				continue
+			}
 			if err != nil {
 				return checked, err
 			}

@@ -438,9 +438,9 @@ func (hl *hostLog) firstAbove(x int) int {
 // PruneDelivered garbage-collects host h's stable entries whose receive
 // no future recovery line can undo: entries with RecvCount <= frontier,
 // where frontier is the ordinal of the earliest checkpoint any future
-// line restores for h (see recovery.StableIndex). Per-host RecvCount is
-// nondecreasing, so this removes a prefix. It returns the number of
-// entries discarded.
+// line restores for h (protoside.Slot.Frontier; -1 discards nothing).
+// Per-host RecvCount is nondecreasing, so this removes a prefix. It
+// returns the number of entries discarded.
 func (l *Log) PruneDelivered(h mobile.HostID, frontier int) int {
 	hl := l.peek(h)
 	if hl == nil {

@@ -8,8 +8,8 @@
 // from a recorded schedule (both internal/sim), and the live goroutine
 // cluster (internal/live) from its hosts' real operations. What differs
 // between them arrives as values — the clock, the station a checkpoint
-// lands on, the message id and ordinal, the flow id, the hand-off's log
-// step — and nothing here asks which world is calling.
+// lands on, the message id and ordinal, the flow id — and nothing here
+// asks which world is calling.
 package protoside
 
 import (
@@ -41,12 +41,6 @@ type Side struct {
 	// logs stamp their entries with. Only single-lane worlds record one
 	// (the engine refuses RecordTrace on lanes).
 	Hist *trace.History
-
-	// HandoffLog moves host h's message log in slot s to station to,
-	// right after the slot's OnCellSwitch. Each world owns the pruning
-	// that goes with it: the engine prunes on its GC ticks, the live
-	// cluster and the replay at the frontier (Slot.FrontierHandoff).
-	HandoffLog func(s *Slot, h mobile.HostID, to mobile.MSSID)
 
 	// now is the world's clock: the virtual time on host h's timeline.
 	// Only a lane-sharded engine has more than one; the checker and the
@@ -115,12 +109,20 @@ type Slot struct {
 	// Counts is, per host, the checkpoints taken (incl. initial).
 	Counts []int
 
-	// The garbage-collection tallies, kept by the worlds that collect.
+	// The GC tallies (E11), kept by the one pruner of checkpoint records.
 	PeakLive    int // max live records seen at GC ticks
 	GCReclaimed int // total records pruned
 	GCFrontier  int // highest stable index any GC pruned at
 
+	// The latest log hand-off (OnCellSwitch): the frontier the switching
+	// host's log was pruned at and what it shipped, for the live cluster's
+	// wire and station images.
+	HandoffFrontier int
+	Shipped         []*mlog.Entry
+
 	JoinCtrl int64 // control messages spent on joins
+
+	frontier []int // Frontier's result, reused
 
 	// Cached instruments (nil without a registry): the
 	// sim_checkpoints_total counters by cause and the per-host
@@ -129,20 +131,23 @@ type Slot struct {
 	forcedHost  []*obs.Counter
 }
 
-// FrontierHandoff prunes host h's log at the recovery-line frontier —
-// index-based protocols only: an entry whose receive precedes the earliest
-// checkpoint any future recovery line restores for h can never be
-// replayed — and then hands it off to station to, returning what the
-// hand-off ships. The live cluster's hand-off and the replay of its
-// recording both run this, so their logs prune at the same instants.
-func (s *Slot) FrontierHandoff(h mobile.HostID, to mobile.MSSID) []*mlog.Entry {
-	if protocol.IndexBased(s.Name) {
-		// The host count is the current one, so a late joiner's low index
-		// holds the frontier back.
-		stable := recovery.StableIndex(s.Store, len(s.Counts))
-		s.MLog.PruneDelivered(h, recovery.Frontier(s.Store, h, stable))
+// Frontier is the one collection rule of every world: what an MSS may
+// discard. It returns the slot's stable index over the current hosts and,
+// per host, the ordinal of the earliest checkpoint a future recovery line
+// can restore for it (recovery.Frontier; -1 keeps everything); keep is nil
+// when the protocol's lines are not index cuts (TP, UNC, CL, PS) and
+// nothing may go. keep is the slot's own slice, reused by the next call.
+func (s *Slot) Frontier() (stable int, keep []int) {
+	if !protocol.IndexBased(s.Name) {
+		return 0, nil
 	}
-	return s.MLog.Handoff(h, to)
+	n := len(s.Counts)
+	stable = recovery.StableIndex(s.Store, n)
+	s.frontier = s.frontier[:0]
+	for h := range n {
+		s.frontier = append(s.frontier, recovery.Frontier(s.Store, mobile.HostID(h), stable))
+	}
+	return stable, s.frontier
 }
 
 // RecoveryLine is the one recovery rule of every world (E8's, the live
@@ -208,8 +213,7 @@ func (s *Slot) FinishRecoveryLines() {
 
 // New sizes a protocol side for protos slots driven from lanes lanes,
 // recording into hist and reading the world's clock now. hist, reg and tl
-// may be nil. The world fills the slots (InitSlot) and, if it logs
-// messages, sets HandoffLog.
+// may be nil. The world fills the slots (InitSlot).
 func New(protos, lanes int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, now func(mobile.HostID) des.Time) Side {
 	p := Side{
 		Slots:      make([]Slot, protos),
@@ -523,9 +527,14 @@ func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID
 			s.Check.AfterCellSwitch(h)
 		}
 		if s.MLog != nil {
-			// The message log follows its host like the checkpoints do
-			// (§2.2's transfer operation).
-			p.HandoffLog(s, h, to)
+			// The log follows its host like the checkpoints do (§2.2's
+			// transfer), less what no recovery replays: one prune, every world.
+			s.HandoffFrontier = -1
+			if _, keep := s.Frontier(); keep != nil {
+				s.HandoffFrontier = keep[h]
+			}
+			s.MLog.PruneDelivered(h, s.HandoffFrontier)
+			s.Shipped = s.MLog.Handoff(h, to)
 		}
 	}
 	if p.tl != nil {

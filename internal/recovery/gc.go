@@ -6,13 +6,13 @@ import (
 )
 
 // StableIndex returns the garbage-collection frontier of an index-based
-// protocol's store: the smallest "latest live index" across hosts. Any
-// future failure makes some host f restore its latest checkpoint, whose
-// index x_f is at least this value; every other host then restores its
-// first checkpoint with index >= x_f. Checkpoints strictly before a
-// host's first checkpoint with index >= StableIndex can therefore never
-// appear in any future recovery line and are safe to discard — the
-// mobile setting's answer to limited MSS storage.
+// protocol's store over its n current hosts: the smallest "latest live
+// index" across them. A failure of any of them restores its latest
+// checkpoint, of index x_f at least this value, and every other host its
+// first checkpoint with index >= x_f; so the checkpoints before a host's
+// first one with index >= StableIndex are in no future line of these
+// hosts — the mobile setting's answer to limited MSS storage. A host
+// that joins later, at index 0, is not covered (DESIGN §3).
 //
 // It returns 0 for an empty store (nothing can be collected).
 func StableIndex(store *storage.Store, n int) int {
@@ -32,23 +32,13 @@ func StableIndex(store *storage.Store, n int) int {
 	return stable
 }
 
-// Frontier returns the ordinal of the earliest checkpoint of host h that
-// a future recovery line can still restore, given stable, the store's
-// StableIndex: h's first live checkpoint with index >= stable. Nothing
-// below it is ever needed again — neither the checkpoints before it
-// (CollectGarbage) nor the logged receives at or before it, which no
-// rollback can undo and so no replay re-delivers (mlog.PruneDelivered
-// takes the returned ordinal as is). It is the one definition of "what an
-// MSS may discard for h", asked by the simulator's GC tick for every host
-// and by a live or replayed hand-off for the switching host alone.
-//
-// stable must cover every current host — a late joiner's low index holds
-// the frontier back, and pruning past it would destroy the lines its
-// failure still needs. Frontier returns -1 when h has no live checkpoint
-// at or above stable (nothing is safe to discard); both pruners treat -1
-// as "keep everything". The protocol must be index-based
-// (protocol.Entry.IndexBased): for any other the lines are not index
-// cuts and the answer means nothing.
+// Frontier returns the ordinal of host h's first live checkpoint with
+// index >= stable (the store's StableIndex), or -1, "keep everything",
+// when it has none: the earliest checkpoint of h a future recovery line
+// can restore. Neither the checkpoints before it nor the logged receives
+// at or before it are needed again (mlog.PruneDelivered takes the ordinal
+// as is). Only an index-based protocol's lines are index cuts; every
+// world asks through protoside.Slot.Frontier, which decides that.
 func Frontier(store *storage.Store, h mobile.HostID, stable int) int {
 	keep := store.FirstWithIndexAtLeast(h, stable)
 	if keep == nil {

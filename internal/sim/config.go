@@ -96,8 +96,8 @@ type Config struct {
 	// Logging is purely observational — it never perturbs the trace — so
 	// it composes with the shared-trace evaluation; each protocol slot
 	// keeps its own log (receiver positions depend on the protocol's
-	// checkpoints). Garbage collection of unreplayable entries rides the
-	// GCInterval ticks of the index-based protocols.
+	// checkpoints). An index-based slot prunes the switching host's log at
+	// each hand-off and every host's at each GCInterval tick (Slot.Frontier).
 	MessageLog mlog.Mode
 
 	// Metrics, when non-nil, receives the run's observability instruments
@@ -389,7 +389,7 @@ func (c Config) validateReplay() error {
 	case c.SnapshotPeriod != 0:
 		return fmt.Errorf("sim: replay is incompatible with SnapshotPeriod (the protocols it drives — CL, PS, MS — are not replayable)")
 	case c.GCInterval != 0:
-		return fmt.Errorf("sim: replay is incompatible with GCInterval (the recording prunes at hand-offs, not on a clock)")
+		return fmt.Errorf("sim: replay is incompatible with GCInterval (a replay has no clock to tick on; its logs prune at hand-offs, as in every world)")
 	case len(c.JoinTimes) != 0:
 		return fmt.Errorf("sim: replay takes joins from the schedule, not JoinTimes")
 	case c.Probes || c.LaneTimeline != nil:

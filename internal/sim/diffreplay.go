@@ -62,11 +62,6 @@ func runSchedule(cfg Config) (*Result, error) {
 	// slot's view of it.
 	r.Side = protoside.New(1, 1, trace.NewHistory(sched.Hosts, sched.Stations), cfg.Metrics, cfg.Timeline,
 		func(mobile.HostID) des.Time { return r.tick })
-	// The live cluster bounds the switching host's log at the
-	// recovery-line frontier right before it ships it; pruning at the same
-	// instants is what makes the two logs' counters comparable field for
-	// field.
-	r.HandoffLog = func(s *protoside.Slot, h mobile.HostID, to mobile.MSSID) { s.FrontierHandoff(h, to) }
 
 	// The slot as the live cluster keeps it: the default cost model.
 	scfg := cfg

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mobickpt/internal/des"
+	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 )
 
@@ -15,6 +16,9 @@ import (
 // station it landed on) and both count columns of every delivered message
 // must come out as the engine's slot had them. An event the engine
 // mirrors and the replay does not — or mirrors differently — fails here.
+// The logged worlds replay under the engine's discipline, and the two
+// message logs' counters must be equal field for field: every world's
+// hand-off prunes the switching host's log at the same frontier.
 func TestEngineHistoryReplays(t *testing.T) {
 	protos := []ProtocolName{TP, BCS, QBC, UNC}
 	worlds := []struct {
@@ -29,6 +33,18 @@ func TestEngineHistoryReplays(t *testing.T) {
 		{"joins", func(c *Config) {
 			c.Workload.PSwitch = 0.8
 			c.JoinTimes = []des.Time{400, 900, 1700}
+		}},
+		{"pessimistic", func(c *Config) {
+			c.Workload.PSwitch = 0.8
+			c.Workload.DisconnectMean = 300
+			c.JoinTimes = []des.Time{900}
+			c.MessageLog = mlog.Pessimistic
+		}},
+		{"optimistic", func(c *Config) {
+			c.Workload.PSwitch = 0.8
+			c.Workload.DisconnectMean = 300
+			c.JoinTimes = []des.Time{900}
+			c.MessageLog = mlog.Optimistic
 		}},
 	}
 	for _, w := range worlds {
@@ -52,7 +68,7 @@ func TestEngineHistoryReplays(t *testing.T) {
 					if eng.Trace.History() != hist {
 						t.Fatalf("%s: the slots record separate histories", eng.Name)
 					}
-					rep, err := Run(Config{Schedule: hist.Schedule(string(eng.Name), seed), Checks: true})
+					rep, err := Run(Config{Schedule: hist.Schedule(string(eng.Name), seed), Checks: true, MessageLog: cfg.MessageLog})
 					if err != nil {
 						t.Fatalf("%s: replay of the engine's history: %v", eng.Name, err)
 					}
@@ -64,7 +80,8 @@ func TestEngineHistoryReplays(t *testing.T) {
 }
 
 // sameRun compares an engine slot with its replay: chains by kind, index
-// and station, then the two count columns message by message.
+// and station, the two count columns message by message, then the message
+// logs' counters.
 func sameRun(t *testing.T, eng, rep *ProtocolResult, hosts int) {
 	t.Helper()
 	for h := 0; h < hosts; h++ {
@@ -86,5 +103,8 @@ func sameRun(t *testing.T, eng, rep *ProtocolResult, hosts int) {
 		if a, b := eng.Trace.Event(i), rep.Trace.Event(i); a.ID != b.ID || a.SendCount != b.SendCount || a.RecvCount != b.RecvCount {
 			t.Fatalf("%s delivery %d: engine %+v, replay %+v", eng.Name, i, a, b)
 		}
+	}
+	if eng.Log != rep.Log {
+		t.Fatalf("%s message log: engine %+v, replay %+v", eng.Name, eng.Log, rep.Log)
 	}
 }

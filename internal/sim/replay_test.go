@@ -262,23 +262,25 @@ func TestSeedCutMatchesProtocolLines(t *testing.T) {
 }
 
 // TestGCPrunesMessageLog ties the log's garbage collection to the stable
-// recovery-line frontier: with periodic GC on, entries behind the
-// frontier are reclaimed, the log/trace reconciliation invariants still
-// hold (Checks is on in testConfig), and a post-GC failure still
-// recovers with replay.
+// recovery-line frontier: with periodic GC on, every host's entries
+// behind the frontier are reclaimed — more than the hand-offs alone
+// reclaim from the switching hosts' — the log/trace reconciliation
+// invariants still hold (Checks is on in testConfig), and a post-GC
+// failure still recovers with replay.
 func TestGCPrunesMessageLog(t *testing.T) {
 	c := testConfig()
 	c.Horizon = 8000
-	c.GCInterval = 200
 	c.RecordTrace = true
 	c.Workload.PComm = 0.3
 	c.MessageLog = mlog.Pessimistic
+	handoffs := mustRun(t, c)
+	c.GCInterval = 200
 	res := mustRun(t, c)
 	for _, name := range []ProtocolName{BCS, QBC} {
 		pr := res.Protocol(name)
 		t.Logf("%s: %+v", name, pr.Log)
-		if pr.Log.Pruned == 0 {
-			t.Errorf("%s: GC never pruned the message log", name)
+		if only := handoffs.Protocol(name).Log.Pruned; pr.Log.Pruned <= only {
+			t.Errorf("%s: GC and hand-offs pruned %d log entries, hand-offs alone %d", name, pr.Log.Pruned, only)
 		}
 		out, err := AnalyzeReplay(pr, c.Mobile.NumHosts, 0, c.Horizon)
 		if err != nil {

@@ -23,7 +23,6 @@ import (
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/protoside"
-	"mobickpt/internal/recovery"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/workload"
 )
@@ -248,41 +247,27 @@ func (e *engine) scheduleTicks(i int, per protocol.Periodic) {
 	e.sim.Schedule(e.sim.Now()+period, "tick", tick)
 }
 
-// scheduleGC periodically reclaims unreachable checkpoints from every
-// index-based protocol's store (E11). Garbage collection is sound only
-// for protocols whose recovery lines are index cuts, so other protocols
-// are skipped.
+// scheduleGC periodically collects every slot at its frontier
+// (protoside.Slot.Frontier; E11): every host's checkpoint records and
+// logged receives that no future recovery line needs. A protocol whose
+// lines are not index cuts keeps everything.
 func (e *engine) scheduleGC() {
 	tick := func(sim *des.Simulator, now des.Time) {
-		// The frontier must cover every current host: a host joined after
-		// Start sits at a low index, and pruning past it would destroy the
-		// lines its failure still needs.
-		n := e.net.NumHosts()
 		for i := range e.Slots {
 			s := &e.Slots[i]
-			if !protocol.IndexBased(s.Name) {
+			stable, keep := s.Frontier()
+			if keep == nil {
 				continue
 			}
-			stable := recovery.StableIndex(s.Store, n)
-			if stable > s.GCFrontier {
-				s.GCFrontier = stable
-			}
-			records, _ := recovery.CollectGarbage(s.Store, n)
-			s.GCReclaimed += records
-			if live := s.Store.LiveRecords(-1); live > s.PeakLive {
-				s.PeakLive = live
-			}
-			if s.MLog != nil {
-				// The message log shares the frontier (collecting the
-				// checkpoints below it moved neither it nor the stable
-				// index): an entry whose receive precedes the earliest
-				// checkpoint any future recovery line restores for its
-				// host can never be replayed, so its stable storage is
-				// reclaimed with the checkpoints'.
-				for h := 0; h < n; h++ {
-					s.MLog.PruneDelivered(mobile.HostID(h), recovery.Frontier(s.Store, mobile.HostID(h), stable))
+			s.GCFrontier = max(s.GCFrontier, stable)
+			for h, ord := range keep {
+				records, _ := s.Store.PruneBefore(mobile.HostID(h), ord)
+				s.GCReclaimed += records
+				if s.MLog != nil {
+					s.MLog.PruneDelivered(mobile.HostID(h), ord)
 				}
 			}
+			s.PeakLive = max(s.PeakLive, s.Store.LiveRecords(-1))
 		}
 		sim.Again(e.cfg.GCInterval)
 	}

@@ -439,18 +439,16 @@ func TestGarbageCollectionIntegration(t *testing.T) {
 		if got := pr.Store.LiveRecords(-1); got != before-records {
 			t.Fatalf("%s: live %d, want %d", name, got, before-records)
 		}
-		stable := recovery.StableIndex(pr.Store, n)
-		maxIdx := 0
+		// Every line from the lowest latest index up must have survived.
+		minIdx, maxIdx := math.MaxInt, 0
 		for h := 0; h < n; h++ {
 			rec := pr.Store.LatestLive(mobile.HostID(h))
 			if rec == nil {
 				t.Fatalf("%s: host %d lost its latest checkpoint", name, h)
 			}
-			if rec.Index > maxIdx {
-				maxIdx = rec.Index
-			}
+			minIdx, maxIdx = min(minIdx, rec.Index), max(maxIdx, rec.Index)
 		}
-		for x := stable; x <= maxIdx; x++ {
+		for x := minIdx; x <= maxIdx; x++ {
 			cut := recovery.IndexCut(pr.Store, n, x)
 			if o := recovery.Orphans(pr.Trace, cut); o != 0 {
 				t.Fatalf("%s: post-GC line %d has %d orphans", name, x, o)

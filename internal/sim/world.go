@@ -5,7 +5,6 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs/probe"
 	"mobickpt/internal/protocol"
-	"mobickpt/internal/protoside"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/workload"
@@ -35,8 +34,6 @@ func (e *engine) wireWorld() error {
 	}
 	e.net = net
 
-	// The message log follows its host; pruning rides the GC ticks.
-	e.HandoffLog = func(s *protoside.Slot, h mobile.HostID, to mobile.MSSID) { s.MLog.Handoff(h, to) }
 	e.pendingLatency = make([]des.Time, n)
 	mssOf := func(h mobile.HostID) mobile.MSSID { return net.Host(h).LastMSS() }
 	for i, name := range cfg.Protocols {

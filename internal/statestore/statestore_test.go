@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -342,25 +343,33 @@ func TestHistoryAndFindImage(t *testing.T) {
 }
 
 func TestDiscard(t *testing.T) {
-	g := NewGroup(1)
+	g := NewGroup(2)
 	host := NewHostState(2)
 	g.Station(0).Apply(0, host.Checkpoint(0, true))
 	host.Write(0, []byte{1})
-	g.Station(0).Apply(0, host.Checkpoint(1, false))
+	g.Station(1).Apply(0, host.Checkpoint(1, false))
 	host.Write(0, []byte{2})
 	g.Station(0).Apply(0, host.Checkpoint(2, false))
-	freed := g.Station(0).Discard(0, 2)
-	if freed != 2*2*PageSize {
-		t.Fatalf("freed %d bytes", freed)
+	g.Discard(0, 2)
+	for seq := range 2 {
+		if _, _, err := g.FindImage(0, seq); !errors.Is(err, ErrDiscarded) {
+			t.Fatalf("seq %d after discarding below 2: %v", seq, err)
+		}
 	}
-	if g.Station(0).ImageAt(0, 0) != nil || g.Station(0).ImageAt(0, 1) != nil {
-		t.Fatal("old images survived discard")
-	}
-	if g.Station(0).ImageAt(0, 2) == nil {
+	if _, _, err := g.FindImage(0, 2); err != nil {
 		t.Fatal("current image discarded")
 	}
-	// The latest image survives even if its seq is below the threshold.
-	if g.Station(0).Discard(0, 99); g.Station(0).Latest(0) == nil {
-		t.Fatal("latest must survive")
+	// Discarded from the history, the latest image is still the base of
+	// the next incremental delta.
+	g.Discard(0, 99)
+	if _, _, err := g.FindImage(0, 2); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("seq 2 after discarding below 99: %v", err)
+	}
+	host.Write(0, []byte{3})
+	if _, err := g.Station(0).Apply(0, host.Checkpoint(3, false)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.FindImage(0, 120); err == nil || errors.Is(err, ErrDiscarded) {
+		t.Fatalf("a checkpoint never taken reads as %v", err)
 	}
 }

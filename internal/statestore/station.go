@@ -1,6 +1,7 @@
 package statestore
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -33,7 +34,7 @@ type StationStore struct {
 	latest map[int]*Image // per host, the newest reconstructed image
 	// history retains every reconstructed image per host and sequence
 	// number, so rollback can restore any checkpoint still referenced by
-	// a recovery line (pruned entries are dropped via Discard).
+	// a recovery line (Group.Discard drops the rest).
 	history map[int]map[int]*Image
 
 	// fetch resolves a host's latest image held by any sibling station;
@@ -46,6 +47,7 @@ type StationStore struct {
 // over the wired network.
 type Group struct {
 	stations []*StationStore
+	floor    map[int]int // per host, the seq Discard dropped its images below
 }
 
 // NewGroup creates n stations wired together.
@@ -53,7 +55,7 @@ func NewGroup(n int) *Group {
 	if n <= 0 {
 		panic("statestore: group needs at least one station")
 	}
-	g := &Group{}
+	g := &Group{floor: make(map[int]int)}
 	for i := 0; i < n; i++ {
 		st := &StationStore{id: i, latest: make(map[int]*Image), history: make(map[int]map[int]*Image)}
 		g.stations = append(g.stations, st)
@@ -149,26 +151,32 @@ func (s *StationStore) ImageAt(host, seq int) *Image {
 }
 
 // Discard drops host's images with sequence numbers strictly below seq
-// (garbage collection of superseded recovery lines), returning the
-// bytes reclaimed. The latest image is never discarded.
-func (s *StationStore) Discard(host, seq int) int64 {
-	var freed int64
-	for q, im := range s.history[host] {
-		if q < seq && im != s.latest[host] {
-			freed += int64(len(im.Data))
-			delete(s.history[host], q)
+// from every station (garbage collection of superseded recovery lines);
+// a station's latest image stays the base of its next incremental delta.
+// Each call visits only the sequence numbers above the previous call's.
+func (g *Group) Discard(host, seq int) {
+	for q := g.floor[host]; q < seq; q++ {
+		for _, st := range g.stations {
+			delete(st.history[host], q)
 		}
 	}
-	return freed
+	g.floor[host] = max(g.floor[host], seq)
 }
 
+// ErrDiscarded is FindImage's error for an image Discard dropped.
+var ErrDiscarded = errors.New("discarded")
+
 // FindImage locates host's checkpoint seq on any station of the group,
-// returning the image and the station holding it, or an error.
+// returning the image and the station holding it, or an error
+// (ErrDiscarded when Discard dropped it).
 func (g *Group) FindImage(host, seq int) (*Image, *StationStore, error) {
 	for _, st := range g.stations {
 		if im := st.ImageAt(host, seq); im != nil {
 			return im, st, nil
 		}
+	}
+	if seq < g.floor[host] {
+		return nil, nil, fmt.Errorf("statestore: image of host %d seq %d: %w", host, seq, ErrDiscarded)
 	}
 	return nil, nil, fmt.Errorf("statestore: no image of host %d seq %d on any station", host, seq)
 }
