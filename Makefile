@@ -34,7 +34,9 @@ vet:
 # cross-engine equivalence suite, the parallel sweeps and TestScaleSmoke
 # (50k hosts, sequential vs two lanes) all ride this one run. Then
 # internal/live three more times: it is the one package whose tests
-# depend on the scheduler, and a failure that needs an unlucky
+# depend on the scheduler (its hosts are goroutines under a bounded-skew
+# gate, whose lost-raise and missed-joiner races the race detector's
+# slower interleavings expose), and a failure that needs an unlucky
 # interleaving does not show in a single pass.
 test-race:
 	$(GO) test -race ./...

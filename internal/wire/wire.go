@@ -119,12 +119,17 @@ type Packet struct {
 // packetHeader is id + from + to.
 const packetHeader = 8 + 4 + 4
 
-// Marshal encodes the packet.
+// indexPacket is the size of a packet carrying an index piggyback: the
+// header, the tag and the index word.
+const indexPacket = packetHeader + 1 + 8
+
+// Marshal encodes the packet, in one allocation when the piggyback is
+// absent or an index.
 func (p *Packet) Marshal() ([]byte, error) {
 	if p.From < 0 || p.From > math.MaxUint32 || p.To < 0 || p.To > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: host id out of range: %d -> %d", p.From, p.To)
 	}
-	buf := make([]byte, 0, packetHeader+8)
+	buf := make([]byte, 0, indexPacket)
 	buf = binary.BigEndian.AppendUint64(buf, p.ID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.From))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.To))

@@ -7,6 +7,7 @@ import (
 
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
+	"mobickpt/internal/race"
 	"mobickpt/internal/vclock"
 )
 
@@ -37,6 +38,29 @@ func TestRoundTripIndex(t *testing.T) {
 	pb := roundTrip(t, protocol.IndexPiggyback(-5))
 	if pb.(protocol.IndexPiggyback) != -5 {
 		t.Fatalf("got %v", pb)
+	}
+}
+
+// An index packet, the frame of every BCS and QBC send, is one
+// allocation: the buffer is sized for the header, the tag and the index
+// word (16 + 1 + 8 = 25 B), so the append never grows it.
+func TestMarshalAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	p := &Packet{ID: 42, From: 3, To: 7, Piggyback: protocol.IndexPiggyback(9)}
+	var frame []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if frame, err = p.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Marshal of an index packet allocated %v times, want 1", allocs)
+	}
+	if len(frame) != cap(frame) {
+		t.Fatalf("index frame of %d B in a %d B buffer", len(frame), cap(frame))
 	}
 }
 
