@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"mobickpt/internal/mobile"
@@ -39,10 +40,39 @@ type TPPiggyback struct {
 	Loc  vclock.Vector
 }
 
-// tpChange is one change-log record: entry idx of a host's vectors rose
-// to (ckpt, loc). The fields are 32 bits wide because the log is what a
-// run retains per checkpoint; tpHost.set refuses values that do not fit.
-type tpChange struct{ idx, ckpt, loc int32 }
+// tpEntry is component j of a host's dependency state: CKPT[j] and
+// LOC[j], which TP only ever writes together. Both fields are 32 bits
+// wide — the vectors, their frames and their change logs are what a run
+// retains per host and per checkpoint; tpEntryOf refuses values that do
+// not fit.
+type tpEntry struct{ ckpt, loc int32 }
+
+// tpChange is one change-log record: entry idx of a host's state rose to
+// the pair it carries.
+type tpChange struct {
+	idx int32
+	tpEntry
+}
+
+// tpEntryOf is the pair (ckpt, loc), or a panic if either does not fit
+// in 32 bits.
+func tpEntryOf(ckpt, loc int) tpEntry {
+	e := tpEntry{int32(ckpt), int32(loc)}
+	if int(e.ckpt) != ckpt || int(e.loc) != loc {
+		panic("protocol: TP vector entry does not fit in 32 bits")
+	}
+	return e
+}
+
+// newTPState is a host's state before it depends on anything: width
+// entries of (-1, -1).
+func newTPState(width int) []tpEntry {
+	vec := make([]tpEntry, width)
+	for j := range vec {
+		vec[j] = tpEntry{-1, -1}
+	}
+	return vec
+}
 
 // TPView is one host's dependency vectors as they stood at one instant —
 // the piggyback OnSend returns and the form a checkpoint's vectors are
@@ -52,10 +82,10 @@ type tpChange struct{ idx, ckpt, loc int32 }
 // and a log only grows past the prefix, so a view costs O(1) to take, is
 // immutable, and may be read from any lane while its host moves on.
 type TPView struct {
-	// frame holds CKPT then LOC, each len(frame)/2 entries wide. Entries
-	// the frame lacks — all of them for a host that has not compacted
-	// yet, the newest ones after a join — are -1.
-	frame []int
+	// frame is the host's state at its last compaction. Entries the
+	// frame lacks — all of them for a host that has not compacted yet,
+	// the newest ones after a join — are (-1, -1).
+	frame []tpEntry
 	log   []tpChange // oldest first
 	width int
 }
@@ -63,9 +93,9 @@ type TPView struct {
 // Dense materializes the vectors the view stands for.
 func (v *TPView) Dense() TPPiggyback {
 	pb := TPPiggyback{Ckpt: vclock.New(v.width, -1), Loc: vclock.New(v.width, -1)}
-	fw := len(v.frame) / 2
-	copy(pb.Ckpt, v.frame[:fw])
-	copy(pb.Loc, v.frame[fw:])
+	for j, e := range v.frame {
+		pb.Ckpt[j], pb.Loc[j] = int(e.ckpt), int(e.loc)
+	}
 	for _, c := range v.log {
 		pb.Ckpt[c.idx], pb.Loc[c.idx] = int(c.ckpt), int(c.loc)
 	}
@@ -76,15 +106,15 @@ func (v *TPView) Dense() TPPiggyback {
 // touches it; what other lanes see of it are TPViews.
 type tpHost struct {
 	phase Phase
-	// ckpt[j] = index of the last checkpoint of host j that this host's
-	// current state transitively depends on (its own entry is the index
-	// of its current checkpoint interval); loc[j] = MSS storing that
-	// checkpoint. Both only ever rise, one entry at a time, through set.
-	ckpt, loc vclock.Vector
-	// frame is a copy of ckpt and loc taken at the last compaction and
-	// log lists every entry set since, so (frame, log) is the vectors'
-	// whole history since then: any prefix of log is a past state.
-	frame []int
+	// vec[j].ckpt = index of the last checkpoint of host j that this
+	// host's current state transitively depends on (its own entry is the
+	// index of its current checkpoint interval); vec[j].loc = MSS storing
+	// that checkpoint. Entries only ever rise, one at a time, through set.
+	vec []tpEntry
+	// frame is a copy of vec taken at the last compaction and log lists
+	// every entry set since, so (frame, log) is the state's whole history
+	// since then: any prefix of log is a past state.
+	frame []tpEntry
 	log   []tpChange
 	// sent is the view the last send took, shared by every send until
 	// the vectors next change.
@@ -100,14 +130,10 @@ type tpCheckpoint struct {
 	view TPView
 }
 
-// set raises entry j to (ckpt, loc) and logs the change.
-func (s *tpHost) set(j, ckpt, loc int) {
-	c := tpChange{int32(j), int32(ckpt), int32(loc)}
-	if int(c.ckpt) != ckpt || int(c.loc) != loc {
-		panic("protocol: TP vector entry does not fit the 32-bit change log")
-	}
-	s.ckpt[j], s.loc[j] = ckpt, loc
-	s.log = append(s.log, c)
+// set raises entry j to e and logs the change.
+func (s *tpHost) set(j int, e tpEntry) {
+	s.vec[j] = e
+	s.log = append(s.log, tpChange{int32(j), e})
 	s.sent = nil
 }
 
@@ -117,33 +143,31 @@ func (s *tpHost) set(j, ckpt, loc int) {
 // and log they name. The fresh log is sized for the next n changes at
 // once — a host that filled one log will fill the next.
 func (s *tpHost) compact() {
-	w := len(s.ckpt)
+	w := len(s.vec)
 	if len(s.log) < w {
 		return
 	}
-	s.frame = make([]int, 2*w)
-	copy(s.frame, s.ckpt)
-	copy(s.frame[w:], s.loc)
+	s.frame = slices.Clone(s.vec)
 	s.log = make([]tpChange, 0, w)
 }
 
 // view returns the host's vectors as they stand now.
 func (s *tpHost) view() TPView {
-	return TPView{frame: s.frame, log: s.log[:len(s.log):len(s.log)], width: len(s.ckpt)}
+	return TPView{frame: s.frame, log: s.log[:len(s.log):len(s.log)], width: len(s.vec)}
 }
 
-// merge raises every entry of the host's vectors that dense vectors
+// merge raises every entry of the host's state that dense vectors
 // (ckpt, loc) dominate — TP's paired update: LOC[j] always names the MSS
 // holding the CKPT[j]-th checkpoint of host j. The incoming vectors may
 // be narrower (a message sent before new hosts joined: the missing
 // entries carry no dependency); wider ones are a message from the future.
 func (s *tpHost) merge(ckpt, loc vclock.Vector) {
-	if len(ckpt) != len(loc) || len(ckpt) > len(s.ckpt) {
+	if len(ckpt) != len(loc) || len(ckpt) > len(s.vec) {
 		panic("protocol: TP merge width mismatch")
 	}
 	for j, x := range ckpt {
-		if x > s.ckpt[j] {
-			s.set(j, x, loc[j])
+		if x > int(s.vec[j].ckpt) {
+			s.set(j, tpEntryOf(x, loc[j]))
 		}
 	}
 }
@@ -157,16 +181,20 @@ func (s *tpHost) merge(ckpt, loc vclock.Vector) {
 // same values, once each: whatever precedes an entry's newest record is
 // smaller and no longer wins.
 func (s *tpHost) mergeView(v *TPView) {
-	if v.width > len(s.ckpt) {
+	if v.width > len(s.vec) {
 		panic("protocol: TP merge width mismatch")
 	}
 	for i := len(v.log) - 1; i >= 0; i-- {
-		if c := v.log[i]; int(c.ckpt) > s.ckpt[c.idx] {
-			s.set(int(c.idx), int(c.ckpt), int(c.loc))
+		if c := v.log[i]; c.ckpt > s.vec[c.idx].ckpt {
+			s.set(int(c.idx), c.tpEntry)
 		}
 	}
-	fw := len(v.frame) / 2
-	s.merge(v.frame[:fw], v.frame[fw:])
+	vec := s.vec[:len(v.frame)]
+	for j, e := range v.frame {
+		if e.ckpt > vec[j].ckpt {
+			s.set(j, e)
+		}
+	}
 }
 
 // TP is the two-phase protocol of Acharya–Badrinath (§4.1), an adaptation
@@ -190,8 +218,7 @@ type TP struct {
 func NewTP(n int, ckpt Checkpointer, mssOf func(mobile.HostID) mobile.MSSID) *TP {
 	t := &TP{ckpt: ckpt, mssOf: mssOf, hosts: make([]tpHost, n)}
 	for i := range t.hosts {
-		t.hosts[i].ckpt = vclock.New(n, -1)
-		t.hosts[i].loc = vclock.New(n, -1)
+		t.hosts[i].vec = newTPState(n)
 	}
 	return t
 }
@@ -212,9 +239,9 @@ func (t *TP) Init() {
 // records the dependency vectors alongside the checkpoint.
 func (t *TP) takeCheckpoint(h mobile.HostID, kind storage.Kind) {
 	s := &t.hosts[h]
-	s.set(int(h), s.ckpt[h]+1, int(t.mssOf(h)))
+	s.set(int(h), tpEntryOf(int(s.vec[h].ckpt)+1, int(t.mssOf(h))))
 	s.compact()
-	rec := t.ckpt(h, s.ckpt[h], kind)
+	rec := t.ckpt(h, int(s.vec[h].ckpt), kind)
 	s.taken = append(s.taken, tpCheckpoint{rec, s.view()})
 }
 
@@ -303,11 +330,10 @@ func (t *TP) OnJoin(h mobile.HostID) int64 {
 		// so nothing is logged; only the width of later views changes
 		// (ragged merges accept the narrower ones still in flight).
 		s := &t.hosts[i]
-		s.ckpt = s.ckpt.Grow(n, -1)
-		s.loc = s.loc.Grow(n, -1)
+		s.vec = append(s.vec, tpEntry{-1, -1})
 		s.sent = nil
 	}
-	t.hosts = append(t.hosts, tpHost{ckpt: vclock.New(n, -1), loc: vclock.New(n, -1)})
+	t.hosts = append(t.hosts, tpHost{vec: newTPState(n)})
 	t.takeCheckpoint(h, storage.Initial)
 	return int64(n - 1) // one membership notification per existing host
 }
@@ -334,7 +360,21 @@ func (t *TP) Meta(rec *storage.Record) (TPPiggyback, bool) {
 func (t *TP) PhaseOf(h mobile.HostID) Phase { return t.hosts[h].phase }
 
 // DependencyVector returns a copy of host h's current CKPT vector.
-func (t *TP) DependencyVector(h mobile.HostID) vclock.Vector { return t.hosts[h].ckpt.Clone() }
+func (t *TP) DependencyVector(h mobile.HostID) vclock.Vector {
+	vec := t.hosts[h].vec
+	v := make(vclock.Vector, len(vec))
+	for j, e := range vec {
+		v[j] = int(e.ckpt)
+	}
+	return v
+}
 
 // LocationVector returns a copy of host h's current LOC vector.
-func (t *TP) LocationVector(h mobile.HostID) vclock.Vector { return t.hosts[h].loc.Clone() }
+func (t *TP) LocationVector(h mobile.HostID) vclock.Vector {
+	vec := t.hosts[h].vec
+	v := make(vclock.Vector, len(vec))
+	for j, e := range vec {
+		v[j] = int(e.loc)
+	}
+	return v
+}

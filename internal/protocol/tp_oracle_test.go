@@ -495,9 +495,9 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 }
 
 // TestTPCheckpointAllocs is the memory gate on what a checkpoint keeps:
-// a 1000-wide TP run through the script retains under 4 kB per
+// a 1000-wide TP run through the script retains under 2.5 kB per
 // checkpoint, everything the script's traffic added to its vectors'
-// history included. Storing the two vectors whole is 16 kB.
+// history included. Storing the two vectors whole is 8 kB.
 func TestTPCheckpointAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
@@ -528,15 +528,16 @@ func TestTPCheckpointAllocs(t *testing.T) {
 	}
 	perCkpt := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(ckpts)
 	t.Logf("%d checkpoints, %d B retained per checkpoint", ckpts, perCkpt)
-	if perCkpt >= 4096 {
-		t.Fatalf("run retains %d B per checkpoint, want < 4096", perCkpt)
+	if perCkpt >= 2560 {
+		t.Fatalf("run retains %d B per checkpoint, want < 2560", perCkpt)
 	}
 	runtime.KeepAlive(w)
 }
 
 // TestTPInitAllocs is the memory gate on set-up: constructing and
-// initializing a 1000-wide TP allocates each host's two current vectors
-// and, beside them, nothing that grows with the width.
+// initializing a 1000-wide TP allocates each host's current state — one
+// (CKPT, LOC) pair of 32-bit entries per host — and, beside it, nothing
+// that grows with the width.
 func TestTPInitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
@@ -546,7 +547,7 @@ func TestTPInitAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	w := newTPWorld(n, false)
 	runtime.ReadMemStats(&after)
-	vectors := uint64(2 * n * n * 8)
+	vectors := uint64(n * n * 8)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("NewTP(%d)+Init allocated %d B, the current vectors are %d B", n, got, vectors)
 	if got > vectors+vectors/10 {

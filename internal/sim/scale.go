@@ -43,8 +43,9 @@ const (
 	scaleMinHorizon = 50
 	// ScaleTPMaxHosts caps TP's participation: each TP piggyback carries
 	// two n-entry vectors, so at 10^4 hosts a single message hauls
-	// ~160 kB of control state, and every host holds two dense current
-	// vectors — 16n² B in all, 1.6 GB at 10^4 and 160 GB at 10^5.
+	// ~160 kB of control state, and every host holds its dense current
+	// vectors as n 32-bit (CKPT, LOC) pairs — 8n² B in all, 0.8 GB at
+	// 10^4 and 80 GB at 10^5.
 	// That blow-up is E21's headline finding, measured where it is
 	// affordable and extrapolated (linearly, by construction) beyond.
 	ScaleTPMaxHosts = 10000

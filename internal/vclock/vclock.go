@@ -6,6 +6,11 @@
 // checkpoint index of host j that the current state of i (transitively)
 // depends on. Vectors are piggybacked on every application message and
 // merged component-wise on delivery, exactly as in the paper's §4.1.
+//
+// Vector is the dense form TP's vectors take in transit: on the wire,
+// in TP.Meta and in recovery. The TP protocol keeps its own state as
+// 32-bit (CKPT, LOC) pairs (internal/protocol) and widens to Vector only
+// at that boundary.
 package vclock
 
 import (
@@ -98,17 +103,6 @@ func (v Vector) Equal(o Vector) bool {
 		}
 	}
 	return true
-}
-
-// Max returns the largest component (or 0 for an empty vector).
-func (v Vector) Max() int {
-	m := 0
-	for i, x := range v {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // String renders the vector as "[a b c]".

@@ -89,18 +89,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	if (Vector{}).Max() != 0 {
-		t.Fatal("empty max must be 0")
-	}
-	if (Vector{-5, -2, -9}).Max() != -2 {
-		t.Fatal("negative max wrong")
-	}
-	if (Vector{1, 7, 3}).Max() != 7 {
-		t.Fatal("max wrong")
-	}
-}
-
 func TestString(t *testing.T) {
 	if s := (Vector{1, -1, 3}).String(); s != "[1 -1 3]" {
 		t.Fatalf("string = %q", s)
