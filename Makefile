@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-short check vet test-race allocs fuzz-smoke diffreplay results-check fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
+.PHONY: all build test test-short check vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
 
 all: build test
 
@@ -24,7 +24,7 @@ test-short:
 
 # The CI gate, each piece once; CI calls the same targets one step each.
 # (The repository benchmark's smoke and goldens ride `go test ./...`.)
-check: fmt lint vet test-race allocs fuzz-smoke diffreplay results-check
+check: fmt lint vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check
 
 vet:
 	$(GO) vet ./...
@@ -33,14 +33,27 @@ vet:
 # The full suite under the race detector: the pdes lane tests, the
 # cross-engine equivalence suite, the parallel sweeps and TestScaleSmoke
 # (50k hosts, sequential vs two lanes) all ride this one run. Then
-# internal/live three more times: it is the one package whose tests
-# depend on the scheduler (its hosts are goroutines under a bounded-skew
-# gate, whose lost-raise and missed-joiner races the race detector's
-# slower interleavings expose), and a failure that needs an unlucky
-# interleaving does not show in a single pass.
+# internal/live three more times: its hosts are goroutines under a
+# bounded-skew gate, whose lost-raise and missed-joiner races only the
+# race detector's slower interleavings expose, and a race that needs an
+# unlucky interleaving does not show in a single pass.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/live
+
+# The packages whose tests run goroutines the scheduler interleaves —
+# the live cluster and the differential replay of its recordings — must
+# pass whatever the interleaving: thirty passes at GOMAXPROCS 1, 2 and 4,
+# while the internal/sim suite runs over and over beside them as a CPU
+# hog. A live test that fails anyway names the bundle that replays its run.
+interleave-gate:
+	@set -e; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) test -c -o "$$tmp/hog.test" ./internal/sim; \
+	touch "$$tmp/hog"; \
+	(cd internal/sim && while [ -e "$$tmp/hog" ]; do "$$tmp/hog.test" -test.count=1 > /dev/null 2>&1 || true; done) & hog=$$!; \
+	status=0; $(GO) test -count=30 -cpu 1,2,4 -timeout 60m ./internal/live ./internal/replaycmp || status=$$?; \
+	rm -f "$$tmp/hog"; wait $$hog; exit $$status
 
 # The alloc-regression gates (DESIGN §7) skip under -race, whose
 # instrumentation allocates, so they get their own plain run.

@@ -1,13 +1,13 @@
 package live
 
-// DefaultDupWindow is the per-host duplicate-suppression window: how
-// many recently delivered packet ids a host remembers. The transport
+// dupWindow is the per-host duplicate-suppression window: how many
+// recently delivered packet ids a host remembers. The transport
 // duplicates a packet at most once and puts the copy into the host's
 // FIFO downlink together with its original (one mailbox.put, so no other
 // station's packet lands between them): the copy is the very next
 // delivery the host sees, and any window bounds away from 1 are pure
 // slack against future transport changes.
-const DefaultDupWindow = 4096
+const dupWindow = 4096
 
 // dupFilter is each host's bounded-memory at-least-once filter. The old
 // implementation kept one map entry per delivered message forever — an
@@ -27,9 +27,6 @@ type dupFilter struct {
 }
 
 func newDupFilter(window int) *dupFilter {
-	if window <= 0 {
-		window = DefaultDupWindow
-	}
 	return &dupFilter{window: window, slot: make(map[uint64]int)}
 }
 

@@ -22,25 +22,41 @@ func waitFor(t *testing.T, done <-chan struct{}, what string) {
 	}
 }
 
-// parked reports, by yielding until it is, whether somebody is parked on
-// the gate.
-func parked(g *gate) bool {
-	for range 100_000 {
-		if g.waiters.Load() > 0 {
-			return true
+// parked waits until somebody is parked on the gate, or until done
+// closes first — the goroutine under test went through without parking —
+// and reports whether somebody parked.
+func parked(t *testing.T, g *gate, done <-chan struct{}) bool {
+	t.Helper()
+	settled := make(chan struct{})
+	go func() {
+		defer close(settled)
+		for g.waiters.Load() == 0 {
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
 		}
-		runtime.Gosched()
-	}
-	return false
+	}()
+	waitFor(t, settled, "a goroutine parking on the gate or passing it")
+	return g.waiters.Load() > 0
 }
 
 // The bound itself: hosts step the gate at uneven speeds, and an observer
 // reading each count and then the published minimum never finds a host
 // more than skewWindow ahead of it, nor a running host below a minimum it
-// read before the count.
+// read before the count. The slow host 0 retires only after the observer's
+// first full pass, so that pass checks it at least, however the hosts and
+// the observer are scheduled. The observer yields after every pass: at
+// GOMAXPROCS=1 a spinning one takes a whole time slice at each of the slow
+// host's yields, and the hosts overran the 10 s bound.
 func TestGateBoundsSkew(t *testing.T) {
 	const hosts, steps = 6, 3000
 	g := newGate(hosts, hosts)
+	stop := make(chan struct{})
+	var checks atomic.Int64
+	observer, passed := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	for h := range hosts {
 		wg.Add(1)
@@ -54,15 +70,21 @@ func TestGateBoundsSkew(t *testing.T) {
 					}
 				}
 			}
+			if h == 0 {
+				select {
+				case <-passed:
+				case <-observer: // the observer failed before its pass ended
+				}
+			}
 			g.retire(h)
 		}(mobile.HostID(h))
 	}
-	stop := make(chan struct{})
-	var checks atomic.Int64
-	observer := make(chan struct{})
 	go func() {
 		defer close(observer)
-		for {
+		for pass := 0; ; pass++ {
+			if pass == 1 {
+				close(passed)
+			}
 			select {
 			case <-stop:
 				return
@@ -85,13 +107,16 @@ func TestGateBoundsSkew(t *testing.T) {
 				}
 				checks.Add(1)
 			}
+			runtime.Gosched()
 		}
 	}()
+	var once sync.Once
+	stopObserver := func() { once.Do(func() { close(stop); <-observer }) }
+	defer stopObserver() // a failed wait must not leave the observer running
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	waitFor(t, done, "hosts stepping the gate")
-	close(stop)
-	<-observer
+	stopObserver()
 	if m := g.minimum(); m != idle {
 		t.Fatalf("every host retired, the minimum reads %d, want idle", m)
 	}
@@ -112,7 +137,7 @@ func TestGateRetireReleasesWaiters(t *testing.T) {
 		g.admit(1) // host 0 has done nothing: one over the window
 		close(done)
 	}()
-	if !parked(g) {
+	if !parked(t, g, done) {
 		t.Fatal("a host skewWindow ahead of the minimum did not park")
 	}
 	select {
@@ -139,7 +164,7 @@ func TestGateJoinWaitsForTheSlowest(t *testing.T) {
 	for range 10 {
 		g.admit(0)
 	}
-	if !parked(g) {
+	if !parked(t, g, done) {
 		t.Fatal("the join did not wait for the slowest host")
 	}
 	for range 10 {
@@ -152,7 +177,7 @@ func TestGateJoinWaitsForTheSlowest(t *testing.T) {
 		g.await(1000)
 		close(done)
 	}()
-	if !parked(g) {
+	if !parked(t, g, done) {
 		t.Fatal("the join did not wait for the slowest host")
 	}
 	g.retire(0)

@@ -23,12 +23,17 @@
 // the destination's current station, which delivers into the host's
 // downlink mailbox (modelling the MSS buffering messages for a host that
 // is slow, moving, or disconnected: the station never waits for it).
+//
+// The cluster has one lock: every protocol event, and every read or move
+// of a host's station, runs under Cluster.mu. The links and the skew gate
+// lock themselves with leaf locks, and the run counters are atomic.
 package live
 
 import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
@@ -82,7 +87,8 @@ type Config struct {
 	// queue-depth gauges for the wired inboxes and downlinks, the replay
 	// count and Go runtime gauges. Safe to snapshot (e.g. from
 	// obs.ServeDebug's /metrics endpoint) while the cluster runs — the
-	// sampled readers take the cluster's locks.
+	// protocol side's readers take the cluster's lock, and the live_*
+	// ones read atomics.
 	Metrics *obs.Registry
 
 	// Timeline, when non-nil, records the cluster's protocol events —
@@ -107,11 +113,6 @@ type Config struct {
 	// deterministically and replaycmp.Compare the two decision logs
 	// (experiment E24).
 	Record bool
-
-	// DupWindow overrides the per-host duplicate-suppression window
-	// (ids remembered per host); 0 selects DefaultDupWindow. Tests use
-	// tiny windows to exercise eviction.
-	DupWindow int
 }
 
 // DefaultConfig returns a small cluster that exercises every mechanism.
@@ -146,8 +147,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: Joins = %d, need >= 0", c.Joins)
 	case c.LogMode != mlog.Off && c.LogMode != mlog.Pessimistic && c.LogMode != mlog.Optimistic:
 		return fmt.Errorf("live: LogMode %v unknown", c.LogMode)
-	case c.DupWindow < 0:
-		return fmt.Errorf("live: DupWindow = %d, need >= 0", c.DupWindow)
 	}
 	return nil
 }
@@ -175,7 +174,8 @@ type packet struct {
 	frame []byte
 }
 
-// Counters summarizes a live run.
+// Counters summarizes a live run. While the cluster runs its fields are
+// updated and sampled through sync/atomic.
 type Counters struct {
 	Sent       int64 // application messages sent
 	Delivered  int64 // distinct messages handed to the application
@@ -210,10 +210,17 @@ type Counters struct {
 // Cluster is a running (or finished) live system.
 //
 // The locking discipline is a machine-checked contract: every field
-// carries a //guard: directive naming its mutex (simlint's guardlint
-// verifies the access sites), and the lock order is mu -> dirMu
-// (declared with //locks:after, also verified).
+// carries a //guard: directive (simlint's guardlint verifies the access
+// sites). The cluster has one lock, mu; the mailboxes and the gate lock
+// themselves with leaf locks, never taken the other way round.
 type Cluster struct {
+	// counters is the run summary, updated and sampled through sync/atomic.
+	// It is the first field, so its int64s are 64-bit aligned on every
+	// platform, as sync/atomic requires of them.
+	//
+	//guard:none atomic
+	counters Counters
+
 	//guard:none immutable after NewCluster returns
 	cfg Config
 
@@ -229,13 +236,14 @@ type Cluster struct {
 	//guard:mu
 	side protoside.Side
 
-	// mu serializes protocol-side access, so the history, decision log and
-	// replay see one total order under one tick. The protocol state is
-	// per-host, so a production system would stripe this lock by host. It
-	// is the cluster's bottleneck: on the live-cluster workload (QBC,
-	// pessimistic log, 8 hosts × 20 000 operations, 20 clusters, two
-	// vCPUs) goroutines waited 3.1 s on it in all while the clusters ran
-	// 2.0 s (E35).
+	// mu serializes the protocol events, so the history, decision log and
+	// replay see one total order under one tick; it also guards the
+	// location directory (station), which only protocol events read and
+	// move. The protocol state is per-host, so a production system would
+	// stripe this lock by host. It is the cluster's bottleneck: on the
+	// live-cluster workload (QBC, pessimistic log, 8 hosts × 20 000
+	// operations, 20 clusters, two vCPUs) goroutines waited 3.1 s on it in
+	// all while the clusters ran 2.0 s (E35).
 	mu sync.Mutex
 
 	// gate keeps every running host within skewWindow operations of the
@@ -247,7 +255,8 @@ type Cluster struct {
 	// states is the real data plane: each host's page-tracked memory
 	// image, checkpointed incrementally into the station group. Each is
 	// touched only under mu (protocol hooks mutate it via checkpoints,
-	// the host loop via application writes... also under mu).
+	// the host loop via application writes... also under mu). It grows by
+	// one on each join, so its length is the number of hosts so far.
 	//
 	//guard:mu
 	states []*statestore.HostState
@@ -255,39 +264,29 @@ type Cluster struct {
 	//guard:mu
 	group *statestore.Group
 
-	// seen holds each host's bounded duplicate-suppression filter,
-	// touched only by its owner's goroutine while the run is live, and by
-	// the final drain after every host has retired (ordered by the
-	// WaitGroup, so there is no race). The slice header itself grows on
-	// joins, under mu.
+	// station is the location directory: each host's current (while
+	// disconnected: last) station. Hand-offs move hosts, and sends,
+	// deliveries and checkpoints look them up, all inside a protocol event.
 	//
 	//guard:mu
-	seen []*dupFilter
-
-	// The directory maps each host to its current (while disconnected:
-	// last) station and to its downlink. The directory pair is written
-	// under BOTH locks (joins grow it, hand-offs move hosts), so holding
-	// either is enough to read it.
-	//
-	//locks:after mu
-	dirMu sync.Mutex
-
-	// station is the current (or last) station of each host.
-	//
-	//guard:mu,dirMu
 	station []int
 
-	//guard:mu,dirMu
+	// downlink and seen hold each host's downlink mailbox and bounded
+	// duplicate-suppression filter, one per host the run can have
+	// (Hosts + Joins). A filter is touched only by its host's goroutine
+	// while the run is live, and by the final drain after every host has
+	// retired (ordered by the WaitGroup, so there is no race).
+	//
+	//guard:none made by NewCluster; the slice never changes, and a mailbox locks itself
 	downlink []*mailbox
+
+	//guard:none made by NewCluster; the slice never changes, and each filter has one goroutine at a time
+	seen []*dupFilter
 
 	// wired holds one inbox per station.
 	//
 	//guard:none mailboxes made at construction; the slice never grows, and a mailbox locks itself
 	wired []*mailbox
-
-	//guard:countersMu
-	counters   Counters
-	countersMu sync.Mutex
 
 	//guard:none set once by instrument before any goroutine starts; an atomic counter (nil without Config.Metrics)
 	replays *obs.Counter
@@ -326,15 +325,19 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The directory covers every host the run can have: a joiner's
+	// station, downlink and filter are waiting for it, so no slice changes
+	// while the cluster runs.
+	all := cfg.Hosts + cfg.Joins
 	c := &Cluster{
 		cfg:      cfg,
-		seen:     make([]*dupFilter, cfg.Hosts),
+		seen:     make([]*dupFilter, all),
 		states:   make([]*statestore.HostState, cfg.Hosts),
 		group:    statestore.NewGroup(cfg.Stations),
-		station:  make([]int, cfg.Hosts),
-		downlink: make([]*mailbox, cfg.Hosts),
+		station:  make([]int, all),
+		downlink: make([]*mailbox, all),
 		wired:    make([]*mailbox, cfg.Stations),
-		gate:     newGate(cfg.Hosts, cfg.Hosts+cfg.Joins),
+		gate:     newGate(cfg.Hosts, all),
 	}
 	for i := range c.states {
 		c.states[i] = statestore.NewHostState(8)
@@ -342,7 +345,7 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	for i := range c.downlink {
 		c.downlink[i] = newMailbox()
 		c.station[i] = i % cfg.Stations
-		c.seen[i] = newDupFilter(cfg.DupWindow)
+		c.seen[i] = newDupFilter(dupWindow)
 	}
 	for s := range c.wired {
 		c.wired[s] = newMailbox()
@@ -378,10 +381,9 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 }
 
 // instrument registers the cluster's observability instruments: the
-// protocol side's, sampled under mu, and the cluster's own. Every sampled
-// reader takes the lock guarding what it reads, so a concurrent Snapshot
-// (e.g. obs.ServeDebug's /metrics endpoint while the cluster runs) is
-// race-free.
+// protocol side's, sampled under mu, and the cluster's own, which read
+// atomics and self-locking mailboxes, so a concurrent Snapshot (e.g.
+// obs.ServeDebug's /metrics endpoint while the cluster runs) is race-free.
 //
 //locks:quiescent runs inside NewCluster, before any goroutine exists
 func (c *Cluster) instrument(reg *obs.Registry) {
@@ -408,11 +410,8 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 	}
 	c.replays = reg.Counter("live_replayed_messages_total")
 
-	// Each reader captures a pointer into the counters struct here, while
-	// the cluster is still single-threaded, and dereferences it under
-	// countersMu when sampled.
 	counter := func(name string, v *int64) {
-		reg.CounterFunc(name, obs.Locked(&c.countersMu, func() int64 { return *v }))
+		reg.CounterFunc(name, func() int64 { return atomic.LoadInt64(v) })
 	}
 	counter("live_sent_total", &c.counters.Sent)
 	counter("live_delivered_total", &c.counters.Delivered)
@@ -425,16 +424,13 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 	counter("live_state_bytes_total", &c.counters.StateBytes)
 	counter("live_decode_errors_total", &c.counters.DecodeErrors)
 
-	// Queue depths: per-station wired inboxes (fixed set) plus the total
-	// downlink backlog (the slice grows on joins, so the reader holds
-	// dirMu; a mailbox's own lock nests inside it).
+	// Queue depths: per-station wired inboxes plus the total downlink
+	// backlog; both sets of mailboxes are fixed at construction.
 	for s, w := range c.wired {
 		reg.GaugeFunc("live_uplink_depth", func() int64 { return int64(w.len()) },
 			"station", strconv.Itoa(s))
 	}
 	reg.GaugeFunc("live_downlink_depth_total", func() int64 {
-		c.dirMu.Lock()
-		defer c.dirMu.Unlock()
 		var d int64
 		for _, dl := range c.downlink {
 			d += int64(dl.len())
@@ -460,15 +456,11 @@ func (c *Cluster) dataPlane(ckpt protocol.Checkpointer) protocol.Checkpointer {
 		before := st.WiredBytes()
 		delta := c.states[h].Checkpoint(seq, seq == 0)
 		im, err := st.Apply(int(h), delta)
-		c.countersMu.Lock()
-		c.counters.StateBytes += int64(delta.Bytes())
-		c.counters.WiredStateBytes += st.WiredBytes() - before
-		if err != nil {
-			c.counters.StateErrors++
-		} else if !c.states[h].Equal(im.Data) {
-			c.counters.StateErrors++
+		atomic.AddInt64(&c.counters.StateBytes, int64(delta.Bytes()))
+		atomic.AddInt64(&c.counters.WiredStateBytes, st.WiredBytes()-before)
+		if err != nil || !c.states[h].Equal(im.Data) {
+			atomic.AddInt64(&c.counters.StateErrors, 1)
 		}
-		c.countersMu.Unlock()
 		return rec
 	}
 }
@@ -538,31 +530,24 @@ func (c *Cluster) Run() {
 	var hosts sync.WaitGroup
 	for h := 0; h < c.cfg.Hosts; h++ {
 		hosts.Add(1)
-		// Read the host's downlink before spawning: the slice header is
-		// rewritten (under the locks) when late joiners grow it, and the
-		// goroutine may not run until after the first join.
-		c.dirMu.Lock()
-		dl := c.downlink[h]
-		c.dirMu.Unlock()
-		go func(h mobile.HostID, dl *mailbox) {
+		go func(h mobile.HostID) {
 			defer hosts.Done()
-			c.hostLoop(h, dl)
-		}(mobile.HostID(h), dl)
+			c.hostLoop(h)
+		}(mobile.HostID(h))
 	}
 	// Late joiners: real membership changes while the system runs. Join j
 	// waits until the slowest running host has done 50·(j+1) operations
 	// (or every host has retired), so joins interleave with running
-	// traffic; it then allocates the host's structures under the locks,
-	// admits it to the protocol (Dynamic), enters it into the gate at the
-	// slowest host's count, and runs it.
+	// traffic; it then admits the next host to the protocol (Dynamic) under
+	// mu, enters it into the gate at the slowest host's count, and runs it.
 	for j := 0; j < c.cfg.Joins; j++ {
 		hosts.Add(1)
 		go func(j int) {
 			defer hosts.Done()
 			c.gate.await(int64(50 * (j + 1)))
-			h, dl := c.addHost()
+			h := c.addHost()
 			c.gate.join(h)
-			c.hostLoop(h, dl)
+			c.hostLoop(h)
 		}(j)
 	}
 	hosts.Wait()
@@ -609,28 +594,18 @@ func (c *Cluster) drainFinal() {
 	}
 }
 
-// addHost grows the cluster by one host and admits it to the protocol.
-// Safe to call while the cluster runs.
-func (c *Cluster) addHost() (mobile.HostID, *mailbox) {
-	dl := newMailbox()
-
+// addHost admits the next host to the protocol at the station NewCluster
+// placed it on. Safe to call while the cluster runs.
+func (c *Cluster) addHost() mobile.HostID {
 	c.mu.Lock()
-	c.dirMu.Lock()
-	h := mobile.HostID(len(c.downlink))
-	at := int(h) % c.cfg.Stations
-	c.downlink = append(c.downlink, dl)
-	c.station = append(c.station, at)
-	c.dirMu.Unlock()
-	c.seen = append(c.seen, newDupFilter(c.cfg.DupWindow))
+	h := mobile.HostID(len(c.states))
 	c.states = append(c.states, statestore.NewHostState(8))
 	now := c.beginEvent()
-	c.side.OnJoin(now, h, mobile.MSSID(at))
+	c.side.OnJoin(now, h, mobile.MSSID(c.station[h]))
 	c.mu.Unlock()
 
-	c.countersMu.Lock()
-	c.counters.Joined++
-	c.countersMu.Unlock()
-	return h, dl
+	atomic.AddInt64(&c.counters.Joined, 1)
+	return h
 }
 
 // stationLoop routes wired packets to the destination host's downlink,
@@ -645,9 +620,7 @@ func (c *Cluster) stationLoop(s int) {
 		if !ok {
 			return
 		}
-		c.dirMu.Lock()
 		dst := c.downlink[pkt.to]
-		c.dirMu.Unlock()
 		if src.Bernoulli(c.cfg.DupProbability) {
 			dst.put(pkt, pkt)
 		} else {
@@ -656,14 +629,10 @@ func (c *Cluster) stationLoop(s int) {
 	}
 }
 
-// hostLoop performs the host's operations and retires. dl is the host's
-// own downlink, passed in because the downlink slice may grow while the
-// cluster runs (dynamic joins).
-func (c *Cluster) hostLoop(h mobile.HostID, dl *mailbox) {
+// hostLoop performs the host's operations and retires.
+func (c *Cluster) hostLoop(h mobile.HostID) {
 	src := rng.NewStream(c.cfg.Seed, uint64(h))
-	c.mu.Lock()
-	seen := c.seen[h]
-	c.mu.Unlock()
+	dl, seen := c.downlink[h], c.seen[h]
 	var xfer logTransferScratch // this goroutine's hand-off buffers
 	connected := true
 	for op := 0; op < c.cfg.OpsPerHost; op++ {
@@ -672,7 +641,7 @@ func (c *Cluster) hostLoop(h mobile.HostID, dl *mailbox) {
 		switch {
 		case r < c.cfg.PSend:
 			if connected {
-				c.send(h, c.pickPeer(src, h), src)
+				c.send(h, src)
 			}
 		case r < c.cfg.PSend+c.cfg.PSwitch:
 			if connected {
@@ -718,22 +687,17 @@ func (c *Cluster) drain(h mobile.HostID, dl *mailbox, seen *dupFilter) {
 	}
 }
 
-func (c *Cluster) pickPeer(src *rng.Source, h mobile.HostID) mobile.HostID {
-	c.dirMu.Lock()
-	n := len(c.downlink)
-	c.dirMu.Unlock()
-	to := mobile.HostID(src.Intn(n - 1))
-	if to >= h {
+// send picks a peer among the hosts that have joined so far, runs the
+// protocol's OnSend, mutates the sender's application state (a
+// computation has observable effects), marshals the frame and injects it
+// at the host's current station.
+func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
+	c.mu.Lock()
+	to := mobile.HostID(src.Intn(len(c.states) - 1))
+	if to >= from {
 		to++
 	}
-	return to
-}
-
-// send runs the protocol's OnSend, mutates the sender's application
-// state (a computation has observable effects), marshals the frame and
-// injects it at the host's current station.
-func (c *Cluster) send(from, to mobile.HostID, src *rng.Source) {
-	c.mu.Lock()
+	w := c.wired[c.station[from]]
 	id := c.nextID
 	c.nextID++
 	c.beginEvent()
@@ -755,16 +719,10 @@ func (c *Cluster) send(from, to mobile.HostID, src *rng.Source) {
 	if err != nil {
 		panic("live: " + err.Error()) // protocol produced an unencodable piggyback
 	}
-
-	c.dirMu.Lock()
-	w := c.wired[c.station[from]]
-	c.dirMu.Unlock()
 	w.put(packet{to: to, frame: frame})
 
-	c.countersMu.Lock()
-	c.counters.Sent++
-	c.counters.FrameBytes += int64(len(frame))
-	c.countersMu.Unlock()
+	atomic.AddInt64(&c.counters.Sent, 1)
+	atomic.AddInt64(&c.counters.FrameBytes, int64(len(frame)))
 }
 
 // deliver decodes the frame, suppresses duplicates and hands the packet
@@ -772,15 +730,11 @@ func (c *Cluster) send(from, to mobile.HostID, src *rng.Source) {
 func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 	p, err := wire.Unmarshal(pkt.frame)
 	if err != nil {
-		c.countersMu.Lock()
-		c.counters.DecodeErrors++
-		c.countersMu.Unlock()
+		atomic.AddInt64(&c.counters.DecodeErrors, 1)
 		return
 	}
 	if seen.Suppress(p.ID) {
-		c.countersMu.Lock()
-		c.counters.Duplicates++
-		c.countersMu.Unlock()
+		atomic.AddInt64(&c.counters.Duplicates, 1)
 		return
 	}
 	c.mu.Lock()
@@ -789,9 +743,7 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 	// The packet id is the message's ordinal in the history (nextID).
 	c.side.OnDeliver(now, h, p.From, p.ID, p.ID, int32(p.ID), pb[:], mobile.MSSID(c.station[h]))
 	c.mu.Unlock()
-	c.countersMu.Lock()
-	c.counters.Delivered++
-	c.countersMu.Unlock()
+	atomic.AddInt64(&c.counters.Delivered, 1)
 }
 
 // switchCell moves the host to another station and takes the basic
@@ -800,24 +752,17 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 // index-based protocols) and crosses the wire after mu is released, and
 // its station images below the same frontier are dropped.
 func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransferScratch) {
-	c.dirMu.Lock()
+	c.mu.Lock()
 	cur := c.station[h]
-	c.dirMu.Unlock()
 	next := src.Intn(c.cfg.Stations - 1)
 	if next >= cur {
 		next++
 	}
-
-	c.mu.Lock()
 	now := c.beginEvent()
-	// Commit the move while holding mu so the station change is ordered
-	// against the protocol events around it — a recorded schedule must
-	// see sends/deliveries and hand-offs in their real total order.
-	// (station[h] is only ever written by h's own goroutine; dirMu covers
-	// concurrent readers.)
-	c.dirMu.Lock()
+	// The move is a protocol event: committed under mu, it is ordered
+	// against the sends, deliveries and hand-offs around it, as a recorded
+	// schedule must see them.
 	c.station[h] = next
-	c.dirMu.Unlock()
 	c.side.OnCellSwitch(now, h, mobile.MSSID(cur), mobile.MSSID(next))
 	// Only h's own log, and on h's goroutine: transferLog reads the slice
 	// the hand-off shipped after mu is released, which is race-free
@@ -834,10 +779,7 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	if logged {
 		c.transferLog(xfer, h, mobile.MSSID(cur), mobile.MSSID(next), entries)
 	}
-
-	c.countersMu.Lock()
-	c.counters.Switches++
-	c.countersMu.Unlock()
+	atomic.AddInt64(&c.counters.Switches, 1)
 }
 
 // logTransferScratch is the memory one host goroutine's hand-offs are
@@ -886,12 +828,10 @@ func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to m
 			decodeErrors++
 		}
 	}
-	c.countersMu.Lock()
-	c.counters.FrameBytes += frameBytes
-	c.counters.LogFrameBytes += frameBytes
-	c.counters.LogRecords += int64(len(entries))
-	c.counters.DecodeErrors += decodeErrors
-	c.countersMu.Unlock()
+	atomic.AddInt64(&c.counters.FrameBytes, frameBytes)
+	atomic.AddInt64(&c.counters.LogFrameBytes, frameBytes)
+	atomic.AddInt64(&c.counters.LogRecords, int64(len(entries)))
+	atomic.AddInt64(&c.counters.DecodeErrors, decodeErrors)
 }
 
 // disconnect detaches the host (it stops receiving; its downlink keeps
@@ -902,9 +842,7 @@ func (c *Cluster) disconnect(h mobile.HostID) {
 	now := c.beginEvent()
 	c.side.OnDisconnect(now, h, mobile.MSSID(at))
 	c.mu.Unlock()
-	c.countersMu.Lock()
-	c.counters.Disconnect++
-	c.countersMu.Unlock()
+	atomic.AddInt64(&c.counters.Disconnect, 1)
 }
 
 // reconnect reattaches the host at its last station.

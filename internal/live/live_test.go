@@ -2,13 +2,17 @@ package live
 
 import (
 	"math"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
+	"mobickpt/internal/replaycmp"
+	"mobickpt/internal/rng"
 	"mobickpt/internal/storage"
 )
 
@@ -27,14 +31,71 @@ func tpFactory(n int, ck protocol.Checkpointer, store *storage.Store, mssOf func
 	return protocol.NewTP(n, ck, mssOf)
 }
 
-func runCluster(t *testing.T, cfg Config, mk NewProtocol) *Cluster {
+func runCluster(t testing.TB, cfg Config, mk NewProtocol) *Cluster {
+	t.Helper()
+	c := recordedCluster(t, cfg, mk)
+	c.Run()
+	return c
+}
+
+// recordedCluster builds a cluster that records its run. If the test
+// fails, the run's bundle — its schedule and decision log, what
+// examples/live -record writes — is left in the temporary directory, and
+// the failure names the file and the mhsim command that re-executes the
+// run.
+func recordedCluster(t testing.TB, cfg Config, mk NewProtocol) *Cluster {
+	t.Helper()
+	cfg.Record = true
+	c, err := NewCluster(cfg, mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		f, err := os.CreateTemp("", "live-"+strings.ReplaceAll(t.Name(), "/", "-")+"-*.bundle.json")
+		if err == nil {
+			err = (&replaycmp.Bundle{Schedule: c.Schedule(), Live: c.Decisions()}).Export(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			t.Logf("the run's bundle was not written: %v", err)
+			return
+		}
+		t.Logf("the failing run's bundle: mhsim -replay-schedule %s -log %s", f.Name(), cfg.LogMode)
+	})
+	return c
+}
+
+// scriptedCluster builds a cluster and starts its protocol side without
+// its goroutines: the test drives the cluster's events itself, from one
+// goroutine, so what they do does not depend on the scheduler.
+func scriptedCluster(t *testing.T, cfg Config, mk NewProtocol) *Cluster {
 	t.Helper()
 	c, err := NewCluster(cfg, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	c.mu.Lock()
+	c.side.Start(cfg.Hosts)
+	c.mu.Unlock()
 	return c
+}
+
+// sendOne has host from send one packet, routes it, has its receiver
+// take it, and returns the receiver.
+func sendOne(t *testing.T, c *Cluster, from mobile.HostID, src *rng.Source) mobile.HostID {
+	t.Helper()
+	c.send(from, src)
+	pkt, ok := c.wired[c.station[from]].tryGet()
+	if !ok {
+		t.Fatal("the send put nothing on its station's inbox")
+	}
+	c.deliver(pkt.to, pkt, c.seen[pkt.to])
+	return pkt.to
 }
 
 func TestValidate(t *testing.T) {

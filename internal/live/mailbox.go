@@ -10,10 +10,10 @@ import "sync"
 // whether or not one packet is ever queued; the mailbox instead holds
 // what was put since it last ran empty and grows when that grows.
 //
-// mu is a leaf lock: no mailbox method calls out while holding it, so it
-// may be taken with Cluster.dirMu held (the depth gauge does) and nothing
-// is ever acquired after it — the cluster's order is mu -> dirMu ->
-// mailbox.mu.
+// mu is a leaf lock: no mailbox method calls out while holding it, and
+// nothing is ever acquired after it. Hosts and stations put and take
+// without holding the cluster's lock, and the depth gauges read a
+// mailbox's length holding nothing else.
 type mailbox struct {
 	mu sync.Mutex
 

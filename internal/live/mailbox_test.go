@@ -68,7 +68,7 @@ func TestMailboxConcurrentFIFO(t *testing.T) {
 // Several stations duplicating into one downlink: a packet and its copy
 // go in with one put, so every copy sits directly behind its original
 // whatever the other producers do — the adjacency a host's dupFilter
-// relies on at DupWindow = 1. Put as two calls, the pair is split by
+// relies on with a window of 1. Put as two calls, the pair is split by
 // another producer's packet within a few thousand puts.
 func TestMailboxPutKeepsCopiesAdjacent(t *testing.T) {
 	const producers, perProducer = 8, 5000

@@ -1,10 +1,17 @@
 package live
 
 import (
+	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/des"
+	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/replaycmp"
+	"mobickpt/internal/sim"
 	"mobickpt/internal/trace"
 )
 
@@ -73,9 +80,22 @@ func TestDupFilterWindow(t *testing.T) {
 	}
 }
 
+// Every host the cluster can have — joiners included — gets a filter of
+// the default window.
 func TestDupFilterDefaultWindow(t *testing.T) {
-	if newDupFilter(0).window != DefaultDupWindow {
-		t.Fatal("zero window does not select the default")
+	cfg := DefaultConfig()
+	cfg.Joins = 2
+	c, err := NewCluster(cfg, bcsFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.seen) != cfg.Hosts+cfg.Joins {
+		t.Fatalf("%d filters for %d hosts", len(c.seen), cfg.Hosts+cfg.Joins)
+	}
+	for h, f := range c.seen {
+		if f.window != dupWindow {
+			t.Fatalf("host %d's filter has window %d, want %d", h, f.window, dupWindow)
+		}
 	}
 }
 
@@ -88,8 +108,11 @@ func TestDupFilterDefaultWindow(t *testing.T) {
 func TestDupFilterBoundedInCluster(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DupProbability = 0.5
-	cfg.DupWindow = 1
-	c := runCluster(t, cfg, bcsFactory)
+	c := recordedCluster(t, cfg, bcsFactory)
+	for h := range c.seen {
+		c.seen[h] = newDupFilter(1)
+	}
+	c.Run()
 	if c.Counters().Duplicates == 0 {
 		t.Fatal("no duplicates exercised")
 	}
@@ -171,8 +194,78 @@ func TestRecordedScheduleConsistent(t *testing.T) {
 
 // Recording off: no schedule, no decision log, no recording overhead.
 func TestRecordOffByDefault(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), bcsFactory)
+	c, err := NewCluster(DefaultConfig(), bcsFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
 	if c.Schedule() != nil || c.Decisions() != nil {
 		t.Fatal("recording artifacts present without Config.Record")
+	}
+}
+
+// failedTB is a test that has already failed: it keeps what runCluster
+// registers for the end of the test, and what it logs.
+type failedTB struct {
+	testing.TB
+	cleanups []func()
+	logs     []string
+}
+
+func (f *failedTB) Failed() bool      { return true }
+func (f *failedTB) Cleanup(fn func()) { f.cleanups = append(f.cleanups, fn) }
+func (f *failedTB) Logf(format string, args ...any) {
+	f.logs = append(f.logs, fmt.Sprintf(format, args...))
+}
+
+// A failing live test leaves its run behind: the failure names a bundle
+// file and the mhsim flags that replay it, and the file is the run's —
+// it imports, and its schedule replays, under the logged discipline, to
+// the decision log it carries.
+func TestFailingRunLeavesItsBundle(t *testing.T) {
+	cfg := loggedConfig(mlog.Optimistic)
+	cfg.OpsPerHost = 200
+	cfg.Joins = 2
+	tb := &failedTB{TB: t}
+	c := runCluster(tb, cfg, qbcFactory)
+	if _, err := c.Recover(0); err != nil { // what a test does before it fails
+		t.Fatal(err)
+	}
+	for _, fn := range tb.cleanups {
+		fn()
+	}
+	if len(tb.logs) != 1 {
+		t.Fatalf("the failed test logged %q, want one line naming the bundle", tb.logs)
+	}
+	args := strings.Fields(tb.logs[0])
+	i := slices.Index(args, "-replay-schedule")
+	j := slices.Index(args, "-log")
+	if i < 0 || i+1 >= len(args) || j < 0 || j+1 >= len(args) {
+		t.Fatalf("%q names no mhsim -replay-schedule <file> -log <mode>", tb.logs[0])
+	}
+	path := args[i+1]
+	defer os.Remove(path)
+	mode, err := mlog.ParseMode(args[j+1])
+	if err != nil || mode != cfg.LogMode {
+		t.Fatalf("the line names -log %s (%v), the run logged %s", args[j+1], err, cfg.LogMode)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := replaycmp.ImportBundle(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := replaycmp.Compare(c.Decisions(), b.Live, b.Schedule); d != nil {
+		t.Fatalf("the bundle's decision log is not the run's: %v", d)
+	}
+	res, err := sim.Run(sim.Config{Schedule: b.Schedule, Checks: true, MessageLog: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := replaycmp.Compare(b.Live, res.Decisions, b.Schedule); d != nil {
+		t.Fatalf("the bundle does not replay: %v", d)
 	}
 }

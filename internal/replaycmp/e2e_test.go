@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"mobickpt/internal/des"
 	"mobickpt/internal/live"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
@@ -76,7 +77,9 @@ func replay(t *testing.T, c *live.Cluster, cfg live.Config, instrumented bool) *
 // The tentpole gate: live and replayed decisions must be identical for
 // every CIC protocol across seeds, mobility rates and logging
 // disciplines. The logged TP rows prove "unpruned on both sides", the
-// logged BCS/QBC rows "pruned identically".
+// logged BCS/QBC rows "pruned identically". Whether a short live run of
+// BCS or QBC prunes at all is the scheduler's call, so those rows also
+// replay an engine history under their discipline, which must prune.
 func TestDifferentialReplay(t *testing.T) {
 	rates := []struct {
 		name              string
@@ -107,8 +110,20 @@ func TestDifferentialReplay(t *testing.T) {
 								pruned += c.MLog().Counters().Pruned
 							}
 						}
-						if mode != mlog.Off && (pruned > 0) != (protocol != "TP") {
-							t.Fatalf("%s hand-offs pruned %d log entries over five seeds", protocol, pruned)
+						switch {
+						case mode == mlog.Off:
+						case protocol == "TP":
+							if pruned != 0 {
+								t.Fatalf("TP hand-offs pruned %d log entries over five seeds", pruned)
+							}
+						default:
+							res, err := sim.Run(sim.Config{Schedule: engineHistory(t, protocol, mode), Checks: true, MessageLog: mode})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if res.Protocols[0].Log.Pruned == 0 {
+								t.Fatalf("%s hand-offs pruned nothing replaying an engine history", protocol)
+							}
 						}
 					})
 				}
@@ -208,6 +223,28 @@ func TestDifferentialReplayRecovery(t *testing.T) {
 	}
 }
 
+// engineHistory is a schedule no scheduler decides: the history of a
+// short engine run of protocol with one join, under a log discipline
+// whose BCS and QBC hand-offs prune.
+func engineHistory(t *testing.T, protocol string, mode mlog.Mode) *trace.Schedule {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.Horizon = 3000
+	cfg.Workload.TSwitch = 200
+	cfg.Workload.PComm = 0.2
+	cfg.Workload.PSwitch = 0.8
+	cfg.Workload.DisconnectMean = 300
+	cfg.JoinTimes = []des.Time{900}
+	cfg.MessageLog = mode
+	cfg.Protocols = []sim.ProtocolName{sim.ProtocolName(protocol)}
+	cfg.RecordTrace = true
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Protocols[0].Trace.History().Schedule(protocol, cfg.Seed)
+}
+
 // The third world: the live cluster mirrors its events through the same
 // protocol side as the replay, with the same clock (the logical tick) and
 // the same flow ids (the packet ids), so its instruments and the replay's
@@ -294,8 +331,9 @@ func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 	}
 }
 
-// The instruments a replay now takes say what the run did: on a recorded
-// run with joins and an optimistic log, the timeline carries one
+// The instruments a replay now takes say what the run did: on an engine
+// history with a join and an optimistic log — a schedule whose hand-offs
+// prune whatever the scheduler does — the timeline carries one
 // checkpoint instant per store record (that record's kind, index and
 // cause), one send and one deliver instant per scheduled send and
 // delivery, and chains every forced checkpoint into the flow of the
@@ -304,24 +342,16 @@ func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 // each of which shows activity. Two replays of the schedule export the
 // same bytes.
 func TestReplayInstruments(t *testing.T) {
-	cfg := live.DefaultConfig()
-	cfg.OpsPerHost = 200
-	cfg.Joins = 2
-	cfg.LogMode = mlog.Optimistic
-	// Whether one run prunes is the scheduler's call (a host sitting
-	// disconnected at index 0 holds the frontier there), so record until a
-	// seed does, as TestDifferentialReplay does over its five.
-	var c *live.Cluster
-	for cfg.Seed = 1; ; cfg.Seed++ {
-		if cfg.Seed > 5 {
-			t.Fatal("QBC hand-offs pruned no log entry over five seeds")
+	sched := engineHistory(t, "QBC", mlog.Optimistic)
+	replayed := func() *sim.Result {
+		res, err := sim.Run(sim.Config{Schedule: sched, Checks: true, MessageLog: mlog.Optimistic,
+			Metrics: obs.NewRegistry(), Timeline: obs.NewTimeline()})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c = record(t, cfg, "QBC"); c.MLog().Counters().Pruned > 0 {
-			break
-		}
+		return res
 	}
-	sched := c.Schedule()
-	res := replay(t, c, cfg, true)
+	res := replayed()
 	reg, tl := res.Config.Metrics, res.Config.Timeline
 	pr := &res.Protocols[0]
 
@@ -413,7 +443,7 @@ func TestReplayInstruments(t *testing.T) {
 	if err := tl.Export(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(t, c, cfg, true).Config.Timeline.Export(&b); err != nil {
+	if err := replayed().Config.Timeline.Export(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
