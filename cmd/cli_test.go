@@ -47,18 +47,48 @@ func build(t *testing.T) func(cmd string, args ...string) (string, string, int) 
 
 // TestSeedsBelowOneRejected: `-seeds 0` once printed an all-zero table
 // with exit 0 (and with -out overwrote the committed pair), `-seeds -1`
-// panicked in sim.Seeds. Both are usage errors naming the flag, before
-// any run starts.
+// panicked in sim.Seeds, and mhsim ran one seed for either, audit or not.
+// All are usage errors naming the flag, before any run starts.
 func TestSeedsBelowOneRejected(t *testing.T) {
 	run := build(t)
-	for _, cmd := range []string{"figures", "recovery"} {
-		for _, n := range []string{"0", "-1"} {
-			stdout, stderr, code := run(cmd, "-seeds", n, "-horizon", "500", "-out", t.TempDir())
-			if code != 2 || stdout != "" || !strings.Contains(stderr, "-seeds "+n) || strings.Contains(stderr, "panic") {
-				t.Errorf("%s -seeds %s: exit %d, stdout %q, stderr %q; want exit 2 naming the flag and no table", cmd, n, code, stdout, stderr)
+	out := t.TempDir()
+	for _, n := range []string{"0", "-1"} {
+		for _, tc := range [][]string{
+			{"figures", "-out", out},
+			{"recovery", "-out", out},
+			{"mhsim"},
+			{"mhsim", "-audit"},
+		} {
+			args := append([]string{"-seeds", n, "-horizon", "500"}, tc[1:]...)
+			stdout, stderr, code := run(tc[0], args...)
+			if code != 2 || stdout != "" || !strings.Contains(stderr, "-seeds "+n) || strings.Contains(stderr, "panic") || !isEmptyDir(t, out) {
+				t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want exit 2 naming the flag and no output", tc[0], args, code, stdout, stderr)
 			}
 		}
 	}
+}
+
+// TestScaleMaxBelowSweepRejected: `figures -scale -scalemax 5` once
+// printed `[]` with exit 0, and with -out replaced the committed
+// BENCH_scale.json with it. A bound below the sweep's smallest point (10
+// hosts) is a usage error naming the flag, and nothing is written.
+func TestScaleMaxBelowSweepRejected(t *testing.T) {
+	run := build(t)
+	out := t.TempDir()
+	stdout, stderr, code := run("figures", "-scale", "-scalemax", "5", "-out", out)
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "-scalemax 5") || !isEmptyDir(t, out) {
+		t.Errorf("figures -scale -scalemax 5: exit %d, stdout %q, stderr %q; want exit 2 naming the flag and no output", code, stdout, stderr)
+	}
+}
+
+// isEmptyDir reports whether dir holds no entries.
+func isEmptyDir(t *testing.T, dir string) bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries) == 0
 }
 
 func TestTableSelection(t *testing.T) {

@@ -33,7 +33,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "base seed")
 		horizon  = flag.Float64("horizon", 0, "simulated time units per run; 0 = each table's own (100000; 20000 for replay and recovery)")
 		scale    = flag.Bool("scale", false, "run the million-host scale sweep (E21) and emit JSON")
-		scaleMax = flag.Int("scalemax", 1_000_000, "largest host count of the -scale sweep")
+		scaleMax = flag.Int("scalemax", 1_000_000, "largest host count of the -scale sweep (at least 10, its smallest point)")
 		engine   = flag.String("engine", "sequential", "execution engine: sequential or conservative (never changes results)")
 		lanes    = flag.Int("lanes", 0, "logical processes for the conservative engine; 0 = GOMAXPROCS")
 		plot     = flag.Bool("plot", false, "draw the figures behind the selected tables as ASCII log-log charts instead")
@@ -50,7 +50,11 @@ func main() {
 	}
 
 	if *scale {
-		if err := runScale(*scaleMax, em, *lanes, *seed, *outDir); err != nil {
+		pts := sim.ScalePoints(*scaleMax)
+		if len(pts) == 0 {
+			exit(2, fmt.Errorf("-scalemax %d: the sweep's smallest point is 10 hosts", *scaleMax))
+		}
+		if err := runScale(pts, em, *lanes, *seed, *outDir); err != nil {
 			exit(1, err)
 		}
 		return

@@ -19,11 +19,10 @@ import (
 // command, outside the analyzer's scope, and are stamped onto each
 // sim.ScaleMeasurement after its run returns.
 
-// runScale sweeps n = 10 → maxHosts in decades on one engine, prints the
-// JSON to stdout and, when outDir is set, also writes
+// runScale measures the sweep points (sim.ScalePoints) on one engine,
+// prints the JSON to stdout and, when outDir is set, also writes
 // outDir/BENCH_scale.json (the committed artifact).
-func runScale(maxHosts int, engine pdes.Mode, lanes int, seed uint64, outDir string) error {
-	pts := sim.ScalePoints(maxHosts)
+func runScale(pts []sim.ScalePoint, engine pdes.Mode, lanes int, seed uint64, outDir string) error {
 	ms := make([]*sim.ScaleMeasurement, 0, len(pts))
 	for _, p := range pts {
 		resetPeakRSS()

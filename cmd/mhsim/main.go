@@ -33,7 +33,7 @@ func main() {
 		contention = flag.Bool("contention", false, "model per-cell wireless channel contention")
 		het        = flag.Float64("h", 0, "heterogeneity degree H in [0,1]")
 		horizon    = flag.Float64("horizon", 100000, "simulated time units")
-		seeds      = flag.Int("seeds", 1, "number of replication seeds")
+		seeds      = flag.Int("seeds", 1, "number of replication seeds (at least 1)")
 		seed       = flag.Uint64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "worker pool size for multi-seed replication; 0 = GOMAXPROCS")
 		protos     = flag.String("protocols", "TP,BCS,QBC", "comma-separated protocols (TP,BCS,QBC,UNC,CL,PS,MS)")
@@ -57,6 +57,10 @@ func main() {
 	flag.Parse()
 	if err := checkUsage(*replayFile != ""); err != nil {
 		fmt.Fprintln(os.Stderr, "mhsim:", err)
+		os.Exit(2)
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "mhsim: -seeds %d: a run needs at least one seed\n", *seeds)
 		os.Exit(2)
 	}
 	if (*jsonOut || *metrics || *timeline != "" || *laneTl != "" || *probes) && (*seeds > 1 || *audit) {
@@ -129,20 +133,16 @@ func main() {
 	}
 	if *audit {
 		cfg.Checks = true
-		n := *seeds
-		if n < 1 {
-			n = 1
-		}
-		if err := sim.Audit(cfg, sim.Seeds(*seed, n)); err != nil {
+		if err := sim.Audit(cfg, sim.Seeds(*seed, *seeds)); err != nil {
 			fmt.Fprintln(os.Stderr, "mhsim: audit failed:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("audit passed: %d protocol(s), %d seed(s), shared trace == solo re-simulation\n",
-			len(cfg.Protocols), n)
+			len(cfg.Protocols), *seeds)
 		return
 	}
 
-	if *seeds <= 1 {
+	if *seeds == 1 {
 		cfg.Seed = *seed
 		if *laneTl != "" {
 			cfg.LaneTimeline = obs.NewTimeline()

@@ -8,7 +8,9 @@
 //
 //	// want "regexp" ["regexp" ...]
 //
-// and the harness fails the test on any unmatched expectation or any
+// or, where the line's own trailing comment is the directive under test,
+// a block comment before it: /* want "regexp" */ //guard:mu,dirMu. The
+// harness fails the test on any unmatched expectation or any
 // unexpected diagnostic. Fixture imports resolve against sibling fixture
 // packages first (so stubs named "mobile", "des", "protocol" stand in
 // for the real packages) and against the standard library via compiler
@@ -124,14 +126,18 @@ func check(t *testing.T, path string, lp *fixture, findings []analysis.Finding) 
 	}
 }
 
-// collectWants parses every `// want "re" ...` comment into per-line
-// regexp expectations keyed by "file:line".
+// collectWants parses every `// want "re" ...` or `/* want "re" ... */`
+// comment into per-line regexp expectations keyed by "file:line".
 func collectWants(fset *token.FileSet, files []*ast.File) (map[string][]*regexp.Regexp, error) {
 	wants := make(map[string][]*regexp.Regexp)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text, isLine := strings.CutPrefix(c.Text, "//")
+				if !isLine {
+					text = strings.TrimSuffix(strings.TrimPrefix(c.Text, "/*"), "*/")
+				}
+				text = strings.TrimSpace(text)
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

@@ -7,14 +7,11 @@ package analysis
 // (gofmt keeps them attached) and an unrecognized spelling is reported
 // rather than silently ignored:
 //
-//	//guard:mu              field is read and written only with mu held
-//	//guard:mu,dirMu        write requires ALL listed mutexes, read ANY
+//	//guard:mu              field is read and written only with mu, a
+//	                        sibling sync.Mutex field, held
 //	//guard:none <reason>   field is deliberately unguarded (atomic,
 //	                        immutable after construction, externally
 //	                        serialized, ...); the reason is mandatory
-//	//locks:after mu        on a mutex field: this mutex is acquired
-//	                        only while mu may already be held — locking
-//	                        mu while holding this one is a cycle
 //	//locks:held mu         on a function or func literal: the caller
 //	                        already holds the receiver's mu
 //	//locks:quiescent <reason>
@@ -30,7 +27,8 @@ package analysis
 // A field directive goes in the field's doc or trailing comment; a
 // function directive goes in the function's doc comment; a func-literal
 // directive is the first comment inside the literal's body, before the
-// first statement.
+// first statement. //guard: and //locks:held name exactly one mutex; a
+// list, or a form the grammar does not have (//locks:after), is reported.
 
 import (
 	"fmt"
@@ -45,11 +43,10 @@ import (
 type AnnotKind int
 
 const (
-	AnnotGuard       AnnotKind = iota // //guard:mu[,mu2]
+	AnnotGuard       AnnotKind = iota // //guard:mu
 	AnnotGuardNone                    // //guard:none <reason>
-	AnnotHeld                         // //locks:held mu [mu2 ...]
+	AnnotHeld                         // //locks:held mu
 	AnnotQuiescent                    // //locks:quiescent <reason>
-	AnnotAfter                        // //locks:after mu [mu2 ...]
 	AnnotLaneShard                    // //lane:shard
 	AnnotLaneStopped                  // //lane:stopped [reason]
 	AnnotLaneHandler                  // //lane:handler
@@ -58,7 +55,7 @@ const (
 // Annot is one parsed annotation directive.
 type Annot struct {
 	Kind   AnnotKind
-	Names  []string // mutex names for guard/held/after
+	Name   string // the mutex of a guard or held directive
 	Reason string
 }
 
@@ -68,7 +65,7 @@ func (a Annot) Family() string {
 	switch a.Kind {
 	case AnnotGuard, AnnotGuardNone:
 		return "guard"
-	case AnnotHeld, AnnotQuiescent, AnnotAfter:
+	case AnnotHeld, AnnotQuiescent:
 		return "locks"
 	default:
 		return "lane"
@@ -98,30 +95,25 @@ func ParseAnnot(text string) (Annot, bool, error) {
 			}
 			return Annot{Kind: AnnotGuardNone, Reason: tail}, true, nil
 		}
-		names, err := mutexList(strings.TrimSpace(rest), ",")
-		if err != nil {
-			return Annot{}, true, fmt.Errorf("//guard: %v (want //guard:mu[,mu2] or //guard:none <reason>)", err)
+		name := strings.TrimSpace(rest)
+		if !isGoIdent(name) {
+			return Annot{}, true, fmt.Errorf("//guard: bad mutex name %q (want //guard:mu, one mutex, or //guard:none <reason>)", name)
 		}
-		return Annot{Kind: AnnotGuard, Names: names}, true, nil
+		return Annot{Kind: AnnotGuard, Name: name}, true, nil
 	case "locks":
 		switch word {
-		case "held", "after":
-			names, err := mutexList(tail, " ")
-			if err != nil {
-				return Annot{}, true, fmt.Errorf("//locks:%s %v (want //locks:%s mu [mu2 ...])", word, err, word)
+		case "held":
+			if !isGoIdent(tail) {
+				return Annot{}, true, fmt.Errorf("//locks:held bad mutex name %q (want //locks:held mu, one mutex)", tail)
 			}
-			kind := AnnotHeld
-			if word == "after" {
-				kind = AnnotAfter
-			}
-			return Annot{Kind: kind, Names: names}, true, nil
+			return Annot{Kind: AnnotHeld, Name: tail}, true, nil
 		case "quiescent":
 			if tail == "" {
 				return Annot{}, true, fmt.Errorf("//locks:quiescent needs a reason")
 			}
 			return Annot{Kind: AnnotQuiescent, Reason: tail}, true, nil
 		default:
-			return Annot{}, true, fmt.Errorf("unknown //locks: directive %q (have held, quiescent, after)", word)
+			return Annot{}, true, fmt.Errorf("unknown //locks: directive %q (have held, quiescent)", word)
 		}
 	default: // lane
 		switch word {
@@ -153,27 +145,6 @@ func cutWord(rest string) (word, tail string) {
 	return rest, ""
 }
 
-// mutexList parses a sep-separated list of Go identifiers.
-func mutexList(s, sep string) ([]string, error) {
-	var parts []string
-	if sep == " " {
-		parts = strings.Fields(s)
-	} else {
-		for _, p := range strings.Split(s, sep) {
-			parts = append(parts, strings.TrimSpace(p))
-		}
-	}
-	if len(parts) == 0 || (len(parts) == 1 && parts[0] == "") {
-		return nil, fmt.Errorf("needs at least one mutex name")
-	}
-	for _, p := range parts {
-		if !isGoIdent(p) {
-			return nil, fmt.Errorf("bad mutex name %q", p)
-		}
-	}
-	return parts, nil
-}
-
 func isGoIdent(s string) bool {
 	if s == "" {
 		return false
@@ -192,21 +163,20 @@ func isGoIdent(s string) bool {
 // FieldAnnot is the merged annotation state of one struct field.
 type FieldAnnot struct {
 	Pos         token.Pos
-	Guards      []string // //guard:m1[,m2]: write needs all, read any
-	None        bool     // //guard:none
-	After       []string // //locks:after, on mutex fields
+	Guard       string // //guard:mu: reads and writes need mu held
+	None        bool   // //guard:none
 	LaneShard   bool
 	LaneStopped bool
 }
 
 // Guarded reports whether the field carries any //guard: directive
 // (including an explicit //guard:none).
-func (f *FieldAnnot) Guarded() bool { return f.None || len(f.Guards) > 0 }
+func (f *FieldAnnot) Guarded() bool { return f.None || f.Guard != "" }
 
 // FuncAnnot is the merged annotation state of one function or literal.
 type FuncAnnot struct {
 	Pos         token.Pos
-	Held        []string
+	Held        string // //locks:held mu
 	Quiescent   bool
 	LaneHandler bool
 	LaneStopped bool
@@ -240,11 +210,7 @@ type Annotations struct {
 	funcs   map[types.Object]*FuncAnnot
 	lits    map[*ast.FuncLit]*FuncAnnot
 	structs []structInfo
-	// after maps a mutex field name to the mutexes it is declared to be
-	// acquired after, package-wide. Keyed by name (not object) so the
-	// lock-order check also covers //locks:held wildcards.
-	after map[string][]string
-	errs  []annotErr
+	errs    []annotErr
 }
 
 // collectAnnotations builds the annotation index for one package.
@@ -253,7 +219,6 @@ func collectAnnotations(pass *Pass) *Annotations {
 		fields: make(map[types.Object]*FieldAnnot),
 		funcs:  make(map[types.Object]*FuncAnnot),
 		lits:   make(map[*ast.FuncLit]*FuncAnnot),
-		after:  make(map[string][]string),
 	}
 	for _, f := range pass.Files {
 		file := f
@@ -315,10 +280,11 @@ func (a *Annotations) commentAnnots(cg *ast.CommentGroup) []Annot {
 	return out
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
+// isMutexType reports whether t is sync.Mutex, the one mutex type the
+// contracts name.
 func isMutexType(t types.Type) bool {
 	path, name, ok := namedType(t)
-	return ok && path == "sync" && (name == "Mutex" || name == "RWMutex")
+	return ok && path == "sync" && name == "Mutex"
 }
 
 // collectStruct indexes the field annotations of one struct literal.
@@ -357,42 +323,20 @@ func (a *Annotations) collectStruct(pass *Pass, st *ast.StructType) {
 		for _, an := range annots {
 			switch an.Kind {
 			case AnnotGuard:
-				if len(fa.Guards) > 0 || fa.None {
+				if fa.Guarded() {
 					a.errf(fld.Pos(), "guard", "duplicate //guard: directive on field %s", fld.Names[0].Name)
 					continue
 				}
-				for _, m := range an.Names {
-					if !mutexes[m] {
-						a.errf(fld.Pos(), "guard", "//guard:%s on field %s: %q is not a sibling sync.Mutex/RWMutex field", strings.Join(an.Names, ","), fld.Names[0].Name, m)
-					}
+				if !mutexes[an.Name] {
+					a.errf(fld.Pos(), "guard", "//guard:%s on field %s: %q is not a sibling sync.Mutex field", an.Name, fld.Names[0].Name, an.Name)
 				}
-				fa.Guards = an.Names
+				fa.Guard = an.Name
 			case AnnotGuardNone:
-				if len(fa.Guards) > 0 || fa.None {
+				if fa.Guarded() {
 					a.errf(fld.Pos(), "guard", "duplicate //guard: directive on field %s", fld.Names[0].Name)
 					continue
 				}
 				fa.None = true
-			case AnnotAfter:
-				fieldIsMutex := true
-				for _, name := range fld.Names {
-					if obj := pass.TypesInfo.Defs[name]; obj == nil || !isMutexType(obj.Type()) {
-						fieldIsMutex = false
-					}
-				}
-				if !fieldIsMutex {
-					a.errf(fld.Pos(), "locks", "//locks:after on field %s: only mutex fields declare acquisition order", fld.Names[0].Name)
-					continue
-				}
-				for _, m := range an.Names {
-					if !mutexes[m] {
-						a.errf(fld.Pos(), "locks", "//locks:after on field %s: %q is not a sibling sync.Mutex/RWMutex field", fld.Names[0].Name, m)
-					}
-				}
-				fa.After = an.Names
-				for _, name := range fld.Names {
-					a.after[name.Name] = append(a.after[name.Name], an.Names...)
-				}
 			case AnnotLaneShard:
 				fa.LaneShard = true
 			case AnnotLaneStopped:
@@ -425,15 +369,17 @@ func (a *Annotations) collectFuncDecl(pass *Pass, fd *ast.FuncDecl) {
 		case AnnotHeld:
 			recv := receiverStruct(obj)
 			if recv == nil {
-				a.errf(fd.Pos(), "locks", "//locks:held on %s: only methods can declare caller-held receiver mutexes", fd.Name.Name)
+				a.errf(fd.Pos(), "locks", "//locks:held on %s: only methods can declare a caller-held receiver mutex", fd.Name.Name)
 				continue
 			}
-			for _, m := range an.Names {
-				if !structHasMutex(recv, m) {
-					a.errf(fd.Pos(), "locks", "//locks:held on %s: receiver has no sync.Mutex/RWMutex field %q", fd.Name.Name, m)
-				}
+			if fa.Held != "" {
+				a.errf(fd.Pos(), "locks", "duplicate //locks:held directive on %s", fd.Name.Name)
+				continue
 			}
-			fa.Held = append(fa.Held, an.Names...)
+			if !structHasMutex(recv, an.Name) {
+				a.errf(fd.Pos(), "locks", "//locks:held on %s: receiver has no sync.Mutex field %q", fd.Name.Name, an.Name)
+			}
+			fa.Held = an.Name
 		case AnnotQuiescent:
 			fa.Quiescent = true
 		case AnnotLaneHandler:
@@ -468,7 +414,11 @@ func (a *Annotations) collectFuncLit(pass *Pass, file *ast.File, lit *ast.FuncLi
 			}
 			switch an.Kind {
 			case AnnotHeld:
-				fa.Held = append(fa.Held, an.Names...)
+				if fa.Held != "" {
+					a.errf(cg.Pos(), "locks", "duplicate //locks:held directive on a func literal")
+					continue
+				}
+				fa.Held = an.Name
 			case AnnotQuiescent:
 				fa.Quiescent = true
 			case AnnotLaneHandler:

@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,20 +14,22 @@ func TestParseAnnot(t *testing.T) {
 		isAnnot bool
 		wantErr string // substring of the error, "" for valid
 		kind    analysis.AnnotKind
-		names   []string
+		mutex   string
 		reason  string
 	}{
 		{
 			name: "guard single", text: "guard:mu",
-			isAnnot: true, kind: analysis.AnnotGuard, names: []string{"mu"},
+			isAnnot: true, kind: analysis.AnnotGuard, mutex: "mu",
 		},
 		{
+			// A guard names one mutex: the two-mutex form is gone and a
+			// leftover one is malformed, not half-read.
 			name: "guard multi", text: "guard:mu,dirMu",
-			isAnnot: true, kind: analysis.AnnotGuard, names: []string{"mu", "dirMu"},
+			isAnnot: true, wantErr: "one mutex",
 		},
 		{
 			name: "guard multi with spaces", text: "guard:mu, dirMu",
-			isAnnot: true, kind: analysis.AnnotGuard, names: []string{"mu", "dirMu"},
+			isAnnot: true, wantErr: "one mutex",
 		},
 		{
 			name: "guard none with reason", text: "guard:none immutable after construction",
@@ -40,7 +41,7 @@ func TestParseAnnot(t *testing.T) {
 		},
 		{
 			name: "guard empty", text: "guard:",
-			isAnnot: true, wantErr: "at least one mutex name",
+			isAnnot: true, wantErr: "bad mutex name",
 		},
 		{
 			name: "guard trailing comma", text: "guard:mu,",
@@ -57,15 +58,15 @@ func TestParseAnnot(t *testing.T) {
 		},
 		{
 			name: "locks held", text: "locks:held mu",
-			isAnnot: true, kind: analysis.AnnotHeld, names: []string{"mu"},
+			isAnnot: true, kind: analysis.AnnotHeld, mutex: "mu",
 		},
 		{
 			name: "locks held multi", text: "locks:held mu dirMu",
-			isAnnot: true, kind: analysis.AnnotHeld, names: []string{"mu", "dirMu"},
+			isAnnot: true, wantErr: "one mutex",
 		},
 		{
 			name: "locks held empty", text: "locks:held",
-			isAnnot: true, wantErr: "at least one mutex name",
+			isAnnot: true, wantErr: "bad mutex name",
 		},
 		{
 			name: "locks quiescent", text: "locks:quiescent setup before goroutines start",
@@ -76,8 +77,9 @@ func TestParseAnnot(t *testing.T) {
 			isAnnot: true, wantErr: "needs a reason",
 		},
 		{
+			// No lock-order form: nothing in the tree takes two locks.
 			name: "locks after", text: "locks:after mu",
-			isAnnot: true, kind: analysis.AnnotAfter, names: []string{"mu"},
+			isAnnot: true, wantErr: "unknown //locks: directive",
 		},
 		{
 			name: "locks unknown", text: "locks:sometimes mu",
@@ -133,8 +135,8 @@ func TestParseAnnot(t *testing.T) {
 			if an.Kind != tt.kind {
 				t.Fatalf("kind = %v, want %v", an.Kind, tt.kind)
 			}
-			if !reflect.DeepEqual(an.Names, tt.names) {
-				t.Fatalf("names = %v, want %v", an.Names, tt.names)
+			if an.Name != tt.mutex {
+				t.Fatalf("mutex = %q, want %q", an.Name, tt.mutex)
 			}
 			if an.Reason != tt.reason {
 				t.Fatalf("reason = %q, want %q", an.Reason, tt.reason)
@@ -152,7 +154,6 @@ func TestAnnotFamily(t *testing.T) {
 		{"guard:none atomic", "guard"},
 		{"locks:held mu", "locks"},
 		{"locks:quiescent joined", "locks"},
-		{"locks:after mu", "locks"},
 		{"lane:shard", "lane"},
 		{"lane:stopped", "lane"},
 		{"lane:handler", "lane"},

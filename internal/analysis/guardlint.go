@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Guardlint enforces the //guard: field contracts by tracking the set
@@ -15,10 +14,11 @@ import (
 // AST: a linear walk of each statement list carries a held-lock set,
 // branches fork the set and intersect it where control flow rejoins,
 // and `defer x.mu.Unlock()` keeps the lock held to the end of the
-// function. On top of the per-access checks the analyzer enforces the
-// declared //locks:after acquisition order, flags a second Lock of an
-// already-held mutex, and flags any path that leaves a function with a
-// lock held and no deferred unlock.
+// function. On top of the per-access checks the analyzer flags a second
+// Lock of an already-held mutex and any path that leaves a function with
+// a lock held and no deferred unlock. Every contract names one
+// sync.Mutex: the tree never takes two locks together, so there is no
+// acquisition order to check.
 //
 // Deliberate scope limits, documented rather than guessed at: guards
 // resolve only for fields reached as <ident>.<field> (one level — every
@@ -31,10 +31,10 @@ import (
 var Guardlint = &Analyzer{
 	Name: "guardlint",
 	Doc: "lock-state tracking for //guard: annotated fields\n\n" +
-		"Reads of a //guard:mu field need mu (any listed mutex) held; writes\n" +
-		"need every listed mutex. Also enforces //locks:after acquisition\n" +
-		"order, double-Lock, defer-less unlock paths, //locks:held call\n" +
-		"contracts, and that guard-annotated structs stay fully annotated.",
+		"Reads and writes of a //guard:mu field need the sync.Mutex mu held.\n" +
+		"Also flags double-Lock, defer-less unlock paths and //locks:held\n" +
+		"call sites whose caller does not hold the mutex, and keeps\n" +
+		"guard-annotated structs fully annotated.",
 	// Where //guard: contracts live: the live cluster, the PDES lane
 	// mailboxes and internal/mlog (all //guard:none — externally
 	// serialized).
@@ -180,10 +180,8 @@ func (g *guardlintPass) checkFunc(body *ast.BlockStmt, fa *FuncAnnot) {
 		w.collectLits(body)
 	} else {
 		st := make(lockState)
-		if fa != nil {
-			for _, m := range fa.Held {
-				st[lockKey{nil, m}] = heldLock{external: true}
-			}
+		if fa != nil && fa.Held != "" {
+			st[lockKey{nil, fa.Held}] = heldLock{external: true}
 		}
 		st = w.stmts(body.List, st)
 		w.checkExit(st, body.End())
@@ -385,7 +383,7 @@ func (w *guardWalker) isPanic(call *ast.CallExpr) bool {
 	return builtin
 }
 
-// lockCall recognizes root.mutex.{Lock,Unlock,RLock,RUnlock}() and
+// lockCall recognizes root.mutex.{Lock,Unlock}() and
 // updates st. It returns true when the call was a lock operation (the
 // caller then skips ordinary expression scanning).
 func (w *guardWalker) lockCall(call *ast.CallExpr, st lockState, deferred bool) bool {
@@ -402,15 +400,6 @@ func (w *guardWalker) lockCall(call *ast.CallExpr, st lockState, deferred bool) 
 		if st.held(root, name) {
 			w.g.pass.Reportf(call.Pos(), "%s locked while already held (deadlock)", w.display(key))
 			return true
-		}
-		// //locks:after order: acquiring name while holding a mutex
-		// that is declared to come after it inverts the order.
-		for heldKey := range st {
-			for _, before := range w.g.an.after[heldKey.name] {
-				if before == name {
-					w.g.pass.Reportf(call.Pos(), "%s locked while holding %s: //locks:after declares the order %s -> %s", w.display(key), w.display(heldKey), name, heldKey.name)
-				}
-			}
 		}
 		st[key] = heldLock{}
 	case "unlock":
@@ -430,16 +419,16 @@ func (w *guardWalker) lockCall(call *ast.CallExpr, st lockState, deferred bool) 
 	return true
 }
 
-// lockOp resolves call as <ident>.<mutexField>.<Lock|Unlock|...>().
+// lockOp resolves call as <ident>.<mutexField>.<Lock|Unlock>().
 func (g *guardlintPass) lockOp(call *ast.CallExpr) (root types.Object, name, op string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return nil, "", "", false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock":
+	case "Lock":
 		op = "lock"
-	case "Unlock", "RUnlock":
+	case "Unlock":
 		op = "unlock"
 	default:
 		return nil, "", "", false
@@ -527,7 +516,7 @@ func (w *guardWalker) checkAccess(sel *ast.SelectorExpr, st lockState, write boo
 		return
 	}
 	fa := w.g.an.fields[fieldObj]
-	if fa == nil || fa.None || len(fa.Guards) == 0 {
+	if fa == nil || fa.Guard == "" {
 		return
 	}
 	root := rootIdentObj(w.g.pass.TypesInfo, sel.X)
@@ -537,28 +526,18 @@ func (w *guardWalker) checkAccess(sel *ast.SelectorExpr, st lockState, write boo
 	if w.fresh[root] {
 		return // constructor-local object: no other goroutine can see it
 	}
-	if write {
-		var missing []string
-		for _, m := range fa.Guards {
-			if !st.held(root, m) {
-				missing = append(missing, m)
-			}
-		}
-		if len(missing) > 0 {
-			w.g.pass.Reportf(sel.Sel.Pos(), "write to field %q requires %s held (//guard:%s)", sel.Sel.Name, strings.Join(missing, " and "), strings.Join(fa.Guards, ","))
-		}
+	if st.held(root, fa.Guard) {
 		return
 	}
-	for _, m := range fa.Guards {
-		if st.held(root, m) {
-			return
-		}
+	access := "read of"
+	if write {
+		access = "write to"
 	}
-	w.g.pass.Reportf(sel.Sel.Pos(), "read of field %q requires one of %s held (//guard:%s)", sel.Sel.Name, strings.Join(fa.Guards, ", "), strings.Join(fa.Guards, ","))
+	w.g.pass.Reportf(sel.Sel.Pos(), "%s field %q requires %s held (//guard:%s)", access, sel.Sel.Name, fa.Guard, fa.Guard)
 }
 
 // checkCallContract enforces //locks:held on calls to annotated
-// functions: the caller must actually hold the declared mutexes.
+// functions: the caller must actually hold the declared mutex.
 func (w *guardWalker) checkCallContract(call *ast.CallExpr, st lockState) {
 	var calleeObj types.Object
 	var root types.Object
@@ -575,16 +554,11 @@ func (w *guardWalker) checkCallContract(call *ast.CallExpr, st lockState) {
 		return
 	}
 	fa := w.g.an.funcs[calleeObj]
-	if fa == nil || len(fa.Held) == 0 {
+	if fa == nil || fa.Held == "" || (root != nil && w.fresh[root]) {
 		return
 	}
-	if root != nil && w.fresh[root] {
-		return
-	}
-	for _, m := range fa.Held {
-		if !st.held(root, m) {
-			w.g.pass.Reportf(call.Pos(), "call of %s requires %s held (//locks:held)", calleeObj.Name(), m)
-		}
+	if !st.held(root, fa.Held) {
+		w.g.pass.Reportf(call.Pos(), "call of %s requires %s held (//locks:held)", calleeObj.Name(), fa.Held)
 	}
 }
 

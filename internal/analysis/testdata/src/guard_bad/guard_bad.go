@@ -15,7 +15,7 @@ type Counter struct {
 }
 
 func (c *Counter) badRead() int {
-	return c.n // want "read of field .n. requires one of mu held"
+	return c.n // want "read of field .n. requires mu held"
 }
 
 func (c *Counter) badWrite() {
@@ -70,46 +70,19 @@ func (c *Counter) spawns() {
 	}()
 }
 
-// Ordered declares the acquisition order mu -> dirMu.
-type Ordered struct {
-	mu sync.Mutex
-	//locks:after mu
-	dirMu sync.Mutex
-
-	a int //guard:mu
-	b int //guard:dirMu
-}
-
-func (o *Ordered) inverted() {
-	o.dirMu.Lock()
-	defer o.dirMu.Unlock()
-	o.mu.Lock() // want "o.mu locked while holding o.dirMu: //locks:after declares the order mu -> dirMu"
-	defer o.mu.Unlock()
-}
-
-// Dual requires BOTH mutexes for writes; holding one is not enough.
-type Dual struct {
+// Leftover keeps two forms the grammar no longer has, a lock-order edge
+// and a two-mutex guard: each is reported where it is written rather
+// than read as some weaker contract.
+type Leftover struct {
 	mu    sync.Mutex
-	dirMu sync.Mutex
+	dirMu sync.Mutex /* want "unknown //locks: directive .after." */ //locks:after mu
 
-	both int //guard:mu,dirMu
-}
-
-func (d *Dual) partialWrite() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.both = 1 // want "write to field .both. requires dirMu held"
-}
-
-func (d *Dual) readAnyIsFine() int {
-	d.dirMu.Lock()
-	defer d.dirMu.Unlock()
-	return d.both // a read needs only one of the listed mutexes
+	both int /* want "bad mutex name .mu,dirMu." */ //guard:mu,dirMu
 }
 
 // Naming a non-mutex (or missing) sibling in a guard is malformed.
 type BadDirective struct {
 	mu sync.Mutex
 	//guard:nosuch
-	x int // want "is not a sibling sync.Mutex/RWMutex field"
+	x int // want "is not a sibling sync.Mutex field"
 }

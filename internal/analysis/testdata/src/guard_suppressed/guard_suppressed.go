@@ -15,5 +15,5 @@ func (c *Counter) sanctionedPeek() int {
 }
 
 func (c *Counter) stillCaught() int {
-	return c.n // want "read of field .n. requires one of mu held"
+	return c.n // want "read of field .n. requires mu held"
 }

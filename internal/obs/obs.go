@@ -1,5 +1,5 @@
 // Package obs is the unified observability layer of the codebase: a
-// low-overhead metrics registry (atomic counters, gauges, fixed-bucket
+// low-overhead metrics registry (atomic counters, sampled gauges, fixed-bucket
 // histograms with a Prometheus-text exporter), a per-host timeline tracer
 // emitting Chrome trace-event JSON (loadable in Perfetto), and profiling
 // hooks for the CLIs and the live cluster.
@@ -85,37 +85,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value. A nil *Gauge discards updates.
-type Gauge struct {
-	v      atomic.Int64
-	name   string
-	labels []Label
-}
-
-// Set stores the current value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the current value by d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram: Bounds[i] is the inclusive
@@ -218,7 +187,6 @@ type sampled struct {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]*sampled
 	help     map[string]string // metric name -> # HELP text
@@ -228,7 +196,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]*sampled),
 		help:     make(map[string]string),
@@ -264,24 +231,6 @@ func (r *Registry) Counter(name string, kv ...string) *Counter {
 		r.counters[id] = c
 	}
 	return c
-}
-
-// Gauge returns (registering on first use) the gauge with the given name
-// and labels. Returns nil on a nil registry.
-func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	ls := labelsOf(kv)
-	id := metricID(name, ls)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[id]
-	if g == nil {
-		g = &Gauge{name: name, labels: ls}
-		r.gauges[id] = g
-	}
-	return g
 }
 
 // Histogram returns (registering on first use) the histogram with the
@@ -405,10 +354,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, c := range r.counters {
 		counters = append(counters, c)
 	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
 	hists := make([]*Histogram, 0, len(r.hists))
 	for _, h := range r.hists {
 		hists = append(hists, h)
@@ -427,9 +372,6 @@ func (r *Registry) Snapshot() Snapshot {
 
 	for _, c := range counters {
 		s.Counters = append(s.Counters, Sample{Name: c.name, Labels: c.labels, Value: c.Value()})
-	}
-	for _, g := range gauges {
-		s.Gauges = append(s.Gauges, Sample{Name: g.name, Labels: g.labels, Value: g.Value()})
 	}
 	for _, f := range funcs {
 		sm := Sample{Name: f.name, Labels: f.labels, Value: f.fn()}

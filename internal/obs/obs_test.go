@@ -20,16 +20,13 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Histogram("z", []float64{1})
 	r.CounterFunc("cf", func() int64 { return 1 })
 	r.GaugeFunc("gf", func() int64 { return 1 })
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must discard updates")
 	}
 	s := r.Snapshot()
@@ -67,11 +64,12 @@ func TestCounterGaugeIdentity(t *testing.T) {
 	if a.Value() != 3 {
 		t.Fatalf("counter = %d, want 3", a.Value())
 	}
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
+	// A gauge is a sampled func: re-registering its name+labels replaces
+	// the callback rather than adding a second series.
+	r.GaugeFunc("depth", func() int64 { return 7 })
+	r.GaugeFunc("depth", func() int64 { return 5 })
+	if s := r.Snapshot(); len(s.Gauges) != 1 || s.Gauges[0].Value != 5 {
+		t.Fatalf("gauges = %+v, want one depth = 5", s.Gauges)
 	}
 }
 
@@ -297,7 +295,7 @@ func TestPrometheusExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ckpt_total", "proto", "QBC", "cause", "forced").Add(7)
 	r.Counter("ckpt_total", "proto", "TP", "cause", "basic-switch").Add(3)
-	r.Gauge("queue_depth").Set(12)
+	r.GaugeFunc("queue_depth", func() int64 { return 12 })
 	h := r.Histogram("rollback_depth", []float64{1, 2, 4}, "proto", "UNC")
 	h.Observe(3)
 	h.Observe(0.5)
@@ -337,7 +335,7 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-// Every instrument family — counters, gauges, histograms, and the
+// Every instrument family — counters, histograms, and the
 // sampled CounterFunc/GaugeFunc instruments — must expose a # HELP
 // line: the registered text when Help was called, a name-derived
 // fallback otherwise, with backslashes and newlines escaped.
@@ -348,7 +346,7 @@ func TestPrometheusHelp(t *testing.T) {
 	r.Counter("unhelped_total").Inc() // no Help registered: fallback
 	r.Help("depth_now", `escape \ and
 newline`)
-	r.Gauge("depth_now").Set(3)
+	r.GaugeFunc("depth_now", func() int64 { return 3 })
 	r.Help("lat", "Latency ladder.")
 	r.Histogram("lat", []float64{1, 2}).Observe(1)
 	r.Help("cf_total", "Sampled counter.")
@@ -391,7 +389,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	for k := 0; k < n; k++ {
 		i := fmt.Sprintf("%02d", k*37%n) // 37 is coprime to 64: a fixed shuffle
 		r.Counter("c_total", "i", i).Inc()
-		r.Gauge("g", "i", i).Set(1)
+		r.GaugeFunc("g", func() int64 { return 1 }, "i", i)
 		r.Histogram("h", []float64{1}, "i", i).Observe(0)
 	}
 	snap := r.Snapshot()

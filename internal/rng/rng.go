@@ -92,14 +92,3 @@ func (s *Source) Exp(mean float64) float64 {
 func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -160,28 +159,6 @@ func TestBernoulliRate(t *testing.T) {
 	rate := float64(hits) / n
 	if math.Abs(rate-0.4) > 0.01 {
 		t.Fatalf("Bernoulli(0.4) rate %.4f", rate)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(12)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := s.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
 // simulation study: streaming mean/variance (Welford), replication
-// summaries with confidence intervals, and histograms.
+// summaries with confidence intervals and medians, and relative gains;
+// the result tables and text plots live beside it.
 //
 // The paper reports results averaged over several independently seeded
 // runs and notes that the spread stayed within 4%; Replication mirrors
@@ -150,68 +151,4 @@ func Gain(a, b float64) float64 {
 		return 0
 	}
 	return (a - b) / a
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); values
-// outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	n       int
-}
-
-// NewHistogram creates a histogram with nb buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if nb <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, nb)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.buckets)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.n++
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) assuming values
-// are uniform within buckets.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	cum := 0.0
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + width*(float64(i)+frac)
-		}
-		cum = next
-	}
-	return h.hi
 }

@@ -156,57 +156,6 @@ func TestGain(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Fatalf("bucket %d = %d", i, h.Bucket(i))
-		}
-	}
-	if h.N() != 10 || h.Buckets() != 10 {
-		t.Fatalf("n=%d buckets=%d", h.N(), h.Buckets())
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(100)
-	if h.Bucket(0) != 1 || h.Bucket(9) != 1 {
-		t.Fatal("out-of-range values must clamp to edge buckets")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	q50 := h.Quantile(0.5)
-	if q50 < 45 || q50 > 55 {
-		t.Fatalf("median estimate %v", q50)
-	}
-	if h.Quantile(0) > h.Quantile(1) {
-		t.Fatal("quantiles not monotone")
-	}
-	empty := NewHistogram(0, 1, 4)
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Figure 1", "Tswitch", "TP", "BCS", "QBC")
 	tab.AddFloatRow("100", 40000, 9000, 8500)
