@@ -74,25 +74,23 @@ allocs:
 # are tens of kilobytes of JSON, which the fuzzer's default minute of
 # minimization per finding would spend the whole smoke on, so that is
 # capped in runs.
+# fuzz-targets runs every fuzz target for $(1) each: one list for both.
+define fuzz-targets
+$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=$(1) ./internal/wire
+$(GO) test -fuzz=FuzzImportSchedule -fuzztime=$(1) -fuzzminimizetime=10x ./internal/trace
+$(GO) test -fuzz=FuzzImportBundle -fuzztime=$(1) -fuzzminimizetime=10x ./internal/replaycmp
+$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=$(1) -fuzzminimizetime=10x ./internal/sim
+$(GO) test -fuzz=FuzzPropagate -fuzztime=$(1) ./internal/recovery
+$(GO) test -fuzz=FuzzDriverInline -fuzztime=$(1) ./internal/workload
+$(GO) test -fuzz=FuzzConfig -fuzztime=$(1) ./internal/sim
+$(GO) test -fuzz=FuzzCollect -fuzztime=$(1) ./internal/sim
+endef
+
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
-	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/trace
-	$(GO) test -fuzz=FuzzImportBundle -fuzztime=10s -fuzzminimizetime=10x ./internal/replaycmp
-	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=10s -fuzzminimizetime=10x ./internal/sim
-	$(GO) test -fuzz=FuzzPropagate -fuzztime=10s ./internal/recovery
-	$(GO) test -fuzz=FuzzDriverInline -fuzztime=10s ./internal/workload
-	$(GO) test -fuzz=FuzzConfig -fuzztime=10s ./internal/sim
-	$(GO) test -fuzz=FuzzCollect -fuzztime=10s ./internal/sim
+	$(call fuzz-targets,10s)
 
 fuzz:
-	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
-	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/trace
-	$(GO) test -fuzz=FuzzImportBundle -fuzztime=2m -fuzzminimizetime=10x ./internal/replaycmp
-	$(GO) test -fuzz=FuzzReplaySchedule -fuzztime=2m -fuzzminimizetime=10x ./internal/sim
-	$(GO) test -fuzz=FuzzPropagate -fuzztime=2m ./internal/recovery
-	$(GO) test -fuzz=FuzzDriverInline -fuzztime=2m ./internal/workload
-	$(GO) test -fuzz=FuzzConfig -fuzztime=2m ./internal/sim
-	$(GO) test -fuzz=FuzzCollect -fuzztime=2m ./internal/sim
+	$(call fuzz-targets,2m)
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
 # under the race detector (decision logs, log counters, and — since both

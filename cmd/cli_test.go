@@ -236,8 +236,8 @@ func TestMhsimReplayWritesInstruments(t *testing.T) {
 }
 
 // TestMhsimRefusesHugeTPReplay: a 160 kB bundle naming 20 000 TP hosts and
-// no event once ran mhsim out of memory building TP's 8n² B of vectors
-// (3.2 GB). The replay is refused with the reason, exit 1, no crash.
+// no event once ran mhsim out of memory building TP's dense vectors
+// (4n² B, 1.6 GB). The replay is refused with the reason, exit 1, no crash.
 func TestMhsimRefusesHugeTPReplay(t *testing.T) {
 	run := build(t)
 	const hosts = 20000
@@ -254,7 +254,7 @@ func TestMhsimRefusesHugeTPReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	stdout, stderr, code := run("mhsim", "-replay-schedule", path)
-	if code != 1 || stdout != "" || !strings.Contains(stderr, "8n²") ||
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "4n²") ||
 		strings.Contains(stderr, "panic") || strings.Contains(stderr, "fatal error") {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming TP's n² vectors", code, stdout, stderr)
 	}

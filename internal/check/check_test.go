@@ -206,6 +206,47 @@ func TestRuntimeDetectsNonMonotonicIndices(t *testing.T) {
 	}
 }
 
+// A clean scripted TP run must pass, and LOC must agree with the
+// station the store records each checkpoint at: a TP told one station
+// by mssOf while its checkpoints are stored at another is flagged on the
+// first checkpoint and at the end-of-run sweep.
+func TestRuntimeTPLocationsMatchStore(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mss  mobile.MSSID // what TP is told; the harness stores at station 0
+		want bool         // a violation expected
+	}{{"clean", 0, false}, {"mssOf disagrees", 1, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			env := newHarness()
+			tp := protocol.NewTP(2, env.ckpt, func(mobile.HostID) mobile.MSSID { return c.mss })
+			rt := NewRuntime("TP", tp, env.store, func() des.Time { return env.now })
+			tp.Init()
+			rt.AfterInit(2)
+			pb := tp.OnSend(0, 1)
+			rt.AfterSend(0, pb)
+			tp.OnDeliver(1, 0, pb)
+			rt.AfterDeliver(1, 0, pb)
+			tp.OnCellSwitch(1, 0)
+			rt.AfterCellSwitch(1)
+
+			vs := rt.Finish(env.counts(2))
+			var rules []string
+			for _, v := range vs {
+				if !strings.Contains(v.Detail, "LOC places") {
+					t.Fatalf("unexpected violation %v", v)
+				}
+				rules = append(rules, v.Rule)
+			}
+			if got := len(vs) > 0; got != c.want {
+				t.Fatalf("violations %v, want some: %v", vs, c.want)
+			}
+			if c.want && (rules[0] != "init" || rules[len(rules)-1] != "vector-meta") {
+				t.Fatalf("flagged by rules %v, want init first and vector-meta last", rules)
+			}
+		})
+	}
+}
+
 // RecoveryLines must accept a consistent fabricated execution and reject
 // one containing an orphan message.
 func TestRecoveryLines(t *testing.T) {

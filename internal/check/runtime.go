@@ -147,8 +147,10 @@ func (r *Runtime) checkSeq(h mobile.HostID, rule string) {
 }
 
 // checkTPMeta asserts the dependency vectors recorded with rec are
-// well-formed: present, own entry equal to the checkpoint index, and LOC
-// carrying a station for every finite dependency.
+// well-formed: present, own entry equal to the checkpoint index, and
+// LOC naming, for every finite dependency, the station the store holds
+// that checkpoint at. The store records what the checkpointer was told,
+// independently of the station table TP derives LOC from.
 func (r *Runtime) checkTPMeta(h mobile.HostID, rec *storage.Record, rule string) {
 	if r.tp == nil || rec == nil {
 		return
@@ -161,10 +163,19 @@ func (r *Runtime) checkTPMeta(h mobile.HostID, rec *storage.Record, rule string)
 	if meta.Ckpt[h] != rec.Index {
 		r.violatef(h, rule, "checkpoint %s: CKPT own entry %d != index %d", rec.ID(), meta.Ckpt[h], rec.Index)
 	}
-	for j := range meta.Ckpt {
-		if meta.Ckpt[j] >= 0 && meta.Loc[j] < 0 {
-			r.violatef(h, rule, "checkpoint %s: depends on host %d interval %d with no location",
-				rec.ID(), j, meta.Ckpt[j])
+	for j, k := range meta.Ckpt {
+		if k < 0 {
+			continue
+		}
+		// A TP host's checkpoint indices count up from 0: index k is
+		// position k of its chain.
+		chain := r.store.Chain(mobile.HostID(j))
+		if k >= len(chain) || chain[k].Index != k {
+			r.violatef(h, rule, "checkpoint %s: depends on host %d interval %d, which the store does not hold",
+				rec.ID(), j, k)
+		} else if meta.Loc[j] != int(chain[k].MSS) {
+			r.violatef(h, rule, "checkpoint %s: LOC places host %d interval %d at station %d, the store at %d",
+				rec.ID(), j, k, meta.Loc[j], chain[k].MSS)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -40,81 +41,125 @@ type TPPiggyback struct {
 	Loc  vclock.Vector
 }
 
-// tpEntry is component j of a host's dependency state: CKPT[j] and
-// LOC[j], which TP only ever writes together. Both fields are 32 bits
-// wide — the vectors, their frames and their change logs are what a run
-// retains per host and per checkpoint; tpEntryOf refuses values that do
-// not fit.
-type tpEntry struct{ ckpt, loc int32 }
-
-// tpChange is one change-log record: entry idx of a host's state rose to
-// the pair it carries.
-type tpChange struct {
-	idx int32
-	tpEntry
-}
-
-// tpEntryOf is the pair (ckpt, loc), or a panic if either does not fit
-// in 32 bits.
-func tpEntryOf(ckpt, loc int) tpEntry {
-	e := tpEntry{int32(ckpt), int32(loc)}
-	if int(e.ckpt) != ckpt || int(e.loc) != loc {
-		panic("protocol: TP vector entry does not fit in 32 bits")
-	}
-	return e
-}
+// tpChange is one change-log record: CKPT[idx] of a host's state rose to
+// ckpt. Both fields are 32 bits wide — the vectors, their frames and
+// their change logs are what a run retains per host and per checkpoint.
+type tpChange struct{ idx, ckpt int32 }
 
 // newTPState is a host's state before it depends on anything: width
-// entries of (-1, -1).
-func newTPState(width int) []tpEntry {
-	vec := make([]tpEntry, width)
+// entries of -1.
+func newTPState(width int) []int32 {
+	vec := make([]int32, width)
 	for j := range vec {
-		vec[j] = tpEntry{-1, -1}
+		vec[j] = -1
 	}
 	return vec
 }
 
+// tpChunks chunks of 16<<i entries hold 16(2^27 - 1) checkpoints, more
+// than a 32-bit index counts.
+const tpChunks = 27
+
+// tpStations is the station table of one host: entry k is the MSS its
+// k-th checkpoint was taken at. It is all TP keeps of LOC — LOC[j] is
+// always the station of the CKPT[j]-th checkpoint of host j — so the
+// vectors, frames and logs hold CKPT alone. Only the host's own lane
+// appends; any lane reads. Chunk i holds the entries from 16(2^i - 1) on
+// and is never reallocated, so an entry never moves once it is written;
+// count is published after the entry it covers. A reader that learned of
+// checkpoint k — through a vector that names it, or by loading count —
+// therefore reads its station without a lock.
+type tpStations struct {
+	count  atomic.Int32
+	chunks [tpChunks]*[]int32
+}
+
+// slot is chunk i and offset off of entry k.
+func (s *tpStations) slot(k int) (i, off int) {
+	i = bits.Len(uint(k+16)) - 5
+	return i, k + 16 - 16<<i
+}
+
+// add records the station of the host's next checkpoint and returns that
+// checkpoint's index.
+func (s *tpStations) add(mss mobile.MSSID) int {
+	k := int(s.count.Load())
+	i, off := s.slot(k)
+	if i >= tpChunks || mobile.MSSID(int32(mss)) != mss {
+		panic("protocol: TP checkpoint index or station does not fit in 32 bits")
+	}
+	if off == 0 {
+		c := make([]int32, 16<<i)
+		s.chunks[i] = &c
+	}
+	(*s.chunks[i])[off] = int32(mss)
+	s.count.Store(int32(k + 1))
+	return k
+}
+
+// at is the station of checkpoint k, which must have been recorded.
+func (s *tpStations) at(k int) int {
+	i, off := s.slot(k)
+	return int((*s.chunks[i])[off])
+}
+
+// locations is the LOC vector beside ckpt: the station of every
+// checkpoint ckpt names, -1 where it names none.
+func locations(stations []*tpStations, ckpt vclock.Vector) vclock.Vector {
+	loc := vclock.New(len(ckpt), -1)
+	for j, x := range ckpt {
+		if x >= 0 {
+			loc[j] = stations[j].at(x)
+		}
+	}
+	return loc
+}
+
 // TPView is one host's dependency vectors as they stood at one instant —
 // the piggyback OnSend returns and the form a checkpoint's vectors are
-// stored in. It owns no vector: it names the host's frame (its dense
-// vectors at its last compaction) and the prefix of its change log that
-// existed at that instant. Frames are never written after they are built
-// and a log only grows past the prefix, so a view costs O(1) to take, is
-// immutable, and may be read from any lane while its host moves on.
+// stored in. It owns no vector: it names the host's frame (its CKPT
+// vector at its last compaction), the prefix of its change log that
+// existed at that instant, and every host's station table as the slice
+// of them stood then. Frames are never written after they are built, a
+// log only grows past the prefix and a table never moves an entry, so a
+// view costs O(1) to take, is immutable, and may be read from any lane
+// while the hosts move on.
 type TPView struct {
-	// frame is the host's state at its last compaction. Entries the
+	// frame is the host's CKPT vector at its last compaction. Entries the
 	// frame lacks — all of them for a host that has not compacted yet,
-	// the newest ones after a join — are (-1, -1).
-	frame []tpEntry
+	// the newest ones after a join — are -1.
+	frame []int32
 	log   []tpChange // oldest first
-	width int
+	// stations has one table per host the view is wide.
+	stations []*tpStations
 }
 
 // Dense materializes the vectors the view stands for.
 func (v *TPView) Dense() TPPiggyback {
-	pb := TPPiggyback{Ckpt: vclock.New(v.width, -1), Loc: vclock.New(v.width, -1)}
-	for j, e := range v.frame {
-		pb.Ckpt[j], pb.Loc[j] = int(e.ckpt), int(e.loc)
+	ckpt := vclock.New(len(v.stations), -1)
+	for j, x := range v.frame {
+		ckpt[j] = int(x)
 	}
 	for _, c := range v.log {
-		pb.Ckpt[c.idx], pb.Loc[c.idx] = int(c.ckpt), int(c.loc)
+		ckpt[c.idx] = int(c.ckpt)
 	}
-	return pb
+	return TPPiggyback{Ckpt: ckpt, Loc: locations(v.stations, ckpt)}
 }
 
 // tpHost is one host's protocol state. Only the lane that owns the host
-// touches it; what other lanes see of it are TPViews.
+// touches it; what other lanes see of it are TPViews and its station
+// table.
 type tpHost struct {
 	phase Phase
-	// vec[j].ckpt = index of the last checkpoint of host j that this
-	// host's current state transitively depends on (its own entry is the
-	// index of its current checkpoint interval); vec[j].loc = MSS storing
-	// that checkpoint. Entries only ever rise, one at a time, through set.
-	vec []tpEntry
+	// vec[j] = index of the last checkpoint of host j that this host's
+	// current state transitively depends on (its own entry is the index
+	// of its current checkpoint interval). Entries only ever rise, one at
+	// a time, through set.
+	vec []int32
 	// frame is a copy of vec taken at the last compaction and log lists
 	// every entry set since, so (frame, log) is the state's whole history
 	// since then: any prefix of log is a past state.
-	frame []tpEntry
+	frame []int32
 	log   []tpChange
 	// sent is the view the last send took, shared by every send until
 	// the vectors next change.
@@ -130,10 +175,10 @@ type tpCheckpoint struct {
 	view TPView
 }
 
-// set raises entry j to e and logs the change.
-func (s *tpHost) set(j int, e tpEntry) {
-	s.vec[j] = e
-	s.log = append(s.log, tpChange{int32(j), e})
+// set raises entry j to x and logs the change.
+func (s *tpHost) set(j int, x int32) {
+	s.vec[j] = x
+	s.log = append(s.log, tpChange{int32(j), x})
 	s.sent = nil
 }
 
@@ -151,48 +196,53 @@ func (s *tpHost) compact() {
 	s.log = make([]tpChange, 0, w)
 }
 
-// view returns the host's vectors as they stand now.
-func (s *tpHost) view() TPView {
-	return TPView{frame: s.frame, log: s.log[:len(s.log):len(s.log)], width: len(s.vec)}
-}
-
-// merge raises every entry of the host's state that dense vectors
-// (ckpt, loc) dominate — TP's paired update: LOC[j] always names the MSS
-// holding the CKPT[j]-th checkpoint of host j. The incoming vectors may
-// be narrower (a message sent before new hosts joined: the missing
-// entries carry no dependency); wider ones are a message from the future.
-func (s *tpHost) merge(ckpt, loc vclock.Vector) {
-	if len(ckpt) != len(loc) || len(ckpt) > len(s.vec) {
+// merge raises every entry of the host's state that the dense vectors pb
+// dominate. The vectors may be narrower (a message sent before new hosts
+// joined: the missing entries carry no dependency); wider ones are a
+// message from the future. Every entry must be one a view's Dense could
+// have produced — -1 beside -1, or a checkpoint its host recorded beside
+// the station it was taken at — or the whole delivery is refused before
+// anything is raised: the state keeps no LOC of its own to store a
+// disagreeing one in.
+func (s *tpHost) merge(pb TPPiggyback, stations []*tpStations) {
+	if len(pb.Ckpt) != len(pb.Loc) || len(pb.Ckpt) > len(s.vec) {
 		panic("protocol: TP merge width mismatch")
 	}
-	for j, x := range ckpt {
-		if x > int(s.vec[j].ckpt) {
-			s.set(j, tpEntryOf(x, loc[j]))
+	for j, x := range pb.Ckpt {
+		known := x == -1 && pb.Loc[j] == -1 ||
+			x >= 0 && x < int(stations[j].count.Load()) && pb.Loc[j] == stations[j].at(x)
+		if !known {
+			panic("protocol: TP piggyback names a checkpoint or station its host never recorded")
+		}
+	}
+	for j, x := range pb.Ckpt {
+		if x > int(s.vec[j]) {
+			s.set(j, int32(x))
 		}
 	}
 }
 
 // mergeView is merge(v.Dense()) without building the vectors. One
-// entry's log records only ever rise, above the frame's value, and a
-// location changes only together with its index, so the view's value of
-// entry j is j's newest record, or the frame's entry if it has none.
-// Replaying the log newest first and the frame last under merge's strict
-// > therefore raises exactly the entries the dense merge raises, to the
-// same values, once each: whatever precedes an entry's newest record is
-// smaller and no longer wins.
+// entry's log records only ever rise, above the frame's value, so the
+// view's value of entry j is j's newest record, or the frame's entry if
+// it has none. Replaying the log newest first and the frame last under
+// merge's strict > therefore raises exactly the entries the dense merge
+// raises, to the same values, once each: whatever precedes an entry's
+// newest record is smaller and no longer wins. LOC needs no merging: it
+// follows from CKPT through the station tables.
 func (s *tpHost) mergeView(v *TPView) {
-	if v.width > len(s.vec) {
+	if len(v.stations) > len(s.vec) {
 		panic("protocol: TP merge width mismatch")
 	}
 	for i := len(v.log) - 1; i >= 0; i-- {
-		if c := v.log[i]; c.ckpt > s.vec[c.idx].ckpt {
-			s.set(int(c.idx), c.tpEntry)
+		if c := v.log[i]; c.ckpt > s.vec[c.idx] {
+			s.set(int(c.idx), c.ckpt)
 		}
 	}
 	vec := s.vec[:len(v.frame)]
-	for j, e := range v.frame {
-		if e.ckpt > vec[j].ckpt {
-			s.set(j, e)
+	for j, x := range v.frame {
+		if x > vec[j] {
+			s.set(j, x)
 		}
 	}
 }
@@ -205,6 +255,9 @@ type TP struct {
 	mssOf func(mobile.HostID) mobile.MSSID
 
 	hosts []tpHost
+	// stations[j] is host j's station table. A join appends to the slice
+	// but never moves a table, so a view reads the slice it captured.
+	stations []*tpStations
 
 	snapCopies atomic.Int64
 	snapReuses atomic.Int64
@@ -212,13 +265,16 @@ type TP struct {
 }
 
 // NewTP creates a TP instance for n hosts. ckpt records checkpoints;
-// mssOf reports a host's current station (used to maintain LOC; for a
-// disconnected host it must return the station holding its checkpoints,
-// which mobile.Host guarantees via the last MSS).
+// mssOf reports a host's current station (recorded in the host's station
+// table, which LOC is read from; for a disconnected host it must return
+// the station holding its checkpoints, which mobile.Host guarantees via
+// the last MSS).
 func NewTP(n int, ckpt Checkpointer, mssOf func(mobile.HostID) mobile.MSSID) *TP {
-	t := &TP{ckpt: ckpt, mssOf: mssOf, hosts: make([]tpHost, n)}
+	t := &TP{ckpt: ckpt, mssOf: mssOf, hosts: make([]tpHost, n), stations: make([]*tpStations, n)}
+	tables := make([]tpStations, n)
 	for i := range t.hosts {
 		t.hosts[i].vec = newTPState(n)
+		t.stations[i] = &tables[i]
 	}
 	return t
 }
@@ -235,14 +291,22 @@ func (t *TP) Init() {
 	}
 }
 
-// takeCheckpoint advances host h into a new checkpoint interval and
-// records the dependency vectors alongside the checkpoint.
+// takeCheckpoint advances host h into a new checkpoint interval, records
+// the station it is taken at, and records the dependency vectors
+// alongside the checkpoint. The station is in the table before the index
+// is in any vector, so whoever reads the index can read the station.
 func (t *TP) takeCheckpoint(h mobile.HostID, kind storage.Kind) {
 	s := &t.hosts[h]
-	s.set(int(h), tpEntryOf(int(s.vec[h].ckpt)+1, int(t.mssOf(h))))
+	k := t.stations[h].add(t.mssOf(h))
+	s.set(int(h), int32(k))
 	s.compact()
-	rec := t.ckpt(h, int(s.vec[h].ckpt), kind)
-	s.taken = append(s.taken, tpCheckpoint{rec, s.view()})
+	rec := t.ckpt(h, k, kind)
+	s.taken = append(s.taken, tpCheckpoint{rec, t.view(s)})
+}
+
+// view returns host s's vectors as they stand now.
+func (t *TP) view(s *tpHost) TPView {
+	return TPView{frame: s.frame, log: s.log[:len(s.log):len(s.log)], stations: t.stations}
 }
 
 // OnSend implements Protocol: sending flips the host into the SEND phase
@@ -259,7 +323,7 @@ func (t *TP) OnSend(from, to mobile.HostID) any {
 		t.snapReuses.Add(1)
 		return s.sent
 	}
-	v := s.view()
+	v := t.view(s)
 	s.sent = &v
 	t.snapCopies.Add(1)
 	return s.sent
@@ -289,7 +353,7 @@ func (t *TP) OnDeliver(h, from mobile.HostID, pb any) {
 	case *TPView:
 		s.mergeView(v)
 	case TPPiggyback:
-		s.merge(v.Ckpt, v.Loc)
+		s.merge(v, t.stations)
 	default:
 		panic("protocol: TP delivery with non-TP piggyback")
 	}
@@ -330,10 +394,11 @@ func (t *TP) OnJoin(h mobile.HostID) int64 {
 		// so nothing is logged; only the width of later views changes
 		// (ragged merges accept the narrower ones still in flight).
 		s := &t.hosts[i]
-		s.vec = append(s.vec, tpEntry{-1, -1})
+		s.vec = append(s.vec, -1)
 		s.sent = nil
 	}
 	t.hosts = append(t.hosts, tpHost{vec: newTPState(n)})
+	t.stations = append(t.stations, new(tpStations))
 	t.takeCheckpoint(h, storage.Initial)
 	return int64(n - 1) // one membership notification per existing host
 }
@@ -363,18 +428,13 @@ func (t *TP) PhaseOf(h mobile.HostID) Phase { return t.hosts[h].phase }
 func (t *TP) DependencyVector(h mobile.HostID) vclock.Vector {
 	vec := t.hosts[h].vec
 	v := make(vclock.Vector, len(vec))
-	for j, e := range vec {
-		v[j] = int(e.ckpt)
+	for j, x := range vec {
+		v[j] = int(x)
 	}
 	return v
 }
 
-// LocationVector returns a copy of host h's current LOC vector.
+// LocationVector returns host h's current LOC vector.
 func (t *TP) LocationVector(h mobile.HostID) vclock.Vector {
-	vec := t.hosts[h].vec
-	v := make(vclock.Vector, len(vec))
-	for j, e := range vec {
-		v[j] = int(e.loc)
-	}
-	return v
+	return locations(t.stations, t.DependencyVector(h))
 }

@@ -495,9 +495,10 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 }
 
 // TestTPCheckpointAllocs is the memory gate on what a checkpoint keeps:
-// a 1000-wide TP run through the script retains under 2.5 kB per
+// a 1000-wide TP run through the script retains under 1 600 B per
 // checkpoint, everything the script's traffic added to its vectors'
-// history included. Storing the two vectors whole is 8 kB.
+// history included. Storing the CKPT vector whole is 4 kB, the two
+// vectors 8 kB.
 func TestTPCheckpointAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
@@ -528,16 +529,16 @@ func TestTPCheckpointAllocs(t *testing.T) {
 	}
 	perCkpt := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(ckpts)
 	t.Logf("%d checkpoints, %d B retained per checkpoint", ckpts, perCkpt)
-	if perCkpt >= 2560 {
-		t.Fatalf("run retains %d B per checkpoint, want < 2560", perCkpt)
+	if perCkpt >= 1600 {
+		t.Fatalf("run retains %d B per checkpoint, want < 1600", perCkpt)
 	}
 	runtime.KeepAlive(w)
 }
 
 // TestTPInitAllocs is the memory gate on set-up: constructing and
 // initializing a 1000-wide TP allocates each host's current state — one
-// (CKPT, LOC) pair of 32-bit entries per host — and, beside it, nothing
-// that grows with the width.
+// 32-bit CKPT entry per host — and, beside it, at most 1 KiB per host
+// (its station table among it), nothing that grows with the width.
 func TestTPInitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
@@ -547,11 +548,11 @@ func TestTPInitAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	w := newTPWorld(n, false)
 	runtime.ReadMemStats(&after)
-	vectors := uint64(n * n * 8)
+	vectors := uint64(n * n * 4)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("NewTP(%d)+Init allocated %d B, the current vectors are %d B", n, got, vectors)
-	if got > vectors+vectors/10 {
-		t.Fatalf("NewTP(%d)+Init allocated %d B, want at most the %d B of current vectors plus a tenth", n, got, vectors)
+	if got > vectors+n<<10 {
+		t.Fatalf("NewTP(%d)+Init allocated %d B, want at most the %d B of current vectors plus 1 KiB per host", n, got, vectors)
 	}
 	runtime.KeepAlive(w)
 }

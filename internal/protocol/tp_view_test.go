@@ -71,15 +71,23 @@ func TestTPSnapshotImmutableInFlight(t *testing.T) {
 }
 
 // TestTPRejectsEntriesBeyondChangeLog: change-log records are 32 bits
-// wide, so a dense piggyback off the wire carrying a larger value must be
-// refused, never stored truncated.
+// wide and LOC is looked up, not stored, so a dense piggyback off the
+// wire must name checkpoints its hosts recorded, beside the stations
+// they were taken at. One that carries a value beyond 32 bits, names a
+// checkpoint never taken or places one at another station must be
+// refused whole, never stored truncated or in part.
 func TestTPRejectsEntriesBeyondChangeLog(t *testing.T) {
 	ckpt, _ := nopCkpt()
-	tp := NewTP(2, ckpt, func(mobile.HostID) mobile.MSSID { return 0 })
+	tp := NewTP(3, ckpt, func(h mobile.HostID) mobile.MSSID { return mobile.MSSID(h) })
 	tp.Init()
+	tp.OnCellSwitch(2, 2) // host 2's checkpoint 1, at station 2
 	for _, pb := range []TPPiggyback{
-		{Ckpt: vclock.Vector{1 << 40, 0}, Loc: vclock.Vector{0, 0}},
-		{Ckpt: vclock.Vector{5, 0}, Loc: vclock.Vector{1 << 31, 0}},
+		{Ckpt: vclock.Vector{1 << 40, 0, 0}, Loc: vclock.Vector{0, 1, 2}},
+		{Ckpt: vclock.Vector{5, 0, 0}, Loc: vclock.Vector{1 << 31, 1, 2}},
+		// Host 0 has taken checkpoint 0 only; host 2's entry is valid.
+		{Ckpt: vclock.Vector{1, 0, 1}, Loc: vclock.Vector{0, 1, 2}},
+		// Host 2 took checkpoint 1 at station 2, not 0.
+		{Ckpt: vclock.Vector{0, 0, 1}, Loc: vclock.Vector{0, 1, 0}},
 	} {
 		func() {
 			defer func() {
@@ -89,8 +97,13 @@ func TestTPRejectsEntriesBeyondChangeLog(t *testing.T) {
 			}()
 			tp.OnDeliver(1, 0, pb)
 		}()
-		if got := tp.DependencyVector(1)[0]; got != -1 {
-			t.Fatalf("rejected entry was stored as %d", got)
+		if got := tp.DependencyVector(1); !got.Equal(vclock.Vector{-1, 0, -1}) {
+			t.Fatalf("rejected delivery of %v / %v left host 1 at %v", pb.Ckpt, pb.Loc, got)
 		}
+	}
+	// The same vectors with the recorded station are accepted.
+	tp.OnDeliver(1, 0, TPPiggyback{Ckpt: vclock.Vector{0, 0, 1}, Loc: vclock.Vector{0, 1, 2}})
+	if got := tp.LocationVector(1); !got.Equal(vclock.Vector{0, 1, 2}) {
+		t.Fatalf("accepted delivery left host 1 at LOC %v, want [0 1 2]", got)
 	}
 }

@@ -364,12 +364,12 @@ func (c Config) validateReplay() error {
 		return fmt.Errorf("sim: schedule records an unreplayable protocol: %w", err)
 	}
 	// The cap the sweep applies to TP: a replay sizes TP's dense current
-	// state — one 8-byte (CKPT, LOC) pair per host per host — by the
-	// final host count (Hosts too, in case the joins overflowed it).
+	// state — one 32-bit CKPT entry per host per host — by the final host
+	// count (Hosts too, in case the joins overflowed it).
 	n := c.Schedule.FinalHosts()
 	if c.Schedule.Protocol == string(TP) && (c.Schedule.Hosts > ScaleTPMaxHosts || n > ScaleTPMaxHosts) {
-		return fmt.Errorf("sim: replay of TP over %d hosts refused: its dense vectors take 8n² B (%.1f GB), and TP runs up to ScaleTPMaxHosts = %d",
-			n, 8*float64(n)*float64(n)/1e9, ScaleTPMaxHosts)
+		return fmt.Errorf("sim: replay of TP over %d hosts refused: its dense vectors take 4n² B (%.1f GB), and TP runs up to ScaleTPMaxHosts = %d",
+			n, 4*float64(n)*float64(n)/1e9, ScaleTPMaxHosts)
 	}
 	switch len(c.Protocols) {
 	case 0:

@@ -50,7 +50,7 @@ func TestReplayValidateRejects(t *testing.T) {
 		// protocol has to be in the registry's Live set.
 		{"coordinated schedule", func(c *Config) { c.Schedule = replaySchedule("CL") }},
 		{"timer-driven schedule", func(c *Config) { c.Schedule = replaySchedule("MS") }},
-		// TP's dense vectors cost 8n² B: a tiny file must not ask for 3 GB.
+		// TP's dense vectors cost 4n² B: a tiny file must not ask for 1.6 GB.
 		{"TP over the cap", func(c *Config) {
 			c.Schedule = &trace.Schedule{Hosts: ScaleTPMaxHosts + 1, Stations: 2, Protocol: "TP"}
 		}},
@@ -74,7 +74,7 @@ func TestReplayValidateRejects(t *testing.T) {
 		}
 	}
 	tp := Config{Schedule: &trace.Schedule{Hosts: 20000, Stations: 2, Protocol: "TP"}}
-	if err := tp.Validate(); err == nil || !strings.Contains(err.Error(), "8n²") {
+	if err := tp.Validate(); err == nil || !strings.Contains(err.Error(), "4n²") {
 		t.Fatalf("TP over the cap: err = %v, want the n² vectors named", err)
 	}
 	// The rejection names the replayable set.

@@ -44,8 +44,8 @@ const (
 	// ScaleTPMaxHosts caps TP's participation: each TP piggyback carries
 	// two n-entry vectors, so at 10^4 hosts a single message hauls
 	// ~160 kB of control state, and every host holds its dense current
-	// vectors as n 32-bit (CKPT, LOC) pairs — 8n² B in all, 0.8 GB at
-	// 10^4 and 80 GB at 10^5.
+	// CKPT vector as n 32-bit entries — 4n² B in all, 0.4 GB at 10^4 and
+	// 40 GB at 10^5 (LOC is looked up in per-host station tables).
 	// That blow-up is E21's headline finding, measured where it is
 	// affordable and extrapolated (linearly, by construction) beyond.
 	ScaleTPMaxHosts = 10000

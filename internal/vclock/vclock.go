@@ -8,9 +8,10 @@
 // merged component-wise on delivery, exactly as in the paper's §4.1.
 //
 // Vector is the dense form TP's vectors take in transit: on the wire,
-// in TP.Meta and in recovery. The TP protocol keeps its own state as
-// 32-bit (CKPT, LOC) pairs (internal/protocol) and widens to Vector only
-// at that boundary.
+// in TP.Meta and in recovery. The TP protocol keeps its own state as a
+// 32-bit CKPT vector plus one station table per host, from which LOC is
+// looked up (internal/protocol), and widens to Vector only at that
+// boundary.
 package vclock
 
 import (
