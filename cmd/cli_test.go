@@ -68,6 +68,24 @@ func TestSeedsBelowOneRejected(t *testing.T) {
 	}
 }
 
+// TestWorkersBelowZeroRejected: `-workers -3` once ran silently on
+// GOMAXPROCS workers in both commands that take it. A negative pool is a
+// usage error naming the flag, before any run starts.
+func TestWorkersBelowZeroRejected(t *testing.T) {
+	run := build(t)
+	out := t.TempDir()
+	for _, tc := range [][]string{
+		{"figures", "-table", "figure1", "-out", out},
+		{"mhsim", "-seeds", "2"},
+	} {
+		args := append([]string{"-workers", "-3", "-horizon", "500"}, tc[1:]...)
+		stdout, stderr, code := run(tc[0], args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-workers -3") || !isEmptyDir(t, out) {
+			t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want exit 2 naming the flag and no output", tc[0], args, code, stdout, stderr)
+		}
+	}
+}
+
 // TestScaleMaxBelowSweepRejected: `figures -scale -scalemax 5` once
 // printed `[]` with exit 0, and with -out replaced the committed
 // BENCH_scale.json with it. A bound below the sweep's smallest point (10

@@ -48,6 +48,9 @@ func main() {
 	if err != nil {
 		exit(2, fmt.Errorf("-engine: %w", err))
 	}
+	if *workers < 0 {
+		exit(2, fmt.Errorf("-workers %d: a worker pool cannot be negative (0 = GOMAXPROCS)", *workers))
+	}
 
 	if *scale {
 		pts := sim.ScalePoints(*scaleMax)

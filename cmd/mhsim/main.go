@@ -63,6 +63,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mhsim: -seeds %d: a run needs at least one seed\n", *seeds)
 		os.Exit(2)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "mhsim: -workers %d: a worker pool cannot be negative (0 = GOMAXPROCS)\n", *workers)
+		os.Exit(2)
+	}
 	if (*jsonOut || *metrics || *timeline != "" || *laneTl != "" || *probes) && (*seeds > 1 || *audit) {
 		fmt.Fprintln(os.Stderr, "mhsim: -json, -metrics, -timeline, -lanetimeline and -probes need single-run mode (-seeds 1, no -audit)")
 		os.Exit(2)

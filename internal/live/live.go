@@ -538,7 +538,7 @@ func (c *Cluster) Run() {
 	// Late joiners: real membership changes while the system runs. Join j
 	// waits until the slowest running host has done 50·(j+1) operations
 	// (or every host has retired), so joins interleave with running
-	// traffic; it then admits the next host to the protocol (Dynamic) under
+	// traffic; it then admits the next host to the protocol (OnJoin) under
 	// mu, enters it into the gate at the slowest host's count, and runs it.
 	for j := 0; j < c.cfg.Joins; j++ {
 		hosts.Add(1)

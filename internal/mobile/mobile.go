@@ -333,9 +333,6 @@ func (n *Network) host(id HostID) *Host {
 	return &n.shards[int(id)>>hostShardBits][int(id)&hostShardMask]
 }
 
-// Config returns the static configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Host returns host id. It panics on out-of-range ids (caller bug).
 func (n *Network) Host(id HostID) *Host { return n.host(id) }
 

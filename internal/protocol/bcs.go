@@ -13,12 +13,14 @@ import (
 // number of hosts" (§4.2).
 type IndexPiggyback int
 
-// BCS is the index-based protocol of Briatico, Ciuffoletti and Simoncini
-// (§4.2): every checkpoint carries a sequence number sn; receiving a
-// message with m.sn > sn_i forces a checkpoint with index m.sn; every
-// basic checkpoint (cell switch, disconnection) increments sn_i.
-// Checkpoints with the same sequence number form a recovery line.
-type BCS struct {
+// indexed is the core the index-based protocols (BCS, QBC, MS) share:
+// every checkpoint carries a sequence number sn, the sender's sn rides on
+// each message, receiving a message with m.sn > sn_i forces a checkpoint
+// with index m.sn, and every basic checkpoint (cell switch,
+// disconnection) increments sn_i. QBC changes only the basic rule, MS
+// only adds a timer to it.
+type indexed struct {
+	name string
 	ckpt Checkpointer
 	sn   []int
 	// piggyback is atomic: under parallel execution OnSend runs on
@@ -27,77 +29,89 @@ type BCS struct {
 	indexBox
 }
 
-// NewBCS creates a BCS instance for n hosts.
-func NewBCS(n int, ckpt Checkpointer) *BCS {
-	return &BCS{ckpt: ckpt, sn: make([]int, n)}
+func newIndexed(name string, n int, ckpt Checkpointer) indexed {
+	return indexed{name: name, ckpt: ckpt, sn: make([]int, n)}
 }
 
 // Name implements Protocol.
-func (b *BCS) Name() string { return "BCS" }
+func (x *indexed) Name() string { return x.name }
 
 // Init implements Protocol: the first checkpoint of every host gets
 // sequence number 0.
-func (b *BCS) Init() {
-	b.grow(0)
-	for i := range b.sn {
-		b.sn[i] = 0
-		b.ckpt(mobile.HostID(i), 0, storage.Initial)
+func (x *indexed) Init() {
+	x.grow(0)
+	for i := range x.sn {
+		x.sn[i] = 0
+		x.ckpt(mobile.HostID(i), 0, storage.Initial)
 	}
 }
 
 // OnSend implements Protocol: the current sequence number rides on the
 // message.
-func (b *BCS) OnSend(from, to mobile.HostID) any {
-	b.piggyback.Add(intSize)
-	return b.box(b.sn[from])
+func (x *indexed) OnSend(from, to mobile.HostID) any {
+	x.piggyback.Add(intSize)
+	return x.box(x.sn[from])
 }
 
-// OnDeliver implements Protocol: a message from the future (m.sn > sn_i)
+// OnDeliver implements Protocol with the forcing rule alone.
+func (x *indexed) OnDeliver(h, from mobile.HostID, pb any) {
+	x.force(h, int(pb.(IndexPiggyback)))
+}
+
+// force applies the forcing rule: a message from the future (m.sn > sn_i)
 // forces a checkpoint with the sender's index, taken before the message
 // is processed so the message cannot become orphan with respect to the
 // recovery line of that index.
-func (b *BCS) OnDeliver(h, from mobile.HostID, pb any) {
-	msn := int(pb.(IndexPiggyback))
-	if msn > b.sn[h] {
-		b.sn[h] = msn
-		b.ckpt(h, b.sn[h], storage.Forced)
+func (x *indexed) force(h mobile.HostID, msn int) {
+	if msn > x.sn[h] {
+		x.sn[h] = msn
+		x.ckpt(h, msn, storage.Forced)
 	}
+}
+
+// bump takes a basic checkpoint with an incremented index.
+func (x *indexed) bump(h mobile.HostID) {
+	x.sn[h]++
+	x.grow(x.sn[h])
+	x.ckpt(h, x.sn[h], storage.Basic)
 }
 
 // OnCellSwitch implements Protocol: basic checkpoint with incremented
-// index.
-func (b *BCS) OnCellSwitch(h mobile.HostID, newMSS mobile.MSSID) {
-	b.sn[h]++
-	b.grow(b.sn[h])
-	b.ckpt(h, b.sn[h], storage.Basic)
-}
+// index (QBC replaces this rule with its own).
+func (x *indexed) OnCellSwitch(h mobile.HostID, newMSS mobile.MSSID) { x.bump(h) }
 
 // OnDisconnect implements Protocol: same rule as a cell switch.
-func (b *BCS) OnDisconnect(h mobile.HostID) {
-	b.sn[h]++
-	b.grow(b.sn[h])
-	b.ckpt(h, b.sn[h], storage.Basic)
-}
+func (x *indexed) OnDisconnect(h mobile.HostID) { x.bump(h) }
 
 // OnReconnect implements Protocol (no action).
-func (b *BCS) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
+func (x *indexed) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
 
 // PiggybackBytes implements Protocol.
-func (b *BCS) PiggybackBytes() int64 { return b.piggyback.Load() }
+func (x *indexed) PiggybackBytes() int64 { return x.piggyback.Load() }
 
-// OnJoin implements Dynamic. BCS admits a host for free: it starts at
-// index 0 with its initial checkpoint, and the first message carrying a
-// higher index forces it into the current recovery line — the
+// OnJoin implements Protocol. An index protocol admits a host for free:
+// it starts at index 0 with its initial checkpoint, and the first message
+// carrying a higher index forces it into the current recovery line — the
 // scalability property §4.2 highlights ("the BCS protocol scales well
 // with respect to the number of hosts").
-func (b *BCS) OnJoin(h mobile.HostID) int64 {
-	if int(h) != len(b.sn) {
-		panic("protocol: BCS join with non-dense host id")
+func (x *indexed) OnJoin(h mobile.HostID) int64 {
+	if int(h) != len(x.sn) {
+		panic("protocol: " + x.name + " join with non-dense host id")
 	}
-	b.sn = append(b.sn, 0)
-	b.ckpt(h, 0, storage.Initial)
+	x.sn = append(x.sn, 0)
+	x.ckpt(h, 0, storage.Initial)
 	return 0
 }
 
 // SequenceNumber returns host h's current index (for tests and tracing).
-func (b *BCS) SequenceNumber(h mobile.HostID) int { return b.sn[h] }
+func (x *indexed) SequenceNumber(h mobile.HostID) int { return x.sn[h] }
+
+// BCS is the index-based protocol of Briatico, Ciuffoletti and Simoncini
+// (§4.2): the index core as it stands. Checkpoints with the same sequence
+// number form a recovery line.
+type BCS struct{ indexed }
+
+// NewBCS creates a BCS instance for n hosts.
+func NewBCS(n int, ckpt Checkpointer) *BCS {
+	return &BCS{newIndexed("BCS", n, ckpt)}
+}

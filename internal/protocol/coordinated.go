@@ -5,6 +5,28 @@ import (
 	"mobickpt/internal/storage"
 )
 
+// marked is the local core plus the marker side the coordinated
+// baselines share: a delivered marker forces a checkpoint, and every
+// marker and membership notification counts as a control message.
+type marked struct {
+	local
+	ctrl int64
+}
+
+// OnMarker implements Initiator: the marker forces a checkpoint.
+func (m *marked) OnMarker(h mobile.HostID) { m.take(h, storage.Forced) }
+
+// ControlMessages implements Initiator.
+func (m *marked) ControlMessages() int64 { return m.ctrl }
+
+// OnJoin implements Protocol: the initiator must learn about the new
+// member (one control message) so future snapshots include it.
+func (m *marked) OnJoin(h mobile.HostID) int64 {
+	m.local.OnJoin(h)
+	m.ctrl++
+	return 1
+}
+
 // ChandyLamport is a coordinated marker-based protocol in the style of
 // [8], simplified to the aspects the paper evaluates qualitatively in §2:
 // a periodic initiator sends a marker control message to *every* host
@@ -15,85 +37,23 @@ import (
 // The environment drives the snapshot schedule: it calls BeginSnapshot
 // every period and OnMarker when each marker is delivered. Basic
 // checkpoints at hand-offs and disconnections are still mandatory — they
-// come from the mobile model, not from the protocol.
-type ChandyLamport struct {
-	ckpt Checkpointer
-	n    int
-	next []int
-	ctrl int64
-}
+// come from the mobile model, not from the protocol. Nothing rides on
+// application messages (the cost is in control messages instead).
+type ChandyLamport struct{ marked }
 
 // NewChandyLamport creates an instance for n hosts.
 func NewChandyLamport(n int, ckpt Checkpointer) *ChandyLamport {
-	return &ChandyLamport{ckpt: ckpt, n: n, next: make([]int, n)}
+	return &ChandyLamport{marked{local: newLocal("CL", n, ckpt)}}
 }
-
-// Name implements Protocol.
-func (c *ChandyLamport) Name() string { return "CL" }
-
-// Init implements Protocol.
-func (c *ChandyLamport) Init() {
-	for i := range c.next {
-		c.ckpt(mobile.HostID(i), 0, storage.Initial)
-		c.next[i] = 1
-	}
-}
-
-// OnSend implements Protocol: nothing rides on application messages.
-func (c *ChandyLamport) OnSend(from, to mobile.HostID) any { return nil }
-
-// OnDeliver implements Protocol: no communication-induced checkpoints.
-func (c *ChandyLamport) OnDeliver(h, from mobile.HostID, pb any) {}
-
-// OnCellSwitch implements Protocol.
-func (c *ChandyLamport) OnCellSwitch(h mobile.HostID, newMSS mobile.MSSID) {
-	c.ckpt(h, c.next[h], storage.Basic)
-	c.next[h]++
-}
-
-// OnDisconnect implements Protocol.
-func (c *ChandyLamport) OnDisconnect(h mobile.HostID) {
-	c.ckpt(h, c.next[h], storage.Basic)
-	c.next[h]++
-}
-
-// OnReconnect implements Protocol (no action).
-func (c *ChandyLamport) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
-
-// PiggybackBytes implements Protocol: zero (the cost is in control
-// messages instead).
-func (c *ChandyLamport) PiggybackBytes() int64 { return 0 }
 
 // BeginSnapshot implements Initiator: markers go to all hosts.
 func (c *ChandyLamport) BeginSnapshot() []mobile.HostID {
-	targets := make([]mobile.HostID, c.n)
+	targets := make([]mobile.HostID, len(c.next))
 	for i := range targets {
 		targets[i] = mobile.HostID(i)
 	}
-	c.ctrl += int64(c.n)
+	c.ctrl += int64(len(targets))
 	return targets
-}
-
-// OnMarker implements Initiator: the marker forces a checkpoint.
-func (c *ChandyLamport) OnMarker(h mobile.HostID) {
-	c.ckpt(h, c.next[h], storage.Forced)
-	c.next[h]++
-}
-
-// ControlMessages implements Initiator.
-func (c *ChandyLamport) ControlMessages() int64 { return c.ctrl }
-
-// OnJoin implements Dynamic: the initiator must learn about the new
-// member (one control message) so future snapshots include it.
-func (c *ChandyLamport) OnJoin(h mobile.HostID) int64 {
-	if int(h) != c.n {
-		panic("protocol: CL join with non-dense host id")
-	}
-	c.n++
-	c.ckpt(h, 0, storage.Initial)
-	c.next = append(c.next, 1)
-	c.ctrl++
-	return 1
 }
 
 // PrakashSinghal refines the coordinated baseline as in [13]: only the
@@ -101,29 +61,17 @@ func (c *ChandyLamport) OnJoin(h mobile.HostID) int64 {
 // coordination (here: sent or received an application message) are
 // involved in the snapshot, answering the paper's drawback (4) while
 // still paying location searches and control messages for the involved
-// subset.
+// subset. Its piggyback is zero in this simplified model (the real
+// protocol carries dependency bits; the paper's point is that its data
+// structures are still O(n)).
 type PrakashSinghal struct {
-	ckpt  Checkpointer
-	n     int
-	next  []int
+	marked
 	dirty []bool
-	ctrl  int64
 }
 
 // NewPrakashSinghal creates an instance for n hosts.
 func NewPrakashSinghal(n int, ckpt Checkpointer) *PrakashSinghal {
-	return &PrakashSinghal{ckpt: ckpt, n: n, next: make([]int, n), dirty: make([]bool, n)}
-}
-
-// Name implements Protocol.
-func (p *PrakashSinghal) Name() string { return "PS" }
-
-// Init implements Protocol.
-func (p *PrakashSinghal) Init() {
-	for i := range p.next {
-		p.ckpt(mobile.HostID(i), 0, storage.Initial)
-		p.next[i] = 1
-	}
+	return &PrakashSinghal{marked: marked{local: newLocal("PS", n, ckpt)}, dirty: make([]bool, n)}
 }
 
 // OnSend implements Protocol: the sender joins the dirty set.
@@ -136,26 +84,6 @@ func (p *PrakashSinghal) OnSend(from, to mobile.HostID) any {
 func (p *PrakashSinghal) OnDeliver(h, from mobile.HostID, pb any) {
 	p.dirty[h] = true
 }
-
-// OnCellSwitch implements Protocol.
-func (p *PrakashSinghal) OnCellSwitch(h mobile.HostID, newMSS mobile.MSSID) {
-	p.ckpt(h, p.next[h], storage.Basic)
-	p.next[h]++
-}
-
-// OnDisconnect implements Protocol.
-func (p *PrakashSinghal) OnDisconnect(h mobile.HostID) {
-	p.ckpt(h, p.next[h], storage.Basic)
-	p.next[h]++
-}
-
-// OnReconnect implements Protocol (no action).
-func (p *PrakashSinghal) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
-
-// PiggybackBytes implements Protocol: zero in this simplified model (the
-// real protocol carries dependency bits; the paper's point is that its
-// data structures are still O(n)).
-func (p *PrakashSinghal) PiggybackBytes() int64 { return 0 }
 
 // BeginSnapshot implements Initiator: markers go to the dirty subset,
 // which is then reset for the next round.
@@ -171,25 +99,10 @@ func (p *PrakashSinghal) BeginSnapshot() []mobile.HostID {
 	return targets
 }
 
-// OnMarker implements Initiator.
-func (p *PrakashSinghal) OnMarker(h mobile.HostID) {
-	p.ckpt(h, p.next[h], storage.Forced)
-	p.next[h]++
-}
-
-// ControlMessages implements Initiator.
-func (p *PrakashSinghal) ControlMessages() int64 { return p.ctrl }
-
-// OnJoin implements Dynamic: as for CL, the initiator learns about the
+// OnJoin implements Protocol: as for CL, the initiator learns about the
 // new member with one control message.
 func (p *PrakashSinghal) OnJoin(h mobile.HostID) int64 {
-	if int(h) != p.n {
-		panic("protocol: PS join with non-dense host id")
-	}
-	p.n++
-	p.ckpt(h, 0, storage.Initial)
-	p.next = append(p.next, 1)
+	ctrl := p.marked.OnJoin(h)
 	p.dirty = append(p.dirty, false)
-	p.ctrl++
-	return 1
+	return ctrl
 }

@@ -1,11 +1,6 @@
 package protocol
 
-import (
-	"sync/atomic"
-
-	"mobickpt/internal/mobile"
-	"mobickpt/internal/storage"
-)
+import "mobickpt/internal/mobile"
 
 // Periodic is implemented by protocols that take timer-driven local
 // checkpoints in addition to mobility-driven ones. Unlike Initiator, no
@@ -23,76 +18,12 @@ type Periodic interface {
 // forces on m.sn > sn_i exactly like BCS. Comparing MS against BCS
 // isolates how much of the index protocols' checkpoint count comes from
 // the mobile setting itself.
-type MS struct {
-	ckpt      Checkpointer
-	sn        []int
-	piggyback atomic.Int64 // OnSend runs on concurrently executing lanes
-	indexBox
-}
+type MS struct{ indexed }
 
 // NewMS creates an MS instance for n hosts.
 func NewMS(n int, ckpt Checkpointer) *MS {
-	return &MS{ckpt: ckpt, sn: make([]int, n)}
+	return &MS{newIndexed("MS", n, ckpt)}
 }
-
-// Name implements Protocol.
-func (m *MS) Name() string { return "MS" }
-
-// Init implements Protocol.
-func (m *MS) Init() {
-	m.grow(0)
-	for i := range m.sn {
-		m.sn[i] = 0
-		m.ckpt(mobile.HostID(i), 0, storage.Initial)
-	}
-}
-
-// OnSend implements Protocol.
-func (m *MS) OnSend(from, to mobile.HostID) any {
-	m.piggyback.Add(intSize)
-	return m.box(m.sn[from])
-}
-
-// OnDeliver implements Protocol: BCS's forcing rule.
-func (m *MS) OnDeliver(h, from mobile.HostID, pb any) {
-	msn := int(pb.(IndexPiggyback))
-	if msn > m.sn[h] {
-		m.sn[h] = msn
-		m.ckpt(h, m.sn[h], storage.Forced)
-	}
-}
-
-// bump takes a basic checkpoint with an incremented index.
-func (m *MS) bump(h mobile.HostID) {
-	m.sn[h]++
-	m.grow(m.sn[h])
-	m.ckpt(h, m.sn[h], storage.Basic)
-}
-
-// OnCellSwitch implements Protocol.
-func (m *MS) OnCellSwitch(h mobile.HostID, newMSS mobile.MSSID) { m.bump(h) }
-
-// OnDisconnect implements Protocol.
-func (m *MS) OnDisconnect(h mobile.HostID) { m.bump(h) }
-
-// OnReconnect implements Protocol (no action).
-func (m *MS) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
 
 // OnTick implements Periodic: the timer-driven basic checkpoint.
 func (m *MS) OnTick(h mobile.HostID) { m.bump(h) }
-
-// PiggybackBytes implements Protocol.
-func (m *MS) PiggybackBytes() int64 { return m.piggyback.Load() }
-
-// OnJoin implements Dynamic (free, as for BCS).
-func (m *MS) OnJoin(h mobile.HostID) int64 {
-	if int(h) != len(m.sn) {
-		panic("protocol: MS join with non-dense host id")
-	}
-	m.sn = append(m.sn, 0)
-	m.ckpt(h, 0, storage.Initial)
-	return 0
-}
-
-// SequenceNumber returns host h's current index.
-func (m *MS) SequenceNumber(h mobile.HostID) int { return m.sn[h] }

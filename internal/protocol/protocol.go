@@ -6,6 +6,13 @@
 // coordinated marker-based protocols in the style of Chandy–Lamport and
 // Prakash–Singhal.
 //
+// The seven protocols fall into three families, the grouping the
+// invariant checker (internal/check) also uses: TP on its own; the
+// index-based BCS, QBC and MS, built on one core (indexed) that holds the
+// sequence numbers and the forcing rule; and UNC, CL and PS, built on one
+// local core (local) that takes only the basic checkpoints mobility
+// demands, CL and PS adding a marker side (marked).
+//
 // Protocols are written as passive state machines driven by the
 // simulation (or by the live runtime): the environment calls OnSend /
 // OnDeliver / OnCellSwitch / OnDisconnect / OnReconnect, and the protocol
@@ -32,7 +39,8 @@ type Checkpointer func(h mobile.HostID, index int, kind storage.Kind) *storage.R
 // Init once before any other call; OnSend for host h only while h is
 // connected; OnDeliver only for messages previously announced by OnSend;
 // OnCellSwitch/OnDisconnect at every hand-off/disconnection (the protocol
-// must take its basic checkpoint there); OnReconnect at reconnection.
+// must take its basic checkpoint there); OnReconnect at reconnection;
+// OnJoin when a host joins the running computation.
 type Protocol interface {
 	// Name returns the short protocol name used in tables ("TP", "BCS"...).
 	Name() string
@@ -54,6 +62,13 @@ type Protocol interface {
 	// PiggybackBytes returns the cumulative volume of control information
 	// piggybacked on application messages so far (8 bytes per integer).
 	PiggybackBytes() int64
+	// OnJoin admits host h into the running computation (the paper's §2.1
+	// point (f): an open mobile system must add processes "at the minimum
+	// cost"). Ids stay dense: h equals the previous host count. It takes
+	// h's initial checkpoint and returns the number of control messages
+	// the membership change cost — zero for the index-based protocols,
+	// O(n) for TP, whose piggybacked vectors must grow on every host.
+	OnJoin(h mobile.HostID) (ctrlMessages int64)
 }
 
 // intSize is the accounted size of one piggybacked integer, in bytes.
@@ -90,24 +105,14 @@ func (b *indexBox) box(sn int) any {
 // grow ensures the cache covers index sn. Under parallel execution box is
 // called from concurrently executing lane handlers (OnSend), so growth
 // must already have happened: the index protocols call grow at every site
-// that raises a sequence number under exclusion (Init, OnJoin, and the
-// fenced basic checkpoints) — forced checkpoints only adopt indices the
-// sender already boxed — leaving box a pure read on the send path.
+// that raises a sequence number under exclusion (Init and the fenced
+// basic checkpoints; a joiner starts at the 0 Init boxed) — forced
+// checkpoints only adopt indices the sender already boxed — leaving box a
+// pure read on the send path.
 func (b *indexBox) grow(sn int) {
 	for len(b.cache) <= sn {
 		b.cache = append(b.cache, IndexPiggyback(len(b.cache)))
 	}
-}
-
-// Dynamic is implemented by protocols that support hosts joining a
-// running computation (the paper's §2.1 point (f): an open mobile system
-// must add processes "at the minimum cost"). OnJoin admits host h (ids
-// stay dense: h equals the previous host count), takes its initial
-// checkpoint, and returns the number of control messages the membership
-// change cost — zero for the index-based protocols, O(n) for TP, whose
-// piggybacked vectors must grow on every host.
-type Dynamic interface {
-	OnJoin(h mobile.HostID) (ctrlMessages int64)
 }
 
 // Initiator is implemented by coordinated protocols that need a periodic

@@ -483,8 +483,11 @@ func TestMSTickIncrements(t *testing.T) {
 }
 
 // TestRegistryBuildsWhatItNames pins the registry's table order (the
-// order sim.AllProtocols and every table print) and that each entry's
-// constructor really builds the protocol it is filed under.
+// order sim.AllProtocols and every table print), that each entry's
+// constructor really builds the protocol it is filed under, and that the
+// entry's flags match the built type's method set: a core that leaked
+// OnTick, BeginSnapshot or SequenceNumber into the wrong family fails
+// here.
 func TestRegistryBuildsWhatItNames(t *testing.T) {
 	want := []string{"TP", "BCS", "QBC", "UNC", "CL", "PS", "MS"}
 	if len(registry) != len(want) {
@@ -507,8 +510,42 @@ func TestRegistryBuildsWhatItNames(t *testing.T) {
 		if e.Coordinated != (initiator || periodic) {
 			t.Errorf("%s: Coordinated = %v, but Initiator = %v, Periodic = %v", e.Name, e.Coordinated, initiator, periodic)
 		}
+		_, sequenced := p.(interface{ SequenceNumber(mobile.HostID) int })
+		if e.IndexBased != sequenced {
+			t.Errorf("%s: IndexBased = %v, but SequenceNumber = %v", e.Name, e.IndexBased, sequenced)
+		}
 	}
 	if _, err := LookupLive("CL"); err == nil || !strings.Contains(err.Error(), "want TP, BCS, QBC or UNC") {
 		t.Errorf("LookupLive(CL) = %v, want an error naming the live set", err)
+	}
+}
+
+// TestJoinContract holds every registered protocol to OnJoin's contract:
+// a dense id is admitted with exactly one Initial checkpoint at index 0
+// and the protocol's own join cost; a non-dense one panics naming the
+// protocol.
+func TestJoinContract(t *testing.T) {
+	ctrl := map[string]int64{"TP": 3, "CL": 1, "PS": 1}
+	for _, e := range registry {
+		t.Run(e.Name, func(t *testing.T) {
+			h := newHarness()
+			p := e.New(3, h.checkpointer(), h.store, func(mobile.HostID) mobile.MSSID { return 0 })
+			p.Init()
+			before := len(h.taken)
+			if got := p.OnJoin(3); got != ctrl[e.Name] {
+				t.Errorf("OnJoin(3) = %d control messages, want %d", got, ctrl[e.Name])
+			}
+			added := h.taken[before:]
+			if len(added) != 1 || added[0].Host != 3 || added[0].Index != 0 || added[0].Kind != storage.Initial {
+				t.Fatalf("OnJoin(3) took %+v, want one Initial checkpoint of host 3 at index 0", added)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, e.Name+" join with non-dense host id") {
+					t.Errorf("OnJoin(5) panicked with %q, want the non-dense panic naming %s", msg, e.Name)
+				}
+			}()
+			p.OnJoin(5)
+		})
 	}
 }

@@ -23,19 +23,13 @@ import (
 // measures (up to 23% fewer checkpoints than BCS in heterogeneous,
 // disconnecting environments).
 type QBC struct {
-	ckpt Checkpointer
+	indexed
 	// store is consulted to mark replaced checkpoints as superseded; it
 	// may be nil when the environment does not track supersession.
 	store *storage.Store
-
-	sn []int
-	rn []int
-	// piggyback is atomic: under parallel execution OnSend runs on
-	// concurrently executing lanes. replacements only changes at fenced
-	// basic checkpoints but is grouped with it for uniform reading.
-	piggyback atomic.Int64
-	indexBox
-
+	rn    []int
+	// replacements only changes at fenced basic checkpoints but is atomic
+	// like the core's piggyback counter, for uniform reading.
 	replacements atomic.Int64
 }
 
@@ -43,31 +37,20 @@ type QBC struct {
 // non-nil it must be the same store ckpt records into, so equivalence
 // replacements can supersede the records they replace.
 func NewQBC(n int, ckpt Checkpointer, store *storage.Store) *QBC {
-	q := &QBC{ckpt: ckpt, store: store, sn: make([]int, n), rn: make([]int, n)}
+	q := &QBC{indexed: newIndexed("QBC", n, ckpt), store: store, rn: make([]int, n)}
 	for i := range q.rn {
 		q.rn[i] = -1
 	}
 	return q
 }
 
-// Name implements Protocol.
-func (q *QBC) Name() string { return "QBC" }
-
 // Init implements Protocol: sn_i = 0, rn_i = -1, initial checkpoint at
 // index 0.
 func (q *QBC) Init() {
-	q.grow(0)
-	for i := range q.sn {
-		q.sn[i] = 0
+	for i := range q.rn {
 		q.rn[i] = -1
-		q.ckpt(mobile.HostID(i), 0, storage.Initial)
 	}
-}
-
-// OnSend implements Protocol.
-func (q *QBC) OnSend(from, to mobile.HostID) any {
-	q.piggyback.Add(intSize)
-	return q.box(q.sn[from])
+	q.indexed.Init()
 }
 
 // OnDeliver implements Protocol: the receive number tracks the maximum
@@ -77,25 +60,19 @@ func (q *QBC) OnDeliver(h, from mobile.HostID, pb any) {
 	if msn > q.rn[h] {
 		q.rn[h] = msn
 	}
-	if msn > q.sn[h] {
-		q.sn[h] = msn
-		q.ckpt(h, q.sn[h], storage.Forced)
-	}
+	q.force(h, msn)
 }
 
 // basic takes a basic checkpoint applying the equivalence rule.
 func (q *QBC) basic(h mobile.HostID) {
-	replaced := q.rn[h] < q.sn[h]
-	if !replaced {
-		q.sn[h]++
-		q.grow(q.sn[h])
+	if q.rn[h] >= q.sn[h] {
+		q.bump(h)
+		return
 	}
 	rec := q.ckpt(h, q.sn[h], storage.Basic)
-	if replaced {
-		q.replacements.Add(1)
-		if q.store != nil {
-			q.store.Supersede(rec)
-		}
+	q.replacements.Add(1)
+	if q.store != nil {
+		q.store.Supersede(rec)
 	}
 }
 
@@ -105,25 +82,11 @@ func (q *QBC) OnCellSwitch(h mobile.HostID, newMSS mobile.MSSID) { q.basic(h) }
 // OnDisconnect implements Protocol.
 func (q *QBC) OnDisconnect(h mobile.HostID) { q.basic(h) }
 
-// OnReconnect implements Protocol (no action).
-func (q *QBC) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
-
-// PiggybackBytes implements Protocol.
-func (q *QBC) PiggybackBytes() int64 { return q.piggyback.Load() }
-
-// OnJoin implements Dynamic (free, as for BCS).
+// OnJoin implements Protocol (free, as for BCS).
 func (q *QBC) OnJoin(h mobile.HostID) int64 {
-	if int(h) != len(q.sn) {
-		panic("protocol: QBC join with non-dense host id")
-	}
-	q.sn = append(q.sn, 0)
 	q.rn = append(q.rn, -1)
-	q.ckpt(h, 0, storage.Initial)
-	return 0
+	return q.indexed.OnJoin(h)
 }
-
-// SequenceNumber returns host h's current index.
-func (q *QBC) SequenceNumber(h mobile.HostID) int { return q.sn[h] }
 
 // ReceiveNumber returns host h's current receive number.
 func (q *QBC) ReceiveNumber(h mobile.HostID) int { return q.rn[h] }

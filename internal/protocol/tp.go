@@ -379,7 +379,7 @@ func (t *TP) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
 // PiggybackBytes implements Protocol.
 func (t *TP) PiggybackBytes() int64 { return t.piggyback.Load() }
 
-// OnJoin implements Dynamic. Admitting a host into TP is expensive:
+// OnJoin implements Protocol. Admitting a host into TP is expensive:
 // every existing host's dependency vectors gain a component, which in a
 // real deployment means a membership-change control message to each of
 // them (the reason the paper judges TP unable to scale in an open

@@ -19,7 +19,6 @@ import (
 // the dense reference below both provide it.
 type tpImpl interface {
 	protocol.Protocol
-	protocol.Dynamic
 	Meta(rec *storage.Record) (protocol.TPPiggyback, bool)
 	PhaseOf(h mobile.HostID) protocol.Phase
 	DependencyVector(h mobile.HostID) vclock.Vector

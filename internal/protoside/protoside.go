@@ -594,9 +594,9 @@ func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
 	}
 }
 
-// OnJoin admits host id, joining at station at, into every protocol (via
-// Dynamic). The world grows its own per-host tables first, so the
-// joiner's initial checkpoint sees its station. It runs world-stopped.
+// OnJoin admits host id, joining at station at, into every protocol. The
+// world grows its own per-host tables first, so the joiner's initial
+// checkpoint sees its station. It runs world-stopped.
 func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 	if p.Hist != nil {
 		p.Hist.Join(id, at, now)
@@ -609,15 +609,11 @@ func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
-		d, ok := s.Proto.(protocol.Dynamic)
-		if !ok {
-			panic(fmt.Sprintf("protoside: protocol %s does not support dynamic joins", s.Name))
-		}
 		s.Counts = append(s.Counts, 0)
 		if s.Dec != nil {
 			s.Dec.AddHost()
 		}
-		s.JoinCtrl += d.OnJoin(id)
+		s.JoinCtrl += s.Proto.OnJoin(id)
 		if s.Check != nil {
 			s.Check.AfterJoin(id)
 		}

@@ -79,7 +79,7 @@ type Config struct {
 	// new mobile host joins the computation at a station drawn from a
 	// dedicated seed-derived stream and immediately starts communicating
 	// and roaming. Protocols admit
-	// it through their Dynamic interface; the per-protocol join cost is
+	// it through their OnJoin; the per-protocol join cost is
 	// reported in ProtocolResult.JoinCtrlMessages.
 	JoinTimes []des.Time
 

@@ -49,9 +49,6 @@ func NewHostState(numPages int) *HostState {
 	return s
 }
 
-// NumPages returns the number of pages.
-func (s *HostState) NumPages() int { return len(s.pages) }
-
 // DirtyPages returns how many pages changed since the last delta.
 func (s *HostState) DirtyPages() int {
 	n := 0

@@ -11,15 +11,14 @@ import (
 
 // This file adds the framed station-plane encoding on top of the bare
 // application packet: the mlog subsystem moves per-host message logs
-// between stations on hand-off (write-through transfer) and acknowledges
-// the stable frontier, and both frame types travel the same wired
-// network as application packets. A frame is one tagged unit:
+// between stations on hand-off (write-through transfer), and the transfer
+// frames travel the same wired network as application packets. A frame is
+// one tagged unit:
 //
 //	frame := kind:u8 body
 //	  kind 0 (app)          := packet                       (see wire.go)
 //	  kind 1 (log-transfer) := host:u32 from:u32 to:u32 n:u32 rec:[n]record
 //	    record              := seq:u64 id:u64 from:u32 recvCount:i64 at:f64
-//	  kind 2 (log-ack)      := host:u32 mss:u32 stableSeq:u64
 //
 // Ids are u32 like the packet format's (the u16 of the original layout
 // truncated beyond 65,536 hosts). A transfer larger than
@@ -36,7 +35,6 @@ import (
 const (
 	FrameApp byte = iota
 	FrameLogTransfer
-	FrameLogAck
 )
 
 // LogRecord is the wire form of one mlog entry.
@@ -66,14 +64,6 @@ type LogTransfer struct {
 	Host           mobile.HostID
 	FromMSS, ToMSS mobile.MSSID
 	Records        []LogRecord
-}
-
-// LogAck acknowledges that station MSS holds host's log stably up to
-// (excluding) StableSeq.
-type LogAck struct {
-	Host      mobile.HostID
-	MSS       mobile.MSSID
-	StableSeq uint64
 }
 
 func checkU32(what string, v int) error {
@@ -186,8 +176,7 @@ func DecodeLogTransfer(dst *LogTransfer, b []byte) error {
 	return nil
 }
 
-// EncodeFrame encodes a *Packet, *LogTransfer or *LogAck as one tagged
-// frame.
+// EncodeFrame encodes a *Packet or *LogTransfer as one tagged frame.
 func EncodeFrame(v any) ([]byte, error) {
 	switch f := v.(type) {
 	case *Packet:
@@ -198,26 +187,13 @@ func EncodeFrame(v any) ([]byte, error) {
 		return append([]byte{FrameApp}, body...), nil
 	case *LogTransfer:
 		return AppendLogTransfer(nil, f)
-	case *LogAck:
-		if err := checkU32("host id", int(f.Host)); err != nil {
-			return nil, err
-		}
-		if err := checkU32("station", int(f.MSS)); err != nil {
-			return nil, err
-		}
-		buf := make([]byte, 0, 1+4+4+8)
-		buf = append(buf, FrameLogAck)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(f.Host))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(f.MSS))
-		buf = binary.BigEndian.AppendUint64(buf, f.StableSeq)
-		return buf, nil
 	default:
 		return nil, fmt.Errorf("wire: unsupported frame type %T", v)
 	}
 }
 
 // DecodeFrame decodes one frame produced by EncodeFrame, returning a
-// *Packet, *LogTransfer or *LogAck. Garbage input yields an error, never
+// *Packet or *LogTransfer. Garbage input yields an error, never
 // a panic (FuzzFrameRoundTrip enforces it).
 func DecodeFrame(b []byte) (any, error) {
 	if len(b) < 1 {
@@ -232,16 +208,6 @@ func DecodeFrame(b []byte) (any, error) {
 			return nil, err
 		}
 		return f, nil
-	case FrameLogAck:
-		const need = 1 + 4 + 4 + 8
-		if len(b) != need {
-			return nil, fmt.Errorf("wire: log ack needs %d bytes, have %d", need, len(b))
-		}
-		return &LogAck{
-			Host:      mobile.HostID(binary.BigEndian.Uint32(b[1:])),
-			MSS:       mobile.MSSID(binary.BigEndian.Uint32(b[5:])),
-			StableSeq: binary.BigEndian.Uint64(b[9:]),
-		}, nil
 	default:
 		return nil, fmt.Errorf("wire: unknown frame kind %d", b[0])
 	}

@@ -68,21 +68,6 @@ func TestFrameRoundTripLogTransfer(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripLogAck(t *testing.T) {
-	a := &LogAck{Host: 5, MSS: 3, StableSeq: 1 << 40}
-	b, err := EncodeFrame(a)
-	if err != nil {
-		t.Fatalf("EncodeFrame: %v", err)
-	}
-	got, err := DecodeFrame(b)
-	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("got %+v, want %+v", got, a)
-	}
-}
-
 func TestEncodeFrameRejects(t *testing.T) {
 	cases := []any{
 		42,
@@ -90,7 +75,6 @@ func TestEncodeFrameRejects(t *testing.T) {
 		&LogTransfer{Host: 0, FromMSS: math.MaxUint32 + 1},
 		&LogTransfer{Host: 0, Records: []LogRecord{{From: -2}}},
 		&LogTransfer{Host: 0, Records: make([]LogRecord, MaxTransferRecords+1)},
-		&LogAck{Host: math.MaxUint32 + 1},
 	}
 	for _, v := range cases {
 		if _, err := EncodeFrame(v); err == nil {
@@ -119,18 +103,6 @@ func TestFrameHostIDsBeyondU16(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, f) {
 		t.Fatalf("got %+v, want %+v", got, f)
-	}
-	a := &LogAck{Host: 1 << 19, MSS: math.MaxUint32, StableSeq: 9}
-	b, err = EncodeFrame(a)
-	if err != nil {
-		t.Fatalf("EncodeFrame(ack): %v", err)
-	}
-	got, err = DecodeFrame(b)
-	if err != nil {
-		t.Fatalf("DecodeFrame(ack): %v", err)
-	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("got %+v, want %+v", got, a)
 	}
 	p := &Packet{ID: 3, From: 70_000, To: 999_999, Piggyback: nil}
 	pb, err := EncodeFrame(p)
@@ -287,7 +259,7 @@ func TestDecodeLogTransferRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := EncodeFrame(&LogAck{Host: 1, MSS: 1, StableSeq: 2})
+	app, err := EncodeFrame(&Packet{ID: 1, From: 0, To: 1, Piggyback: protocol.IndexPiggyback(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +268,7 @@ func TestDecodeLogTransferRejects(t *testing.T) {
 		"kind only": {FrameLogTransfer},
 		"truncated": ok[:len(ok)-1],
 		"trailing":  append(append([]byte(nil), ok...), 0),
-		"ack frame": ack,
+		"app frame": app,
 		"app kind":  append([]byte{FrameApp}, ok[1:]...),
 		"absurd n":  {FrameLogTransfer, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
 	}
@@ -315,18 +287,14 @@ func TestDecodeFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{9},                    // unknown kind
-		{FrameLogTransfer},     // truncated header
-		{FrameLogAck, 0, 1, 0}, // truncated ack
-		{FrameApp},             // truncated packet
+		{9},                // unknown kind
+		{FrameLogTransfer}, // truncated header
+		{FrameApp},         // truncated packet
 		{FrameLogTransfer, 0, 1, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff}, // absurd count
+		// A well-formed frame of the log-ack kind 2, which the format no
+		// longer has.
+		{2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2},
 	}
-	// A valid ack with a trailing byte must also fail (length-exact).
-	ok, err := EncodeFrame(&LogAck{Host: 1, MSS: 1, StableSeq: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, append(ok, 0))
 	for _, b := range cases {
 		if _, err := DecodeFrame(b); err == nil {
 			t.Errorf("DecodeFrame(% x) accepted", b)
@@ -345,12 +313,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		&Packet{ID: 1, From: 0, To: 1, Piggyback: nil},
 		&Packet{ID: 2, From: 1, To: 0, Piggyback: protocol.IndexPiggyback(9)},
 		&LogTransfer{Host: 1, FromMSS: 0, ToMSS: 1, Records: []LogRecord{{Seq: 0, MsgID: 5, From: 0, RecvCount: 1, At: 3.5}}},
-		&LogAck{Host: 2, MSS: 1, StableSeq: 17},
 		// Ids past the old u16 ceiling: these frames were unencodable
 		// before the u32 widening.
 		&Packet{ID: 3, From: 70_000, To: 1_000_000, Piggyback: nil},
 		&LogTransfer{Host: 70_000, FromMSS: 65_536, ToMSS: 1, Records: []LogRecord{{Seq: 2, MsgID: 6, From: 99_999, RecvCount: 1, At: 1.5}}},
-		&LogAck{Host: 1 << 20, MSS: 70_001, StableSeq: 4},
 	}
 	for _, v := range seed {
 		b, err := EncodeFrame(v)
