@@ -117,17 +117,18 @@ func locations(stations []*tpStations, ckpt vclock.Vector) vclock.Vector {
 
 // TPView is one host's dependency vectors as they stood at one instant —
 // the piggyback OnSend returns and the form a checkpoint's vectors are
-// stored in. It owns no vector: it names the host's frame (its CKPT
-// vector at its last compaction), the prefix of its change log that
-// existed at that instant, and every host's station table as the slice
-// of them stood then. Frames are never written after they are built, a
-// log only grows past the prefix and a table never moves an entry, so a
+// stored in. It owns no vector: it names the host's frame and log array
+// as they were at that instant, the prefix of the log that existed then,
+// and every host's station table as the slice of them stood then. Frames
+// are never written after they are built, a log array is only written
+// past every prefix taken of it and a table never moves an entry, so a
 // view costs O(1) to take, is immutable, and may be read from any lane
 // while the hosts move on.
 type TPView struct {
-	// frame is the host's CKPT vector at its last compaction. Entries the
-	// frame lacks — all of them for a host that has not compacted yet,
-	// the newest ones after a join — are -1.
+	// frame is the host's CKPT vector when its log array was made, or
+	// nil when that state went into the log as records. Entries the
+	// frame lacks — all of them when it is nil, the newest ones after a
+	// join — are -1.
 	frame []int32
 	log   []tpChange // oldest first
 	// stations has one table per host the view is wide.
@@ -153,12 +154,15 @@ type tpHost struct {
 	phase Phase
 	// vec[j] = index of the last checkpoint of host j that this host's
 	// current state transitively depends on (its own entry is the index
-	// of its current checkpoint interval). Entries only ever rise, one at
-	// a time, through set.
+	// of its current checkpoint interval). Entries only ever rise,
+	// through raise.
 	vec []int32
-	// frame is a copy of vec taken at the last compaction and log lists
-	// every entry set since, so (frame, log) is the state's whole history
-	// since then: any prefix of log is a past state.
+	// (frame, log) is the state's whole history since the log array was
+	// made: the state then, as a copy of vec or (frame nil) as the log's
+	// first records, then a record of every entry raised since, so any
+	// prefix of log is a past state. The first log array holds the one
+	// record of the initial checkpoint; every later one is as wide as vec
+	// was when it was made.
 	frame []int32
 	log   []tpChange
 	// sent is the view the last send took, shared by every send until
@@ -175,25 +179,52 @@ type tpCheckpoint struct {
 	view TPView
 }
 
-// set raises entry j to x and logs the change.
-func (s *tpHost) set(j int, x int32) {
+// tail is the free tail of the host's log array: past every view's
+// prefix, so no other lane reads it, and where a merge writes the records
+// of the entries it raises.
+func (s *tpHost) tail() []tpChange { return s.log[len(s.log):cap(s.log)] }
+
+// raise sets entry j to x, which must exceed it, and writes the change
+// into slot k of tail while there is one. Entry j rises at most once per
+// merge, so the records tail holds are distinct entries.
+func (s *tpHost) raise(tail []tpChange, k, j int, x int32) {
 	s.vec[j] = x
-	s.log = append(s.log, tpChange{int32(j), x})
-	s.sent = nil
+	if k < len(tail) {
+		tail[k] = tpChange{int32(j), x}
+	}
 }
 
-// compact starts a new frame once the log is as long as the vectors are
-// wide: one O(n) copy per n changes, so a change costs O(1) amortized and
-// a view never carries more than n records. Earlier views keep the frame
-// and log they name. The fresh log is sized for the next n changes at
-// once — a host that filled one log will fill the next.
-func (s *tpHost) compact() {
-	w := len(s.vec)
-	if len(s.log) < w {
+// logged ends a merge that raised k entries, whose records are the first
+// k of tail if they fit. When they fit they join the log. When they do
+// not, the host starts a new log array as wide as vec, and vec, which
+// already holds every raise, becomes the state the array starts from: as
+// records of its known entries when they fill at most half the array (no
+// frame, so the -1 fill is implied), else as a new frame, a copy of vec.
+// No array is ever reallocated, so earlier views keep the frame and
+// prefix they name. Either way at least half the array is free, so the
+// O(n) start costs O(1) per change amortized and a view never replays
+// more than n records.
+func (s *tpHost) logged(k int) {
+	if k == 0 {
 		return
 	}
-	s.frame = slices.Clone(s.vec)
-	s.log = make([]tpChange, 0, w)
+	s.sent = nil
+	if len(s.log)+k <= cap(s.log) {
+		s.log = s.log[:len(s.log)+k]
+		return
+	}
+	w := len(s.vec)
+	s.frame, s.log = nil, make([]tpChange, 0, w)
+	for j, x := range s.vec {
+		if x < 0 {
+			continue
+		}
+		if len(s.log) == w/2 {
+			s.frame, s.log = slices.Clone(s.vec), s.log[:0]
+			return
+		}
+		s.log = append(s.log, tpChange{int32(j), x})
+	}
 }
 
 // merge raises every entry of the host's state that the dense vectors pb
@@ -215,11 +246,14 @@ func (s *tpHost) merge(pb TPPiggyback, stations []*tpStations) {
 			panic("protocol: TP piggyback names a checkpoint or station its host never recorded")
 		}
 	}
+	tail, k := s.tail(), 0
 	for j, x := range pb.Ckpt {
 		if x > int(s.vec[j]) {
-			s.set(j, int32(x))
+			s.raise(tail, k, j, int32(x))
+			k++
 		}
 	}
+	s.logged(k)
 }
 
 // mergeView is merge(v.Dense()) without building the vectors. One
@@ -234,17 +268,21 @@ func (s *tpHost) mergeView(v *TPView) {
 	if len(v.stations) > len(s.vec) {
 		panic("protocol: TP merge width mismatch")
 	}
+	tail, k := s.tail(), 0
 	for i := len(v.log) - 1; i >= 0; i-- {
 		if c := v.log[i]; c.ckpt > s.vec[c.idx] {
-			s.set(int(c.idx), c.ckpt)
+			s.raise(tail, k, int(c.idx), c.ckpt)
+			k++
 		}
 	}
 	vec := s.vec[:len(v.frame)]
 	for j, x := range v.frame {
 		if x > vec[j] {
-			s.set(j, x)
+			s.raise(tail, k, j, x)
+			k++
 		}
 	}
+	s.logged(k)
 }
 
 // TP is the two-phase protocol of Acharya–Badrinath (§4.1), an adaptation
@@ -272,8 +310,10 @@ type TP struct {
 func NewTP(n int, ckpt Checkpointer, mssOf func(mobile.HostID) mobile.MSSID) *TP {
 	t := &TP{ckpt: ckpt, mssOf: mssOf, hosts: make([]tpHost, n), stations: make([]*tpStations, n)}
 	tables := make([]tpStations, n)
+	firstLogs := make([]tpChange, n) // one record each, for Init's bump
 	for i := range t.hosts {
 		t.hosts[i].vec = newTPState(n)
+		t.hosts[i].log = firstLogs[i : i : i+1]
 		t.stations[i] = &tables[i]
 	}
 	return t
@@ -298,8 +338,8 @@ func (t *TP) Init() {
 func (t *TP) takeCheckpoint(h mobile.HostID, kind storage.Kind) {
 	s := &t.hosts[h]
 	k := t.stations[h].add(t.mssOf(h))
-	s.set(int(h), int32(k))
-	s.compact()
+	s.raise(s.tail(), 0, int(h), int32(k))
+	s.logged(1)
 	rec := t.ckpt(h, k, kind)
 	s.taken = append(s.taken, tpCheckpoint{rec, t.view(s)})
 }
@@ -357,7 +397,6 @@ func (t *TP) OnDeliver(h, from mobile.HostID, pb any) {
 	default:
 		panic("protocol: TP delivery with non-TP piggyback")
 	}
-	s.compact()
 }
 
 // OnCellSwitch implements Protocol: a hand-off takes a basic checkpoint
@@ -397,7 +436,7 @@ func (t *TP) OnJoin(h mobile.HostID) int64 {
 		s.vec = append(s.vec, -1)
 		s.sent = nil
 	}
-	t.hosts = append(t.hosts, tpHost{vec: newTPState(n)})
+	t.hosts = append(t.hosts, tpHost{vec: newTPState(n), log: make([]tpChange, 0, 1)})
 	t.stations = append(t.stations, new(tpStations))
 	t.takeCheckpoint(h, storage.Initial)
 	return int64(n - 1) // one membership notification per existing host

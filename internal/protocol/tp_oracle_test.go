@@ -134,7 +134,7 @@ type tpOp struct {
 // tpScript generates a seeded random script of steps steps over n hosts
 // (n+joins at the end, the joins evenly spaced). Three quarters of the
 // steps pick one of four hot hosts, so that their vectors change often
-// enough to compact many times; a disconnected host reconnects the next
+// enough to start many log arrays; a disconnected host reconnects the next
 // time it is picked; deliveries happen in random order; every hot host's
 // first message is held back to the very end, in flight across all of
 // that; a fifth of the deliveries hand over the dense form a wire decode
@@ -359,8 +359,8 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 	go func() {
 		defer close(exited)
 		for d := range deliveries {
-			// The sender may be checkpointing, merging and compacting on
-			// the other goroutine right now.
+			// The sender may be checkpointing, merging and starting a new
+			// log array on the other goroutine right now.
 			now, err := wire.AppendPiggyback(nil, d.pb)
 			if err != nil || !bytes.Equal(now, d.sent) {
 				t.Errorf("step %d: message %d no longer encodes as it did when sent (err %v)", d.step, d.op.msg, err)
@@ -465,8 +465,8 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 		t.Fatalf("script left %d messages undelivered", len(flying))
 	}
 	t.Logf("a held message was in flight across %d widths of sender changes", survived)
-	// A compaction happens within two widths' worth of changes, so four
-	// widths' worth are two compactions at least.
+	// A new log array starts within two widths' worth of changes, so four
+	// widths' worth are two new arrays at least.
 	if survived < 4 {
 		t.Fatalf("script too tame: no held message was in flight across 4 widths of sender changes (best %d)", survived)
 	}
@@ -493,15 +493,10 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 	}
 }
 
-// TestTPCheckpointAllocs is the memory gate on what a checkpoint keeps:
-// a 1000-wide TP run through the script retains under 1 600 B per
-// checkpoint, everything the script's traffic added to its vectors'
-// history included. Storing the CKPT vector whole is 4 kB, the two
-// vectors 8 kB.
-func TestTPCheckpointAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
-	}
+// tpScriptMemory runs TestTPCheckpointAllocs' script — 30 000 steps over
+// 1000 hosts — through protocol.TP and reports the bytes it allocated, the
+// bytes still live after it, and the checkpoints it took.
+func tpScriptMemory(t *testing.T) (allocated, retained int64, ckpts int) {
 	const n = 1000
 	ops := tpScript(n, 30000, 0, 7)
 	w := newTPWorld(n, false)
@@ -522,16 +517,46 @@ func TestTPCheckpointAllocs(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	ckpts := w.records() - n
+	ckpts = w.records() - n
 	if ckpts < 5000 {
 		t.Fatalf("script took only %d checkpoints", ckpts)
 	}
-	perCkpt := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(ckpts)
+	runtime.KeepAlive(w)
+	return int64(after.TotalAlloc - before.TotalAlloc), int64(after.HeapAlloc) - int64(before.HeapAlloc), ckpts
+}
+
+// TestTPCheckpointAllocs is the memory gate on what a checkpoint keeps:
+// a 1000-wide TP run through the script retains under 1 600 B per
+// checkpoint, everything the script's traffic added to its vectors'
+// history included. Storing the CKPT vector whole is 4 kB, the two
+// vectors 8 kB.
+func TestTPCheckpointAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	_, retained, ckpts := tpScriptMemory(t)
+	perCkpt := retained / int64(ckpts)
 	t.Logf("%d checkpoints, %d B retained per checkpoint", ckpts, perCkpt)
 	if perCkpt >= 1600 {
 		t.Fatalf("run retains %d B per checkpoint, want < 1600", perCkpt)
 	}
-	runtime.KeepAlive(w)
+}
+
+// TestTPHistoryAllocs is the memory gate on what the vectors' history
+// throws away: over the same script, TP allocates at most 1.5 times what
+// it retains. A log that outgrew its array and was copied into a larger
+// one, or a frame taken and dropped before any view named it, would be
+// garbage here.
+func TestTPHistoryAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	allocated, retained, _ := tpScriptMemory(t)
+	ratio := float64(allocated) / float64(retained)
+	t.Logf("allocated %d B, retained %d B: %.2fx", allocated, retained, ratio)
+	if ratio > 1.5 {
+		t.Fatalf("run allocates %.2fx what it retains, want at most 1.5x", ratio)
+	}
 }
 
 // TestTPInitAllocs is the memory gate on set-up: constructing and
@@ -554,4 +579,27 @@ func TestTPInitAllocs(t *testing.T) {
 		t.Fatalf("NewTP(%d)+Init allocated %d B, want at most the %d B of current vectors plus 1 KiB per host", n, got, vectors)
 	}
 	runtime.KeepAlive(w)
+}
+
+// BenchmarkTPExchange is the 1000-wide send→deliver cycle: a random
+// sender's view delivered at once to a random other host, whose forced
+// checkpoints go to a store. With -benchmem it reports the bytes a cycle
+// allocates, the vectors' history it adds included. The world restarts
+// every 10 000 cycles, off the clock, so a long run does not hold
+// gigabytes.
+func BenchmarkTPExchange(b *testing.B) {
+	const n, cycles = 1000, 10000
+	src := rng.New(7)
+	var w *tpWorld
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%cycles == 0 {
+			b.StopTimer()
+			w = newTPWorld(n, false)
+			b.StartTimer()
+		}
+		from := mobile.HostID(src.Intn(n))
+		to := mobile.HostID((int(from) + 1 + src.Intn(n-1)) % n)
+		w.tp.OnDeliver(to, from, w.tp.OnSend(from, to))
+	}
 }
