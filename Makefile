@@ -33,16 +33,19 @@ vet:
 # The full suite under the race detector: the pdes lane tests, the
 # cross-engine equivalence suite, the parallel sweeps and TestScaleSmoke
 # (50k hosts, sequential vs two lanes) all ride this one run. Then
-# internal/live three more times: its hosts are goroutines under a
-# bounded-skew gate, whose lost-raise and missed-joiner races only the
-# race detector's slower interleavings expose, and a race that needs an
-# unlucky interleaving does not show in a single pass.
+# internal/live and internal/statestore three more times: the live hosts
+# are goroutines under a bounded-skew gate, whose lost-raise and
+# missed-joiner races only the race detector's slower interleavings
+# expose, and each host builds its checkpoint images in the one station
+# group on its own goroutine; a race that needs an unlucky interleaving
+# does not show in a single pass.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 ./internal/live
+	$(GO) test -race -count=3 ./internal/live ./internal/statestore
 
 # The packages whose tests run goroutines the scheduler interleaves —
-# the live cluster and the differential replay of its recordings — must
+# the live cluster, the station group its hosts share, and the
+# differential replay of its recordings — must
 # pass whatever the interleaving: thirty passes at GOMAXPROCS 1, 2 and 4,
 # while the internal/sim suite runs over and over beside them as a CPU
 # hog. A live test that fails anyway names the bundle that replays its run.
@@ -52,7 +55,7 @@ interleave-gate:
 	$(GO) test -c -o "$$tmp/hog.test" ./internal/sim; \
 	touch "$$tmp/hog"; \
 	(cd internal/sim && while [ -e "$$tmp/hog" ]; do "$$tmp/hog.test" -test.count=1 > /dev/null 2>&1 || true; done) & hog=$$!; \
-	status=0; $(GO) test -count=30 -cpu 1,2,4 -timeout 60m ./internal/live ./internal/replaycmp || status=$$?; \
+	status=0; $(GO) test -count=30 -cpu 1,2,4 -timeout 60m ./internal/live ./internal/statestore ./internal/replaycmp || status=$$?; \
 	rm -f "$$tmp/hog"; wait $$hog; exit $$status
 
 # The alloc-regression gates (DESIGN §7) skip under -race, whose

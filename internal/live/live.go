@@ -25,8 +25,10 @@
 // is slow, moving, or disconnected: the station never waits for it).
 //
 // The cluster has one lock: every protocol event, and every read or move
-// of a host's station, runs under Cluster.mu. The links and the skew gate
-// lock themselves with leaf locks, and the run counters are atomic.
+// of a host's station, runs under Cluster.mu. The data plane does not: a
+// checkpoint's image is built and verified after the event, on the
+// goroutine of the host whose checkpoint it is. The links and the skew
+// gate lock themselves with leaf locks, and the run counters are atomic.
 package live
 
 import (
@@ -242,8 +244,9 @@ type Cluster struct {
 	// move. The protocol state is per-host, so a production system would
 	// stripe this lock by host. It is the cluster's bottleneck: on the
 	// live-cluster workload (QBC, pessimistic log, 8 hosts × 20 000
-	// operations, 20 clusters, two vCPUs) goroutines waited 3.1 s on it in
-	// all while the clusters ran 2.0 s (E35).
+	// operations, 20 clusters, two vCPUs, under the mutex profiler)
+	// goroutines waited 1.7–2.3 s on it in all while the clusters ran
+	// 1.8–2.5 s, and the same clusters run faster at GOMAXPROCS 1 (E40).
 	mu sync.Mutex
 
 	// gate keeps every running host within skewWindow operations of the
@@ -252,17 +255,39 @@ type Cluster struct {
 	//guard:none made by NewCluster; the gate synchronizes itself
 	gate *gate
 
-	// states is the real data plane: each host's page-tracked memory
-	// image, checkpointed incrementally into the station group. Each is
-	// touched only under mu (protocol hooks mutate it via checkpoints,
-	// the host loop via application writes... also under mu). It grows by
-	// one on each join, so its length is the number of hosts so far.
+	// states and group are the real data plane: each host's page-tracked
+	// memory image, checkpointed incrementally into the station group,
+	// which keeps each host's images apart. Host h's state and images are
+	// touched only on h's goroutine — its application writes, and the
+	// checkpoints its own events take (ckpts) — or while nothing else runs
+	// (Start, the final drain, Recover), so neither needs mu. Both are made
+	// by NewCluster for every host the run can have.
 	//
-	//guard:mu
+	//guard:none made by NewCluster; element h is host h's goroutine's alone
 	states []*statestore.HostState
 
-	//guard:mu
+	//guard:none made by NewCluster; host h's images are host h's goroutine's alone
 	group *statestore.Group
+
+	// ckpts holds, per host, the checkpoints its current event took whose
+	// images are still to be built: the protocol's checkpointer appends
+	// under mu, and the host's goroutine applies them once mu is released.
+	// Only host h's events checkpoint host h (dataPlane enforces it).
+	//
+	//guard:none made by NewCluster; element h is host h's goroutine's alone
+	ckpts [][]ckptAt
+
+	// owner is the host whose protocol event is running, or anyHost during
+	// Start, whose initial checkpoints cover every host.
+	//
+	//guard:mu
+	owner mobile.HostID
+
+	// hosts is the number of hosts in the run so far: Hosts, plus one per
+	// join.
+	//
+	//guard:mu
+	hosts int
 
 	// station is the location directory: each host's current (while
 	// disconnected: last) station. Hand-offs move hosts, and sends,
@@ -271,7 +296,7 @@ type Cluster struct {
 	//guard:mu
 	station []int
 
-	// downlink and seen hold each host's downlink mailbox and bounded
+	// downlink and seen hold each host's downlink mailbox and one-id
 	// duplicate-suppression filter, one per host the run can have
 	// (Hosts + Joins). A filter is touched only by its host's goroutine
 	// while the run is live, and by the final drain after every host has
@@ -307,12 +332,21 @@ type Cluster struct {
 	nextID uint64
 }
 
-// beginEvent opens one protocol event under mu: it advances the logical
-// clock and returns the event's tick.
+// ckptAt is a checkpoint whose image is still to be built: its ordinal,
+// which is also its data-plane sequence number, and the station it lands
+// on.
+type ckptAt struct{ seq, station int }
+
+// anyHost is the owner of Start, which checkpoints every host.
+const anyHost mobile.HostID = -1
+
+// beginEvent opens one protocol event of host h under mu: it advances the
+// logical clock and returns the event's tick.
 //
 //locks:held mu
-func (c *Cluster) beginEvent() des.Time {
+func (c *Cluster) beginEvent(h mobile.HostID) des.Time {
 	c.tick++
+	c.owner = h
 	return des.Time(c.tick)
 }
 
@@ -332,20 +366,21 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	c := &Cluster{
 		cfg:      cfg,
 		seen:     make([]*dupFilter, all),
-		states:   make([]*statestore.HostState, cfg.Hosts),
-		group:    statestore.NewGroup(cfg.Stations),
+		states:   make([]*statestore.HostState, all),
+		group:    statestore.NewGroupOf(cfg.Stations, all),
+		ckpts:    make([][]ckptAt, all),
 		station:  make([]int, all),
 		downlink: make([]*mailbox, all),
 		wired:    make([]*mailbox, cfg.Stations),
 		gate:     newGate(cfg.Hosts, all),
-	}
-	for i := range c.states {
-		c.states[i] = statestore.NewHostState(8)
+		owner:    anyHost,
+		hosts:    cfg.Hosts,
 	}
 	for i := range c.downlink {
+		c.states[i] = statestore.NewHostState(8)
 		c.downlink[i] = newMailbox()
 		c.station[i] = i % cfg.Stations
-		c.seen[i] = newDupFilter(dupWindow)
+		c.seen[i] = new(dupFilter)
 	}
 	for s := range c.wired {
 		c.wired[s] = newMailbox()
@@ -441,28 +476,42 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 }
 
 // dataPlane wraps the side's checkpointer with the cluster's real data
-// plane: after the side has recorded the checkpoint, it extracts the
-// host's incremental state delta and reconstructs the checkpoint on the
-// host's current station, verifying the result byte for byte.
+// plane. Under mu it only notes the checkpoint's ordinal and station for
+// the host, whose goroutine builds the image once the event has released
+// mu (storeImages). That is race-free only while every checkpoint of
+// host h is taken by one of h's own events, so a checkpoint of another
+// host is a bug, and it panics.
 func (c *Cluster) dataPlane(ckpt protocol.Checkpointer) protocol.Checkpointer {
 	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
 		// Protocol hooks are only invoked with the cluster lock held.
 		//
 		//locks:held mu
-		seq := c.side.Slots[0].Counts[h]
-		rec := ckpt(h, index, kind)
-
-		st := c.group.Station(c.station[h])
-		before := st.WiredBytes()
-		delta := c.states[h].Checkpoint(seq, seq == 0)
-		im, err := st.Apply(int(h), delta)
-		atomic.AddInt64(&c.counters.StateBytes, int64(delta.Bytes()))
-		atomic.AddInt64(&c.counters.WiredStateBytes, st.WiredBytes()-before)
-		if err != nil || !c.states[h].Equal(im.Data) {
-			atomic.AddInt64(&c.counters.StateErrors, 1)
+		if c.owner != anyHost && h != c.owner {
+			panic(fmt.Sprintf("live: checkpoint of host %d inside an event of host %d", h, c.owner))
 		}
-		return rec
+		c.ckpts[h] = append(c.ckpts[h], ckptAt{seq: c.side.Slots[0].Counts[h], station: c.station[h]})
+		return ckpt(h, index, kind)
 	}
+}
+
+// storeImages builds the images of the checkpoints host h's last event
+// took: it extracts each incremental state delta, reconstructs the
+// checkpoint on the station it landed on, and verifies the result byte
+// for byte against the host's state. It runs on h's goroutine after the
+// event, before the host writes its state again.
+func (c *Cluster) storeImages(h mobile.HostID) {
+	state := c.states[h]
+	for _, ck := range c.ckpts[h] {
+		delta := state.Checkpoint(ck.seq, ck.seq == 0)
+		im, err := c.group.Station(ck.station).Apply(int(h), delta)
+		atomic.AddInt64(&c.counters.StateBytes, int64(delta.Bytes()))
+		if err != nil || !state.Equal(im.Data) {
+			atomic.AddInt64(&c.counters.StateErrors, 1)
+			continue
+		}
+		atomic.AddInt64(&c.counters.WiredStateBytes, im.Fetched)
+	}
+	c.ckpts[h] = c.ckpts[h][:0]
 }
 
 // Store returns the checkpoint store (safe to read after Run returns).
@@ -517,6 +566,9 @@ func (c *Cluster) Run() {
 	c.mu.Lock()
 	c.side.Start(c.cfg.Hosts)
 	c.mu.Unlock()
+	for h := range c.cfg.Hosts {
+		c.storeImages(mobile.HostID(h))
+	}
 
 	var stations sync.WaitGroup
 	for s := range c.wired {
@@ -598,11 +650,12 @@ func (c *Cluster) drainFinal() {
 // placed it on. Safe to call while the cluster runs.
 func (c *Cluster) addHost() mobile.HostID {
 	c.mu.Lock()
-	h := mobile.HostID(len(c.states))
-	c.states = append(c.states, statestore.NewHostState(8))
-	now := c.beginEvent()
+	h := mobile.HostID(c.hosts)
+	c.hosts++
+	now := c.beginEvent(h)
 	c.side.OnJoin(now, h, mobile.MSSID(c.station[h]))
 	c.mu.Unlock()
+	c.storeImages(h)
 
 	atomic.AddInt64(&c.counters.Joined, 1)
 	return h
@@ -612,7 +665,7 @@ func (c *Cluster) addHost() mobile.HostID {
 // occasionally duplicating a delivery (at-least-once transport). The
 // copy goes in with its original in one put: every station's loop feeds
 // the same downlink, and a packet of another station's between the two
-// would be a delivery the host's dupFilter has to remember across.
+// would let the copy past the host's dupFilter, which remembers one id.
 func (c *Cluster) stationLoop(s int) {
 	src := rng.NewStream(c.cfg.Seed, 1000+uint64(s))
 	for {
@@ -693,18 +746,22 @@ func (c *Cluster) drain(h mobile.HostID, dl *mailbox, seen *dupFilter) {
 // at the host's current station.
 func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	c.mu.Lock()
-	to := mobile.HostID(src.Intn(len(c.states) - 1))
+	to := mobile.HostID(src.Intn(c.hosts - 1))
 	if to >= from {
 		to++
 	}
 	w := c.wired[c.station[from]]
 	id := c.nextID
 	c.nextID++
-	c.beginEvent()
+	c.beginEvent(from)
 	var pb [1]any
 	// The packet id is the flow id, as in the replay of a recording.
 	c.side.OnSend(from, to, id, id, pb[:])
-	// The send is an event of the application: it dirties some state.
+	c.mu.Unlock()
+	c.storeImages(from)
+
+	// The send is an event of the application: it dirties some state,
+	// after the checkpoints OnSend took.
 	var scratch [16]byte
 	for i := range scratch {
 		scratch[i] = byte(src.Uint64())
@@ -713,7 +770,6 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	if err := c.states[from].Write(off, scratch[:]); err != nil {
 		panic("live: " + err.Error())
 	}
-	c.mu.Unlock()
 
 	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
 	if err != nil {
@@ -738,11 +794,12 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 		return
 	}
 	c.mu.Lock()
-	now := c.beginEvent()
+	now := c.beginEvent(h)
 	pb := [1]any{p.Piggyback}
 	// The packet id is the message's ordinal in the history (nextID).
 	c.side.OnDeliver(now, h, p.From, p.ID, p.ID, int32(p.ID), pb[:], mobile.MSSID(c.station[h]))
 	c.mu.Unlock()
+	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Delivered, 1)
 }
 
@@ -750,7 +807,7 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 // checkpoint the mobile model mandates; with logging on, the host's log
 // follows it (pruned at the recovery-line frontier first, for the
 // index-based protocols) and crosses the wire after mu is released, and
-// its station images below the same frontier are dropped.
+// its station images below the same frontier are dropped, also after mu.
 func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransferScratch) {
 	c.mu.Lock()
 	cur := c.station[h]
@@ -758,7 +815,7 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	if next >= cur {
 		next++
 	}
-	now := c.beginEvent()
+	now := c.beginEvent(h)
 	// The move is a protocol event: committed under mu, it is ordered
 	// against the sends, deliveries and hand-offs around it, as a recorded
 	// schedule must see them.
@@ -768,15 +825,14 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	// the hand-off shipped after mu is released, which is race-free
 	// because nobody else ever rewrites h's log.
 	sl := &c.side.Slots[0]
-	logged, entries := sl.MLog != nil, sl.Shipped
+	logged, entries, frontier := sl.MLog != nil, sl.Shipped, sl.HandoffFrontier
+	c.mu.Unlock()
+	c.storeImages(h)
+
 	if logged {
 		// A logged cluster recovers on the replay-aware line, which restores
 		// no checkpoint below the frontier (DESIGN §3).
-		c.group.Discard(int(h), sl.HandoffFrontier)
-	}
-	c.mu.Unlock()
-
-	if logged {
+		c.group.Discard(int(h), frontier)
 		c.transferLog(xfer, h, mobile.MSSID(cur), mobile.MSSID(next), entries)
 	}
 	atomic.AddInt64(&c.counters.Switches, 1)
@@ -839,9 +895,10 @@ func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to m
 func (c *Cluster) disconnect(h mobile.HostID) {
 	c.mu.Lock()
 	at := c.station[h]
-	now := c.beginEvent()
+	now := c.beginEvent(h)
 	c.side.OnDisconnect(now, h, mobile.MSSID(at))
 	c.mu.Unlock()
+	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Disconnect, 1)
 }
 
@@ -849,7 +906,8 @@ func (c *Cluster) disconnect(h mobile.HostID) {
 func (c *Cluster) reconnect(h mobile.HostID) {
 	c.mu.Lock()
 	at := c.station[h]
-	now := c.beginEvent()
+	now := c.beginEvent(h)
 	c.side.OnReconnect(now, h, mobile.MSSID(at))
 	c.mu.Unlock()
+	c.storeImages(h)
 }

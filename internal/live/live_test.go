@@ -310,7 +310,41 @@ func TestLiveDataPlane(t *testing.T) {
 		if got.WiredStateBytes == 0 {
 			t.Fatalf("seed %d: hosts switched cells %d times but no base was fetched", seed, got.Switches)
 		}
+		// The hosts apply concurrently, some at one station: the cluster
+		// adds what each Apply fetched, which sums to the stations' totals.
+		var wired int64
+		for s := range cfg.Stations {
+			wired += c.group.Station(s).WiredBytes()
+		}
+		if got.WiredStateBytes != wired {
+			t.Fatalf("seed %d: cluster counted %d wired bytes, the stations fetched %d", seed, got.WiredStateBytes, wired)
+		}
 	}
+}
+
+// A host's images are built on its own goroutine after its event, which
+// is race-free only while its checkpoints come from its own events: a
+// protocol that checkpoints host 1 inside an event of host 0 is a bug the
+// data plane reports by name.
+func TestCheckpointOfAnotherHostPanics(t *testing.T) {
+	var ck protocol.Checkpointer
+	c, err := NewCluster(DefaultConfig(), func(n int, k protocol.Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol {
+		ck = k
+		return bcsFactory(n, k, store, mssOf)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.beginEvent(0)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "checkpoint of host 1") || !strings.Contains(msg, "event of host 0") {
+			t.Fatalf("checkpoint of host 1 in host 0's event: panic %q, want one naming both hosts", msg)
+		}
+	}()
+	ck(1, 1, storage.Basic)
 }
 
 // TP's O(n) vectors must also survive the wire.

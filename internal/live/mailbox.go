@@ -46,7 +46,7 @@ func newMailbox() *mailbox {
 
 // put appends ps, adjacent and in order: no other producer's packet
 // lands between them (a station puts a packet and its duplicate this
-// way, which is what lets a host's dupFilter work with a window of 1).
+// way, which is what lets a host's dupFilter remember one id).
 // It never blocks. One Signal covers any number of packets: a mailbox
 // has one consumer, and get only waits on an empty queue.
 func (m *mailbox) put(ps ...packet) {

@@ -51,37 +51,33 @@ func TestLiveTraceTimestamps(t *testing.T) {
 	}
 }
 
+// The one-slot rule: a copy adjacent to its original is suppressed once;
+// a fresh id in between, or a third copy, is not a duplicate of it.
 func TestDupFilterWindow(t *testing.T) {
-	f := newDupFilter(3)
-	for id := uint64(1); id <= 10; id++ {
-		if f.Suppress(id) {
-			t.Fatalf("fresh id %d suppressed", id)
+	var f dupFilter
+	for _, step := range []struct {
+		id   uint64
+		dup  bool
+		what string
+	}{
+		{0, false, "fresh id 0 (packet ids start at 0)"},
+		{0, true, "adjacent copy of 0"},
+		{0, false, "third copy of 0 (the transport duplicates at most once)"},
+		{1, false, "fresh id 1"},
+		{2, false, "fresh id 2"},
+		{1, false, "copy of 1 behind 2 (not adjacent)"},
+		{2, false, "copy of 2 behind 1"},
+		{7, false, "fresh id 7"},
+		{7, true, "adjacent copy of 7"},
+	} {
+		if got := f.Suppress(step.id); got != step.dup {
+			t.Fatalf("%s: suppressed = %v, want %v", step.what, got, step.dup)
 		}
-		if f.Len() > 3 {
-			t.Fatalf("filter remembers %d ids, window is 3", f.Len())
-		}
-	}
-	// 8, 9, 10 are in the window; their duplicates are suppressed once
-	// and then forgotten.
-	for id := uint64(8); id <= 10; id++ {
-		if !f.Suppress(id) {
-			t.Fatalf("duplicate of remembered id %d not suppressed", id)
-		}
-		if f.Suppress(id) {
-			t.Fatalf("id %d suppressed twice (transport duplicates at most once)", id)
-		}
-	}
-	// 1 was evicted long ago.
-	if f.Suppress(1) {
-		t.Fatal("evicted id 1 still suppressed")
-	}
-	if f.Len() > 3 {
-		t.Fatalf("filter remembers %d ids, window is 3", f.Len())
 	}
 }
 
-// Every host the cluster can have — joiners included — gets a filter of
-// the default window.
+// Every host the cluster can have — joiners included — gets a filter,
+// and it starts empty.
 func TestDupFilterDefaultWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Joins = 2
@@ -93,33 +89,25 @@ func TestDupFilterDefaultWindow(t *testing.T) {
 		t.Fatalf("%d filters for %d hosts", len(c.seen), cfg.Hosts+cfg.Joins)
 	}
 	for h, f := range c.seen {
-		if f.window != dupWindow {
-			t.Fatalf("host %d's filter has window %d, want %d", h, f.window, dupWindow)
+		if f == nil || f.held {
+			t.Fatalf("host %d's filter is %+v, want an empty one", h, f)
 		}
 	}
 }
 
 // Regression for the unbounded-memory bug: the per-host filter used to
-// be a map that grew by one entry per delivered message, forever. The
-// bounded window must hold even under heavy duplication — and because
-// the transport enqueues a duplicate immediately behind its original, a
-// single-slot window must still suppress every duplicate (a duplicate
-// slipping through would double-deliver and panic the trace).
+// be a map that grew by one entry per delivered message, forever. It
+// now remembers one id, and because the transport enqueues a duplicate
+// immediately behind its original, that must still suppress every
+// duplicate under heavy duplication (a duplicate slipping through would
+// double-deliver and panic the trace).
 func TestDupFilterBoundedInCluster(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DupProbability = 0.5
 	c := recordedCluster(t, cfg, bcsFactory)
-	for h := range c.seen {
-		c.seen[h] = newDupFilter(1)
-	}
 	c.Run()
 	if c.Counters().Duplicates == 0 {
 		t.Fatal("no duplicates exercised")
-	}
-	for h, f := range c.seen {
-		if f.Len() > 1 {
-			t.Fatalf("host %d remembers %d ids, window is 1", h, f.Len())
-		}
 	}
 	if int64(c.Trace().Len()) != c.Counters().Delivered {
 		t.Fatalf("trace %d != delivered %d", c.Trace().Len(), c.Counters().Delivered)

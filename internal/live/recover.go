@@ -54,10 +54,10 @@ type RecoveryReport struct {
 //
 //locks:quiescent runs only after Run has returned; no goroutine is live
 func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
-	if int(failed) < 0 || int(failed) >= len(c.states) {
+	if int(failed) < 0 || int(failed) >= c.hosts {
 		return nil, fmt.Errorf("live: no host %d", failed)
 	}
-	n := len(c.states)
+	n := c.hosts
 	sl := &c.side.Slots[0]
 	if sl.Store.LatestLive(failed) == nil {
 		return nil, fmt.Errorf("live: host %d has no stable checkpoint to restore", failed)
@@ -152,7 +152,7 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 //locks:quiescent runs only after Run has returned; no goroutine is live
 func (c *Cluster) VerifyImages() (int, error) {
 	checked := 0
-	for h := 0; h < len(c.states); h++ {
+	for h := 0; h < c.hosts; h++ {
 		for ord := 0; ord < c.side.Slots[0].Counts[h]; ord++ {
 			im, _, err := c.group.FindImage(h, ord)
 			if errors.Is(err, statestore.ErrDiscarded) {

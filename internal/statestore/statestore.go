@@ -115,13 +115,21 @@ func (d *Delta) Bytes() int { return len(d.Pages) * PageSize }
 // Checkpoint extracts the increment since the previous Checkpoint call
 // and clears the dirty set. If full is true (first checkpoint, or
 // resync after corruption) every page is included. seq is the ordinal
-// the resulting checkpoint will have on the station.
+// the resulting checkpoint will have on the station. The pages' copies
+// share one allocation.
 func (s *HostState) Checkpoint(seq int, full bool) *Delta {
-	d := &Delta{Seq: seq, Full: full, NumPages: len(s.pages), Checksum: s.Checksum()}
-	for i := range s.pages {
+	n := len(s.pages)
+	if !full {
+		n = s.DirtyPages()
+	}
+	d := &Delta{Seq: seq, Full: full, NumPages: len(s.pages), Checksum: s.Checksum(),
+		Pages: make([]PageUpdate, 0, n)}
+	buf := make([]byte, n*PageSize)
+	for i, p := range s.pages {
 		if full || s.dirty[i] {
-			page := make([]byte, PageSize)
-			copy(page, s.pages[i])
+			page := buf[:PageSize:PageSize]
+			buf = buf[PageSize:]
+			copy(page, p)
 			d.Pages = append(d.Pages, PageUpdate{Index: i, Data: page})
 			s.dirty[i] = false
 		}
@@ -131,11 +139,11 @@ func (s *HostState) Checkpoint(seq int, full bool) *Delta {
 
 // Checksum returns a CRC32 over the full state image.
 func (s *HostState) Checksum() uint32 {
-	h := crc32.NewIEEE()
+	var sum uint32
 	for _, p := range s.pages {
-		h.Write(p)
+		sum = crc32.Update(sum, crc32.IEEETable, p)
 	}
-	return h.Sum32()
+	return sum
 }
 
 // Snapshot returns an independent copy of the full image (for tests and

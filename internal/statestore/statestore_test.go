@@ -3,6 +3,7 @@ package statestore
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -371,5 +372,135 @@ func TestDiscard(t *testing.T) {
 	}
 	if _, _, err := g.FindImage(0, 120); err == nil || errors.Is(err, ErrDiscarded) {
 		t.Fatalf("a checkpoint never taken reads as %v", err)
+	}
+}
+
+// Each Apply reports the bytes it fetched itself, so two hosts whose
+// fetches interleave at one station are each charged their own base —
+// a diff of the station-wide total around one Apply would charge one
+// host for the other's fetch too.
+func TestApplyReportsItsOwnFetch(t *testing.T) {
+	g := NewGroup(2)
+	a, b := NewHostState(2), NewHostState(4)
+	for h, s := range []*HostState{a, b} {
+		if _, err := g.Station(0).Apply(h, s.Checkpoint(0, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := g.Station(1).WiredBytes()
+	a.Write(0, []byte{1})
+	b.Write(0, []byte{2})
+	da, db := a.Checkpoint(1, false), b.Checkpoint(1, false)
+	imB, err := g.Station(1).Apply(1, db) // lands between a's "before" and a's Apply
+	if err != nil {
+		t.Fatal(err)
+	}
+	imA, err := g.Station(1).Apply(0, da)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imA.Fetched != 2*PageSize || imB.Fetched != 4*PageSize {
+		t.Fatalf("fetched %d and %d, want each host's own base: %d and %d", imA.Fetched, imB.Fetched, 2*PageSize, 4*PageSize)
+	}
+	if diff := g.Station(1).WiredBytes() - before; diff != imA.Fetched+imB.Fetched {
+		t.Fatalf("station total moved by %d, the applies report %d", diff, imA.Fetched+imB.Fetched)
+	}
+	// A base already on the station is not fetched.
+	a.Write(0, []byte{3})
+	if im, err := g.Station(1).Apply(0, a.Checkpoint(2, false)); err != nil || im.Fetched != 0 {
+		t.Fatalf("local base: fetched %v, err %v", im, err)
+	}
+}
+
+// Two hosts on two goroutines share one group — one station they both
+// keep returning to, so their fetches interleave there — applying,
+// verifying, looking up and discarding their own images. Meaningful
+// under -race: everything a call for host h touches is h's own.
+func TestGroupHostsConcurrent(t *testing.T) {
+	const stations, ckpts = 3, 400
+	g := NewGroupOf(stations, 2)
+	fetched := make([]int64, 2)
+	want := make([]int64, 2)
+	var wg sync.WaitGroup
+	for h := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			state := NewHostState(2 + 2*h) // the hosts' images differ in size
+			src := rng.New(uint64(h))
+			at := 0
+			for seq := range ckpts {
+				buf := []byte{byte(src.Uint64()), byte(seq)}
+				if err := state.Write(src.Intn(len(state.pages)*PageSize-len(buf)), buf); err != nil {
+					t.Error(err)
+					return
+				}
+				next := src.Intn(stations)
+				if seq > 0 && next != at {
+					want[h] += int64(len(state.pages) * PageSize)
+				}
+				at = next
+				im, err := g.Station(at).Apply(h, state.Checkpoint(seq, seq == 0))
+				if err != nil || !state.Equal(im.Data) {
+					t.Errorf("host %d seq %d: reconstruction differs (err %v)", h, seq, err)
+					return
+				}
+				fetched[h] += im.Fetched
+				if seq%5 == 4 {
+					g.Discard(h, seq-2)
+				}
+				if seq >= 2 {
+					im, st, err := g.FindImage(h, seq-1)
+					if err != nil || st == nil || im.Verify() != nil {
+						t.Errorf("host %d seq %d: %v", h, seq-1, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var total int64
+	for s := range stations {
+		total += g.Station(s).WiredBytes()
+	}
+	if fetched[0] != want[0] || fetched[1] != want[1] || total != want[0]+want[1] {
+		t.Fatalf("fetched %v, want %v; stations counted %d", fetched, want, total)
+	}
+}
+
+// An image Discard dropped is rebuilt in place: once a host's chain is
+// collected behind it, an Apply allocates nothing — no image, no buffer.
+func TestStationImageReuseAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	const runs = 100
+	g := NewGroup(1)
+	host := NewHostState(8)
+	deltas := make([]*Delta, runs+3)
+	for seq := range deltas {
+		host.Write(seq%(8*PageSize-1), []byte{byte(seq), 1})
+		deltas[seq] = host.Checkpoint(seq, seq == 0)
+	}
+	for _, d := range deltas[:2] {
+		if _, err := g.Station(0).Apply(0, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 2
+	if allocs := testing.AllocsPerRun(runs, func() {
+		d := deltas[next]
+		next++
+		if _, err := g.Station(0).Apply(0, d); err != nil {
+			t.Fatal(err)
+		}
+		g.Discard(0, d.Seq) // frees the image before it
+	}); allocs != 0 {
+		t.Fatalf("Apply after Discard allocated %v times per call, want 0", allocs)
+	}
+	// AllocsPerRun calls once more than runs, to warm up.
+	if im := g.Station(0).Latest(0); im.Seq != len(deltas)-1 || !host.Equal(im.Data) {
+		t.Fatalf("latest image is seq %d, want %d holding the host's state", im.Seq, len(deltas)-1)
 	}
 }
