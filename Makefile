@@ -38,14 +38,22 @@ vet:
 # missed-joiner races only the race detector's slower interleavings
 # expose, and each host builds its checkpoint images in the one station
 # group on its own goroutine; a race that needs an unlucky interleaving
-# does not show in a single pass.
+# does not show in a single pass. The same goes for the sequential
+# engine's protocol side, which runs on a consumer goroutine beside the
+# world: its pipeline tests (pipelined equals in-line, a consumer panic
+# re-raised on Run's goroutine, no goroutine left behind) run three more
+# times too.
+SIM_PIPELINE_TESTS = TestPipeline|TestRunPanicFromProtocolSide|TestRunLeavesNoGoroutine
+
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/live ./internal/statestore
+	$(GO) test -race -count=3 -run '$(SIM_PIPELINE_TESTS)' ./internal/sim
 
 # The packages whose tests run goroutines the scheduler interleaves —
-# the live cluster, the station group its hosts share, and the
-# differential replay of its recordings — must
+# the live cluster, the station group its hosts share, the differential
+# replay of its recordings, and the sequential engine's world and
+# protocol-side goroutines (the internal/sim pipeline tests) — must
 # pass whatever the interleaving: thirty passes at GOMAXPROCS 1, 2 and 4,
 # while the internal/sim suite runs over and over beside them as a CPU
 # hog. A live test that fails anyway names the bundle that replays its run.
@@ -56,6 +64,7 @@ interleave-gate:
 	touch "$$tmp/hog"; \
 	(cd internal/sim && while [ -e "$$tmp/hog" ]; do "$$tmp/hog.test" -test.count=1 > /dev/null 2>&1 || true; done) & hog=$$!; \
 	status=0; $(GO) test -count=30 -cpu 1,2,4 -timeout 60m ./internal/live ./internal/statestore ./internal/replaycmp || status=$$?; \
+	if [ $$status -eq 0 ]; then $(GO) test -count=30 -cpu 1,2,4 -timeout 30m -run '$(SIM_PIPELINE_TESTS)' ./internal/sim || status=$$?; fi; \
 	rm -f "$$tmp/hog"; wait $$hog; exit $$status
 
 # The alloc-regression gates (DESIGN §7) skip under -race, whose

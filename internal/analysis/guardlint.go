@@ -36,9 +36,10 @@ var Guardlint = &Analyzer{
 		"call sites whose caller does not hold the mutex, and keeps\n" +
 		"guard-annotated structs fully annotated.",
 	// Where //guard: contracts live: the live cluster, the PDES lane
-	// mailboxes and internal/mlog (all //guard:none — externally
-	// serialized).
-	Include: []string{"internal/live", "internal/pdes", "internal/mlog"},
+	// mailboxes, internal/mlog and the sequential engine's pipeline to
+	// its protocol side (all //guard:none — externally serialized or
+	// owned by one named goroutine).
+	Include: []string{"internal/live", "internal/pdes", "internal/mlog", "internal/sim"},
 	Run:     runGuardlint,
 }
 

@@ -31,7 +31,8 @@ func TestDefaultConfigScopes(t *testing.T) {
 		{Guardlint, "mobickpt/internal/live", true},
 		{Guardlint, "mobickpt/internal/pdes", true},
 		{Guardlint, "mobickpt/internal/mlog", true},
-		{Guardlint, "mobickpt/internal/sim", false},
+		{Guardlint, "mobickpt/internal/sim", true}, // the pipeline to the protocol side
+		{Guardlint, "mobickpt/internal/protoside", false},
 		{Lanelint, "mobickpt/internal/pdes", true},
 		{Lanelint, "mobickpt/internal/sim", true},
 		{Lanelint, "mobickpt/internal/protoside", true}, // the protocol side the engine's lanes drive

@@ -42,8 +42,10 @@ type Side struct {
 	// (the engine refuses RecordTrace on lanes).
 	Hist *trace.History
 
-	// now is the world's clock: the virtual time on host h's timeline.
-	// Only a lane-sharded engine has more than one; the checker and the
+	// now is the world's clock: the virtual time on host h's timeline
+	// when the event was mirrored (the engine's record time, which its
+	// world may have passed by the time the side runs). Only a
+	// lane-sharded engine has more than one; the checker and the
 	// end-of-run reconciliation, which such an engine refuses, read host
 	// 0's.
 	now func(h mobile.HostID) des.Time

@@ -9,7 +9,10 @@
 // fully specified by its 64-bit seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic 64-bit PRNG (SplitMix64). The zero value is a
 // valid generator seeded with 0; use New to seed explicitly.
@@ -22,14 +25,17 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// NewStream derives an independent stream from a base seed and a stream
-// identifier. Distinct ids yield statistically independent sequences, so a
-// simulation can give each stochastic component (workload, mobility of each
-// host, ...) its own stream and stay reproducible when components are
-// added or removed.
+// NewStream derives a stream from a base seed and a stream identifier, so
+// a simulation can give each stochastic component (workload, mobility of
+// each host, ...) its own stream and stay reproducible when components
+// are added or removed.
+//
+// The id is not mixed: the state starts at seed XOR γ·(id+1), γ being
+// SplitMix64's own increment, and advances one step. Where the XOR acts
+// as an addition, stream id at step k+d is stream id+d at step k, so some
+// seeds (seed 1 among them) have lagged copies (ROADMAP item 2). A real
+// mixing round moves every committed table; it waits for the re-baseline.
 func NewStream(seed uint64, id uint64) *Source {
-	// Mix the id through one SplitMix64 round so that consecutive ids do
-	// not produce correlated initial states.
 	s := New(seed ^ (0x9e3779b97f4a7c15 * (id + 1)))
 	s.Uint64()
 	return s
@@ -59,22 +65,11 @@ func (s *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := s.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= -bound%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	return hi, lo
 }
 
 // Exp returns an exponentially distributed variate with the given mean.

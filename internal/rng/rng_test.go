@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -162,20 +164,45 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
+// TestIntnPinned pins Intn's first 1 000 draws for three seeds and four
+// bounds, the last one large enough that Lemire's rejection loop runs
+// often: an FNV-1a digest of the draws (each as 8 little-endian bytes)
+// and the first three in the clear.
+func TestIntnPinned(t *testing.T) {
 	cases := []struct {
-		a, b, hi, lo uint64
+		seed   uint64
+		n      int
+		digest uint64
+		first  [3]int
 	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
+		{0, 2, 0xf89ed671cee48724, [3]int{1, 0, 0}},
+		{0, 25, 0x589fc1068318bdec, [3]int{22, 10, 0}},
+		{0, 1000003, 0x79d352b6e7e4ca19, [3]int{883313, 431529, 26433}},
+		{0, 1<<62 + 1<<61, 0x5a7fdb0b71e80840, [3]int{6110328156246977825, 2985107445822883387, 182856382301829629}},
+		{1, 2, 0x4ed1487c09e98be4, [3]int{1, 1, 1}},
+		{1, 25, 0x72ddc5818c8926ee, [3]int{14, 18, 24}},
+		{1, 1000003, 0x4d80f7d80d7d8679, [3]int{566563, 745783, 971005}},
+		{1, 1<<62 + 1<<61, 0xbea4ac75093ffdeb, [3]int{3919206142200308424, 5158966954149910694, 6716939733856083971}},
+		{1000004, 2, 0x7ac4c0e87ea43a05, [3]int{0, 0, 1}},
+		{1000004, 25, 0xf27306dc0d838b90, [3]int{5, 0, 17}},
+		{1000004, 1000003, 0x587bcb6ab23ef365, [3]int{232794, 560, 690416}},
+		{1000004, 1<<62 + 1<<61, 0x6ae1c1bf177aa424, [3]int{3877410095996181, 6248510669816314066, 5187425197272515380}},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		s := New(c.seed)
+		h := fnv.New64a()
+		var b [8]byte
+		var first [3]int
+		for i := range 1000 {
+			v := s.Intn(c.n)
+			if i < len(first) {
+				first[i] = v
+			}
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != c.digest || first != c.first {
+			t.Errorf("seed %d, Intn(%d): digest %#x, first %v; want %#x, %v", c.seed, c.n, got, first, c.digest, c.first)
 		}
 	}
 }

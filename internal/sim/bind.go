@@ -112,7 +112,11 @@ func (e *engine) bindEngine() error {
 	if cfg.RecordTrace {
 		hist = trace.NewHistory(cfg.Mobile.NumHosts, cfg.Mobile.NumMSS)
 	}
-	e.Side = protoside.New(len(cfg.Protocols), lanes, hist, cfg.Metrics, cfg.Timeline, e.now)
+	e.Side = protoside.New(len(cfg.Protocols), lanes, hist, cfg.Metrics, cfg.Timeline, e.sideNow)
 	e.plFree = make([][]*payload, lanes)
+	e.cur = make([]record, lanes)
+	// A lane engine's records are applied by the lane that pushes them; a
+	// checkpoint latency is read back by the world's next operation.
+	e.inline = e.core != nil || cfg.CheckpointLatency > 0
 	return nil
 }

@@ -142,7 +142,11 @@ type Config struct {
 	// Progress, when non-nil, is invoked every ProgressEvery simulated
 	// time units with the current virtual time and the events fired so
 	// far (CLI progress reporting for long sweeps). ProgressEvery
-	// defaults to Horizon/10. The callback must not touch the engine. An
+	// defaults to Horizon/10. The callback must not touch the engine. It
+	// runs on the world goroutine while the protocol side may still be
+	// applying earlier records on its own, so it must not read protocol
+	// state either: no protocol, store or trace, and no Metrics family the
+	// protocol side registers. An
 	// intermediate beat may count a host's in-line operations up to its
 	// next communication early (they are counted when the operation before
 	// them fires); the beat at the horizon and Result.EventsFired are

@@ -14,6 +14,16 @@
 // re-simulation). Recorded (Config.RecordTrace), the trace is kept once,
 // as one history, and each protocol keeps only its two checkpoint counts
 // per message.
+//
+// The same property lets the protocol side run beside the world: since
+// the world never reads what the protocols decide, a sequential run hands
+// every protocol callback, as a fixed-size record carrying the clock and
+// the acting host's station, to a second goroutine in chunks of records
+// (pipeline.go), and waits for it only where the world itself reads
+// protocol state — marker rounds and ticks, and the end of the run.
+// Config.CheckpointLatency is the one exception to the property: there a
+// checkpoint delays the host's next operation, so every record is applied
+// in line, as on the lane engine.
 package sim
 
 import (
@@ -29,8 +39,14 @@ import (
 
 // Run executes one simulation. With Config.Checks set, a run that
 // violates a protocol invariant returns the (partial) result together
-// with a check.Violations error describing every broken rule.
-func Run(cfg Config) (*Result, error) {
+// with a check.Violations error describing every broken rule. A panic in
+// a protocol callback is re-raised on the caller's goroutine, with the
+// same value, whichever goroutine the callback ran on.
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run; prep, when non-nil, adjusts the wired engine before it
+// runs (the tests' hook: an in-line reference run, a failing protocol).
+func run(cfg Config, prep func(*engine)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -40,6 +56,9 @@ func Run(cfg Config) (*Result, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if prep != nil {
+		prep(e)
 	}
 	res := e.run()
 	if cfg.Checks {
@@ -59,6 +78,21 @@ type engine struct {
 	sim    *des.Simulator
 	net    *mobile.Network
 	driver *workload.Driver
+
+	// inline applies every record on the goroutine that pushes it (lane
+	// engines, CheckpointLatency); otherwise a pipeline ships them to a
+	// consumer goroutine. Set before the run starts.
+	//
+	//lane:stopped decided while wiring, before any lane runs
+	inline bool
+	// pipe is the sequential run's pipeline to the protocol side, nil
+	// until the first record (and always with inline).
+	pipe *pipeline
+	// cur[l] is the record lane l is applying, the zero record between
+	// records; with one lane the consumer's, and the world's after a drain.
+	//
+	//lane:shard
+	cur []record
 
 	// sched is the scheduling surface the world model runs on: des.Solo
 	// over sim for sequential runs, a coreSched over core for parallel
@@ -153,6 +187,8 @@ func newEngine(cfg Config) (*engine, error) {
 
 // send hands a message to the network and has the protocol side fill its
 // piggyback slots (the network reads none of them before the delivery).
+// The record carries the sender's station: a checkpoint the send induces
+// lands there.
 //
 //lane:handler
 func (e *engine) send(from, to mobile.HostID) {
@@ -176,35 +212,32 @@ func (e *engine) send(from, to mobile.HostID) {
 		m.Flow = uint64(from)<<32 | e.sendOrd[from]
 		e.sendOrd[from]++
 	}
-	e.OnSend(from, to, m.ID, m.Flow, pl.piggyback)
+	e.push(record{kind: recSend, at: e.now(from), host: int32(from), peer: int32(to),
+		mss: int32(e.net.Host(from).LastMSS()), id: m.ID, flow: m.Flow, pl: pl})
 }
 
-// deliver hands a delivered message to the protocol side, then returns
-// the carrier and the message itself to their pools for the next send:
-// by then every consumer (protocols, checker, traces, logs) has seen it.
+// deliver hands a delivered message to the protocol side and returns the
+// message to its pool for the next send; the carrier goes back to the
+// free list once the record is applied (reclaim).
 //
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
-	pl := m.Payload.(*payload)
-	// The network numbers its messages from 0 in send order, as the
-	// history does when there is one (a sequential run), so the id is the
-	// message's ordinal.
-	e.OnDeliver(now, h.ID, m.From, m.ID, m.Flow, int32(m.ID), pl.piggyback, h.LastMSS())
-	clear(pl.piggyback)
+	e.push(record{kind: recDeliver, at: now, host: int32(h.ID), peer: int32(m.From),
+		mss: int32(h.LastMSS()), id: m.ID, flow: m.Flow, pl: m.Payload.(*payload)})
 	m.Payload = nil
-	lane := e.LaneOf(h.ID)
-	e.plFree[lane] = append(e.plFree[lane], pl)
 	e.net.Recycle(m)
 }
 
 // scheduleSnapshots drives the coordinated baselines: every period the
 // initiator picks its targets and markers travel to currently connected
 // hosts (a disconnected host is represented by its disconnection
-// checkpoint, §2.2, so it skips the round).
+// checkpoint, §2.2, so it skips the round). The round and each marker
+// read protocol state, so each drains the pipeline first.
 func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 	period := e.cfg.SnapshotPeriod
 	markerLatency := e.cfg.Mobile.WiredLatency + e.cfg.Mobile.WirelessLatency
 	tick := func(sim *des.Simulator, now des.Time) {
+		e.drain()
 		defer e.RestoreCauseAll(e.SetCauseAll("marker"))
 		for _, h := range init.BeginSnapshot() {
 			// One location query per marker: the paper's drawback (1).
@@ -214,6 +247,7 @@ func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 			}
 			sim.ScheduleAfter(markerLatency, "marker", func(sim *des.Simulator, now des.Time) {
 				if e.net.Host(h).Connected() {
+					e.drain()
 					defer e.RestoreCauseAll(e.SetCauseAll("marker"))
 					init.OnMarker(h)
 					if ck := e.Slots[i].Check; ck != nil {
@@ -229,10 +263,12 @@ func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 
 // scheduleTicks drives a Periodic protocol: every SnapshotPeriod each
 // connected host takes its timer-driven local checkpoint. No control
-// messages travel — the tick is local to the host.
+// messages travel — the tick is local to the host. It runs protocol code
+// on the world goroutine, after a drain.
 func (e *engine) scheduleTicks(i int, per protocol.Periodic) {
 	period := e.cfg.SnapshotPeriod
 	tick := func(sim *des.Simulator, now des.Time) {
+		e.drain()
 		defer e.RestoreCauseAll(e.SetCauseAll("tick"))
 		for h := 0; h < e.cfg.Mobile.NumHosts; h++ {
 			if e.net.Host(mobile.HostID(h)).Connected() {
@@ -247,31 +283,36 @@ func (e *engine) scheduleTicks(i int, per protocol.Periodic) {
 	e.sim.Schedule(e.sim.Now()+period, "tick", tick)
 }
 
-// scheduleGC periodically collects every slot at its frontier
-// (protoside.Slot.Frontier; E11): every host's checkpoint records and
-// logged receives that no future recovery line needs. A protocol whose
-// lines are not index cuts keeps everything.
+// scheduleGC periodically has the protocol side collect (a gc record).
 func (e *engine) scheduleGC() {
 	tick := func(sim *des.Simulator, now des.Time) {
-		for i := range e.Slots {
-			s := &e.Slots[i]
-			stable, keep := s.Frontier()
-			if keep == nil {
-				continue
-			}
-			s.GCFrontier = max(s.GCFrontier, stable)
-			for h, ord := range keep {
-				records, _ := s.Store.PruneBefore(mobile.HostID(h), ord)
-				s.GCReclaimed += records
-				if s.MLog != nil {
-					s.MLog.PruneDelivered(mobile.HostID(h), ord)
-				}
-			}
-			s.PeakLive = max(s.PeakLive, s.Store.LiveRecords(-1))
-		}
+		e.push(record{kind: recGC, at: now, host: -1})
 		sim.Again(e.cfg.GCInterval)
 	}
 	e.sim.Schedule(e.sim.Now()+e.cfg.GCInterval, "gc", tick)
+}
+
+// collect is the GC tick's body: every slot collected at its frontier
+// (protoside.Slot.Frontier; E11) — every host's checkpoint records and
+// logged receives that no future recovery line needs. A protocol whose
+// lines are not index cuts keeps everything.
+func (e *engine) collect() {
+	for i := range e.Slots {
+		s := &e.Slots[i]
+		stable, keep := s.Frontier()
+		if keep == nil {
+			continue
+		}
+		s.GCFrontier = max(s.GCFrontier, stable)
+		for h, ord := range keep {
+			records, _ := s.Store.PruneBefore(mobile.HostID(h), ord)
+			s.GCReclaimed += records
+			if s.MLog != nil {
+				s.MLog.PruneDelivered(mobile.HostID(h), ord)
+			}
+		}
+		s.PeakLive = max(s.PeakLive, s.Store.LiveRecords(-1))
+	}
 }
 
 // join admits one new host: into the network, into every protocol and
@@ -297,12 +338,13 @@ func (e *engine) join() {
 	if e.core != nil {
 		e.Presize(int(id) + 1)
 	}
-	e.OnJoin(e.sim.Now(), id, at)
+	e.push(record{kind: recJoin, at: e.sim.Now(), host: int32(id), mss: int32(at)})
 	e.driver.AddHost(id, e.cfg.Seed)
 }
 
 // run executes the configured horizon and returns the assembled result.
 func (e *engine) run() *Result {
+	defer e.stopPipe()
 	e.Start(e.cfg.Mobile.NumHosts)
 	for i := range e.Slots {
 		if init, ok := e.Slots[i].Proto.(protocol.Initiator); ok {
@@ -346,5 +388,6 @@ func (e *engine) run() *Result {
 		e.inGlobalPhase = true
 	}
 	e.sim.Run(e.cfg.Horizon)
+	e.drain()
 	return e.result()
 }

@@ -35,7 +35,7 @@ func (e *engine) wireWorld() error {
 	e.net = net
 
 	e.pendingLatency = make([]des.Time, n)
-	mssOf := func(h mobile.HostID) mobile.MSSID { return net.Host(h).LastMSS() }
+	mssOf := e.mssOf
 	for i, name := range cfg.Protocols {
 		ent, _ := protocol.Lookup(string(name)) // Validate resolved every name
 		err := cfg.initSlot(&e.Side, i, n, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
@@ -80,18 +80,19 @@ func (e *engine) chargeLatency(ckpt protocol.Checkpointer) protocol.Checkpointer
 }
 
 // hooks mirrors the network's mobility and delivery events into the
-// protocol side.
+// protocol side. Each fires after the host moved, so its LastMSS is the
+// station the event's checkpoints land on.
 func (e *engine) hooks() mobile.Hooks {
 	return mobile.Hooks{
 		OnDeliver: e.deliver,
 		OnCellSwitch: func(now des.Time, h *mobile.Host, from, to mobile.MSSID) {
-			e.OnCellSwitch(now, h.ID, from, to)
+			e.push(record{kind: recSwitch, at: now, host: int32(h.ID), from: int32(from), mss: int32(to)})
 		},
 		OnDisconnect: func(now des.Time, h *mobile.Host) {
-			e.OnDisconnect(now, h.ID, h.LastMSS())
+			e.push(record{kind: recDisconnect, at: now, host: int32(h.ID), mss: int32(h.LastMSS())})
 		},
 		OnReconnect: func(now des.Time, h *mobile.Host, at mobile.MSSID) {
-			e.OnReconnect(now, h.ID, at)
+			e.push(record{kind: recReconnect, at: now, host: int32(h.ID), mss: int32(at)})
 		},
 	}
 }
