@@ -32,18 +32,21 @@ vet:
 
 # The full suite under the race detector: the pdes lane tests, the
 # cross-engine equivalence suite, the parallel sweeps and TestScaleSmoke
-# (50k hosts, sequential vs two lanes) all ride this one run. Then
-# internal/live and internal/statestore three more times: the live hosts
-# are goroutines under a bounded-skew gate, whose lost-raise and
-# missed-joiner races only the race detector's slower interleavings
-# expose, and each host builds its checkpoint images in the one station
-# group on its own goroutine; a race that needs an unlucky interleaving
-# does not show in a single pass. The same goes for the sequential
-# engine's protocol side, which runs on a consumer goroutine beside the
-# world: its pipeline tests (pipelined equals in-line, a consumer panic
-# re-raised on Run's goroutine, no goroutine left behind) run three more
-# times too.
-SIM_PIPELINE_TESTS = TestPipeline|TestRunPanicFromProtocolSide|TestRunLeavesNoGoroutine
+# (50k hosts, sequential vs two lanes) all ride this one run; the
+# protocols keep no atomics, so it is the race detector that holds the
+# lane suites' protocol side to the coordinator. Then internal/live and
+# internal/statestore three more times: the live hosts are goroutines
+# under a bounded-skew gate, whose lost-raise and missed-joiner races
+# only the race detector's slower interleavings expose, and each host
+# builds its checkpoint images in the one station group on its own
+# goroutine; a race that needs an unlucky interleaving does not show in
+# a single pass. The same goes for the engine's protocol side, which
+# runs on a consumer goroutine beside the sequential world and on the
+# lane engine's coordinator: its pipeline tests (pipelined equals
+# in-line, a consumer panic re-raised on Run's goroutine, no goroutine
+# left behind, and the protocol side on one goroutine at a time on both
+# engines) run three more times too.
+SIM_PIPELINE_TESTS = TestPipeline|TestRunPanicFromProtocolSide|TestRunLeavesNoGoroutine|TestProtocolSideOneGoroutine
 
 test-race:
 	$(GO) test -race ./...
@@ -52,7 +55,7 @@ test-race:
 
 # The packages whose tests run goroutines the scheduler interleaves —
 # the live cluster, the station group its hosts share, the differential
-# replay of its recordings, and the sequential engine's world and
+# replay of its recordings, and the engine's world, lane and
 # protocol-side goroutines (the internal/sim pipeline tests) — must
 # pass whatever the interleaving: thirty passes at GOMAXPROCS 1, 2 and 4,
 # while the internal/sim suite runs over and over beside them as a CPU

@@ -140,7 +140,6 @@ func TestMhsimRefusesWhatItWouldIgnore(t *testing.T) {
 		{[]string{"-replay-schedule", "run.json", "-seeds", "5"}, "-seeds"},
 		{[]string{"-replay-schedule", "run.json", "-engine", "conservative"}, "-engine"},
 		{[]string{"-replay-schedule", "run.json", "-hosts", "3"}, "-hosts"},
-		{[]string{"-replay-schedule", "run.json", "-lanetimeline", "l.json"}, "-lanetimeline"},
 		{[]string{"-replay-perturb", "0", "-horizon", "100"}, "-replay-perturb"},
 		{[]string{"-json", "-seeds", "3", "-horizon", "100"}, "-json"},
 		{[]string{"-json", "-audit", "-horizon", "100"}, "-json"},

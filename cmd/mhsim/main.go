@@ -47,7 +47,6 @@ func main() {
 		lanes      = flag.Int("lanes", 0, "logical processes for the conservative engine; 0 = GOMAXPROCS")
 		metrics    = flag.Bool("metrics", false, "print the run's metrics as Prometheus text after the results (single-run mode)")
 		timeline   = flag.String("timeline", "", "write a per-host Chrome trace-event timeline (Perfetto-loadable) to this file (single-run mode)")
-		laneTl     = flag.String("lanetimeline", "", "write the engine's lane-execution timeline (window spans; parallel engines only, engine-dependent) to this file (single-run mode)")
 		probes     = flag.Bool("probes", false, "enable engine-internals probes (queue/pool/lane counters); adds a probes block to -json output (single-run mode)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -67,8 +66,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mhsim: -workers %d: a worker pool cannot be negative (0 = GOMAXPROCS)\n", *workers)
 		os.Exit(2)
 	}
-	if (*jsonOut || *metrics || *timeline != "" || *laneTl != "" || *probes) && (*seeds > 1 || *audit) {
-		fmt.Fprintln(os.Stderr, "mhsim: -json, -metrics, -timeline, -lanetimeline and -probes need single-run mode (-seeds 1, no -audit)")
+	if (*jsonOut || *metrics || *timeline != "" || *probes) && (*seeds > 1 || *audit) {
+		fmt.Fprintln(os.Stderr, "mhsim: -json, -metrics, -timeline and -probes need single-run mode (-seeds 1, no -audit)")
 		os.Exit(2)
 	}
 
@@ -148,9 +147,6 @@ func main() {
 
 	if *seeds == 1 {
 		cfg.Seed = *seed
-		if *laneTl != "" {
-			cfg.LaneTimeline = obs.NewTimeline()
-		}
 		cfg.Probes = *probes
 		res, err := sim.Run(cfg)
 		if err != nil {
@@ -158,7 +154,6 @@ func main() {
 			os.Exit(1)
 		}
 		saveTimeline(*timeline, "timeline", cfg.Timeline)
-		saveTimeline(*laneTl, "lane timeline", cfg.LaneTimeline)
 		if *jsonOut {
 			if err := res.ExportJSON(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "mhsim:", err)

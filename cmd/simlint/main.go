@@ -8,9 +8,9 @@
 // version line (so the go command's vet cache invalidates when the tool
 // changes), and is then invoked once per package — test variants
 // included — with a vet.cfg JSON file naming the sources and the export
-// data and facts files of every dependency. Each analyzer runs over the
-// packages its own scope matches; there are no flags and no environment
-// variables.
+// data of every dependency. Each analyzer runs over the packages its own
+// scope matches, one package at a time; there are no flags and no
+// environment variables.
 package main
 
 import (
@@ -75,8 +75,8 @@ func printVersion() error {
 }
 
 // vetConfig is the subset of the cmd/go vet.cfg schema simlint consumes:
-// one package's sources plus the compiler export data and the facts files
-// of its dependency closure.
+// one package's sources plus the compiler export data of its dependency
+// closure.
 type vetConfig struct {
 	ID                        string
 	Compiler                  string
@@ -85,7 +85,6 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -108,11 +107,10 @@ func runVetCfg(path string) int {
 	return 0
 }
 
-// vet analyzes the package the vet.cfg at path describes, with the facts
-// its dependencies exported, and writes the package's facts file — cmd/go
-// requires it before it caches or consumes the result, and an importer
-// reads it back through PackageVetx. A dependency cmd/go analyzes only for
-// its facts reports no findings.
+// vet analyzes the package the vet.cfg at path describes and writes its
+// facts file, empty: the analyzers export no facts, but cmd/go requires
+// the file before it caches or consumes the result. A dependency cmd/go
+// visits only for its facts (VetxOnly) is not analyzed.
 func vet(path string) ([]analysis.Finding, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -122,43 +120,20 @@ func vet(path string) ([]analysis.Finding, error) {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	imported := analysis.Facts{}
-	for _, file := range cfg.PackageVetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		var facts analysis.Facts
-		if err := json.Unmarshal(data, &facts); err != nil {
-			return nil, fmt.Errorf("%s: %v", file, err)
-		}
-		for pkg, f := range facts {
-			imported[pkg] = f
-		}
-	}
-	found, facts, err := analyze(&cfg, imported)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.VetxOutput != "" {
-		out, err := json.Marshal(facts)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.VetxOutput, out, 0o666); err != nil {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.VetxOnly {
 		return nil, nil
 	}
-	return found, nil
+	return analyze(&cfg)
 }
 
 // analyze runs the analyzers whose scope matches the package and returns
-// their findings and the facts to export: the package's own plus
-// everything it imported.
-func analyze(cfg *vetConfig, imported analysis.Facts) ([]analysis.Finding, analysis.Facts, error) {
+// their findings.
+func analyze(cfg *vetConfig) ([]analysis.Finding, error) {
 	// Test variants carry an " [pkg.test]" suffix, and an external test
 	// package p_test is held to the contracts of the package p it tests.
 	importPath, _, _ := strings.Cut(cfg.ImportPath, " ")
@@ -170,7 +145,7 @@ func analyze(cfg *vetConfig, imported analysis.Facts) ([]analysis.Finding, analy
 		}
 	}
 	if len(analyzers) == 0 {
-		return nil, imported, nil
+		return nil, nil
 	}
 
 	fset := token.NewFileSet()
@@ -178,7 +153,7 @@ func analyze(cfg *vetConfig, imported analysis.Facts) ([]analysis.Finding, analy
 	for _, name := range cfg.GoFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -196,13 +171,13 @@ func analyze(cfg *vetConfig, imported analysis.Facts) ([]analysis.Finding, analy
 	pkg, err := (&types.Config{Importer: imp}).Check(importPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return nil, imported, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
+		return nil, fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
 	}
-	found, facts, err := analysis.RunAnalyzers(analyzers, fset, files, pkg, info, imported)
+	found, err := analysis.RunAnalyzers(analyzers, fset, files, pkg, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", cfg.ImportPath, err)
+		return nil, fmt.Errorf("%s: %v", cfg.ImportPath, err)
 	}
-	return found, facts, nil
+	return found, nil
 }

@@ -14,7 +14,7 @@
 // (DESIGN §6.1).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
-// API (Analyzer, Pass, Diagnostic, Facts) but is implemented on the standard
+// API (Analyzer, Pass, Diagnostic) but is implemented on the standard
 // library only (go/ast, go/types, go/importer), so the repository keeps
 // its zero-dependency go.mod and the gate runs in offline builds.
 // cmd/simlint drives these analyzers as a `go vet -vettool`
@@ -96,91 +96,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Imported holds the facts of every package Pkg imports, directly or
-	// not.
-	Imported Facts
-
 	diagnostics []Diagnostic
-	exported    map[string]string
-}
-
-// Facts are what the analysis of one package tells the analyses of the
-// packages importing it — the stdlib mirror of go/analysis facts, cut to
-// what the contract analyzers need: the directive on an exported function,
-// method or struct field, so that a use site in another package is held to
-// the annotation its declaring package wrote. Facts map a package path to
-// that package's object keys ("F", "T.M", "T.f"; see packageObjects) and
-// each key to its fact ("lane:stopped", ...). cmd/simlint carries them
-// between packages in the vet.cfg facts files, re-exporting what each
-// package imported so the facts of indirect dependencies arrive too.
-type Facts map[string]map[string]string
-
-// ExportFacts records, for every exported function, method and struct
-// field Pkg declares, the fact fact returns for it ("" for none).
-func (p *Pass) ExportFacts(fact func(types.Object) string) {
-	packageObjects(p.Pkg, func(key string, obj types.Object) {
-		if v := fact(obj); v != "" {
-			p.exported[key] = v
-		}
-	})
-}
-
-// ImportedFacts resolves Imported to the objects it names.
-func (p *Pass) ImportedFacts() map[types.Object]string {
-	out := make(map[types.Object]string)
-	seen := make(map[*types.Package]bool)
-	var visit func(pkgs []*types.Package)
-	visit = func(pkgs []*types.Package) {
-		for _, pkg := range pkgs {
-			if seen[pkg] {
-				continue
-			}
-			seen[pkg] = true
-			if facts := p.Imported[pkg.Path()]; facts != nil {
-				packageObjects(pkg, func(key string, obj types.Object) {
-					if v := facts[key]; v != "" {
-						out[obj] = v
-					}
-				})
-			}
-			visit(pkg.Imports())
-		}
-	}
-	visit(p.Pkg.Imports())
-	return out
-}
-
-// packageObjects calls fn for every exported package-level function and
-// every exported method and struct field of a package-level named type of
-// pkg, with its key: "F", "T.M", "T.f". Only those can be named from
-// another package (a promoted field or method is the declaring type's).
-func packageObjects(pkg *types.Package, fn func(key string, obj types.Object)) {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		switch obj := scope.Lookup(name).(type) {
-		case *types.Func:
-			if obj.Exported() {
-				fn(name, obj)
-			}
-		case *types.TypeName:
-			named, ok := obj.Type().(*types.Named)
-			if !ok || obj.IsAlias() {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					fn(name+"."+m.Name(), m)
-				}
-			}
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() {
-						fn(name+"."+f.Name(), f)
-					}
-				}
-			}
-		}
-	}
 }
 
 // A Diagnostic is one finding, positioned in the analyzed source.
@@ -229,28 +145,21 @@ func NewInfo() *types.Info {
 }
 
 // RunAnalyzers runs each analyzer over the package held by the template
-// pass fields (Fset, Files, Pkg, TypesInfo), with the facts its imports
-// exported, drops findings suppressed by //lint:allow directives, and
-// returns the surviving findings sorted by position together with the
-// facts to hand the package's importers: its own and everything it
-// imported. Malformed suppression directives are themselves reported as
+// pass fields (Fset, Files, Pkg, TypesInfo), drops findings suppressed by
+// //lint:allow directives, and returns the surviving findings sorted by
+// position. Malformed suppression directives are themselves reported as
 // findings of the pseudo-analyzer "allow-directive".
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, imported Facts) ([]Finding, Facts, error) {
+func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
 	sup, bad := suppressionIndex(fset, files)
 
-	facts := Facts{pkg.Path(): {}}
-	for path, f := range imported {
-		facts[path] = f
-	}
 	var findings []Finding
 	for _, d := range bad {
 		findings = append(findings, Finding{Position: fset.Position(d.Pos), Analyzer: d.Analyzer, Message: d.Message})
 	}
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info,
-			Imported: imported, exported: facts[pkg.Path()]}
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 		if err := runProtected(a, pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", a.Name, err)
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 		for _, d := range pass.diagnostics {
 			pos := fset.Position(d.Pos)
@@ -270,10 +179,7 @@ func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 		}
 		return a.Column < b.Column
 	})
-	if len(facts[pkg.Path()]) == 0 {
-		delete(facts, pkg.Path())
-	}
-	return findings, facts, nil
+	return findings, nil
 }
 
 // runProtected runs one analyzer, converting a panic into an error that

@@ -14,8 +14,7 @@
 // unexpected diagnostic. Fixture imports resolve against sibling fixture
 // packages first (so stubs named "mobile", "des", "protocol" stand in
 // for the real packages) and against the standard library via compiler
-// export data otherwise; the analyzer runs over the imported fixtures
-// first, and their facts reach the package under test.
+// export data otherwise.
 package analysistest
 
 import (
@@ -54,8 +53,7 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgpaths ...string)
 	}
 }
 
-// analyze loads fixture path and runs a over it with the facts a exports
-// for the fixtures it imports, as cmd/simlint hands them over.
+// analyze loads fixture path and runs a over it.
 func analyze(srcRoot string, a *analysis.Analyzer, path string) (*fixture, []analysis.Finding, error) {
 	l := loaderFor(srcRoot)
 	l.mu.Lock()
@@ -64,28 +62,8 @@ func analyze(srcRoot string, a *analysis.Analyzer, path string) (*fixture, []ana
 	if err != nil {
 		return nil, nil, err
 	}
-	findings, _, err := l.run(a, lp)
+	findings, err := analysis.RunAnalyzers([]*analysis.Analyzer{a}, lp.Fset, lp.Files, lp.Pkg, lp.Info)
 	return lp, findings, err
-}
-
-// run analyzes one loaded fixture, first computing the facts of the
-// fixtures it imports (recursively). Called with l.mu held.
-func (l *loader) run(a *analysis.Analyzer, lp *fixture) ([]analysis.Finding, analysis.Facts, error) {
-	imported := analysis.Facts{}
-	for _, imp := range lp.Pkg.Imports() {
-		dep, isFixture := l.fixtures[imp.Path()]
-		if !isFixture {
-			continue // the standard library exports no facts
-		}
-		_, facts, err := l.run(a, dep)
-		if err != nil {
-			return nil, nil, err
-		}
-		for pkg, f := range facts {
-			imported[pkg] = f
-		}
-	}
-	return analysis.RunAnalyzers([]*analysis.Analyzer{a}, lp.Fset, lp.Files, lp.Pkg, lp.Info, imported)
 }
 
 // check compares findings against the fixture's want comments.

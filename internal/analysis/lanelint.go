@@ -32,12 +32,9 @@ import (
 //     — global engine state that only the stop-the-world phases may
 //     touch.
 //
-// The annotations bind across packages: lanelint exports the //lane:
-// directive of every exported function, method and field as a fact (see
-// Facts), so a handler in internal/sim that calls a //lane:stopped method
-// of internal/protoside, or writes one of its fields, is reported as if
-// both lived in one package. //lane:handler needs no fact: a handler's
-// body is checked where it is declared.
+// The annotations bind within their package: the lane handlers and the
+// state they shard live in internal/pdes and internal/sim, and the
+// protocol side they feed runs on the coordinator, never on a lane.
 //
 // Like guardlint, the analyzer skips _test.go files.
 var Lanelint = &Analyzer{
@@ -48,9 +45,8 @@ var Lanelint = &Analyzer{
 		"//lane:stopped state, no calls of //lane:stopped\n" +
 		"functions, no whole-value copies of //lane:shard elements, and no\n" +
 		"writes to unsharded scalar fields of a shard-owning struct.",
-	// The lane-sharded engines, and the protocol side the sim engine's
-	// lane handlers drive.
-	Include: []string{"internal/pdes", "internal/sim", "internal/protoside"},
+	// The lane-sharded engines.
+	Include: []string{"internal/pdes", "internal/sim"},
 	Run:     runLanelint,
 }
 
@@ -58,21 +54,6 @@ func runLanelint(pass *Pass) error {
 	an := collectAnnotations(pass)
 	an.report(pass, "lane")
 	l := &lanelintPass{pass: pass, an: an, shardOwnerField: shardOwnerFields(an)}
-	pass.ExportFacts(l.fact)
-	for obj, fact := range pass.ImportedFacts() {
-		switch fact {
-		case factStopped:
-			if _, isFunc := obj.(*types.Func); isFunc {
-				an.funcs[obj] = &FuncAnnot{LaneStopped: true}
-			} else {
-				an.fields[obj] = &FieldAnnot{LaneStopped: true}
-			}
-		case factShard:
-			an.fields[obj] = &FieldAnnot{LaneShard: true}
-		case factOwned:
-			l.shardOwnerField[obj] = true
-		}
-	}
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f) {
 			continue
@@ -125,32 +106,6 @@ func shardOwnerFields(an *Annotations) map[types.Object]bool {
 		}
 	}
 	return owned
-}
-
-// The facts lanelint exports, one per object, in the order checkWrite
-// tests them: a field of a shard-owning struct that is itself stopped or
-// sharded is exported as that.
-const (
-	factStopped = "lane:stopped"
-	factShard   = "lane:shard"
-	factOwned   = "lane:owned" // unannotated field of a shard-owning struct
-)
-
-// fact is the lane fact of one of the package's own objects ("" for
-// none): what a handler in an importing package must honour.
-func (l *lanelintPass) fact(obj types.Object) string {
-	if fa := l.an.funcs[obj]; fa != nil && fa.LaneStopped {
-		return factStopped
-	}
-	if fa := l.an.fields[obj]; fa != nil && fa.LaneStopped {
-		return factStopped
-	} else if fa != nil && fa.LaneShard {
-		return factShard
-	}
-	if l.shardOwnerField[obj] {
-		return factOwned
-	}
-	return ""
 }
 
 // isLaneSchedule reports whether call is pdes.Core.Schedule — the

@@ -35,7 +35,7 @@ func TestDefaultConfigScopes(t *testing.T) {
 		{Guardlint, "mobickpt/internal/protoside", false},
 		{Lanelint, "mobickpt/internal/pdes", true},
 		{Lanelint, "mobickpt/internal/sim", true},
-		{Lanelint, "mobickpt/internal/protoside", true}, // the protocol side the engine's lanes drive
+		{Lanelint, "mobickpt/internal/protoside", false}, // the protocol side runs on the coordinator, never on a lane
 		{Lanelint, "mobickpt/internal/live", false},
 
 		// poollint polices pool consumers, not the pool owner. The

@@ -149,7 +149,7 @@ func TestMalformedDirectiveSurvivesAsFinding(t *testing.T) {
 //lint:allow simlint/detlint
 var a int
 `)
-	findings, _, err := RunAnalyzers(All(), fset, files, types.NewPackage("p", "p"), NewInfo(), nil)
+	findings, err := RunAnalyzers(All(), fset, files, types.NewPackage("p", "p"), NewInfo())
 	if err != nil {
 		t.Fatalf("RunAnalyzers: %v", err)
 	}

@@ -1,7 +1,5 @@
 package sim
 
-import "scratch/internal/protoside"
-
 // LaneState deliberately writes world-stopped state from a
 // //lane:handler function: lanelint must flag it.
 type LaneState struct {
@@ -16,16 +14,4 @@ type LaneState struct {
 func (l *LaneState) Tick(i int) {
 	l.shards[i]++
 	l.epoch++
-}
-
-// Engine drives a protocol side declared in another package; its handler
-// calls one of that package's world-stopped methods, and lanelint must
-// flag it through the facts cmd/go carries between the two packages.
-type Engine struct {
-	protoside.Side
-}
-
-//lane:handler
-func (e *Engine) Send() {
-	e.SetCauseAll("send")
 }

@@ -4,7 +4,6 @@ package lane_bad
 
 import (
 	"des"
-	"lane_dep"
 	"pdes"
 )
 
@@ -62,26 +61,4 @@ func (e *Engine) escape() {
 //lane:handler
 func (e *Engine) onTimer(s *des.Simulator) {
 	s.Again(1) // want "des.Simulator.Again called inside a pdes lane handler"
-}
-
-// World drives a protocol side declared in another package: its handlers
-// are held to that package's annotations, promoted or not.
-type World struct {
-	lane_dep.Side
-	side *lane_dep.Side
-}
-
-//lane:handler
-func (w *World) onRemote(i int) {
-	w.Lanes[i].Ev++             // own shard element, indexed: fine
-	w.Slots[i] = 1              // container element: fine
-	w.OnEvent()                 // handler: fine
-	w.Epoch = 1                 // want "write to world-stopped field .Epoch. from lane-handler code"
-	w.side.Seq++                // want "write to unsharded field .Seq. of a shard-owning struct"
-	w.Lanes = nil               // want "reassignment of lane-shard field .Lanes. from lane-handler code"
-	for _, l := range w.Lanes { // want "range over lane-shard field .Lanes. copies each struct element"
-		_ = l
-	}
-	w.SetAll("x")          // want "call of world-stopped function SetAll from lane-handler code"
-	lane_dep.Reset(w.side) // want "call of world-stopped function Reset from lane-handler code"
 }

@@ -386,7 +386,7 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		c.wired[s] = newMailbox()
 	}
 	hist := trace.NewHistory(cfg.Hosts, cfg.Stations)
-	c.side = protoside.New(1, 1, hist, cfg.Metrics, cfg.Timeline, func(mobile.HostID) des.Time {
+	c.side = protoside.New(1, hist, cfg.Metrics, cfg.Timeline, func() des.Time {
 		// The side reads the clock only from inside a protocol event.
 		//
 		//locks:held mu

@@ -19,11 +19,10 @@ import (
 // seed), Export produces byte-identical output across runs — and across
 // execution engines: every event carries a per-track sequence number
 // assigned at record time, and Export orders the stream canonically by
-// (track, sequence). Parallel lanes emit each track's events in the
-// same deterministic order the sequential engine does (each track is
-// written by exactly one goroutine at a time), so the per-track
+// (track, sequence). The lane engine emits each track's events in the
+// same deterministic order the sequential engine does, so the per-track
 // subsequences agree and the canonical order erases the cross-track
-// interleaving that depends on lane scheduling.
+// interleaving, which depends on the lane count.
 //
 // A nil *Timeline discards all records, so engines can call it
 // unconditionally. The struct is safe for concurrent use.

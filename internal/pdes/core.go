@@ -31,12 +31,11 @@ type CoreConfig struct {
 	// any state. Both nil when there is no global timeline.
 	GlobalNext func() (des.Time, bool)
 	GlobalStep func()
-	// Timeline, when non-nil, receives lane-level spans (windows,
-	// serialized write steps, global events) emitted by the coordinator.
-	// All content is virtual-time stamped, but which spans exist depends
-	// on the lane count — this is an engine-internals surface, distinct
-	// from the engine-independent per-host timeline the world model keeps.
-	Timeline *obs.Timeline
+	// Parked, when non-nil, runs on the coordinator after every window
+	// and every serialized write step, with every lane parked: where a
+	// world does, on one goroutine, what its lane handlers only recorded.
+	// So a global step, and the end of Run, always follow a Parked call.
+	Parked func()
 	// Probe, when non-nil, receives per-lane internals counters; NewCore
 	// sizes its slices to Lanes and attaches the queue probes. Read it
 	// only after Run has returned.
@@ -384,17 +383,23 @@ func (c *Core) globalNext() float64 {
 	return math.Inf(1)
 }
 
+// parked runs CoreConfig.Parked, if set, with every lane parked.
+//
+//lane:stopped runs on the coordinator between windows
+func (c *Core) parked() {
+	if c.cfg.Parked != nil {
+		c.cfg.Parked()
+	}
+}
+
 // globalStep executes one world-stopped global event.
 //
 //lane:stopped runs on the coordinator with every lane parked at or beyond g
-func (c *Core) globalStep(g float64) {
+func (c *Core) globalStep() {
 	c.inGlobal = true
 	c.cfg.GlobalStep()
 	c.inGlobal = false
 	c.stats.GlobalEvents.Add(1)
-	if tl := c.cfg.Timeline; tl != nil {
-		tl.Instant(g, -1, "global")
-	}
 }
 
 // Run executes the world to the horizon and returns once every lane has
@@ -408,13 +413,23 @@ func (c *Core) globalStep(g float64) {
 // W = min(m+lookahead, write horizon, global, horizon) and let every
 // lane execute its events below W in parallel. No cross-lane message
 // can land inside an open window (arrivals are at least m+lookahead),
-// so lanes never need to look at their mailboxes mid-window.
+// so lanes never need to look at their mailboxes mid-window. A panic on
+// the coordinator — in a global step, a write step or Parked, all run
+// with every lane parked — stops the lanes before it leaves Run.
 func (c *Core) Run() {
 	c.inGlobal = false
 	for _, l := range c.lanes {
 		c.wg.Add(1)
 		go c.laneWindows(l)
 	}
+	defer func() {
+		for _, l := range c.lanes {
+			close(l.cmd)
+		}
+		c.wg.Wait()
+		c.inGlobal = true
+		c.stats.Processed.Store(c.Fired())
+	}()
 	inf := math.Inf(1)
 	for {
 		var best *equeue.Entry
@@ -437,7 +452,7 @@ func (c *Core) Run() {
 		if g < c.hb && g <= m {
 			// Global first on ties: the sequential engine schedules
 			// markers/ticks/joins before the lane events they spawn.
-			c.globalStep(g)
+			c.globalStep()
 			continue
 		}
 		if m >= c.hb {
@@ -449,9 +464,7 @@ func (c *Core) Run() {
 			// run it alone on the coordinator while every lane is parked.
 			bl.exec(bl.q.Pop().E.(*laneEvent))
 			c.stats.SerialSteps.Add(1)
-			if tl := c.cfg.Timeline; tl != nil {
-				tl.Instant(m, bl.id, "write-step")
-			}
+			c.parked()
 			continue
 		}
 		for _, l := range c.lanes {
@@ -461,16 +474,8 @@ func (c *Core) Run() {
 			<-c.done
 		}
 		c.stats.Windows.Add(1)
-		if tl := c.cfg.Timeline; tl != nil {
-			tl.Span(m, w-m, -1, "window")
-		}
+		c.parked()
 	}
-	for _, l := range c.lanes {
-		close(l.cmd)
-	}
-	c.wg.Wait()
-	c.inGlobal = true
-	c.stats.Processed.Store(c.Fired())
 }
 
 // laneWindows is the lane worker: execute everything below each

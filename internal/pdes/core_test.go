@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mobickpt/internal/des"
-	"mobickpt/internal/obs"
 )
 
 // splitmix is the toy world's per-owner rng step (SplitMix64).
@@ -146,10 +145,13 @@ func runToySequential(t *testing.T, n int, look des.Time) (*toyWorld, uint64) {
 	return w, sim.Fired()
 }
 
-func runToyCore(t *testing.T, n int, look des.Time, lanes int, tl *obs.Timeline) (*toyWorld, uint64, *Stats) {
+// runToyCore runs the toy world on lanes lanes and returns it, the
+// events fired, the core's stats and how often the core called Parked.
+func runToyCore(t *testing.T, n int, look des.Time, lanes int) (*toyWorld, uint64, *Stats, uint64) {
 	t.Helper()
 	w := newToyWorld(n, look)
 	gsim := des.NewWith(des.QueueHeap)
+	var parked uint64
 	var c *Core
 	c, err := NewCore(CoreConfig{
 		Lanes:     lanes,
@@ -159,7 +161,7 @@ func runToyCore(t *testing.T, n int, look des.Time, lanes int, tl *obs.Timeline)
 			return gsim.NextTime()
 		},
 		GlobalStep: func() { gsim.Step() },
-		Timeline:   tl,
+		Parked:     func() { parked++ },
 	})
 	if err != nil {
 		t.Fatalf("NewCore: %v", err)
@@ -173,7 +175,7 @@ func runToyCore(t *testing.T, n int, look des.Time, lanes int, tl *obs.Timeline)
 	// Advance the global clock over any tail with no global events, as
 	// the engine does after a parallel run.
 	gsim.Run(toyHorizon)
-	return w, c.Fired() + gsim.Fired(), c.Stats()
+	return w, c.Fired() + gsim.Fired(), c.Stats(), parked
 }
 
 // TestCoreEquivalence checks that the parallel driver reproduces the
@@ -186,7 +188,7 @@ func TestCoreEquivalence(t *testing.T) {
 	ref, refFired := runToySequential(t, n, look)
 	want := ref.fingerprint()
 	for _, lanes := range []int{1, 2, 3, 4} {
-		w, fired, st := runToyCore(t, n, look, lanes, nil)
+		w, fired, st, parked := runToyCore(t, n, look, lanes)
 		if got := w.fingerprint(); got != want {
 			t.Errorf("lanes=%d: fingerprint %x, want %x", lanes, got, want)
 		}
@@ -202,19 +204,9 @@ func TestCoreEquivalence(t *testing.T) {
 		if st.SerialSteps.Load() == 0 {
 			t.Errorf("lanes=%d: no serialized write steps", lanes)
 		}
-	}
-}
-
-// TestCoreTimeline checks that the coordinator emits deterministic
-// lane-level timeline content.
-func TestCoreTimeline(t *testing.T) {
-	tl := obs.NewTimeline()
-	_, _, st := runToyCore(t, 16, 0.05, 2, tl)
-	if st.Windows.Load() == 0 {
-		t.Fatal("no windows recorded")
-	}
-	if tl.Len() == 0 {
-		t.Fatal("timeline is empty")
+		if want := st.Windows.Load() + st.SerialSteps.Load(); parked != want {
+			t.Errorf("lanes=%d: Parked called %d times, want one per window and write step (%d)", lanes, parked, want)
+		}
 	}
 }
 

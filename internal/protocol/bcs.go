@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"sync/atomic"
-
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
 )
@@ -20,12 +18,10 @@ type IndexPiggyback int
 // disconnection) increments sn_i. QBC changes only the basic rule, MS
 // only adds a timer to it.
 type indexed struct {
-	name string
-	ckpt Checkpointer
-	sn   []int
-	// piggyback is atomic: under parallel execution OnSend runs on
-	// concurrently executing lanes.
-	piggyback atomic.Int64
+	name      string
+	ckpt      Checkpointer
+	sn        []int
+	piggyback int64 // bytes piggybacked so far
 	indexBox
 }
 
@@ -39,7 +35,6 @@ func (x *indexed) Name() string { return x.name }
 // Init implements Protocol: the first checkpoint of every host gets
 // sequence number 0.
 func (x *indexed) Init() {
-	x.grow(0)
 	for i := range x.sn {
 		x.sn[i] = 0
 		x.ckpt(mobile.HostID(i), 0, storage.Initial)
@@ -49,7 +44,7 @@ func (x *indexed) Init() {
 // OnSend implements Protocol: the current sequence number rides on the
 // message.
 func (x *indexed) OnSend(from, to mobile.HostID) any {
-	x.piggyback.Add(intSize)
+	x.piggyback += intSize
 	return x.box(x.sn[from])
 }
 
@@ -72,7 +67,6 @@ func (x *indexed) force(h mobile.HostID, msn int) {
 // bump takes a basic checkpoint with an incremented index.
 func (x *indexed) bump(h mobile.HostID) {
 	x.sn[h]++
-	x.grow(x.sn[h])
 	x.ckpt(h, x.sn[h], storage.Basic)
 }
 
@@ -87,7 +81,7 @@ func (x *indexed) OnDisconnect(h mobile.HostID) { x.bump(h) }
 func (x *indexed) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
 
 // PiggybackBytes implements Protocol.
-func (x *indexed) PiggybackBytes() int64 { return x.piggyback.Load() }
+func (x *indexed) PiggybackBytes() int64 { return x.piggyback }
 
 // OnJoin implements Protocol. An index protocol admits a host for free:
 // it starts at index 0 with its initial checkpoint, and the first message

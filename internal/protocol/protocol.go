@@ -96,23 +96,13 @@ type indexBox struct {
 	cache []any
 }
 
-// box returns the interned boxed value of IndexPiggyback(sn).
+// box returns the interned boxed value of IndexPiggyback(sn), growing the
+// cache to cover sn first.
 func (b *indexBox) box(sn int) any {
-	b.grow(sn)
-	return b.cache[sn]
-}
-
-// grow ensures the cache covers index sn. Under parallel execution box is
-// called from concurrently executing lane handlers (OnSend), so growth
-// must already have happened: the index protocols call grow at every site
-// that raises a sequence number under exclusion (Init and the fenced
-// basic checkpoints; a joiner starts at the 0 Init boxed) — forced
-// checkpoints only adopt indices the sender already boxed — leaving box a
-// pure read on the send path.
-func (b *indexBox) grow(sn int) {
 	for len(b.cache) <= sn {
 		b.cache = append(b.cache, IndexPiggyback(len(b.cache)))
 	}
+	return b.cache[sn]
 }
 
 // Initiator is implemented by coordinated protocols that need a periodic

@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"sync/atomic"
-
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
 )
@@ -28,9 +26,9 @@ type QBC struct {
 	// may be nil when the environment does not track supersession.
 	store *storage.Store
 	rn    []int
-	// replacements only changes at fenced basic checkpoints but is atomic
-	// like the core's piggyback counter, for uniform reading.
-	replacements atomic.Int64
+	// replacements counts the basic checkpoints that replaced their
+	// predecessor.
+	replacements int64
 }
 
 // NewQBC creates a QBC instance for n hosts. store may be nil; when
@@ -70,7 +68,7 @@ func (q *QBC) basic(h mobile.HostID) {
 		return
 	}
 	rec := q.ckpt(h, q.sn[h], storage.Basic)
-	q.replacements.Add(1)
+	q.replacements++
 	if q.store != nil {
 		q.store.Supersede(rec)
 	}
@@ -94,4 +92,4 @@ func (q *QBC) ReceiveNumber(h mobile.HostID) int { return q.rn[h] }
 // Replacements returns how many basic checkpoints replaced their
 // predecessor instead of opening a new index (the benefit of the
 // equivalence rule; tracked for the ablation bench).
-func (q *QBC) Replacements() int64 { return q.replacements.Load() }
+func (q *QBC) Replacements() int64 { return q.replacements }

@@ -3,7 +3,6 @@ package protocol
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
@@ -63,14 +62,12 @@ const tpChunks = 27
 // tpStations is the station table of one host: entry k is the MSS its
 // k-th checkpoint was taken at. It is all TP keeps of LOC — LOC[j] is
 // always the station of the CKPT[j]-th checkpoint of host j — so the
-// vectors, frames and logs hold CKPT alone. Only the host's own lane
-// appends; any lane reads. Chunk i holds the entries from 16(2^i - 1) on
-// and is never reallocated, so an entry never moves once it is written;
-// count is published after the entry it covers. A reader that learned of
-// checkpoint k — through a vector that names it, or by loading count —
-// therefore reads its station without a lock.
+// vectors, frames and logs hold CKPT alone. Chunk i holds the entries
+// from 16(2^i - 1) on and is never reallocated, so an entry never moves
+// once it is written: a view that names checkpoint k reads its station
+// wherever the view goes, while the host appends.
 type tpStations struct {
-	count  atomic.Int32
+	count  int32
 	chunks [tpChunks]*[]int32
 }
 
@@ -83,7 +80,7 @@ func (s *tpStations) slot(k int) (i, off int) {
 // add records the station of the host's next checkpoint and returns that
 // checkpoint's index.
 func (s *tpStations) add(mss mobile.MSSID) int {
-	k := int(s.count.Load())
+	k := int(s.count)
 	i, off := s.slot(k)
 	if i >= tpChunks || mobile.MSSID(int32(mss)) != mss {
 		panic("protocol: TP checkpoint index or station does not fit in 32 bits")
@@ -93,7 +90,7 @@ func (s *tpStations) add(mss mobile.MSSID) int {
 		s.chunks[i] = &c
 	}
 	(*s.chunks[i])[off] = int32(mss)
-	s.count.Store(int32(k + 1))
+	s.count++
 	return k
 }
 
@@ -122,7 +119,7 @@ func locations(stations []*tpStations, ckpt vclock.Vector) vclock.Vector {
 // and every host's station table as the slice of them stood then. Frames
 // are never written after they are built, a log array is only written
 // past every prefix taken of it and a table never moves an entry, so a
-// view costs O(1) to take, is immutable, and may be read from any lane
+// view costs O(1) to take, is immutable, and may be read from any goroutine
 // while the hosts move on.
 type TPView struct {
 	// frame is the host's CKPT vector when its log array was made, or
@@ -147,9 +144,8 @@ func (v *TPView) Dense() TPPiggyback {
 	return TPPiggyback{Ckpt: ckpt, Loc: locations(v.stations, ckpt)}
 }
 
-// tpHost is one host's protocol state. Only the lane that owns the host
-// touches it; what other lanes see of it are TPViews and its station
-// table.
+// tpHost is one host's protocol state. What other hosts see of it are
+// TPViews and its station table.
 type tpHost struct {
 	phase Phase
 	// vec[j] = index of the last checkpoint of host j that this host's
@@ -180,7 +176,7 @@ type tpCheckpoint struct {
 }
 
 // tail is the free tail of the host's log array: past every view's
-// prefix, so no other lane reads it, and where a merge writes the records
+// prefix, so no view reads it, and where a merge writes the records
 // of the entries it raises.
 func (s *tpHost) tail() []tpChange { return s.log[len(s.log):cap(s.log)] }
 
@@ -241,7 +237,7 @@ func (s *tpHost) merge(pb TPPiggyback, stations []*tpStations) {
 	}
 	for j, x := range pb.Ckpt {
 		known := x == -1 && pb.Loc[j] == -1 ||
-			x >= 0 && x < int(stations[j].count.Load()) && pb.Loc[j] == stations[j].at(x)
+			x >= 0 && x < int(stations[j].count) && pb.Loc[j] == stations[j].at(x)
 		if !known {
 			panic("protocol: TP piggyback names a checkpoint or station its host never recorded")
 		}
@@ -297,9 +293,9 @@ type TP struct {
 	// but never moves a table, so a view reads the slice it captured.
 	stations []*tpStations
 
-	snapCopies atomic.Int64
-	snapReuses atomic.Int64
-	piggyback  atomic.Int64
+	snapCopies int64
+	snapReuses int64
+	piggyback  int64
 }
 
 // NewTP creates a TP instance for n hosts. ckpt records checkpoints;
@@ -358,14 +354,14 @@ func (t *TP) view(s *tpHost) TPView {
 func (t *TP) OnSend(from, to mobile.HostID) any {
 	s := &t.hosts[from]
 	s.phase = SEND
-	t.piggyback.Add(int64(2 * len(t.hosts) * intSize))
+	t.piggyback += int64(2 * len(t.hosts) * intSize)
 	if s.sent != nil {
-		t.snapReuses.Add(1)
+		t.snapReuses++
 		return s.sent
 	}
 	v := t.view(s)
 	s.sent = &v
-	t.snapCopies.Add(1)
+	t.snapCopies++
 	return s.sent
 }
 
@@ -375,7 +371,7 @@ func (t *TP) OnSend(from, to mobile.HostID) any {
 // reuses the sends that shared the previous send's view. Their sum is
 // the number of sends.
 func (t *TP) SnapshotStats() (copies, reuses int64) {
-	return t.snapCopies.Load(), t.snapReuses.Load()
+	return t.snapCopies, t.snapReuses
 }
 
 // OnDeliver implements Protocol: a delivery in SEND phase forces a
@@ -416,7 +412,7 @@ func (t *TP) OnDisconnect(h mobile.HostID) {
 func (t *TP) OnReconnect(h mobile.HostID, at mobile.MSSID) {}
 
 // PiggybackBytes implements Protocol.
-func (t *TP) PiggybackBytes() int64 { return t.piggyback.Load() }
+func (t *TP) PiggybackBytes() int64 { return t.piggyback }
 
 // OnJoin implements Protocol. Admitting a host into TP is expensive:
 // every existing host's dependency vectors gain a component, which in a

@@ -320,14 +320,13 @@ func (a tpHostState) diff(b tpHostState) string {
 	return ""
 }
 
-// tpDelivery is a delivery handed to the second goroutine.
+// tpDelivery is a delivery the TP under test has not made yet.
 type tpDelivery struct {
 	step int
 	op   tpOp
-	pb   any           // what the TP under test returned from OnSend
-	sent []byte        // its wire encoding when it was sent
-	want tpHostState   // the reference's receiver after the delivery
-	done chan struct{} // closed once the receiver is free again
+	pb   any         // what the TP under test returned from OnSend
+	sent []byte      // its wire encoding when it was sent
+	want tpHostState // the reference's receiver after the delivery
 }
 
 // TestTPMatchesDenseOracle drives protocol.TP and the dense reference
@@ -335,11 +334,11 @@ type tpDelivery struct {
 // host the step touched, the checkpoint calls made for it, the vectors
 // recorded with its newest checkpoint and the wire bytes of every
 // piggyback — and at the end the vectors recorded with every checkpoint
-// ever taken. TP's deliveries run on a second goroutine while this one
-// goes on with the script, waiting for a delivery only before it next
-// touches the receiver — one lane delivering while another moves the
-// sender on — so under -race the detector, not an argument, checks that
-// a view in flight shares no word its sender still writes.
+// ever taken. TP makes each delivery late: just before the script next
+// touches the receiver, while the script has moved the sender and every
+// other host on meanwhile. The delivered view must still encode as it
+// did when it was sent, so a view in flight shares no word its sender
+// still writes.
 func TestTPMatchesDenseOracle(t *testing.T) {
 	for _, c := range []struct{ n, steps int }{{2, 3000}, {10, 6000}, {64, 12000}, {1000, 30000}} {
 		t.Run(fmt.Sprint("n", c.n), func(t *testing.T) {
@@ -354,46 +353,38 @@ func TestTPMatchesDenseOracle(t *testing.T) {
 func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 	got, want := newTPWorld(n, false), newTPWorld(n, true)
 
-	deliveries := make(chan *tpDelivery)
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		for d := range deliveries {
-			// The sender may be checkpointing, merging and starting a new
-			// log array on the other goroutine right now.
-			now, err := wire.AppendPiggyback(nil, d.pb)
-			if err != nil || !bytes.Equal(now, d.sent) {
-				t.Errorf("step %d: message %d no longer encodes as it did when sent (err %v)", d.step, d.op.msg, err)
-			}
-			pb := d.pb
-			if d.op.dense {
-				if pb, _, err = wire.DecodePiggyback(d.sent); err != nil {
-					t.Errorf("step %d: decode: %v", d.step, err)
-				}
-			}
-			got.tp.OnDeliver(d.op.h, d.op.peer, pb)
-			if diff := got.observe(d.op.h).diff(d.want); diff != "" {
-				t.Errorf("step %d: host %d after delivery of message %d: %s", d.step, d.op.h, d.op.msg, diff)
-			}
-			close(d.done)
-		}
-	}()
-	busy := map[mobile.HostID]chan struct{}{}
+	// pending holds, per receiver, the delivery TP has not made yet. It is
+	// made just before the script next touches the receiver, or at a join,
+	// which touches every host.
+	pending := map[mobile.HostID]*tpDelivery{}
 	settle := func(h mobile.HostID) {
-		if done := busy[h]; done != nil {
-			<-done
-			delete(busy, h)
+		d := pending[h]
+		if d == nil {
+			return
+		}
+		delete(pending, h)
+		// The sender may have checkpointed, merged and started a new log
+		// array since it sent.
+		now, err := wire.AppendPiggyback(nil, d.pb)
+		if err != nil || !bytes.Equal(now, d.sent) {
+			t.Errorf("step %d: message %d no longer encodes as it did when sent (err %v)", d.step, d.op.msg, err)
+		}
+		pb := d.pb
+		if d.op.dense {
+			if pb, _, err = wire.DecodePiggyback(d.sent); err != nil {
+				t.Errorf("step %d: decode: %v", d.step, err)
+			}
+		}
+		got.tp.OnDeliver(d.op.h, d.op.peer, pb)
+		if diff := got.observe(d.op.h).diff(d.want); diff != "" {
+			t.Errorf("step %d: host %d after delivery of message %d: %s", d.step, d.op.h, d.op.msg, diff)
 		}
 	}
 	settleAll := func() {
-		for h := range busy {
+		for h := range pending {
 			settle(h)
 		}
 	}
-	defer func() {
-		close(deliveries)
-		<-exited
-	}()
 
 	type flight struct {
 		pb, ref any
@@ -433,13 +424,12 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 			f := flying[op.msg]
 			delete(flying, op.msg)
 			want.tp.OnDeliver(op.h, op.peer, f.ref)
-			d := &tpDelivery{step: step, op: op, pb: f.pb, sent: f.sent, want: want.observe(op.h), done: make(chan struct{})}
+			d := &tpDelivery{step: step, op: op, pb: f.pb, sent: f.sent, want: want.observe(op.h)}
 			track(op.h, d.want.dep)
 			if op.held {
 				survived = max(survived, (changes[op.peer]-f.changes)/len(d.want.dep))
 			}
-			busy[op.h] = d.done
-			deliveries <- d
+			pending[op.h] = d
 			continue
 		}
 		pb, ref := got.apply(op), want.apply(op)

@@ -14,6 +14,7 @@ package protoside
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 
@@ -38,67 +39,39 @@ type Side struct {
 	// world records one): every mirrored event appends one row to it
 	// before any protocol sees the event, whatever the slot count, and
 	// each slot's Trace is a view of it. Its position is what the decision
-	// logs stamp their entries with. Only single-lane worlds record one
-	// (the engine refuses RecordTrace on lanes).
+	// logs stamp their entries with.
 	Hist *trace.History
 
-	// now is the world's clock: the virtual time on host h's timeline
-	// when the event was mirrored (the engine's record time, which its
-	// world may have passed by the time the side runs). Only a
-	// lane-sharded engine has more than one; the checker and the
-	// end-of-run reconciliation, which such an engine refuses, read host
-	// 0's.
-	now func(h mobile.HostID) des.Time
+	// now is the world's clock: the virtual time of the event being
+	// mirrored (the engine's record time, which its world may have passed
+	// by the time the side runs).
+	now func() des.Time
 
-	// laneCount is 1 unless a parallel engine drives the side; the
-	// lane-sharded state below is indexed by owner % laneCount, mirroring
-	// pdes.Core's owner-to-lane map.
-	laneCount int
-
-	// causeLane names, per lane, the activity driving the protocol
-	// callbacks currently running there ("switch", "disconnect", ...); the
-	// checkpointer reads the acting host's lane slot to attribute each
-	// checkpoint to its trigger (E19). Global-phase activities (markers,
-	// ticks, joins, init) run world-stopped and stamp every slot.
-	// causesLane accumulates the per-lane, per-protocol breakdown, merged
-	// by Causes after the run. With one lane both reduce to a single cause
-	// string and map.
-	//
-	//lane:shard
-	causeLane []string
-	// causesLane is indexed [lane][proto][cause].
-	//
-	//lane:shard
-	causesLane [][]map[string]int64
+	// cause names the activity driving the protocol callbacks now running
+	// ("switch", "disconnect", "marker", ...); the checkpointer attributes
+	// each checkpoint to it (E19). causes tallies the checkpoints per
+	// protocol and cause.
+	cause  string
+	causes []map[string]int64
 
 	// Observability (nil unless the world passed a registry / timeline).
 	reg *obs.Registry
 	tl  *obs.Timeline
 	// discAt (timeline only) holds the disconnect start per host, -1
-	// when connected. Mobility transitions run as fenced write events —
-	// no lane handler window overlaps them — so the slice may grow.
-	//
-	//lane:stopped mobility transitions are fenced write events
+	// when connected.
 	discAt []des.Time
 
-	// flowLane/flowHostLane (timeline only) stash the message currently
-	// being delivered on each lane so the checkpointer can link the forced
-	// checkpoints that delivery induces into the same flow. Each slot is
-	// touched only by its lane's goroutine (or the world-stopped
-	// coordinator).
-	//
-	//lane:shard
-	flowLane []uint64
-	//lane:shard
-	flowHostLane []mobile.HostID
+	// flow/flowHost (timeline only) are the message being delivered and
+	// its receiver, -1 outside a delivery, so the checkpointer can link
+	// the forced checkpoints that delivery induces into the same flow.
+	flow     uint64
+	flowHost mobile.HostID
 }
 
 // Slot is one protocol's share of the run: all protocols ride the same
 // events, and everything that differs between them lives here. The world
 // chooses the store and which of the optional records to keep; the side
-// fills in the rest. Per-host tables (Counts, the forced-checkpoint
-// counters) are written by the host's lane; the GC and join tallies only
-// by world-stopped global events.
+// fills in the rest.
 type Slot struct {
 	Name  string // the protocol's own (Protocol.Name), set by InitSlot
 	Proto protocol.Protocol
@@ -213,32 +186,21 @@ func (s *Slot) FinishRecoveryLines() {
 	}
 }
 
-// New sizes a protocol side for protos slots driven from lanes lanes,
-// recording into hist and reading the world's clock now. hist, reg and tl
-// may be nil. The world fills the slots (InitSlot).
-func New(protos, lanes int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, now func(mobile.HostID) des.Time) Side {
+// New sizes a protocol side for protos slots, recording into hist and
+// reading the world's clock now. hist, reg and tl may be nil. The world
+// fills the slots (InitSlot).
+func New(protos int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, now func() des.Time) Side {
 	p := Side{
-		Slots:      make([]Slot, protos),
-		Hist:       hist,
-		now:        now,
-		laneCount:  lanes,
-		causeLane:  make([]string, lanes),
-		causesLane: make([][]map[string]int64, lanes),
-		reg:        reg,
-		tl:         tl,
+		Slots:    make([]Slot, protos),
+		Hist:     hist,
+		now:      now,
+		causes:   make([]map[string]int64, protos),
+		reg:      reg,
+		tl:       tl,
+		flowHost: -1,
 	}
-	for l := range p.causesLane {
-		p.causesLane[l] = make([]map[string]int64, protos)
-		for i := range p.causesLane[l] {
-			p.causesLane[l][i] = make(map[string]int64)
-		}
-	}
-	if tl != nil {
-		p.flowLane = make([]uint64, lanes)
-		p.flowHostLane = make([]mobile.HostID, lanes)
-		for i := range p.flowHostLane {
-			p.flowHostLane[i] = -1
-		}
+	for i := range p.causes {
+		p.causes[i] = make(map[string]int64)
 	}
 	return p
 }
@@ -267,11 +229,11 @@ func (p *Side) InitSlot(i, n int, s Slot, checks bool, mssOf func(mobile.HostID)
 	slot := &p.Slots[i]
 	slot.Proto, slot.Name = proto, proto.Name()
 	if checks {
-		slot.Check = check.NewRuntime(slot.Name, proto, slot.Store, func() des.Time { return p.now(0) })
+		slot.Check = check.NewRuntime(slot.Name, proto, slot.Store, p.now)
 	}
 	if slot.MLog != nil && p.tl != nil {
 		slot.MLog.OnFlush = func(h mobile.HostID, entries int) {
-			p.tl.Instant(float64(p.now(h)), int(h), "log-flush",
+			p.tl.Instant(float64(p.now()), int(h), "log-flush",
 				"proto", slot.Name, "entries", strconv.Itoa(entries))
 		}
 	}
@@ -285,15 +247,14 @@ func (p *Side) InitSlot(i, n int, s Slot, checks bool, mssOf func(mobile.HostID)
 func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) protocol.Checkpointer {
 	s := &p.Slots[i]
 	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
-		lane := p.LaneOf(h)
-		now := p.now(h)
+		now := p.now()
 		rec := s.Store.Take(h, mssOf(h), index, kind, now)
 		ordinal := s.Counts[h]
 		s.Counts[h]++
 		// The E19 classification is replaycmp's — the decision logs of the
 		// live cluster and of its replay compare on it.
-		key := replaycmp.CauseKey(kind, p.causeLane[lane])
-		p.causesLane[lane][i][key]++
+		key := replaycmp.CauseKey(kind, p.cause)
+		p.causes[i][key]++
 		if s.Dec != nil {
 			s.Dec.RecordCheckpoint(int(h), replaycmp.Checkpoint{
 				Seq: p.seq(), Ordinal: ordinal, Index: index, Kind: kind.String(), Cause: key,
@@ -323,10 +284,10 @@ func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) proto
 			p.tl.Instant(float64(now), int(h), "checkpoint",
 				"proto", s.Name, "kind", kind.String(), "cause", key,
 				"index", strconv.Itoa(index))
-			if kind == storage.Forced && p.flowHostLane[lane] == h {
-				// This forced checkpoint was induced by the message this
-				// lane is currently delivering: chain it into that flow.
-				p.tl.FlowStep(float64(now), int(h), "msg-flow", p.flowLane[lane])
+			if kind == storage.Forced && p.flowHost == h {
+				// This forced checkpoint was induced by the message being
+				// delivered: chain it into that flow.
+				p.tl.FlowStep(float64(now), int(h), "msg-flow", p.flow)
 			}
 		}
 		return rec
@@ -338,76 +299,14 @@ func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) proto
 // entries with. A world that keeps a decision log records a history.
 func (p *Side) seq() uint64 { return uint64(max(p.Hist.Len()-1, 0)) }
 
-// Presize prepares the side for lanes that run concurrently: the
-// checkpoint counters a lane handler may create are created now, and the
-// per-host forced-checkpoint table is grown to n hosts, so no lane writes
-// the cache map or regrows the table. A parallel engine calls it
-// world-stopped, after wiring and on every join; it does nothing without
-// a registry.
-//
-//lane:stopped
-func (p *Side) Presize(n int) {
-	if p.reg == nil {
-		return
-	}
-	for i := range p.Slots {
-		s := &p.Slots[i]
-		for _, key := range []string{"initial", "forced", "basic-switch", "basic-disconnect"} {
-			if s.ckptByCause[key] == nil {
-				s.ckptByCause[key] = p.reg.Counter("sim_checkpoints_total", "proto", s.Name, "cause", key)
-			}
-		}
-		for len(s.forcedHost) < n {
-			s.forcedHost = append(s.forcedHost, nil)
-		}
-	}
-}
-
-// Lanes is the number of lanes the side was sized for (New).
-func (p *Side) Lanes() int { return p.laneCount }
-
-// LaneOf maps a host to its lane shard: the one owner % P map pdes.Core
-// uses, so shard writes — the side's and the world's own — stay on the
-// executing lane.
-func (p *Side) LaneOf(h mobile.HostID) int { return int(h) % p.laneCount }
-
-// setCauseFor marks the activity about to drive protocol callbacks for
-// host h and returns the slot's previous value; restoreCauseFor puts it
-// back. Lane handlers only ever touch their own host's slot.
-//
-//lane:handler
-func (p *Side) setCauseFor(h mobile.HostID, c string) (prev string) {
-	s := p.LaneOf(h)
-	prev = p.causeLane[s]
-	p.causeLane[s] = c
+// SetCause marks the activity about to drive protocol callbacks and
+// returns the previous one; RestoreCause puts it back.
+func (p *Side) SetCause(c string) (prev string) {
+	prev, p.cause = p.cause, c
 	return prev
 }
 
-//lane:handler
-func (p *Side) restoreCauseFor(h mobile.HostID, prev string) {
-	p.causeLane[p.LaneOf(h)] = prev
-}
-
-// SetCauseAll stamps every lane's cause slot — legal only while
-// single-threaded (init and the world-stopped global phase, where a
-// marker or tick may checkpoint any host). RestoreCauseAll undoes it; no
-// lane handler runs in between, so clobbering lane-local values is moot.
-//
-//lane:stopped
-func (p *Side) SetCauseAll(c string) (prev string) {
-	prev = p.causeLane[0]
-	for i := range p.causeLane {
-		p.causeLane[i] = c
-	}
-	return prev
-}
-
-//lane:stopped
-func (p *Side) RestoreCauseAll(prev string) {
-	for i := range p.causeLane {
-		p.causeLane[i] = prev
-	}
-}
+func (p *Side) RestoreCause(prev string) { p.cause = prev }
 
 // Start names the n initial hosts' timeline tracks and takes every
 // protocol's initial checkpoints (cause "init").
@@ -417,7 +316,7 @@ func (p *Side) Start(n int) {
 			p.tl.SetTrack(h, fmt.Sprintf("MH %d", h))
 		}
 	}
-	defer p.RestoreCauseAll(p.SetCauseAll("init"))
+	defer p.RestoreCause(p.SetCause("init"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.Init()
@@ -433,14 +332,12 @@ func (p *Side) Start(n int) {
 // forced checkpoints) and every trace's send-side count, the sender's
 // post-OnSend position. It returns the message's ordinal in the history
 // (-1 without one), which the world hands back to OnDeliver.
-//
-//lane:handler
 func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
 	ord := int32(-1)
 	if p.Hist != nil {
-		ord = p.Hist.Send(from, to, id, p.now(from))
+		ord = p.Hist.Send(from, to, id, p.now())
 	}
-	prev := p.setCauseFor(from, "send") // restored below; this is the hot path, no defer
+	prev := p.SetCause("send") // restored below; this is the hot path, no defer
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		pb[i] = s.Proto.OnSend(from, to)
@@ -448,9 +345,9 @@ func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
 			s.Check.AfterSend(from, pb[i])
 		}
 	}
-	p.restoreCauseFor(from, prev)
+	p.RestoreCause(prev)
 	if p.tl != nil {
-		now := float64(p.now(from))
+		now := float64(p.now())
 		p.tl.Instant(now, int(from), "send",
 			"to", strconv.Itoa(int(to)), "msg", strconv.FormatUint(flow, 10))
 		p.tl.FlowBegin(now, int(from), "msg-flow", flow,
@@ -468,22 +365,18 @@ func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
 // delivered to h at station at, to every protocol and records the
 // receiver-side positions — trace, message log, decision log — after any
 // forced checkpoint.
-//
-//lane:handler
 func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, ord int32, pb []any, at mobile.MSSID) {
 	if p.Hist != nil {
 		p.Hist.Deliver(ord, id, now)
 	}
-	prev := p.setCauseFor(h, "deliver") // restored below; this is the hot path, no defer
-	lane := p.LaneOf(h)
+	prev := p.SetCause("deliver") // restored below; this is the hot path, no defer
 	if p.tl != nil {
 		p.tl.Instant(float64(now), int(h), "deliver",
 			"from", strconv.Itoa(int(from)), "msg", strconv.FormatUint(flow, 10))
 		p.tl.FlowStep(float64(now), int(h), "msg-flow", flow)
 		// Stash the in-delivery flow so the checkpointer can chain the
 		// forced checkpoints this delivery induces.
-		p.flowLane[lane] = flow
-		p.flowHostLane[lane] = h
+		p.flow, p.flowHost = flow, h
 	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -510,10 +403,10 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, o
 		}
 	}
 	if p.tl != nil {
-		p.flowHostLane[lane] = -1
+		p.flowHost = -1
 		p.tl.FlowEnd(float64(now), int(h), "msg-flow", flow)
 	}
-	p.restoreCauseFor(h, prev)
+	p.RestoreCause(prev)
 }
 
 // OnCellSwitch mirrors host h's move from station from to station to.
@@ -521,7 +414,7 @@ func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID
 	if p.Hist != nil {
 		p.Hist.Handoff(h, from, to, now)
 	}
-	defer p.restoreCauseFor(h, p.setCauseFor(h, "switch"))
+	defer p.RestoreCause(p.SetCause("switch"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnCellSwitch(h, to)
@@ -550,7 +443,7 @@ func (p *Side) OnDisconnect(now des.Time, h mobile.HostID, from mobile.MSSID) {
 	if p.Hist != nil {
 		p.Hist.Disconnect(h, from, now)
 	}
-	defer p.restoreCauseFor(h, p.setCauseFor(h, "disconnect"))
+	defer p.RestoreCause(p.SetCause("disconnect"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnDisconnect(h)
@@ -578,7 +471,7 @@ func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
 	if p.Hist != nil {
 		p.Hist.Reconnect(h, at, now)
 	}
-	defer p.restoreCauseFor(h, p.setCauseFor(h, "reconnect"))
+	defer p.RestoreCause(p.SetCause("reconnect"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnReconnect(h, at)
@@ -598,12 +491,12 @@ func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
 
 // OnJoin admits host id, joining at station at, into every protocol. The
 // world grows its own per-host tables first, so the joiner's initial
-// checkpoint sees its station. It runs world-stopped.
+// checkpoint sees its station.
 func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 	if p.Hist != nil {
 		p.Hist.Join(id, at, now)
 	}
-	defer p.RestoreCauseAll(p.SetCauseAll("join"))
+	defer p.RestoreCause(p.SetCause("join"))
 	if p.tl != nil {
 		p.tl.SetTrack(int(id), fmt.Sprintf("MH %d (joined)", id))
 		p.tl.Instant(float64(now), int(id), "join",
@@ -622,17 +515,9 @@ func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 	}
 }
 
-// Causes merges slot i's per-lane cause tallies (E19): checkpoints by
-// CauseKey, initial ones included.
-func (p *Side) Causes(i int) map[string]int64 {
-	causes := make(map[string]int64)
-	for l := range p.causesLane {
-		for k, v := range p.causesLane[l][i] {
-			causes[k] += v
-		}
-	}
-	return causes
-}
+// Causes is slot i's cause tally (E19): checkpoints by CauseKey, initial
+// ones included.
+func (p *Side) Causes(i int) map[string]int64 { return maps.Clone(p.causes[i]) }
 
 // Instrument registers the per-protocol sim_* families and each message
 // log's mlog_* families on the side's registry, under the same names in
@@ -700,7 +585,7 @@ func (p *Side) FinishChecks(finalHosts int) error {
 		all = append(all, s.Check.Finish(s.Counts)...)
 		if initial, _, _ := s.Store.CountByKind(-1); initial != finalHosts {
 			all = append(all, &check.Violation{
-				Protocol: s.Name, Time: p.now(0), Rule: "reconcile",
+				Protocol: s.Name, Time: p.now(), Rule: "reconcile",
 				Detail: fmt.Sprintf("%d initial checkpoints for %d hosts", initial, finalHosts),
 			})
 		}

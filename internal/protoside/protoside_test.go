@@ -25,7 +25,7 @@ func newWorld(t *testing.T) *world {
 	t.Helper()
 	const hosts, stations = 3, 2
 	w := &world{station: []mobile.MSSID{0, 1, 0}}
-	w.Side = protoside.New(2, 1, trace.NewHistory(hosts, stations), nil, nil, func(mobile.HostID) des.Time { return w.tick })
+	w.Side = protoside.New(2, trace.NewHistory(hosts, stations), nil, nil, func() des.Time { return w.tick })
 	mssOf := func(h mobile.HostID) mobile.MSSID { return w.station[h] }
 	for i, build := range []func(protocol.Checkpointer) protocol.Protocol{
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewBCS(hosts, c) },

@@ -64,8 +64,8 @@ func (s *coreSched) Inline(owner int, at des.Time, _ string) bool {
 // global simulator for sequential runs, a coreSched over a lane-sharded
 // pdes.Core for parallel ones (the global simulator then carries only
 // the world-stopped timeline: markers, ticks, GC, joins). It also sizes
-// the lane-sharded state — the protocol side's and the payload free
-// lists — which both surfaces index the same way.
+// the lane-sharded state — the payload free lists and the lanes' record
+// buffers — which both surfaces index the same way.
 func (e *engine) bindEngine() error {
 	cfg := e.cfg
 	if cfg.Probes {
@@ -97,10 +97,8 @@ func (e *engine) bindEngine() error {
 				e.sim.Step()
 				e.inGlobalPhase = false
 			},
-			// The per-host Config.Timeline stays on the engine (its events
-			// are engine-independent); the core gets the lane-level view.
-			Timeline: cfg.LaneTimeline,
-			Probe:    e.coreProbe,
+			Parked: e.applyLanes,
+			Probe:  e.coreProbe,
 		})
 		if err != nil {
 			return err
@@ -112,11 +110,13 @@ func (e *engine) bindEngine() error {
 	if cfg.RecordTrace {
 		hist = trace.NewHistory(cfg.Mobile.NumHosts, cfg.Mobile.NumMSS)
 	}
-	e.Side = protoside.New(len(cfg.Protocols), lanes, hist, cfg.Metrics, cfg.Timeline, e.sideNow)
+	e.Side = protoside.New(len(cfg.Protocols), hist, cfg.Metrics, cfg.Timeline, e.sideNow)
+	e.lanes = lanes
 	e.plFree = make([][]*payload, lanes)
-	e.cur = make([]record, lanes)
-	// A lane engine's records are applied by the lane that pushes them; a
-	// checkpoint latency is read back by the world's next operation.
+	e.laneRecs = make([][]record, lanes)
+	// A lane engine's coordinator applies its own records in line, as it
+	// does its lanes'; a checkpoint latency is read back by the world's
+	// next operation.
 	e.inline = e.core != nil || cfg.CheckpointLatency > 0
 	return nil
 }

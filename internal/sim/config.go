@@ -116,18 +116,10 @@ type Config struct {
 	// JSON (obs.Timeline.Export). The recording is deterministic given
 	// the seed *and engine-independent*: two same-seed runs export
 	// byte-identical timelines on any Engine at any lane count
-	// (TestTimelineEngineEquivalence). Every track-h event is emitted on
-	// h's own timeline — by h's lane or the world-stopped coordinator —
-	// so per-track order is a pure function of the trace.
+	// (TestTimelineEngineEquivalence). Every track-h event is emitted
+	// while h's records are applied, in h's order, or world-stopped, so
+	// per-track order is a pure function of the trace.
 	Timeline *obs.Timeline
-
-	// LaneTimeline, when non-nil, additionally records the parallel
-	// engine's execution shape — windows, serialized write steps and
-	// world-stopped global events — on lane-indexed tracks. Unlike
-	// Timeline this view is engine-*dependent* by nature (a different
-	// lane count is a different execution), so it exports separately.
-	// Requires a parallel Engine.
-	LaneTimeline *obs.Timeline
 
 	// Probes, when true, attaches the engine-internals probes: event/
 	// message pool hit rates, pending-event-set structure (calendar
@@ -181,8 +173,9 @@ type Config struct {
 	// engine to that. Parallel execution trades away the observational
 	// extras: it rejects Checks, RecordTrace, MessageLog, Progress,
 	// CheckpointLatency and the contention/loss channel models (all
-	// either perturb the trace from a global vantage point or record
-	// through single-threaded paths), and it requires positive wireless
+	// either perturb the trace from a global vantage point or read the
+	// run's total event order, where the coordinator applies a window's
+	// protocol records lane by lane), and it requires positive wireless
 	// and wired latencies — the cross-lane lookahead is derived from
 	// them, and a zero-latency network has no safe parallel window.
 	Engine pdes.Mode
@@ -274,9 +267,6 @@ func (c Config) Validate() error {
 	if c.ProgressEvery < 0 {
 		return fmt.Errorf("sim: negative ProgressEvery")
 	}
-	if c.LaneTimeline != nil && c.Engine == pdes.ModeSequential {
-		return fmt.Errorf("sim: LaneTimeline requires a parallel Engine (there are no lanes to record)")
-	}
 	if c.Lanes != 0 && c.Engine == pdes.ModeSequential {
 		return fmt.Errorf("sim: Lanes = %d requires a parallel Engine (the sequential engine has no lanes)", c.Lanes)
 	}
@@ -340,10 +330,10 @@ func (c Config) validateParallel() error {
 		return fmt.Errorf("sim: engine %s is incompatible with Mobile.LossProbability (the loss stream's draw order depends on global event order)", c.Engine)
 	}
 	if c.Checks {
-		return fmt.Errorf("sim: engine %s is incompatible with Checks (the shadow models assume single-threaded protocol callbacks)", c.Engine)
+		return fmt.Errorf("sim: engine %s is incompatible with Checks (the checker is held to the sequential event order, and the coordinator applies a window's records lane by lane)", c.Engine)
 	}
 	if c.RecordTrace {
-		return fmt.Errorf("sim: engine %s is incompatible with RecordTrace (trace recording is single-threaded)", c.Engine)
+		return fmt.Errorf("sim: engine %s is incompatible with RecordTrace (the history is the run's total event order, and the coordinator applies a window's records lane by lane)", c.Engine)
 	}
 	if c.MessageLog != mlog.Off {
 		return fmt.Errorf("sim: engine %s is incompatible with MessageLog (per-station logs are cross-lane shared state)", c.Engine)
@@ -396,8 +386,8 @@ func (c Config) validateReplay() error {
 		return fmt.Errorf("sim: replay is incompatible with GCInterval (a replay has no clock to tick on; its logs prune at hand-offs, as in every world)")
 	case len(c.JoinTimes) != 0:
 		return fmt.Errorf("sim: replay takes joins from the schedule, not JoinTimes")
-	case c.Probes || c.LaneTimeline != nil:
-		return fmt.Errorf("sim: replay supports neither Probes nor LaneTimeline (it has no event queue, pools or lanes to observe)")
+	case c.Probes:
+		return fmt.Errorf("sim: replay does not support Probes (it has no event queue or pools to observe)")
 	case c.Progress != nil:
 		return fmt.Errorf("sim: replay is incompatible with Progress")
 	}

@@ -60,8 +60,8 @@ func runSchedule(cfg Config) (*Result, error) {
 	}
 	// Always a history: the decision log's recovery lines are cut from the
 	// slot's view of it.
-	r.Side = protoside.New(1, 1, trace.NewHistory(sched.Hosts, sched.Stations), cfg.Metrics, cfg.Timeline,
-		func(mobile.HostID) des.Time { return r.tick })
+	r.Side = protoside.New(1, trace.NewHistory(sched.Hosts, sched.Stations), cfg.Metrics, cfg.Timeline,
+		func() des.Time { return r.tick })
 
 	// The slot as the live cluster keeps it: the default cost model.
 	scfg := cfg

@@ -43,7 +43,6 @@ func TestReplayValidateRejects(t *testing.T) {
 		{"gc", func(c *Config) { c.GCInterval = 10 }},
 		{"join times", func(c *Config) { c.JoinTimes = []des.Time{5} }},
 		{"probes", func(c *Config) { c.Probes = true }},
-		{"lane timeline", func(c *Config) { c.LaneTimeline = obs.NewTimeline() }},
 		{"progress", func(c *Config) { c.Progress = func(des.Time, uint64) {} }},
 		{"bad log mode", func(c *Config) { c.MessageLog = mlog.Mode(99) }},
 		// A config Validate accepts must be one Run accepts: the schedule's

@@ -10,15 +10,20 @@ import (
 // The protocol side runs beside the world (DESIGN "The protocol side runs
 // beside the world"). Every call the engine makes into protoside.Side on
 // behalf of an event is one record, and apply is the only place it makes
-// them. A sequential run ships the records in chunks to a consumer
-// goroutine, which applies them in push order, so every protocol sees the
-// same calls with the same values in the same order as if the world had
-// made them itself. The world drains the queue — waits until the consumer
-// has applied everything — before it runs protocol code of its own
-// (marker rounds and deliveries, ticks) and at the end of the run. Runs
-// with CheckpointLatency, whose ExtraDelay reads what the last
-// operation's checkpoints cost, and lane-engine runs apply each record in
-// line, on the goroutine that pushes it.
+// them, on one goroutine at a time. A sequential run ships the records in
+// chunks to a consumer goroutine, which applies them in push order, so
+// every protocol sees the same calls with the same values in the same
+// order as if the world had made them itself. The world drains the queue
+// — waits until the consumer has applied everything — before it runs
+// protocol code of its own (marker rounds and deliveries, ticks) and at
+// the end of the run. On the lane engine each lane appends its records to
+// its own buffer, and the coordinator applies every buffer, lane by lane,
+// each time the lanes park (applyLanes): a host's records all come from
+// its own lane, in its order, and a cross-lane delivery lands at least
+// one lookahead after its send, in a later window. Runs with
+// CheckpointLatency, whose ExtraDelay reads what the last operation's
+// checkpoints cost, apply each record in line, on the goroutine that
+// pushes it, as the coordinator does its own.
 
 // recKind names the call a record makes into the protocol side.
 type recKind uint8
@@ -87,10 +92,15 @@ type pipeline struct {
 	failure any
 }
 
-// push hands one call to the protocol side: applied in line when the run
-// applies in line, else appended to the chunk being filled, which ships
-// when full.
+// push hands one call to the protocol side: from a lane handler, appended
+// to its lane's buffer; applied in line when the run applies in line;
+// else appended to the chunk being filled, which ships when full.
 func (e *engine) push(r record) {
+	if e.core != nil && !e.inGlobalPhase {
+		l := e.laneOf(mobile.HostID(r.host))
+		e.laneRecs[l] = append(e.laneRecs[l], r)
+		return
+	}
 	if e.inline {
 		e.apply(&r)
 		e.reclaim(&r)
@@ -114,11 +124,8 @@ func (e *engine) push(r record) {
 // the side's clock reads the record's time and mssOf the record's
 // station (sideNow, mssOf). It copies the record into cur rather than
 // keep the pointer, which would move every pushed record to the heap.
-//
-//lane:handler
 func (e *engine) apply(r *record) {
-	lane := e.LaneOf(mobile.HostID(max(r.host, 0)))
-	e.cur[lane] = *r
+	e.cur = *r
 	h := mobile.HostID(r.host)
 	switch r.kind {
 	case recSend:
@@ -140,26 +147,42 @@ func (e *engine) apply(r *record) {
 	case recGC:
 		e.collect()
 	}
-	e.cur[lane] = record{}
+	e.cur = record{}
 }
 
 // reclaim returns an applied delivery's carrier to the world's free list:
 // every consumer has seen it.
 func (e *engine) reclaim(r *record) {
 	if r.kind == recDeliver {
-		lane := e.LaneOf(mobile.HostID(r.host))
+		lane := e.laneOf(mobile.HostID(r.host))
 		e.plFree[lane] = append(e.plFree[lane], r.pl)
 	}
 }
 
-// sideNow is the protocol side's clock: the time of the record being
-// applied, else — the world running protocol code itself, after a drain —
-// the world's own.
-func (e *engine) sideNow(h mobile.HostID) des.Time {
-	if r := &e.cur[e.LaneOf(h)]; r.kind != 0 {
-		return r.at
+// applyLanes applies every lane's buffered records, lane by lane, each
+// lane's in push order, and empties the buffers. The lane engine's
+// coordinator calls it each time the lanes park (pdes.CoreConfig.Parked),
+// so a global step and the end of the run find them empty.
+//
+//lane:stopped runs on the coordinator with every lane parked
+func (e *engine) applyLanes() {
+	for l, recs := range e.laneRecs {
+		for i := range recs {
+			e.apply(&recs[i])
+			e.reclaim(&recs[i])
+		}
+		e.laneRecs[l] = recs[:0]
 	}
-	return e.now(h)
+}
+
+// sideNow is the protocol side's clock: the time of the record being
+// applied, else — the world running protocol code itself, after a drain
+// or world-stopped — the world's own.
+func (e *engine) sideNow() des.Time {
+	if e.cur.kind != 0 {
+		return e.cur.at
+	}
+	return e.sim.Now()
 }
 
 // mssOf is the station a checkpoint of h lands on: the record's, which
@@ -167,7 +190,7 @@ func (e *engine) sideNow(h mobile.HostID) des.Time {
 // a record is applied reads the world behind its back, and that panics —
 // else, after a drain, the network's.
 func (e *engine) mssOf(h mobile.HostID) mobile.MSSID {
-	if r := &e.cur[e.LaneOf(h)]; r.kind != 0 {
+	if r := &e.cur; r.kind != 0 {
 		if mobile.HostID(r.host) != h {
 			panic(fmt.Sprintf("sim: station of host %d asked while applying host %d's %s record", h, r.host, recKindName[r.kind]))
 		}

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/pdes"
 	"mobickpt/internal/protocol"
 )
 
@@ -146,7 +148,7 @@ func TestPipelineMssOfNamesBothHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.cur[0] = record{kind: recDeliver, host: 3, mss: 7}
+	e.cur = record{kind: recDeliver, host: 3, mss: 7}
 	if got := e.mssOf(3); got != 7 {
 		t.Fatalf("mssOf(acting host) = %d, want the record's station 7", got)
 	}
@@ -186,25 +188,39 @@ func runFailing(cfg Config) (v any) {
 	return nil
 }
 
-// TestRunPanicFromProtocolSide: a panic in a protocol callback the
-// consumer goroutine applies comes out of Run on the caller's goroutine,
-// with the value the protocol panicked with.
+// laneConfig is pipelineConfig on two lanes.
+func laneConfig() Config {
+	c := pipelineConfig()
+	c.Engine, c.Lanes = pdes.ModeConservative, 2
+	return c
+}
+
+// TestRunPanicFromProtocolSide: a panic in a protocol callback — applied
+// by the consumer goroutine, or by the lane engine's coordinator — comes
+// out of Run on the caller's goroutine, with the value the protocol
+// panicked with.
 func TestRunPanicFromProtocolSide(t *testing.T) {
-	if v := runFailing(pipelineConfig()); v != errProtocolSide {
-		t.Fatalf("recovered %v from Run, want the protocol's %v", v, errProtocolSide)
+	for _, cfg := range []Config{pipelineConfig(), laneConfig()} {
+		if v := runFailing(cfg); v != errProtocolSide {
+			t.Fatalf("engine %s: recovered %v from Run, want the protocol's %v", cfg.Engine, v, errProtocolSide)
+		}
 	}
 }
 
-// TestRunLeavesNoGoroutine: twenty runs, one of which panics on the
-// protocol side, leave the goroutine count where it started.
+// TestRunLeavesNoGoroutine: twenty runs, two of which panic on the
+// protocol side — one sequential, one on two lanes — leave the goroutine
+// count where it started.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	start := runtime.NumGoroutine()
 	cfg := pipelineConfig()
 	cfg.Horizon = 500
 	for i := range 20 {
 		cfg.Seed = uint64(i + 1)
-		if i == 7 {
+		if i == 7 || i == 13 {
 			c := pipelineConfig()
+			if i == 13 {
+				c = laneConfig()
+			}
 			if v := runFailing(c); v != errProtocolSide {
 				t.Fatalf("run %d recovered %v, want %v", i, v, errProtocolSide)
 			}
@@ -243,8 +259,127 @@ func TestPipelineStartsLazily(t *testing.T) {
 		case horizon > 1 && (e.pipe == nil || e.pipe.out != 0 || len(e.pipe.spare) != chunksInFlight-1):
 			t.Fatalf("horizon %v: pipeline %+v, want every chunk back after the final drain", horizon, e.pipe)
 		}
-		if e.cur[0] != (record{}) {
-			t.Fatalf("horizon %v: cur = %+v after the run, want no record in flight", horizon, e.cur[0])
+		if e.cur != (record{}) {
+			t.Fatalf("horizon %v: cur = %+v after the run, want no record in flight", horizon, e.cur)
 		}
+	}
+}
+
+// sideGuard holds a run's protocol calls to one goroutine at a time.
+// entered counts the calls in progress, so a call that starts while
+// another is still running is counted in overlaps; every call yields
+// inside, which lets a second goroutine that could make a call make it
+// then, even at GOMAXPROCS 1. calls is a plain counter every call
+// writes: under the race detector, a call on one goroutine that the
+// previous call's goroutine has not handed over to is reported as a race.
+type sideGuard struct {
+	entered  atomic.Int32
+	overlaps atomic.Int64
+	calls    int
+}
+
+// enter marks a call's start and returns what marks its end.
+func (g *sideGuard) enter() (leave func()) {
+	if g.entered.Add(1) != 1 {
+		g.overlaps.Add(1)
+	}
+	g.calls++
+	runtime.Gosched()
+	return func() { g.entered.Add(-1) }
+}
+
+// guardedProto is a protocol whose every callback runs inside its guard.
+type guardedProto struct {
+	protocol.Protocol
+	g *sideGuard
+}
+
+func (p *guardedProto) Init() { defer p.g.enter()(); p.Protocol.Init() }
+func (p *guardedProto) OnSend(from, to mobile.HostID) any {
+	defer p.g.enter()()
+	return p.Protocol.OnSend(from, to)
+}
+func (p *guardedProto) OnDeliver(h, from mobile.HostID, pb any) {
+	defer p.g.enter()()
+	p.Protocol.OnDeliver(h, from, pb)
+}
+func (p *guardedProto) OnCellSwitch(h mobile.HostID, to mobile.MSSID) {
+	defer p.g.enter()()
+	p.Protocol.OnCellSwitch(h, to)
+}
+func (p *guardedProto) OnDisconnect(h mobile.HostID) { defer p.g.enter()(); p.Protocol.OnDisconnect(h) }
+func (p *guardedProto) OnReconnect(h mobile.HostID, at mobile.MSSID) {
+	defer p.g.enter()()
+	p.Protocol.OnReconnect(h, at)
+}
+func (p *guardedProto) OnJoin(h mobile.HostID) int64 {
+	defer p.g.enter()()
+	return p.Protocol.OnJoin(h)
+}
+
+// guardedInitiator and guardedPeriodic keep a coordinated protocol's
+// marker rounds and a periodic one's ticks, so the engine still drives
+// them.
+type guardedInitiator struct {
+	*guardedProto
+	init protocol.Initiator
+}
+
+func (p guardedInitiator) BeginSnapshot() []mobile.HostID {
+	defer p.g.enter()()
+	return p.init.BeginSnapshot()
+}
+func (p guardedInitiator) OnMarker(h mobile.HostID) { defer p.g.enter()(); p.init.OnMarker(h) }
+func (p guardedInitiator) ControlMessages() int64   { return p.init.ControlMessages() }
+
+type guardedPeriodic struct {
+	*guardedProto
+	per protocol.Periodic
+}
+
+func (p guardedPeriodic) OnTick(h mobile.HostID) { defer p.g.enter()(); p.per.OnTick(h) }
+
+func guard(p protocol.Protocol, g *sideGuard) protocol.Protocol {
+	gp := &guardedProto{p, g}
+	if init, ok := p.(protocol.Initiator); ok {
+		return guardedInitiator{gp, init}
+	}
+	if per, ok := p.(protocol.Periodic); ok {
+		return guardedPeriodic{gp, per}
+	}
+	return gp
+}
+
+// TestProtocolSideOneGoroutine: in every world the engine drives — the
+// sequential pipeline and the lane engine at 1, 2 and 4 lanes — the
+// protocol side runs on one goroutine at a time. All seven protocols run
+// through a guard, with joins, GC, metrics and timeline on, so every kind
+// of record, marker round and tick is applied under it.
+func TestProtocolSideOneGoroutine(t *testing.T) {
+	for _, lanes := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprint("lanes", lanes), func(t *testing.T) {
+			cfg := pipelineConfig()
+			cfg.Protocols = AllProtocols()
+			cfg.JoinTimes = []des.Time{400, 1700}
+			cfg.GCInterval = 250
+			cfg.Metrics, cfg.Timeline = obs.NewRegistry(), obs.NewTimeline()
+			if lanes > 0 {
+				cfg.Engine, cfg.Lanes = pdes.ModeConservative, lanes
+			}
+			g := &sideGuard{}
+			if _, err := run(cfg, func(e *engine) {
+				for i := range e.Slots {
+					e.Slots[i].Proto = guard(e.Slots[i].Proto, g)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if n := g.overlaps.Load(); n > 0 {
+				t.Fatalf("%d of %d protocol calls started while another was running", n, g.calls)
+			}
+			if g.calls < 10000 {
+				t.Fatalf("only %d protocol calls", g.calls)
+			}
+		})
 	}
 }

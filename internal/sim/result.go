@@ -194,7 +194,7 @@ func protocolResult(p *protoside.Side, i int) ProtocolResult {
 func (e *engine) probeReport() *ProbeReport {
 	r := &ProbeReport{
 		Engine:      e.cfg.Engine.String(),
-		Lanes:       e.Lanes(),
+		Lanes:       e.lanes,
 		GlobalQueue: e.simQueue,
 		EventPool:   e.simPool,
 	}

@@ -20,10 +20,12 @@
 // every protocol callback, as a fixed-size record carrying the clock and
 // the acting host's station, to a second goroutine in chunks of records
 // (pipeline.go), and waits for it only where the world itself reads
-// protocol state — marker rounds and ticks, and the end of the run.
-// Config.CheckpointLatency is the one exception to the property: there a
-// checkpoint delays the host's next operation, so every record is applied
-// in line, as on the lane engine.
+// protocol state — marker rounds and ticks, and the end of the run. On
+// the lane engine each lane buffers its records and the coordinator
+// applies them between windows, so in every world the protocol side runs
+// on one goroutine at a time. Config.CheckpointLatency is the one
+// exception to the property: there a checkpoint delays the host's next
+// operation, so every record is applied in line.
 package sim
 
 import (
@@ -79,32 +81,41 @@ type engine struct {
 	net    *mobile.Network
 	driver *workload.Driver
 
-	// inline applies every record on the goroutine that pushes it (lane
-	// engines, CheckpointLatency); otherwise a pipeline ships them to a
-	// consumer goroutine. Set before the run starts.
+	// inline applies every record on the goroutine that pushes it
+	// (CheckpointLatency, and the lane engine's coordinator); otherwise a
+	// pipeline ships them to a consumer goroutine. Set before the run
+	// starts.
 	//
 	//lane:stopped decided while wiring, before any lane runs
 	inline bool
 	// pipe is the sequential run's pipeline to the protocol side, nil
 	// until the first record (and always with inline).
 	pipe *pipeline
-	// cur[l] is the record lane l is applying, the zero record between
-	// records; with one lane the consumer's, and the world's after a drain.
+	// cur is the record being applied, the zero record between records:
+	// the consumer's, or the world's after a drain.
+	cur record
+	// laneRecs[l] holds the records lane l pushed since the lanes last
+	// parked; the coordinator applies them then (applyLanes). Only the
+	// lane engine fills it.
 	//
 	//lane:shard
-	cur []record
+	laneRecs [][]record
 
 	// sched is the scheduling surface the world model runs on: des.Solo
 	// over sim for sequential runs, a coreSched over core for parallel
-	// ones. Lane-sharded engine state (plFree, and the protocol side's) is
-	// indexed by Side.LaneOf, pdes.Core's owner-to-lane map.
+	// ones. Lane-sharded engine state (plFree, laneRecs) is indexed by
+	// laneOf, pdes.Core's owner-to-lane map, over lanes lanes (1 for the
+	// sequential engine).
 	sched des.Sched
 	core  *pdes.Core
+	lanes int
 	// inGlobalPhase is true whenever the engine is single-threaded: before
 	// core.Run, inside world-stopped global-timeline events, and during
 	// the post-run drain. Toggled only while no lane handler executes (the
 	// coordinator's window barrier orders the accesses), it routes
-	// now() to the global clock instead of a parked lane's local time.
+	// now() to the global clock instead of a parked lane's local time,
+	// and has push apply the coordinator's own records in line rather
+	// than buffer them for a lane.
 	//
 	//lane:stopped the coordinator flips it between handler windows
 	inGlobalPhase bool
@@ -159,6 +170,9 @@ func (e *engine) now(h mobile.HostID) des.Time {
 	return e.sched.Now(int(h))
 }
 
+// laneOf is the lane host h's events run on: pdes.Core's owner % P map.
+func (e *engine) laneOf(h mobile.HostID) int { return int(h) % e.lanes }
+
 // payload is what one application message carries: the per-protocol
 // piggybacks, parallel to cfg.Protocols. Payloads are pooled: send draws
 // from engine.plFree and deliver returns the carrier once every
@@ -192,7 +206,7 @@ func newEngine(cfg Config) (*engine, error) {
 //
 //lane:handler
 func (e *engine) send(from, to mobile.HostID) {
-	lane := e.LaneOf(from)
+	lane := e.laneOf(from)
 	var pl *payload
 	if free := e.plFree[lane]; len(free) > 0 {
 		k := len(free)
@@ -238,7 +252,7 @@ func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 	markerLatency := e.cfg.Mobile.WiredLatency + e.cfg.Mobile.WirelessLatency
 	tick := func(sim *des.Simulator, now des.Time) {
 		e.drain()
-		defer e.RestoreCauseAll(e.SetCauseAll("marker"))
+		defer e.RestoreCause(e.SetCause("marker"))
 		for _, h := range init.BeginSnapshot() {
 			// One location query per marker: the paper's drawback (1).
 			e.net.Locate(h)
@@ -248,7 +262,7 @@ func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 			sim.ScheduleAfter(markerLatency, "marker", func(sim *des.Simulator, now des.Time) {
 				if e.net.Host(h).Connected() {
 					e.drain()
-					defer e.RestoreCauseAll(e.SetCauseAll("marker"))
+					defer e.RestoreCause(e.SetCause("marker"))
 					init.OnMarker(h)
 					if ck := e.Slots[i].Check; ck != nil {
 						ck.AfterMarker(h)
@@ -269,7 +283,7 @@ func (e *engine) scheduleTicks(i int, per protocol.Periodic) {
 	period := e.cfg.SnapshotPeriod
 	tick := func(sim *des.Simulator, now des.Time) {
 		e.drain()
-		defer e.RestoreCauseAll(e.SetCauseAll("tick"))
+		defer e.RestoreCause(e.SetCause("tick"))
 		for h := 0; h < e.cfg.Mobile.NumHosts; h++ {
 			if e.net.Host(mobile.HostID(h)).Connected() {
 				per.OnTick(mobile.HostID(h))
@@ -335,9 +349,6 @@ func (e *engine) join() {
 		e.sendOrd = append(e.sendOrd, 0)
 	}
 	e.pendingLatency = append(e.pendingLatency, 0)
-	if e.core != nil {
-		e.Presize(int(id) + 1)
-	}
 	e.push(record{kind: recJoin, at: e.sim.Now(), host: int32(id), mss: int32(at)})
 	e.driver.AddHost(id, e.cfg.Seed)
 }
@@ -380,9 +391,10 @@ func (e *engine) run() *Result {
 	e.driver.Start()
 	if e.core != nil {
 		// The lanes execute the world; the coordinator interleaves the
-		// global timeline (markers, ticks, GC, joins) world-stopped. The
-		// post-run drain fires the global tail — timer events past the last
-		// lane event but at or before the horizon.
+		// global timeline (markers, ticks, GC, joins) world-stopped and
+		// applies the lanes' records whenever they park. The post-run
+		// drain fires the global tail — timer events past the last lane
+		// event but at or before the horizon.
 		e.inGlobalPhase = false
 		e.core.Run()
 		e.inGlobalPhase = true

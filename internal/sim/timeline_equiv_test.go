@@ -241,28 +241,6 @@ func TestTimelineFlowsHappensBefore(t *testing.T) {
 	}
 }
 
-// TestLaneTimeline checks the engine-dependent companion view: a
-// parallel run with LaneTimeline attached records lane-level events,
-// the sequential engine rejects the option, and attaching it leaves the
-// per-host timeline byte-identical.
-func TestLaneTimeline(t *testing.T) {
-	cfg := timelineConfig()
-	want := timelineExport(t, cfg)
-
-	c := cfg
-	c.LaneTimeline = obs.NewTimeline()
-	if err := c.Validate(); err == nil {
-		t.Error("sequential engine accepted LaneTimeline")
-	}
-	c.Engine, c.Lanes = pdes.ModeConservative, 2
-	if got := timelineExport(t, c); !bytes.Equal(got, want) {
-		t.Error("per-host timeline differs with LaneTimeline attached")
-	}
-	if c.LaneTimeline.Len() == 0 {
-		t.Error("lane timeline recorded nothing on a parallel run")
-	}
-}
-
 // TestProbesAccountForEveryEvent: most operations run in line and never
 // touch a queue, and the probes say where they went. A sequential run's
 // queue pops plus its in-line steps are the events fired, plus the one

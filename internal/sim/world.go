@@ -19,7 +19,7 @@ func (e *engine) wireWorld() error {
 	if cfg.Timeline != nil {
 		e.sendOrd = make([]uint64, n)
 	}
-	net, err := mobile.NewSched(e.sched, e.Lanes(), cfg.Mobile, e.hooks())
+	net, err := mobile.NewSched(e.sched, e.lanes, cfg.Mobile, e.hooks())
 	if err != nil {
 		return err
 	}
@@ -29,7 +29,7 @@ func (e *engine) wireWorld() error {
 		net.SetLossSource(rng.NewStream(cfg.Seed, 1<<32))
 	}
 	if cfg.Probes {
-		e.msgProbe = make([]probe.PoolProbe, e.Lanes())
+		e.msgProbe = make([]probe.PoolProbe, e.lanes)
 		net.SetPoolProbe(e.msgProbe)
 	}
 	e.net = net
@@ -48,12 +48,6 @@ func (e *engine) wireWorld() error {
 			return err
 		}
 	}
-	if e.core != nil {
-		// Lane handlers run concurrently: everything else (markers, ticks,
-		// joins) runs world-stopped and may still create counters lazily.
-		e.Presize(n)
-	}
-
 	cb := workload.Callbacks{
 		Send:    e.send,
 		Receive: func(h mobile.HostID) bool { return net.TryReceive(h) != nil },
@@ -65,7 +59,7 @@ func (e *engine) wireWorld() error {
 			return d
 		}
 	}
-	e.driver, err = workload.NewDriverSched(e.sched, e.Lanes(), net, cfg.Workload, cfg.Seed, cb)
+	e.driver, err = workload.NewDriverSched(e.sched, e.lanes, net, cfg.Workload, cfg.Seed, cb)
 	return err
 }
 
