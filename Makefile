@@ -26,9 +26,23 @@ test-short:
 # (The repository benchmark's smoke and goldens ride `go test ./...`.)
 check: fmt lint vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check
 
+# vet also holds rng.Exp's logarithm to the same bits on every GOARCH: the
+# arm64 build and the amd64 v3 build (the targets where a compiler may fuse
+# a product into the sum it feeds) must disassemble to code for
+# rng.logUnit with no fused multiply-add in it.
 vet:
 	$(GO) vet ./...
 	$(GO) build ./...
+	@set -e; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for target in GOARCH=arm64 GOAMD64=v3; do \
+		env $$target $(GO) test -c -o "$$tmp/rng.test" ./internal/rng; \
+		$(GO) tool objdump -s 'rng\.logUnit$$' "$$tmp/rng.test" > "$$tmp/log.s"; \
+		if ! [ -s "$$tmp/log.s" ]; then echo "vet: no rng.logUnit in the $$target build"; exit 1; fi; \
+		if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' "$$tmp/log.s"; then \
+			echo "vet: rng.logUnit fuses a multiply-add in the $$target build"; exit 1; fi; \
+	done; \
+	echo "vet: rng.logUnit has no fused multiply-add on arm64 or amd64 v3"
 
 # The full suite under the race detector: the pdes lane tests, the
 # cross-engine equivalence suite, the parallel sweeps and TestScaleSmoke

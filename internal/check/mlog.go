@@ -13,7 +13,9 @@ import (
 // trace of the same execution:
 //
 //   - every delivered message was logged, in delivery order, with
-//     matching identity (message id, sender) and receiver position;
+//     matching identity (message id, sender) and receiver position — a
+//     log over the trace's own history reads the identity through its
+//     reference, so this holds the reference to the right row;
 //   - per-host receiver positions are nondecreasing (the determinized
 //     delivery order the log replays in);
 //   - the stable frontier is a prefix of the appended entries, and under
@@ -49,8 +51,8 @@ func LogReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, n int) Viola
 		if seq < lg.RetainedFrom(h) {
 			continue // pruned by GC: content no longer available by design
 		}
-		e := lg.EntryAt(h, seq)
-		if e == nil {
+		e, ok := lg.EntryAt(h, seq)
+		if !ok {
 			violate(h, fmt.Sprintf("delivery %d (msg %d) has no log entry", seq, ev.ID))
 			continue
 		}
@@ -88,7 +90,7 @@ func LogReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, n int) Viola
 // The expected set is derived from the trace, never from the log: a log
 // pruned one checkpoint too far answers ReplayFrom with a shorter suffix,
 // and comparing the replay with that would lose the entry on both sides.
-func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recovery.Cut, replayed map[mobile.HostID][]*mlog.Entry) Violations {
+func ReplayReconciliation(proto string, lg *mlog.Log, tr *trace.Trace, cut recovery.Cut, replayed map[mobile.HostID][]mlog.Entry) Violations {
 	var vs Violations
 	violate := func(h mobile.HostID, detail string) {
 		if len(vs) >= maxViolations {

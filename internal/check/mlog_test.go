@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
@@ -76,10 +77,48 @@ func TestLogReconciliationDetectsMismatch(t *testing.T) {
 	}
 }
 
+// A log over the trace's own history reads each delivery's message id and
+// sender through its reference and keeps only the receiver position
+// itself: one wrong position still fails the reconciliation, and nothing
+// else does.
+func TestLogReconciliationDetectsWrongReceiverPosition(t *testing.T) {
+	for _, wrong := range []bool{false, true} {
+		hist := trace.NewHistory(2, 1)
+		tr := hist.View()
+		lg, err := mlog.Open(mlog.Pessimistic, hist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 3 {
+			id, at := uint64(i), des.Time(i)
+			hist.Send(0, 1, id, at)
+			tr.CountSend(1)
+			hist.Deliver(int32(i), id, at+0.5)
+			tr.CountDeliver(i + 1)
+			recv := i + 1
+			if wrong && i == 1 {
+				recv = 5
+			}
+			lg.Append(1, 0, id, recv, at+0.5, 0)
+		}
+		vs := LogReconciliation("t", lg, tr, 2)
+		if !wrong {
+			if len(vs) != 0 {
+				t.Fatalf("a log over the trace's history: unexpected violations: %v", vs)
+			}
+			continue
+		}
+		if len(vs) != 1 || vs[0].Rule != "log-reconcile" || vs[0].Host != 1 ||
+			!strings.Contains(vs[0].Detail, "log entry 1 records receiver position 5, trace has 2") {
+			t.Fatalf("one wrong receiver position: got %v", vs)
+		}
+	}
+}
+
 func TestReplayReconciliationClean(t *testing.T) {
 	lg, tr := loggedTrace(t, mlog.Pessimistic, 6)
 	cut := recovery.Cut{recovery.End, 3}
-	replayed := map[mobile.HostID][]*mlog.Entry{1: lg.ReplayFrom(1, 3)}
+	replayed := map[mobile.HostID][]mlog.Entry{1: lg.ReplayFrom(1, 3)}
 	if vs := ReplayReconciliation("t", lg, tr, cut, replayed); len(vs) != 0 {
 		t.Fatalf("unexpected violations: %v", vs)
 	}
@@ -92,25 +131,25 @@ func TestReplayReconciliationDetectsViolations(t *testing.T) {
 
 	// Replaying on a host that did not roll back.
 	vs := ReplayReconciliation("t", lg, tr, recovery.NewCut(2),
-		map[mobile.HostID][]*mlog.Entry{1: full})
+		map[mobile.HostID][]mlog.Entry{1: full})
 	if len(vs) == 0 {
 		t.Fatal("replay without rollback not detected")
 	}
 	// A gap in the replayed sequence.
 	vs = ReplayReconciliation("t", lg, tr, cut,
-		map[mobile.HostID][]*mlog.Entry{1: {full[0], full[2]}})
+		map[mobile.HostID][]mlog.Entry{1: {full[0], full[2]}})
 	if len(vs) == 0 {
 		t.Fatal("replay gap not detected")
 	}
 	// An incomplete replay (missing suffix).
 	vs = ReplayReconciliation("t", lg, tr, cut,
-		map[mobile.HostID][]*mlog.Entry{1: full[:1]})
+		map[mobile.HostID][]mlog.Entry{1: full[:1]})
 	if len(vs) == 0 {
 		t.Fatal("incomplete replay not detected")
 	}
 	// A kept (not undone) entry replayed.
 	vs = ReplayReconciliation("t", lg, tr, cut,
-		map[mobile.HostID][]*mlog.Entry{1: lg.ReplayFrom(1, 2)})
+		map[mobile.HostID][]mlog.Entry{1: lg.ReplayFrom(1, 2)})
 	if len(vs) == 0 {
 		t.Fatal("replay of kept delivery not detected")
 	}
@@ -124,9 +163,13 @@ func TestReplayReconciliationRejectsUnstableEntry(t *testing.T) {
 	tr := trace.New(2)
 	tr.RecordSend(1, 0, 1, 1, 0)
 	tr.RecordDeliver(1, 1, 0)
-	e := lg.Append(1, 0, 1, 1, 0, 0) // stays pending: never flushed
+	lg.Append(1, 0, 1, 1, 0, 0) // stays pending: never flushed
+	e, ok := lg.EntryAt(1, 0)
+	if !ok {
+		t.Fatal("the pending entry is not in the log")
+	}
 	vs := ReplayReconciliation("t", lg, tr, recovery.Cut{recovery.End, 0},
-		map[mobile.HostID][]*mlog.Entry{1: {e}})
+		map[mobile.HostID][]mlog.Entry{1: {e}})
 	if len(vs) == 0 {
 		t.Fatal("replay of unstable entry not detected")
 	}
@@ -142,14 +185,14 @@ func TestReplayReconciliationDetectsOverPrune(t *testing.T) {
 
 	lg, tr := loggedTrace(t, mlog.Pessimistic, 10)
 	lg.PruneDelivered(1, frontier)
-	replayed := map[mobile.HostID][]*mlog.Entry{1: lg.ReplayFrom(1, frontier)}
+	replayed := map[mobile.HostID][]mlog.Entry{1: lg.ReplayFrom(1, frontier)}
 	if vs := ReplayReconciliation("t", lg, tr, cut, replayed); len(vs) != 0 {
 		t.Fatalf("a log pruned at the frontier is sound, got: %v", vs)
 	}
 
 	lg, tr = loggedTrace(t, mlog.Pessimistic, 10)
 	lg.PruneDelivered(1, frontier+1)
-	replayed = map[mobile.HostID][]*mlog.Entry{1: lg.ReplayFrom(1, frontier)}
+	replayed = map[mobile.HostID][]mlog.Entry{1: lg.ReplayFrom(1, frontier)}
 	vs := ReplayReconciliation("t", lg, tr, cut, replayed)
 	if len(vs) == 0 {
 		t.Fatal("a log pruned at frontier+1 lost an undone delivery and was accepted")

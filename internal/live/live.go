@@ -355,7 +355,8 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lg, err := mlog.Open(cfg.LogMode)
+	hist := trace.NewHistory(cfg.Hosts, cfg.Stations)
+	lg, err := mlog.Open(cfg.LogMode, hist)
 	if err != nil {
 		return nil, err
 	}
@@ -385,14 +386,13 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	for s := range c.wired {
 		c.wired[s] = newMailbox()
 	}
-	hist := trace.NewHistory(cfg.Hosts, cfg.Stations)
 	c.side = protoside.New(1, hist, cfg.Metrics, cfg.Timeline, func() des.Time {
 		// The side reads the clock only from inside a protocol event.
 		//
 		//locks:held mu
 		return des.Time(c.tick)
 	})
-	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), MLog: lg}
+	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: hist.View(), MLog: lg}
 	// Host h's current station — or, while h is disconnected, the last
 	// one, which holds its checkpoints and parked messages: where a
 	// checkpoint of h lands, and what TP's location vectors track.
@@ -806,8 +806,9 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 // switchCell moves the host to another station and takes the basic
 // checkpoint the mobile model mandates; with logging on, the host's log
 // follows it (pruned at the recovery-line frontier first, for the
-// index-based protocols) and crosses the wire after mu is released, and
-// its station images below the same frontier are dropped, also after mu.
+// index-based protocols): its wire records are built under mu and cross
+// the wire after mu is released, and its station images below the same
+// frontier are dropped, also after mu.
 func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransferScratch) {
 	c.mu.Lock()
 	cur := c.station[h]
@@ -821,11 +822,15 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	// schedule must see them.
 	c.station[h] = next
 	c.side.OnCellSwitch(now, h, mobile.MSSID(cur), mobile.MSSID(next))
-	// Only h's own log, and on h's goroutine: transferLog reads the slice
-	// the hand-off shipped after mu is released, which is race-free
-	// because nobody else ever rewrites h's log.
+	// The shipped references name rows of the history, which every
+	// protocol event grows under mu: the records are built from them here,
+	// and only encoded, decoded and counted after mu is released, on h's
+	// goroutine, from h's own scratch.
 	sl := &c.side.Slots[0]
-	logged, entries, frontier := sl.MLog != nil, sl.Shipped, sl.HandoffFrontier
+	logged, frontier := sl.MLog != nil, sl.HandoffFrontier
+	if logged {
+		xfer.recs = c.shippedRecords(xfer.recs[:0], h)
+	}
 	c.mu.Unlock()
 	c.storeImages(h)
 
@@ -833,47 +838,61 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 		// A logged cluster recovers on the replay-aware line, which restores
 		// no checkpoint below the frontier (DESIGN §3).
 		c.group.Discard(int(h), frontier)
-		c.transferLog(xfer, h, mobile.MSSID(cur), mobile.MSSID(next), entries)
+		c.transferLog(xfer, h, mobile.MSSID(cur), mobile.MSSID(next), xfer.recs)
 	}
 	atomic.AddInt64(&c.counters.Switches, 1)
 }
 
 // logTransferScratch is the memory one host goroutine's hand-offs are
-// staged in: the chunk being sent, its encoded frame, and the receiving
-// station's decode target. A hand-off ships the host's retained log
-// (unbounded for the protocols whose logs cannot be pruned), so building
-// these afresh every time costs as much as the transfer itself; each
-// buffer grows to the largest chunk its host has shipped (at most
-// wire.MaxTransferRecords records) and is then reused.
+// staged in: the hand-off's records, the encoded frame of the chunk being
+// sent, and the receiving station's decode target. A hand-off ships the
+// host's retained log (unbounded for the protocols whose logs cannot be
+// pruned), so building these afresh every time costs as much as the
+// transfer itself; the records grow to the largest hand-off its host has
+// shipped, the frame and the decode target to the largest chunk (at most
+// wire.MaxTransferRecords records), and each is then reused.
 type logTransferScratch struct {
+	recs  []wire.LogRecord
 	out   wire.LogTransfer
 	frame []byte
 	in    wire.LogTransfer
 }
 
-// transferLog ships a hand-off's log entries between stations as
-// encoded wire.LogTransfer frames, decoding each on arrival like any
-// other network unit (the log really crosses the wire as bytes). A
+// shippedRecords appends to dst the wire records of what host h's latest
+// hand-off shipped: the slot's shipped references, seq
+// MLog.RetainedFrom(h) first, resolved against the history they name.
+//
+//locks:held mu
+func (c *Cluster) shippedRecords(dst []wire.LogRecord, h mobile.HostID) []wire.LogRecord {
+	sl := &c.side.Slots[0]
+	first := sl.MLog.RetainedFrom(h)
+	for seq := first; seq < first+len(sl.Shipped); seq++ {
+		e, _ := sl.MLog.EntryAt(h, seq)
+		dst = append(dst, wire.LogRecord{
+			Seq:       uint64(e.Seq),
+			MsgID:     e.MsgID,
+			From:      e.From,
+			RecvCount: int64(e.RecvCount),
+			At:        float64(e.At),
+		})
+	}
+	return dst
+}
+
+// transferLog ships a hand-off's log records between stations as encoded
+// wire.LogTransfer frames, decoding each on arrival like any other
+// network unit (the log really crosses the wire as bytes). A
 // long-retained log goes in chunks of at most wire.MaxTransferRecords
 // records so no single frame grows with the log length — the frames
-// wire.SplitTransfer would produce, cut from the entry list in place; an
+// wire.SplitTransfer would produce, cut from the record list in place; an
 // empty log still ships one (header-only) frame so the hand-off is
 // visible to the receiving station.
-func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to mobile.MSSID, entries []*mlog.Entry) {
+func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to mobile.MSSID, recs []wire.LogRecord) {
 	x.out.Host, x.out.FromMSS, x.out.ToMSS = h, from, to
 	var frameBytes, decodeErrors int64
-	for off := 0; off == 0 || off < len(entries); off += wire.MaxTransferRecords {
-		chunk := entries[off:min(off+wire.MaxTransferRecords, len(entries))]
-		x.out.Records = x.out.Records[:0]
-		for _, e := range chunk {
-			x.out.Records = append(x.out.Records, wire.LogRecord{
-				Seq:       uint64(e.Seq),
-				MsgID:     e.MsgID,
-				From:      e.From,
-				RecvCount: int64(e.RecvCount),
-				At:        float64(e.At),
-			})
-		}
+	for off := 0; off == 0 || off < len(recs); off += wire.MaxTransferRecords {
+		chunk := recs[off:min(off+wire.MaxTransferRecords, len(recs))]
+		x.out.Records = chunk
 		var err error
 		x.frame, err = wire.AppendLogTransfer(x.frame[:0], &x.out)
 		if err != nil {
@@ -886,7 +905,7 @@ func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to m
 	}
 	atomic.AddInt64(&c.counters.FrameBytes, frameBytes)
 	atomic.AddInt64(&c.counters.LogFrameBytes, frameBytes)
-	atomic.AddInt64(&c.counters.LogRecords, int64(len(entries)))
+	atomic.AddInt64(&c.counters.LogRecords, int64(len(recs)))
 	atomic.AddInt64(&c.counters.DecodeErrors, decodeErrors)
 }
 

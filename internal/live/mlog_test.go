@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mobickpt/internal/check"
-	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
@@ -197,16 +196,11 @@ func TestLiveImagesVerifyAfterReplayRecovery(t *testing.T) {
 	}
 }
 
-// referenceFrames is the hand-off the straightforward way: materialize
-// the whole log as one transfer, SplitTransfer it, EncodeFrame each part.
-func referenceFrames(t *testing.T, h mobile.HostID, from, to mobile.MSSID, entries []*mlog.Entry) [][]byte {
+// referenceFrames is the hand-off the straightforward way: the whole log
+// as one transfer, SplitTransfer it, EncodeFrame each part.
+func referenceFrames(t *testing.T, h mobile.HostID, from, to mobile.MSSID, recs []wire.LogRecord) [][]byte {
 	t.Helper()
-	whole := &wire.LogTransfer{Host: h, FromMSS: from, ToMSS: to}
-	for _, e := range entries {
-		whole.Records = append(whole.Records, wire.LogRecord{
-			Seq: uint64(e.Seq), MsgID: e.MsgID, From: e.From, RecvCount: int64(e.RecvCount), At: float64(e.At),
-		})
-	}
+	whole := &wire.LogTransfer{Host: h, FromMSS: from, ToMSS: to, Records: recs}
 	var frames [][]byte
 	for _, part := range wire.SplitTransfer(whole) {
 		frame, err := wire.EncodeFrame(part)
@@ -218,7 +212,7 @@ func referenceFrames(t *testing.T, h mobile.HostID, from, to mobile.MSSID, entri
 	return frames
 }
 
-// transferLog chunks the entry list in place into reused buffers. What
+// transferLog chunks the record list in place into reused buffers. What
 // it ships must be what the reference path ships — same frames, byte for
 // byte, same counts — and once the buffers have grown to the host's
 // chunk size a hand-off must not allocate at all.
@@ -228,9 +222,9 @@ func TestTransferLogAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const h, from, to = mobile.HostID(3), mobile.MSSID(1), mobile.MSSID(2)
-	log := make([]*mlog.Entry, 2*wire.MaxTransferRecords+5)
+	log := make([]wire.LogRecord, 2*wire.MaxTransferRecords+5)
 	for i := range log {
-		log[i] = &mlog.Entry{Host: h, Seq: i, MsgID: uint64(7*i + 1), From: mobile.HostID(i % 8), RecvCount: i / 3, At: des.Time(i) / 2}
+		log[i] = wire.LogRecord{Seq: uint64(i), MsgID: uint64(7*i + 1), From: mobile.HostID(i % 8), RecvCount: int64(i / 3), At: float64(i) / 2}
 	}
 
 	var x logTransferScratch

@@ -205,7 +205,7 @@ func TestPruneNeverLosesReplayable(t *testing.T) {
 								unflushed++ // the host's log ends in a suffix no recovery may replay
 							}
 							for _, seq := range seqs {
-								if lg.EntryAt(mobile.HostID(h), seq) == nil {
+								if _, ok := lg.EntryAt(mobile.HostID(h), seq); !ok {
 									t.Fatalf("%s %v joins=%d seed=%d, failure of host %d: host %d restores ordinal %d, which undoes delivery %d — pruned (log retained from %d)",
 										proto.name, mode, joins, seed, f, h, rep.Cut[h], seq, lg.RetainedFrom(mobile.HostID(h)))
 								}

@@ -85,7 +85,7 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 		Replayed:    make(map[mobile.HostID]int),
 		DominoSteps: steps,
 	}
-	replayed := make(map[mobile.HostID][]*mlog.Entry)
+	replayed := make(map[mobile.HostID][]mlog.Entry)
 	for h, ord := range cut {
 		if ord == recovery.End {
 			continue

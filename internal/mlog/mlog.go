@@ -29,6 +29,13 @@
 // frontier of internal/recovery: an entry whose receive precedes every
 // checkpoint a future recovery line can restore is unreplayable by
 // construction and is discarded.
+//
+// The log keeps references, not copies. Every field of a logged delivery
+// but one is already a row of the run's trace.History (who sent which
+// message to whom, and when), so a log holds, per host and per delivery,
+// that row's position and the receiver's checkpoint count after the
+// delivery: eight bytes. Entry values are built only where something
+// reads them.
 package mlog
 
 import (
@@ -39,6 +46,7 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/trace"
 )
 
 // Mode selects the logging discipline.
@@ -113,7 +121,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Entry is one logged delivery.
+// Entry is one logged delivery, as EntryAt and ReplayFrom build it from
+// the delivery's Ref and History row.
 type Entry struct {
 	Host mobile.HostID
 	// Seq is the per-host delivery ordinal, 0-based: the Seq-th message
@@ -129,6 +138,11 @@ type Entry struct {
 	At        des.Time
 }
 
+// Ref is one logged delivery as the log keeps it: the History row that
+// recorded the delivery and the receiver's position after it
+// (Entry.RecvCount), the one field of an Entry no row holds.
+type Ref struct{ row, recv int32 }
+
 // Counters aggregates the log's stable-storage and transfer activity.
 type Counters struct {
 	Appended       int64 // entries logged
@@ -143,7 +157,8 @@ type Counters struct {
 	PeakStableEntries int64
 }
 
-// hostLog is one host's log state.
+// hostLog is one host's log state: one array of references and three
+// frontiers over it.
 //
 // Like Log itself the struct is externally serialized (see the Log
 // contract); every field states so explicitly for guardlint.
@@ -151,20 +166,14 @@ type hostLog struct {
 	//guard:none externally serialized by the Log's owner
 	host mobile.HostID
 
-	// stable holds flushed and retained entries, ascending Seq.
+	// refs holds the retained deliveries in Seq order, seq minSeq first:
+	// the stable ones, then (below nextSeq) the pending ones, which
+	// Optimistic buffers in MSS volatile memory. A flush moves stableSeq
+	// and a prune reslices; only Append writes, past the end of every
+	// slice Handoff returned.
 	//
 	//guard:none externally serialized by the Log's owner
-	stable []*Entry
-
-	// pending is buffered in MSS volatile memory (Optimistic).
-	//
-	//guard:none externally serialized by the Log's owner
-	pending []*Entry
-
-	// nextSeq is the seq the next Append receives.
-	//
-	//guard:none externally serialized by the Log's owner
-	nextSeq int
+	refs []Ref
 
 	// stableSeq is the stable frontier: every entry with Seq < stableSeq
 	// has reached stable storage (possibly pruned since). Monotonic.
@@ -183,6 +192,12 @@ type hostLog struct {
 	mss mobile.MSSID
 }
 
+// nextSeq is the seq the next Append receives.
+func (hl *hostLog) nextSeq() int { return hl.minSeq + len(hl.refs) }
+
+// stable returns the retained stable references.
+func (hl *hostLog) stable() []Ref { return hl.refs[:hl.stableSeq-hl.minSeq] }
+
 // Log is the MSS-resident message log of one computation (all hosts).
 //
 // The log carries no lock of its own: every caller already serializes
@@ -193,6 +208,17 @@ type hostLog struct {
 type Log struct {
 	//guard:none immutable after New
 	cfg Config
+
+	// hist holds the rows the references name: the run's history, which
+	// its writer grows (Open), or the log's own (New).
+	//
+	//guard:none immutable after New; its rows grow under the owner's serialization
+	hist *trace.History
+
+	// own reports a history of the log's own, which Append writes.
+	//
+	//guard:none immutable after New
+	own bool
 
 	// hosts is indexed by HostID (ids are dense); slots stay nil until
 	// the host's first delivery is logged. A flat slice instead of a map
@@ -218,23 +244,31 @@ type Log struct {
 	OnFlush func(h mobile.HostID, entries int)
 }
 
-// New creates an empty log. cfg.Mode must be Pessimistic or Optimistic.
+// New creates an empty log that records every delivery it is handed in a
+// history of its own. cfg.Mode must be Pessimistic or Optimistic.
 func New(cfg Config) (*Log, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Log{cfg: cfg}, nil
+	return &Log{cfg: cfg, hist: trace.NewHistory(0, 0), own: true}, nil
 }
 
-// Open builds the log a world's logging mode asks for — the default
-// configuration of mode, the same in every world, since the optimistic
-// flush batch decides which deliveries a replay-aware recovery line may
-// keep — or returns nil when mode is Off.
-func Open(mode Mode) (*Log, error) {
+// Open builds the log a world's logging mode asks for, over the world's
+// history hist — the default configuration of mode, the same in every
+// world, since the optimistic flush batch decides which deliveries a
+// replay-aware recovery line may keep — or returns nil when mode is Off.
+func Open(mode Mode, hist *trace.History) (*Log, error) {
 	if mode == Off {
 		return nil, nil
 	}
-	return New(DefaultConfig(mode))
+	cfg := DefaultConfig(mode)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if hist == nil {
+		return nil, fmt.Errorf("mlog: a %v log needs the run's history", mode)
+	}
+	return &Log{cfg: cfg, hist: hist}, nil
 }
 
 // Mode returns the logging discipline.
@@ -294,33 +328,60 @@ func (l *Log) Instrument(reg *obs.Registry, mu sync.Locker, kv ...string) {
 	reg.GaugeFunc("mlog_retained_entries", obs.Locked(mu, func() int64 { return l.retained }), kv...)
 }
 
-// Append logs one delivery to host h at station mss and returns the
-// entry. Pessimistic mode flushes it immediately; Optimistic buffers it
-// and flushes once FlushBatch entries are pending.
-func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.Time, mss mobile.MSSID) *Entry {
+// Append logs one delivery to host h at station mss: message msgID from
+// host from, delivered at time at, after which h had taken recvCount
+// checkpoints. A log over a world's history finds that delivery as the
+// history's newest row, which the world records first, and panics naming
+// both when the newest row is anything else; a log made by New records
+// the row itself. Pessimistic mode flushes the entry immediately;
+// Optimistic buffers it and flushes once FlushBatch entries are pending.
+func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.Time, mss mobile.MSSID) {
+	if l.own {
+		l.hist.Deliver(l.hist.Send(from, h, msgID, at), msgID, at)
+	}
+	row := l.hist.Len() - 1
+	if row < 0 || l.hist.Kind(row) != trace.SchedDeliver || l.hist.Host(row) != h ||
+		l.hist.Peer(row) != from || l.hist.Msg(row) != msgID || l.hist.At(row) != at {
+		panic(l.foreign(row, h, from, msgID, at))
+	}
 	hl := l.host(h)
 	if hl.mss == mobile.NoMSS {
 		hl.mss = mss
 	}
-	e := &Entry{Host: h, Seq: hl.nextSeq, MsgID: msgID, From: from, RecvCount: recvCount, At: at}
-	hl.nextSeq++
-	hl.pending = append(hl.pending, e)
+	if len(hl.refs) == cap(hl.refs) {
+		// Double: the arrays a host's appends allocate then sum to under
+		// twice the last one's capacity (append's own policy grows a long
+		// array by about 1.25x, and its arrays sum to about five times).
+		grown := make([]Ref, len(hl.refs), max(2*cap(hl.refs), 16))
+		copy(grown, hl.refs)
+		hl.refs = grown
+	}
+	hl.refs = append(hl.refs, Ref{row: int32(row), recv: int32(recvCount)})
 	l.counters.Appended++
-	if l.cfg.Mode == Pessimistic || len(hl.pending) >= l.cfg.FlushBatch {
+	if l.cfg.Mode == Pessimistic || hl.nextSeq()-hl.stableSeq >= l.cfg.FlushBatch {
 		l.flush(hl)
 	}
-	return e
+}
+
+// foreign describes an Append whose delivery is not the history's newest
+// row.
+func (l *Log) foreign(row int, h, from mobile.HostID, msgID uint64, at des.Time) string {
+	newest := "the history is empty"
+	if row >= 0 {
+		newest = fmt.Sprintf("its newest row %d is a %s of msg %d by host %d (peer %d) at %v",
+			row, l.hist.Kind(row), l.hist.Msg(row), l.hist.Host(row), l.hist.Peer(row), l.hist.At(row))
+	}
+	return fmt.Sprintf("mlog: appending the delivery of msg %d from host %d to host %d at %v, but %s",
+		msgID, from, h, at, newest)
 }
 
 // flush moves hl's pending entries to stable storage as one write.
 func (l *Log) flush(hl *hostLog) {
-	if len(hl.pending) == 0 {
+	n := hl.nextSeq() - hl.stableSeq
+	if n == 0 {
 		return
 	}
-	n := len(hl.pending)
-	hl.stable = append(hl.stable, hl.pending...)
-	hl.stableSeq = hl.pending[n-1].Seq + 1
-	hl.pending = hl.pending[:0]
+	hl.stableSeq += n
 	l.counters.Flushes++
 	l.counters.FlushedEntries += int64(n)
 	l.counters.StableBytes += int64(n) * l.cfg.EntryBytes
@@ -344,9 +405,10 @@ func (l *Log) Flush(h mobile.HostID) {
 
 // Handoff transfers host h's log to station to, following a cell switch.
 // The transfer writes through (pending entries flush first) and ships
-// the retained stable entries over the wired network. It returns the
-// entries transferred.
-func (l *Log) Handoff(h mobile.HostID, to mobile.MSSID) []*Entry {
+// the retained stable entries over the wired network. It returns their
+// references, seq RetainedFrom(h) first, without copying them (EntryAt
+// builds the entries); the log never writes into the slice again.
+func (l *Log) Handoff(h mobile.HostID, to mobile.MSSID) []Ref {
 	hl := l.host(h)
 	l.flush(hl)
 	if hl.mss == to {
@@ -354,8 +416,8 @@ func (l *Log) Handoff(h mobile.HostID, to mobile.MSSID) []*Entry {
 	}
 	hl.mss = to
 	l.counters.Handoffs++
-	l.counters.TransferBytes += int64(len(hl.stable)) * l.cfg.EntryBytes
-	return hl.stable
+	l.counters.TransferBytes += int64(len(hl.refs)) * l.cfg.EntryBytes
+	return hl.refs[:len(hl.refs):len(hl.refs)]
 }
 
 // Holder returns the station holding host h's stable log, or NoMSS.
@@ -379,7 +441,7 @@ func (l *Log) StableBound(h mobile.HostID) int {
 // AppendedCount returns the number of deliveries ever logged for host h.
 func (l *Log) AppendedCount(h mobile.HostID) int {
 	if hl := l.peek(h); hl != nil {
-		return hl.nextSeq
+		return hl.nextSeq()
 	}
 	return 0
 }
@@ -387,7 +449,7 @@ func (l *Log) AppendedCount(h mobile.HostID) int {
 // PendingCount returns host h's buffered (volatile) entries.
 func (l *Log) PendingCount(h mobile.HostID) int {
 	if hl := l.peek(h); hl != nil {
-		return len(hl.pending)
+		return hl.nextSeq() - hl.stableSeq
 	}
 	return 0
 }
@@ -401,46 +463,59 @@ func (l *Log) RetainedFrom(h mobile.HostID) int {
 	return 0
 }
 
-// EntryAt returns host h's entry with the given seq — stable or still
-// pending — or nil when it was pruned or never logged.
-func (l *Log) EntryAt(h mobile.HostID, seq int) *Entry {
+// EntryAt builds host h's entry with the given seq — stable or still
+// pending — and reports false when it was pruned or never logged.
+func (l *Log) EntryAt(h mobile.HostID, seq int) (Entry, bool) {
 	hl := l.peek(h)
-	if hl == nil || seq < hl.minSeq || seq >= hl.nextSeq {
-		return nil
+	if hl == nil || seq < hl.minSeq || seq >= hl.nextSeq() {
+		return Entry{}, false
 	}
-	if seq < hl.stableSeq {
-		return hl.stable[seq-hl.minSeq]
-	}
-	return hl.pending[seq-hl.stableSeq]
+	return l.entry(hl, seq), true
 }
 
-// ReplayFrom returns host h's stable entries whose receive a restore to
+// entry builds hl's retained entry seq from its reference and row.
+func (l *Log) entry(hl *hostLog, seq int) Entry {
+	r := hl.refs[seq-hl.minSeq]
+	row := int(r.row)
+	return Entry{
+		Host: hl.host, Seq: seq, MsgID: l.hist.Msg(row), From: l.hist.Peer(row),
+		RecvCount: int(r.recv), At: l.hist.At(row),
+	}
+}
+
+// ReplayFrom builds host h's stable entries whose receive a restore to
 // checkpoint ordinal restored undoes (RecvCount > restored), in delivery
 // order — exactly the messages a recovering host re-delivers. Entries
 // pruned by garbage collection never qualify: pruning requires that no
 // future recovery line restores below them.
-func (l *Log) ReplayFrom(h mobile.HostID, restored int) []*Entry {
+func (l *Log) ReplayFrom(h mobile.HostID, restored int) []Entry {
 	hl := l.peek(h)
 	if hl == nil {
 		return nil
 	}
-	return hl.stable[hl.firstAbove(restored):]
+	first, end := hl.firstAbove(restored), hl.stableSeq-hl.minSeq
+	out := make([]Entry, 0, end-first)
+	for i := first; i < end; i++ {
+		out = append(out, l.entry(hl, hl.minSeq+i))
+	}
+	return out
 }
 
-// firstAbove returns the index of hl's first stable entry with
-// RecvCount > x (len(hl.stable) when there is none). Stable entries are
+// firstAbove returns the index of hl's first stable reference with
+// RecvCount > x (the stable count when there is none). Stable entries are
 // in ascending Seq order with nondecreasing RecvCount, so the entries
 // at or below x are a prefix and a binary search finds its end.
 func (hl *hostLog) firstAbove(x int) int {
-	return sort.Search(len(hl.stable), func(i int) bool { return hl.stable[i].RecvCount > x })
+	stable := hl.stable()
+	return sort.Search(len(stable), func(i int) bool { return int(stable[i].recv) > x })
 }
 
 // PruneDelivered garbage-collects host h's stable entries whose receive
 // no future recovery line can undo: entries with RecvCount <= frontier,
 // where frontier is the ordinal of the earliest checkpoint any future
 // line restores for h (protoside.Slot.Frontier; -1 discards nothing).
-// Per-host RecvCount is nondecreasing, so this removes a prefix. It
-// returns the number of entries discarded.
+// Per-host RecvCount is nondecreasing, so this removes a prefix, in place.
+// It returns the number of entries discarded.
 func (l *Log) PruneDelivered(h mobile.HostID, frontier int) int {
 	hl := l.peek(h)
 	if hl == nil {
@@ -450,8 +525,8 @@ func (l *Log) PruneDelivered(h mobile.HostID, frontier int) int {
 	if n == 0 {
 		return 0
 	}
-	hl.minSeq = hl.stable[n-1].Seq + 1
-	hl.stable = append([]*Entry(nil), hl.stable[n:]...)
+	hl.refs = hl.refs[n:]
+	hl.minSeq += n
 	l.retained -= int64(n)
 	l.counters.Pruned += int64(n)
 	return n

@@ -1,10 +1,14 @@
 package mlog
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/race"
+	"mobickpt/internal/trace"
 )
 
 func newLog(t *testing.T, mode Mode, batch int) *Log {
@@ -121,8 +125,8 @@ func TestHandoffWritesThroughAndTransfers(t *testing.T) {
 func TestEntryAtAcrossPruning(t *testing.T) {
 	lg := newLog(t, Optimistic, 3)
 	appendN(lg, 0, 7, 1) // recv counts 1..7; seqs 0..6; stable 0..5, pending 6
-	if e := lg.EntryAt(0, 6); e == nil || e.MsgID != 106 {
-		t.Fatalf("EntryAt(pending) = %+v", e)
+	if e, ok := lg.EntryAt(0, 6); !ok || e.MsgID != 106 {
+		t.Fatalf("EntryAt(pending) = %+v, %v", e, ok)
 	}
 	if n := lg.PruneDelivered(0, 2); n != 2 { // recv counts 1,2 -> seqs 0,1
 		t.Fatalf("pruned %d entries, want 2", n)
@@ -130,16 +134,16 @@ func TestEntryAtAcrossPruning(t *testing.T) {
 	if lg.RetainedFrom(0) != 2 {
 		t.Errorf("RetainedFrom = %d, want 2", lg.RetainedFrom(0))
 	}
-	if e := lg.EntryAt(0, 1); e != nil {
+	if e, ok := lg.EntryAt(0, 1); ok {
 		t.Errorf("pruned entry still visible: %+v", e)
 	}
 	for seq := 2; seq <= 6; seq++ {
-		e := lg.EntryAt(0, seq)
-		if e == nil || e.Seq != seq || e.MsgID != uint64(100+seq) {
-			t.Errorf("EntryAt(%d) = %+v", seq, e)
+		e, ok := lg.EntryAt(0, seq)
+		if !ok || e.Seq != seq || e.MsgID != uint64(100+seq) || e.RecvCount != 1+seq || e.At != des.Time(seq) || e.From != 1 {
+			t.Errorf("EntryAt(%d) = %+v, %v", seq, e, ok)
 		}
 	}
-	if e := lg.EntryAt(0, 7); e != nil {
+	if e, ok := lg.EntryAt(0, 7); ok {
 		t.Errorf("EntryAt past end = %+v", e)
 	}
 	c := lg.Counters()
@@ -257,15 +261,14 @@ func TestPeakStableEntries(t *testing.T) {
 	}
 }
 
-// The live cluster encodes the slice Handoff returned after it has let go
-// of the lock that serializes the log, while the host's next deliveries
-// and its next hand-off's pruning go on: neither may write into the array
+// Handoff returns the log's own references, uncopied: the host's next
+// deliveries and its next hand-off's pruning may not write into the array
 // that slice still aliases.
 func TestHandedOffSliceSurvivesAppendAndPrune(t *testing.T) {
 	lg := newLog(t, Pessimistic, 0)
 	appendN(lg, 0, 6, 1) // recv counts 1..6
 	moved := lg.Handoff(0, 1)
-	want := append([]*Entry(nil), moved...)
+	want := append([]Ref(nil), moved...)
 
 	appendN(lg, 0, 4, 7)
 	if n := lg.PruneDelivered(0, 4); n != 4 {
@@ -279,12 +282,117 @@ func TestHandedOffSliceSurvivesAppendAndPrune(t *testing.T) {
 		t.Fatalf("handed-off slice changed length: %d -> %d", len(want), len(moved))
 	}
 	for i := range want {
-		if moved[i] != want[i] || moved[i].Seq != i {
+		if moved[i] != want[i] {
 			t.Fatalf("handed-off slice entry %d was rewritten: %+v", i, moved[i])
 		}
 	}
 	// What the next hand-off ships is the retained suffix only.
-	if next := lg.Handoff(0, 2); len(next) != 2 || next[0].Seq != 12 {
-		t.Fatalf("next hand-off ships %d entries from seq %d, want 2 from 12", len(next), next[0].Seq)
+	if next := lg.Handoff(0, 2); len(next) != 2 || lg.RetainedFrom(0) != 12 {
+		t.Fatalf("next hand-off ships %d entries from seq %d, want 2 from 12", len(next), lg.RetainedFrom(0))
+	}
+	if e, ok := lg.EntryAt(0, 12); !ok || e.RecvCount != 13 || e.MsgID != 102 {
+		t.Fatalf("seq 12 = %+v, %v; want the third of the last four appends", e, ok)
+	}
+}
+
+// A log over a world's history holds one 8-byte reference per delivery
+// and doubles its arrays, so over 100 000 appends it allocates at most two
+// references per delivery (16 B, floored as -benchmem floors bytes per
+// op), and nothing per call once warm; a log that copied each delivery
+// into a heap Entry would allocate 48 B per append more. The history is
+// written alike with and without the log, so the difference between the
+// two runs' allocations is the log's.
+func TestAppendAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const hosts, appends = 50, 100_000
+	for _, mode := range []Mode{Pessimistic, Optimistic} {
+		// deliver records delivery i in hist and, when lg is non-nil, logs it.
+		deliver := func(hist *trace.History, lg *Log, i int) {
+			h, from, at := mobile.HostID(i%hosts), mobile.HostID((i+1)%hosts), des.Time(i)
+			hist.Deliver(hist.Send(from, h, uint64(i), at), uint64(i), at)
+			if lg != nil {
+				lg.Append(h, from, uint64(i), i/hosts/4, at, mobile.MSSID(int(h)%25))
+			}
+		}
+		run := func(logged bool) (*trace.History, *Log, int64) {
+			hist := trace.NewHistory(hosts, 25)
+			var lg *Log
+			if logged {
+				var err error
+				if lg, err = Open(mode, hist); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range appends {
+				deliver(hist, lg, i)
+			}
+			runtime.ReadMemStats(&after)
+			return hist, lg, int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		_, _, base := run(false)
+		hist, lg, total := run(true)
+		t.Logf("%v: %.2f B per delivery", mode, float64(total-base)/appends)
+		if perDelivery := (total - base) / appends; perDelivery > 16 {
+			t.Errorf("%v: Append allocates %d B per delivery (%d B over %d appends), want <= 16",
+				mode, perDelivery, total-base, appends)
+		}
+		i := appends
+		if n := testing.AllocsPerRun(1000, func() { deliver(hist, lg, i); i++ }); n != 0 {
+			t.Errorf("%v: a warm Append allocates %v times per call, want 0", mode, n)
+		}
+	}
+}
+
+// A log over a world's history reads each delivery from the history's
+// newest row, which the world records first; an Append of any other
+// delivery is a wiring bug, and the panic names both.
+func TestAppendPanicsOnForeignRow(t *testing.T) {
+	hist := trace.NewHistory(3, 1)
+	lg, err := Open(Pessimistic, hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(what string, f func(), want ...string) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			msg, _ := r.(string)
+			for _, w := range want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("%s: panic %q does not name %q", what, msg, w)
+				}
+			}
+		}()
+		f()
+		t.Errorf("%s: Append did not panic", what)
+	}
+	mustPanic("empty history", func() { lg.Append(1, 0, 7, 1, 2, 0) }, "msg 7", "history is empty")
+	hist.Deliver(hist.Send(0, 1, 7, 1), 7, 2) // msg 7: host 0 -> host 1, delivered at 2
+	mustPanic("another message", func() { lg.Append(1, 0, 8, 1, 2, 0) }, "msg 8", "deliver of msg 7")
+	mustPanic("another receiver", func() { lg.Append(2, 0, 7, 1, 2, 0) }, "to host 2", "by host 1")
+	mustPanic("another sender", func() { lg.Append(1, 2, 7, 1, 2, 0) }, "from host 2", "peer 0")
+	mustPanic("another time", func() { lg.Append(1, 0, 7, 1, 3, 0) }, "at 3", "at 2")
+	lg.Append(1, 0, 7, 1, 2, 0)
+	if e, ok := lg.EntryAt(1, 0); !ok || e != (Entry{Host: 1, Seq: 0, MsgID: 7, From: 0, RecvCount: 1, At: 2}) {
+		t.Fatalf("EntryAt(1, 0) = %+v, %v", e, ok)
+	}
+	hist.Send(1, 2, 9, 3)
+	mustPanic("a send row", func() { lg.Append(1, 0, 7, 1, 2, 0) }, "msg 7", "send of msg 9")
+	if got := lg.AppendedCount(1); got != 1 {
+		t.Fatalf("a refused Append was logged: %d entries", got)
+	}
+}
+
+func TestOpenNeedsTheHistory(t *testing.T) {
+	if lg, err := Open(Off, nil); lg != nil || err != nil {
+		t.Errorf("Open(Off) = %v, %v; want no log", lg, err)
+	}
+	if _, err := Open(Pessimistic, nil); err == nil {
+		t.Error("Open(Pessimistic, nil) built a log without a history")
 	}
 }

@@ -37,9 +37,10 @@ type Side struct {
 
 	// Hist is the run's one protocol-independent history (nil unless the
 	// world records one): every mirrored event appends one row to it
-	// before any protocol sees the event, whatever the slot count, and
-	// each slot's Trace is a view of it. Its position is what the decision
-	// logs stamp their entries with.
+	// before any protocol sees the event, whatever the slot count. A
+	// slot's Trace is a view of it, and its delivery rows are what a
+	// slot's message log refers to. Its position is what the decision logs
+	// stamp their entries with.
 	Hist *trace.History
 
 	// now is the world's clock: the virtual time of the event being
@@ -90,10 +91,11 @@ type Slot struct {
 	GCFrontier  int // highest stable index any GC pruned at
 
 	// The latest log hand-off (OnCellSwitch): the frontier the switching
-	// host's log was pruned at and what it shipped, for the live cluster's
-	// wire and station images.
+	// host's log was pruned at and the references it shipped (seq
+	// MLog.RetainedFrom first), for the live cluster's wire and station
+	// images.
 	HandoffFrontier int
-	Shipped         []*mlog.Entry
+	Shipped         []mlog.Ref
 
 	JoinCtrl int64 // control messages spent on joins
 
@@ -206,18 +208,14 @@ func New(protos int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, n
 }
 
 // InitSlot fills slot i for n hosts from s — store and the optional
-// message log and decision log the world chose, plus a view of the side's
-// history when it records one — and builds the protocol, which build
-// constructs around the slot's checkpointer and store and which names the
-// slot; with checks it attaches an invariant checker to it. mssOf is the
-// station a checkpoint of h lands on: the same closure the world hands the
-// protocol.
+// trace (a view of the side's history), message log and decision log the
+// world chose — and builds the protocol, which build constructs around
+// the slot's checkpointer and store and which names the slot; with checks
+// it attaches an invariant checker to it. mssOf is the station a
+// checkpoint of h lands on: the same closure the world hands the protocol.
 func (p *Side) InitSlot(i, n int, s Slot, checks bool, mssOf func(mobile.HostID) mobile.MSSID,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
 	s.Counts = make([]int, n)
-	if p.Hist != nil {
-		s.Trace = p.Hist.View()
-	}
 	if p.reg != nil {
 		s.ckptByCause = make(map[string]*obs.Counter)
 	}
@@ -388,9 +386,10 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, o
 			s.Trace.CountDeliver(s.Counts[h])
 		}
 		if s.MLog != nil {
-			// The entry carries the post-forced-checkpoint receiver
-			// position, the same position the trace records; pessimistic
-			// mode makes it stable before the application proceeds.
+			// The log refers to the delivery row recorded above and keeps
+			// the post-forced-checkpoint receiver position beside it, the
+			// same position the trace records; pessimistic mode makes it
+			// stable before the application proceeds.
 			s.MLog.Append(h, from, id, s.Counts[h], now, at)
 		}
 		if s.Dec != nil {

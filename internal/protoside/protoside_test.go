@@ -31,7 +31,7 @@ func newWorld(t *testing.T) *world {
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewBCS(hosts, c) },
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewUncoordinated(hosts, c) },
 	} {
-		slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Dec: replaycmp.NewLog("", hosts)}
+		slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: w.Hist.View(), Dec: replaycmp.NewLog("", hosts)}
 		err := w.InitSlot(i, hosts, slot, true, mssOf, func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
 			return build(c), nil
 		})

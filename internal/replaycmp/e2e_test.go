@@ -24,6 +24,7 @@ import (
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
+	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
 )
 
@@ -310,13 +311,27 @@ func protocolSide(snap obs.Snapshot) map[string]int64 {
 
 // The gate must be able to fail: perturbing a single replayed decision
 // has to surface as a divergence at exactly that decision. A differ
-// that cannot reject anything verifies nothing.
+// that cannot reject anything verifies nothing. The decision perturbed is
+// the first forced checkpoint in the log's order, so that whatever the
+// interleaving its host has a delivery at the divergence to cite.
 func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.OpsPerHost = 200
 	c := record(t, cfg, "QBC")
 	res := replay(t, c, cfg, false)
-	if !replaycmp.Perturb(res.Decisions, 42) {
+	forced, n := -1, 0
+	for _, chain := range res.Decisions.Checkpoints {
+		for _, ck := range chain {
+			if forced < 0 && ck.Kind == storage.Forced.String() {
+				forced = n
+			}
+			n++
+		}
+	}
+	if forced < 0 {
+		t.Fatal("the replay took no forced checkpoint to perturb")
+	}
+	if !replaycmp.Perturb(res.Decisions, forced) {
 		t.Fatal("perturbation refused")
 	}
 	d := replaycmp.Compare(c.Decisions(), res.Decisions, c.Schedule())
@@ -328,6 +343,26 @@ func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 	}
 	if d.Context == nil {
 		t.Fatal("divergence report lacks vector-clock context")
+	}
+	// It cites the flow ids around the divergence: the diverging host's
+	// last sends and deliveries up to it, as the schedule recorded them,
+	// ending with the delivery that induced the forced checkpoint.
+	var want []replaycmp.Flow
+	for _, ev := range c.Schedule().Events {
+		if ev.Seq <= d.Seq && ev.Host == d.Host && (ev.Kind == trace.SchedSend || ev.Kind == trace.SchedDeliver) {
+			want = append(want, replaycmp.Flow{Kind: ev.Kind, Msg: ev.Msg})
+		}
+	}
+	if len(want) > len(d.Flows) {
+		want = want[len(want)-len(d.Flows):]
+	}
+	if len(d.Flows) == 0 || d.Flows[len(d.Flows)-1].Kind != trace.SchedDeliver || !slices.Equal(d.Flows, want) {
+		t.Fatalf("divergence cites flows %v, the schedule's last up to seq %d of host %d are %v", d.Flows, d.Seq, d.Host, want)
+	}
+	for _, f := range d.Flows {
+		if !strings.Contains(d.String(), f.String()) {
+			t.Fatalf("divergence report %q does not print flow %s", d, f)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/storage"
@@ -159,13 +160,37 @@ type Divergence struct {
 	// Context is the vector-clock position of the divergence: per host,
 	// the number of schedule events strictly before Seq.
 	Context []int
+	// Flows are Host's last sends and deliveries up to Seq, the event at
+	// Seq included, oldest first (at most recentFlows): their message ids,
+	// which in the live cluster and its replay are the timeline's flow ids.
+	Flows []Flow
 }
+
+// Flow is one send or delivery a Divergence cites: the schedule kind and
+// the message id.
+type Flow struct {
+	Kind string
+	Msg  uint64
+}
+
+func (f Flow) String() string { return f.Kind + " " + strconv.FormatUint(f.Msg, 10) }
+
+// recentFlows is how many of the diverging host's last sends and
+// deliveries a Divergence cites.
+const recentFlows = 4
 
 func (d *Divergence) String() string {
 	s := fmt.Sprintf("first divergence: host %d %s #%d (schedule seq %d): live %s != replay %s",
 		d.Host, d.Field, d.Ordinal, d.Seq, d.Live, d.Replay)
 	if d.Context != nil {
 		s += fmt.Sprintf("; events per host before divergence %v", d.Context)
+	}
+	if len(d.Flows) > 0 {
+		flows := make([]string, len(d.Flows))
+		for i, f := range d.Flows {
+			flows[i] = f.String()
+		}
+		s += fmt.Sprintf("; host %d's last flows up to it: %s", d.Host, strings.Join(flows, ", "))
 	}
 	return s
 }
@@ -224,7 +249,7 @@ func Compare(live, replay *Log, sched *trace.Schedule) *Divergence {
 		best = recoveryLineDiff(live, replay, sched)
 	}
 	if best != nil && sched != nil {
-		best.Context = contextAt(sched, best.Seq, live.NumHosts())
+		best.Context, best.Flows = contextAt(sched, best.Seq, live.NumHosts(), best.Host)
 	}
 	return best
 }
@@ -310,18 +335,28 @@ func minSeq(a, b uint64) uint64 {
 
 // contextAt counts, per host, the schedule events strictly before seq —
 // a vector-clock-style position of the divergence in the recorded
-// history.
-func contextAt(sched *trace.Schedule, seq uint64, hosts int) []int {
+// history — and lists host's last recentFlows sends and deliveries up to
+// it, oldest first: the event at seq is the one the two executions
+// interpreted differently, and a forced checkpoint's is the delivery
+// that induced it.
+func contextAt(sched *trace.Schedule, seq uint64, hosts, host int) ([]int, []Flow) {
 	ctx := make([]int, hosts)
+	var flows []Flow
 	for _, ev := range sched.Events {
-		if ev.Seq >= seq {
+		if ev.Seq > seq {
 			break
 		}
-		if ev.Host >= 0 && ev.Host < hosts {
+		if ev.Seq < seq && ev.Host >= 0 && ev.Host < hosts {
 			ctx[ev.Host]++
 		}
+		if ev.Host == host && (ev.Kind == trace.SchedSend || ev.Kind == trace.SchedDeliver) {
+			if len(flows) == recentFlows {
+				flows = append(flows[:0], flows[1:]...)
+			}
+			flows = append(flows, Flow{Kind: ev.Kind, Msg: ev.Msg})
+		}
 	}
-	return ctx
+	return ctx, flows
 }
 
 // Perturb flips the n-th checkpoint decision (counting across hosts in

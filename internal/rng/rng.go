@@ -9,10 +9,7 @@
 // fully specified by its 64-bit seed.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Source is a deterministic 64-bit PRNG (SplitMix64). The zero value is a
 // valid generator seeded with 0; use New to seed explicitly.
@@ -79,8 +76,10 @@ func (s *Source) Exp(mean float64) float64 {
 		panic("rng: Exp with non-positive mean")
 	}
 	u := s.Float64()
-	// 1-u is in (0,1], so the log is finite.
-	return -mean * math.Log(1-u)
+	// 1-u is in (0,1], so the log is finite. The product is rounded before
+	// a caller adds it to a clock: fused there, it would round differently
+	// on different architectures.
+	return float64(-mean * logUnit(1-u))
 }
 
 // Bernoulli returns true with probability p.

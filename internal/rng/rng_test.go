@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
+
+	"mobickpt/internal/race"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -135,6 +138,43 @@ func TestExpPanicsOnNonPositiveMean(t *testing.T) {
 		}
 	}()
 	New(1).Exp(0)
+}
+
+// Exp's logarithm is Go's amd64 math.Log ported: on amd64, where math.Log
+// is that assembly, the two agree bit for bit on every argument Exp can
+// pass — 1 - u for the 10⁷ draws of a stream, and the edges: 1, the
+// smallest, 2⁻⁵³, and both sides of √2/2, where the mantissa's
+// comparison flips, at several binades. Elsewhere math.Log is the
+// compiler's own build of the Go code, and may differ by one ulp.
+func TestExpLogMatchesMathLog(t *testing.T) {
+	ulps := 0
+	if runtime.GOARCH != "amd64" {
+		ulps = 1
+	}
+	check := func(x float64) {
+		t.Helper()
+		got, want := logUnit(x), math.Log(x)
+		if d := int64(math.Float64bits(got)) - int64(math.Float64bits(want)); d > int64(ulps) || d < -int64(ulps) {
+			t.Fatalf("logUnit(%v) = %v (%#x), math.Log = %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	edges := []float64{1, math.Nextafter(1, 0), 0x1p-53, 0.5, math.Nextafter(0.5, 1)}
+	for _, scale := range []float64{1, 0.5, 0x1p-20, 0x1p-52} {
+		for _, x := range []float64{hSqrt2, math.Nextafter(hSqrt2, 0), math.Nextafter(hSqrt2, 1)} {
+			edges = append(edges, x*scale)
+		}
+	}
+	for _, x := range edges {
+		check(x)
+	}
+	n := 10_000_000
+	if testing.Short() || race.Enabled {
+		n = 100_000
+	}
+	s := New(11)
+	for range n {
+		check(1 - s.Float64())
+	}
 }
 
 func TestBernoulliExtremes(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"mobickpt/internal/des"
+	"mobickpt/internal/mlog"
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/protoside"
 	"mobickpt/internal/trace"
@@ -106,8 +107,10 @@ func (e *engine) bindEngine() error {
 		e.core = core
 		e.sched = &coreSched{core: core, e: e}
 	}
+	// A message log refers to the history's delivery rows, so a logged run
+	// records one too; its slots' trace views stay tied to RecordTrace.
 	var hist *trace.History
-	if cfg.RecordTrace {
+	if cfg.RecordTrace || cfg.MessageLog != mlog.Off {
 		hist = trace.NewHistory(cfg.Mobile.NumHosts, cfg.Mobile.NumMSS)
 	}
 	e.Side = protoside.New(len(cfg.Protocols), hist, cfg.Metrics, cfg.Timeline, e.sideNow)

@@ -98,6 +98,9 @@ type Config struct {
 	// keeps its own log (receiver positions depend on the protocol's
 	// checkpoints). An index-based slot prunes the switching host's log at
 	// each hand-off and every host's at each GCInterval tick (Slot.Frontier).
+	// A log refers to the rows of the run's history, so a logged run keeps
+	// that history even without RecordTrace (about 79 B per message);
+	// ProtocolResult.Trace still comes only with RecordTrace.
 	MessageLog mlog.Mode
 
 	// Metrics, when non-nil, receives the run's observability instruments
@@ -405,14 +408,19 @@ func (c Config) validateLog() error {
 }
 
 // initSlot fills slot i of p, for n hosts, the way c asks: a store under
-// c.Cost, a message log if c.MessageLog, the protocol build constructs
-// and, with c.Checks, an invariant checker (p gives the slot its trace).
-// Both modes of Run build their slots here.
-func (c Config) initSlot(p *protoside.Side, i, n int, mssOf func(mobile.HostID) mobile.MSSID,
+// c.Cost, with view a trace that is a view of p's history, a message log
+// over that history if c.MessageLog, the protocol build constructs and,
+// with c.Checks, an invariant checker. Both modes of Run build their
+// slots here.
+func (c Config) initSlot(p *protoside.Side, i, n int, view bool, mssOf func(mobile.HostID) mobile.MSSID,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
-	lg, err := mlog.Open(c.MessageLog)
+	lg, err := mlog.Open(c.MessageLog, p.Hist)
 	if err != nil {
 		return err
 	}
-	return p.InitSlot(i, n, protoside.Slot{Store: storage.NewStore(c.Cost), MLog: lg}, c.Checks, mssOf, build)
+	s := protoside.Slot{Store: storage.NewStore(c.Cost), MLog: lg}
+	if view {
+		s.Trace = p.Hist.View()
+	}
+	return p.InitSlot(i, n, s, c.Checks, mssOf, build)
 }

@@ -58,8 +58,8 @@ func runSchedule(cfg Config) (*Result, error) {
 	for i := range r.station {
 		r.station[i] = mobile.MSSID(i % sched.Stations)
 	}
-	// Always a history: the decision log's recovery lines are cut from the
-	// slot's view of it.
+	// Always a history and a view of it: the decision log's recovery lines
+	// are cut from the view.
 	r.Side = protoside.New(1, trace.NewHistory(sched.Hosts, sched.Stations), cfg.Metrics, cfg.Timeline,
 		func() des.Time { return r.tick })
 
@@ -68,7 +68,7 @@ func runSchedule(cfg Config) (*Result, error) {
 	scfg.Cost = storage.DefaultCostModel()
 	name := ProtocolName(sched.Protocol)
 	mssOf := func(h mobile.HostID) mobile.MSSID { return r.station[h] }
-	err := scfg.initSlot(&r.Side, 0, sched.Hosts, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+	err := scfg.initSlot(&r.Side, 0, sched.Hosts, true, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 		// The one constructor table deliberately kept apart from the
 		// registry in internal/protocol: the live cluster builds its
 		// protocol through the registry (live.Factory), and an oracle that

@@ -38,7 +38,7 @@ func (e *engine) wireWorld() error {
 	mssOf := e.mssOf
 	for i, name := range cfg.Protocols {
 		ent, _ := protocol.Lookup(string(name)) // Validate resolved every name
-		err := cfg.initSlot(&e.Side, i, n, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+		err := cfg.initSlot(&e.Side, i, n, cfg.RecordTrace, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 			if e.cfg.CheckpointLatency > 0 {
 				ckpt = e.chargeLatency(ckpt)
 			}

@@ -122,9 +122,15 @@ func (h *History) Join(host mobile.HostID, to mobile.MSSID, at des.Time) {
 	h.add(rowJoin, host, -1, 0, mobile.NoMSS, to, at)
 }
 
-// At returns the world's clock at row i; the rest of a row reads through
-// the Schedule export.
-func (h *History) At(i int) des.Time { return h.at[i] }
+// Kind, Host, Peer, Msg and At read row i: its schedule kind (Sched*),
+// its acting host, the other end of a send or delivery (-1 otherwise), its
+// message id (0 otherwise) and the world's clock. The station columns read
+// through the Schedule export.
+func (h *History) Kind(i int) string        { return h.kind[i].String() }
+func (h *History) Host(i int) mobile.HostID { return mobile.HostID(h.host[i]) }
+func (h *History) Peer(i int) mobile.HostID { return mobile.HostID(h.peer[i]) }
+func (h *History) Msg(i int) uint64         { return h.msg[i] }
+func (h *History) At(i int) des.Time        { return h.at[i] }
 
 // InFlight returns, in ascending order, the ids of the messages sent and
 // never delivered (still traveling, or parked at a station for a host
