@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-short check vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results clean FORCE
+.PHONY: all build test test-short check vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results lines clean FORCE
 
 all: build test
 
@@ -210,6 +210,14 @@ results-check:
 	$(GO) run ./cmd/figures -table all -seeds 3 -out "$$tmp" > /dev/null; \
 	diff -r -x BENCH_scale.json results "$$tmp"; \
 	echo "results-check: all $$(ls "$$tmp" | wc -l) files regenerate byte for byte"
+
+# The non-test Go lines of every package directory (testdata left out),
+# then their total: a change's size is this at the parent against this at
+# the change.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	$(GO) clean ./...

@@ -24,10 +24,11 @@
 // downlink mailbox (modelling the MSS buffering messages for a host that
 // is slow, moving, or disconnected: the station never waits for it).
 //
-// The cluster has one lock: every protocol event, and every read or move
-// of a host's station, runs under Cluster.mu. The data plane does not: a
-// checkpoint's image is built and verified after the event, on the
-// goroutine of the host whose checkpoint it is. The links and the skew
+// The cluster has one lock: every protocol event, and every read of a
+// host's station (the protocol side keeps the location directory), runs
+// under Cluster.mu. The data plane does not: a checkpoint's image is built
+// and verified after the event, on the goroutine of the host whose
+// checkpoint it is. The links and the skew
 // gate lock themselves with leaf locks, and the run counters are atomic.
 package live
 
@@ -233,20 +234,21 @@ type Cluster struct {
 	// message log (nil unless Config.LogMode enables it) and the decision
 	// log (nil unless Config.Record). Every protocol event mirrors through
 	// it under mu: deliveries, hand-off transfers and disconnect flushes of
-	// the log included.
+	// the log included. The side's station table is the cluster's location
+	// directory: each host's current (while disconnected: last) station,
+	// which hand-offs move and sends route through.
 	//
 	//guard:mu
 	side protoside.Side
 
 	// mu serializes the protocol events, so the history, decision log and
-	// replay see one total order under one tick; it also guards the
-	// location directory (station), which only protocol events read and
-	// move. The protocol state is per-host, so a production system would
-	// stripe this lock by host. It is the cluster's bottleneck: on the
-	// live-cluster workload (QBC, pessimistic log, 8 hosts × 20 000
-	// operations, 20 clusters, two vCPUs, under the mutex profiler)
-	// goroutines waited 1.7–2.3 s on it in all while the clusters ran
-	// 1.8–2.5 s, and the same clusters run faster at GOMAXPROCS 1 (E40).
+	// replay see one total order under one tick. The protocol state is
+	// per-host, so a production system would stripe this lock by host. It
+	// is the cluster's bottleneck: on the live-cluster workload (QBC,
+	// pessimistic log, 8 hosts × 20 000 operations, 20 clusters, two
+	// vCPUs, under the mutex profiler) goroutines waited 1.7–2.3 s on it in
+	// all while the clusters ran 1.8–2.5 s, and the same clusters run
+	// faster at GOMAXPROCS 1 (E40).
 	mu sync.Mutex
 
 	// gate keeps every running host within skewWindow operations of the
@@ -272,29 +274,17 @@ type Cluster struct {
 	// ckpts holds, per host, the checkpoints its current event took whose
 	// images are still to be built: the protocol's checkpointer appends
 	// under mu, and the host's goroutine applies them once mu is released.
-	// Only host h's events checkpoint host h (dataPlane enforces it).
+	// Only host h's events checkpoint host h (the protocol side enforces
+	// it).
 	//
 	//guard:none made by NewCluster; element h is host h's goroutine's alone
 	ckpts [][]ckptAt
-
-	// owner is the host whose protocol event is running, or anyHost during
-	// Start, whose initial checkpoints cover every host.
-	//
-	//guard:mu
-	owner mobile.HostID
 
 	// hosts is the number of hosts in the run so far: Hosts, plus one per
 	// join.
 	//
 	//guard:mu
 	hosts int
-
-	// station is the location directory: each host's current (while
-	// disconnected: last) station. Hand-offs move hosts, and sends,
-	// deliveries and checkpoints look them up, all inside a protocol event.
-	//
-	//guard:mu
-	station []int
 
 	// downlink and seen hold each host's downlink mailbox and one-id
 	// duplicate-suppression filter, one per host the run can have
@@ -337,16 +327,12 @@ type Cluster struct {
 // on.
 type ckptAt struct{ seq, station int }
 
-// anyHost is the owner of Start, which checkpoints every host.
-const anyHost mobile.HostID = -1
-
-// beginEvent opens one protocol event of host h under mu: it advances the
-// logical clock and returns the event's tick.
+// beginEvent opens one protocol event under mu: it advances the logical
+// clock and returns the event's tick.
 //
 //locks:held mu
-func (c *Cluster) beginEvent(h mobile.HostID) des.Time {
+func (c *Cluster) beginEvent() des.Time {
 	c.tick++
-	c.owner = h
 	return des.Time(c.tick)
 }
 
@@ -360,9 +346,8 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The directory covers every host the run can have: a joiner's
-	// station, downlink and filter are waiting for it, so no slice changes
-	// while the cluster runs.
+	// A joiner's downlink and filter are waiting for it, so no slice
+	// changes while the cluster runs.
 	all := cfg.Hosts + cfg.Joins
 	c := &Cluster{
 		cfg:      cfg,
@@ -370,39 +355,23 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		states:   make([]*statestore.HostState, all),
 		group:    statestore.NewGroupOf(cfg.Stations, all),
 		ckpts:    make([][]ckptAt, all),
-		station:  make([]int, all),
 		downlink: make([]*mailbox, all),
 		wired:    make([]*mailbox, cfg.Stations),
 		gate:     newGate(cfg.Hosts, all),
-		owner:    anyHost,
 		hosts:    cfg.Hosts,
 	}
 	for i := range c.downlink {
 		c.states[i] = statestore.NewHostState(8)
 		c.downlink[i] = newMailbox()
-		c.station[i] = i % cfg.Stations
 		c.seen[i] = new(dupFilter)
 	}
 	for s := range c.wired {
 		c.wired[s] = newMailbox()
 	}
-	c.side = protoside.New(1, hist, cfg.Metrics, cfg.Timeline, func() des.Time {
-		// The side reads the clock only from inside a protocol event.
-		//
-		//locks:held mu
-		return des.Time(c.tick)
-	})
+	c.side = protoside.New(1, cfg.Hosts, cfg.Stations, hist, cfg.Metrics, cfg.Timeline)
 	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: hist.View(), MLog: lg}
-	// Host h's current station — or, while h is disconnected, the last
-	// one, which holds its checkpoints and parked messages: where a
-	// checkpoint of h lands, and what TP's location vectors track.
-	mssOf := func(h mobile.HostID) mobile.MSSID {
-		// Only protocol callbacks ask, inside a protocol event.
-		//
-		//locks:held mu
-		return mobile.MSSID(c.station[h])
-	}
-	err = c.side.InitSlot(0, cfg.Hosts, slot, false, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+	mssOf := c.side.Station
+	err = c.side.InitSlot(0, slot, false, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 		return mk(cfg.Hosts, c.dataPlane(ckpt), store, mssOf), nil
 	})
 	if err != nil {
@@ -476,21 +445,16 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 }
 
 // dataPlane wraps the side's checkpointer with the cluster's real data
-// plane. Under mu it only notes the checkpoint's ordinal and station for
-// the host, whose goroutine builds the image once the event has released
-// mu (storeImages). That is race-free only while every checkpoint of
-// host h is taken by one of h's own events, so a checkpoint of another
-// host is a bug, and it panics.
+// plane: it only notes the checkpoint's ordinal and station for the host,
+// whose goroutine builds the image once the event has released mu
+// (storeImages). That is race-free because the side lets an event of host
+// h checkpoint host h alone: ckpts[h] is written by h's own events, under
+// mu, and read by h's goroutine after them.
 func (c *Cluster) dataPlane(ckpt protocol.Checkpointer) protocol.Checkpointer {
 	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
-		// Protocol hooks are only invoked with the cluster lock held.
-		//
-		//locks:held mu
-		if c.owner != anyHost && h != c.owner {
-			panic(fmt.Sprintf("live: checkpoint of host %d inside an event of host %d", h, c.owner))
-		}
-		c.ckpts[h] = append(c.ckpts[h], ckptAt{seq: c.side.Slots[0].Counts[h], station: c.station[h]})
-		return ckpt(h, index, kind)
+		rec := ckpt(h, index, kind)
+		c.ckpts[h] = append(c.ckpts[h], ckptAt{seq: rec.Ordinal, station: int(rec.MSS)})
+		return rec
 	}
 }
 
@@ -564,7 +528,7 @@ func (c *Cluster) Decisions() *replaycmp.Log { return c.side.Slots[0].Dec }
 // drains the network so the counters and trace are final.
 func (c *Cluster) Run() {
 	c.mu.Lock()
-	c.side.Start(c.cfg.Hosts)
+	c.side.Start()
 	c.mu.Unlock()
 	for h := range c.cfg.Hosts {
 		c.storeImages(mobile.HostID(h))
@@ -646,14 +610,13 @@ func (c *Cluster) drainFinal() {
 	}
 }
 
-// addHost admits the next host to the protocol at the station NewCluster
-// placed it on. Safe to call while the cluster runs.
+// addHost admits the next host to the protocol at station h mod
+// Stations, where every host starts. Safe to call while the cluster runs.
 func (c *Cluster) addHost() mobile.HostID {
 	c.mu.Lock()
 	h := mobile.HostID(c.hosts)
 	c.hosts++
-	now := c.beginEvent(h)
-	c.side.OnJoin(now, h, mobile.MSSID(c.station[h]))
+	c.side.OnJoin(c.beginEvent(), h, mobile.MSSID(int(h)%c.cfg.Stations))
 	c.mu.Unlock()
 	c.storeImages(h)
 
@@ -750,13 +713,12 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	if to >= from {
 		to++
 	}
-	w := c.wired[c.station[from]]
+	w := c.wired[c.side.Station(from)]
 	id := c.nextID
 	c.nextID++
-	c.beginEvent(from)
 	var pb [1]any
 	// The packet id is the flow id, as in the replay of a recording.
-	c.side.OnSend(from, to, id, id, pb[:])
+	c.side.OnSend(c.beginEvent(), from, to, id, id, pb[:])
 	c.mu.Unlock()
 	c.storeImages(from)
 
@@ -794,10 +756,9 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 		return
 	}
 	c.mu.Lock()
-	now := c.beginEvent(h)
 	pb := [1]any{p.Piggyback}
 	// The packet id is the message's ordinal in the history (nextID).
-	c.side.OnDeliver(now, h, p.From, p.ID, p.ID, int32(p.ID), pb[:], mobile.MSSID(c.station[h]))
+	c.side.OnDeliver(c.beginEvent(), h, p.From, p.ID, p.ID, int32(p.ID), pb[:])
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Delivered, 1)
@@ -811,17 +772,15 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 // frontier are dropped, also after mu.
 func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransferScratch) {
 	c.mu.Lock()
-	cur := c.station[h]
+	cur := int(c.side.Station(h))
 	next := src.Intn(c.cfg.Stations - 1)
 	if next >= cur {
 		next++
 	}
-	now := c.beginEvent(h)
 	// The move is a protocol event: committed under mu, it is ordered
 	// against the sends, deliveries and hand-offs around it, as a recorded
 	// schedule must see them.
-	c.station[h] = next
-	c.side.OnCellSwitch(now, h, mobile.MSSID(cur), mobile.MSSID(next))
+	c.side.OnCellSwitch(c.beginEvent(), h, mobile.MSSID(next))
 	// The shipped references name rows of the history, which every
 	// protocol event grows under mu: the records are built from them here,
 	// and only encoded, decoded and counted after mu is released, on h's
@@ -866,7 +825,7 @@ type logTransferScratch struct {
 func (c *Cluster) shippedRecords(dst []wire.LogRecord, h mobile.HostID) []wire.LogRecord {
 	sl := &c.side.Slots[0]
 	first := sl.MLog.RetainedFrom(h)
-	for seq := first; seq < first+len(sl.Shipped); seq++ {
+	for seq := first; seq < first+sl.Shipped; seq++ {
 		e, _ := sl.MLog.EntryAt(h, seq)
 		dst = append(dst, wire.LogRecord{
 			Seq:       uint64(e.Seq),
@@ -913,9 +872,7 @@ func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to m
 // buffering, which is the MSS parking messages).
 func (c *Cluster) disconnect(h mobile.HostID) {
 	c.mu.Lock()
-	at := c.station[h]
-	now := c.beginEvent(h)
-	c.side.OnDisconnect(now, h, mobile.MSSID(at))
+	c.side.OnDisconnect(c.beginEvent(), h)
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Disconnect, 1)
@@ -924,9 +881,7 @@ func (c *Cluster) disconnect(h mobile.HostID) {
 // reconnect reattaches the host at its last station.
 func (c *Cluster) reconnect(h mobile.HostID) {
 	c.mu.Lock()
-	at := c.station[h]
-	now := c.beginEvent(h)
-	c.side.OnReconnect(now, h, mobile.MSSID(at))
+	c.side.OnReconnect(c.beginEvent(), h, c.side.Station(h))
 	c.mu.Unlock()
 	c.storeImages(h)
 }

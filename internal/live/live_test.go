@@ -80,7 +80,7 @@ func scriptedCluster(t *testing.T, cfg Config, mk NewProtocol) *Cluster {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
-	c.side.Start(cfg.Hosts)
+	c.side.Start()
 	c.mu.Unlock()
 	return c
 }
@@ -90,7 +90,7 @@ func scriptedCluster(t *testing.T, cfg Config, mk NewProtocol) *Cluster {
 func sendOne(t *testing.T, c *Cluster, from mobile.HostID, src *rng.Source) mobile.HostID {
 	t.Helper()
 	c.send(from, src)
-	pkt, ok := c.wired[c.station[from]].tryGet()
+	pkt, ok := c.wired[c.side.Station(from)].tryGet()
 	if !ok {
 		t.Fatal("the send put nothing on its station's inbox")
 	}
@@ -324,27 +324,30 @@ func TestLiveDataPlane(t *testing.T) {
 
 // A host's images are built on its own goroutine after its event, which
 // is race-free only while its checkpoints come from its own events: a
-// protocol that checkpoints host 1 inside an event of host 0 is a bug the
-// data plane reports by name.
+// protocol that checkpoints host 1 inside a send of host 0 is a bug the
+// protocol side reports by name.
 func TestCheckpointOfAnotherHostPanics(t *testing.T) {
-	var ck protocol.Checkpointer
-	c, err := NewCluster(DefaultConfig(), func(n int, k protocol.Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-		ck = k
-		return bcsFactory(n, k, store, mssOf)
+	c := scriptedCluster(t, DefaultConfig(), func(n int, k protocol.Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol {
+		return &checkpointsHostOne{bcsFactory(n, k, store, mssOf), k}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginEvent(0)
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "checkpoint of host 1") || !strings.Contains(msg, "event of host 0") {
 			t.Fatalf("checkpoint of host 1 in host 0's event: panic %q, want one naming both hosts", msg)
 		}
 	}()
-	ck(1, 1, storage.Basic)
+	c.send(0, rng.NewStream(1, 0))
+}
+
+// checkpointsHostOne is BCS with every send checkpointing host 1.
+type checkpointsHostOne struct {
+	protocol.Protocol
+	ck protocol.Checkpointer
+}
+
+func (p *checkpointsHostOne) OnSend(from, to mobile.HostID) any {
+	p.ck(1, 1, storage.Basic)
+	return p.Protocol.OnSend(from, to)
 }
 
 // TP's O(n) vectors must also survive the wire.

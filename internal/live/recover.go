@@ -120,7 +120,7 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 		seq := sl.Counts[h]
 		sl.Counts[h]++
 		delta := c.states[h].Checkpoint(seq, true)
-		if _, err := c.group.Station(c.station[h]).Apply(h, delta); err != nil {
+		if _, err := c.group.Station(int(c.side.Station(mobile.HostID(h)))).Apply(h, delta); err != nil {
 			return nil, fmt.Errorf("live: host %d re-baseline: %w", h, err)
 		}
 	}

@@ -145,16 +145,16 @@ type Ref struct{ row, recv int32 }
 
 // Counters aggregates the log's stable-storage and transfer activity.
 type Counters struct {
-	Appended       int64 // entries logged
-	Flushes        int64 // stable-write operations
-	FlushedEntries int64 // entries made stable
-	StableBytes    int64 // volume written to stable storage
-	Handoffs       int64 // log transfers between stations
-	TransferBytes  int64 // volume shipped over the wired network
-	Pruned         int64 // entries discarded by garbage collection
+	Appended       int64 `json:"appended"`        // entries logged
+	Flushes        int64 `json:"flushes"`         // stable-write operations
+	FlushedEntries int64 `json:"flushed_entries"` // entries made stable
+	StableBytes    int64 `json:"stable_bytes"`    // volume written to stable storage
+	Handoffs       int64 `json:"handoffs"`        // log transfers between stations
+	TransferBytes  int64 `json:"transfer_bytes"`  // volume shipped over the wired network
+	Pruned         int64 `json:"pruned"`          // entries discarded by garbage collection
 	// PeakStableEntries is the largest number of retained stable entries
 	// across all hosts at any point.
-	PeakStableEntries int64
+	PeakStableEntries int64 `json:"peak_stable_entries"`
 }
 
 // hostLog is one host's log state: one array of references and three

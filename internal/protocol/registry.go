@@ -13,7 +13,9 @@ import (
 // its own chain back), and mssOf reports a host's current — or, while
 // disconnected, last — station: protocols that track checkpoint
 // locations (TP) need the real one, not a static guess, or their
-// piggybacked location vectors go stale after the first hand-off.
+// piggybacked location vectors go stale after the first hand-off. Every
+// world hands over the protocol side's own table (protoside.Side.Station),
+// the one ck records each checkpoint's station from.
 type Constructor func(n int, ck Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol
 
 // Entry is one row of the registry: everything the environments need to

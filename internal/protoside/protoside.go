@@ -7,9 +7,12 @@
 // generative engine from its network hooks and workload and its replay
 // from a recorded schedule (both internal/sim), and the live goroutine
 // cluster (internal/live) from its hosts' real operations. What differs
-// between them arrives as values — the clock, the station a checkpoint
-// lands on, the message id and ordinal, the flow id — and nothing here
-// asks which world is calling.
+// between them arrives as values — the time of each event, the station a
+// hand-off, reconnection or join arrives at, the message id and ordinal,
+// the flow id — and nothing here calls back into the world or asks which
+// one is calling. The side keeps its own clock (the time its latest event
+// was passed) and its own station table (Station), which is the mssOf of
+// every protocol and where every checkpoint lands.
 package protoside
 
 import (
@@ -43,15 +46,21 @@ type Side struct {
 	// stamp their entries with.
 	Hist *trace.History
 
-	// now is the world's clock: the virtual time of the event being
-	// mirrored (the engine's record time, which its world may have passed
-	// by the time the side runs).
-	now func() des.Time
+	// now is the time of the event being mirrored, as its entry point was
+	// passed it: 0 before the first, for the initial checkpoints.
+	now des.Time
 
-	// cause names the activity driving the protocol callbacks now running
-	// ("switch", "disconnect", "marker", ...); the checkpointer attributes
-	// each checkpoint to it (E19). causes tallies the checkpoints per
-	// protocol and cause.
+	// station is each host's current — while disconnected, last — station:
+	// host i starts at station i mod stations, and only OnCellSwitch,
+	// OnReconnect and OnJoin move it (Station).
+	station []mobile.MSSID
+
+	// actor is the host whose event is being mirrored (anyHost in Start and
+	// in a marker round's start): the checkpointer refuses a checkpoint of
+	// any other host. cause names the activity ("switch", "disconnect",
+	// "marker", ...); the checkpointer attributes each checkpoint to it
+	// (E19). causes tallies the checkpoints per protocol and cause.
+	actor  mobile.HostID
 	cause  string
 	causes []map[string]int64
 
@@ -62,11 +71,10 @@ type Side struct {
 	// when connected.
 	discAt []des.Time
 
-	// flow/flowHost (timeline only) are the message being delivered and
-	// its receiver, -1 outside a delivery, so the checkpointer can link
-	// the forced checkpoints that delivery induces into the same flow.
-	flow     uint64
-	flowHost mobile.HostID
+	// flow (timeline only) is the message being delivered, so the
+	// checkpointer can link the forced checkpoints that delivery induces
+	// — the receiver's, the only ones it may take — into the same flow.
+	flow uint64
 }
 
 // Slot is one protocol's share of the run: all protocols ride the same
@@ -91,11 +99,11 @@ type Slot struct {
 	GCFrontier  int // highest stable index any GC pruned at
 
 	// The latest log hand-off (OnCellSwitch): the frontier the switching
-	// host's log was pruned at and the references it shipped (seq
-	// MLog.RetainedFrom first), for the live cluster's wire and station
-	// images.
+	// host's log was pruned at and how many references it shipped (seq
+	// MLog.RetainedFrom first, read back through MLog.EntryAt), for the
+	// live cluster's wire and station images.
 	HandoffFrontier int
-	Shipped         []mlog.Ref
+	Shipped         int
 
 	JoinCtrl int64 // control messages spent on joins
 
@@ -188,18 +196,25 @@ func (s *Slot) FinishRecoveryLines() {
 	}
 }
 
-// New sizes a protocol side for protos slots, recording into hist and
-// reading the world's clock now. hist, reg and tl may be nil. The world
-// fills the slots (InitSlot).
-func New(protos int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, now func() des.Time) Side {
+// anyHost is the actor of the events no one host owns: Start, whose
+// initial checkpoints cover every host, and a marker round's start.
+const anyHost mobile.HostID = -1
+
+// New sizes a protocol side for protos slots over hosts hosts and
+// stations stations, recording into hist. hist, reg and tl may be nil. The
+// world fills the slots (InitSlot).
+func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline) Side {
 	p := Side{
-		Slots:    make([]Slot, protos),
-		Hist:     hist,
-		now:      now,
-		causes:   make([]map[string]int64, protos),
-		reg:      reg,
-		tl:       tl,
-		flowHost: -1,
+		Slots:   make([]Slot, protos),
+		Hist:    hist,
+		station: make([]mobile.MSSID, hosts),
+		actor:   anyHost,
+		causes:  make([]map[string]int64, protos),
+		reg:     reg,
+		tl:      tl,
+	}
+	for h := range p.station {
+		p.station[h] = mobile.MSSID(h % stations)
 	}
 	for i := range p.causes {
 		p.causes[i] = make(map[string]int64)
@@ -207,31 +222,35 @@ func New(protos int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline, n
 	return p
 }
 
-// InitSlot fills slot i for n hosts from s — store and the optional
+// Station is host h's current — while h is disconnected, last — station:
+// where a checkpoint of h lands, and the mssOf every world hands its
+// protocols (protocol.Constructor).
+func (p *Side) Station(h mobile.HostID) mobile.MSSID { return p.station[h] }
+
+// InitSlot fills slot i from s — store and the optional
 // trace (a view of the side's history), message log and decision log the
 // world chose — and builds the protocol, which build constructs around
 // the slot's checkpointer and store and which names the slot; with checks
-// it attaches an invariant checker to it. mssOf is the station a
-// checkpoint of h lands on: the same closure the world hands the protocol.
-func (p *Side) InitSlot(i, n int, s Slot, checks bool, mssOf func(mobile.HostID) mobile.MSSID,
+// it attaches an invariant checker to it.
+func (p *Side) InitSlot(i int, s Slot, checks bool,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
-	s.Counts = make([]int, n)
+	s.Counts = make([]int, len(p.station))
 	if p.reg != nil {
 		s.ckptByCause = make(map[string]*obs.Counter)
 	}
 	p.Slots[i] = s
-	proto, err := build(p.checkpointer(i, mssOf), s.Store)
+	proto, err := build(p.checkpointer(i), s.Store)
 	if err != nil {
 		return err
 	}
 	slot := &p.Slots[i]
 	slot.Proto, slot.Name = proto, proto.Name()
 	if checks {
-		slot.Check = check.NewRuntime(slot.Name, proto, slot.Store, p.now)
+		slot.Check = check.NewRuntime(slot.Name, proto, slot.Store, func() des.Time { return p.now })
 	}
 	if slot.MLog != nil && p.tl != nil {
 		slot.MLog.OnFlush = func(h mobile.HostID, entries int) {
-			p.tl.Instant(float64(p.now()), int(h), "log-flush",
+			p.tl.Instant(float64(p.now), int(h), "log-flush",
 				"proto", slot.Name, "entries", strconv.Itoa(entries))
 		}
 	}
@@ -239,14 +258,20 @@ func (p *Side) InitSlot(i, n int, s Slot, checks bool, mssOf func(mobile.HostID)
 }
 
 // checkpointer builds the Checkpointer for protocol slot i: the store
-// record, the per-host count, the decision-log entry, the cause tally
-// (E19) and, when on, the two checkpoint counter families and the
-// timeline instant.
-func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) protocol.Checkpointer {
+// record on the host's station, the per-host count, the decision-log
+// entry, the cause tally (E19) and, when on, the two checkpoint counter
+// families and the timeline instant. Inside an event of host a it takes
+// checkpoints of a alone: a protocol that checkpoints another host there
+// is a bug, and it panics naming both. Every world leans on that rule —
+// the live cluster builds a host's images on that host's goroutine, and
+// the lane engine applies one lane's records before the next's.
+func (p *Side) checkpointer(i int) protocol.Checkpointer {
 	s := &p.Slots[i]
 	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
-		now := p.now()
-		rec := s.Store.Take(h, mssOf(h), index, kind, now)
+		if p.actor != anyHost && h != p.actor {
+			panic(fmt.Sprintf("protoside: checkpoint of host %d inside an event of host %d", h, p.actor))
+		}
+		rec := s.Store.Take(h, p.station[h], index, kind, p.now)
 		ordinal := s.Counts[h]
 		s.Counts[h]++
 		// The E19 classification is replaycmp's — the decision logs of the
@@ -279,13 +304,13 @@ func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) proto
 			}
 		}
 		if p.tl != nil {
-			p.tl.Instant(float64(now), int(h), "checkpoint",
+			p.tl.Instant(float64(p.now), int(h), "checkpoint",
 				"proto", s.Name, "kind", kind.String(), "cause", key,
 				"index", strconv.Itoa(index))
-			if kind == storage.Forced && p.flowHost == h {
+			if kind == storage.Forced && p.cause == "deliver" {
 				// This forced checkpoint was induced by the message being
 				// delivered: chain it into that flow.
-				p.tl.FlowStep(float64(now), int(h), "msg-flow", p.flow)
+				p.tl.FlowStep(float64(p.now), int(h), "msg-flow", p.flow)
 			}
 		}
 		return rec
@@ -297,24 +322,22 @@ func (p *Side) checkpointer(i int, mssOf func(mobile.HostID) mobile.MSSID) proto
 // entries with. A world that keeps a decision log records a history.
 func (p *Side) seq() uint64 { return uint64(max(p.Hist.Len()-1, 0)) }
 
-// SetCause marks the activity about to drive protocol callbacks and
-// returns the previous one; RestoreCause puts it back.
-func (p *Side) SetCause(c string) (prev string) {
-	prev, p.cause = p.cause, c
-	return prev
+// enter opens one mirrored event: host h's (anyHost: no one host's) at
+// time now, driven by cause.
+func (p *Side) enter(now des.Time, h mobile.HostID, cause string) {
+	p.now, p.actor, p.cause = now, h, cause
 }
 
-func (p *Side) RestoreCause(prev string) { p.cause = prev }
-
-// Start names the n initial hosts' timeline tracks and takes every
-// protocol's initial checkpoints (cause "init").
-func (p *Side) Start(n int) {
+// Start names the initial hosts' timeline tracks and takes every
+// protocol's initial checkpoints (cause "init", at time 0).
+func (p *Side) Start() {
+	n := len(p.station)
 	if p.tl != nil {
 		for h := 0; h < n; h++ {
 			p.tl.SetTrack(h, fmt.Sprintf("MH %d", h))
 		}
 	}
-	defer p.RestoreCause(p.SetCause("init"))
+	p.enter(0, anyHost, "init")
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.Init()
@@ -324,18 +347,18 @@ func (p *Side) Start(n int) {
 	}
 }
 
-// OnSend mirrors the send of message id from → to: the history row, every
-// protocol's OnSend — leaving the piggybacks in pb, parallel to the slots —
-// the timeline's send (flow rides the message to link send -> deliver ->
-// forced checkpoints) and every trace's send-side count, the sender's
-// post-OnSend position. It returns the message's ordinal in the history
-// (-1 without one), which the world hands back to OnDeliver.
-func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
+// OnSend mirrors the send of message id from → to at time now: the history
+// row, every protocol's OnSend — leaving the piggybacks in pb, parallel to
+// the slots — the timeline's send (flow rides the message to link send ->
+// deliver -> forced checkpoints) and every trace's send-side count, the
+// sender's post-OnSend position. It returns the message's ordinal in the
+// history (-1 without one), which the world hands back to OnDeliver.
+func (p *Side) OnSend(now des.Time, from, to mobile.HostID, id, flow uint64, pb []any) int32 {
+	p.enter(now, from, "send")
 	ord := int32(-1)
 	if p.Hist != nil {
-		ord = p.Hist.Send(from, to, id, p.now())
+		ord = p.Hist.Send(from, to, id, now)
 	}
-	prev := p.SetCause("send") // restored below; this is the hot path, no defer
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		pb[i] = s.Proto.OnSend(from, to)
@@ -343,12 +366,10 @@ func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
 			s.Check.AfterSend(from, pb[i])
 		}
 	}
-	p.RestoreCause(prev)
 	if p.tl != nil {
-		now := float64(p.now())
-		p.tl.Instant(now, int(from), "send",
+		p.tl.Instant(float64(now), int(from), "send",
 			"to", strconv.Itoa(int(to)), "msg", strconv.FormatUint(flow, 10))
-		p.tl.FlowBegin(now, int(from), "msg-flow", flow,
+		p.tl.FlowBegin(float64(now), int(from), "msg-flow", flow,
 			"to", strconv.Itoa(int(to)))
 	}
 	for i := range p.Slots {
@@ -360,21 +381,21 @@ func (p *Side) OnSend(from, to mobile.HostID, id, flow uint64, pb []any) int32 {
 }
 
 // OnDeliver dispatches message id — the one OnSend numbered ord —
-// delivered to h at station at, to every protocol and records the
+// delivered to h at its station, to every protocol and records the
 // receiver-side positions — trace, message log, decision log — after any
 // forced checkpoint.
-func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, ord int32, pb []any, at mobile.MSSID) {
+func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, ord int32, pb []any) {
+	p.enter(now, h, "deliver")
 	if p.Hist != nil {
 		p.Hist.Deliver(ord, id, now)
 	}
-	prev := p.SetCause("deliver") // restored below; this is the hot path, no defer
 	if p.tl != nil {
 		p.tl.Instant(float64(now), int(h), "deliver",
 			"from", strconv.Itoa(int(from)), "msg", strconv.FormatUint(flow, 10))
 		p.tl.FlowStep(float64(now), int(h), "msg-flow", flow)
 		// Stash the in-delivery flow so the checkpointer can chain the
 		// forced checkpoints this delivery induces.
-		p.flow, p.flowHost = flow, h
+		p.flow = flow
 	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -390,7 +411,7 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, o
 			// the post-forced-checkpoint receiver position beside it, the
 			// same position the trace records; pessimistic mode makes it
 			// stable before the application proceeds.
-			s.MLog.Append(h, from, id, s.Counts[h], now, at)
+			s.MLog.Append(h, from, id, s.Counts[h], now, p.station[h])
 		}
 		if s.Dec != nil {
 			// Logged after everything the delivery induced: the decision
@@ -402,18 +423,20 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, o
 		}
 	}
 	if p.tl != nil {
-		p.flowHost = -1
 		p.tl.FlowEnd(float64(now), int(h), "msg-flow", flow)
 	}
-	p.RestoreCause(prev)
 }
 
-// OnCellSwitch mirrors host h's move from station from to station to.
-func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID) {
+// OnCellSwitch mirrors host h's move from its station to station to. The
+// move is committed first: the basic checkpoint it induces lands on the
+// new station.
+func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, to mobile.MSSID) {
+	p.enter(now, h, "switch")
+	from := p.station[h]
+	p.station[h] = to
 	if p.Hist != nil {
 		p.Hist.Handoff(h, from, to, now)
 	}
-	defer p.RestoreCause(p.SetCause("switch"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnCellSwitch(h, to)
@@ -428,7 +451,7 @@ func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID
 				s.HandoffFrontier = keep[h]
 			}
 			s.MLog.PruneDelivered(h, s.HandoffFrontier)
-			s.Shipped = s.MLog.Handoff(h, to)
+			s.Shipped = len(s.MLog.Handoff(h, to))
 		}
 	}
 	if p.tl != nil {
@@ -437,12 +460,13 @@ func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, from, to mobile.MSSID
 	}
 }
 
-// OnDisconnect mirrors host h's disconnection from station from.
-func (p *Side) OnDisconnect(now des.Time, h mobile.HostID, from mobile.MSSID) {
+// OnDisconnect mirrors host h's disconnection from its station, which
+// stays its station until it reconnects.
+func (p *Side) OnDisconnect(now des.Time, h mobile.HostID) {
+	p.enter(now, h, "disconnect")
 	if p.Hist != nil {
-		p.Hist.Disconnect(h, from, now)
+		p.Hist.Disconnect(h, p.station[h], now)
 	}
-	defer p.RestoreCause(p.SetCause("disconnect"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnDisconnect(h)
@@ -461,16 +485,17 @@ func (p *Side) OnDisconnect(now des.Time, h mobile.HostID, from mobile.MSSID) {
 		}
 		p.discAt[h] = now
 		p.tl.Instant(float64(now), int(h), "disconnect",
-			"from", strconv.Itoa(int(from)))
+			"from", strconv.Itoa(int(p.station[h])))
 	}
 }
 
 // OnReconnect mirrors host h's reconnection at station at.
 func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
+	p.enter(now, h, "reconnect")
+	p.station[h] = at
 	if p.Hist != nil {
 		p.Hist.Reconnect(h, at, now)
 	}
-	defer p.RestoreCause(p.SetCause("reconnect"))
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnReconnect(h, at)
@@ -488,14 +513,14 @@ func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
 	}
 }
 
-// OnJoin admits host id, joining at station at, into every protocol. The
-// world grows its own per-host tables first, so the joiner's initial
-// checkpoint sees its station.
+// OnJoin admits host id, the next one, joining at station at, into every
+// protocol.
 func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
+	p.enter(now, id, "join")
+	p.station = append(p.station, at)
 	if p.Hist != nil {
 		p.Hist.Join(id, at, now)
 	}
-	defer p.RestoreCause(p.SetCause("join"))
 	if p.tl != nil {
 		p.tl.SetTrack(int(id), fmt.Sprintf("MH %d (joined)", id))
 		p.tl.Instant(float64(now), int(id), "join",
@@ -511,6 +536,36 @@ func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 		if s.Check != nil {
 			s.Check.AfterJoin(id)
 		}
+	}
+}
+
+// BeginSnapshot starts a marker round of slot i's coordinated protocol (a
+// protocol.Initiator) at time now and returns the hosts its markers go
+// to. It reads protocol state, so a world that runs the side elsewhere
+// waits for it first.
+func (p *Side) BeginSnapshot(now des.Time, i int) []mobile.HostID {
+	p.enter(now, anyHost, "marker")
+	return p.Slots[i].Proto.(protocol.Initiator).BeginSnapshot()
+}
+
+// OnMarker mirrors a marker of slot i's round reaching host h.
+func (p *Side) OnMarker(now des.Time, i int, h mobile.HostID) {
+	p.enter(now, h, "marker")
+	s := &p.Slots[i]
+	s.Proto.(protocol.Initiator).OnMarker(h)
+	if s.Check != nil {
+		s.Check.AfterMarker(h)
+	}
+}
+
+// OnTick mirrors the timer of slot i's timer-driven protocol (a
+// protocol.Periodic) firing at host h.
+func (p *Side) OnTick(now des.Time, i int, h mobile.HostID) {
+	p.enter(now, h, "tick")
+	s := &p.Slots[i]
+	s.Proto.(protocol.Periodic).OnTick(h)
+	if s.Check != nil {
+		s.Check.AfterTick(h)
 	}
 }
 
@@ -584,7 +639,7 @@ func (p *Side) FinishChecks(finalHosts int) error {
 		all = append(all, s.Check.Finish(s.Counts)...)
 		if initial, _, _ := s.Store.CountByKind(-1); initial != finalHosts {
 			all = append(all, &check.Violation{
-				Protocol: s.Name, Time: p.now(), Rule: "reconcile",
+				Protocol: s.Name, Time: p.now, Rule: "reconcile",
 				Detail: fmt.Sprintf("%d initial checkpoints for %d hosts", initial, finalHosts),
 			})
 		}

@@ -1,7 +1,9 @@
 package protoside_test
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/des"
@@ -17,29 +19,27 @@ import (
 // clock that ticks once per event.
 type world struct {
 	protoside.Side
-	tick    des.Time
-	station []mobile.MSSID
+	tick des.Time
 }
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	const hosts, stations = 3, 2
-	w := &world{station: []mobile.MSSID{0, 1, 0}}
-	w.Side = protoside.New(2, trace.NewHistory(hosts, stations), nil, nil, func() des.Time { return w.tick })
-	mssOf := func(h mobile.HostID) mobile.MSSID { return w.station[h] }
+	w := &world{}
+	w.Side = protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil, nil)
 	for i, build := range []func(protocol.Checkpointer) protocol.Protocol{
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewBCS(hosts, c) },
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewUncoordinated(hosts, c) },
 	} {
 		slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: w.Hist.View(), Dec: replaycmp.NewLog("", hosts)}
-		err := w.InitSlot(i, hosts, slot, true, mssOf, func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
+		err := w.InitSlot(i, slot, true, func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
 			return build(c), nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.Start(hosts)
+	w.Start()
 	return w
 }
 
@@ -51,31 +51,42 @@ func (w *world) next() des.Time {
 
 // send mirrors a send and returns the message's ordinal and piggybacks.
 func (w *world) send(from, to mobile.HostID, id uint64) (int32, []any) {
-	w.next()
 	pb := make([]any, len(w.Slots))
-	return w.OnSend(from, to, id, id, pb), pb
+	return w.OnSend(w.next(), from, to, id, id, pb), pb
 }
 
 // TestSideRecordsOneHistory drives the side through every kind of event —
 // with a delivery whose forced checkpoint only one of the two protocols
 // takes, and a send that never arrives — and checks what each event left
-// in the one history and in each slot.
+// in the one history and in each slot, and where the side put each host.
 func TestSideRecordsOneHistory(t *testing.T) {
 	w := newWorld(t)
 
-	// Host 0 hands off (a basic checkpoint in both), then sends to 1:
-	// BCS forces a checkpoint on 1 at the delivery, UNC does not.
-	w.station[0] = 1
-	w.OnCellSwitch(w.next(), 0, 0, 1)
+	// Host 0 hands off from station 0 (a basic checkpoint in both, on
+	// station 1), then sends to 1: BCS forces a checkpoint on 1 at the
+	// delivery, UNC does not.
+	w.OnCellSwitch(w.next(), 0, 1)
 	m, pb := w.send(0, 1, 7)
-	w.OnDeliver(w.next(), 1, 0, 7, 7, m, pb, w.station[1])
-	w.OnDisconnect(w.next(), 2, w.station[2])
-	w.station[2] = 1
+	w.OnDeliver(w.next(), 1, 0, 7, 7, m, pb)
+	w.OnDisconnect(w.next(), 2)
 	w.OnReconnect(w.next(), 2, 1)
-	w.station = append(w.station, 0)
 	w.OnJoin(w.next(), 3, 0)
 	w.send(3, 2, 8) // in flight for good
 	const events = 7
+
+	for h, want := range []mobile.MSSID{1, 1, 1, 0} {
+		if got := w.Station(mobile.HostID(h)); got != want {
+			t.Errorf("host %d at station %d, want %d", h, got, want)
+		}
+	}
+	if ev := w.Hist.Schedule("", 0).Events[0]; ev.From != 0 || ev.To != 1 {
+		t.Errorf("hand-off row %+v, want station 0 -> 1", ev)
+	}
+	for i := range w.Slots {
+		if chain := w.Slots[i].Store.Chain(0); chain[0].MSS != 0 || chain[1].MSS != 1 {
+			t.Errorf("%s: host 0's checkpoints on stations %d, %d; want 0, 1", w.Slots[i].Name, chain[0].MSS, chain[1].MSS)
+		}
+	}
 
 	h := w.Hist
 	if h.Len() != events {
@@ -159,5 +170,71 @@ func checkCounts(t *testing.T, s *protoside.Slot) {
 			t.Errorf("%s message %d: counts %d/%d, the store has %d/%d", s.Name, ev.ID,
 				ev.SendCount, ev.RecvCount, taken(ev.From, ev.SentAt), taken(ev.To, ev.DeliveredAt))
 		}
+	}
+}
+
+// rogue is UNC with every event of host h checkpointing host h+1 instead
+// (mod 3), marker rounds and timer ticks included.
+type rogue struct {
+	protocol.Protocol
+	ck protocol.Checkpointer
+}
+
+func (r *rogue) other(h mobile.HostID)                        { r.ck((h+1)%3, 0, storage.Basic) }
+func (r *rogue) OnSend(from, _ mobile.HostID) any             { r.other(from); return nil }
+func (r *rogue) OnDeliver(h, _ mobile.HostID, _ any)          { r.other(h) }
+func (r *rogue) OnCellSwitch(h mobile.HostID, _ mobile.MSSID) { r.other(h) }
+func (r *rogue) OnDisconnect(h mobile.HostID)                 { r.other(h) }
+func (r *rogue) OnReconnect(h mobile.HostID, _ mobile.MSSID)  { r.other(h) }
+func (r *rogue) OnJoin(h mobile.HostID) int64                 { r.other(h); return 0 }
+func (r *rogue) BeginSnapshot() []mobile.HostID               { return nil }
+func (r *rogue) OnMarker(h mobile.HostID)                     { r.other(h) }
+func (r *rogue) ControlMessages() int64                       { return 0 }
+func (r *rogue) OnTick(h mobile.HostID)                       { r.other(h) }
+
+// TestCheckpointOfAnotherHostPanics: inside an event of host a the side
+// checkpoints a alone, whichever entry point the event came in by, and a
+// protocol that checkpoints another host there panics naming both. Every
+// world relies on it: the live cluster builds a host's images on that
+// host's goroutine, and the lane engine applies one lane's records
+// before the next lane's.
+func TestCheckpointOfAnotherHostPanics(t *testing.T) {
+	pb := make([]any, 1)
+	for _, tc := range []struct {
+		entry string
+		host  mobile.HostID
+		event func(*protoside.Side)
+	}{
+		{"OnSend", 0, func(p *protoside.Side) { p.OnSend(1, 0, 1, 7, 7, pb) }},
+		{"OnDeliver", 1, func(p *protoside.Side) { p.OnDeliver(1, 1, 0, 7, 7, -1, pb) }},
+		{"OnCellSwitch", 2, func(p *protoside.Side) { p.OnCellSwitch(1, 2, 1) }},
+		{"OnDisconnect", 0, func(p *protoside.Side) { p.OnDisconnect(1, 0) }},
+		{"OnReconnect", 1, func(p *protoside.Side) { p.OnReconnect(1, 1, 0) }},
+		{"OnJoin", 3, func(p *protoside.Side) { p.OnJoin(1, 3, 1) }},
+		{"OnMarker", 2, func(p *protoside.Side) { p.OnMarker(1, 0, 2) }},
+		{"OnTick", 0, func(p *protoside.Side) { p.OnTick(1, 0, 0) }},
+	} {
+		t.Run(tc.entry, func(t *testing.T) {
+			const hosts = 3
+			p := protoside.New(1, hosts, 2, nil, nil, nil)
+			err := p.InitSlot(0, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel())}, false,
+				func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
+					return &rogue{protocol.NewUncoordinated(hosts, c), c}, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Start() // initial checkpoints of every host: no one host's event
+			defer func() {
+				msg := fmt.Sprint(recover())
+				other := (tc.host + 1) % 3
+				if !strings.Contains(msg, fmt.Sprintf("checkpoint of host %d", other)) ||
+					!strings.Contains(msg, fmt.Sprintf("event of host %d", tc.host)) {
+					t.Fatalf("checkpoint of host %d in host %d's %s: panic %q, want one naming both hosts",
+						other, tc.host, tc.entry, msg)
+				}
+			}()
+			tc.event(&p)
+		})
 	}
 }

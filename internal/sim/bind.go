@@ -113,7 +113,7 @@ func (e *engine) bindEngine() error {
 	if cfg.RecordTrace || cfg.MessageLog != mlog.Off {
 		hist = trace.NewHistory(cfg.Mobile.NumHosts, cfg.Mobile.NumMSS)
 	}
-	e.Side = protoside.New(len(cfg.Protocols), hist, cfg.Metrics, cfg.Timeline, e.sideNow)
+	e.Side = protoside.New(len(cfg.Protocols), cfg.Mobile.NumHosts, cfg.Mobile.NumMSS, hist, cfg.Metrics, cfg.Timeline)
 	e.lanes = lanes
 	e.plFree = make([][]*payload, lanes)
 	e.laneRecs = make([][]record, lanes)

@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
@@ -195,10 +198,10 @@ type Config struct {
 	// the recorded logical ticks — and lets the protocol re-derive its
 	// decisions. The Result carries a replaycmp.Log to hold against the
 	// live one. Replay mode uses the schedule's own topology and protocol;
-	// Protocols must be empty or name exactly that protocol, and the
-	// workload/mobility/engine knobs of the generative mode are rejected
-	// (there is nothing for them to drive). Checks, MessageLog, Metrics and
-	// Timeline compose: the replay drives the same protocol side.
+	// Protocols must be empty or name exactly that protocol. Checks,
+	// MessageLog, Metrics and Timeline compose: the replay drives the same
+	// protocol side. Every other field must be left zero (Validate names
+	// the first that is not): there is nothing for it to drive.
 	Schedule *trace.Schedule
 }
 
@@ -350,9 +353,14 @@ func (c Config) validateParallel() error {
 	return nil
 }
 
-// validateReplay rejects configurations replay mode cannot honor: the
-// schedule dictates the topology, the event order and the virtual
-// clock, so every generative knob is meaningless and likely a mistake.
+// replayReads are the Config fields a replay reads. The schedule dictates
+// the topology, the workload, the event order and the clock, so every
+// other field is meaningless there and likely a mistake.
+var replayReads = []string{"Schedule", "Protocols", "Checks", "MessageLog", "Metrics", "Timeline"}
+
+// validateReplay rejects configurations replay mode cannot honor: a bad
+// schedule, an unreplayable protocol, and any field a replay does not
+// read, by name.
 func (c Config) validateReplay() error {
 	if err := c.Schedule.Validate(); err != nil {
 		return err
@@ -378,21 +386,12 @@ func (c Config) validateReplay() error {
 	default:
 		return fmt.Errorf("sim: replay runs exactly the schedule's protocol (%s); leave Protocols empty", c.Schedule.Protocol)
 	}
-	switch {
-	case c.Engine != pdes.ModeSequential || c.Lanes != 0:
-		return fmt.Errorf("sim: replay requires the sequential engine and Lanes = 0 (the schedule is a total order)")
-	case c.CheckpointLatency != 0:
-		return fmt.Errorf("sim: replay is incompatible with CheckpointLatency (ticks are dictated by the schedule)")
-	case c.SnapshotPeriod != 0:
-		return fmt.Errorf("sim: replay is incompatible with SnapshotPeriod (the protocols it drives — CL, PS, MS — are not replayable)")
-	case c.GCInterval != 0:
-		return fmt.Errorf("sim: replay is incompatible with GCInterval (a replay has no clock to tick on; its logs prune at hand-offs, as in every world)")
-	case len(c.JoinTimes) != 0:
-		return fmt.Errorf("sim: replay takes joins from the schedule, not JoinTimes")
-	case c.Probes:
-		return fmt.Errorf("sim: replay does not support Probes (it has no event queue or pools to observe)")
-	case c.Progress != nil:
-		return fmt.Errorf("sim: replay is incompatible with Progress")
+	v := reflect.ValueOf(c)
+	for i := range v.NumField() {
+		if name := v.Type().Field(i).Name; !slices.Contains(replayReads, name) && !v.Field(i).IsZero() {
+			return fmt.Errorf("sim: replay does not read Config.%s (it reads only %s): leave it zero",
+				name, strings.Join(replayReads, ", "))
+		}
 	}
 	return c.validateLog()
 }
@@ -407,12 +406,12 @@ func (c Config) validateLog() error {
 	return fmt.Errorf("sim: unknown MessageLog mode %v", c.MessageLog)
 }
 
-// initSlot fills slot i of p, for n hosts, the way c asks: a store under
+// initSlot fills slot i of p the way c asks: a store under
 // c.Cost, with view a trace that is a view of p's history, a message log
 // over that history if c.MessageLog, the protocol build constructs and,
 // with c.Checks, an invariant checker. Both modes of Run build their
 // slots here.
-func (c Config) initSlot(p *protoside.Side, i, n int, view bool, mssOf func(mobile.HostID) mobile.MSSID,
+func (c Config) initSlot(p *protoside.Side, i int, view bool,
 	build func(protocol.Checkpointer, *storage.Store) (protocol.Protocol, error)) error {
 	lg, err := mlog.Open(c.MessageLog, p.Hist)
 	if err != nil {
@@ -422,5 +421,5 @@ func (c Config) initSlot(p *protoside.Side, i, n int, view bool, mssOf func(mobi
 	if view {
 		s.Trace = p.Hist.View()
 	}
-	return p.InitSlot(i, n, s, c.Checks, mssOf, build)
+	return p.InitSlot(i, s, c.Checks, build)
 }

@@ -23,12 +23,10 @@ import (
 )
 
 // replayRun is the schedule-driven world around a one-slot protocol
-// side: what the live cluster keeps that no protocol does — stations and
-// in-flight messages.
+// side: what the live cluster keeps that neither a protocol nor the side
+// does — the messages in flight.
 type replayRun struct {
 	protoside.Side
-
-	station []mobile.MSSID // current (or last) station per host
 
 	// pending holds each in-flight message by id: its ordinal in the
 	// replay's history and its piggyback *as decoded off the wire* — the
@@ -36,10 +34,6 @@ type replayRun struct {
 	// live transport, so the delivered control information has the same
 	// representation on both sides.
 	pending map[uint64]inFlight
-
-	// tick is the logical time of the event being applied: the side's
-	// clock.
-	tick des.Time
 }
 
 type inFlight struct {
@@ -51,24 +45,17 @@ type inFlight struct {
 // validateReplay accepted the configuration).
 func runSchedule(cfg Config) (*Result, error) {
 	sched := cfg.Schedule
-	r := &replayRun{
-		station: make([]mobile.MSSID, sched.Hosts),
-		pending: make(map[uint64]inFlight),
-	}
-	for i := range r.station {
-		r.station[i] = mobile.MSSID(i % sched.Stations)
-	}
+	r := &replayRun{pending: make(map[uint64]inFlight)}
 	// Always a history and a view of it: the decision log's recovery lines
 	// are cut from the view.
-	r.Side = protoside.New(1, trace.NewHistory(sched.Hosts, sched.Stations), cfg.Metrics, cfg.Timeline,
-		func() des.Time { return r.tick })
+	r.Side = protoside.New(1, sched.Hosts, sched.Stations, trace.NewHistory(sched.Hosts, sched.Stations),
+		cfg.Metrics, cfg.Timeline)
 
 	// The slot as the live cluster keeps it: the default cost model.
 	scfg := cfg
 	scfg.Cost = storage.DefaultCostModel()
 	name := ProtocolName(sched.Protocol)
-	mssOf := func(h mobile.HostID) mobile.MSSID { return r.station[h] }
-	err := scfg.initSlot(&r.Side, 0, sched.Hosts, true, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+	err := scfg.initSlot(&r.Side, 0, true, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 		// The one constructor table deliberately kept apart from the
 		// registry in internal/protocol: the live cluster builds its
 		// protocol through the registry (live.Factory), and an oracle that
@@ -76,7 +63,7 @@ func runSchedule(cfg Config) (*Result, error) {
 		// of exposing it.
 		switch name {
 		case TP:
-			return protocol.NewTP(sched.Hosts, ckpt, mssOf), nil
+			return protocol.NewTP(sched.Hosts, ckpt, r.Station), nil
 		case BCS:
 			return protocol.NewBCS(sched.Hosts, ckpt), nil
 		case QBC:
@@ -95,7 +82,7 @@ func runSchedule(cfg Config) (*Result, error) {
 
 	// Initial checkpoints at tick 0, before any scheduled event, exactly
 	// like the live cluster; then the recorded history, in order.
-	r.Start(sched.Hosts)
+	r.Start()
 	for _, ev := range sched.Events {
 		r.apply(ev)
 	}
@@ -128,10 +115,13 @@ func runSchedule(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// apply re-executes one recorded event: the replay's own bookkeeping
-// around the protocol side's mirroring of it.
+// apply re-executes one recorded event, at its recorded tick: the
+// replay's own bookkeeping around the protocol side's mirroring of it.
+// The side derives each host's station from the moves it mirrors, as
+// Schedule.Validate does, so a hand-off's or disconnection's From is the
+// side's own.
 func (r *replayRun) apply(ev trace.ScheduleEvent) {
-	r.tick = des.Time(ev.Tick)
+	now := des.Time(ev.Tick)
 	h := mobile.HostID(ev.Host)
 	switch ev.Kind {
 	case trace.SchedSend:
@@ -139,7 +129,7 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 		var pb [1]any
 		// The recorded message id is the flow id, as on the live cluster, so
 		// a replayed timeline is the live one.
-		ord := r.OnSend(h, to, ev.Msg, ev.Msg, pb[:])
+		ord := r.OnSend(now, h, to, ev.Msg, ev.Msg, pb[:])
 		// Round-trip the piggyback through the wire codec like the live
 		// transport; the delivery below hands the decoded form over.
 		frame, err := (&wire.Packet{ID: ev.Msg, From: h, To: to, Piggyback: pb[0]}).Marshal()
@@ -159,28 +149,21 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 		}
 		delete(r.pending, ev.Msg)
 		pb := [1]any{got.pb}
-		r.OnDeliver(r.tick, h, mobile.HostID(ev.Peer), ev.Msg, ev.Msg, got.ord, pb[:], r.station[h])
+		r.OnDeliver(now, h, mobile.HostID(ev.Peer), ev.Msg, ev.Msg, got.ord, pb[:])
 
 	case trace.SchedHandoff:
-		// Commit the move before the hook: the basic checkpoint the
-		// switch induces lands on the new station, as live.
-		r.station[h] = mobile.MSSID(ev.To)
-		r.OnCellSwitch(r.tick, h, mobile.MSSID(ev.From), mobile.MSSID(ev.To))
+		r.OnCellSwitch(now, h, mobile.MSSID(ev.To))
 
 	case trace.SchedDisconnect:
-		r.OnDisconnect(r.tick, h, mobile.MSSID(ev.From))
+		r.OnDisconnect(now, h)
 
 	case trace.SchedReconnect:
 		// The engine's hosts may come back at another station; the live
 		// cluster's return where they left.
-		r.station[h] = mobile.MSSID(ev.To)
-		r.OnReconnect(r.tick, h, mobile.MSSID(ev.To))
+		r.OnReconnect(now, h, mobile.MSSID(ev.To))
 
 	case trace.SchedJoin:
-		// Grow the station table before the hook (live.addHost's order), so
-		// the joiner's initial checkpoint sees its station.
-		r.station = append(r.station, mobile.MSSID(ev.To))
-		r.OnJoin(r.tick, h, mobile.MSSID(ev.To))
+		r.OnJoin(now, h, mobile.MSSID(ev.To))
 
 	default:
 		panic(fmt.Sprintf("sim: replay: unknown schedule kind %q", ev.Kind))

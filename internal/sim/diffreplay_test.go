@@ -8,7 +8,9 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/pdes"
 	"mobickpt/internal/replaycmp"
+	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
 )
 
@@ -45,6 +47,17 @@ func TestReplayValidateRejects(t *testing.T) {
 		{"probes", func(c *Config) { c.Probes = true }},
 		{"progress", func(c *Config) { c.Progress = func(des.Time, uint64) {} }},
 		{"bad log mode", func(c *Config) { c.MessageLog = mlog.Mode(99) }},
+		// Fields a replay would silently ignore.
+		{"horizon", func(c *Config) { c.Horizon = 5 }},
+		{"seed", func(c *Config) { c.Seed = 99 }},
+		{"record trace", func(c *Config) { c.RecordTrace = true }},
+		{"cost", func(c *Config) { c.Cost.FullState = 123 }},
+		{"mobile", func(c *Config) { c.Mobile.NumHosts = 3 }},
+		{"workload", func(c *Config) { c.Workload.PComm = 7 }},
+		{"progress every", func(c *Config) { c.ProgressEvery = 3 }},
+		{"queue", func(c *Config) { c.Queue = des.QueueHeap }},
+		{"engine", func(c *Config) { c.Engine = pdes.ModeConservative }},
+		{"lanes", func(c *Config) { c.Lanes = 2 }},
 		// A config Validate accepts must be one Run accepts: the schedule's
 		// protocol has to be in the registry's Live set.
 		{"coordinated schedule", func(c *Config) { c.Schedule = replaySchedule("CL") }},
@@ -60,6 +73,11 @@ func TestReplayValidateRejects(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: replay config accepted", tc.name)
 		}
+	}
+	// A field a replay does not read is refused by name.
+	err := Config{Schedule: replaySchedule("QBC"), Cost: storage.CostModel{FullState: 123}}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "Config.Cost") {
+		t.Fatalf("cost model in a replay: err = %v, want Config.Cost named", err)
 	}
 	// The schedule's own protocol name is accepted explicitly, and so are
 	// the instruments the protocol side carries into either world.
@@ -77,7 +95,7 @@ func TestReplayValidateRejects(t *testing.T) {
 		t.Fatalf("TP over the cap: err = %v, want the n² vectors named", err)
 	}
 	// The rejection names the replayable set.
-	err := Config{Schedule: replaySchedule("PS")}.Validate()
+	err = Config{Schedule: replaySchedule("PS")}.Validate()
 	if err == nil || !strings.Contains(err.Error(), "want TP, BCS, QBC or UNC") {
 		t.Fatalf("coordinated schedule: err = %v, want the live set named", err)
 	}

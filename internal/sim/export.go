@@ -3,6 +3,8 @@ package sim
 import (
 	"encoding/json"
 	"io"
+
+	"mobickpt/internal/mlog"
 )
 
 // exportedResult is the stable JSON shape of a run: the scalar outcomes,
@@ -22,6 +24,7 @@ type exportedResult struct {
 	SnapshotPeriod float64            `json:"snapshot_period"`
 	GCInterval     float64            `json:"gc_interval"`
 	JoinTimes      []float64          `json:"join_times,omitempty"`
+	MessageLog     string             `json:"message_log,omitempty"`
 	EventsFired    uint64             `json:"events_fired"`
 	Workload       exportedWorkload   `json:"workload"`
 	Network        exportedNetwork    `json:"network"`
@@ -64,9 +67,12 @@ type exportedProtocol struct {
 	WiredUnits      int64            `json:"storage_wired_units"`
 	PeakLiveRecords int              `json:"peak_live_records"`
 	GCReclaimed     int              `json:"gc_reclaimed_records"`
+	Log             *mlog.Counters   `json:"message_log,omitempty"`
 }
 
-// ExportJSON writes the run's scalar outcomes as one JSON document.
+// ExportJSON writes the run's scalar outcomes as one JSON document. A
+// logged run's carries the logging mode and each protocol's log counters
+// (message_log); an unlogged run's has neither.
 func (r *Result) ExportJSON(w io.Writer) error {
 	out := exportedResult{
 		Seed:       r.Config.Seed,
@@ -102,7 +108,14 @@ func (r *Result) ExportJSON(w io.Writer) error {
 		out.JoinTimes = append(out.JoinTimes, float64(at))
 	}
 	out.Probes = r.Probes
+	if r.Config.MessageLog != mlog.Off {
+		out.MessageLog = r.Config.MessageLog.String()
+	}
 	for _, pr := range r.Protocols {
+		var lg *mlog.Counters
+		if pr.MLog != nil {
+			lg = &pr.Log
+		}
 		out.Protocols = append(out.Protocols, exportedProtocol{
 			Name:            string(pr.Name),
 			Ntot:            pr.Ntot,
@@ -119,6 +132,7 @@ func (r *Result) ExportJSON(w io.Writer) error {
 			WiredUnits:      pr.Storage.WiredUnits,
 			PeakLiveRecords: pr.PeakLiveRecords,
 			GCReclaimed:     pr.GCReclaimedRecords,
+			Log:             lg,
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -1,29 +1,30 @@
 package sim
 
 import (
-	"fmt"
-
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 )
 
 // The protocol side runs beside the world (DESIGN "The protocol side runs
 // beside the world"). Every call the engine makes into protoside.Side on
-// behalf of an event is one record, and apply is the only place it makes
-// them, on one goroutine at a time. A sequential run ships the records in
-// chunks to a consumer goroutine, which applies them in push order, so
-// every protocol sees the same calls with the same values in the same
-// order as if the world had made them itself. The world drains the queue
-// — waits until the consumer has applied everything — before it runs
-// protocol code of its own (marker rounds and deliveries, ticks) and at
-// the end of the run. On the lane engine each lane appends its records to
-// its own buffer, and the coordinator applies every buffer, lane by lane,
-// each time the lanes park (applyLanes): a host's records all come from
-// its own lane, in its order, and a cross-lane delivery lands at least
-// one lookahead after its send, in a later window. Runs with
-// CheckpointLatency, whose ExtraDelay reads what the last operation's
-// checkpoints cost, apply each record in line, on the goroutine that
-// pushes it, as the coordinator does its own.
+// behalf of an event — a send, a delivery, a move, a join, a marker, a
+// timer tick, a GC tick — is one record, and apply is the only place it
+// makes them, on one goroutine at a time. A record carries the values of
+// its call and nothing else: the side keeps its own clock and station
+// table, so it never asks the world anything. A sequential run ships the
+// records in chunks to a consumer goroutine, which applies them in push
+// order, so every protocol sees the same calls with the same values in the
+// same order as if the world had made them itself. The world drains the
+// queue — waits until the consumer has applied everything — only where it
+// reads protocol state: before a marker round starts (BeginSnapshot
+// returns the round's targets) and at the end of the run. On the lane
+// engine each lane appends its records to its own buffer, and the
+// coordinator applies every buffer, lane by lane, each time the lanes park
+// (applyLanes): a host's records all come from its own lane, in its order,
+// and a cross-lane delivery lands at least one lookahead after its send,
+// in a later window. Runs with CheckpointLatency, whose ExtraDelay reads
+// what the last operation's checkpoints cost, apply each record in line,
+// on the goroutine that pushes it, as the coordinator does its own.
 
 // recKind names the call a record makes into the protocol side.
 type recKind uint8
@@ -35,30 +36,24 @@ const (
 	recDisconnect
 	recReconnect
 	recJoin
+	recMarker
+	recTick
 	recGC
 )
 
-var recKindName = [...]string{
-	recSend: "send", recDeliver: "deliver", recSwitch: "switch", recDisconnect: "disconnect",
-	recReconnect: "reconnect", recJoin: "join", recGC: "gc",
-}
-
-// record is one call into the protocol side, carrying every value the
-// side reads from the world: the clock, and the acting host's station at
-// push time, which is what mssOf answers while the record is applied.
+// record is one call into the protocol side.
 type record struct {
-	at   des.Time // the world's clock at push time: Side.now while applied
+	at   des.Time // the event's time
 	id   uint64   // message id (send, deliver)
 	flow uint64   // timeline flow id (send, deliver)
 	pl   *payload // the message's carrier (send, deliver)
-	host int32    // the acting host: sender, receiver, mover, joiner; -1 for gc
-	peer int32    // the receiver of a send, the sender of a delivery
-	mss  int32    // host's station at push time
-	from int32    // the station a hand-off left
+	host int32    // the acting host: sender, receiver, mover, joiner, marker or tick target; -1 for gc
+	peer int32    // the receiver of a send, the sender of a delivery, the slot of a marker or tick
+	mss  int32    // the station a hand-off, reconnection or join arrives at
 	kind recKind
 }
 
-// chunkRecords is the records one chunk ships: 56 kB, so the chunks in
+// chunkRecords is the records one chunk ships: 48 kB, so the chunks in
 // circulation stay cache-sized. E41's sweep from 128 to 32 768 records
 // found none faster, and every size above 2 048 raised peak RSS.
 const chunkRecords = 1024
@@ -120,34 +115,33 @@ func (e *engine) push(r record) {
 	}
 }
 
-// apply makes one record's call into the protocol side. While it runs,
-// the side's clock reads the record's time and mssOf the record's
-// station (sideNow, mssOf). It copies the record into cur rather than
-// keep the pointer, which would move every pushed record to the heap.
+// apply makes one record's call into the protocol side.
 func (e *engine) apply(r *record) {
-	e.cur = *r
 	h := mobile.HostID(r.host)
 	switch r.kind {
 	case recSend:
-		e.OnSend(h, mobile.HostID(r.peer), r.id, r.flow, r.pl.piggyback)
+		e.OnSend(r.at, h, mobile.HostID(r.peer), r.id, r.flow, r.pl.piggyback)
 	case recDeliver:
 		// The network numbers its messages from 0 in send order, as the
 		// history does when there is one (a sequential run), so the id is
 		// the message's ordinal.
-		e.OnDeliver(r.at, h, mobile.HostID(r.peer), r.id, r.flow, int32(r.id), r.pl.piggyback, mobile.MSSID(r.mss))
+		e.OnDeliver(r.at, h, mobile.HostID(r.peer), r.id, r.flow, int32(r.id), r.pl.piggyback)
 		clear(r.pl.piggyback)
 	case recSwitch:
-		e.OnCellSwitch(r.at, h, mobile.MSSID(r.from), mobile.MSSID(r.mss))
+		e.OnCellSwitch(r.at, h, mobile.MSSID(r.mss))
 	case recDisconnect:
-		e.OnDisconnect(r.at, h, mobile.MSSID(r.mss))
+		e.OnDisconnect(r.at, h)
 	case recReconnect:
 		e.OnReconnect(r.at, h, mobile.MSSID(r.mss))
 	case recJoin:
 		e.OnJoin(r.at, h, mobile.MSSID(r.mss))
+	case recMarker:
+		e.OnMarker(r.at, int(r.peer), h)
+	case recTick:
+		e.OnTick(r.at, int(r.peer), h)
 	case recGC:
 		e.collect()
 	}
-	e.cur = record{}
 }
 
 // reclaim returns an applied delivery's carrier to the world's free list:
@@ -173,30 +167,6 @@ func (e *engine) applyLanes() {
 		}
 		e.laneRecs[l] = recs[:0]
 	}
-}
-
-// sideNow is the protocol side's clock: the time of the record being
-// applied, else — the world running protocol code itself, after a drain
-// or world-stopped — the world's own.
-func (e *engine) sideNow() des.Time {
-	if e.cur.kind != 0 {
-		return e.cur.at
-	}
-	return e.sim.Now()
-}
-
-// mssOf is the station a checkpoint of h lands on: the record's, which
-// only knows its own host — a protocol that asks about another one while
-// a record is applied reads the world behind its back, and that panics —
-// else, after a drain, the network's.
-func (e *engine) mssOf(h mobile.HostID) mobile.MSSID {
-	if r := &e.cur; r.kind != 0 {
-		if mobile.HostID(r.host) != h {
-			panic(fmt.Sprintf("sim: station of host %d asked while applying host %d's %s record", h, r.host, recKindName[r.kind]))
-		}
-		return mobile.MSSID(r.mss)
-	}
-	return e.net.Host(h).LastMSS()
 }
 
 // startPipe makes the pipeline and its chunks and starts the consumer.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -91,9 +90,9 @@ func runOutputs(t *testing.T, cfg Config, run func(Config) (*Result, error)) map
 // TestPipelineMatchesInline holds the pipelined protocol side to the
 // in-line one: every output of a run is byte-identical whether the
 // records are applied by the consumer goroutine or on the world's own.
-// The seven protocols exercise the drains (CL and PS marker rounds, MS
-// ticks); metrics and timeline on together have the registry written
-// from both goroutines.
+// The seven protocols exercise every record kind and the one drain before
+// a marker round (CL and PS marker rounds, MS ticks); metrics and timeline
+// on together have the registry written from both goroutines.
 func TestPipelineMatchesInline(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -138,27 +137,6 @@ func TestPipelineMatchesInline(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestPipelineMssOfNamesBothHosts: while a record is applied the side
-// knows the station of its acting host only, and a question about any
-// other host panics naming both.
-func TestPipelineMssOfNamesBothHosts(t *testing.T) {
-	e, err := newEngine(pipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.cur = record{kind: recDeliver, host: 3, mss: 7}
-	if got := e.mssOf(3); got != 7 {
-		t.Fatalf("mssOf(acting host) = %d, want the record's station 7", got)
-	}
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "host 5") || !strings.Contains(msg, "host 3") {
-			t.Fatalf("mssOf(5) while applying host 3's record: panic %q, want one naming both hosts", msg)
-		}
-	}()
-	e.mssOf(mobile.HostID(5))
 }
 
 // failingDelivery is a protocol whose OnDeliver panics on the at-th
@@ -258,9 +236,6 @@ func TestPipelineStartsLazily(t *testing.T) {
 			t.Fatalf("horizon %v: a run with no record made a pipeline", horizon)
 		case horizon > 1 && (e.pipe == nil || e.pipe.out != 0 || len(e.pipe.spare) != chunksInFlight-1):
 			t.Fatalf("horizon %v: pipeline %+v, want every chunk back after the final drain", horizon, e.pipe)
-		}
-		if e.cur != (record{}) {
-			t.Fatalf("horizon %v: cur = %+v after the run, want no record in flight", horizon, e.cur)
 		}
 	}
 }

@@ -17,15 +17,15 @@
 //
 // The same property lets the protocol side run beside the world: since
 // the world never reads what the protocols decide, a sequential run hands
-// every protocol callback, as a fixed-size record carrying the clock and
-// the acting host's station, to a second goroutine in chunks of records
-// (pipeline.go), and waits for it only where the world itself reads
-// protocol state — marker rounds and ticks, and the end of the run. On
-// the lane engine each lane buffers its records and the coordinator
-// applies them between windows, so in every world the protocol side runs
-// on one goroutine at a time. Config.CheckpointLatency is the one
-// exception to the property: there a checkpoint delays the host's next
-// operation, so every record is applied in line.
+// every call into the protocol side — markers and timer ticks included —
+// as a fixed-size record of the call's values to a second goroutine in
+// chunks of records (pipeline.go), and waits for it only where the world
+// itself reads protocol state — the start of a marker round, and the end
+// of the run. On the lane engine each lane buffers its records and the
+// coordinator applies them between windows, so in every world the
+// protocol side runs on one goroutine at a time. Config.CheckpointLatency
+// is the one exception to the property: there a checkpoint delays the
+// host's next operation, so every record is applied in line.
 package sim
 
 import (
@@ -91,9 +91,6 @@ type engine struct {
 	// pipe is the sequential run's pipeline to the protocol side, nil
 	// until the first record (and always with inline).
 	pipe *pipeline
-	// cur is the record being applied, the zero record between records:
-	// the consumer's, or the world's after a drain.
-	cur record
 	// laneRecs[l] holds the records lane l pushed since the lanes last
 	// parked; the coordinator applies them then (applyLanes). Only the
 	// lane engine fills it.
@@ -201,8 +198,6 @@ func newEngine(cfg Config) (*engine, error) {
 
 // send hands a message to the network and has the protocol side fill its
 // piggyback slots (the network reads none of them before the delivery).
-// The record carries the sender's station: a checkpoint the send induces
-// lands there.
 //
 //lane:handler
 func (e *engine) send(from, to mobile.HostID) {
@@ -227,7 +222,7 @@ func (e *engine) send(from, to mobile.HostID) {
 		e.sendOrd[from]++
 	}
 	e.push(record{kind: recSend, at: e.now(from), host: int32(from), peer: int32(to),
-		mss: int32(e.net.Host(from).LastMSS()), id: m.ID, flow: m.Flow, pl: pl})
+		id: m.ID, flow: m.Flow, pl: pl})
 }
 
 // deliver hands a delivered message to the protocol side and returns the
@@ -237,23 +232,23 @@ func (e *engine) send(from, to mobile.HostID) {
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
 	e.push(record{kind: recDeliver, at: now, host: int32(h.ID), peer: int32(m.From),
-		mss: int32(h.LastMSS()), id: m.ID, flow: m.Flow, pl: m.Payload.(*payload)})
+		id: m.ID, flow: m.Flow, pl: m.Payload.(*payload)})
 	m.Payload = nil
 	e.net.Recycle(m)
 }
 
-// scheduleSnapshots drives the coordinated baselines: every period the
-// initiator picks its targets and markers travel to currently connected
-// hosts (a disconnected host is represented by its disconnection
-// checkpoint, §2.2, so it skips the round). The round and each marker
-// read protocol state, so each drains the pipeline first.
-func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
+// scheduleSnapshots drives slot i's coordinated baseline: every period
+// the initiator picks its targets and markers travel to currently
+// connected hosts (a disconnected host is represented by its disconnection
+// checkpoint, §2.2, so it skips the round). Starting the round reads
+// protocol state, so it drains the pipeline first; each marker that
+// arrives is a record.
+func (e *engine) scheduleSnapshots(i int) {
 	period := e.cfg.SnapshotPeriod
 	markerLatency := e.cfg.Mobile.WiredLatency + e.cfg.Mobile.WirelessLatency
 	tick := func(sim *des.Simulator, now des.Time) {
 		e.drain()
-		defer e.RestoreCause(e.SetCause("marker"))
-		for _, h := range init.BeginSnapshot() {
+		for _, h := range e.BeginSnapshot(now, i) {
 			// One location query per marker: the paper's drawback (1).
 			e.net.Locate(h)
 			if !e.net.Host(h).Connected() {
@@ -261,12 +256,7 @@ func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 			}
 			sim.ScheduleAfter(markerLatency, "marker", func(sim *des.Simulator, now des.Time) {
 				if e.net.Host(h).Connected() {
-					e.drain()
-					defer e.RestoreCause(e.SetCause("marker"))
-					init.OnMarker(h)
-					if ck := e.Slots[i].Check; ck != nil {
-						ck.AfterMarker(h)
-					}
+					e.push(record{kind: recMarker, at: now, host: int32(h), peer: int32(i)})
 				}
 			})
 		}
@@ -275,21 +265,16 @@ func (e *engine) scheduleSnapshots(i int, init protocol.Initiator) {
 	e.sim.Schedule(e.sim.Now()+period, "snapshot", tick)
 }
 
-// scheduleTicks drives a Periodic protocol: every SnapshotPeriod each
-// connected host takes its timer-driven local checkpoint. No control
-// messages travel — the tick is local to the host. It runs protocol code
-// on the world goroutine, after a drain.
-func (e *engine) scheduleTicks(i int, per protocol.Periodic) {
+// scheduleTicks drives slot i's timer-driven protocol: every
+// SnapshotPeriod each connected host takes its timer-driven local
+// checkpoint, one tick record per host. No control messages travel — the
+// tick is local to the host.
+func (e *engine) scheduleTicks(i int) {
 	period := e.cfg.SnapshotPeriod
 	tick := func(sim *des.Simulator, now des.Time) {
-		e.drain()
-		defer e.RestoreCause(e.SetCause("tick"))
 		for h := 0; h < e.cfg.Mobile.NumHosts; h++ {
 			if e.net.Host(mobile.HostID(h)).Connected() {
-				per.OnTick(mobile.HostID(h))
-				if ck := e.Slots[i].Check; ck != nil {
-					ck.AfterTick(mobile.HostID(h))
-				}
+				e.push(record{kind: recTick, at: now, host: int32(h), peer: int32(i)})
 			}
 		}
 		sim.Again(period)
@@ -356,13 +341,13 @@ func (e *engine) join() {
 // run executes the configured horizon and returns the assembled result.
 func (e *engine) run() *Result {
 	defer e.stopPipe()
-	e.Start(e.cfg.Mobile.NumHosts)
+	e.Start()
 	for i := range e.Slots {
-		if init, ok := e.Slots[i].Proto.(protocol.Initiator); ok {
-			e.scheduleSnapshots(i, init)
-		}
-		if per, ok := e.Slots[i].Proto.(protocol.Periodic); ok {
-			e.scheduleTicks(i, per)
+		switch e.Slots[i].Proto.(type) {
+		case protocol.Initiator:
+			e.scheduleSnapshots(i)
+		case protocol.Periodic:
+			e.scheduleTicks(i)
 		}
 	}
 	if e.cfg.GCInterval > 0 {

@@ -35,14 +35,13 @@ func (e *engine) wireWorld() error {
 	e.net = net
 
 	e.pendingLatency = make([]des.Time, n)
-	mssOf := e.mssOf
 	for i, name := range cfg.Protocols {
 		ent, _ := protocol.Lookup(string(name)) // Validate resolved every name
-		err := cfg.initSlot(&e.Side, i, n, cfg.RecordTrace, mssOf, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+		err := cfg.initSlot(&e.Side, i, cfg.RecordTrace, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 			if e.cfg.CheckpointLatency > 0 {
 				ckpt = e.chargeLatency(ckpt)
 			}
-			return ent.New(n, ckpt, store, mssOf), nil
+			return ent.New(n, ckpt, store, e.Station), nil
 		})
 		if err != nil {
 			return err
@@ -74,16 +73,15 @@ func (e *engine) chargeLatency(ckpt protocol.Checkpointer) protocol.Checkpointer
 }
 
 // hooks mirrors the network's mobility and delivery events into the
-// protocol side. Each fires after the host moved, so its LastMSS is the
-// station the event's checkpoints land on.
+// protocol side, which moves its own copy of the host's station.
 func (e *engine) hooks() mobile.Hooks {
 	return mobile.Hooks{
 		OnDeliver: e.deliver,
-		OnCellSwitch: func(now des.Time, h *mobile.Host, from, to mobile.MSSID) {
-			e.push(record{kind: recSwitch, at: now, host: int32(h.ID), from: int32(from), mss: int32(to)})
+		OnCellSwitch: func(now des.Time, h *mobile.Host, _, to mobile.MSSID) {
+			e.push(record{kind: recSwitch, at: now, host: int32(h.ID), mss: int32(to)})
 		},
 		OnDisconnect: func(now des.Time, h *mobile.Host) {
-			e.push(record{kind: recDisconnect, at: now, host: int32(h.ID), mss: int32(h.LastMSS())})
+			e.push(record{kind: recDisconnect, at: now, host: int32(h.ID)})
 		},
 		OnReconnect: func(now des.Time, h *mobile.Host, at mobile.MSSID) {
 			e.push(record{kind: recReconnect, at: now, host: int32(h.ID), mss: int32(at)})
