@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -76,10 +77,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mhsim:", err)
 		os.Exit(2)
 	}
+	// result is the run's result, kept reachable until the heap profile is
+	// written so that the profile's in-use view shows what the run holds.
+	var result *sim.Result
 	defer func() {
 		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(os.Stderr, "mhsim:", err)
 		}
+		runtime.KeepAlive(result)
 	}()
 
 	cfg := sim.DefaultConfig()
@@ -153,6 +158,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mhsim:", err)
 			os.Exit(1)
 		}
+		result = res
 		saveTimeline(*timeline, "timeline", cfg.Timeline)
 		if *jsonOut {
 			if err := res.ExportJSON(os.Stdout); err != nil {

@@ -187,10 +187,11 @@ func TestRuntimeDetectsNonMonotonicIndices(t *testing.T) {
 	b.Init()
 	rt.AfterInit(1)
 
-	// Fabricate a chain 0, 3, 2 behind the model's back, keeping lengths
-	// reconciled so only the monotonicity rule can fire.
+	// Fabricate a chain 0, 3, 3 behind the model's back — no live index
+	// may repeat, and the store itself refuses a falling one — keeping
+	// lengths reconciled so only the monotonicity rule can fire.
 	env.store.Take(0, 0, 3, storage.Basic, 0)
-	env.store.Take(0, 0, 2, storage.Basic, 0)
+	env.store.Take(0, 0, 3, storage.Basic, 0)
 	rt.AfterCellSwitch(0) // model absorbs one... and resyncs on the second
 	rt.AfterCellSwitch(0)
 

@@ -22,8 +22,8 @@ func RecoveryLines(proto string, store *storage.Store, tr *trace.Trace, n, minIn
 	maxIndex := -1
 	for h := 0; h < n; h++ {
 		for _, rec := range store.Chain(mobile.HostID(h)) {
-			if rec.Index > maxIndex {
-				maxIndex = rec.Index
+			if int(rec.Index) > maxIndex {
+				maxIndex = int(rec.Index)
 			}
 		}
 	}

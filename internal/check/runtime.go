@@ -107,10 +107,10 @@ func (r *Runtime) expectRecord(h mobile.HostID, kind storage.Kind, index int, ru
 	if rec.Kind != kind {
 		r.violatef(h, rule, "checkpoint %s has kind %s, want %s", rec.ID(), rec.Kind, kind)
 	}
-	if index >= 0 && rec.Index != index {
+	if index >= 0 && int(rec.Index) != index {
 		r.violatef(h, rule, "checkpoint %s has index %d, want %d", rec.ID(), rec.Index, index)
 	}
-	if rec.Host != h {
+	if mobile.HostID(rec.Host) != h {
 		r.violatef(h, rule, "checkpoint %s recorded under host %d", rec.ID(), rec.Host)
 	}
 	return rec
@@ -160,7 +160,7 @@ func (r *Runtime) checkTPMeta(h mobile.HostID, rec *storage.Record, rule string)
 		r.violatef(h, rule, "checkpoint %s has no recorded dependency vectors", rec.ID())
 		return
 	}
-	if meta.Ckpt[h] != rec.Index {
+	if meta.Ckpt[h] != int(rec.Index) {
 		r.violatef(h, rule, "checkpoint %s: CKPT own entry %d != index %d", rec.ID(), meta.Ckpt[h], rec.Index)
 	}
 	for j, k := range meta.Ckpt {
@@ -170,7 +170,7 @@ func (r *Runtime) checkTPMeta(h mobile.HostID, rec *storage.Record, rule string)
 		// A TP host's checkpoint indices count up from 0: index k is
 		// position k of its chain.
 		chain := r.store.Chain(mobile.HostID(j))
-		if k >= len(chain) || chain[k].Index != k {
+		if k >= len(chain) || int(chain[k].Index) != k {
 			r.violatef(h, rule, "checkpoint %s: depends on host %d interval %d, which the store does not hold",
 				rec.ID(), j, k)
 		} else if meta.Loc[j] != int(chain[k].MSS) {
@@ -244,7 +244,7 @@ func (r *Runtime) AfterSend(from mobile.HostID, pb any) {
 			r.violatef(from, "piggyback", "send piggyback is %T, want TPPiggyback", pb)
 			return
 		}
-		if last := r.store.Latest(from); last != nil && p.Ckpt[from] != last.Index {
+		if last := r.store.Latest(from); last != nil && p.Ckpt[from] != int(last.Index) {
 			r.violatef(from, "piggyback", "send carries own interval %d, latest checkpoint has index %d",
 				p.Ckpt[from], last.Index)
 		}
@@ -376,11 +376,11 @@ func (r *Runtime) Finish(counts []int) Violations {
 				if c.Superseded || c.Pruned {
 					continue
 				}
-				if c.Index <= prev {
+				if int(c.Index) <= prev {
 					r.violatef(mobile.HostID(h), "index-monotonic",
 						"live checkpoint %s does not increase the index (previous live index %d)", c.ID(), prev)
 				}
-				prev = c.Index
+				prev = int(c.Index)
 			}
 		}
 		if r.fam == twophase {

@@ -453,7 +453,7 @@ func (c *Cluster) instrument(reg *obs.Registry) {
 func (c *Cluster) dataPlane(ckpt protocol.Checkpointer) protocol.Checkpointer {
 	return func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
 		rec := ckpt(h, index, kind)
-		c.ckpts[h] = append(c.ckpts[h], ckptAt{seq: rec.Ordinal, station: int(rec.MSS)})
+		c.ckpts[h] = append(c.ckpts[h], ckptAt{seq: int(rec.Ordinal), station: int(rec.MSS)})
 		return rec
 	}
 }

@@ -221,8 +221,8 @@ func TestLiveIndexLinesConsistent(t *testing.T) {
 				maxIdx := 0
 				for h := 0; h < cfg.Hosts; h++ {
 					for _, rec := range c.Store().Chain(mobile.HostID(h)) {
-						if rec.Index > maxIdx {
-							maxIdx = rec.Index
+						if int(rec.Index) > maxIdx {
+							maxIdx = int(rec.Index)
 						}
 					}
 				}
@@ -271,10 +271,10 @@ func TestLiveQBCInvariants(t *testing.T) {
 			if rec.Superseded {
 				continue
 			}
-			if rec.Index <= last {
+			if int(rec.Index) <= last {
 				t.Fatalf("host %d: live chain indices not increasing", h)
 			}
-			last = rec.Index
+			last = int(rec.Index)
 		}
 	}
 }
@@ -434,8 +434,8 @@ func TestLiveDynamicJoins(t *testing.T) {
 	maxIdx := 0
 	for h := 0; h < final; h++ {
 		for _, rec := range c.Store().Chain(mobile.HostID(h)) {
-			if rec.Index > maxIdx {
-				maxIdx = rec.Index
+			if int(rec.Index) > maxIdx {
+				maxIdx = int(rec.Index)
 			}
 		}
 	}

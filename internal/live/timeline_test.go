@@ -124,7 +124,7 @@ func TestLiveTimelineKeepsTheClock(t *testing.T) {
 		}
 		for ord, ev := range byTrack[h] {
 			rec := chain[ord]
-			if ev.Ts != float64(rec.TakenAt) || ev.Args["kind"] != rec.Kind.String() || ev.Args["index"] != strconv.Itoa(rec.Index) {
+			if ev.Ts != float64(rec.TakenAt) || ev.Args["kind"] != rec.Kind.String() || ev.Args["index"] != strconv.Itoa(int(rec.Index)) {
 				t.Fatalf("host %d checkpoint #%d: instant %v at %v, record is %s idx %d at %v",
 					h, ord, ev.Args, ev.Ts, rec.Kind, rec.Index, rec.TakenAt)
 			}

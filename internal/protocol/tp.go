@@ -450,7 +450,7 @@ func (t *TP) Meta(rec *storage.Record) (TPPiggyback, bool) {
 		return TPPiggyback{}, false
 	}
 	taken := t.hosts[rec.Host].taken
-	if rec.Index < 0 || rec.Index >= len(taken) || taken[rec.Index].rec != rec {
+	if rec.Index < 0 || int(rec.Index) >= len(taken) || taken[rec.Index].rec != rec {
 		return TPPiggyback{}, false
 	}
 	return taken[rec.Index].view.Dense(), true

@@ -22,8 +22,8 @@ func StableIndex(store *storage.Store, n int) int {
 		if rec == nil {
 			return 0
 		}
-		if stable == -1 || rec.Index < stable {
-			stable = rec.Index
+		if stable == -1 || int(rec.Index) < stable {
+			stable = int(rec.Index)
 		}
 	}
 	if stable < 0 {
@@ -44,7 +44,7 @@ func Frontier(store *storage.Store, h mobile.HostID, stable int) int {
 	if keep == nil {
 		return -1
 	}
-	return keep.Ordinal
+	return int(keep.Ordinal)
 }
 
 // CollectGarbage prunes every checkpoint that cannot appear in any

@@ -221,7 +221,7 @@ func nextSet(b []uint64, from int) int {
 func FailureCut(store *storage.Store, n int, failed mobile.HostID) Cut {
 	cut := NewCut(n)
 	if rec := store.LatestLive(failed); rec != nil {
-		cut[failed] = rec.Ordinal
+		cut[failed] = int(rec.Ordinal)
 	} else {
 		cut[failed] = 0
 	}
@@ -237,7 +237,7 @@ func IndexCut(store *storage.Store, n int, x int) Cut {
 	cut := NewCut(n)
 	for h := 0; h < n; h++ {
 		if rec := store.FirstWithIndexAtLeast(mobile.HostID(h), x); rec != nil {
-			cut[h] = rec.Ordinal
+			cut[h] = int(rec.Ordinal)
 		}
 	}
 	return cut
@@ -252,11 +252,11 @@ func LatestIndexCut(store *storage.Store, n int, failed mobile.HostID) Cut {
 	if rec == nil {
 		return NewCut(n)
 	}
-	cut := IndexCut(store, n, rec.Index)
+	cut := IndexCut(store, n, int(rec.Index))
 	// The failed host itself restores that latest checkpoint even if an
 	// earlier one shares the index (cannot happen for live chains, whose
 	// indices strictly increase; kept for defense in depth).
-	cut[failed] = rec.Ordinal
+	cut[failed] = int(rec.Ordinal)
 	return cut
 }
 
@@ -281,7 +281,7 @@ func VectorCut(store *storage.Store, ckpt []int, n int, failed mobile.HostID) Cu
 			x = ckpt[j]
 		}
 		if r := store.FirstWithIndexAtLeast(mobile.HostID(j), x+1); r != nil {
-			cut[j] = r.Ordinal
+			cut[j] = int(r.Ordinal)
 		}
 	}
 	return cut

@@ -183,7 +183,7 @@ func randomTrace(src *rng.Source, hosts, joins, msgs int, deep bool) *execution 
 	}
 	e := &execution{tr: trace.New(hosts)}
 	checkpoint := func(h mobile.HostID) {
-		e.chains[h] = append(e.chains[h], &storage.Record{Host: h, Ordinal: len(e.chains[h]), TakenAt: e.end})
+		e.chains[h] = append(e.chains[h], &storage.Record{Host: int32(h), Ordinal: int32(len(e.chains[h])), TakenAt: e.end})
 	}
 	join := func() {
 		e.chains = append(e.chains, nil)

@@ -410,7 +410,7 @@ func TestReplayInstruments(t *testing.T) {
 				t.Fatalf("host %d: more checkpoint instants than its %d store records", h, len(chain))
 			}
 			rec, dec := chain[ord], res.Decisions.Checkpoints[h][ord]
-			want := map[string]string{"proto": "QBC", "kind": rec.Kind.String(), "cause": dec.Cause, "index": strconv.Itoa(rec.Index)}
+			want := map[string]string{"proto": "QBC", "kind": rec.Kind.String(), "cause": dec.Cause, "index": strconv.Itoa(int(rec.Index))}
 			if fmt.Sprint(ev.Args) != fmt.Sprint(want) || ev.Ts != float64(rec.TakenAt) {
 				t.Fatalf("host %d checkpoint #%d: instant %v at %v, record wants %v at %v", h, ord, ev.Args, ev.Ts, want, rec.TakenAt)
 			}

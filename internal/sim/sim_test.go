@@ -197,8 +197,8 @@ func TestIndexLinesAreConsistent(t *testing.T) {
 			maxIdx := 0
 			for h := 0; h < c.Mobile.NumHosts; h++ {
 				for _, rec := range pr.Store.Chain(mobile.HostID(h)) {
-					if rec.Index > maxIdx {
-						maxIdx = rec.Index
+					if int(rec.Index) > maxIdx {
+						maxIdx = int(rec.Index)
 					}
 				}
 			}
@@ -446,7 +446,7 @@ func TestGarbageCollectionIntegration(t *testing.T) {
 			if rec == nil {
 				t.Fatalf("%s: host %d lost its latest checkpoint", name, h)
 			}
-			minIdx, maxIdx = min(minIdx, rec.Index), max(maxIdx, rec.Index)
+			minIdx, maxIdx = min(minIdx, int(rec.Index)), max(maxIdx, int(rec.Index))
 		}
 		for x := minIdx; x <= maxIdx; x++ {
 			cut := recovery.IndexCut(pr.Store, n, x)
@@ -631,7 +631,7 @@ func TestTPMetaVectorsConsistent(t *testing.T) {
 				t.Fatalf("host %d ordinal %d has no meta", h, rec.Ordinal)
 			}
 			v := meta.Ckpt
-			if v[h] != rec.Index {
+			if v[h] != int(rec.Index) {
 				t.Fatalf("host %d: own entry %d != index %d", h, v[h], rec.Index)
 			}
 			for j := 0; j < n; j++ {
@@ -664,14 +664,14 @@ func TestTPEveryCheckpointRecoverable(t *testing.T) {
 		for _, rec := range pr.Store.Chain(mobile.HostID(h)) {
 			// Build the vector line through this specific checkpoint.
 			cut := recovery.NewCut(n)
-			cut[h] = rec.Ordinal
+			cut[h] = int(rec.Ordinal)
 			if meta, ok := tp.Meta(rec); ok {
 				for j := 0; j < n; j++ {
 					if j == h {
 						continue
 					}
 					if r := pr.Store.FirstWithIndexAtLeast(mobile.HostID(j), meta.Ckpt[j]+1); r != nil {
-						cut[j] = r.Ordinal
+						cut[j] = int(r.Ordinal)
 					}
 				}
 			}
@@ -683,7 +683,7 @@ func TestTPEveryCheckpointRecoverable(t *testing.T) {
 			// its own checkpoint is never rolled back further by others'
 			// orphans... unless a message it received after the checkpoint
 			// forces it; either way the cut stays within its chain.
-			if final[h] != recovery.End && final[h] > rec.Ordinal {
+			if final[h] != recovery.End && final[h] > int(rec.Ordinal) {
 				t.Fatalf("host %d: restore point moved forward", h)
 			}
 		}
@@ -729,8 +729,8 @@ func TestDynamicJoins(t *testing.T) {
 		maxIdx := 0
 		for h := 0; h < res.FinalHosts; h++ {
 			for _, rec := range pr.Store.Chain(mobile.HostID(h)) {
-				if rec.Index > maxIdx {
-					maxIdx = rec.Index
+				if int(rec.Index) > maxIdx {
+					maxIdx = int(rec.Index)
 				}
 			}
 		}

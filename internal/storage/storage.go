@@ -14,7 +14,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"mobickpt/internal/des"
@@ -22,7 +21,7 @@ import (
 )
 
 // Kind classifies why a checkpoint was taken.
-type Kind int
+type Kind uint8
 
 const (
 	// Initial is the checkpoint every host takes at time 0 (index 0).
@@ -48,14 +47,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Record describes one stored checkpoint.
+// Record describes one stored checkpoint: a 32-byte row with no pointer
+// in it, carved from a chunk of the store that never moves. Host and
+// station ids, ordinals and indices all fit 32 bits (a run holds at most
+// a few million hosts and checkpoints). What a checkpoint cost to ship
+// is not kept: it follows from the cost model, the record's ordinal and
+// its predecessor's station (CostModel.units).
 type Record struct {
-	Host    mobile.HostID
-	Ordinal int // per-host creation order, 0-based; unique per host
-	Index   int // protocol sequence number; QBC may reuse an index
-	Kind    Kind
+	Host    int32 // mobile.HostID
+	Ordinal int32 // per-host creation order, 0-based; unique per host
+	Index   int32 // protocol sequence number; QBC may reuse an index
+	MSS     int32 // mobile.MSSID of the station holding the reconstructed checkpoint
 	TakenAt des.Time
-	MSS     mobile.MSSID // station holding the reconstructed checkpoint
+	Kind    Kind
 
 	// Superseded marks a checkpoint replaced in the recovery line by a
 	// later equivalent one (QBC's equivalence rule). Its storage can be
@@ -66,12 +70,6 @@ type Record struct {
 	// possible future recovery line can include it (see
 	// recovery.StableIndex).
 	Pruned bool
-
-	// DeltaUnits is the state volume shipped over the wireless link for
-	// this checkpoint; FetchUnits is the volume shipped between MSSs to
-	// reconstruct it.
-	DeltaUnits int64
-	FetchUnits int64
 }
 
 // ID renders a stable identifier C_{host,ordinal}(index).
@@ -97,6 +95,26 @@ func DefaultCostModel() CostModel {
 	return CostModel{FullState: 1024, Delta: 102, Incremental: true}
 }
 
+// units returns the transfer costs of checkpoint r under the incremental
+// scheme, given prev, the checkpoint before it in its host's chain (nil
+// for the first): delta is the state volume shipped over the wireless
+// link, fetch the volume shipped between MSSs to reconstruct it.
+//
+//   - first checkpoint ever: full state over wireless;
+//   - previous checkpoint at the same MSS: delta over wireless;
+//   - previous checkpoint at another MSS: delta over wireless plus a
+//     full-state fetch over the wired network so the new MSS can
+//     reconstruct (§2.2 "Incremental Checkpointing").
+func (m CostModel) units(r, prev *Record) (delta, fetch int64) {
+	if !m.Incremental || prev == nil {
+		return m.FullState, 0
+	}
+	if prev.MSS != r.MSS {
+		return m.Delta, m.FullState
+	}
+	return m.Delta, 0
+}
+
 // Counters aggregates transfer activity across all hosts.
 type Counters struct {
 	Checkpoints    int64 // total records created
@@ -112,25 +130,26 @@ type Counters struct {
 // Host ids are dense (mobile keeps them so), so the chains live in a
 // flat slice indexed by HostID rather than a map: no hashing on the
 // checkpoint path and cache-friendly sweeps when aggregating at n=1e6.
+//
+// Records are carved, in the order they are taken, from chunks that
+// never move, so a chain's *Record stays valid for the store's life and
+// a checkpoint costs its 32-byte row plus its chain slot rather than an
+// allocation of its own. A host's first chain slot is carved from a
+// shared chunk of slots too (n of them back to back when a protocol is
+// constructed); the second checkpoint moves the chain to a backing of
+// its own, which then grows by append.
 type Store struct {
 	model  CostModel
-	chains [][]*Record // indexed by HostID; grown on first Take
+	chains [][]*Record // indexed by HostID; grown by doubling on first Take
 
-	// A host's first checkpoint — n of them back to back when a protocol
-	// is constructed — is carved from these slabs instead of costing two
-	// allocations: recSlab holds the unissued records, ptrSlab the unissued
-	// one-element chain backings, slabSize the size of the newest pair
-	// (doubling from recordSlabMin to recordSlabMax). Only the Take that
-	// grows the chain table carves; that Take already needs the store to
-	// itself, so later Takes stay safe to run one host per goroutine.
-	recSlab  []Record
-	ptrSlab  []*Record
-	slabSize int
+	free      []Record  // the rest of the newest chunk, not yet handed out
+	freeSlots []*Record // the rest of the newest chunk of one-element chain backings
+	chunk     int       // length of the newest chunks, doubling up to chunkMax
 }
 
 const (
-	recordSlabMin = 16
-	recordSlabMax = 4096
+	chunkMin = 16
+	chunkMax = 4096
 )
 
 // NewStore returns an empty store with the given cost model.
@@ -147,47 +166,44 @@ func (s *Store) chain(host mobile.HostID) []*Record {
 }
 
 // Take records a new checkpoint of host at station mss with the given
-// protocol index and kind, charging the transfer costs of the
-// incremental scheme:
-//
-//   - first checkpoint ever: full state over wireless;
-//   - previous checkpoint at the same MSS: delta over wireless;
-//   - previous checkpoint at another MSS: delta over wireless plus a
-//     full-state fetch over the wired network so the new MSS can
-//     reconstruct (§2.2 "Incremental Checkpointing").
+// protocol index and kind; CostModel.units says what it costs to ship.
+// The index must not fall below the host's previous one (superseded and
+// pruned records included): FirstWithIndexAtLeast searches on that
+// order, so Take panics rather than store a chain it would misread.
 func (s *Store) Take(host mobile.HostID, mss mobile.MSSID, index int, kind Kind, now des.Time) *Record {
-	var r *Record
 	if int(host) >= len(s.chains) {
-		s.chains = slices.Grow(s.chains, int(host)+1-len(s.chains))[:int(host)+1]
-		if len(s.recSlab) == 0 {
-			s.slabSize = min(max(2*s.slabSize, recordSlabMin), recordSlabMax)
-			s.recSlab = make([]Record, s.slabSize)
-			s.ptrSlab = make([]*Record, s.slabSize)
+		if int(host) >= cap(s.chains) {
+			grown := make([][]*Record, int(host)+1, max(2*cap(s.chains), int(host)+1, chunkMin))
+			copy(grown, s.chains)
+			s.chains = grown
 		}
-		r, s.recSlab = &s.recSlab[0], s.recSlab[1:]
-		// Capacity 1, like the chain append would have built: the second
-		// checkpoint moves the chain to storage of its own.
-		s.chains[host], s.ptrSlab = s.ptrSlab[:0:1], s.ptrSlab[1:]
-	} else {
-		r = new(Record)
+		s.chains = s.chains[:int(host)+1]
 	}
 	chain := s.chains[host]
-	*r = Record{
-		Host:    host,
-		Ordinal: len(chain),
-		Index:   index,
-		Kind:    kind,
-		TakenAt: now,
-		MSS:     mss,
+	if n := len(chain); n > 0 && index < int(chain[n-1].Index) {
+		panic(fmt.Sprintf("storage: host %d takes index %d after index %d: indices must not decrease along a chain",
+			host, index, chain[n-1].Index))
 	}
-	switch {
-	case !s.model.Incremental || len(chain) == 0:
-		r.DeltaUnits = s.model.FullState
-	default:
-		r.DeltaUnits = s.model.Delta
-		if prev := chain[len(chain)-1]; prev.MSS != mss {
-			r.FetchUnits = s.model.FullState
+	if len(s.free) == 0 {
+		s.chunk = min(max(2*s.chunk, chunkMin), chunkMax)
+		s.free = make([]Record, s.chunk)
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	*r = Record{
+		Host:    int32(host),
+		Ordinal: int32(len(chain)),
+		Index:   int32(index),
+		MSS:     int32(mss),
+		TakenAt: now,
+		Kind:    kind,
+	}
+	if chain == nil {
+		if len(s.freeSlots) == 0 {
+			s.freeSlots = make([]*Record, s.chunk)
 		}
+		// Capacity 1, like the chain append would have built.
+		chain, s.freeSlots = s.freeSlots[:0:1], s.freeSlots[1:]
 	}
 	s.chains[host] = append(chain, r)
 	return r
@@ -199,7 +215,7 @@ func (s *Store) Take(host mobile.HostID, mss mobile.MSSID, index int, kind Kind,
 // recovery line with that index. It returns the superseded record, or
 // nil if none existed.
 func (s *Store) Supersede(rec *Record) *Record {
-	chain := s.chain(rec.Host)
+	chain := s.chain(mobile.HostID(rec.Host))
 	for i := len(chain) - 1; i >= 0; i-- {
 		c := chain[i]
 		if c == rec || c.Superseded {
@@ -247,13 +263,12 @@ func (s *Store) LatestLive(host mobile.HostID) *Record {
 // sequence number of a process, the first checkpoint with greater
 // sequence number must be included".
 //
-// Indices never decrease along a chain (every protocol numbers its
-// checkpoints that way), so the records below index are a prefix and a
-// binary search skips them: the live cluster asks on every hand-off, of
-// chains it never collects.
+// Indices never decrease along a chain (Take enforces it), so the
+// records below index are a prefix and a binary search skips them: the
+// live cluster asks on every hand-off, of chains it never collects.
 func (s *Store) FirstWithIndexAtLeast(host mobile.HostID, index int) *Record {
 	chain := s.chain(host)
-	from := sort.Search(len(chain), func(i int) bool { return chain[i].Index >= index })
+	from := sort.Search(len(chain), func(i int) bool { return int(chain[i].Index) >= index })
 	for _, c := range chain[from:] {
 		if !c.Superseded && !c.Pruned {
 			return c
@@ -268,18 +283,20 @@ func (s *Store) FirstWithIndexAtLeast(host mobile.HostID, index int) *Record {
 // Records stay in the chain (ordinals are stable identifiers) but are
 // excluded from recovery-line construction.
 func (s *Store) PruneBefore(host mobile.HostID, keepOrdinal int) (records int, units int64) {
+	var prev *Record
 	for _, c := range s.chain(host) {
-		if c.Ordinal >= keepOrdinal {
+		if int(c.Ordinal) >= keepOrdinal {
 			break
 		}
-		if c.Pruned {
-			continue
+		if !c.Pruned {
+			c.Pruned = true
+			if !c.Superseded {
+				records++
+				delta, _ := s.model.units(c, prev)
+				units += delta
+			}
 		}
-		c.Pruned = true
-		if !c.Superseded {
-			records++
-			units += c.DeltaUnits
-		}
+		prev = c
 	}
 	return records, units
 }
@@ -307,21 +324,25 @@ func (s *Store) LiveRecords(host mobile.HostID) int {
 	return total
 }
 
-// Counters walks the chains and aggregates transfer activity.
+// Counters walks the chains and aggregates transfer activity, deriving
+// each checkpoint's costs as it goes.
 func (s *Store) Counters() Counters {
 	var c Counters
 	for _, chain := range s.chains {
+		var prev *Record
 		for _, r := range chain {
+			delta, fetch := s.model.units(r, prev)
+			prev = r
 			c.Checkpoints++
-			if r.DeltaUnits >= s.model.FullState {
+			if delta >= s.model.FullState {
 				c.FullTransfers++
 			} else {
 				c.DeltaTransfers++
 			}
-			c.WirelessUnits += r.DeltaUnits
-			if r.FetchUnits > 0 {
+			c.WirelessUnits += delta
+			if fetch > 0 {
 				c.Fetches++
-				c.WiredUnits += r.FetchUnits
+				c.WiredUnits += fetch
 			}
 			if r.Superseded || r.Pruned {
 				c.Reclaimed++

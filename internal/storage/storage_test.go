@@ -1,17 +1,33 @@
 package storage
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/race"
+	"mobickpt/internal/rng"
 )
+
+// costs returns what r cost to ship, as Counters and PruneBefore derive it.
+func costs(s *Store, r *Record) (delta, fetch int64) {
+	var prev *Record
+	if r.Ordinal > 0 {
+		prev = s.Chain(mobile.HostID(r.Host))[r.Ordinal-1]
+	}
+	return s.model.units(r, prev)
+}
 
 func TestTakeFirstIsFullTransfer(t *testing.T) {
 	s := NewStore(DefaultCostModel())
 	r := s.Take(0, 1, 0, Initial, 0)
-	if r.DeltaUnits != 1024 || r.FetchUnits != 0 {
-		t.Fatalf("first checkpoint delta=%d fetch=%d", r.DeltaUnits, r.FetchUnits)
+	if delta, fetch := costs(s, r); delta != 1024 || fetch != 0 {
+		t.Fatalf("first checkpoint delta=%d fetch=%d", delta, fetch)
 	}
 	if r.Ordinal != 0 || r.Index != 0 || r.MSS != 1 {
 		t.Fatalf("record fields wrong: %+v", r)
@@ -22,8 +38,8 @@ func TestIncrementalSameMSS(t *testing.T) {
 	s := NewStore(DefaultCostModel())
 	s.Take(0, 1, 0, Initial, 0)
 	r := s.Take(0, 1, 1, Basic, 5)
-	if r.DeltaUnits != 102 || r.FetchUnits != 0 {
-		t.Fatalf("same-MSS increment delta=%d fetch=%d", r.DeltaUnits, r.FetchUnits)
+	if delta, fetch := costs(s, r); delta != 102 || fetch != 0 {
+		t.Fatalf("same-MSS increment delta=%d fetch=%d", delta, fetch)
 	}
 }
 
@@ -31,11 +47,12 @@ func TestIncrementalCrossMSSFetches(t *testing.T) {
 	s := NewStore(DefaultCostModel())
 	s.Take(0, 1, 0, Initial, 0)
 	r := s.Take(0, 3, 1, Basic, 5)
-	if r.DeltaUnits != 102 {
-		t.Fatalf("delta = %d", r.DeltaUnits)
+	delta, fetch := costs(s, r)
+	if delta != 102 {
+		t.Fatalf("delta = %d", delta)
 	}
-	if r.FetchUnits != 1024 {
-		t.Fatalf("cross-MSS checkpoint must fetch the previous full state, got %d", r.FetchUnits)
+	if fetch != 1024 {
+		t.Fatalf("cross-MSS checkpoint must fetch the previous full state, got %d", fetch)
 	}
 }
 
@@ -45,8 +62,8 @@ func TestNonIncrementalAlwaysFull(t *testing.T) {
 	s := NewStore(m)
 	s.Take(0, 1, 0, Initial, 0)
 	r := s.Take(0, 1, 1, Basic, 5)
-	if r.DeltaUnits != 1024 {
-		t.Fatalf("non-incremental delta = %d", r.DeltaUnits)
+	if delta, _ := costs(s, r); delta != 1024 {
+		t.Fatalf("non-incremental delta = %d", delta)
 	}
 }
 
@@ -184,13 +201,13 @@ func TestRecordID(t *testing.T) {
 func TestPropertyOrdinalsDense(t *testing.T) {
 	f := func(hosts []uint8) bool {
 		s := NewStore(DefaultCostModel())
-		for _, hRaw := range hosts {
+		for i, hRaw := range hosts {
 			h := mobile.HostID(hRaw % 4)
-			s.Take(h, mobile.MSSID(hRaw%3), int(hRaw), Basic, 0)
+			s.Take(h, mobile.MSSID(hRaw%3), i, Basic, 0)
 		}
 		for h := mobile.HostID(0); h < 4; h++ {
 			for i, r := range s.Chain(h) {
-				if r.Ordinal != i || r.Host != h {
+				if int(r.Ordinal) != i || mobile.HostID(r.Host) != h {
 					return false
 				}
 			}
@@ -209,14 +226,14 @@ func BenchmarkTake(b *testing.B) {
 	}
 }
 
-// First checkpoints are carved from shared slabs (records and one-element
-// chain backings alike): every host must still own its records and its
-// chain, across slab boundaries, across ids first seen with a gap, and
-// once later checkpoints outgrow the carved backing.
+// Records are carved from shared chunks and a host's first chain slot
+// from shared slot chunks: every host must still own its records and its
+// chain, across chunk boundaries, across ids first seen with a gap, and
+// once later checkpoints outgrow the carved slot.
 func TestInitialRecordsDoNotAlias(t *testing.T) {
 	s := NewStore(DefaultCostModel())
-	hosts := make([]mobile.HostID, 0, 3*recordSlabMin+2)
-	for h := 0; h < 3*recordSlabMin; h++ {
+	hosts := make([]mobile.HostID, 0, 3*chunkMin+2)
+	for h := 0; h < 3*chunkMin; h++ {
 		hosts = append(hosts, mobile.HostID(h))
 	}
 	hosts = append(hosts, 5000, 4000) // joins: a gap, then an id the gap stepped over
@@ -235,7 +252,7 @@ func TestInitialRecordsDoNotAlias(t *testing.T) {
 			t.Fatalf("host %d: chain of %d records, want 4", h, len(chain))
 		}
 		for i, r := range chain {
-			if r.Host != h || r.Ordinal != i || r.Index != i || seen[r] {
+			if mobile.HostID(r.Host) != h || int(r.Ordinal) != i || int(r.Index) != i || seen[r] {
 				t.Fatalf("host %d: record %d is %+v (shared: %v)", h, i, *r, seen[r])
 			}
 			seen[r] = true
@@ -246,14 +263,47 @@ func TestInitialRecordsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestInitialTakeAllocs gates the set-up cost of a store: the first
+// TestRecordRow pins the stored row: 32 bytes with no pointer in it, so a
+// chunk of records is one allocation the collector never scans.
+func TestRecordRow(t *testing.T) {
+	if size := unsafe.Sizeof(Record{}); size != 32 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 32", size)
+	}
+	rt := reflect.TypeOf(Record{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int32, reflect.Uint8, reflect.Float64:
+		default:
+			t.Fatalf("Record.%s is a %s: a row holds only fixed-size scalars", f.Name, f.Type)
+		}
+	}
+}
+
+// TestTakeAllocs gates what a checkpoint costs the heap. The first
 // checkpoint of n hosts taken in id order — what every protocol does at
-// construction — must come from slabs and a geometrically grown chain
-// table, not from two allocations per host.
-func TestInitialTakeAllocs(t *testing.T) {
-	const n = 20000
-	allocs := testing.AllocsPerRun(3, func() {
-		s := NewStore(DefaultCostModel())
+// construction — must come from chunks and a doubling chain table, not
+// from allocations per host. Later checkpoints allocate only when a
+// record chunk or a host's chain backing grows: amortised, at most
+// takeBytesLimit bytes and a small fraction of an allocation each.
+func TestTakeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const (
+		n              = 20000
+		rounds         = 10
+		takeBytesLimit = 64 // a 32-byte row plus at most 32 B of chain backings, which append doubles
+	)
+	var before, after runtime.MemStats
+	measure := func(f func()) (allocs, bytes float64) {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	s := NewStore(DefaultCostModel())
+	allocs, _ := measure(func() {
 		for h := 0; h < n; h++ {
 			s.Take(mobile.HostID(h), 0, 0, Initial, 0)
 		}
@@ -261,5 +311,141 @@ func TestInitialTakeAllocs(t *testing.T) {
 	t.Logf("%.0f allocations for %d initial checkpoints", allocs, n)
 	if allocs > n/20 {
 		t.Fatalf("%.0f allocations for %d initial checkpoints (limit %d): per-host allocation is back", allocs, n, n/20)
+	}
+	allocs, bytes := measure(func() {
+		for round := 1; round <= rounds; round++ {
+			for h := 0; h < n; h++ {
+				s.Take(mobile.HostID(h), mobile.MSSID((h+round)%7), round, Basic, 0)
+			}
+		}
+	})
+	takes := float64(n * rounds)
+	t.Logf("%.2f allocations and %.1f B per later checkpoint", allocs/takes, bytes/takes)
+	if bytes/takes > takeBytesLimit || allocs/takes > 0.5 {
+		t.Fatalf("%.2f allocations and %.1f B per later checkpoint (limits 0.5 and %d B): per-record allocation is back",
+			allocs/takes, bytes/takes, takeBytesLimit)
+	}
+}
+
+// TestTakePanicsOnDecreasingIndex: FirstWithIndexAtLeast binary-searches
+// a whole chain, superseded and pruned records included, so Take refuses
+// an index below the previous record's — even one no live record holds.
+func TestTakePanicsOnDecreasingIndex(t *testing.T) {
+	s := NewStore(DefaultCostModel())
+	s.Take(3, 0, 0, Initial, 0)
+	s.Take(3, 0, 5, Basic, 1)
+	s.Take(3, 0, 5, Forced, 2) // an equal index is QBC's reuse
+	s.PruneBefore(3, 3)        // no live record left
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "host 3") || !strings.Contains(msg, "index 4") || !strings.Contains(msg, "index 5") {
+			t.Fatalf("Take(index 4) after index 5 recovered %q, want a panic naming host 3 and both indices", msg)
+		}
+	}()
+	s.Take(3, 0, 4, Basic, 3)
+}
+
+// refStore is the store as it was before costs were derived: each record's
+// costs fixed at Take by the stored-cost rule, kept beside the record.
+type refStore struct {
+	model CostModel
+	cost  map[*Record][2]int64 // delta, fetch
+	last  map[mobile.HostID]*Record
+}
+
+func (ref *refStore) take(s *Store, h mobile.HostID, mss mobile.MSSID, index int) *Record {
+	r := s.Take(h, mss, index, Basic, 0)
+	var delta, fetch int64
+	switch prev := ref.last[h]; {
+	case !ref.model.Incremental || prev == nil:
+		delta = ref.model.FullState
+	default:
+		delta = ref.model.Delta
+		if prev.MSS != r.MSS {
+			fetch = ref.model.FullState
+		}
+	}
+	ref.cost[r] = [2]int64{delta, fetch}
+	ref.last[h] = r
+	return r
+}
+
+// pruneUnits is what PruneBefore reclaims by the stored costs.
+func (ref *refStore) pruneUnits(s *Store, h mobile.HostID, keep int) (records int, units int64) {
+	for _, r := range s.Chain(h) {
+		if int(r.Ordinal) < keep && !r.Pruned && !r.Superseded {
+			records++
+			units += ref.cost[r][0]
+		}
+	}
+	return records, units
+}
+
+func (ref *refStore) counters(s *Store) Counters {
+	var c Counters
+	for _, r := range ref.last {
+		for _, r := range s.Chain(mobile.HostID(r.Host)) {
+			cost := ref.cost[r]
+			c.Checkpoints++
+			if cost[0] >= ref.model.FullState {
+				c.FullTransfers++
+			} else {
+				c.DeltaTransfers++
+			}
+			c.WirelessUnits += cost[0]
+			if cost[1] > 0 {
+				c.Fetches++
+				c.WiredUnits += cost[1]
+			}
+			if r.Superseded || r.Pruned {
+				c.Reclaimed++
+			}
+		}
+	}
+	return c
+}
+
+// Property: the costs Counters and PruneBefore derive equal the costs the
+// store used to keep on every record, under both cost models, on random
+// station sequences with supersessions and prunes in between.
+func TestPropertyDerivedCostsMatchStored(t *testing.T) {
+	models := []CostModel{
+		DefaultCostModel(),
+		{FullState: 1024, Delta: 102, Incremental: false},
+		{FullState: 64, Delta: 64, Incremental: true}, // a delta as large as the state counts as a full transfer
+	}
+	f := func(seed uint64, modelPick uint8) bool {
+		model := models[int(modelPick)%len(models)]
+		src := rng.NewStream(seed, 46)
+		s := NewStore(model)
+		ref := &refStore{model: model, cost: make(map[*Record][2]int64), last: make(map[mobile.HostID]*Record)}
+		index := make(map[mobile.HostID]int)
+		for op := 0; op < 400; op++ {
+			h := mobile.HostID(src.Intn(6))
+			switch r := src.Intn(10); {
+			case r < 7:
+				index[h] += src.Intn(3) // 0: the same index again, as QBC reuses one
+				rec := ref.take(s, h, mobile.MSSID(src.Intn(4)), index[h])
+				if src.Intn(2) == 0 {
+					s.Supersede(rec)
+				}
+			default:
+				keep := src.Intn(len(s.Chain(h)) + 2)
+				wantRecords, wantUnits := ref.pruneUnits(s, h, keep)
+				if records, units := s.PruneBefore(h, keep); records != wantRecords || units != wantUnits {
+					t.Logf("model %+v seed %d: PruneBefore(%d, %d) = %d, %d; stored costs say %d, %d",
+						model, seed, h, keep, records, units, wantRecords, wantUnits)
+					return false
+				}
+			}
+		}
+		if got, want := s.Counters(), ref.counters(s); got != want {
+			t.Logf("model %+v seed %d: Counters() = %+v, stored costs say %+v", model, seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
