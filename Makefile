@@ -99,15 +99,17 @@ allocs:
 # picks, of sim.Run on small configurations the fuzzer picks (a
 # rejected one returns Validate's error, an accepted one runs with its
 # checks on), and of the collection rule (a collecting run restores its
-# uncollected twin's recovery lines and replays what the trace says);
-# `make fuzz` runs longer. The schedule and bundle seeds
+# uncollected twin's recovery lines and replays what the trace says), and
+# of the chunked run history against a flat reference on event sequences
+# the fuzzer picks; `make fuzz` runs longer. The schedule and bundle seeds
 # are tens of kilobytes of JSON, which the fuzzer's default minute of
 # minimization per finding would spend the whole smoke on, so that is
-# capped in runs.
+# capped in runs; the history's event sequences are capped alike.
 # fuzz-targets runs every fuzz target for $(1) each: one list for both.
 define fuzz-targets
 $(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=$(1) ./internal/wire
 $(GO) test -fuzz=FuzzImportSchedule -fuzztime=$(1) -fuzzminimizetime=10x ./internal/trace
+$(GO) test -fuzz=FuzzHistory -fuzztime=$(1) -fuzzminimizetime=10x ./internal/trace
 $(GO) test -fuzz=FuzzImportBundle -fuzztime=$(1) -fuzzminimizetime=10x ./internal/replaycmp
 $(GO) test -fuzz=FuzzReplaySchedule -fuzztime=$(1) -fuzzminimizetime=10x ./internal/sim
 $(GO) test -fuzz=FuzzPropagate -fuzztime=$(1) ./internal/recovery

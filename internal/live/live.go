@@ -239,7 +239,7 @@ type Cluster struct {
 	// which hand-offs move and sends route through.
 	//
 	//guard:mu
-	side protoside.Side
+	side *protoside.Side
 
 	// mu serializes the protocol events, so the history, decision log and
 	// replay see one total order under one tick. The protocol state is
@@ -704,9 +704,9 @@ func (c *Cluster) drain(h mobile.HostID, dl *mailbox, seen *dupFilter) {
 }
 
 // send picks a peer among the hosts that have joined so far, runs the
-// protocol's OnSend, mutates the sender's application state (a
-// computation has observable effects), marshals the frame and injects it
-// at the host's current station.
+// protocol's OnSend and marshals the frame, mutates the sender's
+// application state (a computation has observable effects) and injects
+// the frame at the host's current station.
 func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	c.mu.Lock()
 	to := mobile.HostID(src.Intn(c.hosts - 1))
@@ -719,7 +719,13 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	var pb [1]any
 	// The packet id is the flow id, as in the replay of a recording.
 	c.side.OnSend(c.beginEvent(), from, to, id, id, pb[:])
+	// A TP piggyback names its hosts' station tables, which the protocol
+	// events under mu grow: it is encoded before mu is released.
+	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
 	c.mu.Unlock()
+	if err != nil {
+		panic("live: " + err.Error()) // protocol produced an unencodable piggyback
+	}
 	c.storeImages(from)
 
 	// The send is an event of the application: it dirties some state,
@@ -733,10 +739,6 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 		panic("live: " + err.Error())
 	}
 
-	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
-	if err != nil {
-		panic("live: " + err.Error()) // protocol produced an unencodable piggyback
-	}
 	w.put(packet{to: to, frame: frame})
 
 	atomic.AddInt64(&c.counters.Sent, 1)

@@ -1,9 +1,10 @@
 package protocol
 
 import (
-	"math/bits"
+	"math"
 	"slices"
 
+	"mobickpt/internal/column"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/vclock"
@@ -55,50 +56,13 @@ func newTPState(width int) []int32 {
 	return vec
 }
 
-// tpChunks chunks of 16<<i entries hold 16(2^27 - 1) checkpoints, more
-// than a 32-bit index counts.
-const tpChunks = 27
-
 // tpStations is the station table of one host: entry k is the MSS its
 // k-th checkpoint was taken at. It is all TP keeps of LOC — LOC[j] is
 // always the station of the CKPT[j]-th checkpoint of host j — so the
-// vectors, frames and logs hold CKPT alone. Chunk i holds the entries
-// from 16(2^i - 1) on and is never reallocated, so an entry never moves
-// once it is written: a view that names checkpoint k reads its station
-// wherever the view goes, while the host appends.
-type tpStations struct {
-	count  int32
-	chunks [tpChunks]*[]int32
-}
-
-// slot is chunk i and offset off of entry k.
-func (s *tpStations) slot(k int) (i, off int) {
-	i = bits.Len(uint(k+16)) - 5
-	return i, k + 16 - 16<<i
-}
-
-// add records the station of the host's next checkpoint and returns that
-// checkpoint's index.
-func (s *tpStations) add(mss mobile.MSSID) int {
-	k := int(s.count)
-	i, off := s.slot(k)
-	if i >= tpChunks || mobile.MSSID(int32(mss)) != mss {
-		panic("protocol: TP checkpoint index or station does not fit in 32 bits")
-	}
-	if off == 0 {
-		c := make([]int32, 16<<i)
-		s.chunks[i] = &c
-	}
-	(*s.chunks[i])[off] = int32(mss)
-	s.count++
-	return k
-}
-
-// at is the station of checkpoint k, which must have been recorded.
-func (s *tpStations) at(k int) int {
-	i, off := s.slot(k)
-	return int((*s.chunks[i])[off])
-}
+// vectors, frames and logs hold CKPT alone. An entry never moves once it
+// is written, so a view that names checkpoint k reads its station
+// wherever the view goes on the protocol side, while the host appends.
+type tpStations = column.Column[int32]
 
 // locations is the LOC vector beside ckpt: the station of every
 // checkpoint ckpt names, -1 where it names none.
@@ -106,7 +70,7 @@ func locations(stations []*tpStations, ckpt vclock.Vector) vclock.Vector {
 	loc := vclock.New(len(ckpt), -1)
 	for j, x := range ckpt {
 		if x >= 0 {
-			loc[j] = stations[j].at(x)
+			loc[j] = int(stations[j].At(x))
 		}
 	}
 	return loc
@@ -119,8 +83,10 @@ func locations(stations []*tpStations, ckpt vclock.Vector) vclock.Vector {
 // and every host's station table as the slice of them stood then. Frames
 // are never written after they are built, a log array is only written
 // past every prefix taken of it and a table never moves an entry, so a
-// view costs O(1) to take, is immutable, and may be read from any goroutine
-// while the hosts move on.
+// view costs O(1) to take and is immutable while the hosts move on. It is
+// read where the protocol runs: a table's chunk directory grows as its
+// host checkpoints, so the live cluster encodes a view before it releases
+// the lock its protocol events run under.
 type TPView struct {
 	// frame is the host's CKPT vector when its log array was made, or
 	// nil when that state went into the log as records. Entries the
@@ -167,7 +133,7 @@ type tpHost struct {
 	// taken[k] is the host's k-th checkpoint with the vectors recorded
 	// alongside it: the on-stable-storage copy used to assemble a
 	// recovery line during rollback.
-	taken []tpCheckpoint
+	taken column.Column[tpCheckpoint]
 }
 
 type tpCheckpoint struct {
@@ -237,7 +203,7 @@ func (s *tpHost) merge(pb TPPiggyback, stations []*tpStations) {
 	}
 	for j, x := range pb.Ckpt {
 		known := x == -1 && pb.Loc[j] == -1 ||
-			x >= 0 && x < int(stations[j].count) && pb.Loc[j] == stations[j].at(x)
+			x >= 0 && x < stations[j].Len() && pb.Loc[j] == int(stations[j].At(x))
 		if !known {
 			panic("protocol: TP piggyback names a checkpoint or station its host never recorded")
 		}
@@ -332,12 +298,16 @@ func (t *TP) Init() {
 // alongside the checkpoint. The station is in the table before the index
 // is in any vector, so whoever reads the index can read the station.
 func (t *TP) takeCheckpoint(h mobile.HostID, kind storage.Kind) {
-	s := &t.hosts[h]
-	k := t.stations[h].add(t.mssOf(h))
+	s, st, mss := &t.hosts[h], t.stations[h], t.mssOf(h)
+	k := st.Len()
+	if k == math.MaxInt32 || mobile.MSSID(int32(mss)) != mss {
+		panic("protocol: TP checkpoint index or station does not fit in 32 bits")
+	}
+	st.Append(int32(mss))
 	s.raise(s.tail(), 0, int(h), int32(k))
 	s.logged(1)
 	rec := t.ckpt(h, k, kind)
-	s.taken = append(s.taken, tpCheckpoint{rec, t.view(s)})
+	s.taken.Append(tpCheckpoint{rec, t.view(s)})
 }
 
 // view returns host s's vectors as they stand now.
@@ -449,11 +419,15 @@ func (t *TP) Meta(rec *storage.Record) (TPPiggyback, bool) {
 	if rec == nil || rec.Host < 0 || int(rec.Host) >= len(t.hosts) {
 		return TPPiggyback{}, false
 	}
-	taken := t.hosts[rec.Host].taken
-	if rec.Index < 0 || int(rec.Index) >= len(taken) || taken[rec.Index].rec != rec {
+	taken := &t.hosts[rec.Host].taken
+	if rec.Index < 0 || int(rec.Index) >= taken.Len() {
 		return TPPiggyback{}, false
 	}
-	return taken[rec.Index].view.Dense(), true
+	c := taken.At(int(rec.Index))
+	if c.rec != rec {
+		return TPPiggyback{}, false
+	}
+	return c.view.Dense(), true
 }
 
 // Phase returns host h's current phase (exported for tests and tracing).

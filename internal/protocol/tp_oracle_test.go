@@ -350,7 +350,8 @@ func TestTPMatchesDenseOracle(t *testing.T) {
 	}
 }
 
-func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
+// matchDenseOracle returns the longest checkpoint chain a host took.
+func matchDenseOracle(t *testing.T, n int, ops []tpOp) (longest int) {
 	got, want := newTPWorld(n, false), newTPWorld(n, true)
 
 	// pending holds, per receiver, the delivery TP has not made yet. It is
@@ -463,6 +464,7 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 
 	for h := range want.station {
 		a, b := got.store.Chain(mobile.HostID(h)), want.store.Chain(mobile.HostID(h))
+		longest = max(longest, len(a))
 		if len(a) != len(b) {
 			t.Fatalf("host %d holds %d checkpoints, want %d", h, len(a), len(b))
 		}
@@ -480,6 +482,20 @@ func matchDenseOracle(t *testing.T, n int, ops []tpOp) {
 	}
 	if copies, reuses := got.tp.(*protocol.TP).SnapshotStats(); copies == 0 || copies+reuses != int64(sends) {
 		t.Fatalf("SnapshotStats = (%d, %d) over %d sends", copies, reuses, sends)
+	}
+	return longest
+}
+
+// TestTPTablesAcrossChunks runs the oracle's script over two hosts long
+// enough that a host's checkpoint list and station table (TP's taken and
+// tpStations, column.Columns) cross the columns' full-size 4 096-entry
+// chunks three times: the vectors recorded with every checkpoint, and
+// every LOC entry read through a station table, must still equal the
+// dense reference's.
+func TestTPTablesAcrossChunks(t *testing.T) {
+	const crossed = 4096 + 3*4096
+	if longest := matchDenseOracle(t, 2, tpScript(2, 100000, 1, 11)); longest < crossed {
+		t.Fatalf("the longest chain holds %d checkpoints, want at least %d", longest, crossed)
 	}
 }
 

@@ -202,9 +202,12 @@ const anyHost mobile.HostID = -1
 
 // New sizes a protocol side for protos slots over hosts hosts and
 // stations stations, recording into hist. hist, reg and tl may be nil. The
-// world fills the slots (InitSlot).
-func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline) Side {
-	p := Side{
+// world fills the slots (InitSlot). Every slot's checkpointer closes over
+// the side, so a world holds the side by pointer: what a finished run's
+// results keep reachable through a protocol is the side, not the world
+// around it.
+func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline) *Side {
+	p := &Side{
 		Slots:   make([]Slot, protos),
 		Hist:    hist,
 		station: make([]mobile.MSSID, hosts),

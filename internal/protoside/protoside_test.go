@@ -18,7 +18,7 @@ import (
 // world is a scripted two-slot world: BCS and UNC ride one history, on a
 // clock that ticks once per event.
 type world struct {
-	protoside.Side
+	*protoside.Side
 	tick des.Time
 }
 
@@ -234,7 +234,7 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 						other, tc.host, tc.entry, msg)
 				}
 			}()
-			tc.event(&p)
+			tc.event(p)
 		})
 	}
 }

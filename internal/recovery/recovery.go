@@ -70,12 +70,16 @@ func (c Cut) RolledBack() int {
 
 // Orphans counts the messages of tr that are orphan with respect to cut:
 // send undone (SendCount > cut[from]) but receive kept
-// (RecvCount <= cut[to]). A cut is consistent iff Orphans returns 0.
+// (RecvCount <= cut[to]). A cut is consistent iff Orphans returns 0. It
+// tests every message, reading the index's send records, which hold
+// both counts and the receiver side by side.
 func Orphans(tr *trace.Trace, cut Cut) int {
 	n := 0
-	for i := range tr.Len() {
-		if tr.SendCount(i) > cut[tr.From(i)] && tr.RecvCount(i) <= cut[tr.To(i)] {
-			n++
+	for from, sends := range tr.Index().Sends {
+		for _, e := range sends {
+			if int(e.SendCount) > cut[from] && int(e.RecvCount) <= cut[e.To] {
+				n++
+			}
 		}
 	}
 	return n
@@ -178,6 +182,10 @@ func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 	}
 
 	steps := 0
+	// Pops ascend within a round: read them from the chunk the last one
+	// came from while they are in it.
+	var tos, rcs []int32
+	base := 0
 	for ; pending > 0; pending-- {
 		p := nextSet(cur, pos+1)
 		if p < 0 {
@@ -186,7 +194,12 @@ func eliminate(tr *trace.Trace, seed Cut, logged LoggedFunc) (Cut, int) {
 		}
 		cur[p>>6] &^= 1 << (p & 63)
 		pos = p
-		to, rc := tr.To(p), tr.RecvCount(p)
+		j := p - base
+		if uint(j) >= uint(len(rcs)) {
+			tos, rcs, base = tr.Receipts(p)
+			j = p - base
+		}
+		to, rc := tos[j], int(rcs[j])
 		if rc > cut[to] {
 			continue // undone since it was marked
 		}

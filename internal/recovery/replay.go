@@ -86,7 +86,7 @@ func MeasureReplay(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*stora
 		// (RecvCount never decreases along them); a delivery's offset in
 		// the list is its ordinal.
 		recvs := ix.Recvs[h]
-		first := sort.Search(len(recvs), func(i int) bool { return tr.RecvCount(int(recvs[i])) > x })
+		first := undoneFrom(tr, recvs, x)
 		undone := recvs[first:]
 		// frontier is the time replay reconstructs h up to: deliveries
 		// replay in their original order, so the first undone one that is
@@ -112,4 +112,19 @@ func MeasureReplay(tr *trace.Trace, cut Cut, chains func(mobile.HostID) []*stora
 		}
 	}
 	return m
+}
+
+// undoneFrom returns the offset in recvs, one host's deliveries, of the
+// first whose RecvCount exceeds x: where the suffix a rollback to
+// checkpoint x undoes starts. The search gallops back from the end, so it
+// reads O(log u) counts for a rollback that undoes u deliveries, mostly
+// recent ones, however long the host's list is.
+func undoneFrom(tr *trace.Trace, recvs []int32, x int) int {
+	hi, step := len(recvs), 1 // recvs[hi:] are undone
+	for hi-step >= 0 && tr.RecvCount(int(recvs[hi-step])) > x {
+		hi -= step
+		step *= 2
+	}
+	lo := max(hi-step, -1) // recvs[lo] is kept (or lo = -1)
+	return lo + 1 + sort.Search(hi-lo-1, func(i int) bool { return tr.RecvCount(int(recvs[lo+1+i])) > x })
 }

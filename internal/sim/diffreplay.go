@@ -26,7 +26,7 @@ import (
 // side: what the live cluster keeps that neither a protocol nor the side
 // does — the messages in flight.
 type replayRun struct {
-	protoside.Side
+	*protoside.Side
 
 	// pending holds each in-flight message by id: its ordinal in the
 	// replay's history and its piggyback *as decoded off the wire* — the
@@ -55,7 +55,7 @@ func runSchedule(cfg Config) (*Result, error) {
 	scfg := cfg
 	scfg.Cost = storage.DefaultCostModel()
 	name := ProtocolName(sched.Protocol)
-	err := scfg.initSlot(&r.Side, 0, true, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+	err := scfg.initSlot(r.Side, 0, true, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 		// The one constructor table deliberately kept apart from the
 		// registry in internal/protocol: the live cluster builds its
 		// protocol through the registry (live.Factory), and an oracle that
@@ -104,7 +104,7 @@ func runSchedule(cfg Config) (*Result, error) {
 		Config:      cfg,
 		FinalHosts:  sched.FinalHosts(),
 		EventsFired: uint64(len(sched.Events)),
-		Protocols:   []ProtocolResult{protocolResult(&r.Side, 0)},
+		Protocols:   []ProtocolResult{protocolResult(r.Side, 0)},
 		Decisions:   s.Dec,
 	}
 	if cfg.Checks {

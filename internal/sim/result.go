@@ -150,7 +150,7 @@ func (e *engine) result() *Result {
 	}
 	model := energy.DefaultModel()
 	for i := range e.Slots {
-		pr := protocolResult(&e.Side, i)
+		pr := protocolResult(e.Side, i)
 		pr.Energy = energy.Assess(model, res.Network, pr.Storage, pr.PiggybackBytes)
 		res.Protocols = append(res.Protocols, pr)
 	}

@@ -74,7 +74,7 @@ func run(cfg Config, prep func(*engine)) (*Result, error) {
 // engine is the generative world — DES clock, network, workload driver,
 // markers, ticks, GC, joins, lanes — around the protocol side it drives.
 type engine struct {
-	protoside.Side
+	*protoside.Side
 
 	cfg    Config
 	sim    *des.Simulator

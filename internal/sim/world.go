@@ -37,7 +37,7 @@ func (e *engine) wireWorld() error {
 	e.pendingLatency = make([]des.Time, n)
 	for i, name := range cfg.Protocols {
 		ent, _ := protocol.Lookup(string(name)) // Validate resolved every name
-		err := cfg.initSlot(&e.Side, i, cfg.RecordTrace, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
+		err := cfg.initSlot(e.Side, i, cfg.RecordTrace, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
 			if e.cfg.CheckpointLatency > 0 {
 				ckpt = e.chargeLatency(ckpt)
 			}

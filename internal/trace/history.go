@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mobickpt/internal/column"
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 )
@@ -36,22 +37,26 @@ func (k rowKind) String() string { return kindNames[k] }
 // The columns are kept apart (host, peer, message id, stations, clock) and
 // the message tables name rows by position. The world assigns the message
 // ids and keeps the ordinal Send returns with the message until Deliver.
+// Every column is a column.Column: recording never copies one, so a
+// history allocates about the 33 bytes per row and 17 per message it
+// keeps.
 type History struct {
 	hosts, stations int // initial topology: host i starts at station i mod stations
 	n               int // host count after the joins recorded so far
 
 	// One entry per row.
-	kind     []rowKind
-	host     []int32    // the acting host: sender, receiver, mover, joiner
-	peer     []int32    // the other end of a send (receiver) or delivery (sender); -1 otherwise
-	msg      []uint64   // the message id of a send or delivery; 0 otherwise
-	from, to []int32    // stations: a hand-off has both, a disconnection only from, a reconnection and a join only to; -1 when absent
-	at       []des.Time // the world's clock
+	kind     column.Column[rowKind]
+	host     column.Column[int32]    // the acting host: sender, receiver, mover, joiner
+	peer     column.Column[int32]    // the other end of a send (receiver) or delivery (sender); -1 otherwise
+	msg      column.Column[uint64]   // the message id of a send or delivery; 0 otherwise
+	from, to column.Column[int32]    // stations: a hand-off has both, a disconnection only from, a reconnection and a join only to; -1 when absent
+	at       column.Column[des.Time] // the world's clock
 
-	sendRow   []int32 // message ordinal -> its send row
-	delivered []bool  // message ordinal -> delivered yet
-	delivRow  []int32 // delivery ordinal -> its row
-	delivMsg  []int32 // delivery ordinal -> message ordinal
+	sendRow   column.Column[int32] // message ordinal -> its send row
+	delivered column.Column[bool]  // message ordinal -> delivered yet
+	delivRow  column.Column[int32] // delivery ordinal -> its row
+	delivMsg  column.Column[int32] // delivery ordinal -> message ordinal
+	delivTo   column.Column[int32] // delivery ordinal -> its receiver, the row field a recovery's sweep reads
 }
 
 // NewHistory returns an empty history of hosts hosts placed on stations
@@ -61,24 +66,24 @@ func NewHistory(hosts, stations int) *History {
 }
 
 // Len returns the number of rows.
-func (h *History) Len() int { return len(h.kind) }
+func (h *History) Len() int { return h.kind.Len() }
 
 func (h *History) add(k rowKind, host, peer mobile.HostID, msg uint64, from, to mobile.MSSID, at des.Time) {
-	h.kind = append(h.kind, k)
-	h.host = append(h.host, int32(host))
-	h.peer = append(h.peer, int32(peer))
-	h.msg = append(h.msg, msg)
-	h.from = append(h.from, int32(from))
-	h.to = append(h.to, int32(to))
-	h.at = append(h.at, at)
+	h.kind.Append(k)
+	h.host.Append(int32(host))
+	h.peer.Append(int32(peer))
+	h.msg.Append(msg)
+	h.from.Append(int32(from))
+	h.to.Append(int32(to))
+	h.at.Append(at)
 }
 
 // Send records message id leaving host from toward host to, and returns
 // the message's ordinal: the number of messages sent before it.
 func (h *History) Send(from, to mobile.HostID, id uint64, at des.Time) int32 {
-	ord := int32(len(h.sendRow))
-	h.sendRow = append(h.sendRow, int32(len(h.kind)))
-	h.delivered = append(h.delivered, false)
+	ord := int32(h.sendRow.Len())
+	h.sendRow.Append(int32(h.Len()))
+	h.delivered.Append(false)
 	h.add(rowSend, from, to, id, mobile.NoMSS, mobile.NoMSS, at)
 	return ord
 }
@@ -87,14 +92,16 @@ func (h *History) Send(from, to mobile.HostID, id uint64, at des.Time) int32 {
 // A message delivered twice, or never sent under that ordinal, panics: the
 // world delivered what it never sent, a harness bug.
 func (h *History) Deliver(ord int32, id uint64, at des.Time) {
-	if ord < 0 || int(ord) >= len(h.sendRow) || h.delivered[ord] || h.msg[h.sendRow[ord]] != id {
+	if ord < 0 || int(ord) >= h.sendRow.Len() || h.delivered.At(int(ord)) || h.msg.At(int(h.sendRow.At(int(ord)))) != id {
 		panic(fmt.Sprintf("trace: delivery of message %d as ordinal %d, which is unsent, another message or delivered", id, ord))
 	}
-	h.delivered[ord] = true
-	s := h.sendRow[ord]
-	h.delivRow = append(h.delivRow, int32(len(h.kind)))
-	h.delivMsg = append(h.delivMsg, ord)
-	h.add(rowDeliver, mobile.HostID(h.peer[s]), mobile.HostID(h.host[s]), h.msg[s], mobile.NoMSS, mobile.NoMSS, at)
+	h.delivered.Set(int(ord), true)
+	s := int(h.sendRow.At(int(ord)))
+	to := h.peer.At(s)
+	h.delivRow.Append(int32(h.Len()))
+	h.delivMsg.Append(ord)
+	h.delivTo.Append(to)
+	h.add(rowDeliver, mobile.HostID(to), mobile.HostID(h.host.At(s)), id, mobile.NoMSS, mobile.NoMSS, at)
 }
 
 // Handoff records host's move from station from to station to.
@@ -126,11 +133,11 @@ func (h *History) Join(host mobile.HostID, to mobile.MSSID, at des.Time) {
 // its acting host, the other end of a send or delivery (-1 otherwise), its
 // message id (0 otherwise) and the world's clock. The station columns read
 // through the Schedule export.
-func (h *History) Kind(i int) string        { return h.kind[i].String() }
-func (h *History) Host(i int) mobile.HostID { return mobile.HostID(h.host[i]) }
-func (h *History) Peer(i int) mobile.HostID { return mobile.HostID(h.peer[i]) }
-func (h *History) Msg(i int) uint64         { return h.msg[i] }
-func (h *History) At(i int) des.Time        { return h.at[i] }
+func (h *History) Kind(i int) string        { return h.kind.At(i).String() }
+func (h *History) Host(i int) mobile.HostID { return mobile.HostID(h.host.At(i)) }
+func (h *History) Peer(i int) mobile.HostID { return mobile.HostID(h.peer.At(i)) }
+func (h *History) Msg(i int) uint64         { return h.msg.At(i) }
+func (h *History) At(i int) des.Time        { return h.at.At(i) }
 
 // InFlight returns, in ascending order, the ids of the messages sent and
 // never delivered (still traveling, or parked at a station for a host
@@ -138,9 +145,9 @@ func (h *History) At(i int) des.Time        { return h.at[i] }
 // them among its events.
 func (h *History) InFlight() []uint64 {
 	var ids []uint64
-	for ord, done := range h.delivered {
-		if !done {
-			ids = append(ids, h.msg[h.sendRow[ord]])
+	for ord := range h.delivered.Len() {
+		if !h.delivered.At(ord) {
+			ids = append(ids, h.msg.At(int(h.sendRow.At(ord))))
 		}
 	}
 	slices.Sort(ids)
@@ -153,13 +160,13 @@ func (h *History) InFlight() []uint64 {
 // already position + 1).
 func (h *History) Schedule(protocol string, seed uint64) *Schedule {
 	s := &Schedule{Hosts: h.hosts, Stations: h.stations, Protocol: protocol, Seed: seed, InFlight: h.InFlight()}
-	if len(h.kind) > 0 {
-		s.Events = make([]ScheduleEvent, len(h.kind))
+	if h.Len() > 0 {
+		s.Events = make([]ScheduleEvent, h.Len())
 	}
 	for i := range s.Events {
 		s.Events[i] = ScheduleEvent{
-			Seq: uint64(i), Tick: uint64(i) + 1, Kind: h.kind[i].String(),
-			Host: int(h.host[i]), Peer: int(h.peer[i]), Msg: h.msg[i], From: int(h.from[i]), To: int(h.to[i]),
+			Seq: uint64(i), Tick: uint64(i) + 1, Kind: h.kind.At(i).String(),
+			Host: int(h.host.At(i)), Peer: int(h.peer.At(i)), Msg: h.msg.At(i), From: int(h.from.At(i)), To: int(h.to.At(i)),
 		}
 	}
 	return s

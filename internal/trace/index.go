@@ -54,8 +54,9 @@ func (t *Trace) Index() *Index {
 	return t.index
 }
 
-// buildIndex reads the history's delivery rows and the view's count
-// columns in place: no event is materialized.
+// buildIndex reads the history's delivery tables and the view's count
+// columns in place, chunk by chunk — every column has the same chunk
+// boundaries — and materializes no event.
 func (t *Trace) buildIndex() *Index {
 	h, n, hosts := t.h, t.Len(), t.NumHosts()
 	if n > math.MaxInt32 {
@@ -68,9 +69,15 @@ func (t *Trace) buildIndex() *Index {
 	}
 	// Count, carve both tables out of one backing array each, fill.
 	sent, received := make([]int, hosts), make([]int, hosts)
-	for _, r := range h.delivRow[:n] {
-		sent[h.peer[r]]++
-		received[h.host[r]]++
+	for lo := 0; lo < n; {
+		recv, _ := t.recv.ChunkOf(lo)
+		rows, _ := h.delivRow.ChunkOf(lo)
+		tos, _ := h.delivTo.ChunkOf(lo)
+		for j := range recv {
+			sent[h.peer.At(int(rows[j]))]++
+			received[tos[j]]++
+		}
+		lo += len(recv)
 	}
 	sendBuf, recvBuf := make([]SendRecord, n), make([]int32, n)
 	for k, so, ro := 0, 0, 0; k < hosts; k++ {
@@ -79,18 +86,27 @@ func (t *Trace) buildIndex() *Index {
 		so += sent[k]
 		ro += received[k]
 	}
-	for i, r := range h.delivRow[:n] {
-		from, to := h.peer[r], h.host[r]
-		rv := ix.Recvs[to]
-		if m := len(rv); m > 0 && t.recv[rv[m-1]] > t.recv[i] {
-			panic(fmt.Sprintf("trace: host %d's RecvCount falls from %d to %d at event %d (message %d)",
-				to, t.recv[rv[m-1]], t.recv[i], i, h.msg[r]))
+	last := make([]int32, hosts) // each receiver's latest RecvCount
+	for lo := 0; lo < n; {
+		recv, _ := t.recv.ChunkOf(lo)
+		rows, _ := h.delivRow.ChunkOf(lo)
+		msgs, _ := h.delivMsg.ChunkOf(lo)
+		tos, _ := h.delivTo.ChunkOf(lo)
+		for j, rc := range recv {
+			i, r, from, to := lo+j, rows[j], h.peer.At(int(rows[j])), tos[j]
+			rv := ix.Recvs[to]
+			if len(rv) > 0 && last[to] > rc {
+				panic(fmt.Sprintf("trace: host %d's RecvCount falls from %d to %d at event %d (message %d)",
+					to, last[to], rc, i, h.msg.At(int(r))))
+			}
+			last[to] = rc
+			ix.Seq[i] = int32(len(rv))
+			ix.Recvs[to] = append(rv, int32(i))
+			ix.Sends[from] = append(ix.Sends[from], SendRecord{
+				Pos: int32(i), To: to, SendCount: t.send.At(int(msgs[j])), RecvCount: rc,
+			})
 		}
-		ix.Seq[i] = int32(len(rv))
-		ix.Recvs[to] = append(rv, int32(i))
-		ix.Sends[from] = append(ix.Sends[from], SendRecord{
-			Pos: int32(i), To: to, SendCount: t.send[h.delivMsg[i]], RecvCount: t.recv[i],
-		})
+		lo += len(recv)
 	}
 	var late []SendRecord // sortSends' scratch, shared by all senders
 	for _, s := range ix.Sends {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -67,23 +66,7 @@ func indexReference(tr *Trace) *Index {
 	for i := range evs {
 		evs[i] = tr.Event(i)
 	}
-	ix := &Index{Sends: make([][]SendRecord, tr.NumHosts()), Recvs: make([][]int32, tr.NumHosts()), Seq: make([]int32, len(evs))}
-	for i, ev := range evs {
-		ix.Seq[i] = int32(len(ix.Recvs[ev.To]))
-		ix.Recvs[ev.To] = append(ix.Recvs[ev.To], int32(i))
-		ix.Sends[ev.From] = append(ix.Sends[ev.From], SendRecord{
-			Pos: int32(i), To: int32(tr.To(i)), SendCount: int32(tr.SendCount(i)), RecvCount: int32(tr.RecvCount(i)),
-		})
-	}
-	for _, s := range ix.Sends {
-		sort.Slice(s, func(a, b int) bool {
-			if evs[s[a].Pos].SendCount != evs[s[b].Pos].SendCount {
-				return evs[s[a].Pos].SendCount < evs[s[b].Pos].SendCount
-			}
-			return s[a].Pos < s[b].Pos
-		})
-	}
-	return ix
+	return indexOf(evs, tr.NumHosts())
 }
 
 func sameTables(a, b *Index) bool {

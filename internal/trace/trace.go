@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mobickpt/internal/column"
 	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
 )
@@ -50,7 +51,7 @@ type Trace struct {
 	h *History
 	// send[k] is the sender's count when the history's k-th message left
 	// it; recv[i] the receiver's after the i-th delivery.
-	send, recv []int32
+	send, recv column.Column[int32]
 	// ids maps the in-flight message ids of a standalone trace (New) to
 	// their ordinals; nil for a view, whose world keeps the ordinals.
 	ids map[uint64]int32
@@ -81,11 +82,11 @@ func (t *Trace) History() *History { return t.h }
 func (t *Trace) NumHosts() int { return t.h.n }
 
 // CountSend records the sender's count for the history's newest message.
-func (t *Trace) CountSend(sendCount int) { t.send = append(t.send, int32(sendCount)) }
+func (t *Trace) CountSend(sendCount int) { t.send.Append(int32(sendCount)) }
 
 // CountDeliver records the receiver's count for the history's newest
 // delivery.
-func (t *Trace) CountDeliver(recvCount int) { t.recv = append(t.recv, int32(recvCount)) }
+func (t *Trace) CountDeliver(recvCount int) { t.recv.Append(int32(recvCount)) }
 
 // RecordSend notes, in a standalone trace, that message id left host from
 // (which had taken sendCount checkpoints) toward host to.
@@ -114,24 +115,37 @@ func (t *Trace) RecordDeliver(id uint64, recvCount int, at des.Time) {
 }
 
 // Len returns the number of delivered messages.
-func (t *Trace) Len() int { return len(t.recv) }
+func (t *Trace) Len() int { return t.recv.Len() }
 
 // Event returns delivered message i (in delivery order).
 func (t *Trace) Event(i int) MessageEvent {
 	h := t.h
-	r, k := h.delivRow[i], h.delivMsg[i]
-	s := h.sendRow[k]
+	r, k := int(h.delivRow.At(i)), int(h.delivMsg.At(i))
+	s := int(h.sendRow.At(k))
 	return MessageEvent{
-		ID: h.msg[r], From: mobile.HostID(h.peer[r]), To: mobile.HostID(h.host[r]),
-		SendCount: int(t.send[k]), RecvCount: int(t.recv[i]),
-		SentAt: h.at[s], DeliveredAt: h.at[r],
+		ID: h.msg.At(r), From: mobile.HostID(h.peer.At(r)), To: mobile.HostID(h.host.At(r)),
+		SendCount: int(t.send.At(k)), RecvCount: int(t.recv.At(i)),
+		SentAt: h.at.At(s), DeliveredAt: h.at.At(r),
 	}
 }
 
 // SendCount, RecvCount, From, To and DeliveredAt read one field of
 // delivered message i: what the recovery analysis's loops read.
-func (t *Trace) SendCount(i int) int        { return int(t.send[t.h.delivMsg[i]]) }
-func (t *Trace) RecvCount(i int) int        { return int(t.recv[i]) }
-func (t *Trace) From(i int) mobile.HostID   { return mobile.HostID(t.h.peer[t.h.delivRow[i]]) }
-func (t *Trace) To(i int) mobile.HostID     { return mobile.HostID(t.h.host[t.h.delivRow[i]]) }
-func (t *Trace) DeliveredAt(i int) des.Time { return t.h.at[t.h.delivRow[i]] }
+func (t *Trace) SendCount(i int) int        { return int(t.send.At(int(t.h.delivMsg.At(i)))) }
+func (t *Trace) RecvCount(i int) int        { return int(t.recv.At(i)) }
+func (t *Trace) From(i int) mobile.HostID   { return mobile.HostID(t.h.peer.At(t.row(i))) }
+func (t *Trace) To(i int) mobile.HostID     { return mobile.HostID(t.h.delivTo.At(i)) }
+func (t *Trace) DeliveredAt(i int) des.Time { return t.h.at.At(t.row(i)) }
+
+// row is the history row of delivered message i.
+func (t *Trace) row(i int) int { return int(t.h.delivRow.At(i)) }
+
+// Receipts returns the chunk of delivered messages that holds message
+// i: their receivers and receive counts side by side, and the position
+// of the first. A sweep whose positions mostly ascend, as a recovery's
+// do, reads the messages after i there without locating each one.
+func (t *Trace) Receipts(i int) (to, recv []int32, lo int) {
+	recv, lo = t.recv.ChunkOf(i)
+	to, _ = t.h.delivTo.ChunkOf(i)
+	return to[:len(recv)], recv, lo
+}
