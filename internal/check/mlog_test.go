@@ -91,9 +91,9 @@ func TestLogReconciliationDetectsWrongReceiverPosition(t *testing.T) {
 		}
 		for i := range 3 {
 			id, at := uint64(i), des.Time(i)
-			hist.Send(0, 1, id, at)
+			ord := hist.Append(trace.Event{Kind: trace.Send, At: at, Host: 0, Peer: 1, Msg: id})
 			tr.CountSend(1)
-			hist.Deliver(int32(i), id, at+0.5)
+			hist.Append(trace.Event{Kind: trace.Deliver, At: at + 0.5, Host: 1, Peer: 0, Msg: id, Arg: ord})
 			tr.CountDeliver(i + 1)
 			recv := i + 1
 			if wrong && i == 1 {

@@ -327,13 +327,14 @@ type Cluster struct {
 // on.
 type ckptAt struct{ seq, station int }
 
-// beginEvent opens one protocol event under mu: it advances the logical
-// clock and returns the event's tick.
+// apply is one protocol event under mu: it advances the logical clock
+// and hands ev, at the new tick, to the protocol side.
 //
 //locks:held mu
-func (c *Cluster) beginEvent() des.Time {
+func (c *Cluster) apply(ev trace.Event, pb []any) {
 	c.tick++
-	return des.Time(c.tick)
+	ev.At = des.Time(c.tick)
+	c.side.Apply(ev, pb)
 }
 
 // NewCluster wires a cluster; Run starts it.
@@ -554,7 +555,7 @@ func (c *Cluster) Run() {
 	// Late joiners: real membership changes while the system runs. Join j
 	// waits until the slowest running host has done 50·(j+1) operations
 	// (or every host has retired), so joins interleave with running
-	// traffic; it then admits the next host to the protocol (OnJoin) under
+	// traffic; it then admits the next host to the protocol (a trace.Join) under
 	// mu, enters it into the gate at the slowest host's count, and runs it.
 	for j := 0; j < c.cfg.Joins; j++ {
 		hosts.Add(1)
@@ -616,7 +617,7 @@ func (c *Cluster) addHost() mobile.HostID {
 	c.mu.Lock()
 	h := mobile.HostID(c.hosts)
 	c.hosts++
-	c.side.OnJoin(c.beginEvent(), h, mobile.MSSID(int(h)%c.cfg.Stations))
+	c.apply(trace.Event{Kind: trace.Join, Host: int32(h), Arg: int32(int(h) % c.cfg.Stations)}, nil)
 	c.mu.Unlock()
 	c.storeImages(h)
 
@@ -718,7 +719,7 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	c.nextID++
 	var pb [1]any
 	// The packet id is the flow id, as in the replay of a recording.
-	c.side.OnSend(c.beginEvent(), from, to, id, id, pb[:])
+	c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id, Flow: id}, pb[:])
 	// A TP piggyback names its hosts' station tables, which the protocol
 	// events under mu grow: it is encoded before mu is released.
 	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
@@ -760,7 +761,7 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 	c.mu.Lock()
 	pb := [1]any{p.Piggyback}
 	// The packet id is the message's ordinal in the history (nextID).
-	c.side.OnDeliver(c.beginEvent(), h, p.From, p.ID, p.ID, int32(p.ID), pb[:])
+	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID, Flow: p.ID, Arg: int32(p.ID)}, pb[:])
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Delivered, 1)
@@ -782,7 +783,7 @@ func (c *Cluster) switchCell(h mobile.HostID, src *rng.Source, xfer *logTransfer
 	// The move is a protocol event: committed under mu, it is ordered
 	// against the sends, deliveries and hand-offs around it, as a recorded
 	// schedule must see them.
-	c.side.OnCellSwitch(c.beginEvent(), h, mobile.MSSID(next))
+	c.apply(trace.Event{Kind: trace.Handoff, Host: int32(h), Arg: int32(next)}, nil)
 	// The shipped references name rows of the history, which every
 	// protocol event grows under mu: the records are built from them here,
 	// and only encoded, decoded and counted after mu is released, on h's
@@ -874,7 +875,7 @@ func (c *Cluster) transferLog(x *logTransferScratch, h mobile.HostID, from, to m
 // buffering, which is the MSS parking messages).
 func (c *Cluster) disconnect(h mobile.HostID) {
 	c.mu.Lock()
-	c.side.OnDisconnect(c.beginEvent(), h)
+	c.apply(trace.Event{Kind: trace.Disconnect, Host: int32(h)}, nil)
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Disconnect, 1)
@@ -883,7 +884,7 @@ func (c *Cluster) disconnect(h mobile.HostID) {
 // reconnect reattaches the host at its last station.
 func (c *Cluster) reconnect(h mobile.HostID) {
 	c.mu.Lock()
-	c.side.OnReconnect(c.beginEvent(), h, c.side.Station(h))
+	c.apply(trace.Event{Kind: trace.Reconnect, Host: int32(h), Arg: int32(c.side.Station(h))}, nil)
 	c.mu.Unlock()
 	c.storeImages(h)
 }

@@ -39,10 +39,10 @@ func TestLiveTraceTimestamps(t *testing.T) {
 	h := tr.History()
 	mobility := 0
 	for i, ev := range h.Schedule("QBC", 0).Events {
-		if h.At(i) != des.Time(i+1) {
-			t.Fatalf("row %d (%s) stamped %v, want tick %d", i, ev.Kind, h.At(i), i+1)
+		if at := h.Row(i).At; at != des.Time(i+1) {
+			t.Fatalf("row %d (%s) stamped %v, want tick %d", i, ev.Kind, at, i+1)
 		}
-		if ev.Kind == trace.SchedHandoff || ev.Kind == trace.SchedDisconnect || ev.Kind == trace.SchedReconnect {
+		if k, _ := trace.ParseKind(ev.Kind); k == trace.Handoff || k == trace.Disconnect || k == trace.Reconnect {
 			mobility++
 		}
 	}
@@ -129,19 +129,19 @@ func TestRecordedScheduleConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sends, delivers, handoffs, disc, rec, joins int64
-	for _, ev := range sched.Events {
+	for _, ev := range sched.Import() {
 		switch ev.Kind {
-		case trace.SchedSend:
+		case trace.Send:
 			sends++
-		case trace.SchedDeliver:
+		case trace.Deliver:
 			delivers++
-		case trace.SchedHandoff:
+		case trace.Handoff:
 			handoffs++
-		case trace.SchedDisconnect:
+		case trace.Disconnect:
 			disc++
-		case trace.SchedReconnect:
+		case trace.Reconnect:
 			rec++
-		case trace.SchedJoin:
+		case trace.Join:
 			joins++
 		}
 	}

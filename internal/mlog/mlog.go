@@ -336,13 +336,19 @@ func (l *Log) Instrument(reg *obs.Registry, mu sync.Locker, kv ...string) {
 // the row itself. Pessimistic mode flushes the entry immediately;
 // Optimistic buffers it and flushes once FlushBatch entries are pending.
 func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.Time, mss mobile.MSSID) {
+	want := trace.Event{Kind: trace.Deliver, At: at, Host: int32(h), Peer: int32(from), Msg: msgID, Flow: msgID}
 	if l.own {
-		l.hist.Deliver(l.hist.Send(from, h, msgID, at), msgID, at)
+		want.Arg = l.hist.Append(trace.Event{Kind: trace.Send, At: at, Host: int32(from), Peer: int32(h), Msg: msgID})
+		l.hist.Append(want)
 	}
 	row := l.hist.Len() - 1
-	if row < 0 || l.hist.Kind(row) != trace.SchedDeliver || l.hist.Host(row) != h ||
-		l.hist.Peer(row) != from || l.hist.Msg(row) != msgID || l.hist.At(row) != at {
-		panic(l.foreign(row, h, from, msgID, at))
+	var got trace.Event
+	if row >= 0 {
+		got = l.hist.Row(row)
+		want.Arg = got.Arg // the message's ordinal is the history's to number
+	}
+	if got != want {
+		panic(foreign(row, got, want))
 	}
 	hl := l.host(h)
 	if hl.mss == mobile.NoMSS {
@@ -363,16 +369,16 @@ func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.
 	}
 }
 
-// foreign describes an Append whose delivery is not the history's newest
-// row.
-func (l *Log) foreign(row int, h, from mobile.HostID, msgID uint64, at des.Time) string {
+// foreign describes an Append whose delivery, want, is not the
+// history's newest row, got (row -1: the history is empty).
+func foreign(row int, got, want trace.Event) string {
 	newest := "the history is empty"
 	if row >= 0 {
 		newest = fmt.Sprintf("its newest row %d is a %s of msg %d by host %d (peer %d) at %v",
-			row, l.hist.Kind(row), l.hist.Msg(row), l.hist.Host(row), l.hist.Peer(row), l.hist.At(row))
+			row, got.Kind, got.Msg, got.Host, got.Peer, got.At)
 	}
 	return fmt.Sprintf("mlog: appending the delivery of msg %d from host %d to host %d at %v, but %s",
-		msgID, from, h, at, newest)
+		want.Msg, want.Peer, want.Host, want.At, newest)
 }
 
 // flush moves hl's pending entries to stable storage as one write.
@@ -476,10 +482,10 @@ func (l *Log) EntryAt(h mobile.HostID, seq int) (Entry, bool) {
 // entry builds hl's retained entry seq from its reference and row.
 func (l *Log) entry(hl *hostLog, seq int) Entry {
 	r := hl.refs[seq-hl.minSeq]
-	row := int(r.row)
+	ev := l.hist.Row(int(r.row))
 	return Entry{
-		Host: hl.host, Seq: seq, MsgID: l.hist.Msg(row), From: l.hist.Peer(row),
-		RecvCount: int(r.recv), At: l.hist.At(row),
+		Host: hl.host, Seq: seq, MsgID: ev.Msg, From: mobile.HostID(ev.Peer),
+		RecvCount: int(r.recv), At: ev.At,
 	}
 }
 

@@ -311,7 +311,7 @@ func TestAppendAllocs(t *testing.T) {
 		// deliver records delivery i in hist and, when lg is non-nil, logs it.
 		deliver := func(hist *trace.History, lg *Log, i int) {
 			h, from, at := mobile.HostID(i%hosts), mobile.HostID((i+1)%hosts), des.Time(i)
-			hist.Deliver(hist.Send(from, h, uint64(i), at), uint64(i), at)
+			exchange(hist, from, h, uint64(i), at, at)
 			if lg != nil {
 				lg.Append(h, from, uint64(i), i/hosts/4, at, mobile.MSSID(int(h)%25))
 			}
@@ -372,7 +372,7 @@ func TestAppendPanicsOnForeignRow(t *testing.T) {
 		t.Errorf("%s: Append did not panic", what)
 	}
 	mustPanic("empty history", func() { lg.Append(1, 0, 7, 1, 2, 0) }, "msg 7", "history is empty")
-	hist.Deliver(hist.Send(0, 1, 7, 1), 7, 2) // msg 7: host 0 -> host 1, delivered at 2
+	exchange(hist, 0, 1, 7, 1, 2) // msg 7: host 0 -> host 1, delivered at 2
 	mustPanic("another message", func() { lg.Append(1, 0, 8, 1, 2, 0) }, "msg 8", "deliver of msg 7")
 	mustPanic("another receiver", func() { lg.Append(2, 0, 7, 1, 2, 0) }, "to host 2", "by host 1")
 	mustPanic("another sender", func() { lg.Append(1, 2, 7, 1, 2, 0) }, "from host 2", "peer 0")
@@ -381,7 +381,7 @@ func TestAppendPanicsOnForeignRow(t *testing.T) {
 	if e, ok := lg.EntryAt(1, 0); !ok || e != (Entry{Host: 1, Seq: 0, MsgID: 7, From: 0, RecvCount: 1, At: 2}) {
 		t.Fatalf("EntryAt(1, 0) = %+v, %v", e, ok)
 	}
-	hist.Send(1, 2, 9, 3)
+	hist.Append(trace.Event{Kind: trace.Send, At: 3, Host: 1, Peer: 2, Msg: 9})
 	mustPanic("a send row", func() { lg.Append(1, 0, 7, 1, 2, 0) }, "msg 7", "send of msg 9")
 	if got := lg.AppendedCount(1); got != 1 {
 		t.Fatalf("a refused Append was logged: %d entries", got)
@@ -395,4 +395,11 @@ func TestOpenNeedsTheHistory(t *testing.T) {
 	if _, err := Open(Pessimistic, nil); err == nil {
 		t.Error("Open(Pessimistic, nil) built a log without a history")
 	}
+}
+
+// exchange records in hist the send of message id from → to at sent and
+// its delivery at at.
+func exchange(hist *trace.History, from, to mobile.HostID, id uint64, sent, at des.Time) {
+	ord := hist.Append(trace.Event{Kind: trace.Send, At: sent, Host: int32(from), Peer: int32(to), Msg: id})
+	hist.Append(trace.Event{Kind: trace.Deliver, At: at, Host: int32(to), Peer: int32(from), Msg: id, Arg: ord})
 }

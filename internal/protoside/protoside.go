@@ -46,13 +46,13 @@ type Side struct {
 	// stamp their entries with.
 	Hist *trace.History
 
-	// now is the time of the event being mirrored, as its entry point was
-	// passed it: 0 before the first, for the initial checkpoints.
+	// now is the time of the event being mirrored, as Apply was passed
+	// it: 0 before the first, for the initial checkpoints.
 	now des.Time
 
 	// station is each host's current — while disconnected, last — station:
-	// host i starts at station i mod stations, and only OnCellSwitch,
-	// OnReconnect and OnJoin move it (Station).
+	// host i starts at station i mod stations, and only the hand-offs,
+	// reconnections and joins Apply mirrors move it (Station).
 	station []mobile.MSSID
 
 	// actor is the host whose event is being mirrored (anyHost in Start and
@@ -98,10 +98,10 @@ type Slot struct {
 	GCReclaimed int // total records pruned
 	GCFrontier  int // highest stable index any GC pruned at
 
-	// The latest log hand-off (OnCellSwitch): the frontier the switching
-	// host's log was pruned at and how many references it shipped (seq
-	// MLog.RetainedFrom first, read back through MLog.EntryAt), for the
-	// live cluster's wire and station images.
+	// The latest log hand-off (Apply of a trace.Handoff): the frontier
+	// the switching host's log was pruned at and how many references it
+	// shipped (seq MLog.RetainedFrom first, read back through
+	// MLog.EntryAt), for the live cluster's wire and station images.
 	HandoffFrontier int
 	Shipped         int
 
@@ -325,12 +325,6 @@ func (p *Side) checkpointer(i int) protocol.Checkpointer {
 // entries with. A world that keeps a decision log records a history.
 func (p *Side) seq() uint64 { return uint64(max(p.Hist.Len()-1, 0)) }
 
-// enter opens one mirrored event: host h's (anyHost: no one host's) at
-// time now, driven by cause.
-func (p *Side) enter(now des.Time, h mobile.HostID, cause string) {
-	p.now, p.actor, p.cause = now, h, cause
-}
-
 // Start names the initial hosts' timeline tracks and takes every
 // protocol's initial checkpoints (cause "init", at time 0).
 func (p *Side) Start() {
@@ -340,7 +334,7 @@ func (p *Side) Start() {
 			p.tl.SetTrack(h, fmt.Sprintf("MH %d", h))
 		}
 	}
-	p.enter(0, anyHost, "init")
+	p.now, p.actor, p.cause = 0, anyHost, "init"
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.Init()
@@ -350,48 +344,83 @@ func (p *Side) Start() {
 	}
 }
 
-// OnSend mirrors the send of message id from → to at time now: the history
-// row, every protocol's OnSend — leaving the piggybacks in pb, parallel to
-// the slots — the timeline's send (flow rides the message to link send ->
-// deliver -> forced checkpoints) and every trace's send-side count, the
-// sender's post-OnSend position. It returns the message's ordinal in the
-// history (-1 without one), which the world hands back to OnDeliver.
-func (p *Side) OnSend(now des.Time, from, to mobile.HostID, id, flow uint64, pb []any) int32 {
-	p.enter(now, from, "send")
-	ord := int32(-1)
-	if p.Hist != nil {
-		ord = p.Hist.Send(from, to, id, now)
+// Apply mirrors one event of the world into the side, at its time ev.At:
+// its history row first, when the side keeps a history and the kind has
+// rows (all but markers and ticks), then the event's effect on every
+// slot (trace.Event's table says what each field carries). pb holds the
+// piggybacks, parallel to the slots: a send fills it, a delivery reads
+// it; other kinds take nil. It returns a send's ordinal in the history
+// (-1 without one, and for every other kind).
+func (p *Side) Apply(ev trace.Event, pb []any) int32 {
+	h := mobile.HostID(ev.Host)
+	cause := ev.Kind.String()
+	if ev.Kind == trace.Handoff {
+		cause = "switch" // E19's name for what a hand-off's checkpoint answers
 	}
+	p.now, p.actor, p.cause = ev.At, h, cause
+	ord := int32(-1)
+	if p.Hist != nil && ev.Kind != trace.Marker && ev.Kind != trace.Tick { // no rows yet: ROADMAP item 17
+		ord = p.Hist.Append(ev)
+	}
+	switch ev.Kind {
+	case trace.Send:
+		p.send(h, mobile.HostID(ev.Peer), ev.Flow, pb)
+	case trace.Deliver:
+		p.deliver(h, mobile.HostID(ev.Peer), ev.Msg, ev.Flow, pb)
+	case trace.Handoff:
+		p.handoff(h, mobile.MSSID(ev.Arg))
+	case trace.Disconnect:
+		p.disconnect(h)
+	case trace.Reconnect:
+		p.reconnect(h, mobile.MSSID(ev.Arg))
+	case trace.Join:
+		p.join(h, mobile.MSSID(ev.Arg))
+	case trace.Marker:
+		s := &p.Slots[ev.Arg]
+		s.Proto.(protocol.Initiator).OnMarker(h)
+		if s.Check != nil {
+			s.Check.AfterMarker(h)
+		}
+	case trace.Tick:
+		s := &p.Slots[ev.Arg]
+		s.Proto.(protocol.Periodic).OnTick(h)
+		if s.Check != nil {
+			s.Check.AfterTick(h)
+		}
+	default:
+		panic(fmt.Sprintf("protoside: an event of kind %v", ev.Kind))
+	}
+	return ord
+}
+
+// send runs every protocol's OnSend of a message from → to — leaving the
+// piggybacks in pb — and records every trace's send-side count, the
+// sender's post-OnSend position, and the timeline's send (flow rides the
+// message to link send -> deliver -> forced checkpoints).
+func (p *Side) send(from, to mobile.HostID, flow uint64, pb []any) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		pb[i] = s.Proto.OnSend(from, to)
 		if s.Check != nil {
 			s.Check.AfterSend(from, pb[i])
 		}
-	}
-	if p.tl != nil {
-		p.tl.Instant(float64(now), int(from), "send",
-			"to", strconv.Itoa(int(to)), "msg", strconv.FormatUint(flow, 10))
-		p.tl.FlowBegin(float64(now), int(from), "msg-flow", flow,
-			"to", strconv.Itoa(int(to)))
-	}
-	for i := range p.Slots {
-		if s := &p.Slots[i]; s.Trace != nil {
+		if s.Trace != nil {
 			s.Trace.CountSend(s.Counts[from])
 		}
 	}
-	return ord
+	if p.tl != nil {
+		p.tl.Instant(float64(p.now), int(from), "send",
+			"to", strconv.Itoa(int(to)), "msg", strconv.FormatUint(flow, 10))
+		p.tl.FlowBegin(float64(p.now), int(from), "msg-flow", flow,
+			"to", strconv.Itoa(int(to)))
+	}
 }
 
-// OnDeliver dispatches message id — the one OnSend numbered ord —
-// delivered to h at its station, to every protocol and records the
-// receiver-side positions — trace, message log, decision log — after any
-// forced checkpoint.
-func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, ord int32, pb []any) {
-	p.enter(now, h, "deliver")
-	if p.Hist != nil {
-		p.Hist.Deliver(ord, id, now)
-	}
+// deliver dispatches message id, delivered to h at its station, to every
+// protocol and records the receiver-side positions — trace, message log,
+// decision log — after any forced checkpoint.
+func (p *Side) deliver(h, from mobile.HostID, id, flow uint64, pb []any) {
+	now := p.now
 	if p.tl != nil {
 		p.tl.Instant(float64(now), int(h), "deliver",
 			"from", strconv.Itoa(int(from)), "msg", strconv.FormatUint(flow, 10))
@@ -430,16 +459,12 @@ func (p *Side) OnDeliver(now des.Time, h, from mobile.HostID, id, flow uint64, o
 	}
 }
 
-// OnCellSwitch mirrors host h's move from its station to station to. The
-// move is committed first: the basic checkpoint it induces lands on the
-// new station.
-func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, to mobile.MSSID) {
-	p.enter(now, h, "switch")
+// handoff moves host h from its station to station to. The move is
+// committed first: the basic checkpoint it induces lands on the new
+// station.
+func (p *Side) handoff(h mobile.HostID, to mobile.MSSID) {
 	from := p.station[h]
 	p.station[h] = to
-	if p.Hist != nil {
-		p.Hist.Handoff(h, from, to, now)
-	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnCellSwitch(h, to)
@@ -458,18 +483,14 @@ func (p *Side) OnCellSwitch(now des.Time, h mobile.HostID, to mobile.MSSID) {
 		}
 	}
 	if p.tl != nil {
-		p.tl.Instant(float64(now), int(h), "handoff",
+		p.tl.Instant(float64(p.now), int(h), "handoff",
 			"from", strconv.Itoa(int(from)), "to", strconv.Itoa(int(to)))
 	}
 }
 
-// OnDisconnect mirrors host h's disconnection from its station, which
-// stays its station until it reconnects.
-func (p *Side) OnDisconnect(now des.Time, h mobile.HostID) {
-	p.enter(now, h, "disconnect")
-	if p.Hist != nil {
-		p.Hist.Disconnect(h, p.station[h], now)
-	}
+// disconnect detaches host h from its station, which stays its station
+// until it reconnects.
+func (p *Side) disconnect(h mobile.HostID) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnDisconnect(h)
@@ -486,19 +507,15 @@ func (p *Side) OnDisconnect(now des.Time, h mobile.HostID) {
 		for int(h) >= len(p.discAt) {
 			p.discAt = append(p.discAt, -1)
 		}
-		p.discAt[h] = now
-		p.tl.Instant(float64(now), int(h), "disconnect",
+		p.discAt[h] = p.now
+		p.tl.Instant(float64(p.now), int(h), "disconnect",
 			"from", strconv.Itoa(int(p.station[h])))
 	}
 }
 
-// OnReconnect mirrors host h's reconnection at station at.
-func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
-	p.enter(now, h, "reconnect")
+// reconnect reattaches host h at station at.
+func (p *Side) reconnect(h mobile.HostID, at mobile.MSSID) {
 	p.station[h] = at
-	if p.Hist != nil {
-		p.Hist.Reconnect(h, at, now)
-	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnReconnect(h, at)
@@ -508,25 +525,21 @@ func (p *Side) OnReconnect(now des.Time, h mobile.HostID, at mobile.MSSID) {
 	}
 	if p.tl != nil {
 		if int(h) < len(p.discAt) && p.discAt[h] >= 0 {
-			p.tl.Span(float64(p.discAt[h]), float64(now-p.discAt[h]), int(h), "disconnected")
+			p.tl.Span(float64(p.discAt[h]), float64(p.now-p.discAt[h]), int(h), "disconnected")
 			p.discAt[h] = -1
 		}
-		p.tl.Instant(float64(now), int(h), "reconnect",
+		p.tl.Instant(float64(p.now), int(h), "reconnect",
 			"at", strconv.Itoa(int(at)))
 	}
 }
 
-// OnJoin admits host id, the next one, joining at station at, into every
+// join admits host id, the next one, joining at station at, into every
 // protocol.
-func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
-	p.enter(now, id, "join")
+func (p *Side) join(id mobile.HostID, at mobile.MSSID) {
 	p.station = append(p.station, at)
-	if p.Hist != nil {
-		p.Hist.Join(id, at, now)
-	}
 	if p.tl != nil {
 		p.tl.SetTrack(int(id), fmt.Sprintf("MH %d (joined)", id))
-		p.tl.Instant(float64(now), int(id), "join",
+		p.tl.Instant(float64(p.now), int(id), "join",
 			"at", strconv.Itoa(int(at)))
 	}
 	for i := range p.Slots {
@@ -547,29 +560,8 @@ func (p *Side) OnJoin(now des.Time, id mobile.HostID, at mobile.MSSID) {
 // to. It reads protocol state, so a world that runs the side elsewhere
 // waits for it first.
 func (p *Side) BeginSnapshot(now des.Time, i int) []mobile.HostID {
-	p.enter(now, anyHost, "marker")
+	p.now, p.actor, p.cause = now, anyHost, "marker"
 	return p.Slots[i].Proto.(protocol.Initiator).BeginSnapshot()
-}
-
-// OnMarker mirrors a marker of slot i's round reaching host h.
-func (p *Side) OnMarker(now des.Time, i int, h mobile.HostID) {
-	p.enter(now, h, "marker")
-	s := &p.Slots[i]
-	s.Proto.(protocol.Initiator).OnMarker(h)
-	if s.Check != nil {
-		s.Check.AfterMarker(h)
-	}
-}
-
-// OnTick mirrors the timer of slot i's timer-driven protocol (a
-// protocol.Periodic) firing at host h.
-func (p *Side) OnTick(now des.Time, i int, h mobile.HostID) {
-	p.enter(now, h, "tick")
-	s := &p.Slots[i]
-	s.Proto.(protocol.Periodic).OnTick(h)
-	if s.Check != nil {
-		s.Check.AfterTick(h)
-	}
 }
 
 // Causes is slot i's cause tally (E19): checkpoints by CauseKey, initial

@@ -10,6 +10,7 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/protoside"
+	"mobickpt/internal/race"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
@@ -43,16 +44,17 @@ func newWorld(t *testing.T) *world {
 	return w
 }
 
-// next advances the clock for the next event.
-func (w *world) next() des.Time {
+// apply mirrors ev at the next tick of the clock.
+func (w *world) apply(ev trace.Event, pb []any) int32 {
 	w.tick++
-	return w.tick
+	ev.At = w.tick
+	return w.Apply(ev, pb)
 }
 
 // send mirrors a send and returns the message's ordinal and piggybacks.
-func (w *world) send(from, to mobile.HostID, id uint64) (int32, []any) {
+func (w *world) send(from, to int32, id uint64) (int32, []any) {
 	pb := make([]any, len(w.Slots))
-	return w.OnSend(w.next(), from, to, id, id, pb), pb
+	return w.apply(trace.Event{Kind: trace.Send, Host: from, Peer: to, Msg: id, Flow: id}, pb), pb
 }
 
 // TestSideRecordsOneHistory drives the side through every kind of event —
@@ -65,12 +67,12 @@ func TestSideRecordsOneHistory(t *testing.T) {
 	// Host 0 hands off from station 0 (a basic checkpoint in both, on
 	// station 1), then sends to 1: BCS forces a checkpoint on 1 at the
 	// delivery, UNC does not.
-	w.OnCellSwitch(w.next(), 0, 1)
+	w.apply(trace.Event{Kind: trace.Handoff, Host: 0, Arg: 1}, nil)
 	m, pb := w.send(0, 1, 7)
-	w.OnDeliver(w.next(), 1, 0, 7, 7, m, pb)
-	w.OnDisconnect(w.next(), 2)
-	w.OnReconnect(w.next(), 2, 1)
-	w.OnJoin(w.next(), 3, 0)
+	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7, Flow: 7, Arg: m}, pb)
+	w.apply(trace.Event{Kind: trace.Disconnect, Host: 2}, nil)
+	w.apply(trace.Event{Kind: trace.Reconnect, Host: 2, Arg: 1}, nil)
+	w.apply(trace.Event{Kind: trace.Join, Host: 3, Arg: 0}, nil)
 	w.send(3, 2, 8) // in flight for good
 	const events = 7
 
@@ -93,8 +95,8 @@ func TestSideRecordsOneHistory(t *testing.T) {
 		t.Fatalf("%d history rows for %d events", h.Len(), events)
 	}
 	for i := range h.Len() {
-		if h.At(i) != des.Time(i+1) {
-			t.Fatalf("row %d at %v, recorded during event %d", i, h.At(i), i+1)
+		if at := h.Row(i).At; at != des.Time(i+1) {
+			t.Fatalf("row %d at %v, recorded during event %d", i, at, i+1)
 		}
 	}
 	sched := h.Schedule("BCS", 0)
@@ -144,7 +146,7 @@ func checkSeqs(t *testing.T, s *protoside.Slot, h *trace.History) {
 	}
 	for host, ds := range s.Dec.Deliveries {
 		for _, d := range ds {
-			if r := rows[d.Seq]; r.Kind != trace.SchedDeliver || r.Host != host || r.Msg != d.Msg {
+			if r := rows[d.Seq]; r.Kind != trace.Deliver.String() || r.Host != host || r.Msg != d.Msg {
 				t.Errorf("%s host %d: delivery of %d stamped %d, row %+v", s.Name, host, d.Msg, d.Seq, r)
 			}
 		}
@@ -193,7 +195,8 @@ func (r *rogue) ControlMessages() int64                       { return 0 }
 func (r *rogue) OnTick(h mobile.HostID)                       { r.other(h) }
 
 // TestCheckpointOfAnotherHostPanics: inside an event of host a the side
-// checkpoints a alone, whichever entry point the event came in by, and a
+// checkpoints a alone, whichever kind of event it is — each subtest is
+// named after the protocol hook the rogue checkpoints from — and a
 // protocol that checkpoints another host there panics naming both. Every
 // world relies on it: the live cluster builds a host's images on that
 // host's goroutine, and the lane engine applies one lane's records
@@ -205,14 +208,18 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 		host  mobile.HostID
 		event func(*protoside.Side)
 	}{
-		{"OnSend", 0, func(p *protoside.Side) { p.OnSend(1, 0, 1, 7, 7, pb) }},
-		{"OnDeliver", 1, func(p *protoside.Side) { p.OnDeliver(1, 1, 0, 7, 7, -1, pb) }},
-		{"OnCellSwitch", 2, func(p *protoside.Side) { p.OnCellSwitch(1, 2, 1) }},
-		{"OnDisconnect", 0, func(p *protoside.Side) { p.OnDisconnect(1, 0) }},
-		{"OnReconnect", 1, func(p *protoside.Side) { p.OnReconnect(1, 1, 0) }},
-		{"OnJoin", 3, func(p *protoside.Side) { p.OnJoin(1, 3, 1) }},
-		{"OnMarker", 2, func(p *protoside.Side) { p.OnMarker(1, 0, 2) }},
-		{"OnTick", 0, func(p *protoside.Side) { p.OnTick(1, 0, 0) }},
+		{"OnSend", 0, func(p *protoside.Side) {
+			p.Apply(trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7, Flow: 7}, pb)
+		}},
+		{"OnDeliver", 1, func(p *protoside.Side) {
+			p.Apply(trace.Event{Kind: trace.Deliver, At: 1, Host: 1, Peer: 0, Msg: 7, Flow: 7}, pb)
+		}},
+		{"OnCellSwitch", 2, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Handoff, At: 1, Host: 2, Arg: 1}, nil) }},
+		{"OnDisconnect", 0, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Disconnect, At: 1, Host: 0}, nil) }},
+		{"OnReconnect", 1, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Reconnect, At: 1, Host: 1, Arg: 0}, nil) }},
+		{"OnJoin", 3, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Join, At: 1, Host: 3, Arg: 1}, nil) }},
+		{"OnMarker", 2, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Marker, At: 1, Host: 2, Arg: 0}, nil) }},
+		{"OnTick", 0, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Tick, At: 1, Host: 0, Arg: 0}, nil) }},
 	} {
 		t.Run(tc.entry, func(t *testing.T) {
 			const hosts = 3
@@ -236,5 +243,51 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 			}()
 			tc.event(p)
 		})
+	}
+}
+
+// quiet is UNC without its hand-off checkpoint: a protocol whose hooks
+// allocate nothing, so what an event allocates is the side's own.
+type quiet struct{ protocol.Protocol }
+
+func (quiet) OnCellSwitch(mobile.HostID, mobile.MSSID) {}
+
+// TestApplyAllocs: with no registry, timeline or checker, Apply allocates
+// nothing for a send, a delivery or a hand-off — history row, two slots'
+// trace counts and the calls included — once the history's columns have
+// grown. A column allocates one 4 096-entry chunk per 4 096 rows, which
+// rounds away per event; an allocation of Apply's own would not.
+func TestApplyAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const hosts, stations = 4, 2
+	p := protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil, nil)
+	for i := range p.Slots {
+		err := p.InitSlot(i, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: p.Hist.View()}, false,
+			func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
+				return quiet{protocol.NewUncoordinated(hosts, c)}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Start()
+	pb := make([]any, len(p.Slots))
+	var tick des.Time
+	var id uint64
+	event := func() {
+		tick++
+		id++
+		from, to := int32(id%hosts), int32((id+1)%hosts)
+		ord := p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id, Flow: id}, pb)
+		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: id, Flow: id, Arg: ord}, pb)
+		p.Apply(trace.Event{Kind: trace.Handoff, At: tick, Host: from, Arg: int32(1 - p.Station(mobile.HostID(from)))}, nil)
+	}
+	for range 4096 { // every column past its doubling chunks
+		event()
+	}
+	if allocs := testing.AllocsPerRun(1000, event); allocs != 0 {
+		t.Fatalf("a send, a delivery and a hand-off allocate %v times", allocs)
 	}
 }

@@ -37,7 +37,7 @@ func TestIndexFollowsTraceGrowth(t *testing.T) {
 	replay := func(tr *trace.Trace, evs []trace.MessageEvent) {
 		for _, ev := range evs {
 			for int(ev.From) >= tr.NumHosts() || int(ev.To) >= tr.NumHosts() {
-				tr.History().Join(mobile.HostID(tr.NumHosts()), 0, ev.SentAt)
+				tr.History().Append(trace.Event{Kind: trace.Join, At: ev.SentAt, Host: int32(tr.NumHosts())})
 			}
 			tr.RecordSend(ev.ID, ev.From, ev.To, ev.SendCount, ev.SentAt)
 			tr.RecordDeliver(ev.ID, ev.RecvCount, ev.DeliveredAt)

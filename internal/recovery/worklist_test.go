@@ -200,7 +200,7 @@ func randomTrace(src *rng.Source, hosts, joins, msgs int, deep bool) *execution 
 	joined := 0
 	for sent := 0; sent < msgs || len(inflight) > 0; e.end++ {
 		if joined < joins && sent >= (joined+1)*msgs/(joins+1) {
-			e.tr.History().Join(mobile.HostID(e.tr.NumHosts()), 0, e.end)
+			e.tr.History().Append(trace.Event{Kind: trace.Join, At: e.end, Host: int32(e.tr.NumHosts())})
 			join()
 			joined++
 		}

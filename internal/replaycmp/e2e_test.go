@@ -349,14 +349,14 @@ func TestDifferentialReplayDetectsPerturbation(t *testing.T) {
 	// ending with the delivery that induced the forced checkpoint.
 	var want []replaycmp.Flow
 	for _, ev := range c.Schedule().Events {
-		if ev.Seq <= d.Seq && ev.Host == d.Host && (ev.Kind == trace.SchedSend || ev.Kind == trace.SchedDeliver) {
+		if ev.Seq <= d.Seq && ev.Host == d.Host && (ev.Kind == trace.Send.String() || ev.Kind == trace.Deliver.String()) {
 			want = append(want, replaycmp.Flow{Kind: ev.Kind, Msg: ev.Msg})
 		}
 	}
 	if len(want) > len(d.Flows) {
 		want = want[len(want)-len(d.Flows):]
 	}
-	if len(d.Flows) == 0 || d.Flows[len(d.Flows)-1].Kind != trace.SchedDeliver || !slices.Equal(d.Flows, want) {
+	if len(d.Flows) == 0 || d.Flows[len(d.Flows)-1].Kind != trace.Deliver.String() || !slices.Equal(d.Flows, want) {
 		t.Fatalf("divergence cites flows %v, the schedule's last up to seq %d of host %d are %v", d.Flows, d.Seq, d.Host, want)
 	}
 	for _, f := range d.Flows {
@@ -431,7 +431,7 @@ func TestReplayInstruments(t *testing.T) {
 	for _, ev := range sched.Events {
 		scheduled[ev.Kind]++
 	}
-	for _, kind := range []string{trace.SchedSend, trace.SchedDeliver, trace.SchedJoin} {
+	for _, kind := range []string{trace.Send.String(), trace.Deliver.String(), trace.Join.String()} {
 		if instants[kind] != scheduled[kind] || scheduled[kind] == 0 {
 			t.Errorf("%d %s instants for %d scheduled", instants[kind], kind, scheduled[kind])
 		}

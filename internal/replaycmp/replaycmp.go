@@ -349,7 +349,7 @@ func contextAt(sched *trace.Schedule, seq uint64, hosts, host int) ([]int, []Flo
 		if ev.Seq < seq && ev.Host >= 0 && ev.Host < hosts {
 			ctx[ev.Host]++
 		}
-		if ev.Host == host && (ev.Kind == trace.SchedSend || ev.Kind == trace.SchedDeliver) {
+		if ev.Host == host && (ev.Kind == trace.Send.String() || ev.Kind == trace.Deliver.String()) {
 			if len(flows) == recentFlows {
 				flows = append(flows[:0], flows[1:]...)
 			}

@@ -143,7 +143,8 @@ func TestPerturbFlips(t *testing.T) {
 // oneMessage is a two-host schedule: one send and its delivery.
 func oneMessage() *trace.Schedule {
 	h := trace.NewHistory(2, 2)
-	h.Deliver(h.Send(0, 1, 1, 1), 1, 2)
+	h.Append(trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 1})
+	h.Append(trace.Event{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 1})
 	return h.Schedule("QBC", 1)
 }
 

@@ -19,12 +19,19 @@ import (
 // and never reconnects — the in-flight section must carry that send.
 func replaySchedule(protocol string) *trace.Schedule {
 	h := trace.NewHistory(3, 2)
-	h.Deliver(h.Send(0, 1, 1, 1), 1, 2)
-	h.Handoff(1, 1, 0, 3)
-	h.Deliver(h.Send(1, 2, 2, 4), 2, 5)
-	h.Disconnect(2, 0, 6)
-	h.Send(0, 2, 3, 7) // parked forever: 2 never returns
-	h.Deliver(h.Send(1, 0, 4, 8), 4, 9)
+	for _, ev := range []trace.Event{
+		{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 1},
+		{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 1, Arg: 0},
+		{Kind: trace.Handoff, At: 3, Host: 1, Arg: 0},
+		{Kind: trace.Send, At: 4, Host: 1, Peer: 2, Msg: 2},
+		{Kind: trace.Deliver, At: 5, Host: 2, Peer: 1, Msg: 2, Arg: 1},
+		{Kind: trace.Disconnect, At: 6, Host: 2},
+		{Kind: trace.Send, At: 7, Host: 0, Peer: 2, Msg: 3}, // parked forever: 2 never returns
+		{Kind: trace.Send, At: 8, Host: 1, Peer: 0, Msg: 4},
+		{Kind: trace.Deliver, At: 9, Host: 0, Peer: 1, Msg: 4, Arg: 3},
+	} {
+		h.Append(ev)
+	}
 	return h.Schedule(protocol, 1)
 }
 
@@ -171,9 +178,15 @@ func TestReplayMessageLog(t *testing.T) {
 // initial checkpoint and can immediately communicate.
 func TestReplayJoin(t *testing.T) {
 	h := trace.NewHistory(2, 2)
-	h.Deliver(h.Send(0, 1, 1, 1), 1, 2)
-	h.Join(2, 1, 3)
-	h.Deliver(h.Send(2, 0, 2, 4), 2, 5)
+	for _, ev := range []trace.Event{
+		{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 1},
+		{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 1, Arg: 0},
+		{Kind: trace.Join, At: 3, Host: 2, Arg: 1},
+		{Kind: trace.Send, At: 4, Host: 2, Peer: 0, Msg: 2},
+		{Kind: trace.Deliver, At: 5, Host: 0, Peer: 2, Msg: 2, Arg: 1},
+	} {
+		h.Append(ev)
+	}
 	res, err := Run(Config{Schedule: h.Schedule("QBC", 1), Checks: true})
 	if err != nil {
 		t.Fatal(err)

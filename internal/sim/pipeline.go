@@ -1,62 +1,41 @@
 package sim
 
 import (
-	"mobickpt/internal/des"
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/trace"
 )
 
 // The protocol side runs beside the world (DESIGN "The protocol side runs
-// beside the world"). Every call the engine makes into protoside.Side on
-// behalf of an event — a send, a delivery, a move, a join, a marker, a
-// timer tick, a GC tick — is one record, and apply is the only place it
-// makes them, on one goroutine at a time. A record carries the values of
-// its call and nothing else: the side keeps its own clock and station
-// table, so it never asks the world anything. A sequential run ships the
-// records in chunks to a consumer goroutine, which applies them in push
-// order, so every protocol sees the same calls with the same values in the
-// same order as if the world had made them itself. The world drains the
-// queue — waits until the consumer has applied everything — only where it
-// reads protocol state: before a marker round starts (BeginSnapshot
-// returns the round's targets) and at the end of the run. On the lane
-// engine each lane appends its records to its own buffer, and the
-// coordinator applies every buffer, lane by lane, each time the lanes park
-// (applyLanes): a host's records all come from its own lane, in its order,
-// and a cross-lane delivery lands at least one lookahead after its send,
-// in a later window. Runs with CheckpointLatency, whose ExtraDelay reads
-// what the last operation's checkpoints cost, apply each record in line,
-// on the goroutine that pushes it, as the coordinator does its own.
+// beside the world"). Every world hands the protocol side one trace.Event
+// per event — send, delivery, move, join, marker, timer tick — through
+// one entry point, protoside.Side.Apply; the engine's queue carries each
+// with its message's payload carrier as one entry, and apply is the only
+// place the engine calls Apply, on one goroutine at a time. The GC tick
+// rides the queue as an entry of no kind: collect is the world's own
+// call, not a protocol event. A sequential run ships the entries in
+// chunks to a consumer goroutine, which applies them in push order, and
+// drains the queue only where the world reads protocol state: before a
+// marker round starts (BeginSnapshot returns its targets) and at the end.
+// On the lane engine each lane buffers its entries, and the coordinator
+// applies every buffer, lane by lane, each time the lanes park
+// (applyLanes): a host's entries all come from its own lane, in its
+// order, and a cross-lane delivery lands in a later window than its send.
+// Runs with CheckpointLatency, whose ExtraDelay reads what the last
+// operation's checkpoints cost, apply each entry in line, as the
+// coordinator does its own.
 
-// recKind names the call a record makes into the protocol side.
-type recKind uint8
-
-const (
-	recSend recKind = iota + 1
-	recDeliver
-	recSwitch
-	recDisconnect
-	recReconnect
-	recJoin
-	recMarker
-	recTick
-	recGC
-)
-
-// record is one call into the protocol side.
-type record struct {
-	at   des.Time // the event's time
-	id   uint64   // message id (send, deliver)
-	flow uint64   // timeline flow id (send, deliver)
-	pl   *payload // the message's carrier (send, deliver)
-	host int32    // the acting host: sender, receiver, mover, joiner, marker or tick target; -1 for gc
-	peer int32    // the receiver of a send, the sender of a delivery, the slot of a marker or tick
-	mss  int32    // the station a hand-off, reconnection or join arrives at
-	kind recKind
+// entry is one event for the protocol side and the payload carrier of a
+// send or delivery (nil otherwise): 48 bytes (TestPipelineEntrySize). An entry
+// of no kind is the GC tick.
+type entry struct {
+	ev trace.Event
+	pl *payload
 }
 
-// chunkRecords is the records one chunk ships: 48 kB, so the chunks in
-// circulation stay cache-sized. E41's sweep from 128 to 32 768 records
+// chunkEntries is the entries one chunk ships: 48 kB, so the chunks in
+// circulation stay cache-sized. E41's sweep from 128 to 32 768 entries
 // found none faster, and every size above 2 048 raised peak RSS.
-const chunkRecords = 1024
+const chunkEntries = 1024
 
 // chunksInFlight is the chunks one run makes: the world fills one while
 // the consumer works through the others.
@@ -64,11 +43,11 @@ const chunksInFlight = 4
 
 type chunk struct {
 	n    int
-	recs [chunkRecords]record
+	ents [chunkEntries]entry
 }
 
-// pipeline carries one sequential run's records from the world goroutine
-// to the consumer goroutine. It starts at the first record (startPipe),
+// pipeline carries one sequential run's entries from the world goroutine
+// to the consumer goroutine. It starts at the first entry (startPipe),
 // so a run that pushes none makes nothing.
 type pipeline struct {
 	//guard:none the world goroutine's: the chunk being filled
@@ -87,18 +66,20 @@ type pipeline struct {
 	failure any
 }
 
-// push hands one call to the protocol side: from a lane handler, appended
-// to its lane's buffer; applied in line when the run applies in line;
-// else appended to the chunk being filled, which ships when full.
-func (e *engine) push(r record) {
+// push hands one event, with its message's carrier, to the protocol side:
+// from a lane handler, appended to its lane's buffer; applied in line
+// when the run applies in line; else appended to the chunk being filled,
+// which ships when full.
+func (e *engine) push(ev trace.Event, pl *payload) {
 	if e.core != nil && !e.inGlobalPhase {
-		l := e.laneOf(mobile.HostID(r.host))
-		e.laneRecs[l] = append(e.laneRecs[l], r)
+		l := e.laneOf(mobile.HostID(ev.Host))
+		e.laneEntries[l] = append(e.laneEntries[l], entry{ev, pl})
 		return
 	}
 	if e.inline {
-		e.apply(&r)
-		e.reclaim(&r)
+		en := entry{ev, pl}
+		e.apply(&en)
+		e.reclaim(&en)
 		return
 	}
 	p := e.pipe
@@ -106,66 +87,54 @@ func (e *engine) push(r record) {
 		p = e.startPipe()
 	}
 	c := p.fill
-	c.recs[c.n] = r
+	c.ents[c.n] = entry{ev, pl}
 	c.n++
-	if c.n == chunkRecords {
+	if c.n == chunkEntries {
 		p.full <- c
 		p.out++
 		p.fill = e.nextChunk()
 	}
 }
 
-// apply makes one record's call into the protocol side.
-func (e *engine) apply(r *record) {
-	h := mobile.HostID(r.host)
-	switch r.kind {
-	case recSend:
-		e.OnSend(r.at, h, mobile.HostID(r.peer), r.id, r.flow, r.pl.piggyback)
-	case recDeliver:
-		// The network numbers its messages from 0 in send order, as the
-		// history does when there is one (a sequential run), so the id is
-		// the message's ordinal.
-		e.OnDeliver(r.at, h, mobile.HostID(r.peer), r.id, r.flow, int32(r.id), r.pl.piggyback)
-		clear(r.pl.piggyback)
-	case recSwitch:
-		e.OnCellSwitch(r.at, h, mobile.MSSID(r.mss))
-	case recDisconnect:
-		e.OnDisconnect(r.at, h)
-	case recReconnect:
-		e.OnReconnect(r.at, h, mobile.MSSID(r.mss))
-	case recJoin:
-		e.OnJoin(r.at, h, mobile.MSSID(r.mss))
-	case recMarker:
-		e.OnMarker(r.at, int(r.peer), h)
-	case recTick:
-		e.OnTick(r.at, int(r.peer), h)
-	case recGC:
+// apply hands one entry to the protocol side, or collects on a GC tick.
+// A delivered message's piggybacks are cleared once applied.
+func (e *engine) apply(en *entry) {
+	if en.ev.Kind == 0 {
 		e.collect()
+		return
+	}
+	var pb []any
+	if en.pl != nil {
+		pb = en.pl.piggyback
+	}
+	e.Apply(en.ev, pb)
+	if en.ev.Kind == trace.Deliver {
+		clear(pb)
 	}
 }
 
 // reclaim returns an applied delivery's carrier to the world's free list:
 // every consumer has seen it.
-func (e *engine) reclaim(r *record) {
-	if r.kind == recDeliver {
-		lane := e.laneOf(mobile.HostID(r.host))
-		e.plFree[lane] = append(e.plFree[lane], r.pl)
+func (e *engine) reclaim(en *entry) {
+	if en.ev.Kind == trace.Deliver {
+		lane := e.laneOf(mobile.HostID(en.ev.Host))
+		e.plFree[lane] = append(e.plFree[lane], en.pl)
 	}
 }
 
-// applyLanes applies every lane's buffered records, lane by lane, each
+// applyLanes applies every lane's buffered entries, lane by lane, each
 // lane's in push order, and empties the buffers. The lane engine's
 // coordinator calls it each time the lanes park (pdes.CoreConfig.Parked),
 // so a global step and the end of the run find them empty.
 //
 //lane:stopped runs on the coordinator with every lane parked
 func (e *engine) applyLanes() {
-	for l, recs := range e.laneRecs {
-		for i := range recs {
-			e.apply(&recs[i])
-			e.reclaim(&recs[i])
+	for l, ents := range e.laneEntries {
+		for i := range ents {
+			e.apply(&ents[i])
+			e.reclaim(&ents[i])
 		}
-		e.laneRecs[l] = recs[:0]
+		e.laneEntries[l] = ents[:0]
 	}
 }
 
@@ -193,7 +162,7 @@ func (e *engine) consume(p *pipeline) {
 	defer func() { p.failure = recover() }()
 	for c := range p.full {
 		for i := range c.n {
-			e.apply(&c.recs[i])
+			e.apply(&c.ents[i])
 		}
 		p.back <- c
 	}
@@ -220,7 +189,7 @@ func (e *engine) await() *chunk {
 	case c := <-p.back:
 		p.out--
 		for i := range c.n {
-			e.reclaim(&c.recs[i])
+			e.reclaim(&c.ents[i])
 		}
 		c.n = 0
 		return c
@@ -229,7 +198,7 @@ func (e *engine) await() *chunk {
 	}
 }
 
-// drain returns once the consumer has applied every record pushed so
+// drain returns once the consumer has applied every entry pushed so
 // far: until its next push the world owns the protocol side.
 func (e *engine) drain() {
 	p := e.pipe

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
@@ -14,10 +15,11 @@ import (
 	"mobickpt/internal/obs"
 	"mobickpt/internal/pdes"
 	"mobickpt/internal/protocol"
+	"mobickpt/internal/trace"
 )
 
 // pipelineConfig is long enough that every run ships several rounds of
-// chunks through the pipeline (about 6 000 records at n = 10).
+// chunks through the pipeline (about 6 000 entries at n = 10).
 func pipelineConfig() Config {
 	c := DefaultConfig()
 	c.Horizon = 3000
@@ -89,8 +91,8 @@ func runOutputs(t *testing.T, cfg Config, run func(Config) (*Result, error)) map
 
 // TestPipelineMatchesInline holds the pipelined protocol side to the
 // in-line one: every output of a run is byte-identical whether the
-// records are applied by the consumer goroutine or on the world's own.
-// The seven protocols exercise every record kind and the one drain before
+// entries are applied by the consumer goroutine or on the world's own.
+// The seven protocols exercise every event kind and the one drain before
 // a marker round (CL and PS marker rounds, MS ticks); metrics and timeline
 // on together have the registry written from both goroutines.
 func TestPipelineMatchesInline(t *testing.T) {
@@ -220,7 +222,19 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestPipelineStartsLazily: a run that pushes no record starts no
+// TestPipelineEntrySize pins what the pipeline ships per event: a 40-byte
+// trace.Event and the carrier's pointer, the 48 bytes E41's chunk sweep
+// was measured at.
+func TestPipelineEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(trace.Event{}); size != 40 {
+		t.Errorf("unsafe.Sizeof(trace.Event{}) = %d, want 40", size)
+	}
+	if size := unsafe.Sizeof(entry{}); size != 48 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 48", size)
+	}
+}
+
+// TestPipelineStartsLazily: a run that pushes no entry starts no
 // consumer, and a longer one cycles a bounded set of chunks.
 func TestPipelineStartsLazily(t *testing.T) {
 	for _, horizon := range []des.Time{1e-3, 3000} {
@@ -233,7 +247,7 @@ func TestPipelineStartsLazily(t *testing.T) {
 		e.run()
 		switch {
 		case horizon < 1 && e.pipe != nil:
-			t.Fatalf("horizon %v: a run with no record made a pipeline", horizon)
+			t.Fatalf("horizon %v: a run with no entry made a pipeline", horizon)
 		case horizon > 1 && (e.pipe == nil || e.pipe.out != 0 || len(e.pipe.spare) != chunksInFlight-1):
 			t.Fatalf("horizon %v: pipeline %+v, want every chunk back after the final drain", horizon, e.pipe)
 		}
@@ -329,7 +343,7 @@ func guard(p protocol.Protocol, g *sideGuard) protocol.Protocol {
 // sequential pipeline and the lane engine at 1, 2 and 4 lanes — the
 // protocol side runs on one goroutine at a time. All seven protocols run
 // through a guard, with joins, GC, metrics and timeline on, so every kind
-// of record, marker round and tick is applied under it.
+// of event, marker round and tick is applied under it.
 func TestProtocolSideOneGoroutine(t *testing.T) {
 	for _, lanes := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprint("lanes", lanes), func(t *testing.T) {

@@ -15,17 +15,12 @@
 // as one history, and each protocol keeps only its two checkpoint counts
 // per message.
 //
-// The same property lets the protocol side run beside the world: since
-// the world never reads what the protocols decide, a sequential run hands
-// every call into the protocol side — markers and timer ticks included —
-// as a fixed-size record of the call's values to a second goroutine in
-// chunks of records (pipeline.go), and waits for it only where the world
-// itself reads protocol state — the start of a marker round, and the end
-// of the run. On the lane engine each lane buffers its records and the
-// coordinator applies them between windows, so in every world the
-// protocol side runs on one goroutine at a time. Config.CheckpointLatency
-// is the one exception to the property: there a checkpoint delays the
-// host's next operation, so every record is applied in line.
+// The same property lets the protocol side run beside the world
+// (pipeline.go): every event reaches it as one trace.Event, applied on a
+// second goroutine or between the lane engine's windows, and the world
+// waits for it only where it reads protocol state. Under
+// Config.CheckpointLatency a checkpoint delays the host's next
+// operation, so every event is applied in line.
 package sim
 
 import (
@@ -36,6 +31,7 @@ import (
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/protoside"
 	"mobickpt/internal/rng"
+	"mobickpt/internal/trace"
 	"mobickpt/internal/workload"
 )
 
@@ -81,7 +77,7 @@ type engine struct {
 	net    *mobile.Network
 	driver *workload.Driver
 
-	// inline applies every record on the goroutine that pushes it
+	// inline applies every entry on the goroutine that pushes it
 	// (CheckpointLatency, and the lane engine's coordinator); otherwise a
 	// pipeline ships them to a consumer goroutine. Set before the run
 	// starts.
@@ -89,18 +85,18 @@ type engine struct {
 	//lane:stopped decided while wiring, before any lane runs
 	inline bool
 	// pipe is the sequential run's pipeline to the protocol side, nil
-	// until the first record (and always with inline).
+	// until the first entry (and always with inline).
 	pipe *pipeline
-	// laneRecs[l] holds the records lane l pushed since the lanes last
+	// laneEntries[l] holds the entries lane l pushed since the lanes last
 	// parked; the coordinator applies them then (applyLanes). Only the
 	// lane engine fills it.
 	//
 	//lane:shard
-	laneRecs [][]record
+	laneEntries [][]entry
 
 	// sched is the scheduling surface the world model runs on: des.Solo
 	// over sim for sequential runs, a coreSched over core for parallel
-	// ones. Lane-sharded engine state (plFree, laneRecs) is indexed by
+	// ones. Lane-sharded engine state (plFree, laneEntries) is indexed by
 	// laneOf, pdes.Core's owner-to-lane map, over lanes lanes (1 for the
 	// sequential engine).
 	sched des.Sched
@@ -111,7 +107,7 @@ type engine struct {
 	// the post-run drain. Toggled only while no lane handler executes (the
 	// coordinator's window barrier orders the accesses), it routes
 	// now() to the global clock instead of a parked lane's local time,
-	// and has push apply the coordinator's own records in line rather
+	// and has push apply the coordinator's own entries in line rather
 	// than buffer them for a lane.
 	//
 	//lane:stopped the coordinator flips it between handler windows
@@ -221,18 +217,19 @@ func (e *engine) send(from, to mobile.HostID) {
 		m.Flow = uint64(from)<<32 | e.sendOrd[from]
 		e.sendOrd[from]++
 	}
-	e.push(record{kind: recSend, at: e.now(from), host: int32(from), peer: int32(to),
-		id: m.ID, flow: m.Flow, pl: pl})
+	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID, Flow: m.Flow}, pl)
 }
 
 // deliver hands a delivered message to the protocol side and returns the
 // message to its pool for the next send; the carrier goes back to the
-// free list once the record is applied (reclaim).
+// free list once the event is applied (reclaim).
 //
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
-	e.push(record{kind: recDeliver, at: now, host: int32(h.ID), peer: int32(m.From),
-		id: m.ID, flow: m.Flow, pl: m.Payload.(*payload)})
+	// The network numbers its messages from 0 in send order, as a history
+	// does, so the id is the message's ordinal.
+	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID, Flow: m.Flow, Arg: int32(m.ID)},
+		m.Payload.(*payload))
 	m.Payload = nil
 	e.net.Recycle(m)
 }
@@ -242,7 +239,7 @@ func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
 // connected hosts (a disconnected host is represented by its disconnection
 // checkpoint, §2.2, so it skips the round). Starting the round reads
 // protocol state, so it drains the pipeline first; each marker that
-// arrives is a record.
+// arrives is an event.
 func (e *engine) scheduleSnapshots(i int) {
 	period := e.cfg.SnapshotPeriod
 	markerLatency := e.cfg.Mobile.WiredLatency + e.cfg.Mobile.WirelessLatency
@@ -256,7 +253,7 @@ func (e *engine) scheduleSnapshots(i int) {
 			}
 			sim.ScheduleAfter(markerLatency, "marker", func(sim *des.Simulator, now des.Time) {
 				if e.net.Host(h).Connected() {
-					e.push(record{kind: recMarker, at: now, host: int32(h), peer: int32(i)})
+					e.push(trace.Event{Kind: trace.Marker, At: now, Host: int32(h), Arg: int32(i)}, nil)
 				}
 			})
 		}
@@ -267,14 +264,14 @@ func (e *engine) scheduleSnapshots(i int) {
 
 // scheduleTicks drives slot i's timer-driven protocol: every
 // SnapshotPeriod each connected host takes its timer-driven local
-// checkpoint, one tick record per host. No control messages travel — the
+// checkpoint, one tick event per host. No control messages travel — the
 // tick is local to the host.
 func (e *engine) scheduleTicks(i int) {
 	period := e.cfg.SnapshotPeriod
 	tick := func(sim *des.Simulator, now des.Time) {
 		for h := 0; h < e.cfg.Mobile.NumHosts; h++ {
 			if e.net.Host(mobile.HostID(h)).Connected() {
-				e.push(record{kind: recTick, at: now, host: int32(h), peer: int32(i)})
+				e.push(trace.Event{Kind: trace.Tick, At: now, Host: int32(h), Arg: int32(i)}, nil)
 			}
 		}
 		sim.Again(period)
@@ -282,10 +279,10 @@ func (e *engine) scheduleTicks(i int) {
 	e.sim.Schedule(e.sim.Now()+period, "tick", tick)
 }
 
-// scheduleGC periodically has the protocol side collect (a gc record).
+// scheduleGC periodically pushes a GC tick, an entry of no kind.
 func (e *engine) scheduleGC() {
 	tick := func(sim *des.Simulator, now des.Time) {
-		e.push(record{kind: recGC, at: now, host: -1})
+		e.push(trace.Event{At: now}, nil)
 		sim.Again(e.cfg.GCInterval)
 	}
 	e.sim.Schedule(e.sim.Now()+e.cfg.GCInterval, "gc", tick)
@@ -334,7 +331,7 @@ func (e *engine) join() {
 		e.sendOrd = append(e.sendOrd, 0)
 	}
 	e.pendingLatency = append(e.pendingLatency, 0)
-	e.push(record{kind: recJoin, at: e.sim.Now(), host: int32(id), mss: int32(at)})
+	e.push(trace.Event{Kind: trace.Join, At: e.sim.Now(), Host: int32(id), Arg: int32(at)}, nil)
 	e.driver.AddHost(id, e.cfg.Seed)
 }
 
@@ -377,7 +374,7 @@ func (e *engine) run() *Result {
 	if e.core != nil {
 		// The lanes execute the world; the coordinator interleaves the
 		// global timeline (markers, ticks, GC, joins) world-stopped and
-		// applies the lanes' records whenever they park. The post-run
+		// applies the lanes' entries whenever they park. The post-run
 		// drain fires the global tail — timer events past the last lane
 		// event but at or before the horizon.
 		e.inGlobalPhase = false

@@ -7,6 +7,7 @@ import (
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/storage"
+	"mobickpt/internal/trace"
 	"mobickpt/internal/workload"
 )
 
@@ -78,13 +79,13 @@ func (e *engine) hooks() mobile.Hooks {
 	return mobile.Hooks{
 		OnDeliver: e.deliver,
 		OnCellSwitch: func(now des.Time, h *mobile.Host, _, to mobile.MSSID) {
-			e.push(record{kind: recSwitch, at: now, host: int32(h.ID), mss: int32(to)})
+			e.push(trace.Event{Kind: trace.Handoff, At: now, Host: int32(h.ID), Arg: int32(to)}, nil)
 		},
 		OnDisconnect: func(now des.Time, h *mobile.Host) {
-			e.push(record{kind: recDisconnect, at: now, host: int32(h.ID)})
+			e.push(trace.Event{Kind: trace.Disconnect, At: now, Host: int32(h.ID)}, nil)
 		},
 		OnReconnect: func(now des.Time, h *mobile.Host, at mobile.MSSID) {
-			e.push(record{kind: recReconnect, at: now, host: int32(h.ID), mss: int32(at)})
+			e.push(trace.Event{Kind: trace.Reconnect, At: now, Host: int32(h.ID), Arg: int32(at)}, nil)
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -20,12 +21,7 @@ import (
 type flatHistory struct {
 	hosts, stations, n int
 
-	kind      []rowKind
-	host      []int32
-	peer      []int32
-	msg       []uint64
-	from, to  []int32
-	at        []des.Time
+	rows      []Event
 	sendRow   []int32
 	delivered []bool
 	delivRow  []int32
@@ -34,43 +30,50 @@ type flatHistory struct {
 	send, recv [][]int32 // per view
 }
 
-func (f *flatHistory) add(k rowKind, host, peer mobile.HostID, msg uint64, from, to mobile.MSSID, at des.Time) {
-	f.kind = append(f.kind, k)
-	f.host = append(f.host, int32(host))
-	f.peer = append(f.peer, int32(peer))
-	f.msg = append(f.msg, msg)
-	f.from = append(f.from, int32(from))
-	f.to = append(f.to, int32(to))
-	f.at = append(f.at, at)
+func (f *flatHistory) append(ev Event) int32 {
+	ord := int32(-1)
+	switch ev.Kind {
+	case Send:
+		ord = int32(len(f.sendRow))
+		f.sendRow = append(f.sendRow, int32(len(f.rows)))
+		f.delivered = append(f.delivered, false)
+	case Deliver:
+		o := int(ev.Arg)
+		if o < 0 || o >= len(f.sendRow) || f.delivered[o] ||
+			f.rows[f.sendRow[o]].Msg != ev.Msg || f.rows[f.sendRow[o]].Host != ev.Peer || f.rows[f.sendRow[o]].Peer != ev.Host {
+			panic(fmt.Sprintf("trace: delivery of message %d from host %d to host %d as ordinal %d, which is unsent, another message or delivered",
+				ev.Msg, ev.Peer, ev.Host, o))
+		}
+		f.delivered[o] = true
+		f.delivRow = append(f.delivRow, int32(len(f.rows)))
+		f.delivMsg = append(f.delivMsg, ev.Arg)
+	case Join:
+		if int(ev.Host) != f.n {
+			panic(fmt.Sprintf("trace: host %d joins, the next id is %d", ev.Host, f.n))
+		}
+		f.n++
+	}
+	f.rows = append(f.rows, ev)
+	return ord
 }
 
-func (f *flatHistory) deliver(ord int32, id uint64, at des.Time) {
-	if ord < 0 || int(ord) >= len(f.sendRow) || f.delivered[ord] || f.msg[f.sendRow[ord]] != id {
-		panic(fmt.Sprintf("trace: delivery of message %d as ordinal %d, which is unsent, another message or delivered", id, ord))
+// row is row i as History.Row reads it: a message's flow is its id.
+func (f *flatHistory) row(i int) Event {
+	ev := f.rows[i]
+	if ev.Kind == Send || ev.Kind == Deliver {
+		ev.Flow = ev.Msg
 	}
-	f.delivered[ord] = true
-	s := f.sendRow[ord]
-	f.delivRow = append(f.delivRow, int32(len(f.kind)))
-	f.delivMsg = append(f.delivMsg, ord)
-	f.add(rowDeliver, mobile.HostID(f.peer[s]), mobile.HostID(f.host[s]), f.msg[s], mobile.NoMSS, mobile.NoMSS, at)
-}
-
-func (f *flatHistory) join(host mobile.HostID, to mobile.MSSID, at des.Time) {
-	if int(host) != f.n {
-		panic(fmt.Sprintf("trace: host %d joins, the next id is %d", host, f.n))
-	}
-	f.n++
-	f.add(rowJoin, host, -1, 0, mobile.NoMSS, to, at)
+	return ev
 }
 
 // event is delivered message i as view v sees it.
 func (f *flatHistory) event(v, i int) MessageEvent {
-	r, k := f.delivRow[i], f.delivMsg[i]
-	s := f.sendRow[k]
+	r, k := f.rows[f.delivRow[i]], f.delivMsg[i]
+	s := f.rows[f.sendRow[k]]
 	return MessageEvent{
-		ID: f.msg[r], From: mobile.HostID(f.peer[r]), To: mobile.HostID(f.host[r]),
+		ID: r.Msg, From: mobile.HostID(r.Peer), To: mobile.HostID(r.Host),
 		SendCount: int(f.send[v][k]), RecvCount: int(f.recv[v][i]),
-		SentAt: f.at[s], DeliveredAt: f.at[r],
+		SentAt: s.At, DeliveredAt: r.At,
 	}
 }
 
@@ -78,15 +81,32 @@ func (f *flatHistory) schedule(protocol string, seed uint64) *Schedule {
 	s := &Schedule{Hosts: f.hosts, Stations: f.stations, Protocol: protocol, Seed: seed}
 	for ord, done := range f.delivered {
 		if !done {
-			s.InFlight = append(s.InFlight, f.msg[f.sendRow[ord]])
+			s.InFlight = append(s.InFlight, f.rows[f.sendRow[ord]].Msg)
 		}
 	}
 	slices.Sort(s.InFlight)
-	for i := range f.kind {
-		s.Events = append(s.Events, ScheduleEvent{
-			Seq: uint64(i), Tick: uint64(i) + 1, Kind: f.kind[i].String(),
-			Host: int(f.host[i]), Peer: int(f.peer[i]), Msg: f.msg[i], From: int(f.from[i]), To: int(f.to[i]),
-		})
+	station := make([]int, f.hosts) // every host's station, joiners appended
+	for h := range station {
+		station[h] = h % f.stations
+	}
+	for i, ev := range f.rows {
+		se := ScheduleEvent{Seq: uint64(i), Tick: uint64(i) + 1, Kind: ev.Kind.String(), Host: int(ev.Host), Peer: -1, From: -1, To: -1}
+		switch ev.Kind {
+		case Send, Deliver:
+			se.Peer, se.Msg = int(ev.Peer), ev.Msg
+		case Handoff:
+			se.From, se.To = station[ev.Host], int(ev.Arg)
+		case Disconnect:
+			se.From = station[ev.Host]
+		case Reconnect, Join:
+			se.To = int(ev.Arg)
+		}
+		if ev.Kind == Join {
+			station = append(station, int(ev.Arg))
+		} else if se.To >= 0 {
+			station[ev.Host] = se.To
+		}
+		s.Events = append(s.Events, se)
 	}
 	return s
 }
@@ -146,20 +166,18 @@ func (r *recording) step(t testing.TB, pick func(n int) int) bool {
 	r.tick += 0.5
 	at := r.tick
 	n := r.ref.n
-	host := func() mobile.HostID { return mobile.HostID(max(pick(n), 0)) }
-	station := func() mobile.MSSID { return mobile.MSSID(max(pick(r.ref.stations), 0)) }
+	host := func() int32 { return int32(max(pick(n), 0)) }
+	station := func() int32 { return int32(max(pick(r.ref.stations), 0)) }
 	switch {
 	case op < 6: // send
 		from := host()
-		to := mobile.HostID((int(from) + 1 + max(pick(n-1), 0)) % n)
+		to := int32((int(from) + 1 + max(pick(n-1), 0)) % n)
 		id := uint64(len(r.ids))*7 + 3
-		ord := r.h.Send(from, to, id, at)
-		if want := int32(len(r.ref.sendRow)); ord != want {
-			t.Fatalf("Send returned ordinal %d, want %d", ord, want)
+		ev := Event{Kind: Send, At: at, Host: from, Peer: to, Msg: id}
+		ord := r.h.Append(ev)
+		if want := r.ref.append(ev); ord != want {
+			t.Fatalf("a send's Append returned ordinal %d, want %d", ord, want)
 		}
-		r.ref.sendRow = append(r.ref.sendRow, int32(len(r.ref.kind)))
-		r.ref.delivered = append(r.ref.delivered, false)
-		r.ref.add(rowSend, from, to, id, mobile.NoMSS, mobile.NoMSS, at)
 		for v, tr := range r.views {
 			c := r.counts[v][from]
 			tr.CountSend(c)
@@ -171,33 +189,30 @@ func (r *recording) step(t testing.TB, pick func(n int) int) bool {
 		if len(r.inflight) == 0 {
 			return true
 		}
-		k := max(pick(len(r.inflight)), 0)
-		ord := r.inflight[k]
-		r.deliver(t, ord, r.ids[ord], at)
-	case op == 11: // a delivery that may name no message in flight
+		ord := r.inflight[max(pick(len(r.inflight)), 0)]
+		s := r.ref.rows[r.ref.sendRow[ord]]
+		r.deliver(t, Event{Kind: Deliver, At: at, Host: s.Peer, Peer: s.Host, Msg: s.Msg, Arg: ord})
+	case op == 11: // a delivery that may name no message in flight, or other hosts
 		ord := int32(pick(len(r.ids)+2)) - 1
 		id := uint64(max(pick(len(r.ids)+1), 0))*7 + 3
-		r.deliver(t, ord, id, at)
+		r.deliver(t, Event{Kind: Deliver, At: at, Host: host(), Peer: host(), Msg: id, Arg: ord})
 	case op == 12:
-		h, from, to := host(), station(), station()
-		r.h.Handoff(h, from, to, at)
-		r.ref.add(rowHandoff, h, -1, 0, from, to, at)
+		h := host()
+		r.append(Event{Kind: Handoff, At: at, Host: h, Arg: station()})
 		r.bump(h)
 	case op == 13:
-		h, from := host(), station()
-		r.h.Disconnect(h, from, at)
-		r.ref.add(rowDisconnect, h, -1, 0, from, mobile.NoMSS, at)
+		h := host()
+		r.append(Event{Kind: Disconnect, At: at, Host: h})
 		r.bump(h)
 	case op == 14:
-		h, to := host(), station()
-		r.h.Reconnect(h, to, at)
-		r.ref.add(rowReconnect, h, -1, 0, mobile.NoMSS, to, at)
+		r.append(Event{Kind: Reconnect, At: at, Host: host(), Arg: station()})
 	default: // join, now and then under an id that is not the next one
-		h, to := mobile.HostID(n), station()
+		h := int32(n)
 		if pick(4) == 0 {
-			h = mobile.HostID(max(pick(n+3), 0))
+			h = int32(max(pick(n+3), 0))
 		}
-		if r.same(t, fmt.Sprintf("join of host %d", h), func() { r.h.Join(h, to, at) }, func() { r.ref.join(h, to, at) }) {
+		ev := Event{Kind: Join, At: at, Host: h, Arg: station()}
+		if r.same(t, fmt.Sprintf("join of host %d", h), func() { r.h.Append(ev) }, func() { r.ref.append(ev) }) {
 			for v := range r.counts {
 				r.counts[v] = append(r.counts[v], 1)
 			}
@@ -206,8 +221,14 @@ func (r *recording) step(t testing.TB, pick func(n int) int) bool {
 	return true
 }
 
+// append records a mobility event, which never panics, on both sides.
+func (r *recording) append(ev Event) {
+	r.h.Append(ev)
+	r.ref.append(ev)
+}
+
 // bump takes a checkpoint of h in every view with a different odds each.
-func (r *recording) bump(h mobile.HostID) {
+func (r *recording) bump(h int32) {
 	for v := range r.counts {
 		if int(r.tick*2)%(v+1) == 0 {
 			r.counts[v][h]++
@@ -215,18 +236,17 @@ func (r *recording) bump(h mobile.HostID) {
 	}
 }
 
-func (r *recording) deliver(t testing.TB, ord int32, id uint64, at des.Time) {
-	if !r.same(t, fmt.Sprintf("delivery of message %d as ordinal %d", id, ord),
-		func() { r.h.Deliver(ord, id, at) }, func() { r.ref.deliver(ord, id, at) }) {
+func (r *recording) deliver(t testing.TB, ev Event) {
+	if !r.same(t, fmt.Sprintf("delivery of message %d as ordinal %d", ev.Msg, ev.Arg),
+		func() { r.h.Append(ev) }, func() { r.ref.append(ev) }) {
 		return
 	}
-	r.inflight = slices.DeleteFunc(r.inflight, func(o int32) bool { return o == ord })
-	to := mobile.HostID(r.ref.host[len(r.ref.host)-1])
+	r.inflight = slices.DeleteFunc(r.inflight, func(o int32) bool { return o == ev.Arg })
 	for v, tr := range r.views {
-		if int(at*2)%(v+2) == 0 {
-			r.counts[v][to]++ // a forced checkpoint before the delivery
+		if int(ev.At*2)%(v+2) == 0 {
+			r.counts[v][ev.Host]++ // a forced checkpoint before the delivery
 		}
-		c := r.counts[v][to]
+		c := r.counts[v][ev.Host]
 		tr.CountDeliver(c)
 		r.ref.recv[v] = append(r.ref.recv[v], int32(c))
 	}
@@ -237,18 +257,33 @@ func (r *recording) deliver(t testing.TB, ord int32, id uint64, at des.Time) {
 func (r *recording) check(t testing.TB) {
 	t.Helper()
 	h, f := r.h, r.ref
-	if h.Len() != len(f.kind) {
-		t.Fatalf("%d rows, want %d", h.Len(), len(f.kind))
+	if h.Len() != len(f.rows) {
+		t.Fatalf("%d rows, want %d", h.Len(), len(f.rows))
 	}
-	for i := range f.kind {
-		if h.Kind(i) != f.kind[i].String() || h.Host(i) != mobile.HostID(f.host[i]) || h.Peer(i) != mobile.HostID(f.peer[i]) ||
-			h.Msg(i) != f.msg[i] || h.At(i) != f.at[i] {
-			t.Fatalf("row %d reads %s/%d/%d/%d/%v, want %s/%d/%d/%d/%v", i, h.Kind(i), h.Host(i), h.Peer(i), h.Msg(i), h.At(i),
-				f.kind[i], f.host[i], f.peer[i], f.msg[i], f.at[i])
+	for i := range f.rows {
+		if got, want := h.Row(i), f.row(i); got != want {
+			t.Fatalf("row %d reads %+v, want %+v", i, got, want)
 		}
 	}
-	if got, want := h.Schedule("QBC", 9), f.schedule("QBC", 9); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Schedule differs from the reference's (%d events, want %d)", len(got.Events), len(want.Events))
+	sched := h.Schedule("QBC", 9)
+	if want := f.schedule("QBC", 9); !reflect.DeepEqual(sched, want) {
+		t.Fatalf("Schedule differs from the reference's (%d events, want %d)", len(sched.Events), len(want.Events))
+	}
+	// The export's JSON imports back to the rows, each at its tick.
+	b, err := json.Marshal(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Schedule
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range back.Import() {
+		want := f.row(i)
+		want.At = des.Time(i + 1)
+		if ev != want {
+			t.Fatalf("event %d imports as %+v, want %+v", i, ev, want)
+		}
 	}
 	if got, want := h.InFlight(), f.schedule("", 0).InFlight; !slices.Equal(got, want) {
 		t.Fatalf("InFlight = %v, want %v", got, want)
@@ -374,13 +409,12 @@ func TestHistoryAllocs(t *testing.T) {
 	h := NewHistory(hosts, 5)
 	views := []*Trace{h.View(), h.View(), h.View()}
 	for i := 0; i < pairs; i++ {
-		from := mobile.HostID(i % hosts)
-		to := mobile.HostID((i + 1) % hosts)
-		ord := h.Send(from, to, uint64(i+1), des.Time(i))
+		from, to := int32(i%hosts), int32((i+1)%hosts)
+		ord := h.Append(Event{Kind: Send, At: des.Time(i), Host: from, Peer: to, Msg: uint64(i + 1)})
 		for _, v := range views {
 			v.CountSend(i / hosts)
 		}
-		h.Deliver(ord, uint64(i+1), des.Time(i)+0.5)
+		h.Append(Event{Kind: Deliver, At: des.Time(i) + 0.5, Host: to, Peer: from, Msg: uint64(i + 1), Arg: ord})
 		for _, v := range views {
 			v.CountDeliver(i/hosts + 1)
 		}

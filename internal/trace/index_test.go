@@ -133,7 +133,7 @@ func TestIndexCachedUntilGrowth(t *testing.T) {
 	if grown == ix || len(grown.Seq) != tr.Len() || !sameTables(grown, indexReference(tr)) {
 		t.Fatal("index not rebuilt after a delivery")
 	}
-	tr.History().Join(4, 0, 1002)
+	tr.History().Append(Event{Kind: Join, At: 1002, Host: 4})
 	if wider := tr.Index(); wider == grown || len(wider.Sends) != 5 || len(wider.Recvs) != 5 {
 		t.Fatal("index not rebuilt after a join")
 	}

@@ -2,19 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
-)
 
-// Schedule event kinds: the five nondeterministic choices a run makes
-// (plus dynamic joins), the names of the History's row kinds. Everything
-// else a run does is a deterministic function of these and the protocol.
-const (
-	SchedSend       = "send"
-	SchedDeliver    = "deliver"
-	SchedHandoff    = "handoff"
-	SchedDisconnect = "disconnect"
-	SchedReconnect  = "reconnect"
-	SchedJoin       = "join"
+	"mobickpt/internal/des"
 )
 
 // ScheduleEvent is one recorded nondeterministic choice.
@@ -28,7 +19,8 @@ type ScheduleEvent struct {
 	// cluster's own tick). A replay fires the event at this virtual time,
 	// so a replayed live trace carries the original timestamps.
 	Tick uint64 `json:"tick"`
-	// Kind is one of the Sched* constants.
+	// Kind is the name (Kind.String) of one of the six kinds a History
+	// keeps rows of.
 	Kind string `json:"kind"`
 	// Host is the acting host: the sender, the receiver, the mover, the
 	// (dis/re)connector, or the joiner.
@@ -75,16 +67,54 @@ type Schedule struct {
 func (s *Schedule) FinalHosts() int {
 	n := s.Hosts
 	for _, ev := range s.Events {
-		if ev.Kind == SchedJoin {
+		if ev.Kind == Join.String() {
 			n++
 		}
 	}
 	return n
 }
 
+// Import returns the events of a schedule Validate accepted, as the
+// History that exported it recorded them (History.Row): each at its tick,
+// a message's flow its id, a delivery's Arg the message's ordinal, a
+// hand-off's, reconnection's or join's Arg its station.
+func (s *Schedule) Import() []Event {
+	evs := make([]Event, len(s.Events))
+	ords := make(map[uint64]int32) // message id -> ordinal
+	for i, se := range s.Events {
+		kind, _ := ParseKind(se.Kind)
+		ev := Event{At: des.Time(se.Tick), Kind: kind, Host: int32(se.Host)}
+		switch kind {
+		case Send:
+			ords[se.Msg] = int32(len(ords))
+			ev.Peer, ev.Msg, ev.Flow = int32(se.Peer), se.Msg, se.Msg
+		case Deliver:
+			ev.Peer, ev.Msg, ev.Flow, ev.Arg = int32(se.Peer), se.Msg, se.Msg, ords[se.Msg]
+		case Handoff, Reconnect, Join:
+			ev.Arg = int32(se.To)
+		}
+		evs[i] = ev
+	}
+	return evs
+}
+
+// placement is where a schedule's moves have left each host: host h
+// starts at station h mod stations; only the hosts that moved are tabled.
+type placement struct {
+	stations int
+	moved    map[int]int
+}
+
+func (p placement) of(h int) int {
+	if at, ok := p.moved[h]; ok {
+		return at
+	}
+	return h % p.stations
+}
+
 // Validate checks the schedule's internal consistency: dense ascending
 // sequence numbers, strictly increasing ticks, events that respect the
-// worlds' calling discipline (no send/deliver/handoff while
+// worlds' calling discipline (nothing but a reconnection while
 // disconnected, deliveries matching prior sends, joins extending the
 // host space densely, reconnections at a valid station — the engine's
 // hosts reconnect anywhere, the live cluster's where they left), and an
@@ -99,19 +129,16 @@ func (s *Schedule) Validate() error {
 	if s.Protocol == "" {
 		return fmt.Errorf("schedule: empty protocol name")
 	}
+	if s.Hosts > math.MaxInt32 || s.Stations > math.MaxInt32 {
+		return fmt.Errorf("schedule: %d hosts on %d stations, past the 32-bit ids of an Event", s.Hosts, s.Stations)
+	}
 	n := s.Hosts
 	lastTick := uint64(0)
 	// Per-host state is kept sparse — only hosts that have disconnected,
 	// moved or joined appear — so validating costs what the event list
 	// costs, whatever host count a (possibly hostile) file claims.
 	disconnected := make(map[int]bool)
-	moved := make(map[int]int)
-	stationOf := func(h int) int {
-		if at, ok := moved[h]; ok {
-			return at
-		}
-		return h % s.Stations
-	}
+	where := placement{s.Stations, make(map[int]int)}
 	sent := make(map[uint64]ScheduleEvent)
 	delivered := make(map[uint64]bool)
 	for i, ev := range s.Events {
@@ -122,16 +149,17 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("schedule: event %d tick %d not after %d", i, ev.Tick, lastTick)
 		}
 		lastTick = ev.Tick
+		kind, _ := ParseKind(ev.Kind)
 		// A join's Host is the *next* id (checked in its branch); every
 		// other event acts on an existing host.
-		if ev.Kind != SchedJoin && (ev.Host < 0 || ev.Host >= n) {
+		if kind != Join && (ev.Host < 0 || ev.Host >= n) {
 			return fmt.Errorf("schedule: event %d has out-of-range host %d", i, ev.Host)
 		}
-		switch ev.Kind {
-		case SchedSend:
-			if disconnected[ev.Host] {
-				return fmt.Errorf("schedule: event %d: host %d sends while disconnected", i, ev.Host)
-			}
+		if disconnected[ev.Host] && kind != Reconnect {
+			return fmt.Errorf("schedule: event %d: host %d has a %s while disconnected", i, ev.Host, ev.Kind)
+		}
+		switch kind {
+		case Send:
 			if ev.Peer < 0 || ev.Peer >= n || ev.Peer == ev.Host {
 				return fmt.Errorf("schedule: event %d has bad send peer %d", i, ev.Peer)
 			}
@@ -139,10 +167,7 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("schedule: event %d resends message %d", i, ev.Msg)
 			}
 			sent[ev.Msg] = ev
-		case SchedDeliver:
-			if disconnected[ev.Host] {
-				return fmt.Errorf("schedule: event %d: host %d delivers while disconnected", i, ev.Host)
-			}
+		case Deliver:
 			snd, ok := sent[ev.Msg]
 			if !ok {
 				return fmt.Errorf("schedule: event %d delivers unsent message %d", i, ev.Msg)
@@ -155,24 +180,18 @@ func (s *Schedule) Validate() error {
 					i, ev.Msg, ev.Host, ev.Peer, snd.Host, snd.Peer)
 			}
 			delivered[ev.Msg] = true
-		case SchedHandoff:
-			if disconnected[ev.Host] {
-				return fmt.Errorf("schedule: event %d: host %d hands off while disconnected", i, ev.Host)
-			}
-			if at := stationOf(ev.Host); ev.From != at {
+		case Handoff:
+			if at := where.of(ev.Host); ev.From != at {
 				return fmt.Errorf("schedule: event %d hands host %d off from station %d, but it is at %d",
 					i, ev.Host, ev.From, at)
 			}
 			if ev.To < 0 || ev.To >= s.Stations || ev.To == ev.From {
 				return fmt.Errorf("schedule: event %d has bad handoff target %d", i, ev.To)
 			}
-			moved[ev.Host] = ev.To
-		case SchedDisconnect:
-			if disconnected[ev.Host] {
-				return fmt.Errorf("schedule: event %d: host %d disconnects twice", i, ev.Host)
-			}
+			where.moved[ev.Host] = ev.To
+		case Disconnect:
 			disconnected[ev.Host] = true
-		case SchedReconnect:
+		case Reconnect:
 			if !disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d reconnects while connected", i, ev.Host)
 			}
@@ -180,18 +199,21 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("schedule: event %d reconnects at bad station %d", i, ev.To)
 			}
 			delete(disconnected, ev.Host)
-			moved[ev.Host] = ev.To
-		case SchedJoin:
+			where.moved[ev.Host] = ev.To
+		case Join:
 			if ev.Host != n {
 				return fmt.Errorf("schedule: event %d joins host %d, want next id %d", i, ev.Host, n)
+			}
+			if n > math.MaxInt32 {
+				return fmt.Errorf("schedule: event %d joins host %d, past the 32-bit ids of an Event", i, n)
 			}
 			if ev.To < 0 || ev.To >= s.Stations {
 				return fmt.Errorf("schedule: event %d joins at bad station %d", i, ev.To)
 			}
 			n++
-			moved[ev.Host] = ev.To
+			where.moved[ev.Host] = ev.To
 		default:
-			return fmt.Errorf("schedule: event %d has unknown kind %q", i, ev.Kind)
+			return fmt.Errorf("schedule: event %d has kind %q, which no history row has", i, ev.Kind)
 		}
 	}
 	// The in-flight section must name exactly the undelivered sends.

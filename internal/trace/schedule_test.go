@@ -10,17 +10,78 @@ import (
 	"testing"
 )
 
+// smallEvents are a world's events on 3 hosts and 2 stations, every row
+// kind among them, as the live cluster hands them to its protocol side:
+// at ticks 1, 2, ..., a message's flow its id.
+func smallEvents() []Event {
+	return []Event{
+		{Kind: Send, At: 1, Host: 0, Peer: 1, Msg: 1, Flow: 1},
+		{Kind: Deliver, At: 2, Host: 1, Peer: 0, Msg: 1, Flow: 1, Arg: 0},
+		{Kind: Handoff, At: 3, Host: 0, Arg: 1},
+		{Kind: Disconnect, At: 4, Host: 2},
+		{Kind: Send, At: 5, Host: 1, Peer: 2, Msg: 2, Flow: 2}, // parked: 2 is disconnected
+		{Kind: Reconnect, At: 6, Host: 2, Arg: 0},
+		{Kind: Join, At: 7, Host: 3, Arg: 1},
+		{Kind: Send, At: 8, Host: 3, Peer: 0, Msg: 3, Flow: 3},
+		{Kind: Deliver, At: 9, Host: 0, Peer: 3, Msg: 3, Flow: 3, Arg: 2},
+	}
+}
+
 // small builds a valid 3-host/2-station schedule exercising every kind.
 func small() *Schedule {
 	h := NewHistory(3, 2)
-	h.Deliver(h.Send(0, 1, 1, 0), 1, 0)
-	h.Handoff(0, 0, 1, 0)
-	h.Disconnect(2, 0, 0)
-	h.Send(1, 2, 2, 0) // parked: 2 is disconnected
-	h.Reconnect(2, 0, 0)
-	h.Join(3, 1, 0)
-	h.Deliver(h.Send(3, 0, 3, 0), 3, 0)
+	for _, ev := range smallEvents() {
+		h.Append(ev)
+	}
 	return h.Schedule("QBC", 7)
+}
+
+// TestEventsRoundTripThroughSchedule: a world's events go into a History,
+// out through its schedule's JSON and back in through the replay's import
+// unchanged — every row kind, a join and a send left in flight among
+// them — and Row reads each one back as it went in.
+func TestEventsRoundTripThroughSchedule(t *testing.T) {
+	evs := smallEvents()
+	h := NewHistory(3, 2)
+	sends := int32(0)
+	for i, ev := range evs {
+		ord := h.Append(ev)
+		if ev.Kind == Send {
+			if ord != sends {
+				t.Fatalf("send %d numbered %d", sends, ord)
+			}
+			sends++
+		}
+		if got := h.Row(i); got != ev {
+			t.Fatalf("row %d reads %+v, appended %+v", i, got, ev)
+		}
+	}
+	b, err := json.Marshal(h.Schedule("QBC", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Schedule
+	if err := json.Unmarshal(b, &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Import(); !slices.Equal(got, evs) {
+		t.Fatalf("imported\n %+v\nwant\n %+v", got, evs)
+	}
+	seen := map[Kind]bool{}
+	for _, ev := range evs {
+		seen[ev.Kind] = true
+	}
+	for k := Send; k <= Join; k++ {
+		if !seen[k] {
+			t.Errorf("no %v among the events", k)
+		}
+	}
+	if !slices.Equal(s.InFlight, []uint64{2}) {
+		t.Fatalf("in flight %v, want [2]", s.InFlight)
+	}
 }
 
 func TestScheduleValidates(t *testing.T) {
@@ -102,7 +163,7 @@ func TestScheduleValidateRejects(t *testing.T) {
 		{"handoff from wrong station", func(s *Schedule) { s.Events[2].From = 1; s.Events[2].To = 0 }},
 		{"handoff to itself", func(s *Schedule) { s.Events[2].To = 0 }},
 		{"send while disconnected", func(s *Schedule) {
-			s.Events[4] = ScheduleEvent{Seq: 4, Tick: 5, Kind: SchedSend, Host: 2, Peer: 0, Msg: 2, From: -1, To: -1}
+			s.Events[4] = ScheduleEvent{Seq: 4, Tick: 5, Kind: "send", Host: 2, Peer: 0, Msg: 2, From: -1, To: -1}
 		}},
 		{"reconnect while connected", func(s *Schedule) { s.Events[5].Host = 1; s.Events[5].To = 1 }},
 		{"reconnect at bad station", func(s *Schedule) { s.Events[5].To = 7 }},
@@ -125,8 +186,8 @@ func TestScheduleValidateRejects(t *testing.T) {
 // record one; its presence means the file was edited or corrupted).
 func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
 	h := NewHistory(2, 2)
-	h.Disconnect(0, 0, 1)
-	h.Disconnect(0, 0, 2)
+	h.Append(Event{Kind: Disconnect, At: 1, Host: 0})
+	h.Append(Event{Kind: Disconnect, At: 2, Host: 0})
 	if err := h.Schedule("BCS", 1).Validate(); err == nil {
 		t.Fatal("double disconnect accepted")
 	}
@@ -138,12 +199,13 @@ func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
 func TestScheduleValidateCostFollowsEvents(t *testing.T) {
 	const hosts = math.MaxInt32
 	h := NewHistory(hosts, 3)
-	m := h.Send(hosts-1, 0, 1, 1)
-	h.Handoff(hosts-1, (hosts-1)%3, (hosts-1)%3+1, 2)
-	h.Disconnect(hosts-1, (hosts-1)%3+1, 3)
-	h.Reconnect(hosts-1, (hosts-1)%3+1, 4)
-	h.Join(hosts, 2, 5)
-	h.Deliver(m, 1, 6)
+	const last = hosts - 1 // at station 0
+	m := h.Append(Event{Kind: Send, At: 1, Host: last, Peer: 0, Msg: 1})
+	h.Append(Event{Kind: Handoff, At: 2, Host: last, Arg: 1})
+	h.Append(Event{Kind: Disconnect, At: 3, Host: last})
+	h.Append(Event{Kind: Reconnect, At: 4, Host: last, Arg: 1})
+	h.Append(Event{Kind: Join, At: 5, Host: hosts, Arg: 2})
+	h.Append(Event{Kind: Deliver, At: 6, Host: 0, Peer: last, Msg: 1, Arg: m})
 	s := h.Schedule("BCS", 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

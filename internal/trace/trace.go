@@ -97,7 +97,7 @@ func (t *Trace) RecordSend(id uint64, from, to mobile.HostID, sendCount int, at 
 	if _, dup := t.ids[id]; dup {
 		panic(fmt.Sprintf("trace: duplicate send of message %d", id))
 	}
-	t.ids[id] = t.h.Send(from, to, id, at)
+	t.ids[id] = t.h.Append(Event{Kind: Send, At: at, Host: int32(from), Peer: int32(to), Msg: id})
 	t.CountSend(sendCount)
 }
 
@@ -110,7 +110,8 @@ func (t *Trace) RecordDeliver(id uint64, recvCount int, at des.Time) {
 		panic(fmt.Sprintf("trace: delivery of unknown message %d", id))
 	}
 	delete(t.ids, id)
-	t.h.Deliver(ord, id, at)
+	snd := t.h.Row(int(t.h.sendRow.At(int(ord))))
+	t.h.Append(Event{Kind: Deliver, At: at, Host: snd.Peer, Peer: snd.Host, Msg: id, Arg: ord})
 	t.CountDeliver(recvCount)
 }
 

@@ -3,6 +3,8 @@ package trace
 import (
 	"slices"
 	"testing"
+
+	"mobickpt/internal/des"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -68,11 +70,11 @@ func TestUnknownDeliveryPanics(t *testing.T) {
 func TestViewsShareOneHistory(t *testing.T) {
 	h := NewHistory(2, 2)
 	a, b := h.View(), h.View()
-	m := h.Send(0, 1, 40, 1)
+	m := h.Append(Event{Kind: Send, At: 1, Host: 0, Peer: 1, Msg: 40})
 	a.CountSend(1)
 	b.CountSend(3)
-	h.Handoff(1, 1, 0, 2)
-	h.Deliver(m, 40, 3)
+	h.Append(Event{Kind: Handoff, At: 2, Host: 1, Arg: 0})
+	h.Append(Event{Kind: Deliver, At: 3, Host: 1, Peer: 0, Msg: 40, Arg: m})
 	a.CountDeliver(2)
 	b.CountDeliver(5)
 	if h.Len() != 3 {
@@ -95,7 +97,7 @@ func TestViewsShareOneHistory(t *testing.T) {
 
 func TestHistoryJoinGrowsHosts(t *testing.T) {
 	tr := New(2)
-	tr.History().Join(2, 1, 5)
+	tr.History().Append(Event{Kind: Join, At: 5, Host: 2, Arg: 1})
 	if tr.NumHosts() != 3 || tr.History().Len() != 1 {
 		t.Fatalf("%d hosts, %d rows after one join", tr.NumHosts(), tr.History().Len())
 	}
@@ -104,17 +106,17 @@ func TestHistoryJoinGrowsHosts(t *testing.T) {
 			t.Fatal("a join that skips an id was accepted")
 		}
 	}()
-	tr.History().Join(4, 0, 6)
+	tr.History().Append(Event{Kind: Join, At: 6, Host: 4})
 }
 
 // TestHistoryScheduleExport: the export is the rows in order, at ticks
 // position + 1, with the undelivered sends in the in-flight section.
 func TestHistoryScheduleExport(t *testing.T) {
 	h := NewHistory(3, 2)
-	m := h.Send(0, 1, 10, 0.5)
-	h.Send(1, 2, 11, 0.7) // never delivered
-	h.Deliver(m, 10, 0.9)
-	h.Disconnect(2, 0, 1.2)
+	m := h.Append(Event{Kind: Send, At: 0.5, Host: 0, Peer: 1, Msg: 10})
+	h.Append(Event{Kind: Send, At: 0.7, Host: 1, Peer: 2, Msg: 11}) // never delivered
+	h.Append(Event{Kind: Deliver, At: 0.9, Host: 1, Peer: 0, Msg: 10, Arg: m})
+	h.Append(Event{Kind: Disconnect, At: 1.2, Host: 2})
 	s := h.Schedule("BCS", 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -123,10 +125,10 @@ func TestHistoryScheduleExport(t *testing.T) {
 		t.Fatalf("header %+v", s)
 	}
 	want := []ScheduleEvent{
-		{Seq: 0, Tick: 1, Kind: SchedSend, Host: 0, Peer: 1, Msg: 10, From: -1, To: -1},
-		{Seq: 1, Tick: 2, Kind: SchedSend, Host: 1, Peer: 2, Msg: 11, From: -1, To: -1},
-		{Seq: 2, Tick: 3, Kind: SchedDeliver, Host: 1, Peer: 0, Msg: 10, From: -1, To: -1},
-		{Seq: 3, Tick: 4, Kind: SchedDisconnect, Host: 2, Peer: -1, Msg: 0, From: 0, To: -1},
+		{Seq: 0, Tick: 1, Kind: "send", Host: 0, Peer: 1, Msg: 10, From: -1, To: -1},
+		{Seq: 1, Tick: 2, Kind: "send", Host: 1, Peer: 2, Msg: 11, From: -1, To: -1},
+		{Seq: 2, Tick: 3, Kind: "deliver", Host: 1, Peer: 0, Msg: 10, From: -1, To: -1},
+		{Seq: 3, Tick: 4, Kind: "disconnect", Host: 2, Peer: -1, Msg: 0, From: 0, To: -1},
 	}
 	if !slices.Equal(s.Events, want) {
 		t.Fatalf("events\n %+v\nwant\n %+v", s.Events, want)
@@ -134,15 +136,21 @@ func TestHistoryScheduleExport(t *testing.T) {
 }
 
 // TestHistoryDeliverChecksTheMessage: an ordinal that names another
-// message, or one already delivered, is a harness bug and panics.
+// message, or one already delivered, a delivery between other hosts than
+// its send, and a kind with no row are harness bugs and panic.
 func TestHistoryDeliverChecksTheMessage(t *testing.T) {
+	to1 := func(h *History, m int32, id uint64, at des.Time) {
+		h.Append(Event{Kind: Deliver, At: at, Host: 1, Peer: 0, Msg: id, Arg: m})
+	}
 	for name, deliver := range map[string]func(h *History, m int32){
-		"another message": func(h *History, m int32) { h.Deliver(m, 6, 1) },
-		"delivered twice": func(h *History, m int32) { h.Deliver(m, 5, 1); h.Deliver(m, 5, 2) },
-		"never sent":      func(h *History, m int32) { h.Deliver(m+1, 5, 1) },
+		"another message":  func(h *History, m int32) { to1(h, m, 6, 1) },
+		"delivered twice":  func(h *History, m int32) { to1(h, m, 5, 1); to1(h, m, 5, 2) },
+		"never sent":       func(h *History, m int32) { to1(h, m+1, 5, 1) },
+		"another receiver": func(h *History, m int32) { h.Append(Event{Kind: Deliver, At: 1, Host: 0, Peer: 1, Msg: 5, Arg: m}) },
+		"a marker":         func(h *History, m int32) { h.Append(Event{Kind: Marker, At: 1, Host: 0}) },
 	} {
 		h := NewHistory(2, 2)
-		m := h.Send(0, 1, 5, 0)
+		m := h.Append(Event{Kind: Send, At: 0, Host: 0, Peer: 1, Msg: 5})
 		func() {
 			defer func() {
 				if recover() == nil {
