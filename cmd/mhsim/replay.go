@@ -24,14 +24,14 @@ func runReplay(path string, perturb int, timeline string, cfg sim.Config) {
 		fmt.Fprintln(os.Stderr, "mhsim:", err)
 		os.Exit(2)
 	}
-	bundle, err := replaycmp.ImportBundle(f)
+	b, err := replaycmp.ImportBundle(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mhsim:", err)
 		os.Exit(2)
 	}
 
-	cfg.Schedule = bundle.Schedule
+	cfg.Schedule = b.Schedule
 	res, err := sim.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mhsim: replay:", err)
@@ -48,10 +48,10 @@ func runReplay(path string, perturb int, timeline string, cfg sim.Config) {
 
 	pr := res.Protocols[0]
 	fmt.Printf("replayed %s: %d hosts, %d schedule events, %d checkpoints (%d basic + %d forced), %d deliveries\n",
-		pr.Name, res.FinalHosts, len(bundle.Schedule.Events),
+		pr.Name, res.FinalHosts, len(b.Schedule.Events),
 		pr.Initial+pr.Ntot, pr.Basic, pr.Forced, pr.Trace.Len())
 
-	d := replaycmp.Compare(bundle.Live, res.Decisions, bundle.Schedule)
+	d := replaycmp.Compare(b.Live, res.Decisions, b.Schedule)
 	if d == nil {
 		fmt.Println("replay matches the live recording: decision logs identical")
 	}

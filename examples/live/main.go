@@ -43,7 +43,7 @@ func main() {
 	debug := flag.String("debug", "", "serve /debug/pprof/ and /metrics on this address while running (e.g. :6060)")
 	timeline := flag.String("timeline", "", "write the protocol-event timeline (with causal flows) as Chrome trace JSON to this file")
 	record := flag.String("record", "", "write the run's schedule + decision log as a replaycmp bundle to this file (for mhsim -replay-schedule)")
-	proto := flag.String("protocol", "QBC", "protocol to run: TP, BCS, QBC or UNC")
+	proto := flag.String("protocol", "QBC", "protocol to run: TP, BCS, QBC or UNC (CL, PS and MS need marker rounds or timer ticks, and the cluster has no clock)")
 	seed := flag.Uint64("seed", 1, "cluster seed")
 	flag.Parse()
 

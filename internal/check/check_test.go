@@ -46,22 +46,22 @@ func TestRuntimeCleanBCS(t *testing.T) {
 
 	env.now = 10
 	b.OnCellSwitch(0, 0) // sn_0 = 1
-	rt.AfterCellSwitch(0)
+	rt.After(trace.Event{Kind: trace.Handoff, Host: 0}, nil)
 
 	pb := b.OnSend(0, 1)
-	rt.AfterSend(0, pb)
+	rt.After(trace.Event{Kind: trace.Send, Host: 0}, pb)
 	b.OnDeliver(1, 0, pb) // m.sn = 1 > sn_1 = 0: forced
-	rt.AfterDeliver(1, 0, pb)
+	rt.After(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0}, pb)
 
 	pb = b.OnSend(1, 0)
-	rt.AfterSend(1, pb)
+	rt.After(trace.Event{Kind: trace.Send, Host: 1}, pb)
 	b.OnDeliver(0, 1, pb) // m.sn = 1 = sn_0: no checkpoint
-	rt.AfterDeliver(0, 1, pb)
+	rt.After(trace.Event{Kind: trace.Deliver, Host: 0, Peer: 1}, pb)
 
 	b.OnDisconnect(1) // sn_1 = 2
-	rt.AfterDisconnect(1)
+	rt.After(trace.Event{Kind: trace.Disconnect, Host: 1}, nil)
 	b.OnReconnect(1, 0)
-	rt.AfterReconnect(1)
+	rt.After(trace.Event{Kind: trace.Reconnect, Host: 1}, nil)
 
 	if vs := rt.Finish(env.counts(2)); len(vs) != 0 {
 		t.Fatalf("clean run reported violations:\n%v", vs)
@@ -79,16 +79,16 @@ func TestRuntimeCleanQBC(t *testing.T) {
 
 	// rn_0 = -1 < sn_0 = 0: this basic checkpoint replaces the initial one.
 	q.OnCellSwitch(0, 0)
-	rt.AfterCellSwitch(0)
+	rt.After(trace.Event{Kind: trace.Handoff, Host: 0}, nil)
 
 	pb := q.OnSend(0, 1)
-	rt.AfterSend(0, pb)
+	rt.After(trace.Event{Kind: trace.Send, Host: 0}, pb)
 	q.OnDeliver(1, 0, pb) // m.sn = 0 = sn_1: rn_1 = 0, no checkpoint
-	rt.AfterDeliver(1, 0, pb)
+	rt.After(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0}, pb)
 
 	// rn_1 = 0 = sn_1: the index must now be incremented, BCS-style.
 	q.OnDisconnect(1)
-	rt.AfterDisconnect(1)
+	rt.After(trace.Event{Kind: trace.Disconnect, Host: 1}, nil)
 
 	if vs := rt.Finish(env.counts(2)); len(vs) != 0 {
 		t.Fatalf("clean run reported violations:\n%v", vs)
@@ -106,7 +106,7 @@ func TestRuntimeDetectsMissingForcedCheckpoint(t *testing.T) {
 	rt.AfterInit(2)
 	// Claim host 1 delivered m.sn = 5 without driving the protocol: no
 	// forced checkpoint exists and the live sn disagrees with the model.
-	rt.AfterDeliver(1, 0, protocol.IndexPiggyback(5))
+	rt.After(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0}, protocol.IndexPiggyback(5))
 
 	vs := rt.Finish(env.counts(2))
 	if len(vs) == 0 {
@@ -134,7 +134,7 @@ func TestRuntimeDetectsMissedSupersession(t *testing.T) {
 	q.Init()
 	rt.AfterInit(2)
 	q.OnCellSwitch(0, 0) // rn < sn: replacement... that nobody records
-	rt.AfterCellSwitch(0)
+	rt.After(trace.Event{Kind: trace.Handoff, Host: 0}, nil)
 
 	vs := rt.Finish(env.counts(2))
 	found := false
@@ -192,8 +192,8 @@ func TestRuntimeDetectsNonMonotonicIndices(t *testing.T) {
 	// lengths reconciled so only the monotonicity rule can fire.
 	env.store.Take(0, 0, 3, storage.Basic, 0)
 	env.store.Take(0, 0, 3, storage.Basic, 0)
-	rt.AfterCellSwitch(0) // model absorbs one... and resyncs on the second
-	rt.AfterCellSwitch(0)
+	rt.After(trace.Event{Kind: trace.Handoff, Host: 0}, nil) // model absorbs one... and resyncs on the second
+	rt.After(trace.Event{Kind: trace.Handoff, Host: 0}, nil)
 
 	vs := rt.Finish([]int{3})
 	found := false
@@ -224,11 +224,11 @@ func TestRuntimeTPLocationsMatchStore(t *testing.T) {
 			tp.Init()
 			rt.AfterInit(2)
 			pb := tp.OnSend(0, 1)
-			rt.AfterSend(0, pb)
+			rt.After(trace.Event{Kind: trace.Send, Host: 0}, pb)
 			tp.OnDeliver(1, 0, pb)
-			rt.AfterDeliver(1, 0, pb)
+			rt.After(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0}, pb)
 			tp.OnCellSwitch(1, 0)
-			rt.AfterCellSwitch(1)
+			rt.After(trace.Event{Kind: trace.Handoff, Host: 1}, nil)
 
 			vs := rt.Finish(env.counts(2))
 			var rules []string

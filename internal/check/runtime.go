@@ -7,6 +7,7 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/storage"
+	"mobickpt/internal/trace"
 )
 
 // family selects which rule set a protocol is checked against.
@@ -34,9 +35,9 @@ type sequencer interface {
 // broken run would otherwise accumulate one entry per event.
 const maxViolations = 64
 
-// Runtime asserts one protocol's invariants as the engine drives it. The
-// engine calls the After* hooks immediately after delegating the
-// corresponding protocol event; the checker replays the event against its
+// Runtime asserts one protocol's invariants as a world drives it. The
+// protocol side hands it every event of the protocol (After) once the
+// protocol has processed it; the checker replays the event against its
 // own shadow model of the protocol state and compares model, live
 // protocol state and stable-storage chains after every step.
 type Runtime struct {
@@ -197,19 +198,42 @@ func (r *Runtime) AfterInit(n int) {
 	}
 }
 
-// AfterJoin is called after a dynamic join of host h admitted it.
-func (r *Runtime) AfterJoin(h mobile.HostID) {
-	if int(h) != len(r.chainLen) {
-		r.violatef(h, "join", "non-dense join: model tracks %d hosts", len(r.chainLen))
-		return
+// After checks ev, an event of this protocol's, once the protocol has
+// processed it; pb is the piggyback of a send or a delivery, else nil.
+func (r *Runtime) After(ev trace.Event, pb any) {
+	h := mobile.HostID(ev.Host)
+	switch ev.Kind {
+	case trace.Send:
+		r.afterSend(h, pb)
+	case trace.Deliver:
+		r.afterDeliver(h, pb)
+	case trace.Handoff:
+		r.afterBasic(h, "basic-handoff")
+	case trace.Disconnect:
+		r.afterBasic(h, "basic-disconnect")
+	case trace.Tick:
+		r.afterBasic(h, "basic-tick")
+	case trace.Reconnect: // the disconnection checkpoint still represents the host
+		r.expectNoRecord(h, "reconnect")
+	case trace.Join:
+		if int(h) != len(r.chainLen) {
+			r.violatef(h, "join", "non-dense join: model tracks %d hosts", len(r.chainLen))
+			return
+		}
+		r.sn = append(r.sn, 0)
+		r.rn = append(r.rn, -1)
+		r.sendPhase = append(r.sendPhase, false)
+		r.chainLen = append(r.chainLen, 0)
+		rec := r.expectRecord(h, storage.Initial, 0, "join")
+		r.checkSeq(h, "join")
+		r.checkTPMeta(h, rec, "join")
+	case trace.Marker:
+		if r.fam != plain {
+			r.violate(h, "marker", "marker delivered to a communication-induced protocol")
+			return
+		}
+		r.expectRecord(h, storage.Forced, -1, "marker")
 	}
-	r.sn = append(r.sn, 0)
-	r.rn = append(r.rn, -1)
-	r.sendPhase = append(r.sendPhase, false)
-	r.chainLen = append(r.chainLen, 0)
-	rec := r.expectRecord(h, storage.Initial, 0, "join")
-	r.checkSeq(h, "join")
-	r.checkTPMeta(h, rec, "join")
 }
 
 // asTPPiggyback accepts both forms a TP piggyback travels in: the view
@@ -224,8 +248,8 @@ func asTPPiggyback(pb any) (protocol.TPPiggyback, bool) {
 	return protocol.TPPiggyback{}, false
 }
 
-// AfterSend is called after OnSend returned piggyback pb.
-func (r *Runtime) AfterSend(from mobile.HostID, pb any) {
+// afterSend checks a send whose OnSend returned piggyback pb.
+func (r *Runtime) afterSend(from mobile.HostID, pb any) {
 	r.expectNoRecord(from, "send")
 	switch r.fam {
 	case index, equiv:
@@ -255,8 +279,9 @@ func (r *Runtime) AfterSend(from mobile.HostID, pb any) {
 	}
 }
 
-// AfterDeliver is called after OnDeliver processed piggyback pb on host h.
-func (r *Runtime) AfterDeliver(h, from mobile.HostID, pb any) {
+// afterDeliver checks a delivery whose OnDeliver processed piggyback pb on
+// host h.
+func (r *Runtime) afterDeliver(h mobile.HostID, pb any) {
 	switch r.fam {
 	case plain:
 		r.expectNoRecord(h, "deliver")
@@ -330,28 +355,6 @@ func (r *Runtime) afterBasic(h mobile.HostID, rule string) {
 		rec := r.expectRecord(h, storage.Basic, -1, rule)
 		r.checkTPMeta(h, rec, rule)
 	}
-}
-
-// AfterCellSwitch is called after a hand-off's basic checkpoint.
-func (r *Runtime) AfterCellSwitch(h mobile.HostID) { r.afterBasic(h, "basic-handoff") }
-
-// AfterDisconnect is called after a disconnection's basic checkpoint.
-func (r *Runtime) AfterDisconnect(h mobile.HostID) { r.afterBasic(h, "basic-disconnect") }
-
-// AfterTick is called after a Periodic protocol's timer checkpoint.
-func (r *Runtime) AfterTick(h mobile.HostID) { r.afterBasic(h, "basic-tick") }
-
-// AfterReconnect is called after OnReconnect: no protocol checkpoints
-// there (the disconnection checkpoint already represents the host).
-func (r *Runtime) AfterReconnect(h mobile.HostID) { r.expectNoRecord(h, "reconnect") }
-
-// AfterMarker is called after a coordinated protocol processed a marker.
-func (r *Runtime) AfterMarker(h mobile.HostID) {
-	if r.fam != plain {
-		r.violate(h, "marker", "marker delivered to a communication-induced protocol")
-		return
-	}
-	r.expectRecord(h, storage.Forced, -1, "marker")
 }
 
 // Finish runs the end-of-run reconciliation: engine counters vs

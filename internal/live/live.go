@@ -159,12 +159,13 @@ func (c Config) Validate() error {
 // each argument is for).
 type NewProtocol = protocol.Constructor
 
-// Factory returns the constructor for one of the live-supported
-// protocols (the registry's Live set).
+// Factory returns the registry's constructor for name. The cluster's
+// hosts drive their protocol with their own operations alone, so a
+// Coordinated protocol, which the environment's clock drives, is refused.
 func Factory(name string) (NewProtocol, error) {
-	e, err := protocol.LookupLive(name)
-	if err != nil {
-		return nil, fmt.Errorf("live: %w", err)
+	e, ok := protocol.Lookup(name)
+	if !ok || e.Coordinated {
+		return nil, fmt.Errorf("live: protocol %q is unknown or driven by marker rounds or timer ticks, and the cluster has no clock", name)
 	}
 	return e.New, nil
 }
@@ -514,7 +515,7 @@ func (c *Cluster) Schedule() *trace.Schedule {
 	if !c.cfg.Record {
 		return nil
 	}
-	return c.side.Hist.Schedule(c.side.Slots[0].Name, c.cfg.Seed)
+	return c.side.Hist.Schedule(0, c.side.Slots[0].Name, c.cfg.Seed)
 }
 
 // Decisions returns the recorded protocol-decision log, including the

@@ -38,7 +38,7 @@ func TestLiveTraceTimestamps(t *testing.T) {
 	}
 	h := tr.History()
 	mobility := 0
-	for i, ev := range h.Schedule("QBC", 0).Events {
+	for i, ev := range h.Schedule(0, "QBC", 0).Events {
 		if at := h.Row(i).At; at != des.Time(i+1) {
 			t.Fatalf("row %d (%s) stamped %v, want tick %d", i, ev.Kind, at, i+1)
 		}

@@ -515,9 +515,6 @@ func TestRegistryBuildsWhatItNames(t *testing.T) {
 			t.Errorf("%s: IndexBased = %v, but SequenceNumber = %v", e.Name, e.IndexBased, sequenced)
 		}
 	}
-	if _, err := LookupLive("CL"); err == nil || !strings.Contains(err.Error(), "want TP, BCS, QBC or UNC") {
-		t.Errorf("LookupLive(CL) = %v, want an error naming the live set", err)
-	}
 }
 
 // TestJoinContract holds every registered protocol to OnJoin's contract:

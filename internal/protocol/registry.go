@@ -1,9 +1,6 @@
 package protocol
 
 import (
-	"fmt"
-	"strings"
-
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/storage"
 )
@@ -19,17 +16,16 @@ import (
 type Constructor func(n int, ck Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol
 
 // Entry is one row of the registry: everything the environments need to
-// know about a protocol before they hold an instance of it.
+// know about a protocol before they hold an instance of it. Every entry
+// runs in the simulator and in schedule replay.
 type Entry struct {
 	Name string
 	New  Constructor
 	// Coordinated protocols are driven by the environment's clock — marker
 	// rounds (Initiator) or timer ticks (Periodic) every SnapshotPeriod —
-	// so the simulator demands a positive period for them.
+	// so the simulator demands a positive period for them, and the live
+	// cluster, which has no clock, refuses them.
 	Coordinated bool
-	// Live protocols run on the live cluster and, therefore, in schedule
-	// replay: the clock-driven ones have no live driver.
-	Live bool
 	// IndexBased protocols number their checkpoints so that every recovery
 	// line is an index cut ("each host's first checkpoint with index >=
 	// x"). That is what makes the stable-index frontier of
@@ -44,14 +40,14 @@ type Entry struct {
 // sim/diffreplay.go keeps the only other copy, on purpose: the replay
 // oracle must not share a construction path with the cluster it checks.
 var registry = []Entry{
-	{Name: "TP", Live: true, New: func(n int, ck Checkpointer, _ *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol {
+	{Name: "TP", New: func(n int, ck Checkpointer, _ *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) Protocol {
 		return NewTP(n, ck, mssOf)
 	}},
-	{Name: "BCS", Live: true, IndexBased: true, New: plain(NewBCS)},
-	{Name: "QBC", Live: true, IndexBased: true, New: func(n int, ck Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) Protocol {
+	{Name: "BCS", IndexBased: true, New: plain(NewBCS)},
+	{Name: "QBC", IndexBased: true, New: func(n int, ck Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) Protocol {
 		return NewQBC(n, ck, store)
 	}},
-	{Name: "UNC", Live: true, New: plain(NewUncoordinated)},
+	{Name: "UNC", New: plain(NewUncoordinated)},
 	{Name: "CL", Coordinated: true, New: plain(NewChandyLamport)},
 	{Name: "PS", Coordinated: true, New: plain(NewPrakashSinghal)},
 	{Name: "MS", Coordinated: true, IndexBased: true, New: plain(NewMS)},
@@ -82,21 +78,4 @@ func Lookup(name string) (Entry, bool) {
 func IndexBased(name string) bool {
 	e, _ := Lookup(name)
 	return e.IndexBased
-}
-
-// LookupLive returns the entry for a protocol the live cluster and
-// schedule replay can run; the error names the supported set.
-func LookupLive(name string) (Entry, error) {
-	if e, ok := Lookup(name); ok && e.Live {
-		return e, nil
-	}
-	var live []string
-	for _, e := range registry {
-		if e.Live {
-			live = append(live, e.Name)
-		}
-	}
-	last := len(live) - 1
-	return Entry{}, fmt.Errorf("no live protocol %q (want %s or %s)",
-		name, strings.Join(live[:last], ", "), live[last])
 }

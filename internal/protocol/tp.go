@@ -47,11 +47,16 @@ type TPPiggyback struct {
 type tpChange struct{ idx, ckpt int32 }
 
 // newTPState is a host's state before it depends on anything: width
-// entries of -1.
+// entries of -1. n of these are most of TP's set-up, so the entries are
+// filled by doubling copies: a store per entry ran a tenth slower or
+// faster with where the linker happened to place its loop.
 func newTPState(width int) []int32 {
 	vec := make([]int32, width)
-	for j := range vec {
-		vec[j] = -1
+	if width > 0 {
+		vec[0] = -1
+		for n := 1; n < width; n *= 2 {
+			copy(vec[n:], vec[:n])
+		}
 	}
 	return vec
 }

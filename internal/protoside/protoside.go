@@ -38,13 +38,15 @@ type Side struct {
 	// Slots holds the per-protocol state, in the world's protocol order.
 	Slots []Slot
 
-	// Hist is the run's one protocol-independent history (nil unless the
-	// world records one): every mirrored event appends one row to it
-	// before any protocol sees the event, whatever the slot count. A
-	// slot's Trace is a view of it, and its delivery rows are what a
-	// slot's message log refers to. Its position is what the decision logs
-	// stamp their entries with.
+	// Hist is the run's one history (nil unless the world records one):
+	// every mirrored event appends one row to it before any protocol sees
+	// the event, whatever the slot count. A slot's Trace is a view of it,
+	// and its delivery rows are what a slot's message log refers to. Its
+	// position is what the decision logs stamp their entries with.
 	Hist *trace.History
+
+	// checks is whether any slot has an invariant checker (InitSlot).
+	checks bool
 
 	// now is the time of the event being mirrored, as Apply was passed
 	// it: 0 before the first, for the initial checkpoints.
@@ -106,6 +108,10 @@ type Slot struct {
 	Shipped         int
 
 	JoinCtrl int64 // control messages spent on joins
+
+	// Targets is where the latest marker round (Apply of a trace.Round)
+	// sends its markers, as BeginSnapshot returned it, for the world.
+	Targets []mobile.HostID
 
 	frontier []int // Frontier's result, reused
 
@@ -250,6 +256,7 @@ func (p *Side) InitSlot(i int, s Slot, checks bool,
 	slot.Proto, slot.Name = proto, proto.Name()
 	if checks {
 		slot.Check = check.NewRuntime(slot.Name, proto, slot.Store, func() des.Time { return p.now })
+		p.checks = true
 	}
 	if slot.MLog != nil && p.tl != nil {
 		slot.MLog.OnFlush = func(h mobile.HostID, entries int) {
@@ -344,23 +351,21 @@ func (p *Side) Start() {
 	}
 }
 
-// Apply mirrors one event of the world into the side, at its time ev.At:
-// its history row first, when the side keeps a history and the kind has
-// rows (all but markers and ticks), then the event's effect on every
-// slot (trace.Event's table says what each field carries). pb holds the
-// piggybacks, parallel to the slots: a send fills it, a delivery reads
-// it; other kinds take nil. It returns a send's ordinal in the history
-// (-1 without one, and for every other kind).
-func (p *Side) Apply(ev trace.Event, pb []any) int32 {
+// Apply, the side's one entry point, mirrors one event of the world at
+// its time ev.At: its history row first, when the side keeps one, then its
+// effect on every slot — on slot ev.Arg alone for a clocked kind — then
+// the concerned slots' checkers (trace.Event tables each field). pb holds
+// the piggybacks, parallel to the slots: a send fills it, a delivery
+// reads it; other kinds take nil.
+func (p *Side) Apply(ev trace.Event, pb []any) {
 	h := mobile.HostID(ev.Host)
 	cause := ev.Kind.String()
 	if ev.Kind == trace.Handoff {
 		cause = "switch" // E19's name for what a hand-off's checkpoint answers
 	}
 	p.now, p.actor, p.cause = ev.At, h, cause
-	ord := int32(-1)
-	if p.Hist != nil && ev.Kind != trace.Marker && ev.Kind != trace.Tick { // no rows yet: ROADMAP item 17
-		ord = p.Hist.Append(ev)
+	if p.Hist != nil {
+		p.Hist.Append(ev)
 	}
 	switch ev.Kind {
 	case trace.Send:
@@ -376,21 +381,28 @@ func (p *Side) Apply(ev trace.Event, pb []any) int32 {
 	case trace.Join:
 		p.join(h, mobile.MSSID(ev.Arg))
 	case trace.Marker:
-		s := &p.Slots[ev.Arg]
-		s.Proto.(protocol.Initiator).OnMarker(h)
-		if s.Check != nil {
-			s.Check.AfterMarker(h)
-		}
+		p.Slots[ev.Arg].Proto.(protocol.Initiator).OnMarker(h)
 	case trace.Tick:
+		p.Slots[ev.Arg].Proto.(protocol.Periodic).OnTick(h)
+	case trace.Round:
 		s := &p.Slots[ev.Arg]
-		s.Proto.(protocol.Periodic).OnTick(h)
-		if s.Check != nil {
-			s.Check.AfterTick(h)
-		}
+		s.Targets = s.Proto.(protocol.Initiator).BeginSnapshot()
 	default:
 		panic(fmt.Sprintf("protoside: an event of kind %v", ev.Kind))
 	}
-	return ord
+	if p.checks {
+		for i := range p.Slots {
+			s := &p.Slots[i]
+			if s.Check == nil || ev.Kind.Clocked() && int(ev.Arg) != i {
+				continue
+			}
+			var v any
+			if pb != nil {
+				v = pb[i]
+			}
+			s.Check.After(ev, v)
+		}
+	}
 }
 
 // send runs every protocol's OnSend of a message from → to — leaving the
@@ -401,9 +413,6 @@ func (p *Side) send(from, to mobile.HostID, flow uint64, pb []any) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		pb[i] = s.Proto.OnSend(from, to)
-		if s.Check != nil {
-			s.Check.AfterSend(from, pb[i])
-		}
 		if s.Trace != nil {
 			s.Trace.CountSend(s.Counts[from])
 		}
@@ -432,9 +441,6 @@ func (p *Side) deliver(h, from mobile.HostID, id, flow uint64, pb []any) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnDeliver(h, from, pb[i])
-		if s.Check != nil {
-			s.Check.AfterDeliver(h, from, pb[i])
-		}
 		if s.Trace != nil {
 			s.Trace.CountDeliver(s.Counts[h])
 		}
@@ -468,9 +474,6 @@ func (p *Side) handoff(h mobile.HostID, to mobile.MSSID) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnCellSwitch(h, to)
-		if s.Check != nil {
-			s.Check.AfterCellSwitch(h)
-		}
 		if s.MLog != nil {
 			// The log follows its host like the checkpoints do (§2.2's
 			// transfer), less what no recovery replays: one prune, every world.
@@ -494,9 +497,6 @@ func (p *Side) disconnect(h mobile.HostID) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnDisconnect(h)
-		if s.Check != nil {
-			s.Check.AfterDisconnect(h)
-		}
 		if s.MLog != nil {
 			// The disconnection checkpoint makes the host's state
 			// durable; the log suffix writes through with it.
@@ -517,11 +517,7 @@ func (p *Side) disconnect(h mobile.HostID) {
 func (p *Side) reconnect(h mobile.HostID, at mobile.MSSID) {
 	p.station[h] = at
 	for i := range p.Slots {
-		s := &p.Slots[i]
-		s.Proto.OnReconnect(h, at)
-		if s.Check != nil {
-			s.Check.AfterReconnect(h)
-		}
+		p.Slots[i].Proto.OnReconnect(h, at)
 	}
 	if p.tl != nil {
 		if int(h) < len(p.discAt) && p.discAt[h] >= 0 {
@@ -549,19 +545,7 @@ func (p *Side) join(id mobile.HostID, at mobile.MSSID) {
 			s.Dec.AddHost()
 		}
 		s.JoinCtrl += s.Proto.OnJoin(id)
-		if s.Check != nil {
-			s.Check.AfterJoin(id)
-		}
 	}
-}
-
-// BeginSnapshot starts a marker round of slot i's coordinated protocol (a
-// protocol.Initiator) at time now and returns the hosts its markers go
-// to. It reads protocol state, so a world that runs the side elsewhere
-// waits for it first.
-func (p *Side) BeginSnapshot(now des.Time, i int) []mobile.HostID {
-	p.now, p.actor, p.cause = now, anyHost, "marker"
-	return p.Slots[i].Proto.(protocol.Initiator).BeginSnapshot()
 }
 
 // Causes is slot i's cause tally (E19): checkpoints by CauseKey, initial

@@ -45,16 +45,17 @@ func newWorld(t *testing.T) *world {
 }
 
 // apply mirrors ev at the next tick of the clock.
-func (w *world) apply(ev trace.Event, pb []any) int32 {
+func (w *world) apply(ev trace.Event, pb []any) {
 	w.tick++
 	ev.At = w.tick
-	return w.Apply(ev, pb)
+	w.Apply(ev, pb)
 }
 
-// send mirrors a send and returns the message's ordinal and piggybacks.
-func (w *world) send(from, to int32, id uint64) (int32, []any) {
+// send mirrors a send and returns the message's piggybacks.
+func (w *world) send(from, to int32, id uint64) []any {
 	pb := make([]any, len(w.Slots))
-	return w.apply(trace.Event{Kind: trace.Send, Host: from, Peer: to, Msg: id, Flow: id}, pb), pb
+	w.apply(trace.Event{Kind: trace.Send, Host: from, Peer: to, Msg: id, Flow: id}, pb)
+	return pb
 }
 
 // TestSideRecordsOneHistory drives the side through every kind of event —
@@ -68,8 +69,8 @@ func TestSideRecordsOneHistory(t *testing.T) {
 	// station 1), then sends to 1: BCS forces a checkpoint on 1 at the
 	// delivery, UNC does not.
 	w.apply(trace.Event{Kind: trace.Handoff, Host: 0, Arg: 1}, nil)
-	m, pb := w.send(0, 1, 7)
-	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7, Flow: 7, Arg: m}, pb)
+	pb := w.send(0, 1, 7) // the first message: ordinal 0
+	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7, Flow: 7, Arg: 0}, pb)
 	w.apply(trace.Event{Kind: trace.Disconnect, Host: 2}, nil)
 	w.apply(trace.Event{Kind: trace.Reconnect, Host: 2, Arg: 1}, nil)
 	w.apply(trace.Event{Kind: trace.Join, Host: 3, Arg: 0}, nil)
@@ -81,7 +82,7 @@ func TestSideRecordsOneHistory(t *testing.T) {
 			t.Errorf("host %d at station %d, want %d", h, got, want)
 		}
 	}
-	if ev := w.Hist.Schedule("", 0).Events[0]; ev.From != 0 || ev.To != 1 {
+	if ev := w.Hist.Schedule(0, "", 0).Events[0]; ev.From != 0 || ev.To != 1 {
 		t.Errorf("hand-off row %+v, want station 0 -> 1", ev)
 	}
 	for i := range w.Slots {
@@ -99,7 +100,7 @@ func TestSideRecordsOneHistory(t *testing.T) {
 			t.Fatalf("row %d at %v, recorded during event %d", i, at, i+1)
 		}
 	}
-	sched := h.Schedule("BCS", 0)
+	sched := h.Schedule(0, "BCS", 0)
 	if sched.FinalHosts() != 4 {
 		t.Fatalf("one join made %d hosts, want 4", sched.FinalHosts())
 	}
@@ -130,7 +131,7 @@ func TestSideRecordsOneHistory(t *testing.T) {
 // of the event that caused it (0 for the initial checkpoints).
 func checkSeqs(t *testing.T, s *protoside.Slot, h *trace.History) {
 	t.Helper()
-	rows := h.Schedule(s.Name, 0).Events
+	rows := h.Schedule(0, s.Name, 0).Events
 	for host, cps := range s.Dec.Checkpoints {
 		for _, c := range cps {
 			if c.Kind == storage.Initial.String() && host < 3 {
@@ -280,8 +281,8 @@ func TestApplyAllocs(t *testing.T) {
 		tick++
 		id++
 		from, to := int32(id%hosts), int32((id+1)%hosts)
-		ord := p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id, Flow: id}, pb)
-		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: id, Flow: id, Arg: ord}, pb)
+		p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id, Flow: id}, pb)
+		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: id, Flow: id, Arg: int32(id - 1)}, pb)
 		p.Apply(trace.Event{Kind: trace.Handoff, At: tick, Host: from, Arg: int32(1 - p.Station(mobile.HostID(from)))}, nil)
 	}
 	for range 4096 { // every column past its doubling chunks

@@ -243,7 +243,7 @@ func engineHistory(t *testing.T, protocol string, mode mlog.Mode) *trace.Schedul
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Protocols[0].Trace.History().Schedule(protocol, cfg.Seed)
+	return res.Protocols[0].Trace.History().Schedule(0, protocol, cfg.Seed)
 }
 
 // The third world: the live cluster mirrors its events through the same

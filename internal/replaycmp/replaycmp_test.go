@@ -145,7 +145,7 @@ func oneMessage() *trace.Schedule {
 	h := trace.NewHistory(2, 2)
 	h.Append(trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 1})
 	h.Append(trace.Event{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 1})
-	return h.Schedule("QBC", 1)
+	return h.Schedule(0, "QBC", 1)
 }
 
 func TestBundleRoundTrip(t *testing.T) {

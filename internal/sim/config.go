@@ -192,16 +192,16 @@ type Config struct {
 
 	// Schedule, when non-nil, switches Run into differential-replay mode
 	// (E24): instead of generating a synthetic workload, the engine
-	// re-executes the exact event history a live cluster recorded
-	// (live.Config.Record) — every send, delivery, hand-off,
-	// disconnection, reconnection and join, in the recorded total order at
-	// the recorded logical ticks — and lets the protocol re-derive its
-	// decisions. The Result carries a replaycmp.Log to hold against the
-	// live one. Replay mode uses the schedule's own topology and protocol;
-	// Protocols must be empty or name exactly that protocol. Checks,
-	// MessageLog, Metrics and Timeline compose: the replay drives the same
-	// protocol side. Every other field must be left zero (Validate names
-	// the first that is not): there is nothing for it to drive.
+	// re-executes the exact event history a live cluster
+	// (live.Config.Record) or an engine run recorded — every event, in the
+	// recorded total order at the recorded logical ticks — and lets the
+	// protocol re-derive its decisions. The Result carries a replaycmp.Log
+	// to hold against the live one. Replay mode uses the schedule's own
+	// topology and protocol; Protocols must be empty or name exactly that
+	// protocol. Checks, MessageLog, Metrics and Timeline compose: the
+	// replay drives the same protocol side. Every other field must be left
+	// zero (Validate names the first that is not): there is nothing for it
+	// to drive.
 	Schedule *trace.Schedule
 }
 
@@ -359,14 +359,25 @@ func (c Config) validateParallel() error {
 var replayReads = []string{"Schedule", "Protocols", "Checks", "MessageLog", "Metrics", "Timeline"}
 
 // validateReplay rejects configurations replay mode cannot honor: a bad
-// schedule, an unreplayable protocol, and any field a replay does not
-// read, by name.
+// schedule, an unregistered protocol or one without the clock a marker,
+// round or tick row needs, and any field a replay does not read, by name.
 func (c Config) validateReplay() error {
 	if err := c.Schedule.Validate(); err != nil {
 		return err
 	}
-	if _, err := protocol.LookupLive(c.Schedule.Protocol); err != nil {
-		return fmt.Errorf("sim: schedule records an unreplayable protocol: %w", err)
+	e, ok := protocol.Lookup(c.Schedule.Protocol)
+	if !ok {
+		return fmt.Errorf("sim: schedule records protocol %q, which no registry entry names", c.Schedule.Protocol)
+	}
+	// An instance of no hosts shows by its method set which clocks drive
+	// the protocol: marker rounds and their markers, or timer ticks.
+	p := e.New(0, nil, nil, nil)
+	_, rounds := p.(protocol.Initiator)
+	_, ticks := p.(protocol.Periodic)
+	for i, ev := range c.Schedule.Events {
+		if k, _ := trace.ParseKind(ev.Kind); k.Clocked() && !(k == trace.Tick && ticks || k != trace.Tick && rounds) {
+			return fmt.Errorf("sim: schedule event %d is a %s, and no clock of protocol %s drives one", i, ev.Kind, e.Name)
+		}
 	}
 	// The cap the sweep applies to TP: a replay sizes TP's dense current
 	// state — one 32-bit CKPT entry per host per host — by the final host

@@ -21,21 +21,15 @@ import (
 	"mobickpt/internal/wire"
 )
 
-// inFlight is a message sent and not yet delivered: its ordinal in the
-// replay's history and its piggyback *as decoded off the wire*, so the
-// delivered control information has the live transport's representation.
-type inFlight struct {
-	ord int32
-	pb  any
-}
-
 // runSchedule executes Config.Schedule (Run dispatches here after
 // validateReplay accepted the configuration): a one-slot protocol side,
 // and what the live cluster keeps that neither a protocol nor the side
-// does — the messages in flight, by id.
+// does — the messages in flight, by id, each with its piggyback *as
+// decoded off the wire*, so the delivered control information has the
+// live transport's representation.
 func runSchedule(cfg Config) (*Result, error) {
 	sched := cfg.Schedule
-	pending := make(map[uint64]inFlight)
+	pending := make(map[uint64]any)
 	// Always a history and a view of it: the decision log's recovery lines
 	// are cut from the view.
 	side := protoside.New(1, sched.Hosts, sched.Stations, trace.NewHistory(sched.Hosts, sched.Stations),
@@ -60,8 +54,14 @@ func runSchedule(cfg Config) (*Result, error) {
 			return protocol.NewQBC(sched.Hosts, ckpt, store), nil
 		case UNC:
 			return protocol.NewUncoordinated(sched.Hosts, ckpt), nil
+		case CL:
+			return protocol.NewChandyLamport(sched.Hosts, ckpt), nil
+		case PS:
+			return protocol.NewPrakashSinghal(sched.Hosts, ckpt), nil
+		case MS:
+			return protocol.NewMS(sched.Hosts, ckpt), nil
 		}
-		return nil, fmt.Errorf("sim: schedule records unreplayable protocol %q (want TP, BCS, QBC or UNC)", name)
+		return nil, fmt.Errorf("sim: schedule records protocol %q, which the replay cannot build", name)
 	})
 	if err != nil {
 		return nil, err
@@ -83,9 +83,9 @@ func runSchedule(cfg Config) (*Result, error) {
 				panic(fmt.Sprintf("sim: replay: schedule delivers unknown message %d", ev.Msg))
 			}
 			delete(pending, ev.Msg)
-			pb[0], ev.Arg = got.pb, got.ord
+			pb[0] = got
 		}
-		ord := side.Apply(ev, pb[:])
+		side.Apply(ev, pb[:])
 		if ev.Kind == trace.Send {
 			// Round-trip the piggyback through the wire codec like the live
 			// transport; the delivery hands the decoded form over.
@@ -97,7 +97,7 @@ func runSchedule(cfg Config) (*Result, error) {
 			if err != nil {
 				panic("sim: replay: " + err.Error())
 			}
-			pending[ev.Msg] = inFlight{ord: ord, pb: p.Piggyback}
+			pending[ev.Msg] = p.Piggyback
 		}
 	}
 

@@ -32,7 +32,15 @@ func replaySchedule(protocol string) *trace.Schedule {
 	} {
 		h.Append(ev)
 	}
-	return h.Schedule(protocol, 1)
+	return h.Schedule(0, protocol, 1)
+}
+
+// clocked is replaySchedule(protocol) with one more event: a kind row at
+// host, its event 9.
+func clocked(protocol, kind string, host int) *trace.Schedule {
+	s := replaySchedule(protocol)
+	s.Events = append(s.Events, trace.ScheduleEvent{Seq: 9, Tick: 10, Kind: kind, Host: host, Peer: -1, From: -1, To: -1})
+	return s
 }
 
 func TestReplayValidateRejects(t *testing.T) {
@@ -66,9 +74,8 @@ func TestReplayValidateRejects(t *testing.T) {
 		{"engine", func(c *Config) { c.Engine = pdes.ModeConservative }},
 		{"lanes", func(c *Config) { c.Lanes = 2 }},
 		// A config Validate accepts must be one Run accepts: the schedule's
-		// protocol has to be in the registry's Live set.
-		{"coordinated schedule", func(c *Config) { c.Schedule = replaySchedule("CL") }},
-		{"timer-driven schedule", func(c *Config) { c.Schedule = replaySchedule("MS") }},
+		// protocol has to be registered.
+		{"unregistered protocol", func(c *Config) { c.Schedule = replaySchedule("XX") }},
 		// TP's dense vectors cost 4n² B: a tiny file must not ask for 1.6 GB.
 		{"TP over the cap", func(c *Config) {
 			c.Schedule = &trace.Schedule{Hosts: ScaleTPMaxHosts + 1, Stations: 2, Protocol: "TP"}
@@ -81,17 +88,41 @@ func TestReplayValidateRejects(t *testing.T) {
 			t.Errorf("%s: replay config accepted", tc.name)
 		}
 	}
+	// A schedule's protocol must have the clock each marker, round and
+	// tick row needs; those rows reach only connected hosts, and a round
+	// none. Validate and Run refuse the rest with an error naming the
+	// event, never a panic.
+	for name, s := range map[string]*trace.Schedule{
+		"marker without rounds":         clocked("QBC", "marker", 0),
+		"round without rounds":          clocked("MS", "round", -1),
+		"tick without a timer":          clocked("CL", "tick", 0),
+		"round at a host":               clocked("CL", "round", 1),
+		"marker to a disconnected host": clocked("PS", "marker", 2),
+		"tick to an unknown host":       clocked("MS", "tick", 3),
+	} {
+		cfg := Config{Schedule: s, Checks: true}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "event 9") {
+			t.Errorf("%s: err = %v, want event 9 named", name, err)
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: replay ran", name)
+		}
+	}
 	// A field a replay does not read is refused by name.
 	err := Config{Schedule: replaySchedule("QBC"), Cost: storage.CostModel{FullState: 123}}.Validate()
 	if err == nil || !strings.Contains(err.Error(), "Config.Cost") {
 		t.Fatalf("cost model in a replay: err = %v, want Config.Cost named", err)
 	}
 	// The schedule's own protocol name is accepted explicitly, and so are
-	// the instruments the protocol side carries into either world.
+	// the instruments the protocol side carries into either world and the
+	// clocked rows of a protocol that has their clock.
 	for name, cfg := range map[string]Config{
 		"own protocol": {Schedule: replaySchedule("QBC"), Protocols: []ProtocolName{QBC}},
 		"metrics":      {Schedule: replaySchedule("QBC"), Metrics: obs.NewRegistry()},
 		"timeline":     {Schedule: replaySchedule("QBC"), Timeline: obs.NewTimeline()},
+		"round":        {Schedule: clocked("CL", "round", -1)},
+		"marker":       {Schedule: clocked("PS", "marker", 1)},
+		"tick":         {Schedule: clocked("MS", "tick", 0)},
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -101,23 +132,18 @@ func TestReplayValidateRejects(t *testing.T) {
 	if err := tp.Validate(); err == nil || !strings.Contains(err.Error(), "4n²") {
 		t.Fatalf("TP over the cap: err = %v, want the n² vectors named", err)
 	}
-	// The rejection names the replayable set.
-	err = Config{Schedule: replaySchedule("PS")}.Validate()
-	if err == nil || !strings.Contains(err.Error(), "want TP, BCS, QBC or UNC") {
-		t.Fatalf("coordinated schedule: err = %v, want the live set named", err)
-	}
 }
 
 // The same schedule must replay to identical decisions every time —
 // the replay engine is deterministic by construction, and this is what
 // lets it serve as the oracle side of the differential test.
 func TestReplayDeterministic(t *testing.T) {
-	for _, proto := range []string{"TP", "BCS", "QBC", "UNC"} {
-		a, err := Run(Config{Schedule: replaySchedule(proto), Checks: true})
+	for _, proto := range AllProtocols() {
+		a, err := Run(Config{Schedule: replaySchedule(string(proto)), Checks: true})
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		b, err := Run(Config{Schedule: replaySchedule(proto), Checks: true})
+		b, err := Run(Config{Schedule: replaySchedule(string(proto)), Checks: true})
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
@@ -187,7 +213,7 @@ func TestReplayJoin(t *testing.T) {
 	} {
 		h.Append(ev)
 	}
-	res, err := Run(Config{Schedule: h.Schedule("QBC", 1), Checks: true})
+	res, err := Run(Config{Schedule: h.Schedule(0, "QBC", 1), Checks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

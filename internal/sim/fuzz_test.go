@@ -45,14 +45,14 @@ func FuzzReplaySchedule(f *testing.F) {
 	cfg.Workload.PSwitch = 0.6
 	cfg.Workload.DisconnectMean = 100
 	cfg.JoinTimes = []des.Time{300}
-	cfg.Protocols = []ProtocolName{BCS, UNC}
+	cfg.Protocols = []ProtocolName{BCS, UNC, CL, PS, MS}
 	cfg.RecordTrace = true
 	res, err := Run(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, pr := range res.Protocols {
-		f.Add(exportSchedule(f, pr.Trace.History().Schedule(string(pr.Name), cfg.Seed)))
+	for i, pr := range res.Protocols {
+		f.Add(exportSchedule(f, pr.Trace.History().Schedule(i, string(pr.Name), cfg.Seed)))
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -10,17 +10,19 @@ import (
 )
 
 // TestEngineHistoryReplays holds the protocol side to independence from
-// the world on engine runs: an engine run records its history once, the
-// export of that history replays through the schedule-driven world for
-// each protocol, and every host's checkpoint chain (kind, index and the
-// station it landed on) and both count columns of every delivered message
-// must come out as the engine's slot had them. An event the engine
-// mirrors and the replay does not — or mirrors differently — fails here.
+// the world on engine runs: an engine run of all seven protocols records
+// its history once, each slot's export of that history (its own marker
+// rounds, markers and ticks among the application's rows) replays through
+// the schedule-driven world, and every host's checkpoint chain (kind,
+// index and the station it landed on), both count columns of every
+// delivered message and both control-message tallies must come out as the
+// engine's slot had them. An event the engine mirrors and the replay does
+// not — or mirrors differently — fails here.
 // The logged worlds replay under the engine's discipline, and the two
 // message logs' counters must be equal field for field: every world's
 // hand-off prunes the switching host's log at the same frontier.
 func TestEngineHistoryReplays(t *testing.T) {
-	protos := []ProtocolName{TP, BCS, QBC, UNC}
+	protos := AllProtocols()
 	worlds := []struct {
 		name  string
 		apply func(*Config)
@@ -68,7 +70,7 @@ func TestEngineHistoryReplays(t *testing.T) {
 					if eng.Trace.History() != hist {
 						t.Fatalf("%s: the slots record separate histories", eng.Name)
 					}
-					rep, err := Run(Config{Schedule: hist.Schedule(string(eng.Name), seed), Checks: true, MessageLog: cfg.MessageLog})
+					rep, err := Run(Config{Schedule: hist.Schedule(i, string(eng.Name), seed), Checks: true, MessageLog: cfg.MessageLog})
 					if err != nil {
 						t.Fatalf("%s: replay of the engine's history: %v", eng.Name, err)
 					}
@@ -80,8 +82,8 @@ func TestEngineHistoryReplays(t *testing.T) {
 }
 
 // sameRun compares an engine slot with its replay: chains by kind, index
-// and station, the two count columns message by message, then the message
-// logs' counters.
+// and station, the two count columns message by message, the control
+// messages of marker rounds and joins, then the message logs' counters.
 func sameRun(t *testing.T, eng, rep *ProtocolResult, hosts int) {
 	t.Helper()
 	for h := 0; h < hosts; h++ {
@@ -103,6 +105,10 @@ func sameRun(t *testing.T, eng, rep *ProtocolResult, hosts int) {
 		if a, b := eng.Trace.Event(i), rep.Trace.Event(i); a.ID != b.ID || a.SendCount != b.SendCount || a.RecvCount != b.RecvCount {
 			t.Fatalf("%s delivery %d: engine %+v, replay %+v", eng.Name, i, a, b)
 		}
+	}
+	if eng.CtrlMessages != rep.CtrlMessages || eng.JoinCtrlMessages != rep.JoinCtrlMessages {
+		t.Fatalf("%s control messages: engine %d (joins %d), replay %d (joins %d)", eng.Name,
+			eng.CtrlMessages, eng.JoinCtrlMessages, rep.CtrlMessages, rep.JoinCtrlMessages)
 	}
 	if eng.Log != rep.Log {
 		t.Fatalf("%s message log: engine %+v, replay %+v", eng.Name, eng.Log, rep.Log)

@@ -7,15 +7,15 @@ import (
 
 // The protocol side runs beside the world (DESIGN "The protocol side runs
 // beside the world"). Every world hands the protocol side one trace.Event
-// per event — send, delivery, move, join, marker, timer tick — through
-// one entry point, protoside.Side.Apply; the engine's queue carries each
-// with its message's payload carrier as one entry, and apply is the only
-// place the engine calls Apply, on one goroutine at a time. The GC tick
-// rides the queue as an entry of no kind: collect is the world's own
-// call, not a protocol event. A sequential run ships the entries in
-// chunks to a consumer goroutine, which applies them in push order, and
-// drains the queue only where the world reads protocol state: before a
-// marker round starts (BeginSnapshot returns its targets) and at the end.
+// per event — send, delivery, move, join, marker round, marker, timer
+// tick — through one entry point, protoside.Side.Apply; the engine's
+// queue carries each with its message's payload carrier as one entry, and
+// apply is the only place the engine calls Apply, on one goroutine at a
+// time. The GC tick rides the queue as an entry of no kind: collect is the
+// world's own call, not a protocol event. A sequential run ships the
+// entries in chunks to a consumer goroutine, which applies them in push
+// order, and drains the queue only where the world reads protocol state:
+// once a marker round has started (the slot's Targets) and at the end.
 // On the lane engine each lane buffers its entries, and the coordinator
 // applies every buffer, lane by lane, each time the lanes park
 // (applyLanes): a host's entries all come from its own lane, in its

@@ -64,19 +64,16 @@ func runOutputs(t *testing.T, cfg Config, run func(Config) (*Result, error)) map
 		}
 		out["timeline"] = bytes.Clone(buf.Bytes())
 	}
-	for _, pr := range res.Protocols {
+	for i, pr := range res.Protocols {
 		if pr.Trace == nil {
 			continue
 		}
-		sched := pr.Trace.History().Schedule(string(pr.Name), cfg.Seed)
+		sched := pr.Trace.History().Schedule(i, string(pr.Name), cfg.Seed)
 		b, err := json.Marshal(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out["history"] = b
-		if e, _ := protocol.Lookup(string(pr.Name)); !e.Live {
-			continue
-		}
+		out["history/"+string(pr.Name)] = b
 		rep, err := Run(Config{Schedule: sched, MessageLog: cfg.MessageLog})
 		if err != nil {
 			t.Fatalf("%s: replay of the history: %v", pr.Name, err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mobickpt/internal/live"
@@ -10,8 +11,10 @@ import (
 
 // TestProtocolRegistry holds the three readers of the registry to one
 // table: every selectable name resolves to a constructor, the live
-// factory accepts exactly the Live set, the simulator demands a
-// SnapshotPeriod for exactly the Coordinated set, the protocols whose
+// factory accepts exactly the protocols that are not Coordinated and
+// says why it refuses the others, the simulator demands a SnapshotPeriod
+// for exactly the Coordinated set, a schedule replays for every
+// protocol, the protocols whose
 // recovery lines are index cuts — the only ones any garbage collector may
 // touch — are exactly BCS, QBC and MS, and unknown names are errors
 // everywhere.
@@ -33,8 +36,10 @@ func TestProtocolRegistry(t *testing.T) {
 		if ent.IndexBased {
 			indexed = append(indexed, name)
 		}
-		if _, err := live.Factory(string(name)); (err == nil) != ent.Live {
-			t.Errorf("%s: live.Factory err = %v, registry says Live = %v", name, err, ent.Live)
+		if _, err := live.Factory(string(name)); (err != nil) != ent.Coordinated {
+			t.Errorf("%s: live.Factory err = %v, registry says Coordinated = %v", name, err, ent.Coordinated)
+		} else if err != nil && !strings.Contains(err.Error(), "no clock") {
+			t.Errorf("%s: live.Factory err = %v, want the missing clock named", name, err)
 		}
 		cfg := DefaultConfig()
 		cfg.Protocols = []ProtocolName{name}
@@ -43,8 +48,8 @@ func TestProtocolRegistry(t *testing.T) {
 			t.Errorf("%s: Validate without SnapshotPeriod: %v, registry says Coordinated = %v", name, err, ent.Coordinated)
 		}
 		replay := Config{Schedule: replaySchedule(string(name))}
-		if err := replay.Validate(); (err == nil) != ent.Live {
-			t.Errorf("%s: replay Validate err = %v, registry says Live = %v", name, err, ent.Live)
+		if err := replay.Validate(); err != nil {
+			t.Errorf("%s: replay Validate: %v", name, err)
 		}
 	}
 	if got, want := fmt.Sprint(indexed), "[BCS QBC MS]"; got != want {

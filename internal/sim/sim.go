@@ -235,17 +235,18 @@ func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
 }
 
 // scheduleSnapshots drives slot i's coordinated baseline: every period
-// the initiator picks its targets and markers travel to currently
-// connected hosts (a disconnected host is represented by its disconnection
-// checkpoint, §2.2, so it skips the round). Starting the round reads
-// protocol state, so it drains the pipeline first; each marker that
-// arrives is an event.
+// a marker round starts, the initiator picks its targets, and markers
+// travel to currently connected hosts (a disconnected host is represented
+// by its disconnection checkpoint, §2.2, so it skips the round). The
+// round's start and each marker that arrives are events; the world reads
+// the round's targets from the slot, so it drains the pipeline first.
 func (e *engine) scheduleSnapshots(i int) {
 	period := e.cfg.SnapshotPeriod
 	markerLatency := e.cfg.Mobile.WiredLatency + e.cfg.Mobile.WirelessLatency
 	tick := func(sim *des.Simulator, now des.Time) {
+		e.push(trace.Event{Kind: trace.Round, At: now, Host: -1, Arg: int32(i)}, nil)
 		e.drain()
-		for _, h := range e.BeginSnapshot(now, i) {
+		for _, h := range e.Slots[i].Targets {
 			// One location query per marker: the paper's drawback (1).
 			e.net.Locate(h)
 			if !e.net.Host(h).Connected() {

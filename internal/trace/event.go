@@ -9,8 +9,9 @@ import (
 
 // Kind is what an Event is: one of the things the protocols observe of an
 // execution (§5.1) — message order, cell switches, disconnections — plus
-// joins and the two events the coordinated baselines add, a marker
-// reaching a host and a timer firing at one. The zero Kind is no event.
+// joins and the three events the coordinated baselines add: a marker
+// round starting, its marker reaching a host, and a timer firing at one.
+// The zero Kind is no event.
 type Kind uint8
 
 const (
@@ -22,12 +23,13 @@ const (
 	Join
 	Marker
 	Tick
+	Round
 )
 
 // kindName is the one name table: a kind's String, the schedule's JSON
 // "kind" field.
 var kindName = [...]string{Send: "send", Deliver: "deliver", Handoff: "handoff", Disconnect: "disconnect",
-	Reconnect: "reconnect", Join: "join", Marker: "marker", Tick: "tick"}
+	Reconnect: "reconnect", Join: "join", Marker: "marker", Tick: "tick", Round: "round"}
 
 func (k Kind) String() string {
 	if k < Send || int(k) >= len(kindName) {
@@ -35,6 +37,10 @@ func (k Kind) String() string {
 	}
 	return kindName[k]
 }
+
+// Clocked reports whether one protocol's clock drives k (a marker round,
+// its marker, a timer tick), so that an event of it is slot Arg's alone.
+func (k Kind) Clocked() bool { return k >= Marker && k <= Round }
 
 // ParseKind is String's inverse; false when no kind has that name.
 func ParseKind(name string) (Kind, bool) {
@@ -55,6 +61,7 @@ func ParseKind(name string) (Kind, bool) {
 //	Join        joiner    -         -                   the station it joins at
 //	Marker      target    -         -                   the slot whose marker round it is
 //	Tick        host      -         -                   the slot whose timer fires
+//	Round       -1        -         -                   the slot whose marker round starts
 //
 // At is the world's clock. Flow is the timeline's flow id (the engine's
 // is per sender, the live cluster's the message id); a history keeps no

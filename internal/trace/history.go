@@ -8,13 +8,12 @@ import (
 	"mobickpt/internal/des"
 )
 
-// History is the protocol-independent record of one run: who sent what to
-// whom, the deliveries, hand-offs, disconnections, reconnections and joins,
-// one row per event in the order the world executed them, whatever the
-// number of protocols riding the run. Taking a checkpoint does not perturb
-// the application (§5.1), so this part of an execution is the same for
-// every protocol; what differs per protocol is two counts per message,
-// which each protocol's Trace (View) keeps beside it.
+// History is the record of one run: one row per event (every Kind), in
+// the order the world executed them, whatever the number of protocols
+// riding the run. Taking a checkpoint does not perturb the application
+// (§5.1), so all but the clocked rows, which name their slot, are the same
+// for every protocol; what differs per protocol beyond that is two counts
+// per message, which each protocol's Trace (View) keeps beside it.
 //
 // A row is the Event the world appended (Append), kept as one column per
 // field, and the message tables name rows by position. The world assigns
@@ -55,7 +54,7 @@ func (h *History) Len() int { return h.kind.Len() }
 // the world hands back in the delivery's Arg; -1 for any other kind. A
 // delivery that names an unsent or delivered ordinal, another message or
 // other hosts than its send, a join of any host but the next id, and a
-// kind with no row panic: the world recorded what it never did, a
+// kind that is none panic: the world recorded what it never did, a
 // harness bug.
 func (h *History) Append(ev Event) int32 {
 	ord := int32(-1)
@@ -82,7 +81,7 @@ func (h *History) Append(ev Event) int32 {
 			panic(fmt.Sprintf("trace: host %d joins, the next id is %d", ev.Host, h.n))
 		}
 		h.n++
-	case Handoff, Disconnect, Reconnect:
+	case Handoff, Disconnect, Reconnect, Marker, Tick, Round:
 	default:
 		panic(fmt.Sprintf("trace: a %v event has no history row", ev.Kind))
 	}
@@ -120,20 +119,21 @@ func (h *History) InFlight() []uint64 {
 	return ids
 }
 
-// Schedule exports the history as the schedule a replay runs for
-// protocol: row i becomes event i at tick i+1, so the export is the same
-// function of the rows in every world (the live cluster's own tick is
-// already position + 1). The station a hand-off or disconnection leaves
-// is where the moves before it left the host, as Validate reads it.
-func (h *History) Schedule(protocol string, seed uint64) *Schedule {
+// Schedule exports the history as the schedule a replay runs for the
+// protocol of slot slot: every row but the other slots' clocked ones, row
+// i at tick i+1, numbered densely, so the export is the same function of
+// the rows in every world (the live cluster's own tick is already position
+// + 1). The station a hand-off or disconnection leaves is where the moves
+// before it left the host, as Validate reads it.
+func (h *History) Schedule(slot int, protocol string, seed uint64) *Schedule {
 	s := &Schedule{Hosts: h.hosts, Stations: h.stations, Protocol: protocol, Seed: seed, InFlight: h.InFlight()}
-	if h.Len() > 0 {
-		s.Events = make([]ScheduleEvent, h.Len())
-	}
 	where := placement{h.stations, make(map[int]int)}
-	for i := range s.Events {
+	for i := range h.Len() {
 		ev := h.Row(i)
-		se := ScheduleEvent{Seq: uint64(i), Tick: uint64(i) + 1, Kind: ev.Kind.String(), Host: int(ev.Host), Peer: -1, From: -1, To: -1}
+		if ev.Kind.Clocked() && int(ev.Arg) != slot {
+			continue
+		}
+		se := ScheduleEvent{Seq: uint64(len(s.Events)), Tick: uint64(i) + 1, Kind: ev.Kind.String(), Host: int(ev.Host), Peer: -1, From: -1, To: -1}
 		switch ev.Kind {
 		case Send, Deliver:
 			se.Peer, se.Msg = int(ev.Peer), ev.Msg
@@ -146,7 +146,7 @@ func (h *History) Schedule(protocol string, seed uint64) *Schedule {
 			se.To = int(ev.Arg)
 			where.moved[se.Host] = se.To
 		}
-		s.Events[i] = se
+		s.Events = append(s.Events, se)
 	}
 	return s
 }

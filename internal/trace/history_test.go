@@ -77,7 +77,7 @@ func (f *flatHistory) event(v, i int) MessageEvent {
 	}
 }
 
-func (f *flatHistory) schedule(protocol string, seed uint64) *Schedule {
+func (f *flatHistory) schedule(slot int, protocol string, seed uint64) *Schedule {
 	s := &Schedule{Hosts: f.hosts, Stations: f.stations, Protocol: protocol, Seed: seed}
 	for ord, done := range f.delivered {
 		if !done {
@@ -90,7 +90,10 @@ func (f *flatHistory) schedule(protocol string, seed uint64) *Schedule {
 		station[h] = h % f.stations
 	}
 	for i, ev := range f.rows {
-		se := ScheduleEvent{Seq: uint64(i), Tick: uint64(i) + 1, Kind: ev.Kind.String(), Host: int(ev.Host), Peer: -1, From: -1, To: -1}
+		if ev.Kind.Clocked() && int(ev.Arg) != slot {
+			continue
+		}
+		se := ScheduleEvent{Seq: uint64(len(s.Events)), Tick: uint64(i) + 1, Kind: ev.Kind.String(), Host: int(ev.Host), Peer: -1, From: -1, To: -1}
 		switch ev.Kind {
 		case Send, Deliver:
 			se.Peer, se.Msg = int(ev.Peer), ev.Msg
@@ -159,7 +162,7 @@ func (r *recording) same(t testing.TB, what string, got, want func()) bool {
 
 // step records one event chosen through pick; false when pick ran out.
 func (r *recording) step(t testing.TB, pick func(n int) int) bool {
-	op := pick(16)
+	op := pick(18)
 	if op < 0 {
 		return false
 	}
@@ -206,6 +209,12 @@ func (r *recording) step(t testing.TB, pick func(n int) int) bool {
 		r.bump(h)
 	case op == 14:
 		r.append(Event{Kind: Reconnect, At: at, Host: host(), Arg: station()})
+	case op == 16: // a marker or a tick of one of two slots
+		h := host()
+		r.append(Event{Kind: Marker + Kind(max(pick(2), 0)), At: at, Host: h, Arg: int32(max(pick(2), 0))})
+		r.bump(h)
+	case op == 17: // a marker round of one of two slots
+		r.append(Event{Kind: Round, At: at, Host: -1, Arg: int32(max(pick(2), 0))})
 	default: // join, now and then under an id that is not the next one
 		h := int32(n)
 		if pick(4) == 0 {
@@ -221,7 +230,8 @@ func (r *recording) step(t testing.TB, pick func(n int) int) bool {
 	return true
 }
 
-// append records a mobility event, which never panics, on both sides.
+// append records a mobility or clocked event, which never panics, on both
+// sides.
 func (r *recording) append(ev Event) {
 	r.h.Append(ev)
 	r.ref.append(ev)
@@ -265,27 +275,34 @@ func (r *recording) check(t testing.TB) {
 			t.Fatalf("row %d reads %+v, want %+v", i, got, want)
 		}
 	}
-	sched := h.Schedule("QBC", 9)
-	if want := f.schedule("QBC", 9); !reflect.DeepEqual(sched, want) {
-		t.Fatalf("Schedule differs from the reference's (%d events, want %d)", len(sched.Events), len(want.Events))
-	}
-	// The export's JSON imports back to the rows, each at its tick.
-	b, err := json.Marshal(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Schedule
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i, ev := range back.Import() {
-		want := f.row(i)
-		want.At = des.Time(i + 1)
-		if ev != want {
-			t.Fatalf("event %d imports as %+v, want %+v", i, ev, want)
+	for slot := range 2 {
+		sched := h.Schedule(slot, "QBC", 9)
+		if want := f.schedule(slot, "QBC", 9); !reflect.DeepEqual(sched, want) {
+			t.Fatalf("slot %d: Schedule differs from the reference's (%d events, want %d)", slot, len(sched.Events), len(want.Events))
+		}
+		// The export's JSON imports back to its rows, each at its tick, a
+		// clocked one as slot 0's.
+		b, err := json.Marshal(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Schedule
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range back.Import() {
+			tick := back.Events[i].Tick
+			want := f.row(int(tick) - 1)
+			want.At = des.Time(tick)
+			if want.Kind.Clocked() {
+				want.Arg = 0
+			}
+			if ev != want {
+				t.Fatalf("slot %d: event %d imports as %+v, want %+v", slot, i, ev, want)
+			}
 		}
 	}
-	if got, want := h.InFlight(), f.schedule("", 0).InFlight; !slices.Equal(got, want) {
+	if got, want := h.InFlight(), f.schedule(0, "", 0).InFlight; !slices.Equal(got, want) {
 		t.Fatalf("InFlight = %v, want %v", got, want)
 	}
 	for v, tr := range r.views {
@@ -321,8 +338,8 @@ func (r *recording) check(t testing.TB) {
 	}
 }
 
-// TestHistoryMatchesFlatReference replays random event sequences, joins
-// and malformed deliveries among them, into a chunked history with three
+// TestHistoryMatchesFlatReference replays random event sequences, joins,
+// malformed deliveries and two slots' clocked rows among them, into a chunked history with three
 // views and into the flat reference, and compares everything readable
 // after each chunk of steps. The long sequences cross the row columns'
 // 4 096-entry chunks several times.
@@ -355,6 +372,7 @@ func TestHistoryMatchesFlatReference(t *testing.T) {
 func FuzzHistory(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 7, 0, 11, 3, 5, 15, 0, 12, 1, 2, 0})
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 6, 0, 6, 0, 11, 0, 3, 11, 9, 1, 15, 3, 9, 13, 2, 1, 14, 2, 0})
+	f.Add([]byte{0, 1, 0, 17, 1, 16, 2, 0, 0, 6, 0, 16, 1, 1, 1, 17, 0, 16, 0, 1, 0, 13, 2})
 	seq := make([]byte, 600)
 	src := rng.New(5)
 	for i := range seq {

@@ -10,7 +10,7 @@ func TestMobilityRecordAndCounts(t *testing.T) {
 	h.Append(Event{Kind: Disconnect, At: 6, Host: 1})
 	h.Append(Event{Kind: Reconnect, At: 7, Host: 1, Arg: 2})
 	h.Append(Event{Kind: Handoff, At: 8, Host: 1, Arg: 0})
-	evs := h.Schedule("BCS", 0).Events
+	evs := h.Schedule(0, "BCS", 0).Events
 	counts := map[string]int{}
 	for _, ev := range evs {
 		counts[ev.Kind]++
@@ -33,8 +33,8 @@ func TestMobilityRecordAndCounts(t *testing.T) {
 // ParseKind reads back; no other name parses.
 func TestMobilityKindString(t *testing.T) {
 	want := map[Kind]string{Send: "send", Deliver: "deliver", Handoff: "handoff", Disconnect: "disconnect",
-		Reconnect: "reconnect", Join: "join", Marker: "marker", Tick: "tick"}
-	for k := Kind(0); k <= Tick+1; k++ {
+		Reconnect: "reconnect", Join: "join", Marker: "marker", Tick: "tick", Round: "round"}
+	for k := Kind(0); k <= Round+1; k++ {
 		name, ok := want[k]
 		if !ok {
 			if got, parsed := ParseKind(k.String()); parsed {

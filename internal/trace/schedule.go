@@ -3,7 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mobickpt/internal/des"
 )
@@ -19,11 +19,12 @@ type ScheduleEvent struct {
 	// cluster's own tick). A replay fires the event at this virtual time,
 	// so a replayed live trace carries the original timestamps.
 	Tick uint64 `json:"tick"`
-	// Kind is the name (Kind.String) of one of the six kinds a History
-	// keeps rows of.
+	// Kind is the name (Kind.String) of an event kind: every kind is a
+	// History row.
 	Kind string `json:"kind"`
 	// Host is the acting host: the sender, the receiver, the mover, the
-	// (dis/re)connector, or the joiner.
+	// (dis/re)connector, the joiner, the marker's target or the timer's
+	// host; -1 for a marker round's start.
 	Host int `json:"host"`
 	// Peer is the other endpoint of a message event: the destination of
 	// a send, the sender of a deliver. -1 otherwise.
@@ -77,7 +78,8 @@ func (s *Schedule) FinalHosts() int {
 // Import returns the events of a schedule Validate accepted, as the
 // History that exported it recorded them (History.Row): each at its tick,
 // a message's flow its id, a delivery's Arg the message's ordinal, a
-// hand-off's, reconnection's or join's Arg its station.
+// hand-off's, reconnection's or join's Arg its station. A schedule is one
+// protocol's, so a clocked row's Arg is slot 0.
 func (s *Schedule) Import() []Event {
 	evs := make([]Event, len(s.Events))
 	ords := make(map[uint64]int32) // message id -> ordinal
@@ -117,8 +119,9 @@ func (p placement) of(h int) int {
 // worlds' calling discipline (nothing but a reconnection while
 // disconnected, deliveries matching prior sends, joins extending the
 // host space densely, reconnections at a valid station — the engine's
-// hosts reconnect anywhere, the live cluster's where they left), and an
-// InFlight section that equals the set of undelivered sends.
+// hosts reconnect anywhere, the live cluster's where they left —, marker
+// rounds of no host), and an InFlight section that equals the set of
+// undelivered sends. Whether the protocol has the clocks is the replay's.
 func (s *Schedule) Validate() error {
 	if s.Hosts <= 1 {
 		return fmt.Errorf("schedule: Hosts = %d, need > 1", s.Hosts)
@@ -150,9 +153,9 @@ func (s *Schedule) Validate() error {
 		}
 		lastTick = ev.Tick
 		kind, _ := ParseKind(ev.Kind)
-		// A join's Host is the *next* id (checked in its branch); every
-		// other event acts on an existing host.
-		if kind != Join && (ev.Host < 0 || ev.Host >= n) {
+		// A join's Host is the *next* id and a round's is -1 (both checked
+		// in their branches); every other event acts on an existing host.
+		if kind != Join && kind != Round && (ev.Host < 0 || ev.Host >= n) {
 			return fmt.Errorf("schedule: event %d has out-of-range host %d", i, ev.Host)
 		}
 		if disconnected[ev.Host] && kind != Reconnect {
@@ -212,8 +215,13 @@ func (s *Schedule) Validate() error {
 			}
 			n++
 			where.moved[ev.Host] = ev.To
+		case Round:
+			if ev.Host != -1 {
+				return fmt.Errorf("schedule: event %d starts a marker round at host %d, want -1", i, ev.Host)
+			}
+		case Marker, Tick:
 		default:
-			return fmt.Errorf("schedule: event %d has kind %q, which no history row has", i, ev.Kind)
+			return fmt.Errorf("schedule: event %d has kind %q, which no event has", i, ev.Kind)
 		}
 	}
 	// The in-flight section must name exactly the undelivered sends.
@@ -223,15 +231,10 @@ func (s *Schedule) Validate() error {
 			want = append(want, id)
 		}
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if len(want) != len(s.InFlight) {
-		return fmt.Errorf("schedule: in-flight section lists %d messages, events leave %d undelivered",
+	slices.Sort(want)
+	if !slices.Equal(want, s.InFlight) {
+		return fmt.Errorf("schedule: in-flight section lists %d messages, not the %d the events leave undelivered, in id order",
 			len(s.InFlight), len(want))
-	}
-	for i, id := range want {
-		if s.InFlight[i] != id {
-			return fmt.Errorf("schedule: in-flight section entry %d is message %d, want %d", i, s.InFlight[i], id)
-		}
 	}
 	return nil
 }

@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// smallEvents are a world's events on 3 hosts and 2 stations, every row
-// kind among them, as the live cluster hands them to its protocol side:
-// at ticks 1, 2, ..., a message's flow its id.
+// smallEvents are a world's events on 3 hosts and 2 stations, every kind
+// among them — the clocked ones of slot 0 — as a world hands them to its
+// protocol side: at ticks 1, 2, ..., a message's flow its id.
 func smallEvents() []Event {
 	return []Event{
 		{Kind: Send, At: 1, Host: 0, Peer: 1, Msg: 1, Flow: 1},
@@ -24,6 +24,9 @@ func smallEvents() []Event {
 		{Kind: Join, At: 7, Host: 3, Arg: 1},
 		{Kind: Send, At: 8, Host: 3, Peer: 0, Msg: 3, Flow: 3},
 		{Kind: Deliver, At: 9, Host: 0, Peer: 3, Msg: 3, Flow: 3, Arg: 2},
+		{Kind: Round, At: 10, Host: -1},
+		{Kind: Marker, At: 11, Host: 1},
+		{Kind: Tick, At: 12, Host: 3},
 	}
 }
 
@@ -33,13 +36,15 @@ func small() *Schedule {
 	for _, ev := range smallEvents() {
 		h.Append(ev)
 	}
-	return h.Schedule("QBC", 7)
+	return h.Schedule(0, "QBC", 7)
 }
 
 // TestEventsRoundTripThroughSchedule: a world's events go into a History,
 // out through its schedule's JSON and back in through the replay's import
-// unchanged — every row kind, a join and a send left in flight among
-// them — and Row reads each one back as it went in.
+// unchanged — every kind, a join and a send left in flight among them —
+// and Row reads each one back as it went in. Of a history two slots
+// share, each slot's export keeps every row but the other slot's clocked
+// ones, at their own ticks, and imports them as slot 0's.
 func TestEventsRoundTripThroughSchedule(t *testing.T) {
 	evs := smallEvents()
 	h := NewHistory(3, 2)
@@ -56,7 +61,7 @@ func TestEventsRoundTripThroughSchedule(t *testing.T) {
 			t.Fatalf("row %d reads %+v, appended %+v", i, got, ev)
 		}
 	}
-	b, err := json.Marshal(h.Schedule("QBC", 7))
+	b, err := json.Marshal(h.Schedule(0, "QBC", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +79,39 @@ func TestEventsRoundTripThroughSchedule(t *testing.T) {
 	for _, ev := range evs {
 		seen[ev.Kind] = true
 	}
-	for k := Send; k <= Join; k++ {
+	for k := Send; k <= Round; k++ {
 		if !seen[k] {
 			t.Errorf("no %v among the events", k)
 		}
 	}
 	if !slices.Equal(s.InFlight, []uint64{2}) {
 		t.Fatalf("in flight %v, want [2]", s.InFlight)
+	}
+
+	evs = append(evs, Event{Kind: Tick, At: 13, Host: 2, Arg: 1}, Event{Kind: Round, At: 14, Host: -1, Arg: 1},
+		Event{Kind: Marker, At: 15, Host: 0, Arg: 1})
+	two := NewHistory(3, 2)
+	for _, ev := range evs {
+		two.Append(ev)
+	}
+	for slot := range 2 {
+		var want []Event
+		for _, ev := range evs {
+			if ev.Kind.Clocked() {
+				if int(ev.Arg) != slot {
+					continue
+				}
+				ev.Arg = 0
+			}
+			want = append(want, ev)
+		}
+		s := two.Schedule(slot, "CL", 7)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if got := s.Import(); !slices.Equal(got, want) {
+			t.Fatalf("slot %d imported\n %+v\nwant\n %+v", slot, got, want)
+		}
 	}
 }
 
@@ -170,6 +201,15 @@ func TestScheduleValidateRejects(t *testing.T) {
 		{"join with wrong id", func(s *Schedule) { s.Events[6].Host = 5 }},
 		{"join at bad station", func(s *Schedule) { s.Events[6].To = 7 }},
 		{"unknown kind", func(s *Schedule) { s.Events[0].Kind = "teleport" }},
+		{"round at a host", func(s *Schedule) { s.Events[9].Host = 0 }},
+		{"marker out of range", func(s *Schedule) { s.Events[10].Host = 9 }},
+		{"tick out of range", func(s *Schedule) { s.Events[11].Host = -1 }},
+		{"marker while disconnected", func(s *Schedule) {
+			s.Events[5] = ScheduleEvent{Seq: 5, Tick: 6, Kind: "marker", Host: 2, Peer: -1, From: -1, To: -1}
+		}},
+		{"tick while disconnected", func(s *Schedule) {
+			s.Events[5] = ScheduleEvent{Seq: 5, Tick: 6, Kind: "tick", Host: 2, Peer: -1, From: -1, To: -1}
+		}},
 		{"in-flight missing", func(s *Schedule) { s.InFlight = nil }},
 		{"in-flight wrong id", func(s *Schedule) { s.InFlight = []uint64{3} }},
 	}
@@ -188,7 +228,7 @@ func TestScheduleValidateRejectsDoubleDisconnect(t *testing.T) {
 	h := NewHistory(2, 2)
 	h.Append(Event{Kind: Disconnect, At: 1, Host: 0})
 	h.Append(Event{Kind: Disconnect, At: 2, Host: 0})
-	if err := h.Schedule("BCS", 1).Validate(); err == nil {
+	if err := h.Schedule(0, "BCS", 1).Validate(); err == nil {
 		t.Fatal("double disconnect accepted")
 	}
 }
@@ -206,7 +246,7 @@ func TestScheduleValidateCostFollowsEvents(t *testing.T) {
 	h.Append(Event{Kind: Reconnect, At: 4, Host: last, Arg: 1})
 	h.Append(Event{Kind: Join, At: 5, Host: hosts, Arg: 2})
 	h.Append(Event{Kind: Deliver, At: 6, Host: 0, Peer: last, Msg: 1, Arg: m})
-	s := h.Schedule("BCS", 1)
+	s := h.Schedule(0, "BCS", 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := s.Validate()

@@ -117,7 +117,7 @@ func TestHistoryScheduleExport(t *testing.T) {
 	h.Append(Event{Kind: Send, At: 0.7, Host: 1, Peer: 2, Msg: 11}) // never delivered
 	h.Append(Event{Kind: Deliver, At: 0.9, Host: 1, Peer: 0, Msg: 10, Arg: m})
 	h.Append(Event{Kind: Disconnect, At: 1.2, Host: 2})
-	s := h.Schedule("BCS", 4)
+	s := h.Schedule(0, "BCS", 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestHistoryScheduleExport(t *testing.T) {
 
 // TestHistoryDeliverChecksTheMessage: an ordinal that names another
 // message, or one already delivered, a delivery between other hosts than
-// its send, and a kind with no row are harness bugs and panic.
+// its send, and no kind or an unknown one are harness bugs and panic.
 func TestHistoryDeliverChecksTheMessage(t *testing.T) {
 	to1 := func(h *History, m int32, id uint64, at des.Time) {
 		h.Append(Event{Kind: Deliver, At: at, Host: 1, Peer: 0, Msg: id, Arg: m})
@@ -147,7 +147,8 @@ func TestHistoryDeliverChecksTheMessage(t *testing.T) {
 		"delivered twice":  func(h *History, m int32) { to1(h, m, 5, 1); to1(h, m, 5, 2) },
 		"never sent":       func(h *History, m int32) { to1(h, m+1, 5, 1) },
 		"another receiver": func(h *History, m int32) { h.Append(Event{Kind: Deliver, At: 1, Host: 0, Peer: 1, Msg: 5, Arg: m}) },
-		"a marker":         func(h *History, m int32) { h.Append(Event{Kind: Marker, At: 1, Host: 0}) },
+		"no kind":          func(h *History, m int32) { h.Append(Event{At: 1, Host: 0}) },
+		"an unknown kind":  func(h *History, m int32) { h.Append(Event{Kind: Round + 1, At: 1, Host: 0}) },
 	} {
 		h := NewHistory(2, 2)
 		m := h.Append(Event{Kind: Send, At: 0, Host: 0, Peer: 1, Msg: 5})
