@@ -94,17 +94,20 @@ type Config struct {
 	// ones read atomics.
 	Metrics *obs.Registry
 
-	// Timeline, when non-nil, records the cluster's protocol events —
+	// Timeline, when non-nil, receives the cluster's protocol events —
 	// sends, deliveries, checkpoints, log flushes, cell switches,
-	// disconnections, joins — through the protocol side the simulator
-	// records its own with, so each packet's flow links its send to its
-	// delivery and to the forced checkpoints that delivery induces; each
-	// Recover adds a flow linking the failure to every host it rolls back.
-	// Timestamps are the logical tick (the cluster has no virtual clock),
-	// so the trace shows ordering and causality, not durations. It is
-	// scheduler-dependent — a record of this run, not of "the" run — but
-	// up to the first Recover a replay of the run's recording, under the
-	// same logging discipline, exports the same bytes.
+	// disconnections, joins — drawn when Run ends from the history and
+	// the decision log, which it makes the cluster keep, by the function
+	// that draws the simulator's (protoside.Side.RenderTimeline): each
+	// packet's flow links its send to its delivery and to the forced
+	// checkpoints that delivery induces, its id the sender and the
+	// sender's send ordinal. Each Recover adds a flow linking the failure
+	// to every host it rolls back. Timestamps are the logical tick (the
+	// cluster has no virtual clock), so the trace shows ordering and
+	// causality, not durations. It is scheduler-dependent — a record of
+	// this run, not of "the" run — but up to the first Recover a replay of
+	// the run's recording, under the same logging discipline, exports the
+	// same bytes.
 	Timeline *obs.Timeline
 
 	// Record captures the run for differential replay: the cluster's
@@ -370,7 +373,7 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	for s := range c.wired {
 		c.wired[s] = newMailbox()
 	}
-	c.side = protoside.New(1, cfg.Hosts, cfg.Stations, hist, cfg.Metrics, cfg.Timeline)
+	c.side = protoside.New(1, cfg.Hosts, cfg.Stations, hist, cfg.Metrics)
 	slot := protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: hist.View(), MLog: lg}
 	mssOf := c.side.Station
 	err = c.side.InitSlot(0, slot, false, func(ckpt protocol.Checkpointer, store *storage.Store) (protocol.Protocol, error) {
@@ -379,7 +382,9 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Record {
+	if cfg.Record || cfg.Timeline != nil {
+		// The timeline is drawn from the history and the decision log
+		// once the run is over (drainFinal).
 		c.side.Slots[0].Dec = replaycmp.NewLog(c.side.Slots[0].Name, cfg.Hosts)
 	}
 	c.instrument(cfg.Metrics)
@@ -523,7 +528,12 @@ func (c *Cluster) Schedule() *trace.Schedule {
 // (read after Run returns).
 //
 //locks:quiescent read-side accessor, documented for use after Run returns
-func (c *Cluster) Decisions() *replaycmp.Log { return c.side.Slots[0].Dec }
+func (c *Cluster) Decisions() *replaycmp.Log {
+	if !c.cfg.Record {
+		return nil
+	}
+	return c.side.Slots[0].Dec
+}
 
 // Run executes the whole cluster to completion: it starts one goroutine
 // per station and per host, waits for every host to retire, and then
@@ -583,7 +593,8 @@ func (c *Cluster) Run() {
 // drainFinal delivers the traffic still buffered for hosts that retired
 // before it arrived (the at-least-once transport of §3 never loses
 // messages), counts what is left, collects a logged cluster's station
-// images once more, and finishes the decision log. Anything still queued
+// images once more, finishes the decision log and draws the timeline,
+// before any Recover adds its rollback flow. Anything still queued
 // after the loop indicates a routing bug, surfaced through the Undrained
 // counter.
 //
@@ -607,9 +618,10 @@ func (c *Cluster) drainFinal() {
 			c.group.Discard(h, ord)
 		}
 	}
-	if s.Dec != nil {
+	if c.cfg.Record {
 		s.FinishRecoveryLines()
 	}
+	c.side.RenderTimeline(c.cfg.Timeline)
 }
 
 // addHost admits the next host to the protocol at station h mod
@@ -719,8 +731,7 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	id := c.nextID
 	c.nextID++
 	var pb [1]any
-	// The packet id is the flow id, as in the replay of a recording.
-	c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id, Flow: id}, pb[:])
+	c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id}, pb[:])
 	// A TP piggyback names its hosts' station tables, which the protocol
 	// events under mu grow: it is encoded before mu is released.
 	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
@@ -762,7 +773,7 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 	c.mu.Lock()
 	pb := [1]any{p.Piggyback}
 	// The packet id is the message's ordinal in the history (nextID).
-	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID, Flow: p.ID, Arg: int32(p.ID)}, pb[:])
+	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID, Arg: int32(p.ID)}, pb[:])
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Delivered, 1)

@@ -234,14 +234,6 @@ type Log struct {
 
 	//guard:none externally serialized (sim: single-threaded; live: under Cluster.mu)
 	counters Counters
-
-	// OnFlush, when non-nil, observes every stable write: the host whose
-	// entries were flushed and the number of entries in the write. The
-	// simulation's timeline tracer uses it; the hook must not call back
-	// into the log.
-	//
-	//guard:none set before use, called only from the serialized mutation paths
-	OnFlush func(h mobile.HostID, entries int)
 }
 
 // New creates an empty log that records every delivery it is handed in a
@@ -336,7 +328,7 @@ func (l *Log) Instrument(reg *obs.Registry, mu sync.Locker, kv ...string) {
 // the row itself. Pessimistic mode flushes the entry immediately;
 // Optimistic buffers it and flushes once FlushBatch entries are pending.
 func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.Time, mss mobile.MSSID) {
-	want := trace.Event{Kind: trace.Deliver, At: at, Host: int32(h), Peer: int32(from), Msg: msgID, Flow: msgID}
+	want := trace.Event{Kind: trace.Deliver, At: at, Host: int32(h), Peer: int32(from), Msg: msgID}
 	if l.own {
 		want.Arg = l.hist.Append(trace.Event{Kind: trace.Send, At: at, Host: int32(from), Peer: int32(h), Msg: msgID})
 		l.hist.Append(want)
@@ -394,9 +386,6 @@ func (l *Log) flush(hl *hostLog) {
 	l.retained += int64(n)
 	if l.retained > l.counters.PeakStableEntries {
 		l.counters.PeakStableEntries = l.retained
-	}
-	if l.OnFlush != nil {
-		l.OnFlush(hl.host, n)
 	}
 }
 

@@ -18,13 +18,6 @@ type Message struct {
 	Payload   any
 	Hops      int // total hops traversed (wireless + wired), for cost models
 
-	// Flow is an engine-assigned causal-flow id carried from send to
-	// delivery for the timeline's flow events. Unlike ID (an atomic
-	// allocation counter whose order depends on lane scheduling), Flow is
-	// derived from deterministic per-sender ordinals, so traces stay
-	// byte-identical across engines. The network never reads it.
-	Flow uint64
-
 	// route is the station the in-flight message is headed to (the
 	// argument of its pending arrive/downlink event), so one long-lived
 	// handler serves every hop without per-hop closures.

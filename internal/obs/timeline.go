@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -176,41 +178,147 @@ func sortEvents(evs []TimelineEvent) {
 	})
 }
 
-// timelineEnvelope is the JSON object format of the trace-event spec.
-type timelineEnvelope struct {
-	TraceEvents []TimelineEvent `json:"traceEvents"`
-}
-
 // Export writes the timeline as Chrome trace-event JSON: track-name
 // metadata (sorted by track id) followed by the recorded events in
 // canonical (track, sequence) order. Deterministic per-track event
 // streams export byte-identically regardless of how the emitting
-// goroutines interleaved across tracks.
+// goroutines interleaved across tracks. It writes in one pass, the bytes
+// encoding/json's indenting encoder would write for the object
+// {"traceEvents": [...]} (one space per level, HTML-escaped strings), and
+// fails on a time that is no JSON number (NaN, ±Inf) as that encoder
+// does, though after writing the events before it. It sorts the events in
+// place and writes them without a copy, so it holds the timeline's lock
+// while it writes to w: a recording meanwhile waits (every world records
+// its timeline after its run, so none does).
 func (t *Timeline) Export(w io.Writer) error {
-	env := timelineEnvelope{TraceEvents: []TimelineEvent{}}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString("{\n \"traceEvents\": [")
+	var e eventWriter
 	if t != nil {
 		t.mu.Lock()
+		defer t.mu.Unlock()
 		ids := make([]int, 0, len(t.tracks))
 		for id := range t.tracks {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			env.TraceEvents = append(env.TraceEvents, TimelineEvent{
-				Name:  "thread_name",
-				Phase: "M",
-				Tid:   id,
-				Args:  map[string]string{"name": t.tracks[id]},
-			})
+			e.write(bw, &TimelineEvent{Name: "thread_name", Phase: "M", Tid: id, Args: map[string]string{"name": t.tracks[id]}})
 		}
-		evs := append([]TimelineEvent(nil), t.events...)
-		t.mu.Unlock()
-		sortEvents(evs)
-		env.TraceEvents = append(env.TraceEvents, evs...)
+		sortEvents(t.events)
+		for i := range t.events {
+			if e.err != nil {
+				break
+			}
+			e.write(bw, &t.events[i])
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(env)
+	if e.err != nil {
+		return e.err
+	}
+	if e.n > 0 {
+		bw.WriteString("\n ")
+	}
+	bw.WriteString("]\n}\n")
+	return bw.Flush()
+}
+
+// eventWriter writes the elements of Export's event array: n written so
+// far, the first error, and the buffers one event is built in.
+type eventWriter struct {
+	n    int
+	err  error
+	b    []byte
+	keys []string
+}
+
+// write appends ev as the array's next element.
+func (e *eventWriter) write(w *bufio.Writer, ev *TimelineEvent) {
+	b := e.b[:0]
+	if e.n > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, "\n  {\n   \"name\": "...)
+	b = appendString(b, ev.Name)
+	b = append(b, ",\n   \"ph\": "...)
+	b = appendString(b, ev.Phase)
+	b = append(b, ",\n   \"ts\": "...)
+	b = e.appendFloat(b, ev.Ts)
+	if ev.Dur != 0 {
+		b = append(b, ",\n   \"dur\": "...)
+		b = e.appendFloat(b, ev.Dur)
+	}
+	b = append(b, ",\n   \"pid\": "...)
+	b = strconv.AppendInt(b, int64(ev.Pid), 10)
+	b = append(b, ",\n   \"tid\": "...)
+	b = strconv.AppendInt(b, int64(ev.Tid), 10)
+	for _, f := range [...]struct{ key, v string }{{"s", ev.Scope}, {"id", ev.ID}, {"bp", ev.Bind}} {
+		if f.v != "" {
+			b = append(b, ",\n   \""...)
+			b = append(b, f.key...)
+			b = append(b, "\": "...)
+			b = appendString(b, f.v)
+		}
+	}
+	if len(ev.Args) > 0 {
+		e.keys = e.keys[:0]
+		for k := range ev.Args {
+			e.keys = append(e.keys, k)
+		}
+		sort.Strings(e.keys)
+		b = append(b, ",\n   \"args\": {"...)
+		for i, k := range e.keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    "...)
+			b = appendString(b, k)
+			b = append(b, ": "...)
+			b = appendString(b, ev.Args[k])
+		}
+		b = append(b, "\n   }"...)
+	}
+	b = append(b, "\n  }"...)
+	e.b = b
+	if e.err == nil {
+		w.Write(b)
+		e.n++
+	}
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal, in exponent form below 1e-6 and from 1e21 on, a one-digit
+// negative exponent unpadded. A NaN or an infinity sets e.err.
+func (e *eventWriter) appendFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.err = fmt.Errorf("obs: timeline time %v is not a JSON number", f)
+		return b
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString appends s as a JSON string, escaped as encoding/json
+// escapes it: a string of printable ASCII without a quote, backslash or
+// HTML metacharacter goes as it is, anything else through json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // ImportTimeline parses trace-event JSON previously written by Export
@@ -218,7 +326,9 @@ func (t *Timeline) Export(w io.Writer) error {
 // order re-derives the per-track sequences, so an imported timeline
 // re-exports byte-identically.
 func ImportTimeline(r io.Reader) (*Timeline, error) {
-	var env timelineEnvelope
+	var env struct {
+		TraceEvents []TimelineEvent `json:"traceEvents"`
+	}
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("obs: bad timeline JSON: %w", err)
 	}

@@ -1,18 +1,20 @@
 // Package protoside is the protocol side of a run: the protocol slots,
 // and everything one application event does to them — history row, hook,
 // invariant checker, trace counts, MSS message log, decision log, cause
-// tally, metrics, timeline. The protocols only observe message order, cell
-// switches and disconnections (§5.1), so where that pattern comes from is
-// not their business, and three worlds drive this one side: the simulator's
+// tally, metrics. The protocols only observe message order, cell switches
+// and disconnections (§5.1), so where that pattern comes from is not their
+// business, and three worlds drive this one side: the simulator's
 // generative engine from its network hooks and workload and its replay
 // from a recorded schedule (both internal/sim), and the live goroutine
 // cluster (internal/live) from its hosts' real operations. What differs
 // between them arrives as values — the time of each event, the station a
-// hand-off, reconnection or join arrives at, the message id and ordinal,
-// the flow id — and nothing here calls back into the world or asks which
-// one is calling. The side keeps its own clock (the time its latest event
-// was passed) and its own station table (Station), which is the mssOf of
-// every protocol and where every checkpoint lands.
+// hand-off, reconnection or join arrives at, the message id and ordinal —
+// and nothing here calls back into the world or asks which one is calling.
+// The side keeps its own clock (the time its latest event was passed) and
+// its own station table (Station), which is the mssOf of every protocol
+// and where every checkpoint lands. The timeline is drawn after the run,
+// from the history and the decision logs (RenderTimeline): no drawing
+// runs in the event path.
 package protoside
 
 import (
@@ -66,17 +68,8 @@ type Side struct {
 	cause  string
 	causes []map[string]int64
 
-	// Observability (nil unless the world passed a registry / timeline).
+	// reg receives the metrics (nil unless the world passed a registry).
 	reg *obs.Registry
-	tl  *obs.Timeline
-	// discAt (timeline only) holds the disconnect start per host, -1
-	// when connected.
-	discAt []des.Time
-
-	// flow (timeline only) is the message being delivered, so the
-	// checkpointer can link the forced checkpoints that delivery induces
-	// — the receiver's, the only ones it may take — into the same flow.
-	flow uint64
 }
 
 // Slot is one protocol's share of the run: all protocols ride the same
@@ -114,6 +107,11 @@ type Slot struct {
 	Targets []mobile.HostID
 
 	frontier []int // Frontier's result, reused
+
+	// flushes holds, for a slot that keeps both a message log and a
+	// decision log, every stable write of the log in order: the one log
+	// event the history does not hold.
+	flushes []flushRow
 
 	// Cached instruments (nil without a registry): the
 	// sim_checkpoints_total counters by cause and the per-host
@@ -207,12 +205,12 @@ func (s *Slot) FinishRecoveryLines() {
 const anyHost mobile.HostID = -1
 
 // New sizes a protocol side for protos slots over hosts hosts and
-// stations stations, recording into hist. hist, reg and tl may be nil. The
+// stations stations, recording into hist. hist and reg may be nil. The
 // world fills the slots (InitSlot). Every slot's checkpointer closes over
 // the side, so a world holds the side by pointer: what a finished run's
 // results keep reachable through a protocol is the side, not the world
 // around it.
-func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry, tl *obs.Timeline) *Side {
+func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry) *Side {
 	p := &Side{
 		Slots:   make([]Slot, protos),
 		Hist:    hist,
@@ -220,7 +218,6 @@ func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry, tl
 		actor:   anyHost,
 		causes:  make([]map[string]int64, protos),
 		reg:     reg,
-		tl:      tl,
 	}
 	for h := range p.station {
 		p.station[h] = mobile.MSSID(h % stations)
@@ -258,21 +255,15 @@ func (p *Side) InitSlot(i int, s Slot, checks bool,
 		slot.Check = check.NewRuntime(slot.Name, proto, slot.Store, func() des.Time { return p.now })
 		p.checks = true
 	}
-	if slot.MLog != nil && p.tl != nil {
-		slot.MLog.OnFlush = func(h mobile.HostID, entries int) {
-			p.tl.Instant(float64(p.now), int(h), "log-flush",
-				"proto", slot.Name, "entries", strconv.Itoa(entries))
-		}
-	}
 	return nil
 }
 
 // checkpointer builds the Checkpointer for protocol slot i: the store
 // record on the host's station, the per-host count, the decision-log
 // entry, the cause tally (E19) and, when on, the two checkpoint counter
-// families and the timeline instant. Inside an event of host a it takes
-// checkpoints of a alone: a protocol that checkpoints another host there
-// is a bug, and it panics naming both. Every world leans on that rule —
+// families. Inside an event of host a it takes checkpoints of a alone: a
+// protocol that checkpoints another host there is a bug, and it panics
+// naming both. Every world leans on that rule —
 // the live cluster builds a host's images on that host's goroutine, and
 // the lane engine applies one lane's records before the next's.
 func (p *Side) checkpointer(i int) protocol.Checkpointer {
@@ -313,16 +304,6 @@ func (p *Side) checkpointer(i int) protocol.Checkpointer {
 				fc.Inc()
 			}
 		}
-		if p.tl != nil {
-			p.tl.Instant(float64(p.now), int(h), "checkpoint",
-				"proto", s.Name, "kind", kind.String(), "cause", key,
-				"index", strconv.Itoa(index))
-			if kind == storage.Forced && p.cause == "deliver" {
-				// This forced checkpoint was induced by the message being
-				// delivered: chain it into that flow.
-				p.tl.FlowStep(float64(p.now), int(h), "msg-flow", p.flow)
-			}
-		}
 		return rec
 	}
 }
@@ -332,15 +313,10 @@ func (p *Side) checkpointer(i int) protocol.Checkpointer {
 // entries with. A world that keeps a decision log records a history.
 func (p *Side) seq() uint64 { return uint64(max(p.Hist.Len()-1, 0)) }
 
-// Start names the initial hosts' timeline tracks and takes every
-// protocol's initial checkpoints (cause "init", at time 0).
+// Start takes every protocol's initial checkpoints (cause "init", at
+// time 0).
 func (p *Side) Start() {
 	n := len(p.station)
-	if p.tl != nil {
-		for h := 0; h < n; h++ {
-			p.tl.SetTrack(h, fmt.Sprintf("MH %d", h))
-		}
-	}
 	p.now, p.actor, p.cause = 0, anyHost, "init"
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -369,9 +345,9 @@ func (p *Side) Apply(ev trace.Event, pb []any) {
 	}
 	switch ev.Kind {
 	case trace.Send:
-		p.send(h, mobile.HostID(ev.Peer), ev.Flow, pb)
+		p.send(h, mobile.HostID(ev.Peer), pb)
 	case trace.Deliver:
-		p.deliver(h, mobile.HostID(ev.Peer), ev.Msg, ev.Flow, pb)
+		p.deliver(h, mobile.HostID(ev.Peer), ev.Msg, pb)
 	case trace.Handoff:
 		p.handoff(h, mobile.MSSID(ev.Arg))
 	case trace.Disconnect:
@@ -407,9 +383,8 @@ func (p *Side) Apply(ev trace.Event, pb []any) {
 
 // send runs every protocol's OnSend of a message from → to — leaving the
 // piggybacks in pb — and records every trace's send-side count, the
-// sender's post-OnSend position, and the timeline's send (flow rides the
-// message to link send -> deliver -> forced checkpoints).
-func (p *Side) send(from, to mobile.HostID, flow uint64, pb []any) {
+// sender's post-OnSend position.
+func (p *Side) send(from, to mobile.HostID, pb []any) {
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		pb[i] = s.Proto.OnSend(from, to)
@@ -417,27 +392,13 @@ func (p *Side) send(from, to mobile.HostID, flow uint64, pb []any) {
 			s.Trace.CountSend(s.Counts[from])
 		}
 	}
-	if p.tl != nil {
-		p.tl.Instant(float64(p.now), int(from), "send",
-			"to", strconv.Itoa(int(to)), "msg", strconv.FormatUint(flow, 10))
-		p.tl.FlowBegin(float64(p.now), int(from), "msg-flow", flow,
-			"to", strconv.Itoa(int(to)))
-	}
 }
 
 // deliver dispatches message id, delivered to h at its station, to every
 // protocol and records the receiver-side positions — trace, message log,
 // decision log — after any forced checkpoint.
-func (p *Side) deliver(h, from mobile.HostID, id, flow uint64, pb []any) {
+func (p *Side) deliver(h, from mobile.HostID, id uint64, pb []any) {
 	now := p.now
-	if p.tl != nil {
-		p.tl.Instant(float64(now), int(h), "deliver",
-			"from", strconv.Itoa(int(from)), "msg", strconv.FormatUint(flow, 10))
-		p.tl.FlowStep(float64(now), int(h), "msg-flow", flow)
-		// Stash the in-delivery flow so the checkpointer can chain the
-		// forced checkpoints this delivery induces.
-		p.flow = flow
-	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Proto.OnDeliver(h, from, pb[i])
@@ -449,7 +410,9 @@ func (p *Side) deliver(h, from mobile.HostID, id, flow uint64, pb []any) {
 			// the post-forced-checkpoint receiver position beside it, the
 			// same position the trace records; pessimistic mode makes it
 			// stable before the application proceeds.
+			mark := s.flushMark()
 			s.MLog.Append(h, from, id, s.Counts[h], now, p.station[h])
+			s.noteFlush(mark, p.seq(), h)
 		}
 		if s.Dec != nil {
 			// Logged after everything the delivery induced: the decision
@@ -460,16 +423,12 @@ func (p *Side) deliver(h, from mobile.HostID, id, flow uint64, pb []any) {
 			})
 		}
 	}
-	if p.tl != nil {
-		p.tl.FlowEnd(float64(now), int(h), "msg-flow", flow)
-	}
 }
 
 // handoff moves host h from its station to station to. The move is
 // committed first: the basic checkpoint it induces lands on the new
 // station.
 func (p *Side) handoff(h mobile.HostID, to mobile.MSSID) {
-	from := p.station[h]
 	p.station[h] = to
 	for i := range p.Slots {
 		s := &p.Slots[i]
@@ -482,12 +441,10 @@ func (p *Side) handoff(h mobile.HostID, to mobile.MSSID) {
 				s.HandoffFrontier = keep[h]
 			}
 			s.MLog.PruneDelivered(h, s.HandoffFrontier)
+			mark := s.flushMark()
 			s.Shipped = len(s.MLog.Handoff(h, to))
+			s.noteFlush(mark, p.seq(), h)
 		}
-	}
-	if p.tl != nil {
-		p.tl.Instant(float64(p.now), int(h), "handoff",
-			"from", strconv.Itoa(int(from)), "to", strconv.Itoa(int(to)))
 	}
 }
 
@@ -500,16 +457,10 @@ func (p *Side) disconnect(h mobile.HostID) {
 		if s.MLog != nil {
 			// The disconnection checkpoint makes the host's state
 			// durable; the log suffix writes through with it.
+			mark := s.flushMark()
 			s.MLog.Flush(h)
+			s.noteFlush(mark, p.seq(), h)
 		}
-	}
-	if p.tl != nil {
-		for int(h) >= len(p.discAt) {
-			p.discAt = append(p.discAt, -1)
-		}
-		p.discAt[h] = p.now
-		p.tl.Instant(float64(p.now), int(h), "disconnect",
-			"from", strconv.Itoa(int(p.station[h])))
 	}
 }
 
@@ -519,25 +470,12 @@ func (p *Side) reconnect(h mobile.HostID, at mobile.MSSID) {
 	for i := range p.Slots {
 		p.Slots[i].Proto.OnReconnect(h, at)
 	}
-	if p.tl != nil {
-		if int(h) < len(p.discAt) && p.discAt[h] >= 0 {
-			p.tl.Span(float64(p.discAt[h]), float64(p.now-p.discAt[h]), int(h), "disconnected")
-			p.discAt[h] = -1
-		}
-		p.tl.Instant(float64(p.now), int(h), "reconnect",
-			"at", strconv.Itoa(int(at)))
-	}
 }
 
 // join admits host id, the next one, joining at station at, into every
 // protocol.
 func (p *Side) join(id mobile.HostID, at mobile.MSSID) {
 	p.station = append(p.station, at)
-	if p.tl != nil {
-		p.tl.SetTrack(int(id), fmt.Sprintf("MH %d (joined)", id))
-		p.tl.Instant(float64(p.now), int(id), "join",
-			"at", strconv.Itoa(int(at)))
-	}
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Counts = append(s.Counts, 0)

@@ -27,7 +27,7 @@ func newWorld(t *testing.T) *world {
 	t.Helper()
 	const hosts, stations = 3, 2
 	w := &world{}
-	w.Side = protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil, nil)
+	w.Side = protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil)
 	for i, build := range []func(protocol.Checkpointer) protocol.Protocol{
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewBCS(hosts, c) },
 		func(c protocol.Checkpointer) protocol.Protocol { return protocol.NewUncoordinated(hosts, c) },
@@ -54,7 +54,7 @@ func (w *world) apply(ev trace.Event, pb []any) {
 // send mirrors a send and returns the message's piggybacks.
 func (w *world) send(from, to int32, id uint64) []any {
 	pb := make([]any, len(w.Slots))
-	w.apply(trace.Event{Kind: trace.Send, Host: from, Peer: to, Msg: id, Flow: id}, pb)
+	w.apply(trace.Event{Kind: trace.Send, Host: from, Peer: to, Msg: id}, pb)
 	return pb
 }
 
@@ -70,7 +70,7 @@ func TestSideRecordsOneHistory(t *testing.T) {
 	// delivery, UNC does not.
 	w.apply(trace.Event{Kind: trace.Handoff, Host: 0, Arg: 1}, nil)
 	pb := w.send(0, 1, 7) // the first message: ordinal 0
-	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7, Flow: 7, Arg: 0}, pb)
+	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7, Arg: 0}, pb)
 	w.apply(trace.Event{Kind: trace.Disconnect, Host: 2}, nil)
 	w.apply(trace.Event{Kind: trace.Reconnect, Host: 2, Arg: 1}, nil)
 	w.apply(trace.Event{Kind: trace.Join, Host: 3, Arg: 0}, nil)
@@ -210,10 +210,10 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 		event func(*protoside.Side)
 	}{
 		{"OnSend", 0, func(p *protoside.Side) {
-			p.Apply(trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7, Flow: 7}, pb)
+			p.Apply(trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7}, pb)
 		}},
 		{"OnDeliver", 1, func(p *protoside.Side) {
-			p.Apply(trace.Event{Kind: trace.Deliver, At: 1, Host: 1, Peer: 0, Msg: 7, Flow: 7}, pb)
+			p.Apply(trace.Event{Kind: trace.Deliver, At: 1, Host: 1, Peer: 0, Msg: 7}, pb)
 		}},
 		{"OnCellSwitch", 2, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Handoff, At: 1, Host: 2, Arg: 1}, nil) }},
 		{"OnDisconnect", 0, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Disconnect, At: 1, Host: 0}, nil) }},
@@ -224,7 +224,7 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 	} {
 		t.Run(tc.entry, func(t *testing.T) {
 			const hosts = 3
-			p := protoside.New(1, hosts, 2, nil, nil, nil)
+			p := protoside.New(1, hosts, 2, nil, nil)
 			err := p.InitSlot(0, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel())}, false,
 				func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
 					return &rogue{protocol.NewUncoordinated(hosts, c), c}, nil
@@ -263,7 +263,7 @@ func TestApplyAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const hosts, stations = 4, 2
-	p := protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil, nil)
+	p := protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil)
 	for i := range p.Slots {
 		err := p.InitSlot(i, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: p.Hist.View()}, false,
 			func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
@@ -281,8 +281,8 @@ func TestApplyAllocs(t *testing.T) {
 		tick++
 		id++
 		from, to := int32(id%hosts), int32((id+1)%hosts)
-		p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id, Flow: id}, pb)
-		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: id, Flow: id, Arg: int32(id - 1)}, pb)
+		p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id}, pb)
+		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: id, Arg: int32(id - 1)}, pb)
 		p.Apply(trace.Event{Kind: trace.Handoff, At: tick, Host: from, Arg: int32(1 - p.Station(mobile.HostID(from)))}, nil)
 	}
 	for range 4096 { // every column past its doubling chunks

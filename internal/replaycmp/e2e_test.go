@@ -394,6 +394,14 @@ func TestReplayInstruments(t *testing.T) {
 	for _, ev := range tl.Events() {
 		byTrack[ev.Tid] = append(byTrack[ev.Tid], ev)
 	}
+	// A message's flow is its sender and the sender's send ordinal.
+	flowOf, sent := map[uint64]uint64{}, map[int]uint64{}
+	for _, ev := range sched.Events {
+		if ev.Kind == trace.Send.String() {
+			flowOf[ev.Msg] = uint64(ev.Host)<<32 | sent[ev.Host]
+			sent[ev.Host]++
+		}
+	}
 	instants := map[string]int{}
 	for h, evs := range byTrack {
 		chain := pr.Store.Chain(mobile.HostID(h))
@@ -415,8 +423,8 @@ func TestReplayInstruments(t *testing.T) {
 				t.Fatalf("host %d checkpoint #%d: instant %v at %v, record wants %v at %v", h, ord, ev.Args, ev.Ts, want, rec.TakenAt)
 			}
 			if dec.Kind == "forced" {
-				// The inducing event is a delivery; its message id is the flow.
-				flow := strconv.FormatUint(sched.Events[dec.Seq].Msg, 10)
+				// The inducing event is a delivery of the flow's message.
+				flow := strconv.FormatUint(flowOf[sched.Events[dec.Seq].Msg], 10)
 				if k+1 >= len(evs) || evs[k+1].Phase != "t" || evs[k+1].Name != "msg-flow" || evs[k+1].ID != flow {
 					t.Fatalf("host %d forced checkpoint #%d is not chained into flow %s", h, ord, flow)
 				}

@@ -161,8 +161,7 @@ type Divergence struct {
 	// the number of schedule events strictly before Seq.
 	Context []int
 	// Flows are Host's last sends and deliveries up to Seq, the event at
-	// Seq included, oldest first (at most recentFlows): their message ids,
-	// which in the live cluster and its replay are the timeline's flow ids.
+	// Seq included, oldest first (at most recentFlows): their message ids.
 	Flows []Flow
 }
 

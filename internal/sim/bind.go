@@ -107,13 +107,15 @@ func (e *engine) bindEngine() error {
 		e.core = core
 		e.sched = &coreSched{core: core, e: e}
 	}
-	// A message log refers to the history's delivery rows, so a logged run
-	// records one too; its slots' trace views stay tied to RecordTrace.
+	// A message log refers to the history's delivery rows, and the
+	// timeline is drawn from the history, so a logged run and a run with a
+	// timeline record one too; the slots' trace views stay tied to
+	// RecordTrace.
 	var hist *trace.History
-	if cfg.RecordTrace || cfg.MessageLog != mlog.Off {
+	if cfg.RecordTrace || cfg.MessageLog != mlog.Off || cfg.Timeline != nil {
 		hist = trace.NewHistory(cfg.Mobile.NumHosts, cfg.Mobile.NumMSS)
 	}
-	e.Side = protoside.New(len(cfg.Protocols), cfg.Mobile.NumHosts, cfg.Mobile.NumMSS, hist, cfg.Metrics, cfg.Timeline)
+	e.Side = protoside.New(len(cfg.Protocols), cfg.Mobile.NumHosts, cfg.Mobile.NumMSS, hist, cfg.Metrics)
 	e.lanes = lanes
 	e.plFree = make([][]*payload, lanes)
 	e.laneEntries = make([][]entry, lanes)

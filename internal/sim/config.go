@@ -114,17 +114,21 @@ type Config struct {
 	// (bench's obs.metrics_timeline_overhead_ratio prices the enabled path).
 	Metrics *obs.Registry
 
-	// Timeline, when non-nil, records per-host instants and spans —
+	// Timeline, when non-nil, receives the run drawn after it ends
+	// (protoside.Side.RenderTimeline): per-host instants and spans —
 	// checkpoints (with kind and cause), hand-offs, disconnection
 	// periods, message sends/deliveries and log flushes — plus causal
 	// flow events chaining each send to its delivery and the forced
 	// checkpoints that delivery induces, exportable as Chrome trace-event
-	// JSON (obs.Timeline.Export). The recording is deterministic given
-	// the seed *and engine-independent*: two same-seed runs export
-	// byte-identical timelines on any Engine at any lane count
-	// (TestTimelineEngineEquivalence). Every track-h event is emitted
-	// while h's records are applied, in h's order, or world-stopped, so
-	// per-track order is a pure function of the trace.
+	// JSON (obs.Timeline.Export). It makes the run keep a history and a
+	// decision log per protocol, and nothing is drawn while the run runs.
+	// The drawing is deterministic given the seed *and
+	// engine-independent*: two same-seed runs export byte-identical
+	// timelines on any Engine at any lane count
+	// (TestTimelineEngineEquivalence), since each track follows its
+	// host's history rows, which every engine applies in the host's
+	// order, and a message's flow id is its sender and the sender's send
+	// ordinal.
 	Timeline *obs.Timeline
 
 	// Probes, when true, attaches the engine-internals probes: event/

@@ -33,7 +33,7 @@ func runSchedule(cfg Config) (*Result, error) {
 	// Always a history and a view of it: the decision log's recovery lines
 	// are cut from the view.
 	side := protoside.New(1, sched.Hosts, sched.Stations, trace.NewHistory(sched.Hosts, sched.Stations),
-		cfg.Metrics, cfg.Timeline)
+		cfg.Metrics)
 
 	// The slot as the live cluster keeps it: the default cost model.
 	scfg := cfg
@@ -72,8 +72,9 @@ func runSchedule(cfg Config) (*Result, error) {
 
 	// Initial checkpoints at tick 0, before any scheduled event, exactly
 	// like the live cluster; then the recorded history, in order, each
-	// event at its recorded tick. The recorded message id is the flow id,
-	// as on the live cluster, so a replayed timeline is the live one.
+	// event at its recorded tick. The timeline is drawn from the history
+	// after the walk, as the live cluster draws its own, so a replayed
+	// timeline is the live one.
 	side.Start()
 	for _, ev := range sched.Import() {
 		var pb [1]any
@@ -114,6 +115,7 @@ func runSchedule(cfg Config) (*Result, error) {
 	}
 
 	s.FinishRecoveryLines()
+	side.RenderTimeline(cfg.Timeline)
 	res := &Result{
 		Config:      cfg,
 		FinalHosts:  sched.FinalHosts(),

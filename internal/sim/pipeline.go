@@ -25,14 +25,14 @@ import (
 // coordinator does its own.
 
 // entry is one event for the protocol side and the payload carrier of a
-// send or delivery (nil otherwise): 48 bytes (TestPipelineEntrySize). An entry
+// send or delivery (nil otherwise): 40 bytes (TestPipelineEntrySize). An entry
 // of no kind is the GC tick.
 type entry struct {
 	ev trace.Event
 	pl *payload
 }
 
-// chunkEntries is the entries one chunk ships: 48 kB, so the chunks in
+// chunkEntries is the entries one chunk ships: 40 kB, so the chunks in
 // circulation stay cache-sized. E41's sweep from 128 to 32 768 entries
 // found none faster, and every size above 2 048 raised peak RSS.
 const chunkEntries = 1024
@@ -78,7 +78,7 @@ func (e *engine) push(ev trace.Event, pl *payload) {
 	}
 	if e.inline {
 		en := entry{ev, pl}
-		e.apply(&en)
+		e.apply(&en, &e.sends)
 		e.reclaim(&en)
 		return
 	}
@@ -97,13 +97,22 @@ func (e *engine) push(ev trace.Event, pl *payload) {
 }
 
 // apply hands one entry to the protocol side, or collects on a GC tick.
-// A delivered message's piggybacks are cleared once applied.
-func (e *engine) apply(en *entry) {
-	if en.ev.Kind == 0 {
+// It numbers the sends in the order it applies them — a history's
+// ordinals — on their carriers, counting in the applying goroutine's
+// *sends, and hands each delivery its message's. A delivered message's
+// piggybacks are cleared once applied.
+func (e *engine) apply(en *entry, sends *int32) {
+	var pb []any
+	switch en.ev.Kind {
+	case 0:
 		e.collect()
 		return
+	case trace.Send:
+		en.pl.ord = *sends
+		*sends++
+	case trace.Deliver:
+		en.ev.Arg = en.pl.ord
 	}
-	var pb []any
 	if en.pl != nil {
 		pb = en.pl.piggyback
 	}
@@ -131,7 +140,7 @@ func (e *engine) reclaim(en *entry) {
 func (e *engine) applyLanes() {
 	for l, ents := range e.laneEntries {
 		for i := range ents {
-			e.apply(&ents[i])
+			e.apply(&ents[i], &e.sends)
 			e.reclaim(&ents[i])
 		}
 		e.laneEntries[l] = ents[:0]
@@ -160,9 +169,10 @@ func (e *engine) startPipe() *pipeline {
 func (e *engine) consume(p *pipeline) {
 	defer close(p.done)
 	defer func() { p.failure = recover() }()
+	var sends int32 // the consumer's own: engine.sends shares a cache line with the world's
 	for c := range p.full {
 		for i := range c.n {
-			e.apply(&c.ents[i])
+			e.apply(&c.ents[i], &sends)
 		}
 		p.back <- c
 	}

@@ -219,15 +219,15 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestPipelineEntrySize pins what the pipeline ships per event: a 40-byte
-// trace.Event and the carrier's pointer, the 48 bytes E41's chunk sweep
-// was measured at.
+// TestPipelineEntrySize pins what the pipeline ships per event: a 32-byte
+// trace.Event and the carrier's pointer, 40 bytes (E41's chunk sweep was
+// measured at 48, when an Event still carried the timeline's flow id).
 func TestPipelineEntrySize(t *testing.T) {
-	if size := unsafe.Sizeof(trace.Event{}); size != 40 {
-		t.Errorf("unsafe.Sizeof(trace.Event{}) = %d, want 40", size)
+	if size := unsafe.Sizeof(trace.Event{}); size != 32 {
+		t.Errorf("unsafe.Sizeof(trace.Event{}) = %d, want 32", size)
 	}
-	if size := unsafe.Sizeof(entry{}); size != 48 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 48", size)
+	if size := unsafe.Sizeof(entry{}); size != 40 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 40", size)
 	}
 }
 

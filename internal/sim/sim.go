@@ -133,13 +133,11 @@ type engine struct {
 	// host's next operation (only with a single protocol selected).
 	pendingLatency []des.Time
 
-	// sendOrd[h] (timeline only) counts host h's sends; the flow id
-	// uint64(h)<<32|ordinal is a pure function of the trace — unlike
-	// mobile.Message.ID, whose atomic allocation order depends on lane
-	// scheduling — so flow chains are byte-identical across engines. Each
-	// entry is touched only by its host's lane; the slice grows only
-	// world-stopped (joins).
-	sendOrd []uint64
+	// sends is the next message ordinal of a run that applies its entries
+	// in line or on the lane engine's coordinator: the sends the protocol
+	// side has been handed so far (apply). A pipelined run's consumer
+	// counts its own.
+	sends int32
 
 	// Engine-internals probes (zero/nil unless Config.Probes). All are
 	// single-writer cells read after the run (DESIGN.md: probes and
@@ -173,6 +171,11 @@ func (e *engine) laneOf(h mobile.HostID) int { return int(h) % e.lanes }
 // the protocols own.
 type payload struct {
 	piggyback []any
+	// ord is the message's ordinal, the number of messages sent before
+	// it, which apply gives the send and hands its delivery. The
+	// network's message ids are not: on the lane engine their order is
+	// the lanes' scheduling.
+	ord int32
 }
 
 // newEngine wires a validated configuration into a runnable engine:
@@ -211,24 +214,17 @@ func (e *engine) send(from, to mobile.HostID) {
 	if err != nil {
 		panic("sim: " + err.Error()) // the driver only sends from connected hosts
 	}
-	if e.cfg.Timeline != nil {
-		// The flow id is (sender, per-sender ordinal) — deterministic under
-		// any engine, unlike m.ID's allocation order.
-		m.Flow = uint64(from)<<32 | e.sendOrd[from]
-		e.sendOrd[from]++
-	}
-	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID, Flow: m.Flow}, pl)
+	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID}, pl)
 }
 
 // deliver hands a delivered message to the protocol side and returns the
 // message to its pool for the next send; the carrier goes back to the
-// free list once the event is applied (reclaim).
+// free list once the event is applied (reclaim). The message's ordinal,
+// the delivery's Arg, is the carrier's: apply numbers the sends.
 //
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
-	// The network numbers its messages from 0 in send order, as a history
-	// does, so the id is the message's ordinal.
-	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID, Flow: m.Flow, Arg: int32(m.ID)},
+	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID},
 		m.Payload.(*payload))
 	m.Payload = nil
 	e.net.Recycle(m)
@@ -328,9 +324,6 @@ func (e *engine) join() {
 	}
 	// Joins run world-stopped: grow the per-host tables lane handlers
 	// write here, so the lanes never reallocate them mid-run.
-	if e.cfg.Timeline != nil {
-		e.sendOrd = append(e.sendOrd, 0)
-	}
 	e.pendingLatency = append(e.pendingLatency, 0)
 	e.push(trace.Event{Kind: trace.Join, At: e.sim.Now(), Host: int32(id), Arg: int32(at)}, nil)
 	e.driver.AddHost(id, e.cfg.Seed)
@@ -384,5 +377,6 @@ func (e *engine) run() *Result {
 	}
 	e.sim.Run(e.cfg.Horizon)
 	e.drain()
+	e.RenderTimeline(e.cfg.Timeline)
 	return e.result()
 }

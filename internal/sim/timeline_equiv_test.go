@@ -6,8 +6,11 @@ import (
 	"strconv"
 	"testing"
 
+	"mobickpt/internal/des"
+	"mobickpt/internal/mlog"
 	"mobickpt/internal/obs"
 	"mobickpt/internal/pdes"
+	"mobickpt/internal/race"
 	"mobickpt/internal/vclock"
 )
 
@@ -302,5 +305,58 @@ func TestProbesDoNotPerturb(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("engine=%s: probed export differs from bare run", mode)
 		}
+	}
+}
+
+// TestLaneTimelineOrdinals: a lane-engine run with a timeline keeps a
+// history, and each delivery row must name its message's ordinal — the
+// number of sends the protocol side was handed before it — not the
+// network's message id, which the lanes allocate in scheduling order
+// (the history panicked on the first delivery whose id was not its
+// ordinal). Every seed's timeline must also be the sequential engine's.
+func TestLaneTimelineOrdinals(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		cfg := DefaultConfig()
+		cfg.Horizon, cfg.Seed = 4000, seed
+		want := timelineExport(t, cfg)
+		for _, lanes := range []int{2, 4} {
+			c := cfg
+			c.Engine, c.Lanes = pdes.ModeConservative, lanes
+			if got := timelineExport(t, c); !bytes.Equal(got, want) {
+				t.Errorf("seed %d lanes %d: timeline differs from the sequential engine's (%d vs %d bytes)",
+					seed, lanes, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestRenderTimelineAllocs budgets the timeline when it is on: drawing a
+// finished run — all seven protocols, a pessimistic log's flushes, two
+// joins — allocates at most 3.5 times per event drawn (2.85 measured: an
+// instant's args map, its formatted numbers, the variadic args slice and
+// the timeline's growing event slice, amortised).
+func TestRenderTimelineAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := DefaultConfig()
+	cfg.Horizon, cfg.Protocols, cfg.MessageLog = 2000, AllProtocols(), mlog.Pessimistic
+	cfg.JoinTimes = []des.Time{500, 1500}
+	cfg.Timeline = obs.NewTimeline()
+	e, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.run()
+	events := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		tl := obs.NewTimeline()
+		e.RenderTimeline(tl)
+		events = tl.Len()
+	})
+	if per := allocs / float64(events); events == 0 || per > 3.5 {
+		t.Errorf("%.0f allocations for %d events drawn: %.2f per event, want at most 3.5", allocs, events, per)
+	} else {
+		t.Logf("%.2f allocations per event drawn (%d events)", per, events)
 	}
 }

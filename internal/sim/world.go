@@ -5,6 +5,7 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs/probe"
 	"mobickpt/internal/protocol"
+	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/rng"
 	"mobickpt/internal/storage"
 	"mobickpt/internal/trace"
@@ -17,9 +18,6 @@ import (
 func (e *engine) wireWorld() error {
 	cfg := e.cfg
 	n := cfg.Mobile.NumHosts
-	if cfg.Timeline != nil {
-		e.sendOrd = make([]uint64, n)
-	}
 	net, err := mobile.NewSched(e.sched, e.lanes, cfg.Mobile, e.hooks())
 	if err != nil {
 		return err
@@ -46,6 +44,11 @@ func (e *engine) wireWorld() error {
 		})
 		if err != nil {
 			return err
+		}
+		if cfg.Timeline != nil {
+			// The timeline is drawn after the run from the history and the
+			// decision logs (protoside.Side.RenderTimeline).
+			e.Slots[i].Dec = replaycmp.NewLog(string(name), n)
 		}
 	}
 	cb := workload.Callbacks{

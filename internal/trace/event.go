@@ -52,27 +52,24 @@ func ParseKind(name string) (Kind, bool) {
 // side and as a History row reads back. What each field means depends on
 // the kind; a field the kind does not use is zero:
 //
-//	Kind        Host      Peer      Msg, Flow           Arg
-//	Send        sender    receiver  message id, flow    -
-//	Deliver     receiver  sender    message id, flow    the message's ordinal: the number of messages sent before it
-//	Handoff     mover     -         -                   the station it moves to
-//	Disconnect  host      -         -                   -
-//	Reconnect   host      -         -                   the station it reconnects at
-//	Join        joiner    -         -                   the station it joins at
-//	Marker      target    -         -                   the slot whose marker round it is
-//	Tick        host      -         -                   the slot whose timer fires
-//	Round       -1        -         -                   the slot whose marker round starts
+//	Kind        Host      Peer      Msg         Arg
+//	Send        sender    receiver  message id  -
+//	Deliver     receiver  sender    message id  the message's ordinal: the number of messages sent before it
+//	Handoff     mover     -         -           the station it moves to
+//	Disconnect  host      -         -           -
+//	Reconnect   host      -         -           the station it reconnects at
+//	Join        joiner    -         -           the station it joins at
+//	Marker      target    -         -           the slot whose marker round it is
+//	Tick        host      -         -           the slot whose timer fires
+//	Round       -1        -         -           the slot whose marker round starts
 //
-// At is the world's clock. Flow is the timeline's flow id (the engine's
-// is per sender, the live cluster's the message id); a history keeps no
-// flows, so its rows and the replay's import give a message its id. The
-// station a hand-off or disconnection leaves is the host's current one,
-// which the protocol side and the schedule export each derive. 40 bytes,
-// so the engine's pipeline entry, an Event and a pointer, stays at 48.
+// At is the world's clock. The station a hand-off or disconnection
+// leaves is the host's current one, which whoever reads the rows derives
+// (the protocol side, the schedule export). 32 bytes, so the engine's
+// pipeline entry, an Event and a pointer, is 40.
 type Event struct {
 	At   des.Time
 	Msg  uint64
-	Flow uint64
 	Host int32
 	Peer int32
 	Arg  int32

@@ -25,7 +25,7 @@ type History struct {
 	hosts, stations int // initial topology: host i starts at station i mod stations
 	n               int // host count after the joins recorded so far
 
-	// One entry per row: the fields of its Event (Flow aside).
+	// One entry per row: the fields of its Event.
 	kind column.Column[Kind]
 	host column.Column[int32]
 	peer column.Column[int32]
@@ -94,15 +94,14 @@ func (h *History) Append(ev Event) int32 {
 	return ord
 }
 
-// Row returns row i as the Event it recorded; a message's flow reads as
-// its id.
+// Row returns row i as the Event it recorded.
 func (h *History) Row(i int) Event {
-	ev := Event{At: h.at.At(i), Msg: h.msg.At(i), Host: h.host.At(i), Peer: h.peer.At(i), Arg: h.arg.At(i), Kind: h.kind.At(i)}
-	if ev.Kind == Send || ev.Kind == Deliver {
-		ev.Flow = ev.Msg
-	}
-	return ev
+	return Event{At: h.at.At(i), Msg: h.msg.At(i), Host: h.host.At(i), Peer: h.peer.At(i), Arg: h.arg.At(i), Kind: h.kind.At(i)}
 }
+
+// Topology returns the initial topology: hosts hosts, host i at station
+// i mod stations.
+func (h *History) Topology() (hosts, stations int) { return h.hosts, h.stations }
 
 // InFlight returns, in ascending order, the ids of the messages sent and
 // never delivered (still traveling, or parked at a station for a host

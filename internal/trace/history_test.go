@@ -57,14 +57,8 @@ func (f *flatHistory) append(ev Event) int32 {
 	return ord
 }
 
-// row is row i as History.Row reads it: a message's flow is its id.
-func (f *flatHistory) row(i int) Event {
-	ev := f.rows[i]
-	if ev.Kind == Send || ev.Kind == Deliver {
-		ev.Flow = ev.Msg
-	}
-	return ev
-}
+// row is row i as History.Row reads it.
+func (f *flatHistory) row(i int) Event { return f.rows[i] }
 
 // event is delivered message i as view v sees it.
 func (f *flatHistory) event(v, i int) MessageEvent {

@@ -77,8 +77,7 @@ func (s *Schedule) FinalHosts() int {
 
 // Import returns the events of a schedule Validate accepted, as the
 // History that exported it recorded them (History.Row): each at its tick,
-// a message's flow its id, a delivery's Arg the message's ordinal, a
-// hand-off's, reconnection's or join's Arg its station. A schedule is one
+// a delivery's Arg the message's ordinal, a hand-off's, reconnection's or join's Arg its station. A schedule is one
 // protocol's, so a clocked row's Arg is slot 0.
 func (s *Schedule) Import() []Event {
 	evs := make([]Event, len(s.Events))
@@ -89,9 +88,9 @@ func (s *Schedule) Import() []Event {
 		switch kind {
 		case Send:
 			ords[se.Msg] = int32(len(ords))
-			ev.Peer, ev.Msg, ev.Flow = int32(se.Peer), se.Msg, se.Msg
+			ev.Peer, ev.Msg = int32(se.Peer), se.Msg
 		case Deliver:
-			ev.Peer, ev.Msg, ev.Flow, ev.Arg = int32(se.Peer), se.Msg, se.Msg, ords[se.Msg]
+			ev.Peer, ev.Msg, ev.Arg = int32(se.Peer), se.Msg, ords[se.Msg]
 		case Handoff, Reconnect, Join:
 			ev.Arg = int32(se.To)
 		}

@@ -15,15 +15,15 @@ import (
 // protocol side: at ticks 1, 2, ..., a message's flow its id.
 func smallEvents() []Event {
 	return []Event{
-		{Kind: Send, At: 1, Host: 0, Peer: 1, Msg: 1, Flow: 1},
-		{Kind: Deliver, At: 2, Host: 1, Peer: 0, Msg: 1, Flow: 1, Arg: 0},
+		{Kind: Send, At: 1, Host: 0, Peer: 1, Msg: 1},
+		{Kind: Deliver, At: 2, Host: 1, Peer: 0, Msg: 1, Arg: 0},
 		{Kind: Handoff, At: 3, Host: 0, Arg: 1},
 		{Kind: Disconnect, At: 4, Host: 2},
-		{Kind: Send, At: 5, Host: 1, Peer: 2, Msg: 2, Flow: 2}, // parked: 2 is disconnected
+		{Kind: Send, At: 5, Host: 1, Peer: 2, Msg: 2}, // parked: 2 is disconnected
 		{Kind: Reconnect, At: 6, Host: 2, Arg: 0},
 		{Kind: Join, At: 7, Host: 3, Arg: 1},
-		{Kind: Send, At: 8, Host: 3, Peer: 0, Msg: 3, Flow: 3},
-		{Kind: Deliver, At: 9, Host: 0, Peer: 3, Msg: 3, Flow: 3, Arg: 2},
+		{Kind: Send, At: 8, Host: 3, Peer: 0, Msg: 3},
+		{Kind: Deliver, At: 9, Host: 0, Peer: 3, Msg: 3, Arg: 2},
 		{Kind: Round, At: 10, Host: -1},
 		{Kind: Marker, At: 11, Host: 1},
 		{Kind: Tick, At: 12, Host: 3},

@@ -16,7 +16,7 @@ package vclock
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Vector is a fixed-width integer dependency vector. The width is the
@@ -108,9 +108,13 @@ func (v Vector) Equal(o Vector) bool {
 
 // String renders the vector as "[a b c]".
 func (v Vector) String() string {
-	parts := make([]string, len(v))
+	b := make([]byte, 0, 2+4*len(v))
+	b = append(b, '[')
 	for i, x := range v {
-		parts[i] = fmt.Sprint(x)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
