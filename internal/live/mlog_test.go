@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/rng"
+	"mobickpt/internal/statestore"
 	"mobickpt/internal/wire"
 )
 
@@ -193,6 +195,37 @@ func TestLiveImagesVerifyAfterReplayRecovery(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("nothing verified")
+	}
+}
+
+// VerifyImages starts each host's walk at the group's floor: below it
+// every ordinal was discarded, and asking FindImage for one only built an
+// ErrDiscarded error. It must check what the walk from ordinal 0 checks,
+// on a logged cluster whose hand-offs and final drain raised the floors,
+// and allocate nothing doing it.
+func TestVerifyImagesAllocs(t *testing.T) {
+	c := runCluster(t, loggedConfig(mlog.Pessimistic), qbcFactory)
+	want, discarded := 0, 0
+	for h := 0; h < c.hosts; h++ {
+		for ord := 0; ord < c.side.Slots[0].Counts[h]; ord++ {
+			if _, _, err := c.group.FindImage(h, ord); err == nil {
+				want++
+			} else if errors.Is(err, statestore.ErrDiscarded) {
+				discarded++
+			} else {
+				t.Fatal(err)
+			}
+		}
+	}
+	if discarded == 0 {
+		t.Fatal("no image was discarded: the cluster does not exercise the floor")
+	}
+	checked, err := c.VerifyImages()
+	if err != nil || checked != want {
+		t.Fatalf("VerifyImages checked %d images (%v), the walk from ordinal 0 finds %d", checked, err, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c.VerifyImages() }); allocs != 0 {
+		t.Fatalf("VerifyImages allocates %.0f times, want 0 (%d images discarded)", allocs, discarded)
 	}
 }
 

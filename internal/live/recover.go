@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -153,11 +152,10 @@ func (c *Cluster) Recover(failed mobile.HostID) (*RecoveryReport, error) {
 func (c *Cluster) VerifyImages() (int, error) {
 	checked := 0
 	for h := 0; h < c.hosts; h++ {
-		for ord := 0; ord < c.side.Slots[0].Counts[h]; ord++ {
+		// Every ordinal below the floor was discarded: FindImage would
+		// only build an ErrDiscarded error for each.
+		for ord := c.group.Floor(h); ord < c.side.Slots[0].Counts[h]; ord++ {
 			im, _, err := c.group.FindImage(h, ord)
-			if errors.Is(err, statestore.ErrDiscarded) {
-				continue
-			}
 			if err != nil {
 				return checked, err
 			}

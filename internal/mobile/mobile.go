@@ -11,7 +11,10 @@
 // Host state lives in a sharded flat arena indexed by HostID rather than
 // a slice of per-host allocations: records are contiguous (cache-friendly
 // sweeps at n=1e6), and *Host pointers stay stable across dynamic joins
-// because shards never reallocate.
+// because shards never reallocate. A network's shards hold the least
+// power of two of records that fits its initial hosts, at most 4096: a
+// ten-host world allocates sixteen records, not a million-host world's
+// shard, and joins open further shards of the same size.
 //
 // Every action is accounted in Counters so higher layers can derive the
 // channel-contention and energy costs the paper discusses in §2.1.
@@ -20,6 +23,7 @@ package mobile
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"mobickpt/internal/des"
@@ -141,7 +145,8 @@ type Counters struct {
 // Host is a mobile host. Exported fields are stable identity/state read
 // by higher layers; mutation goes through Network methods. Host records
 // live inside the network's arena — higher layers hold *Host freely (the
-// arena never moves a record) but must not copy the struct.
+// arena never moves a record: a full shard is never grown, a join opens
+// a new one) but must not copy the struct.
 type Host struct {
 	ID HostID
 
@@ -198,14 +203,10 @@ type Station struct {
 // Members returns the number of hosts currently in the cell.
 func (s *Station) Members() int { return s.members }
 
-// Host arena geometry: records are stored in fixed-capacity shards so a
-// shard's backing array never reallocates — *Host pointers handed out
-// stay valid across AddHost — while lookups stay two indexings.
-const (
-	hostShardBits = 12
-	hostShardSize = 1 << hostShardBits
-	hostShardMask = hostShardSize - 1
-)
+// hostShardBits caps the host arena's shard size at 4096 records, the
+// layout E21's million-host worlds were tuned on. A smaller world's shards
+// hold the least power of two that fits its initial hosts (Network.shift).
+const hostShardBits = 12
 
 // laneCounters is one lane's private Counters shard, padded so adjacent
 // lanes' hot counters do not share a cache line.
@@ -223,6 +224,7 @@ type Network struct {
 	lanes    int // counter/pool shard count; 1 for sequential runs
 	cfg      Config
 	shards   [][]Host // sharded flat host arena, indexed by HostID
+	shift    uint     // log2 of every shard's capacity, fixed at NewSched
 	numHosts int
 	stations []Station  // flat, fixed at NumMSS
 	homes    []MSSID    // home-agent directory: host -> believed current MSS
@@ -303,6 +305,7 @@ func NewSched(sched des.Sched, lanes int, cfg Config, hooks Hooks) (*Network, er
 	for i := range n.stations {
 		n.stations[i].ID = MSSID(i)
 	}
+	n.shift = uint(min(bits.Len(uint(cfg.NumHosts-1)), hostShardBits))
 	n.homes = make([]MSSID, 0, cfg.NumHosts)
 	for i := 0; i < cfg.NumHosts; i++ {
 		at := MSSID(i % cfg.NumMSS)
@@ -314,23 +317,24 @@ func NewSched(sched des.Sched, lanes int, cfg Config, hooks Hooks) (*Network, er
 }
 
 // newHost appends one host record to the arena, opening a fresh shard
-// when the last one is full, and returns its stable address. The new
-// host's id is numHosts before the call; ids stay dense.
+// of the network's shard size when the last one is full, and returns its
+// stable address. The new host's id is numHosts before the call; ids
+// stay dense.
 func (n *Network) newHost(at MSSID) *Host {
 	id := HostID(n.numHosts)
-	si := int(id) >> hostShardBits
+	si := int(id) >> n.shift
 	if si == len(n.shards) {
-		n.shards = append(n.shards, make([]Host, 0, hostShardSize))
+		n.shards = append(n.shards, make([]Host, 0, 1<<n.shift))
 	}
 	n.shards[si] = append(n.shards[si], Host{ID: id, mss: at, connected: true, lastMSS: at})
 	n.numHosts++
-	return &n.shards[si][int(id)&hostShardMask]
+	return &n.shards[si][len(n.shards[si])-1]
 }
 
 // host resolves a HostID to its arena record. Out-of-range ids panic on
 // the shard indexing (caller bug), matching the old slice behavior.
 func (n *Network) host(id HostID) *Host {
-	return &n.shards[int(id)>>hostShardBits][int(id)&hostShardMask]
+	return &n.shards[int(id)>>n.shift][int(id)&(1<<n.shift-1)]
 }
 
 // Host returns host id. It panics on out-of-range ids (caller bug).

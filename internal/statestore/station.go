@@ -255,6 +255,15 @@ func (g *Group) Discard(host, seq int) {
 	hi.floor = seq
 }
 
+// Floor returns the ordinal Discard dropped host's images below: every
+// image below it is gone, and FindImage reports ErrDiscarded for it.
+func (g *Group) Floor(host int) int {
+	if host >= 0 && host < len(g.hosts) {
+		return g.hosts[host].floor
+	}
+	return 0
+}
+
 // ErrDiscarded is FindImage's error for an image Discard dropped.
 var ErrDiscarded = errors.New("discarded")
 
