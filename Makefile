@@ -58,9 +58,13 @@ vet:
 # runs on a consumer goroutine beside the sequential world and on the
 # lane engine's coordinator: its pipeline tests (pipelined equals
 # in-line, a consumer panic re-raised on Run's goroutine, no goroutine
-# left behind, and the protocol side on one goroutine at a time on both
-# engines) run three more times too.
-SIM_PIPELINE_TESTS = TestPipeline|TestRunPanicFromProtocolSide|TestRunLeavesNoGoroutine|TestProtocolSideOneGoroutine
+# left behind, the protocol side on one goroutine at a time on both
+# engines, and the side's in-flight table against the history and the
+# network sequentially and at 2 and 4 lanes) run three more times too.
+# TestInFlightParity runs whole: a -run pattern cannot pick one test's
+# subtests without filtering the others', and its live and replay half
+# takes milliseconds.
+SIM_PIPELINE_TESTS = TestPipeline|TestRunPanicFromProtocolSide|TestRunLeavesNoGoroutine|TestProtocolSideOneGoroutine|TestInFlightParity
 
 test-race:
 	$(GO) test -race ./...

@@ -335,10 +335,10 @@ type ckptAt struct{ seq, station int }
 // and hands ev, at the new tick, to the protocol side.
 //
 //locks:held mu
-func (c *Cluster) apply(ev trace.Event, pb []any) {
+func (c *Cluster) apply(ev trace.Event, decoded []any) []any {
 	c.tick++
 	ev.At = des.Time(c.tick)
-	c.side.Apply(ev, pb)
+	return c.side.Apply(ev, decoded)
 }
 
 // NewCluster wires a cluster; Run starts it.
@@ -522,6 +522,12 @@ func (c *Cluster) Schedule() *trace.Schedule {
 	}
 	return c.side.Hist.Schedule(0, c.side.Slots[0].Name, c.cfg.Seed)
 }
+
+// InFlight returns the protocol side's messages in flight, in id order
+// (call after Run returns).
+//
+//locks:quiescent read-side accessor, documented for use after Run returns
+func (c *Cluster) InFlight() []uint64 { return c.side.InFlight() }
 
 // Decisions returns the recorded protocol-decision log, including the
 // post-hoc recovery-line matrix, or nil when Config.Record was off
@@ -730,8 +736,7 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	w := c.wired[c.side.Station(from)]
 	id := c.nextID
 	c.nextID++
-	var pb [1]any
-	c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id}, pb[:])
+	pb := c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id}, nil)
 	// A TP piggyback names its hosts' station tables, which the protocol
 	// events under mu grow: it is encoded before mu is released.
 	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
@@ -771,9 +776,8 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 		return
 	}
 	c.mu.Lock()
-	pb := [1]any{p.Piggyback}
-	// The packet id is the message's ordinal in the history (nextID).
-	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID, Arg: int32(p.ID)}, pb[:])
+	pb := [1]any{p.Piggyback} // the protocols see what came off the wire
+	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID}, pb[:])
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Delivered, 1)

@@ -7,9 +7,9 @@ import (
 )
 
 // Message is an application message in flight or queued for delivery.
-// Payload is opaque to the network; the protocol layer stores piggybacked
-// control information there (sequence numbers for BCS/QBC, dependency
-// vectors for TP).
+// Payload is opaque to the network. The simulator's messages carry none:
+// the protocol side keeps each message's piggybacked control information
+// (sequence numbers for BCS/QBC, dependency vectors for TP) itself.
 type Message struct {
 	ID        uint64
 	From, To  HostID

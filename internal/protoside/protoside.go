@@ -8,22 +8,25 @@
 // from a recorded schedule (both internal/sim), and the live goroutine
 // cluster (internal/live) from its hosts' real operations. What differs
 // between them arrives as values — the time of each event, the station a
-// hand-off, reconnection or join arrives at, the message id and ordinal —
-// and nothing here calls back into the world or asks which one is calling.
-// The side keeps its own clock (the time its latest event was passed) and
-// its own station table (Station), which is the mssOf of every protocol
-// and where every checkpoint lands. The timeline is drawn after the run,
-// from the history and the decision logs (RenderTimeline): no drawing
-// runs in the event path.
+// hand-off, reconnection or join arrives at, the message id — and nothing
+// here calls back into the world or asks which one is calling. The side
+// keeps its own clock (the time its latest event was passed), its own
+// station table (Station), which is the mssOf of every protocol and where
+// every checkpoint lands, and every message in flight, with its ordinal
+// and piggybacks (Apply). The timeline is drawn after the run, from the
+// history and the decision logs (RenderTimeline): no drawing runs in the
+// event path.
 package protoside
 
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
 	"mobickpt/internal/check"
+	"mobickpt/internal/column"
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
@@ -70,7 +73,21 @@ type Side struct {
 
 	// reg receives the metrics (nil unless the world passed a registry).
 	reg *obs.Registry
+
+	// flights holds every message sent and not yet delivered, by id, until
+	// FinishTraffic keeps their ids alone in stranded; rows holds their
+	// piggybacks, a row each, and free the rows of delivered messages.
+	// sends is the next send's ordinal.
+	flights  map[uint64]flight
+	rows     column.Column[[]any]
+	free     []int32
+	stranded []uint64
+	sends    int32
 }
+
+// flight is one message in flight: its ordinal — the number of messages
+// sent before it — and its row of piggybacks.
+type flight struct{ ord, row int32 }
 
 // Slot is one protocol's share of the run: all protocols ride the same
 // events, and everything that differs between them lives here. The world
@@ -218,6 +235,7 @@ func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry) *S
 		actor:   anyHost,
 		causes:  make([]map[string]int64, protos),
 		reg:     reg,
+		flights: make(map[uint64]flight),
 	}
 	for h := range p.station {
 		p.station[h] = mobile.MSSID(h % stations)
@@ -330,16 +348,48 @@ func (p *Side) Start() {
 // Apply, the side's one entry point, mirrors one event of the world at
 // its time ev.At: its history row first, when the side keeps one, then its
 // effect on every slot — on slot ev.Arg alone for a clocked kind — then
-// the concerned slots' checkers (trace.Event tables each field). pb holds
-// the piggybacks, parallel to the slots: a send fills it, a delivery
-// reads it; other kinds take nil.
-func (p *Side) Apply(ev trace.Event, pb []any) {
+// the concerned slots' checkers (trace.Event tables each field). A send
+// numbers the message with the history's ordinal and returns its row of
+// piggybacks, parallel to the slots, which the caller may encode or
+// overwrite before the next event. A delivery takes the row back, writes
+// the ordinal into ev.Arg, and hands the protocols decoded — what a
+// transport decoded off the wire — or, when that is nil, the row. Other
+// kinds take a nil decoded and return nil.
+func (p *Side) Apply(ev trace.Event, decoded []any) []any {
 	h := mobile.HostID(ev.Host)
 	cause := ev.Kind.String()
 	if ev.Kind == trace.Handoff {
 		cause = "switch" // E19's name for what a hand-off's checkpoint answers
 	}
 	p.now, p.actor, p.cause = ev.At, h, cause
+	// row is the message's own row of piggybacks; pb is what the protocols
+	// see of them.
+	var f flight
+	var row, pb []any
+	switch ev.Kind {
+	case trace.Send:
+		f = flight{p.sends, int32(p.rows.Len())}
+		if n := len(p.free); n > 0 {
+			f.row, p.free = p.free[n-1], p.free[:n-1]
+		} else {
+			p.rows.Append(make([]any, len(p.Slots)))
+		}
+		p.flights[ev.Msg] = f
+		p.sends++
+		row = p.rows.At(int(f.row))
+		pb = row
+	case trace.Deliver:
+		var ok bool
+		if f, ok = p.flights[ev.Msg]; !ok {
+			panic(fmt.Sprintf("protoside: delivery of message %d, which is not in flight", ev.Msg))
+		}
+		delete(p.flights, ev.Msg)
+		row = p.rows.At(int(f.row))
+		ev.Arg, pb = f.ord, decoded
+		if pb == nil {
+			pb = row
+		}
+	}
 	if p.Hist != nil {
 		p.Hist.Append(ev)
 	}
@@ -379,6 +429,35 @@ func (p *Side) Apply(ev trace.Event, pb []any) {
 			s.Check.After(ev, v)
 		}
 	}
+	if ev.Kind == trace.Deliver {
+		clear(row)
+		p.free = append(p.free, f.row)
+		return nil
+	}
+	return row
+}
+
+// InFlight returns, in ascending order, the ids of the messages sent and
+// not yet delivered: the history's (trace.History.InFlight).
+func (p *Side) InFlight() []uint64 {
+	if p.flights == nil {
+		return p.stranded
+	}
+	ids := make([]uint64, 0, len(p.flights))
+	for id := range p.flights {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// FinishTraffic, after the world's last event, keeps the ids of the
+// messages in flight and drops their rows: a finished run's result holds
+// the side, and a short run can end with most messages in flight
+// (TestHeldResultHeap's: 84 000 of 87 000).
+func (p *Side) FinishTraffic() {
+	p.stranded = p.InFlight()
+	p.flights, p.rows, p.free = nil, column.Column[[]any]{}, nil
 }
 
 // send runs every protocol's OnSend of a message from → to — leaving the

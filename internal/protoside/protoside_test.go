@@ -45,37 +45,33 @@ func newWorld(t *testing.T) *world {
 }
 
 // apply mirrors ev at the next tick of the clock.
-func (w *world) apply(ev trace.Event, pb []any) {
+func (w *world) apply(ev trace.Event) {
 	w.tick++
 	ev.At = w.tick
-	w.Apply(ev, pb)
-}
-
-// send mirrors a send and returns the message's piggybacks.
-func (w *world) send(from, to int32, id uint64) []any {
-	pb := make([]any, len(w.Slots))
-	w.apply(trace.Event{Kind: trace.Send, Host: from, Peer: to, Msg: id}, pb)
-	return pb
+	w.Apply(ev, nil)
 }
 
 // TestSideRecordsOneHistory drives the side through every kind of event —
 // with a delivery whose forced checkpoint only one of the two protocols
-// takes, and a send that never arrives — and checks what each event left
-// in the one history and in each slot, and where the side put each host.
+// takes, and two sends that never arrive, one before the delivered
+// message, whose row must then name ordinal 1 — and checks what each
+// event left in the one history, the side's in-flight table and each
+// slot, and where the side put each host.
 func TestSideRecordsOneHistory(t *testing.T) {
 	w := newWorld(t)
 
 	// Host 0 hands off from station 0 (a basic checkpoint in both, on
 	// station 1), then sends to 1: BCS forces a checkpoint on 1 at the
 	// delivery, UNC does not.
-	w.apply(trace.Event{Kind: trace.Handoff, Host: 0, Arg: 1}, nil)
-	pb := w.send(0, 1, 7) // the first message: ordinal 0
-	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7, Arg: 0}, pb)
-	w.apply(trace.Event{Kind: trace.Disconnect, Host: 2}, nil)
-	w.apply(trace.Event{Kind: trace.Reconnect, Host: 2, Arg: 1}, nil)
-	w.apply(trace.Event{Kind: trace.Join, Host: 3, Arg: 0}, nil)
-	w.send(3, 2, 8) // in flight for good
-	const events = 7
+	w.apply(trace.Event{Kind: trace.Handoff, Host: 0, Arg: 1})
+	w.apply(trace.Event{Kind: trace.Send, Host: 2, Peer: 0, Msg: 9}) // ordinal 0, in flight for good
+	w.apply(trace.Event{Kind: trace.Send, Host: 0, Peer: 1, Msg: 7})
+	w.apply(trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 7}) // the side names its ordinal, 1
+	w.apply(trace.Event{Kind: trace.Disconnect, Host: 2})
+	w.apply(trace.Event{Kind: trace.Reconnect, Host: 2, Arg: 1})
+	w.apply(trace.Event{Kind: trace.Join, Host: 3, Arg: 0})
+	w.apply(trace.Event{Kind: trace.Send, Host: 3, Peer: 2, Msg: 8}) // in flight for good
+	const events = 8
 
 	for h, want := range []mobile.MSSID{1, 1, 1, 0} {
 		if got := w.Station(mobile.HostID(h)); got != want {
@@ -104,8 +100,11 @@ func TestSideRecordsOneHistory(t *testing.T) {
 	if sched.FinalHosts() != 4 {
 		t.Fatalf("one join made %d hosts, want 4", sched.FinalHosts())
 	}
-	if !slices.Equal(sched.InFlight, []uint64{8}) {
-		t.Fatalf("exported in-flight section %v, want [8]", sched.InFlight)
+	if !slices.Equal(sched.InFlight, []uint64{8, 9}) || !slices.Equal(w.InFlight(), sched.InFlight) {
+		t.Fatalf("exported in-flight section %v, the side's %v, want [8 9]", sched.InFlight, w.InFlight())
+	}
+	if arg := h.Row(3).Arg; arg != 1 {
+		t.Fatalf("the delivery row names ordinal %d, want 1", arg)
 	}
 	for i := range w.Slots {
 		s := &w.Slots[i]
@@ -177,13 +176,19 @@ func checkCounts(t *testing.T, s *protoside.Slot) {
 }
 
 // rogue is UNC with every event of host h checkpointing host h+1 instead
-// (mod 3), marker rounds and timer ticks included.
+// (mod 3), marker rounds and timer ticks included, once armed.
 type rogue struct {
 	protocol.Protocol
-	ck protocol.Checkpointer
+	ck    protocol.Checkpointer
+	armed bool
 }
 
-func (r *rogue) other(h mobile.HostID)                        { r.ck((h+1)%3, 0, storage.Basic) }
+func (r *rogue) other(h mobile.HostID) {
+	if r.armed {
+		r.ck((h+1)%3, 0, storage.Basic)
+	}
+}
+
 func (r *rogue) OnSend(from, _ mobile.HostID) any             { r.other(from); return nil }
 func (r *rogue) OnDeliver(h, _ mobile.HostID, _ any)          { r.other(h) }
 func (r *rogue) OnCellSwitch(h mobile.HostID, _ mobile.MSSID) { r.other(h) }
@@ -201,19 +206,18 @@ func (r *rogue) OnTick(h mobile.HostID)                       { r.other(h) }
 // protocol that checkpoints another host there panics naming both. Every
 // world relies on it: the live cluster builds a host's images on that
 // host's goroutine, and the lane engine applies one lane's records
-// before the next lane's.
+// before the next lane's. The rogue is armed after the initial checkpoints
+// and, for a delivery, after the send it delivers.
 func TestCheckpointOfAnotherHostPanics(t *testing.T) {
-	pb := make([]any, 1)
+	send := trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7}
 	for _, tc := range []struct {
 		entry string
 		host  mobile.HostID
 		event func(*protoside.Side)
 	}{
-		{"OnSend", 0, func(p *protoside.Side) {
-			p.Apply(trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7}, pb)
-		}},
+		{"OnSend", 0, func(p *protoside.Side) { p.Apply(send, nil) }},
 		{"OnDeliver", 1, func(p *protoside.Side) {
-			p.Apply(trace.Event{Kind: trace.Deliver, At: 1, Host: 1, Peer: 0, Msg: 7}, pb)
+			p.Apply(trace.Event{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 7}, nil)
 		}},
 		{"OnCellSwitch", 2, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Handoff, At: 1, Host: 2, Arg: 1}, nil) }},
 		{"OnDisconnect", 0, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Disconnect, At: 1, Host: 0}, nil) }},
@@ -225,14 +229,20 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 		t.Run(tc.entry, func(t *testing.T) {
 			const hosts = 3
 			p := protoside.New(1, hosts, 2, nil, nil)
+			var r *rogue
 			err := p.InitSlot(0, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel())}, false,
 				func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
-					return &rogue{protocol.NewUncoordinated(hosts, c), c}, nil
+					r = &rogue{Protocol: protocol.NewUncoordinated(hosts, c), ck: c}
+					return r, nil
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
 			p.Start() // initial checkpoints of every host: no one host's event
+			if tc.entry == "OnDeliver" {
+				p.Apply(send, nil)
+			}
+			r.armed = true
 			defer func() {
 				msg := fmt.Sprint(recover())
 				other := (tc.host + 1) % 3
@@ -254,15 +264,18 @@ type quiet struct{ protocol.Protocol }
 func (quiet) OnCellSwitch(mobile.HostID, mobile.MSSID) {}
 
 // TestApplyAllocs: with no registry, timeline or checker, Apply allocates
-// nothing for a send, a delivery or a hand-off — history row, two slots'
-// trace counts and the calls included — once the history's columns have
-// grown. A column allocates one 4 096-entry chunk per 4 096 rows, which
-// rounds away per event; an allocation of Apply's own would not.
+// nothing for a send, a delivery or a hand-off — history row, in-flight
+// table, two slots' trace counts and the calls included — once the
+// history's columns have grown, while a thousand messages stay in flight.
+// The world passes no piggyback array: the side keeps each message's row
+// from its send to its delivery and reuses it. A column allocates one
+// 4 096-entry chunk per 4 096 rows, which rounds away per event; an
+// allocation of Apply's own would not.
 func TestApplyAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const hosts, stations = 4, 2
+	const hosts, stations, flying = 4, 2, 1000
 	p := protoside.New(2, hosts, stations, trace.NewHistory(hosts, stations), nil)
 	for i := range p.Slots {
 		err := p.InitSlot(i, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel()), Trace: p.Hist.View()}, false,
@@ -274,15 +287,25 @@ func TestApplyAllocs(t *testing.T) {
 		}
 	}
 	p.Start()
-	pb := make([]any, len(p.Slots))
 	var tick des.Time
 	var id uint64
-	event := func() {
+	ends := func(id uint64) (from, to int32) { return int32(id % hosts), int32((id + 1) % hosts) }
+	send := func() {
 		tick++
 		id++
-		from, to := int32(id%hosts), int32((id+1)%hosts)
-		p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id}, pb)
-		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: id, Arg: int32(id - 1)}, pb)
+		from, to := ends(id)
+		if pb := p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id}, nil); len(pb) != len(p.Slots) {
+			t.Fatalf("a send returned %d piggybacks for %d slots", len(pb), len(p.Slots))
+		}
+	}
+	for range flying {
+		send()
+	}
+	event := func() {
+		send()
+		old := id - flying // the oldest message in flight
+		from, to := ends(old)
+		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: old}, nil)
 		p.Apply(trace.Event{Kind: trace.Handoff, At: tick, Host: from, Arg: int32(1 - p.Station(mobile.HostID(from)))}, nil)
 	}
 	for range 4096 { // every column past its doubling chunks
@@ -290,5 +313,8 @@ func TestApplyAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, event); allocs != 0 {
 		t.Fatalf("a send, a delivery and a hand-off allocate %v times", allocs)
+	}
+	if n := len(p.InFlight()); n != flying {
+		t.Fatalf("%d messages in flight, want %d", n, flying)
 	}
 }

@@ -65,8 +65,7 @@ func (s *coreSched) Inline(owner int, at des.Time, _ string) bool {
 // global simulator for sequential runs, a coreSched over a lane-sharded
 // pdes.Core for parallel ones (the global simulator then carries only
 // the world-stopped timeline: markers, ticks, GC, joins). It also sizes
-// the lane-sharded state — the payload free lists and the lanes' entry
-// buffers — which both surfaces index the same way.
+// the lanes' event buffers, which both surfaces index the same way.
 func (e *engine) bindEngine() error {
 	cfg := e.cfg
 	if cfg.Probes {
@@ -117,9 +116,8 @@ func (e *engine) bindEngine() error {
 	}
 	e.Side = protoside.New(len(cfg.Protocols), cfg.Mobile.NumHosts, cfg.Mobile.NumMSS, hist, cfg.Metrics)
 	e.lanes = lanes
-	e.plFree = make([][]*payload, lanes)
-	e.laneEntries = make([][]entry, lanes)
-	// A lane engine's coordinator applies its own entries in line, as it
+	e.laneEvents = make([][]trace.Event, lanes)
+	// A lane engine's coordinator applies its own events in line, as it
 	// does its lanes'; a checkpoint latency is read back by the world's
 	// next operation.
 	e.inline = e.core != nil || cfg.CheckpointLatency > 0

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
@@ -22,14 +23,12 @@ import (
 )
 
 // runSchedule executes Config.Schedule (Run dispatches here after
-// validateReplay accepted the configuration): a one-slot protocol side,
-// and what the live cluster keeps that neither a protocol nor the side
-// does — the messages in flight, by id, each with its piggyback *as
-// decoded off the wire*, so the delivered control information has the
-// live transport's representation.
+// validateReplay accepted the configuration) on a one-slot protocol side.
+// The side keeps the messages in flight; the replay overwrites each
+// send's piggyback with what the wire codec decodes of it, so the
+// delivered control information has the live transport's representation.
 func runSchedule(cfg Config) (*Result, error) {
 	sched := cfg.Schedule
-	pending := make(map[uint64]any)
 	// Always a history and a view of it: the decision log's recovery lines
 	// are cut from the view.
 	side := protoside.New(1, sched.Hosts, sched.Stations, trace.NewHistory(sched.Hosts, sched.Stations),
@@ -77,16 +76,7 @@ func runSchedule(cfg Config) (*Result, error) {
 	// timeline is the live one.
 	side.Start()
 	for _, ev := range sched.Import() {
-		var pb [1]any
-		if ev.Kind == trace.Deliver {
-			got, ok := pending[ev.Msg]
-			if !ok {
-				panic(fmt.Sprintf("sim: replay: schedule delivers unknown message %d", ev.Msg))
-			}
-			delete(pending, ev.Msg)
-			pb[0] = got
-		}
-		side.Apply(ev, pb[:])
+		pb := side.Apply(ev, nil)
 		if ev.Kind == trace.Send {
 			// Round-trip the piggyback through the wire codec like the live
 			// transport; the delivery hands the decoded form over.
@@ -98,22 +88,19 @@ func runSchedule(cfg Config) (*Result, error) {
 			if err != nil {
 				panic("sim: replay: " + err.Error())
 			}
-			pending[ev.Msg] = p.Piggyback
+			pb[0] = p.Piggyback
 		}
 	}
 
-	// Every send the schedule leaves dangling must still be pending, and
-	// nothing else: a mismatch means the walk desynchronized.
-	if len(pending) != len(sched.InFlight) {
-		return nil, fmt.Errorf("sim: replay ends with %d in-flight messages, schedule says %d",
-			len(pending), len(sched.InFlight))
-	}
-	for _, id := range sched.InFlight {
-		if _, ok := pending[id]; !ok {
-			return nil, fmt.Errorf("sim: replay delivered message %d the schedule leaves in flight", id)
-		}
+	// The side must hold the schedule's in-flight section — the sends it
+	// leaves undelivered, in id order (Validate) — and nothing else: a
+	// mismatch means the walk desynchronized.
+	if got := side.InFlight(); !slices.Equal(got, sched.InFlight) {
+		return nil, fmt.Errorf("sim: replay ends with %d in-flight messages, schedule says %d (or other ids)",
+			len(got), len(sched.InFlight))
 	}
 
+	side.FinishTraffic()
 	s.FinishRecoveryLines()
 	side.RenderTimeline(cfg.Timeline)
 	res := &Result{

@@ -177,9 +177,10 @@ func TestSweepParallelPanicRecovered(t *testing.T) {
 }
 
 // TestEngineAllocsPerEvent bounds steady-state allocation across a whole
-// run: with the des free list, pooled messages/payloads and interned
-// piggybacks, the engine must average well under one allocation per
-// fired event (the pre-pooling engine sat above two).
+// run: with the des free list, pooled messages, the protocol side's
+// reused piggyback rows and interned piggybacks, the engine must average
+// well under one allocation per fired event (the pre-pooling engine sat
+// above two).
 func TestEngineAllocsPerEvent(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold without -race")

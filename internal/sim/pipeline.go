@@ -8,46 +8,38 @@ import (
 // The protocol side runs beside the world (DESIGN "The protocol side runs
 // beside the world"). Every world hands the protocol side one trace.Event
 // per event — send, delivery, move, join, marker round, marker, timer
-// tick — through one entry point, protoside.Side.Apply; the engine's
-// queue carries each with its message's payload carrier as one entry, and
-// apply is the only place the engine calls Apply, on one goroutine at a
-// time. The GC tick rides the queue as an entry of no kind: collect is the
-// world's own call, not a protocol event. A sequential run ships the
-// entries in chunks to a consumer goroutine, which applies them in push
-// order, and drains the queue only where the world reads protocol state:
-// once a marker round has started (the slot's Targets) and at the end.
-// On the lane engine each lane buffers its entries, and the coordinator
-// applies every buffer, lane by lane, each time the lanes park
-// (applyLanes): a host's entries all come from its own lane, in its
-// order, and a cross-lane delivery lands in a later window than its send.
-// Runs with CheckpointLatency, whose ExtraDelay reads what the last
-// operation's checkpoints cost, apply each entry in line, as the
+// tick — through one entry point, protoside.Side.Apply, which keeps each
+// message's piggybacks from its send to its delivery; the engine's queue
+// carries the bare events, and apply is the only place the engine calls
+// Apply, on one goroutine at a time. The GC tick rides the queue as an
+// event of no kind: collect is the world's own call, not a protocol event.
+// A sequential run ships the events in chunks to a consumer goroutine,
+// which applies them in push order, and drains the queue only where the
+// world reads protocol state: once a marker round has started (the slot's
+// Targets) and at the end. On the lane engine each lane buffers its
+// events, and the coordinator applies every buffer, lane by lane, each
+// time the lanes park (applyLanes): a host's events all come from its own
+// lane, in its order, and a cross-lane delivery lands in a later window
+// than its send. Runs with CheckpointLatency, whose ExtraDelay reads what
+// the last operation's checkpoints cost, apply each event in line, as the
 // coordinator does its own.
 
-// entry is one event for the protocol side and the payload carrier of a
-// send or delivery (nil otherwise): 40 bytes (TestPipelineEntrySize). An entry
-// of no kind is the GC tick.
-type entry struct {
-	ev trace.Event
-	pl *payload
-}
-
-// chunkEntries is the entries one chunk ships: 40 kB, so the chunks in
+// chunkEvents is the events one chunk ships: 32 kB, so the chunks in
 // circulation stay cache-sized. E41's sweep from 128 to 32 768 entries
 // found none faster, and every size above 2 048 raised peak RSS.
-const chunkEntries = 1024
+const chunkEvents = 1024
 
 // chunksInFlight is the chunks one run makes: the world fills one while
 // the consumer works through the others.
 const chunksInFlight = 4
 
 type chunk struct {
-	n    int
-	ents [chunkEntries]entry
+	n   int
+	evs [chunkEvents]trace.Event
 }
 
-// pipeline carries one sequential run's entries from the world goroutine
-// to the consumer goroutine. It starts at the first entry (startPipe),
+// pipeline carries one sequential run's events from the world goroutine
+// to the consumer goroutine. It starts at the first event (startPipe),
 // so a run that pushes none makes nothing.
 type pipeline struct {
 	//guard:none the world goroutine's: the chunk being filled
@@ -66,20 +58,17 @@ type pipeline struct {
 	failure any
 }
 
-// push hands one event, with its message's carrier, to the protocol side:
-// from a lane handler, appended to its lane's buffer; applied in line
-// when the run applies in line; else appended to the chunk being filled,
-// which ships when full.
-func (e *engine) push(ev trace.Event, pl *payload) {
+// push hands one event to the protocol side: from a lane handler,
+// appended to its lane's buffer; applied in line when the run applies in
+// line; else appended to the chunk being filled, which ships when full.
+func (e *engine) push(ev trace.Event) {
 	if e.core != nil && !e.inGlobalPhase {
 		l := e.laneOf(mobile.HostID(ev.Host))
-		e.laneEntries[l] = append(e.laneEntries[l], entry{ev, pl})
+		e.laneEvents[l] = append(e.laneEvents[l], ev)
 		return
 	}
 	if e.inline {
-		en := entry{ev, pl}
-		e.apply(&en, &e.sends)
-		e.reclaim(&en)
+		e.apply(ev)
 		return
 	}
 	p := e.pipe
@@ -87,63 +76,36 @@ func (e *engine) push(ev trace.Event, pl *payload) {
 		p = e.startPipe()
 	}
 	c := p.fill
-	c.ents[c.n] = entry{ev, pl}
+	c.evs[c.n] = ev
 	c.n++
-	if c.n == chunkEntries {
+	if c.n == chunkEvents {
 		p.full <- c
 		p.out++
 		p.fill = e.nextChunk()
 	}
 }
 
-// apply hands one entry to the protocol side, or collects on a GC tick.
-// It numbers the sends in the order it applies them — a history's
-// ordinals — on their carriers, counting in the applying goroutine's
-// *sends, and hands each delivery its message's. A delivered message's
-// piggybacks are cleared once applied.
-func (e *engine) apply(en *entry, sends *int32) {
-	var pb []any
-	switch en.ev.Kind {
-	case 0:
+// apply hands one event to the protocol side, or collects on a GC tick.
+func (e *engine) apply(ev trace.Event) {
+	if ev.Kind == 0 {
 		e.collect()
 		return
-	case trace.Send:
-		en.pl.ord = *sends
-		*sends++
-	case trace.Deliver:
-		en.ev.Arg = en.pl.ord
 	}
-	if en.pl != nil {
-		pb = en.pl.piggyback
-	}
-	e.Apply(en.ev, pb)
-	if en.ev.Kind == trace.Deliver {
-		clear(pb)
-	}
+	e.Apply(ev, nil)
 }
 
-// reclaim returns an applied delivery's carrier to the world's free list:
-// every consumer has seen it.
-func (e *engine) reclaim(en *entry) {
-	if en.ev.Kind == trace.Deliver {
-		lane := e.laneOf(mobile.HostID(en.ev.Host))
-		e.plFree[lane] = append(e.plFree[lane], en.pl)
-	}
-}
-
-// applyLanes applies every lane's buffered entries, lane by lane, each
+// applyLanes applies every lane's buffered events, lane by lane, each
 // lane's in push order, and empties the buffers. The lane engine's
 // coordinator calls it each time the lanes park (pdes.CoreConfig.Parked),
 // so a global step and the end of the run find them empty.
 //
 //lane:stopped runs on the coordinator with every lane parked
 func (e *engine) applyLanes() {
-	for l, ents := range e.laneEntries {
-		for i := range ents {
-			e.apply(&ents[i], &e.sends)
-			e.reclaim(&ents[i])
+	for l, evs := range e.laneEvents {
+		for _, ev := range evs {
+			e.apply(ev)
 		}
-		e.laneEntries[l] = ents[:0]
+		e.laneEvents[l] = evs[:0]
 	}
 }
 
@@ -169,10 +131,9 @@ func (e *engine) startPipe() *pipeline {
 func (e *engine) consume(p *pipeline) {
 	defer close(p.done)
 	defer func() { p.failure = recover() }()
-	var sends int32 // the consumer's own: engine.sends shares a cache line with the world's
 	for c := range p.full {
-		for i := range c.n {
-			e.apply(&c.ents[i], &sends)
+		for _, ev := range c.evs[:c.n] {
+			e.apply(ev)
 		}
 		p.back <- c
 	}
@@ -190,17 +151,14 @@ func (e *engine) nextChunk() *chunk {
 	return e.await()
 }
 
-// await receives the oldest shipped chunk back, reclaims its carriers and
-// empties it. A consumer that died is never waited on: its panic is
-// re-raised here, on the world goroutine, with the same value.
+// await receives the oldest shipped chunk back and empties it. A
+// consumer that died is never waited on: its panic is re-raised here, on
+// the world goroutine, with the same value.
 func (e *engine) await() *chunk {
 	p := e.pipe
 	select {
 	case c := <-p.back:
 		p.out--
-		for i := range c.n {
-			e.reclaim(&c.ents[i])
-		}
 		c.n = 0
 		return c
 	case <-p.done:
@@ -208,7 +166,7 @@ func (e *engine) await() *chunk {
 	}
 }
 
-// drain returns once the consumer has applied every entry pushed so
+// drain returns once the consumer has applied every event pushed so
 // far: until its next push the world owns the protocol side.
 func (e *engine) drain() {
 	p := e.pipe

@@ -219,19 +219,20 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestPipelineEntrySize pins what the pipeline ships per event: a 32-byte
-// trace.Event and the carrier's pointer, 40 bytes (E41's chunk sweep was
-// measured at 48, when an Event still carried the timeline's flow id).
+// TestPipelineEntrySize pins what the pipeline ships per event: a bare
+// 32-byte trace.Event, with no pointer in it (E41's chunk sweep was
+// measured at 48 bytes, when an Event still carried the timeline's flow id
+// and a pointer to its message's carrier rode beside it).
 func TestPipelineEntrySize(t *testing.T) {
 	if size := unsafe.Sizeof(trace.Event{}); size != 32 {
 		t.Errorf("unsafe.Sizeof(trace.Event{}) = %d, want 32", size)
 	}
-	if size := unsafe.Sizeof(entry{}); size != 40 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 40", size)
+	if size, want := unsafe.Sizeof(chunk{}), unsafe.Sizeof(0)+chunkEvents*32; size != want {
+		t.Errorf("unsafe.Sizeof(chunk{}) = %d, want %d: its count and %d bare events", size, want, chunkEvents)
 	}
 }
 
-// TestPipelineStartsLazily: a run that pushes no entry starts no
+// TestPipelineStartsLazily: a run that pushes no event starts no
 // consumer, and a longer one cycles a bounded set of chunks.
 func TestPipelineStartsLazily(t *testing.T) {
 	for _, horizon := range []des.Time{1e-3, 3000} {
@@ -244,7 +245,7 @@ func TestPipelineStartsLazily(t *testing.T) {
 		e.run()
 		switch {
 		case horizon < 1 && e.pipe != nil:
-			t.Fatalf("horizon %v: a run with no entry made a pipeline", horizon)
+			t.Fatalf("horizon %v: a run with no event made a pipeline", horizon)
 		case horizon > 1 && (e.pipe == nil || e.pipe.out != 0 || len(e.pipe.spare) != chunksInFlight-1):
 			t.Fatalf("horizon %v: pipeline %+v, want every chunk back after the final drain", horizon, e.pipe)
 		}

@@ -264,7 +264,7 @@ func TestSeedCutMatchesProtocolLines(t *testing.T) {
 // TestGCPrunesMessageLog ties the log's garbage collection to the stable
 // recovery-line frontier: with periodic GC on, every host's entries
 // behind the frontier are reclaimed — more than the hand-offs alone
-// reclaim from the switching hosts' — the log/trace reconciliation
+// prune from the switching hosts' — the log/trace reconciliation
 // invariants still hold (Checks is on in testConfig), and a post-GC
 // failure still recovers with replay.
 func TestGCPrunesMessageLog(t *testing.T) {

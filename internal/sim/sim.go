@@ -7,18 +7,19 @@
 // instantaneous and does not perturb the application, so the message and
 // mobility trace of a run depends only on the seed — never on the
 // protocol. The engine exploits that by evaluating *all requested
-// protocols simultaneously over the same trace*: each application message
-// carries one piggyback slot per protocol, and each protocol keeps its
-// own checkpoint store. This gives an exact like-for-like comparison in a
-// single pass (the ablation bench verifies it matches per-protocol
-// re-simulation). Recorded (Config.RecordTrace), the trace is kept once,
-// as one history, and each protocol keeps only its two checkpoint counts
-// per message.
+// protocols simultaneously over the same trace*: the protocol side keeps
+// one piggyback slot per protocol for each application message in flight,
+// and each protocol keeps its own checkpoint store. This gives an exact
+// like-for-like comparison in a single pass (the ablation bench verifies
+// it matches per-protocol re-simulation). Recorded (Config.RecordTrace),
+// the trace is kept once, as one history, and each protocol keeps only
+// its two checkpoint counts per message.
 //
 // The same property lets the protocol side run beside the world
-// (pipeline.go): every event reaches it as one trace.Event, applied on a
-// second goroutine or between the lane engine's windows, and the world
-// waits for it only where it reads protocol state. Under
+// (pipeline.go): every event reaches it as one bare trace.Event — the
+// network moves messages without their piggybacks — applied on a second
+// goroutine or between the lane engine's windows, and the world waits for
+// it only where it reads protocol state. Under
 // Config.CheckpointLatency a checkpoint delays the host's next
 // operation, so every event is applied in line.
 package sim
@@ -77,7 +78,7 @@ type engine struct {
 	net    *mobile.Network
 	driver *workload.Driver
 
-	// inline applies every entry on the goroutine that pushes it
+	// inline applies every event on the goroutine that pushes it
 	// (CheckpointLatency, and the lane engine's coordinator); otherwise a
 	// pipeline ships them to a consumer goroutine. Set before the run
 	// starts.
@@ -85,19 +86,19 @@ type engine struct {
 	//lane:stopped decided while wiring, before any lane runs
 	inline bool
 	// pipe is the sequential run's pipeline to the protocol side, nil
-	// until the first entry (and always with inline).
+	// until the first event (and always with inline).
 	pipe *pipeline
-	// laneEntries[l] holds the entries lane l pushed since the lanes last
+	// laneEvents[l] holds the events lane l pushed since the lanes last
 	// parked; the coordinator applies them then (applyLanes). Only the
 	// lane engine fills it.
 	//
 	//lane:shard
-	laneEntries [][]entry
+	laneEvents [][]trace.Event
 
 	// sched is the scheduling surface the world model runs on: des.Solo
 	// over sim for sequential runs, a coreSched over core for parallel
-	// ones. Lane-sharded engine state (plFree, laneEntries) is indexed by
-	// laneOf, pdes.Core's owner-to-lane map, over lanes lanes (1 for the
+	// ones. Lane-sharded engine state (laneEvents) is indexed by laneOf,
+	// pdes.Core's owner-to-lane map, over lanes lanes (1 for the
 	// sequential engine).
 	sched des.Sched
 	core  *pdes.Core
@@ -107,7 +108,7 @@ type engine struct {
 	// the post-run drain. Toggled only while no lane handler executes (the
 	// coordinator's window barrier orders the accesses), it routes
 	// now() to the global clock instead of a parked lane's local time,
-	// and has push apply the coordinator's own entries in line rather
+	// and has push apply the coordinator's own events in line rather
 	// than buffer them for a lane.
 	//
 	//lane:stopped the coordinator flips it between handler windows
@@ -122,22 +123,9 @@ type engine struct {
 	//lane:stopped joins are global-timeline events, never lane handlers
 	joinRNG *rng.Source
 
-	// plFree is the per-lane free list of payload carriers: send pops
-	// lane(from), deliver pushes lane(to), which keeps the send→deliver
-	// path allocation-free in steady state.
-	//
-	//lane:shard
-	plFree [][]*payload
-
 	// pendingLatency accumulates checkpoint time to charge against each
 	// host's next operation (only with a single protocol selected).
 	pendingLatency []des.Time
-
-	// sends is the next message ordinal of a run that applies its entries
-	// in line or on the lane engine's coordinator: the sends the protocol
-	// side has been handed so far (apply). A pipelined run's consumer
-	// counts its own.
-	sends int32
 
 	// Engine-internals probes (zero/nil unless Config.Probes). All are
 	// single-writer cells read after the run (DESIGN.md: probes and
@@ -164,20 +152,6 @@ func (e *engine) now(h mobile.HostID) des.Time {
 // laneOf is the lane host h's events run on: pdes.Core's owner % P map.
 func (e *engine) laneOf(h mobile.HostID) int { return int(h) % e.lanes }
 
-// payload is what one application message carries: the per-protocol
-// piggybacks, parallel to cfg.Protocols. Payloads are pooled: send draws
-// from engine.plFree and deliver returns the carrier once every
-// consumer has seen it; the piggybacks themselves are immutable values
-// the protocols own.
-type payload struct {
-	piggyback []any
-	// ord is the message's ordinal, the number of messages sent before
-	// it, which apply gives the send and hands its delivery. The
-	// network's message ids are not: on the lane engine their order is
-	// the lanes' scheduling.
-	ord int32
-}
-
 // newEngine wires a validated configuration into a runnable engine:
 // scheduling surface first, then the world on top of it, then — only
 // with Config.Metrics — the instruments that read both.
@@ -195,38 +169,25 @@ func newEngine(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// send hands a message to the network and has the protocol side fill its
-// piggyback slots (the network reads none of them before the delivery).
+// send hands a message to the network and its send to the protocol side,
+// which keeps the message's piggybacks until its delivery: the network
+// only moves the message.
 //
 //lane:handler
 func (e *engine) send(from, to mobile.HostID) {
-	lane := e.laneOf(from)
-	var pl *payload
-	if free := e.plFree[lane]; len(free) > 0 {
-		k := len(free)
-		pl = free[k-1]
-		free[k-1] = nil
-		e.plFree[lane] = free[:k-1]
-	} else {
-		pl = &payload{piggyback: make([]any, len(e.Slots))}
-	}
-	m, err := e.net.Send(from, to, pl)
+	m, err := e.net.Send(from, to, nil)
 	if err != nil {
 		panic("sim: " + err.Error()) // the driver only sends from connected hosts
 	}
-	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID}, pl)
+	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID})
 }
 
 // deliver hands a delivered message to the protocol side and returns the
-// message to its pool for the next send; the carrier goes back to the
-// free list once the event is applied (reclaim). The message's ordinal,
-// the delivery's Arg, is the carrier's: apply numbers the sends.
+// message to its pool for the next send.
 //
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
-	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID},
-		m.Payload.(*payload))
-	m.Payload = nil
+	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID})
 	e.net.Recycle(m)
 }
 
@@ -240,7 +201,7 @@ func (e *engine) scheduleSnapshots(i int) {
 	period := e.cfg.SnapshotPeriod
 	markerLatency := e.cfg.Mobile.WiredLatency + e.cfg.Mobile.WirelessLatency
 	tick := func(sim *des.Simulator, now des.Time) {
-		e.push(trace.Event{Kind: trace.Round, At: now, Host: -1, Arg: int32(i)}, nil)
+		e.push(trace.Event{Kind: trace.Round, At: now, Host: -1, Arg: int32(i)})
 		e.drain()
 		for _, h := range e.Slots[i].Targets {
 			// One location query per marker: the paper's drawback (1).
@@ -250,7 +211,7 @@ func (e *engine) scheduleSnapshots(i int) {
 			}
 			sim.ScheduleAfter(markerLatency, "marker", func(sim *des.Simulator, now des.Time) {
 				if e.net.Host(h).Connected() {
-					e.push(trace.Event{Kind: trace.Marker, At: now, Host: int32(h), Arg: int32(i)}, nil)
+					e.push(trace.Event{Kind: trace.Marker, At: now, Host: int32(h), Arg: int32(i)})
 				}
 			})
 		}
@@ -268,7 +229,7 @@ func (e *engine) scheduleTicks(i int) {
 	tick := func(sim *des.Simulator, now des.Time) {
 		for h := 0; h < e.cfg.Mobile.NumHosts; h++ {
 			if e.net.Host(mobile.HostID(h)).Connected() {
-				e.push(trace.Event{Kind: trace.Tick, At: now, Host: int32(h), Arg: int32(i)}, nil)
+				e.push(trace.Event{Kind: trace.Tick, At: now, Host: int32(h), Arg: int32(i)})
 			}
 		}
 		sim.Again(period)
@@ -276,10 +237,10 @@ func (e *engine) scheduleTicks(i int) {
 	e.sim.Schedule(e.sim.Now()+period, "tick", tick)
 }
 
-// scheduleGC periodically pushes a GC tick, an entry of no kind.
+// scheduleGC periodically pushes a GC tick, an event of no kind.
 func (e *engine) scheduleGC() {
 	tick := func(sim *des.Simulator, now des.Time) {
-		e.push(trace.Event{At: now}, nil)
+		e.push(trace.Event{At: now})
 		sim.Again(e.cfg.GCInterval)
 	}
 	e.sim.Schedule(e.sim.Now()+e.cfg.GCInterval, "gc", tick)
@@ -325,7 +286,7 @@ func (e *engine) join() {
 	// Joins run world-stopped: grow the per-host tables lane handlers
 	// write here, so the lanes never reallocate them mid-run.
 	e.pendingLatency = append(e.pendingLatency, 0)
-	e.push(trace.Event{Kind: trace.Join, At: e.sim.Now(), Host: int32(id), Arg: int32(at)}, nil)
+	e.push(trace.Event{Kind: trace.Join, At: e.sim.Now(), Host: int32(id), Arg: int32(at)})
 	e.driver.AddHost(id, e.cfg.Seed)
 }
 
@@ -368,7 +329,7 @@ func (e *engine) run() *Result {
 	if e.core != nil {
 		// The lanes execute the world; the coordinator interleaves the
 		// global timeline (markers, ticks, GC, joins) world-stopped and
-		// applies the lanes' entries whenever they park. The post-run
+		// applies the lanes' events whenever they park. The post-run
 		// drain fires the global tail — timer events past the last lane
 		// event but at or before the horizon.
 		e.inGlobalPhase = false
@@ -377,6 +338,7 @@ func (e *engine) run() *Result {
 	}
 	e.sim.Run(e.cfg.Horizon)
 	e.drain()
+	e.FinishTraffic()
 	e.RenderTimeline(e.cfg.Timeline)
 	return e.result()
 }

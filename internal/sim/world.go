@@ -82,13 +82,13 @@ func (e *engine) hooks() mobile.Hooks {
 	return mobile.Hooks{
 		OnDeliver: e.deliver,
 		OnCellSwitch: func(now des.Time, h *mobile.Host, _, to mobile.MSSID) {
-			e.push(trace.Event{Kind: trace.Handoff, At: now, Host: int32(h.ID), Arg: int32(to)}, nil)
+			e.push(trace.Event{Kind: trace.Handoff, At: now, Host: int32(h.ID), Arg: int32(to)})
 		},
 		OnDisconnect: func(now des.Time, h *mobile.Host) {
-			e.push(trace.Event{Kind: trace.Disconnect, At: now, Host: int32(h.ID)}, nil)
+			e.push(trace.Event{Kind: trace.Disconnect, At: now, Host: int32(h.ID)})
 		},
 		OnReconnect: func(now des.Time, h *mobile.Host, at mobile.MSSID) {
-			e.push(trace.Event{Kind: trace.Reconnect, At: now, Host: int32(h.ID), Arg: int32(at)}, nil)
+			e.push(trace.Event{Kind: trace.Reconnect, At: now, Host: int32(h.ID), Arg: int32(at)})
 		},
 	}
 }

@@ -65,8 +65,8 @@ func ParseKind(name string) (Kind, bool) {
 //
 // At is the world's clock. The station a hand-off or disconnection
 // leaves is the host's current one, which whoever reads the rows derives
-// (the protocol side, the schedule export). 32 bytes, so the engine's
-// pipeline entry, an Event and a pointer, is 40.
+// (the protocol side, the schedule export). 32 bytes, with no pointer:
+// the engine's pipeline ships bare Events.
 type Event struct {
 	At   des.Time
 	Msg  uint64

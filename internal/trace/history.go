@@ -17,8 +17,8 @@ import (
 //
 // A row is the Event the world appended (Append), kept as one column per
 // field, and the message tables name rows by position. The world assigns
-// the message ids and keeps the ordinal a send's Append returns with the
-// message until its delivery. Every column is a column.Column: recording
+// the message ids; the protocol side keeps the ordinal a send's Append
+// returns with the message until its delivery. Every column is a column.Column: recording
 // never copies one, so a history allocates about the 29 bytes per row and
 // 17 per message it keeps.
 type History struct {
@@ -51,11 +51,10 @@ func (h *History) Len() int { return h.kind.Len() }
 
 // Append records ev as the history's next row and returns, for a send,
 // the message's ordinal (the number of messages sent before it), which
-// the world hands back in the delivery's Arg; -1 for any other kind. A
-// delivery that names an unsent or delivered ordinal, another message or
-// other hosts than its send, a join of any host but the next id, and a
-// kind that is none panic: the world recorded what it never did, a
-// harness bug.
+// its delivery's Arg must name; -1 for any other kind. A delivery that
+// names an unsent or delivered ordinal, another message or other hosts
+// than its send, a join of any host but the next id, and a kind that is
+// none panic: the world recorded what it never did, a harness bug.
 func (h *History) Append(ev Event) int32 {
 	ord := int32(-1)
 	switch ev.Kind {
