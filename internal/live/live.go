@@ -736,7 +736,7 @@ func (c *Cluster) send(from mobile.HostID, src *rng.Source) {
 	w := c.wired[c.side.Station(from)]
 	id := c.nextID
 	c.nextID++
-	pb := c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id}, nil)
+	pb := c.apply(trace.Event{Kind: trace.Send, Host: int32(from), Peer: int32(to), Msg: id, Arg: int32(id)}, nil)
 	// A TP piggyback names its hosts' station tables, which the protocol
 	// events under mu grow: it is encoded before mu is released.
 	frame, err := (&wire.Packet{ID: id, From: from, To: to, Piggyback: pb[0]}).Marshal()
@@ -777,7 +777,7 @@ func (c *Cluster) deliver(h mobile.HostID, pkt packet, seen *dupFilter) {
 	}
 	c.mu.Lock()
 	pb := [1]any{p.Piggyback} // the protocols see what came off the wire
-	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID}, pb[:])
+	c.apply(trace.Event{Kind: trace.Deliver, Host: int32(h), Peer: int32(p.From), Msg: p.ID, Arg: int32(p.ID)}, pb[:])
 	c.mu.Unlock()
 	c.storeImages(h)
 	atomic.AddInt64(&c.counters.Delivered, 1)

@@ -107,7 +107,7 @@ func (n *Network) Reconnect(id HostID, at MSSID) error {
 		// message — reconnect storms at large n stay allocation-free.
 		// Parked messages are addressed to this host, so the flush is a
 		// self-schedule on its own timeline.
-		m.route = at
+		m.route = int32(at)
 		n.sched.ScheduleArgAfter(int(id), delay, "flush-parked", n.arriveFn, m)
 	}
 	h.lastMSS = at

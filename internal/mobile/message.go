@@ -9,19 +9,21 @@ import (
 // Message is an application message in flight or queued for delivery.
 // Payload is opaque to the network. The simulator's messages carry none:
 // the protocol side keeps each message's piggybacked control information
-// (sequence numbers for BCS/QBC, dependency vectors for TP) itself.
+// (sequence numbers for BCS/QBC, dependency vectors for TP) itself. Hops
+// and route are 32-bit, which keeps a Message in the 64-byte size class
+// (TestMessageSize): every message in flight costs that much.
 type Message struct {
 	ID        uint64
 	From, To  HostID
 	SentAt    des.Time
 	ArrivedAt des.Time // when it became available at the recipient's MSS
 	Payload   any
-	Hops      int // total hops traversed (wireless + wired), for cost models
+	Hops      int32 // total hops traversed (wireless + wired), for cost models
 
 	// route is the station the in-flight message is headed to (the
 	// argument of its pending arrive/downlink event), so one long-lived
 	// handler serves every hop without per-hop closures.
-	route MSSID
+	route int32
 }
 
 func (m *Message) String() string {
@@ -126,7 +128,7 @@ func (n *Network) Send(from, to HostID, payload any) (*Message, error) {
 
 	// The arrival runs on the recipient's timeline; the uplink latency is
 	// the wireless lookahead bound every cross-lane hop respects.
-	m.route = dstMSS
+	m.route = int32(dstMSS)
 	n.sched.Route(int(from), int(to), atMSS, "at-mss", n.arriveFn, m)
 	return m, nil
 }
@@ -151,14 +153,14 @@ func (n *Network) arrive(m *Message, at MSSID, now des.Time) {
 		c.Forwards++
 		c.WiredHops++
 		m.Hops++
-		m.route = dst.mss
+		m.route = int32(dst.mss)
 		n.sched.ScheduleArgAfter(int(m.To), n.cfg.WiredLatency, "forward", n.arriveFn, m)
 		return
 	}
 	// Downlink into the recipient's cell.
 	m.Hops++
 	done := n.reserveWireless(at, lane, now)
-	m.route = at
+	m.route = int32(at)
 	n.sched.ScheduleArg(int(m.To), done, "downlink", n.downlinkFn, m)
 }
 
@@ -167,9 +169,9 @@ func (n *Network) arrive(m *Message, at MSSID, now des.Time) {
 // the transmission was in progress; re-route if so.
 func (n *Network) finishDownlink(m *Message, now des.Time) {
 	dst := n.host(m.To)
-	if !dst.connected || dst.mss != m.route {
+	if !dst.connected || dst.mss != MSSID(m.route) {
 		m.Hops-- // the failed downlink is re-attempted elsewhere
-		n.arrive(m, m.route, now)
+		n.arrive(m, MSSID(m.route), now)
 		return
 	}
 	m.ArrivedAt = now

@@ -295,7 +295,7 @@ func NewSched(sched des.Sched, lanes int, cfg Config, hooks Hooks) (*Network, er
 	n.msgFree = make([][]*Message, lanes)
 	n.arriveFn = func(sim *des.Simulator, now des.Time, arg any) {
 		m := arg.(*Message)
-		n.arrive(m, m.route, now)
+		n.arrive(m, MSSID(m.route), now)
 	}
 	n.downlinkFn = func(sim *des.Simulator, now des.Time, arg any) {
 		n.finishDownlink(arg.(*Message), now)

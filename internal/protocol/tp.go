@@ -168,9 +168,10 @@ func (s *tpHost) raise(tail []tpChange, k, j int, x int32) {
 // records of its known entries when they fill at most half the array (no
 // frame, so the -1 fill is implied), else as a new frame, a copy of vec.
 // No array is ever reallocated, so earlier views keep the frame and
-// prefix they name. Either way at least half the array is free, so the
-// O(n) start costs O(1) per change amortized and a view never replays
-// more than n records.
+// prefix they name. One counting pass picks the form, so neither is
+// built and thrown away. Either way at least half the array is free, so
+// the O(n) start costs O(1) per change amortized and a view never
+// replays more than n records.
 func (s *tpHost) logged(k int) {
 	if k == 0 {
 		return
@@ -180,17 +181,21 @@ func (s *tpHost) logged(k int) {
 		s.log = s.log[:len(s.log)+k]
 		return
 	}
-	w := len(s.vec)
+	w, known := len(s.vec), 0
+	for _, x := range s.vec {
+		if x >= 0 {
+			known++
+		}
+	}
 	s.frame, s.log = nil, make([]tpChange, 0, w)
+	if known > w/2 {
+		s.frame = slices.Clone(s.vec)
+		return
+	}
 	for j, x := range s.vec {
-		if x < 0 {
-			continue
+		if x >= 0 {
+			s.log = append(s.log, tpChange{int32(j), x})
 		}
-		if len(s.log) == w/2 {
-			s.frame, s.log = slices.Clone(s.vec), s.log[:0]
-			return
-		}
-		s.log = append(s.log, tpChange{int32(j), x})
 	}
 }
 

@@ -21,7 +21,6 @@ package protoside
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -74,20 +73,28 @@ type Side struct {
 	// reg receives the metrics (nil unless the world passed a registry).
 	reg *obs.Registry
 
-	// flights holds every message sent and not yet delivered, by id, until
-	// FinishTraffic keeps their ids alone in stranded; rows holds their
-	// piggybacks, a row each, and free the rows of delivered messages.
+	// msgs holds each message's record by its number (Apply), idle but
+	// from its send to its delivery, until FinishTraffic keeps the numbers
+	// still in flight alone in stranded. rows holds their piggybacks, a
+	// row of len(Slots) each, and free the rows of delivered messages.
 	// sends is the next send's ordinal.
-	flights  map[uint64]flight
-	rows     column.Column[[]any]
+	msgs     column.Column[flight]
+	rows     [][]any
 	free     []int32
 	stranded []uint64
 	sends    int32
 }
 
-// flight is one message in flight: its ordinal — the number of messages
-// sent before it — and its row of piggybacks.
+// flight is one message's record: its ordinal — the number of messages
+// sent before it — and its row of piggybacks, chunk<<rowShift | the row's
+// place in the chunk. A message not in flight has ord -1 (idle).
 type flight struct{ ord, row int32 }
+
+var idle = flight{ord: -1}
+
+// Chunk c of rows holds min(2^c, 2^rowShift) rows: a tiny world's table
+// stays tiny, and no chunk moves.
+const rowShift = 12
 
 // Slot is one protocol's share of the run: all protocols ride the same
 // events, and everything that differs between them lives here. The world
@@ -235,7 +242,6 @@ func New(protos, hosts, stations int, hist *trace.History, reg *obs.Registry) *S
 		actor:   anyHost,
 		causes:  make([]map[string]int64, protos),
 		reg:     reg,
-		flights: make(map[uint64]flight),
 	}
 	for h := range p.station {
 		p.station[h] = mobile.MSSID(h % stations)
@@ -348,13 +354,18 @@ func (p *Side) Start() {
 // Apply, the side's one entry point, mirrors one event of the world at
 // its time ev.At: its history row first, when the side keeps one, then its
 // effect on every slot — on slot ev.Arg alone for a clocked kind — then
-// the concerned slots' checkers (trace.Event tables each field). A send
-// numbers the message with the history's ordinal and returns its row of
-// piggybacks, parallel to the slots, which the caller may encode or
-// overwrite before the next event. A delivery takes the row back, writes
-// the ordinal into ev.Arg, and hands the protocols decoded — what a
-// transport decoded off the wire — or, when that is nil, the row. Other
-// kinds take a nil decoded and return nil.
+// the concerned slots' checkers (trace.Event tables each field). The Arg
+// of a send or a delivery is the message's number in the side's table,
+// which the world keeps dense: the engine and the live cluster pass the
+// message's id, which they count from 0, a replay its send ordinal. A
+// send numbers the message with the history's ordinal, writes 0 as its
+// row's Arg, and returns its row of piggybacks, parallel to the slots,
+// which the caller may encode or overwrite before the next event; with a
+// delivered row free it allocates nothing. A delivery takes the row
+// back, writes the ordinal into ev.Arg, and hands the protocols decoded —
+// what a transport decoded off the wire — or, when that is nil, the row;
+// a delivery of a message not in flight panics naming it. Other kinds
+// take a nil decoded and return nil.
 func (p *Side) Apply(ev trace.Event, decoded []any) []any {
 	h := mobile.HostID(ev.Host)
 	cause := ev.Kind.String()
@@ -368,23 +379,29 @@ func (p *Side) Apply(ev trace.Event, decoded []any) []any {
 	var row, pb []any
 	switch ev.Kind {
 	case trace.Send:
-		f = flight{p.sends, int32(p.rows.Len())}
-		if n := len(p.free); n > 0 {
-			f.row, p.free = p.free[n-1], p.free[:n-1]
-		} else {
-			p.rows.Append(make([]any, len(p.Slots)))
+		n := int(ev.Arg)
+		for p.msgs.Len() <= n {
+			p.msgs.Append(idle)
 		}
-		p.flights[ev.Msg] = f
+		if n < 0 || p.msgs.At(n).ord >= 0 {
+			panic(fmt.Sprintf("protoside: send of message %d as number %d, which is in flight", ev.Msg, n))
+		}
+		f = flight{p.sends, p.newRow()}
+		p.msgs.Set(n, f)
 		p.sends++
-		row = p.rows.At(int(f.row))
-		pb = row
+		row = p.row(f.row)
+		ev.Arg, pb = 0, row
 	case trace.Deliver:
-		var ok bool
-		if f, ok = p.flights[ev.Msg]; !ok {
-			panic(fmt.Sprintf("protoside: delivery of message %d, which is not in flight", ev.Msg))
+		n := int(ev.Arg)
+		f = idle
+		if n >= 0 && n < p.msgs.Len() {
+			f = p.msgs.At(n)
 		}
-		delete(p.flights, ev.Msg)
-		row = p.rows.At(int(f.row))
+		if f.ord < 0 {
+			panic(fmt.Sprintf("protoside: delivery of message %d as number %d, which is not in flight", ev.Msg, n))
+		}
+		p.msgs.Set(n, idle)
+		row = p.row(f.row)
 		ev.Arg, pb = f.ord, decoded
 		if pb == nil {
 			pb = row
@@ -437,27 +454,55 @@ func (p *Side) Apply(ev trace.Event, decoded []any) []any {
 	return row
 }
 
-// InFlight returns, in ascending order, the ids of the messages sent and
-// not yet delivered: the history's (trace.History.InFlight).
+// newRow returns a free row: a delivered message's, else the next of
+// the newest chunk, which a full chunk makes anew.
+func (p *Side) newRow() int32 {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	w, c := len(p.Slots), len(p.rows)-1
+	if c < 0 || len(p.rows[c]) == cap(p.rows[c]) {
+		c++
+		p.rows = append(p.rows, make([]any, 0, min(1<<c, 1<<rowShift)*w))
+	}
+	at := len(p.rows[c])
+	p.rows[c] = p.rows[c][:at+w]
+	return int32(c<<rowShift | at/w)
+}
+
+// row is row r's piggybacks, a slot each.
+func (p *Side) row(r int32) []any {
+	w := len(p.Slots)
+	at := int(r&(1<<rowShift-1)) * w
+	return p.rows[r>>rowShift][at : at+w : at+w]
+}
+
+// InFlight returns, in ascending order, the numbers (Apply) of the
+// messages sent and not yet delivered: in the engine and the live cluster
+// their ids, the history's (trace.History.InFlight); in a replay their
+// send ordinals.
 func (p *Side) InFlight() []uint64 {
-	if p.flights == nil {
+	if p.msgs.Len() == 0 {
 		return p.stranded
 	}
-	ids := make([]uint64, 0, len(p.flights))
-	for id := range p.flights {
-		ids = append(ids, id)
+	var ids []uint64
+	for id := range p.msgs.Len() {
+		if p.msgs.At(id).ord >= 0 {
+			ids = append(ids, uint64(id))
+		}
 	}
-	slices.Sort(ids)
 	return ids
 }
 
-// FinishTraffic, after the world's last event, keeps the ids of the
-// messages in flight and drops their rows: a finished run's result holds
-// the side, and a short run can end with most messages in flight
-// (TestHeldResultHeap's: 84 000 of 87 000).
+// FinishTraffic, after the world's last event, keeps the numbers of the
+// messages in flight and drops their records and rows: a finished run's
+// result holds the side, and a short run can end with most messages in
+// flight (TestHeldResultHeap's: 84 000 of 87 000).
 func (p *Side) FinishTraffic() {
 	p.stranded = p.InFlight()
-	p.flights, p.rows, p.free = nil, column.Column[[]any]{}, nil
+	p.msgs, p.rows, p.free = column.Column[flight]{}, nil, nil
 }
 
 // send runs every protocol's OnSend of a message from → to — leaving the

@@ -2,6 +2,8 @@ package protoside_test
 
 import (
 	"fmt"
+	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -44,10 +46,14 @@ func newWorld(t *testing.T) *world {
 	return w
 }
 
-// apply mirrors ev at the next tick of the clock.
+// apply mirrors ev at the next tick of the clock, numbering a message in
+// the side's table by its id, as the engine does.
 func (w *world) apply(ev trace.Event) {
 	w.tick++
 	ev.At = w.tick
+	if ev.Kind == trace.Send || ev.Kind == trace.Deliver {
+		ev.Arg = int32(ev.Msg)
+	}
 	w.Apply(ev, nil)
 }
 
@@ -209,7 +215,7 @@ func (r *rogue) OnTick(h mobile.HostID)                       { r.other(h) }
 // before the next lane's. The rogue is armed after the initial checkpoints
 // and, for a delivery, after the send it delivers.
 func TestCheckpointOfAnotherHostPanics(t *testing.T) {
-	send := trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7}
+	send := trace.Event{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7, Arg: 7}
 	for _, tc := range []struct {
 		entry string
 		host  mobile.HostID
@@ -217,7 +223,7 @@ func TestCheckpointOfAnotherHostPanics(t *testing.T) {
 	}{
 		{"OnSend", 0, func(p *protoside.Side) { p.Apply(send, nil) }},
 		{"OnDeliver", 1, func(p *protoside.Side) {
-			p.Apply(trace.Event{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 7}, nil)
+			p.Apply(trace.Event{Kind: trace.Deliver, At: 2, Host: 1, Peer: 0, Msg: 7, Arg: 7}, nil)
 		}},
 		{"OnCellSwitch", 2, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Handoff, At: 1, Host: 2, Arg: 1}, nil) }},
 		{"OnDisconnect", 0, func(p *protoside.Side) { p.Apply(trace.Event{Kind: trace.Disconnect, At: 1, Host: 0}, nil) }},
@@ -294,7 +300,7 @@ func TestApplyAllocs(t *testing.T) {
 		tick++
 		id++
 		from, to := ends(id)
-		if pb := p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id}, nil); len(pb) != len(p.Slots) {
+		if pb := p.Apply(trace.Event{Kind: trace.Send, At: tick, Host: from, Peer: to, Msg: id, Arg: int32(id)}, nil); len(pb) != len(p.Slots) {
 			t.Fatalf("a send returned %d piggybacks for %d slots", len(pb), len(p.Slots))
 		}
 	}
@@ -305,7 +311,7 @@ func TestApplyAllocs(t *testing.T) {
 		send()
 		old := id - flying // the oldest message in flight
 		from, to := ends(old)
-		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: old}, nil)
+		p.Apply(trace.Event{Kind: trace.Deliver, At: tick, Host: to, Peer: from, Msg: old, Arg: int32(old)}, nil)
 		p.Apply(trace.Event{Kind: trace.Handoff, At: tick, Host: from, Arg: int32(1 - p.Station(mobile.HostID(from)))}, nil)
 	}
 	for range 4096 { // every column past its doubling chunks
@@ -316,5 +322,80 @@ func TestApplyAllocs(t *testing.T) {
 	}
 	if n := len(p.InFlight()); n != flying {
 		t.Fatalf("%d messages in flight, want %d", n, flying)
+	}
+	t.Run("NoFreeRowAllocs", sendsAllocs)
+}
+
+// sendsAllocs: when no delivered row is ever free — most messages of a
+// short run at scale end in flight — a send takes a new record and a new
+// row. The table then allocates one chunk of records per 4 096 sends and
+// one chunk of rows per 4 096 rows, and its bytes are what it keeps: 8 B
+// a record and 16 B a slot's piggyback.
+func sendsAllocs(t *testing.T) {
+	const hosts, stations, slots, chunk = 4, 2, 2, 4096
+	p := protoside.New(slots, hosts, stations, nil, nil)
+	for i := range p.Slots {
+		err := p.InitSlot(i, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel())}, false,
+			func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
+				return quiet{protocol.NewUncoordinated(hosts, c)}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Start()
+	var id uint64
+	sends := func() {
+		for range chunk {
+			from, to := int32(id%hosts), int32((id+1)%hosts)
+			p.Apply(trace.Event{Kind: trace.Send, At: des.Time(id), Host: from, Peer: to, Msg: id, Arg: int32(id)}, nil)
+			id++
+		}
+	}
+	sends() // past the doubling chunks
+	if allocs := testing.AllocsPerRun(8, sends); allocs > 2 {
+		t.Fatalf("%d sends allocate %v times, want at most a chunk of records and one of rows", chunk, allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 16 {
+		sends()
+	}
+	runtime.ReadMemStats(&after)
+	keep := 16 * chunk * (8 + 16*slots)
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.05*float64(keep) {
+		t.Fatalf("%d sends allocate %d B, they keep %d", 16*chunk, got, keep)
+	}
+	if n := len(p.InFlight()); uint64(n) != id {
+		t.Fatalf("%d messages in flight, want %d", n, id)
+	}
+}
+
+// TestMisnumberedMessagePanics: a delivery of a message that is not in
+// flight — a number past the end of the side's table, or a record already
+// delivered — panics naming the message, as it does wherever the engine
+// or the live cluster numbers a delivery wrong; so does a send of a
+// number still in flight.
+func TestMisnumberedMessagePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		ev         trace.Event
+	}{
+		{"past the end", "delivery of message 9\\b.*not in flight", trace.Event{Kind: trace.Deliver, Host: 1, Peer: 0, Msg: 9}},
+		{"delivered", "delivery of message 1\\b.*not in flight", trace.Event{Kind: trace.Deliver, Host: 2, Peer: 1, Msg: 1}},
+		{"sent twice", "send of message 0\\b.*in flight", trace.Event{Kind: trace.Send, Host: 2, Peer: 0, Msg: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			w.apply(trace.Event{Kind: trace.Send, Host: 0, Peer: 1, Msg: 0})
+			w.apply(trace.Event{Kind: trace.Send, Host: 1, Peer: 2, Msg: 1})
+			w.apply(trace.Event{Kind: trace.Deliver, Host: 2, Peer: 1, Msg: 1})
+			defer func() {
+				if msg := fmt.Sprint(recover()); !regexp.MustCompile(tc.want).MatchString(msg) {
+					t.Fatalf("panic %q, want one matching %q", msg, tc.want)
+				}
+			}()
+			w.apply(tc.ev)
+		})
 	}
 }

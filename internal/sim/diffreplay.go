@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mobickpt/internal/column"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/protoside"
@@ -73,9 +74,16 @@ func runSchedule(cfg Config) (*Result, error) {
 	// like the live cluster; then the recorded history, in order, each
 	// event at its recorded tick. The timeline is drawn from the history
 	// after the walk, as the live cluster draws its own, so a replayed
-	// timeline is the live one.
+	// timeline is the live one. The side's table numbers each message with
+	// its send ordinal, which Import names on its delivery, whatever ids
+	// the schedule uses; ids maps the ordinals back to those ids.
 	side.Start()
+	var ids column.Column[uint64]
 	for _, ev := range sched.Import() {
+		if ev.Kind == trace.Send {
+			ev.Arg = int32(ids.Len())
+			ids.Append(ev.Msg)
+		}
 		pb := side.Apply(ev, nil)
 		if ev.Kind == trace.Send {
 			// Round-trip the piggyback through the wire codec like the live
@@ -95,7 +103,12 @@ func runSchedule(cfg Config) (*Result, error) {
 	// The side must hold the schedule's in-flight section — the sends it
 	// leaves undelivered, in id order (Validate) — and nothing else: a
 	// mismatch means the walk desynchronized.
-	if got := side.InFlight(); !slices.Equal(got, sched.InFlight) {
+	got := side.InFlight()
+	for i, ord := range got {
+		got[i] = ids.At(int(ord))
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, sched.InFlight) {
 		return nil, fmt.Errorf("sim: replay ends with %d in-flight messages, schedule says %d (or other ids)",
 			len(got), len(sched.InFlight))
 	}

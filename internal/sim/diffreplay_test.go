@@ -2,6 +2,8 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,5 +227,81 @@ func TestReplayJoin(t *testing.T) {
 	}
 	if res.Decisions.NumHosts() != 3 {
 		t.Fatalf("decision log has %d hosts, want 3", res.Decisions.NumHosts())
+	}
+}
+
+// sparseSchedule is a schedule whose message ids are sparse and huge —
+// 7, 1<<40 and 1<<62 — with a hand-off between them and the 1<<40 send
+// left in flight.
+func sparseSchedule(protocol string) *trace.Schedule {
+	h := trace.NewHistory(3, 2)
+	for _, ev := range []trace.Event{
+		{Kind: trace.Send, At: 1, Host: 0, Peer: 1, Msg: 7},
+		{Kind: trace.Send, At: 2, Host: 1, Peer: 2, Msg: 1 << 40}, // in flight for good
+		{Kind: trace.Deliver, At: 3, Host: 1, Peer: 0, Msg: 7, Arg: 0},
+		{Kind: trace.Handoff, At: 4, Host: 2, Arg: 1},
+		{Kind: trace.Send, At: 5, Host: 2, Peer: 0, Msg: 1 << 62},
+		{Kind: trace.Deliver, At: 6, Host: 0, Peer: 2, Msg: 1 << 62, Arg: 2},
+	} {
+		h.Append(ev)
+	}
+	return h.Schedule(0, protocol, 1)
+}
+
+// TestReplaySparseIDs: the replay numbers the protocol side's table by
+// send ordinal, so a schedule with sparse, huge ids replays clean with
+// its message log and checks on, allocating what three sends cost, and
+// reports the schedule's own ids: in its history's in-flight set, which
+// the replay held its side's table to, and in its decision log.
+func TestReplaySparseIDs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(Config{Schedule: sparseSchedule("QBC"), Checks: true, MessageLog: mlog.Pessimistic})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a replay of three sends allocates %d B", got)
+	}
+	if got := res.Protocols[0].Trace.History().InFlight(); !slices.Equal(got, []uint64{1 << 40}) {
+		t.Fatalf("the replay leaves %v in flight, want [1<<40]", got)
+	}
+	var ids []uint64
+	for _, ds := range res.Decisions.Deliveries {
+		for _, d := range ds {
+			ids = append(ids, d.Msg)
+		}
+	}
+	if !slices.Equal(ids, []uint64{1 << 62, 7}) {
+		t.Fatalf("the decision log delivers %v, want [1<<62 7] (host 0's, then host 1's)", ids)
+	}
+}
+
+// TestReplayRefusesMisnumberedDelivery: a schedule that delivers an
+// unsent message or delivers one twice is Validate's error, returned by
+// Run, before the replay's table could panic on it.
+func TestReplayRefusesMisnumberedDelivery(t *testing.T) {
+	unsent := replaySchedule("QBC")
+	unsent.Events[1].Msg = 99
+	twice := replaySchedule("QBC")
+	again := twice.Events[1]
+	again.Seq, again.Tick = uint64(len(twice.Events)), twice.Events[len(twice.Events)-1].Tick+1
+	twice.Events = append(twice.Events, again)
+	for name, s := range map[string]*trace.Schedule{"unsent": unsent, "twice": twice} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("the replay panics: %v", r)
+				}
+			}()
+			res, err := Run(Config{Schedule: s, Checks: true})
+			if err == nil || res != nil {
+				t.Fatalf("Run returned %v, %v; want Validate's error", res, err)
+			}
+			if !strings.Contains(err.Error(), "delivers unsent message 99") && !strings.Contains(err.Error(), "redelivers message 1") {
+				t.Fatalf("error %q names no misnumbered delivery", err)
+			}
+		})
 	}
 }

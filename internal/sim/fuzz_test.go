@@ -21,7 +21,8 @@ const fuzzMaxHosts = 64
 // to the replay: Run must refuse what Schedule.Validate refuses, run every
 // schedule it accepts with the invariant checker on without panicking,
 // and whenever it returns a result, the checks must have passed. The
-// seeds are recorded live clusters and an engine run's exported history.
+// seeds are recorded live clusters, an engine run's exported history and
+// a schedule of sparse, huge message ids.
 func FuzzReplaySchedule(f *testing.F) {
 	for _, proto := range []string{"TP", "QBC"} {
 		mk, err := live.Factory(proto)
@@ -54,6 +55,7 @@ func FuzzReplaySchedule(f *testing.F) {
 	for i, pr := range res.Protocols {
 		f.Add(exportSchedule(f, pr.Trace.History().Schedule(i, string(pr.Name), cfg.Seed)))
 	}
+	f.Add(exportSchedule(f, sparseSchedule("TP"))) // ids 7, 1<<40 and 1<<62
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var s trace.Schedule

@@ -179,7 +179,7 @@ func (e *engine) send(from, to mobile.HostID) {
 	if err != nil {
 		panic("sim: " + err.Error()) // the driver only sends from connected hosts
 	}
-	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID})
+	e.push(trace.Event{Kind: trace.Send, At: e.now(from), Host: int32(from), Peer: int32(to), Msg: m.ID, Arg: int32(m.ID)})
 }
 
 // deliver hands a delivered message to the protocol side and returns the
@@ -187,7 +187,7 @@ func (e *engine) send(from, to mobile.HostID) {
 //
 //lane:handler
 func (e *engine) deliver(now des.Time, h *mobile.Host, m *mobile.Message) {
-	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID})
+	e.push(trace.Event{Kind: trace.Deliver, At: now, Host: int32(h.ID), Peer: int32(m.From), Msg: m.ID, Arg: int32(m.ID)})
 	e.net.Recycle(m)
 }
 

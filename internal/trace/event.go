@@ -53,8 +53,8 @@ func ParseKind(name string) (Kind, bool) {
 // the kind; a field the kind does not use is zero:
 //
 //	Kind        Host      Peer      Msg         Arg
-//	Send        sender    receiver  message id  -
-//	Deliver     receiver  sender    message id  the message's ordinal: the number of messages sent before it
+//	Send        sender    receiver  message id  handed in: the message's number (below); in a row, -
+//	Deliver     receiver  sender    message id  handed in: the message's number; in a row, the message's ordinal: the number of messages sent before it
 //	Handoff     mover     -         -           the station it moves to
 //	Disconnect  host      -         -           -
 //	Reconnect   host      -         -           the station it reconnects at
@@ -63,9 +63,12 @@ func ParseKind(name string) (Kind, bool) {
 //	Tick        host      -         -           the slot whose timer fires
 //	Round       -1        -         -           the slot whose marker round starts
 //
-// At is the world's clock. The station a hand-off or disconnection
-// leaves is the host's current one, which whoever reads the rows derives
-// (the protocol side, the schedule export). 32 bytes, with no pointer:
+// A message's number names its record in the protocol side's table
+// (protoside.Side.Apply), which the side replaces: the message id in the
+// engine and the live cluster, which count their ids from 0, the send
+// ordinal in a replay. At is the world's clock. The station a hand-off
+// or disconnection leaves is the host's current one, which whoever reads
+// the rows derives (the protocol side, the schedule export). 32 bytes, with no pointer:
 // the engine's pipeline ships bare Events.
 type Event struct {
 	At   des.Time

@@ -77,8 +77,11 @@ func (s *Schedule) FinalHosts() int {
 
 // Import returns the events of a schedule Validate accepted, as the
 // History that exported it recorded them (History.Row): each at its tick,
-// a delivery's Arg the message's ordinal, a hand-off's, reconnection's or join's Arg its station. A schedule is one
-// protocol's, so a clocked row's Arg is slot 0.
+// a delivery's Arg the message's ordinal — the number of sends before
+// its own, which a replay numbers the message with in the protocol side's
+// table, whatever ids the schedule uses — a hand-off's, reconnection's
+// or join's Arg its station. A schedule is one protocol's, so a clocked
+// row's Arg is slot 0.
 func (s *Schedule) Import() []Event {
 	evs := make([]Event, len(s.Events))
 	ords := make(map[uint64]int32) // message id -> ordinal
