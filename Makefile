@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-short check vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results lines clean FORCE
+.PHONY: all build test test-short check vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check bench-gate fmt lint simlint staticcheck-install govulncheck-install fuzz bench bench-scale results lines clean FORCE
 
 all: build test
 
@@ -23,8 +23,9 @@ test-short:
 	$(GO) test -short ./...
 
 # The CI gate, each piece once; CI calls the same targets one step each.
-# (The repository benchmark's smoke and goldens ride `go test ./...`.)
-check: fmt lint vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check
+# (The repository benchmark's smoke and goldens ride `go test ./...`;
+# bench-gate runs it at full size.)
+check: fmt lint vet test-race interleave-gate allocs fuzz-smoke diffreplay results-check bench-gate
 
 # vet also holds rng.Exp's logarithm to the same bits on every GOARCH: the
 # arm64 build and the amd64 v3 build (the targets where a compiler may fuse
@@ -216,6 +217,13 @@ results-check:
 	$(GO) run ./cmd/figures -table all -seeds 3 -out "$$tmp" > /dev/null; \
 	diff -r -x BENCH_scale.json results "$$tmp"; \
 	echo "results-check: all $$(ls "$$tmp" | wc -l) files regenerate byte for byte"
+
+# The repository benchmark's correctness gate at full size: one rep of
+# every workload, each checked against its golden (about 10 s on two
+# cores). The test suite runs the workloads only at smoke sizes, which
+# no structure that changes its layout at scale (n = 1e5) reaches.
+bench-gate:
+	$(GO) run ./bench -seconds 0.01 -trace 0
 
 # The non-test Go lines of every package directory (testdata left out),
 # then their total: a change's size is this at the parent against this at

@@ -42,6 +42,21 @@ func (c *Column[T]) Append(v T) {
 	c.cur = append(c.cur, v) // within the chunk's capacity: it never moves
 }
 
+// Extend appends n zero entries inside one chunk and returns them. A
+// chunk without room for them is padded out with zero entries first. n
+// must be at most maxChunk.
+func (c *Column[T]) Extend(n int) []T {
+	if n > maxChunk {
+		panic("column: Extend of more than one chunk")
+	}
+	for cap(c.cur)-len(c.cur) < n {
+		c.cur = c.cur[:cap(c.cur)]
+		c.grow()
+	}
+	c.cur = c.cur[:len(c.cur)+n]
+	return c.cur[len(c.cur)-n : len(c.cur) : len(c.cur)]
+}
+
 // grow adds the next chunk. It stays out of line so that Append inlines.
 //
 //go:noinline

@@ -110,3 +110,70 @@ func TestColumnAllocs(t *testing.T) {
 		t.Fatalf("%v allocations for %d entries", allocs, n)
 	}
 }
+
+// TestExtendPastDoublingAnd64FullChunks extends columns by runs of one to
+// seven entries across every doubling chunk and past 64 full chunks: no
+// run straddles a chunk, a chunk is padded only when it has no room for
+// the run, padding reads as zero, and every run, held from its Extend to
+// the end, sees what Set wrote to its entries: it is the column's own. A run of a whole chunk pads
+// out the rest; one of more panics.
+func TestExtendPastDoublingAnd64FullChunks(t *testing.T) {
+	for w := 1; w <= 7; w++ {
+		var c Column[int32]
+		var runs [][]int32
+		padded := 0
+		for c.Len() <= (1+64)*maxChunk {
+			before := c.Len()
+			run := c.Extend(w)
+			start := c.Len() - w
+			if len(run) != w || cap(run) != w {
+				t.Fatalf("width %d: Extend returned len %d cap %d", w, len(run), cap(run))
+			}
+			chunk, lo := c.ChunkOf(start)
+			if last, _ := c.ChunkOf(start + w - 1); lo+len(last) <= start+w-1 || &chunk[start-lo] != &run[0] {
+				t.Fatalf("width %d: the run at %d is not inside the chunk from %d", w, start, lo)
+			}
+			if start > before {
+				if ch, lo := c.ChunkOf(before); lo+len(ch)-before >= w {
+					t.Fatalf("width %d: padded from %d although its chunk had room", w, before)
+				}
+				for i := before; i < start; i++ {
+					if c.At(i) != 0 {
+						t.Fatalf("width %d: padding entry %d reads %d", w, i, c.At(i))
+					}
+				}
+				padded += start - before
+			}
+			for j := range run {
+				c.Set(start+j, int32(len(runs)*w+j+1))
+			}
+			runs = append(runs, run)
+		}
+		if c.Len() != len(runs)*w+padded {
+			t.Fatalf("width %d: Len %d for %d runs and %d padding entries", w, c.Len(), len(runs), padded)
+		}
+		i := 0
+		for k, run := range runs {
+			for i < c.Len() && c.At(i) == 0 {
+				i++
+			}
+			for j, v := range run {
+				if want := int32(k*w + j + 1); v != want || c.At(i+j) != want {
+					t.Fatalf("width %d: run %d entry %d holds %d, the column %d; want %d", w, k, j, v, c.At(i+j), want)
+				}
+			}
+			i += w
+		}
+	}
+	var c Column[int32]
+	c.Append(1)
+	if run := c.Extend(maxChunk); len(run) != maxChunk || c.Len() != 2*maxChunk {
+		t.Fatalf("a whole-chunk run after one entry: len %d, Len %d; want %d and %d", len(run), c.Len(), maxChunk, 2*maxChunk)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Extend of maxChunk+1 entries did not panic")
+		}
+	}()
+	c.Extend(maxChunk + 1)
+}

@@ -203,9 +203,9 @@ type Station struct {
 // Members returns the number of hosts currently in the cell.
 func (s *Station) Members() int { return s.members }
 
-// hostShardBits caps the host arena's shard size at 4096 records, the
-// layout E21's million-host worlds were tuned on. A smaller world's shards
-// hold the least power of two that fits its initial hosts (Network.shift).
+// hostShardBits caps the arena's shards at 4096 records, E21's layout for
+// a million hosts; a smaller world's hold the least power of two that fits
+// it (Network.shift). On a column.Column, tp-1e3 lost 6–9/10 wall_s pairs (E52).
 const hostShardBits = 12
 
 // laneCounters is one lane's private Counters shard, padded so adjacent

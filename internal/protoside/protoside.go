@@ -74,27 +74,20 @@ type Side struct {
 	reg *obs.Registry
 
 	// msgs holds each message's record by its number (Apply), idle but
-	// from its send to its delivery, until FinishTraffic keeps the numbers
-	// still in flight alone in stranded. rows holds their piggybacks, a
-	// row of len(Slots) each, and free the rows of delivered messages.
-	// sends is the next send's ordinal.
-	msgs     column.Column[flight]
-	rows     [][]any
-	free     []int32
-	stranded []uint64
-	sends    int32
+	// from its send to its delivery; rows their piggybacks, len(Slots) a
+	// row, and free the delivered rows. sends is the next send's ordinal.
+	msgs  column.Column[flight]
+	rows  column.Column[any]
+	free  []int32
+	sends int32
 }
 
 // flight is one message's record: its ordinal — the number of messages
-// sent before it — and its row of piggybacks, chunk<<rowShift | the row's
-// place in the chunk. A message not in flight has ord -1 (idle).
+// sent before it — and the index in rows of its row's first entry. A
+// message not in flight has ord -1 (idle).
 type flight struct{ ord, row int32 }
 
 var idle = flight{ord: -1}
-
-// Chunk c of rows holds min(2^c, 2^rowShift) rows: a tiny world's table
-// stays tiny, and no chunk moves.
-const rowShift = 12
 
 // Slot is one protocol's share of the run: all protocols ride the same
 // events, and everything that differs between them lives here. The world
@@ -454,29 +447,21 @@ func (p *Side) Apply(ev trace.Event, decoded []any) []any {
 	return row
 }
 
-// newRow returns a free row: a delivered message's, else the next of
-// the newest chunk, which a full chunk makes anew.
+// newRow returns a free row: a delivered message's, else a new one.
 func (p *Side) newRow() int32 {
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]
 		p.free = p.free[:n-1]
 		return r
 	}
-	w, c := len(p.Slots), len(p.rows)-1
-	if c < 0 || len(p.rows[c]) == cap(p.rows[c]) {
-		c++
-		p.rows = append(p.rows, make([]any, 0, min(1<<c, 1<<rowShift)*w))
-	}
-	at := len(p.rows[c])
-	p.rows[c] = p.rows[c][:at+w]
-	return int32(c<<rowShift | at/w)
+	p.rows.Extend(len(p.Slots))
+	return int32(p.rows.Len() - len(p.Slots))
 }
 
 // row is row r's piggybacks, a slot each.
 func (p *Side) row(r int32) []any {
-	w := len(p.Slots)
-	at := int(r&(1<<rowShift-1)) * w
-	return p.rows[r>>rowShift][at : at+w : at+w]
+	chunk, start := p.rows.ChunkOf(int(r))
+	return chunk[int(r)-start:][:len(p.Slots):len(p.Slots)]
 }
 
 // InFlight returns, in ascending order, the numbers (Apply) of the
@@ -484,9 +469,6 @@ func (p *Side) row(r int32) []any {
 // their ids, the history's (trace.History.InFlight); in a replay their
 // send ordinals.
 func (p *Side) InFlight() []uint64 {
-	if p.msgs.Len() == 0 {
-		return p.stranded
-	}
 	var ids []uint64
 	for id := range p.msgs.Len() {
 		if p.msgs.At(id).ord >= 0 {
@@ -496,13 +478,12 @@ func (p *Side) InFlight() []uint64 {
 	return ids
 }
 
-// FinishTraffic, after the world's last event, keeps the numbers of the
-// messages in flight and drops their records and rows: a finished run's
-// result holds the side, and a short run can end with most messages in
-// flight (TestHeldResultHeap's: 84 000 of 87 000).
+// FinishTraffic, after the world's last event, drops the rows of the
+// messages in flight and keeps their 8 B records, which InFlight reads: a
+// finished run's result holds the side, and a short run can end with most
+// messages in flight (TestHeldResultHeap's: 84 000 of 87 000).
 func (p *Side) FinishTraffic() {
-	p.stranded = p.InFlight()
-	p.msgs, p.rows, p.free = column.Column[flight]{}, nil, nil
+	p.rows, p.free = column.Column[any]{}, nil
 }
 
 // send runs every protocol's OnSend of a message from → to — leaving the

@@ -275,7 +275,7 @@ func (quiet) OnCellSwitch(mobile.HostID, mobile.MSSID) {}
 // history's columns have grown, while a thousand messages stay in flight.
 // The world passes no piggyback array: the side keeps each message's row
 // from its send to its delivery and reuses it. A column allocates one
-// 4 096-entry chunk per 4 096 rows, which rounds away per event; an
+// 4 096-entry chunk per 4 096 entries, which rounds away per event; an
 // allocation of Apply's own would not.
 func TestApplyAllocs(t *testing.T) {
 	if race.Enabled {
@@ -329,8 +329,9 @@ func TestApplyAllocs(t *testing.T) {
 // sendsAllocs: when no delivered row is ever free — most messages of a
 // short run at scale end in flight — a send takes a new record and a new
 // row. The table then allocates one chunk of records per 4 096 sends and
-// one chunk of rows per 4 096 rows, and its bytes are what it keeps: 8 B
-// a record and 16 B a slot's piggyback.
+// one chunk of rows per 4 096 slot entries — two per 4 096 sends at two
+// slots — and its bytes are what it keeps: 8 B a record and 16 B a slot's
+// piggyback.
 func sendsAllocs(t *testing.T) {
 	const hosts, stations, slots, chunk = 4, 2, 2, 4096
 	p := protoside.New(slots, hosts, stations, nil, nil)
@@ -353,8 +354,8 @@ func sendsAllocs(t *testing.T) {
 		}
 	}
 	sends() // past the doubling chunks
-	if allocs := testing.AllocsPerRun(8, sends); allocs > 2 {
-		t.Fatalf("%d sends allocate %v times, want at most a chunk of records and one of rows", chunk, allocs)
+	if allocs := testing.AllocsPerRun(8, sends); allocs > 1+slots {
+		t.Fatalf("%d sends allocate %v times, want at most a chunk of records and %d of rows", chunk, allocs, slots)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -368,6 +369,90 @@ func sendsAllocs(t *testing.T) {
 	}
 	if n := len(p.InFlight()); uint64(n) != id {
 		t.Fatalf("%d messages in flight, want %d", n, id)
+	}
+}
+
+// stamp is UNC whose sends piggyback a value of their own — the send's
+// ordinal times the slot count plus the slot — and which keeps the last
+// piggyback it was delivered.
+type stamp struct {
+	protocol.Protocol
+	slot, slots, sent int
+	got               any
+}
+
+func (s *stamp) OnSend(_, _ mobile.HostID) any {
+	s.sent++
+	return (s.sent-1)*s.slots + s.slot
+}
+
+func (s *stamp) OnDeliver(_, _ mobile.HostID, pb any) { s.got = pb }
+
+// TestInFlightPastChunk63 holds 2^18 messages in flight at once — past
+// the 212 991 rows at which the side's own row chunks, before they were a
+// column.Column, overflowed at chunk 63 — with one, two and seven slots:
+// every row reads back what its send wrote, InFlight names every message,
+// each delivery hands the protocols their own message's row, and 2^18
+// more sends after the deliveries take only freed rows.
+func TestInFlightPastChunk63(t *testing.T) {
+	const hosts, flying = 2, 1 << 18
+	for _, slots := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("%d slots", slots), func(t *testing.T) {
+			p := protoside.New(slots, hosts, 1, nil, nil)
+			protos := make([]*stamp, slots)
+			for i := range slots {
+				err := p.InitSlot(i, protoside.Slot{Store: storage.NewStore(storage.DefaultCostModel())}, false,
+					func(c protocol.Checkpointer, _ *storage.Store) (protocol.Protocol, error) {
+						protos[i] = &stamp{Protocol: protocol.NewUncoordinated(hosts, c), slot: i, slots: slots}
+						return protos[i], nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Start()
+			var ord int
+			send := func(n int) []any {
+				ord++
+				return p.Apply(trace.Event{Kind: trace.Send, At: des.Time(ord), Host: 0, Peer: 1, Msg: uint64(n), Arg: int32(n)}, nil)
+			}
+			rows := make([][]any, flying)
+			for n := range flying {
+				rows[n] = send(n)
+			}
+			for n, row := range rows {
+				for i, v := range row {
+					if want := n*slots + i; v != want {
+						t.Fatalf("message %d, slot %d: row reads %v, want %d", n, i, v, want)
+					}
+				}
+			}
+			ids := p.InFlight()
+			if len(ids) != flying {
+				t.Fatalf("%d messages in flight, want %d", len(ids), flying)
+			}
+			for n, id := range ids {
+				if id != uint64(n) {
+					t.Fatalf("in-flight id %d is %d", n, id)
+				}
+			}
+			held := make(map[*any]bool, flying)
+			for n, row := range rows {
+				held[&row[0]] = true
+				ord++
+				p.Apply(trace.Event{Kind: trace.Deliver, At: des.Time(ord), Host: 1, Peer: 0, Msg: uint64(n), Arg: int32(n)}, nil)
+				for i, s := range protos {
+					if want := n*slots + i; s.got != want {
+						t.Fatalf("delivery of message %d handed slot %d %v, want %d", n, i, s.got, want)
+					}
+				}
+			}
+			for n := range flying {
+				if row := send(n); !held[&row[0]] {
+					t.Fatalf("send %d after every delivery took a new row", flying+n)
+				}
+			}
+		})
 	}
 }
 

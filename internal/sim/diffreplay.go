@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 
-	"mobickpt/internal/column"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/protoside"
@@ -76,13 +75,12 @@ func runSchedule(cfg Config) (*Result, error) {
 	// after the walk, as the live cluster draws its own, so a replayed
 	// timeline is the live one. The side's table numbers each message with
 	// its send ordinal, which Import names on its delivery, whatever ids
-	// the schedule uses; ids maps the ordinals back to those ids.
+	// the schedule uses.
 	side.Start()
-	var ids column.Column[uint64]
+	var sends int32
 	for _, ev := range sched.Import() {
 		if ev.Kind == trace.Send {
-			ev.Arg = int32(ids.Len())
-			ids.Append(ev.Msg)
+			ev.Arg, sends = sends, sends+1
 		}
 		pb := side.Apply(ev, nil)
 		if ev.Kind == trace.Send {
@@ -100,15 +98,10 @@ func runSchedule(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The side must hold the schedule's in-flight section — the sends it
-	// leaves undelivered, in id order (Validate) — and nothing else: a
-	// mismatch means the walk desynchronized.
-	got := side.InFlight()
-	for i, ord := range got {
-		got[i] = ids.At(int(ord))
-	}
-	slices.Sort(got)
-	if !slices.Equal(got, sched.InFlight) {
+	// The schedule's in-flight section (Validate) must be what the walk
+	// left undelivered: each delivery row names the send the side's table
+	// found, so a mismatch means the walk desynchronized.
+	if got := side.Hist.InFlight(); !slices.Equal(got, sched.InFlight) {
 		return nil, fmt.Errorf("sim: replay ends with %d in-flight messages, schedule says %d (or other ids)",
 			len(got), len(sched.InFlight))
 	}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"runtime/debug"
+
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/trace"
 )
@@ -127,10 +130,18 @@ func (e *engine) startPipe() *pipeline {
 }
 
 // consume applies every shipped chunk in order and sends it back. A panic
-// ends the consumer; the world re-raises it (await).
+// ends the consumer; the world re-raises it (await), wrapped with its stack.
 func (e *engine) consume(p *pipeline) {
 	defer close(p.done)
-	defer func() { p.failure = recover() }()
+	defer func() {
+		if v := recover(); v != nil {
+			err, ok := v.(error)
+			if !ok {
+				err = fmt.Errorf("%v", v)
+			}
+			p.failure = fmt.Errorf("%w\n\nthe protocol side's goroutine:\n%s", err, debug.Stack())
+		}
+	}()
 	for c := range p.full {
 		for _, ev := range c.evs[:c.n] {
 			e.apply(ev)
@@ -151,9 +162,8 @@ func (e *engine) nextChunk() *chunk {
 	return e.await()
 }
 
-// await receives the oldest shipped chunk back and empties it. A
-// consumer that died is never waited on: its panic is re-raised here, on
-// the world goroutine, with the same value.
+// await receives the oldest shipped chunk back and empties it. A consumer
+// that died is never waited on: its panic is re-raised on the world goroutine.
 func (e *engine) await() *chunk {
 	p := e.pipe
 	select {

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -174,12 +176,17 @@ func laneConfig() Config {
 
 // TestRunPanicFromProtocolSide: a panic in a protocol callback — applied
 // by the consumer goroutine, or by the lane engine's coordinator — comes
-// out of Run on the caller's goroutine, with the value the protocol
-// panicked with.
+// out of Run on the caller's goroutine as the protocol's error. From the
+// consumer, whose stack the caller's does not show, its text also names
+// the frame that panicked.
 func TestRunPanicFromProtocolSide(t *testing.T) {
 	for _, cfg := range []Config{pipelineConfig(), laneConfig()} {
-		if v := runFailing(cfg); v != errProtocolSide {
+		v := runFailing(cfg)
+		if err, _ := v.(error); !errors.Is(err, errProtocolSide) {
 			t.Fatalf("engine %s: recovered %v from Run, want the protocol's %v", cfg.Engine, v, errProtocolSide)
+		}
+		if cfg.Lanes == 0 && !strings.Contains(fmt.Sprint(v), "(*failingDelivery).OnDeliver") {
+			t.Fatalf("engine %s: recovered %q, which names no failingDelivery.OnDeliver frame", cfg.Engine, v)
 		}
 	}
 }
@@ -198,7 +205,7 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 			if i == 13 {
 				c = laneConfig()
 			}
-			if v := runFailing(c); v != errProtocolSide {
+			if v, _ := runFailing(c).(error); !errors.Is(v, errProtocolSide) {
 				t.Fatalf("run %d recovered %v, want %v", i, v, errProtocolSide)
 			}
 			continue

@@ -39,8 +39,8 @@ import (
 // Run executes one simulation. With Config.Checks set, a run that
 // violates a protocol invariant returns the (partial) result together
 // with a check.Violations error describing every broken rule. A panic in
-// a protocol callback is re-raised on the caller's goroutine, with the
-// same value, whichever goroutine the callback ran on.
+// a protocol callback is re-raised on the caller's goroutine; from the
+// consumer goroutine (pipeline.go) it comes wrapped with that one's stack.
 func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
 
 // run is Run; prep, when non-nil, adjusts the wired engine before it

@@ -229,37 +229,50 @@ func BenchmarkTake(b *testing.B) {
 // Records are carved from shared chunks and a host's first chain slot
 // from shared slot chunks: every host must still own its records and its
 // chain, across chunk boundaries, across ids first seen with a gap, and
-// once later checkpoints outgrow the carved slot.
+// once later checkpoints outgrow the carved slot — inside the doubling
+// chunks, and past two full chunkMax-record chunks after them.
 func TestInitialRecordsDoNotAlias(t *testing.T) {
-	s := NewStore(DefaultCostModel())
-	hosts := make([]mobile.HostID, 0, 3*chunkMin+2)
-	for h := 0; h < 3*chunkMin; h++ {
-		hosts = append(hosts, mobile.HostID(h))
-	}
-	hosts = append(hosts, 5000, 4000) // joins: a gap, then an id the gap stepped over
-	for _, h := range hosts {
-		s.Take(h, mobile.MSSID(h%7), 0, Initial, 0)
-	}
-	for round := 1; round <= 3; round++ {
-		for _, h := range hosts {
-			s.Take(h, mobile.MSSID(h%7), round, Basic, 0)
-		}
-	}
-	seen := make(map[*Record]bool)
-	for _, h := range hosts {
-		chain := s.Chain(h)
-		if len(chain) != 4 {
-			t.Fatalf("host %d: chain of %d records, want 4", h, len(chain))
-		}
-		for i, r := range chain {
-			if mobile.HostID(r.Host) != h || int(r.Ordinal) != i || int(r.Index) != i || seen[r] {
-				t.Fatalf("host %d: record %d is %+v (shared: %v)", h, i, *r, seen[r])
+	for _, tc := range []struct {
+		name  string
+		hosts int
+	}{
+		{"within the doubling chunks", 3 * chunkMin},
+		{"past two full chunks", 3 * chunkMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore(DefaultCostModel())
+			hosts := make([]mobile.HostID, 0, tc.hosts+2)
+			for h := range tc.hosts {
+				hosts = append(hosts, mobile.HostID(h))
 			}
-			seen[r] = true
-		}
-	}
-	if got := s.Chain(4500); got != nil {
-		t.Fatalf("host 4500 never checkpointed, chain = %v", got)
+			// joins: a gap, then an id the gap stepped over
+			gap := mobile.HostID(tc.hosts)
+			hosts = append(hosts, gap+1000, gap)
+			for _, h := range hosts {
+				s.Take(h, mobile.MSSID(h%7), 0, Initial, 0)
+			}
+			for round := 1; round <= 3; round++ {
+				for _, h := range hosts {
+					s.Take(h, mobile.MSSID(h%7), round, Basic, 0)
+				}
+			}
+			seen := make(map[*Record]bool)
+			for _, h := range hosts {
+				chain := s.Chain(h)
+				if len(chain) != 4 {
+					t.Fatalf("host %d: chain of %d records, want 4", h, len(chain))
+				}
+				for i, r := range chain {
+					if mobile.HostID(r.Host) != h || int(r.Ordinal) != i || int(r.Index) != i || seen[r] {
+						t.Fatalf("host %d: record %d is %+v (shared: %v)", h, i, *r, seen[r])
+					}
+					seen[r] = true
+				}
+			}
+			if got := s.Chain(gap + 500); got != nil {
+				t.Fatalf("host %d never checkpointed, chain = %v", gap+500, got)
+			}
+		})
 	}
 }
 
